@@ -207,6 +207,9 @@ class DistributedAMRSolver(AMRSolver):
         rank loop, or by rank 0 in the process backend."""
         return self.rank == 0
 
+    def _block_name(self, key: BlockKey) -> str:
+        return f"rank {self.assignment[key]}, block {key}"
+
     def _measure_imbalance(self) -> float:
         loads = rank_loads(self.forest, self.assignment, self.n_ranks)
         imbalance = measured_imbalance(loads)

@@ -24,19 +24,13 @@ timer baselines so merged step records reproduce the serial stream.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..boundary.conditions import BoundarySet
-from ..comm.shm import (
-    ShmChannel,
-    ShmCommunicator,
-    SupervisionBoard,
-    amr_channel_capacities,
-)
+from ..comm.shm import SupervisionBoard, amr_channel_capacities
 from ..mesh.amr.blocks import BlockKey
 from ..mesh.amr.exchange import (
     TAG_AMR_HALO,
@@ -60,9 +54,9 @@ from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
 from ..utils.errors import ConfigurationError, WorkerError
 from .amr_distributed import DistributedAMRSolver
-from .amr_solver import AMRConfig, AMRSolver
+from .amr_solver import AMRConfig
 from .config import SolverConfig
-from .parallel import ProcessSolver, _MergedMetrics
+from .parallel import ProcessSolver, _WorkerShell
 
 
 def _validate_amr_plan(plan, n_ranks: int) -> None:
@@ -107,22 +101,20 @@ class _AMRWorkerSpec:
         return _AMRRankWorker(self, board)
 
 
-class _AMRRankWorker(DistributedAMRSolver):
+class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
     """One rank of the distributed AMR run, inside a worker process.
 
     Inherits the full decision logic of :class:`DistributedAMRSolver` and
     swaps the rank loop for real shm-ring exchange: halo interiors, fine
     face-flux columns, merge quarters, and checksummed block-migration
     frames travel between ranks, while flags and dt reduce through the
-    communicator's exact collectives.
+    communicator's exact collectives.  The process-side protocol (ring
+    attachment, barrier-then-step, snapshots, rebinding) is the shared
+    :class:`~repro.core.parallel._WorkerShell`.
     """
 
     def __init__(self, spec: _AMRWorkerSpec, board: SupervisionBoard):
-        self.rank = spec.rank
         self.n_ranks = spec.size
-        self.spec = spec
-        self._barrier = board
-        self._barrier_timeout = spec.barrier_timeout_s
         self.assignment = None
         self._init_distributed_state()
         self._pipe_state: dict[BlockKey, tuple] = {}
@@ -131,22 +123,7 @@ class _AMRRankWorker(DistributedAMRSolver):
             spec.wall_bcs, None, spec.source_fn,
         )
         self.recorder = StepRecorder(BufferSink())
-
-        writers: dict = {}
-        readers: dict = {}
-        self._channels = []
-        for (src, dest), (name, cap) in spec.channels.items():
-            ch = ShmChannel.attach(name, cap)
-            self._channels.append(ch)
-            if src == self.rank:
-                writers[dest] = ch
-            if dest == self.rank:
-                readers[src] = ch
-        self.comm = ShmCommunicator(
-            self.rank, spec.size, writers, readers,
-            metrics=self.metrics, barrier=board,
-            timeout_s=spec.comm_timeout_s, board=board,
-        )
+        self.comm = self._attach(spec, board, self.metrics)
         self._install_state(spec.state)
         self._process_t0 = time.process_time()
 
@@ -480,11 +457,6 @@ class _AMRRankWorker(DistributedAMRSolver):
     # Worker-process protocol surface
     # ------------------------------------------------------------------
 
-    def step(self, dt=None, t_final=None):
-        self._barrier.wait(self._barrier_timeout)
-        out_dt = AMRSolver.step(self, dt=dt, t_final=t_final)
-        return out_dt, self.recorder.sink.records.pop()
-
     @property
     def cons(self) -> dict[BlockKey, np.ndarray]:
         """Owned blocks' ghosted conserved arrays (``gather_cons`` reply)."""
@@ -500,38 +472,17 @@ class _AMRRankWorker(DistributedAMRSolver):
             for k in self._step_keys()
         }
 
-    def snapshot(self) -> dict:
-        return {
-            "metrics": self.metrics.snapshot(),
-            "timers": {name: t.elapsed for name, t in self.timers.items()},
-            "process_seconds": time.process_time() - self._process_t0,
-        }
-
-    def checkpoint_state(self):
+    def checkpoint_shards(self):
         raise WorkerError(
             "in-run checkpointing is not supported by the distributed AMR "
             "driver"
         )
 
-    def restore_state(self, *args):
+    def install_shards(self, *args):
         raise WorkerError(
             "in-run checkpointing is not supported by the distributed AMR "
             "driver"
         )
-
-    def rebind(self, channels: dict) -> None:
-        """Attach freshly recreated shm rings (a peer was respawned)."""
-        for (src, dest), (name, cap) in channels.items():
-            ch = ShmChannel.attach(name, cap)
-            self._channels.append(ch)
-            self.comm.rebind_channel(src, dest, ch)
-
-    def close(self) -> None:
-        for ch in self._channels:
-            try:
-                ch.close()
-            except Exception:
-                pass
 
 
 class AMRProcessSolver(ProcessSolver):
@@ -580,60 +531,20 @@ class AMRProcessSolver(ProcessSolver):
         self.config = proto.config
         self.amr = proto.amr
         self.layout = proto.layout
-        self.recorder = recorder
-        self.supervision = supervision
-        self._plan = plan
         self.n_ranks = int(n_ranks)
-        self.t = 0.0
-        self.steps = 0
-        self.step_timeout_s = float(step_timeout_s)
-        self.metrics = _MergedMetrics(self)
-        self._closed = False
-        self._last_record: dict | None = None
         self._wall_bcs = proto.wall_bcs
         self._source_fn = source_fn
-        self._comm_timeout_s = float(comm_timeout_s)
-        self._ready_timeout_s = float(ready_timeout_s)
-        self._heartbeat_interval_s = (
-            supervision.heartbeat_interval_s if supervision is not None
-            else 0.25
+        self._init_supervisor(
+            recorder, supervision, plan,
+            comm_timeout_s, step_timeout_s, ready_timeout_s,
         )
-        self._snapshot: dict | None = None
-        self._emitted = 0
-        self._restarts_used = 0
-        self._restart_rounds = 0
-        self._process_faults_fired: set[int] = set()
-        self._local_prev: dict = {}
         self._last_amr: dict | None = None
-
         self._init_states = self._states_from_proto(proto)
 
         g = root_grid.n_ghost
         B = self.amr.block_size
         block_nbytes = 8 * system.nvars * (B + 2 * g) ** root_grid.ndim
-        caps = amr_channel_capacities(self.n_ranks, block_nbytes)
-        self._caps = dict(caps)
-        self._segments: list[str] = []
-        self._channels: dict = {}
-        for pair, cap in caps.items():
-            ch = ShmChannel.create(cap)
-            self._channels[pair] = ch
-            self._segments.append(ch.name)
-
-        self._ctx = mp.get_context("spawn")
-        self._board = SupervisionBoard.create(self.size)
-        self._segments.append(self._board.name)
-        self._procs: dict[int, mp.Process] = {}
-        self._conns: dict = {}
-        try:
-            for rank in range(self.size):
-                self._spawn(rank)
-            self._collect("ready", timeout_s=self._ready_timeout_s)
-            if supervision is not None:
-                self._snapshot = self._gather_supervision_state()
-        except BaseException:
-            self._abort()
-            raise
+        self._start_fleet(amr_channel_capacities(self.n_ranks, block_nbytes))
 
     def _states_from_proto(self, proto: DistributedAMRSolver) -> dict:
         """Per-rank initial install states from the prototype solver.
@@ -754,21 +665,11 @@ class AMRProcessSolver(ProcessSolver):
 
     def gather_blocks(self) -> dict[BlockKey, np.ndarray]:
         """Every leaf's ghosted conserved array, merged across ranks."""
-        self._command_all("gather_cons")
-        replies = self._collect("cons")
-        out: dict[BlockKey, np.ndarray] = {}
-        for rank in range(self.size):
-            out.update(replies[rank][2])
-        return out
+        return self._gather("gather_cons", "cons")
 
     def gather_block_primitives(self) -> dict[BlockKey, np.ndarray]:
         """Every leaf's interior primitives, merged across ranks."""
-        self._command_all("gather_prims")
-        replies = self._collect("prims")
-        out: dict[BlockKey, np.ndarray] = {}
-        for rank in range(self.size):
-            out.update(replies[rank][2])
-        return out
+        return self._gather("gather_prims", "prims")
 
     def gather_primitives(self):
         raise ConfigurationError(

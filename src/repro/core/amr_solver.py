@@ -35,15 +35,19 @@ from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
 from ..time_integration.cfl import clip_dt_to_final, compute_dt
 from ..time_integration.ssprk import make_integrator
-from ..utils.errors import ConfigurationError
+from ..utils.errors import ConfigurationError, NumericsError
+from ..utils.logging import get_logger
 from ..utils.parameters import ParameterSet, param
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
+from .diagnostics import check_dt, first_nonfinite
 from .distributed import _DictState
 from .pipeline import HydroPipeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.recorder import StepRecorder
+
+_log = get_logger("core")
 
 
 class AMRConfig(ParameterSet):
@@ -475,16 +479,34 @@ class AMRSolver:
             self.forest.leaves[key].cons = cons
         self.t += dt
         self.steps += 1
+        self._check_finite()  # before a due regrid prolongs/restricts NaNs
         step_cells = self.forest.n_leaf_cells() * self.integrator.stages
         self.cells_updated += step_cells
         if self.steps % self.amr.regrid_interval == 0:
             self.regrid()
         return step_cells
 
+    def _block_name(self, key: BlockKey) -> str:
+        """How error messages name a leaf (the distributed drivers prefix
+        the owning rank)."""
+        return f"block {key}"
+
+    def _check_finite(self) -> None:
+        for key in self._step_keys():
+            leaf = self.forest.leaves[key]
+            hit = first_nonfinite(leaf.grid.interior_of(leaf.cons))
+            if hit is not None:
+                raise NumericsError(
+                    f"non-finite conserved state after step {self.steps} "
+                    f"at t={self.t:g}: {self._block_name(key)}, "
+                    f"variable {hit[0]}, interior cell {hit[1]}"
+                )
+
     def step(self, dt: float | None = None, t_final: float | None = None) -> float:
         wall0 = time.perf_counter()
         if dt is None:
             dt = self.compute_dt(t_final)
+        check_dt(dt, self.t, self.steps + 1)
         step_cells = self._advance(dt)
         if self.recorder is not None:
             self.recorder.record_step(
@@ -510,8 +532,13 @@ class AMRSolver:
         }
 
     def run(self, t_final: float, max_steps: int | None = None) -> None:
+        if t_final < self.t:
+            raise ConfigurationError(f"t_final={t_final} is before t={self.t}")
         limit = max_steps if max_steps is not None else self.config.max_steps
-        while self.t < t_final * (1.0 - 1e-14) and self.steps < limit:
+        while self.t < t_final * (1.0 - 1e-14):
+            if self.steps >= limit:
+                _log.warning("step limit %d reached at t=%g", limit, self.t)
+                break
             self.step(t_final=t_final)
 
     # ------------------------------------------------------------------

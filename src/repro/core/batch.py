@@ -55,6 +55,7 @@ from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError, NumericsError, RecoveryError
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
+from .diagnostics import check_dt, first_nonfinite
 from .pipeline import HydroPipeline
 
 
@@ -291,12 +292,12 @@ class BatchSolver:
 
     def _check_finite(self) -> None:
         interior = self.grid.interior_of(self.cons)
-        bad = ~np.isfinite(interior)
-        if bad.any():
-            var, *cell = (int(i) for i in np.argwhere(bad)[0])
+        hit = first_nonfinite(interior)
+        if hit is not None:
+            var, cell = hit
             raise NumericsError(
                 f"non-finite conserved state after step {self.steps + 1} at "
-                f"t={self.t:g}: variable {var}, interior cell {tuple(cell)} "
+                f"t={self.t:g}: variable {var}, interior cell {cell} "
                 f"(scenario {cell[-1]})"
             )
 
@@ -360,11 +361,7 @@ class BatchSolver:
         wall0 = time.perf_counter()
         if dt is None:
             dt = self.compute_dt(t_final)
-        if not np.isfinite(dt) or dt <= 0:
-            raise NumericsError(
-                f"invalid time step dt={dt!r} at t={self.t:g} "
-                f"(step {self.steps + 1})"
-            )
+        check_dt(dt, self.t, self.steps + 1)
         # Eviction can only slow the fastest signal (the parking fluid is
         # subsonic), so retrying with the same dt stays CFL-stable.
         for _ in range(self.n_batch + 1):

@@ -8,6 +8,24 @@ import numpy as np
 
 from ..mesh.grid import Grid
 from ..physics.srhd import SRHDSystem
+from ..utils.errors import NumericsError
+
+
+def check_dt(dt: float, t: float, step: int) -> None:
+    """Refuse a non-finite or non-positive time step before it is taken
+    (the one dt guard every driver's ``step`` runs)."""
+    if not np.isfinite(dt) or dt <= 0:
+        raise NumericsError(f"invalid time step dt={dt!r} at t={t:g} (step {step})")
+
+
+def first_nonfinite(arr: np.ndarray) -> tuple[int, tuple[int, ...]] | None:
+    """``(variable, cell)`` of the first NaN/Inf entry of a state array, or
+    None — what the drivers' post-step guards name in their error."""
+    finite = np.isfinite(arr)
+    if finite.all():
+        return None
+    var, *cell = (int(i) for i in np.argwhere(~finite)[0])
+    return var, tuple(cell)
 
 
 @dataclass

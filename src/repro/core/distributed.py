@@ -35,16 +35,35 @@ from ..mesh.decomposition import CartesianDecomposition
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
-from ..time_integration.cfl import clip_dt_to_final, compute_dt
+from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima, max_signal_per_axis
+from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError, NumericsError
+from ..utils.logging import get_logger
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
+from .diagnostics import check_dt, first_nonfinite
 from .pipeline import HydroPipeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.recorder import StepRecorder
     from ..resilience.faults import FaultInjector
     from ..resilience.policies import HaloRetryPolicy
+
+_log = get_logger("core")
+
+
+def decompose(system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic):
+    """``(wall conditions, decomposition)`` from the constructor arguments
+    both Cartesian executors take; periodicity defaults to the walls'."""
+    if system.ndim != global_grid.ndim:
+        raise ConfigurationError("system/grid dimensionality mismatch")
+    wall_bcs = boundaries or make_boundaries("outflow")
+    if periodic is None:
+        periodic = tuple(
+            wall_bcs.condition(ax, 0).name == "periodic"
+            for ax in range(global_grid.ndim)
+        )
+    return wall_bcs, CartesianDecomposition(global_grid, dims, periodic=periodic)
 
 
 class _DictState:
@@ -111,24 +130,44 @@ class DistributedSolver:
         halo_policy: "HaloRetryPolicy | None" = None,
         source_fn=None,
     ):
-        if system.ndim != global_grid.ndim:
-            raise ConfigurationError("system/grid dimensionality mismatch")
+        wall_bcs, decomp = decompose(system, global_grid, dims, boundaries, periodic)
+        self._init_ranks(
+            system, decomp, config, wall_bcs,
+            decomp.scatter(global_grid.interior_of(initial_prim)),
+            range(decomp.size),
+            SimCommunicator(decomp.size, fault_injector=fault_injector),
+            recorder=recorder, fault_injector=fault_injector,
+            halo_policy=halo_policy, source_fn=source_fn,
+        )
+
+    def _init_ranks(
+        self, system: SRHDSystem, decomp: CartesianDecomposition, config,
+        wall_bcs: BoundarySet, parts: dict[int, np.ndarray], local_ranks, comm,
+        recorder=None, fault_injector=None, halo_policy=None, source_fn=None,
+        metrics: MetricsRegistry | None = None, prime: bool = True,
+    ) -> None:
+        """Everything after the scatter, for the ranks this stepper owns.
+
+        The public constructor owns every rank over a
+        :class:`SimCommunicator`; the process-backend rank worker owns one
+        rank (``local_ranks=(rank,)``, *parts* holding that rank's interior
+        patch) over a :class:`~repro.comm.shm.ShmCommunicator` built on
+        *metrics* — the same class steps both, which is what keeps the
+        executors bit-identical.  ``prime=False`` skips the collective
+        priming exchange (a respawned rank builds alone and has its state
+        installed afterwards).
+        """
         self.system = system
-        self.global_grid = global_grid
+        self.global_grid = global_grid = decomp.global_grid
         self.config = config or SolverConfig()
-        wall_bcs = boundaries or make_boundaries("outflow")
-        if periodic is None:
-            periodic = tuple(
-                wall_bcs.condition(ax, 0).name == "periodic"
-                for ax in range(global_grid.ndim)
-            )
-        self.decomp = CartesianDecomposition(global_grid, dims, periodic=periodic)
-        self.comm = SimCommunicator(self.decomp.size, fault_injector=fault_injector)
+        self.decomp = decomp
+        self.comm = comm
+        self.local_ranks = tuple(local_ranks)
         # One shared timer/metrics registry across all rank pipelines: the
         # counters and kernel times aggregate globally, which is what the
         # per-step records report.
         self.timers = TimerRegistry()
-        self.metrics = MetricsRegistry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.recorder = recorder
         self.fault_injector = fault_injector
         self.halo_policy = halo_policy
@@ -140,7 +179,7 @@ class DistributedSolver:
         interior = InteriorFace()
         self.pipelines: dict[int, HydroPipeline] = {}
         self.subgrids: dict[int, Grid] = {}
-        for rank in range(self.decomp.size):
+        for rank in self.local_ranks:
             faces = {}
             for axis in range(global_grid.ndim):
                 for side in (0, 1):
@@ -161,9 +200,7 @@ class DistributedSolver:
             )
             self.pipelines[rank].source_fn = source_fn
 
-        # Scatter the initial data (interiors), then fill all ghosts once.
-        prim_interior = global_grid.interior_of(initial_prim)
-        parts = self.decomp.scatter(prim_interior)
+        # Install the scattered interiors, then fill all ghosts once.
         self.cons: dict[int, np.ndarray] = {}
         prims: dict[int, np.ndarray] = {}
         for rank, pipeline in self.pipelines.items():
@@ -172,7 +209,8 @@ class DistributedSolver:
             sub.interior_of(prim)[...] = parts[rank]
             pipeline.boundaries.apply(system, sub, prim)
             prims[rank] = prim
-        self._exchange(prims)
+        if prime:
+            self._exchange(prims)
         for rank, prim in prims.items():
             self.pipelines[rank].atmosphere.apply_prim(system, prim)
             self.cons[rank] = system.prim_to_con(prim)
@@ -180,8 +218,6 @@ class DistributedSolver:
         # computed from the (floored, exchanged) initial primitives, not a
         # recovery round-trip — keeping the two solvers bit-identical.
         self._prims_cache: dict[int, np.ndarray] | None = prims
-        from ..time_integration.ssprk import make_integrator
-
         self.integrator = make_integrator(self.config.integrator)
         self.t = 0.0
         self.steps = 0
@@ -192,11 +228,7 @@ class DistributedSolver:
         )
         # Snapshot after the constructor's initial exchange so the first
         # step's delta counts only that step's traffic.
-        self._traffic_prev = (
-            self.comm.traffic.n_bytes,
-            self.comm.traffic.n_messages,
-            self.comm.traffic.n_collectives,
-        )
+        self._traffic_prev = self.comm.traffic_marker()
 
         #: overlapped-exchange mode: RHS evaluations post halos first,
         #: compute each rank's core regions while the exchange is in
@@ -205,17 +237,17 @@ class DistributedSolver:
         self.overlap = bool(self.config.overlap_exchange)
         self._link = make_link(self.config.overlap_link)
         self._regions = {
-            rank: rhs_regions(self.decomp, rank) for rank in range(self.size)
+            rank: rhs_regions(self.decomp, rank) for rank in self.local_ranks
         }
         interior_cells = strip_cells = 0
-        for rank in range(self.size):
+        for rank in self.local_ranks:
             sub = self.subgrids[rank]
             for axis, (core, strips) in enumerate(self._regions[rank]):
                 transverse = int(np.prod(sub.shape)) // sub.shape[axis]
                 interior_cells += (core[1] - core[0]) * transverse
                 strip_cells += sum(hi - lo for lo, hi in strips) * transverse
-        #: per-exchange (core, strip) cell-update counts behind the
-        #: comm.overlap.interior_cells / strip_cells counters
+        #: per-exchange (core, strip) cell-update counts of the owned ranks
+        #: behind the comm.overlap.interior_cells / strip_cells counters
         self.overlap_cell_counts = (interior_cells, strip_cells)
         #: per-exchange overlap entries (modeled comm vs interior/strip
         #: compute) consumed by runtime.trace.overlap_to_metrics_records
@@ -227,14 +259,23 @@ class DistributedSolver:
     def size(self) -> int:
         return self.decomp.size
 
+    def _owns_metrics(self) -> bool:
+        """Once-per-fleet observations (``solver.dt``, the overlapped
+        exchange count) belong to whichever stepper holds rank 0."""
+        return self.local_ranks[0] == 0
+
+    def _exchange_schedule(self, overlapped: bool):
+        """Pre-decided fault schedule of the next exchange: none here (the
+        injector sits inside the communicator); the rank worker consults
+        its :class:`~repro.resilience.oracle.FaultOracle`."""
+        return None
+
     def _exchange(self, prims: dict[int, np.ndarray]) -> None:
         """One full halo exchange, resilient when a retry policy is set."""
         exchange_halos(
-            self.decomp,
-            self.comm,
-            prims,
-            policy=self.halo_policy,
-            metrics=self.metrics,
+            self.decomp, self.comm, prims,
+            policy=self.halo_policy, metrics=self.metrics,
+            schedule=self._exchange_schedule(False),
         )
 
     def _recover_and_exchange(
@@ -247,7 +288,7 @@ class DistributedSolver:
             return self._prims_cache
         prims = {
             rank: self.pipelines[rank].recover_primitives(cons[rank], reuse=reuse)
-            for rank in range(self.size)
+            for rank in self.local_ranks
         }
         self._exchange(prims)
         return prims
@@ -258,7 +299,7 @@ class DistributedSolver:
         # Each rank pipeline owns its workspace, so per-rank reuse is safe.
         prims = self._recover_and_exchange(cons, reuse=True)
         out = {}
-        for rank in range(self.size):
+        for rank in self.local_ranks:
             pipeline = self.pipelines[rank]
             dU = pipeline.flux_divergence(prims[rank], reuse=True)
             out[rank] = pipeline.apply_source(prims[rank], dU)
@@ -278,15 +319,16 @@ class DistributedSolver:
         """
         prims = {
             rank: self.pipelines[rank].recover_primitives(cons[rank], reuse=True)
-            for rank in range(self.size)
+            for rank in self.local_ranks
         }
         handle = post_halos(
             self.decomp, self.comm, prims,
             policy=self.halo_policy, metrics=self.metrics,
+            schedule=self._exchange_schedule(True),
         )
         t0 = time.perf_counter()
-        divs: dict[int, list] = {rank: [] for rank in range(self.size)}
-        for rank in range(self.size):
+        divs: dict[int, list] = {rank: [] for rank in self.local_ranks}
+        for rank in self.local_ranks:
             pipeline = self.pipelines[rank]
             for axis, (core, _strips) in enumerate(self._regions[rank]):
                 lo, hi = core
@@ -300,7 +342,7 @@ class DistributedSolver:
         complete_halos(handle)
         t1 = time.perf_counter()
         out = {}
-        for rank in range(self.size):
+        for rank in self.local_ranks:
             pipeline = self.pipelines[rank]
             for axis, (_core, strips) in enumerate(self._regions[rank]):
                 for lo, hi in strips:
@@ -326,11 +368,12 @@ class DistributedSolver:
         """
         m = self.metrics
         modeled = halo_exchange_time(self._link, handle.posted)
-        interior_per_rank = interior_s / self.size
+        interior_per_rank = interior_s / len(self.local_ranks)
         hidden = min(modeled, interior_per_rank)
         exposed = modeled - hidden
         interior_cells, strip_cells = self.overlap_cell_counts
-        m.counter("comm.overlap.exchanges").inc()
+        if self._owns_metrics():
+            m.counter("comm.overlap.exchanges").inc()
         m.counter("comm.overlap.modeled_comm_s").inc(modeled)
         m.counter("comm.overlap.hidden_s").inc(hidden)
         m.counter("comm.overlap.exposed_s").inc(exposed)
@@ -359,16 +402,14 @@ class DistributedSolver:
         then the same dt formula as the single-grid solver — bit-identical
         to it (a min over per-rank dt would differ whenever the x- and
         y-maxima live on different ranks)."""
-        from ..time_integration.cfl import dt_from_axis_maxima, max_signal_per_axis
-
         prims = self._recover_and_exchange(self.cons, use_cache=True)
         local = {
             rank: np.asarray(
                 max_signal_per_axis(self.system, self.subgrids[rank], prims[rank])
             )
-            for rank in range(self.size)
+            for rank in self.local_ranks
         }
-        vmax = self.comm.allreduce(local, op="max")[0]
+        vmax = self.comm.allreduce(local, op="max")[self.local_ranks[0]]
         dt = dt_from_axis_maxima(self.global_grid, vmax, self.config.cfl)
         return clip_dt_to_final(dt, self.t, t_final)
 
@@ -377,28 +418,21 @@ class DistributedSolver:
         for pipeline in self.pipelines.values():
             pipeline.time = t
 
-    def _check_dt(self, dt: float) -> None:
-        if not np.isfinite(dt) or dt <= 0:
-            raise NumericsError(
-                f"invalid time step dt={dt!r} at t={self.t:g} (step {self.steps + 1})"
-            )
-
     def _check_finite(self) -> None:
-        for rank in range(self.size):
-            bad = ~np.isfinite(self.cons[rank])
-            if bad.any():
-                var, *cell = (int(i) for i in np.argwhere(bad)[0])
+        for rank in self.local_ranks:
+            hit = first_nonfinite(self.cons[rank])
+            if hit is not None:
                 raise NumericsError(
                     f"non-finite conserved state after step {self.steps} "
-                    f"at t={self.t:g}: rank {rank}, variable {var}, "
-                    f"cell {tuple(cell)}"
+                    f"at t={self.t:g}: rank {rank}, variable {hit[0]}, "
+                    f"cell {hit[1]}"
                 )
 
     def step(self, dt: float | None = None, t_final: float | None = None) -> float:
         wall0 = time.perf_counter()
         if dt is None:
             dt = self.compute_dt(t_final)
-        self._check_dt(dt)
+        check_dt(dt, self.t, self.steps + 1)
         rhs = lambda state: _DictState(self._rhs(state.parts))
         advanced = self.integrator.step(
             _DictState(self.cons), dt, rhs,
@@ -409,7 +443,8 @@ class DistributedSolver:
         self.t += dt
         self.steps += 1
         self._check_finite()
-        self.metrics.histogram("solver.dt").observe(dt)
+        if self._owns_metrics():
+            self.metrics.histogram("solver.dt").observe(dt)
         if self.recorder is not None:
             self.recorder.record_step(
                 step=self.steps,
@@ -425,8 +460,7 @@ class DistributedSolver:
     def _traffic_delta(self) -> dict:
         """Communicator traffic since the last call, plus the analytic
         per-exchange byte count for cross-checking."""
-        log = self.comm.traffic
-        now = (log.n_bytes, log.n_messages, log.n_collectives)
+        now = self.comm.traffic_marker()
         prev, self._traffic_prev = self._traffic_prev, now
         return {
             "halo_bytes": now[0] - prev[0],
@@ -450,10 +484,15 @@ class DistributedSolver:
         mid-run leaves a consistent resumable archive behind (see
         :func:`repro.resilience.run_with_restart`).
         """
+        if t_final < self.t:
+            raise ConfigurationError(f"t_final={t_final} is before t={self.t}")
         if checkpoint_every and checkpoint_path is None:
             raise ConfigurationError("checkpoint_every requires a checkpoint_path")
         limit = max_steps if max_steps is not None else self.config.max_steps
-        while self.t < t_final * (1.0 - 1e-14) and self.steps < limit:
+        while self.t < t_final * (1.0 - 1e-14):
+            if self.steps >= limit:
+                _log.warning("step limit %d reached at t=%g", limit, self.t)
+                break
             self.step(t_final=t_final)
             if checkpoint_every and self.steps % checkpoint_every == 0:
                 # Deferred import: repro.io imports this module's siblings.
@@ -467,14 +506,32 @@ class DistributedSolver:
         from its workers, so both write identical archives)."""
         return {
             rank: (self.cons[rank], self.pipelines[rank]._p_cache)
-            for rank in range(self.size)
+            for rank in self.local_ranks
+        }
+
+    def install_shards(self, t, steps, shards: dict, prims_cache=None) -> None:
+        """Install ``{rank: (ghosted cons, con2prim cache)}`` for the owned
+        ranks verbatim (bit-exact restart): the one path checkpoint reload,
+        the worker's restore commands and the fold to serial all take.
+        *prims_cache* is the exchanged-primitive cache when one was held."""
+        for rank in self.local_ranks:
+            cons, p_cache = shards[rank]
+            self.cons[rank] = np.array(cons)
+            self.pipelines[rank]._p_cache = (
+                None if p_cache is None else np.array(p_cache)
+            )
+        self._prims_cache = prims_cache
+        self.t = float(t)
+        self.steps = int(steps)
+
+    def interior_primitives(self) -> dict[int, np.ndarray]:
+        """Owned ranks' interior primitives after a fresh exchange."""
+        prims = self._recover_and_exchange(self.cons)
+        return {
+            rank: self.subgrids[rank].interior_of(prims[rank]).copy()
+            for rank in self.local_ranks
         }
 
     def gather_primitives(self) -> np.ndarray:
         """Global interior primitive field assembled from all ranks."""
-        prims = self._recover_and_exchange(self.cons)
-        parts = {
-            rank: self.subgrids[rank].interior_of(prims[rank]).copy()
-            for rank in range(self.size)
-        }
-        return self.decomp.gather(parts, self.system.nvars)
+        return self.decomp.gather(self.interior_primitives(), self.system.nvars)

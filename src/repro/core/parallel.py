@@ -11,9 +11,11 @@ the measured counterpart of the Hockney-priced scaling model.
 Bit-exactness with the serial path is a hard invariant, held by
 construction:
 
-* every worker mirrors the serial per-rank constructor and step
-  sequence exactly (same recovery, exchange, integrator, and guard
-  calls, in the same order, on the same bytes);
+* every worker *is* a :class:`DistributedSolver` — the one rank stepper,
+  built over ``local_ranks=(rank,)`` and a
+  :class:`~repro.comm.shm.ShmCommunicator` instead of every rank and a
+  ``SimCommunicator`` — so recovery, exchange, integrator and guard
+  calls are the same code, not a copy kept in step with it;
 * the global CFL reduction funnels through rank 0 and replays the
   serial ``np.stack`` + reduction, so dt is bitwise equal;
 * fault injection and retry decisions are derived rank-locally from the
@@ -56,15 +58,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..boundary.conditions import BoundarySet, InteriorFace, make_boundaries
-from ..comm.costs import halo_exchange_time, make_link
-from ..comm.halo import (
-    complete_halos,
-    exchange_halos,
-    halo_bytes_per_step,
-    post_halos,
-    rhs_regions,
-)
+from ..boundary.conditions import BoundarySet
+from ..comm.halo import halo_bytes_per_step
 from ..comm.shm import (
     ShmChannel,
     ShmCommunicator,
@@ -79,23 +74,14 @@ from ..obs.metrics import MetricsRegistry, merge_histogram_summaries
 from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
 from ..resilience.oracle import FaultOracle, RankStridedFaultInjector
-from ..time_integration.cfl import (
-    clip_dt_to_final,
-    dt_from_axis_maxima,
-    max_signal_per_axis,
-)
-from ..time_integration.ssprk import make_integrator
 from ..utils.errors import (
     ConfigurationError,
-    NumericsError,
     ReproError,
     SupervisionExhausted,
     WorkerError,
 )
-from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .distributed import DistributedSolver
-from .pipeline import HydroPipeline
+from .distributed import DistributedSolver, decompose
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.recorder import StepRecorder as _StepRecorder  # noqa: F401
@@ -134,25 +120,21 @@ class _WorkerSpec:
         return _RankWorker(self, board)
 
 
-class _RankWorker:
-    """One rank of the decomposition, living inside a worker process.
+class _WorkerShell:
+    """What living inside a worker process adds to a serial driver.
 
-    Mirrors :class:`DistributedSolver`'s per-rank construction and step
-    sequence exactly — any ordering drift here breaks bit-exactness, so
-    changes to the serial solver must be reflected in this class (the
-    serial-vs-process test matrix enforces it).
+    Mixed in ahead of the driver class (:class:`DistributedSolver`,
+    :class:`~repro.core.amr_distributed.DistributedAMRSolver`), it
+    contributes ring attachment, the lockstep barrier in front of
+    ``step``, resource snapshots, ring rebinding after a peer respawn and
+    teardown — never physics, which stays in the driver it wraps.
     """
 
-    def __init__(self, spec: _WorkerSpec, board: SupervisionBoard):
+    def _attach(self, spec, board: SupervisionBoard, metrics) -> ShmCommunicator:
+        """Attach this rank's shm rings and build its communicator."""
         self.rank = spec.rank
-        self.spec = spec
-        system = spec.system
-        self.system = system
-        self.global_grid = spec.global_grid
-        self.config = spec.config
-        self.decomp = CartesianDecomposition(
-            spec.global_grid, spec.dims, periodic=spec.periodic
-        )
+        self._barrier = board
+        self._barrier_timeout = spec.barrier_timeout_s
         writers = {}
         readers = {}
         self._channels = []
@@ -163,261 +145,20 @@ class _RankWorker:
                 writers[dest] = ch
             if dest == self.rank:
                 readers[src] = ch
-        self.timers = TimerRegistry()
-        self.metrics = MetricsRegistry()
-        self.comm = ShmCommunicator(
+        return ShmCommunicator(
             self.rank, spec.size, writers, readers,
-            metrics=self.metrics, barrier=board,
+            metrics=metrics, barrier=board,
             timeout_s=spec.comm_timeout_s, board=board,
         )
-        self.policy = spec.policy
-        self.oracle = (
-            FaultOracle(spec.plan, self.decomp, spec.policy)
-            if spec.plan is not None
-            else None
-        )
-        injector = (
-            RankStridedFaultInjector(
-                spec.plan, self.rank, spec.size, metrics=self.metrics
-            )
-            if spec.plan is not None
-            else None
-        )
-        self._barrier = board
-        self._barrier_timeout = spec.barrier_timeout_s
-        #: ordered ``overlapped`` flags of every oracle consultation — the
-        #: replay tape a supervised restore rewinds the oracle with.
-        self._oracle_calls: list[bool] = []
-
-        interior = InteriorFace()
-        faces = {}
-        for axis in range(self.global_grid.ndim):
-            for side in (0, 1):
-                if self.decomp.neighbor(self.rank, axis, side) is not None:
-                    faces[(axis, side)] = interior
-                else:
-                    faces[(axis, side)] = spec.wall_bcs.condition(axis, side)
-        self.subgrid = self.decomp.subgrid(self.rank)
-        self.pipeline = HydroPipeline(
-            system,
-            self.subgrid,
-            BoundarySet(faces=faces),
-            self.config,
-            timers=self.timers,
-            metrics=self.metrics,
-            fault_injector=injector,
-        )
-        self.pipeline.source_fn = spec.source_fn
-
-        prim = self.subgrid.allocate(system.nvars)
-        self.subgrid.interior_of(prim)[...] = spec.part
-        self.pipeline.boundaries.apply(system, self.subgrid, prim)
-        if not spec.defer_init:
-            # The priming exchange is collective; a respawned rank builds
-            # alone and receives its real state via ``restore_full``.
-            self._exchange(prim)
-        self.pipeline.atmosphere.apply_prim(system, prim)
-        self.cons = system.prim_to_con(prim)
-        self._prims_cache: np.ndarray | None = prim
-        self.integrator = make_integrator(self.config.integrator)
-        self.t = 0.0
-        self.steps = 0
-        self.halo_bytes_per_exchange = sum(
-            halo_bytes_per_step(self.decomp, system.nvars).values()
-        )
-        self._traffic_prev = self.comm.traffic_marker()
-
-        self.overlap = bool(self.config.overlap_exchange)
-        self._link = make_link(self.config.overlap_link)
-        self._regions = rhs_regions(self.decomp, self.rank)
-        interior_cells = strip_cells = 0
-        for axis, (core, strips) in enumerate(self._regions):
-            transverse = int(np.prod(self.subgrid.shape)) // self.subgrid.shape[axis]
-            interior_cells += (core[1] - core[0]) * transverse
-            strip_cells += sum(hi - lo for lo, hi in strips) * transverse
-        # This rank's share only: summed over workers these counters equal
-        # the serial solver's global overlap_cell_counts.
-        self.overlap_cell_counts = (interior_cells, strip_cells)
-        self.overlap_log: list[dict] = []
-        self._recorder = StepRecorder(BufferSink())
-        self._process_t0 = time.process_time()
-
-    # -- serial-mirror helpers -------------------------------------------
-    def _exchange(self, prim: np.ndarray) -> None:
-        schedule = (
-            self.oracle.next_exchange(overlapped=False)
-            if self.oracle is not None
-            else None
-        )
-        self._oracle_calls.append(False)
-        exchange_halos(
-            self.decomp,
-            self.comm,
-            {self.rank: prim},
-            policy=self.policy,
-            metrics=self.metrics,
-            schedule=schedule,
-        )
-
-    def _recover_and_exchange(
-        self, cons: np.ndarray, use_cache: bool = False, reuse: bool = False
-    ) -> np.ndarray:
-        if use_cache and self._prims_cache is not None:
-            return self._prims_cache
-        prim = self.pipeline.recover_primitives(cons, reuse=reuse)
-        self._exchange(prim)
-        return prim
-
-    def _rhs(self, cons: np.ndarray) -> np.ndarray:
-        if self.overlap:
-            return self._rhs_overlapped(cons)
-        prim = self._recover_and_exchange(cons, reuse=True)
-        dU = self.pipeline.flux_divergence(prim, reuse=True)
-        return self.pipeline.apply_source(prim, dU)
-
-    def _rhs_overlapped(self, cons: np.ndarray) -> np.ndarray:
-        prim = self.pipeline.recover_primitives(cons, reuse=True)
-        schedule = (
-            self.oracle.next_exchange(overlapped=True)
-            if self.oracle is not None
-            else None
-        )
-        self._oracle_calls.append(True)
-        handle = post_halos(
-            self.decomp, self.comm, {self.rank: prim},
-            policy=self.policy, metrics=self.metrics, schedule=schedule,
-        )
-        t0 = time.perf_counter()
-        divs: list = []
-        for axis, (core, _strips) in enumerate(self._regions):
-            lo, hi = core
-            if hi > lo:
-                divs.append(
-                    (axis, lo, hi,
-                     self.pipeline.flux_divergence_region(
-                         prim, axis, lo, hi, reuse=True))
-                )
-        interior_s = time.perf_counter() - t0
-        complete_halos(handle)
-        t1 = time.perf_counter()
-        for axis, (_core, strips) in enumerate(self._regions):
-            for lo, hi in strips:
-                divs.append(
-                    (axis, lo, hi,
-                     self.pipeline.flux_divergence_region(
-                         prim, axis, lo, hi, reuse=True))
-                )
-        dU = self.pipeline.begin_flux_divergence(reuse=True)
-        for axis, lo, hi, div in sorted(divs, key=lambda e: e[0]):
-            self.pipeline.accumulate_divergence(dU, axis, lo, hi, div)
-        out = self.pipeline.apply_source(prim, dU)
-        strip_s = time.perf_counter() - t1
-        self._record_overlap(handle, interior_s, strip_s)
-        return out
-
-    def _record_overlap(self, handle, interior_s: float, strip_s: float) -> None:
-        m = self.metrics
-        modeled = halo_exchange_time(self._link, handle.posted)
-        hidden = min(modeled, interior_s)
-        exposed = modeled - hidden
-        interior_cells, strip_cells = self.overlap_cell_counts
-        if self.rank == 0:
-            # Serially this is one global counter per exchange; merged
-            # worker counters are summed, so only one rank may own it.
-            m.counter("comm.overlap.exchanges").inc()
-        m.counter("comm.overlap.modeled_comm_s").inc(modeled)
-        m.counter("comm.overlap.hidden_s").inc(hidden)
-        m.counter("comm.overlap.exposed_s").inc(exposed)
-        m.counter("comm.overlap.interior_seconds").inc(interior_s)
-        m.counter("comm.overlap.strip_seconds").inc(strip_s)
-        m.counter("comm.overlap.interior_cells").inc(interior_cells)
-        m.counter("comm.overlap.strip_cells").inc(strip_cells)
-        m.gauge("comm.overlap.hidden_frac").set(
-            hidden / modeled if modeled > 0 else 1.0
-        )
-        self.overlap_log.append(
-            {
-                "exchange": len(self.overlap_log) + 1,
-                "modeled_comm_s": modeled,
-                "hidden_s": hidden,
-                "exposed_s": exposed,
-                "interior_s": interior_s,
-                "strip_s": strip_s,
-                "posted_messages": len(handle.posted),
-                "posted_bytes": handle.posted_bytes,
-            }
-        )
-
-    def compute_dt(self, t_final: float | None = None) -> float:
-        prim = self._recover_and_exchange(self.cons, use_cache=True)
-        local = np.asarray(max_signal_per_axis(self.system, self.subgrid, prim))
-        vmax = self.comm.allreduce({self.rank: local}, op="max")[self.rank]
-        dt = dt_from_axis_maxima(self.global_grid, vmax, self.config.cfl)
-        return clip_dt_to_final(dt, self.t, t_final)
-
-    def _set_stage_time(self, t: float) -> None:
-        self.pipeline.time = t
-
-    def _check_dt(self, dt: float) -> None:
-        if not np.isfinite(dt) or dt <= 0:
-            raise NumericsError(
-                f"invalid time step dt={dt!r} at t={self.t:g} (step {self.steps + 1})"
-            )
-
-    def _check_finite(self) -> None:
-        bad = ~np.isfinite(self.cons)
-        if bad.any():
-            var, *cell = (int(i) for i in np.argwhere(bad)[0])
-            raise NumericsError(
-                f"non-finite conserved state after step {self.steps} "
-                f"at t={self.t:g}: rank {self.rank}, variable {var}, "
-                f"cell {tuple(cell)}"
-            )
-
-    def _traffic_delta(self) -> dict:
-        now = self.comm.traffic_marker()
-        prev, self._traffic_prev = self._traffic_prev, now
-        return {
-            "halo_bytes": now[0] - prev[0],
-            "messages": now[1] - prev[1],
-            "collectives": now[2] - prev[2],
-            "halo_bytes_model_per_exchange": self.halo_bytes_per_exchange,
-        }
 
     def step(self, dt: float | None = None, t_final: float | None = None):
+        """Barrier, then the wrapped driver's ``step``; returns ``(dt,
+        this rank's step-record shard)`` for the parent to merge."""
         self._barrier.wait(self._barrier_timeout)
-        wall0 = time.perf_counter()
-        if dt is None:
-            dt = self.compute_dt(t_final)
-        self._check_dt(dt)
-        advanced = self.integrator.step(
-            self.cons, dt, self._rhs,
-            t0=self.t, set_time=self._set_stage_time,
-        )
-        self.cons = advanced
-        self._prims_cache = None
-        self.t += dt
-        self.steps += 1
-        self._check_finite()
-        if self.rank == 0:
-            # One global observation per step, exactly like the serial
-            # shared registry.
-            self.metrics.histogram("solver.dt").observe(dt)
-        self._recorder.record_step(
-            step=self.steps,
-            t=self.t,
-            dt=dt,
-            wall_seconds=time.perf_counter() - wall0,
-            timers=self.timers,
-            metrics=self.metrics,
-            comm=self._traffic_delta(),
-            rank=self.rank,
-        )
-        return dt, self._recorder.sink.records.pop()
-
-    def interior_primitives(self) -> np.ndarray:
-        prim = self._recover_and_exchange(self.cons)
-        return self.subgrid.interior_of(prim).copy()
+        dt = super().step(dt=dt, t_final=t_final)
+        record = self.recorder.sink.records.pop()
+        record["rank"] = self.rank
+        return dt, record
 
     def snapshot(self) -> dict:
         return {
@@ -426,18 +167,67 @@ class _RankWorker:
             "process_seconds": time.process_time() - self._process_t0,
         }
 
-    def checkpoint_state(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """This rank's checkpoint shard: ghosted cons + con2prim cache."""
-        p_cache = self.pipeline._p_cache
-        return self.cons.copy(), None if p_cache is None else p_cache.copy()
+    def rebind(self, channels: dict) -> None:
+        """Attach freshly recreated shm rings (a peer was respawned)."""
+        for (src, dest), (name, cap) in channels.items():
+            ch = ShmChannel.attach(name, cap)
+            self._channels.append(ch)
+            self.comm.rebind_channel(src, dest, ch)
 
-    def restore_state(self, cons, p_cache, t: float, steps: int) -> None:
-        """Install a checkpoint shard verbatim (bit-exact restart)."""
-        self.cons = np.array(cons)
-        self.pipeline._p_cache = None if p_cache is None else np.array(p_cache)
-        self._prims_cache = None
-        self.t = float(t)
-        self.steps = int(steps)
+    def close(self) -> None:
+        for ch in self._channels:
+            try:
+                ch.close()
+            except Exception:
+                pass
+
+
+class _RankWorker(_WorkerShell, DistributedSolver):
+    """One rank of the decomposition, living inside a worker process.
+
+    The rank stepper itself, narrowed to ``local_ranks=(rank,)`` over the
+    shm communicator: construction and stepping are inherited, the only
+    physics-adjacent override is :meth:`_exchange_schedule`, which feeds
+    the rank-local :class:`FaultOracle` decisions into the shared halo
+    calls.  Everything else here is snapshot/rollback plumbing.
+    """
+
+    def __init__(self, spec: _WorkerSpec, board: SupervisionBoard):
+        decomp = CartesianDecomposition(
+            spec.global_grid, spec.dims, periodic=spec.periodic
+        )
+        metrics = MetricsRegistry()
+        comm = self._attach(spec, board, metrics)
+        plan = spec.plan
+        self.oracle = (
+            FaultOracle(plan, decomp, spec.policy) if plan is not None else None
+        )
+        #: ordered ``overlapped`` flags of every oracle consultation — the
+        #: replay tape a supervised restore rewinds the oracle with.
+        self._oracle_calls: list[bool] = []
+        # The priming exchange is collective; a respawned rank builds
+        # alone and receives its real state via ``restore_full``.
+        self._init_ranks(
+            spec.system, decomp, spec.config, spec.wall_bcs,
+            {self.rank: spec.part}, (self.rank,), comm,
+            recorder=StepRecorder(BufferSink()),
+            fault_injector=(
+                RankStridedFaultInjector(
+                    plan, self.rank, spec.size, metrics=metrics
+                )
+                if plan is not None
+                else None
+            ),
+            halo_policy=spec.policy, source_fn=spec.source_fn,
+            metrics=metrics, prime=not spec.defer_init,
+        )
+        self._process_t0 = time.process_time()
+
+    def _exchange_schedule(self, overlapped: bool):
+        self._oracle_calls.append(overlapped)
+        if self.oracle is None:
+            return None
+        return self.oracle.next_exchange(overlapped=overlapped)
 
     # -- supervision -----------------------------------------------------
     def supervision_state(self) -> dict:
@@ -449,19 +239,18 @@ class _RankWorker:
         fault-replay position — so a rank restored from it re-executes
         the following steps bit-identically, emitted records included.
         """
-        p_cache = self.pipeline._p_cache
-        injector = self.pipeline.fault_injector
+        cons, p_cache = self.checkpoint_shards()[self.rank]
+        prims = self._prims_cache
+        injector = self.fault_injector
         return {
-            "cons": self.cons.copy(),
+            "cons": cons.copy(),
             "p_cache": None if p_cache is None else p_cache.copy(),
-            "prims_cache": (
-                None if self._prims_cache is None else self._prims_cache.copy()
-            ),
+            "prims_cache": None if prims is None else prims[self.rank].copy(),
             "t": self.t,
             "steps": self.steps,
             "metrics": self.metrics.snapshot(),
             "timers": self.timers.state(),
-            "recorder": self._recorder.state(),
+            "recorder": self.recorder.state(),
             "traffic": self.comm.traffic_state(),
             "traffic_prev": tuple(self._traffic_prev),
             "epoch": self.comm._epoch,
@@ -479,39 +268,24 @@ class _RankWorker:
         supervision board re-baselined — so the replayed steps are
         indistinguishable from a fault-free run.
         """
-        self.cons = np.array(state["cons"])
-        p_cache = state["p_cache"]
-        self.pipeline._p_cache = None if p_cache is None else np.array(p_cache)
         prims = state["prims_cache"]
-        self._prims_cache = None if prims is None else np.array(prims)
-        self.t = float(state["t"])
-        self.steps = int(state["steps"])
+        self.install_shards(
+            state["t"], state["steps"],
+            {self.rank: (state["cons"], state["p_cache"])},
+            prims_cache=None if prims is None else {self.rank: np.array(prims)},
+        )
         self.metrics.restore(state["metrics"])
         self.timers.restore(state["timers"])
-        self._recorder.restore_state(state["recorder"])
+        self.recorder.restore_state(state["recorder"])
         self._oracle_calls = list(state["oracle_calls"])
         if self.oracle is not None:
             self.oracle.rewind(self._oracle_calls)
-        injector = self.pipeline.fault_injector
+        injector = self.fault_injector
         if injector is not None and state["injector_sweep"] is not None:
             injector._sweep = int(state["injector_sweep"])
         self.overlap_log = [dict(e) for e in state["overlap_log"]]
         self.comm.reset_after_failure(state["epoch"], state["traffic"])
         self._traffic_prev = tuple(state["traffic_prev"])
-
-    def rebind(self, channels: dict) -> None:
-        """Attach freshly recreated shm rings (a peer was respawned)."""
-        for (src, dest), (name, cap) in channels.items():
-            ch = ShmChannel.attach(name, cap)
-            self._channels.append(ch)
-            self.comm.rebind_channel(src, dest, ch)
-
-    def close(self) -> None:
-        for ch in self._channels:
-            try:
-                ch.close()
-            except Exception:
-                pass
 
 
 def _worker_main(spec: _WorkerSpec, conn) -> None:
@@ -570,7 +344,7 @@ def _worker_main(spec: _WorkerSpec, conn) -> None:
             elif cmd == "gather_prims":
                 _send(("prims", spec.rank, worker.interior_primitives()))
             elif cmd == "gather_cons":
-                _send(("cons", spec.rank, worker.cons.copy()))
+                _send(("cons", spec.rank, dict(worker.cons)))
             elif cmd == "snapshot":
                 _send(("snap", spec.rank, worker.snapshot()))
             elif cmd == "sup_state":
@@ -582,10 +356,9 @@ def _worker_main(spec: _WorkerSpec, conn) -> None:
                 worker.restore_supervision_state(msg[1])
                 _send(("restored_full", spec.rank))
             elif cmd == "checkpoint":
-                cons, p_cache = worker.checkpoint_state()
-                _send(("ckpt", spec.rank, cons, p_cache))
+                _send(("ckpt", spec.rank, worker.checkpoint_shards()))
             elif cmd == "restore":
-                worker.restore_state(msg[1], msg[2], msg[3], msg[4])
+                worker.install_shards(*msg[1:])
                 _send(("restored", spec.rank))
             elif cmd == "shutdown":
                 _send(("bye", spec.rank))
@@ -617,10 +390,6 @@ def _worker_main(spec: _WorkerSpec, conn) -> None:
             pass
 
 
-def _merge_histograms(into: dict, name: str, summary: dict) -> None:
-    into[name] = merge_histogram_summaries(into.get(name), summary)
-
-
 def merge_step_records(shards: list[dict]) -> dict:
     """Merge per-rank step-record shards into one global step record.
 
@@ -646,22 +415,13 @@ def merge_step_records(shards: list[dict]) -> dict:
         "dt": base["dt"],
         "wall_seconds": max(s.get("wall_seconds", 0.0) for s in shards),
         "kernel_seconds": {},
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
+        **_merge_metric_snapshots(shards),
     }
     for s in shards:
         for name, seconds in s.get("kernel_seconds", {}).items():
             merged["kernel_seconds"][name] = (
                 merged["kernel_seconds"].get(name, 0.0) + seconds
             )
-        for name, delta in s.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0) + delta
-        for name, value in s.get("gauges", {}).items():
-            cur = merged["gauges"].get(name)
-            merged["gauges"][name] = value if cur is None else max(cur, value)
-        for name, summary in s.get("histograms", {}).items():
-            _merge_histograms(merged["histograms"], name, summary)
     if any("comm" in s for s in shards):
         comms = [s["comm"] for s in shards if "comm" in s]
         merged["comm"] = {
@@ -690,7 +450,9 @@ def _merge_metric_snapshots(snaps: list[dict]) -> dict:
             cur = gauges.get(name)
             gauges[name] = value if cur is None else max(cur, value)
         for name, summary in snap.get("histograms", {}).items():
-            _merge_histograms(histograms, name, summary)
+            histograms[name] = merge_histogram_summaries(
+                histograms.get(name), summary
+            )
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
@@ -777,41 +539,51 @@ class ProcessSolver:
         ready_timeout_s: float = 180.0,
         supervision: "SupervisionPolicy | None" = None,
     ):
-        if system.ndim != global_grid.ndim:
-            raise ConfigurationError("system/grid dimensionality mismatch")
+        self._wall_bcs, self.decomp = decompose(
+            system, global_grid, dims, boundaries, periodic
+        )
         self.system = system
         self.global_grid = global_grid
         self.config = config or SolverConfig()
-        wall_bcs = boundaries or make_boundaries("outflow")
-        if periodic is None:
-            periodic = tuple(
-                wall_bcs.condition(ax, 0).name == "periodic"
-                for ax in range(global_grid.ndim)
-            )
-        self.decomp = CartesianDecomposition(global_grid, dims, periodic=periodic)
-        self.recorder = recorder
         self.halo_policy = halo_policy
+        self._source_fn = source_fn
         plan = fault_injector.plan if fault_injector is not None else None
-        self.t = 0.0
-        self.steps = 0
-        self.step_timeout_s = float(step_timeout_s)
-        self.halo_bytes_per_exchange = sum(
-            halo_bytes_per_step(self.decomp, system.nvars).values()
-        )
-        self.metrics = _MergedMetrics(self)
-        self.supervision = supervision
-        self._plan = plan
         for fault in getattr(plan, "processes", None) or ():
             if fault.rank >= self.decomp.size:
                 raise ConfigurationError(
                     f"process fault targets rank {fault.rank} but the "
                     f"decomposition has only {self.decomp.size} ranks"
                 )
+        self.halo_bytes_per_exchange = sum(
+            halo_bytes_per_step(self.decomp, system.nvars).values()
+        )
+        self._init_supervisor(
+            recorder, supervision, plan,
+            comm_timeout_s, step_timeout_s, ready_timeout_s,
+        )
+        parts = self.decomp.scatter(global_grid.interior_of(initial_prim))
+        self._parts = {r: np.ascontiguousarray(p) for r, p in parts.items()}
+        self._start_fleet(
+            channel_capacities(
+                self.decomp, system.nvars, global_grid.n_ghost, policy=halo_policy
+            )
+        )
+
+    def _init_supervisor(
+        self, recorder, supervision, plan,
+        comm_timeout_s: float, step_timeout_s: float, ready_timeout_s: float,
+    ) -> None:
+        """Parent-side run position, timeouts and supervision bookkeeping —
+        the fields every fleet driver (Cartesian or AMR) starts from."""
+        self.recorder = recorder
+        self.supervision = supervision
+        self._plan = plan
+        self.t = 0.0
+        self.steps = 0
+        self.step_timeout_s = float(step_timeout_s)
+        self.metrics = _MergedMetrics(self)
         self._closed = False
         self._last_record: dict | None = None
-        self._wall_bcs = wall_bcs
-        self._periodic = tuple(periodic)
-        self._source_fn = source_fn
         self._comm_timeout_s = float(comm_timeout_s)
         self._ready_timeout_s = float(ready_timeout_s)
         self._heartbeat_interval_s = (
@@ -828,11 +600,10 @@ class ProcessSolver:
         #: parent-side counter totals already folded into step records
         self._local_prev: dict = {}
 
-        parts = self.decomp.scatter(global_grid.interior_of(initial_prim))
-        self._parts = {r: np.ascontiguousarray(p) for r, p in parts.items()}
-        caps = channel_capacities(
-            self.decomp, system.nvars, global_grid.n_ghost, policy=halo_policy
-        )
+    def _start_fleet(self, caps: dict) -> None:
+        """Create the shm rings and supervision board, spawn one worker per
+        rank, wait for every ``ready`` and take the first supervision
+        snapshot; any failure on the way tears the whole fleet down."""
         self._caps = dict(caps)
         #: every shm segment name this run ever created — swept on
         #: teardown so SIGKILL'd workers cannot leak /dev/shm entries
@@ -852,7 +623,7 @@ class ProcessSolver:
             for rank in range(self.size):
                 self._spawn(rank)
             self._collect("ready", timeout_s=self._ready_timeout_s)
-            if supervision is not None:
+            if self.supervision is not None:
                 self._snapshot = self._gather_supervision_state()
         except BaseException:
             self._abort()
@@ -865,7 +636,7 @@ class ProcessSolver:
             system=self.system,
             global_grid=self.global_grid,
             dims=tuple(self.decomp.dims),
-            periodic=self._periodic,
+            periodic=self.decomp.periodic,
             config=self.config,
             wall_bcs=self._wall_bcs,
             part=self._parts[rank],
@@ -1069,14 +840,20 @@ class ProcessSolver:
             raise _RankFailureSignal(failures, step_failed, replies, set())
         return replies
 
-    def _command_all(self, *msg, mode: str = "strict") -> None:
+    def _command_all(self, *msg, mode: str = "strict", per_rank=None) -> None:
+        """Send one command to every rank — or, given *per_rank*
+        ``{rank: payload}``, to exactly those ranks with each one's own
+        payload appended.  A dead pipe aborts the run with a
+        :class:`WorkerError` naming rank and command (``mode="signal"``
+        hands it to the supervisor instead)."""
         if self._closed:
             raise WorkerError("process solver already shut down")
         failures: dict = {}
         sent: set = set()
-        for rank in range(self.size):
+        for rank in range(self.size) if per_rank is None else sorted(per_rank):
+            extra = () if per_rank is None else (per_rank[rank],)
             try:
-                self._conns[rank].send(tuple(msg))
+                self._conns[rank].send(tuple(msg) + extra)
                 sent.add(rank)
             except (BrokenPipeError, OSError):
                 if mode == "signal":
@@ -1084,11 +861,20 @@ class ProcessSolver:
                     continue
                 self._abort()
                 raise WorkerError(
-                    f"worker rank {rank}: cannot send command "
+                    f"worker rank {rank}: cannot send {msg[0]!r} command "
                     f"(process {'alive' if self._procs[rank].is_alive() else 'dead'})"
                 ) from None
         if failures:
             raise _RankFailureSignal(failures, {}, {}, sent)
+
+    def _gather(self, command: str, expect: str) -> dict:
+        """Merge every rank's ``{rank or block: value}`` reply to *command*."""
+        self._command_all(command)
+        replies = self._collect(expect)
+        out: dict = {}
+        for rank in range(self.size):
+            out.update(replies[rank][2])
+        return out
 
     # -- driver surface --------------------------------------------------
     def step(self, dt: float | None = None, t_final: float | None = None) -> float:
@@ -1329,37 +1115,21 @@ class ProcessSolver:
             "ready", timeout_s=self._ready_timeout_s, ranks=set(failures)
         )
 
-        rebinds: dict = {}
-        for rank in range(self.size):
-            if rank in failures:
-                continue
+        rebinds = {}
+        for rank in set(range(self.size)) - set(failures):
             sub = {
                 pair: (self._channels[pair].name, self._caps[pair])
                 for pair in affected
                 if rank in pair
             }
             if sub:
-                try:
-                    self._conns[rank].send(("rebind", sub))
-                except (BrokenPipeError, OSError):
-                    self._abort()
-                    raise WorkerError(
-                        f"worker rank {rank}: cannot rebind after recovery"
-                    ) from None
                 rebinds[rank] = sub
         if rebinds:
+            self._command_all("rebind", per_rank=rebinds)
             self._collect("rebound", ranks=set(rebinds))
 
         self._board.reset_barrier()
-        states = self._snapshot["states"]
-        for rank in range(self.size):
-            try:
-                self._conns[rank].send(("restore_full", states[rank]))
-            except (BrokenPipeError, OSError):
-                self._abort()
-                raise WorkerError(
-                    f"worker rank {rank}: cannot restore after recovery"
-                ) from None
+        self._command_all("restore_full", per_rank=self._snapshot["states"])
         self._collect("restored_full")
         self.t = float(self._snapshot["t"])
         self.steps = int(self._snapshot["steps"])
@@ -1375,44 +1145,22 @@ class ProcessSolver:
             resumed_step=self.steps, t=self.t,
         )
 
-    def run(
-        self,
-        t_final: float,
-        max_steps: int | None = None,
-        checkpoint_every: int = 0,
-        checkpoint_path=None,
-    ) -> None:
-        """Advance to *t_final*, checkpointing every N steps when asked.
-
-        The workers stream their interior state (ghosted conserved arrays
-        plus con2prim warm-start caches) to the parent, which writes the
-        same distributed checkpoint format as the serial executor —
-        bit-identical shards, so a run may checkpoint under one executor
-        and restart under the other (see
-        :func:`repro.io.checkpoint.load_distributed_checkpoint`).
-        """
-        if checkpoint_every and checkpoint_path is None:
-            raise ConfigurationError("checkpoint_every requires a checkpoint_path")
-        limit = max_steps if max_steps is not None else self.config.max_steps
-        while self.t < t_final * (1.0 - 1e-14) and self.steps < limit:
-            self.step(t_final=t_final)
-            if checkpoint_every and self.steps % checkpoint_every == 0:
-                # Deferred import: repro.io imports this module's siblings.
-                from ..io.checkpoint import save_distributed_checkpoint
-
-                save_distributed_checkpoint(self, checkpoint_path)
+    #: The serial driver's run loop, verbatim: it only needs ``step`` and
+    #: ``checkpoint_shards``.  Workers stream their shards (ghosted
+    #: conserved arrays plus con2prim warm-start caches) to the parent,
+    #: which writes the same distributed checkpoint format — bit-identical
+    #: entries, so a run may checkpoint under one executor and restart
+    #: under the other (:func:`repro.io.checkpoint.load_distributed_checkpoint`).
+    run = DistributedSolver.run
 
     def gather_primitives(self) -> np.ndarray:
-        self._command_all("gather_prims")
-        replies = self._collect("prims")
-        parts = {rank: replies[rank][2] for rank in range(self.size)}
-        return self.decomp.gather(parts, self.system.nvars)
+        return self.decomp.gather(
+            self._gather("gather_prims", "prims"), self.system.nvars
+        )
 
     def gather_cons(self) -> dict[int, np.ndarray]:
         """Every rank's full ghosted conserved array (bit-exactness tests)."""
-        self._command_all("gather_cons")
-        replies = self._collect("cons")
-        return {rank: replies[rank][2] for rank in range(self.size)}
+        return self._gather("gather_cons", "cons")
 
     def worker_snapshots(self) -> list[dict]:
         """Per-rank ``{metrics, timers, process_seconds}`` snapshots."""
@@ -1423,23 +1171,15 @@ class ProcessSolver:
     def checkpoint_shards(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
         """Per-rank ``(ghosted cons, con2prim cache)`` streamed from the
         workers — the payload of one distributed checkpoint."""
-        self._command_all("checkpoint")
-        replies = self._collect("ckpt")
-        return {rank: (replies[rank][2], replies[rank][3]) for rank in range(self.size)}
+        return self._gather("checkpoint", "ckpt")
 
     def restore_state(self, t: float, steps: int, shards: dict) -> None:
-        """Install checkpointed per-rank state into the workers verbatim."""
-        if self._closed:
-            raise WorkerError("process solver already shut down")
-        for rank in range(self.size):
-            cons, p_cache = shards[rank]
-            try:
-                self._conns[rank].send(("restore", cons, p_cache, t, steps))
-            except (BrokenPipeError, OSError):
-                self._abort()
-                raise WorkerError(
-                    f"worker rank {rank}: cannot send restore command"
-                ) from None
+        """Install checkpointed per-rank state into the workers verbatim
+        (each lands in its worker's ``install_shards``)."""
+        self._command_all(
+            "restore", t, steps,
+            per_rank={r: {r: shards[r]} for r in range(self.size)},
+        )
         self._collect("restored")
         self.t = float(t)
         self.steps = int(steps)
@@ -1496,24 +1236,21 @@ def _fold_to_serial(solver: ProcessSolver, snapshot: dict) -> DistributedSolver:
         tuple(solver.decomp.dims),
         config=solver.config,
         boundaries=solver._wall_bcs,
-        periodic=solver._periodic,
+        periodic=solver.decomp.periodic,
         halo_policy=solver.halo_policy,
         source_fn=solver._source_fn,
     )
     states = snapshot["states"]
-    prims: dict[int, np.ndarray] = {}
-    for rank in range(serial.size):
-        st = states[rank]
-        serial.cons[rank] = np.array(st["cons"])
-        p_cache = st["p_cache"]
-        serial.pipelines[rank]._p_cache = (
-            None if p_cache is None else np.array(p_cache)
-        )
-        if st["prims_cache"] is not None:
-            prims[rank] = np.array(st["prims_cache"])
-    serial._prims_cache = prims if len(prims) == serial.size else None
-    serial.t = float(snapshot["t"])
-    serial.steps = int(snapshot["steps"])
+    prims = {
+        rank: np.array(st["prims_cache"])
+        for rank, st in states.items()
+        if st["prims_cache"] is not None
+    }
+    serial.install_shards(
+        snapshot["t"], snapshot["steps"],
+        {rank: (st["cons"], st["p_cache"]) for rank, st in states.items()},
+        prims_cache=prims if len(prims) == serial.size else None,
+    )
     return serial
 
 

@@ -32,7 +32,7 @@ from ..utils.errors import ConfigurationError, NumericsError
 from ..utils.logging import get_logger
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .diagnostics import ConservedTotals, RunSummary
+from .diagnostics import ConservedTotals, RunSummary, check_dt, first_nonfinite
 from .pipeline import HydroPipeline
 
 _log = get_logger("core")
@@ -137,20 +137,12 @@ class Solver:
         """Stage-time hook for the integrator: source terms see t0 + c_i dt."""
         self.pipeline.time = t
 
-    def _check_dt(self, dt: float) -> None:
-        if not np.isfinite(dt) or dt <= 0:
-            raise NumericsError(
-                f"invalid time step dt={dt!r} at t={self.t:g} "
-                f"(step {self.summary.steps + 1})"
-            )
-
     def _check_finite(self) -> None:
-        bad = ~np.isfinite(self.cons)
-        if bad.any():
-            var, *cell = (int(i) for i in np.argwhere(bad)[0])
+        hit = first_nonfinite(self.cons)
+        if hit is not None:
             raise NumericsError(
                 f"non-finite conserved state after step {self.summary.steps + 1} "
-                f"at t={self.t:g}: variable {var}, cell {tuple(cell)}"
+                f"at t={self.t:g}: variable {hit[0]}, cell {hit[1]}"
             )
 
     def step(self, dt: float | None = None, t_final: float | None = None) -> float:
@@ -158,7 +150,7 @@ class Solver:
         wall0 = time.perf_counter()
         if dt is None:
             dt = self.compute_dt(t_final)
-        self._check_dt(dt)
+        check_dt(dt, self.t, self.summary.steps + 1)
         self.cons = self.integrator.step(
             self.cons, dt, self.pipeline.rhs,
             t0=self.t, set_time=self._set_stage_time,

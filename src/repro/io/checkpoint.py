@@ -279,13 +279,7 @@ def load_distributed_checkpoint(
         fault_injector=fault_injector,
         halo_policy=halo_policy,
     )
-    for rank in range(solver.size):
-        cons, p_cache = shards[rank]
-        solver.cons[rank] = cons
-        solver.pipelines[rank]._p_cache = p_cache
-    solver._prims_cache = None
-    solver.t = meta["t"]
-    solver.steps = meta["steps"]
+    solver.install_shards(meta["t"], meta["steps"], shards)
     return solver
 
 

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.comm.communicator import SimCommunicator
 from repro.comm.shm import (
     FLAG_DATA,
     FLAG_TOMBSTONE,
@@ -27,9 +28,13 @@ from repro.comm.shm import (
     channel_capacities,
 )
 from repro.core.config import SolverConfig
-from repro.core.distributed import DistributedSolver
+from repro.core.amr_distributed import DistributedAMRSolver
+from repro.core.amr_parallel import _AMRRankWorker
+from repro.core.distributed import DistributedSolver, decompose
 from repro.core.parallel import (
     ProcessSolver,
+    _RankWorker,
+    _WorkerShell,
     make_distributed_solver,
     merge_step_records,
 )
@@ -295,6 +300,10 @@ class TestWorkerFailure:
         ) as solver:
             with pytest.raises(ConfigurationError, match="checkpoint_path"):
                 solver.run(t_final=0.1, checkpoint_every=2)
+            # same refusal as Solver.run: a target before the current time
+            solver.step()
+            with pytest.raises(ConfigurationError, match="is before t="):
+                solver.run(t_final=0.5 * solver.t)
 
 
 def _npz_entries(path):
@@ -350,6 +359,11 @@ class TestProcessCheckpointing:
         assert isinstance(resumed, ProcessSolver)
         assert resumed.steps == 4
         with resumed:
+            # the workers' install_shards landed the archive bytes verbatim
+            archive = _npz_entries(path)
+            for rank, (cons, p_cache) in resumed.checkpoint_shards().items():
+                assert cons.tobytes() == archive[f"rank_{rank}"]
+                assert p_cache.tobytes() == archive[f"pcache_{rank}"]
             resumed.run(t_final=1.0, max_steps=7)
             prims = resumed.gather_primitives()
             t, steps = resumed.t, resumed.steps
@@ -430,6 +444,56 @@ class TestMakeDistributedSolver:
             assert proc.size == serial.size == 2
         finally:
             proc.close()
+
+
+class TestOneRankStepper:
+    """The worker is the serial stepper, not a mirror of it."""
+
+    STEPPER = (
+        "_rhs", "_rhs_overlapped", "_record_overlap", "compute_dt",
+        "_check_finite", "_traffic_delta", "_recover_and_exchange",
+        "_exchange", "_set_stage_time",
+    )
+    SHELL = ("_attach", "step", "snapshot", "rebind", "close")
+
+    def test_rank_worker_inherits_the_stepper(self):
+        assert issubclass(_RankWorker, DistributedSolver)
+        assert issubclass(_RankWorker, _WorkerShell)
+        own = set(vars(_RankWorker))
+        assert not own & set(self.STEPPER), "the mirror is growing back"
+        assert not own & set(self.SHELL)
+        for name in ("step", "compute_dt"):  # bench/trace.py patches these
+            assert name in vars(DistributedSolver)
+
+    def test_amr_worker_inherits_the_shell(self):
+        assert issubclass(_AMRRankWorker, DistributedAMRSolver)
+        assert issubclass(_AMRRankWorker, _WorkerShell)
+        assert not set(vars(_AMRRankWorker)) & set(self.SHELL)
+
+    @staticmethod
+    def _subset_stepper(prime):
+        """Rank 0 of a 2-rank decomposition against a communicator that
+        expects both ranks — a mis-wired fleet."""
+        system, grid, prim0 = _rp1_setup()
+        wall_bcs, decomp = decompose(system, grid, (2,), None, None)
+        parts = decomp.scatter(grid.interior_of(prim0))
+        stepper = DistributedSolver.__new__(DistributedSolver)
+        stepper._init_ranks(
+            system, decomp, SolverConfig(cfl=0.4), wall_bcs,
+            {0: parts[0]}, (0,), SimCommunicator(decomp.size), prime=prime,
+        )
+        return stepper
+
+    def test_subset_of_ranks_fails_named_at_construction(self):
+        with pytest.raises(CommunicationError, match="no pending message"):
+            self._subset_stepper(prime=True)
+
+    def test_subset_of_ranks_fails_named_at_first_step(self):
+        stepper = self._subset_stepper(prime=False)
+        assert stepper.local_ranks == (0,)
+        with pytest.raises(CommunicationError, match="allreduce needs"):
+            stepper.step()
+        assert stepper.steps == 0
 
 
 class TestShmChannel:

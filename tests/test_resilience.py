@@ -6,11 +6,15 @@ scenarios live in test_chaos.py behind the ``chaos`` marker.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.boundary import make_boundaries
 from repro.core import Solver, SolverConfig
+from repro.core.amr_distributed import DistributedAMRSolver
+from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.distributed import DistributedSolver
 from repro.comm.communicator import SimCommunicator
 from repro.comm.halo import exchange_halos
@@ -509,6 +513,75 @@ class TestStepGuards:
         with pytest.raises(NumericsError, match=r"rank 1, variable 2, cell \(5,\)"):
             dsolver._check_finite()
 
+    @staticmethod
+    def _amr(n_ranks=None, config=None, **amr_kw):
+        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid = Grid((64,), ((0.0, 1.0),))
+        amr = AMRConfig(block_size=8, max_levels=2, **amr_kw)
+        ic = lambda sys_, g: shock_tube(sys_, g, RP1)
+        if n_ranks is None:
+            return AMRSolver(system, grid, ic, config=config, amr=amr)
+        return DistributedAMRSolver(system, grid, ic, amr=amr, n_ranks=n_ranks)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_amr_rejects_bad_dt(self, dt):
+        solver = self._amr()
+        with pytest.raises(NumericsError, match=r"invalid time step .*\(step 1\)"):
+            solver.step(dt=dt)
+        assert solver.steps == 0
+
+    def test_amr_nan_state_names_block_before_regrid(self):
+        # regrid_interval=1: without the guard the NaN update would be
+        # marched straight into regrid (a RecoveryError from deep inside
+        # its ghosted snapshot, naming no block).
+        solver = self._amr(regrid_interval=1, config=SolverConfig(integrator="euler"))
+        key = list(solver.forest.leaves)[2]
+        grid = solver.forest.leaves[key].grid
+        real_rhs = solver._rhs
+
+        def poisoned_rhs(parts):
+            dU = real_rhs(parts)
+            grid.interior_of(dU[key])[1, 3] = np.nan
+            return dU
+
+        solver._rhs = poisoned_rhs
+        regrids = solver.regrids
+        with pytest.raises(NumericsError, match="non-finite conserved state") as err:
+            solver.step(dt=1e-4)
+        assert "after step 1" in str(err.value)
+        assert f"block {key}, variable 1, interior cell (3,)" in str(err.value)
+        assert solver.regrids == regrids
+
+    def test_distributed_amr_nan_names_rank_and_block(self):
+        solver = self._amr(n_ranks=2)
+        solver.step(dt=1e-4)
+        key = list(solver.forest.leaves)[-1]
+        leaf = solver.forest.leaves[key]
+        leaf.grid.interior_of(leaf.cons)[0, 0] = np.inf
+        rank = solver.assignment[key]
+        assert rank == 1
+        with pytest.raises(NumericsError, match=f"rank {rank}, block") as err:
+            solver._check_finite()
+        assert f"block {key}, variable 0, interior cell (0,)" in str(err.value)
+
+    def test_distributed_and_amr_run_refuse_past_target(self, caplog):
+        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid = Grid((32,), ((0.0, 1.0),))
+        dsolver = DistributedSolver(
+            system, grid, shock_tube(system, grid, RP1), (2,)
+        )
+        logging.getLogger("repro.core").addHandler(caplog.handler)
+        try:
+            for solver in (dsolver, self._amr()):
+                solver.run(t_final=1.0, max_steps=2)
+                assert solver.steps == 2
+                with pytest.raises(ConfigurationError, match="is before t="):
+                    solver.run(t_final=0.5 * solver.t)
+        finally:
+            logging.getLogger("repro.core").removeHandler(caplog.handler)
+        limits = [r for r in caplog.records if "step limit 2 reached" in r.message]
+        assert len(limits) == 2
+
     def test_dt_and_newton_histograms_observed(self):
         solver = _solver_1d()
         solver.step(dt=1e-4)
@@ -640,6 +713,11 @@ class TestCheckpointRestart:
         )
         assert resumed.steps == 6
         assert resumed.t == first.t
+        # install_shards landed the saved bytes verbatim
+        for rank, (cons, p_cache) in first.checkpoint_shards().items():
+            got_cons, got_p_cache = resumed.checkpoint_shards()[rank]
+            assert got_cons.tobytes() == cons.tobytes()
+            assert got_p_cache.tobytes() == p_cache.tobytes()
         resumed.run(t_final=1.0, max_steps=10)
         assert resumed.steps == uninterrupted.steps
         for rank in range(uninterrupted.size):

@@ -27,7 +27,7 @@ from repro.core.amr_parallel import AMRProcessSolver
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.config import SolverConfig
 from repro.core.distributed import DistributedSolver
-from repro.core.parallel import ProcessSolver, run_supervised
+from repro.core.parallel import ProcessSolver, _fold_to_serial, run_supervised
 from repro.eos import IdealGasEOS
 from repro.harness.report import Report
 from repro.mesh.grid import Grid
@@ -370,8 +370,17 @@ class TestBudgetAndDegradation:
             solver.run(t_final=1.0, max_steps=4)
         assert isinstance(err.value, WorkerError)  # callers catching the
         # pre-supervision error type keep working
-        assert err.value.snapshot is not None
-        assert err.value.snapshot["steps"] >= 1
+        snapshot = err.value.snapshot
+        assert snapshot is not None
+        assert snapshot["steps"] >= 1
+        # The fold that degrade=True performs installs exactly the workers'
+        # last consistent bytes into the serial stepper.
+        folded = _fold_to_serial(solver, snapshot)
+        assert (folded.t, folded.steps) == (snapshot["t"], snapshot["steps"])
+        for rank, (cons, p_cache) in folded.checkpoint_shards().items():
+            state = snapshot["states"][rank]
+            assert cons.tobytes() == state["cons"].tobytes()
+            assert p_cache.tobytes() == state["p_cache"].tobytes()
 
     def test_degrade_to_serial_bitexact(self):
         """Budget 0 + degrade=True: the run folds down to the serial
