@@ -38,7 +38,7 @@ import numpy as np
 
 from ..utils.errors import CodegenError
 from ..utils.logging import get_logger
-from .generator import CON2PRIM_KERNEL, KernelGenerator
+from .generator import CON2PRIM_KERNEL, STENCIL_REACH, KernelGenerator
 
 _log = get_logger("codegen.cext")
 
@@ -411,6 +411,7 @@ def run_face_flux(
     ffi,
     fn,
     prim: np.ndarray,
+    axis: int,
     row_offsets: np.ndarray,
     j0: int,
     n_faces: int,
@@ -431,9 +432,21 @@ def run_face_flux(
     C-contiguous); *out* receives the fluxes as ``(nvars, n_rows,
     n_faces)``.  The returned int64 pair is ``[velocity_rescaled,
     floored]`` — the exact totals the interpreted sanitize stage counts.
+
+    The sweep covers faces ``j0 .. j0 + n_faces - 1`` (by left cell) along
+    *axis*; C reads ``STENCIL_REACH[recon_id]`` cells beyond them unchecked,
+    so a region whose stencil leaves the array is refused here.
     """
     if not prim.flags.c_contiguous:
         raise CodegenError("fused face_flux needs a C-contiguous prim array")
+    left, right = STENCIL_REACH[recon_id]
+    extent = prim.shape[axis + 1]
+    if n_faces < 1 or j0 - left < 0 or j0 + n_faces + right > extent:
+        raise CodegenError(
+            f"fused face_flux region out of bounds on axis {axis}: faces "
+            f"[{j0}, {j0 + n_faces}) with stencil reach (-{left}, +{right}) "
+            f"need cells [{j0 - left}, {j0 + n_faces + right}) of {extent}"
+        )
     counts = np.zeros(2, dtype=np.int64)
     keep: list = []
     fn(

@@ -22,6 +22,8 @@ redundant transcendentals down.
 
 from __future__ import annotations
 
+import textwrap
+
 import sympy as sp
 from sympy.printing.c import C99CodePrinter
 from sympy.printing.numpy import NumPyPrinter
@@ -36,9 +38,15 @@ _TARGETS = ("numpy", "flat", "cext")
 #: slope limiter, and the Riemann solver *per call*, so one compiled
 #: ``face_flux`` entry point per axis serves every supported scheme combo
 #: (instead of compiling the full cross product into separate symbols).
-STENCIL_RECON_IDS = {"pc": 0, "tvd": 1}
+STENCIL_RECON_IDS = {"pc": 0, "tvd": 1, "ppm": 2, "weno5": 3, "wenoz": 4}
 STENCIL_LIMITER_IDS = {"minmod": 0, "mc": 1, "vanleer": 2, "superbee": 3}
 STENCIL_RIEMANN_IDS = {"llf": 0, "hll": 1, "hllc": 2}
+#: Cells a sweep reads beyond its faces, ``(left, right)`` per recon id: a
+#: sweep of ``n_faces`` faces whose first left cell is ``j0`` touches cells
+#: ``j0 - left .. j0 + n_faces + right - 1`` along the working axis.
+STENCIL_REACH = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (2, 3), 4: (2, 3)}
+#: Faces per tile of the wide-stencil row schedule (sizes its stack scratch).
+STENCIL_TILE = 128
 
 #: Name of the fused conservative-to-primitive Newton kernel in the
 #: compiled module (the one kernel not generated from the symbolic spec:
@@ -105,6 +113,12 @@ long %(name)s(long n,
 #: compiled with ``-ffp-contract=off`` — the per-face scalar evaluation is
 #: bit-identical to the interpreted array sweep.
 _STENCIL_COMMON_C = """\
+#if defined(__GNUC__)
+#define REPRO_NOINLINE __attribute__((noinline))
+#else
+#define REPRO_NOINLINE
+#endif
+
 static double repro_sign(double x)
 {
     return (double)((x > 0.0) - (x < 0.0));
@@ -119,8 +133,10 @@ static double slope_minmod2(double a, double b)
     return out;
 }
 
-/* minmod3: all three share a sign -> smallest magnitude, else 0 */
-static double slope_minmod3(double a, double b, double c)
+/* minmod3: all three share a sign -> smallest magnitude, else 0
+ * (inline: with two callers, tvd and ppm, -O2 would otherwise stop
+ * inlining it into limited_slope and add a call to every mc slope) */
+static inline double slope_minmod3(double a, double b, double c)
 {
     const double sa = repro_sign(a);
     const int same = (sa == repro_sign(b)) && (repro_sign(b) == repro_sign(c))
@@ -165,6 +181,104 @@ static double limited_slope(int limiter_id, double dm, double dp)
     }
 }
 """
+
+#: One WENO flavour's per-face helper and row filler.  The arithmetic
+#: mirrors :func:`repro.reconstruct.weno._weno5_biased` /
+#: ``_wenoz_biased`` term by term: ``x ** 2`` is ``x * x``, ``13.0 / 12.0``
+#: folds to the one double Python folds it to, and ``_EPS_WENO`` is added
+#: before squaring.
+_WENO_C = """\
+static double %(name)s_biased(double cm2, double cm1, double c0,
+    double cp1, double cp2)
+{
+    const double p0 = (2.0 * cm2 - 7.0 * cm1 + 11.0 * c0) / 6.0;
+    const double p1 = (-cm1 + 5.0 * c0 + 2.0 * cp1) / 6.0;
+    const double p2 = (2.0 * c0 + 5.0 * cp1 - cp2) / 6.0;
+    const double t0 = cm2 - 2.0 * cm1 + c0;
+    const double u0 = cm2 - 4.0 * cm1 + 3.0 * c0;
+    const double t1 = cm1 - 2.0 * c0 + cp1;
+    const double u1 = cm1 - cp1;
+    const double t2 = c0 - 2.0 * cp1 + cp2;
+    const double u2 = 3.0 * c0 - 4.0 * cp1 + cp2;
+    const double b0 = (13.0 / 12.0) * (t0 * t0) + 0.25 * (u0 * u0);
+    const double b1 = (13.0 / 12.0) * (t1 * t1) + 0.25 * (u1 * u1);
+    const double b2 = (13.0 / 12.0) * (t2 * t2) + 0.25 * (u2 * u2);
+%(weights)s
+    const double asum = a0 + a1 + a2;
+    return (a0 * p0 + a1 * p1 + a2 * p2) / asum;
+}
+
+/* faces 0..m-1 of one variable; face i sits between cells c[i], c[i+1] */
+static void %(name)s_row(const double* c, long m, double* qL, double* qR)
+{
+    for (long i = 0; i < m; ++i) {
+        qL[i] = %(name)s_biased(c[i - 2], c[i - 1], c[i], c[i + 1], c[i + 2]);
+        qR[i] = %(name)s_biased(c[i + 3], c[i + 2], c[i + 1], c[i], c[i - 1]);
+    }
+}
+"""
+
+_WENO_WEIGHTS_C = {
+    "weno5": """\
+    const double e0 = b0 + 1e-40;
+    const double e1 = b1 + 1e-40;
+    const double e2 = b2 + 1e-40;
+    const double a0 = 0.1 / (e0 * e0);
+    const double a1 = 0.6 / (e1 * e1);
+    const double a2 = 0.3 / (e2 * e2);""",
+    "wenoz": """\
+    const double tau5 = fabs(b0 - b2);
+    const double r0 = tau5 / (b0 + 1e-40);
+    const double r1 = tau5 / (b1 + 1e-40);
+    const double r2 = tau5 / (b2 + 1e-40);
+    const double a0 = 0.1 * (1.0 + r0 * r0);
+    const double a1 = 0.6 * (1.0 + r1 * r1);
+    const double a2 = 0.3 * (1.0 + r2 * r2);""",
+}
+
+#: The wide-stencil reconstructions as *row* fillers: given one variable's
+#: cells along a row tile (contiguous, ``c[-2] .. c[m + 2]``) they write the
+#: left/right states of faces ``0 .. m-1``.  PPM does each piece of work
+#: once — half-slope per cell, 4th-order edge per face, one monotonized
+#: parabola per cell whose right edge is face i's qL and whose left edge is
+#: face i-1's qR — in the operation order of
+#: :func:`repro.reconstruct.ppm._monotonize` (both overshoot masks decided
+#: before either edge is rewritten; the right rewrite reads the rewritten
+#: left edge).
+_STENCIL_WIDE_C = (
+    """\
+static void ppm_row(const double* c, long m, double* h, double* e,
+    double* qL, double* qR)
+{
+    for (long i = -1; i <= m + 1; ++i)
+        h[i + 1] = 0.5 * slope_mc(c[i] - c[i - 1], c[i + 1] - c[i]);
+    for (long i = -1; i <= m; ++i)
+        e[i + 1] = 0.5 * (c[i] + c[i + 1]) - (h[i + 2] - h[i + 1]) / 3.0;
+    for (long i = 0; i <= m; ++i) {
+        const double a = c[i];
+        double aL = e[i];
+        double aR = e[i + 1];
+        if ((aR - a) * (a - aL) <= 0.0) {
+            aL = a;
+            aR = a;
+        }
+        const double d = aR - aL;
+        const double dmid = d * (a - 0.5 * (aL + aR));
+        const int over_l = dmid > d * d / 6.0;
+        const int over_r = -(d * d) / 6.0 > dmid;
+        if (over_l) aL = 3.0 * a - 2.0 * aR;
+        if (over_r) aR = 3.0 * a - 2.0 * aL;
+        if (i < m) qL[i] = aR;
+        if (i > 0) qR[i - 1] = aL;
+    }
+}
+
+"""
+    + "\n".join(
+        _WENO_C % {"name": name, "weights": weights}
+        for name, weights in _WENO_WEIGHTS_C.items()
+    )
+)
 
 
 def _print_expressions(names, exprs, printer):
@@ -554,22 +668,106 @@ static void combine_hllc_{nd}d(int Sx, double sL, double sR,
 
         Walks cache-resident rows (``row_offsets`` enumerates the ghosted
         transverse extent in C order, ``axis_stride`` steps along the
-        working axis) and, per face, reconstructs the left/right states
-        from the 2- or 4-cell stencil, sanitizes them, and evaluates the
-        selected Riemann flux — no interface-sized temporaries anywhere.
-        ``F`` is (nvars, n_rows, n_faces) C-contiguous.
+        working axis) and, per face, reconstructs the left/right states,
+        sanitizes them, and evaluates the selected Riemann flux — no
+        interface-sized temporaries anywhere.  ``F`` is (nvars, n_rows,
+        n_faces) C-contiguous.
+
+        Two schedules, chosen once per sweep from ``recon_id``: pc/tvd
+        reconstruct per face straight from the 2- or 4-cell stencil; the
+        wide stencils (ppm/weno5/wenoz) run per row tile — gather one
+        variable's cells, fill that tile's qL/qR from the row fillers of
+        ``_STENCIL_WIDE_C``, then the same per-face tail out of the tile
+        scratch.  The entry point only dispatches; ``_narrow`` is kept out
+        of line so the pc/tvd loop compiles to the same instructions
+        whatever the wide schedule next to it looks like.
         """
         nd, nv = self.ndim, self.nvars
         name = self.stencil_kernel_name(axis)
         p2c = self.cell_kernel_name("prim_to_con")
         cflux = self.cell_kernel_name("flux", axis)
         cchar = self.cell_kernel_name("char_speeds", axis)
-        return f"""\
-void {name}(const double* prim,
+        args = """\
+const double* prim,
     long var_stride, long axis_stride, const long* row_offsets,
     long n_rows, long j0, long n_faces, double* F, double gamma,
     double vmax2, double rho_atmo, double p_atmo, int recon_id,
-    int limiter_id, int riemann_id, long* counts)
+    int limiter_id, int riemann_id, long* counts"""
+        passed = """\
+prim, var_stride, axis_stride, row_offsets,
+            n_rows, j0, n_faces, F, gamma, vmax2, rho_atmo, p_atmo,
+            recon_id, limiter_id, riemann_id, counts"""
+        # qL/qR -> flux of face k, shared verbatim by both schedules
+        tail = f"""\
+            sanitize_face_{nd}d(qL, vmax2, rho_atmo, p_atmo, counts);
+            sanitize_face_{nd}d(qR, vmax2, rho_atmo, p_atmo, counts);
+            double uL[{nv}];
+            double uR[{nv}];
+            double FLv[{nv}];
+            double FRv[{nv}];
+            double lamL[2];
+            double lamR[2];
+            {p2c}(qL, uL, gamma);
+            {p2c}(qR, uR, gamma);
+            {cflux}(qL, FLv, gamma);
+            {cflux}(qR, FRv, gamma);
+            {cchar}(qL, lamL, gamma);
+            {cchar}(qR, lamR, gamma);
+            const double sL = fmin(lamL[0], lamR[0]);
+            const double sR = fmax(lamL[1], lamR[1]);
+            double Ff[{nv}];
+            if (riemann_id == 0)
+                combine_llf_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
+            else if (riemann_id == 1)
+                combine_hll_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
+            else
+                combine_hllc_{nd}d({1 + axis}, sL, sR, qL, qR, uL, uR,
+                                   FLv, FRv, Ff);
+            for (int v = 0; v < {nv}; ++v)
+                Frow[(long) v * fstride + k] = Ff[v];"""
+        wide_tail = textwrap.indent(tail, "    ")  # one loop level deeper
+        T = STENCIL_TILE
+        return f"""\
+static void {name}_wide({args})
+{{
+    const long fstride = n_rows * n_faces;
+    double cells[{T} + 5];
+    double h[{T} + 3];
+    double e[{T} + 2];
+    double qLs[{nv}][{T}];
+    double qRs[{nv}][{T}];
+    for (long r = 0; r < n_rows; ++r) {{
+        const double* row = prim + row_offsets[r];
+        double* Frow = F + r * n_faces;
+        for (long k0 = 0; k0 < n_faces; k0 += {T}) {{
+            const long m = (n_faces - k0 < {T}) ? n_faces - k0 : {T};
+            for (int v = 0; v < {nv}; ++v) {{
+                const double* cv = row + (long) v * var_stride
+                    + (j0 + k0 - 2) * axis_stride;
+                for (long i = 0; i < m + 5; ++i)
+                    cells[i] = cv[i * axis_stride];
+                if (recon_id == 2)
+                    ppm_row(cells + 2, m, h, e, qLs[v], qRs[v]);
+                else if (recon_id == 3)
+                    weno5_row(cells + 2, m, qLs[v], qRs[v]);
+                else
+                    wenoz_row(cells + 2, m, qLs[v], qRs[v]);
+            }}
+            for (long i = 0; i < m; ++i) {{
+                const long k = k0 + i;
+                double qL[{nv}];
+                double qR[{nv}];
+                for (int v = 0; v < {nv}; ++v) {{
+                    qL[v] = qLs[v][i];
+                    qR[v] = qRs[v][i];
+                }}
+{wide_tail}
+            }}
+        }}
+    }}
+}}
+
+static REPRO_NOINLINE void {name}_narrow({args})
 {{
     const long fstride = n_rows * n_faces;
     for (long r = 0; r < n_rows; ++r) {{
@@ -599,34 +797,17 @@ void {name}(const double* prim,
                     qR[v] = c1 - limited_slope(limiter_id, d0, dp) * 0.5;
                 }}
             }}
-            sanitize_face_{nd}d(qL, vmax2, rho_atmo, p_atmo, counts);
-            sanitize_face_{nd}d(qR, vmax2, rho_atmo, p_atmo, counts);
-            double uL[{nv}];
-            double uR[{nv}];
-            double FLv[{nv}];
-            double FRv[{nv}];
-            double lamL[2];
-            double lamR[2];
-            {p2c}(qL, uL, gamma);
-            {p2c}(qR, uR, gamma);
-            {cflux}(qL, FLv, gamma);
-            {cflux}(qR, FRv, gamma);
-            {cchar}(qL, lamL, gamma);
-            {cchar}(qR, lamR, gamma);
-            const double sL = fmin(lamL[0], lamR[0]);
-            const double sR = fmax(lamL[1], lamR[1]);
-            double Ff[{nv}];
-            if (riemann_id == 0)
-                combine_llf_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
-            else if (riemann_id == 1)
-                combine_hll_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
-            else
-                combine_hllc_{nd}d({1 + axis}, sL, sR, qL, qR, uL, uR,
-                                   FLv, FRv, Ff);
-            for (int v = 0; v < {nv}; ++v)
-                Frow[(long) v * fstride + k] = Ff[v];
+{tail}
         }}
     }}
+}}
+
+void {name}({args})
+{{
+    if (recon_id >= 2)
+        {name}_wide({passed});
+    else
+        {name}_narrow({passed});
 }}
 """
 
@@ -638,7 +819,8 @@ void {name}(const double* prim,
             "Generated by repro.codegen.KernelGenerator. */\n"
             "#include <math.h>\n"
         )
-        parts = [header, _STENCIL_COMMON_C, self.generate_c_sanitize()]
+        parts = [header, _STENCIL_COMMON_C, _STENCIL_WIDE_C]
+        parts.append(self.generate_c_sanitize())
         parts.append(self.generate_c_cell("prim_to_con"))
         for ax in range(self.ndim):
             parts.append(self.generate_c_cell("flux", ax))

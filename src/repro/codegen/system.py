@@ -42,27 +42,33 @@ _log = get_logger("codegen.system")
 def stencil_scheme_ids(reconstruction, riemann) -> tuple[int, int, int] | None:
     """Dispatch ids ``(recon, limiter, riemann)`` for a scheme combo.
 
-    Returns ``None`` when the combo has no compiled form (higher-order
-    reconstructions, exotic solvers) — the pipeline then keeps the
-    interpreted face-flux path for that scheme only.
+    Returns ``None`` — and logs which half had no compiled form — for a
+    reconstruction type or Riemann solver the stencil emitter does not
+    know; the pipeline then keeps the interpreted face-flux path for that
+    scheme only.  Types are matched exactly: a subclass may change the
+    arithmetic the compiled form mirrors.
     """
-    from ..reconstruct.pc import PiecewiseConstant
-    from ..reconstruct.tvd import TVDSlope
+    from ..reconstruct import PPM, WENO5, WENOZ, PiecewiseConstant, TVDSlope
 
-    if type(reconstruction) is PiecewiseConstant:
-        recon_id, limiter_id = STENCIL_RECON_IDS["pc"], 0
-    elif (
-        type(reconstruction) is TVDSlope
-        and reconstruction.limiter_name in STENCIL_LIMITER_IDS
-    ):
-        recon_id = STENCIL_RECON_IDS["tvd"]
-        limiter_id = STENCIL_LIMITER_IDS[reconstruction.limiter_name]
-    else:
-        return None
+    family = {
+        PiecewiseConstant: "pc", TVDSlope: "tvd",
+        PPM: "ppm", WENO5: "weno5", WENOZ: "wenoz",
+    }.get(type(reconstruction))
+    limiter_id = 0
+    if family == "tvd":
+        limiter_id = STENCIL_LIMITER_IDS.get(reconstruction.limiter_name)
     riemann_id = STENCIL_RIEMANN_IDS.get(getattr(riemann, "name", None))
-    if riemann_id is None:
-        return None
-    return recon_id, limiter_id, riemann_id
+    if family is None or limiter_id is None:
+        missing = f"reconstruction {reconstruction!r}"
+    elif riemann_id is None:
+        missing = f"Riemann solver {riemann!r}"
+    else:
+        return STENCIL_RECON_IDS[family], limiter_id, riemann_id
+    _log.info(
+        "no compiled face_flux form for %s; keeping the interpreted "
+        "stencil stages", missing,
+    )
+    return None
 
 
 class GeneratedSRHDSystem(SRHDSystem):
@@ -287,6 +293,7 @@ class CompiledSRHDSystem(SRHDSystem):
             self._st_ffi,
             self._c_face_flux[axis],
             prim,
+            axis,
             row_offsets,
             j0,
             n_faces,

@@ -97,19 +97,14 @@ class HydroPipeline:
         self._fused_ids = None
         #: row-offset tables for the fused sweep, keyed by (axis, layout)
         self._row_offset_cache: dict = {}
+        #: the strided-prim bypass of the fused sweep warns once per pipeline
+        self._bypass_logged = False
         if target == "cext" and getattr(config, "fused_stencils", True) and getattr(
             self.system, "has_fused_stencils", False
         ):
             from ..codegen.system import stencil_scheme_ids
 
-            ids = stencil_scheme_ids(self.reconstruction, self.riemann)
-            if ids is None:
-                _log.info(
-                    "no compiled face_flux form for scheme combo (%s, %s); "
-                    "keeping the interpreted stencil stages",
-                    config.reconstruction, config.riemann,
-                )
-            self._fused_ids = ids
+            self._fused_ids = stencil_scheme_ids(self.reconstruction, self.riemann)
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
@@ -347,7 +342,7 @@ class HydroPipeline:
         ws = self.workspace if reuse else None
         g = grid.n_ghost
         full_axis = (lo, hi) == (0, grid.shape[axis])
-        if self._fused_ids is not None and prim.flags.c_contiguous:
+        if self._fused_applies(prim):
             # Compiled path: one C sweep replaces reconstruct + sanitize +
             # riemann, bit-identical to the interpreted stages below.
             with self.timers("face_flux"):
@@ -367,6 +362,25 @@ class HydroPipeline:
             np.subtract(Fm[..., 1:], Fm[..., :-1], out=div)
             np.divide(div, grid.dx[axis], out=div)
         return div
+
+    def _fused_applies(self, prim: np.ndarray) -> bool:
+        """Whether this sweep takes the compiled path.  A fused pipeline
+        handed a strided *prim* (C walks raw offsets) runs interpreted
+        instead — counted per sweep, logged once per pipeline."""
+        if self._fused_ids is None:
+            return False
+        if prim.flags.c_contiguous:
+            return True
+        self.metrics.counter("codegen.stencil_bypassed").inc()
+        if not self._bypass_logged:
+            self._bypass_logged = True
+            _log.warning(
+                "fused face_flux bypassed: prim is not C-contiguous "
+                "(shape %s, strides %s); running the interpreted stencil "
+                "stages (counted in codegen.stencil_bypassed)",
+                prim.shape, prim.strides,
+            )
+        return False
 
     def _interpreted_face_flux(
         self, prim: np.ndarray, axis: int, lo: int, hi: int, ws

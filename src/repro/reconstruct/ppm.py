@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Reconstruction, cell_view
+from ..core.workspace import scratch_buf
+from .base import Reconstruction, _nfaces
 from .tvd import slope_mc
 
 
@@ -43,34 +44,33 @@ class PPM(Reconstruction):
     order = 3
 
     def _reconstruct_last_axis(self, q: np.ndarray, g: int, out=None, scratch=None, tag=None):
-        def iface(offset):
-            """4th-order interface value at face (offset) relative to each face.
-
-            offset=0 gives the face itself; offset=-1 the face one cell left.
-            Uses cells offset-1..offset+2 around the face.
-            """
-            cm1 = cell_view(q, offset - 1, g)
-            c0 = cell_view(q, offset, g)
-            c1 = cell_view(q, offset + 1, g)
-            c2 = cell_view(q, offset + 2, g)
-            # Limited 4th-order interpolation (CW84 eq. 1.6 with MC slopes).
-            d0 = 0.5 * slope_mc(c0 - cm1, c1 - c0)
-            d1 = 0.5 * slope_mc(c1 - c0, c2 - c1)
-            return 0.5 * (c0 + c1) - (d1 - d0) / 3.0
-
-        # Interface values bracketing the left cell (i) and right cell (i+1)
-        # of every face k.
-        f_m = iface(-1)  # face i-1/2
-        f_0 = iface(0)  # face i+1/2 (the working face)
-        f_p = iface(1)  # face i+3/2
-
-        a_l = cell_view(q, 0, g)  # cell i averages
-        a_r = cell_view(q, 1, g)  # cell i+1 averages
-
-        # Monotonize the parabola in cell i -> right edge is the face-L state.
-        _, qL = _monotonize(a_l, f_m, f_0.copy())
-        # Monotonize in cell i+1 -> left edge is the face-R state.
-        qR, _ = _monotonize(a_r, f_0.copy(), f_p)
+        # Every piece of work once, on shifted views of shared arrays (the
+        # row schedule the compiled sweep mirrors).  Face k sits between
+        # ghosted cells g-1+k and g+k; the edge array spans faces -1..n+1.
+        n_faces = _nfaces(q, g)
+        c = q[..., g - 3 : g + n_faces + 2]
+        shape = c.shape[:-1]
+        dc = scratch_buf(scratch, (tag, "dc"), shape + (n_faces + 4,))
+        np.subtract(c[..., 1:], c[..., :-1], out=dc)
+        # Limited half-slope of cells g-2 .. g+n_faces.
+        h = scratch_buf(scratch, (tag, "h"), shape + (n_faces + 3,))
+        slope_mc(dc[..., :-1], dc[..., 1:], out=h, scratch=scratch, tag=(tag, "lim"))
+        np.multiply(h, 0.5, out=h)
+        # Limited 4th-order interpolation (CW84 eq. 1.6 with MC slopes):
+        # 0.5 (c0 + c1) - (d1 - d0) / 3 at every face.
+        edge = scratch_buf(scratch, (tag, "edge"), shape + (n_faces + 2,))
+        np.add(c[..., 1:-2], c[..., 2:-1], out=edge)
+        np.multiply(edge, 0.5, out=edge)
+        dh = scratch_buf(scratch, (tag, "dh"), shape + (n_faces + 2,))
+        np.subtract(h[..., 1:], h[..., :-1], out=dh)
+        np.divide(dh, 3.0, out=dh)
+        np.subtract(edge, dh, out=edge)
+        # One monotonized parabola per cell g-1 .. g+n_faces-1: its right
+        # edge is the face-L state of the face to its right, its left edge
+        # the face-R state of the face to its left.
+        a = q[..., g - 1 : g + n_faces]
+        aL, aR = _monotonize(a, edge[..., :-1], edge[..., 1:])
+        qL, qR = aR[..., :-1], aL[..., 1:]
         if out is not None:
             np.copyto(out[0], qL)
             np.copyto(out[1], qR)

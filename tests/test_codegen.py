@@ -3,6 +3,8 @@ handwritten reference bit-for-bit (to round-off) on both targets."""
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import os
 
 import numpy as np
@@ -23,6 +25,24 @@ from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import CodegenError
 
 from .conftest import random_prim
+
+
+@contextlib.contextmanager
+def _log_records(name, level=logging.INFO):
+    """Records emitted on logger *name* (the ``repro`` tree does not
+    propagate to the root logger, so ``caplog`` never sees them)."""
+    log = logging.getLogger(name)
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    old_level = log.level
+    log.addHandler(handler)
+    log.setLevel(level)
+    try:
+        yield records
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
 
 
 class TestSymbols:
@@ -481,25 +501,29 @@ class TestCextCacheCorruption:
 class TestFusedStencilParity:
     """The fused cext face-flux sweep vs the interpreted stages.
 
-    Random smooth and discontinuous ghosted states through both pipelines
-    for every limiter x Riemann combo: the compiled sweep must reproduce
-    the interpreted divergence bitwise (FP contraction is off) *and* the
-    sanitize counter totals exactly.
+    Random smooth, discontinuous and near-luminal/atmosphere ghosted states
+    through both pipelines for every reconstruction x Riemann combo: the
+    compiled sweep must reproduce the interpreted divergence bitwise (FP
+    contraction is off) *and* the sanitize counter totals exactly.
     """
 
+    RECONS = ("pc", "minmod", "mc", "vanleer", "superbee", "ppm", "weno5", "wenoz")
     COMBOS = [
         (recon, riemann)
-        for recon in ("pc", "minmod", "mc", "vanleer", "superbee")
+        for recon in RECONS
         for riemann in ("llf", "hll", "hllc")
     ]
 
     @staticmethod
-    def _pipeline(target, recon, riemann, ndim=2, n_ghost=2, **kw):
+    def _pipeline(target, recon, riemann, ndim=2, n_ghost=None, **kw):
         from repro.boundary.conditions import BoundarySet
         from repro.core.config import SolverConfig
         from repro.core.pipeline import HydroPipeline
         from repro.mesh.grid import Grid
+        from repro.reconstruct import make_reconstruction
 
+        if n_ghost is None:
+            n_ghost = max(2, make_reconstruction(recon).required_ghosts)
         shape = {1: (24,), 2: (12, 10), 3: (8, 6, 5)}[ndim]
         grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=n_ghost)
         system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=ndim)
@@ -509,7 +533,7 @@ class TestFusedStencilParity:
         return HydroPipeline(system, grid, BoundarySet(), config)
 
     @staticmethod
-    def _ghosted_prim(pipe, seed, discontinuous):
+    def _ghosted_prim(pipe, seed, discontinuous, extreme=False):
         rng = np.random.default_rng(seed)
         shape = (pipe.system.nvars,) + pipe.grid.shape_with_ghosts
         prim = np.zeros(shape)
@@ -524,7 +548,23 @@ class TestFusedStencilParity:
             # Axis-aligned jumps: the states TVD limiters are made for.
             prim[pipe.system.RHO, : shape[1] // 2] *= 1e3
             prim[pipe.system.P, ..., shape[-1] // 2 :] *= 1e4
+        if extreme:
+            # Near-luminal cells next to slow ones and rho/p scattered
+            # around the atmosphere floors next to dense gas: face states
+            # land past the W_max cap and below the floors, so both
+            # sanitize repairs fire.
+            fast = rng.random(shape[1:]) < 0.3
+            for ax in range(pipe.system.ndim):
+                prim[pipe.system.V(ax)][fast] = np.sign(v[ax][fast]) * np.sqrt(
+                    0.99985 / pipe.system.ndim
+                )
+            thin = rng.random(shape[1:]) < 0.3
+            n_thin = int(thin.sum())
+            prim[pipe.system.RHO][thin] = pipe.config.rho_atmo * rng.uniform(0.5, 3.0, n_thin)
+            prim[pipe.system.P][thin] = pipe.config.p_atmo * rng.uniform(0.5, 3.0, n_thin)
         return prim
+
+    _COUNTERS = ("sanitize.velocity_rescaled", "sanitize.floored")
 
     @pytest.mark.parametrize("recon,riemann", COMBOS)
     def test_fused_sweep_bitwise_all_combos(self, recon, riemann):
@@ -542,22 +582,34 @@ class TestFusedStencilParity:
         @given(
             seed=st.integers(min_value=0, max_value=2**32 - 1),
             discontinuous=st.booleans(),
+            extreme=st.booleans(),
         )
-        @settings(max_examples=4, deadline=None, database=None)
-        def check(seed, discontinuous):
-            prim = self._ghosted_prim(flat, seed, discontinuous)
-            div_flat = flat.flux_divergence(prim.copy())
+        @settings(max_examples=6, deadline=None, database=None)
+        def check(seed, discontinuous, extreme):
+            prim = self._ghosted_prim(flat, seed, discontinuous, extreme)
+            with np.errstate(all="ignore"):
+                div_flat = flat.flux_divergence(prim.copy())
             div_cext = cext.flux_divergence(prim.copy())
             assert div_flat.tobytes() == div_cext.tobytes(), (
                 f"{recon}/{riemann}: fused sweep differs bitwise"
             )
-            for counter in ("sanitize.velocity_rescaled", "sanitize.floored"):
+            for counter in self._COUNTERS:
                 assert (
                     flat.metrics.counter(counter).value
                     == cext.metrics.counter(counter).value
                 ), f"{recon}/{riemann}: {counter} totals diverge"
 
         check()
+        assert "reconstruct" not in cext.timers and "riemann" not in cext.timers
+
+    def test_extreme_states_exercise_both_sanitize_repairs(self):
+        """The near-luminal/atmosphere generator really drives the repairs
+        whose counters the parity tests compare."""
+        flat = self._pipeline("flat", "ppm", "hll")
+        with np.errstate(all="ignore"):
+            flat.flux_divergence(self._ghosted_prim(flat, 3, True, extreme=True))
+        for counter in self._COUNTERS:
+            assert flat.metrics.counter(counter).value > 0, counter
 
     @pytest.mark.parametrize("ndim", [1, 3])
     def test_fused_sweep_bitwise_other_ndims(self, ndim):
@@ -565,14 +617,53 @@ class TestFusedStencilParity:
 
         if not cext_available(ndim):
             pytest.skip("no C toolchain")
-        flat = self._pipeline("flat", "mc", "hllc", ndim=ndim)
-        cext = self._pipeline("cext", "mc", "hllc", ndim=ndim)
-        assert cext._fused_ids is not None
-        prim = self._ghosted_prim(flat, 1234, True)
-        assert (
-            flat.flux_divergence(prim.copy()).tobytes()
-            == cext.flux_divergence(prim.copy()).tobytes()
-        )
+        for recon in ("mc", "ppm", "weno5", "wenoz"):
+            flat = self._pipeline("flat", recon, "hllc", ndim=ndim)
+            cext = self._pipeline("cext", recon, "hllc", ndim=ndim)
+            assert cext._fused_ids is not None
+            for seed, extreme in ((1234, False), (4321, True)):
+                prim = self._ghosted_prim(flat, seed, True, extreme)
+                with np.errstate(all="ignore"):
+                    div_flat = flat.flux_divergence(prim.copy())
+                assert (
+                    div_flat.tobytes() == cext.flux_divergence(prim.copy()).tobytes()
+                ), f"{recon} {ndim}-D"
+            for counter in self._COUNTERS:
+                assert (
+                    flat.metrics.counter(counter).value
+                    == cext.metrics.counter(counter).value
+                ), f"{recon} {ndim}-D: {counter}"
+
+    @pytest.mark.parametrize("recon", ["mc", "ppm", "weno5", "wenoz"])
+    def test_region_split_equals_full_sweep_slice(self, recon):
+        """Any interior region [lo, hi) of the fused sweep is the matching
+        slice of the full-axis sweep, on both axes — the property the
+        overlapped solver's interior/strip split rests on."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.codegen import cext_available
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        flat = self._pipeline("flat", recon, "hll")
+        cext = self._pipeline("cext", recon, "hll")
+
+        @given(data=st.data(), seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
+        @settings(max_examples=8, deadline=None, database=None)
+        def check(data, seed, extreme):
+            prim = self._ghosted_prim(cext, seed, True, extreme)
+            for axis, n in enumerate(cext.grid.shape):
+                lo = data.draw(st.integers(0, n - 1))
+                hi = data.draw(st.integers(lo + 1, n))
+                full = cext.flux_divergence_region(prim, axis, 0, n).copy()
+                part = cext.flux_divergence_region(prim, axis, lo, hi)
+                assert part.tobytes() == full[..., lo:hi].tobytes(), (axis, lo, hi)
+                with np.errstate(all="ignore"):
+                    ref = flat.flux_divergence_region(prim, axis, lo, hi)
+                assert part.tobytes() == ref.tobytes(), (axis, lo, hi)
+
+        check()
 
     def test_fused_off_matches_fused_on(self):
         """fused_stencils=False must give the identical (bitwise) result
@@ -581,37 +672,135 @@ class TestFusedStencilParity:
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
-        on = self._pipeline("cext", "mc", "hllc")
-        off = self._pipeline("cext", "mc", "hllc", fused_stencils=False)
-        assert on._fused_ids is not None
-        assert off._fused_ids is None
-        prim = self._ghosted_prim(on, 99, True)
-        assert (
-            on.flux_divergence(prim.copy()).tobytes()
-            == off.flux_divergence(prim.copy()).tobytes()
-        )
-        assert "face_flux" in on.timers
-        assert "face_flux" not in off.timers
+        for recon in ("mc", "ppm"):
+            on = self._pipeline("cext", recon, "hllc")
+            off = self._pipeline("cext", recon, "hllc", fused_stencils=False)
+            assert on._fused_ids is not None
+            assert off._fused_ids is None
+            prim = self._ghosted_prim(on, 99, True)
+            assert (
+                on.flux_divergence(prim.copy()).tobytes()
+                == off.flux_divergence(prim.copy()).tobytes()
+            )
+            assert "face_flux" in on.timers
+            assert "face_flux" not in off.timers
 
     def test_unsupported_scheme_keeps_interpreted_path(self):
-        """A reconstruction without a compiled form must degrade to the
-        interpreted stages for that pipeline only, without warnings."""
-        from repro.codegen import cext_available
-        from repro.reconstruct import SCHEMES
+        """A reconstruction without a compiled form — here a subclass the
+        scheme->ids map has never seen; every registered scheme is fused —
+        degrades to the interpreted stages for that pipeline only, and the
+        log names the half of the combo that had no compiled form."""
+        from repro.codegen import cext_available, stencil_scheme_ids
+        from repro.reconstruct import PPM
+        from repro.riemann import make_riemann_solver
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
-        exotic = next(
-            (s for s in ("ppm", "weno5", "weno") if s in SCHEMES), None
+
+        class SteepenedPPM(PPM):
+            name = "steepened-ppm"
+
+        hll = make_riemann_solver("hll")
+
+        class Exotic(type(hll)):
+            name = "exotic"
+
+        with _log_records("repro.codegen.system") as records:
+            assert stencil_scheme_ids(SteepenedPPM(), hll) is None
+            assert "reconstruction" in records[-1].getMessage()
+            assert "steepened-ppm" in records[-1].getMessage()
+            assert stencil_scheme_ids(PPM(), Exotic()) is None
+            assert "Riemann solver" in records[-1].getMessage()
+        assert stencil_scheme_ids(PPM(), hll) is not None
+
+        fused = self._pipeline("cext", "ppm", "hll")
+        plain = self._pipeline("cext", "ppm", "hll")
+        plain.reconstruction = SteepenedPPM()
+        plain._fused_ids = stencil_scheme_ids(plain.reconstruction, plain.riemann)
+        assert plain._fused_ids is None
+        prim = self._ghosted_prim(fused, 5, False)
+        assert (
+            plain.flux_divergence(prim.copy()).tobytes()
+            == fused.flux_divergence(prim.copy()).tobytes()
         )
-        if exotic is None:
-            pytest.skip("no higher-order scheme registered")
-        pipe = self._pipeline("cext", exotic, "hllc", n_ghost=3)
-        assert pipe._fused_ids is None
-        prim = self._ghosted_prim(pipe, 5, False)
-        assert np.all(np.isfinite(pipe.grid.interior_of(
-            pipe.flux_divergence(prim)
-        )))
+        assert "reconstruct" in plain.timers and "face_flux" not in plain.timers
+
+    def test_out_of_bounds_region_is_refused_before_c(self):
+        """The C sweep reads its stencil unchecked; a region whose reach
+        leaves the array must raise in Python, naming axis/region/reach."""
+        from repro.codegen import cext_available
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        pipe = self._pipeline("cext", "ppm", "hll")
+        prim = self._ghosted_prim(pipe, 1, False)
+        n = pipe.grid.shape[1]
+        pipe.flux_divergence_region(prim, 1, 0, n)  # the full sweep fits
+        with pytest.raises(CodegenError, match=r"axis 1.*reach \(-2, \+3\)"):
+            pipe.flux_divergence_region(prim, 1, 0, n + 1)
+        with pytest.raises(CodegenError, match="axis 0"):
+            pipe.flux_divergence_region(prim, 0, -1, 4)
+        # The same region is legal for a narrower stencil on the same grid.
+        narrow = self._pipeline("cext", "mc", "hll", n_ghost=3)
+        narrow.flux_divergence_region(prim, 1, 0, n + 1)
+
+    def test_strided_prim_bypass_is_logged_once_and_counted(self):
+        """A fused pipeline handed a non-contiguous prim runs interpreted:
+        bytes unchanged, one WARNING per pipeline, every bypass counted."""
+        from repro.codegen import cext_available
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        pipe = self._pipeline("cext", "ppm", "hll")
+        prim = self._ghosted_prim(pipe, 8, True)
+        want = pipe.flux_divergence(prim.copy()).tobytes()
+        strided = np.empty(prim.shape + (2,))[..., 0]
+        strided[...] = prim
+        assert not strided.flags.c_contiguous
+        with _log_records("repro.core.pipeline") as records:
+            assert pipe.flux_divergence(strided).tobytes() == want
+            assert pipe.flux_divergence(strided).tobytes() == want
+        warned = [r for r in records if "bypassed" in r.getMessage()]
+        assert len(warned) == 1
+        assert pipe.metrics.counter("codegen.stencil_bypassed").value == 4
+
+
+class TestFusedSolverDigest:
+    """End to end: a wide-stencil cext run is the flat run, byte for byte."""
+
+    def test_kh_ppm_hll_20_steps_cext_equals_flat(self):
+        import hashlib
+
+        from repro.boundary import make_boundaries
+        from repro.codegen import cext_available
+        from repro.core.config import SolverConfig
+        from repro.core.solver import Solver
+        from repro.mesh.grid import Grid
+        from repro.physics.initial_data import kelvin_helmholtz_2d
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        grid = Grid((48, 48), ((0.0, 1.0), (0.0, 1.0)), n_ghost=3)
+        prim0 = kelvin_helmholtz_2d(system, grid, seed=7)
+        digests = {}
+        for target in ("flat", "cext"):
+            config = SolverConfig(
+                kernel_target=target, cfl=0.4, reconstruction="ppm", riemann="hll"
+            )
+            solver = Solver(
+                system, grid, prim0.copy(), config, make_boundaries("periodic")
+            )
+            for _ in range(20):
+                solver.step()
+            digests[target] = hashlib.sha256(
+                np.ascontiguousarray(solver.interior_primitives()).tobytes()
+            ).hexdigest()
+            if target == "cext":
+                assert solver.pipeline._fused_ids is not None
+                assert "face_flux" in solver.pipeline.timers
+                assert "reconstruct" not in solver.pipeline.timers
+        assert digests["cext"] == digests["flat"]
 
 
 class TestStencilFallback:
@@ -620,8 +809,15 @@ class TestStencilFallback:
     sweep, with a logged warning naming the fallback."""
 
     def test_stencil_disable_env_per_kernel_fallback(self, monkeypatch):
-        import logging
+        self._check_per_kernel_fallback(monkeypatch, "mc")
 
+    def test_stencil_disable_env_ppm_fallback(self, monkeypatch):
+        """The wide-stencil schemes degrade the same way: interpreted,
+        logged, bytes == flat."""
+        self._check_per_kernel_fallback(monkeypatch, "ppm")
+
+    @staticmethod
+    def _check_per_kernel_fallback(monkeypatch, recon):
         from repro.codegen import cext as cext_mod
         from repro.codegen import cext_available, clear_cache
         from repro.codegen.system import CompiledSRHDSystem
@@ -630,15 +826,10 @@ class TestStencilFallback:
             pytest.skip("no C toolchain")
         monkeypatch.setenv(cext_mod.STENCIL_DISABLE_ENV, "1")
         clear_cache()
-        records: list[logging.LogRecord] = []
-        handler = logging.Handler()
-        handler.emit = records.append
-        log = logging.getLogger("repro.codegen.system")
-        log.addHandler(handler)
         try:
-            fused = TestFusedStencilParity._pipeline("cext", "mc", "hllc")
+            with _log_records("repro.codegen.system") as records:
+                fused = TestFusedStencilParity._pipeline("cext", recon, "hllc")
         finally:
-            log.removeHandler(handler)
             clear_cache()
         assert isinstance(fused.system, CompiledSRHDSystem)
         assert not fused.system.has_fused_stencils
@@ -649,12 +840,13 @@ class TestStencilFallback:
         )
         # The degraded pipeline still matches flat bitwise (it *is* the
         # interpreted sweep over compiled pointwise kernels).
-        flat = TestFusedStencilParity._pipeline("flat", "mc", "hllc")
+        flat = TestFusedStencilParity._pipeline("flat", recon, "hllc")
         prim = TestFusedStencilParity._ghosted_prim(flat, 7, True)
         assert (
             flat.flux_divergence(prim.copy()).tobytes()
             == fused.flux_divergence(prim.copy()).tobytes()
         )
+        assert "reconstruct" in fused.timers and "face_flux" not in fused.timers
 
     def test_disable_env_keeps_interpreted_stencils(self, monkeypatch):
         """Full REPRO_CEXT_DISABLE: the whole target degrades to flat and

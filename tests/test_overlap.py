@@ -141,14 +141,25 @@ class TestBitExactness:
             _run(system, grid, prim0, (2, 1, 2), True, **kw),
         )
 
-    @pytest.mark.parametrize("scheme", ["ppm", "weno5"])
-    def test_higher_order_schemes(self, scheme):
+    @pytest.mark.parametrize(
+        "scheme,target",
+        [
+            pytest.param("ppm", "numpy", id="ppm"),
+            pytest.param("weno5", "numpy", id="weno5"),
+            pytest.param("ppm", "cext", id="ppm-cext"),
+            pytest.param("weno5", "cext", id="weno5-cext"),
+        ],
+    )
+    def test_higher_order_schemes(self, scheme, target):
         system, grid, prim0 = _blast2d_setup()
-        kw = dict(reconstruction=scheme, steps=3)
-        _assert_identical(
-            _run(system, grid, prim0, (2, 2), False, **kw),
-            _run(system, grid, prim0, (2, 2), True, **kw),
-        )
+        kw = dict(reconstruction=scheme, steps=3, kernel_target=target)
+        blocking = _run(system, grid, prim0, (2, 2), False, **kw)
+        _assert_identical(blocking, _run(system, grid, prim0, (2, 2), True, **kw))
+        if target == "cext":
+            # The fused wide-stencil sweep, full and region-split, is the
+            # interpreted flat sweep byte for byte.
+            kw["kernel_target"] = "flat"
+            _assert_identical(_run(system, grid, prim0, (2, 2), False, **kw), blocking)
 
 
 class TestFaultBehaviour:
