@@ -21,12 +21,14 @@ the test suite.
 import json
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.boundary import make_boundaries
-from repro.codegen import cext_available
+from repro.codegen import cext_available, clear_cache
+from repro.codegen.cext import STENCIL_DISABLE_ENV
 from repro.core import SolverConfig
 from repro.core.parallel import ProcessSolver
 from repro.core.solver import Solver
@@ -57,14 +59,33 @@ def _setup(n, problem="blast"):
 
 
 # Benchmark "targets" are solver configurations, not just codegen targets:
-# cext_pointwise is the PR 7 shape of the compiled backend (pointwise
-# kernels compiled, stencil stages interpreted), cext is the fused sweep.
+# cext_pointwise is the per-kernel fallback of the compiled backend
+# (pointwise kernels compiled, stencil stages interpreted — selected the way
+# a deployment would, through REPRO_CEXT_STENCIL_DISABLE), cext is the fused
+# sweep.
 TARGET_CONFIGS = {
     "numpy": {"kernel_target": "numpy"},
     "flat": {"kernel_target": "flat"},
-    "cext_pointwise": {"kernel_target": "cext", "fused_stencils": False},
+    "cext_pointwise": {"kernel_target": "cext"},
     "cext": {"kernel_target": "cext"},
 }
+
+
+@contextmanager
+def _stencil_switch(target: str):
+    """Build *target*'s solver with the stencil module disabled when it is
+    the fallback arm.  The in-memory kernel cache is keyed without the
+    switch, so it is dropped on both sides (outside every timed window)."""
+    if target != "cext_pointwise":
+        yield
+        return
+    clear_cache()
+    os.environ[STENCIL_DISABLE_ENV] = "1"
+    try:
+        yield
+    finally:
+        del os.environ[STENCIL_DISABLE_ENV]
+        clear_cache()
 
 # Per-kernel stage timers worth a column.  "reconstruct"/"riemann" only
 # tick on the interpreted stencil path, "face_flux" only on the fused one;
@@ -75,13 +96,14 @@ STAGE_NAMES = ("con2prim", "reconstruct", "riemann", "face_flux", "update")
 def _serial_case(target: str, n: int, n_steps: int, problem: str = "blast") -> dict:
     system, grid, prim = _setup(n, problem)
     _, boundary, scheme = PROBLEMS[problem]
-    solver = Solver(
-        system,
-        grid,
-        prim,
-        SolverConfig(cfl=0.4, **TARGET_CONFIGS[target], **scheme),
-        make_boundaries(boundary),
-    )
+    with _stencil_switch(target):
+        solver = Solver(
+            system,
+            grid,
+            prim,
+            SolverConfig(cfl=0.4, **TARGET_CONFIGS[target], **scheme),
+            make_boundaries(boundary),
+        )
     # Warm-up step: generates/compiles/loads kernels, allocates scratch.
     solver.run(t_final=1.0, max_steps=1)
     solver.timers.reset()  # stage columns must cover the timed window only

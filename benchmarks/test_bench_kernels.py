@@ -64,9 +64,10 @@ def _workspace_case(use_workspace: bool, n: int, n_steps: int):
     grid = Grid((n, n), ((0.0, 1.0), (0.0, 1.0)))
     timers = TimerRegistry()
     pipe = HydroPipeline(
-        system, grid, make_boundaries("outflow"),
-        SolverConfig(scratch_workspace=use_workspace), timers,
+        system, grid, make_boundaries("outflow"), SolverConfig(), timers,
     )
+    if not use_workspace:
+        pipe.workspace = None  # every call allocates fresh arrays
     cons = system.prim_to_con(blast_wave_2d(system, grid))
     # Warm-up: applies the floors to *cons* and lazily creates every
     # workspace buffer, so the measured loop is the steady state.

@@ -539,14 +539,7 @@ def _cmd_run(args) -> int:
         save_solution(args.snapshot, grid, prim, solver.t, names)
         print(f"  snapshot  : {args.snapshot}")
     if args.checkpoint:
-        if n_ranks:
-            from .io.checkpoint import save_distributed_checkpoint
-
-            save_distributed_checkpoint(solver, args.checkpoint)
-        else:
-            from .io import save_checkpoint
-
-            save_checkpoint(solver, args.checkpoint)
+        solver.write_checkpoint(args.checkpoint)
         print(f"  checkpoint: {args.checkpoint}")
     if args.executor == "process" and hasattr(solver, "close"):
         # Workers must stay up through the final checkpoint gather above.

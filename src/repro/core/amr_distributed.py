@@ -105,6 +105,25 @@ class DistributedAMRSolver(AMRSolver):
         """Most recently measured rank-work imbalance (max/mean)."""
         return self._last_imbalance
 
+    def forest_state(self, keys=None) -> dict:
+        """The forest state plus block ownership and rebalance counters."""
+        state = super().forest_state(keys)
+        state.update(
+            assignment=dict(self.assignment),
+            repartitions=self.repartitions,
+            migrated_blocks=self.migrated_blocks,
+            imbalance=self._last_imbalance,
+        )
+        return state
+
+    def install_forest_state(self, state: dict) -> None:
+        super().install_forest_state(state)
+        self.assignment = dict(state["assignment"])
+        self._invalidate_plans()
+        self.repartitions = int(state["repartitions"])
+        self.migrated_blocks = int(state["migrated_blocks"])
+        self._last_imbalance = float(state["imbalance"])
+
     # ------------------------------------------------------------------
     # Topology-derived plans
     # ------------------------------------------------------------------

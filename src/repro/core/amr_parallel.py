@@ -42,17 +42,14 @@ from ..mesh.amr.exchange import (
     check_block_payload,
     face_flux_column,
     merge_plan,
-    stats_from_vector,
-    stats_vector,
 )
-from ..mesh.amr.forest import AMRForest
 from ..mesh.amr.reflux import apply_reflux
 from ..mesh.amr.transfer import restrict_array
 from ..mesh.grid import Grid
 from ..obs.events import BufferSink
 from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
-from ..utils.errors import ConfigurationError, WorkerError
+from ..utils.errors import ConfigurationError
 from .amr_distributed import DistributedAMRSolver
 from .amr_solver import AMRConfig
 from .config import SolverConfig
@@ -88,7 +85,8 @@ class _AMRWorkerSpec:
     amr: AMRConfig
     wall_bcs: BoundarySet
     source_fn: object
-    #: initial install state (same shape as ``supervision_state()``)
+    #: initial :meth:`~AMRSolver.forest_state` of this rank (rank 0's also
+    #: carries the prototype's ``metrics``/``timers`` baselines)
     state: dict
     channels: dict  # {(src, dest): (shm_name, capacity)} touching this rank
     comm_timeout_s: float
@@ -117,118 +115,29 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
         self.n_ranks = spec.size
         self.assignment = None
         self._init_distributed_state()
-        self._pipe_state: dict[BlockKey, tuple] = {}
         self._init_core(
             spec.system, spec.root_grid, spec.config, spec.amr,
             spec.wall_bcs, None, spec.source_fn,
         )
         self.recorder = StepRecorder(BufferSink())
         self.comm = self._attach(spec, board, self.metrics)
-        self._install_state(spec.state)
+        self.install_forest_state(spec.state)
+        if "metrics" in spec.state:  # rank 0: the prototype's baselines
+            self.metrics.restore(spec.state["metrics"])
+            self.timers.restore(spec.state["timers"])
         self._process_t0 = time.process_time()
 
     # ------------------------------------------------------------------
-    # State install / snapshot (shared by construction and supervision)
+    # Supervision snapshot: the forest state plus the shell's
     # ------------------------------------------------------------------
-
-    def _install_state(self, state: dict) -> None:
-        """Rebuild forest topology, block data, and counters from *state*.
-
-        Leaf insertion order is part of the byte-level contract (every
-        iteration the drivers do follows it), so the ordered leaf list is
-        replayed verbatim.
-        """
-        forest = AMRForest(self.layout, self.amr.max_levels)
-        for key in state["leaves"]:
-            forest.add_leaf(key, None)
-        forest.refined = set(state["refined"])
-        self.forest = forest
-        self._pipelines = {}
-        self._pipe_state = {}
-        for key, (cons, p_cache, stats_vec) in state["blocks"].items():
-            self.forest.leaves[key].cons = np.array(cons)
-            self._pipe_state[key] = (
-                None if p_cache is None else np.array(p_cache),
-                None if stats_vec is None else stats_from_vector(stats_vec),
-            )
-        self.assignment = dict(state["assignment"])
-        self._invalidate_plans()
-        self.t = float(state["t"])
-        self.steps = int(state["steps"])
-        self.cells_updated = int(state["cells_updated"])
-        self.regrids = int(state["regrids"])
-        self.repartitions = int(state["repartitions"])
-        self.migrated_blocks = int(state["migrated_blocks"])
-        self._last_imbalance = float(state["imbalance"])
-        if state.get("metrics") is not None:
-            self.metrics.restore(state["metrics"])
-        if state.get("timers") is not None:
-            self.timers.restore(state["timers"])
-        if state.get("recorder") is not None:
-            self.recorder.restore_state(state["recorder"])
-
-    def _block_state(self, key: BlockKey) -> tuple:
-        pipe = self._pipelines.get(key)
-        if pipe is not None:
-            p_cache = pipe._p_cache
-            return (
-                None if p_cache is None else p_cache.copy(),
-                stats_vector(pipe.recovery_stats),
-            )
-        staged = self._pipe_state.get(key)
-        if staged is not None:
-            p_cache, stats = staged
-            return (
-                None if p_cache is None else p_cache.copy(),
-                None if stats is None else stats_vector(stats),
-            )
-        return None, None
 
     def supervision_state(self) -> dict:
-        blocks = {}
-        for key in self._step_keys():
-            p_cache, stats_vec = self._block_state(key)
-            blocks[key] = (
-                self.forest.leaves[key].cons.copy(), p_cache, stats_vec
-            )
-        return {
-            "leaves": list(self.forest.leaves),
-            "refined": sorted(self.forest.refined),
-            "assignment": dict(self.assignment),
-            "blocks": blocks,
-            "t": self.t,
-            "steps": self.steps,
-            "cells_updated": self.cells_updated,
-            "regrids": self.regrids,
-            "repartitions": self.repartitions,
-            "migrated_blocks": self.migrated_blocks,
-            "imbalance": self._last_imbalance,
-            "metrics": self.metrics.snapshot(),
-            "timers": self.timers.state(),
-            "recorder": self.recorder.state(),
-            "traffic": self.comm.traffic_state(),
-            "epoch": self.comm._epoch,
-        }
+        return {**self.forest_state(), **self.shell_state()}
 
     def restore_supervision_state(self, state: dict) -> None:
-        """Roll back to a step boundary after a rank failure: forest,
-        blocks, warm-start caches, counters, and the communicator (pending
-        records dropped, epoch and traffic restored, board re-baselined)."""
-        self._install_state(state)
-        self.comm.reset_after_failure(state["epoch"], state["traffic"])
-
-    # ------------------------------------------------------------------
-    # Pipeline warm-start migration hook
-    # ------------------------------------------------------------------
-
-    def _on_new_pipeline(self, key: BlockKey, pipe) -> None:
-        staged = self._pipe_state.pop(key, None)
-        if staged is None:
-            return
-        p_cache, stats = staged
-        pipe._p_cache = p_cache
-        if stats is not None:
-            pipe.recovery_stats = stats
+        """Roll back to a step boundary after a rank failure."""
+        self.install_forest_state(state)
+        self.restore_shell_state(state)
 
     # ------------------------------------------------------------------
     # Rank-local evolution set
@@ -361,33 +270,9 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
                 data, qshape, "merge quarter", child
             )
         for parent in merges:
-            self._merge_with(parent, received)
-
-    def _merge_with(self, parent: BlockKey, received: dict) -> None:
-        children = parent.children()
-        dst = self.assignment[children[0]]
-        self._on_merge(parent)
-        cons = None
-        if dst == self.rank:
-            grid = self.layout.grid_for(parent)
-            cons = grid.allocate(self.system.nvars)
-            half = self.layout.block_size // 2
-            for child in children:
-                data = received.get((parent, child))
-                if data is None:
-                    leaf = self.forest.leaves[child]
-                    data = restrict_array(
-                        leaf.grid.interior_of(leaf.cons), self.layout.ndim
-                    )
-                off = child.child_offset()
-                sel = (slice(None),) + tuple(
-                    slice(o * half, (o + 1) * half) for o in off
-                )
-                grid.interior_of(cons)[sel] = data
-        for child in children:
-            self._drop_pipeline(child)
-            self._pipe_state.pop(child, None)
-        self.forest.merge(parent, cons)
+            # Read before _on_merge drops the children from the assignment.
+            here = self.assignment[parent.children()[0]] == self.rank
+            self._merge_siblings(parent, received, here)
 
     # ------------------------------------------------------------------
     # Block migration
@@ -402,15 +287,7 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
         incoming = [m for m in moves if m[2] == self.rank]
         for key, _src, dst in outgoing:
             leaf = self.forest.leaves[key]
-            pipe = self._pipelines.get(key)
-            staged = self._pipe_state.get(key)
-            if pipe is not None:
-                p_cache = pipe._p_cache
-                stats = pipe.recovery_stats
-            elif staged is not None:
-                p_cache, stats = staged
-            else:
-                p_cache = stats = None
+            p_cache, stats = self._warm_state(key)
             header = block_frame_header(key, leaf.cons, p_cache, stats)
             self.comm.send(self.rank, dst, header, tag=TAG_AMR_MIGRATE)
             self.comm.send(self.rank, dst, leaf.cons, tag=TAG_AMR_MIGRATE)
@@ -446,7 +323,6 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
         for key, _src, _dst in outgoing:
             self.forest.leaves[key].cons = None
             self._drop_pipeline(key)
-            self._pipe_state.pop(key, None)
         self.assignment = dict(new_assignment)
         self._invalidate_plans()
 
@@ -471,18 +347,6 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
             ).copy()
             for k in self._step_keys()
         }
-
-    def checkpoint_shards(self):
-        raise WorkerError(
-            "in-run checkpointing is not supported by the distributed AMR "
-            "driver"
-        )
-
-    def install_shards(self, *args):
-        raise WorkerError(
-            "in-run checkpointing is not supported by the distributed AMR "
-            "driver"
-        )
 
 
 class AMRProcessSolver(ProcessSolver):
@@ -553,46 +417,18 @@ class AMRProcessSolver(ProcessSolver):
         construction-time con2prim work), so merged step records reproduce
         the serial recorder stream byte for byte.
         """
-        topo_leaves = list(proto.forest.leaves)
-        topo_refined = sorted(proto.forest.refined)
-        metrics_snap = proto.metrics.snapshot()
-        timers_state = proto.timers.state()
-        states = {}
-        for rank in range(self.n_ranks):
-            blocks = {}
-            for key in topo_leaves:
-                if proto.assignment[key] != rank:
-                    continue
-                leaf = proto.forest.leaves[key]
-                pipe = proto._pipelines.get(key)
-                p_cache = (
-                    None if pipe is None or pipe._p_cache is None
-                    else pipe._p_cache.copy()
-                )
-                stats_vec = (
-                    None if pipe is None
-                    else stats_vector(pipe.recovery_stats)
-                )
-                blocks[key] = (leaf.cons.copy(), p_cache, stats_vec)
-            states[rank] = {
-                "leaves": topo_leaves,
-                "refined": topo_refined,
-                "assignment": dict(proto.assignment),
-                "blocks": blocks,
-                "t": proto.t,
-                "steps": proto.steps,
-                "cells_updated": proto.cells_updated,
-                "regrids": proto.regrids,
-                "repartitions": proto.repartitions,
-                "migrated_blocks": proto.migrated_blocks,
-                "imbalance": proto._last_imbalance,
-                "metrics": metrics_snap if rank == 0 else None,
-                "timers": timers_state if rank == 0 else None,
-                "recorder": None,
-                "traffic": None,
-                "epoch": None,
+        baselines = {
+            "metrics": proto.metrics.snapshot(), "timers": proto.timers.state(),
+        }
+        return {
+            rank: {
+                **proto.forest_state(
+                    [k for k in proto.forest.leaves if proto.assignment[k] == rank]
+                ),
+                **(baselines if rank == 0 else {}),
             }
-        return states
+            for rank in range(self.n_ranks)
+        }
 
     def _make_spec(self, rank: int, defer_init: bool = False) -> _AMRWorkerSpec:
         return _AMRWorkerSpec(
@@ -654,14 +490,21 @@ class AMRProcessSolver(ProcessSolver):
             self._last_amr = dict(amr)
         super()._emit_step_record(merged)
 
-    def run(self, t_final, max_steps=None, checkpoint_every=0,
+    def _no_checkpointing(self, *args):
+        """In-run checkpointing is refused until the fleet streams the
+        forest-state pair the serial drivers checkpoint through."""
+        raise ConfigurationError(
+            "in-run checkpointing is not supported by the distributed AMR "
+            "driver"
+        )
+
+    checkpoint_shards = restore_state = _no_checkpointing
+
+    def run(self, t_final, max_steps=None, callback=None, checkpoint_every=0,
             checkpoint_path=None) -> None:
         if checkpoint_every:
-            raise ConfigurationError(
-                "in-run checkpointing is not supported by the distributed "
-                "AMR driver"
-            )
-        super().run(t_final, max_steps=max_steps)
+            self._no_checkpointing()  # up front, not N steps in
+        super().run(t_final, max_steps=max_steps, callback=callback)
 
     def gather_blocks(self) -> dict[BlockKey, np.ndarray]:
         """Every leaf's ghosted conserved array, merged across ranks."""
@@ -675,18 +518,6 @@ class AMRProcessSolver(ProcessSolver):
         raise ConfigurationError(
             "the AMR executor gathers per-block data; use gather_blocks() "
             "or gather_block_primitives()"
-        )
-
-    def checkpoint_shards(self):
-        raise ConfigurationError(
-            "in-run checkpointing is not supported by the distributed AMR "
-            "driver"
-        )
-
-    def restore_state(self, *args):
-        raise ConfigurationError(
-            "in-run checkpointing is not supported by the distributed AMR "
-            "driver"
         )
 
 

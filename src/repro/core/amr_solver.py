@@ -20,7 +20,6 @@ rank replays the identical split/merge sequence.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -35,19 +34,15 @@ from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
 from ..time_integration.cfl import clip_dt_to_final, compute_dt
 from ..time_integration.ssprk import make_integrator
-from ..utils.errors import ConfigurationError, NumericsError
-from ..utils.logging import get_logger
+from ..utils.errors import ConfigurationError
 from ..utils.parameters import ParameterSet, param
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .diagnostics import check_dt, first_nonfinite
-from .distributed import _DictState
 from .pipeline import HydroPipeline
+from .stepping import Driver
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.recorder import StepRecorder
-
-_log = get_logger("core")
 
 
 class AMRConfig(ParameterSet):
@@ -82,7 +77,7 @@ class AMRConfig(ParameterSet):
     )
 
 
-class AMRSolver:
+class AMRSolver(Driver):
     """Block-structured AMR evolution of the SRHD system.
 
     Parameters
@@ -162,6 +157,9 @@ class AMRSolver:
         self._initial_data = None
         self.source_fn = source_fn
         self._pipelines: dict[BlockKey, HydroPipeline] = {}
+        #: installed or migrated-in ``(p_cache, recovery stats)`` of blocks
+        #: whose pipeline is not built yet; consumed by :meth:`_pipeline`
+        self._pipe_state: dict[BlockKey, tuple] = {}
         self._interior_bcs = BoundarySet(default=InteriorFace())
         # Shared across every block pipeline so timings/counters aggregate
         # over the whole forest.
@@ -193,15 +191,65 @@ class AMRSolver:
             pipe.source_fn = self.source_fn
             pipe.time = self.t
             self._pipelines[key] = pipe
-            self._on_new_pipeline(key, pipe)
+            staged = self._pipe_state.pop(key, None)
+            if staged is not None:
+                pipe.install_warm_state(*staged)
         return pipe
 
-    def _on_new_pipeline(self, key: BlockKey, pipe: HydroPipeline) -> None:
-        """Hook: the process-backend worker seeds migrated-in warm-start
-        state (p_cache, recovery stats) here."""
-
     def _drop_pipeline(self, key: BlockKey) -> None:
+        """Forget a block's pipeline and any warm state staged for it."""
         self._pipelines.pop(key, None)
+        self._pipe_state.pop(key, None)
+
+    def _warm_state(self, key: BlockKey) -> tuple:
+        """``(p_cache, recovery stats)`` of one block: its pipeline's, or
+        what is staged for a pipeline not built yet."""
+        pipe = self._pipelines.get(key)
+        if pipe is not None:
+            return pipe.warm_state()
+        return self._pipe_state.get(key, (None, None))
+
+    # ------------------------------------------------------------------
+    # Forest state: the one capture/install pair behind AMR checkpoints,
+    # the process fleet's initial states and its supervision snapshots
+    # ------------------------------------------------------------------
+
+    def forest_state(self, keys=None) -> dict:
+        """Topology, counters and the ``(cons, p_cache, recovery stats)``
+        of *keys* (default: the leaves this driver evolves).  Leaf
+        insertion order is part of the byte-level contract (every
+        iteration the drivers do follows it), so it is kept verbatim."""
+        return {
+            "leaves": list(self.forest.leaves),
+            "refined": sorted(self.forest.refined),
+            "blocks": {
+                key: (self.forest.leaves[key].cons.copy(), *self._warm_state(key))
+                for key in (self._step_keys() if keys is None else keys)
+            },
+            "t": self.t,
+            "steps": self.steps,
+            "cells_updated": self.cells_updated,
+            "regrids": self.regrids,
+        }
+
+    def install_forest_state(self, state: dict) -> None:
+        """Rebuild topology, block data and counters from a
+        :meth:`forest_state` (leaves outside ``state["blocks"]`` are
+        topology-only, as on a rank that does not own them)."""
+        forest = AMRForest(self.layout, self.amr.max_levels)
+        for key in state["leaves"]:
+            forest.add_leaf(key, None)
+        forest.refined = set(state["refined"])
+        self.forest = forest
+        self._pipelines = {}
+        self._pipe_state = {}
+        for key, (cons, p_cache, stats) in state["blocks"].items():
+            forest.leaves[key].cons = np.array(cons)
+            self._pipe_state[key] = (p_cache, stats)
+        self.t = float(state["t"])
+        self.steps = int(state["steps"])
+        self.cells_updated = int(state["cells_updated"])
+        self.regrids = int(state["regrids"])
 
     # ------------------------------------------------------------------
     # Ghosted snapshots
@@ -276,25 +324,32 @@ class AMRSolver:
     def _on_split(self, key: BlockKey) -> None:
         """Hook: ownership bookkeeping for the distributed drivers."""
 
-    def _merge_siblings(self, parent: BlockKey) -> None:
+    def _merge_siblings(
+        self, parent: BlockKey, received: dict | None = None, here: bool = True
+    ) -> None:
+        """Coarsen a sibling group into *parent*.  The process backend
+        passes the ``(parent, child)`` quarters *received* from other ranks
+        and ``here=False`` on a rank that does not own the parent (a
+        topology-only merge: its data lives on the owner)."""
         self._on_merge(parent)
         children = parent.children()
-        grid = self.layout.grid_for(parent)
-        cons = grid.allocate(self.system.nvars)
-        B = self.layout.block_size
-        half = B // 2
-        for child in children:
-            data = restrict_array(
-                self.forest.leaves[child].grid.interior_of(
-                    self.forest.leaves[child].cons
-                ),
-                self.layout.ndim,
-            )
-            off = child.child_offset()
-            sel = (slice(None),) + tuple(
-                slice(o * half, (o + 1) * half) for o in off
-            )
-            grid.interior_of(cons)[sel] = data
+        cons = None
+        if here:
+            grid = self.layout.grid_for(parent)
+            cons = grid.allocate(self.system.nvars)
+            half = self.layout.block_size // 2
+            for child in children:
+                data = None if received is None else received.get((parent, child))
+                if data is None:
+                    leaf = self.forest.leaves[child]
+                    data = restrict_array(
+                        leaf.grid.interior_of(leaf.cons), self.layout.ndim
+                    )
+                off = child.child_offset()
+                sel = (slice(None),) + tuple(
+                    slice(o * half, (o + 1) * half) for o in off
+                )
+                grid.interior_of(cons)[sel] = data
         for child in children:
             self._drop_pipeline(child)
         self.forest.merge(parent, cons)
@@ -460,65 +515,50 @@ class AMRSolver:
         minima is bit-identical to the serial min."""
         return local_min
 
-    def _set_stage_time(self, t: float) -> None:
-        """Stage-time hook: every block pipeline's sources see t0 + c_i dt."""
-        for pipeline in self._pipelines.values():
-            pipeline.time = t
-
-    def _advance(self, dt: float) -> int:
-        """One integrator step plus any due regrid; returns the global
-        leaf-cell RK-stage update count."""
-        state = _DictState(
-            {k: self.forest.leaves[k].cons for k in self._step_keys()}
+    def _integrate(self, dt: float) -> None:
+        advanced = self._integrate_parts(
+            {k: self.forest.leaves[k].cons for k in self._step_keys()},
+            dt, self._rhs,
         )
-        rhs = lambda s: _DictState(self._rhs(s.parts))
-        advanced = self.integrator.step(
-            state, dt, rhs, t0=self.t, set_time=self._set_stage_time
-        )
-        for key, cons in advanced.parts.items():
+        for key, cons in advanced.items():
             self.forest.leaves[key].cons = cons
-        self.t += dt
-        self.steps += 1
-        self._check_finite()  # before a due regrid prolongs/restricts NaNs
-        step_cells = self.forest.n_leaf_cells() * self.integrator.stages
-        self.cells_updated += step_cells
-        if self.steps % self.amr.regrid_interval == 0:
-            self.regrid()
-        return step_cells
 
     def _block_name(self, key: BlockKey) -> str:
         """How error messages name a leaf (the distributed drivers prefix
         the owning rank)."""
         return f"block {key}"
 
-    def _check_finite(self) -> None:
+    def _patches(self):
         for key in self._step_keys():
             leaf = self.forest.leaves[key]
-            hit = first_nonfinite(leaf.grid.interior_of(leaf.cons))
-            if hit is not None:
-                raise NumericsError(
-                    f"non-finite conserved state after step {self.steps} "
-                    f"at t={self.t:g}: {self._block_name(key)}, "
-                    f"variable {hit[0]}, interior cell {hit[1]}"
-                )
-
-    def step(self, dt: float | None = None, t_final: float | None = None) -> float:
-        wall0 = time.perf_counter()
-        if dt is None:
-            dt = self.compute_dt(t_final)
-        check_dt(dt, self.t, self.steps + 1)
-        step_cells = self._advance(dt)
-        if self.recorder is not None:
-            self.recorder.record_step(
-                step=self.steps,
-                t=self.t,
-                dt=dt,
-                wall_seconds=time.perf_counter() - wall0,
-                timers=self.timers,
-                metrics=self.metrics,
-                amr=self._amr_record(step_cells),
+            yield (
+                f"{self._block_name(key)}, ",
+                self._pipeline(key),
+                leaf.grid.interior_of(leaf.cons),
             )
-        return dt
+
+    def _after_step(self, dt: float) -> None:
+        """Count the step's leaf-cell RK-stage updates and run a due
+        regrid — after the finite guard, so a regrid never prolongs or
+        restricts NaNs.  No ``solver.dt`` observation: the golden AMR
+        stream has none (golden-regeneration debt)."""
+        self._step_cells = self.forest.n_leaf_cells() * self.integrator.stages
+        self.cells_updated += self._step_cells
+        if self.steps % self.amr.regrid_interval == 0:
+            self.regrid()
+
+    def _record_extras(self) -> dict:
+        return {"amr": self._amr_record(self._step_cells)}
+
+    # bench/trace.py patches AMRSolver.__dict__["step"]: bound here, not
+    # inherited.
+    step = Driver.step
+
+    def write_checkpoint(self, path) -> None:
+        # Deferred import: repro.io imports this module.
+        from ..io.checkpoint import save_amr_checkpoint
+
+        save_amr_checkpoint(self, path)
 
     def _amr_record(self, step_cells: int) -> dict:
         return {
@@ -530,16 +570,6 @@ class AMRSolver:
                 for lvl, n in sorted(self.leaf_count_by_level().items())
             },
         }
-
-    def run(self, t_final: float, max_steps: int | None = None) -> None:
-        if t_final < self.t:
-            raise ConfigurationError(f"t_final={t_final} is before t={self.t}")
-        limit = max_steps if max_steps is not None else self.config.max_steps
-        while self.t < t_final * (1.0 - 1e-14):
-            if self.steps >= limit:
-                _log.warning("step limit %d reached at t=%g", limit, self.t)
-                break
-            self.step(t_final=t_final)
 
     # ------------------------------------------------------------------
     # Output

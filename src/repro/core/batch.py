@@ -42,21 +42,17 @@ never the whole sweep.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..boundary.conditions import BoundarySet, Outflow, make_boundaries
 from ..mesh.grid import Grid
 from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
-from ..time_integration.cfl import clip_dt_to_final
-from ..time_integration.ssprk import make_integrator
-from ..utils.errors import ConfigurationError, NumericsError, RecoveryError
-from ..utils.timers import TimerRegistry
+from ..utils.errors import ConfigurationError, RecoveryError
 from .config import SolverConfig
-from .diagnostics import check_dt, first_nonfinite
 from .pipeline import HydroPipeline
+from .solver import Solver
+from .stepping import Driver
 
 
 class BatchGrid(Grid):
@@ -146,32 +142,6 @@ class BatchPipeline(HydroPipeline):
         return dU
 
 
-def compute_batch_dt(
-    system: SRHDSystem,
-    grid: BatchGrid,
-    prim: np.ndarray,
-    cfl: float = 0.5,
-    t: float | None = None,
-    t_final: float | None = None,
-) -> float:
-    """Shared CFL step over the whole batch, physical axes only.
-
-    Identical arithmetic to :func:`repro.time_integration.cfl.compute_dt`
-    restricted to the physical axes, so an ``N = 1`` batch takes exactly
-    the unbatched solver's step sequence (elementwise characteristic
-    speeds, exact ``max`` reduction, same dt expression).
-    """
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigurationError(f"cfl must be in (0, 1], got {cfl}")
-    interior = grid.interior_of(prim)
-    inv_dt = 0.0
-    for axis in range(grid.phys_ndim):
-        lam_m, lam_p = system.char_speeds(interior, axis)
-        vmax = max(float(np.max(np.abs(lam_m))), float(np.max(np.abs(lam_p))))
-        inv_dt += max(vmax, 1e-12) / grid.dx[axis]
-    return clip_dt_to_final(cfl / inv_dt, t, t_final)
-
-
 #: scenario lifecycle states
 ACTIVE, OK, FAILED = "active", "ok", "failed"
 
@@ -181,8 +151,14 @@ ACTIVE, OK, FAILED = "active", "ok", "failed"
 _BENIGN_RHO, _BENIGN_P = 1.0, 1.0
 
 
-class BatchSolver:
+class BatchSolver(Solver):
     """Advance ``N`` independent scenarios as one vectorized batch.
+
+    A :class:`~repro.core.solver.Solver` whose one patch carries the batch
+    axis: state, primitive cache, CFL step and stepping are inherited
+    (the CFL helpers sweep ``system.ndim`` axes, so the batch axis never
+    enters the bound); only stacking, eviction and the status summary are
+    defined here.
 
     Parameters
     ----------
@@ -199,6 +175,8 @@ class BatchSolver:
         As for :class:`~repro.core.solver.Solver`; *boundaries* applies to
         the physical faces (the batch faces are outflow-filled).
     """
+
+    pipeline_class = BatchPipeline
 
     def __init__(
         self,
@@ -224,32 +202,15 @@ class BatchSolver:
                 raise ConfigurationError(
                     f"scenario {i} has shape {p.shape}, expected {expected}"
                 )
-        self.system = system
-        self.grid = BatchGrid(base_grid, len(initial_prims))
-        self.config = config or SolverConfig()
-        self.boundaries = batch_boundaries(
-            boundaries or make_boundaries("outflow"), self.grid
-        )
-        self.timers = TimerRegistry()
-        self.pipeline = BatchPipeline(
-            system, self.grid, self.boundaries, self.config, self.timers,
-            fault_injector=fault_injector,
-        )
-        self.metrics = self.pipeline.metrics
-        self.recorder = recorder
-        self.integrator = make_integrator(self.config.integrator)
-
-        g = self.grid.n_ghost
-        prim = self.grid.allocate(system.nvars)
+        grid = BatchGrid(base_grid, len(initial_prims))
+        prim = grid.allocate(system.nvars)
         for i, p in enumerate(initial_prims):
-            prim[..., g + i] = p.astype(float, copy=False)
-        self.boundaries.apply(system, self.grid, prim)
-        self.pipeline.atmosphere.apply_prim(system, prim)
-        self.cons = system.prim_to_con(prim)
-        self._prim_cache = prim
-        self._prim_dirty = False
-        self.t = 0.0
-        self.steps = 0
+            prim[..., grid.n_ghost + i] = p.astype(float, copy=False)
+        self._init_patch(
+            system, grid, prim, config,
+            batch_boundaries(boundaries or make_boundaries("outflow"), grid),
+            recorder, fault_injector,
+        )
         #: per-scenario lifecycle: "active" -> "ok" | "failed"
         self.status = [ACTIVE] * self.n_batch
         #: per-scenario failure messages (evicted scenarios only)
@@ -266,13 +227,6 @@ class BatchSolver:
     def n_active(self) -> int:
         return sum(1 for s in self.status if s == ACTIVE)
 
-    def primitives(self) -> np.ndarray:
-        """Current batched primitive state (ghosts filled)."""
-        if self._prim_dirty:
-            self._prim_cache = self.pipeline.recover_primitives(self.cons)
-            self._prim_dirty = False
-        return self._prim_cache
-
     def scenario_primitives(self, i: int) -> np.ndarray:
         """Scenario *i*'s ghosted primitive state, shaped like an unbatched
         solver's ``primitives()``: ``(nvars, *base.shape_with_ghosts)``."""
@@ -281,25 +235,13 @@ class BatchSolver:
     def scenario_interior_primitives(self, i: int) -> np.ndarray:
         return self.grid.base.interior_of(self.scenario_primitives(i))
 
-    def compute_dt(self, t_final: float | None = None) -> float:
-        return compute_batch_dt(
-            self.system, self.grid, self.primitives(),
-            cfl=self.config.cfl, t=self.t, t_final=t_final,
+    def _patches(self):
+        # Interior only: the batch-face ghost columns are never evolved.
+        yield (
+            lambda cell: f"scenario {cell[-1]}, ",
+            self.pipeline,
+            self.grid.interior_of(self.cons),
         )
-
-    def _set_stage_time(self, t: float) -> None:
-        self.pipeline.time = t
-
-    def _check_finite(self) -> None:
-        interior = self.grid.interior_of(self.cons)
-        hit = first_nonfinite(interior)
-        if hit is not None:
-            var, cell = hit
-            raise NumericsError(
-                f"non-finite conserved state after step {self.steps + 1} at "
-                f"t={self.t:g}: variable {var}, interior cell {cell} "
-                f"(scenario {cell[-1]})"
-            )
 
     # -- per-request isolation -----------------------------------------
 
@@ -350,63 +292,39 @@ class BatchSolver:
 
     # -- stepping -------------------------------------------------------
 
-    def step(self, dt: float | None = None, t_final: float | None = None) -> float:
-        """Advance the whole batch one shared time step; returns dt.
-
-        A mid-step :class:`RecoveryError` evicts the owning scenarios and
-        retries the step for the survivors (the conserved state is only
-        committed after a fully successful integrator step, so survivors
-        never see a half-applied update).
-        """
-        wall0 = time.perf_counter()
-        if dt is None:
-            dt = self.compute_dt(t_final)
-        check_dt(dt, self.t, self.steps + 1)
+    def _integrate(self, dt: float) -> None:
+        """One shared step for the whole batch.  A mid-step
+        :class:`RecoveryError` evicts the owning scenarios and retries the
+        step for the survivors (the conserved state is only committed
+        after a fully successful integrator step, so survivors never see
+        a half-applied update)."""
         # Eviction can only slow the fastest signal (the parking fluid is
         # subsonic), so retrying with the same dt stays CFL-stable.
         for _ in range(self.n_batch + 1):
             try:
-                new_cons = self.integrator.step(
-                    self.cons, dt, self.pipeline.rhs,
-                    t0=self.t, set_time=self._set_stage_time,
-                )
-                break
+                return super()._integrate(dt)
             except RecoveryError as exc:
                 failed = self._attribute_failure(exc)
                 if not self._evict(failed, str(exc)):
                     # The failure maps to no active scenario: nothing left
                     # to isolate, so surface it.
                     raise
-        else:  # pragma: no cover - defensive: eviction always progresses
-            raise RecoveryError("batch step failed after evicting every scenario")
-        self.cons = new_cons
-        self.t += dt
-        self.steps += 1
-        self._prim_dirty = True
-        self._check_finite()
-        self.metrics.histogram("solver.dt").observe(dt)
-        if self.recorder is not None:
-            self.recorder.record_step(
-                step=self.steps, t=self.t, dt=dt,
-                wall_seconds=time.perf_counter() - wall0,
-                timers=self.timers, metrics=self.metrics,
-                batch={"n": self.n_batch, "active": self.n_active},
-            )
-        return dt
+        raise RecoveryError(  # pragma: no cover - eviction always progresses
+            "batch step failed after evicting every scenario"
+        )
 
-    def run(self, t_final: float, max_steps: int | None = None) -> dict:
-        """Advance every scenario to *t_final*; returns a status summary.
+    def _record_extras(self) -> dict:
+        return {"batch": {"n": self.n_batch, "active": self.n_active}}
 
-        Scenarios that fail mid-run are evicted and reported ``"failed"``;
-        the survivors complete normally and are reported ``"ok"``.
-        """
-        if t_final < self.t:
-            raise ConfigurationError(f"t_final={t_final} is before t={self.t}")
-        limit = max_steps if max_steps is not None else self.config.max_steps
-        while self.t < t_final * (1.0 - 1e-14) and self.n_active:
-            if self.steps >= limit:
-                break
-            self.step(t_final=t_final)
+    def _keep_running(self) -> bool:
+        return bool(self.n_active)
+
+    def write_checkpoint(self, path) -> None:
+        raise ConfigurationError("BatchSolver has no checkpoint format")
+
+    def _finish_run(self) -> dict:
+        """Status summary: scenarios evicted mid-run are ``"failed"``, the
+        survivors ``"ok"``."""
         for b, s in enumerate(self.status):
             if s == ACTIVE:
                 self.status[b] = OK
@@ -416,3 +334,9 @@ class BatchSolver:
             "status": list(self.status),
             "failures": dict(self.failures),
         }
+
+    # bench/trace.py patches BatchSolver.__dict__[...]: bound here, not
+    # inherited from Solver.
+    step = Driver.step
+    run = Driver.run
+    compute_dt = Solver.compute_dt

@@ -42,13 +42,6 @@ class SolverConfig(ParameterSet):
     w_max = param(
         100.0, float, lambda v: v > 1, "Lorentz-factor cap applied to face states"
     )
-    scratch_workspace = param(
-        True,
-        bool,
-        doc="preallocate a per-pipeline scratch workspace and run the hot-path "
-        "kernels in place (bit-identical to the fresh-allocation path; "
-        "disable to force fresh arrays everywhere)",
-    )
     overlap_exchange = param(
         False,
         bool,
@@ -83,15 +76,6 @@ class SolverConfig(ParameterSet):
         "the SymPy-generated SoA kernels through NumPy, 'cext' runs the "
         "cffi-compiled C module (falls back to 'flat' with a logged warning "
         "when no C toolchain is available)",
-    )
-    fused_stencils = param(
-        True,
-        bool,
-        doc="kernel_target='cext' only: run reconstruction + face-state "
-        "sanitization + Riemann flux as one compiled per-axis sweep "
-        "(bit-identical to the interpreted stages; per-scheme fallback to "
-        "the interpreted path when the combo has no compiled form, "
-        "per-kernel fallback when the stencil module fails to build)",
     )
     c2p_tuned = param(
         False,

@@ -77,8 +77,7 @@ class RunSummary:
     final: ConservedTotals | None = None
     kernel_seconds: dict[str, float] = field(default_factory=dict)
 
-    def record_step(self, dt: float) -> None:
-        self.steps += 1
+    def observe_dt(self, dt: float) -> None:
         self.dt_min = min(self.dt_min, dt)
         self.dt_max = max(self.dt_max, dt)
 

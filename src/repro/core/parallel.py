@@ -82,6 +82,7 @@ from ..utils.errors import (
 )
 from .config import SolverConfig
 from .distributed import DistributedSolver, decompose
+from .stepping import Driver
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.recorder import StepRecorder as _StepRecorder  # noqa: F401
@@ -167,6 +168,27 @@ class _WorkerShell:
             "process_seconds": time.process_time() - self._process_t0,
         }
 
+    def shell_state(self) -> dict:
+        """What a supervision snapshot carries beside the driver's own
+        state: metrics/timer/recorder baselines and the communicator's
+        epoch + traffic accounting, so replayed steps emit the records a
+        fault-free run would."""
+        return {
+            "metrics": self.metrics.snapshot(),
+            "timers": self.timers.state(),
+            "recorder": self.recorder.state(),
+            "traffic": self.comm.traffic_state(),
+            "epoch": self.comm._epoch,
+        }
+
+    def restore_shell_state(self, state: dict) -> None:
+        """Inverse of :meth:`shell_state`; the communicator drops pending
+        messages and re-baselines the supervision board."""
+        self.metrics.restore(state["metrics"])
+        self.timers.restore(state["timers"])
+        self.recorder.restore_state(state["recorder"])
+        self.comm.reset_after_failure(state["epoch"], state["traffic"])
+
     def rebind(self, channels: dict) -> None:
         """Attach freshly recreated shm rings (a peer was respawned)."""
         for (src, dest), (name, cap) in channels.items():
@@ -234,26 +256,20 @@ class _RankWorker(_WorkerShell, DistributedSolver):
         """Everything needed to roll this rank back to this step boundary.
 
         The snapshot is complete with respect to observable behavior —
-        physics arrays, warm-start caches, metrics/timer/recorder
-        baselines, communicator epoch + traffic accounting, and the
-        fault-replay position — so a rank restored from it re-executes
-        the following steps bit-identically, emitted records included.
+        the rank's patch state, the shell state, and the fault-replay
+        position — so a rank restored from it re-executes the following
+        steps bit-identically, emitted records included.
         """
-        cons, p_cache = self.checkpoint_shards()[self.rank]
         prims = self._prims_cache
         injector = self.fault_injector
         return {
-            "cons": cons.copy(),
-            "p_cache": None if p_cache is None else p_cache.copy(),
-            "prims_cache": None if prims is None else prims[self.rank].copy(),
+            **self.shell_state(),
+            # Pickled to the parent as it is returned, so no copies here.
+            "shard": self.checkpoint_shards()[self.rank],
+            "prims_cache": None if prims is None else prims[self.rank],
             "t": self.t,
             "steps": self.steps,
-            "metrics": self.metrics.snapshot(),
-            "timers": self.timers.state(),
-            "recorder": self.recorder.state(),
-            "traffic": self.comm.traffic_state(),
             "traffic_prev": tuple(self._traffic_prev),
-            "epoch": self.comm._epoch,
             "oracle_calls": list(self._oracle_calls),
             "injector_sweep": None if injector is None else injector._sweep,
             "overlap_log": [dict(e) for e in self.overlap_log],
@@ -262,21 +278,16 @@ class _RankWorker(_WorkerShell, DistributedSolver):
     def restore_supervision_state(self, state: dict) -> None:
         """Roll back to *state* (a step boundary) after a rank failure.
 
-        Besides the physics arrays this rewinds the fault oracle and the
-        con2prim injector, and resets the communicator: pending messages
-        are dropped, epoch and traffic counters restored, and the
-        supervision board re-baselined — so the replayed steps are
+        Besides the patch and shell state this rewinds the fault oracle
+        and the con2prim injector, so the replayed steps are
         indistinguishable from a fault-free run.
         """
         prims = state["prims_cache"]
         self.install_shards(
             state["t"], state["steps"],
-            {self.rank: (state["cons"], state["p_cache"])},
+            {self.rank: state["shard"]},
             prims_cache=None if prims is None else {self.rank: np.array(prims)},
         )
-        self.metrics.restore(state["metrics"])
-        self.timers.restore(state["timers"])
-        self.recorder.restore_state(state["recorder"])
         self._oracle_calls = list(state["oracle_calls"])
         if self.oracle is not None:
             self.oracle.rewind(self._oracle_calls)
@@ -284,7 +295,7 @@ class _RankWorker(_WorkerShell, DistributedSolver):
         if injector is not None and state["injector_sweep"] is not None:
             injector._sweep = int(state["injector_sweep"])
         self.overlap_log = [dict(e) for e in state["overlap_log"]]
-        self.comm.reset_after_failure(state["epoch"], state["traffic"])
+        self.restore_shell_state(state)
         self._traffic_prev = tuple(state["traffic_prev"])
 
 
@@ -505,7 +516,7 @@ class _RankFailureSignal(Exception):
         self.pending = set(pending)
 
 
-class ProcessSolver:
+class ProcessSolver(Driver):
     """Drive one :class:`_RankWorker` process per rank in lockstep.
 
     Same constructor surface as :class:`DistributedSolver` (the
@@ -1145,13 +1156,13 @@ class ProcessSolver:
             resumed_step=self.steps, t=self.t,
         )
 
-    #: The serial driver's run loop, verbatim: it only needs ``step`` and
-    #: ``checkpoint_shards``.  Workers stream their shards (ghosted
-    #: conserved arrays plus con2prim warm-start caches) to the parent,
-    #: which writes the same distributed checkpoint format — bit-identical
-    #: entries, so a run may checkpoint under one executor and restart
-    #: under the other (:func:`repro.io.checkpoint.load_distributed_checkpoint`).
-    run = DistributedSolver.run
+    #: ``run`` is the shared :meth:`Driver.run` over this parent-side
+    #: ``step``; the checkpoint writer is the serial driver's.  Workers
+    #: stream their shards to the parent, which writes the same
+    #: distributed checkpoint format — bit-identical entries, so a run may
+    #: checkpoint under one executor and restart under the other
+    #: (:func:`repro.io.checkpoint.load_distributed_checkpoint`).
+    write_checkpoint = DistributedSolver.write_checkpoint
 
     def gather_primitives(self) -> np.ndarray:
         return self.decomp.gather(
@@ -1168,9 +1179,9 @@ class ProcessSolver:
         replies = self._collect("snap")
         return [replies[rank][2] for rank in range(self.size)]
 
-    def checkpoint_shards(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-        """Per-rank ``(ghosted cons, con2prim cache)`` streamed from the
-        workers — the payload of one distributed checkpoint."""
+    def checkpoint_shards(self) -> dict[int, tuple]:
+        """Per-rank ``(ghosted cons, p_cache, recovery stats)`` streamed
+        from the workers — the payload of one distributed checkpoint."""
         return self._gather("checkpoint", "ckpt")
 
     def restore_state(self, t: float, steps: int, shards: dict) -> None:
@@ -1218,7 +1229,7 @@ def _fold_to_serial(solver: ProcessSolver, snapshot: dict) -> DistributedSolver:
     """Rebuild a serial :class:`DistributedSolver` carrying *snapshot*.
 
     The per-rank supervision states install verbatim — ghosted conserved
-    arrays, con2prim warm-start caches, and (when every rank has one) the
+    arrays, con2prim warm-start state, and (when every rank has one) the
     exchanged-primitive cache — so the serial continuation advances the
     exact bytes the process run held at its last consistent boundary.
     Logical fault plans are not resumed across the fold: the degraded
@@ -1248,7 +1259,7 @@ def _fold_to_serial(solver: ProcessSolver, snapshot: dict) -> DistributedSolver:
     }
     serial.install_shards(
         snapshot["t"], snapshot["steps"],
-        {rank: (st["cons"], st["p_cache"]) for rank, st in states.items()},
+        {rank: st["shard"] for rank, st in states.items()},
         prims_cache=prims if len(prims) == serial.size else None,
     )
     return serial

@@ -8,6 +8,8 @@ performance model is calibrated against (each stage is one "kernel").
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..boundary.conditions import BoundarySet
@@ -60,7 +62,7 @@ class HydroPipeline:
         metrics: MetricsRegistry | None = None,
         fault_injector=None,
     ):
-        target = getattr(config, "kernel_target", "numpy")
+        target = config.kernel_target
         if target != "numpy":
             # Resolved here (not at the solver layer) so every driver —
             # serial, distributed, process-worker, AMR — hits the selected
@@ -99,9 +101,7 @@ class HydroPipeline:
         self._row_offset_cache: dict = {}
         #: the strided-prim bypass of the fused sweep warns once per pipeline
         self._bypass_logged = False
-        if target == "cext" and getattr(config, "fused_stencils", True) and getattr(
-            self.system, "has_fused_stencils", False
-        ):
+        if target == "cext" and getattr(self.system, "has_fused_stencils", False):
             from ..codegen.system import stencil_scheme_ids
 
             self._fused_ids = stencil_scheme_ids(self.reconstruction, self.riemann)
@@ -114,14 +114,11 @@ class HydroPipeline:
         #: this pipeline's own accumulated sweep statistics.  The stats are
         #: pipeline-local (per rank), so serial and process executors make
         #: identical damping decisions.
-        self._c2p_tuned = bool(getattr(config, "c2p_tuned", False))
+        self._c2p_tuned = config.c2p_tuned
         #: preallocated kernel buffers for the hot path (one per pipeline, so
-        #: per-rank and per-AMR-block reuse is safe); None disables reuse.
-        self.workspace = (
-            ScratchWorkspace(grid, system.nvars)
-            if getattr(config, "scratch_workspace", True)
-            else None
-        )
+        #: per-rank and per-AMR-block reuse is safe); setting it to None
+        #: makes every call allocate fresh arrays (bit-identical; tests).
+        self.workspace = ScratchWorkspace(grid, system.nvars)
         # Pressure cache seeds the next con2prim Newton solve.
         self._p_cache: np.ndarray | None = None
         #: when True, flux_divergence stashes the interior face fluxes per
@@ -137,6 +134,18 @@ class HydroPipeline:
         self.last_face_fluxes: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
+
+    def warm_state(self) -> tuple[np.ndarray | None, RecoveryStats]:
+        """``(p_cache, recovery stats)``: with the patch's conserved array,
+        everything the bits of its next recovery sweep depend on — the
+        Newton seed and, under ``c2p_tuned``, the damping decision.  Every
+        capture/install pair (checkpoints, supervision snapshots, block
+        migration) moves a patch as ``(cons, *warm_state())``."""
+        return self._p_cache, replace(self.recovery_stats)
+
+    def install_warm_state(self, p_cache, stats: RecoveryStats | None = None) -> None:
+        self._p_cache = None if p_cache is None else np.array(p_cache)
+        self.recovery_stats = RecoveryStats() if stats is None else replace(stats)
 
     def recover_primitives(self, cons: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Full primitive array: recovery on the interior + BC ghost fill.
@@ -540,8 +549,8 @@ class HydroPipeline:
         By default the result lives in the pipeline workspace and is valid
         until the next ``rhs``/``recover_primitives`` call — exactly the
         lifetime the SSP integrators need, since each stage consumes the
-        previous rhs before requesting the next. Pass ``reuse=False`` (or
-        configure ``scratch_workspace=False``) for a caller-owned array.
+        previous rhs before requesting the next. Pass ``reuse=False`` for
+        a caller-owned array.
         """
         prim = self.recover_primitives(cons, reuse=reuse)
         dU = self.flux_divergence(prim, reuse=reuse)

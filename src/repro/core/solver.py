@@ -17,9 +17,6 @@ Typical use::
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
 import numpy as np
 
 from ..boundary.conditions import BoundarySet, make_boundaries
@@ -28,17 +25,15 @@ from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
 from ..time_integration.cfl import compute_dt
 from ..time_integration.ssprk import make_integrator
-from ..utils.errors import ConfigurationError, NumericsError
-from ..utils.logging import get_logger
+from ..utils.errors import ConfigurationError
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .diagnostics import ConservedTotals, RunSummary, check_dt, first_nonfinite
+from .diagnostics import ConservedTotals, RunSummary
 from .pipeline import HydroPipeline
+from .stepping import Driver
 
-_log = get_logger("core")
 
-
-class Solver:
+class Solver(Driver):
     """Single-grid SRHD solver.
 
     Parameters
@@ -66,6 +61,9 @@ class Solver:
         testing; forwarded to the pipeline (con2prim bursts).
     """
 
+    #: pipeline class built for the patch (the batch driver swaps its own in)
+    pipeline_class = HydroPipeline
+
     def __init__(
         self,
         system: SRHDSystem,
@@ -86,32 +84,51 @@ class Solver:
             raise ConfigurationError(
                 f"initial_prim shape {initial_prim.shape}, expected {expected}"
             )
+        self._init_patch(
+            system, grid, initial_prim.astype(float, copy=True), config,
+            boundaries or make_boundaries("outflow"), recorder, fault_injector,
+        )
+        self.pipeline.source_fn = source_fn
+        self.summary.initial = ConservedTotals.measure(system, grid, self.cons)
+
+    def _init_patch(
+        self, system, grid, prim, config, boundaries, recorder, fault_injector
+    ) -> None:
+        """Pipeline, integrator and the conserved state of one ghosted patch
+        from its primitives (*prim* is taken over, not copied) — shared
+        with :class:`~repro.core.batch.BatchSolver`, whose patch carries a
+        trailing batch axis."""
         self.system = system
         self.grid = grid
         self.config = config or SolverConfig()
-        self.boundaries = boundaries or make_boundaries("outflow")
+        self.boundaries = boundaries
         self.timers = TimerRegistry()
-        self.pipeline = HydroPipeline(
-            system, grid, self.boundaries, self.config, self.timers,
+        self.pipeline = self.pipeline_class(
+            system, grid, boundaries, self.config, self.timers,
             fault_injector=fault_injector,
         )
-        self.pipeline.source_fn = source_fn
         self.metrics = self.pipeline.metrics
         self.recorder = recorder
         self.integrator = make_integrator(self.config.integrator)
 
-        prim = initial_prim.astype(float, copy=True)
-        self.boundaries.apply(system, grid, prim)
+        boundaries.apply(system, grid, prim)
         self.pipeline.atmosphere.apply_prim(system, prim)
         self.cons = system.prim_to_con(prim)
         self._prim_cache = prim
         self._prim_dirty = False
         self.t = 0.0
-        self.summary = RunSummary(
-            initial=ConservedTotals.measure(system, grid, self.cons)
-        )
+        self.summary = RunSummary()
 
     # ------------------------------------------------------------------
+
+    @property
+    def steps(self) -> int:
+        """Steps taken so far (``summary.steps``)."""
+        return self.summary.steps
+
+    @steps.setter
+    def steps(self, n: int) -> None:
+        self.summary.steps = n
 
     def primitives(self) -> np.ndarray:
         """Current primitive state (ghosts filled), recovered on demand."""
@@ -133,78 +150,30 @@ class Solver:
             t_final=t_final,
         )
 
-    def _set_stage_time(self, t: float) -> None:
-        """Stage-time hook for the integrator: source terms see t0 + c_i dt."""
-        self.pipeline.time = t
-
-    def _check_finite(self) -> None:
-        hit = first_nonfinite(self.cons)
-        if hit is not None:
-            raise NumericsError(
-                f"non-finite conserved state after step {self.summary.steps + 1} "
-                f"at t={self.t:g}: variable {hit[0]}, cell {hit[1]}"
-            )
-
-    def step(self, dt: float | None = None, t_final: float | None = None) -> float:
-        """Advance one time step; returns the dt taken."""
-        wall0 = time.perf_counter()
-        if dt is None:
-            dt = self.compute_dt(t_final)
-        check_dt(dt, self.t, self.summary.steps + 1)
+    def _integrate(self, dt: float) -> None:
         self.cons = self.integrator.step(
             self.cons, dt, self.pipeline.rhs,
             t0=self.t, set_time=self._set_stage_time,
         )
-        self.t += dt
         self._prim_dirty = True
-        self._check_finite()
-        self.summary.record_step(dt)
-        self.metrics.histogram("solver.dt").observe(dt)
-        if self.recorder is not None:
-            self.recorder.record_step(
-                step=self.summary.steps,
-                t=self.t,
-                dt=dt,
-                wall_seconds=time.perf_counter() - wall0,
-                timers=self.timers,
-                metrics=self.metrics,
-            )
-        return dt
 
-    def run(
-        self,
-        t_final: float,
-        max_steps: int | None = None,
-        callback: Callable[["Solver"], None] | None = None,
-        checkpoint_every: int = 0,
-        checkpoint_path=None,
-    ) -> RunSummary:
-        """Advance to *t_final*; optional per-step callback for monitoring.
+    def _patches(self):
+        yield "", self.pipeline, self.cons
 
-        With ``checkpoint_every=N`` and a ``checkpoint_path``, the full
-        solver state is checkpointed every N steps, between steps, so a
-        failure mid-run leaves a consistent resumable archive behind (see
-        :func:`repro.resilience.run_with_restart`).
-        """
-        if t_final < self.t:
-            raise ConfigurationError(f"t_final={t_final} is before t={self.t}")
-        if checkpoint_every and checkpoint_path is None:
-            raise ConfigurationError(
-                "checkpoint_every requires a checkpoint_path"
-            )
-        limit = max_steps if max_steps is not None else self.config.max_steps
-        while self.t < t_final * (1.0 - 1e-14):
-            if self.summary.steps >= limit:
-                _log.warning("step limit %d reached at t=%g", limit, self.t)
-                break
-            self.step(t_final=t_final)
-            if checkpoint_every and self.summary.steps % checkpoint_every == 0:
-                # Deferred import: repro.io imports this module.
-                from ..io.checkpoint import save_checkpoint
+    def _after_step(self, dt: float) -> None:
+        self.summary.observe_dt(dt)
+        super()._after_step(dt)
 
-                save_checkpoint(self, checkpoint_path)
-            if callback is not None:
-                callback(self)
+    # bench/trace.py patches Solver.__dict__["step"]: bound here, not inherited.
+    step = Driver.step
+
+    def write_checkpoint(self, path) -> None:
+        # Deferred import: repro.io imports this module.
+        from ..io.checkpoint import save_checkpoint
+
+        save_checkpoint(self, path)
+
+    def _finish_run(self) -> RunSummary:
         self.summary.t_final = self.t
         self.summary.final = ConservedTotals.measure(self.system, self.grid, self.cons)
         self.summary.kernel_seconds = {

@@ -10,9 +10,11 @@ Format (unigrid), one compressed npz:
 - ``meta``: json-encoded dict (format version, t, steps, grid geometry,
   solver config, EOS descriptor)
 - ``cons``: the ghosted conserved state array
+- ``p_cache`` / ``c2p_stats`` (optional): the con2prim warm-start state
 
-AMR checkpoints add per-leaf entries ``leaf_<level>_<idx...>`` plus the
-forest topology in ``meta``.
+Distributed checkpoints hold the same triple per rank (``rank_<r>``, ...),
+AMR checkpoints per leaf (``leaf_<level>_<idx...>``, ...) plus the forest
+topology in ``meta``.
 """
 
 from __future__ import annotations
@@ -28,13 +30,17 @@ import numpy as np
 
 from ..core.amr_solver import AMRConfig, AMRSolver
 from ..core.config import SolverConfig
-from ..core.distributed import DistributedSolver
+from ..core.parallel import make_distributed_solver
 from ..core.solver import Solver
 from ..mesh.amr.blocks import BlockKey
+from ..mesh.amr.exchange import stats_from_vector, stats_vector
 from ..mesh.grid import Grid
 from ..utils.errors import CheckpointError, ConfigurationError
+from ..utils.logging import get_logger
 
 FORMAT_VERSION = 1
+
+_log = get_logger("io")
 
 
 def _atomic_savez(path, **arrays) -> None:
@@ -111,25 +117,94 @@ def _grid_from_meta(meta: dict) -> Grid:
     )
 
 
-def save_checkpoint(solver: Solver, path) -> None:
-    """Write a unigrid solver's full state to *path* (.npz)."""
+#: archive entry names per kind — ``(cons, p_cache, recovery stats)`` of one
+#: patch, formatted with the patch's ident (rank, or leaf level_idx...)
+_ENTRY_NAMES = {
+    "unigrid": ("cons", "p_cache", "c2p_stats"),
+    "distributed": ("rank_{0}", "pcache_{0}", "c2p_stats_{0}"),
+    "amr": ("leaf_{0}", "pcache_leaf_{0}", "c2p_stats_leaf_{0}"),
+}
+
+#: SolverConfig fields retired since FORMAT_VERSION 1 archives were first
+#: written; both only selected between bit-identical code paths, so an
+#: archived value is dropped rather than refused.
+_RETIRED_CONFIG_KEYS = ("scratch_workspace", "fused_stencils")
+
+
+def _write_archive(path, kind: str, solver, patches: dict, **meta) -> None:
+    """The one archive writer: the shared meta prologue, *meta* on top,
+    and ``{ident: (cons, p_cache, recovery stats)}`` as named entries."""
     meta = {
         "format": FORMAT_VERSION,
-        "kind": "unigrid",
+        "kind": kind,
         "t": solver.t,
-        "steps": solver.summary.steps,
-        "grid": _grid_meta(solver.grid),
+        "steps": solver.steps,
         "config": solver.config.to_dict(),
         "ndim": solver.system.ndim,
+        **meta,
     }
-    arrays = {"cons": solver.cons}
-    # The con2prim warm-start cache participates in bit-exact restart: a
-    # cold-started Newton lands within tolerance but not on the identical
-    # bits, which would fork the trajectory.
-    p_cache = solver.pipeline._p_cache
-    if p_cache is not None:
-        arrays["p_cache"] = p_cache
+    arrays = {}
+    for ident, (cons, p_cache, stats) in patches.items():
+        c_name, p_name, s_name = (n.format(ident) for n in _ENTRY_NAMES[kind])
+        arrays[c_name] = cons
+        # The con2prim warm-start state participates in bit-exact restart:
+        # a cold-started Newton lands within tolerance but not on the
+        # identical bits, and under c2p_tuned the accumulated sweep
+        # statistics decide the Newton damping.
+        if p_cache is not None:
+            arrays[p_name] = p_cache
+        if stats is not None:
+            arrays[s_name] = np.asarray(stats_vector(stats), dtype=np.int64)
     _atomic_savez(path, meta=json.dumps(meta), **arrays)
+
+
+def _read_prologue(data, path, kind: str, system) -> tuple[dict, SolverConfig]:
+    """``(meta, config)`` of an open archive after the ``format`` /
+    ``kind`` / ``ndim`` checks every loader makes."""
+    meta = json.loads(str(data["meta"]))
+    if meta.get("format") != FORMAT_VERSION:
+        raise ConfigurationError(
+            f"unsupported checkpoint format {meta.get('format')!r}"
+        )
+    if meta.get("kind") != kind:
+        raise ConfigurationError(
+            f"checkpoint holds a {meta.get('kind')!r} run, not {kind}"
+        )
+    if meta["ndim"] != system.ndim:
+        raise ConfigurationError(
+            f"checkpoint is {meta['ndim']}D, system is {system.ndim}D"
+        )
+    config = dict(meta["config"])
+    retired = [key for key in _RETIRED_CONFIG_KEYS if key in config]
+    if retired:
+        _log.info("checkpoint %s: dropping retired config keys %s", path, retired)
+        for key in retired:
+            del config[key]
+    return meta, SolverConfig(**config)
+
+
+def _read_patch(data, kind: str, ident) -> tuple:
+    """One patch's ``(cons, p_cache, recovery stats)``; the optional
+    entries load as None (cold Newton seed, zeroed statistics)."""
+    c_name, p_name, s_name = (n.format(ident) for n in _ENTRY_NAMES[kind])
+    return (
+        np.array(data[c_name]),
+        np.array(data[p_name]) if p_name in data else None,
+        stats_from_vector(data[s_name]) if s_name in data else None,
+    )
+
+
+def _leaf_ident(key: BlockKey) -> str:
+    return f"{key.level}_" + "_".join(map(str, key.idx))
+
+
+def save_checkpoint(solver: Solver, path) -> None:
+    """Write a unigrid solver's full state to *path* (.npz)."""
+    _write_archive(
+        path, "unigrid", solver,
+        {"": (solver.cons, *solver.pipeline.warm_state())},
+        grid=_grid_meta(solver.grid),
+    )
 
 
 def load_checkpoint(path, system, boundaries=None) -> Solver:
@@ -140,33 +215,17 @@ def load_checkpoint(path, system, boundaries=None) -> Solver:
     conserved state come from the archive.
     """
     with _read_archive(path) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != FORMAT_VERSION:
-            raise ConfigurationError(
-                f"unsupported checkpoint format {meta.get('format')!r}"
-            )
-        if meta.get("kind") != "unigrid":
-            raise ConfigurationError(
-                f"checkpoint holds a {meta.get('kind')!r} run, not unigrid"
-            )
-        if meta["ndim"] != system.ndim:
-            raise ConfigurationError(
-                f"checkpoint is {meta['ndim']}D, system is {system.ndim}D"
-            )
-        grid = _grid_from_meta(meta["grid"])
-        config = SolverConfig(**meta["config"])
-        cons = np.array(data["cons"])
-        p_cache = np.array(data["p_cache"]) if "p_cache" in data else None
-
+        meta, config = _read_prologue(data, path, "unigrid", system)
+        cons, p_cache, stats = _read_patch(data, "unigrid", "")
+    grid = _grid_from_meta(meta["grid"])
     # Build the solver through a quiescent placeholder state, then install
     # the checkpointed conserved variables verbatim.
-    prim_placeholder = _quiescent_prim(system, grid)
-    solver = Solver(system, grid, prim_placeholder, config, boundaries)
+    solver = Solver(system, grid, _quiescent_prim(system, grid), config, boundaries)
     solver.cons = cons
-    solver.pipeline._p_cache = p_cache
+    solver.pipeline.install_warm_state(p_cache, stats)
     solver._prim_dirty = True
     solver.t = meta["t"]
-    solver.summary.steps = meta["steps"]
+    solver.steps = meta["steps"]
     return solver
 
 
@@ -174,32 +233,21 @@ def save_distributed_checkpoint(solver, path) -> None:
     """Write a distributed solver's full state to *path* (.npz).
 
     Stores one ghosted conserved array per rank plus each rank pipeline's
-    con2prim warm-start cache, so the restarted evolution stays bit-identical
+    con2prim warm-start state, so the restarted evolution stays bit-identical
     to an uninterrupted one.  Works for both executors: *solver* may be a
     :class:`~repro.core.distributed.DistributedSolver` or a
     :class:`~repro.core.parallel.ProcessSolver` (whose workers stream their
     shards to the parent through ``checkpoint_shards``); given the same
     trajectory both write bit-identical archive entries.
     """
-    meta = {
-        "format": FORMAT_VERSION,
-        "kind": "distributed",
-        "t": solver.t,
-        "steps": solver.steps,
-        "dims": list(solver.decomp.dims),
-        "periodic": list(solver.decomp.periodic),
-        "grid": _grid_meta(solver.global_grid),
-        "config": solver.config.to_dict(),
-        "ndim": solver.system.ndim,
-    }
     shards = solver.checkpoint_shards()
-    arrays = {}
-    for rank in range(solver.size):
-        cons, p_cache = shards[rank]
-        arrays[f"rank_{rank}"] = cons
-        if p_cache is not None:
-            arrays[f"pcache_{rank}"] = p_cache
-    _atomic_savez(path, meta=json.dumps(meta), **arrays)
+    _write_archive(
+        path, "distributed", solver,
+        {rank: shards[rank] for rank in range(solver.size)},
+        dims=list(solver.decomp.dims),
+        periodic=list(solver.decomp.periodic),
+        grid=_grid_meta(solver.global_grid),
+    )
 
 
 def load_distributed_checkpoint(
@@ -226,138 +274,66 @@ def load_distributed_checkpoint(
     backend through the same loader.
     """
     with _read_archive(path) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != FORMAT_VERSION:
-            raise ConfigurationError(
-                f"unsupported checkpoint format {meta.get('format')!r}"
-            )
-        if meta.get("kind") != "distributed":
-            raise ConfigurationError(
-                f"checkpoint holds a {meta.get('kind')!r} run, not distributed"
-            )
-        if meta["ndim"] != system.ndim:
-            raise ConfigurationError(
-                f"checkpoint is {meta['ndim']}D, system is {system.ndim}D"
-            )
-        grid = _grid_from_meta(meta["grid"])
-        config = SolverConfig(**meta["config"])
-        prim_placeholder = _quiescent_prim(system, grid)
-        shards = {}
-        for rank in range(int(np.prod(meta["dims"]))):
-            pcache = f"pcache_{rank}"
-            shards[rank] = (
-                np.array(data[f"rank_{rank}"]),
-                np.array(data[pcache]) if pcache in data else None,
-            )
-
-    if getattr(config, "executor", "serial") == "process":
-        # Deferred import: repro.core.parallel imports this module lazily.
-        from ..core.parallel import ProcessSolver
-
-        solver = ProcessSolver(
-            system,
-            grid,
-            prim_placeholder,
-            tuple(meta["dims"]),
-            config=config,
-            boundaries=boundaries,
-            periodic=tuple(meta["periodic"]),
-            fault_injector=fault_injector,
-            halo_policy=halo_policy,
-        )
-        solver.restore_state(meta["t"], meta["steps"], shards)
-        return solver
-
-    solver = DistributedSolver(
+        meta, config = _read_prologue(data, path, "distributed", system)
+        shards = {
+            rank: _read_patch(data, "distributed", rank)
+            for rank in range(int(np.prod(meta["dims"])))
+        }
+    grid = _grid_from_meta(meta["grid"])
+    solver = make_distributed_solver(
         system,
         grid,
-        prim_placeholder,
+        _quiescent_prim(system, grid),
         tuple(meta["dims"]),
-        config,
-        boundaries,
+        config=config,
+        boundaries=boundaries,
         periodic=tuple(meta["periodic"]),
         fault_injector=fault_injector,
         halo_policy=halo_policy,
     )
-    solver.install_shards(meta["t"], meta["steps"], shards)
+    if config.executor == "process":
+        solver.restore_state(meta["t"], meta["steps"], shards)
+    else:
+        solver.install_shards(meta["t"], meta["steps"], shards)
     return solver
 
 
 def save_amr_checkpoint(solver: AMRSolver, path) -> None:
-    """Write an AMR solver's leaves and topology to *path* (.npz)."""
-    leaves = sorted(solver.forest.leaves, key=lambda k: (k.level, k.idx))
-    meta = {
-        "format": FORMAT_VERSION,
-        "kind": "amr",
-        "t": solver.t,
-        "steps": solver.steps,
-        "cells_updated": solver.cells_updated,
-        "regrids": solver.regrids,
-        "root_grid": _grid_meta(solver.layout.root_grid),
-        "config": solver.config.to_dict(),
-        "amr": solver.amr.to_dict(),
-        "ndim": solver.system.ndim,
-        "leaves": [[k.level, list(k.idx)] for k in leaves],
-        "refined": [[k.level, list(k.idx)] for k in sorted(
-            solver.forest.refined, key=lambda k: (k.level, k.idx)
-        )],
-    }
-    arrays = {}
-    for key in leaves:
-        name = f"leaf_{key.level}_" + "_".join(map(str, key.idx))
-        arrays[name] = solver.forest.leaves[key].cons
-        pipe = solver._pipelines.get(key)
-        if pipe is not None and pipe._p_cache is not None:
-            arrays["pcache_" + name] = pipe._p_cache
-    _atomic_savez(path, meta=json.dumps(meta), **arrays)
+    """Write an AMR solver's forest state to *path* (.npz): every leaf's
+    patch state as entries, topology (leaf order kept) and counters in
+    ``meta``.  Block ownership is not archived: the in-process distributed
+    driver is bit-identical to the serial one, which is what reloads."""
+    state = AMRSolver.forest_state(solver)
+    blocks = state.pop("blocks")
+    for name in ("leaves", "refined"):
+        state[name] = [[k.level, list(k.idx)] for k in state[name]]
+    _write_archive(
+        path, "amr", solver,
+        {_leaf_ident(key): patch for key, patch in blocks.items()},
+        root_grid=_grid_meta(solver.layout.root_grid),
+        amr=solver.amr.to_dict(),
+        **state,
+    )
 
 
 def load_amr_checkpoint(path, system, boundaries=None) -> AMRSolver:
     """Reconstruct an AMR solver (topology + leaf states) from *path*."""
     with _read_archive(path) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("kind") != "amr":
-            raise ConfigurationError(
-                f"checkpoint holds a {meta.get('kind')!r} run, not amr"
-            )
-        if meta["ndim"] != system.ndim:
-            raise ConfigurationError(
-                f"checkpoint is {meta['ndim']}D, system is {system.ndim}D"
-            )
-        root = _grid_from_meta(meta["root_grid"])
-        config = SolverConfig(**meta["config"])
-        amr_cfg = AMRConfig(**meta["amr"])
-
-        def flat_ic(sys, grid):
-            return _quiescent_prim(sys, grid)
-
-        solver = AMRSolver(
-            system,
-            root,
-            flat_ic,
-            config,
-            amr_cfg.replace(initial_regrid_passes=0),
-            boundaries,
-        )
-        # Rebuild the exact topology.
-        solver.forest.leaves.clear()
-        solver.forest.refined = {
-            BlockKey(level, tuple(idx)) for level, idx in meta["refined"]
+        meta, config = _read_prologue(data, path, "amr", system)
+        state = dict(meta)
+        for name in ("leaves", "refined"):
+            state[name] = [BlockKey(lvl, tuple(idx)) for lvl, idx in meta[name]]
+        state["blocks"] = {
+            key: _read_patch(data, "amr", _leaf_ident(key))
+            for key in state["leaves"]
         }
-        solver._pipelines.clear()
-        from ..mesh.amr.blocks import LeafBlock
-
-        for level, idx in meta["leaves"]:
-            key = BlockKey(level, tuple(idx))
-            name = f"leaf_{level}_" + "_".join(map(str, idx))
-            cons = np.array(data[name])
-            grid = solver.layout.grid_for(key)
-            solver.forest.leaves[key] = LeafBlock(key, grid, cons)
-            if "pcache_" + name in data:
-                pipe = solver._pipeline(key)
-                pipe._p_cache = np.array(data["pcache_" + name])
-        solver.t = meta["t"]
-        solver.steps = meta["steps"]
-        solver.cells_updated = meta["cells_updated"]
-        solver.regrids = meta["regrids"]
+    solver = AMRSolver(
+        system,
+        _grid_from_meta(meta["root_grid"]),
+        _quiescent_prim,
+        config,
+        AMRConfig(**meta["amr"]).replace(initial_regrid_passes=0),
+        boundaries,
+    )
+    solver.install_forest_state(state)
     return solver

@@ -46,7 +46,9 @@ def compute_dt(
     """CFL-limited time step, optionally clipped to land exactly on t_final.
 
     The signal-speed scan runs over interior cells only (ghosts may hold
-    stale or extrapolated data).
+    stale or extrapolated data) and over the ``system.ndim`` physical axes
+    only: a trailing batch axis (:class:`~repro.core.batch.BatchGrid`)
+    carries no signal and never enters the bound.
     """
     if not 0.0 < cfl <= 1.0:
         raise ConfigurationError(f"cfl must be in (0, 1], got {cfl}")
@@ -64,7 +66,7 @@ def max_signal_per_axis(system: SRHDSystem, grid: Grid, prim: np.ndarray) -> lis
     on different ranks)."""
     interior = grid.interior_of(prim)
     out = []
-    for axis in range(grid.ndim):
+    for axis in range(system.ndim):
         lam_m, lam_p = system.char_speeds(interior, axis)
         out.append(max(float(np.max(np.abs(lam_m))), float(np.max(np.abs(lam_p)))))
     return out
@@ -74,6 +76,6 @@ def dt_from_axis_maxima(grid: Grid, vmax_per_axis, cfl: float) -> float:
     """dt limited by the dimensionally-unsplit bound
     1/dt >= sum_d vmax_d / dx_d."""
     inv_dt = 0.0
-    for axis in range(grid.ndim):
-        inv_dt += max(vmax_per_axis[axis], 1e-12) / grid.dx[axis]
+    for axis, vmax in enumerate(vmax_per_axis):
+        inv_dt += max(vmax, 1e-12) / grid.dx[axis]
     return cfl / inv_dt

@@ -665,16 +665,24 @@ class TestFusedStencilParity:
 
         check()
 
-    def test_fused_off_matches_fused_on(self):
-        """fused_stencils=False must give the identical (bitwise) result
+    def test_fused_off_matches_fused_on(self, monkeypatch):
+        """The per-kernel fallback (stencil module unavailable, here via
+        the deployment switch) must give the identical (bitwise) result
         through the interpreted stages — that is the fallback contract."""
-        from repro.codegen import cext_available
+        from repro.codegen import cext as cext_mod
+        from repro.codegen import cext_available, clear_cache
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
         for recon in ("mc", "ppm"):
             on = self._pipeline("cext", recon, "hllc")
-            off = self._pipeline("cext", recon, "hllc", fused_stencils=False)
+            with monkeypatch.context() as env:
+                env.setenv(cext_mod.STENCIL_DISABLE_ENV, "1")
+                clear_cache()
+                try:
+                    off = self._pipeline("cext", recon, "hllc")
+                finally:
+                    clear_cache()
             assert on._fused_ids is not None
             assert off._fused_ids is None
             prim = self._ghosted_prim(on, 99, True)

@@ -6,15 +6,20 @@ finish bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import json
+import logging
+
 import numpy as np
 import pytest
 
 from repro import Grid, IdealGasEOS, Solver, SolverConfig, SRHDSystem
 from repro.core.amr_solver import AMRConfig, AMRSolver
+from repro.core.distributed import DistributedSolver
 from repro.io import checkpoint as checkpoint_mod
 from repro.io import (
     load_amr_checkpoint,
     load_checkpoint,
+    load_distributed_checkpoint,
     load_solution,
     read_curve,
     save_amr_checkpoint,
@@ -113,6 +118,28 @@ class TestAMRCheckpoint:
             )
         assert restored.cells_updated == ref.cells_updated
 
+    def test_distributed_driver_writes_the_serial_archive(self, system1d, tmp_path):
+        """The in-process distributed driver is bit-identical to the serial
+        one, so its checkpoint is the serial archive, entry for entry
+        (ownership is not archived)."""
+        from repro.core.amr_distributed import DistributedAMRSolver
+
+        grid = Grid((64,), ((0.0, 1.0),))
+        ic = lambda s, g: shock_tube(s, g, RP1)
+        amr_cfg = AMRConfig(block_size=8, max_levels=2, regrid_interval=2)
+        archives = []
+        for solver in (
+            AMRSolver(system1d, grid, ic, amr=amr_cfg),
+            DistributedAMRSolver(system1d, grid, ic, amr=amr_cfg, n_ranks=2),
+        ):
+            solver.run(t_final=1.0, max_steps=5)
+            path = tmp_path / f"{type(solver).__name__}.npz"
+            solver.write_checkpoint(path)
+            with np.load(path, allow_pickle=False) as data:
+                archives.append({name: data[name].tobytes() for name in data.files})
+        assert archives[0] == archives[1]
+        assert load_amr_checkpoint(path, system1d).steps == 5
+
     def test_topology_preserved(self, system1d, tmp_path):
         grid = Grid((64,), ((0.0, 1.0),))
         amr = AMRSolver(
@@ -128,6 +155,83 @@ class TestAMRCheckpoint:
         assert restored.forest.refined == amr.forest.refined
         assert restored.leaf_count_by_level() == amr.leaf_count_by_level()
         assert restored.forest.is_balanced()
+
+
+def _rewrite_meta(path, **changes):
+    """Rewrite entries of an archive's json ``meta`` in place."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            meta[key].update(value)
+        else:
+            meta[key] = value
+    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+
+
+class TestArchivePrologue:
+    """One ``format`` / ``kind`` / ``ndim`` prologue for all three kinds."""
+
+    KINDS = ("unigrid", "distributed", "amr")
+
+    @staticmethod
+    def _archive(kind, system1d, path):
+        """Write a *kind* archive; returns its loader."""
+        grid = Grid((32,), ((0.0, 1.0),))
+        if kind == "unigrid":
+            Solver(system1d, grid, smooth_wave(system1d, grid)).write_checkpoint(path)
+            return load_checkpoint
+        if kind == "distributed":
+            DistributedSolver(
+                system1d, grid, smooth_wave(system1d, grid), (2,)
+            ).write_checkpoint(path)
+            return load_distributed_checkpoint
+        AMRSolver(
+            system1d, grid, lambda s, g: shock_tube(s, g, RP1),
+            amr=AMRConfig(block_size=8, max_levels=2),
+        ).write_checkpoint(path)
+        return load_amr_checkpoint
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_foreign_format_kind_ndim_rejected(
+        self, kind, system1d, system2d, tmp_path
+    ):
+        path = tmp_path / "c.npz"
+        load = self._archive(kind, system1d, path)
+        assert load(path, system1d).t == 0.0
+        with pytest.raises(ConfigurationError, match="1D"):
+            load(path, system2d)
+        for other in self.KINDS:
+            if other != kind:
+                other_path = tmp_path / f"{other}.npz"
+                self._archive(other, system1d, other_path)
+                with pytest.raises(ConfigurationError, match=f"not {kind}"):
+                    load(other_path, system1d)
+        _rewrite_meta(path, format=checkpoint_mod.FORMAT_VERSION + 1)
+        with pytest.raises(ConfigurationError, match="unsupported checkpoint format"):
+            load(path, system1d)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_retired_config_keys_are_dropped(self, kind, system1d, tmp_path, caplog):
+        """Archives written while ``scratch_workspace`` / ``fused_stencils``
+        were SolverConfig fields still load; exactly those keys go."""
+        path = tmp_path / "c.npz"
+        load = self._archive(kind, system1d, path)
+        _rewrite_meta(path, config={"scratch_workspace": False, "fused_stencils": True})
+        logger = logging.getLogger("repro.io")
+        logger.addHandler(caplog.handler)
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.io"):
+                solver = load(path, system1d)
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert solver.config == SolverConfig()
+        dropped = [r for r in caplog.records if "retired config keys" in r.getMessage()]
+        assert len(dropped) == 1
+        _rewrite_meta(path, config={"no_such_knob": 1})
+        with pytest.raises(ConfigurationError):
+            load(path, system1d)
 
 
 class TestSolutionOutput:

@@ -58,7 +58,7 @@ from repro.resilience.policies import (
     RestartPolicy,
     run_with_restart,
 )
-from repro.utils.errors import CommunicationError, ConfigurationError, WorkerError
+from repro.utils.errors import CommunicationError, WorkerError
 
 
 def _rp1_setup(n=32):
@@ -293,18 +293,6 @@ class TestWorkerFailure:
         finally:
             solver.close()
 
-    def test_checkpointing_requires_path(self):
-        system, grid, prim0 = _rp1_setup()
-        with ProcessSolver(
-            system, grid, prim0, (2,), config=SolverConfig(cfl=0.4)
-        ) as solver:
-            with pytest.raises(ConfigurationError, match="checkpoint_path"):
-                solver.run(t_final=0.1, checkpoint_every=2)
-            # same refusal as Solver.run: a target before the current time
-            solver.step()
-            with pytest.raises(ConfigurationError, match="is before t="):
-                solver.run(t_final=0.5 * solver.t)
-
 
 def _npz_entries(path):
     """Every archive entry as raw bytes (meta compared as its json string)."""
@@ -361,9 +349,10 @@ class TestProcessCheckpointing:
         with resumed:
             # the workers' install_shards landed the archive bytes verbatim
             archive = _npz_entries(path)
-            for rank, (cons, p_cache) in resumed.checkpoint_shards().items():
+            for rank, (cons, p_cache, stats) in resumed.checkpoint_shards().items():
                 assert cons.tobytes() == archive[f"rank_{rank}"]
                 assert p_cache.tobytes() == archive[f"pcache_{rank}"]
+                assert stats.n_cells > 0  # recovery stats travel too
             resumed.run(t_final=1.0, max_steps=7)
             prims = resumed.gather_primitives()
             t, steps = resumed.t, resumed.steps
@@ -451,8 +440,9 @@ class TestOneRankStepper:
 
     STEPPER = (
         "_rhs", "_rhs_overlapped", "_record_overlap", "compute_dt",
+        "_integrate", "_patches", "_after_step", "_record_extras",
         "_check_finite", "_traffic_delta", "_recover_and_exchange",
-        "_exchange", "_set_stage_time",
+        "_exchange", "_set_stage_time", "run", "write_checkpoint",
     )
     SHELL = ("_attach", "step", "snapshot", "rebind", "close")
 

@@ -6,8 +6,6 @@ scenarios live in test_chaos.py behind the ``chaos`` marker.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from repro.comm.communicator import SimCommunicator
 from repro.comm.halo import exchange_halos
 from repro.eos import IdealGasEOS
 from repro.io import (
+    load_amr_checkpoint,
     load_checkpoint,
     load_distributed_checkpoint,
     save_distributed_checkpoint,
@@ -50,6 +49,7 @@ from repro.utils.errors import (
     ConfigurationError,
     NumericsError,
     RecoveryError,
+    ReproError,
     SchedulerError,
 )
 
@@ -493,15 +493,6 @@ class TestStepGuards:
         with pytest.raises(NumericsError, match=r"variable 0, cell \(7,\)"):
             solver._check_finite()
 
-    def test_distributed_rejects_bad_dt(self):
-        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
-        grid = Grid((32,), ((0.0, 1.0),))
-        dsolver = DistributedSolver(
-            system, grid, shock_tube(system, grid, RP1), (2,)
-        )
-        with pytest.raises(NumericsError, match="invalid time step"):
-            dsolver.step(dt=float("nan"))
-
     def test_distributed_nan_names_rank_and_cell(self):
         system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
         grid = Grid((32,), ((0.0, 1.0),))
@@ -563,24 +554,6 @@ class TestStepGuards:
         with pytest.raises(NumericsError, match=f"rank {rank}, block") as err:
             solver._check_finite()
         assert f"block {key}, variable 0, interior cell (0,)" in str(err.value)
-
-    def test_distributed_and_amr_run_refuse_past_target(self, caplog):
-        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
-        grid = Grid((32,), ((0.0, 1.0),))
-        dsolver = DistributedSolver(
-            system, grid, shock_tube(system, grid, RP1), (2,)
-        )
-        logging.getLogger("repro.core").addHandler(caplog.handler)
-        try:
-            for solver in (dsolver, self._amr()):
-                solver.run(t_final=1.0, max_steps=2)
-                assert solver.steps == 2
-                with pytest.raises(ConfigurationError, match="is before t="):
-                    solver.run(t_final=0.5 * solver.t)
-        finally:
-            logging.getLogger("repro.core").removeHandler(caplog.handler)
-        limits = [r for r in caplog.records if "step limit 2 reached" in r.message]
-        assert len(limits) == 2
 
     def test_dt_and_newton_histograms_observed(self):
         solver = _solver_1d()
@@ -714,10 +687,11 @@ class TestCheckpointRestart:
         assert resumed.steps == 6
         assert resumed.t == first.t
         # install_shards landed the saved bytes verbatim
-        for rank, (cons, p_cache) in first.checkpoint_shards().items():
-            got_cons, got_p_cache = resumed.checkpoint_shards()[rank]
+        for rank, (cons, p_cache, stats) in first.checkpoint_shards().items():
+            got_cons, got_p_cache, got_stats = resumed.checkpoint_shards()[rank]
             assert got_cons.tobytes() == cons.tobytes()
             assert got_p_cache.tobytes() == p_cache.tobytes()
+            assert got_stats == stats
         resumed.run(t_final=1.0, max_steps=10)
         assert resumed.steps == uninterrupted.steps
         for rank in range(uninterrupted.size):
@@ -743,3 +717,108 @@ class TestCheckpointRestart:
         solver.run(t_final=1.0, max_steps=2, checkpoint_every=2, checkpoint_path=path)
         with pytest.raises(ConfigurationError, match="not distributed"):
             load_distributed_checkpoint(path, solver.system)
+
+    def test_amr_run_with_restart_recovers(self, tmp_path):
+        """The shared run gives AMRSolver ``checkpoint_every`` too, so
+        ``run_with_restart`` drives it: a run failed mid-way restarts from
+        its last forest checkpoint onto the uninterrupted run's bytes."""
+        path = tmp_path / "amr.npz"
+        solver = TestStepGuards._amr(regrid_interval=2)
+        system = solver.system
+        real_rhs, calls = solver._rhs, {"n": 0}
+
+        def failing_rhs(parts):
+            calls["n"] += 1
+            if calls["n"] == 3 * 5 + 2:  # mid-way through step 6
+                raise ReproError("injected mid-step failure")
+            return real_rhs(parts)
+
+        solver._rhs = failing_rhs
+        metrics = MetricsRegistry()
+        solver, restarts = run_with_restart(
+            solver,
+            t_final=1.0,
+            policy=RestartPolicy(checkpoint_path=path, checkpoint_every=2),
+            loader=lambda p: load_amr_checkpoint(p, system),
+            metrics=metrics,
+            max_steps=9,
+        )
+        assert restarts == 1
+        assert metrics.snapshot()["counters"]["resilience.restarts"] == 1
+        clean = TestStepGuards._amr(regrid_interval=2)
+        clean.run(t_final=1.0, max_steps=9)
+        assert (solver.steps, solver.t) == (9, clean.t)
+        assert solver.regrids == clean.regrids > 0
+        assert list(solver.forest.leaves) == list(clean.forest.leaves)
+        assert solver.forest.refined == clean.forest.refined
+        for key, leaf in clean.forest.leaves.items():
+            assert solver.forest.leaves[key].cons.tobytes() == leaf.cons.tobytes()
+
+
+class TestTunedRecoveryRestart:
+    """Under ``c2p_tuned`` a pipeline's accumulated recovery statistics
+    decide the Newton damping, so they are part of a patch's state: a
+    reloaded run must keep damping exactly where the uninterrupted one
+    does."""
+
+    CFG = dict(c2p_tuned=True)
+
+    @staticmethod
+    def _unigrid():
+        solver = _solver_1d(**TestTunedRecoveryRestart.CFG)
+        load = lambda p: load_checkpoint(p, solver.system, make_boundaries("outflow"))
+        return solver, load, lambda s: s.pipeline, lambda s: s.cons.tobytes()
+
+    @staticmethod
+    def _distributed():
+        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid = Grid((64,), ((0.0, 1.0),))
+        solver = DistributedSolver(
+            system, grid, shock_tube(system, grid, RP1), (2,),
+            config=SolverConfig(**TestTunedRecoveryRestart.CFG),
+        )
+        load = lambda p: load_distributed_checkpoint(p, system)
+        return (
+            solver, load, lambda s: s.pipelines[1],
+            lambda s: b"".join(s.cons[r].tobytes() for r in range(s.size)),
+        )
+
+    @staticmethod
+    def _amr():
+        solver = TestStepGuards._amr(
+            config=SolverConfig(**TestTunedRecoveryRestart.CFG)
+        )
+        system = solver.system
+        load = lambda p: load_amr_checkpoint(p, system)
+        return (
+            solver, load, lambda s: s._pipeline(list(s.forest.leaves)[2]),
+            lambda s: repr(list(s.forest.leaves)).encode()
+            + b"".join(leaf.cons.tobytes() for leaf in s.forest.leaves.values()),
+        )
+
+    @staticmethod
+    def _damped(solver) -> int:
+        return solver.metrics.snapshot()["counters"].get("con2prim.damped_sweeps", 0)
+
+    @pytest.mark.parametrize("kind", ["unigrid", "distributed", "amr"])
+    def test_reload_keeps_damping_decision(self, kind, tmp_path):
+        path = tmp_path / "ck.npz"
+        make = getattr(self, f"_{kind}")
+
+        ref, _load, pipeline_of, state_bytes = make()
+        ref.run(t_final=1.0, max_steps=3)
+        pipeline_of(ref).recovery_stats.n_unbracketed = 1
+        before = self._damped(ref)
+        ref.run(t_final=1.0, max_steps=8)
+        damped = self._damped(ref) - before
+        assert damped > 0
+
+        first, load, pipeline_of, state_bytes = make()
+        first.run(t_final=1.0, max_steps=3)
+        pipeline_of(first).recovery_stats.n_unbracketed = 1
+        first.write_checkpoint(path)
+        resumed = load(path)
+        resumed.run(t_final=1.0, max_steps=8)
+        assert self._damped(resumed) == damped
+        assert state_bytes(resumed) == state_bytes(ref)
+

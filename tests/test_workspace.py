@@ -1,9 +1,9 @@
 """Scratch-workspace tests: buffer pool semantics and bit-exactness.
 
-The workspace optimization must be *invisible*: a run with
-``scratch_workspace=True`` (the default) produces bit-identical conserved
-states to the allocate-per-call path (``scratch_workspace=False``), and a
-reused workspace buffer never leaks state between rhs evaluations.
+The workspace optimization must be *invisible*: a run through the
+pipeline's scratch workspace produces bit-identical conserved states to
+the allocate-per-call path (``pipeline.workspace = None``), and a reused
+workspace buffer never leaks state between rhs evaluations.
 """
 
 from __future__ import annotations
@@ -57,12 +57,14 @@ class TestScratchBuf:
         assert "ScratchWorkspace" in repr(ws)
 
 
-def _advance(make_system, make_prim, grid_args, config, n_steps):
+def _advance(make_system, make_prim, grid_args, config, n_steps, workspace=True):
     system = make_system()
     grid = Grid(*grid_args)
     solver = Solver(
         system, grid, make_prim(system, grid), config, make_boundaries("outflow")
     )
+    if not workspace:
+        solver.pipeline.workspace = None
     for _ in range(n_steps):
         solver.step()
     return grid.interior_of(solver.cons).copy(), solver.t
@@ -78,15 +80,14 @@ class TestWorkspaceBitExact:
     def test_rp1_shock_tube(self, riemann, recon):
         results = []
         for ws in (True, False):
-            cfg = SolverConfig(
-                scratch_workspace=ws, riemann=riemann, reconstruction=recon
-            )
+            cfg = SolverConfig(riemann=riemann, reconstruction=recon)
             state, t = _advance(
                 lambda: SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1),
                 lambda s, g: shock_tube(s, g, RP1),
                 (((100,), ((0.0, 1.0),))),
                 cfg,
                 10,
+                workspace=ws,
             )
             results.append((state, t))
         assert results[0][1] == results[1][1]
@@ -99,8 +100,9 @@ class TestWorkspaceBitExact:
                 lambda: SRHDSystem(IdealGasEOS(), ndim=2),
                 blast_wave_2d,
                 (((32, 32), ((0.0, 1.0), (0.0, 1.0)))),
-                SolverConfig(scratch_workspace=ws),
+                SolverConfig(),
                 5,
+                workspace=ws,
             )
             results.append((state, t))
         assert results[0][1] == results[1][1]
@@ -112,9 +114,10 @@ class TestWorkspaceReuse:
         system = SRHDSystem(IdealGasEOS(), ndim=2)
         grid = Grid((24, 24), ((0.0, 1.0), (0.0, 1.0)))
         pipe = HydroPipeline(
-            system, grid, make_boundaries("outflow"),
-            SolverConfig(scratch_workspace=ws),
+            system, grid, make_boundaries("outflow"), SolverConfig()
         )
+        if not ws:
+            pipe.workspace = None
         prim0 = blast_wave_2d(system, grid)
         return pipe, system.prim_to_con(prim0)
 
