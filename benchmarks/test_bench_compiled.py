@@ -116,6 +116,13 @@ def _serial_case(target: str, n: int, n_steps: int, problem: str = "blast") -> d
                else 0.0)
         for name in STAGE_NAMES
     }
+    ns_per_face = None
+    if "face_flux" in solver.timers:
+        # One timed entry is one full-axis sweep: n + 1 faces on every
+        # ghosted transverse row.
+        sweeps = solver.timers["face_flux"]
+        faces = sweeps.count * (n + 1) * grid.shape_with_ghosts[0]
+        ns_per_face = 1e9 * sweeps.elapsed / faces
     return {
         "target": target,
         "steps": n_steps,
@@ -123,6 +130,7 @@ def _serial_case(target: str, n: int, n_steps: int, problem: str = "blast") -> d
         "wall_s": wall_s,
         "cpu_per_step": cpu_s / n_steps,
         "stage_per_step": stages,
+        "face_flux_ns_per_face": ns_per_face,
         "prims": grid.interior_of(solver.primitives()).copy(),
     }
 
@@ -258,6 +266,13 @@ def test_bench_compiled_kernels():
         )
     if not have_cext:
         report.add_note("no C toolchain: cext rows omitted")
+    if have_cext:
+        report.add_note(
+            f"fused sweep: {big['cext']['face_flux_ns_per_face']:.0f} ns/face "
+            f"mc/hllc ({n_big}x{n_big}), "
+            f"{ppm['cext']['face_flux_ns_per_face']:.0f} ns/face ppm/hll "
+            f"({n_ppm}x{n_ppm})"
+        )
     report.add_note(
         f"process arm ({workers} workers), {n_big}x{n_big} arm and "
         f"{n_ppm}x{n_ppm} ppm/hll arm in BENCH_compiled.json"
@@ -315,26 +330,29 @@ def test_bench_compiled_kernels():
         assert proc["cext"]["cpu_per_step"] < proc["numpy"]["cpu_per_step"] * 1.5
         return
     # The point of the compiled target: strictly faster than the numpy
-    # path on both executors, and the fused stencil sweep strictly faster
-    # than the PR 7 pointwise-only compiled path.
+    # path on both executors, and the fused stencil sweep well ahead of the
+    # per-kernel fallback.
     assert serial["cext"]["cpu_per_step"] < serial["numpy"]["cpu_per_step"], (
         "cext not faster than numpy on the serial solver"
     )
     assert proc["cext"]["cpu_per_step"] < proc["numpy"]["cpu_per_step"], (
         "cext not faster than numpy on the process executor"
     )
-    for cases, label in ((serial, f"{n}x{n}"), (big, f"{n_big}x{n_big}")):
-        assert (
-            cases["cext"]["cpu_per_step"]
-            < cases["cext_pointwise"]["cpu_per_step"]
-        ), f"{label}: fused stencils not faster than pointwise cext"
     assert (
         big["numpy"]["cpu_per_step"] >= 1.5 * big["cext"]["cpu_per_step"]
     ), "128x128: fused cext below the 1.5x-over-numpy bar"
-    # The bar is 1.5x, not the 2x the blast arms suggest: the interpreted
-    # PPM this arm's cext_pointwise runs does each piece of work once too
-    # (0.101 -> 0.032 s/step at 96^2), so the fused sweep's remaining lead
-    # is the Riemann stage and the interface temporaries (measured 1.7x).
-    assert (
-        ppm["cext_pointwise"]["cpu_per_step"] >= 1.5 * ppm["cext"]["cpu_per_step"]
-    ), f"{n_ppm}x{n_ppm} ppm/hll: fused cext below the 1.5x-over-pointwise bar"
+    # Both cext arms evaluate each side through the same joint face_side
+    # tail (pointwise: one compiled kernel per side, then the interpreted
+    # combine), so the fused sweep's lead is the reconstruction, the
+    # combine and the interface temporaries.  Measured with that shared
+    # tail: 2.1x (64^2) and 2.2x (128^2) on mc/hllc, 1.9x on ppm/hll, whose
+    # interpreted PPM already does each piece of work once; the bar sits
+    # at 1.5x on every arm.
+    for cases, label in (
+        (serial, f"{n}x{n}"), (big, f"{n_big}x{n_big}"),
+        (ppm, f"{n_ppm}x{n_ppm} ppm/hll"),
+    ):
+        assert (
+            cases["cext_pointwise"]["cpu_per_step"]
+            >= 1.5 * cases["cext"]["cpu_per_step"]
+        ), f"{label}: fused cext below the 1.5x-over-pointwise bar"

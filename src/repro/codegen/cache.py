@@ -117,7 +117,9 @@ def verify_kernels(
     targets: tuple[str, ...] | None = None,
     con2prim_rtol: float = 1e-10,
 ) -> dict[str, float]:
-    """Compare every generated kernel against the handwritten reference.
+    """Compare every generated kernel a solver evaluates on each target
+    (:meth:`KernelGenerator.default_kinds_axes`) against the handwritten
+    reference.
 
     *targets* defaults to ``("numpy", "flat")`` plus ``"cext"`` whenever the
     compiled target is actually buildable here — pass an explicit tuple to
@@ -150,30 +152,24 @@ def verify_kernels(
         if dev > tol:
             raise CodegenError(f"kernel {name} deviates by {dev:.3e} (> {tol:.0e})")
 
+    refs = {("prim_to_con", 0): cons_ref}
+    for axis in range(ndim):
+        F_ref = system.flux(prim, cons_ref, axis)
+        lam_ref = np.stack(system.char_speeds(prim, axis))
+        refs["flux", axis] = F_ref
+        refs["char_speeds", axis] = lam_ref
+        refs["face_side", axis] = np.concatenate([cons_ref, F_ref, lam_ref])
+
     for target in targets:
-        k = load_kernel("prim_to_con", ndim, 0, target)
-        if target == "numpy":
-            got = k(prim, np.empty_like(cons_ref), gamma)
-        else:
-            got = run_flat_kernel(k, prim, system.nvars, gamma)
-        check(f"prim_to_con/{target}", got, cons_ref)
-
-        for axis in range(ndim):
-            F_ref = system.flux(prim, cons_ref, axis)
-            k = load_kernel("flux", ndim, axis, target)
+        for kind, axis in KernelGenerator(ndim).default_kinds_axes(target):
+            ref = refs[kind, axis]
+            k = load_kernel(kind, ndim, axis, target)
             if target == "numpy":
-                got = k(prim, np.empty_like(F_ref), gamma)
+                got = k(prim, np.empty_like(ref), gamma)
             else:
-                got = run_flat_kernel(k, prim, system.nvars, gamma)
-            check(f"flux{axis}/{target}", got, F_ref)
-
-            lam_ref = np.stack(system.char_speeds(prim, axis))
-            k = load_kernel("char_speeds", ndim, axis, target)
-            if target == "numpy":
-                got = k(prim, np.empty_like(lam_ref), gamma)
-            else:
-                got = run_flat_kernel(k, prim, 2, gamma)
-            check(f"char_speeds{axis}/{target}", got, lam_ref)
+                got = run_flat_kernel(k, prim, len(ref), gamma)
+            label = kind if kind == "prim_to_con" else f"{kind}{axis}"
+            check(f"{label}/{target}", got, ref)
 
         if target == "cext":
             from ..physics.con2prim import con_to_prim

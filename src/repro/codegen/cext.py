@@ -8,9 +8,10 @@ and *correct*:
 1. an in-process handle map, keyed by the artifact name;
 2. an on-disk artifact cache (``$REPRO_CEXT_CACHE``, default
    ``~/.cache/repro/cext``) whose file names embed a SHA-256 over the
-   **generated C source + cdef declarations + toolchain fingerprint** — so
-   editing ``symbols.py``/``generator.py`` or upgrading the compiler can
-   never serve a stale binary;
+   **generated C source + cdef declarations + toolchain fingerprint +
+   compile flags** (ours and ``$CFLAGS``) — so editing
+   ``symbols.py``/``generator.py``, upgrading the compiler or changing a
+   flag can never serve a stale binary;
 3. the cffi build itself, executed in a private temp directory and
    installed into the cache with an atomic :func:`os.replace`, so
    concurrent worker processes racing to build the same module all end up
@@ -58,6 +59,14 @@ _modules: dict[str, object] = {}
 build_count = 0
 
 _cc_version: str | None = None
+
+#: Flags of every build.  ``-ffp-contract=off`` is the bitwise contract
+#: with the NumPy reference (no FMA contraction); a toolchain that rejects
+#: it has no cext target — a build without it would break that contract
+#: silently — and falls back to ``flat`` like a missing compiler does.
+#: ``-fno-math-errno`` lets ``sqrt`` compile to the (equally correctly
+#: rounded) instruction with no libm fallback call to spill registers around.
+CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno")
 
 
 def cext_disabled() -> bool:
@@ -112,20 +121,28 @@ def cache_dir() -> Path:
     return d
 
 
+def _artifact_name(prefix: str, source: str, cdef: str) -> str:
+    """*prefix* plus a SHA-256 over everything that shapes the binary:
+    source, declarations, toolchain, and the compile flags — ours and the
+    ``CFLAGS`` cffi's build inherits from the environment."""
+    key = [
+        source, cdef, toolchain_fingerprint(),
+        " ".join(CFLAGS), os.environ.get("CFLAGS", ""),
+    ]
+    digest = hashlib.sha256("\0".join(key).encode()).hexdigest()[:16]
+    return f"{prefix}_{digest}"
+
+
 def module_spec(ndim: int, kinds_axes=None) -> tuple[str, str, str]:
     """(artifact name, C source, cdef declarations) for one ndim's module.
 
-    The artifact name embeds a SHA-256 over source + declarations +
-    toolchain fingerprint: any change to the symbolic spec, the emitter,
-    or the compiler stack changes the name and forces a rebuild.
+    Any change to the symbolic spec, the emitter, the compiler stack or
+    the compile flags changes the name and forces a rebuild.
     """
     gen = KernelGenerator(ndim)
     source = gen.generate_c_module(kinds_axes)
     cdef = gen.c_declarations(kinds_axes)
-    digest = hashlib.sha256(
-        "\0".join([source, cdef, toolchain_fingerprint()]).encode()
-    ).hexdigest()[:16]
-    return f"_repro_cext_{ndim}d_{digest}", source, cdef
+    return _artifact_name(f"_repro_cext_{ndim}d", source, cdef), source, cdef
 
 
 def artifact_path(name: str) -> Path:
@@ -133,35 +150,19 @@ def artifact_path(name: str) -> Path:
     return cache_dir() / f"{name}{suffix}"
 
 
-def _compile_once(name: str, source: str, cdef: str, tmpdir: str, flags):
-    import cffi
-
-    builder = cffi.FFI()
-    builder.cdef(cdef)
-    kwargs = {"extra_compile_args": list(flags)} if flags else {}
-    builder.set_source(name, source, **kwargs)
-    return builder.compile(tmpdir=tmpdir, verbose=False)
-
-
 def _build(name: str, source: str, cdef: str, dest: Path) -> None:
     """Compile the module in a private temp dir, install atomically."""
     global build_count
     tmpdir = tempfile.mkdtemp(prefix="repro-cext-build-", dir=str(dest.parent))
     try:
-        try:
-            # -ffp-contract=off keeps the fused con2prim iteration
-            # bit-identical to the NumPy reference (no FMA contraction).
-            built = _compile_once(
-                name, source, cdef, tmpdir, ("-O2", "-ffp-contract=off")
-            )
-        except Exception:
-            # Some toolchains reject the flags; retry with defaults before
-            # declaring the target unavailable.
-            built = _compile_once(name, source, cdef, tmpdir, None)
+        import cffi
+
+        builder = cffi.FFI()
+        builder.cdef(cdef)
+        builder.set_source(name, source, extra_compile_args=list(CFLAGS))
+        built = builder.compile(tmpdir=tmpdir, verbose=False)
         build_count += 1
         os.replace(built, dest)
-    except CodegenError:
-        raise
     except Exception as exc:
         raise CodegenError(f"cext build failed: {exc}") from exc
     finally:
@@ -235,10 +236,7 @@ def stencil_module_spec(ndim: int) -> tuple[str, str, str]:
     gen = KernelGenerator(ndim)
     source = gen.generate_c_stencil_module()
     cdef = gen.c_stencil_declarations()
-    digest = hashlib.sha256(
-        "\0".join([source, cdef, toolchain_fingerprint()]).encode()
-    ).hexdigest()[:16]
-    return f"_repro_cext_st_{ndim}d_{digest}", source, cdef
+    return _artifact_name(f"_repro_cext_st_{ndim}d", source, cdef), source, cdef
 
 
 def load_cext_stencil_module(ndim: int):
@@ -348,8 +346,11 @@ def load_cext_kernel(kind: str, ndim: int, axis: int = 0):
     float64 arrays exactly like a ``target="flat"`` kernel, so
     :func:`repro.codegen.cache.run_flat_kernel` can drive it unchanged.
     """
-    ffi, lib = load_cext_module(ndim)
     gen = KernelGenerator(ndim)
+    # A kind the solver's module does not carry (``flux``) still compiles
+    # on demand, as a one-kernel module of its own.
+    in_default = (kind, axis) in gen.default_kinds_axes("cext")
+    ffi, lib = load_cext_module(ndim, None if in_default else [(kind, axis)])
     fn = getattr(lib, gen.kernel_name(kind, axis, "cext"))
     n_in = len(gen.symbols.input_names())
 

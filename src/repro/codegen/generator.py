@@ -22,10 +22,9 @@ redundant transcendentals down.
 
 from __future__ import annotations
 
-import textwrap
-
 import sympy as sp
 from sympy.printing.c import C99CodePrinter
+from sympy.printing.precedence import PRECEDENCE
 from sympy.printing.numpy import NumPyPrinter
 
 from ..utils.errors import CodegenError
@@ -45,7 +44,7 @@ STENCIL_RIEMANN_IDS = {"llf": 0, "hll": 1, "hllc": 2}
 #: sweep of ``n_faces`` faces whose first left cell is ``j0`` touches cells
 #: ``j0 - left .. j0 + n_faces + right - 1`` along the working axis.
 STENCIL_REACH = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (2, 3), 4: (2, 3)}
-#: Faces per tile of the wide-stencil row schedule (sizes its stack scratch).
+#: Faces per tile of the row schedule (sizes its stack scratch).
 STENCIL_TILE = 128
 
 #: Name of the fused conservative-to-primitive Newton kernel in the
@@ -53,6 +52,31 @@ STENCIL_TILE = 128
 #: it is an iterative loop, not an expression list, so it is emitted from
 #: a template that mirrors the vectorized Python iteration line by line).
 CON2PRIM_KERNEL = "con2prim_newton_cext"
+
+#: Prologue of every generated C module.  ``REPRO_INLINE`` marks each helper
+#: ``static inline`` and, where the compiler allows, forces the inlining:
+#: -O2 alone keeps the larger ones (HLLC combine, row fillers) out of line
+#: once both axes' sweeps call them.  ``rmin``/``rmax``/``rclip`` are
+#: ``np.minimum`` / ``np.maximum`` / ``np.clip`` on every non-NaN input,
+#: signed zeros included — a tie returns the *second* argument (clip: ``x``
+#: itself), which libm's ``fmin``/``fmax`` leave unspecified — and compile
+#: to ``minsd``/``maxsd`` instead of a PLT call.
+_PROLOGUE_C = """\
+#include <math.h>
+
+#if defined(__GNUC__)
+#define REPRO_INLINE static inline __attribute__((always_inline))
+#else
+#define REPRO_INLINE static inline
+#endif
+
+REPRO_INLINE double rmin(double a, double b) { return (a < b) ? a : b; }
+REPRO_INLINE double rmax(double a, double b) { return (a > b) ? a : b; }
+REPRO_INLINE double rclip(double x, double lo, double hi)
+{
+    return (x < lo) ? lo : ((x > hi) ? hi : x);
+}
+"""
 
 #: C template of the fused con2prim Newton loop.  Operation order matches
 #: :func:`repro.physics.con2prim.con_to_prim`'s vectorized Newton phase
@@ -79,22 +103,19 @@ long %(name)s(long n,
         int it = 0;
         for (it = 1; it <= max_newton; ++it) {
             const double Q = tau + D + pi;
-            double v2 = S2 / (Q * Q);
-            v2 = fmin(fmax(v2, 0.0), 1.0 - 1e-14);
+            const double v2 = rclip(S2 / (Q * Q), 0.0, 1.0 - 1e-14);
             const double W = 1.0 / sqrt(1.0 - v2);
             const double rho = D / W;
-            double eps = (Q * (1.0 - v2) - pi) / rho - 1.0;
-            eps = fmax(eps, 0.0);
+            const double eps = rmax((Q * (1.0 - v2) - pi) / rho - 1.0, 0.0);
             const double f = (gamma - 1.0) * rho * eps - pi;
-            if (fabs(f) <= tol * fmax(pi, p_floor)) { conv = 1; break; }
-            const double epsc = fmax(eps, 1e-300);
+            if (fabs(f) <= tol * rmax(pi, p_floor)) { conv = 1; break; }
+            const double epsc = rmax(eps, 1e-300);
             const double p_th = (gamma - 1.0) * rho * epsc;
             const double h = 1.0 + epsc + p_th / rho;
-            double cs2 = gamma * p_th / (rho * h);
-            cs2 = fmin(fmax(cs2, 0.0), 1.0 - 1e-12);
+            const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
             const double dfdp = v2 * cs2 - 1.0;
             const double step = f / dfdp;
-            pi = fmax(pi - damping * step, 0.5 * (pi + plo));
+            pi = rmax(pi - damping * step, 0.5 * (pi + plo));
         }
         if (it > max_newton) it = max_newton;
         p[i] = pi;
@@ -110,22 +131,16 @@ long %(name)s(long n,
 #: C helpers shared by every fused stencil kernel.  Each limiter mirrors
 #: the vectorized implementation in :mod:`repro.reconstruct.tvd` operation
 #: by operation (same comparisons, same multiply/divide order), so that —
-#: compiled with ``-ffp-contract=off`` — the per-face scalar evaluation is
+#: compiled with ``-ffp-contract=off`` — the scalar evaluation is
 #: bit-identical to the interpreted array sweep.
 _STENCIL_COMMON_C = """\
-#if defined(__GNUC__)
-#define REPRO_NOINLINE __attribute__((noinline))
-#else
-#define REPRO_NOINLINE
-#endif
-
-static double repro_sign(double x)
+REPRO_INLINE double repro_sign(double x)
 {
     return (double)((x > 0.0) - (x < 0.0));
 }
 
 /* minmod(a, b) = where(a*b > 0, where(|a| < |b|, a, b), 0) */
-static double slope_minmod2(double a, double b)
+REPRO_INLINE double slope_minmod(double a, double b)
 {
     const double t = a * b;
     double out = (fabs(a) < fabs(b)) ? a : b;
@@ -133,28 +148,26 @@ static double slope_minmod2(double a, double b)
     return out;
 }
 
-/* minmod3: all three share a sign -> smallest magnitude, else 0
- * (inline: with two callers, tvd and ppm, -O2 would otherwise stop
- * inlining it into limited_slope and add a call to every mc slope) */
-static inline double slope_minmod3(double a, double b, double c)
+/* minmod3: all three share a sign -> smallest magnitude, else 0 */
+REPRO_INLINE double slope_minmod3(double a, double b, double c)
 {
     const double sa = repro_sign(a);
     const int same = (sa == repro_sign(b)) && (repro_sign(b) == repro_sign(c))
         && (a != 0.0);
-    double mag = fmin(fabs(b), fabs(c));
-    mag = fmin(fabs(a), mag);
+    double mag = rmin(fabs(b), fabs(c));
+    mag = rmin(fabs(a), mag);
     double out = sa * mag;
     if (!same) out = 0.0;
     return out;
 }
 
 /* monotonized central: minmod3(2 dm, 2 dp, (dm + dp)/2) */
-static double slope_mc(double dm, double dp)
+REPRO_INLINE double slope_mc(double dm, double dp)
 {
     return slope_minmod3(dm * 2.0, dp * 2.0, (dm + dp) * 0.5);
 }
 
-static double slope_vanleer(double dm, double dp)
+REPRO_INLINE double slope_vanleer(double dm, double dp)
 {
     const double prod = dm * dp;
     const double denom = dm + dp;
@@ -164,21 +177,11 @@ static double slope_vanleer(double dm, double dp)
     return out;
 }
 
-static double slope_superbee(double dm, double dp)
+REPRO_INLINE double slope_superbee(double dm, double dp)
 {
-    const double s1 = slope_minmod2(dm * 2.0, dp);
-    const double s2 = slope_minmod2(dm, dp * 2.0);
+    const double s1 = slope_minmod(dm * 2.0, dp);
+    const double s2 = slope_minmod(dm, dp * 2.0);
     return (fabs(s1) > fabs(s2)) ? s1 : s2;
-}
-
-static double limited_slope(int limiter_id, double dm, double dp)
-{
-    switch (limiter_id) {
-    case 0: return slope_minmod2(dm, dp);
-    case 1: return slope_mc(dm, dp);
-    case 2: return slope_vanleer(dm, dp);
-    default: return slope_superbee(dm, dp);
-    }
 }
 """
 
@@ -188,7 +191,7 @@ static double limited_slope(int limiter_id, double dm, double dp)
 #: folds to the one double Python folds it to, and ``_EPS_WENO`` is added
 #: before squaring.
 _WENO_C = """\
-static double %(name)s_biased(double cm2, double cm1, double c0,
+REPRO_INLINE double %(name)s_biased(double cm2, double cm1, double c0,
     double cp1, double cp2)
 {
     const double p0 = (2.0 * cm2 - 7.0 * cm1 + 11.0 * c0) / 6.0;
@@ -209,7 +212,8 @@ static double %(name)s_biased(double cm2, double cm1, double c0,
 }
 
 /* faces 0..m-1 of one variable; face i sits between cells c[i], c[i+1] */
-static void %(name)s_row(const double* c, long m, double* qL, double* qR)
+REPRO_INLINE void %(name)s_row(const double* c, long m, double* qL,
+    double* qR)
 {
     for (long i = 0; i < m; ++i) {
         qL[i] = %(name)s_biased(c[i - 2], c[i - 1], c[i], c[i + 1], c[i + 2]);
@@ -236,18 +240,49 @@ _WENO_WEIGHTS_C = {
     const double a2 = 0.3 * (1.0 + r2 * r2);""",
 }
 
-#: The wide-stencil reconstructions as *row* fillers: given one variable's
-#: cells along a row tile (contiguous, ``c[-2] .. c[m + 2]``) they write the
-#: left/right states of faces ``0 .. m-1``.  PPM does each piece of work
-#: once — half-slope per cell, 4th-order edge per face, one monotonized
-#: parabola per cell whose right edge is face i's qL and whose left edge is
-#: face i-1's qR — in the operation order of
-#: :func:`repro.reconstruct.ppm._monotonize` (both overshoot masks decided
-#: before either edge is rewritten; the right rewrite reads the rewritten
-#: left edge).
-_STENCIL_WIDE_C = (
+#: Every reconstruction as a *row* filler: given one variable's cells along
+#: a row tile (contiguous, ``c[-left] .. c[m + right - 1]`` per
+#: :data:`STENCIL_REACH`) it writes the left/right states of faces
+#: ``0 .. m-1``, doing each piece of per-cell work once.  TVD computes one
+#: limited slope per cell (face i's qL and face i-1's qR share it) with the
+#: limiter chosen outside the loop.  PPM computes a half-slope per cell, a
+#: 4th-order edge per face and one monotonized parabola per cell, in the
+#: operation order of :func:`repro.reconstruct.ppm._monotonize` (both
+#: overshoot masks decided before either edge is rewritten; the right
+#: rewrite reads the rewritten left edge).
+_STENCIL_ROWS_C = (
     """\
-static void ppm_row(const double* c, long m, double* h, double* e,
+REPRO_INLINE void pc_row(const double* c, long m, double* qL, double* qR)
+{
+    for (long i = 0; i < m; ++i) {
+        qL[i] = c[i];
+        qR[i] = c[i + 1];
+    }
+}
+
+REPRO_INLINE void tvd_row(const double* c, long m, int limiter_id, double* s,
+    double* qL, double* qR)
+{
+    switch (limiter_id) {
+"""
+    + "".join(
+        f"""\
+    case {lid}:
+        for (long i = 0; i <= m; ++i)
+            s[i] = slope_{name}(c[i] - c[i - 1], c[i + 1] - c[i]);
+        break;
+"""
+        for name, lid in STENCIL_LIMITER_IDS.items()
+    )
+    + """\
+    }
+    for (long i = 0; i < m; ++i) {
+        qL[i] = c[i] + s[i] * 0.5;
+        qR[i] = c[i + 1] - s[i + 1] * 0.5;
+    }
+}
+
+REPRO_INLINE void ppm_row(const double* c, long m, double* h, double* e,
     double* qL, double* qR)
 {
     for (long i = -1; i <= m + 1; ++i)
@@ -281,29 +316,57 @@ static void ppm_row(const double* c, long m, double* h, double* e,
 )
 
 
-def _print_expressions(names, exprs, printer):
-    """CSE + print: returns (prologue lines for temps, output lines)."""
-    replacements, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("t_"))
-    temp_lines = [
-        f"    {sym} = {printer.doprint(expr)}" for sym, expr in replacements
-    ]
-    out_lines = [
-        f"    {name}[...] = {printer.doprint(expr)}"
-        for name, expr in zip(names, reduced)
-    ]
-    return temp_lines, out_lines
+class _CPrinter(C99CodePrinter):
+    """C99 printer whose squares are products: ``(x*x)``, parenthesized so
+    the grouping matches NumPy's ``x**2`` inside a larger product, and no
+    ``pow`` call is left in the generated source."""
+
+    def _print_Pow(self, expr):
+        if expr.exp == 2:
+            base = self.parenthesize(expr.base, PRECEDENCE["Mul"])
+            return f"({base}*{base})"
+        return super()._print_Pow(expr)
 
 
 class KernelGenerator:
-    """Generates Python kernel source for one SRHD configuration."""
+    """Generates kernel source (Python or C) for one SRHD configuration."""
 
     def __init__(self, ndim: int):
         self.symbols = SRHDSymbols(ndim)
         self.ndim = ndim
 
     def kernel_name(self, kind: str, axis: int, target: str) -> str:
-        suffix = f"_ax{axis}" if kind in ("flux", "char_speeds") else ""
+        suffix = "" if kind == "prim_to_con" else f"_ax{axis}"
         return f"{kind}{suffix}_{self.ndim}d_{target}"
+
+    def _cse(self, kind: str, axis: int):
+        """One joint ``sp.cse`` over a kind's named stages and outputs.
+
+        Returns ``(assignments, outputs)``: the CSE temporaries and the
+        stage definitions merged into dependency order, and the reduced
+        output expressions.  Every emitter of every target prints exactly
+        this list, which is what makes their arithmetic bitwise-equal.
+        """
+        stages = self.symbols.stages(kind, axis)
+        exprs = self.symbols.expressions(kind, axis)
+        temps, reduced = sp.cse(
+            [e for _, e in stages] + exprs, symbols=sp.numbered_symbols("t_")
+        )
+        pending = temps + [(s, e) for (s, _), e in zip(stages, reduced)]
+        undefined = {s for s, _ in pending}
+        assignments = []
+        while pending:
+            waiting = []
+            for sym, expr in pending:
+                if expr.free_symbols & undefined:
+                    waiting.append((sym, expr))
+                else:
+                    assignments.append((sym, expr))
+                    undefined.discard(sym)
+            if len(waiting) == len(pending):  # pragma: no cover - spec bug guard
+                raise CodegenError(f"cyclic stage definitions in {kind!r}")
+            pending = waiting
+        return assignments, reduced[len(stages):]
 
     def generate(self, kind: str, axis: int = 0, target: str = "numpy") -> str:
         """Return the complete source of one kernel function.
@@ -317,56 +380,55 @@ class KernelGenerator:
         if target == "cext":
             return self.generate_c(kind, axis)
         sym = self.symbols
-        exprs = sym.expressions(kind, axis)
         in_names = sym.input_names()
         out_names = sym.output_names(kind, axis)
-        printer = NumPyPrinter()
         name = self.kernel_name(kind, axis, target)
-
-        lines = [
-            "import numpy",
-            "",
-        ]
+        lines = ["import numpy", ""]
         if target == "numpy":
             # prim-array signature: unpack rows, write into an out array.
             lines.append(f"def {name}(prim, out, gamma):")
             lines.append(f'    """Generated {kind} kernel (axis={axis}, '
                          f'{self.ndim}D, numpy target)."""')
-            for i, var in enumerate(in_names):
-                lines.append(f"    {var} = prim[{i}]")
+            lines += [f"    {var} = prim[{i}]" for i, var in enumerate(in_names)]
             out_rows = [f"out[{i}]" for i in range(len(out_names))]
-            temp_lines, out_lines = _print_expressions(out_rows, exprs, printer)
-            lines.extend(temp_lines)
-            lines.extend(out_lines)
-            lines.append("    return out")
+            ret = "out"
         else:
             # SoA flat signature: one pointer per variable, CUDA-style.
-            args = in_names + [f"out_{n}" for n in out_names] + ["gamma"]
+            out_rows = [f"out_{n}" for n in out_names]
+            args = in_names + out_rows + ["gamma"]
             lines.append(f"def {name}({', '.join(args)}):")
             lines.append(f'    """Generated {kind} kernel (axis={axis}, '
                          f'{self.ndim}D, flat/SoA target)."""')
-            out_rows = [f"out_{n}" for n in out_names]
-            temp_lines, out_lines = _print_expressions(out_rows, exprs, printer)
-            lines.extend(temp_lines)
-            lines.extend(out_lines)
-            ret = ", ".join(f"out_{n}" for n in out_names)
-            lines.append(f"    return {ret}")
+            ret = ", ".join(out_rows)
+        printer = NumPyPrinter()
+        assignments, outputs = self._cse(kind, axis)
+        lines += [f"    {s} = {printer.doprint(e)}" for s, e in assignments]
+        lines += [
+            f"    {row}[...] = {printer.doprint(e)}"
+            for row, e in zip(out_rows, outputs)
+        ]
+        lines.append(f"    return {ret}")
         return "\n".join(lines) + "\n"
 
-    def default_kinds_axes(self) -> list[tuple[str, int]]:
-        """Every (kind, axis) pair a solver for this ndim needs."""
-        kinds_axes = [("prim_to_con", 0)]
-        for ax in range(self.ndim):
-            kinds_axes.append(("flux", ax))
-            kinds_axes.append(("char_speeds", ax))
-        return kinds_axes
+    def default_kinds_axes(self, target: str = "numpy") -> list[tuple[str, int]]:
+        """Every (kind, axis) pair a solver on *target* evaluates.
+
+        ``flat``/``cext`` Riemann solvers take both sides' (U, F, lambda)
+        from ``face_side``; ``flux`` alone is only reached by the ``numpy``
+        target, whose ``face_side`` is the three separate calls.
+        """
+        per_axis = ("flux", "char_speeds") if target == "numpy" else (
+            "char_speeds", "face_side")
+        return [("prim_to_con", 0)] + [
+            (kind, ax) for ax in range(self.ndim) for kind in per_axis
+        ]
 
     def generate_module(self, kinds_axes=None, target: str = "numpy") -> str:
         """Source for a whole kernel module (all kinds, all axes)."""
-        if kinds_axes is None:
-            kinds_axes = self.default_kinds_axes()
         if target == "cext":
             return self.generate_c_module(kinds_axes)
+        if kinds_axes is None:
+            kinds_axes = self.default_kinds_axes(target)
         header = (
             '"""Auto-generated SRHD kernels — do not edit.\n\n'
             f"ndim={self.ndim}, target={target}. Generated by "
@@ -376,6 +438,20 @@ class KernelGenerator:
         return header + "\n".join(bodies)
 
     # -- C target ------------------------------------------------------------
+
+    def _c_body(self, kind: str, axis: int, out_refs: list[str], indent: str):
+        """The CSE'd C statements of one kernel: temporaries, then stores."""
+        printer = _CPrinter()
+        assignments, outputs = self._cse(kind, axis)
+        lines = [
+            f"{indent}const double {s} = {printer.doprint(e)};"
+            for s, e in assignments
+        ]
+        lines += [
+            f"{indent}{ref} = {printer.doprint(e)};"
+            for ref, e in zip(out_refs, outputs)
+        ]
+        return lines
 
     def c_signature(self, kind: str, axis: int = 0) -> str:
         """The C declaration of one generated kernel (cffi ``cdef`` form)."""
@@ -390,10 +466,6 @@ class KernelGenerator:
     def generate_c(self, kind: str, axis: int = 0) -> str:
         """C source of one kernel: a per-cell loop over SoA pointers."""
         sym = self.symbols
-        exprs = sym.expressions(kind, axis)
-        out_names = sym.output_names(kind, axis)
-        printer = C99CodePrinter()
-        replacements, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("t_"))
         lines = [
             self.c_signature(kind, axis),
             "{",
@@ -401,10 +473,8 @@ class KernelGenerator:
         ]
         for var in sym.input_names():
             lines.append(f"        const double {var} = in_{var}[i];")
-        for tmp, expr in replacements:
-            lines.append(f"        const double {tmp} = {printer.doprint(expr)};")
-        for out, expr in zip(out_names, reduced):
-            lines.append(f"        out_{out}[i] = {printer.doprint(expr)};")
+        outs = [f"out_{o}[i]" for o in sym.output_names(kind, axis)]
+        lines += self._c_body(kind, axis, outs, " " * 8)
         lines += ["    }", "}"]
         return "\n".join(lines) + "\n"
 
@@ -422,75 +492,68 @@ class KernelGenerator:
         """C source of the fused con2prim Newton kernel (template)."""
         return _CON2PRIM_C % {"name": CON2PRIM_KERNEL}
 
+    def _c_header(self, what: str) -> str:
+        return (
+            f"/* Auto-generated SRHD {what} -- do not edit.\n"
+            f" * ndim={self.ndim}, target=cext. "
+            "Generated by repro.codegen.KernelGenerator. */\n"
+            + _PROLOGUE_C
+        )
+
     def generate_c_module(self, kinds_axes=None) -> str:
         """Complete C source of the compiled-kernel module for this ndim."""
         if kinds_axes is None:
-            kinds_axes = self.default_kinds_axes()
-        header = (
-            "/* Auto-generated SRHD kernels -- do not edit.\n"
-            f" * ndim={self.ndim}, target=cext. "
-            "Generated by repro.codegen.KernelGenerator. */\n"
-            "#include <math.h>\n"
-        )
+            kinds_axes = self.default_kinds_axes("cext")
         bodies = [self.generate_c(kind, axis) for kind, axis in kinds_axes]
         bodies.append(self.generate_c_con2prim())
-        return header + "\n" + "\n".join(bodies)
+        return self._c_header("kernels") + "\n" + "\n".join(bodies)
 
     def c_declarations(self, kinds_axes=None) -> str:
         """cffi ``cdef`` declarations matching :meth:`generate_c_module`."""
         if kinds_axes is None:
-            kinds_axes = self.default_kinds_axes()
+            kinds_axes = self.default_kinds_axes("cext")
         decls = [self.c_signature(kind, axis) + ";" for kind, axis in kinds_axes]
         decls.append(self.con2prim_c_signature() + ";")
         return "\n".join(decls) + "\n"
 
     # -- fused stencil kernels (C target only) -------------------------------
     #
-    # The stencil module compiles the whole face-flux stage — slope-limited
-    # reconstruction, face-state sanitization, primitive->conserved
-    # conversion, the physical fluxes and characteristic speeds, and the
-    # LLF/HLL/HLLC combine — into one per-axis sweep.  The algebraic pieces
-    # reuse the same CSE'd SymPy expressions as the pointwise kernels (as
-    # per-face scalar helpers); the handwritten pieces mirror the vectorized
-    # Python implementations operation by operation, so with
-    # ``-ffp-contract=off`` the fused sweep is bit-identical to the
-    # interpreted pipeline.
+    # The stencil module compiles the whole face-flux stage — reconstruction,
+    # face-state sanitization, the joint per-side (U, F, lambda) evaluation
+    # and the LLF/HLL/HLLC combine — into one per-axis sweep.  The per-side
+    # algebra is the same CSE'd ``face_side`` list the pointwise kernels
+    # print; the handwritten pieces mirror the vectorized Python
+    # implementations operation by operation, so with ``-ffp-contract=off``
+    # the fused sweep is bit-identical to the interpreted pipeline.  Every
+    # helper is ``static inline``: the per-face loop makes no calls.
 
     @property
     def nvars(self) -> int:
         return self.ndim + 2
 
-    def cell_kernel_name(self, kind: str, axis: int = 0) -> str:
-        suffix = f"_ax{axis}" if kind in ("flux", "char_speeds") else ""
-        short = {"prim_to_con": "p2c", "flux": "flux", "char_speeds": "char"}[kind]
-        return f"cell_{short}{suffix}_{self.ndim}d"
+    def cell_side_name(self, axis: int) -> str:
+        return f"cell_side_ax{axis}_{self.ndim}d"
 
     def stencil_kernel_name(self, axis: int) -> str:
         return f"face_flux_ax{axis}_{self.ndim}d_cext"
 
-    def generate_c_cell(self, kind: str, axis: int = 0) -> str:
-        """One CSE'd kernel as a per-face scalar helper: ``q[] -> u[]``.
+    def generate_c_cell_side(self, axis: int) -> str:
+        """``face_side`` as a per-face scalar helper: ``q[] -> o[]`` holding
+        ``U``, ``F`` and ``lambda_-+`` back to back.
 
-        Same expressions and same CSE as :meth:`generate_c`, just evaluated
-        for a single state vector instead of a loop over SoA rows — the
-        per-element arithmetic is identical, which is what keeps the fused
-        sweep bitwise-equal to the pointwise kernels.
+        Same expressions and same CSE as :meth:`generate_c`, evaluated for
+        a single state vector instead of a loop over SoA rows — which is
+        what keeps the fused sweep bitwise-equal to the pointwise kernel.
         """
-        sym = self.symbols
-        exprs = sym.expressions(kind, axis)
-        printer = C99CodePrinter()
-        replacements, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("t_"))
         lines = [
-            f"static void {self.cell_kernel_name(kind, axis)}"
-            "(const double* q, double* u, double gamma)",
+            f"REPRO_INLINE void {self.cell_side_name(axis)}"
+            "(const double* q, double* o, double gamma)",
             "{",
         ]
-        for i, var in enumerate(sym.input_names()):
+        for i, var in enumerate(self.symbols.input_names()):
             lines.append(f"    const double {var} = q[{i}];")
-        for tmp, expr in replacements:
-            lines.append(f"    const double {tmp} = {printer.doprint(expr)};")
-        for i, expr in enumerate(reduced):
-            lines.append(f"    u[{i}] = {printer.doprint(expr)};")
+        outs = [f"o[{i}]" for i in range(2 * self.nvars + 2)]
+        lines += self._c_body("face_side", axis, outs, "    ")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -504,8 +567,8 @@ class KernelGenerator:
         """
         nv = self.nvars
         lines = [
-            f"static void sanitize_face_{self.ndim}d(double* q, double vmax2,",
-            "    double rho_atmo, double p_atmo, long* counts)",
+            f"REPRO_INLINE void sanitize_face_{self.ndim}d(double* q,",
+            "    double vmax2, double rho_atmo, double p_atmo, long* counts)",
             "{",
             "    double v2 = 0.0;",
         ]
@@ -520,8 +583,8 @@ class KernelGenerator:
             "    }",
             "    if (q[0] < rho_atmo) counts[1] += 1;",
             f"    if (q[{nv - 1}] < p_atmo) counts[1] += 1;",
-            "    q[0] = fmax(q[0], rho_atmo);",
-            f"    q[{nv - 1}] = fmax(q[{nv - 1}], p_atmo);",
+            "    q[0] = rmax(q[0], rho_atmo);",
+            f"    q[{nv - 1}] = rmax(q[{nv - 1}], p_atmo);",
             "}",
         ]
         return "\n".join(lines) + "\n"
@@ -536,21 +599,21 @@ class KernelGenerator:
         """
         nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
         llf = f"""\
-static void combine_llf_{nd}d(double sL, double sR, const double* uL,
+REPRO_INLINE void combine_llf_{nd}d(double sL, double sR, const double* uL,
     const double* uR, const double* FLv, const double* FRv, double* Ff)
 {{
-    double smax = fmax(fabs(sL), fabs(sR));
+    double smax = rmax(fabs(sL), fabs(sR));
     smax *= 0.5;
     for (int v = 0; v < {nv}; ++v)
         Ff[v] = (FLv[v] + FRv[v]) * 0.5 - (uR[v] - uL[v]) * smax;
 }}
 """
         hll = f"""\
-static void combine_hll_{nd}d(double sL, double sR, const double* uL,
+REPRO_INLINE void combine_hll_{nd}d(double sL, double sR, const double* uL,
     const double* uR, const double* FLv, const double* FRv, double* Ff)
 {{
-    const double sLc = fmin(sL, 0.0);
-    const double sRc = fmax(sR, 0.0);
+    const double sLc = rmin(sL, 0.0);
+    const double sRc = rmax(sR, 0.0);
     const double denom = sRc - sLc;
     const int ok = denom > 1e-300;
     const double safe = ok ? denom : 1.0;
@@ -564,7 +627,7 @@ static void combine_hll_{nd}d(double sL, double sR, const double* uL,
 }}
 """
         side = f"""\
-static void hllc_side_{nd}d(int Sx, double s, double lam_star, double p_star,
+REPRO_INLINE void hllc_side_{nd}d(int Sx, double s, double lam_star, double p_star,
     double E, double FE, const double* qp, const double* u,
     const double* FF, double* Fs)
 {{
@@ -599,13 +662,13 @@ static void hllc_side_{nd}d(int Sx, double s, double lam_star, double p_star,
 }}
 """
         hllc = f"""\
-static void combine_hllc_{nd}d(int Sx, double sL, double sR,
+REPRO_INLINE void combine_hllc_{nd}d(int Sx, double sL, double sR,
     const double* qLp, const double* qRp,
     const double* uL, const double* uR,
     const double* FLv, const double* FRv, double* Ff)
 {{
-    const double sLc = fmin(sL, -1e-12);
-    const double sRc = fmax(sR, 1e-12);
+    const double sLc = rmin(sL, -1e-12);
+    const double sRc = rmax(sR, 1e-12);
     const double dS = sRc - sLc;
     const double EL = uL[{tau}] + uL[0];
     const double ER = uR[{tau}] + uR[0];
@@ -628,23 +691,22 @@ static void combine_hllc_{nd}d(int Sx, double sL, double sR,
     /* contact speed: Citardauq root of FE lam^2 - (E + FS) lam + S = 0 */
     const double qb = -(E_hll + FS_hll);
     double disc = qb * qb - (FE_hll * 4.0) * S_hll;
-    disc = fmax(disc, 0.0);
+    disc = rmax(disc, 0.0);
     disc = sqrt(disc);
     const double den = -qb + disc;
     const int ok = fabs(den) > 1e-12;
     double lam_star = (S_hll * 2.0) / (ok ? den : 1.0);
     if (!ok) lam_star = 0.0;
-    lam_star = fmin(fmax(lam_star, sLc), sRc);
+    lam_star = rclip(lam_star, sLc, sRc);
     double p_star = -FE_hll;
     p_star *= lam_star;
     p_star += FS_hll;
-    double fluxL[{nv}];
-    double fluxR[{nv}];
-    hllc_side_{nd}d(Sx, sLc, lam_star, p_star, EL, FEL, qLp, uL, FLv, fluxL);
-    hllc_side_{nd}d(Sx, sRc, lam_star, p_star, ER, FER, qRp, uR, FRv, fluxR);
-    const int left = lam_star >= 0.0;
-    for (int v = 0; v < {nv}; ++v)
-        Ff[v] = left ? fluxL[v] : fluxR[v];
+    /* The two star fluxes are independent, so evaluating only the sector
+     * that holds the interface equals compute-both-then-select bitwise. */
+    if (lam_star >= 0.0)
+        hllc_side_{nd}d(Sx, sLc, lam_star, p_star, EL, FEL, qLp, uL, FLv, Ff);
+    else
+        hllc_side_{nd}d(Sx, sRc, lam_star, p_star, ER, FER, qRp, uR, FRv, Ff);
     if (sL >= 0.0)
         for (int v = 0; v < {nv}; ++v) Ff[v] = FLv[v];
     if (sR <= 0.0)
@@ -668,70 +730,27 @@ static void combine_hllc_{nd}d(int Sx, double sL, double sR,
 
         Walks cache-resident rows (``row_offsets`` enumerates the ghosted
         transverse extent in C order, ``axis_stride`` steps along the
-        working axis) and, per face, reconstructs the left/right states,
-        sanitizes them, and evaluates the selected Riemann flux — no
-        interface-sized temporaries anywhere.  ``F`` is (nvars, n_rows,
-        n_faces) C-contiguous.
-
-        Two schedules, chosen once per sweep from ``recon_id``: pc/tvd
-        reconstruct per face straight from the 2- or 4-cell stencil; the
-        wide stencils (ppm/weno5/wenoz) run per row tile — gather one
-        variable's cells, fill that tile's qL/qR from the row fillers of
-        ``_STENCIL_WIDE_C``, then the same per-face tail out of the tile
-        scratch.  The entry point only dispatches; ``_narrow`` is kept out
-        of line so the pc/tvd loop compiles to the same instructions
-        whatever the wide schedule next to it looks like.
+        working axis) in tiles of :data:`STENCIL_TILE` faces.  Per tile and
+        variable it gathers the cells the stencil reaches
+        (:data:`STENCIL_REACH`) and lets the selected row filler of
+        ``_STENCIL_ROWS_C`` write that tile's left/right states; then, per
+        face, it sanitizes both states, evaluates ``face_side`` once per
+        side and combines — no interface-sized temporaries anywhere (the
+        tile scratch is stack).  ``F`` is (nvars, n_rows, n_faces)
+        C-contiguous.  One schedule serves all five reconstruction ids.
         """
-        nd, nv = self.ndim, self.nvars
-        name = self.stencil_kernel_name(axis)
-        p2c = self.cell_kernel_name("prim_to_con")
-        cflux = self.cell_kernel_name("flux", axis)
-        cchar = self.cell_kernel_name("char_speeds", axis)
-        args = """\
-const double* prim,
-    long var_stride, long axis_stride, const long* row_offsets,
-    long n_rows, long j0, long n_faces, double* F, double gamma,
-    double vmax2, double rho_atmo, double p_atmo, int recon_id,
-    int limiter_id, int riemann_id, long* counts"""
-        passed = """\
-prim, var_stride, axis_stride, row_offsets,
-            n_rows, j0, n_faces, F, gamma, vmax2, rho_atmo, p_atmo,
-            recon_id, limiter_id, riemann_id, counts"""
-        # qL/qR -> flux of face k, shared verbatim by both schedules
-        tail = f"""\
-            sanitize_face_{nd}d(qL, vmax2, rho_atmo, p_atmo, counts);
-            sanitize_face_{nd}d(qR, vmax2, rho_atmo, p_atmo, counts);
-            double uL[{nv}];
-            double uR[{nv}];
-            double FLv[{nv}];
-            double FRv[{nv}];
-            double lamL[2];
-            double lamR[2];
-            {p2c}(qL, uL, gamma);
-            {p2c}(qR, uR, gamma);
-            {cflux}(qL, FLv, gamma);
-            {cflux}(qR, FRv, gamma);
-            {cchar}(qL, lamL, gamma);
-            {cchar}(qR, lamR, gamma);
-            const double sL = fmin(lamL[0], lamR[0]);
-            const double sR = fmax(lamL[1], lamR[1]);
-            double Ff[{nv}];
-            if (riemann_id == 0)
-                combine_llf_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
-            else if (riemann_id == 1)
-                combine_hll_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
-            else
-                combine_hllc_{nd}d({1 + axis}, sL, sR, qL, qR, uL, uR,
-                                   FLv, FRv, Ff);
-            for (int v = 0; v < {nv}; ++v)
-                Frow[(long) v * fstride + k] = Ff[v];"""
-        wide_tail = textwrap.indent(tail, "    ")  # one loop level deeper
-        T = STENCIL_TILE
+        nd, nv, T = self.ndim, self.nvars, STENCIL_TILE
+        side = self.cell_side_name(axis)
+        lefts = ", ".join(str(STENCIL_REACH[i][0]) for i in sorted(STENCIL_REACH))
         return f"""\
-static void {name}_wide({args})
+{self.stencil_c_signature(axis)}
 {{
+    static const long reach_left[] = {{{lefts}}};
+    const long left = reach_left[recon_id];
+    const long right = left + 1;
     const long fstride = n_rows * n_faces;
     double cells[{T} + 5];
+    double* c = cells + 2;
     double h[{T} + 3];
     double e[{T} + 2];
     double qLs[{nv}][{T}];
@@ -743,91 +762,63 @@ static void {name}_wide({args})
             const long m = (n_faces - k0 < {T}) ? n_faces - k0 : {T};
             for (int v = 0; v < {nv}; ++v) {{
                 const double* cv = row + (long) v * var_stride
-                    + (j0 + k0 - 2) * axis_stride;
-                for (long i = 0; i < m + 5; ++i)
-                    cells[i] = cv[i * axis_stride];
-                if (recon_id == 2)
-                    ppm_row(cells + 2, m, h, e, qLs[v], qRs[v]);
-                else if (recon_id == 3)
-                    weno5_row(cells + 2, m, qLs[v], qRs[v]);
-                else
-                    wenoz_row(cells + 2, m, qLs[v], qRs[v]);
+                    + (j0 + k0) * axis_stride;
+                for (long i = -left; i < m + right; ++i)
+                    c[i] = cv[i * axis_stride];
+                switch (recon_id) {{
+                case 0: pc_row(c, m, qLs[v], qRs[v]); break;
+                case 1: tvd_row(c, m, limiter_id, h, qLs[v], qRs[v]); break;
+                case 2: ppm_row(c, m, h, e, qLs[v], qRs[v]); break;
+                case 3: weno5_row(c, m, qLs[v], qRs[v]); break;
+                default: wenoz_row(c, m, qLs[v], qRs[v]);
+                }}
             }}
             for (long i = 0; i < m; ++i) {{
-                const long k = k0 + i;
                 double qL[{nv}];
                 double qR[{nv}];
                 for (int v = 0; v < {nv}; ++v) {{
                     qL[v] = qLs[v][i];
                     qR[v] = qRs[v][i];
                 }}
-{wide_tail}
+                sanitize_face_{nd}d(qL, vmax2, rho_atmo, p_atmo, counts);
+                sanitize_face_{nd}d(qR, vmax2, rho_atmo, p_atmo, counts);
+                double sdL[{2 * nv + 2}];
+                double sdR[{2 * nv + 2}];
+                {side}(qL, sdL, gamma);
+                {side}(qR, sdR, gamma);
+                const double* uL = sdL;
+                const double* uR = sdR;
+                const double* FLv = sdL + {nv};
+                const double* FRv = sdR + {nv};
+                const double sL = rmin(sdL[{2 * nv}], sdR[{2 * nv}]);
+                const double sR = rmax(sdL[{2 * nv + 1}], sdR[{2 * nv + 1}]);
+                double Ff[{nv}];
+                if (riemann_id == 0)
+                    combine_llf_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
+                else if (riemann_id == 1)
+                    combine_hll_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
+                else
+                    combine_hllc_{nd}d({1 + axis}, sL, sR, qL, qR, uL, uR,
+                                       FLv, FRv, Ff);
+                for (int v = 0; v < {nv}; ++v)
+                    Frow[(long) v * fstride + k0 + i] = Ff[v];
             }}
         }}
     }}
-}}
-
-static REPRO_NOINLINE void {name}_narrow({args})
-{{
-    const long fstride = n_rows * n_faces;
-    for (long r = 0; r < n_rows; ++r) {{
-        const double* row = prim + row_offsets[r];
-        double* Frow = F + r * n_faces;
-        for (long k = 0; k < n_faces; ++k) {{
-            const double* cell = row + (j0 + k) * axis_stride;
-            double qL[{nv}];
-            double qR[{nv}];
-            if (recon_id == 0) {{
-                /* piecewise constant: faces copy the adjacent cells */
-                for (int v = 0; v < {nv}; ++v) {{
-                    const double* cv = cell + (long) v * var_stride;
-                    qL[v] = cv[0];
-                    qR[v] = cv[axis_stride];
-                }}
-            }} else {{
-                /* TVD: limited slopes from the 4-cell stencil */
-                for (int v = 0; v < {nv}; ++v) {{
-                    const double* cv = cell + (long) v * var_stride;
-                    const double c0 = cv[0];
-                    const double c1 = cv[axis_stride];
-                    const double dm = c0 - cv[-axis_stride];
-                    const double d0 = c1 - c0;
-                    const double dp = cv[2 * axis_stride] - c1;
-                    qL[v] = c0 + limited_slope(limiter_id, dm, d0) * 0.5;
-                    qR[v] = c1 - limited_slope(limiter_id, d0, dp) * 0.5;
-                }}
-            }}
-{tail}
-        }}
-    }}
-}}
-
-void {name}({args})
-{{
-    if (recon_id >= 2)
-        {name}_wide({passed});
-    else
-        {name}_narrow({passed});
 }}
 """
 
     def generate_c_stencil_module(self) -> str:
         """Complete C source of the fused stencil module for this ndim."""
-        header = (
-            "/* Auto-generated SRHD fused stencil kernels -- do not edit.\n"
-            f" * ndim={self.ndim}, target=cext. "
-            "Generated by repro.codegen.KernelGenerator. */\n"
-            "#include <math.h>\n"
-        )
-        parts = [header, _STENCIL_COMMON_C, _STENCIL_WIDE_C]
-        parts.append(self.generate_c_sanitize())
-        parts.append(self.generate_c_cell("prim_to_con"))
-        for ax in range(self.ndim):
-            parts.append(self.generate_c_cell("flux", ax))
-            parts.append(self.generate_c_cell("char_speeds", ax))
-        parts.append(self.generate_c_combines())
-        for ax in range(self.ndim):
-            parts.append(self.generate_c_face_flux(ax))
+        parts = [
+            self._c_header("fused stencil kernels"),
+            _STENCIL_COMMON_C,
+            _STENCIL_ROWS_C,
+            self.generate_c_sanitize(),
+            *(self.generate_c_cell_side(ax) for ax in range(self.ndim)),
+            self.generate_c_combines(),
+            *(self.generate_c_face_flux(ax) for ax in range(self.ndim)),
+        ]
         return "\n".join(parts)
 
     def c_stencil_declarations(self) -> str:

@@ -16,6 +16,11 @@ import sympy as sp
 from ..utils.errors import CodegenError
 
 
+#: Stage names of ``face_side``, in evaluation order: 1 - v^2, its
+#: reciprocal W^2, W, p/rho, h, cs^2, rho h W^2.
+_SIDE_STAGES = ("omv2", "W2", "W", "pr", "h", "cs2", "rhW2")
+
+
 class SRHDSymbols:
     """Symbol table and derived expressions for ndim-velocity SRHD."""
 
@@ -27,6 +32,10 @@ class SRHDSymbols:
         self.p = sp.Symbol("p", positive=True)
         self.gamma = sp.Symbol("gamma", positive=True)
         self.v = [sp.Symbol(f"v{i}", real=True) for i in range(ndim)]
+        # Named intermediates of the joint ``face_side`` kernel.  They carry
+        # no assumptions on purpose: a positive symbol under ``sp.sqrt``
+        # would be split off as its own factor (one sqrt per factor).
+        self._st = {n: sp.Symbol(n) for n in _SIDE_STAGES}
 
     # -- thermodynamics (ideal gas) -----------------------------------------
 
@@ -90,6 +99,53 @@ class SRHDSymbols:
         lam_p = (vk * (1 - cs2) + root) / denom
         return lam_m, lam_p
 
+    # -- joint per-side kernel ------------------------------------------------
+
+    def stages(self, kind: str, axis: int = 0) -> list[tuple[sp.Symbol, sp.Expr]]:
+        """Named shared intermediates ``(symbol, definition)`` of a kind.
+
+        Only ``face_side`` has any.  Emitters run **one** ``sp.cse`` over
+        these definitions plus :meth:`expressions`, so each stage is
+        evaluated once per state and — being an opaque symbol downstream —
+        is never re-derived or factored apart by SymPy.
+        """
+        if kind != "face_side":
+            return []
+        st, rho, p, gamma = self._st, self.rho, self.p, self.gamma
+        return [
+            (st["omv2"], 1 - self.v2),
+            (st["W2"], 1 / st["omv2"]),
+            (st["W"], sp.sqrt(st["W2"])),
+            (st["pr"], p / rho),
+            (st["h"], 1 + st["pr"] / (gamma - 1) + st["pr"]),
+            (st["cs2"], gamma * st["pr"] / st["h"]),
+            (st["rhW2"], rho * st["h"] * st["W2"]),
+        ]
+
+    def face_side(self, axis: int) -> list[sp.Expr]:
+        """``[U..., F^axis..., lambda_-, lambda_+]`` of one primitive state,
+        written over the :meth:`stages` symbols.
+
+        Everything a Riemann solver needs from one side of a face, from 2
+        ``sqrt`` and 5 divisions: ``W`` comes from the reciprocal that also
+        scales ``rho h``, and the characteristic root is one square root of
+        ``cs^2 (1 - v^2) [1 - v_k^2 - (v^2 - v_k^2) cs^2]``.  This list is
+        the one place the ``flat``/``cext`` per-side arithmetic is defined.
+        """
+        if not 0 <= axis < self.ndim:
+            raise CodegenError(f"axis {axis} out of range for ndim={self.ndim}")
+        st, p, vk, v2 = self._st, self.p, self.v[axis], self.v2
+        D = self.rho * st["W"]
+        S = [st["rhW2"] * vi for vi in self.v]
+        F = [D * vk]
+        F += [Si * vk + (p if i == axis else 0) for i, Si in enumerate(S)]
+        F.append(S[axis] - D * vk)
+        cs2 = st["cs2"]
+        root = sp.sqrt(cs2 * st["omv2"] * (1 - vk**2 - (v2 - vk**2) * cs2))
+        a = vk * (1 - cs2)
+        denom = 1 - v2 * cs2
+        return [D, *S, st["rhW2"] - p - D, *F, (a - root) / denom, (a + root) / denom]
+
     def input_names(self) -> list[str]:
         """Primitive variable names in state-vector order."""
         return ["rho", *[f"v{i}" for i in range(self.ndim)], "p"]
@@ -103,6 +159,9 @@ class SRHDSymbols:
             return [f"F{axis}_{name}" for name in cons]
         if kind == "char_speeds":
             return ["lam_minus", "lam_plus"]
+        if kind == "face_side":
+            flux = [f"F{axis}_{name}" for name in cons]
+            return [*cons, *flux, "lam_minus", "lam_plus"]
         raise CodegenError(f"unknown kernel kind {kind!r}")
 
     def expressions(self, kind: str, axis: int = 0) -> list[sp.Expr]:
@@ -113,4 +172,6 @@ class SRHDSymbols:
             return self.flux(axis)
         if kind == "char_speeds":
             return list(self.char_speeds(axis))
+        if kind == "face_side":
+            return self.face_side(axis)
         raise CodegenError(f"unknown kernel kind {kind!r}")

@@ -6,6 +6,9 @@
 the generated code runs in the *production solver path*, not just in
 micro-benchmarks.  It serves both interpreted targets: ``numpy`` (stacked
 arrays) and ``flat`` (SoA marshalling, the accelerator rehearsal path).
+On ``flat`` and ``cext`` the Riemann solvers' per-side work is the one
+joint ``face_side`` kernel; ``flux`` on its own stays the handwritten
+reference there (nothing in the solver path calls it).
 
 :class:`CompiledSRHDSystem` is the same idea one step further: the
 kernels are the cffi-compiled C module of :mod:`repro.codegen.cext`,
@@ -71,6 +74,14 @@ def stencil_scheme_ids(reconstruction, riemann) -> tuple[int, int, int] | None:
     return None
 
 
+def _side_rows(prim: np.ndarray, scratch, tag):
+    """Output buffer of one ``face_side`` evaluation: its ``2 nvars + 2``
+    contiguous rows, and the same memory as ``(cons, F, (lam-, lam+))``."""
+    nv = prim.shape[0]
+    side = scratch_buf(scratch, (tag, "side"), (2 * nv + 2,) + prim.shape[1:])
+    return list(side), (side[:nv], side[nv : 2 * nv], (side[-2], side[-1]))
+
+
 class GeneratedSRHDSystem(SRHDSystem):
     """SRHD system whose algebraic kernels are generated from SymPy.
 
@@ -89,9 +100,13 @@ class GeneratedSRHDSystem(SRHDSystem):
         super().__init__(IdealGasEOS(gamma=gamma), ndim)
         self.gamma = float(gamma)
         self.target = target
+        # The kernel behind each side of a face: ``numpy`` keeps the three
+        # separate calls (its ``face_side`` is the reference composition),
+        # ``flat`` evaluates the joint kernel and never calls ``flux`` alone.
+        per_axis = "flux" if target == "numpy" else "face_side"
         self._k_prim_to_con = load_kernel("prim_to_con", ndim, 0, target)
-        self._k_flux = [
-            load_kernel("flux", ndim, axis, target) for axis in range(ndim)
+        self._k_axis = [
+            load_kernel(per_axis, ndim, axis, target) for axis in range(ndim)
         ]
         self._k_char = [
             load_kernel("char_speeds", ndim, axis, target) for axis in range(ndim)
@@ -110,16 +125,24 @@ class GeneratedSRHDSystem(SRHDSystem):
         return out
 
     def flux(self, prim: np.ndarray, cons: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
+        if self.target != "numpy":
+            return super().flux(prim, cons, axis, out=out)
         # The generated flux consumes primitives only; *cons* is accepted
         # for interface compatibility.
+        dst = np.empty_like(prim) if out is None else out
+        return self._k_axis[axis](prim, dst, self.gamma)
+
+    def face_side(self, prim: np.ndarray, axis: int = 0, scratch=None, tag="side"):
         if self.target == "numpy":
-            dst = np.empty_like(prim) if out is None else out
-            return self._k_flux[axis](prim, dst, self.gamma)
-        got = run_flat_kernel(self._k_flux[axis], prim, self.nvars, self.gamma)
-        if out is None:
-            return got
-        np.copyto(out, got)
-        return out
+            return super().face_side(prim, axis, scratch=scratch, tag=tag)
+        # Keep the reference implementation's admissibility guard.
+        self.lorentz_factor(prim)
+        rows, split = _side_rows(prim, scratch, tag)
+        self._k_axis[axis](
+            *(q.reshape(-1) for q in prim), *(r.reshape(-1) for r in rows),
+            self.gamma,
+        )
+        return split
 
     def char_speeds(self, prim: np.ndarray, axis: int = 0, out=None, scratch=None, tag="cs"):
         if self.target == "numpy":
@@ -160,8 +183,8 @@ class CompiledSRHDSystem(SRHDSystem):
         self._c_prim_to_con = getattr(
             self._lib, gen.kernel_name("prim_to_con", 0, "cext")
         )
-        self._c_flux = [
-            getattr(self._lib, gen.kernel_name("flux", ax, "cext"))
+        self._c_side = [
+            getattr(self._lib, gen.kernel_name("face_side", ax, "cext"))
             for ax in range(ndim)
         ]
         self._c_char = [
@@ -223,14 +246,17 @@ class CompiledSRHDSystem(SRHDSystem):
         )
         return dst
 
-    def flux(self, prim: np.ndarray, cons: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
-        dst = np.empty_like(prim) if out is None else out
-        self._run(
-            self._c_flux[axis],
-            [prim[i] for i in range(self.nvars)],
-            [dst[i] for i in range(self.nvars)],
-        )
-        return dst
+    #: The handwritten reference — the compiled module carries no ``flux``
+    #: of its own, ``face_side`` evaluates it.  Re-bound here because
+    #: ``bench/trace.py`` patches ``CompiledSRHDSystem.__dict__["flux"]``.
+    flux = SRHDSystem.flux
+
+    def face_side(self, prim: np.ndarray, axis: int = 0, scratch=None, tag="side"):
+        # Keep the reference implementation's admissibility guard.
+        self.lorentz_factor(prim)
+        rows, split = _side_rows(prim, scratch, tag)
+        self._run(self._c_side[axis], list(prim), rows)
+        return split
 
     def char_speeds(self, prim: np.ndarray, axis: int = 0, out=None, scratch=None, tag="cs"):
         lam = scratch_buf(scratch, (tag, "lam2"), (2,) + prim.shape[1:])

@@ -237,6 +237,31 @@ class SRHDSystem:
         np.divide(lam_plus, t2, out=lam_plus)
         return lam_minus, lam_plus
 
+    def face_side(self, prim: np.ndarray, axis: int = 0, scratch=None, tag="side"):
+        """``(cons, F, (lam_minus, lam_plus))`` of one side's face states —
+        everything a Riemann solver takes from them.
+
+        The reference evaluates the three handwritten kernels in turn;
+        generated targets override this with one joint kernel that shares
+        ``W``, ``h`` and ``cs^2`` between the three.  The arrays are
+        scratch-owned (keyed by *tag*) and may be clobbered by the caller.
+        """
+        shape, cell = prim.shape, prim.shape[1:]
+        cons = self.prim_to_con(
+            prim, out=scratch_buf(scratch, (tag, "cons"), shape),
+            scratch=scratch, tag=(tag, "p2c"),
+        )
+        F = self.flux(prim, cons, axis, out=scratch_buf(scratch, (tag, "F"), shape))
+        lam = self.char_speeds(
+            prim, axis,
+            out=(
+                scratch_buf(scratch, (tag, "lam_m"), cell),
+                scratch_buf(scratch, (tag, "lam_p"), cell),
+            ),
+            scratch=scratch, tag=(tag, "cs"),
+        )
+        return cons, F, lam
+
     def max_signal_speed(self, prim: np.ndarray, axis: int | None = None) -> float:
         """Largest |characteristic speed|, over one axis or all of them."""
         axes = range(self.ndim) if axis is None else [axis]

@@ -128,6 +128,9 @@ class TracerSystem:
             self._hydro(prim), axis, out=out, scratch=scratch, tag=tag
         )
 
+    #: The reference composition of the three methods above.
+    face_side = SRHDSystem.face_side
+
     def max_signal_speed(self, prim, axis=None):
         """Largest |characteristic speed| (delegated)."""
         return self.base.max_signal_speed(self._hydro(prim), axis)

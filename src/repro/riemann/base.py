@@ -8,7 +8,9 @@ characteristic speeds of both sides.
 All solvers evaluate through a single in-place code path: ``flux`` accepts
 an optional output buffer and a :class:`~repro.core.workspace.ScratchWorkspace`
 supplying every intermediate (conserved states, physical fluxes, wave
-speeds, combine temporaries). Without a workspace each intermediate is a
+speeds, combine temporaries).  The per-side quantities come from one
+``system.face_side`` call per side, which generated targets evaluate as a
+single joint kernel. Without a workspace each intermediate is a
 fresh allocation — the original behaviour — and the two paths are
 bit-identical because they share the same operations in the same order.
 """
@@ -19,7 +21,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..core.workspace import scratch_buf
 from ..physics.srhd import SRHDSystem
 
 
@@ -49,21 +50,9 @@ class RiemannSolver(ABC):
             solver's name and *axis*.
         """
         k = (self.name, axis)
-        consL = system.prim_to_con(
-            primL, out=scratch_buf(scratch, (k, "consL"), primL.shape),
-            scratch=scratch, tag=(k, "p2cL"),
-        )
-        consR = system.prim_to_con(
-            primR, out=scratch_buf(scratch, (k, "consR"), primR.shape),
-            scratch=scratch, tag=(k, "p2cR"),
-        )
-        FL = system.flux(
-            primL, consL, axis, out=scratch_buf(scratch, (k, "FL"), primL.shape)
-        )
-        FR = system.flux(
-            primR, consR, axis, out=scratch_buf(scratch, (k, "FR"), primR.shape)
-        )
-        sL, sR = self.wave_speeds(system, primL, primR, axis, scratch=scratch, tag=k)
+        consL, FL, lamL = system.face_side(primL, axis, scratch=scratch, tag=(k, "L"))
+        consR, FR, lamR = system.face_side(primR, axis, scratch=scratch, tag=(k, "R"))
+        sL, sR = self._davis(lamL, lamR)
         if out is None:
             out = np.empty_like(primL)
         return self._combine(
@@ -72,32 +61,23 @@ class RiemannSolver(ABC):
         )
 
     @staticmethod
+    def _davis(lamL, lamR):
+        """Outermost speeds of two ``(lam_minus, lam_plus)`` pairs, written
+        over the left pair."""
+        sL = np.minimum(lamL[0], lamR[0], out=lamL[0])
+        sR = np.maximum(lamL[1], lamR[1], out=lamL[1])
+        return sL, sR
+
+    @staticmethod
     def wave_speeds(system: SRHDSystem, primL, primR, axis, scratch=None, tag="ws"):
         """Davis estimates: outermost characteristic speeds of both states.
 
         The returned arrays are owned by the caller (workspace buffers or
         fresh allocations) and may be clobbered by ``_combine``.
         """
-        cell = primL.shape[1:]
-        lamL_m, lamL_p = system.char_speeds(
-            primL, axis,
-            out=(
-                scratch_buf(scratch, (tag, "lamLm"), cell),
-                scratch_buf(scratch, (tag, "lamLp"), cell),
-            ),
-            scratch=scratch, tag=(tag, "csL"),
-        )
-        lamR_m, lamR_p = system.char_speeds(
-            primR, axis,
-            out=(
-                scratch_buf(scratch, (tag, "lamRm"), cell),
-                scratch_buf(scratch, (tag, "lamRp"), cell),
-            ),
-            scratch=scratch, tag=(tag, "csR"),
-        )
-        sL = np.minimum(lamL_m, lamR_m, out=lamL_m)
-        sR = np.maximum(lamL_p, lamR_p, out=lamL_p)
-        return sL, sR
+        lamL = system.face_side(primL, axis, scratch=scratch, tag=(tag, "L"))[2]
+        lamR = system.face_side(primR, axis, scratch=scratch, tag=(tag, "R"))[2]
+        return RiemannSolver._davis(lamL, lamR)
 
     @abstractmethod
     def _combine(

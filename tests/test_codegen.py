@@ -112,6 +112,80 @@ class TestGeneratedSource:
             KernelGenerator(1).generate("flux", target="cuda")
 
 
+class TestGeneratedCBudget:
+    """What the generated C is allowed to cost, asserted on its source."""
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_face_side_op_budget(self, ndim):
+        """One side's (U, F, lambda) from 2 sqrt and <= 6 divisions, on
+        every target — the three separate kernels spent 7 and 13."""
+        gen = KernelGenerator(ndim)
+        for axis in range(ndim):
+            sources = {
+                "cell": gen.generate_c_cell_side(axis),
+                "cext": gen.generate_c("face_side", axis),
+                "flat": gen.generate("face_side", axis, "flat").split('"""')[2],
+            }
+            for where, src in sources.items():
+                body = src[src.index("{") :] if where != "flat" else src
+                divisions = body.count("/") + body.count("**(-1.0)")
+                assert body.count("sqrt(") == 2, (where, axis, src)
+                assert divisions <= 6, (where, axis, src)
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_no_libm_minmax_pow_and_every_helper_inline(self, ndim):
+        import re
+
+        gen = KernelGenerator(ndim)
+        stencil = gen.generate_c_stencil_module()
+        for src in (gen.generate_c_module(), stencil):
+            code = re.sub(r"/\*.*?\*/", "", src, flags=re.S)
+            for token in ("fmin(", "fmax(", "pow("):
+                assert token not in code, token
+        assert "#define REPRO_INLINE static inline" in stencil
+        # Column-0 definitions: the per-axis entry points, everything else
+        # a REPRO_INLINE helper.  One sweep per axis — no schedule twins.
+        code = re.sub(r"/\*.*?\*/", "", stencil, flags=re.S)
+        defs = re.findall(r"^(?!#)(\w[^\n;{]*?)\s+\**(\w+)\(", code, flags=re.M)
+        entries = [name for head, name in defs if not head.startswith("REPRO_INLINE")]
+        assert entries == [gen.stencil_kernel_name(ax) for ax in range(ndim)]
+        assert len(defs) > len(entries) + 10
+
+    def test_inline_minmax_are_numpy_minmax(self, tmp_path, monkeypatch):
+        """rmin/rmax/rclip == np.minimum/np.maximum/np.clip on every pair of
+        finite or infinite doubles, signed zeros and ties included."""
+        from repro.codegen import cext as cext_mod
+        from repro.codegen.generator import _PROLOGUE_C
+
+        if not cext_mod.cext_available(1):
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
+        cdef = (
+            "double t_min(double, double); double t_max(double, double);"
+            "double t_clip(double, double, double);"
+        )
+        source = _PROLOGUE_C + (
+            "double t_min(double a, double b) { return rmin(a, b); }\n"
+            "double t_max(double a, double b) { return rmax(a, b); }\n"
+            "double t_clip(double x, double lo, double hi)"
+            " { return rclip(x, lo, hi); }\n"
+        )
+        _, lib = cext_mod._load_spec("_repro_test_minmax", source, cdef)
+        vals = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, np.inf, -np.inf, 2.5]
+
+        def same(x, y):
+            return x == y and np.signbit(x) == np.signbit(y)
+
+        for a in vals:
+            for b in vals:
+                assert same(lib.t_min(a, b), np.minimum(a, b)), (a, b)
+                assert same(lib.t_max(a, b), np.maximum(a, b)), (a, b)
+                for x in vals:
+                    if a <= b:
+                        assert same(lib.t_clip(x, a, b), np.clip(x, a, b)), (x, a, b)
+        cext_mod.clear_modules()
+
+
 class TestKernelCorrectness:
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_verify_all_kernels(self, ndim):
@@ -240,9 +314,10 @@ class TestCrossTargetParity:
         cases = [("prim_to_con", 0, cons, system.nvars)]
         for ax in range(ndim):
             cases.append(("flux", ax, system.flux(prim, cons, ax), system.nvars))
-            cases.append(
-                ("char_speeds", ax, np.stack(system.char_speeds(prim, ax)), 2)
-            )
+            lam = np.stack(system.char_speeds(prim, ax))
+            cases.append(("char_speeds", ax, lam, 2))
+            side = np.concatenate([cons, system.flux(prim, cons, ax), lam])
+            cases.append(("face_side", ax, side, len(side)))
         for kind, axis, ref, n_out in cases:
             k_np = load_kernel(kind, ndim, axis, "numpy")
             got_np = k_np(prim, np.empty((n_out, self.N)), gamma)
@@ -264,6 +339,69 @@ class TestCrossTargetParity:
                 assert got_c.tobytes() == got_flat.tobytes(), (
                     f"{kind}{axis}: cext differs bitwise from flat"
                 )
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_face_side_near_luminal_and_atmosphere(self, ndim):
+        """The joint kernel shares one ``1 - v^2`` between W, rho h W^2 and
+        the characteristic root, which changes its conditioning: drive it
+        to the sanitize envelope — W up to ``w_max``, rho and p down to the
+        atmosphere floors — in every direction."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.codegen import cext_available
+        from repro.core.config import SolverConfig
+
+        cfg = SolverConfig()
+        gamma = 5.0 / 3.0
+        system = SRHDSystem(IdealGasEOS(gamma=gamma), ndim=ndim)
+        have_cext = cext_available(ndim)
+        n_out = 2 * system.nvars + 2
+
+        state = st.tuples(
+            st.floats(1.0, cfg.w_max),
+            st.floats(np.log10(cfg.rho_atmo), 1.0),
+            st.floats(np.log10(cfg.p_atmo), 1.0),
+            st.lists(st.floats(-1.0, 1.0), min_size=ndim, max_size=ndim).filter(
+                lambda d: sum(x * x for x in d) > 1e-6
+            ),
+        )
+
+        @given(states=st.lists(state, min_size=1, max_size=16))
+        @settings(max_examples=40, deadline=None, database=None)
+        def check(states):
+            prim = np.empty((system.nvars, len(states)))
+            for i, (W, log_rho, log_p, direction) in enumerate(states):
+                d = np.asarray(direction)
+                speed = np.sqrt(1.0 - 1.0 / W**2)
+                prim[1 : 1 + ndim, i] = d / np.sqrt(d @ d) * speed
+                prim[system.RHO, i] = 10.0**log_rho
+                prim[system.P, i] = 10.0**log_p
+            cons = system.prim_to_con(prim)
+            for ax in range(ndim):
+                ref = np.concatenate(
+                    [cons, system.flux(prim, cons, ax),
+                     np.stack(system.char_speeds(prim, ax))]
+                )
+                k_flat = load_kernel("face_side", ndim, ax, "flat")
+                got = run_flat_kernel(k_flat, prim, n_out, gamma)
+                # rtol 1e-9, plus round-off of the state's own scale: tau and
+                # F_tau cancel from rho h W^2 (up to ~1e5) down to ~p, and in
+                # 3-D the two forms sum v^2 in different orders, which
+                # 1 - v^2 amplifies by W^2 (measured: 2e-12 of scale).
+                scale = np.abs(ref[: 2 * system.nvars]).max(axis=0)
+                atol = np.concatenate(
+                    [np.tile(1e-11 * scale, (2 * system.nvars, 1)),
+                     np.full((2, len(states)), 1e-12)]
+                )
+                assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref) + atol), ax
+                assert np.all(np.abs(got[-2:]) < 1.0), "superluminal signal speed"
+                if have_cext:
+                    k_c = load_kernel("face_side", ndim, ax, "cext")
+                    got_c = run_flat_kernel(k_c, prim, n_out, gamma)
+                    assert got_c.tobytes() == got.tobytes(), ax
+
+        check()
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_con2prim_recovery_compiled_matches_reference(self, ndim, rng):
@@ -364,6 +502,39 @@ class TestCacheInvalidation:
         )
         name3, _, _ = cext_mod.module_spec(1)
         assert name3 != name1, "toolchain change did not change the artifact key"
+        monkeypatch.undo()
+
+        # The flags shape the binary as much as the source does: ours ...
+        st1, _, _ = cext_mod.stencil_module_spec(1)
+        monkeypatch.setattr(cext_mod, "CFLAGS", cext_mod.CFLAGS + ("-O3",))
+        assert cext_mod.module_spec(1)[0] != name1
+        assert cext_mod.stencil_module_spec(1)[0] != st1
+        monkeypatch.undo()
+        # ... and the CFLAGS cffi's build inherits from the environment.
+        monkeypatch.setenv("CFLAGS", "-ffp-contract=fast")
+        assert cext_mod.module_spec(1)[0] != name1
+        assert cext_mod.stencil_module_spec(1)[0] != st1
+
+    def test_rejected_flags_fail_the_build_instead_of_dropping_them(
+        self, monkeypatch, tmp_path
+    ):
+        """A toolchain that rejects the flags has no cext target: no retry
+        without ``-ffp-contract=off`` may install an artifact under the key
+        that promises it."""
+        from repro.codegen import cext as cext_mod
+
+        if not cext_mod.cext_available(1):
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            cext_mod, "CFLAGS", cext_mod.CFLAGS + ("--no-such-compiler-flag",)
+        )
+        cext_mod.clear_modules()
+        n0 = cext_mod.build_count
+        with pytest.raises(CodegenError, match="build failed"):
+            cext_mod.load_cext_module(1, [("prim_to_con", 0)])
+        assert cext_mod.build_count == n0
+        assert [p for p in tmp_path.iterdir() if p.is_file()] == []
 
     def test_cext_spec_change_rebuilds_artifact(self, monkeypatch, tmp_path):
         from repro.codegen import cext as cext_mod
@@ -665,6 +836,45 @@ class TestFusedStencilParity:
 
         check()
 
+    @pytest.mark.parametrize("limiter", ["minmod", "mc", "vanleer", "superbee"])
+    def test_tvd_tile_seams(self, limiter):
+        """pc/tvd ride the row tile too: sweeps that end just before, on and
+        just after a tile boundary (and a single face) equal the interpreted
+        faces byte for byte, along the contiguous and the strided axis."""
+        from repro.boundary.conditions import BoundarySet
+        from repro.codegen import cext_available
+        from repro.codegen.generator import STENCIL_TILE
+        from repro.core.config import SolverConfig
+        from repro.core.pipeline import HydroPipeline
+        from repro.mesh.grid import Grid
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        assert STENCIL_TILE == 128
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        for axis, shape in ((1, (3, 260)), (0, (260, 3))):
+            grid = Grid(shape, ((0.0, 1.0), (0.0, 1.0)), n_ghost=2)
+            pipes = [
+                HydroPipeline(
+                    system, grid, BoundarySet(),
+                    SolverConfig(
+                        reconstruction=limiter, riemann="hllc", kernel_target=t
+                    ),
+                )
+                for t in ("flat", "cext")
+            ]
+            flat, cext = pipes
+            prim = self._ghosted_prim(cext, 17, True, extreme=True)
+            for n_faces in (1, 127, 128, 129, 257):
+                for lo in (0, 3):
+                    hi = lo + n_faces - 1
+                    with np.errstate(all="ignore"):
+                        ref = flat._interpreted_face_flux(prim.copy(), axis, lo, hi, None)
+                    got = cext._fused_face_flux(prim, axis, lo, hi, None)
+                    assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), (
+                        axis, n_faces, lo
+                    )
+
     def test_fused_off_matches_fused_on(self, monkeypatch):
         """The per-kernel fallback (stencil module unavailable, here via
         the deployment switch) must give the identical (bitwise) result
@@ -855,6 +1065,31 @@ class TestStencilFallback:
             == fused.flux_divergence(prim.copy()).tobytes()
         )
         assert "reconstruct" in fused.timers and "face_flux" not in fused.timers
+
+    def test_fallback_tail_is_the_compiled_face_side(self, monkeypatch, rng):
+        """Without the stencil module the Riemann stage still evaluates each
+        side through the compiled pointwise ``face_side`` — and that is the
+        flat kernel, byte for byte."""
+        from repro.codegen import cext as cext_mod
+        from repro.codegen import cext_available
+        from repro.codegen.system import CompiledSRHDSystem, GeneratedSRHDSystem
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv(cext_mod.STENCIL_DISABLE_ENV, "1")
+        compiled = CompiledSRHDSystem(ndim=2)
+        flat = GeneratedSRHDSystem(ndim=2, target="flat")
+        assert not compiled.has_fused_stencils
+        calls = []
+        for ax, fn in enumerate(compiled._c_side):
+            compiled._c_side[ax] = lambda *a, fn=fn: calls.append(1) or fn(*a)
+        prim = TestCrossTargetParity._hostile_prim(compiled, 257, rng).reshape(4, 1, 257)
+        for ax in range(2):
+            got = compiled.face_side(prim, ax)
+            ref = flat.face_side(prim, ax)
+            for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
+                assert a.tobytes() == b.tobytes()
+        assert len(calls) == 2
 
     def test_disable_env_keeps_interpreted_stencils(self, monkeypatch):
         """Full REPRO_CEXT_DISABLE: the whole target degrades to flat and
