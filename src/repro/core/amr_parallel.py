@@ -25,7 +25,6 @@ timer baselines so merged step records reproduce the serial stream.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,52 +50,21 @@ from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
 from ..utils.errors import ConfigurationError
 from .amr_distributed import DistributedAMRSolver
-from .amr_solver import AMRConfig
+from .amr_solver import AMRConfig, AMRSolver
 from .config import SolverConfig
-from .parallel import ProcessSolver, _WorkerShell
+from .parallel import ProcessSolver, _WorkerShell, serial_factory_kwargs
 
 
-def _validate_amr_plan(plan, n_ranks: int) -> None:
-    if plan is None:
-        return
-    if plan.halo or plan.devices or plan.con2prim or plan.halo_random:
+def _validate_amr_plan(fault_injector) -> None:
+    plan = getattr(fault_injector, "plan", None)
+    if plan is not None and (
+        plan.halo or plan.devices or plan.con2prim or plan.halo_random
+    ):
         raise ConfigurationError(
             "the distributed AMR driver supports only process faults "
             "(kill_rank/hang_rank); logical halo/device/con2prim faults "
             "target the Cartesian executors"
         )
-    for fault in plan.processes:
-        if fault.rank >= n_ranks:
-            raise ConfigurationError(
-                f"process fault targets rank {fault.rank} but the AMR run "
-                f"has only {n_ranks} ranks"
-            )
-
-
-@dataclass
-class _AMRWorkerSpec:
-    """Everything one AMR rank worker needs to rebuild itself (picklable)."""
-
-    rank: int
-    size: int
-    system: SRHDSystem
-    root_grid: Grid
-    config: SolverConfig
-    amr: AMRConfig
-    wall_bcs: BoundarySet
-    source_fn: object
-    #: initial :meth:`~AMRSolver.forest_state` of this rank (rank 0's also
-    #: carries the prototype's ``metrics``/``timers`` baselines)
-    state: dict
-    channels: dict  # {(src, dest): (shm_name, capacity)} touching this rank
-    comm_timeout_s: float
-    barrier_timeout_s: float
-    board_name: str
-    heartbeat_interval_s: float
-    defer_init: bool = False
-
-    def build(self, board: SupervisionBoard) -> "_AMRRankWorker":
-        return _AMRRankWorker(self, board)
 
 
 class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
@@ -111,20 +79,24 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
     :class:`~repro.core.parallel._WorkerShell`.
     """
 
-    def __init__(self, spec: _AMRWorkerSpec, board: SupervisionBoard):
+    def __init__(self, spec, board: SupervisionBoard):
+        p = spec.payload
         self.n_ranks = spec.size
         self.assignment = None
         self._init_distributed_state()
         self._init_core(
-            spec.system, spec.root_grid, spec.config, spec.amr,
-            spec.wall_bcs, None, spec.source_fn,
+            p["system"], p["root_grid"], p["config"], p["amr"],
+            p["wall_bcs"], None, p["source_fn"],
         )
         self.recorder = StepRecorder(BufferSink())
         self.comm = self._attach(spec, board, self.metrics)
-        self.install_forest_state(spec.state)
-        if "metrics" in spec.state:  # rank 0: the prototype's baselines
-            self.metrics.restore(spec.state["metrics"])
-            self.timers.restore(spec.state["timers"])
+        #: initial :meth:`~AMRSolver.forest_state` of this rank (rank 0's
+        #: also carries the prototype's ``metrics``/``timers`` baselines)
+        state = p["state"]
+        self.install_forest_state(state)
+        if "metrics" in state:
+            self.metrics.restore(state["metrics"])
+            self.timers.restore(state["timers"])
         self._process_t0 = time.process_time()
 
     # ------------------------------------------------------------------
@@ -333,11 +305,6 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
     # Worker-process protocol surface
     # ------------------------------------------------------------------
 
-    @property
-    def cons(self) -> dict[BlockKey, np.ndarray]:
-        """Owned blocks' ghosted conserved arrays (``gather_cons`` reply)."""
-        return {k: self.forest.leaves[k].cons for k in self._step_keys()}
-
     def interior_primitives(self) -> dict[BlockKey, np.ndarray]:
         return {
             k: self.forest.leaves[k].grid.interior_of(
@@ -347,6 +314,14 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
             ).copy()
             for k in self._step_keys()
         }
+
+
+def _merge_forest_states(states: dict) -> dict:
+    """One whole-forest state from per-rank ones (``{rank: forest_state}``):
+    rank 0's topology and counters — replicated on every rank — over the
+    union of every rank's blocks, in leaf order."""
+    blocks = {k: b for st in states.values() for k, b in st["blocks"].items()}
+    return {**states[0], "blocks": {k: blocks[k] for k in states[0]["leaves"]}}
 
 
 class AMRProcessSolver(ProcessSolver):
@@ -378,13 +353,7 @@ class AMRProcessSolver(ProcessSolver):
         ready_timeout_s: float = 180.0,
         supervision=None,
     ):
-        plan = fault_injector.plan if fault_injector is not None else None
-        _validate_amr_plan(plan, n_ranks)
-        if supervision is not None and supervision.degrade:
-            raise ConfigurationError(
-                "degrade-to-serial is not supported by the distributed AMR "
-                "driver; use degrade=False"
-            )
+        _validate_amr_plan(fault_injector)
         proto = DistributedAMRSolver(
             system, root_grid, initial_data,
             config=config, amr=amr, boundaries=boundaries,
@@ -399,10 +368,13 @@ class AMRProcessSolver(ProcessSolver):
         self._wall_bcs = proto.wall_bcs
         self._source_fn = source_fn
         self._init_supervisor(
-            recorder, supervision, plan,
+            recorder, supervision, fault_injector,
             comm_timeout_s, step_timeout_s, ready_timeout_s,
         )
-        self._last_amr: dict | None = None
+        # Rebalance bookkeeping mirrored from the workers' step records,
+        # matching the DistributedAMRSolver surface.
+        self.repartitions = self.migrated_blocks = 0
+        self.imbalance = proto.imbalance
         self._init_states = self._states_from_proto(proto)
 
         g = root_grid.n_ghost
@@ -430,10 +402,10 @@ class AMRProcessSolver(ProcessSolver):
             for rank in range(self.n_ranks)
         }
 
-    def _make_spec(self, rank: int, defer_init: bool = False) -> _AMRWorkerSpec:
-        return _AMRWorkerSpec(
-            rank=rank,
-            size=self.size,
+    _worker_cls = _AMRRankWorker
+
+    def _payload(self, rank: int) -> dict:
+        return dict(
             system=self.system,
             root_grid=self.root_grid,
             config=self.config,
@@ -441,78 +413,64 @@ class AMRProcessSolver(ProcessSolver):
             wall_bcs=self._wall_bcs,
             source_fn=self._source_fn,
             state=self._init_states[rank],
-            channels={
-                pair: (ch.name, ch.capacity)
-                for pair, ch in self._channels.items()
-                if rank in pair
-            },
-            comm_timeout_s=self._comm_timeout_s,
-            barrier_timeout_s=self.step_timeout_s,
-            board_name=self._board.name,
-            heartbeat_interval_s=self._heartbeat_interval_s,
-            defer_init=defer_init,
         )
 
     @property
     def size(self) -> int:
         return self.n_ranks
 
-    # Rebalance bookkeeping mirrored from the workers' last step record,
-    # matching the DistributedAMRSolver surface.
-    @property
-    def repartitions(self) -> int:
-        return int((self._last_amr or {}).get("repartitions", 0))
-
-    @property
-    def migrated_blocks(self) -> int:
-        return int((self._last_amr or {}).get("migrated_blocks", 0))
-
-    @property
-    def imbalance(self) -> float:
-        return float((self._last_amr or {}).get("imbalance", 1.0))
-
     def _emit_step_record(self, merged: dict) -> None:
-        amr = merged.get("amr")
-        if amr is not None:
-            prev = self._last_amr or {}
-            reps = amr.get("repartitions", 0) - prev.get("repartitions", 0)
-            if reps and self.recorder is not None:
-                self.recorder.emit_event(
-                    "amr_rebalance",
-                    step=merged["step"],
-                    imbalance_after=amr.get("imbalance"),
-                    migrated_blocks=(
-                        amr.get("migrated_blocks", 0)
-                        - prev.get("migrated_blocks", 0)
-                    ),
-                    repartitions=amr.get("repartitions"),
-                )
-            self._last_amr = dict(amr)
+        amr = merged["amr"]
+        if amr["repartitions"] > self.repartitions and self.recorder is not None:
+            self.recorder.emit_event(
+                "amr_rebalance",
+                step=merged["step"],
+                imbalance_after=amr["imbalance"],
+                migrated_blocks=amr["migrated_blocks"] - self.migrated_blocks,
+                repartitions=amr["repartitions"],
+            )
+        self.repartitions = amr["repartitions"]
+        self.migrated_blocks = amr["migrated_blocks"]
+        self.imbalance = amr["imbalance"]
         super()._emit_step_record(merged)
 
-    def _no_checkpointing(self, *args):
-        """In-run checkpointing is refused until the fleet streams the
-        forest-state pair the serial drivers checkpoint through."""
-        raise ConfigurationError(
-            "in-run checkpointing is not supported by the distributed AMR "
-            "driver"
+    def forest_state(self) -> dict:
+        """The fleet's :meth:`~AMRSolver.forest_state`: rank 0's topology,
+        ownership and counters (replicated on every rank) plus the union
+        of every rank's blocks, in leaf order."""
+        return _merge_forest_states(self._call_all("forest_state"))
+
+    #: the serial forest archive over :meth:`forest_state`, entry for
+    #: entry what the serial ``AMRSolver`` writes for the same trajectory
+    #: (:func:`repro.io.checkpoint.load_amr_checkpoint` reloads it as one)
+    write_checkpoint = AMRSolver.write_checkpoint
+
+    def fold_to_serial(self, snapshot: dict) -> DistributedAMRSolver:
+        """This run's serial twin carrying *snapshot*: the in-process rank
+        loop, built the way ``load_amr_checkpoint`` builds its solver
+        (quiescent placeholder data, no initial regrid) with the merged
+        per-rank forest states installed."""
+        from ..io.checkpoint import _quiescent_prim
+
+        serial = DistributedAMRSolver(
+            self.system, self.root_grid, _quiescent_prim,
+            config=self.config,
+            amr=self.amr.replace(initial_regrid_passes=0),
+            boundaries=self._wall_bcs, source_fn=self._source_fn,
+            n_ranks=self.n_ranks,
         )
-
-    checkpoint_shards = restore_state = _no_checkpointing
-
-    def run(self, t_final, max_steps=None, callback=None, checkpoint_every=0,
-            checkpoint_path=None) -> None:
-        if checkpoint_every:
-            self._no_checkpointing()  # up front, not N steps in
-        super().run(t_final, max_steps=max_steps, callback=callback)
+        serial.install_forest_state(_merge_forest_states(snapshot["states"]))
+        return serial
 
     def gather_blocks(self) -> dict[BlockKey, np.ndarray]:
         """Every leaf's ghosted conserved array, merged across ranks."""
-        return self._gather("gather_cons", "cons")
+        return {k: b[0] for k, b in self.forest_state()["blocks"].items()}
+
+    gather_cons = gather_blocks
 
     def gather_block_primitives(self) -> dict[BlockKey, np.ndarray]:
         """Every leaf's interior primitives, merged across ranks."""
-        return self._gather("gather_prims", "prims")
+        return self._gather("interior_primitives")
 
     def gather_primitives(self):
         raise ConfigurationError(
@@ -535,7 +493,9 @@ def make_distributed_amr_solver(
     ``"serial"`` returns the in-process rank loop
     (:class:`DistributedAMRSolver`), ``"process"`` the multi-core
     :class:`AMRProcessSolver` — same decision sequence, bit-identical
-    block bytes.
+    block bytes.  Both accept the same fault plans (process faults only;
+    on the serial executor they name processes that do not exist and are
+    ignored, as plans are supersets by design) and refuse the same ones.
     """
     cfg = config or SolverConfig()
     if cfg.executor == "process":
@@ -543,11 +503,8 @@ def make_distributed_amr_solver(
             system, root_grid, initial_data,
             config=cfg, amr=amr, n_ranks=n_ranks, **kwargs,
         )
-    kwargs.pop("comm_timeout_s", None)
-    kwargs.pop("step_timeout_s", None)
-    kwargs.pop("ready_timeout_s", None)
-    kwargs.pop("supervision", None)
-    kwargs.pop("fault_injector", None)
+    kwargs = serial_factory_kwargs(kwargs)
+    _validate_amr_plan(kwargs.pop("fault_injector", None))
     return DistributedAMRSolver(
         system, root_grid, initial_data,
         config=cfg, amr=amr, n_ranks=n_ranks, **kwargs,

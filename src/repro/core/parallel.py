@@ -31,18 +31,20 @@ serial stream, and forwards it to the caller's recorder via
 :meth:`StepRecorder.emit_step`.  Real transport measurements land under
 ``comm.shm.*``.
 
-Supervision: with a :class:`~repro.resilience.policies.SupervisionPolicy`
-the parent becomes a supervisor.  Workers publish heartbeats into a
-lock-free :class:`~repro.comm.shm.SupervisionBoard`; the parent
-classifies failures (crash via ``is_alive()``/pipe EOF, hang via
-heartbeat staleness), quiesces the surviving ranks at the last completed
-step boundary, respawns the dead rank over freshly recreated shm rings,
-and rolls *every* rank back to the last consistent in-memory snapshot —
-the recovered run is bit-identical to a fault-free one, canonical
-record stream included.  A bounded restart budget with exponential
-backoff guards against crash loops; on exhaustion
-:func:`run_supervised` can degrade gracefully to the serial
-:class:`DistributedSolver` from the last snapshot.
+Failure handling is split in two.  The transport *classifies*: workers
+publish heartbeats into a lock-free
+:class:`~repro.comm.shm.SupervisionBoard`, and ``_collect`` /
+``_command_all`` report every anomaly the same way — a
+:class:`_RankFailureSignal` naming crashed, hung and step-failed ranks
+and the ranks still owing a reply.  One function,
+:meth:`ProcessSolver._recover`, *decides*: fatal (one teardown, a
+:class:`WorkerError` naming every rank involved), or — under a
+:class:`~repro.resilience.policies.SupervisionPolicy` — quiesce the
+survivors, respawn the failed ranks over fresh shm rings and roll *every*
+rank back to the last consistent in-memory snapshot, bit-identical to a
+fault-free run, canonical record stream included.  A bounded restart
+budget with exponential backoff guards against crash loops; on exhaustion
+:func:`run_supervised` can degrade to the solver's serial twin.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing import connection as mp_connection
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..boundary.conditions import BoundarySet
-from ..comm.halo import halo_bytes_per_step
 from ..comm.shm import (
     ShmChannel,
     ShmCommunicator,
@@ -67,7 +69,6 @@ from ..comm.shm import (
     channel_capacities,
     sweep_segments,
 )
-from ..mesh.decomposition import CartesianDecomposition
 from ..mesh.grid import Grid
 from ..obs.events import BufferSink
 from ..obs.metrics import MetricsRegistry, merge_histogram_summaries
@@ -85,40 +86,28 @@ from .distributed import DistributedSolver, decompose
 from .stepping import Driver
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.recorder import StepRecorder as _StepRecorder  # noqa: F401
-    from ..resilience.faults import FaultPlan
     from ..resilience.policies import HaloRetryPolicy, SupervisionPolicy
 
 
 @dataclass
 class _WorkerSpec:
-    """Everything one worker needs to rebuild its rank (picklable)."""
+    """Everything one worker needs to rebuild its rank (picklable): the
+    process-shell fields, the worker class, and that class's own inputs."""
 
     rank: int
     size: int
-    system: SRHDSystem
-    global_grid: Grid
-    dims: tuple
-    periodic: tuple
-    config: SolverConfig
-    wall_bcs: BoundarySet
-    part: np.ndarray  # this rank's interior primitive patch
-    plan: "FaultPlan | None"
-    policy: "HaloRetryPolicy | None"
-    source_fn: object
     channels: dict  # {(src, dest): (shm_name, capacity)} touching this rank
     comm_timeout_s: float
     barrier_timeout_s: float
     board_name: str
     heartbeat_interval_s: float
+    #: ``worker_cls(spec, board)`` builds the rank; *payload* is what that
+    #: class reads beside the shell fields (``ProcessSolver._payload``)
+    worker_cls: type
+    payload: dict
     #: respawned ranks skip the collective priming exchange — their state
-    #: is installed via ``restore_full`` before they ever step.
+    #: is installed via ``restore_supervision_state`` before they ever step.
     defer_init: bool = False
-
-    def build(self, board: "SupervisionBoard"):
-        """Construct this spec's rank worker (overridden by the AMR spec,
-        which builds a forest-shaped worker from the same process shell)."""
-        return _RankWorker(self, board)
 
 
 class _WorkerShell:
@@ -153,13 +142,14 @@ class _WorkerShell:
         )
 
     def step(self, dt: float | None = None, t_final: float | None = None):
-        """Barrier, then the wrapped driver's ``step``; returns ``(dt,
-        this rank's step-record shard)`` for the parent to merge."""
+        """Barrier, then the wrapped driver's ``step``; returns this rank's
+        step-record shard (``step``/``t``/``dt`` included) for the parent
+        to merge."""
         self._barrier.wait(self._barrier_timeout)
-        dt = super().step(dt=dt, t_final=t_final)
+        super().step(dt=dt, t_final=t_final)
         record = self.recorder.sink.records.pop()
         record["rank"] = self.rank
-        return dt, record
+        return record
 
     def snapshot(self) -> dict:
         return {
@@ -215,23 +205,20 @@ class _RankWorker(_WorkerShell, DistributedSolver):
     """
 
     def __init__(self, spec: _WorkerSpec, board: SupervisionBoard):
-        decomp = CartesianDecomposition(
-            spec.global_grid, spec.dims, periodic=spec.periodic
-        )
+        p = spec.payload
+        decomp = p["decomp"]
         metrics = MetricsRegistry()
         comm = self._attach(spec, board, metrics)
-        plan = spec.plan
+        plan = p["plan"]
         self.oracle = (
-            FaultOracle(plan, decomp, spec.policy) if plan is not None else None
+            FaultOracle(plan, decomp, p["policy"]) if plan is not None else None
         )
         #: ordered ``overlapped`` flags of every oracle consultation — the
         #: replay tape a supervised restore rewinds the oracle with.
         self._oracle_calls: list[bool] = []
-        # The priming exchange is collective; a respawned rank builds
-        # alone and receives its real state via ``restore_full``.
         self._init_ranks(
-            spec.system, decomp, spec.config, spec.wall_bcs,
-            {self.rank: spec.part}, (self.rank,), comm,
+            p["system"], decomp, p["config"], p["wall_bcs"],
+            {self.rank: p["part"]}, (self.rank,), comm,
             recorder=StepRecorder(BufferSink()),
             fault_injector=(
                 RankStridedFaultInjector(
@@ -240,7 +227,7 @@ class _RankWorker(_WorkerShell, DistributedSolver):
                 if plan is not None
                 else None
             ),
-            halo_policy=spec.policy, source_fn=spec.source_fn,
+            halo_policy=p["policy"], source_fn=p["source_fn"],
             metrics=metrics, prime=not spec.defer_init,
         )
         self._process_t0 = time.process_time()
@@ -299,17 +286,22 @@ class _RankWorker(_WorkerShell, DistributedSolver):
         self._traffic_prev = tuple(state["traffic_prev"])
 
 
+#: worker methods the parent may invoke through the ``call`` verb
+_WORKER_CALLS = frozenset({
+    "interior_primitives", "checkpoint_shards", "install_shards",
+    "forest_state", "snapshot", "supervision_state",
+    "restore_supervision_state", "rebind",
+})
+
+
 def _worker_main(spec: _WorkerSpec, conn) -> None:
+    """Worker process body.  Three verbs: ``step``, ``call`` (one
+    allow-listed worker method) and ``shutdown``; every command is answered
+    by exactly one ``done`` / ``step_failed`` / ``error`` reply."""
     worker = None
     board = None
     hb_stop = threading.Event()
     hb_thread = None
-    send_lock = threading.Lock()
-
-    def _send(msg):
-        with send_lock:
-            conn.send(msg)
-
     try:
         board = SupervisionBoard.attach(spec.board_name, spec.size,
                                         rank=spec.rank)
@@ -326,62 +318,37 @@ def _worker_main(spec: _WorkerSpec, conn) -> None:
             target=_heartbeat, name=f"heartbeat-{spec.rank}", daemon=True
         )
         hb_thread.start()
-        worker = spec.build(board)
-        _send(("ready", spec.rank))
+        worker = spec.worker_cls(spec, board)
+        conn.send(("done", "ready"))
         while True:
-            msg = conn.recv()
+            verb, *args = conn.recv()
             board.beat()
-            cmd = msg[0]
-            if cmd == "step":
+            if verb == "step":
+                dt, t_final, want_state = args
                 try:
-                    dt, record = worker.step(dt=msg[1], t_final=msg[2])
+                    record = worker.step(dt=dt, t_final=t_final)
                 except ReproError as exc:
-                    # Recoverable under supervision: report the failed
-                    # step and stay in the command loop so the parent can
-                    # roll this rank back and retry.  Without supervision
-                    # the parent maps this onto the same fatal error the
-                    # pre-supervision protocol raised.
-                    _send(
-                        ("step_failed", spec.rank,
-                         f"{type(exc).__name__}: {exc}",
-                         traceback.format_exc())
-                    )
+                    # Reported, not fatal to the process: the worker stays
+                    # in the command loop so that a policy can roll this
+                    # rank back and retry; what to do is the parent's call.
+                    conn.send(("step_failed", f"{type(exc).__name__}: {exc}",
+                               traceback.format_exc()))
                     continue
-                state = worker.supervision_state() if msg[3] else None
-                _send(
-                    ("step_done", spec.rank, dt, worker.t, worker.steps,
-                     record, state)
-                )
-            elif cmd == "gather_prims":
-                _send(("prims", spec.rank, worker.interior_primitives()))
-            elif cmd == "gather_cons":
-                _send(("cons", spec.rank, dict(worker.cons)))
-            elif cmd == "snapshot":
-                _send(("snap", spec.rank, worker.snapshot()))
-            elif cmd == "sup_state":
-                _send(("sup_state_done", spec.rank, worker.supervision_state()))
-            elif cmd == "rebind":
-                worker.rebind(msg[1])
-                _send(("rebound", spec.rank))
-            elif cmd == "restore_full":
-                worker.restore_supervision_state(msg[1])
-                _send(("restored_full", spec.rank))
-            elif cmd == "checkpoint":
-                _send(("ckpt", spec.rank, worker.checkpoint_shards()))
-            elif cmd == "restore":
-                worker.install_shards(*msg[1:])
-                _send(("restored", spec.rank))
-            elif cmd == "shutdown":
-                _send(("bye", spec.rank))
+                state = worker.supervision_state() if want_state else None
+                conn.send(("done", (record, state)))
+            elif verb == "call" and args[0] in _WORKER_CALLS:
+                method, call_args = args
+                conn.send(("done", getattr(worker, method)(*call_args)))
+            elif verb == "shutdown":
+                conn.send(("done", None))
                 return
             else:
-                raise WorkerError(f"unknown worker command {cmd!r}")
+                name = args[0] if verb == "call" else verb
+                raise WorkerError(f"unknown worker command {name!r}")
     except BaseException as exc:  # forward everything; the parent decides
         try:
-            _send(
-                ("error", spec.rank, f"{type(exc).__name__}: {exc}",
-                 traceback.format_exc())
-            )
+            conn.send(("error", f"{type(exc).__name__}: {exc}",
+                       traceback.format_exc()))
         except Exception:
             pass
     finally:
@@ -498,21 +465,20 @@ class _MergedMetrics:
 
 
 class _RankFailureSignal(Exception):
-    """Internal: one or more ranks failed during a supervised step.
+    """Internal: what the transport saw go wrong, classified but unjudged.
 
-    Carries the classification the supervisor needs: ``failures`` maps
-    rank to ``(kind, detail)`` with kind ``"crash"`` or ``"hang"``;
-    ``step_failed`` maps rank to ``(description, traceback)`` for ranks
-    that reported a :class:`ReproError` and are still alive; ``replies``
-    are step replies already received; ``pending`` are commanded ranks
-    that have not yet come to rest.
+    ``failures`` maps rank to ``(kind, description)`` with kind ``"crash"``
+    (process gone, pipe lost, worker loop raised) or ``"hang"`` (stale
+    heartbeat, deadline overrun); ``step_failed`` maps rank to
+    ``(description, traceback)`` for ranks whose step raised a
+    :class:`ReproError` and that are still in their command loop;
+    ``pending`` are commanded ranks still owing a reply.
     """
 
-    def __init__(self, failures, step_failed, replies, pending):
+    def __init__(self, failures, step_failed, pending):
         super().__init__(f"rank failures: {sorted(failures)}")
         self.failures = dict(failures)
         self.step_failed = dict(step_failed)
-        self.replies = dict(replies)
         self.pending = set(pending)
 
 
@@ -558,18 +524,8 @@ class ProcessSolver(Driver):
         self.config = config or SolverConfig()
         self.halo_policy = halo_policy
         self._source_fn = source_fn
-        plan = fault_injector.plan if fault_injector is not None else None
-        for fault in getattr(plan, "processes", None) or ():
-            if fault.rank >= self.decomp.size:
-                raise ConfigurationError(
-                    f"process fault targets rank {fault.rank} but the "
-                    f"decomposition has only {self.decomp.size} ranks"
-                )
-        self.halo_bytes_per_exchange = sum(
-            halo_bytes_per_step(self.decomp, system.nvars).values()
-        )
         self._init_supervisor(
-            recorder, supervision, plan,
+            recorder, supervision, fault_injector,
             comm_timeout_s, step_timeout_s, ready_timeout_s,
         )
         parts = self.decomp.scatter(global_grid.interior_of(initial_prim))
@@ -581,11 +537,19 @@ class ProcessSolver(Driver):
         )
 
     def _init_supervisor(
-        self, recorder, supervision, plan,
+        self, recorder, supervision, fault_injector,
         comm_timeout_s: float, step_timeout_s: float, ready_timeout_s: float,
     ) -> None:
         """Parent-side run position, timeouts and supervision bookkeeping —
-        the fields every fleet driver (Cartesian or AMR) starts from."""
+        the fields every fleet driver (Cartesian or AMR) starts from.  Only
+        the injector's plan is kept: it is shipped to the workers."""
+        plan = getattr(fault_injector, "plan", None)
+        for fault in getattr(plan, "processes", None) or ():
+            if fault.rank >= self.size:
+                raise ConfigurationError(
+                    f"process fault targets rank {fault.rank} but the run "
+                    f"has only {self.size} ranks"
+                )
         self.recorder = recorder
         self.supervision = supervision
         self._plan = plan
@@ -594,7 +558,6 @@ class ProcessSolver(Driver):
         self.step_timeout_s = float(step_timeout_s)
         self.metrics = _MergedMetrics(self)
         self._closed = False
-        self._last_record: dict | None = None
         self._comm_timeout_s = float(comm_timeout_s)
         self._ready_timeout_s = float(ready_timeout_s)
         self._heartbeat_interval_s = (
@@ -602,10 +565,11 @@ class ProcessSolver(Driver):
         )
         #: last consistent per-rank supervision snapshot (rollback point)
         self._snapshot: dict | None = None
-        #: steps already emitted to the caller's recorder — replayed
+        #: highest step already emitted to the caller's recorder — replayed
         #: steps below this mark regenerate records but never re-emit
-        self._emitted = 0
-        self._restarts_used = 0
+        self.steps_emitted = 0
+        #: rank respawns spent so far (stays 0 without a policy)
+        self.restarts_used = 0
         self._restart_rounds = 0
         self._process_faults_fired: set[int] = set()
         #: parent-side counter totals already folded into step records
@@ -633,27 +597,33 @@ class ProcessSolver(Driver):
         try:
             for rank in range(self.size):
                 self._spawn(rank)
-            self._collect("ready", timeout_s=self._ready_timeout_s)
+            self._await_ready()
             if self.supervision is not None:
-                self._snapshot = self._gather_supervision_state()
+                self._take_snapshot()
         except BaseException:
             self._abort()
             raise
 
-    def _make_spec(self, rank: int, defer_init: bool = False) -> _WorkerSpec:
-        return _WorkerSpec(
-            rank=rank,
-            size=self.size,
+    #: the worker class of this fleet, built from ``_payload(rank)``
+    _worker_cls = _RankWorker
+
+    def _payload(self, rank: int) -> dict:
+        """What :attr:`_worker_cls` needs beside the shell fields."""
+        return dict(
             system=self.system,
-            global_grid=self.global_grid,
-            dims=tuple(self.decomp.dims),
-            periodic=self.decomp.periodic,
+            decomp=self.decomp,
             config=self.config,
             wall_bcs=self._wall_bcs,
-            part=self._parts[rank],
+            part=self._parts[rank],  # this rank's interior primitive patch
             plan=self._plan,
             policy=self.halo_policy,
             source_fn=self._source_fn,
+        )
+
+    def _spawn(self, rank: int, defer_init: bool = False) -> None:
+        spec = _WorkerSpec(
+            rank=rank,
+            size=self.size,
             channels={
                 pair: (ch.name, ch.capacity)
                 for pair, ch in self._channels.items()
@@ -663,11 +633,10 @@ class ProcessSolver(Driver):
             barrier_timeout_s=self.step_timeout_s,
             board_name=self._board.name,
             heartbeat_interval_s=self._heartbeat_interval_s,
+            worker_cls=self._worker_cls,
+            payload=self._payload(rank),
             defer_init=defer_init,
         )
-
-    def _spawn(self, rank: int, defer_init: bool = False) -> None:
-        spec = self._make_spec(rank, defer_init=defer_init)
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main, args=(spec, child_conn), daemon=True
@@ -677,13 +646,18 @@ class ProcessSolver(Driver):
         self._procs[rank] = proc
         self._conns[rank] = parent_conn
 
-    def _gather_supervision_state(self) -> dict:
-        self._command_all("sup_state")
-        replies = self._collect("sup_state_done")
-        return {
+    def _await_ready(self, ranks=None) -> None:
+        try:
+            self._collect(ranks, timeout_s=self._ready_timeout_s)
+        except _RankFailureSignal as sig:
+            self._recover(sig, in_step=False)
+
+    def _take_snapshot(self) -> None:
+        """Make the fleet's current state the supervision rollback point."""
+        self._snapshot = {
             "t": self.t,
             "steps": self.steps,
-            "states": {r: replies[r][2] for r in range(self.size)},
+            "states": self._call_all("supervision_state"),
         }
 
     # ------------------------------------------------------------------
@@ -691,71 +665,56 @@ class ProcessSolver(Driver):
     def size(self) -> int:
         return self.decomp.size
 
-    @property
-    def restarts_used(self) -> int:
-        """Rank respawns spent so far (supervised runs only)."""
-        return self._restarts_used
-
-    @property
-    def steps_emitted(self) -> int:
-        """Highest step number already emitted to the caller's recorder."""
-        return self._emitted
-
-    def _release_segments(self) -> None:
-        """Close + unlink every shm segment this run owns, then sweep.
-
-        SIGKILL'd workers never run their ``close()``; segments recreated
-        mid-recovery may have no live parent handle either.  The sweep
-        attaches purely to unlink, so nothing lingers in ``/dev/shm``.
-        """
-        for ch in self._channels.values():
+    def _stop(self, ranks, grace_s: float = 0.0) -> None:
+        """Make sure these ranks' processes are gone and their pipes closed
+        — the one teardown: up to *grace_s* for a voluntary exit, then
+        ``terminate`` → bounded ``join`` → ``SIGKILL`` → ``join`` (a
+        SIGSTOP'd process ignores SIGTERM until resumed, SIGKILL it
+        cannot)."""
+        procs = [self._procs[rank] for rank in ranks]
+        for proc in procs:
+            proc.join(timeout=grace_s)
+            if proc.is_alive():
+                proc.terminate()
+        for proc in procs:
+            proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10.0)
+        for rank in ranks:
             try:
-                ch.close()
+                self._conns[rank].close()
+            except Exception:
+                pass
+
+    def _abort(self, grace_s: float = 0.0) -> None:
+        """Tear the whole fleet down (idempotent): stop every worker, close
+        + unlink every shm segment this run owns, then sweep.  SIGKILL'd
+        workers never run their ``close()``, and segments recreated
+        mid-recovery may have no live parent handle either; the sweep
+        attaches purely to unlink, so nothing lingers in ``/dev/shm``."""
+        self._stop(list(self._procs), grace_s)
+        for seg in (*self._channels.values(), self._board):
+            try:
+                seg.close()
             except Exception:
                 pass
         self._channels = {}
-        if getattr(self, "_board", None) is not None:
-            try:
-                self._board.close()
-            except Exception:
-                pass
-            self._board = None
         sweep_segments(self._segments)
-
-    def _abort(self) -> None:
-        """Tear everything down after a failure (idempotent)."""
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs.values():
-            proc.join(timeout=5.0)
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except Exception:
-                pass
-        self._release_segments()
         self._closed = True
 
-    def _collect(
-        self,
-        expect: str,
-        timeout_s: float | None = None,
-        ranks=None,
-        mode: str = "strict",
-    ) -> dict:
-        """Wait for one reply of kind *expect* from every worker.
+    def _collect(self, ranks=None, timeout_s: float | None = None,
+                 hang_timeout_s: float | None = None) -> dict:
+        """One reply from each of *ranks* (default: every worker), as
+        ``{rank: value}`` in rank order.
 
-        *mode* selects the failure posture:
-
-        - ``"strict"`` (default): any anomaly aborts the run and raises
-          :class:`WorkerError` — the unsupervised behavior.
-        - ``"signal"``: raise :class:`_RankFailureSignal` on the first
-          detected crash, hang (heartbeat staleness), or step failure,
-          leaving the solver up so :meth:`_recover` can run.
-        - ``"quiesce"``: drain replies after an abort was broadcast —
-          ``step_failed`` replies count as quiesced, crashes and hangs
-          accumulate, and the signal is raised only at the end.
+        Classifies, never judges: the first sweep that sees a dead process,
+        lost pipe or worker-loop error (``crash``), a step that raised
+        (``step_failed``) or — given *hang_timeout_s*, i.e. under a policy
+        — a stale heartbeat (``hang``) raises :class:`_RankFailureSignal`
+        with the ranks still owing a reply; overrunning *timeout_s*
+        (default ``step_timeout_s``) classifies every silent rank ``hang``.
+        Draining after an abort is this call repeated on the ranks owing.
         """
         timeout = timeout_s if timeout_s is not None else self.step_timeout_s
         deadline = time.monotonic() + timeout
@@ -763,100 +722,65 @@ class ProcessSolver(Driver):
         failures: dict = {}
         step_failed: dict = {}
         pending = set(self._procs if ranks is None else ranks)
-        sup = self.supervision
+        age = self._board.heartbeat_age_s
         while pending:
-            for rank in sorted(pending):
-                conn, proc = self._conns[rank], self._procs[rank]
-                msg = None
+            by_conn = {self._conns[rank]: rank for rank in pending}
+            for conn in mp_connection.wait(list(by_conn), timeout=0.02):
+                rank = by_conn[conn]
+                pending.discard(rank)
                 try:
-                    if conn.poll(0.02):
-                        msg = conn.recv()
+                    kind, *body = conn.recv()
                 except (EOFError, OSError):
-                    if mode != "strict":
-                        failures[rank] = ("crash", "connection lost mid-run")
-                        pending.discard(rank)
-                        continue
-                    self._abort()
-                    raise WorkerError(
-                        f"worker rank {rank}: connection lost mid-run"
-                    ) from None
-                if msg is not None:
-                    if msg[0] == "error":
-                        _, bad_rank, desc, tb = msg
-                        if mode != "strict":
-                            failures[rank] = ("crash", desc)
-                            pending.discard(rank)
-                            continue
-                        self._abort()
-                        raise WorkerError(
-                            f"worker rank {bad_rank} failed: {desc}\n{tb}"
-                        )
-                    if msg[0] == "step_failed":
-                        _, bad_rank, desc, tb = msg
-                        if mode != "strict":
-                            step_failed[rank] = (desc, tb)
-                            pending.discard(rank)
-                            continue
-                        self._abort()
-                        raise WorkerError(
-                            f"worker rank {bad_rank} failed: {desc}\n{tb}"
-                        )
-                    if msg[0] != expect:
-                        self._abort()
-                        raise WorkerError(
-                            f"worker rank {rank}: expected {expect!r} reply, "
-                            f"got {msg[0]!r}"
-                        )
-                    replies[rank] = msg
-                    pending.discard(rank)
-                elif not proc.is_alive():
-                    if mode != "strict":
-                        failures[rank] = (
-                            "crash", f"exit code {proc.exitcode}"
-                        )
-                        pending.discard(rank)
-                    else:
-                        self._abort()
-                        raise WorkerError(
-                            f"worker rank {rank} died unexpectedly "
-                            f"(exit code {proc.exitcode})"
-                        )
-                elif (
-                    mode != "strict"
-                    and sup is not None
-                    and self._board.heartbeat_age_s(rank) > sup.hang_timeout_s
-                ):
+                    failures[rank] = (
+                        "crash", f"worker rank {rank}: connection lost mid-run"
+                    )
+                    continue
+                if kind == "done":
+                    replies[rank] = body[0]
+                elif kind == "step_failed":
+                    step_failed[rank] = tuple(body)
+                else:  # "error": the worker's command loop is gone
+                    failures[rank] = (
+                        "crash", f"worker rank {rank} failed: {body[0]}\n{body[1]}"
+                    )
+            for rank in sorted(pending):
+                proc = self._procs[rank]
+                if not proc.is_alive():
+                    if self._conns[rank].poll(0):
+                        continue  # its last words are still in the pipe
+                    failures[rank] = (
+                        "crash",
+                        f"worker rank {rank} died unexpectedly "
+                        f"(exit code {proc.exitcode})",
+                    )
+                elif hang_timeout_s is not None and age(rank) > hang_timeout_s:
                     failures[rank] = (
                         "hang",
-                        f"heartbeat stale for "
-                        f"{self._board.heartbeat_age_s(rank):.1f}s",
+                        f"worker rank {rank} hung: heartbeat stale for "
+                        f"{age(rank):.1f}s",
                     )
-                    pending.discard(rank)
-            if mode == "signal" and (failures or step_failed):
-                raise _RankFailureSignal(failures, step_failed, replies, pending)
+            pending -= set(failures)
+            if failures or step_failed:
+                raise _RankFailureSignal(failures, step_failed, pending)
             if pending and time.monotonic() > deadline:
-                if mode != "strict":
-                    for rank in pending:
-                        failures[rank] = (
-                            "hang", f"no reply within {timeout:.1f}s"
+                raise _RankFailureSignal(
+                    {
+                        rank: (
+                            "hang",
+                            f"worker rank {rank} sent no reply within "
+                            f"{timeout:.1f}s (last heartbeat {age(rank):.1f}s ago)",
                         )
-                    raise _RankFailureSignal(
-                        failures, step_failed, replies, set()
-                    )
-                self._abort()
-                raise WorkerError(
-                    f"timed out waiting for worker rank(s) {sorted(pending)}"
+                        for rank in pending
+                    },
+                    {}, set(),
                 )
-        if mode == "quiesce" and failures:
-            raise _RankFailureSignal(failures, step_failed, replies, set())
-        return replies
+        return {rank: replies[rank] for rank in sorted(replies)}
 
-    def _command_all(self, *msg, mode: str = "strict", per_rank=None) -> None:
+    def _command_all(self, *msg, per_rank=None) -> None:
         """Send one command to every rank — or, given *per_rank*
         ``{rank: payload}``, to exactly those ranks with each one's own
-        payload appended.  A dead pipe aborts the run with a
-        :class:`WorkerError` naming rank and command (``mode="signal"``
-        hands it to the supervisor instead)."""
+        payload appended.  A dead pipe is classified ``crash`` and
+        signalled with the ranks that did take the command."""
         if self._closed:
             raise WorkerError("process solver already shut down")
         failures: dict = {}
@@ -867,45 +791,50 @@ class ProcessSolver(Driver):
                 self._conns[rank].send(tuple(msg) + extra)
                 sent.add(rank)
             except (BrokenPipeError, OSError):
-                if mode == "signal":
-                    failures[rank] = ("crash", "cannot send command")
-                    continue
-                self._abort()
-                raise WorkerError(
-                    f"worker rank {rank}: cannot send {msg[0]!r} command "
-                    f"(process {'alive' if self._procs[rank].is_alive() else 'dead'})"
-                ) from None
+                failures[rank] = (
+                    "crash",
+                    f"worker rank {rank}: cannot send {msg[0]!r} command (process "
+                    f"{'alive' if self._procs[rank].is_alive() else 'dead'})",
+                )
         if failures:
-            raise _RankFailureSignal(failures, {}, {}, sent)
+            raise _RankFailureSignal(failures, {}, sent)
 
-    def _gather(self, command: str, expect: str) -> dict:
-        """Merge every rank's ``{rank or block: value}`` reply to *command*."""
-        self._command_all(command)
-        replies = self._collect(expect)
+    def _call_all(self, method: str, *args, per_rank=None) -> dict:
+        """``worker.method(*args)`` on every rank — or, given *per_rank*
+        ``{rank: args}``, on exactly those ranks with each one's own
+        arguments — as ``{rank: value}``.  A between-step round trip: any
+        rank anomaly here is fatal under every policy."""
+        if per_rank is None:
+            per_rank = dict.fromkeys(range(self.size), args)
+        try:
+            self._command_all("call", method, per_rank=per_rank)
+            return self._collect(per_rank)
+        except _RankFailureSignal as sig:
+            self._recover(sig, in_step=False)
+
+    def _gather(self, method: str) -> dict:
+        """Union of every rank's ``{rank or block: value}`` from *method*."""
         out: dict = {}
-        for rank in range(self.size):
-            out.update(replies[rank][2])
+        for reply in self._call_all(method).values():
+            out.update(reply)
         return out
 
     # -- driver surface --------------------------------------------------
     def step(self, dt: float | None = None, t_final: float | None = None) -> float:
-        """Advance all ranks one step, recovering failures when supervised.
+        """Advance all ranks one step.
 
-        Under supervision a detected crash or hang triggers
-        :meth:`_recover` — the run rolls back to the last consistent
-        snapshot and replays forward; replayed steps regenerate their
-        records but are not re-emitted, so the caller's recorder stream
-        stays identical to a fault-free run.
+        A rank anomaly goes to :meth:`_recover`, which either ends the run
+        or rolls it back to the last consistent snapshot — then the loop
+        replays forward; replayed steps regenerate their records but are
+        not re-emitted, so the caller's recorder stream stays identical to
+        a fault-free run.
         """
-        if self.supervision is None:
-            return self._step_once(dt, t_final)
         target = self.steps + 1
-        last_dt = 0.0
         while self.steps < target:
             try:
                 last_dt = self._step_once(dt, t_final)
             except _RankFailureSignal as sig:
-                self._recover(sig)
+                self._recover(sig, in_step=True)
         return last_dt
 
     def _step_once(self, dt, t_final) -> float:
@@ -913,40 +842,30 @@ class ProcessSolver(Driver):
         sup = self.supervision
         step_no = self.steps + 1
         want_state = bool(sup is not None and step_no % sup.snapshot_every == 0)
-        mode = "strict" if sup is None else "signal"
-        self._command_all("step", dt, t_final, want_state, mode=mode)
+        self._command_all("step", dt, t_final, want_state)
         self._fire_process_faults(step_no)
-        replies = self._collect("step_done", mode=mode)
-        shards = []
-        states: dict = {}
-        dt0 = t0 = steps0 = None
-        for rank in range(self.size):
-            _, _r, w_dt, w_t, w_steps, record, state = replies[rank]
-            if rank == 0:
-                dt0, t0, steps0 = w_dt, w_t, w_steps
-            elif (w_dt, w_t, w_steps) != (dt0, t0, steps0):
-                self._abort()
-                raise WorkerError(
-                    f"worker rank {rank} diverged from rank 0: "
-                    f"(dt, t, steps) = {(w_dt, w_t, w_steps)!r} "
-                    f"!= {(dt0, t0, steps0)!r}"
-                )
-            shards.append(record)
-            if state is not None:
-                states[rank] = state
-        self.t = t0
-        self.steps = steps0
-        if want_state and len(states) == self.size:
-            self._snapshot = {"t": t0, "steps": steps0, "states": states}
-        merged = merge_step_records(shards)
+        replies = self._collect(
+            hang_timeout_s=None if sup is None else sup.hang_timeout_s
+        )
+        try:
+            # The shards carry step/t/dt: merging is the divergence check.
+            merged = merge_step_records([record for record, _ in replies.values()])
+        except WorkerError:
+            self._abort()
+            raise
+        self.t = merged["t"]
+        self.steps = merged["step"]
+        if want_state:
+            self._snapshot = {
+                "t": self.t, "steps": self.steps,
+                "states": {rank: state for rank, (_, state) in replies.items()},
+            }
         merged["wall_seconds"] = time.perf_counter() - wall0
-        self._last_record = merged
-        if self.steps > self._emitted:
-            if sup is not None:
-                self._attach_parent_counters(merged)
-            self._emitted = self.steps
+        if self.steps > self.steps_emitted:
+            self._attach_parent_counters(merged)
+            self.steps_emitted = self.steps
             self._emit_step_record(merged)
-        return dt0
+        return merged["dt"]
 
     def _emit_step_record(self, merged: dict) -> None:
         """Emit one freshly merged (non-replayed) step record.  The AMR
@@ -979,10 +898,7 @@ class ProcessSolver(Driver):
 
     def _fire_process_faults(self, step_no: int) -> None:
         """Deliver planned ``kill_rank``/``hang_rank`` faults as signals."""
-        faults = getattr(self._plan, "processes", None) if self._plan else None
-        if not faults:
-            return
-        for idx, fault in enumerate(faults):
+        for idx, fault in enumerate(getattr(self._plan, "processes", None) or ()):
             if idx in self._process_faults_fired or fault.step != step_no:
                 continue
             self._process_faults_fired.add(idx)
@@ -1001,33 +917,24 @@ class ProcessSolver(Driver):
                 "inject", fault=fault.kind, rank=fault.rank, step=step_no
             )
 
-    def _reap(self, rank: int) -> None:
-        """Make sure a failed rank's process is gone and its pipe closed."""
-        proc = self._procs[rank]
-        if proc.is_alive() and proc.pid is not None:
-            try:
-                # SIGKILL, not terminate(): a SIGSTOP'd process ignores
-                # SIGTERM until resumed, SIGKILL it cannot.
-                os.kill(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):  # pragma: no cover
-                pass
-        proc.join(timeout=10.0)
-        try:
-            self._conns[rank].close()
-        except Exception:
-            pass
+    def _recover(self, sig: _RankFailureSignal, in_step: bool) -> None:
+        """The one policy site: what a classified rank anomaly leads to.
 
-    def _recover(self, sig: _RankFailureSignal) -> None:
-        """In-run rank recovery: quiesce, respawn, roll back, replay.
+        *Fatal* — tear the fleet down and raise :class:`WorkerError` naming
+        every anomaly and every rank still owing a reply (with its
+        heartbeat age, which tells a stopped rank from one blocked on it) —
+        when there is no policy, when the anomaly struck between steps, or
+        when no rank crashed or hung: a pure logical failure (numerics,
+        exhausted retries) is deterministic and would recur on replay.
 
-        The sequence (each stage gated on the previous):
+        Otherwise in-run recovery, each stage gated on the previous:
 
         1. publish dead ranks + bump the abort epoch on the supervision
            board, so every survivor's blocked communicator wait raises
            instead of deadlocking on a peer that will never answer;
-        2. quiesce: every commanded survivor comes to rest (a late
-           ``step_done`` or an abort-induced ``step_failed``) —
-           non-responders escalate into the failure set;
+        2. quiesce: every commanded survivor comes to rest (a late reply
+           or an abort-induced ``step_failed``) — non-responders escalate
+           into the failure set;
         3. check the restart budget (raising
            :class:`SupervisionExhausted` carrying the snapshot when
            spent) and back off exponentially;
@@ -1039,63 +946,57 @@ class ProcessSolver(Driver):
            retried steps are bit-identical to a fault-free run.
         """
         sup = self.supervision
-        failures = dict(sig.failures)
-        step_failed = dict(sig.step_failed)
-        if not failures:
-            # No crashed or hung rank: a pure logical failure (numerics,
-            # exhausted retries) is deterministic and would recur on
-            # replay — fatal, exactly like the unsupervised path.
-            rank, (desc, tb) = sorted(step_failed.items())[0]
+        if sup is None or not in_step or not sig.failures:
+            lines = [desc for _, (_kind, desc) in sorted(sig.failures.items())]
+            lines += [
+                f"worker rank {rank} failed: {desc}\n{tb}"
+                for rank, (desc, tb) in sorted(sig.step_failed.items())
+            ]
+            lines += [
+                f"worker rank {rank} still owed a reply (last heartbeat "
+                f"{self._board.heartbeat_age_s(rank):.1f}s ago)"
+                for rank in sorted(sig.pending)
+            ]
             self._abort()
-            raise WorkerError(f"worker rank {rank} failed: {desc}\n{tb}")
+            raise WorkerError("\n".join(lines))
 
-        for rank in failures:
-            self._board.mark_dead(rank)
-        self._board.abort()
-        for rank, (kind, detail) in sorted(failures.items()):
-            self.metrics.counter(f"supervision.{kind}_detected").inc()
-            self._emit_supervision_event(
-                "detected", failure=kind, rank=rank, detail=detail,
-                step=self.steps + 1,
-            )
-            self._reap(rank)
-
-        owing = set(sig.pending) - set(failures)
-        if owing:
-            try:
-                self._collect(
-                    "step_done",
-                    timeout_s=sup.quiesce_timeout_s,
-                    ranks=owing,
-                    mode="quiesce",
+        failures: dict = {}
+        while True:
+            for rank in sig.failures:
+                self._board.mark_dead(rank)
+            self._board.abort()
+            for rank, (kind, desc) in sorted(sig.failures.items()):
+                self.metrics.counter(f"supervision.{kind}_detected").inc()
+                self._emit_supervision_event(
+                    "detected", failure=kind, rank=rank, detail=desc,
+                    step=self.steps + 1,
                 )
+            self._stop(sig.failures)
+            failures.update(sig.failures)
+            owing = sig.pending - set(failures)
+            if not owing:
+                break
+            try:
+                self._collect(owing, sup.quiesce_timeout_s, sup.hang_timeout_s)
+                break
             except _RankFailureSignal as more:
-                for rank, (kind, detail) in sorted(more.failures.items()):
-                    failures[rank] = (kind, detail)
-                    self._board.mark_dead(rank)
-                    self.metrics.counter(f"supervision.{kind}_detected").inc()
-                    self._emit_supervision_event(
-                        "detected", failure=kind, rank=rank, detail=detail,
-                        step=self.steps + 1,
-                    )
-                    self._reap(rank)
+                sig = more
 
         need = len(failures)
-        if self._restarts_used + need > sup.max_rank_restarts:
+        if self.restarts_used + need > sup.max_rank_restarts:
             self.metrics.counter("supervision.budget_exhausted").inc()
             self._emit_supervision_event(
                 "budget_exhausted", ranks=sorted(failures),
-                restarts_used=self._restarts_used,
+                restarts_used=self.restarts_used,
                 max_rank_restarts=sup.max_rank_restarts,
             )
-            snapshot = self._snapshot
             self._abort()
             raise SupervisionExhausted(
                 f"rank restart budget exhausted: {need} respawn(s) needed "
                 f"for rank(s) {sorted(failures)} with "
-                f"{sup.max_rank_restarts - self._restarts_used} of "
+                f"{sup.max_rank_restarts - self.restarts_used} of "
                 f"{sup.max_rank_restarts} remaining",
-                snapshot=snapshot,
+                snapshot=self._snapshot,
             )
         time.sleep(
             min(
@@ -1122,37 +1023,34 @@ class ProcessSolver(Driver):
             self._board.revive(rank)
             self._board.touch(rank)
             self._spawn(rank, defer_init=True)
-        self._collect(
-            "ready", timeout_s=self._ready_timeout_s, ranks=set(failures)
-        )
+        self._await_ready(set(failures))
 
-        rebinds = {}
-        for rank in set(range(self.size)) - set(failures):
-            sub = {
+        rebinds = {
+            rank: ({
                 pair: (self._channels[pair].name, self._caps[pair])
                 for pair in affected
                 if rank in pair
-            }
-            if sub:
-                rebinds[rank] = sub
-        if rebinds:
-            self._command_all("rebind", per_rank=rebinds)
-            self._collect("rebound", ranks=set(rebinds))
+            },)
+            for rank in set(range(self.size)) - set(failures)
+        }
+        self._call_all("rebind", per_rank=rebinds)
 
         self._board.reset_barrier()
-        self._command_all("restore_full", per_rank=self._snapshot["states"])
-        self._collect("restored_full")
+        self._call_all(
+            "restore_supervision_state",
+            per_rank={r: (st,) for r, st in self._snapshot["states"].items()},
+        )
         self.t = float(self._snapshot["t"])
         self.steps = int(self._snapshot["steps"])
 
-        self._restarts_used += need
+        self.restarts_used += need
         self._restart_rounds += 1
         self.metrics.counter("resilience.worker_restarts").inc(need)
         self.metrics.counter("supervision.respawns").inc(need)
         self.metrics.counter("supervision.recoveries").inc()
         self._emit_supervision_event(
             "respawned", ranks=sorted(failures),
-            restarts_used=self._restarts_used,
+            restarts_used=self.restarts_used,
             resumed_step=self.steps, t=self.t,
         )
 
@@ -1166,57 +1064,52 @@ class ProcessSolver(Driver):
 
     def gather_primitives(self) -> np.ndarray:
         return self.decomp.gather(
-            self._gather("gather_prims", "prims"), self.system.nvars
+            self._gather("interior_primitives"), self.system.nvars
         )
 
     def gather_cons(self) -> dict[int, np.ndarray]:
         """Every rank's full ghosted conserved array (bit-exactness tests)."""
-        return self._gather("gather_cons", "cons")
+        return {rank: shard[0] for rank, shard in self.checkpoint_shards().items()}
 
     def worker_snapshots(self) -> list[dict]:
         """Per-rank ``{metrics, timers, process_seconds}`` snapshots."""
-        self._command_all("snapshot")
-        replies = self._collect("snap")
-        return [replies[rank][2] for rank in range(self.size)]
+        return list(self._call_all("snapshot").values())
 
     def checkpoint_shards(self) -> dict[int, tuple]:
         """Per-rank ``(ghosted cons, p_cache, recovery stats)`` streamed
         from the workers — the payload of one distributed checkpoint."""
-        return self._gather("checkpoint", "ckpt")
+        return self._gather("checkpoint_shards")
 
-    def restore_state(self, t: float, steps: int, shards: dict) -> None:
-        """Install checkpointed per-rank state into the workers verbatim
-        (each lands in its worker's ``install_shards``)."""
-        self._command_all(
-            "restore", t, steps,
-            per_rank={r: {r: shards[r]} for r in range(self.size)},
+    def install_shards(self, t, steps, shards: dict, prims_cache=None) -> None:
+        """The serial driver's ``install_shards`` over the fleet: each
+        worker installs its own rank's slice verbatim, and a supervised
+        run moves its rollback point onto the installed state."""
+        self._call_all(
+            "install_shards",
+            per_rank={
+                r: (t, steps, {r: shards[r]},
+                    None if prims_cache is None else {r: prims_cache[r]})
+                for r in range(self.size)
+            },
         )
-        self._collect("restored")
         self.t = float(t)
         self.steps = int(steps)
+        if self.supervision is not None:
+            self._take_snapshot()
 
     def close(self) -> None:
         """Shut the workers down and release the shared-memory segments."""
         if self._closed:
             return
+        grace_s = 0.0
         try:
             self._command_all("shutdown")
-            self._collect("bye", timeout_s=30.0)
-        except WorkerError:
-            pass  # _collect already aborted
+            self._collect(timeout_s=30.0)
+            grace_s = 10.0  # every rank said goodbye: let them exit themselves
+        except _RankFailureSignal:
+            pass  # the teardown reaps whoever did not
         finally:
-            for proc in self._procs.values():
-                proc.join(timeout=10.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-            self._release_segments()
-            self._closed = True
+            self._abort(grace_s)
 
     def __enter__(self) -> "ProcessSolver":
         return self
@@ -1224,45 +1117,37 @@ class ProcessSolver(Driver):
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def fold_to_serial(self, snapshot: dict) -> DistributedSolver:
+        """This run's serial twin carrying *snapshot*: a
+        :class:`DistributedSolver` with the per-rank supervision states
+        installed verbatim — ghosted conserved arrays, con2prim warm-start
+        state, and (when every rank has one) the exchanged-primitive cache
+        — so the serial continuation advances the exact bytes the process
+        run held at its last consistent boundary.  Logical fault plans are
+        not resumed across the fold: the degraded tail runs fault-free
+        (mirroring ``run_with_restart``'s per-run plan semantics).
+        """
+        from ..io.checkpoint import _quiescent_prim
 
-def _fold_to_serial(solver: ProcessSolver, snapshot: dict) -> DistributedSolver:
-    """Rebuild a serial :class:`DistributedSolver` carrying *snapshot*.
-
-    The per-rank supervision states install verbatim — ghosted conserved
-    arrays, con2prim warm-start state, and (when every rank has one) the
-    exchanged-primitive cache — so the serial continuation advances the
-    exact bytes the process run held at its last consistent boundary.
-    Logical fault plans are not resumed across the fold: the degraded
-    tail runs fault-free (mirroring ``run_with_restart``'s per-run plan
-    semantics).
-    """
-    from ..io.checkpoint import _quiescent_prim
-
-    system = solver.system
-    grid = solver.global_grid
-    serial = DistributedSolver(
-        system,
-        grid,
-        _quiescent_prim(system, grid),
-        tuple(solver.decomp.dims),
-        config=solver.config,
-        boundaries=solver._wall_bcs,
-        periodic=solver.decomp.periodic,
-        halo_policy=solver.halo_policy,
-        source_fn=solver._source_fn,
-    )
-    states = snapshot["states"]
-    prims = {
-        rank: np.array(st["prims_cache"])
-        for rank, st in states.items()
-        if st["prims_cache"] is not None
-    }
-    serial.install_shards(
-        snapshot["t"], snapshot["steps"],
-        {rank: st["shard"] for rank, st in states.items()},
-        prims_cache=prims if len(prims) == serial.size else None,
-    )
-    return serial
+        serial = DistributedSolver(
+            self.system,
+            self.global_grid,
+            _quiescent_prim(self.system, self.global_grid),
+            tuple(self.decomp.dims),
+            config=self.config,
+            boundaries=self._wall_bcs,
+            periodic=self.decomp.periodic,
+            halo_policy=self.halo_policy,
+            source_fn=self._source_fn,
+        )
+        states = snapshot["states"]
+        prims = {rank: st["prims_cache"] for rank, st in states.items()}
+        serial.install_shards(
+            snapshot["t"], snapshot["steps"],
+            {rank: st["shard"] for rank, st in states.items()},
+            prims_cache=None if any(p is None for p in prims.values()) else prims,
+        )
+        return serial
 
 
 def run_supervised(
@@ -1276,40 +1161,41 @@ def run_supervised(
 
     Runs ``solver.run(...)``.  When the rank-restart budget runs out and
     the solver's :class:`~repro.resilience.policies.SupervisionPolicy`
-    has ``degrade=True``, the run folds down to the serial
-    :class:`DistributedSolver`, restored from the last consistent
-    supervision snapshot, and finishes there: the final physics state is
-    bit-identical to a fault-free run.  Steps the process solver already
-    emitted are replayed quietly, so the caller's recorder sees every
-    step exactly once (post-fold timing/comm fields reflect the serial
-    substrate; canonical physics fields are unchanged).
+    has ``degrade=True``, the run folds down to the solver's serial twin
+    (:meth:`ProcessSolver.fold_to_serial`: a :class:`DistributedSolver`,
+    or a ``DistributedAMRSolver`` for the AMR fleet), restored from the
+    last consistent supervision snapshot — state and merged metric
+    registries — and finishes there: the final physics state and the
+    canonical record stream are bit-identical to a fault-free run.  Steps
+    the process solver already emitted are replayed quietly, so the
+    caller's recorder sees every step exactly once (post-fold timing
+    fields reflect the serial substrate).
 
     Returns ``(solver, info)`` where *solver* is whichever solver
     finished the run and *info* reports ``degraded``,
     ``worker_restarts``, ``t``, and ``steps``.
     """
+    run_kw = dict(
+        max_steps=max_steps,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+    )
     sup = solver.supervision
+    finisher = solver
     try:
-        solver.run(
-            t_final,
-            max_steps=max_steps,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
-        return solver, {
-            "degraded": False,
-            "worker_restarts": solver.restarts_used,
-            "t": solver.t,
-            "steps": solver.steps,
-        }
+        solver.run(t_final, **run_kw)
     except SupervisionExhausted as exc:
         if sup is None or not sup.degrade or exc.snapshot is None:
             raise
-        restarts = solver.restarts_used
         emitted = solver.steps_emitted
         recorder = solver.recorder
-        serial = _fold_to_serial(solver, exc.snapshot)
+        finisher = serial = solver.fold_to_serial(exc.snapshot)
         solver.close()
+        serial.metrics.restore(
+            _merge_metric_snapshots(
+                [st["metrics"] for st in exc.snapshot["states"].values()]
+            )
+        )
         serial.metrics.counter("supervision.degraded").inc()
         if recorder is not None:
             recorder.emit_event(
@@ -1324,8 +1210,8 @@ def run_supervised(
         ):
             serial.step(t_final=t_final)
         if recorder is not None:
-            # Re-baseline the recorder's delta state against the fresh
-            # serial registries before attaching it.
+            # Re-baseline the recorder's delta state against the serial
+            # registries before attaching it.
             recorder.restore_state(
                 {
                     "prev_timers": {
@@ -1336,18 +1222,27 @@ def run_supervised(
                 }
             )
             serial.recorder = recorder
-        serial.run(
-            t_final,
-            max_steps=max_steps,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
+        serial.run(t_final, **run_kw)
+    return finisher, {
+        "degraded": finisher is not solver,
+        "worker_restarts": solver.restarts_used,
+        "t": finisher.t,
+        "steps": finisher.steps,
+    }
+
+
+def serial_factory_kwargs(kwargs: dict) -> dict:
+    """*kwargs* of a ``make_distributed_*`` call as the serial driver takes
+    them: the three transport timeouts are dropped (they configure pipes
+    that do not exist), and a supervision policy is refused rather than
+    silently left unapplied."""
+    if kwargs.get("supervision") is not None:
+        raise ConfigurationError(
+            "supervision needs worker processes to supervise; "
+            "executor='serial' has none (use executor='process')"
         )
-        return serial, {
-            "degraded": True,
-            "worker_restarts": restarts,
-            "t": serial.t,
-            "steps": serial.steps,
-        }
+    dropped = ("comm_timeout_s", "step_timeout_s", "ready_timeout_s", "supervision")
+    return {k: v for k, v in kwargs.items() if k not in dropped}
 
 
 def make_distributed_solver(
@@ -1362,17 +1257,16 @@ def make_distributed_solver(
 
     ``"serial"`` returns the in-process :class:`DistributedSolver`,
     ``"process"`` the multi-core :class:`ProcessSolver` — same surface,
-    bit-identical results.
+    bit-identical results.  A fault plan is a superset by design: its
+    ``processes`` faults (like its ``devices``) name a substrate the
+    serial executor does not have and are ignored there.
     """
     cfg = config or SolverConfig()
     if cfg.executor == "process":
         return ProcessSolver(
             system, global_grid, initial_prim, dims, config=cfg, **kwargs
         )
-    kwargs.pop("comm_timeout_s", None)
-    kwargs.pop("step_timeout_s", None)
-    kwargs.pop("ready_timeout_s", None)
-    kwargs.pop("supervision", None)
     return DistributedSolver(
-        system, global_grid, initial_prim, dims, config=cfg, **kwargs
+        system, global_grid, initial_prim, dims, config=cfg,
+        **serial_factory_kwargs(kwargs),
     )

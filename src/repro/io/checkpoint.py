@@ -267,9 +267,9 @@ def load_distributed_checkpoint(
 
     The execution backend follows the checkpointed ``config.executor``: a
     run checkpointed under ``executor="process"`` restarts as a
-    :class:`~repro.core.parallel.ProcessSolver` (fresh workers, shards
-    installed verbatim), anything else as a
-    :class:`DistributedSolver` — which is what lets
+    :class:`~repro.core.parallel.ProcessSolver` (fresh workers), anything
+    else as a :class:`DistributedSolver`; both install the shards verbatim
+    through their ``install_shards`` — which is what lets
     :func:`repro.resilience.run_with_restart` drive chaos runs on either
     backend through the same loader.
     """
@@ -291,28 +291,29 @@ def load_distributed_checkpoint(
         fault_injector=fault_injector,
         halo_policy=halo_policy,
     )
-    if config.executor == "process":
-        solver.restore_state(meta["t"], meta["steps"], shards)
-    else:
-        solver.install_shards(meta["t"], meta["steps"], shards)
+    solver.install_shards(meta["t"], meta["steps"], shards)
     return solver
 
 
-def save_amr_checkpoint(solver: AMRSolver, path) -> None:
+def save_amr_checkpoint(solver, path) -> None:
     """Write an AMR solver's forest state to *path* (.npz): every leaf's
     patch state as entries, topology (leaf order kept) and counters in
-    ``meta``.  Block ownership is not archived: the in-process distributed
-    driver is bit-identical to the serial one, which is what reloads."""
-    state = AMRSolver.forest_state(solver)
-    blocks = state.pop("blocks")
-    for name in ("leaves", "refined"):
-        state[name] = [[k.level, list(k.idx)] for k in state[name]]
+    ``meta``.  Works for every AMR driver through its ``forest_state()``
+    (the process fleet merges its workers'); block ownership is not
+    archived: all of them are bit-identical to the serial ``AMRSolver``,
+    which is what reloads."""
+    state = solver.forest_state()
+    meta = {
+        name: [[k.level, list(k.idx)] for k in state[name]]
+        for name in ("leaves", "refined")
+    }
+    meta.update({n: state[n] for n in ("t", "steps", "cells_updated", "regrids")})
     _write_archive(
         path, "amr", solver,
-        {_leaf_ident(key): patch for key, patch in blocks.items()},
+        {_leaf_ident(key): patch for key, patch in state["blocks"].items()},
         root_grid=_grid_meta(solver.layout.root_grid),
         amr=solver.amr.to_dict(),
-        **state,
+        **meta,
     )
 
 
@@ -327,6 +328,11 @@ def load_amr_checkpoint(path, system, boundaries=None) -> AMRSolver:
             key: _read_patch(data, "amr", _leaf_ident(key))
             for key in state["leaves"]
         }
+    if config.executor != "serial":
+        _log.info(
+            "checkpoint %s was written under executor=%r; it reloads as the "
+            "serial AMRSolver (bit-identical)", path, config.executor,
+        )
     solver = AMRSolver(
         system,
         _grid_from_meta(meta["root_grid"]),

@@ -52,3 +52,36 @@ def random_prim(system, shape, rng, vmax=0.9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def no_fleet_leaks(monkeypatch):
+    """Fail the test if it leaves a worker process or a shm segment behind.
+
+    Every segment of a process fleet is created by the parent, so tracking
+    this process's ``SharedMemory(create=True)`` calls names all of them,
+    rings recreated during a recovery included.
+    """
+    import multiprocessing
+    from multiprocessing import shared_memory
+
+    from repro.comm.shm import sweep_segments
+
+    created = []
+    real_init = shared_memory.SharedMemory.__init__
+
+    def tracking_init(self, name=None, create=False, size=0, **kwargs):
+        real_init(self, name=name, create=create, size=size, **kwargs)
+        if create:
+            created.append(self.name)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", tracking_init)
+    yield
+    monkeypatch.undo()
+    children = multiprocessing.active_children()
+    for child in children:  # do not let one leak fail every later test
+        child.kill()
+        child.join(timeout=10.0)
+    leaked = sweep_segments(created)  # the names that still attached
+    assert not children, f"worker processes left alive: {children}"
+    assert not leaked, f"shm segments left in /dev/shm: {leaked}"

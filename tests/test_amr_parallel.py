@@ -41,6 +41,9 @@ from repro.physics.srhd import SRHDSystem
 from repro.resilience.faults import FaultInjector, FaultPlan, HaloFault
 from repro.utils.errors import BlockMigrationError, ConfigurationError
 
+#: every test here must leave no worker process and no shm segment behind
+pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
+
 AMR_STEPS = 40
 
 
@@ -196,15 +199,30 @@ class TestConfigSurface:
         finally:
             proc.close()
 
-    def test_degrade_policy_rejected(self):
+    def test_serial_factory_validates_like_the_process_one(self):
+        """The same arguments are refused — or accepted — on both
+        executors: supervision needs processes, logical fault plans are
+        Cartesian-only, process faults are ignored serially."""
+        from repro.resilience.faults import ProcessFault
         from repro.resilience.policies import SupervisionPolicy
 
         system, grid, init, config, amr = _scenario()
-        with pytest.raises(ConfigurationError, match="degrade"):
-            AMRProcessSolver(
-                system, grid, init, config=config, amr=amr, n_ranks=2,
-                supervision=SupervisionPolicy(max_rank_restarts=0, degrade=True),
-            )
+        make = lambda **kw: make_distributed_amr_solver(  # noqa: E731
+            system, grid, init, config=config, amr=amr, n_ranks=2, **kw
+        )
+        with pytest.raises(ConfigurationError, match="executor='serial'"):
+            make(supervision=SupervisionPolicy())
+        logical = FaultPlan(
+            seed=1, halo=[HaloFault(kind="drop", exchange=1, message=0)]
+        )
+        with pytest.raises(ConfigurationError, match="only process faults"):
+            make(fault_injector=FaultInjector(logical))
+        ok = FaultPlan(
+            seed=1, processes=[ProcessFault(kind="kill_rank", rank=1, step=1)]
+        )
+        serial = make(fault_injector=FaultInjector(ok), step_timeout_s=1.0)
+        assert isinstance(serial, DistributedAMRSolver)
+        serial.step()
 
     def test_non_process_faults_rejected(self):
         system, grid, init, config, amr = _scenario()
@@ -223,9 +241,6 @@ class TestConfigSurface:
             system, grid, init, config=config, amr=amr, n_ranks=2
         )
         try:
-            with pytest.raises(ConfigurationError):
-                solver.run(t_final=1.0, max_steps=1, checkpoint_every=1,
-                           checkpoint_path="x.npz")
             with pytest.raises(ConfigurationError):
                 solver.gather_primitives()
         finally:

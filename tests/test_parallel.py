@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -58,7 +59,10 @@ from repro.resilience.policies import (
     RestartPolicy,
     run_with_restart,
 )
-from repro.utils.errors import CommunicationError, WorkerError
+from repro.utils.errors import CommunicationError, ConfigurationError, WorkerError
+
+#: every test here must leave no worker process and no shm segment behind
+pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
 
 
 def _rp1_setup(n=32):
@@ -293,6 +297,46 @@ class TestWorkerFailure:
         finally:
             solver.close()
 
+    def test_stopped_worker_is_named_and_reaped(self):
+        """A SIGSTOP'd rank of an *unsupervised* run: the error names it as
+        the silent one (with its heartbeat age — the board beats whether
+        or not a policy is set), and the one teardown escalates to SIGKILL,
+        so no stopped child and no segment outlives the failed step."""
+        system, grid, prim0 = _rp1_setup()
+        solver = ProcessSolver(
+            system, grid, prim0, (2,),
+            config=SolverConfig(cfl=0.4),
+            step_timeout_s=3.0,
+        )
+        try:
+            solver.step()
+            os.kill(solver._procs[1].pid, signal.SIGSTOP)
+            with pytest.raises(
+                WorkerError,
+                match=r"rank 1 (sent no reply|still owed a reply).*"
+                      r"last heartbeat \d+\.\ds ago",
+            ):
+                solver.step()
+            assert not any(p.is_alive() for p in solver._procs.values())
+            for name in solver._segments:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+            solver.close()  # clean no-op after the teardown
+        finally:
+            solver.close()
+
+    def test_call_verb_is_allow_listed(self):
+        """``call`` reaches only the methods the protocol names; anything
+        else is an unknown command, fatal like every between-step anomaly."""
+        system, grid, prim0 = _rp1_setup()
+        with ProcessSolver(
+            system, grid, prim0, (2,), config=SolverConfig(cfl=0.4)
+        ) as solver:
+            assert sorted(solver._call_all("snapshot")) == [0, 1]
+            with pytest.raises(WorkerError, match="unknown worker command 'close'"):
+                solver._call_all("close")
+            assert not any(p.is_alive() for p in solver._procs.values())
+
 
 def _npz_entries(path):
     """Every archive entry as raw bytes (meta compared as its json string)."""
@@ -433,6 +477,30 @@ class TestMakeDistributedSolver:
             assert proc.size == serial.size == 2
         finally:
             proc.close()
+
+    def test_serial_factory_refuses_supervision_and_drops_timeouts(self):
+        from repro.resilience.faults import ProcessFault
+        from repro.resilience.policies import SupervisionPolicy
+
+        system, grid, prim0 = _rp1_setup()
+        cfg = SolverConfig(executor="serial")
+        with pytest.raises(ConfigurationError, match="executor='serial'"):
+            make_distributed_solver(
+                system, grid, prim0, (2,), config=cfg,
+                supervision=SupervisionPolicy(),
+            )
+        # Transport timeouts configure pipes that do not exist; a plan's
+        # process faults name processes that do not exist: both ignored.
+        plan = FaultPlan(
+            seed=1, processes=[ProcessFault(kind="kill_rank", rank=1, step=1)]
+        )
+        serial = make_distributed_solver(
+            system, grid, prim0, (2,), config=cfg, supervision=None,
+            comm_timeout_s=1.0, step_timeout_s=1.0, ready_timeout_s=1.0,
+            fault_injector=FaultInjector(plan),
+        )
+        assert isinstance(serial, DistributedSolver)
+        serial.step()
 
 
 class TestOneRankStepper:

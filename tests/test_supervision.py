@@ -23,13 +23,15 @@ import numpy as np
 import pytest
 
 from repro.comm.shm import ShmChannel, ShmCommunicator, SupervisionBoard
+from repro.core.amr_distributed import DistributedAMRSolver
 from repro.core.amr_parallel import AMRProcessSolver
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.config import SolverConfig
 from repro.core.distributed import DistributedSolver
-from repro.core.parallel import ProcessSolver, _fold_to_serial, run_supervised
+from repro.core.parallel import ProcessSolver, run_supervised
 from repro.eos import IdealGasEOS
 from repro.harness.report import Report
+from repro.io.checkpoint import load_amr_checkpoint
 from repro.mesh.grid import Grid
 from repro.obs import (
     BufferSink,
@@ -38,6 +40,7 @@ from repro.obs import (
     canonical_stream,
     read_events,
 )
+from repro.obs.events import steps_of
 from repro.physics.initial_data import SHOCK_TUBES, blast_wave_2d, shock_tube
 from repro.physics.srhd import SRHDSystem
 from repro.resilience.faults import (
@@ -46,13 +49,21 @@ from repro.resilience.faults import (
     HaloFault,
     ProcessFault,
 )
-from repro.resilience.policies import HaloRetryPolicy, SupervisionPolicy
+from repro.resilience.policies import (
+    HaloRetryPolicy,
+    RestartPolicy,
+    SupervisionPolicy,
+    run_with_restart,
+)
 from repro.utils.errors import (
     CommunicationError,
     ConfigurationError,
     SupervisionExhausted,
     WorkerError,
 )
+
+#: every test here must leave no worker process and no shm segment behind
+pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
 
 META = {"suite": "supervision"}
 
@@ -345,7 +356,7 @@ class TestKillRecovery:
             shards = proc.checkpoint_shards()
             cons, p_cache, stats = shards[1]
             shards[1] = (cons, p_cache, replace(stats, n_unbracketed=1))
-            proc.restore_state(proc.t, proc.steps, shards)
+            proc.install_shards(proc.t, proc.steps, shards)
             proc.run(t_final=1.0, max_steps=6)
             assert proc.restarts_used == 1
             assert damped(proc) == damped(serial) > 0
@@ -418,7 +429,7 @@ class TestBudgetAndDegradation:
         assert snapshot["steps"] >= 1
         # The fold that degrade=True performs installs exactly the workers'
         # last consistent bytes into the serial stepper.
-        folded = _fold_to_serial(solver, snapshot)
+        folded = solver.fold_to_serial(snapshot)
         assert (folded.t, folded.steps) == (snapshot["t"], snapshot["steps"])
         for rank, (cons, p_cache, stats) in folded.checkpoint_shards().items():
             snap_cons, snap_p_cache, snap_stats = snapshot["states"][rank]["shard"]
@@ -431,7 +442,7 @@ class TestBudgetAndDegradation:
         executor from the last snapshot and finishes with physics
         bit-identical to a fault-free run."""
         setup = _blast2d_setup()
-        serial, _ = _run_serial(setup, (2, 2), 6)
+        serial, serial_sink = _run_serial(setup, (2, 2), 6)
         ref = serial.gather_primitives()
         system, grid, prim0 = setup
         plan = FaultPlan(
@@ -462,6 +473,11 @@ class TestBudgetAndDegradation:
         ]
         assert steps_seen == sorted(set(steps_seen))
         assert max(steps_seen) == serial.steps
+        # the twin continues the fleet's merged registries, so the stream
+        # stays canonical across the fold
+        assert canonical_stream(sink.records) == canonical_stream(
+            serial_sink.records
+        )
 
     def test_exhaustion_without_degrade_propagates_via_run_supervised(self):
         setup = _rp1_setup()
@@ -527,6 +543,38 @@ def _amr_supervised_run(plan, supervision, n_ranks=2):
         solver.close()
 
 
+def _amr_serial_reference(config=None, **run_kw):
+    """The uninterrupted serial forest, driven through ``run`` with a
+    recorder (what the degrade and checkpoint tests compare against)."""
+    system, grid, init, default, amr = _amr_scenario()
+    sink = BufferSink()
+    solver = AMRSolver(
+        system, grid, init, config or default, amr,
+        recorder=StepRecorder(sink, meta=META),
+    )
+    solver.run(1.0, max_steps=AMR_STEPS, **run_kw)
+    return solver, sink
+
+
+def _assert_same_forest(solver, serial):
+    assert (solver.t, solver.steps) == (serial.t, serial.steps)
+    assert list(solver.forest.leaves) == list(serial.forest.leaves)
+    assert solver.forest.refined == serial.forest.refined
+    for key, leaf in serial.forest.leaves.items():
+        assert solver.forest.leaves[key].cons.tobytes() == leaf.cons.tobytes(), (
+            f"block {key} diverged from the serial forest"
+        )
+
+
+def _npz_entries(path):
+    """Every archive entry as raw bytes (meta compared as its json string)."""
+    with np.load(path, allow_pickle=False) as data:
+        return {
+            name: str(data[name]) if name == "meta" else data[name].tobytes()
+            for name in data.files
+        }
+
+
 def _assert_amr_bitexact(serial, blocks, proc):
     assert proc["t"] == serial.t and proc["steps"] == serial.steps
     assert set(proc["blocks"]) == set(blocks), "leaf sets diverged"
@@ -581,6 +629,99 @@ class TestAMRSupervision:
         _assert_amr_bitexact(serial, blocks, proc)
         assert proc["restarts"] == 1
 
+    KILL_MID_MIGRATION = FaultPlan(
+        seed=7,
+        processes=[ProcessFault(kind="kill_rank", rank=1, step=AMR_FAULT_STEP)],
+    )
+
+    def test_degrade_finishes_on_the_serial_twin_bitexact(self):
+        """Budget 0 + degrade=True, killed on the migration step: the run
+        folds onto the in-process rank loop from the merged per-rank forest
+        snapshot and finishes there — leaf bytes, topology and canonical
+        stream equal the serial forest's, every step emitted once."""
+        serial, serial_sink = _amr_serial_reference()
+        system, grid, init, config, amr = _amr_scenario()
+        sink = BufferSink()
+        recorder = StepRecorder(sink, meta=META)
+        solver = AMRProcessSolver(
+            system, grid, init, config=config, amr=amr, n_ranks=2,
+            recorder=recorder,
+            fault_injector=FaultInjector(self.KILL_MID_MIGRATION),
+            supervision=SupervisionPolicy(
+                max_rank_restarts=0, degrade=True, **FAST
+            ),
+        )
+        finisher, info = run_supervised(solver, 1.0, max_steps=AMR_STEPS)
+        assert info["degraded"] is True
+        assert isinstance(finisher, DistributedAMRSolver)
+        assert not isinstance(finisher, AMRProcessSolver)
+        _assert_same_forest(finisher, serial)
+        assert finisher.repartitions >= 1  # the migration replayed on the twin
+        records = steps_of(sink.records)
+        assert [r["step"] for r in records] == list(range(1, AMR_STEPS + 1))
+        assert canonical_stream(records) == canonical_stream(
+            steps_of(serial_sink.records)
+        )
+
+    def test_inrun_checkpoints_match_serial_under_kill(self, tmp_path):
+        """``checkpoint_every`` on the fleet, killed mid-migration within
+        budget: every archive is entry-for-entry the serial AMRSolver's at
+        the same step (same SolverConfig on both, so ``meta`` matches)."""
+        cfg = SolverConfig(cfl=0.4, executor="process")
+        archives = {"serial": {}, "fleet": {}}
+
+        def keep(tag):
+            def callback(solver):
+                if solver.steps % 2 == 0:
+                    archives[tag][solver.steps] = _npz_entries(
+                        tmp_path / f"{tag}.npz"
+                    )
+            return callback
+
+        _amr_serial_reference(
+            cfg, checkpoint_every=2, checkpoint_path=tmp_path / "serial.npz",
+            callback=keep("serial"),
+        )
+        system, grid, init, _, amr = _amr_scenario()
+        with AMRProcessSolver(
+            system, grid, init, config=cfg, amr=amr, n_ranks=2,
+            fault_injector=FaultInjector(self.KILL_MID_MIGRATION),
+            supervision=SupervisionPolicy(max_rank_restarts=2, **FAST),
+        ) as fleet:
+            fleet.run(
+                1.0, max_steps=AMR_STEPS, checkpoint_every=2,
+                checkpoint_path=tmp_path / "fleet.npz", callback=keep("fleet"),
+            )
+            assert fleet.restarts_used == 1
+        assert sorted(archives["fleet"]) == list(range(2, AMR_STEPS + 1, 2))
+        for step, ref in archives["serial"].items():
+            got = archives["fleet"][step]
+            assert set(got) == set(ref), f"step {step}: entry names differ"
+            for name in ref:
+                assert got[name] == ref[name], f"step {step}: entry {name} differs"
+
+    def test_run_with_restart_resumes_from_a_fleet_checkpoint(self, tmp_path):
+        """Budget 0, no degrade: the fleet dies on the migration step and
+        ``run_with_restart`` reloads the last archive *it* wrote — as the
+        serial AMRSolver — onto the uninterrupted run's bytes."""
+        serial, _ = _amr_serial_reference()
+        system, grid, init, config, amr = _amr_scenario()
+        fleet = AMRProcessSolver(
+            system, grid, init,
+            config=SolverConfig(cfl=0.4, executor="process"), amr=amr,
+            n_ranks=2, fault_injector=FaultInjector(self.KILL_MID_MIGRATION),
+            supervision=SupervisionPolicy(max_rank_restarts=0, **FAST),
+        )
+        final, restarts = run_with_restart(
+            fleet, 1.0,
+            RestartPolicy(checkpoint_path=tmp_path / "amr.npz", checkpoint_every=2),
+            loader=lambda p: load_amr_checkpoint(p, system),
+            max_steps=AMR_STEPS,
+        )
+        assert restarts == 1
+        assert type(final) is AMRSolver
+        _assert_same_forest(final, serial)
+
     def test_budget_exhaustion_surfaces_snapshot(self):
         system, grid, init, config, amr = _amr_scenario()
         plan = FaultPlan(
@@ -602,21 +743,80 @@ class TestAMRSupervision:
             solver.close()
 
 
+#: the three anomalies the transport classifies, struck at step 2 of the
+#: 2-rank RP1 run: a crash, a hang, and a worker-raised ReproError (an
+#: unrecovered halo drop — deterministic, so never worth a retry)
+MATRIX_ANOMALIES = {
+    "kill_rank": FaultPlan(
+        seed=5, processes=[ProcessFault(kind="kill_rank", rank=1, step=2)]
+    ),
+    "hang_rank": FaultPlan(
+        seed=5, processes=[ProcessFault(kind="hang_rank", rank=1, step=2)]
+    ),
+    "logical": FaultPlan(
+        seed=1, halo=[HaloFault(kind="drop", exchange=4, message=0)]
+    ),
+}
+MATRIX_POLICIES = {"none": None, "budget0": 0, "budget2": 2}
+MATRIX_STEPS = 4
+
+
 @pytest.mark.chaos
-class TestFatalStaysFatal:
-    def test_logical_failure_is_not_retried(self):
-        """A deterministic logical error (unrecovered halo drop) must stay
-        fatal under supervision — replaying it would fail forever."""
-        plan = FaultPlan(
-            seed=1, halo=[HaloFault(kind="drop", exchange=1, message=0)]
+class TestFailureMatrix:
+    """Anomaly x policy on one small run: the one policy site decides every
+    cell, and whatever it decides, no worker process and no shm segment
+    survives it (``no_fleet_leaks`` asserts that after every cell)."""
+
+    @pytest.fixture(scope="class")
+    def fault_free(self):
+        return _run_serial(_rp1_setup(), (2,), MATRIX_STEPS)
+
+    @pytest.mark.parametrize("policy", list(MATRIX_POLICIES))
+    @pytest.mark.parametrize("anomaly", list(MATRIX_ANOMALIES))
+    def test_cell(self, anomaly, policy, fault_free):
+        budget = MATRIX_POLICIES[policy]
+        supervision = None if budget is None else SupervisionPolicy(
+            max_rank_restarts=budget, hang_timeout_s=1.5, **FAST
         )
-        setup = _rp1_setup()
-        system, grid, prim0 = setup
-        with pytest.raises(WorkerError, match="CommunicationError"):
-            with ProcessSolver(
-                system, grid, prim0.copy(), (2,),
-                config=SolverConfig(cfl=0.4),
-                fault_injector=FaultInjector(plan),
-                supervision=SupervisionPolicy(max_rank_restarts=3, **FAST),
-            ) as solver:
-                solver.run(t_final=1.0, max_steps=3)
+        system, grid, prim0 = _rp1_setup()
+        sink = BufferSink()
+        recorder = StepRecorder(sink, meta=META)
+        solver = ProcessSolver(
+            system, grid, prim0.copy(), (2,),
+            config=SolverConfig(cfl=0.4, executor="process"),
+            recorder=recorder,
+            fault_injector=FaultInjector(MATRIX_ANOMALIES[anomaly]),
+            supervision=supervision,
+            # unsupervised, only the deadline finds a stopped rank
+            step_timeout_s=3.0 if supervision is None else 600.0,
+        )
+        with solver:
+            if anomaly == "logical":
+                # fatal under every policy, and never retried
+                with pytest.raises(WorkerError, match="CommunicationError") as err:
+                    solver.run(t_final=1.0, max_steps=MATRIX_STEPS)
+                assert not isinstance(err.value, SupervisionExhausted)
+                assert solver.restarts_used == 0
+            elif budget is None:
+                with pytest.raises(WorkerError, match="rank 1") as err:
+                    solver.run(t_final=1.0, max_steps=MATRIX_STEPS)
+                assert not isinstance(err.value, SupervisionExhausted)
+            elif budget == 0:
+                with pytest.raises(SupervisionExhausted, match=r"rank\(s\) \[1\]") as err:
+                    solver.run(t_final=1.0, max_steps=MATRIX_STEPS)
+                assert err.value.snapshot["steps"] == 1
+            else:
+                solver.run(t_final=1.0, max_steps=MATRIX_STEPS)
+                recorder.finish(t_end=solver.t)
+                serial, serial_sink = fault_free
+                proc = {
+                    "t": solver.t, "steps": solver.steps,
+                    "cons": solver.gather_cons(),
+                    "prims": solver.gather_primitives(), "sink": sink,
+                }
+                _assert_bitexact(serial, serial_sink, proc)
+                assert solver.restarts_used == 1
+        assert not any(p.is_alive() for p in solver._procs.values())
+        for name in solver._segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
