@@ -20,7 +20,6 @@ from .cext import (
     cache_report,
     cext_available,
     load_cext_module,
-    load_cext_stencil_module,
     prune_cache,
 )
 from .generator import KernelGenerator
@@ -46,7 +45,6 @@ __all__ = [
     "cache_size",
     "cext_available",
     "load_cext_module",
-    "load_cext_stencil_module",
     "cache_report",
     "prune_cache",
     "ALL_TARGETS",

@@ -1,9 +1,10 @@
 """Compiled C kernel target: cffi build, on-disk artifact cache, fallback.
 
 The ``cext`` target turns the generated C module of
-:meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` into a
-real shared library via cffi.  Three layers of caching keep rebuilds rare
-and *correct*:
+:meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` —
+pointwise kernels, con2prim Newton loop and fused face-flux sweep, one
+artifact per ndim — into a real shared library via cffi.  Three layers of
+caching keep rebuilds rare and *correct*:
 
 1. an in-process handle map, keyed by the artifact name;
 2. an on-disk artifact cache (``$REPRO_CEXT_CACHE``, default
@@ -17,10 +18,10 @@ and *correct*:
    concurrent worker processes racing to build the same module all end up
    importing one winner.
 
-Everything degrades gracefully: missing cffi, a missing C compiler, or
+There is one fallback: missing cffi, a missing or failing C compiler, or
 ``REPRO_CEXT_DISABLE=1`` raise :class:`~repro.utils.errors.CodegenError`
 here, which :func:`repro.codegen.system.make_kernel_system` turns into a
-logged fallback to the ``flat`` target.
+logged fallback of the whole target to ``flat``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ _log = get_logger("codegen.cext")
 
 #: Set to any non-empty value to force the no-toolchain fallback path.
 DISABLE_ENV = "REPRO_CEXT_DISABLE"
-#: Set to any non-empty value to disable only the fused stencil module —
-#: the pointwise kernels keep compiling, exercising the per-kernel
-#: fallback (compiled algebra + interpreted face-flux sweep).
-STENCIL_DISABLE_ENV = "REPRO_CEXT_STENCIL_DISABLE"
 #: Overrides the on-disk artifact cache directory.
 CACHE_DIR_ENV = "REPRO_CEXT_CACHE"
 
@@ -224,35 +221,6 @@ def load_cext_module(ndim: int, kinds_axes=None):
     if cext_disabled():
         raise CodegenError(f"cext target disabled via {DISABLE_ENV}=1")
     return _load_spec(*module_spec(ndim, kinds_axes))
-
-
-def stencil_module_spec(ndim: int) -> tuple[str, str, str]:
-    """(artifact name, C source, cdef) of the fused stencil module.
-
-    A separate artifact from the pointwise module: the two compile (and
-    fail) independently, which is what makes the per-kernel fallback —
-    compiled algebra with an interpreted face-flux sweep — possible.
-    """
-    gen = KernelGenerator(ndim)
-    source = gen.generate_c_stencil_module()
-    cdef = gen.c_stencil_declarations()
-    return _artifact_name(f"_repro_cext_st_{ndim}d", source, cdef), source, cdef
-
-
-def load_cext_stencil_module(ndim: int):
-    """(ffi, lib) of the fused stencil module for *ndim*.
-
-    Raises :class:`~repro.utils.errors.CodegenError` when the cext target
-    is disabled outright, when only the stencil module is disabled
-    (``REPRO_CEXT_STENCIL_DISABLE=1``), or when the build fails.
-    """
-    if cext_disabled():
-        raise CodegenError(f"cext target disabled via {DISABLE_ENV}=1")
-    if os.environ.get(STENCIL_DISABLE_ENV):
-        raise CodegenError(
-            f"fused stencil kernels disabled via {STENCIL_DISABLE_ENV}=1"
-        )
-    return _load_spec(*stencil_module_spec(ndim))
 
 
 def clear_modules() -> None:

@@ -492,33 +492,42 @@ class KernelGenerator:
         """C source of the fused con2prim Newton kernel (template)."""
         return _CON2PRIM_C % {"name": CON2PRIM_KERNEL}
 
-    def _c_header(self, what: str) -> str:
-        return (
-            f"/* Auto-generated SRHD {what} -- do not edit.\n"
-            f" * ndim={self.ndim}, target=cext. "
-            "Generated by repro.codegen.KernelGenerator. */\n"
-            + _PROLOGUE_C
-        )
-
     def generate_c_module(self, kinds_axes=None) -> str:
-        """Complete C source of the compiled-kernel module for this ndim."""
+        """Complete C source of the compiled module for this ndim: the
+        pointwise kernels (*kinds_axes*, default every kind a solver
+        evaluates), the con2prim Newton loop and the fused face-flux sweep
+        of every axis — one translation unit, one artifact."""
         if kinds_axes is None:
             kinds_axes = self.default_kinds_axes("cext")
-        bodies = [self.generate_c(kind, axis) for kind, axis in kinds_axes]
-        bodies.append(self.generate_c_con2prim())
-        return self._c_header("kernels") + "\n" + "\n".join(bodies)
+        axes = range(self.ndim)
+        parts = [
+            "/* Auto-generated SRHD kernels -- do not edit.\n"
+            f" * ndim={self.ndim}, target=cext. "
+            "Generated by repro.codegen.KernelGenerator. */\n" + _PROLOGUE_C,
+            *(self.generate_c(kind, axis) for kind, axis in kinds_axes),
+            self.generate_c_con2prim(),
+            _STENCIL_COMMON_C,
+            _STENCIL_ROWS_C,
+            self.generate_c_sanitize(),
+            *(self.generate_c_cell_side(ax) for ax in axes),
+            self.generate_c_combines(),
+            *(self.generate_c_face_flux(ax) for ax in axes),
+        ]
+        return "\n".join(parts)
 
     def c_declarations(self, kinds_axes=None) -> str:
-        """cffi ``cdef`` declarations matching :meth:`generate_c_module`."""
+        """cffi ``cdef`` declarations matching :meth:`generate_c_module`
+        (entry points only; every sweep helper is ``static inline``)."""
         if kinds_axes is None:
             kinds_axes = self.default_kinds_axes("cext")
         decls = [self.c_signature(kind, axis) + ";" for kind, axis in kinds_axes]
         decls.append(self.con2prim_c_signature() + ";")
+        decls += [self.stencil_c_signature(ax) + ";" for ax in range(self.ndim)]
         return "\n".join(decls) + "\n"
 
     # -- fused stencil kernels (C target only) -------------------------------
     #
-    # The stencil module compiles the whole face-flux stage — reconstruction,
+    # The sweep compiles the whole face-flux stage — reconstruction,
     # face-state sanitization, the joint per-side (U, F, lambda) evaluation
     # and the LLF/HLL/HLLC combine — into one per-axis sweep.  The per-side
     # algebra is the same CSE'd ``face_side`` list the pointwise kernels
@@ -807,22 +816,3 @@ REPRO_INLINE void combine_hllc_{nd}d(int Sx, double sL, double sR,
     }}
 }}
 """
-
-    def generate_c_stencil_module(self) -> str:
-        """Complete C source of the fused stencil module for this ndim."""
-        parts = [
-            self._c_header("fused stencil kernels"),
-            _STENCIL_COMMON_C,
-            _STENCIL_ROWS_C,
-            self.generate_c_sanitize(),
-            *(self.generate_c_cell_side(ax) for ax in range(self.ndim)),
-            self.generate_c_combines(),
-            *(self.generate_c_face_flux(ax) for ax in range(self.ndim)),
-        ]
-        return "\n".join(parts)
-
-    def c_stencil_declarations(self) -> str:
-        """cffi ``cdef`` declarations matching
-        :meth:`generate_c_stencil_module` (entry points only)."""
-        decls = [self.stencil_c_signature(ax) + ";" for ax in range(self.ndim)]
-        return "\n".join(decls) + "\n"

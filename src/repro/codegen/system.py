@@ -4,22 +4,25 @@
 :class:`~repro.physics.srhd.SRHDSystem` but evaluates ``prim_to_con``,
 ``flux``, and ``char_speeds`` through the SymPy-generated kernels — i.e.
 the generated code runs in the *production solver path*, not just in
-micro-benchmarks.  It serves both interpreted targets: ``numpy`` (stacked
-arrays) and ``flat`` (SoA marshalling, the accelerator rehearsal path).
-On ``flat`` and ``cext`` the Riemann solvers' per-side work is the one
-joint ``face_side`` kernel; ``flux`` on its own stays the handwritten
-reference there (nothing in the solver path calls it).
+micro-benchmarks.  It is the ``flat`` target (SoA marshalling, the
+accelerator rehearsal path).  On ``flat`` and ``cext`` the Riemann solvers'
+per-side work is the one joint ``face_side`` kernel; ``flux`` on its own
+stays the handwritten reference there (nothing in the solver path calls
+it).
 
 :class:`CompiledSRHDSystem` is the same idea one step further: the
-kernels are the cffi-compiled C module of :mod:`repro.codegen.cext`,
-including the fused conservative-to-primitive Newton loop, which
-:func:`~repro.physics.con2prim.con_to_prim` picks up through the
-``c2p_newton`` hook.
+kernels are the cffi-compiled C module of :mod:`repro.codegen.cext` —
+the pointwise algebra, the fused conservative-to-primitive Newton loop
+(which :func:`~repro.physics.con2prim.con_to_prim` picks up through the
+``c2p_newton`` hook) and the fused ``face_flux`` sweep.  Holding one is
+what puts a :class:`~repro.core.pipeline.HydroPipeline` on the compiled
+face-flux path.
 
-:func:`make_kernel_system` is the selection point the solver stack calls
-(via ``SolverConfig.kernel_target``): it resolves a target name to a
-system, falling back from ``cext`` to ``flat`` with a logged warning when
-no C toolchain is available.
+:func:`make_kernel_system` is the one place a target name
+(``SolverConfig.kernel_target``) is turned into a system, falling back
+from ``cext`` to ``flat`` with a logged warning when the compiled module
+cannot be built or loaded.  Drivers call it once and hand the resolved
+system to every pipeline they own.
 """
 
 from __future__ import annotations
@@ -42,14 +45,14 @@ from .generator import (
 _log = get_logger("codegen.system")
 
 
-def stencil_scheme_ids(reconstruction, riemann) -> tuple[int, int, int] | None:
-    """Dispatch ids ``(recon, limiter, riemann)`` for a scheme combo.
+def stencil_scheme_ids(reconstruction, riemann) -> tuple[int, int, int]:
+    """Dispatch ids ``(recon, limiter, riemann)`` of a scheme combo in the
+    compiled face-flux sweep.
 
-    Returns ``None`` — and logs which half had no compiled form — for a
-    reconstruction type or Riemann solver the stencil emitter does not
-    know; the pipeline then keeps the interpreted face-flux path for that
-    scheme only.  Types are matched exactly: a subclass may change the
-    arithmetic the compiled form mirrors.
+    Every scheme ``make_reconstruction`` / ``make_riemann_solver`` can
+    produce is compiled; a type the emitter has never seen is a
+    :class:`~repro.utils.errors.CodegenError` naming it.  Types are matched
+    exactly: a subclass may change the arithmetic the compiled form mirrors.
     """
     from ..reconstruct import PPM, WENO5, WENOZ, PiecewiseConstant, TVDSlope
 
@@ -67,11 +70,7 @@ def stencil_scheme_ids(reconstruction, riemann) -> tuple[int, int, int] | None:
         missing = f"Riemann solver {riemann!r}"
     else:
         return STENCIL_RECON_IDS[family], limiter_id, riemann_id
-    _log.info(
-        "no compiled face_flux form for %s; keeping the interpreted "
-        "stencil stages", missing,
-    )
-    return None
+    raise CodegenError(f"no compiled face_flux form for {missing}")
 
 
 def _side_rows(prim: np.ndarray, scratch, tag):
@@ -83,73 +82,46 @@ def _side_rows(prim: np.ndarray, scratch, tag):
 
 
 class GeneratedSRHDSystem(SRHDSystem):
-    """SRHD system whose algebraic kernels are generated from SymPy.
+    """SRHD system whose algebraic kernels are generated from SymPy: the
+    ``flat`` target (SoA marshalling through
+    :func:`~repro.codegen.cache.run_flat_kernel`)."""
 
-    *target* selects the interpreted emission flavour: ``numpy`` (stacked
-    state arrays, the default) or ``flat`` (SoA marshalling through
-    :func:`~repro.codegen.cache.run_flat_kernel`).
-    """
+    target = "flat"
 
-    def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1,
-                 target: str = "numpy"):
-        if target not in ("numpy", "flat"):
-            raise CodegenError(
-                f"GeneratedSRHDSystem target must be 'numpy' or 'flat', "
-                f"got {target!r}"
-            )
+    def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
         super().__init__(IdealGasEOS(gamma=gamma), ndim)
         self.gamma = float(gamma)
-        self.target = target
-        # The kernel behind each side of a face: ``numpy`` keeps the three
-        # separate calls (its ``face_side`` is the reference composition),
-        # ``flat`` evaluates the joint kernel and never calls ``flux`` alone.
-        per_axis = "flux" if target == "numpy" else "face_side"
-        self._k_prim_to_con = load_kernel("prim_to_con", ndim, 0, target)
-        self._k_axis = [
-            load_kernel(per_axis, ndim, axis, target) for axis in range(ndim)
+        self._k_prim_to_con = load_kernel("prim_to_con", ndim, 0, "flat")
+        # Each side of a face is the joint kernel; ``flux`` alone stays the
+        # inherited handwritten reference.
+        self._k_side = [
+            load_kernel("face_side", ndim, axis, "flat") for axis in range(ndim)
         ]
         self._k_char = [
-            load_kernel("char_speeds", ndim, axis, target) for axis in range(ndim)
+            load_kernel("char_speeds", ndim, axis, "flat") for axis in range(ndim)
         ]
 
     def prim_to_con(self, prim: np.ndarray, out=None, scratch=None, tag="p2c") -> np.ndarray:
         # Keep the reference implementation's admissibility guard.
         self.lorentz_factor(prim)
-        if self.target == "numpy":
-            dst = np.empty_like(prim) if out is None else out
-            return self._k_prim_to_con(prim, dst, self.gamma)
         got = run_flat_kernel(self._k_prim_to_con, prim, self.nvars, self.gamma)
         if out is None:
             return got
         np.copyto(out, got)
         return out
 
-    def flux(self, prim: np.ndarray, cons: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
-        if self.target != "numpy":
-            return super().flux(prim, cons, axis, out=out)
-        # The generated flux consumes primitives only; *cons* is accepted
-        # for interface compatibility.
-        dst = np.empty_like(prim) if out is None else out
-        return self._k_axis[axis](prim, dst, self.gamma)
-
     def face_side(self, prim: np.ndarray, axis: int = 0, scratch=None, tag="side"):
-        if self.target == "numpy":
-            return super().face_side(prim, axis, scratch=scratch, tag=tag)
         # Keep the reference implementation's admissibility guard.
         self.lorentz_factor(prim)
         rows, split = _side_rows(prim, scratch, tag)
-        self._k_axis[axis](
+        self._k_side[axis](
             *(q.reshape(-1) for q in prim), *(r.reshape(-1) for r in rows),
             self.gamma,
         )
         return split
 
     def char_speeds(self, prim: np.ndarray, axis: int = 0, out=None, scratch=None, tag="cs"):
-        if self.target == "numpy":
-            lam = scratch_buf(scratch, (tag, "lam2"), (2,) + prim.shape[1:])
-            self._k_char[axis](prim, lam, self.gamma)
-        else:
-            lam = run_flat_kernel(self._k_char[axis], prim, 2, self.gamma)
+        lam = run_flat_kernel(self._k_char[axis], prim, 2, self.gamma)
         if out is None:
             return lam[0], lam[1]
         np.copyto(out[0], lam[0])
@@ -157,10 +129,7 @@ class GeneratedSRHDSystem(SRHDSystem):
         return out[0], out[1]
 
     def __repr__(self):
-        return (
-            f"GeneratedSRHDSystem(gamma={self.gamma}, ndim={self.ndim}, "
-            f"target={self.target!r})"
-        )
+        return f"GeneratedSRHDSystem(gamma={self.gamma}, ndim={self.ndim})"
 
 
 class CompiledSRHDSystem(SRHDSystem):
@@ -191,26 +160,9 @@ class CompiledSRHDSystem(SRHDSystem):
             getattr(self._lib, gen.kernel_name("char_speeds", ax, "cext"))
             for ax in range(ndim)
         ]
-        # The fused stencil module is a separate artifact with its own
-        # build: a failure here degrades per kernel (compiled algebra +
-        # interpreted face-flux sweep) instead of dropping the whole
-        # target back to 'flat'.
-        from .cext import load_cext_stencil_module
-
-        self._st_ffi = None
-        self._c_face_flux = None
-        try:
-            self._st_ffi, st_lib = load_cext_stencil_module(ndim)
-            self._c_face_flux = [
-                getattr(st_lib, gen.stencil_kernel_name(ax))
-                for ax in range(ndim)
-            ]
-        except CodegenError as exc:
-            _log.warning(
-                "compiled stencil kernels unavailable (%s); face_flux "
-                "falls back to the interpreted path (pointwise cext "
-                "kernels stay compiled)", exc,
-            )
+        self._c_face_flux = [
+            getattr(self._lib, gen.stencil_kernel_name(ax)) for ax in range(ndim)
+        ]
 
     # -- marshalling ---------------------------------------------------------
 
@@ -285,11 +237,6 @@ class CompiledSRHDSystem(SRHDSystem):
             max_newton=max_newton, damping=damping,
         )
 
-    @property
-    def has_fused_stencils(self) -> bool:
-        """Whether the compiled face-flux sweep is available."""
-        return self._c_face_flux is not None
-
     def face_flux(
         self,
         prim: np.ndarray,
@@ -316,7 +263,7 @@ class CompiledSRHDSystem(SRHDSystem):
 
         recon_id, limiter_id, riemann_id = ids
         return run_face_flux(
-            self._st_ffi,
+            self._ffi,
             self._c_face_flux[axis],
             prim,
             axis,
@@ -342,15 +289,21 @@ def make_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
     """Resolve ``SolverConfig.kernel_target`` to the system to run with.
 
     ``numpy`` returns *system* unchanged — the handwritten reference path,
-    which the golden-stream fixtures pin bit-for-bit.  ``flat`` and
+    which the golden-stream fixtures pin bit-for-bit — and so does an
+    already resolved system (idempotent: a driver resolves once and every
+    pipeline it builds passes through here for free).  ``flat`` and
     ``cext`` require the plain :class:`SRHDSystem` + ideal-gas combination
     the generator specializes for; anything else (tracer systems, exotic
     EOS) keeps the handwritten kernels with a logged warning.  When the
-    compiled target is unavailable (no cffi, no compiler,
-    ``REPRO_CEXT_DISABLE=1``), ``cext`` falls back to ``flat`` with a
-    logged warning rather than failing the run.
+    compiled module cannot be built or loaded (no cffi, no compiler,
+    ``REPRO_CEXT_DISABLE=1``, a build error), ``cext`` falls back to
+    ``flat`` with a logged warning rather than failing the run — the one
+    fallback of the target; pipelines count it in
+    ``codegen.target_fallbacks``.
     """
-    if target in (None, "numpy"):
+    if target in (None, "numpy") or isinstance(
+        system, (GeneratedSRHDSystem, CompiledSRHDSystem)
+    ):
         return system
     if type(system) is not SRHDSystem or not isinstance(system.eos, IdealGasEOS):
         _log.warning(
@@ -360,8 +313,6 @@ def make_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
         )
         return system
     gamma, ndim = system.eos.gamma, system.ndim
-    if target == "flat":
-        return GeneratedSRHDSystem(gamma=gamma, ndim=ndim, target="flat")
     if target == "cext":
         try:
             return CompiledSRHDSystem(gamma=gamma, ndim=ndim)
@@ -370,5 +321,7 @@ def make_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
                 "cext kernels unavailable (%s); falling back to "
                 "kernel_target='flat'", exc,
             )
-            return GeneratedSRHDSystem(gamma=gamma, ndim=ndim, target="flat")
+            target = "flat"
+    if target == "flat":
+        return GeneratedSRHDSystem(gamma=gamma, ndim=ndim)
     raise CodegenError(f"unknown kernel target {target!r}")

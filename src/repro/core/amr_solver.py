@@ -38,7 +38,7 @@ from ..utils.errors import ConfigurationError
 from ..utils.parameters import ParameterSet, param
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .pipeline import HydroPipeline
+from .pipeline import HydroPipeline, resolve_kernel_system
 from .stepping import Driver
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,6 +146,12 @@ class AMRSolver(Driver):
             raise ConfigurationError("system/grid dimensionality mismatch")
         self.system = system
         self.config = config or SolverConfig()
+        # Resolved once for every block pipeline, regrids included;
+        # self.system stays the plain one (it converts initial and
+        # prolonged data and is what workers unpickle).
+        self._kernel_system = resolve_kernel_system(
+            system, self.config.kernel_target
+        )
         self.amr = amr or AMRConfig()
         self.wall_bcs = boundaries or make_boundaries("outflow")
         self.layout = BlockLayout(root_grid, self.amr.block_size)
@@ -180,7 +186,7 @@ class AMRSolver(Driver):
         pipe = self._pipelines.get(key)
         if pipe is None:
             pipe = HydroPipeline(
-                self.system,
+                self._kernel_system,
                 self.forest.leaves[key].grid,
                 self._interior_bcs,
                 self.config,

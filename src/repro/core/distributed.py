@@ -40,7 +40,7 @@ from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .pipeline import HydroPipeline
+from .pipeline import HydroPipeline, resolve_kernel_system
 from .stepping import Driver
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -155,6 +155,9 @@ class DistributedSolver(Driver):
         # Per-rank boundary sets: interior faces (neighbour present) are
         # no-ops, physical walls inherit the global policy.
         interior = InteriorFace()
+        # Resolved once for every rank pipeline; self.system stays the plain
+        # one (it converts the initial data and is what workers unpickle).
+        kernel_system = resolve_kernel_system(system, self.config.kernel_target)
         self.pipelines: dict[int, HydroPipeline] = {}
         self.subgrids: dict[int, Grid] = {}
         for rank in self.local_ranks:
@@ -168,7 +171,7 @@ class DistributedSolver(Driver):
             sub = self.decomp.subgrid(rank)
             self.subgrids[rank] = sub
             self.pipelines[rank] = HydroPipeline(
-                system,
+                kernel_system,
                 sub,
                 BoundarySet(faces=faces),
                 self.config,

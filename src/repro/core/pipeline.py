@@ -20,12 +20,23 @@ from ..physics.con2prim import RecoveryStats, con_to_prim
 from ..physics.srhd import SRHDSystem
 from ..reconstruct import make_reconstruction
 from ..riemann import make_riemann_solver
-from ..utils.logging import get_logger
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
 from .workspace import ScratchWorkspace, scratch_buf
 
-_log = get_logger("core.pipeline")
+
+def resolve_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
+    """The system that runs *target*'s kernels for *system* — the one place
+    outside :func:`~repro.codegen.system.make_kernel_system` that reads a
+    target name.  Drivers that own many pipelines call it once and hand
+    every pipeline the resolved system; resolving a resolved system is
+    free.  Imported lazily: the default numpy path must not pay the SymPy
+    import."""
+    if target == "numpy":
+        return system
+    from ..codegen.system import make_kernel_system
+
+    return make_kernel_system(system, target)
 
 
 class HydroPipeline:
@@ -34,7 +45,9 @@ class HydroPipeline:
     Parameters
     ----------
     system, grid, boundaries:
-        Physics, mesh, and ghost-fill policy for the patch.
+        Physics, mesh, and ghost-fill policy for the patch.  *system* is
+        resolved against ``config.kernel_target`` (a no-op for one a driver
+        already resolved); the resolved object decides the face-flux path.
     config:
         Numerical scheme selection.
     timers:
@@ -62,16 +75,9 @@ class HydroPipeline:
         metrics: MetricsRegistry | None = None,
         fault_injector=None,
     ):
-        target = config.kernel_target
-        if target != "numpy":
-            # Resolved here (not at the solver layer) so every driver —
-            # serial, distributed, process-worker, AMR — hits the selected
-            # kernels through the one construction point.  Imported lazily:
-            # the default numpy path must not pay the SymPy import.
-            from ..codegen.system import make_kernel_system
-
-            system = make_kernel_system(system, target)
-        self.system = system
+        # Here as well as in the drivers that own many pipelines: this is
+        # the construction point every driver and direct user goes through.
+        self.system = system = resolve_kernel_system(system, config.kernel_target)
         self.grid = grid
         self.boundaries = boundaries
         self.config = config
@@ -91,20 +97,20 @@ class HydroPipeline:
             )
         self.timers = timers if timers is not None else TimerRegistry()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: fused-stencil dispatch ids (recon, limiter, riemann), or None to
-        #: run the interpreted reconstruct/sanitize/riemann stages.  Set
-        #: only when the compiled face-flux sweep is loaded AND the scheme
-        #: combo has a compiled form — each missing piece degrades just
-        #: this stage, never the whole kernel target.
+        #: dispatch ids (recon, limiter, riemann) of the compiled face-flux
+        #: sweep, fixed here: set iff the system carries one (only a
+        #: CompiledSRHDSystem does); None runs the interpreted
+        #: reconstruct/sanitize/riemann stages.
         self._fused_ids = None
         #: row-offset tables for the fused sweep, keyed by (axis, layout)
         self._row_offset_cache: dict = {}
-        #: the strided-prim bypass of the fused sweep warns once per pipeline
-        self._bypass_logged = False
-        if target == "cext" and getattr(self.system, "has_fused_stencils", False):
+        if hasattr(system, "face_flux"):
             from ..codegen.system import stencil_scheme_ids
 
             self._fused_ids = stencil_scheme_ids(self.reconstruction, self.riemann)
+        elif config.kernel_target == "cext":
+            # The target's one fallback (logged by make_kernel_system).
+            self.metrics.counter("codegen.target_fallbacks").inc()
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
@@ -351,7 +357,7 @@ class HydroPipeline:
         ws = self.workspace if reuse else None
         g = grid.n_ghost
         full_axis = (lo, hi) == (0, grid.shape[axis])
-        if self._fused_applies(prim):
+        if self._fused_ids is not None:
             # Compiled path: one C sweep replaces reconstruct + sanitize +
             # riemann, bit-identical to the interpreted stages below.
             with self.timers("face_flux"):
@@ -371,25 +377,6 @@ class HydroPipeline:
             np.subtract(Fm[..., 1:], Fm[..., :-1], out=div)
             np.divide(div, grid.dx[axis], out=div)
         return div
-
-    def _fused_applies(self, prim: np.ndarray) -> bool:
-        """Whether this sweep takes the compiled path.  A fused pipeline
-        handed a strided *prim* (C walks raw offsets) runs interpreted
-        instead — counted per sweep, logged once per pipeline."""
-        if self._fused_ids is None:
-            return False
-        if prim.flags.c_contiguous:
-            return True
-        self.metrics.counter("codegen.stencil_bypassed").inc()
-        if not self._bypass_logged:
-            self._bypass_logged = True
-            _log.warning(
-                "fused face_flux bypassed: prim is not C-contiguous "
-                "(shape %s, strides %s); running the interpreted stencil "
-                "stages (counted in codegen.stencil_bypassed)",
-                prim.shape, prim.strides,
-            )
-        return False
 
     def _interpreted_face_flux(
         self, prim: np.ndarray, axis: int, lo: int, hi: int, ws
@@ -440,6 +427,8 @@ class HydroPipeline:
         grid, system = self.grid, self.system
         g = grid.n_ghost
         n_faces = hi - lo + 1
+        # C walks raw offsets: a strided prim is copied (same bytes).
+        prim = np.ascontiguousarray(prim)
         offs = self._face_row_offsets(prim, axis)
         out3 = scratch_buf(
             ws, ("fused_flux", axis, lo, hi), (system.nvars, offs.size, n_faces)

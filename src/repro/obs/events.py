@@ -108,10 +108,11 @@ _TIMING_SUFFIXES = ("_s", "_seconds", "_frac")
 
 #: metric-name prefixes that describe the transport substrate rather than
 #: the numerics (e.g. real shared-memory bytes/waits of the process
-#: backend, modelled distributed-AMR ghost traffic, or the supervisor's
-#: failure/recovery accounting) — excluded so serial, process, and
-#: fault-recovered streams canonicalize equal
-_SUBSTRATE_PREFIXES = ("comm.shm.", "comm.amr.", "supervision.")
+#: backend, modelled distributed-AMR ghost traffic, the supervisor's
+#: failure/recovery accounting, or which kernel target a fallen-back
+#: ``cext`` run ended up on) — excluded so serial, process,
+#: fault-recovered and ``cext``-as-``flat`` streams canonicalize equal
+_SUBSTRATE_PREFIXES = ("comm.shm.", "comm.amr.", "supervision.", "codegen.")
 
 #: exact metric names with the same substrate character (a recovered run
 #: must canonicalize byte-identical to a fault-free one; rank counts and

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.config import SolverConfig
 from ..eos.ideal import IdealGasEOS
 from ..mesh.grid import Grid
 from ..physics.exact_riemann import RiemannState
@@ -37,7 +38,7 @@ from ..time_integration.ssprk import INTEGRATORS
 from ..utils.errors import ConfigurationError
 
 KINDS = ("shock_tube", "smooth_wave", "blast_wave_2d")
-KERNEL_TARGETS = ("numpy", "flat", "cext")
+KERNEL_TARGETS = SolverConfig._params["kernel_target"].choices
 
 
 def _state(value, where: str) -> RiemannState | None:

@@ -38,6 +38,7 @@ import numpy as np
 from ..boundary.conditions import make_boundaries
 from ..core.batch import FAILED, BatchSolver
 from ..core.config import SolverConfig
+from ..core.pipeline import resolve_kernel_system
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
@@ -162,11 +163,7 @@ class BatchService:
             self.metrics.counter("serve.kernel_cache.hits").inc()
             return cached
         self.metrics.counter("serve.kernel_cache.misses").inc()
-        system = spec.build_system()
-        if spec.kernel_target != "numpy":
-            from ..codegen.system import make_kernel_system
-
-            system = make_kernel_system(system, spec.kernel_target)
+        system = resolve_kernel_system(spec.build_system(), spec.kernel_target)
         self._kernel_cache[key] = system
         return system
 
@@ -247,10 +244,7 @@ class BatchService:
             riemann=spec0.riemann,
             integrator=spec0.integrator,
             cfl=spec0.cfl,
-            # The service resolves kernel targets through its own cache
-            # (kernel_system above); the pipeline must take the resolved
-            # system as-is.
-            kernel_target="numpy",
+            kernel_target=spec0.kernel_target,
         )
         solver = BatchSolver(
             system, grid, prims, config, make_boundaries("outflow"),

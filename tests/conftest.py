@@ -54,6 +54,33 @@ def rng():
     return np.random.default_rng(42)
 
 
+def require_cext(ndim):
+    """Skip the calling test on a host that cannot build the cext target."""
+    from repro.codegen import cext_available
+
+    if not cext_available(ndim):
+        pytest.skip("no C toolchain")
+
+
+@pytest.fixture
+def compiled_system_inits(monkeypatch):
+    """A list that grows by one per ``CompiledSRHDSystem`` constructed —
+    what a driver's kernel-target resolution costs (skips without a C
+    toolchain)."""
+    from repro.codegen.system import CompiledSRHDSystem
+
+    require_cext(2)
+    inits = []
+    real_init = CompiledSRHDSystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledSRHDSystem, "__init__", counting_init)
+    return inits
+
+
 @pytest.fixture
 def no_fleet_leaks(monkeypatch):
     """Fail the test if it leaves a worker process or a shm segment behind.

@@ -295,6 +295,37 @@ class TestAMREvolution:
         np.testing.assert_allclose(rho, rho[::-1, :], rtol=1e-10)
         np.testing.assert_allclose(rho, rho.T, rtol=1e-10)
 
+    def test_kernel_target_resolved_once_and_cext_is_flat(
+        self, system2d, compiled_system_inits
+    ):
+        """The forest resolves its kernel target once — every block
+        pipeline, regrid-born ones included, holds that one system — and a
+        ``cext`` forest is the ``flat`` forest, leaf for leaf, byte for
+        byte."""
+        forests = {}
+        for target in ("cext", "flat"):
+            amr = AMRSolver(
+                system2d,
+                Grid((32, 32), ((0, 1), (0, 1))),
+                lambda s, g: blast_wave_2d(s, g, p_in=50.0, p_out=1.0, radius=0.2),
+                SolverConfig(cfl=0.4, kernel_target=target),
+                AMRConfig(block_size=8, max_levels=2, regrid_interval=2),
+            )
+            n0 = len(amr.forest.leaves)
+            amr.run(t_final=1.0, max_steps=4)
+            assert amr.regrids == 2 and len(amr.forest.leaves) > n0
+            forests[target] = amr
+        assert len(compiled_system_inits) == 1
+        cext, flat = forests["cext"], forests["flat"]
+        assert {id(p.system) for p in cext._pipelines.values()} == {
+            id(cext._kernel_system)
+        }
+        assert "face_flux" in cext.timers and "reconstruct" not in cext.timers
+        assert cext.system is system2d
+        assert sorted(cext.forest.leaves) == sorted(flat.forest.leaves)
+        for key, leaf in cext.forest.leaves.items():
+            assert leaf.cons.tobytes() == flat.forest.leaves[key].cons.tobytes(), key
+
     def test_smooth_data_stays_coarse(self, system1d):
         root = Grid((64,), ((0.0, 1.0),))
 

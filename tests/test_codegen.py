@@ -136,20 +136,27 @@ class TestGeneratedCBudget:
     def test_no_libm_minmax_pow_and_every_helper_inline(self, ndim):
         import re
 
+        from repro.codegen.generator import CON2PRIM_KERNEL
+
         gen = KernelGenerator(ndim)
-        stencil = gen.generate_c_stencil_module()
-        for src in (gen.generate_c_module(), stencil):
-            code = re.sub(r"/\*.*?\*/", "", src, flags=re.S)
-            for token in ("fmin(", "fmax(", "pow("):
-                assert token not in code, token
-        assert "#define REPRO_INLINE static inline" in stencil
-        # Column-0 definitions: the per-axis entry points, everything else
-        # a REPRO_INLINE helper.  One sweep per axis — no schedule twins.
-        code = re.sub(r"/\*.*?\*/", "", stencil, flags=re.S)
+        module = gen.generate_c_module()
+        code = re.sub(r"/\*.*?\*/", "", module, flags=re.S)
+        for token in ("fmin(", "fmax(", "pow("):
+            assert token not in code, token
+        assert "#define REPRO_INLINE static inline" in module
+        # Column-0 definitions: the pointwise kernels, the Newton loop and
+        # the per-axis sweep entry points, everything else a REPRO_INLINE
+        # helper.  One sweep per axis — no schedule twins.
         defs = re.findall(r"^(?!#)(\w[^\n;{]*?)\s+\**(\w+)\(", code, flags=re.M)
         entries = [name for head, name in defs if not head.startswith("REPRO_INLINE")]
-        assert entries == [gen.stencil_kernel_name(ax) for ax in range(ndim)]
+        assert entries == [
+            *(gen.kernel_name(k, ax, "cext") for k, ax in gen.default_kinds_axes("cext")),
+            CON2PRIM_KERNEL,
+            *(gen.stencil_kernel_name(ax) for ax in range(ndim)),
+        ]
         assert len(defs) > len(entries) + 10
+        # ... and the cdef declares exactly those entry points.
+        assert re.findall(r"(\w+)\(", gen.c_declarations()) == entries
 
     def test_inline_minmax_are_numpy_minmax(self, tmp_path, monkeypatch):
         """rmin/rmax/rclip == np.minimum/np.maximum/np.clip on every pair of
@@ -224,7 +231,7 @@ class TestKernelCorrectness:
 
 
 class TestGeneratedSystemInSolver:
-    """Generated kernels driving the full production solver."""
+    """Generated (``flat``) kernels driving the full production solver."""
 
     def test_shock_tube_matches_handwritten(self):
         from repro import Grid, Solver, SolverConfig
@@ -403,6 +410,28 @@ class TestCrossTargetParity:
 
         check()
 
+    def test_compiled_face_side_is_the_flat_kernel(self, rng):
+        """The interpreted Riemann stage on a compiled system evaluates each
+        side through the compiled pointwise ``face_side`` — and that is the
+        flat kernel, byte for byte."""
+        from repro.codegen import cext_available
+        from repro.codegen.system import CompiledSRHDSystem, GeneratedSRHDSystem
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        compiled = CompiledSRHDSystem(ndim=2)
+        flat = GeneratedSRHDSystem(ndim=2)
+        calls = []
+        for ax, fn in enumerate(compiled._c_side):
+            compiled._c_side[ax] = lambda *a, fn=fn: calls.append(1) or fn(*a)
+        prim = self._hostile_prim(compiled, 257, rng).reshape(4, 1, 257)
+        for ax in range(2):
+            got = compiled.face_side(prim, ax)
+            ref = flat.face_side(prim, ax)
+            for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
+                assert a.tobytes() == b.tobytes()
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_con2prim_recovery_compiled_matches_reference(self, ndim, rng):
         from repro.codegen import cext_available
@@ -505,15 +534,12 @@ class TestCacheInvalidation:
         monkeypatch.undo()
 
         # The flags shape the binary as much as the source does: ours ...
-        st1, _, _ = cext_mod.stencil_module_spec(1)
         monkeypatch.setattr(cext_mod, "CFLAGS", cext_mod.CFLAGS + ("-O3",))
         assert cext_mod.module_spec(1)[0] != name1
-        assert cext_mod.stencil_module_spec(1)[0] != st1
         monkeypatch.undo()
         # ... and the CFLAGS cffi's build inherits from the environment.
         monkeypatch.setenv("CFLAGS", "-ffp-contract=fast")
         assert cext_mod.module_spec(1)[0] != name1
-        assert cext_mod.stencil_module_spec(1)[0] != st1
 
     def test_rejected_flags_fail_the_build_instead_of_dropping_them(
         self, monkeypatch, tmp_path
@@ -570,42 +596,79 @@ class TestNoToolchainFallback:
     must degrade to 'flat' with a logged warning, never fail the run."""
 
     def test_disable_env_forces_flat_fallback(self, monkeypatch):
-        import logging
-
         from repro.codegen import cext as cext_mod
         from repro.codegen.system import GeneratedSRHDSystem, make_kernel_system
 
         monkeypatch.setenv(cext_mod.DISABLE_ENV, "1")
         assert not cext_mod.cext_available(1)
 
-        records: list[logging.LogRecord] = []
-        handler = logging.Handler()
-        handler.emit = records.append
-        log = logging.getLogger("repro.codegen.system")
-        log.addHandler(handler)
-        try:
+        with _log_records("repro.codegen.system") as records:
             system = SRHDSystem(IdealGasEOS(gamma=1.4), ndim=1)
             resolved = make_kernel_system(system, "cext")
-        finally:
-            log.removeHandler(handler)
-        assert isinstance(resolved, GeneratedSRHDSystem)
-        assert resolved.target == "flat"
-        assert any("falling back" in r.getMessage() for r in records)
+            assert isinstance(resolved, GeneratedSRHDSystem)
+            assert resolved.target == "flat"
+            assert any("falling back" in r.getMessage() for r in records)
+            # Idempotent and silent: a resolved system comes back as it is,
+            # whatever target is named.
+            del records[:]
+            for target in ("numpy", "flat", "cext"):
+                assert make_kernel_system(resolved, target) is resolved
+            assert records == []
 
     def test_disabled_cext_still_solves(self, monkeypatch):
+        """The fallen-back run is the flat run — interpreted stencil stages,
+        same bytes, same canonical stream — and the fallback is counted
+        once per pipeline, not only logged."""
         from repro import Grid, Solver, SolverConfig
         from repro.codegen import cext as cext_mod
+        from repro.obs import BufferSink, StepRecorder, canonical_stream
         from repro.physics.initial_data import RP1, shock_tube
 
         monkeypatch.setenv(cext_mod.DISABLE_ENV, "1")
         system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
         grid = Grid((32,), ((0.0, 1.0),))
-        solver = Solver(
-            system, grid, shock_tube(system, grid, RP1),
-            SolverConfig(cfl=0.4, kernel_target="cext"),
+        runs = {}
+        for target in ("cext", "flat"):
+            sink = BufferSink()
+            solver = Solver(
+                system, grid, shock_tube(system, grid, RP1),
+                SolverConfig(cfl=0.4, kernel_target=target),
+                recorder=StepRecorder(sink),
+            )
+            solver.run(t_final=0.05)
+            runs[target] = solver, canonical_stream(sink.records)
+        fell_back, stream = runs["cext"]
+        flat, flat_stream = runs["flat"]
+        assert np.all(np.isfinite(fell_back.interior_primitives()))
+        assert fell_back.metrics.counter("codegen.target_fallbacks").value == 1
+        assert "codegen.target_fallbacks" not in flat.metrics.snapshot()["counters"]
+        assert "reconstruct" in fell_back.timers and "face_flux" not in fell_back.timers
+        assert (
+            fell_back.interior_primitives().tobytes()
+            == flat.interior_primitives().tobytes()
         )
-        solver.run(t_final=0.05)
-        assert np.all(np.isfinite(solver.interior_primitives()))
+        assert stream == flat_stream
+
+
+    def test_build_failure_is_the_same_fallback(self, monkeypatch, tmp_path):
+        """A toolchain that is present but cannot build the module (here:
+        it rejects a flag) takes the one fallback too — whole target to
+        flat, logged and counted, nothing left in the cache."""
+        from repro.codegen import cext as cext_mod
+
+        if not cext_mod.cext_available(1):
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            cext_mod, "CFLAGS", cext_mod.CFLAGS + ("--no-such-compiler-flag",)
+        )
+        cext_mod.clear_modules()
+        with _log_records("repro.codegen.system") as records:
+            pipe = TestFusedStencilParity._pipeline("cext", "mc", "hllc", ndim=1)
+        assert any("build failed" in r.getMessage() for r in records)
+        assert pipe.system.target == "flat" and pipe._fused_ids is None
+        assert pipe.metrics.counter("codegen.target_fallbacks").value == 1
+        assert [p for p in tmp_path.iterdir() if p.is_file()] == []
 
 
 class TestCache:
@@ -875,39 +938,11 @@ class TestFusedStencilParity:
                         axis, n_faces, lo
                     )
 
-    def test_fused_off_matches_fused_on(self, monkeypatch):
-        """The per-kernel fallback (stencil module unavailable, here via
-        the deployment switch) must give the identical (bitwise) result
-        through the interpreted stages — that is the fallback contract."""
-        from repro.codegen import cext as cext_mod
-        from repro.codegen import cext_available, clear_cache
-
-        if not cext_available(2):
-            pytest.skip("no C toolchain")
-        for recon in ("mc", "ppm"):
-            on = self._pipeline("cext", recon, "hllc")
-            with monkeypatch.context() as env:
-                env.setenv(cext_mod.STENCIL_DISABLE_ENV, "1")
-                clear_cache()
-                try:
-                    off = self._pipeline("cext", recon, "hllc")
-                finally:
-                    clear_cache()
-            assert on._fused_ids is not None
-            assert off._fused_ids is None
-            prim = self._ghosted_prim(on, 99, True)
-            assert (
-                on.flux_divergence(prim.copy()).tobytes()
-                == off.flux_divergence(prim.copy()).tobytes()
-            )
-            assert "face_flux" in on.timers
-            assert "face_flux" not in off.timers
-
     def test_unsupported_scheme_keeps_interpreted_path(self):
-        """A reconstruction without a compiled form — here a subclass the
-        scheme->ids map has never seen; every registered scheme is fused —
-        degrades to the interpreted stages for that pipeline only, and the
-        log names the half of the combo that had no compiled form."""
+        """A scheme the emitter has never seen — here subclasses the
+        scheme->ids map matches out; every registered scheme is compiled —
+        has an interpreted form only: the map is total and refuses it by
+        name, so it can never ride the compiled sweep silently."""
         from repro.codegen import cext_available, stencil_scheme_ids
         from repro.reconstruct import PPM
         from repro.riemann import make_riemann_solver
@@ -923,19 +958,15 @@ class TestFusedStencilParity:
         class Exotic(type(hll)):
             name = "exotic"
 
-        with _log_records("repro.codegen.system") as records:
-            assert stencil_scheme_ids(SteepenedPPM(), hll) is None
-            assert "reconstruction" in records[-1].getMessage()
-            assert "steepened-ppm" in records[-1].getMessage()
-            assert stencil_scheme_ids(PPM(), Exotic()) is None
-            assert "Riemann solver" in records[-1].getMessage()
+        with pytest.raises(CodegenError, match="reconstruction.*steepened-ppm"):
+            stencil_scheme_ids(SteepenedPPM(), hll)
+        with pytest.raises(CodegenError, match="Riemann solver"):
+            stencil_scheme_ids(PPM(), Exotic())
         assert stencil_scheme_ids(PPM(), hll) is not None
 
         fused = self._pipeline("cext", "ppm", "hll")
-        plain = self._pipeline("cext", "ppm", "hll")
+        plain = self._pipeline("flat", "ppm", "hll")
         plain.reconstruction = SteepenedPPM()
-        plain._fused_ids = stencil_scheme_ids(plain.reconstruction, plain.riemann)
-        assert plain._fused_ids is None
         prim = self._ghosted_prim(fused, 5, False)
         assert (
             plain.flux_divergence(prim.copy()).tobytes()
@@ -962,9 +993,9 @@ class TestFusedStencilParity:
         narrow = self._pipeline("cext", "mc", "hll", n_ghost=3)
         narrow.flux_divergence_region(prim, 1, 0, n + 1)
 
-    def test_strided_prim_bypass_is_logged_once_and_counted(self):
-        """A fused pipeline handed a non-contiguous prim runs interpreted:
-        bytes unchanged, one WARNING per pipeline, every bypass counted."""
+    def test_strided_prim_is_copied_contiguous(self):
+        """C walks raw offsets, so a fused pipeline handed a non-contiguous
+        prim sweeps a contiguous copy: bytes unchanged, still compiled."""
         from repro.codegen import cext_available
 
         if not cext_available(2):
@@ -975,12 +1006,8 @@ class TestFusedStencilParity:
         strided = np.empty(prim.shape + (2,))[..., 0]
         strided[...] = prim
         assert not strided.flags.c_contiguous
-        with _log_records("repro.core.pipeline") as records:
-            assert pipe.flux_divergence(strided).tobytes() == want
-            assert pipe.flux_divergence(strided).tobytes() == want
-        warned = [r for r in records if "bypassed" in r.getMessage()]
-        assert len(warned) == 1
-        assert pipe.metrics.counter("codegen.stencil_bypassed").value == 4
+        assert pipe.flux_divergence(strided).tobytes() == want
+        assert "reconstruct" not in pipe.timers
 
 
 class TestFusedSolverDigest:
@@ -1019,98 +1046,6 @@ class TestFusedSolverDigest:
                 assert "face_flux" in solver.pipeline.timers
                 assert "reconstruct" not in solver.pipeline.timers
         assert digests["cext"] == digests["flat"]
-
-
-class TestStencilFallback:
-    """Per-kernel degradation: a missing stencil module must keep the
-    pointwise compiled kernels and fall back to the interpreted face-flux
-    sweep, with a logged warning naming the fallback."""
-
-    def test_stencil_disable_env_per_kernel_fallback(self, monkeypatch):
-        self._check_per_kernel_fallback(monkeypatch, "mc")
-
-    def test_stencil_disable_env_ppm_fallback(self, monkeypatch):
-        """The wide-stencil schemes degrade the same way: interpreted,
-        logged, bytes == flat."""
-        self._check_per_kernel_fallback(monkeypatch, "ppm")
-
-    @staticmethod
-    def _check_per_kernel_fallback(monkeypatch, recon):
-        from repro.codegen import cext as cext_mod
-        from repro.codegen import cext_available, clear_cache
-        from repro.codegen.system import CompiledSRHDSystem
-
-        if not cext_available(2):
-            pytest.skip("no C toolchain")
-        monkeypatch.setenv(cext_mod.STENCIL_DISABLE_ENV, "1")
-        clear_cache()
-        try:
-            with _log_records("repro.codegen.system") as records:
-                fused = TestFusedStencilParity._pipeline("cext", recon, "hllc")
-        finally:
-            clear_cache()
-        assert isinstance(fused.system, CompiledSRHDSystem)
-        assert not fused.system.has_fused_stencils
-        assert fused._fused_ids is None
-        assert any(
-            "falls back to the interpreted path" in r.getMessage()
-            for r in records
-        )
-        # The degraded pipeline still matches flat bitwise (it *is* the
-        # interpreted sweep over compiled pointwise kernels).
-        flat = TestFusedStencilParity._pipeline("flat", recon, "hllc")
-        prim = TestFusedStencilParity._ghosted_prim(flat, 7, True)
-        assert (
-            flat.flux_divergence(prim.copy()).tobytes()
-            == fused.flux_divergence(prim.copy()).tobytes()
-        )
-        assert "reconstruct" in fused.timers and "face_flux" not in fused.timers
-
-    def test_fallback_tail_is_the_compiled_face_side(self, monkeypatch, rng):
-        """Without the stencil module the Riemann stage still evaluates each
-        side through the compiled pointwise ``face_side`` — and that is the
-        flat kernel, byte for byte."""
-        from repro.codegen import cext as cext_mod
-        from repro.codegen import cext_available
-        from repro.codegen.system import CompiledSRHDSystem, GeneratedSRHDSystem
-
-        if not cext_available(2):
-            pytest.skip("no C toolchain")
-        monkeypatch.setenv(cext_mod.STENCIL_DISABLE_ENV, "1")
-        compiled = CompiledSRHDSystem(ndim=2)
-        flat = GeneratedSRHDSystem(ndim=2, target="flat")
-        assert not compiled.has_fused_stencils
-        calls = []
-        for ax, fn in enumerate(compiled._c_side):
-            compiled._c_side[ax] = lambda *a, fn=fn: calls.append(1) or fn(*a)
-        prim = TestCrossTargetParity._hostile_prim(compiled, 257, rng).reshape(4, 1, 257)
-        for ax in range(2):
-            got = compiled.face_side(prim, ax)
-            ref = flat.face_side(prim, ax)
-            for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
-                assert a.tobytes() == b.tobytes()
-        assert len(calls) == 2
-
-    def test_disable_env_keeps_interpreted_stencils(self, monkeypatch):
-        """Full REPRO_CEXT_DISABLE: the whole target degrades to flat and
-        the pipeline never engages the fused sweep (the compiled-fallback
-        CI job runs the suite under this env)."""
-        from repro.codegen import cext as cext_mod
-        from repro.codegen import clear_cache
-
-        monkeypatch.setenv(cext_mod.DISABLE_ENV, "1")
-        clear_cache()
-        try:
-            pipe = TestFusedStencilParity._pipeline("cext", "mc", "hllc")
-        finally:
-            clear_cache()
-        assert pipe._fused_ids is None
-        with pytest.raises(CodegenError):
-            cext_mod.load_cext_stencil_module(2)
-        prim = TestFusedStencilParity._ghosted_prim(pipe, 11, False)
-        assert np.all(np.isfinite(pipe.grid.interior_of(
-            pipe.flux_divergence(prim)
-        )))
 
 
 class TestCacheMaintenance:

@@ -41,6 +41,28 @@ class TestEquivalence:
             dist.gather_primitives(), single.interior_primitives(), atol=1e-12
         )
 
+    def test_kernel_target_resolved_once_for_all_ranks(
+        self, system2d, compiled_system_inits
+    ):
+        """Sixteen rank pipelines, one resolution: each holds the same
+        compiled system, the driver keeps the plain one, and the ranks
+        still reproduce the single-grid cext run byte for byte."""
+        grid = Grid((32, 32), ((0, 1), (0, 1)))
+        prim0 = blast_wave_2d(system2d, grid, p_in=10.0, radius=0.2)
+        cfg = SolverConfig(cfl=0.4, kernel_target="cext")
+        dist = DistributedSolver(system2d, grid, prim0.copy(), dims=(4, 4), config=cfg)
+        assert len(compiled_system_inits) == 1
+        assert len({id(p.system) for p in dist.pipelines.values()}) == 1
+        assert dist.system is system2d
+        dist.run(t_final=1.0, max_steps=3)
+        assert "face_flux" in dist.timers and "reconstruct" not in dist.timers
+        single = Solver(system2d, grid, prim0.copy(), cfg)
+        single.run(t_final=1.0, max_steps=3)
+        assert (
+            dist.gather_primitives().tobytes()
+            == single.interior_primitives().tobytes()
+        )
+
     def test_periodic_1d_matches(self, system1d):
         grid = Grid((32,), ((0.0, 1.0),))
         prim0 = smooth_wave(system1d, grid, amplitude=0.2, velocity=0.4)

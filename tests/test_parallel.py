@@ -61,6 +61,8 @@ from repro.resilience.policies import (
 )
 from repro.utils.errors import CommunicationError, ConfigurationError, WorkerError
 
+from .conftest import require_cext
+
 #: every test here must leave no worker process and no shm segment behind
 pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
 
@@ -166,6 +168,18 @@ class TestBitExactness:
         kw = dict(meta=META, overlap_exchange=overlap)
         serial, sink = _run_serial(setup, (2, 2), 3, **kw)
         proc = _run_process(setup, (2, 2), 3, **kw)
+        _assert_bitexact(serial, sink, proc)
+
+    @pytest.mark.parametrize("kernel_target", ["flat", "cext"])
+    def test_2d_two_ranks_per_kernel_target(self, kernel_target):
+        """Each worker resolves the target for itself from the plain system
+        it unpickles; the fleet is the serial run on every target."""
+        if kernel_target == "cext":
+            require_cext(2)
+        setup = _blast2d_setup()
+        kw = dict(meta=META, kernel_target=kernel_target)
+        serial, sink = _run_serial(setup, (2, 1), 3, **kw)
+        proc = _run_process(setup, (2, 1), 3, **kw)
         _assert_bitexact(serial, sink, proc)
 
     def test_3d_two_ranks(self):

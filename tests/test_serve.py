@@ -12,6 +12,8 @@ from repro.obs import BufferSink, StepRecorder
 from repro.serve import BatchService, Request, ScenarioSpec
 from repro.utils.errors import AdmissionError, ConfigurationError, RecoveryError
 
+from .conftest import require_cext
+
 
 def _spec(**kwargs):
     base = dict(kind="shock_tube", problem="RP1", nx=64, t_final=0.05)
@@ -137,6 +139,39 @@ class TestService:
         svc = BatchService()
         reqs = svc.sweep([_spec(kernel_target="flat") for _ in range(2)])
         assert [r.status for r in reqs] == ["ok", "ok"]
+
+    def test_cext_requests_run_the_fused_sweep(self, monkeypatch):
+        """The service hands its batch solvers the spec's real target: a
+        ``cext`` batch runs the compiled face-flux sweep, no interpreted
+        reconstruct/Riemann stage — and serves the flat batch's numbers."""
+        from repro.core.batch import BatchSolver
+
+        require_cext(1)
+        solvers = []
+        real_run = BatchSolver.run
+
+        def run(self, *args, **kwargs):
+            solvers.append(self)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchSolver, "run", run)
+        svc = BatchService()
+        results = {}
+        for target in ("cext", "flat"):
+            reqs = svc.sweep(
+                [
+                    _spec(kernel_target=target, left={"rho": 10.0, "v": 0.0, "p": p})
+                    for p in (11.0, 13.0, 15.0)
+                ]
+            )
+            assert [r.status for r in reqs] == ["ok"] * 3
+            results[target] = [r.result for r in reqs]
+        cext, flat = solvers
+        assert cext.config.kernel_target == "cext"
+        assert "face_flux" in cext.timers
+        assert "reconstruct" not in cext.timers and "riemann" not in cext.timers
+        assert "reconstruct" in flat.timers and "face_flux" not in flat.timers
+        assert results["cext"] == results["flat"]
 
     def test_metrics_schema(self):
         svc = BatchService()
