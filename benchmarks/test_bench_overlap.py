@@ -1,24 +1,13 @@
-"""E10 (Fig. 7): communication/computation overlap benefit, plus the
-measured overlapped-exchange benchmark (BENCH_overlap.json)."""
+"""E10 (Fig. 7): communication/computation overlap benefit."""
 
-import json
-import os
-import time
-
-import numpy as np
 import pytest
 
 from repro.comm import SimCommunicator, exchange_halos
-from repro.core import SolverConfig
-from repro.core.distributed import DistributedSolver
-from repro.eos import IdealGasEOS
-from repro.harness import calibrated_cost_model, experiment_e10_overlap
+from repro.harness import experiment_e10_overlap
 from repro.mesh.decomposition import CartesianDecomposition
 from repro.mesh.grid import Grid
-from repro.physics.initial_data import blast_wave_2d
-from repro.physics.srhd import SRHDSystem
 
-from .conftest import RESULTS_DIR, emit
+from .conftest import emit
 
 NODES = (16, 64, 256, 1024, 4096)
 
@@ -54,71 +43,3 @@ def test_overlap_shape(report):
     assert all(s >= -1e-9 for s in savings)
     assert max(savings) > 1.0  # visible benefit somewhere in the sweep
     assert halo_frac[-1] > halo_frac[0]  # surface-to-volume grows
-
-
-# ---------------------------------------------------------------------------
-# Measured overlapped exchange: the real DistributedSolver in blocking vs
-# overlapped mode on the 2-D blast. Smoke mode (REPRO_BENCH_SMOKE=1, used by
-# CI) shrinks the grid and step count; the JSON artifact layout is identical.
-
-
-def _distributed_case(overlap: bool, n: int, n_steps: int):
-    """Run one exchange mode; returns (stats, gathered primitives, solver)."""
-    system = SRHDSystem(IdealGasEOS(), ndim=2)
-    grid = Grid((n, n), ((0.0, 1.0), (0.0, 1.0)))
-    solver = DistributedSolver(
-        system, grid, blast_wave_2d(system, grid), (2, 2),
-        config=SolverConfig(cfl=0.4, overlap_exchange=overlap),
-    )
-    t0 = time.perf_counter()
-    solver.run(t_final=1.0, max_steps=n_steps)
-    seconds = time.perf_counter() - t0
-    stats = {"seconds": seconds, "per_step_seconds": seconds / solver.steps}
-    return stats, solver.gather_primitives().copy(), solver
-
-
-def test_bench_overlap_measured():
-    """Emit BENCH_overlap.json: the overlapped exchange must be bit-exact
-    and must hide a positive fraction of the modelled wire time."""
-    smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-    n, n_steps = (24, 4) if smoke else (64, 16)
-    blocking, prim_blk, _ = _distributed_case(False, n, n_steps)
-    lapped, prim_ovl, solver = _distributed_case(True, n, n_steps)
-    bit_identical = bool(np.array_equal(prim_blk, prim_ovl))
-
-    snap = solver.metrics.snapshot()["counters"]
-    modeled = snap["comm.overlap.modeled_comm_s"]
-    hidden = snap["comm.overlap.hidden_s"]
-    efficiency = hidden / modeled if modeled > 0 else 0.0
-    lapped.update(
-        exchanges=int(snap["comm.overlap.exchanges"]),
-        modeled_comm_s=modeled,
-        hidden_s=hidden,
-        exposed_s=snap["comm.overlap.exposed_s"],
-        hidden_frac=efficiency,
-        interior_seconds=snap["comm.overlap.interior_seconds"],
-        strip_seconds=snap["comm.overlap.strip_seconds"],
-    )
-    # The analytic E10 model at this problem size gives the prediction the
-    # measured hidden fraction is read against (same Hockney link pricing).
-    e10 = experiment_e10_overlap(node_counts=(4,), grid_shape=(n, n))
-    result = {
-        "experiment": "measured overlapped halo exchange",
-        "grid": [n, n],
-        "dims": [2, 2],
-        "steps": n_steps,
-        "smoke": smoke,
-        "blocking": blocking,
-        "overlap": lapped,
-        "overlap_efficiency": efficiency,
-        "model_e10": dict(zip(e10.headers, e10.rows[0])),
-        "bit_identical": bit_identical,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_overlap.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\noverlap benchmark ({n}x{n}, {n_steps} steps, 4 ranks): "
-          f"hidden {efficiency:.1%} of modeled comm, "
-          f"bit_identical={bit_identical} -> {path}")
-    assert bit_identical
-    assert efficiency > 0.0

@@ -12,7 +12,9 @@ sweep).
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from math import prod
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -58,7 +60,80 @@ def face_slices(ndim: int, axis: int, side: int, n_ghost: int, n_interior: int):
     return send, recv
 
 
-_face_slices = face_slices
+class Face(NamedTuple):
+    """One neighboured face of one rank: everything the halo protocol fixes
+    about the message pair that crosses it."""
+
+    axis: int
+    rank: int
+    side: int
+    nbr: int
+    #: index of the interior strip *rank* posts to *nbr*
+    send: tuple
+    #: index of the ghost slab *nbr*'s strip lands in
+    recv: tuple
+    #: tag on the posted strip: (axis, direction of travel)
+    send_tag: int
+    #: tag expected on the incoming strip — *nbr* sent from its opposite side
+    recv_tag: int
+    #: cells per variable in the posted strip
+    cells: int
+
+
+class FaceTable(NamedTuple):
+    """Who sends which strip to whom, in what order, under which tag.
+
+    The single definition of the Cartesian halo protocol: the blocking and
+    overlapped exchanges, the fault oracle's dry run, the shm ring sizing,
+    the byte model and the core/strip split all read it and enumerate
+    nothing themselves.
+    """
+
+    #: ``axes[axis]``: that axis's faces in (rank, side) order — the message
+    #: order ``(exchange, message)`` fault addressing counts in
+    axes: tuple
+    #: ``(rank, axis, side) -> Face``; walls have no entry
+    by_face: dict
+
+    def mirror(self, face: Face) -> Face:
+        """The neighbour's face whose posted strip fills *face*'s ghosts."""
+        return self.by_face[face.nbr, face.axis, 1 - face.side]
+
+
+def _build_face_table(decomp: CartesianDecomposition) -> FaceTable:
+    grid = decomp.global_grid
+    ndim, g = grid.ndim, grid.n_ghost
+    axes = []
+    for axis in range(ndim):
+        faces = []
+        for rank in range(decomp.size):
+            sub = decomp.subgrid(rank)
+            # The strip spans the full (ghost-padded) transverse extent so
+            # corner data propagates through the per-axis sweep.
+            ghosted = sub.shape_with_ghosts
+            cells = g * prod(ghosted) // ghosted[axis]
+            for side in (0, 1):
+                nbr = decomp.neighbor(rank, axis, side)
+                if nbr is None:
+                    continue
+                send, recv = face_slices(ndim, axis, side, g, sub.shape[axis])
+                faces.append(Face(
+                    axis, rank, side, nbr, send, recv,
+                    2 * axis + side, 2 * axis + 1 - side, cells,
+                ))
+        axes.append(tuple(faces))
+    return FaceTable(
+        tuple(axes),
+        {(f.rank, f.axis, f.side): f for faces in axes for f in faces},
+    )
+
+
+def face_table(decomp: CartesianDecomposition) -> FaceTable:
+    """The decomposition's face table: built on first use, then kept on the
+    decomposition — never per exchange — and pickled to workers with it."""
+    if decomp._face_table is None:
+        decomp._face_table = _build_face_table(decomp)
+    return decomp._face_table
 
 
 def split_axis_regions(
@@ -97,36 +172,28 @@ def rhs_regions(decomp: CartesianDecomposition, rank: int):
     before halos land, its strips after.
     """
     g = decomp.global_grid.n_ghost
-    sub = decomp.subgrid(rank)
-    out = []
-    for axis in range(decomp.global_grid.ndim):
-        out.append(
-            split_axis_regions(
-                sub.shape[axis],
-                g,
-                decomp.neighbor(rank, axis, 0) is not None,
-                decomp.neighbor(rank, axis, 1) is not None,
-            )
+    by_face = face_table(decomp).by_face
+    return [
+        split_axis_regions(
+            n, g, (rank, axis, 0) in by_face, (rank, axis, 1) in by_face
         )
-    return out
+        for axis, n in enumerate(decomp.subgrid(rank).shape)
+    ]
 
 
-def _post_strip(
-    decomp, comm, states, sender: int, dest: int, axis: int, side: int,
-    g: int, checksum: bool, schedule=None, metrics=None,
-) -> list[tuple[int, int]]:
-    """Post *sender*'s face strip toward *dest* (side is the sender's side).
+def _post_face(h: HaloHandle, face: Face) -> list[tuple[int, int]]:
+    """Post *face*'s strip from its rank toward its neighbour.
 
-    With *checksum*, a CRC32 of the payload rides alongside on a shifted
-    tag; checksum messages are not injectable, so a corrupted data message
-    is always detectable against its (intact) checksum.
+    Under a retry policy, a CRC32 of the payload rides alongside on a
+    shifted tag; checksum messages are not injectable, so a corrupted data
+    message is always detectable against its (intact) checksum.
 
-    With a *schedule* (process backend), faults are pre-decided by the
+    With a schedule (process backend), faults are pre-decided by the
     :class:`~repro.resilience.oracle.FaultOracle` rather than by an
     injector inside the communicator: every attempt for this message
     slot — the original send plus the retransmissions the receiver will
     request — is posted up front, each with its decided fate, and each
-    injected fault is counted on *metrics* exactly as the serial
+    injected fault is counted on the metrics exactly as the serial
     injector would have.
 
     Returns the posted ``(dest, nbytes)`` messages so overlap accounting
@@ -135,71 +202,35 @@ def _post_strip(
     they are posted later, inside the resilient receive, and accounted
     on ``resilience.halo_retransmit_bytes`` by the receiver.
     """
-    ndim = decomp.global_grid.ndim
-    n = decomp.subgrid(sender).shape[axis]
-    send, _ = face_slices(ndim, axis, side, g, n)
-    tag = axis * 2 + side  # tag encodes (axis, direction of travel)
-    payload = states[sender][send]
-    if schedule is None:
-        comm.send(sender, dest, payload, tag=tag)
-        posted = [(dest, payload.nbytes)]
-        if checksum:
-            crc = np.array([_crc(payload)], dtype=np.int64)
-            comm.send(
-                sender, dest, crc,
-                tag=tag + CHECKSUM_TAG_OFFSET,
-                injectable=False,
-            )
-            posted.append((dest, crc.nbytes))
-        return posted
-    posted = []
+    comm, checksum = h.comm, h.policy is not None
+    sender, dest, tag = face.rank, face.nbr, face.send_tag
+    payload = h.states[sender][face.send]
     crc = np.array([_crc(payload)], dtype=np.int64) if checksum else None
-    for attempt, (kind, scale) in enumerate(
-        schedule.pop_attempts(sender, dest, tag)
-    ):
-        if kind is not None and metrics is not None:
-            metrics.counter(f"resilience.fault.halo_{kind}").inc()
-        comm.send(
-            sender, dest, payload, tag=tag,
-            fault=(kind, scale) if kind is not None else None,
-        )
-        if attempt == 0:
-            posted.append((dest, payload.nbytes))
+    attempts = (
+        [(None, 0.0)] if h.schedule is None
+        else h.schedule.pop_attempts(sender, dest, tag)
+    )
+    for kind, scale in attempts:
+        if kind is not None and h.metrics is not None:
+            h.metrics.counter(f"resilience.fault.halo_{kind}").inc()
+        # Only a schedule decides a fate here, and only the process
+        # backend's communicator (the one handed schedules) takes one.
+        fate = {} if kind is None else {"fault": (kind, scale)}
+        comm.send(sender, dest, payload, tag=tag, **fate)
         if checksum:
             comm.send(
                 sender, dest, crc,
                 tag=tag + CHECKSUM_TAG_OFFSET,
                 injectable=False,
             )
-            if attempt == 0:
-                posted.append((dest, crc.nbytes))
+    posted = [(dest, payload.nbytes)]
+    if checksum:
+        posted.append((dest, crc.nbytes))
     return posted
 
 
-def _retransmit_nbytes(decomp, states, nbr: int, rank: int, axis: int,
-                       g: int) -> list[tuple[int, int]]:
-    """Accounting stub for a scheduled retransmission (data + checksum).
-
-    On the process backend the receiver cannot re-post the sender's
-    strip — the sender already posted every scheduled attempt — but the
-    serial path charges retransmissions to the receiver's
-    ``resilience.halo_retransmit_bytes``, so the same byte totals are
-    derived analytically from the sender's subgrid shape.
-    """
-    cells = g
-    for ax, n in enumerate(decomp.subgrid(nbr).shape):
-        if ax != axis:
-            cells *= n + 2 * g
-    arr = states[rank]
-    return [(rank, cells * arr.shape[0] * arr.itemsize), (rank, 8)]
-
-
-def _recv_reliable(
-    decomp, comm, states, nbr: int, rank: int, axis: int, side: int, g: int,
-    policy: "HaloRetryPolicy", metrics: "MetricsRegistry | None",
-    schedule=None,
-) -> np.ndarray:
-    """Receive one halo message with checksum verification and retry.
+def _recv_reliable(h: HaloHandle, face: Face) -> np.ndarray:
+    """Receive *face*'s halo message with checksum verification and retry.
 
     A missing message (dropped in flight) or a checksum mismatch (corrupted
     in flight) triggers a retransmission request — in this in-process SPMD
@@ -207,7 +238,8 @@ def _recv_reliable(
     up to the policy's attempt budget.  Only when the budget is exhausted
     does :class:`CommunicationError` propagate to the caller.
     """
-    tag = axis * 2 + (1 - side)  # sender sent from its opposite side
+    comm, policy, metrics = h.comm, h.policy, h.metrics
+    nbr, rank, tag = face.nbr, face.rank, face.recv_tag
     for attempt in range(policy.max_attempts):
         data = None
         try:
@@ -233,23 +265,89 @@ def _recv_reliable(
         if metrics is not None:
             metrics.counter("resilience.halo_retries").inc()
             metrics.histogram("resilience.halo_retry_backoff_s").observe(delay)
-        if schedule is not None:
-            reposted = _retransmit_nbytes(decomp, states, nbr, rank, axis, g)
+        sender_face = h.table.mirror(face)
+        if h.schedule is None:
+            reposted = sum(nbytes for _, nbytes in _post_face(h, sender_face))
         else:
-            reposted = _post_strip(
-                decomp, comm, states, nbr, rank, axis, 1 - side, g, True
-            )
+            # Process backend: the sender already posted every scheduled
+            # attempt, so the receiver cannot (and need not) re-post — but
+            # the serial path charges retransmissions to the receiver, so
+            # the same bytes (strip + 8-byte checksum) are charged here.
+            arr = h.states[rank]
+            reposted = sender_face.cells * arr.shape[0] * arr.itemsize + 8
         if metrics is not None:
             # Retransmissions are extra wire traffic on top of the analytic
             # halo_bytes_per_step model; keeping them on their own counter
             # lets the byte-accounting tests reconcile the two exactly.
-            metrics.counter("resilience.halo_retransmit_bytes").inc(
-                sum(nbytes for _, nbytes in reposted)
-            )
+            metrics.counter("resilience.halo_retransmit_bytes").inc(reposted)
     raise CommunicationError(
-        f"halo message rank {nbr} -> {rank} (axis {axis}, side {side}) lost "
-        f"after {policy.max_attempts} attempts"
+        f"halo message rank {nbr} -> {rank} (axis {face.axis}, side "
+        f"{face.side}) lost after {policy.max_attempts} attempts"
     )
+
+
+@dataclass(slots=True)
+class HaloHandle:
+    """One halo exchange in progress: the state its begin / post-axis /
+    drain-axis / finish steps share, and what :func:`post_halos` returns."""
+
+    comm: SimCommunicator
+    states: dict[int, np.ndarray]
+    table: FaceTable
+    policy: "HaloRetryPolicy | None"
+    metrics: "MetricsRegistry | None"
+    schedule: object
+    #: ``(dest, nbytes)`` of every message posted, which the overlap cost
+    #: model prices with :func:`repro.comm.costs.halo_exchange_time`
+    posted: list[tuple[int, int]] = field(default_factory=list)
+    completed: bool = False
+
+    @property
+    def posted_bytes(self) -> int:
+        return sum(nbytes for _, nbytes in self.posted)
+
+
+def _begin(decomp, comm, states, policy, metrics, schedule) -> HaloHandle:
+    """Open one exchange — one fault-injection epoch and one shm ring
+    epoch, whether it then runs blocking or overlapped."""
+    if comm.size != decomp.size:
+        raise CommunicationError(
+            f"communicator size {comm.size} != decomposition size {decomp.size}"
+        )
+    if comm.fault_injector is not None:
+        comm.fault_injector.begin_exchange()
+    begin_epoch = getattr(comm, "begin_exchange_epoch", None)
+    if begin_epoch is not None:
+        begin_epoch()
+    return HaloHandle(comm, states, face_table(decomp), policy, metrics, schedule)
+
+
+def _post_axis(h: HaloHandle, faces) -> None:
+    """Every present rank posts its strips across one axis's *faces*."""
+    for face in faces:
+        if face.rank in h.states:
+            h.posted += _post_face(h, face)
+
+
+def _drain_axis(h: HaloHandle, faces) -> None:
+    """Every present rank fills its ghost slabs across one axis's *faces*."""
+    for face in faces:
+        if face.rank not in h.states:
+            continue
+        if h.policy is None:
+            data = h.comm.recv(face.nbr, face.rank, tag=face.recv_tag)
+        else:
+            data = _recv_reliable(h, face)
+        h.states[face.rank][face.recv] = data
+
+
+def _finish(h: HaloHandle) -> None:
+    """Close the exchange; with a retry policy, purge leftover duplicates."""
+    h.completed = True
+    if h.policy is not None:
+        stale = h.comm.discard_pending()
+        if stale and h.metrics is not None:
+            h.metrics.counter("resilience.halo_stale_discarded").inc(stale)
 
 
 def exchange_halos(
@@ -262,6 +360,10 @@ def exchange_halos(
 ) -> None:
     """Fill ghost layers of every rank's ghosted state array in place.
 
+    The blocking composition: per axis, post then drain, so axis ``k``'s
+    strips carry axis ``k-1``'s freshly landed ghosts and corner data
+    propagates (the standard dimension-by-dimension sweep).
+
     *states* may hold a subset of the decomposition's ranks: the process
     backend calls this per worker with only its own rank, posting and
     draining that rank's faces while its neighbours do the same in their
@@ -273,7 +375,8 @@ def exchange_halos(
     Parameters
     ----------
     decomp:
-        The Cartesian decomposition (supplies neighbours and local shapes).
+        The Cartesian decomposition (its face table supplies neighbours,
+        strip geometry, order and tags).
     states:
         ``{rank: array (nvars, *local_shape_with_ghosts)}``.
     policy:
@@ -291,83 +394,11 @@ def exchange_halos(
     Faces with no neighbour (non-periodic wall) are left untouched —
     physical boundary conditions fill them afterwards.
     """
-    if comm.size != decomp.size:
-        raise CommunicationError(
-            f"communicator size {comm.size} != decomposition size {decomp.size}"
-        )
-    ndim = decomp.global_grid.ndim
-    g = decomp.global_grid.n_ghost
-    resilient = policy is not None
-    if comm.fault_injector is not None:
-        comm.fault_injector.begin_exchange()
-    begin_epoch = getattr(comm, "begin_exchange_epoch", None)
-    if begin_epoch is not None:
-        begin_epoch()
-    ranks = sorted(states)
-
-    for axis in range(ndim):
-        # Phase 1: all present ranks post their face strips.
-        for rank in ranks:
-            for side in (0, 1):
-                nbr = decomp.neighbor(rank, axis, side)
-                if nbr is None:
-                    continue
-                _post_strip(
-                    decomp, comm, states, rank, nbr, axis, side, g, resilient,
-                    schedule=schedule, metrics=metrics,
-                )
-        # Phase 2: all present ranks drain their ghosts.
-        for rank in ranks:
-            sub = decomp.subgrid(rank)
-            n = sub.shape[axis]
-            for side in (0, 1):
-                nbr = decomp.neighbor(rank, axis, side)
-                if nbr is None:
-                    continue
-                _, recv = _face_slices(ndim, axis, side, g, n)
-                if resilient:
-                    states[rank][recv] = _recv_reliable(
-                        decomp, comm, states, nbr, rank, axis, side, g,
-                        policy, metrics, schedule=schedule,
-                    )
-                else:
-                    # The message from nbr travelling toward us was tagged
-                    # with the opposite side on the sender.
-                    states[rank][recv] = comm.recv(nbr, rank, tag=axis * 2 + (1 - side))
-
-    if resilient:
-        stale = comm.discard_pending()
-        if stale and metrics is not None:
-            metrics.counter("resilience.halo_stale_discarded").inc(stale)
-
-
-class HaloHandle:
-    """In-flight overlapped halo exchange (returned by :func:`post_halos`).
-
-    Holds everything :func:`complete_halos` needs to drain the ghosts, plus
-    the posted ``(dest, nbytes)`` message list the overlap cost model prices
-    with :func:`repro.comm.costs.halo_exchange_time`.
-    """
-
-    __slots__ = (
-        "decomp", "comm", "states", "policy", "metrics", "posted", "schedule",
-        "completed",
-    )
-
-    def __init__(self, decomp, comm, states, policy, metrics, posted,
-                 schedule=None):
-        self.decomp = decomp
-        self.comm = comm
-        self.states = states
-        self.policy = policy
-        self.metrics = metrics
-        self.posted = posted
-        self.schedule = schedule
-        self.completed = False
-
-    @property
-    def posted_bytes(self) -> int:
-        return sum(nbytes for _, nbytes in self.posted)
+    h = _begin(decomp, comm, states, policy, metrics, schedule)
+    for faces in h.table.axes:
+        _post_axis(h, faces)
+        _drain_axis(h, faces)
+    _finish(h)
 
 
 def post_halos(
@@ -380,10 +411,9 @@ def post_halos(
 ) -> HaloHandle:
     """Post every rank's face strips for *all* axes and return immediately.
 
-    This is the send half of the overlapped exchange: unlike the blocking
-    dimension-by-dimension sweep of :func:`exchange_halos` (which posts
-    axis ``k`` only after axis ``k-1``'s ghosts landed, so corner data
-    propagates), every strip is posted from the pre-exchange state.  Ghost
+    This is the send half of the overlapped composition — post all axes,
+    then (:func:`complete_halos`) drain all axes: unlike the blocking
+    sweep, every strip is posted from the pre-exchange state.  Ghost
     *corners* therefore receive the sender's stale transverse ghosts
     instead of corner-propagated values.  That is safe for the RHS because
     per-axis reconstruction gives the update a plus-shaped stencil — corner
@@ -393,74 +423,29 @@ def post_halos(
     corner-consistent ghosts (e.g. diagnostics) must use
     :func:`exchange_halos`.
 
-    The exchange counts as one fault-injection epoch
-    (``fault_injector.begin_exchange``), same as a blocking exchange.
+    Both compositions walk the same face table, so the same logical message
+    gets the same tag and the same ``(exchange, message)`` fault address in
+    either mode.
     """
-    if comm.size != decomp.size:
-        raise CommunicationError(
-            f"communicator size {comm.size} != decomposition size {decomp.size}"
-        )
-    ndim = decomp.global_grid.ndim
-    g = decomp.global_grid.n_ghost
-    resilient = policy is not None
-    if comm.fault_injector is not None:
-        comm.fault_injector.begin_exchange()
-    begin_epoch = getattr(comm, "begin_exchange_epoch", None)
-    if begin_epoch is not None:
-        begin_epoch()
-    posted: list[tuple[int, int]] = []
-    for axis in range(ndim):
-        for rank in sorted(states):
-            for side in (0, 1):
-                nbr = decomp.neighbor(rank, axis, side)
-                if nbr is None:
-                    continue
-                posted += _post_strip(
-                    decomp, comm, states, rank, nbr, axis, side, g, resilient,
-                    schedule=schedule, metrics=metrics,
-                )
-    return HaloHandle(decomp, comm, states, policy, metrics, posted, schedule)
+    h = _begin(decomp, comm, states, policy, metrics, schedule)
+    for faces in h.table.axes:
+        _post_axis(h, faces)
+    return h
 
 
 def complete_halos(handle: HaloHandle) -> None:
     """Drain an exchange started by :func:`post_halos` into the ghost slabs.
 
-    Receives follow the same deterministic (axis, rank, side) order as the
-    blocking sweep.  Nothing is re-posted here — the only sends are the
-    retransmissions the resilient receive itself requests, which keep their
-    own byte accounting (``resilience.halo_retransmit_bytes``) so the
-    ``halo_bytes_per_step`` model still reconciles exactly with measured
-    ``comm.halo_bytes``.  With a retry policy, leftover duplicates are
-    purged afterwards exactly as in the blocking path.
+    Nothing is re-posted here — the only sends are the retransmissions the
+    resilient receive itself requests, which keep their own byte accounting
+    (``resilience.halo_retransmit_bytes``) so the ``halo_bytes_per_step``
+    model still reconciles exactly with measured ``comm.halo_bytes``.
     """
     if handle.completed:
         raise CommunicationError("overlapped halo exchange already completed")
-    decomp, comm, states = handle.decomp, handle.comm, handle.states
-    policy, metrics = handle.policy, handle.metrics
-    ndim = decomp.global_grid.ndim
-    g = decomp.global_grid.n_ghost
-    resilient = policy is not None
-    for axis in range(ndim):
-        for rank in sorted(states):
-            sub = decomp.subgrid(rank)
-            n = sub.shape[axis]
-            for side in (0, 1):
-                nbr = decomp.neighbor(rank, axis, side)
-                if nbr is None:
-                    continue
-                _, recv = face_slices(ndim, axis, side, g, n)
-                if resilient:
-                    states[rank][recv] = _recv_reliable(
-                        decomp, comm, states, nbr, rank, axis, side, g,
-                        policy, metrics, schedule=handle.schedule,
-                    )
-                else:
-                    states[rank][recv] = comm.recv(nbr, rank, tag=axis * 2 + (1 - side))
-    handle.completed = True
-    if resilient:
-        stale = comm.discard_pending()
-        if stale and metrics is not None:
-            metrics.counter("resilience.halo_stale_discarded").inc(stale)
+    for faces in handle.table.axes:
+        _drain_axis(handle, faces)
+    _finish(handle)
 
 
 def halo_bytes_per_step(
@@ -471,21 +456,7 @@ def halo_bytes_per_step(
     Analytic count used by the scaling cost model — must match what
     :func:`exchange_halos` actually sends (tested).
     """
-    out = {}
-    g = decomp.global_grid.n_ghost
-    for rank in range(decomp.size):
-        sub = decomp.subgrid(rank)
-        total = 0
-        for axis in range(decomp.global_grid.ndim):
-            # The strip spans the full (ghost-padded) transverse extent so
-            # corner data propagates through the per-axis sweep.
-            transverse = 1
-            for ax, n in enumerate(sub.shape):
-                if ax != axis:
-                    transverse *= n + 2 * g
-            strip = transverse * g
-            for side in (0, 1):
-                if decomp.neighbor(rank, axis, side) is not None:
-                    total += strip * nvars * itemsize
-        out[rank] = total
+    out = dict.fromkeys(range(decomp.size), 0)
+    for face in face_table(decomp).by_face.values():
+        out[face.rank] += face.cells * nvars * itemsize
     return out

@@ -43,6 +43,7 @@ import numpy as np
 
 from ..utils.errors import CommunicationError
 from .communicator import SimCommunicator, TrafficLog
+from .halo import face_table
 
 _REDUCTIONS = SimCommunicator._REDUCTIONS
 
@@ -407,48 +408,36 @@ def sweep_segments(names) -> list[str]:
     return swept
 
 
-def strip_nbytes(decomp, rank: int, axis: int, n_ghost: int, nvars: int,
-                 itemsize: int = 8) -> int:
-    """Payload bytes of one ghosted face strip sent by ``rank`` along ``axis``."""
-    shape = decomp.subgrid(rank).shape
-    cells = n_ghost
-    for ax, n in enumerate(shape):
-        if ax != axis:
-            cells *= n + 2 * n_ghost
-    return cells * nvars * itemsize
-
-
 def channel_capacities(decomp, nvars: int, n_ghost: int, policy=None,
                        itemsize: int = 8) -> dict:
     """Ring capacity (bytes) for every directed channel a run can use.
 
-    Halo channels are sized for every face strip a rank can post to a
-    given neighbour per exchange, times the worst-case retransmission
-    count, times a two-epoch lookahead (a fast sender may enter the next
-    exchange while its neighbour is still draining this one, but can
-    never get further ahead: completing exchange ``e+1`` needs receives
-    that need the slow rank's ``e`` posts).  Collective channels form a
-    star around rank 0 and carry only tiny reduction payloads.
+    Halo channels are sized for every face strip the decomposition's face
+    table has a rank post to a given neighbour per exchange, times the
+    worst-case retransmission count, times a two-epoch lookahead (a fast
+    sender may enter the next exchange while its neighbour is still
+    draining this one, but can never get further ahead: completing
+    exchange ``e+1`` needs receives that need the slow rank's ``e``
+    posts).  Collective channels form a star around rank 0 and carry only
+    tiny reduction payloads.  *n_ghost* must be the decomposition's own.
     """
+    if n_ghost != decomp.global_grid.n_ghost:
+        raise CommunicationError(
+            f"rings sized for n_ghost={n_ghost}, but the decomposition's "
+            f"strips are {decomp.global_grid.n_ghost} deep"
+        )
     attempts = (policy.max_attempts if policy is not None else 1) + 1
     caps: dict = {}
-    for src in range(decomp.size):
-        for axis in range(decomp.global_grid.ndim):
-            for side in (0, 1):
-                dest = decomp.neighbor(src, axis, side)
-                if dest is None:
-                    continue
-                payload = strip_nbytes(decomp, src, axis, n_ghost, nvars, itemsize)
-                # data record + crc record, generous per-record overhead
-                per_attempt = (payload + 256) + 256
-                caps[(src, dest)] = caps.get((src, dest), 0) + per_attempt * attempts
+    for face in face_table(decomp).by_face.values():
+        # data record + crc record, generous per-record overhead
+        per_attempt = (face.cells * nvars * itemsize + 256) + 256
+        pair = (face.rank, face.nbr)
+        caps[pair] = caps.get(pair, 0) + per_attempt * attempts
     for pair in list(caps):
         caps[pair] = 4 * caps[pair] + 65536
     for r in range(1, decomp.size):
-        caps.setdefault((r, 0), 0)
-        caps.setdefault((0, r), 0)
-        caps[(r, 0)] = max(caps[(r, 0)], 65536)
-        caps[(0, r)] = max(caps[(0, r)], 65536)
+        for pair in ((r, 0), (0, r)):
+            caps[pair] = max(caps.get(pair, 0), 65536)
     return caps
 
 

@@ -1,6 +1,6 @@
 """Core solver drivers: configuration, pipeline, unigrid and AMR solvers."""
 
-from .batch import BatchGrid, BatchPipeline, BatchSolver
+from .batch import BatchGrid, BatchSolver
 from .config import SolverConfig
 from .diagnostics import ConservedTotals, RunSummary
 from .distributed import DistributedSolver
@@ -12,7 +12,6 @@ __all__ = [
     "SolverConfig",
     "Solver",
     "BatchGrid",
-    "BatchPipeline",
     "BatchSolver",
     "DistributedSolver",
     "ProcessSolver",

@@ -17,9 +17,9 @@ each cell the ``N`` scenario values are contiguous in memory — a
 structure-of-arrays sweep over scenarios with unit stride, exactly what
 the elementwise kernels vectorize over.  Every kernel in the pipeline is
 elementwise over non-working axes, so the same reconstruction, Riemann,
-and recovery code sweeps all scenarios without modification; only the
-flux-divergence driver changes (it skips the batch axis — scenarios never
-exchange fluxes).
+and recovery code sweeps all scenarios without modification, and the flux
+divergence sweeps ``system.ndim`` axes, so it never touches the batch axis
+(scenarios never exchange fluxes).
 
 The batch axis carries the same ghost layers as the physical axes (a
 uniform :class:`~repro.mesh.grid.Grid` keeps the whole workspace/boundary
@@ -50,7 +50,6 @@ from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
 from ..utils.errors import ConfigurationError, RecoveryError
 from .config import SolverConfig
-from .pipeline import HydroPipeline
 from .solver import Solver
 from .stepping import Driver
 
@@ -125,23 +124,6 @@ def batch_boundaries(base: BoundarySet, grid: BatchGrid) -> BoundarySet:
     return BoundarySet(default=base.default, faces=faces)
 
 
-class BatchPipeline(HydroPipeline):
-    """The HRSC pipeline with the batch axis excluded from flux sweeps.
-
-    Everything else — recovery, reconstruction, Riemann, sanitization,
-    source terms — is inherited unchanged: those kernels are elementwise
-    over non-working axes, so the batch axis rides along for free.
-    """
-
-    def flux_divergence(self, prim: np.ndarray, reuse: bool = False) -> np.ndarray:
-        dU = self.begin_flux_divergence(reuse)
-        for axis in range(self.grid.ndim - 1):  # physical axes only
-            n = self.grid.shape[axis]
-            div = self.flux_divergence_region(prim, axis, 0, n, reuse=reuse)
-            self.accumulate_divergence(dU, axis, 0, n, div)
-        return dU
-
-
 #: scenario lifecycle states
 ACTIVE, OK, FAILED = "active", "ok", "failed"
 
@@ -155,10 +137,11 @@ class BatchSolver(Solver):
     """Advance ``N`` independent scenarios as one vectorized batch.
 
     A :class:`~repro.core.solver.Solver` whose one patch carries the batch
-    axis: state, primitive cache, CFL step and stepping are inherited
-    (the CFL helpers sweep ``system.ndim`` axes, so the batch axis never
-    enters the bound); only stacking, eviction and the status summary are
-    defined here.
+    axis: pipeline, state, primitive cache, CFL step and stepping are
+    inherited (the flux divergence and the CFL helpers sweep
+    ``system.ndim`` axes, so the batch axis is never swept and never enters
+    the bound); only stacking, eviction and the status summary are defined
+    here.
 
     Parameters
     ----------
@@ -175,8 +158,6 @@ class BatchSolver(Solver):
         As for :class:`~repro.core.solver.Solver`; *boundaries* applies to
         the physical faces (the batch faces are outflow-filled).
     """
-
-    pipeline_class = BatchPipeline
 
     def __init__(
         self,

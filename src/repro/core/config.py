@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..comm.costs import PRESETS as LINK_PRESETS
 from ..reconstruct import SCHEMES
 from ..riemann import SOLVERS
 from ..time_integration.ssprk import INTEGRATORS
@@ -49,13 +48,6 @@ class SolverConfig(ParameterSet):
         "interior RHS while the exchange is in flight, then finish the "
         "boundary strips once halos land (bit-identical to the blocking "
         "path; emits comm.overlap.* metrics)",
-    )
-    overlap_link = param(
-        "infiniband-fdr",
-        str,
-        choices=tuple(sorted(LINK_PRESETS)),
-        doc="link preset pricing the modeled in-flight exchange time behind "
-        "the comm.overlap.* hidden/exposed split",
     )
     executor = param(
         "serial",

@@ -27,6 +27,7 @@ from ..comm.costs import halo_exchange_time, make_link
 from ..comm.halo import (
     complete_halos,
     exchange_halos,
+    face_table,
     halo_bytes_per_step,
     post_halos,
     rhs_regions,
@@ -47,6 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.recorder import StepRecorder
     from ..resilience.faults import FaultInjector
     from ..resilience.policies import HaloRetryPolicy
+
+
+#: the one link the comm.overlap.{modeled_comm_s,hidden_s,exposed_s,
+#: hidden_frac} split is priced on — a Hockney *model*, not a measurement
+_OVERLAP_LINK = make_link("infiniband-fdr")
 
 
 def decompose(system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic):
@@ -152,22 +158,24 @@ class DistributedSolver(Driver):
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
 
-        # Per-rank boundary sets: interior faces (neighbour present) are
-        # no-ops, physical walls inherit the global policy.
+        # Per-rank boundary sets: faces in the halo face table (neighbour
+        # present) are no-ops, physical walls inherit the global policy.
         interior = InteriorFace()
+        neighboured = face_table(decomp).by_face
         # Resolved once for every rank pipeline; self.system stays the plain
         # one (it converts the initial data and is what workers unpickle).
         kernel_system = resolve_kernel_system(system, self.config.kernel_target)
         self.pipelines: dict[int, HydroPipeline] = {}
         self.subgrids: dict[int, Grid] = {}
         for rank in self.local_ranks:
-            faces = {}
-            for axis in range(global_grid.ndim):
-                for side in (0, 1):
-                    if self.decomp.neighbor(rank, axis, side) is not None:
-                        faces[(axis, side)] = interior
-                    else:
-                        faces[(axis, side)] = wall_bcs.condition(axis, side)
+            faces = {
+                (axis, side): (
+                    interior if (rank, axis, side) in neighboured
+                    else wall_bcs.condition(axis, side)
+                )
+                for axis in range(global_grid.ndim)
+                for side in (0, 1)
+            }
             sub = self.decomp.subgrid(rank)
             self.subgrids[rank] = sub
             self.pipelines[rank] = HydroPipeline(
@@ -216,23 +224,35 @@ class DistributedSolver(Driver):
         #: flight, then finish the boundary strips (bit-identical to the
         #: blocking path — see tests/test_overlap.py).
         self.overlap = bool(self.config.overlap_exchange)
-        self._link = make_link(self.config.overlap_link)
-        self._regions = {
-            rank: rhs_regions(self.decomp, rank) for rank in self.local_ranks
-        }
-        interior_cells = strip_cells = 0
+        #: per rank, the ``(axis, lo, hi)`` interior ranges the RHS evaluates
+        #: before the halos land (cores) and after (strips).  A blocking
+        #: rank waits for its halos first: no core, one full-axis strip.
+        self._cores: dict[int, list] = {}
+        self._strips: dict[int, list] = {}
         for rank in self.local_ranks:
-            sub = self.subgrids[rank]
-            for axis, (core, strips) in enumerate(self._regions[rank]):
-                transverse = int(np.prod(sub.shape)) // sub.shape[axis]
-                interior_cells += (core[1] - core[0]) * transverse
-                strip_cells += sum(hi - lo for lo, hi in strips) * transverse
+            regions = (
+                rhs_regions(self.decomp, rank) if self.overlap
+                else [((0, 0), [(0, n)]) for n in self.subgrids[rank].shape]
+            )
+            self._cores[rank] = [
+                (axis, *core) for axis, (core, _) in enumerate(regions)
+                if core[1] > core[0]
+            ]
+            self._strips[rank] = [
+                (axis, lo, hi) for axis, (_, strips) in enumerate(regions)
+                for lo, hi in strips
+            ]
+
+        def cells(ranges_of: dict[int, list]) -> int:
+            return sum(
+                (hi - lo) * (self.subgrids[rank].n_cells // self.subgrids[rank].shape[axis])
+                for rank, ranges in ranges_of.items()
+                for axis, lo, hi in ranges
+            )
+
         #: per-exchange (core, strip) cell-update counts of the owned ranks
         #: behind the comm.overlap.interior_cells / strip_cells counters
-        self.overlap_cell_counts = (interior_cells, strip_cells)
-        #: per-exchange overlap entries (modeled comm vs interior/strip
-        #: compute) consumed by runtime.trace.overlap_to_metrics_records
-        self.overlap_log: list[dict] = []
+        self.overlap_cell_counts = (cells(self._cores), cells(self._strips))
 
     # ------------------------------------------------------------------
 
@@ -260,95 +280,84 @@ class DistributedSolver(Driver):
         )
 
     def _recover_and_exchange(
-        self,
-        cons: dict[int, np.ndarray],
-        use_cache: bool = False,
-        reuse: bool = False,
+        self, cons: dict[int, np.ndarray], use_cache: bool = False
     ):
         if use_cache and self._prims_cache is not None:
             return self._prims_cache
         prims = {
-            rank: self.pipelines[rank].recover_primitives(cons[rank], reuse=reuse)
+            rank: self.pipelines[rank].recover_primitives(cons[rank])
             for rank in self.local_ranks
         }
         self._exchange(prims)
         return prims
 
+    def _divergences(self, rank: int, prim: np.ndarray, ranges) -> list:
+        """``(axis, lo, hi, divergence)`` of each ``(axis, lo, hi)`` range."""
+        pipeline = self.pipelines[rank]
+        return [
+            (axis, lo, hi,
+             pipeline.flux_divergence_region(prim, axis, lo, hi, reuse=True))
+            for axis, lo, hi in ranges
+        ]
+
     def _rhs(self, cons: dict[int, np.ndarray]):
-        if self.overlap:
-            return self._rhs_overlapped(cons)
-        # Each rank pipeline owns its workspace, so per-rank reuse is safe.
-        prims = self._recover_and_exchange(cons, reuse=True)
-        out = {}
-        for rank in self.local_ranks:
-            pipeline = self.pipelines[rank]
-            dU = pipeline.flux_divergence(prims[rank], reuse=True)
-            out[rank] = pipeline.apply_source(prims[rank], dU)
-        return out
+        """RHS of every owned rank, around one halo exchange.
 
-    def _rhs_overlapped(self, cons: dict[int, np.ndarray]):
-        """Interior-first RHS with the halo exchange in flight.
-
-        Phase A posts every strip (:func:`post_halos`) and evaluates each
-        rank's core regions — the cells whose stencil never reads halo
-        ghosts — while the messages are notionally on the wire.  Phase B
-        completes the exchange and evaluates the halo-dependent boundary
-        strips.  Per-cell divergence accumulation is deferred and applied
-        in ascending axis order, matching the blocking sweep's
-        floating-point accumulation order bitwise (with >= 3 axis terms the
-        order is not commutative in IEEE arithmetic).
+        Overlapped: post every strip (:func:`post_halos`), evaluate each
+        rank's cores — the cells whose stencil never reads halo ghosts —
+        while the messages are notionally on the wire, complete the
+        exchange, then evaluate the halo-dependent strips.  Blocking is the
+        same walk with no cores: the whole :func:`exchange_halos`, then one
+        full-axis strip per axis (``pipeline.flux_divergence``'s calls).
+        Per-cell divergence accumulation is deferred and applied in
+        ascending axis order, matching the full sweep's floating-point
+        accumulation order bitwise (with >= 3 axis terms the order is not
+        commutative in IEEE arithmetic).
         """
+        # Each rank pipeline owns its workspace, so per-rank reuse is safe.
         prims = {
             rank: self.pipelines[rank].recover_primitives(cons[rank], reuse=True)
             for rank in self.local_ranks
         }
-        handle = post_halos(
-            self.decomp, self.comm, prims,
-            policy=self.halo_policy, metrics=self.metrics,
-            schedule=self._exchange_schedule(True),
-        )
+        handle = None
+        if self.overlap:
+            handle = post_halos(
+                self.decomp, self.comm, prims,
+                policy=self.halo_policy, metrics=self.metrics,
+                schedule=self._exchange_schedule(True),
+            )
         t0 = time.perf_counter()
-        divs: dict[int, list] = {rank: [] for rank in self.local_ranks}
-        for rank in self.local_ranks:
-            pipeline = self.pipelines[rank]
-            for axis, (core, _strips) in enumerate(self._regions[rank]):
-                lo, hi = core
-                if hi > lo:
-                    divs[rank].append(
-                        (axis, lo, hi,
-                         pipeline.flux_divergence_region(
-                             prims[rank], axis, lo, hi, reuse=True))
-                    )
+        divs = {
+            rank: self._divergences(rank, prims[rank], self._cores[rank])
+            for rank in self.local_ranks
+        }
         interior_s = time.perf_counter() - t0
-        complete_halos(handle)
+        if handle is None:
+            self._exchange(prims)
+        else:
+            complete_halos(handle)
         t1 = time.perf_counter()
         out = {}
         for rank in self.local_ranks:
             pipeline = self.pipelines[rank]
-            for axis, (_core, strips) in enumerate(self._regions[rank]):
-                for lo, hi in strips:
-                    divs[rank].append(
-                        (axis, lo, hi,
-                         pipeline.flux_divergence_region(
-                             prims[rank], axis, lo, hi, reuse=True))
-                    )
+            divs[rank] += self._divergences(rank, prims[rank], self._strips[rank])
             dU = pipeline.begin_flux_divergence(reuse=True)
             for axis, lo, hi, div in sorted(divs[rank], key=lambda e: e[0]):
                 pipeline.accumulate_divergence(dU, axis, lo, hi, div)
             out[rank] = pipeline.apply_source(prims[rank], dU)
-        strip_s = time.perf_counter() - t1
-        self._record_overlap(handle, interior_s, strip_s)
+        if handle is not None:
+            self._record_overlap(handle, interior_s, time.perf_counter() - t1)
         return out
 
     def _record_overlap(self, handle, interior_s: float, strip_s: float) -> None:
         """comm.overlap.* accounting for one overlapped exchange.
 
-        The modeled wire time (Hockney, ``overlap_link`` preset) is compared
+        The modeled wire time (Hockney, :data:`_OVERLAP_LINK`) is compared
         against the measured per-rank interior compute: whatever fits under
         the interior window counts as hidden, the remainder as exposed.
         """
         m = self.metrics
-        modeled = halo_exchange_time(self._link, handle.posted)
+        modeled = halo_exchange_time(_OVERLAP_LINK, handle.posted)
         interior_per_rank = interior_s / len(self.local_ranks)
         hidden = min(modeled, interior_per_rank)
         exposed = modeled - hidden
@@ -364,18 +373,6 @@ class DistributedSolver(Driver):
         m.counter("comm.overlap.strip_cells").inc(strip_cells)
         m.gauge("comm.overlap.hidden_frac").set(
             hidden / modeled if modeled > 0 else 1.0
-        )
-        self.overlap_log.append(
-            {
-                "exchange": len(self.overlap_log) + 1,
-                "modeled_comm_s": modeled,
-                "hidden_s": hidden,
-                "exposed_s": exposed,
-                "interior_s": interior_s,
-                "strip_s": strip_s,
-                "posted_messages": len(handle.posted),
-                "posted_bytes": handle.posted_bytes,
-            }
         )
 
     def compute_dt(self, t_final: float | None = None) -> float:

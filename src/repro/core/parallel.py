@@ -259,7 +259,6 @@ class _RankWorker(_WorkerShell, DistributedSolver):
             "traffic_prev": tuple(self._traffic_prev),
             "oracle_calls": list(self._oracle_calls),
             "injector_sweep": None if injector is None else injector._sweep,
-            "overlap_log": [dict(e) for e in self.overlap_log],
         }
 
     def restore_supervision_state(self, state: dict) -> None:
@@ -281,7 +280,6 @@ class _RankWorker(_WorkerShell, DistributedSolver):
         injector = self.fault_injector
         if injector is not None and state["injector_sweep"] is not None:
             injector._sweep = int(state["injector_sweep"])
-        self.overlap_log = [dict(e) for e in state["overlap_log"]]
         self.restore_shell_state(state)
         self._traffic_prev = tuple(state["traffic_prev"])
 

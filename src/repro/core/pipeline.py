@@ -510,7 +510,8 @@ class HydroPipeline:
         always stores copies.
         """
         dU = self.begin_flux_divergence(reuse)
-        for axis in range(self.grid.ndim):
+        # The physics' axes: a batched grid's trailing axis is never swept.
+        for axis in range(self.system.ndim):
             n = self.grid.shape[axis]
             div = self.flux_divergence_region(prim, axis, 0, n, reuse=reuse)
             self.accumulate_divergence(dU, axis, 0, n, div)

@@ -61,9 +61,6 @@ class Solver(Driver):
         testing; forwarded to the pipeline (con2prim bursts).
     """
 
-    #: pipeline class built for the patch (the batch driver swaps its own in)
-    pipeline_class = HydroPipeline
-
     def __init__(
         self,
         system: SRHDSystem,
@@ -103,7 +100,7 @@ class Solver(Driver):
         self.config = config or SolverConfig()
         self.boundaries = boundaries
         self.timers = TimerRegistry()
-        self.pipeline = self.pipeline_class(
+        self.pipeline = HydroPipeline(
             system, grid, boundaries, self.config, self.timers,
             fault_injector=fault_injector,
         )

@@ -126,9 +126,10 @@ _ENTRY_NAMES = {
 }
 
 #: SolverConfig fields retired since FORMAT_VERSION 1 archives were first
-#: written; both only selected between bit-identical code paths, so an
-#: archived value is dropped rather than refused.
-_RETIRED_CONFIG_KEYS = ("scratch_workspace", "fused_stencils")
+#: written; none ever changed a solution byte (two selected between
+#: bit-identical code paths, the third only priced a modelled counter),
+#: so an archived value is dropped rather than refused.
+_RETIRED_CONFIG_KEYS = ("scratch_workspace", "fused_stencils", "overlap_link")
 
 
 def _write_archive(path, kind: str, solver, patches: dict, **meta) -> None:

@@ -78,6 +78,27 @@ class CartesianDecomposition:
         self._splits = [
             balanced_split(n, d) for n, d in zip(global_grid.shape, dims)
         ]
+        # Blocks, sub-grids and neighbours are fixed by (grid, dims,
+        # periodic): computed once here so every accessor below is a lookup
+        # (the halo protocol and the rank steppers read them per message).
+        coords = [self.rank_coords(rank) for rank in range(self.size)]
+        self._blocks = [
+            tuple(self._splits[ax][c] for ax, c in enumerate(cs)) for cs in coords
+        ]
+        self._subgrids = [
+            global_grid.subgrid(*zip(*block)) for block in self._blocks
+        ]
+        self._neighbors = [
+            tuple(
+                self._across(cs, axis, side)
+                for axis in range(len(dims))
+                for side in (0, 1)
+            )
+            for cs in coords
+        ]
+        #: halo face table, built on first use by repro.comm.halo.face_table
+        #: and kept here so it pickles to workers with the decomposition
+        self._face_table = None
 
     # -- rank <-> coordinates ----------------------------------------------
 
@@ -90,25 +111,9 @@ class CartesianDecomposition:
     def coords_rank(self, coords) -> int:
         return int(np.ravel_multi_index(tuple(coords), self.dims))
 
-    # -- geometry -----------------------------------------------------------
-
-    def cell_range(self, rank: int, axis: int) -> tuple[int, int]:
-        """Global interior cell range [lo, hi) owned by *rank* along *axis*."""
-        return self._splits[axis][self.rank_coords(rank)[axis]]
-
-    def subgrid(self, rank: int) -> Grid:
-        """The local grid patch (with ghosts) owned by *rank*."""
-        coords = self.rank_coords(rank)
-        lo = tuple(self._splits[ax][c][0] for ax, c in enumerate(coords))
-        hi = tuple(self._splits[ax][c][1] for ax, c in enumerate(coords))
-        return self.global_grid.subgrid(lo, hi)
-
-    def local_cells(self, rank: int) -> int:
-        return self.subgrid(rank).n_cells
-
-    def neighbor(self, rank: int, axis: int, side: int) -> int | None:
-        """Neighbouring rank across face (axis, side), or None at a wall."""
-        coords = list(self.rank_coords(rank))
+    def _across(self, coords, axis: int, side: int) -> int | None:
+        """Rank across face (axis, side) of the block at *coords*."""
+        coords = list(coords)
         coords[axis] += 1 if side == 1 else -1
         if not 0 <= coords[axis] < self.dims[axis]:
             if not self.periodic[axis]:
@@ -116,13 +121,28 @@ class CartesianDecomposition:
             coords[axis] %= self.dims[axis]
         return self.coords_rank(coords)
 
-    def halo_cells(self, rank: int, axis: int) -> int:
-        """Cells in one ghost slab exchanged across faces along *axis*."""
-        sub = self.subgrid(rank)
-        transverse = sub.n_cells // sub.shape[axis]
-        return transverse * sub.n_ghost
+    # -- geometry -----------------------------------------------------------
+
+    def cell_range(self, rank: int, axis: int) -> tuple[int, int]:
+        """Global interior cell range [lo, hi) owned by *rank* along *axis*."""
+        return self._blocks[rank][axis]
+
+    def subgrid(self, rank: int) -> Grid:
+        """The local grid patch (with ghosts) owned by *rank*."""
+        return self._subgrids[rank]
+
+    def local_cells(self, rank: int) -> int:
+        return self._subgrids[rank].n_cells
+
+    def neighbor(self, rank: int, axis: int, side: int) -> int | None:
+        """Neighbouring rank across face (axis, side), or None at a wall."""
+        return self._neighbors[rank][2 * axis + side]
 
     # -- global assembly ------------------------------------------------------
+
+    def _block_index(self, rank: int) -> tuple:
+        """Index of *rank*'s block in a global interior field (nvars, *shape)."""
+        return (slice(None),) + tuple(slice(*r) for r in self._blocks[rank])
 
     def scatter(self, global_field: np.ndarray) -> dict[int, np.ndarray]:
         """Split a global interior field (nvars, *shape) into per-rank interiors."""
@@ -131,24 +151,16 @@ class CartesianDecomposition:
                 f"field shape {global_field.shape[1:]} != "
                 f"{self.global_grid.shape}"
             )
-        parts = {}
-        for rank in range(self.size):
-            coords = self.rank_coords(rank)
-            idx = tuple(
-                slice(*self._splits[ax][c]) for ax, c in enumerate(coords)
-            )
-            parts[rank] = global_field[(slice(None),) + idx].copy()
-        return parts
+        return {
+            rank: global_field[self._block_index(rank)].copy()
+            for rank in range(self.size)
+        }
 
     def gather(self, parts: dict[int, np.ndarray], nvars: int) -> np.ndarray:
         """Reassemble per-rank interior fields into the global interior."""
         out = np.empty((nvars,) + self.global_grid.shape)
         for rank in range(self.size):
-            coords = self.rank_coords(rank)
-            idx = tuple(
-                slice(*self._splits[ax][c]) for ax, c in enumerate(coords)
-            )
-            out[(slice(None),) + idx] = parts[rank]
+            out[self._block_index(rank)] = parts[rank]
         return out
 
     def __repr__(self):

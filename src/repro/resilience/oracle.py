@@ -6,10 +6,11 @@ advances in the deterministic SPMD-by-phases order of
 :func:`repro.comm.halo.exchange_halos`.  Worker processes cannot share
 that counter — so instead every worker runs a :class:`FaultOracle`: a
 dry-run replay of the *global* exchange protocol against a private
-injector seeded from the same plan.  Because the replay visits sends
-and retransmissions in exactly the serial order, every worker derives
-the identical fault decision sequence without any communication, and
-each applies only the decisions whose sender it is.
+injector seeded from the same plan.  Because the replay walks the same
+:func:`~repro.comm.halo.face_table` in the same post/drain shapes as the
+real exchange, it visits sends and retransmissions in exactly the serial
+order: every worker derives the identical fault decision sequence without
+any communication, and each applies only the decisions whose sender it is.
 
 The replay has to model just enough of the receive side to know *when*
 retransmissions happen (a retransmit consumes the injector's next
@@ -33,6 +34,7 @@ owns rank ``r`` of ``P`` sees global sweeps ``round * P + r``.
 
 from __future__ import annotations
 
+from ..comm.halo import face_table
 from .faults import FaultInjector, FaultPlan
 
 
@@ -56,13 +58,6 @@ class ExchangeSchedule:
     def pop_attempts(self, src: int, dest: int, tag: int):
         return self.attempts.pop((src, dest, tag), [(None, 0.0)])
 
-    def has_faults(self) -> bool:
-        return any(
-            kind is not None
-            for posts in self.attempts.values()
-            for kind, _ in posts
-        )
-
 
 class FaultOracle:
     """Replays the serial fault-decision sequence for one exchange at a time.
@@ -82,23 +77,25 @@ class FaultOracle:
         self._crc: dict[tuple[int, int, int], int] = {}
 
     def next_exchange(self, overlapped: bool = False) -> ExchangeSchedule:
-        """Decide every fault of the next halo exchange (global replay)."""
+        """Decide every fault of the next halo exchange (global replay).
+
+        Walks the decomposition's face table in the exchange's own two
+        shapes: per axis post then drain (blocking), or post every axis
+        then drain every axis (overlapped).
+        """
         sched = ExchangeSchedule()
         self._inj.begin_exchange()
-        resilient = self._policy is not None
-        decomp = self._decomp
-        ndim = decomp.global_grid.ndim
+        axes = face_table(self._decomp).axes
         if overlapped:
-            # post_halos: every axis's strips go out before any receive.
-            for axis in range(ndim):
-                self._sim_post_phase(sched, axis, resilient)
-            for axis in range(ndim):
-                self._sim_recv_phase(sched, axis, resilient)
+            for faces in axes:
+                self._sim_post_axis(sched, faces)
+            for faces in axes:
+                self._sim_drain_axis(sched, faces)
         else:
-            for axis in range(ndim):
-                self._sim_post_phase(sched, axis, resilient)
-                self._sim_recv_phase(sched, axis, resilient)
-        if resilient:
+            for faces in axes:
+                self._sim_post_axis(sched, faces)
+                self._sim_drain_axis(sched, faces)
+        if self._policy is not None:
             # Serial discard_pending(): stale tokens never cross exchanges.
             self._box.clear()
             self._crc.clear()
@@ -122,35 +119,25 @@ class FaultOracle:
             self.next_exchange(overlapped=overlapped)
 
     # -- protocol replay -------------------------------------------------
-    def _sim_post_phase(self, sched, axis: int, resilient: bool) -> None:
-        decomp = self._decomp
-        for rank in range(decomp.size):
-            for side in (0, 1):
-                nbr = decomp.neighbor(rank, axis, side)
-                if nbr is None:
-                    continue
-                self._sim_post(sched, rank, nbr, axis, side, resilient)
+    def _sim_post_axis(self, sched, faces) -> None:
+        for face in faces:
+            self._sim_post(sched, (face.rank, face.nbr, face.send_tag))
 
-    def _sim_recv_phase(self, sched, axis: int, resilient: bool) -> None:
-        decomp = self._decomp
-        for rank in range(decomp.size):
-            for side in (0, 1):
-                nbr = decomp.neighbor(rank, axis, side)
-                if nbr is None:
-                    continue
-                if resilient:
-                    self._sim_recv_reliable(sched, nbr, rank, axis, side)
-                else:
-                    box = self._box.get((nbr, rank, axis * 2 + (1 - side)))
-                    if box:
-                        box.pop(0)
+    def _sim_drain_axis(self, sched, faces) -> None:
+        for face in faces:
+            key = (face.nbr, face.rank, face.recv_tag)
+            if self._policy is not None:
+                self._sim_recv_reliable(sched, key)
+            else:
+                box = self._box.get(key)
+                if box:
+                    box.pop(0)
 
-    def _sim_post(self, sched, sender: int, dest: int, axis: int, side: int,
-                  checksum: bool) -> None:
-        tag = axis * 2 + side
-        kind, scale = self._inj.decide(sender, dest, tag)
-        sched.add(sender, dest, tag, kind, scale)
-        key = (sender, dest, tag)
+    def _sim_post(self, sched, key: tuple[int, int, int]) -> None:
+        """Decide and deliver one ``(src, dest, tag)`` data message (plus
+        its checksum credit under a retry policy)."""
+        kind, scale = self._inj.decide(*key)
+        sched.add(*key, kind, scale)
         if kind == "drop":
             tokens = []
         elif kind == "duplicate":
@@ -161,14 +148,11 @@ class FaultOracle:
             tokens = ["ok"]
         if tokens:
             self._box.setdefault(key, []).extend(tokens)
-        if checksum:
+        if self._policy is not None:
             self._crc[key] = self._crc.get(key, 0) + 1
 
-    def _sim_recv_reliable(self, sched, nbr: int, rank: int,
-                           axis: int, side: int) -> None:
+    def _sim_recv_reliable(self, sched, key: tuple[int, int, int]) -> None:
         """Mirror of halo._recv_reliable over the virtual mailboxes."""
-        tag = axis * 2 + (1 - side)
-        key = (nbr, rank, tag)
         policy = self._policy
         for attempt in range(policy.max_attempts):
             token = None
@@ -188,8 +172,9 @@ class FaultOracle:
             if attempt == policy.max_attempts - 1:
                 return  # budget exhausted; the real receiver raises
             # The retransmission consumes the injector's next message
-            # index exactly where the serial receiver would re-post.
-            self._sim_post(sched, nbr, rank, axis, 1 - side, checksum=True)
+            # index exactly where the serial receiver would re-post: the
+            # mirrored face's strip travels under this very key.
+            self._sim_post(sched, key)
 
 
 class RankStridedFaultInjector(FaultInjector):

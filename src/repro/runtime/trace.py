@@ -222,8 +222,7 @@ def save_metrics_jsonl(source, path, meta: dict | None = None) -> None:
 
     *source* is either a :class:`Timeline` (converted with
     :func:`to_metrics_records`) or an already-built list of event records
-    (e.g. from :func:`scaling_to_metrics_records` or
-    :func:`overlap_to_metrics_records`), written verbatim.
+    (e.g. from :func:`scaling_to_metrics_records`), written verbatim.
     """
     records = (
         list(source)
@@ -232,83 +231,4 @@ def save_metrics_jsonl(source, path, meta: dict | None = None) -> None:
     )
     with JsonlEventSink(path) as sink:
         for record in records:
-            sink.emit(record)
-
-
-def overlap_to_metrics_records(
-    overlap_log: list[dict], meta: dict | None = None
-) -> list[dict]:
-    """Export a :class:`DistributedSolver` overlap log in the event schema.
-
-    Each overlapped exchange (one ``overlap_log`` entry, see
-    ``DistributedSolver.overlap_log``) becomes one modelled ``step`` record:
-    ``kernel_seconds`` splits the measured compute into the interior phase
-    (running while the exchange was in flight) and the strip phase, and the
-    ``counters`` carry the modelled/hidden/exposed wire-time split plus the
-    posted traffic.  ``wall_seconds`` is the modelled critical path —
-    interior compute, any exposed wire time, then strips — so the stream
-    diffs directly against a measured run of the same scenario.
-    """
-    common = {"schema": SCHEMA_VERSION, "source": "modelled"}
-    records = [
-        {
-            **common,
-            "event": "run_start",
-            "meta": {"n_exchanges": len(overlap_log), **(meta or {})},
-        }
-    ]
-    t = 0.0
-    totals = {"modeled_comm_s": 0.0, "hidden_s": 0.0, "exposed_s": 0.0}
-    for i, entry in enumerate(overlap_log, 1):
-        wall = entry["interior_s"] + entry["exposed_s"] + entry["strip_s"]
-        t += wall
-        for key in totals:
-            totals[key] += entry[key]
-        records.append(
-            {
-                **common,
-                "event": "step",
-                "step": i,
-                "t": t,
-                "dt": wall,
-                "wall_seconds": wall,
-                "kernel_seconds": {
-                    "interior": entry["interior_s"],
-                    "strips": entry["strip_s"],
-                },
-                "counters": {
-                    "comm.overlap.modeled_comm_s": entry["modeled_comm_s"],
-                    "comm.overlap.hidden_s": entry["hidden_s"],
-                    "comm.overlap.exposed_s": entry["exposed_s"],
-                },
-                "comm": {
-                    "halo_bytes": entry["posted_bytes"],
-                    "messages": entry["posted_messages"],
-                },
-            }
-        )
-    records.append(
-        {
-            **common,
-            "event": "run_end",
-            "steps": len(overlap_log),
-            "counters_total": {
-                f"comm.overlap.{k}": v for k, v in totals.items()
-            },
-            "hidden_frac": (
-                totals["hidden_s"] / totals["modeled_comm_s"]
-                if totals["modeled_comm_s"] > 0
-                else 1.0
-            ),
-        }
-    )
-    return records
-
-
-def save_overlap_metrics_jsonl(
-    overlap_log: list[dict], path, meta: dict | None = None
-) -> None:
-    """Write :func:`overlap_to_metrics_records` as a JSONL metrics file."""
-    with JsonlEventSink(path) as sink:
-        for record in overlap_to_metrics_records(overlap_log, meta):
             sink.emit(record)

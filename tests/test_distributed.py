@@ -125,6 +125,40 @@ class TestCommunicationPattern:
         dist.run(t_final=0.05)
         assert dist.comm.pending() == 0
 
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_protocol_is_derived_once_not_per_message(
+        self, system2d, monkeypatch, overlap
+    ):
+        """Sub-grids, neighbours and the halo face table are fixed when the
+        decomposition is: stepping constructs no Grid, converts no rank to
+        coordinates and never rebuilds the table."""
+        import repro.comm.halo as halo
+        from repro.mesh.decomposition import CartesianDecomposition
+
+        grid = Grid((32, 32), ((0, 1), (0, 1)))
+        prim0 = blast_wave_2d(system2d, grid, p_in=10.0, radius=0.2)
+        dist = DistributedSolver(
+            system2d, grid, prim0, dims=(4, 4),
+            config=SolverConfig(cfl=0.4, overlap_exchange=overlap),
+            boundaries=make_boundaries("periodic"),
+        )
+        calls = []
+        for owner, name in [
+            (Grid, "__init__"),
+            (CartesianDecomposition, "rank_coords"),
+            (halo, "_build_face_table"),
+        ]:
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        for _ in range(3):
+            dist.step()
+        assert calls == []
+
 
 class TestValidation:
     def test_dimension_mismatch(self, system2d):

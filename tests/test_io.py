@@ -215,10 +215,14 @@ class TestArchivePrologue:
     @pytest.mark.parametrize("kind", KINDS)
     def test_retired_config_keys_are_dropped(self, kind, system1d, tmp_path, caplog):
         """Archives written while ``scratch_workspace`` / ``fused_stencils``
-        were SolverConfig fields still load; exactly those keys go."""
+        / ``overlap_link`` were SolverConfig fields still load; exactly
+        those keys go."""
         path = tmp_path / "c.npz"
         load = self._archive(kind, system1d, path)
-        _rewrite_meta(path, config={"scratch_workspace": False, "fused_stencils": True})
+        _rewrite_meta(path, config={
+            "scratch_workspace": False, "fused_stencils": True,
+            "overlap_link": "ethernet-10g",
+        })
         logger = logging.getLogger("repro.io")
         logger.addHandler(caplog.handler)
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.costs import halo_exchange_time, make_link
+from repro.comm.costs import halo_exchange_time
 from repro.comm.halo import halo_bytes_per_step, post_halos
 from repro.core.config import SolverConfig
 from repro.core.distributed import DistributedSolver
@@ -334,54 +334,37 @@ class TestOverlapMetrics:
         assert 0.0 <= frac <= 1.0
 
     def test_modeled_time_matches_cost_helper(self):
-        solver, _ = self._run_recorded()
-        link = make_link(solver.config.overlap_link)
-        assert len(solver.overlap_log) == 3 * solver.steps
-        # Re-post one exchange and re-price it: the recorded modeled time
-        # is exactly halo_exchange_time over the posted message list.
         from repro.comm.halo import complete_halos
+        from repro.core.distributed import _OVERLAP_LINK
 
+        solver, records = self._run_recorded()
+        # Re-post one exchange and re-price it: an exchange's modeled time
+        # is exactly halo_exchange_time over its posted message list (the
+        # same strips every exchange), so a step's modeled_comm_s delta is
+        # its three exchanges' worth.
         prims = solver._recover_and_exchange(solver.cons)
         handle = post_halos(solver.decomp, solver.comm, prims)
-        expected = halo_exchange_time(link, handle.posted)
+        expected = halo_exchange_time(_OVERLAP_LINK, handle.posted)
         complete_halos(handle)
         assert expected > 0
-        assert solver.overlap_log[-1]["modeled_comm_s"] == expected
-
-    def test_trace_exporter_round_trips(self):
-        from repro.harness.report import Report
-        from repro.runtime.trace import overlap_to_metrics_records
-
-        solver, _ = self._run_recorded()
-        records = overlap_to_metrics_records(
-            solver.overlap_log, meta={"problem": "blast2d"}
-        )
-        assert records[0]["event"] == "run_start"
-        assert records[0]["meta"]["n_exchanges"] == len(solver.overlap_log)
-        assert records[-1]["event"] == "run_end"
-        assert 0.0 <= records[-1]["hidden_frac"] <= 1.0
-        steps = [r for r in records if r["event"] == "step"]
-        assert len(steps) == len(solver.overlap_log)
-        assert all(r["source"] == "modelled" for r in records)
-        for step, entry in zip(steps, solver.overlap_log):
-            assert step["kernel_seconds"]["interior"] == entry["interior_s"]
-            assert step["comm"]["halo_bytes"] == entry["posted_bytes"]
-        report = Report.from_metrics(records)
-        assert "comm.overlap.hidden_frac" in report.column("metric")
-
-    def test_save_overlap_metrics_jsonl(self, tmp_path):
-        from repro.obs import read_events
-        from repro.runtime.trace import save_overlap_metrics_jsonl
-
-        solver, _ = self._run_recorded()
-        path = tmp_path / "overlap.jsonl"
-        save_overlap_metrics_jsonl(solver.overlap_log, path)
-        records = read_events(path)
-        assert len(records) == len(solver.overlap_log) + 2
+        first = next(r for r in records if r["event"] == "step")
+        assert first["counters"]["comm.overlap.modeled_comm_s"] == 3 * expected
+        total = solver.metrics.snapshot()["counters"]["comm.overlap.modeled_comm_s"]
+        assert total == pytest.approx(3 * solver.steps * expected)
 
 
 class TestModelConsistency:
-    def test_posted_bytes_equal_model_for_all_decomps(self):
+    def test_posted_bytes_equal_model_for_all_decomps(self, monkeypatch):
+        import repro.core.distributed as distributed
+
+        handles = []
+        real_post = distributed.post_halos
+
+        def recording_post(*args, **kwargs):
+            handles.append(real_post(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(distributed, "post_halos", recording_post)
         for dims, setup in [
             ((2,), _rp1_setup),
             ((4, 1), _blast2d_setup),
@@ -391,5 +374,6 @@ class TestModelConsistency:
             config = SolverConfig(overlap_exchange=True)
             solver = DistributedSolver(system, grid, prim0, dims, config=config)
             model = sum(halo_bytes_per_step(solver.decomp, system.nvars).values())
+            del handles[:]
             solver.step(dt=1e-4)
-            assert solver.overlap_log[0]["posted_bytes"] == model
+            assert [h.posted_bytes for h in handles] == [model] * 3

@@ -521,7 +521,7 @@ class TestOneRankStepper:
     """The worker is the serial stepper, not a mirror of it."""
 
     STEPPER = (
-        "_rhs", "_rhs_overlapped", "_record_overlap", "compute_dt",
+        "_rhs", "_divergences", "_record_overlap", "compute_dt",
         "_integrate", "_patches", "_after_step", "_record_extras",
         "_check_finite", "_traffic_delta", "_recover_and_exchange",
         "_exchange", "_set_stage_time", "run", "write_checkpoint",

@@ -154,6 +154,52 @@ class TestFaceStripSlicing:
             expected += ((coord < g) | (coord >= shape[axis] + g)).astype(int)
         np.testing.assert_array_equal(count[0], expected)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        ndim=st.integers(min_value=1, max_value=3),
+        g=st.integers(min_value=1, max_value=3),
+    )
+    def test_face_table_is_the_protocol(self, data, ndim, g):
+        """The face table lists every neighboured face once, in the
+        exchange's (axis, rank, side) order; its two ends of each message
+        agree on tag and shape; and its strip sizes are the byte model and
+        the measured traffic."""
+        from repro.comm.halo import face_table, halo_bytes_per_step
+
+        dims = tuple(data.draw(st.integers(1, 3)) for _ in range(ndim))
+        periodic = tuple(data.draw(st.booleans()) for _ in range(ndim))
+        # At least n_ghost cells per rank, so strips are interior data.
+        shape = tuple(d * g + data.draw(st.integers(0, 3)) for d in dims)
+        grid = Grid(shape, ((0.0, 1.0),) * ndim, n_ghost=g)
+        decomp = CartesianDecomposition(grid, dims, periodic=periodic)
+        table = face_table(decomp)
+        faces = [f for axis_faces in table.axes for f in axis_faces]
+        assert [(f.axis, f.rank, f.side) for f in faces] == [
+            (axis, rank, side)
+            for axis in range(ndim)
+            for rank in range(decomp.size)
+            for side in (0, 1)
+            if decomp.neighbor(rank, axis, side) is not None
+        ]
+        nvars = 2
+        states = {r: decomp.subgrid(r).allocate(nvars) for r in range(decomp.size)}
+        for f in faces:
+            assert f.nbr == decomp.neighbor(f.rank, f.axis, f.side)
+            mirror = table.mirror(f)
+            assert (mirror.rank, mirror.nbr) == (f.nbr, f.rank)
+            assert f.send_tag == mirror.recv_tag
+            strip = states[f.rank][f.send]
+            assert strip.shape == states[f.nbr][mirror.recv].shape
+            assert strip[0].size == f.cells
+        comm = SimCommunicator(decomp.size)
+        exchange_halos(decomp, comm, states)
+        assert (
+            sum(f.cells for f in faces) * nvars * 8
+            == sum(halo_bytes_per_step(decomp, nvars).values())
+            == comm.traffic.n_bytes
+        )
+
     @settings(max_examples=25, deadline=None)
     @given(
         ndim=st.integers(min_value=1, max_value=2),

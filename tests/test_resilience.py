@@ -252,6 +252,59 @@ class TestResilientExchange:
         expected = sum(halo_bytes_per_step(decomp, 3).values())
         assert comm.traffic.n_bytes - before == expected
 
+    @pytest.mark.parametrize("overlapped", [False, True])
+    def test_oracle_decides_what_the_serial_injector_decides(
+        self, overlapped, monkeypatch
+    ):
+        """The oracle's dry run and the real exchange walk one face table:
+        message for message — retransmissions included — the oracle decides
+        the (src, dest, tag) the serial injector is asked about, and
+        decides it the same way."""
+        from repro.comm.halo import complete_halos, post_halos
+        from repro.resilience.oracle import FaultOracle
+
+        grid = Grid((12, 12), ((0.0, 1.0), (0.0, 1.0)))
+        decomp = CartesianDecomposition(grid, (2, 2), periodic=(True, False))
+        plan = FaultPlan(
+            seed=5,
+            halo=[
+                HaloFault(kind="drop", exchange=0, message=1),
+                HaloFault(kind="duplicate", exchange=0, message=6),
+                HaloFault(kind="corrupt", exchange=1, message=2, times=2),
+            ],
+        )
+        policy = HaloRetryPolicy(max_attempts=4)
+        log = []
+        real_decide = FaultInjector.decide
+
+        def recording_decide(self, src, dest, tag):
+            fate = real_decide(self, src, dest, tag)
+            log.append((self._exchange, src, dest, tag, fate))
+            return fate
+
+        monkeypatch.setattr(FaultInjector, "decide", recording_decide)
+        rng = np.random.default_rng(0)
+        states = {
+            r: rng.random((3,) + decomp.subgrid(r).shape_with_ghosts)
+            for r in range(decomp.size)
+        }
+        comm = SimCommunicator(decomp.size, fault_injector=FaultInjector(plan))
+        for _ in range(3):
+            if overlapped:
+                complete_halos(post_halos(decomp, comm, states, policy=policy))
+            else:
+                exchange_halos(decomp, comm, states, policy=policy)
+        serial, log[:] = list(log), []
+        oracle = FaultOracle(plan, decomp, policy)
+        for _ in range(3):
+            oracle.next_exchange(overlapped=overlapped)
+        assert log == serial
+        n_faces = 3 * 12  # 3 exchanges x (8 periodic-axis + 4 walled-axis)
+        assert len(serial) == n_faces + 3  # 1 drop + 2 corrupt retransmits
+        assert [fate[0] for *_, fate in serial if fate[0]] == [
+            "drop", "duplicate", "corrupt", "corrupt"
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Con2prim failsafe
