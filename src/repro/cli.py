@@ -10,7 +10,7 @@ Commands
     distributed over simulated ranks or real worker processes with
     dynamic Morton-curve rebalancing.
 ``experiment``
-    Regenerate one table/figure of the evaluation by id (E1..E12).
+    Regenerate one table/figure of the evaluation by id (E1..E14, A1..A4).
 ``info``
     List available problems, schemes, solvers, and experiments.
 """
@@ -693,7 +693,7 @@ def _cmd_experiment(args) -> int:
 
     eid = args.id.upper()
     if eid not in EXPERIMENTS:
-        print(f"unknown experiment {args.id!r}; choose from {sorted(EXPERIMENTS)}")
+        print(f"unknown experiment {args.id!r}; choose from {list(EXPERIMENTS)}")
         return 2
     print(EXPERIMENTS[eid]())
     return 0
@@ -855,7 +855,7 @@ def _cmd_info(_args) -> int:
     print("problems      :", ", ".join(sorted(PROBLEMS)))
     print("reconstruction:", ", ".join(SCHEMES))
     print("riemann       :", ", ".join(sorted(SOLVERS)))
-    print("experiments   :", ", ".join(sorted(EXPERIMENTS, key=lambda e: int(e[1:]))))
+    print("experiments   :", ", ".join(EXPERIMENTS))
     return 0
 
 

@@ -66,9 +66,10 @@ class ScratchWorkspace:
         self._bufs: dict = {}
 
     def buf(self, key, shape, dtype=float) -> np.ndarray:
-        """The cached buffer for ``(key, shape)``, created on first use."""
-        shape = tuple(int(n) for n in shape)
-        cache_key = (key, shape, np.dtype(dtype).str)
+        """The cached buffer for ``(key, shape, dtype)``, hashed as passed
+        (*shape* a tuple; this is called per kernel temporary), created on
+        first use."""
+        cache_key = (key, shape, dtype)
         b = self._bufs.get(cache_key)
         if b is None:
             b = np.empty(shape, dtype=dtype)

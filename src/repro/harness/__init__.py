@@ -1,14 +1,22 @@
 """Experiment harness: drivers that regenerate every table and figure of the
-reconstructed evaluation (DESIGN.md section 4), plus report rendering,
-cost-model calibration, and the analytic scaling model.
+reconstructed evaluation (DESIGN.md section 4) and the ablations behind
+its defaults, plus report rendering, cost-model calibration, and the
+analytic scaling model.
 
-The registry maps experiment ids to drivers:
+The registry maps experiment ids (E1-E14, A1-A4) to drivers; ``repro
+experiment <id>`` prints one:
 
 >>> from repro.harness import EXPERIMENTS
 >>> print(EXPERIMENTS["E2"]())   # doctest: +SKIP
 """
 
 from .calibrate import calibrated_cost_model
+from .experiments_ablations import (
+    ablation_a1_reflux,
+    ablation_a2_wmax,
+    ablation_a3_atmosphere,
+    ablation_a4_cfl,
+)
 from .experiments_accuracy import (
     experiment_e1_convergence,
     experiment_e2_riemann_solvers,
@@ -53,6 +61,10 @@ EXPERIMENTS = {
     "E12": experiment_e12_codegen,
     "E13": experiment_e13_model_validation,
     "E14": experiment_e14_partitioning,
+    "A1": ablation_a1_reflux,
+    "A2": ablation_a2_wmax,
+    "A3": ablation_a3_atmosphere,
+    "A4": ablation_a4_cfl,
 }
 
 __all__ = [
@@ -79,4 +91,8 @@ __all__ = [
     "experiment_e12_codegen",
     "experiment_e13_model_validation",
     "experiment_e14_partitioning",
+    "ablation_a1_reflux",
+    "ablation_a2_wmax",
+    "ablation_a3_atmosphere",
+    "ablation_a4_cfl",
 ]

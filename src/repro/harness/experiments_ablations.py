@@ -178,11 +178,3 @@ def ablation_a4_cfl(n: int = 200) -> Report:
         )
     report.add_note("error nearly CFL-independent below 1; cost scales as 1/CFL")
     return report
-
-
-ABLATIONS = {
-    "A1": ablation_a1_reflux,
-    "A2": ablation_a2_wmax,
-    "A3": ablation_a3_atmosphere,
-    "A4": ablation_a4_cfl,
-}

@@ -23,40 +23,12 @@ from .report import Report
 from .scaling import efficiencies, simulate_step, speedups, strong_scaling, weak_scaling
 
 
-def _save_scaling_metrics(metrics_dir, eid: str, meta: dict, **cost_lists) -> list:
-    """Write one modelled JSONL stream per device flavour; returns paths."""
-    from pathlib import Path
-
-    from ..runtime.trace import save_metrics_jsonl, scaling_to_metrics_records
-
-    out = Path(metrics_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for flavour, costs in cost_lists.items():
-        path = out / f"{eid}_{flavour}_modelled.jsonl"
-        save_metrics_jsonl(
-            scaling_to_metrics_records(
-                costs, meta={"experiment": eid, "flavour": flavour, **meta}
-            ),
-            path,
-        )
-        paths.append(path)
-    return paths
-
-
 def experiment_e6_strong_scaling(
     grid_shape=(1024, 1024),
     node_counts=(1, 2, 4, 8, 16, 32, 64, 128, 256),
     model: KernelCostModel | None = None,
-    metrics_dir=None,
 ) -> Report:
-    """Figure 4: strong scaling, CPU-only vs CPU+GPU clusters.
-
-    With *metrics_dir* set, the modelled curves are also written as
-    ``source: "modelled"`` JSONL event streams (one per device flavour),
-    ready to diff against measured runs with
-    :meth:`Report.diff_metrics`.
-    """
+    """Figure 4: strong scaling, CPU-only vs CPU+GPU clusters."""
     model = model or calibrated_cost_model()
     grid = Grid(grid_shape, tuple((0.0, 1.0) for _ in grid_shape))
     cpu_costs = strong_scaling(
@@ -94,15 +66,6 @@ def experiment_e6_strong_scaling(
         "GPU nodes are faster in absolute time but lose efficiency earlier: "
         "fixed per-node work shrinks until launch overhead + halo dominate"
     )
-    if metrics_dir is not None:
-        paths = _save_scaling_metrics(
-            metrics_dir,
-            "E6",
-            {"grid_shape": list(grid_shape), "node_counts": list(node_counts)},
-            cpu=cpu_costs,
-            gpu=gpu_costs,
-        )
-        report.add_note(f"modelled metrics: {', '.join(str(p) for p in paths)}")
     return report
 
 
@@ -110,13 +73,8 @@ def experiment_e7_weak_scaling(
     cells_per_node_axis: int = 256,
     node_counts=(1, 4, 16, 64, 256),
     model: KernelCostModel | None = None,
-    metrics_dir=None,
 ) -> Report:
-    """Figure 5: weak scaling efficiency at fixed per-node work.
-
-    With *metrics_dir* set, the modelled curves are written as JSONL
-    event streams exactly as in :func:`experiment_e6_strong_scaling`.
-    """
+    """Figure 5: weak scaling efficiency at fixed per-node work."""
     model = model or calibrated_cost_model()
     cpu_costs = weak_scaling(
         cells_per_node_axis, node_counts, lambda n: cpu_cluster(n, model), model,
@@ -143,18 +101,6 @@ def experiment_e7_weak_scaling(
         "efficiency decays with the allreduce log(P) term and halo growth; "
         "flat curves = good weak scaling"
     )
-    if metrics_dir is not None:
-        paths = _save_scaling_metrics(
-            metrics_dir,
-            "E7",
-            {
-                "cells_per_node_axis": cells_per_node_axis,
-                "node_counts": list(node_counts),
-            },
-            cpu=cpu_costs,
-            gpu=gpu_costs,
-        )
-        report.add_note(f"modelled metrics: {', '.join(str(p) for p in paths)}")
     return report
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from math import atanh, sqrt, tanh
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..utils.errors import ConfigurationError
 
@@ -179,6 +178,11 @@ class ExactRiemannSolver:
                 "vacuum-generating Riemann problem (receding states); the "
                 "exact solver does not handle vacuum formation"
             )
+        # Imported here, not at module scope: ``repro`` imports this module,
+        # and no solver driver (or spawned rank worker) ever calls the root
+        # finder — only the exact solution does.
+        from scipy.optimize import brentq
+
         p_star = brentq(f, p_lo, p_hi, xtol=1e-15, rtol=1e-14, maxiter=300)
         v_star = self._v_behind(left, p_star, -1)
         return p_star, v_star
@@ -241,6 +245,8 @@ class ExactRiemannSolver:
         if flo * fhi > 0:  # xi outside the fan due to round-off; clamp
             cs = hi if abs(fhi) < abs(flo) else lo
         else:
+            from scipy.optimize import brentq  # see _solve_star
+
             cs = brentq(char_minus_xi, lo, hi, xtol=1e-15, maxiter=200)
         v = tanh(
             atanh(ahead.v)

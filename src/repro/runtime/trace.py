@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from ..obs.events import SCHEMA_VERSION, JsonlEventSink
+from ..obs.events import SCHEMA_VERSION
 from ..utils.errors import SchedulerError
 from .task import Timeline
 
@@ -151,84 +151,3 @@ def to_metrics_records(timeline: Timeline, meta: dict | None = None) -> list[dic
             "imbalance": timeline.imbalance(),
         },
     ]
-
-
-def scaling_to_metrics_records(
-    costs, meta: dict | None = None, source: str = "modelled"
-) -> list[dict]:
-    """Export a scaling sweep (list of ``StepCost``) in the event schema.
-
-    One ``step`` record per cluster size: ``wall_seconds`` is the step
-    time, ``kernel_seconds`` splits it into the compute/halo/allreduce
-    phases, and the counters carry the geometry (node count, max local
-    cells).  *source* tags the stream: the analytic model exports with the
-    default ``"modelled"``, while a real scaling run distilled into the
-    same :class:`~repro.harness.scaling.StepCost` shape exports with
-    ``source="measured"`` — the two then diff row for row (see
-    :meth:`repro.harness.Report.diff_metrics`).
-    """
-    common = {"schema": SCHEMA_VERSION, "source": source}
-    records = [
-        {
-            **common,
-            "event": "run_start",
-            "meta": {"n_points": len(costs), **(meta or {})},
-        }
-    ]
-    totals: dict[str, float] = {}
-    t = 0.0
-    base = costs[0].total_s if costs else 0.0
-    for i, cost in enumerate(costs, 1):
-        t += cost.total_s
-        kernels = {
-            "compute": cost.compute_s,
-            "halo": cost.halo_s,
-            "allreduce": cost.allreduce_s,
-        }
-        for k, v in kernels.items():
-            totals[k] = totals.get(k, 0.0) + v
-        records.append(
-            {
-                **common,
-                "event": "step",
-                "step": i,
-                "t": t,
-                "dt": cost.total_s,
-                "wall_seconds": cost.total_s,
-                "kernel_seconds": kernels,
-                "counters": {
-                    "scaling.nodes": cost.n_nodes,
-                    "scaling.local_cells_max": cost.local_cells_max,
-                },
-                "gauges": {
-                    "scaling.speedup": base / cost.total_s if cost.total_s else 0.0
-                },
-            }
-        )
-    records.append(
-        {
-            **common,
-            "event": "run_end",
-            "steps": len(costs),
-            "kernel_seconds_total": totals,
-            "counters_total": {},
-        }
-    )
-    return records
-
-
-def save_metrics_jsonl(source, path, meta: dict | None = None) -> None:
-    """Write a modelled event stream as a JSONL metrics file.
-
-    *source* is either a :class:`Timeline` (converted with
-    :func:`to_metrics_records`) or an already-built list of event records
-    (e.g. from :func:`scaling_to_metrics_records`), written verbatim.
-    """
-    records = (
-        list(source)
-        if isinstance(source, (list, tuple))
-        else to_metrics_records(source, meta)
-    )
-    with JsonlEventSink(path) as sink:
-        for record in records:
-            sink.emit(record)

@@ -131,6 +131,29 @@ class TestProcessParity:
         )
 
 
+class TestRebalanceDecay:
+    def test_a_recut_never_leaves_the_run_worse_than_its_worst_cut(self):
+        """The dynamic rebalancer decays imbalance, never grows it: with the
+        threshold low enough that regrids keep tripping it, every recut
+        lands at or below the run's worst measured imbalance, and so does
+        the final state.  In-process ranks: the policy is the same code the
+        worker fleet runs (``DistributedAMRSolver._post_regrid``)."""
+        system, grid, init, config, amr = _scenario()
+        sink = BufferSink()
+        solver = DistributedAMRSolver(
+            system, grid, init, config, amr.replace(rebalance_threshold=1.02),
+            recorder=StepRecorder(sink), n_ranks=4,
+        )
+        for _ in range(AMR_STEPS):
+            solver.step()
+        imbalance = [s["amr"]["imbalance"] for s in steps_of(sink.records)]
+        rebalances = [r for r in sink.records if r.get("event") == "amr_rebalance"]
+        assert solver.repartitions >= 1 and len(rebalances) == solver.repartitions
+        for event in rebalances:
+            assert event["imbalance_after"] <= max(imbalance) + 1e-9
+        assert 1.0 <= imbalance[-1] <= max(imbalance) + 1e-9
+
+
 class TestMigrationWireFormat:
     KEY = BlockKey(1, (3,))
 

@@ -295,6 +295,10 @@ class TestExperiment:
         assert main(["experiment", "e8"]) == 0
         assert "Table III" in capsys.readouterr().out
 
+    def test_ablation_runs(self, capsys):
+        assert main(["experiment", "a4"]) == 0
+        assert "Ablation: CFL number" in capsys.readouterr().out
+
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "E99"]) == 2
         assert "unknown experiment" in capsys.readouterr().out

@@ -118,8 +118,10 @@ class TestScalingModel:
 class TestExperimentRegistry:
     def test_all_experiments_registered(self):
         """The 12 reconstructed paper artifacts plus E13 (model validation)
-        and E14 (SFC partitioning)."""
-        assert set(EXPERIMENTS) == {f"E{i}" for i in range(1, 15)}
+        and E14 (SFC partitioning), and the four ablations — one registry."""
+        assert list(EXPERIMENTS) == [f"E{i}" for i in range(1, 15)] + [
+            f"A{i}" for i in range(1, 5)
+        ]
 
     def test_e2_small_instance(self):
         report = EXPERIMENTS["E2"](n=50)

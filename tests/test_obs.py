@@ -420,10 +420,12 @@ class TestModelledExport:
         assert records[0]["meta"]["experiment"] == "E8"
 
     def test_jsonl_round_trip_and_report(self, timeline, tmp_path):
-        from repro.runtime.trace import save_metrics_jsonl
+        from repro.runtime.trace import to_metrics_records
 
         path = tmp_path / "modelled.jsonl"
-        save_metrics_jsonl(timeline, path)
+        with JsonlEventSink(path) as sink:
+            for record in to_metrics_records(timeline):
+                sink.emit(record)
         records = read_events(path)
         report = Report.from_metrics(records)
         text = str(report)

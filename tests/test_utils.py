@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 
 import pytest
@@ -149,3 +151,24 @@ class TestLogging:
 
         assert logging.getLogger("repro").level == logging.DEBUG
         set_level(logging.WARNING)
+
+
+class TestImportCost:
+    def test_solver_imports_leave_the_optional_stack_unloaded(self):
+        """Every process — each spawned rank worker included — imports
+        ``repro``; none may pay for SciPy's optimizer (only the exact
+        Riemann solution calls it), SymPy or NetworkX (codegen and the task
+        DAG, on the numpy path) before something uses them."""
+        probe = (
+            "import sys\n"
+            "import repro, repro.core.parallel, repro.core.amr_parallel, repro.serve\n"
+            "heavy = [m for m in ('scipy', 'sympy', 'networkx') if m in sys.modules]\n"
+            "assert not heavy, heavy\n"
+            "from repro.physics.initial_data import RP1\n"
+            "exact = repro.ExactRiemannSolver(RP1.left, RP1.right, RP1.gamma)\n"
+            "assert abs(exact.p_star - 1.4477) < 1e-3, exact.p_star\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
