@@ -347,7 +347,6 @@ def run_con2prim_newton(
     tol: float,
     p_floor: float,
     max_newton: int,
-    damping: float,
 ):
     """Run the fused Newton kernel; returns (converged mask, max iters).
 
@@ -371,7 +370,6 @@ def run_con2prim_newton(
         float(tol),
         float(p_floor),
         int(max_newton),
-        float(damping),
     )
     return conv.view(bool), int(it_max)
 

@@ -80,7 +80,7 @@ REPRO_INLINE double rclip(double x, double lo, double hi)
 
 #: C template of the fused con2prim Newton loop.  Operation order matches
 #: :func:`repro.physics.con2prim.con_to_prim`'s vectorized Newton phase
-#: exactly (same clips, same damped step, same convergence test), so when
+#: exactly (same clips, same step, same convergence test), so when
 #: compiled without FP contraction the compiled iteration is bit-identical
 #: to the NumPy one.  ``S2`` arrives precomputed, which keeps the kernel
 #: ndim-independent.  Returns the largest per-cell iteration count.
@@ -90,7 +90,7 @@ long %(name)s(long n,
               double* p, const double* p_lo,
               unsigned char* converged, int* iters,
               double gamma, double tol, double p_floor,
-              int max_newton, double damping)
+              int max_newton)
 {
     long iters_max = 0;
     for (long i = 0; i < n; ++i) {
@@ -115,7 +115,7 @@ long %(name)s(long n,
             const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
             const double dfdp = v2 * cs2 - 1.0;
             const double step = f / dfdp;
-            pi = rmax(pi - damping * step, 0.5 * (pi + plo));
+            pi = rmax(pi - step, 0.5 * (pi + plo));
         }
         if (it > max_newton) it = max_newton;
         p[i] = pi;
@@ -484,8 +484,7 @@ class KernelGenerator:
             f"long {CON2PRIM_KERNEL}(long n, const double* in_D, "
             "const double* in_S2, const double* in_tau, double* p, "
             "const double* p_lo, unsigned char* converged, int* iters, "
-            "double gamma, double tol, double p_floor, int max_newton, "
-            "double damping)"
+            "double gamma, double tol, double p_floor, int max_newton)"
         )
 
     def generate_c_con2prim(self) -> str:

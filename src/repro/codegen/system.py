@@ -32,7 +32,7 @@ import numpy as np
 from ..core.workspace import scratch_buf
 from ..eos.ideal import IdealGasEOS
 from ..physics.srhd import SRHDSystem
-from ..utils.errors import CodegenError
+from ..utils.errors import CodegenError, ConfigurationError
 from ..utils.logging import get_logger
 from .cache import load_kernel, run_flat_kernel
 from .generator import (
@@ -223,7 +223,7 @@ class CompiledSRHDSystem(SRHDSystem):
         np.copyto(out[1], lam[1])
         return out[0], out[1]
 
-    def c2p_newton(self, D, S2, tau, p, p_lo, *, tol, p_floor, max_newton, damping):
+    def c2p_newton(self, D, S2, tau, p, p_lo, *, tol, p_floor, max_newton):
         """Fused Newton phase hook consumed by ``con_to_prim``.
 
         Returns ``(converged mask, max iteration count)``; *p* is updated
@@ -233,8 +233,7 @@ class CompiledSRHDSystem(SRHDSystem):
 
         return run_con2prim_newton(
             self._ffi, self._lib, D, S2, tau, p, p_lo,
-            gamma=self.gamma, tol=tol, p_floor=p_floor,
-            max_newton=max_newton, damping=damping,
+            gamma=self.gamma, tol=tol, p_floor=p_floor, max_newton=max_newton,
         )
 
     def face_flux(
@@ -294,24 +293,24 @@ def make_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
     pipeline it builds passes through here for free).  ``flat`` and
     ``cext`` require the plain :class:`SRHDSystem` + ideal-gas combination
     the generator specializes for; anything else (tracer systems, exotic
-    EOS) keeps the handwritten kernels with a logged warning.  When the
-    compiled module cannot be built or loaded (no cffi, no compiler,
-    ``REPRO_CEXT_DISABLE=1``, a build error), ``cext`` falls back to
-    ``flat`` with a logged warning rather than failing the run — the one
-    fallback of the target; pipelines count it in
-    ``codegen.target_fallbacks``.
+    EOS) is refused with a :class:`ConfigurationError` naming the one
+    target that runs it.  When the compiled module cannot be built or
+    loaded (no cffi, no compiler, ``REPRO_CEXT_DISABLE=1``, a build error),
+    ``cext`` falls back to ``flat`` with a logged warning rather than
+    failing the run — the one fallback of the target; pipelines count it
+    in ``codegen.target_fallbacks``.
     """
     if target in (None, "numpy") or isinstance(
         system, (GeneratedSRHDSystem, CompiledSRHDSystem)
     ):
         return system
     if type(system) is not SRHDSystem or not isinstance(system.eos, IdealGasEOS):
-        _log.warning(
-            "kernel_target=%r needs a plain SRHDSystem with an ideal-gas "
-            "EOS (got %r); keeping the handwritten kernels",
-            target, system,
+        raise ConfigurationError(
+            f"kernel_target={target!r} needs a plain SRHDSystem with an "
+            f"ideal-gas EOS, got {type(system).__name__} with "
+            f"{type(system.eos).__name__}; only kernel_target='numpy' runs "
+            "this system"
         )
-        return system
     gamma, ndim = system.eos.gamma, system.ndim
     if target == "cext":
         try:

@@ -259,8 +259,8 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
         incoming = [m for m in moves if m[2] == self.rank]
         for key, _src, dst in outgoing:
             leaf = self.forest.leaves[key]
-            p_cache, stats = self._warm_state(key)
-            header = block_frame_header(key, leaf.cons, p_cache, stats)
+            p_cache = self._warm_state(key)
+            header = block_frame_header(key, leaf.cons, p_cache)
             self.comm.send(self.rank, dst, header, tag=TAG_AMR_MIGRATE)
             self.comm.send(self.rank, dst, leaf.cons, tag=TAG_AMR_MIGRATE)
             if p_cache is not None:
@@ -272,7 +272,7 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
                 n + 2 * leaf.grid.n_ghost for n in leaf.grid.shape
             )
             header = self.comm.recv(src, tag=TAG_AMR_MIGRATE)
-            has_pcache, stats = check_block_frame(header, key, gshape)
+            has_pcache = check_block_frame(header, key, gshape)
             cons = check_block_payload(
                 np.asarray(self.comm.recv(src, tag=TAG_AMR_MIGRATE)),
                 gshape, "cons", key,
@@ -286,12 +286,12 @@ class _AMRRankWorker(_WorkerShell, DistributedAMRSolver):
                     np.asarray(self.comm.recv(src, tag=TAG_AMR_MIGRATE)),
                     pshape, "p_cache", key,
                 )
-            staged_in.append((key, cons, p_cache, stats))
+            staged_in.append((key, cons, p_cache))
         # Validate-all-then-install: nothing above mutated the forest.
-        for key, cons, p_cache, stats in staged_in:
+        for key, cons, p_cache in staged_in:
             self.forest.leaves[key].cons = cons
             self._drop_pipeline(key)
-            self._pipe_state[key] = (p_cache, stats)
+            self._pipe_state[key] = p_cache
         for key, _src, _dst in outgoing:
             self.forest.leaves[key].cons = None
             self._drop_pipeline(key)

@@ -163,9 +163,9 @@ class AMRSolver(Driver):
         self._initial_data = None
         self.source_fn = source_fn
         self._pipelines: dict[BlockKey, HydroPipeline] = {}
-        #: installed or migrated-in ``(p_cache, recovery stats)`` of blocks
-        #: whose pipeline is not built yet; consumed by :meth:`_pipeline`
-        self._pipe_state: dict[BlockKey, tuple] = {}
+        #: installed or migrated-in ``p_cache`` of blocks whose pipeline is
+        #: not built yet; consumed by :meth:`_pipeline`
+        self._pipe_state: dict[BlockKey, np.ndarray | None] = {}
         self._interior_bcs = BoundarySet(default=InteriorFace())
         # Shared across every block pipeline so timings/counters aggregate
         # over the whole forest.
@@ -197,9 +197,7 @@ class AMRSolver(Driver):
             pipe.source_fn = self.source_fn
             pipe.time = self.t
             self._pipelines[key] = pipe
-            staged = self._pipe_state.pop(key, None)
-            if staged is not None:
-                pipe.install_warm_state(*staged)
+            pipe.install_warm_state(self._pipe_state.pop(key, None))
         return pipe
 
     def _drop_pipeline(self, key: BlockKey) -> None:
@@ -207,13 +205,13 @@ class AMRSolver(Driver):
         self._pipelines.pop(key, None)
         self._pipe_state.pop(key, None)
 
-    def _warm_state(self, key: BlockKey) -> tuple:
-        """``(p_cache, recovery stats)`` of one block: its pipeline's, or
-        what is staged for a pipeline not built yet."""
+    def _warm_state(self, key: BlockKey) -> np.ndarray | None:
+        """``p_cache`` of one block: its pipeline's, or what is staged for
+        a pipeline not built yet."""
         pipe = self._pipelines.get(key)
         if pipe is not None:
             return pipe.warm_state()
-        return self._pipe_state.get(key, (None, None))
+        return self._pipe_state.get(key)
 
     # ------------------------------------------------------------------
     # Forest state: the one capture/install pair behind AMR checkpoints,
@@ -221,15 +219,15 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
 
     def forest_state(self, keys=None) -> dict:
-        """Topology, counters and the ``(cons, p_cache, recovery stats)``
-        of *keys* (default: the leaves this driver evolves).  Leaf
+        """Topology, counters and the ``(cons, p_cache)`` of *keys*
+        (default: the leaves this driver evolves).  Leaf
         insertion order is part of the byte-level contract (every
         iteration the drivers do follows it), so it is kept verbatim."""
         return {
             "leaves": list(self.forest.leaves),
             "refined": sorted(self.forest.refined),
             "blocks": {
-                key: (self.forest.leaves[key].cons.copy(), *self._warm_state(key))
+                key: (self.forest.leaves[key].cons.copy(), self._warm_state(key))
                 for key in (self._step_keys() if keys is None else keys)
             },
             "t": self.t,
@@ -249,9 +247,9 @@ class AMRSolver(Driver):
         self.forest = forest
         self._pipelines = {}
         self._pipe_state = {}
-        for key, (cons, p_cache, stats) in state["blocks"].items():
+        for key, (cons, p_cache) in state["blocks"].items():
             forest.leaves[key].cons = np.array(cons)
-            self._pipe_state[key] = (p_cache, stats)
+            self._pipe_state[key] = p_cache
         self.t = float(state["t"])
         self.steps = int(state["steps"])
         self.cells_updated = int(state["cells_updated"])

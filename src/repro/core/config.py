@@ -69,12 +69,4 @@ class SolverConfig(ParameterSet):
         "cffi-compiled C module (falls back to 'flat' with a logged warning "
         "when no C toolchain is available)",
     )
-    c2p_tuned = param(
-        False,
-        bool,
-        doc="enable the counter-driven con2prim tuning: pressure-positivity-"
-        "preserving initial guess plus Newton damping adapted from the "
-        "previous sweeps' unbracketed/max-iteration statistics (changes "
-        "iteration counts, not converged results beyond tolerance)",
-    )
     max_steps = param(1_000_000, int, lambda v: v > 0, "hard step-count limit")

@@ -431,25 +431,25 @@ class DistributedSolver(Driver):
         save_distributed_checkpoint(self, path)
 
     def checkpoint_shards(self) -> dict[int, tuple]:
-        """Per-rank ``(ghosted cons, p_cache, recovery stats)`` — the
-        payload of one distributed checkpoint (same accessor the process
+        """Per-rank ``(ghosted cons, p_cache)`` — the payload of one
+        distributed checkpoint (same accessor the process
         executor streams from its workers, so both write identical
         archives)."""
         return {
-            rank: (self.cons[rank], *self.pipelines[rank].warm_state())
+            rank: (self.cons[rank], self.pipelines[rank].warm_state())
             for rank in self.local_ranks
         }
 
     def install_shards(self, t, steps, shards: dict, prims_cache=None) -> None:
-        """Install ``{rank: (ghosted cons, p_cache, recovery stats)}`` for
-        the owned ranks verbatim (bit-exact restart): the one path
+        """Install ``{rank: (ghosted cons, p_cache)}`` for the owned
+        ranks verbatim (bit-exact restart): the one path
         checkpoint reload, the worker's restore commands and the fold to
         serial all take.  *prims_cache* is the exchanged-primitive cache
         when one was held."""
         for rank in self.local_ranks:
-            cons, p_cache, stats = shards[rank]
+            cons, p_cache = shards[rank]
             self.cons[rank] = np.array(cons)
-            self.pipelines[rank].install_warm_state(p_cache, stats)
+            self.pipelines[rank].install_warm_state(p_cache)
         self._prims_cache = prims_cache
         self.t = float(t)
         self.steps = int(steps)

@@ -1074,8 +1074,8 @@ class ProcessSolver(Driver):
         return list(self._call_all("snapshot").values())
 
     def checkpoint_shards(self) -> dict[int, tuple]:
-        """Per-rank ``(ghosted cons, p_cache, recovery stats)`` streamed
-        from the workers — the payload of one distributed checkpoint."""
+        """Per-rank ``(ghosted cons, p_cache)`` streamed from the workers —
+        the payload of one distributed checkpoint."""
         return self._gather("checkpoint_shards")
 
     def install_shards(self, t, steps, shards: dict, prims_cache=None) -> None:
@@ -1118,8 +1118,8 @@ class ProcessSolver(Driver):
     def fold_to_serial(self, snapshot: dict) -> DistributedSolver:
         """This run's serial twin carrying *snapshot*: a
         :class:`DistributedSolver` with the per-rank supervision states
-        installed verbatim — ghosted conserved arrays, con2prim warm-start
-        state, and (when every rank has one) the exchanged-primitive cache
+        installed verbatim — ghosted conserved arrays, Newton seeds
+        and (when every rank has one) the exchanged-primitive cache
         — so the serial continuation advances the exact bytes the process
         run held at its last consistent boundary.  Logical fault plans are
         not resumed across the fold: the degraded tail runs fault-free

@@ -8,8 +8,6 @@ performance model is calibrated against (each stage is one "kernel").
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..boundary.conditions import BoundarySet
@@ -114,13 +112,6 @@ class HydroPipeline:
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
-        self.recovery_stats = RecoveryStats()
-        #: counter-driven con2prim tuning (config.c2p_tuned): positivity-
-        #: preserving cold-start seeding, plus Newton damping adapted from
-        #: this pipeline's own accumulated sweep statistics.  The stats are
-        #: pipeline-local (per rank), so serial and process executors make
-        #: identical damping decisions.
-        self._c2p_tuned = config.c2p_tuned
         #: preallocated kernel buffers for the hot path (one per pipeline, so
         #: per-rank and per-AMR-block reuse is safe); setting it to None
         #: makes every call allocate fresh arrays (bit-identical; tests).
@@ -141,17 +132,15 @@ class HydroPipeline:
 
     # ------------------------------------------------------------------
 
-    def warm_state(self) -> tuple[np.ndarray | None, RecoveryStats]:
-        """``(p_cache, recovery stats)``: with the patch's conserved array,
-        everything the bits of its next recovery sweep depend on — the
-        Newton seed and, under ``c2p_tuned``, the damping decision.  Every
+    def warm_state(self) -> np.ndarray | None:
+        """The Newton seed ``p_cache``: with the patch's conserved array,
+        everything the bits of its next recovery sweep depend on.  Every
         capture/install pair (checkpoints, supervision snapshots, block
-        migration) moves a patch as ``(cons, *warm_state())``."""
-        return self._p_cache, replace(self.recovery_stats)
+        migration) moves a patch as ``(cons, warm_state())``."""
+        return self._p_cache
 
-    def install_warm_state(self, p_cache, stats: RecoveryStats | None = None) -> None:
+    def install_warm_state(self, p_cache) -> None:
         self._p_cache = None if p_cache is None else np.array(p_cache)
-        self.recovery_stats = RecoveryStats() if stats is None else replace(stats)
 
     def recover_primitives(self, cons: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Full primitive array: recovery on the interior + BC ghost fill.
@@ -174,15 +163,6 @@ class HydroPipeline:
             if p_guess is not None and p_guess.shape != interior_cons.shape[1:]:
                 p_guess = None
             sweep = RecoveryStats()
-            damping = 1.0
-            if self._c2p_tuned and (
-                self.recovery_stats.n_unbracketed > 0
-                or self.recovery_stats.max_iterations >= 50
-            ):
-                # Earlier sweeps hit the pathological tail (no sign change,
-                # or Newton budget exhausted): halve the step from here on.
-                damping = 0.5
-                self.metrics.counter("con2prim.damped_sweeps").inc()
             try:
                 interior_prim = con_to_prim(
                     system,
@@ -194,15 +174,12 @@ class HydroPipeline:
                     atmosphere=(self.atmosphere.rho_atmo, self.atmosphere.p_atmo),
                     scratch=ws,
                     out=scratch_buf(ws, ("pipe", "interior_prim"), interior_cons.shape),
-                    positivity_guess=self._c2p_tuned,
-                    newton_damping=damping,
                 )
                 if self.fault_injector is not None:
                     self._maybe_inject_burst(interior_cons, interior_prim)
             finally:
                 # con_to_prim populates the sweep counters before raising,
                 # so the failing sweep is accounted for too.
-                self.recovery_stats.merge(sweep)
                 self._record_recovery(sweep)
             prim_mask = self.atmosphere.apply_prim(system, interior_prim)
             if prim_mask.any():

@@ -10,9 +10,9 @@ Format (unigrid), one compressed npz:
 - ``meta``: json-encoded dict (format version, t, steps, grid geometry,
   solver config, EOS descriptor)
 - ``cons``: the ghosted conserved state array
-- ``p_cache`` / ``c2p_stats`` (optional): the con2prim warm-start state
+- ``p_cache`` (optional): the con2prim Newton seed
 
-Distributed checkpoints hold the same triple per rank (``rank_<r>``, ...),
+Distributed checkpoints hold the same pair per rank (``rank_<r>``, ...),
 AMR checkpoints per leaf (``leaf_<level>_<idx...>``, ...) plus the forest
 topology in ``meta``.
 """
@@ -33,7 +33,6 @@ from ..core.config import SolverConfig
 from ..core.parallel import make_distributed_solver
 from ..core.solver import Solver
 from ..mesh.amr.blocks import BlockKey
-from ..mesh.amr.exchange import stats_from_vector, stats_vector
 from ..mesh.grid import Grid
 from ..utils.errors import CheckpointError, ConfigurationError
 from ..utils.logging import get_logger
@@ -117,24 +116,32 @@ def _grid_from_meta(meta: dict) -> Grid:
     )
 
 
-#: archive entry names per kind — ``(cons, p_cache, recovery stats)`` of one
-#: patch, formatted with the patch's ident (rank, or leaf level_idx...)
+#: archive entry names per kind — ``(cons, p_cache)`` of one patch,
+#: formatted with the patch's ident (rank, or leaf level_idx...)
 _ENTRY_NAMES = {
-    "unigrid": ("cons", "p_cache", "c2p_stats"),
-    "distributed": ("rank_{0}", "pcache_{0}", "c2p_stats_{0}"),
-    "amr": ("leaf_{0}", "pcache_leaf_{0}", "c2p_stats_leaf_{0}"),
+    "unigrid": ("cons", "p_cache"),
+    "distributed": ("rank_{0}", "pcache_{0}"),
+    "amr": ("leaf_{0}", "pcache_leaf_{0}"),
 }
 
 #: SolverConfig fields retired since FORMAT_VERSION 1 archives were first
-#: written; none ever changed a solution byte (two selected between
-#: bit-identical code paths, the third only priced a modelled counter),
-#: so an archived value is dropped rather than refused.
-_RETIRED_CONFIG_KEYS = ("scratch_workspace", "fused_stencils", "overlap_link")
+#: written, each with whether a set value changed solution bytes.  An
+#: archived value is dropped rather than refused; one that did change bytes
+#: is dropped with a warning, because the resumed run continues without it.
+_RETIRED_CONFIG_KEYS = {
+    # selected between bit-identical code paths
+    "scratch_workspace": False,
+    "fused_stencils": False,
+    # only priced a modelled counter
+    "overlap_link": False,
+    # reseeded the cold Newton start and damped it on recovery statistics
+    "c2p_tuned": True,
+}
 
 
 def _write_archive(path, kind: str, solver, patches: dict, **meta) -> None:
     """The one archive writer: the shared meta prologue, *meta* on top,
-    and ``{ident: (cons, p_cache, recovery stats)}`` as named entries."""
+    and ``{ident: (cons, p_cache)}`` as named entries."""
     meta = {
         "format": FORMAT_VERSION,
         "kind": kind,
@@ -145,17 +152,13 @@ def _write_archive(path, kind: str, solver, patches: dict, **meta) -> None:
         **meta,
     }
     arrays = {}
-    for ident, (cons, p_cache, stats) in patches.items():
-        c_name, p_name, s_name = (n.format(ident) for n in _ENTRY_NAMES[kind])
+    for ident, (cons, p_cache) in patches.items():
+        c_name, p_name = (n.format(ident) for n in _ENTRY_NAMES[kind])
         arrays[c_name] = cons
-        # The con2prim warm-start state participates in bit-exact restart:
-        # a cold-started Newton lands within tolerance but not on the
-        # identical bits, and under c2p_tuned the accumulated sweep
-        # statistics decide the Newton damping.
+        # The Newton seed participates in bit-exact restart: a cold-started
+        # Newton lands within tolerance but not on the identical bits.
         if p_cache is not None:
             arrays[p_name] = p_cache
-        if stats is not None:
-            arrays[s_name] = np.asarray(stats_vector(stats), dtype=np.int64)
     _atomic_savez(path, meta=json.dumps(meta), **arrays)
 
 
@@ -179,19 +182,25 @@ def _read_prologue(data, path, kind: str, system) -> tuple[dict, SolverConfig]:
     retired = [key for key in _RETIRED_CONFIG_KEYS if key in config]
     if retired:
         _log.info("checkpoint %s: dropping retired config keys %s", path, retired)
+        changed = [k for k in retired if _RETIRED_CONFIG_KEYS[k] and config[k]]
+        if changed:
+            _log.warning(
+                "checkpoint %s was written with %s set; that behaviour no "
+                "longer exists and the run resumes without it", path, changed,
+            )
         for key in retired:
             del config[key]
     return meta, SolverConfig(**config)
 
 
 def _read_patch(data, kind: str, ident) -> tuple:
-    """One patch's ``(cons, p_cache, recovery stats)``; the optional
-    entries load as None (cold Newton seed, zeroed statistics)."""
-    c_name, p_name, s_name = (n.format(ident) for n in _ENTRY_NAMES[kind])
+    """One patch's ``(cons, p_cache)``; an absent seed loads as None (cold
+    Newton start).  Members this reader does not name — the ``c2p_stats*``
+    vectors older writers stored — are ignored."""
+    c_name, p_name = (n.format(ident) for n in _ENTRY_NAMES[kind])
     return (
         np.array(data[c_name]),
         np.array(data[p_name]) if p_name in data else None,
-        stats_from_vector(data[s_name]) if s_name in data else None,
     )
 
 
@@ -203,7 +212,7 @@ def save_checkpoint(solver: Solver, path) -> None:
     """Write a unigrid solver's full state to *path* (.npz)."""
     _write_archive(
         path, "unigrid", solver,
-        {"": (solver.cons, *solver.pipeline.warm_state())},
+        {"": (solver.cons, solver.pipeline.warm_state())},
         grid=_grid_meta(solver.grid),
     )
 
@@ -217,13 +226,13 @@ def load_checkpoint(path, system, boundaries=None) -> Solver:
     """
     with _read_archive(path) as data:
         meta, config = _read_prologue(data, path, "unigrid", system)
-        cons, p_cache, stats = _read_patch(data, "unigrid", "")
+        cons, p_cache = _read_patch(data, "unigrid", "")
     grid = _grid_from_meta(meta["grid"])
     # Build the solver through a quiescent placeholder state, then install
     # the checkpointed conserved variables verbatim.
     solver = Solver(system, grid, _quiescent_prim(system, grid), config, boundaries)
     solver.cons = cons
-    solver.pipeline.install_warm_state(p_cache, stats)
+    solver.pipeline.install_warm_state(p_cache)
     solver._prim_dirty = True
     solver.t = meta["t"]
     solver.steps = meta["steps"]
@@ -234,7 +243,7 @@ def save_distributed_checkpoint(solver, path) -> None:
     """Write a distributed solver's full state to *path* (.npz).
 
     Stores one ghosted conserved array per rank plus each rank pipeline's
-    con2prim warm-start state, so the restarted evolution stays bit-identical
+    Newton seed, so the restarted evolution stays bit-identical
     to an uninterrupted one.  Works for both executors: *solver* may be a
     :class:`~repro.core.distributed.DistributedSolver` or a
     :class:`~repro.core.parallel.ProcessSolver` (whose workers stream their

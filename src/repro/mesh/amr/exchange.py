@@ -16,7 +16,7 @@ computes identical plans, so message schedules never need negotiation.
 
 Also here: the block-migration wire format used by dynamic rebalancing.  A
 migrating block travels as a fixed int64 header frame followed by its full
-ghosted conserved array and (optionally) its primitive warm-start cache;
+ghosted conserved array and (optionally) its Newton seed ``p_cache``;
 :func:`check_block_frame` validates the frame *before* any forest state is
 touched and raises :class:`~repro.utils.errors.BlockMigrationError` on torn
 or corrupt messages.
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...physics.con2prim import RecoveryStats
 from ...utils.errors import BlockMigrationError
 from .blocks import BlockKey
 from .forest import AMRForest
@@ -39,16 +38,6 @@ TAG_AMR_HALO = 1500
 TAG_AMR_FLUX = 1501
 TAG_AMR_MERGE = 1502
 TAG_AMR_MIGRATE = 1503
-
-_STATS_FIELDS = (
-    "n_cells",
-    "n_newton_converged",
-    "n_bisection",
-    "n_failed",
-    "n_unbracketed",
-    "n_failsafe",
-    "max_iterations",
-)
 
 MIGRATION_MAGIC = 0x4D494752  # "MIGR"
 
@@ -288,25 +277,13 @@ def measured_imbalance(loads: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stats_vector(stats: RecoveryStats) -> list[int]:
-    return [int(getattr(stats, f)) for f in _STATS_FIELDS]
-
-
-def stats_from_vector(vec) -> RecoveryStats:
-    return RecoveryStats(**{f: int(v) for f, v in zip(_STATS_FIELDS, vec)})
-
-
 def block_frame_header(
-    key: BlockKey,
-    cons: np.ndarray,
-    p_cache: np.ndarray | None,
-    stats: RecoveryStats | None,
+    key: BlockKey, cons: np.ndarray, p_cache: np.ndarray | None
 ) -> np.ndarray:
     """Fixed-layout int64 frame announcing one migrating block:
-    ``[magic, level, ndim, idx..., has_pcache, stats x7, cons_shape...]``."""
-    vec = stats_vector(stats or RecoveryStats())
+    ``[magic, level, ndim, idx..., has_pcache, cons_shape...]``."""
     head = [MIGRATION_MAGIC, key.level, len(key.idx), *key.idx,
-            1 if p_cache is not None else 0, *vec, *cons.shape]
+            1 if p_cache is not None else 0, *cons.shape]
     return np.asarray(head, dtype=np.int64)
 
 
@@ -314,16 +291,14 @@ def check_block_frame(
     header: np.ndarray,
     expected_key: BlockKey,
     expected_shape: tuple[int, ...],
-) -> tuple[bool, RecoveryStats]:
-    """Validate a migration frame against the (replicated) plan entry.
-
-    Returns ``(has_pcache, stats)``; raises
-    :class:`~repro.utils.errors.BlockMigrationError` on any mismatch so a
-    torn or corrupt message is rejected before forest state changes.
-    """
+) -> bool:
+    """Validate a migration frame against the (replicated) plan entry and
+    return ``has_pcache``, the one word the plan does not fix; any other
+    mismatch raises :class:`~repro.utils.errors.BlockMigrationError`, so a
+    torn or corrupt message is rejected before forest state changes."""
     header = np.asarray(header)
     ndim = len(expected_key.idx)
-    want_len = 3 + ndim + 1 + len(_STATS_FIELDS) + len(expected_shape)
+    want_len = 3 + ndim + 1 + len(expected_shape)
     if header.ndim != 1 or header.size != want_len:
         raise BlockMigrationError(
             f"torn migration frame for {expected_key}: "
@@ -341,16 +316,13 @@ def check_block_frame(
             f"migration frame addresses block {BlockKey(level, idx)}, "
             f"expected {expected_key}"
         )
-    base = 3 + ndim
-    has_pcache = bool(head[base])
-    vec = head[base + 1:base + 1 + len(_STATS_FIELDS)]
-    shape = tuple(head[base + 1 + len(_STATS_FIELDS):])
+    shape = tuple(head[4 + ndim:])
     if shape != tuple(expected_shape):
         raise BlockMigrationError(
             f"migration frame for {expected_key} announces cons shape "
             f"{shape}, expected {tuple(expected_shape)}"
         )
-    return has_pcache, stats_from_vector(vec)
+    return bool(head[3 + ndim])
 
 
 def check_block_payload(

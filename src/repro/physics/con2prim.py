@@ -55,16 +55,6 @@ class RecoveryStats:
     n_failsafe: int = 0
     max_iterations: int = 0
 
-    def merge(self, other: "RecoveryStats") -> None:
-        """Accumulate another sweep's counters into this one."""
-        self.n_cells += other.n_cells
-        self.n_newton_converged += other.n_newton_converged
-        self.n_bisection += other.n_bisection
-        self.n_failed += other.n_failed
-        self.n_unbracketed += other.n_unbracketed
-        self.n_failsafe += other.n_failsafe
-        self.max_iterations = max(self.max_iterations, other.max_iterations)
-
 
 def _eval_state(eos: EOS, D, S2, tau, p, scratch=None, tag="c2p"):
     """Trial primitive state and EOS pressure residual at pressure *p*.
@@ -128,8 +118,6 @@ def con_to_prim(
     atmosphere: tuple[float, float] | None = None,
     scratch=None,
     out: np.ndarray | None = None,
-    positivity_guess: bool = False,
-    newton_damping: float = 1.0,
 ) -> np.ndarray:
     """Invert conserved variables to primitives over a whole grid.
 
@@ -152,21 +140,6 @@ def con_to_prim(
         sizes) always allocates fresh. Results are bit-identical.
     out:
         Optional preallocated primitive array receiving the result.
-    positivity_guess:
-        Cold-start seeding only (ignored when *p_guess* is given): seed
-        the Newton iteration with the EOS pressure of the trial state
-        evaluated at the lower admissibility bracket.  The clamped
-        ``eps >= 0`` keeps that pressure nonnegative by construction, and
-        on atmosphere-dominated grids it starts at the right magnitude
-        (~``p_atmo``) where the kinetic-gap estimate overshoots by many
-        orders — which is what sends those cells into the bisection
-        fallback.  The same seed tightens the bisection bracket for any
-        stragglers (``hi`` scales with the seed).
-    newton_damping:
-        Scale factor on the Newton step (1.0 = undamped; bit-identical
-        to the historical iteration).  Values below 1 trade iterations
-        for robustness when sweeps report unbracketed cells or exhausted
-        Newton budgets.
     failsafe_frac, atmosphere:
         Bounded non-convergence failsafe.  When ``failsafe_frac > 0`` and
         ``atmosphere=(rho_atmo, p_atmo)`` is given, up to
@@ -205,15 +178,6 @@ def con_to_prim(
     p = scratch_buf(scratch, ("c2p", "p"), D.shape)
     if p_guess is not None:
         np.maximum(p_guess.reshape(-1), p_lo, out=p)
-    elif positivity_guess:
-        # Positivity-preserving seed: evaluate the trial state at the lower
-        # admissibility bracket, where the clamped eps >= 0 guarantees a
-        # nonnegative EOS pressure; residual + base = p_EOS(rho0, eps0).
-        np.maximum(p_lo, p_floor, out=p)
-        _, _, _, f0 = _eval_state(eos, D, S2, tau, p, scratch=scratch)
-        np.add(p, f0, out=p)
-        np.maximum(p, p_lo, out=p)
-        np.maximum(p, p_floor, out=p)
     else:
         # Gamma-law-flavoured seed: thermal pressure of order the kinetic gap.
         np.sqrt(S2, out=p)
@@ -227,13 +191,12 @@ def con_to_prim(
     if fused is not None:
         # Compiled per-cell Newton (the cext target's fused kernel). The C
         # loop mirrors the vectorized iteration below operation for
-        # operation — same clips, same damped step, same convergence test —
+        # operation — same clips, same step, same convergence test —
         # so compiled and interpreted sweeps agree to the solver tolerance
         # (bit-exactly when the kernel was built without FP contraction).
         converged, newton_iters = fused(
             D, S2, tau, p, p_lo,
             tol=tol, p_floor=p_floor, max_newton=max_newton,
-            damping=newton_damping,
         )
     else:
         converged = np.zeros(D.shape, dtype=bool)
@@ -249,9 +212,7 @@ def con_to_prim(
                 break
             dfdp = v2 * cs2 - 1.0  # strictly negative
             step = f / dfdp
-            # Multiplying by a damping of exactly 1.0 is an IEEE identity, so
-            # the undamped iteration stays bit-identical to the historical one.
-            p_new = p - newton_damping * step
+            p_new = p - step
             # Keep the iterate inside the admissible region.
             p_new = np.maximum(p_new, 0.5 * (p + p_lo))
             p = np.where(converged, p, p_new)

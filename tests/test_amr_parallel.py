@@ -30,8 +30,6 @@ from repro.mesh.amr.exchange import (
     block_frame_header,
     check_block_frame,
     check_block_payload,
-    stats_from_vector,
-    stats_vector,
 )
 from repro.mesh.grid import Grid
 from repro.obs import BufferSink, StepRecorder, canonical_stream
@@ -160,39 +158,76 @@ class TestMigrationWireFormat:
     def _frame(self, p_cache=True):
         cons = np.arange(36, dtype=np.float64).reshape(3, 12)
         p = np.arange(8, dtype=np.float64) if p_cache else None
-        stats = stats_from_vector([9, 5, 3, 1, 0, 0, 7])
-        return cons, p, stats, block_frame_header(self.KEY, cons, p, stats)
+        return cons, block_frame_header(self.KEY, cons, p)
 
     def test_frame_roundtrip(self):
-        cons, p, stats, header = self._frame()
-        has_pcache, got = check_block_frame(header, self.KEY, cons.shape)
-        assert has_pcache
-        assert stats_vector(got) == stats_vector(stats)
-        _, _, _, bare = self._frame(p_cache=False)
-        has_pcache, _ = check_block_frame(bare, self.KEY, cons.shape)
-        assert not has_pcache
+        cons, header = self._frame()
+        # [magic, level, ndim, idx, has_pcache, cons_shape...]: nothing else.
+        assert header.tolist() == [0x4D494752, 1, 1, 3, 1, 3, 12]
+        assert check_block_frame(header, self.KEY, cons.shape) is True
+        _, bare = self._frame(p_cache=False)
+        assert bare.tolist() == [0x4D494752, 1, 1, 3, 0, 3, 12]
+        assert check_block_frame(bare, self.KEY, cons.shape) is False
 
     def test_torn_frame_raises_named_error(self):
-        cons, _, _, header = self._frame()
+        cons, header = self._frame()
         with pytest.raises(BlockMigrationError, match="torn"):
             check_block_frame(header[:-2], self.KEY, cons.shape)
 
     def test_corrupt_magic_raises(self):
-        cons, _, _, header = self._frame()
+        cons, header = self._frame()
         header = header.copy()
         header[0] = 0xDEAD
         with pytest.raises(BlockMigrationError, match="magic"):
             check_block_frame(header, self.KEY, cons.shape)
 
     def test_misaddressed_frame_raises(self):
-        cons, _, _, header = self._frame()
+        cons, header = self._frame()
         with pytest.raises(BlockMigrationError, match="addresses"):
             check_block_frame(header, BlockKey(1, (4,)), cons.shape)
 
     def test_wrong_cons_shape_raises(self):
-        cons, _, _, header = self._frame()
+        cons, header = self._frame()
         with pytest.raises(BlockMigrationError, match="cons shape"):
             check_block_frame(header, self.KEY, (3, 14))
+
+    def test_every_header_word_is_checked(self):
+        """Any key, cons shape and ``has_pcache`` round-trip, and a single
+        overwritten word — other than ``has_pcache``, the one word the plan
+        does not fix — is refused.  ``check_block_frame`` sees no forest, so
+        the refusal precedes any forest state by construction."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def frames(draw):
+            ndim = draw(st.integers(1, 3))
+            level = draw(st.integers(0, 7))
+            idx = draw(st.tuples(*[st.integers(0, 2**level * 4 - 1)] * ndim))
+            shape = (ndim + 2, *draw(st.tuples(*[st.integers(1, 40)] * ndim)))
+            has_pcache = draw(st.booleans())
+            word = draw(st.integers(0, 3 + ndim + len(shape)).filter(
+                lambda w: w != 3 + ndim
+            ))
+            value = draw(st.integers(-(2**62), 2**62))
+            return BlockKey(level, idx), shape, has_pcache, word, value
+
+        @given(frame=frames())
+        @settings(max_examples=200, deadline=None, database=None)
+        def check(frame):
+            key, shape, has_pcache, word, value = frame
+            cons = np.zeros(shape)
+            p_cache = np.zeros(shape[1:]) if has_pcache else None
+            header = block_frame_header(key, cons, p_cache)
+            assert header.dtype == np.int64
+            assert header.size == 4 + len(key.idx) + len(shape)
+            assert check_block_frame(header, key, shape) is has_pcache
+            if value != header[word]:
+                header[word] = value
+                with pytest.raises(BlockMigrationError):
+                    check_block_frame(header, key, shape)
+
+        check()
 
     def test_payload_shape_checked(self):
         arr = np.zeros((3, 12))

@@ -45,6 +45,18 @@ def _log_records(name, level=logging.INFO):
         log.setLevel(old_level)
 
 
+def _tracer_system():
+    from repro.physics.tracers import TracerSystem
+
+    return TracerSystem(SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=1))
+
+
+def _polytropic_system():
+    from repro.eos import PolytropicEOS
+
+    return SRHDSystem(PolytropicEOS(), ndim=1)
+
+
 class TestSymbols:
     def test_invalid_ndim(self):
         with pytest.raises(CodegenError):
@@ -669,6 +681,41 @@ class TestNoToolchainFallback:
         assert pipe.system.target == "flat" and pipe._fused_ids is None
         assert pipe.metrics.counter("codegen.target_fallbacks").value == 1
         assert [p for p in tmp_path.iterdir() if p.is_file()] == []
+
+
+class TestUnsupportedSystemRefused:
+    """A system the generator cannot specialise is refused by name, not run
+    on the handwritten kernels under a ``flat`` / ``cext`` label: the target
+    has one fallback (no toolchain) and one refusal (this one)."""
+
+    @pytest.mark.parametrize(
+        "make,target,named",
+        [
+            pytest.param(_tracer_system, "flat", "TracerSystem", id="tracer-flat"),
+            pytest.param(_tracer_system, "cext", "TracerSystem", id="tracer-cext"),
+            pytest.param(
+                _polytropic_system, "flat", "PolytropicEOS", id="polytropic-flat"
+            ),
+        ],
+    )
+    def test_unsupported_system_raises_naming_numpy(self, make, target, named):
+        from repro import Grid, Solver, SolverConfig
+        from repro.codegen.system import make_kernel_system
+        from repro.utils.errors import ConfigurationError
+
+        system = make()
+        grid = Grid((16,), ((0.0, 1.0),))
+        prim = grid.allocate(system.nvars)
+        prim[system.RHO] = prim[system.P] = 1.0
+        with _log_records("repro.codegen.system") as records:
+            with pytest.raises(ConfigurationError, match=f"{named}.*'numpy'"):
+                Solver(system, grid, prim, SolverConfig(kernel_target=target))
+            assert records == []  # refused, not warned about and run
+        # The one target that runs it still does, on the object it was given.
+        assert make_kernel_system(system, "numpy") is system
+        solver = Solver(system, grid, prim, SolverConfig())
+        assert solver.pipeline.system is system
+        assert "codegen.target_fallbacks" not in solver.metrics.snapshot()["counters"]
 
 
 class TestCache:

@@ -170,28 +170,69 @@ def _rewrite_meta(path, **changes):
     np.savez_compressed(path, meta=json.dumps(meta), **arrays)
 
 
+def _add_legacy_stats(path):
+    """Add the ``c2p_stats*`` int64 member a pre-PR-21 writer stored beside
+    every patch's conserved array."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    stats = np.asarray([96, 90, 6, 0, 1, 0, 50], dtype=np.int64)
+    for name in list(arrays):
+        if name == "cons":
+            arrays["c2p_stats"] = stats
+        elif name.startswith("rank_"):
+            arrays["c2p_stats_" + name.removeprefix("rank_")] = stats
+        elif name.startswith("leaf_"):
+            arrays["c2p_stats_" + name] = stats
+    np.savez_compressed(path, **arrays)
+
+
+_KINDS = ("unigrid", "distributed", "amr")
+
+#: id suffix -> (retired config keys as archived, whether dropping them warns)
+_RETIRED_CASES = {
+    "": ({"scratch_workspace": False, "fused_stencils": True,
+          "overlap_link": "ethernet-10g"}, False),
+    "-c2p_tuned_false": ({"c2p_tuned": False}, False),
+    "-c2p_tuned_true": ({"c2p_tuned": True}, True),
+}
+
+
 class TestArchivePrologue:
     """One ``format`` / ``kind`` / ``ndim`` prologue for all three kinds."""
 
-    KINDS = ("unigrid", "distributed", "amr")
+    KINDS = _KINDS
 
     @staticmethod
-    def _archive(kind, system1d, path):
-        """Write a *kind* archive; returns its loader."""
+    def _solver(kind, system1d):
+        """A fresh *kind* driver and its archive loader."""
         grid = Grid((32,), ((0.0, 1.0),))
         if kind == "unigrid":
-            Solver(system1d, grid, smooth_wave(system1d, grid)).write_checkpoint(path)
-            return load_checkpoint
+            return Solver(system1d, grid, smooth_wave(system1d, grid)), load_checkpoint
         if kind == "distributed":
-            DistributedSolver(
+            return DistributedSolver(
                 system1d, grid, smooth_wave(system1d, grid), (2,)
-            ).write_checkpoint(path)
-            return load_distributed_checkpoint
-        AMRSolver(
+            ), load_distributed_checkpoint
+        return AMRSolver(
             system1d, grid, lambda s, g: shock_tube(s, g, RP1),
             amr=AMRConfig(block_size=8, max_levels=2),
-        ).write_checkpoint(path)
-        return load_amr_checkpoint
+        ), load_amr_checkpoint
+
+    @classmethod
+    def _archive(cls, kind, system1d, path):
+        """Write a *kind* archive; returns its loader."""
+        solver, load = cls._solver(kind, system1d)
+        solver.write_checkpoint(path)
+        return load
+
+    @staticmethod
+    def _state_bytes(kind, solver) -> bytes:
+        if kind == "unigrid":
+            return solver.cons.tobytes()
+        if kind == "distributed":
+            return b"".join(solver.cons[r].tobytes() for r in range(solver.size))
+        return repr(list(solver.forest.leaves)).encode() + b"".join(
+            leaf.cons.tobytes() for leaf in solver.forest.leaves.values()
+        )
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_foreign_format_kind_ndim_rejected(
@@ -212,17 +253,29 @@ class TestArchivePrologue:
         with pytest.raises(ConfigurationError, match="unsupported checkpoint format"):
             load(path, system1d)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_retired_config_keys_are_dropped(self, kind, system1d, tmp_path, caplog):
+    @pytest.mark.parametrize(
+        "kind,retired,warns",
+        [
+            pytest.param(kind, keys, warns, id=kind + suffix)
+            for kind in _KINDS
+            for suffix, (keys, warns) in _RETIRED_CASES.items()
+        ],
+    )
+    def test_retired_config_keys_are_dropped(
+        self, kind, retired, warns, system1d, tmp_path, caplog
+    ):
         """Archives written while ``scratch_workspace`` / ``fused_stencils``
-        / ``overlap_link`` were SolverConfig fields still load; exactly
-        those keys go."""
+        / ``overlap_link`` / ``c2p_tuned`` were SolverConfig fields (and a
+        ``c2p_stats*`` vector rode beside every patch) still load: exactly
+        those keys go, the vectors are ignored, a dropped key that changed
+        solution bytes warns, and the run continues on the uninterrupted
+        run's bytes."""
         path = tmp_path / "c.npz"
-        load = self._archive(kind, system1d, path)
-        _rewrite_meta(path, config={
-            "scratch_workspace": False, "fused_stencils": True,
-            "overlap_link": "ethernet-10g",
-        })
+        ref, load = self._solver(kind, system1d)
+        ref.run(t_final=1.0, max_steps=3)
+        ref.write_checkpoint(path)
+        _rewrite_meta(path, config=retired)
+        _add_legacy_stats(path)
         logger = logging.getLogger("repro.io")
         logger.addHandler(caplog.handler)
         try:
@@ -232,7 +285,14 @@ class TestArchivePrologue:
             logger.removeHandler(caplog.handler)
         assert solver.config == SolverConfig()
         dropped = [r for r in caplog.records if "retired config keys" in r.getMessage()]
-        assert len(dropped) == 1
+        assert [r.levelno for r in dropped] == [logging.INFO]
+        warned = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warned) == (1 if warns else 0)
+        assert all("c2p_tuned" in r.getMessage() for r in warned)
+        ref.run(t_final=1.0, max_steps=6)
+        solver.run(t_final=1.0, max_steps=6)
+        assert solver.steps == ref.steps == 6
+        assert self._state_bytes(kind, solver) == self._state_bytes(kind, ref)
         _rewrite_meta(path, config={"no_such_knob": 1})
         with pytest.raises(ConfigurationError):
             load(path, system1d)

@@ -407,10 +407,9 @@ class TestProcessCheckpointing:
         with resumed:
             # the workers' install_shards landed the archive bytes verbatim
             archive = _npz_entries(path)
-            for rank, (cons, p_cache, stats) in resumed.checkpoint_shards().items():
+            for rank, (cons, p_cache) in resumed.checkpoint_shards().items():
                 assert cons.tobytes() == archive[f"rank_{rank}"]
                 assert p_cache.tobytes() == archive[f"pcache_{rank}"]
-                assert stats.n_cells > 0  # recovery stats travel too
             resumed.run(t_final=1.0, max_steps=7)
             prims = resumed.gather_primitives()
             t, steps = resumed.t, resumed.steps

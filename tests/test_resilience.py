@@ -740,11 +740,10 @@ class TestCheckpointRestart:
         assert resumed.steps == 6
         assert resumed.t == first.t
         # install_shards landed the saved bytes verbatim
-        for rank, (cons, p_cache, stats) in first.checkpoint_shards().items():
-            got_cons, got_p_cache, got_stats = resumed.checkpoint_shards()[rank]
+        for rank, (cons, p_cache) in first.checkpoint_shards().items():
+            got_cons, got_p_cache = resumed.checkpoint_shards()[rank]
             assert got_cons.tobytes() == cons.tobytes()
             assert got_p_cache.tobytes() == p_cache.tobytes()
-            assert got_stats == stats
         resumed.run(t_final=1.0, max_steps=10)
         assert resumed.steps == uninterrupted.steps
         for rank in range(uninterrupted.size):
@@ -806,72 +805,3 @@ class TestCheckpointRestart:
         assert solver.forest.refined == clean.forest.refined
         for key, leaf in clean.forest.leaves.items():
             assert solver.forest.leaves[key].cons.tobytes() == leaf.cons.tobytes()
-
-
-class TestTunedRecoveryRestart:
-    """Under ``c2p_tuned`` a pipeline's accumulated recovery statistics
-    decide the Newton damping, so they are part of a patch's state: a
-    reloaded run must keep damping exactly where the uninterrupted one
-    does."""
-
-    CFG = dict(c2p_tuned=True)
-
-    @staticmethod
-    def _unigrid():
-        solver = _solver_1d(**TestTunedRecoveryRestart.CFG)
-        load = lambda p: load_checkpoint(p, solver.system, make_boundaries("outflow"))
-        return solver, load, lambda s: s.pipeline, lambda s: s.cons.tobytes()
-
-    @staticmethod
-    def _distributed():
-        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
-        grid = Grid((64,), ((0.0, 1.0),))
-        solver = DistributedSolver(
-            system, grid, shock_tube(system, grid, RP1), (2,),
-            config=SolverConfig(**TestTunedRecoveryRestart.CFG),
-        )
-        load = lambda p: load_distributed_checkpoint(p, system)
-        return (
-            solver, load, lambda s: s.pipelines[1],
-            lambda s: b"".join(s.cons[r].tobytes() for r in range(s.size)),
-        )
-
-    @staticmethod
-    def _amr():
-        solver = TestStepGuards._amr(
-            config=SolverConfig(**TestTunedRecoveryRestart.CFG)
-        )
-        system = solver.system
-        load = lambda p: load_amr_checkpoint(p, system)
-        return (
-            solver, load, lambda s: s._pipeline(list(s.forest.leaves)[2]),
-            lambda s: repr(list(s.forest.leaves)).encode()
-            + b"".join(leaf.cons.tobytes() for leaf in s.forest.leaves.values()),
-        )
-
-    @staticmethod
-    def _damped(solver) -> int:
-        return solver.metrics.snapshot()["counters"].get("con2prim.damped_sweeps", 0)
-
-    @pytest.mark.parametrize("kind", ["unigrid", "distributed", "amr"])
-    def test_reload_keeps_damping_decision(self, kind, tmp_path):
-        path = tmp_path / "ck.npz"
-        make = getattr(self, f"_{kind}")
-
-        ref, _load, pipeline_of, state_bytes = make()
-        ref.run(t_final=1.0, max_steps=3)
-        pipeline_of(ref).recovery_stats.n_unbracketed = 1
-        before = self._damped(ref)
-        ref.run(t_final=1.0, max_steps=8)
-        damped = self._damped(ref) - before
-        assert damped > 0
-
-        first, load, pipeline_of, state_bytes = make()
-        first.run(t_final=1.0, max_steps=3)
-        pipeline_of(first).recovery_stats.n_unbracketed = 1
-        first.write_checkpoint(path)
-        resumed = load(path)
-        resumed.run(t_final=1.0, max_steps=8)
-        assert self._damped(resumed) == damped
-        assert state_bytes(resumed) == state_bytes(ref)
-

@@ -219,83 +219,6 @@ class TestCon2Prim:
         np.testing.assert_allclose(recovered[system1d.P], prim[2], rtol=1e-6)
         np.testing.assert_allclose(recovered[system1d.RHO], prim[0], rtol=1e-9)
 
-    def test_stats_merge(self):
-        a = RecoveryStats(
-            n_cells=10, n_newton_converged=8, n_bisection=2, max_iterations=5
-        )
-        b = RecoveryStats(
-            n_cells=4,
-            n_newton_converged=1,
-            n_bisection=2,
-            n_failed=1,
-            n_unbracketed=1,
-            max_iterations=9,
-        )
-        a.merge(b)
-        assert a.n_cells == 14
-        assert a.n_newton_converged == 9
-        assert a.n_bisection == 4
-        assert a.n_failed == 1
-        assert a.n_unbracketed == 1
-        assert a.max_iterations == 9
-
-
-class TestTunedSeed:
-    """con2prim tuning knobs: the positivity-preserving bracket seed and
-    Newton damping (driven by the pipeline's unbracketed/iteration stats).
-
-    The stress grid is 95% near-vacuum atmosphere threaded with relativistic
-    flow — the regime where the default warm-ish seed overshoots, burns the
-    Newton budget, and dumps cells into the bisection tail.
-    """
-
-    def _atmosphere_wind(self, system1d, n=4096):
-        rng = np.random.default_rng(3)
-        rho = np.where(rng.random(n) < 0.95, 1e-10, 1.0)
-        p = np.where(rho < 1e-5, 1e-12, 100.0)
-        v = rng.uniform(-0.999, 0.999, n)
-        return system1d.prim_to_con(np.stack([rho, v, p]))
-
-    def test_positivity_seed_shrinks_bisection_tail(self, system1d):
-        cons = self._atmosphere_wind(system1d)
-        default, tuned = RecoveryStats(), RecoveryStats()
-        con_to_prim(system1d, cons, max_newton=10, stats=default)
-        con_to_prim(
-            system1d, cons, max_newton=10, stats=tuned, positivity_guess=True
-        )
-        assert default.n_failed == tuned.n_failed == 0
-        assert default.n_bisection > 50  # the tail the tuned seed removes
-        assert tuned.n_bisection == 0
-        assert tuned.max_iterations < default.max_iterations
-
-    def test_positivity_seed_matches_default_root(self, system1d):
-        cons = self._atmosphere_wind(system1d, n=512)
-        base = con_to_prim(system1d, cons)
-        seeded = con_to_prim(system1d, cons, positivity_guess=True)
-        np.testing.assert_allclose(seeded, base, rtol=1e-6, atol=1e-14)
-
-    def test_unit_damping_is_bit_identical(self, system1d, rng):
-        """damping=1.0 multiplies the Newton step by exactly 1.0 — an IEEE
-        identity — so the default path must not move a single bit."""
-        prim = random_prim(system1d, (64,), rng)
-        cons = system1d.prim_to_con(prim)
-        base = con_to_prim(system1d, cons)
-        damped = con_to_prim(system1d, cons, newton_damping=1.0)
-        assert base.tobytes() == damped.tobytes()
-
-    def test_half_damping_still_converges(self, system1d):
-        cons = self._atmosphere_wind(system1d, n=512)
-        stats = RecoveryStats()
-        out = con_to_prim(
-            system1d, cons, newton_damping=0.5, positivity_guess=True,
-            stats=stats,
-        )
-        assert stats.n_failed == 0
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(
-            out, con_to_prim(system1d, cons), rtol=1e-6, atol=1e-14
-        )
-
 
 class TestAtmosphere:
     def test_floors_low_density(self, system1d):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +174,81 @@ class TestImportCost:
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr[-2000:]
+
+
+class TestOptionSurface:
+    """The house rule "no new knob without removing one", as assertions: a
+    PR that adds a config field, environment variable or CLI flag — or
+    brings a retired name back — has to edit this class, visibly."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _sources(self):
+        return {p: p.read_text() for p in sorted(self.SRC.rglob("*.py"))}
+
+    def test_knobs_are_exactly_these(self):
+        import argparse
+        import dataclasses
+
+        from repro.cli import _build_parser
+        from repro.core.amr_solver import AMRConfig
+        from repro.core.config import SolverConfig
+        from repro.resilience.policies import SupervisionPolicy
+
+        assert set(SolverConfig().to_dict()) == {
+            "reconstruction", "riemann", "integrator", "cfl", "rho_atmo",
+            "p_atmo", "atmo_threshold", "w_max", "recovery_tol",
+            "failsafe_frac", "overlap_exchange", "executor", "kernel_target",
+            "max_steps",
+        }  # 14
+        assert set(AMRConfig().to_dict()) == {
+            "block_size", "max_levels", "refine_threshold", "coarsen_threshold",
+            "regrid_interval", "initial_regrid_passes", "reflux", "partitioner",
+            "rebalance_threshold",
+        }  # 9
+        assert {f.name for f in dataclasses.fields(SupervisionPolicy)} == {
+            "max_rank_restarts", "backoff_base_s", "backoff_cap_s",
+            "heartbeat_interval_s", "hang_timeout_s", "quiesce_timeout_s",
+            "snapshot_every", "degrade",
+        }  # 8
+        # REPRO_INLINE is a C macro in the generated source, not a variable.
+        env = {
+            name
+            for text in self._sources().values()
+            for name in re.findall(r"REPRO_[A-Z_]+", text)
+        } - {"REPRO_INLINE"}
+        assert env == {"REPRO_CEXT_DISABLE", "REPRO_CEXT_CACHE", "REPRO_LOG"}
+        (subparsers,) = (
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        long_options = {
+            name: sum(
+                opt.startswith("--") and opt != "--help"
+                for action in sub._actions for opt in action.option_strings
+            )
+            for name, sub in subparsers.choices.items()
+        }
+        assert long_options == {
+            "run": 18, "amr": 16, "experiment": 0, "info": 0, "serve": 4,
+            "sweep": 8, "cache": 2,
+        }
+
+    def test_retired_names_stay_retired(self):
+        """Outside the one table that exists to name them (so archives that
+        carry them keep loading), no source file mentions a retired knob."""
+        retired = (
+            "c2p_tuned", "positivity_guess", "newton_damping",
+            "scratch_workspace", "fused_stencils", "overlap_link",
+            "cext_pointwise", "REPRO_CEXT_STENCIL_DISABLE", "BatchPipeline",
+            "metrics_dir",
+        )
+        for path, text in self._sources().items():
+            if path.name == "checkpoint.py":
+                text, n = re.subn(
+                    r"^_RETIRED_CONFIG_KEYS = \{.*?^\}", "", text,
+                    flags=re.DOTALL | re.MULTILINE,
+                )
+                assert n == 1
+            found = [name for name in retired if name in text]
+            assert not found, f"{path.relative_to(self.SRC)} mentions {found}"
