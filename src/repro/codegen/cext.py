@@ -2,9 +2,9 @@
 
 The ``cext`` target turns the generated C module of
 :meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` —
-pointwise kernels, con2prim Newton loop and fused face-flux sweep, one
-artifact per ndim — into a real shared library via cffi.  Three layers of
-caching keep rebuilds rare and *correct*:
+pointwise kernels, con2prim Newton loop, one-pass recovery sweep, CFL scan
+and fused face-flux sweep, one artifact per ndim — into a real shared
+library via cffi.  Three layers of caching keep rebuilds rare and *correct*:
 
 1. an in-process handle map, keyed by the artifact name;
 2. an on-disk artifact cache (``$REPRO_CEXT_CACHE``, default
@@ -26,6 +26,7 @@ logged fallback of the whole target to ``flat``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import os
@@ -435,3 +436,83 @@ def run_face_flux(
         _out_buf(ffi, counts, "long*"),
     )
     return counts
+
+
+@functools.lru_cache(maxsize=64)
+def interior_rows(cell_shape: tuple, n_ghost: int) -> tuple[np.ndarray, tuple]:
+    """``(row offsets, interior shape)`` of a C-contiguous ghosted cell
+    block: the flat offset of each row's first interior cell (rows run
+    along the last axis, in C order; their length is the interior extent of
+    that axis).  C walks the rows unchecked, so a table that would leave
+    the block is refused here; the cached table is read-only."""
+    g = int(n_ghost)
+    interior = tuple(n - 2 * g for n in cell_shape)
+    if g < 0 or min(interior) < 1:
+        raise CodegenError(
+            f"no interior in a block of shape {cell_shape} with {g} ghost layers"
+        )
+    cells = np.arange(int(np.prod(cell_shape)), dtype=np.int64).reshape(cell_shape)
+    first = cells[tuple(slice(g, n - g) for n in cell_shape[:-1]) + (g,)]
+    offsets = np.ascontiguousarray(first).reshape(-1)
+    offsets.setflags(write=False)
+    return offsets, interior
+
+
+def _state_buf(ffi, arr, like=None, writable=False):
+    """Pointer to an array the row kernels index unchecked: it must be
+    C-contiguous float64 (and shaped *like*)."""
+    shape = arr.shape if like is None else like
+    if arr.dtype != np.float64 or not arr.flags.c_contiguous or arr.shape != shape:
+        raise CodegenError(
+            f"compiled row kernels need a C-contiguous float64 array of shape "
+            f"{shape}, got {arr.dtype} {arr.shape}"
+        )
+    return ffi.from_buffer("double*", arr, require_writable=writable)
+
+
+def run_recover(
+    ffi, fn, cons, prim, n_ghost, seed, next_seed, *,
+    gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
+    solve_only,
+) -> np.ndarray:
+    """Run one compiled recovery sweep (see
+    :meth:`KernelGenerator.generate_c_recover`); returns the int64 counts
+    ``[cons_floored, momentum_rescaled, n_unconverged, iters_max,
+    prim_reset]``.
+
+    *cons* is floored in place and *prim* receives the interior; *seed*
+    (or None for the cold start) and *next_seed* are interior-shaped.
+    """
+    offsets, interior = interior_rows(cons.shape[1:], n_ghost)
+    counts = np.zeros(5, dtype=np.int64)
+    fn(
+        _state_buf(ffi, cons, writable=True),
+        _state_buf(ffi, prim, cons.shape, writable=True),
+        cons[0].size,
+        ffi.from_buffer("long*", offsets),
+        offsets.size,
+        interior[-1],
+        ffi.NULL if seed is None else _state_buf(ffi, seed, interior),
+        _state_buf(ffi, next_seed, interior, writable=True),
+        gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
+        bool(solve_only),
+        ffi.from_buffer("long*", counts),
+    )
+    return counts
+
+
+def run_max_signal(ffi, fn, prim, n_ghost, ndim: int, gamma: float) -> list[float]:
+    """Per-axis largest |characteristic speed| over the interior of *prim*
+    (see :meth:`KernelGenerator.generate_c_max_signal`)."""
+    offsets, interior = interior_rows(prim.shape[1:], n_ghost)
+    vmax = np.empty(ndim)
+    fn(
+        _state_buf(ffi, prim),
+        prim[0].size,
+        ffi.from_buffer("long*", offsets),
+        offsets.size,
+        interior[-1],
+        gamma,
+        ffi.from_buffer("double*", vmax),
+    )
+    return vmax.tolist()

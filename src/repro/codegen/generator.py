@@ -53,6 +53,10 @@ STENCIL_TILE = 128
 #: a template that mirrors the vectorized Python iteration line by line).
 CON2PRIM_KERNEL = "con2prim_newton_cext"
 
+#: The one-pass recovery sweep and the CFL scan (templates, like the loop).
+RECOVER_KERNEL = "recover_%dd_cext"
+MAX_SIGNAL_KERNEL = "max_signal_%dd_cext"
+
 #: Prologue of every generated C module.  ``REPRO_INLINE`` marks each helper
 #: ``static inline`` and, where the compiler allows, forces the inlining:
 #: -O2 alone keeps the larger ones (HLLC combine, row fillers) out of line
@@ -60,7 +64,8 @@ CON2PRIM_KERNEL = "con2prim_newton_cext"
 #: ``np.minimum`` / ``np.maximum`` / ``np.clip`` on every non-NaN input,
 #: signed zeros included — a tie returns the *second* argument (clip: ``x``
 #: itself), which libm's ``fmin``/``fmax`` leave unspecified — and compile
-#: to ``minsd``/``maxsd`` instead of a PLT call.
+#: to ``minsd``/``maxsd`` instead of a PLT call.  ``rmaxn`` is ``rmax`` that
+#: also keeps a NaN first argument, as ``np.maximum`` and ``np.max`` do.
 _PROLOGUE_C = """\
 #include <math.h>
 
@@ -76,15 +81,54 @@ REPRO_INLINE double rclip(double x, double lo, double hi)
 {
     return (x < lo) ? lo : ((x > hi) ? hi : x);
 }
+REPRO_INLINE double rmaxn(double a, double b)
+{
+    return (a > b || a != a) ? a : b;
+}
 """
 
 #: C template of the fused con2prim Newton loop.  Operation order matches
 #: :func:`repro.physics.con2prim.con_to_prim`'s vectorized Newton phase
 #: exactly (same clips, same step, same convergence test), so when
 #: compiled without FP contraction the compiled iteration is bit-identical
-#: to the NumPy one.  ``S2`` arrives precomputed, which keeps the kernel
-#: ndim-independent.  Returns the largest per-cell iteration count.
+#: to the NumPy one.  ``S2`` arrives precomputed, which keeps the body
+#: ndim-independent.  The per-cell body is one helper shared by the two
+#: kernels that run it (this loop and ``recover``); it also hands back
+#: ``rho`` and ``Q`` of the last pressure it evaluated — on convergence,
+#: what ``_eval_state`` recomputes there.
 _CON2PRIM_C = """\
+REPRO_INLINE int newton_cell(double D, double S2, double tau, double plo,
+    double gamma, double tol, double p_floor, int max_newton,
+    double* p, int* iters, double* rho_out, double* Q_out)
+{
+    double pi = *p;
+    int conv = 0;
+    int it = 0;
+    for (it = 1; it <= max_newton; ++it) {
+        const double Q = tau + D + pi;
+        const double v2 = rclip(S2 / (Q * Q), 0.0, 1.0 - 1e-14);
+        const double W = 1.0 / sqrt(1.0 - v2);
+        const double rho = D / W;
+        const double eps = rmax((Q * (1.0 - v2) - pi) / rho - 1.0, 0.0);
+        const double f = (gamma - 1.0) * rho * eps - pi;
+        *rho_out = rho;
+        *Q_out = Q;
+        if (fabs(f) <= tol * rmax(pi, p_floor)) { conv = 1; break; }
+        const double epsc = rmax(eps, 1e-300);
+        const double p_th = (gamma - 1.0) * rho * epsc;
+        const double h = 1.0 + epsc + p_th / rho;
+        const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
+        const double dfdp = v2 * cs2 - 1.0;
+        const double step = f / dfdp;
+        pi = rmax(pi - step, 0.5 * (pi + plo));
+    }
+    if (it > max_newton) it = max_newton;
+    *p = pi;
+    *iters = it;
+    return conv;
+}
+
+/* Returns the largest per-cell iteration count. */
 long %(name)s(long n,
               const double* in_D, const double* in_S2, const double* in_tau,
               double* p, const double* p_lo,
@@ -94,34 +138,11 @@ long %(name)s(long n,
 {
     long iters_max = 0;
     for (long i = 0; i < n; ++i) {
-        const double D = in_D[i];
-        const double S2 = in_S2[i];
-        const double tau = in_tau[i];
-        const double plo = p_lo[i];
-        double pi = p[i];
-        int conv = 0;
-        int it = 0;
-        for (it = 1; it <= max_newton; ++it) {
-            const double Q = tau + D + pi;
-            const double v2 = rclip(S2 / (Q * Q), 0.0, 1.0 - 1e-14);
-            const double W = 1.0 / sqrt(1.0 - v2);
-            const double rho = D / W;
-            const double eps = rmax((Q * (1.0 - v2) - pi) / rho - 1.0, 0.0);
-            const double f = (gamma - 1.0) * rho * eps - pi;
-            if (fabs(f) <= tol * rmax(pi, p_floor)) { conv = 1; break; }
-            const double epsc = rmax(eps, 1e-300);
-            const double p_th = (gamma - 1.0) * rho * epsc;
-            const double h = 1.0 + epsc + p_th / rho;
-            const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
-            const double dfdp = v2 * cs2 - 1.0;
-            const double step = f / dfdp;
-            pi = rmax(pi - step, 0.5 * (pi + plo));
-        }
-        if (it > max_newton) it = max_newton;
-        p[i] = pi;
-        converged[i] = (unsigned char) conv;
-        iters[i] = it;
-        if (it > iters_max) iters_max = it;
+        double rho = 0.0, Q = 0.0;
+        converged[i] = (unsigned char) newton_cell(in_D[i], in_S2[i],
+            in_tau[i], p_lo[i], gamma, tol, p_floor, max_newton,
+            &p[i], &iters[i], &rho, &Q);
+        if (iters[i] > iters_max) iters_max = iters[i];
     }
     return iters_max;
 }
@@ -494,8 +515,9 @@ class KernelGenerator:
     def generate_c_module(self, kinds_axes=None) -> str:
         """Complete C source of the compiled module for this ndim: the
         pointwise kernels (*kinds_axes*, default every kind a solver
-        evaluates), the con2prim Newton loop and the fused face-flux sweep
-        of every axis — one translation unit, one artifact."""
+        evaluates), the con2prim Newton loop, the one-pass recovery sweep,
+        the CFL scan and the fused face-flux sweep of every axis — one
+        translation unit, one artifact."""
         if kinds_axes is None:
             kinds_axes = self.default_kinds_axes("cext")
         axes = range(self.ndim)
@@ -505,6 +527,8 @@ class KernelGenerator:
             "Generated by repro.codegen.KernelGenerator. */\n" + _PROLOGUE_C,
             *(self.generate_c(kind, axis) for kind, axis in kinds_axes),
             self.generate_c_con2prim(),
+            self.generate_c_recover(),
+            self.generate_c_max_signal(),
             _STENCIL_COMMON_C,
             _STENCIL_ROWS_C,
             self.generate_c_sanitize(),
@@ -521,8 +545,151 @@ class KernelGenerator:
             kinds_axes = self.default_kinds_axes("cext")
         decls = [self.c_signature(kind, axis) + ";" for kind, axis in kinds_axes]
         decls.append(self.con2prim_c_signature() + ";")
+        # The row kernels' declarations are the heads of their definitions.
+        decls += [
+            src[: src.index("\n{")] + ";"
+            for src in (self.generate_c_recover(), self.generate_c_max_signal())
+        ]
         decls += [self.stencil_c_signature(ax) + ";" for ax in range(self.ndim)]
         return "\n".join(decls) + "\n"
+
+    # -- recovery sweep and CFL scan (C target only) -------------------------
+    #
+    # Both walk the interior of a C-contiguous ghosted ``(nvars, *cells)``
+    # array by rows (``cext.interior_rows``), so 1-/2-/3-D patches and a
+    # trailing batch axis are the same loop.
+
+    def generate_c_recover(self) -> str:
+        """One recovery sweep, stage by stage the interpreted one.
+
+        Over every ghosted cell, in place: ``Atmosphere.apply_cons`` and
+        ``HydroPipeline._limit_momentum``.  Over the interior: ``S2``,
+        ``p_lo`` and the seed as ``con_to_prim`` forms them (*seed* NULL is
+        its cold start), the shared Newton body, ``v_i = S_i / Q``, then —
+        unless *solve_only* — ``Atmosphere.apply_prim``, with the floored
+        pressure stored as *next_seed*.  A cell that does not converge
+        writes nothing.  ``counts`` accumulates ``[cons_floored,
+        momentum_rescaled, n_unconverged, iters_max, prim_reset]``.
+        """
+        nd, tau = self.ndim, self.nvars - 1
+        return f"""\
+void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_cells,
+    const long* row_offsets, long n_rows, long row_len, const double* seed,
+    double* next_seed, double gamma, double tol, double p_floor,
+    int max_newton, double rho_atmo, double p_atmo, double rho_reset,
+    double vmax, int solve_only, long* counts)
+{{
+    for (long i = 0; i < n_cells; ++i) {{
+        double* const D = cons + i;
+        double* const S = D + n_cells;
+        double* const tau = D + {tau} * n_cells;
+        const int bad_d = *D < rho_atmo;
+        const int bad_tau = *tau < p_atmo;
+        counts[0] += bad_d | bad_tau;
+        if (bad_d) {{
+            *D = rho_atmo;
+            for (int a = 0; a < {nd}; ++a) S[a * n_cells] = 0.0;
+        }}
+        if (bad_tau) *tau = p_atmo;
+        double S2 = 0.0;
+        for (int a = 0; a < {nd}; ++a) S2 += S[a * n_cells] * S[a * n_cells];
+        const double smax = vmax * (*tau + *D + p_atmo);
+        if (S2 > smax * smax) {{
+            const double scale = smax / sqrt(S2);
+            for (int a = 0; a < {nd}; ++a) S[a * n_cells] *= scale;
+            counts[1] += 1;
+        }}
+    }}
+    for (long r = 0; r < n_rows; ++r) {{
+        for (long j = 0; j < row_len; ++j) {{
+            const long i = row_offsets[r] + j;
+            const long k = r * row_len + j;
+            const double D = cons[i];
+            const double* const S = cons + n_cells + i;
+            const double tau = cons[{tau} * n_cells + i];
+            double S2 = 0.0;
+            for (int a = 0; a < {nd}; ++a) S2 += S[a * n_cells] * S[a * n_cells];
+            const double plo = rmax((sqrt(S2) - tau - D) * (1.0 + 1e-10), p_floor);
+            double p = seed ? seed[k] : fabs(tau - sqrt(S2)) * 0.5 + p_floor;
+            /* np.maximum keeps a NaN seed; Newton then never converges */
+            p = rmaxn(p, plo);
+            double rho = 0.0, Q = 0.0;
+            int it;
+            const int conv = newton_cell(D, S2, tau, plo, gamma, tol, p_floor,
+                max_newton, &p, &it, &rho, &Q);
+            if (it > counts[3]) counts[3] = it;
+            if (!conv) {{
+                counts[2] += 1;
+                continue;
+            }}
+            double v[{nd}];
+            for (int a = 0; a < {nd}; ++a) v[a] = S[a * n_cells] / Q;
+            if (!solve_only) {{
+                if (rho < rho_reset) {{
+                    rho = rho_atmo;
+                    for (int a = 0; a < {nd}; ++a) v[a] = 0.0;
+                    p = p_atmo;
+                    counts[4] += 1;
+                }}
+                p = rmax(p, p_atmo);
+                rho = rmax(rho, rho_atmo);
+                next_seed[k] = p;
+            }}
+            prim[i] = rho;
+            for (int a = 0; a < {nd}; ++a) prim[(1 + a) * n_cells + i] = v[a];
+            prim[{tau} * n_cells + i] = p;
+        }}
+    }}
+}}
+"""
+
+    def generate_c_max_signal(self) -> str:
+        """Per-axis ``max(max|lam-|, max|lam+|)`` over the interior.
+
+        Mirrors the *handwritten* ``SRHDSystem.char_speeds`` (``v_squared``
+        order, ``eps_from_pressure``, ``IdealGasEOS.sound_speed_sq``, both
+        clips, the ``disc``/``root``/``denom`` sequence) — the kernel every
+        target's dt is scanned with — not the generated ``char_speeds``
+        kind, which differs from it in the last bit.  A NaN poisons a
+        maximum as it does ``np.max``.
+        """
+        nd, tau = self.ndim, self.nvars - 1
+        vs = ", ".join(f"prim[{1 + a} * n_cells + i]" for a in range(nd))
+        return f"""\
+void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_cells,
+    const long* row_offsets, long n_rows, long row_len, double gamma,
+    double* vmax)
+{{
+    double mm[{nd}] = {{0.0}};
+    double mp[{nd}] = {{0.0}};
+    for (long r = 0; r < n_rows; ++r) {{
+        for (long j = 0; j < row_len; ++j) {{
+            const long i = row_offsets[r] + j;
+            const double rho = prim[i];
+            const double p = prim[{tau} * n_cells + i];
+            const double v[{nd}] = {{{vs}}};
+            double v2 = 0.0;
+            for (int a = 0; a < {nd}; ++a) v2 += v[a] * v[a];
+            const double eps = p / ((gamma - 1.0) * rho);
+            const double p_th = (gamma - 1.0) * rho * eps;
+            const double h = 1.0 + eps + p_th / rho;
+            const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
+            const double w2 = rmaxn(1.0 - v2, 1e-16);
+            const double denom = 1.0 - v2 * cs2;
+            const double cs = sqrt(cs2);
+            for (int a = 0; a < {nd}; ++a) {{
+                const double vk2 = v[a] * v[a];
+                const double disc = w2 * ((1.0 - vk2) - (v2 - vk2) * cs2);
+                const double b = cs * sqrt(rmaxn(disc, 0.0));
+                const double c = v[a] * (1.0 - cs2);
+                mm[a] = rmaxn(fabs((c - b) / denom), mm[a]);
+                mp[a] = rmaxn(fabs((c + b) / denom), mp[a]);
+            }}
+        }}
+    }}
+    for (int a = 0; a < {nd}; ++a) vmax[a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
+}}
+"""
 
     # -- fused stencil kernels (C target only) -------------------------------
     #

@@ -36,6 +36,8 @@ from ..utils.errors import CodegenError, ConfigurationError
 from ..utils.logging import get_logger
 from .cache import load_kernel, run_flat_kernel
 from .generator import (
+    MAX_SIGNAL_KERNEL,
+    RECOVER_KERNEL,
     STENCIL_LIMITER_IDS,
     STENCIL_RECON_IDS,
     STENCIL_RIEMANN_IDS,
@@ -87,6 +89,8 @@ class GeneratedSRHDSystem(SRHDSystem):
     :func:`~repro.codegen.cache.run_flat_kernel`)."""
 
     target = "flat"
+    #: what the CFL scan calls (see ``cfl.max_signal_per_axis``)
+    cfl_char_speeds = SRHDSystem.char_speeds
 
     def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
         super().__init__(IdealGasEOS(gamma=gamma), ndim)
@@ -141,6 +145,8 @@ class CompiledSRHDSystem(SRHDSystem):
     """
 
     target = "cext"
+    #: what the CFL scan calls (see ``cfl.max_signal_per_axis``)
+    cfl_char_speeds = SRHDSystem.char_speeds
 
     def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
         super().__init__(IdealGasEOS(gamma=gamma), ndim)
@@ -163,6 +169,8 @@ class CompiledSRHDSystem(SRHDSystem):
         self._c_face_flux = [
             getattr(self._lib, gen.stencil_kernel_name(ax)) for ax in range(ndim)
         ]
+        self._c_recover = getattr(self._lib, RECOVER_KERNEL % ndim)
+        self._c_max_signal = getattr(self._lib, MAX_SIGNAL_KERNEL % ndim)
 
     # -- marshalling ---------------------------------------------------------
 
@@ -234,6 +242,27 @@ class CompiledSRHDSystem(SRHDSystem):
         return run_con2prim_newton(
             self._ffi, self._lib, D, S2, tau, p, p_lo,
             gamma=self.gamma, tol=tol, p_floor=p_floor, max_newton=max_newton,
+        )
+
+    def recover(self, cons, prim, n_ghost, seed, next_seed, **params) -> np.ndarray:
+        """One recovery sweep in one compiled pass — conserved floors,
+        momentum cap, seed, Newton, primitive floor — returning its counts
+        (:func:`~repro.codegen.cext.run_recover`).  Holding this hook puts
+        a :class:`~repro.core.pipeline.HydroPipeline` on that path."""
+        from .cext import run_recover
+
+        return run_recover(
+            self._ffi, self._c_recover, cons, prim, n_ghost, seed, next_seed,
+            gamma=self.gamma, **params,
+        )
+
+    def max_signal(self, prim: np.ndarray, n_ghost: int) -> list[float]:
+        """The CFL scan in one compiled reduction, bit for bit
+        :func:`~repro.time_integration.cfl.max_signal_per_axis`."""
+        from .cext import run_max_signal
+
+        return run_max_signal(
+            self._ffi, self._c_max_signal, prim, n_ghost, self.ndim, self.gamma
         )
 
     def face_flux(

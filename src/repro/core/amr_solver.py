@@ -32,7 +32,7 @@ from ..mesh.amr.transfer import prolong_array, restrict_array
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
-from ..time_integration.cfl import clip_dt_to_final, compute_dt
+from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima
 from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
 from ..utils.parameters import ParameterSet, param
@@ -499,17 +499,15 @@ class AMRSolver(Driver):
         apply_reflux(self.forest, fluxes, dU)
 
     def compute_dt(self, t_final: float | None = None) -> float:
-        local = [
-            compute_dt(
-                self.system,
-                self.forest.leaves[key].grid,
-                self._pipeline(key).recover_primitives(
-                    self.forest.leaves[key].cons, reuse=True
-                ),
-                cfl=self.config.cfl,
+        local = []
+        for key in self._step_keys():
+            leaf, pipe = self.forest.leaves[key], self._pipeline(key)
+            prim = pipe.recover_primitives(leaf.cons, reuse=True)
+            local.append(
+                dt_from_axis_maxima(
+                    leaf.grid, pipe.max_signal_per_axis(prim), self.config.cfl
+                )
             )
-            for key in self._step_keys()
-        ]
         dt = self._reduce_dt(min(local) if local else float("inf"))
         return clip_dt_to_final(dt, self.t, t_final)
 

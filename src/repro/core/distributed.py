@@ -36,7 +36,7 @@ from ..mesh.decomposition import CartesianDecomposition
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
-from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima, max_signal_per_axis
+from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima
 from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
 from ..utils.timers import TimerRegistry
@@ -382,9 +382,7 @@ class DistributedSolver(Driver):
         y-maxima live on different ranks)."""
         prims = self._recover_and_exchange(self.cons, use_cache=True)
         local = {
-            rank: np.asarray(
-                max_signal_per_axis(self.system, self.subgrids[rank], prims[rank])
-            )
+            rank: np.asarray(self.pipelines[rank].max_signal_per_axis(prims[rank]))
             for rank in self.local_ranks
         }
         vmax = self.comm.allreduce(local, op="max")[self.local_ranks[0]]

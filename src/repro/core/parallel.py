@@ -251,7 +251,8 @@ class _RankWorker(_WorkerShell, DistributedSolver):
         injector = self.fault_injector
         return {
             **self.shell_state(),
-            # Pickled to the parent as it is returned, so no copies here.
+            # Pickled to the parent as it is returned: cons goes uncopied
+            # (the seed is warm_state()'s own copy).
             "shard": self.checkpoint_shards()[self.rank],
             "prims_cache": None if prims is None else prims[self.rank],
             "t": self.t,

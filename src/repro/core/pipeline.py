@@ -18,9 +18,15 @@ from ..physics.con2prim import RecoveryStats, con_to_prim
 from ..physics.srhd import SRHDSystem
 from ..reconstruct import make_reconstruction
 from ..riemann import make_riemann_solver
+from ..time_integration.cfl import max_signal_per_axis
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
 from .workspace import ScratchWorkspace, scratch_buf
+
+
+#: Newton controls of every pipeline sweep: the interpreted ``con_to_prim``
+#: and the compiled kernel are handed the same pair.
+_NEWTON = {"p_floor": 1e-16, "max_newton": 50}
 
 
 def resolve_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
@@ -109,6 +115,10 @@ class HydroPipeline:
         elif config.kernel_target == "cext":
             # The target's one fallback (logged by make_kernel_system).
             self.metrics.counter("codegen.target_fallbacks").inc()
+        #: the compiled recovery sweep and CFL scan, fixed here like the
+        #: face-flux sweep: None (no such hook) runs the interpreted passes.
+        self._recover_kernel = getattr(system, "recover", None)
+        self._max_signal_kernel = getattr(system, "max_signal", None)
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
@@ -116,8 +126,11 @@ class HydroPipeline:
         #: per-rank and per-AMR-block reuse is safe); setting it to None
         #: makes every call allocate fresh arrays (bit-identical; tests).
         self.workspace = ScratchWorkspace(grid, system.nvars)
-        # Pressure cache seeds the next con2prim Newton solve.
+        # Pressure cache seeds the next con2prim Newton solve.  Private:
+        # the compiled sweep writes the next seed into _seed_spare and the
+        # two swap, so no array handed out may alias either.
         self._p_cache: np.ndarray | None = None
+        self._seed_spare: np.ndarray | None = None
         #: when True, flux_divergence stashes the interior face fluxes per
         #: axis in :attr:`last_face_fluxes` (used by AMR refluxing).
         self.store_fluxes = False
@@ -133,14 +146,17 @@ class HydroPipeline:
     # ------------------------------------------------------------------
 
     def warm_state(self) -> np.ndarray | None:
-        """The Newton seed ``p_cache``: with the patch's conserved array,
-        everything the bits of its next recovery sweep depend on.  Every
-        capture/install pair (checkpoints, supervision snapshots, block
-        migration) moves a patch as ``(cons, warm_state())``."""
-        return self._p_cache
+        """The Newton seed ``p_cache`` (an owned copy): with the patch's
+        conserved array, everything the bits of its next recovery sweep
+        depend on.  Every capture/install pair (checkpoints, supervision
+        snapshots, block migration) moves a patch as
+        ``(cons, warm_state())``."""
+        return None if self._p_cache is None else self._p_cache.copy()
 
     def install_warm_state(self, p_cache) -> None:
-        self._p_cache = None if p_cache is None else np.array(p_cache)
+        self._p_cache = (
+            None if p_cache is None else np.array(p_cache, dtype=float, order="C")
+        )
 
     def recover_primitives(self, cons: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Full primitive array: recovery on the interior + BC ghost fill.
@@ -153,48 +169,106 @@ class HydroPipeline:
         """
         grid, system = self.grid, self.system
         ws = self.workspace if reuse else None
-        with self.timers("con2prim"):
-            cons_mask = self.atmosphere.apply_cons(system, cons)
-            if cons_mask.any():
-                self.metrics.counter("atmo.cons_floored").inc(int(cons_mask.sum()))
-            self._limit_momentum(cons)
-            interior_cons = grid.interior_of(cons)
-            p_guess = self._p_cache
-            if p_guess is not None and p_guess.shape != interior_cons.shape[1:]:
-                p_guess = None
-            sweep = RecoveryStats()
-            try:
-                interior_prim = con_to_prim(
-                    system,
-                    interior_cons,
-                    p_guess=p_guess,
-                    tol=self.config.recovery_tol,
-                    stats=sweep,
-                    failsafe_frac=self.config.failsafe_frac,
-                    atmosphere=(self.atmosphere.rho_atmo, self.atmosphere.p_atmo),
-                    scratch=ws,
-                    out=scratch_buf(ws, ("pipe", "interior_prim"), interior_cons.shape),
-                )
-                if self.fault_injector is not None:
-                    self._maybe_inject_burst(interior_cons, interior_prim)
-            finally:
-                # con_to_prim populates the sweep counters before raising,
-                # so the failing sweep is accounted for too.
-                self._record_recovery(sweep)
-            prim_mask = self.atmosphere.apply_prim(system, interior_prim)
-            if prim_mask.any():
-                self.metrics.counter("atmo.prim_reset").inc(int(prim_mask.sum()))
-            self._p_cache = interior_prim[system.P].copy()
         if ws is not None:
             # Zero-fill on reuse so ghost corners match grid.allocate exactly.
             prim = ws.prim
             prim.fill(0.0)
         else:
             prim = grid.allocate(system.nvars)
-        grid.interior_of(prim)[...] = interior_prim
+        interior_cons = grid.interior_of(cons)
+        interior_prim = grid.interior_of(prim)
+        with self.timers("con2prim"):
+            sweep = RecoveryStats()
+            # Three stages: conserved floors, interior solve, primitive
+            # floor + next seed.  The compiled kernel completes the first
+            # `done` of them; the interpreted code below runs the rest.
+            done = self._recover_compiled(cons, prim, sweep)
+            if done < 1:
+                cons_mask = self.atmosphere.apply_cons(system, cons)
+                if cons_mask.any():
+                    self.metrics.counter("atmo.cons_floored").inc(int(cons_mask.sum()))
+                self._limit_momentum(cons, ws)
+            try:
+                if done < 2:
+                    p_guess = self._p_cache
+                    if p_guess is not None and p_guess.shape != interior_cons.shape[1:]:
+                        p_guess = None
+                    con_to_prim(
+                        system,
+                        interior_cons,
+                        p_guess=p_guess,
+                        tol=self.config.recovery_tol,
+                        stats=sweep,
+                        failsafe_frac=self.config.failsafe_frac,
+                        atmosphere=(self.atmosphere.rho_atmo, self.atmosphere.p_atmo),
+                        scratch=ws,
+                        out=interior_prim,
+                        **_NEWTON,
+                    )
+                if self.fault_injector is not None:
+                    self._maybe_inject_burst(interior_cons, interior_prim)
+            finally:
+                # con_to_prim populates the sweep counters before raising,
+                # so the failing sweep is accounted for too.
+                self._record_recovery(sweep)
+            if done < 3:
+                prim_mask = self.atmosphere.apply_prim(system, interior_prim)
+                if prim_mask.any():
+                    self.metrics.counter("atmo.prim_reset").inc(int(prim_mask.sum()))
+                self._p_cache = interior_prim[system.P].copy()
         with self.timers("boundary"):
             self.boundaries.apply(system, grid, prim)
         return prim
+
+    def _recover_compiled(self, cons, prim, sweep: RecoveryStats) -> int:
+        """Run the compiled recovery sweep, if this pipeline has one, and
+        return how many stages it completed — the one cold-path rule:
+
+        - 0: no kernel (``numpy``/``flat``), or *cons* is not C-contiguous
+          float64.  It is never copied contiguous: the floors are in place.
+        - 1: some cell did not converge (or is not finite).  *cons* is
+          floored and capped, counted once, and nothing else is committed —
+          ``_limit_momentum`` is not bitwise idempotent, so the floors must
+          not run again; the interpreted solve recomputes the same Newton
+          bits, then bisects, failsafes or raises as it always did.
+        - 2: a fault injector is attached.  The solve is in *prim* and
+          *sweep*; the burst hook sits between it and the primitive floor
+          (a burst cell is counted by ``atmo.prim_reset`` and its
+          ``p_atmo`` lands in the seed), so those stay interpreted.
+        - 3: everything, the next seed included.
+        """
+        kernel = self._recover_kernel
+        if kernel is None or cons.dtype != np.float64 or not cons.flags.c_contiguous:
+            return 0
+        shape, atmo = self.grid.shape, self.atmosphere
+        seed, spare = self._p_cache, self._seed_spare
+        if seed is not None and seed.shape != shape:
+            seed = None
+        if spare is None or spare.shape != shape:
+            spare = np.empty(shape)
+        solve_only = self.fault_injector is not None
+        floored, rescaled, unconverged, iters_max, prim_reset = kernel(
+            cons, prim, self.grid.n_ghost, seed, spare,
+            tol=self.config.recovery_tol, **_NEWTON,
+            rho_atmo=atmo.rho_atmo, p_atmo=atmo.p_atmo,
+            rho_reset=atmo.threshold_factor * atmo.rho_atmo,
+            vmax=float(np.sqrt(1.0 - 1.0 / self.config.w_max**2)),
+            solve_only=solve_only,
+        ).tolist()
+        if floored:
+            self.metrics.counter("atmo.cons_floored").inc(floored)
+        if rescaled:
+            self.metrics.counter("limiter.momentum_rescaled").inc(rescaled)
+        if unconverged:
+            return 1
+        sweep.n_cells = sweep.n_newton_converged = spare.size
+        sweep.max_iterations = iters_max
+        if solve_only:
+            return 2
+        if prim_reset:
+            self.metrics.counter("atmo.prim_reset").inc(prim_reset)
+        self._p_cache, self._seed_spare = spare, self._p_cache
+        return 3
 
     def _record_recovery(self, sweep: RecoveryStats) -> None:
         """Report one con2prim sweep's counters through the metrics layer."""
@@ -246,22 +320,32 @@ class HydroPipeline:
         )
         self.metrics.counter("resilience.failsafe_cells").inc(int(indices.size))
 
-    def _limit_momentum(self, cons: np.ndarray) -> None:
+    def _limit_momentum(self, cons: np.ndarray, scratch=None) -> None:
         """Rescale S_i so the recovered velocity respects the W_max cap.
 
         Admissibility of con2prim requires |S| < tau + D + p; transient
         update overshoots can violate the sharper |S| <= v_max (tau + D + p)
         bound, which would force the recovery toward W -> W_max runaways.
         Rescaling the momentum (the WhiskyMHD/IllinoisGRMHD-style fix) keeps
-        the state recoverable without touching D or tau.
+        the state recoverable without touching D or tau.  *scratch* supplies
+        the full-array temporaries; values are bit-identical either way.
         """
         system = self.system
-        S2 = np.zeros_like(cons[0])
+        cell = cons.shape[1:]
+        S2 = scratch_buf(scratch, ("cap", "S2"), cell)
+        sq = scratch_buf(scratch, ("cap", "sq"), cell)
+        S2.fill(0.0)
         for ax in range(system.ndim):
-            S2 += cons[system.S(ax)] ** 2
+            np.square(cons[system.S(ax)], out=sq)
+            S2 += sq
         vmax = np.sqrt(1.0 - 1.0 / self.config.w_max**2)
-        smax = vmax * (cons[system.TAU] + cons[system.D] + self.atmosphere.p_atmo)
-        bad = S2 > smax**2
+        # smax = vmax * (tau + D + p_atmo)
+        smax = scratch_buf(scratch, ("cap", "smax"), cell)
+        np.add(cons[system.TAU], cons[system.D], out=smax)
+        smax += self.atmosphere.p_atmo
+        smax *= vmax
+        np.square(smax, out=sq)
+        bad = np.greater(S2, sq, out=scratch_buf(scratch, ("cap", "bad"), cell, bool))
         if bad.any():
             self.metrics.counter("limiter.momentum_rescaled").inc(int(bad.sum()))
             scale = smax[bad] / np.sqrt(S2[bad])
@@ -439,24 +523,12 @@ class HydroPipeline:
         the same rows the interpreted slab sweep covers — so flux values
         *and* sanitize counter totals match the interpreted path exactly.
         """
-        key = (axis, prim.shape, prim.strides)
+        key = (axis, prim.shape)
         offs = self._row_offset_cache.get(key)
         if offs is None:
-            strides = [s // prim.itemsize for s in prim.strides[1:]]
-            tdims = [d for d in range(prim.ndim - 1) if d != axis]
-            if tdims:
-                off = np.zeros(
-                    tuple(prim.shape[1 + d] for d in tdims), dtype=np.int64
-                )
-                for pos, d in enumerate(tdims):
-                    idx = np.arange(prim.shape[1 + d], dtype=np.int64)
-                    idx *= strides[d]
-                    shape = [1] * len(tdims)
-                    shape[pos] = idx.size
-                    off += idx.reshape(shape)
-                offs = np.ascontiguousarray(off.ravel())
-            else:
-                offs = np.zeros(1, dtype=np.int64)
+            # prim is C-contiguous here: a cell's offset is its flat index.
+            cells = np.arange(prim[0].size, dtype=np.int64).reshape(prim.shape[1:])
+            offs = np.ascontiguousarray(cells.take(0, axis=axis)).reshape(-1)
             self._row_offset_cache[key] = offs
         return offs
 
@@ -523,5 +595,12 @@ class HydroPipeline:
         dU = self.flux_divergence(prim, reuse=reuse)
         return self.apply_source(prim, dU)
 
-    def max_signal_speed(self, prim: np.ndarray, axis: int) -> float:
-        return self.system.max_signal_speed(self.grid.interior_of(prim), axis)
+    def max_signal_per_axis(self, prim: np.ndarray) -> list[float]:
+        """Largest |characteristic speed| per physical axis over the
+        interior of *prim*, the scan every driver's ``compute_dt`` reduces:
+        one compiled pass when the system carries one, the interpreted
+        :func:`~repro.time_integration.cfl.max_signal_per_axis` otherwise."""
+        kernel = self._max_signal_kernel
+        if kernel is None or prim.dtype != np.float64 or not prim.flags.c_contiguous:
+            return max_signal_per_axis(self.system, self.grid, prim)
+        return kernel(prim, self.grid.n_ghost)

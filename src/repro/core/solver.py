@@ -23,7 +23,7 @@ from ..boundary.conditions import BoundarySet, make_boundaries
 from ..mesh.grid import Grid
 from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
-from ..time_integration.cfl import compute_dt
+from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima
 from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
 from ..utils.timers import TimerRegistry
@@ -138,14 +138,9 @@ class Solver(Driver):
         return self.grid.interior_of(self.primitives())
 
     def compute_dt(self, t_final: float | None = None) -> float:
-        return compute_dt(
-            self.system,
-            self.grid,
-            self.primitives(),
-            cfl=self.config.cfl,
-            t=self.t,
-            t_final=t_final,
-        )
+        vmax = self.pipeline.max_signal_per_axis(self.primitives())
+        dt = dt_from_axis_maxima(self.grid, vmax, self.config.cfl)
+        return clip_dt_to_final(dt, self.t, t_final)
 
     def _integrate(self, dt: float) -> None:
         self.cons = self.integrator.step(

@@ -63,11 +63,17 @@ def max_signal_per_axis(system: SRHDSystem, grid: Grid, prim: np.ndarray) -> lis
     Exposed separately so distributed drivers can allreduce the per-axis
     maxima before forming dt — giving the identical step the single-grid
     solver takes (per-rank dt minima differ when the per-axis maxima live
-    on different ranks)."""
+    on different ranks).  Drivers reach this interpreted scan (or its
+    compiled twin) through ``HydroPipeline.max_signal_per_axis``.
+
+    Every kernel target scans with the *handwritten* ``char_speeds``: the
+    golden streams pin dt, and the generated kind — a ``flat``/``cext``
+    system's own ``char_speeds`` — differs from it in the last bit."""
+    char_speeds = getattr(system, "cfl_char_speeds", system.char_speeds)
     interior = grid.interior_of(prim)
     out = []
     for axis in range(system.ndim):
-        lam_m, lam_p = system.char_speeds(interior, axis)
+        lam_m, lam_p = char_speeds(interior, axis)
         out.append(max(float(np.max(np.abs(lam_m))), float(np.max(np.abs(lam_p)))))
     return out
 

@@ -148,7 +148,11 @@ class TestGeneratedCBudget:
     def test_no_libm_minmax_pow_and_every_helper_inline(self, ndim):
         import re
 
-        from repro.codegen.generator import CON2PRIM_KERNEL
+        from repro.codegen.generator import (
+            CON2PRIM_KERNEL,
+            MAX_SIGNAL_KERNEL,
+            RECOVER_KERNEL,
+        )
 
         gen = KernelGenerator(ndim)
         module = gen.generate_c_module()
@@ -156,16 +160,21 @@ class TestGeneratedCBudget:
         for token in ("fmin(", "fmax(", "pow("):
             assert token not in code, token
         assert "#define REPRO_INLINE static inline" in module
-        # Column-0 definitions: the pointwise kernels, the Newton loop and
-        # the per-axis sweep entry points, everything else a REPRO_INLINE
-        # helper.  One sweep per axis — no schedule twins.
+        # Column-0 definitions: the pointwise kernels, the Newton loop, the
+        # recovery sweep, the CFL scan and the per-axis sweep entry points,
+        # everything else a REPRO_INLINE helper.  One sweep per axis — no
+        # schedule twins — and one Newton body for the two kernels running it.
         defs = re.findall(r"^(?!#)(\w[^\n;{]*?)\s+\**(\w+)\(", code, flags=re.M)
         entries = [name for head, name in defs if not head.startswith("REPRO_INLINE")]
         assert entries == [
             *(gen.kernel_name(k, ax, "cext") for k, ax in gen.default_kinds_axes("cext")),
             CON2PRIM_KERNEL,
+            RECOVER_KERNEL % ndim,
+            MAX_SIGNAL_KERNEL % ndim,
             *(gen.stencil_kernel_name(ax) for ax in range(ndim)),
         ]
+        assert code.count("const double dfdp =") == 1
+        assert code.count("newton_cell(") == 3  # one definition, two callers
         assert len(defs) > len(entries) + 10
         # ... and the cdef declares exactly those entry points.
         assert re.findall(r"(\w+)\(", gen.c_declarations()) == entries
@@ -1057,6 +1066,333 @@ class TestFusedStencilParity:
         assert "reconstruct" not in pipe.timers
 
 
+class TestCompiledRecovery:
+    """One compiled pass per recovery sweep and per CFL scan: ``cext`` is
+    ``flat`` byte for byte — primitives (ghosts included), the floored
+    conserved state, the next seed, every metric by name — on the hot path
+    and on each route off it."""
+
+    LAYOUTS = ("1d", "2d", "3d", "batch1", "batch5")
+    _RESOLVED: dict = {}
+
+    @staticmethod
+    def _grid_system(layout):
+        from repro.core.batch import BatchGrid
+        from repro.mesh.grid import Grid
+
+        shape = {"1d": (24,), "2d": (10, 12), "3d": (6, 5, 7)}.get(layout, (16,))
+        grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=3)
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=len(shape))
+        if layout.startswith("batch"):
+            grid = BatchGrid(grid, int(layout[5:]))
+        return grid, system
+
+    @classmethod
+    def _pair(cls, layout, injector=None, **cfg):
+        """``{"flat": pipeline, "cext": pipeline}`` on one layout (skips
+        without a C toolchain)."""
+        from repro.boundary import make_boundaries
+        from repro.codegen import cext_available
+        from repro.core.batch import batch_boundaries
+        from repro.core.config import SolverConfig
+        from repro.core.pipeline import HydroPipeline, resolve_kernel_system
+
+        grid, system = cls._grid_system(layout)
+        if not cext_available(system.ndim):
+            pytest.skip("no C toolchain")
+        bcs = make_boundaries("outflow")
+        if layout.startswith("batch"):
+            bcs = batch_boundaries(bcs, grid)
+        # Resolved once per (ndim, target): a resolution regenerates and
+        # hashes the C source, and the properties build many pipelines.
+        resolved = cls._RESOLVED.setdefault(system.ndim, {})
+        for target in ("flat", "cext"):
+            if target not in resolved:
+                resolved[target] = resolve_kernel_system(system, target)
+        pipes = {
+            target: HydroPipeline(
+                resolved[target], grid, bcs,
+                SolverConfig(kernel_target=target, **cfg),
+                fault_injector=injector() if injector else None,
+            )
+            for target in ("flat", "cext")
+        }
+        assert hasattr(pipes["cext"].system, "recover")
+        assert not hasattr(pipes["flat"].system, "recover")
+        return pipes
+
+    @staticmethod
+    def _cons(pipe, seed, pokes=()):
+        """A ghosted conserved state every cell of which Newton recovers,
+        then *pokes* ``(kind, where)`` that each force one branch of the
+        floors, on two cells: the one *where* (in [0, 1)) of the way through
+        the ghosted block and the one that far through the interior."""
+        system, grid, atmo = pipe.system, pipe.grid, pipe.atmosphere
+        rng = np.random.default_rng(seed)
+        prim = random_prim(system, grid.shape_with_ghosts, rng, vmax=0.9)
+        cons = SRHDSystem.prim_to_con(system, prim)
+        flat = cons.reshape(system.nvars, -1)
+        S = slice(1, 1 + system.ndim)
+        cells = np.arange(flat.shape[1]).reshape(grid.shape_with_ghosts)
+        inner = grid.interior_of(cells[None])[0].ravel()
+        for kind, where in pokes:
+            i = [int(where * cells.size), inner[int(where * inner.size)]]
+            if kind == "d_floor":  # D < rho_atmo: D floored, S zeroed
+                flat[system.D, i] = 0.5 * atmo.rho_atmo
+            elif kind == "tau_floor":  # tau < p_atmo (and negative)
+                flat[:, i] = np.array([[1e-9, *[0.0] * system.ndim, -1.0]]).T
+            elif kind == "cap":  # |S| far above the w_max cap, on a hot cell
+                flat[:, i] = np.array([[1.0, -1e3, *[0.0] * (system.ndim - 1), 10.0]]).T
+            elif kind == "thin":  # recovers rho under the reset threshold
+                flat[:, i] = np.array([[5.0 * atmo.rho_atmo, *[0.0] * system.ndim, 1e-9]]).T
+            elif kind == "negzero":  # signed zeros survive S / Q
+                flat[S, i] = -0.0
+        return cons
+
+    @staticmethod
+    def _sweep(pipe, cons, reuse):
+        """Everything one sweep leaves behind, comparable with ``==``."""
+        from repro.utils.errors import RecoveryError
+
+        cons = cons.copy()
+        try:
+            with np.errstate(all="ignore"):
+                prim = pipe.recover_primitives(cons, reuse=reuse).tobytes()
+        except RecoveryError as exc:
+            prim = ("raised", exc.n_failed, np.asarray(exc.indices).tolist())
+        seed = pipe.warm_state()
+        return {
+            "prim": prim,
+            "cons": cons.tobytes(),
+            "seed": None if seed is None else seed.tobytes(),
+            "metrics": pipe.metrics.snapshot(),
+        }
+
+    @staticmethod
+    def _interpreted_solves(monkeypatch):
+        """Calls of the interpreted ``con_to_prim`` from any pipeline."""
+        import repro.core.pipeline as pipeline_mod
+
+        calls = []
+        real = pipeline_mod.con_to_prim
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "con_to_prim", counting)
+        return calls
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_floor_branch_on_the_hot_path(self, layout, monkeypatch):
+        # A low cap keeps the capped cells (W = 4) within Newton's reach.
+        pipes = self._pair(layout, w_max=4.0)
+        kinds = ("d_floor", "tau_floor", "cap", "thin", "negzero")
+        pokes = [(k, (2 * j + 1) / 20) for j, k in enumerate(kinds)]
+        pokes += [(k, 0.5 + (2 * j + 1) / 21) for j, k in enumerate(kinds)]
+        cons = self._cons(pipes["flat"], 3, pokes)
+        assert (np.signbit(cons[1]) & (cons[1] == 0.0)).any()
+        got = {}
+        for reuse in (True, False):
+            for target, pipe in pipes.items():
+                calls = self._interpreted_solves(monkeypatch)
+                # cold seed, then warm seed on a nudged state
+                got[target] = [
+                    self._sweep(pipe, cons, reuse),
+                    self._sweep(pipe, cons * 1.01, reuse),
+                ]
+                assert len(calls) == (2 if target == "flat" else 0)
+                monkeypatch.undo()
+            assert got["cext"] == got["flat"], reuse
+        counters = got["cext"][-1]["metrics"]["counters"]
+        for name in ("atmo.cons_floored", "limiter.momentum_rescaled", "atmo.prim_reset"):
+            assert counters[name] > 0, name
+        assert counters["con2prim.bisection"] == counters["con2prim.failed"] == 0
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_recover_parity_property(self, layout):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        poke = st.tuples(
+            st.sampled_from(
+                ["d_floor", "tau_floor", "cap", "thin", "negzero", "hard"]
+            ),
+            st.floats(0.0, 1.0, exclude_max=True),
+        )
+
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            pokes=st.lists(poke, max_size=8),
+            reuse=st.booleans(),
+            warm=st.booleans(),
+            w_max=st.sampled_from([4.0, 100.0]),
+        )
+        @settings(max_examples=25, deadline=None, database=None)
+        def check(seed, pokes, reuse, warm, w_max):
+            pipes = self._pair(layout, w_max=w_max)
+            cons = self._cons(pipes["flat"], seed, pokes)
+            flat = cons.reshape(cons.shape[0], -1)
+            for kind, where in pokes:
+                if kind == "hard":  # W ~ 60, cold: Newton runs out, bisection
+                    i = int(where * flat.shape[1])
+                    cell = np.zeros((cons.shape[0], 1))
+                    cell[0], cell[1], cell[-1] = 1e-3, np.sqrt(1 - 1 / 60.0**2), 1e-9
+                    flat[:, i] = SRHDSystem.prim_to_con(pipes["flat"].system, cell)[:, 0]
+            got = {}
+            for target, pipe in pipes.items():
+                got[target] = [self._sweep(pipe, cons, reuse)]
+                if warm:
+                    got[target].append(self._sweep(pipe, cons * 0.99, reuse))
+            assert got["cext"] == got["flat"]
+
+        check()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_max_signal_is_the_handwritten_scan(self, layout):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.time_integration.cfl import max_signal_per_axis
+
+        pipes = self._pair(layout)
+        grid, plain = self._grid_system(layout)
+
+        @given(seed=st.integers(0, 2**32 - 1), vmax=st.sampled_from([0.5, 0.99, 0.99999]))
+        @settings(max_examples=15, deadline=None, database=None)
+        def check(seed, vmax):
+            rng = np.random.default_rng(seed)
+            prim = random_prim(plain, grid.shape_with_ghosts, rng, vmax=vmax)
+            prim[plain.P] *= 10.0 ** rng.uniform(-9, 2, prim[0].shape)
+            want = max_signal_per_axis(plain, grid, prim)
+            assert pipes["cext"].max_signal_per_axis(prim) == want
+            # ... and so does flat, whose own char_speeds is the generated kind
+            assert pipes["flat"].max_signal_per_axis(prim) == want
+
+        check()
+        prim = random_prim(plain, grid.shape_with_ghosts, np.random.default_rng(1))
+        grid.interior_of(prim)[plain.P].flat[3] = np.nan
+        ghost_only = prim.copy()
+        for target in ("flat", "cext"):
+            assert np.isnan(pipes[target].max_signal_per_axis(prim)).all(), target
+        ghost_only[...] = np.nan
+        grid.interior_of(ghost_only)[...] = 1.0
+        grid.interior_of(ghost_only)[1 : 1 + plain.ndim] = 0.0
+        assert pipes["cext"].max_signal_per_axis(ghost_only) == max_signal_per_axis(
+            plain, grid, ghost_only
+        )
+
+    def _hard_cons(self, pipe, fail=False):
+        """Newton-hostile cells: the atmosphere-scale state of
+        ``test_srhd.py::test_bisection_at_atmosphere_scale``, cold W ~ 60
+        cells that need bisection, and (*fail*) one cell outside the
+        admissible set that nothing recovers (ROADMAP direction 1)."""
+        system, grid = pipe.system, pipe.grid
+        cons = self._cons(pipe, 11, [("cap", 0.3)])
+        interior = grid.interior_of(cons)
+        cell = np.array([[1e-8, 1e-3, 1e-3], [0.0, 0.99986, -0.99986], [1e-12, 1e-9, 1e-9]])
+        interior[:, 2:5] = SRHDSystem.prim_to_con(system, cell)
+        if fail:
+            interior[:, 12] = [6.53e-3, 6.531e-3, 1e-12]
+        return cons
+
+    @pytest.mark.parametrize("failsafe_frac", [0.0, 0.25])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_unconverged_cells_take_the_interpreted_solve(
+        self, fail, failsafe_frac, monkeypatch
+    ):
+        pipes = self._pair("1d", failsafe_frac=failsafe_frac)
+        cons = self._hard_cons(pipes["flat"], fail)
+        calls = self._interpreted_solves(monkeypatch)
+        got = {t: self._sweep(pipe, cons, True) for t, pipe in pipes.items()}
+        assert len(calls) == 2  # cext fell back to the same interpreted solve
+        assert got["cext"] == got["flat"]
+        counters = got["cext"]["metrics"]["counters"]
+        assert counters["con2prim.bisection"] >= 2
+        assert counters["con2prim.failed"] == (1 if fail else 0)
+        assert counters["limiter.momentum_rescaled"] >= 1  # once, not twice
+        if fail and not failsafe_frac:
+            assert got["cext"]["prim"] == ("raised", 1, [12])
+            assert got["cext"]["seed"] is None  # nothing committed
+        else:
+            assert counters.get("resilience.failsafe_cells", 0) == (1 if fail else 0)
+        # The next sweep is warm (or still cold) on both, and equal again.
+        again = {t: self._sweep(pipe, cons * 1.001, True) for t, pipe in pipes.items()}
+        assert again["cext"] == again["flat"]
+
+    @pytest.mark.parametrize("n_burst", [3, 20])
+    def test_injected_burst_sits_between_solve_and_floor(self, n_burst, monkeypatch):
+        from repro.resilience.faults import Con2PrimFault, FaultInjector, FaultPlan
+
+        def injector():
+            return FaultInjector(
+                FaultPlan(con2prim=[Con2PrimFault(sweep=1, n_cells=n_burst)])
+            )
+
+        pipes = self._pair("2d", injector=injector, failsafe_frac=0.1)
+        cons = self._cons(pipes["flat"], 5, [("thin", 0.4)])
+        calls = self._interpreted_solves(monkeypatch)
+        got = {
+            t: [self._sweep(pipe, cons * f, True) for f in (1.0, 1.01, 1.02)]
+            for t, pipe in pipes.items()
+        }
+        assert len(calls) == 3  # flat's; cext solved compiled, finished interpreted
+        assert got["cext"] == got["flat"]
+        assert pipes["cext"].fault_injector._sweep == pipes["flat"].fault_injector._sweep == 2
+        if n_burst == 3:  # within budget: reset, counted, p_atmo in the seed
+            counters = got["cext"][-1]["metrics"]["counters"]
+            assert counters["resilience.failsafe_cells"] == 3
+            assert counters["atmo.prim_reset"] >= 4
+        else:
+            assert got["cext"][1]["prim"][0] == "raised"
+
+    def test_noncontiguous_cons_is_floored_in_place_not_copied(self, monkeypatch):
+        pipes = self._pair("2d")
+        cons = self._cons(pipes["flat"], 9, [("d_floor", 0.5), ("cap", 0.7)])
+        want = self._sweep(pipes["flat"], cons, False)
+        strided = np.asfortranarray(cons)
+        assert not strided.flags.c_contiguous
+        calls = self._interpreted_solves(monkeypatch)
+        prim = pipes["cext"].recover_primitives(strided)
+        assert len(calls) == 1
+        assert prim.tobytes() == want["prim"]
+        assert np.ascontiguousarray(strided).tobytes() == want["cons"]  # floors landed
+        assert pipes["cext"].metrics.snapshot() == want["metrics"]
+
+    def test_rows_that_leave_the_block_are_refused_before_c(self):
+        from repro.codegen import cext as cext_mod
+
+        offsets, interior = cext_mod.interior_rows((8, 9), 2)
+        assert interior == (4, 5) and offsets.tolist() == [2 * 9 + 2 + 9 * r for r in range(4)]
+        assert not offsets.flags.writeable
+        for shape, g in (((4, 9), 2), ((8, 4), 2), ((8,), -1)):
+            with pytest.raises(CodegenError, match="no interior"):
+                cext_mod.interior_rows(shape, g)
+        pipes = self._pair("2d")
+        system, grid = pipes["cext"].system, pipes["cext"].grid
+        cons = self._cons(pipes["cext"], 1)
+        prim = np.zeros_like(cons)
+        seed = np.empty(grid.shape)
+        params = dict(
+            tol=1e-12, p_floor=1e-16, max_newton=50, rho_atmo=1e-10, p_atmo=1e-12,
+            rho_reset=1e-9, vmax=0.99, solve_only=False,
+        )
+        for bad in (
+            dict(prim=prim[:, 1:]),  # another shape
+            dict(prim=np.asfortranarray(prim)),
+            dict(next_seed=seed[1:]),
+            dict(seed=seed.astype(np.float32)),
+        ):
+            args = dict(cons=cons, prim=prim, seed=None, next_seed=seed) | bad
+            before = cons.copy()
+            with pytest.raises(CodegenError, match="C-contiguous float64"):
+                system.recover(
+                    args["cons"], args["prim"], grid.n_ghost, args["seed"],
+                    args["next_seed"], **params,
+                )
+            assert cons.tobytes() == before.tobytes()  # refused before C ran
+
+
 class TestFusedSolverDigest:
     """End to end: a wide-stencil cext run is the flat run, byte for byte."""
 
@@ -1093,6 +1429,57 @@ class TestFusedSolverDigest:
                 assert "face_flux" in solver.pipeline.timers
                 assert "reconstruct" not in solver.pipeline.timers
         assert digests["cext"] == digests["flat"]
+
+
+    @pytest.mark.parametrize("case", ["rp1_1d", "blast_3d", "batch4"])
+    def test_five_steps_cext_equals_flat(self, case):
+        """The compiled recovery sweep and CFL scan end to end: state, time
+        and every metric after five steps, on the layouts the KH run does
+        not cover."""
+        from repro.boundary import make_boundaries
+        from repro.codegen import cext_available
+        from repro.core.batch import BatchSolver
+        from repro.core.config import SolverConfig
+        from repro.core.solver import Solver
+        from repro.mesh.grid import Grid
+        from repro.physics.initial_data import RP1, RP2, shock_tube
+
+        if case == "blast_3d":
+            system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=3)
+            grid = Grid((12, 10, 8), ((0.0, 1.0),) * 3)
+            prim0 = grid.allocate(system.nvars)
+            r2 = sum(
+                (np.moveaxis(grid.coords_with_ghosts(ax)[:, None, None], 0, ax) - 0.5) ** 2
+                for ax in range(3)
+            )
+            prim0[system.RHO] = 1.0
+            prim0[system.P] = np.where(r2 < 0.25**2, 10.0, 0.1)
+        else:
+            system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+            grid = Grid((96,), ((0.0, 1.0),))
+            prim0 = shock_tube(system, grid, RP1)
+        if not cext_available(system.ndim):
+            pytest.skip("no C toolchain")
+        runs = {}
+        for target in ("flat", "cext"):
+            config = SolverConfig(kernel_target=target)
+            if case == "batch4":
+                prims = [prim0, shock_tube(system, grid, RP2), prim0 * 0.5, prim0]
+                solver = BatchSolver(
+                    system, grid, [p.copy() for p in prims], config,
+                    make_boundaries("outflow"),
+                )
+            else:
+                solver = Solver(
+                    system, grid, prim0.copy(), config, make_boundaries("outflow")
+                )
+            for _ in range(5):
+                solver.step()
+            runs[target] = (
+                solver.primitives().tobytes(), solver.cons.tobytes(), solver.t,
+                solver.pipeline.warm_state().tobytes(), solver.metrics.snapshot(),
+            )
+        assert runs["cext"] == runs["flat"]
 
 
 class TestCacheMaintenance:

@@ -8,8 +8,10 @@ import pytest
 from repro import Grid, IdealGasEOS, SolverConfig, SRHDSystem
 from repro.boundary import make_boundaries
 from repro.core.pipeline import HydroPipeline
-from repro.physics.initial_data import smooth_wave
+from repro.physics.initial_data import RP1, shock_tube, smooth_wave
 from repro.utils.errors import ConfigurationError
+
+from .conftest import require_cext
 
 
 @pytest.fixture
@@ -214,3 +216,97 @@ class TestRecoveryInstrumentation:
         assert snap["con2prim.newton_converged"] == n - 2
         assert pipeline.timers["con2prim"].aborted == 1
         assert pipeline.timers["con2prim"].count == 0
+
+
+def _solver_kit(system, config):
+    from repro import Solver
+
+    grid = Grid((64,), ((0.0, 1.0),))
+
+    def make():
+        return Solver(system, grid, shock_tube(system, grid, RP1), config)
+
+    def capture(d):
+        return {"cons": d.cons.copy(), "seed": d.pipeline.warm_state(), "t": d.t,
+                "steps": d.steps}
+
+    def install(d, cap):
+        d.cons = cap["cons"].copy()
+        d.pipeline.install_warm_state(cap["seed"])
+        d._prim_dirty = True
+        d.t, d.steps = cap["t"], cap["steps"]
+
+    return make, capture, install, lambda cap: [cap["seed"]], lambda d: d.cons.tobytes()
+
+
+def _distributed_kit(system, config):
+    from repro.core import DistributedSolver
+
+    grid = Grid((64,), ((0.0, 1.0),))
+
+    def make():
+        return DistributedSolver(system, grid, shock_tube(system, grid, RP1), (2,), config)
+
+    def capture(d):
+        shards = {r: (c.copy(), p) for r, (c, p) in d.checkpoint_shards().items()}
+        return {"shards": shards, "t": d.t, "steps": d.steps}
+
+    def install(d, cap):
+        d.install_shards(cap["t"], cap["steps"], cap["shards"])
+
+    return (
+        make, capture, install, lambda cap: [cap["shards"][1][1]],
+        lambda d: b"".join(d.cons[r].tobytes() for r in d.local_ranks),
+    )
+
+
+def _amr_kit(system, config):
+    from repro.core.amr_solver import AMRConfig, AMRSolver
+
+    grid = Grid((64,), ((0.0, 1.0),))
+    amr = AMRConfig(block_size=8, max_levels=2, regrid_interval=2)
+
+    def make():
+        return AMRSolver(system, grid, lambda s, g: shock_tube(s, g, RP1), config, amr)
+
+    def seeds_of(cap):
+        return [p for _, p in cap["blocks"].values() if p is not None]
+
+    return (
+        make, AMRSolver.forest_state, AMRSolver.install_forest_state, seeds_of,
+        lambda d: b"".join(
+            repr(k).encode() + leaf.cons.tobytes() for k, leaf in d.forest.leaves.items()
+        ),
+    )
+
+
+@pytest.mark.parametrize("target", ["numpy", "cext"])
+@pytest.mark.parametrize("kit", [_solver_kit, _distributed_kit, _amr_kit])
+def test_warm_state_is_a_snapshot(kit, target, system1d):
+    """What ``warm_state()`` hands out is the caller's: later sweeps leave
+    its bytes alone (the compiled sweep recycles its seed buffers), and
+    installing it — with the conserved state — into a fresh driver
+    reproduces the uninterrupted run bit for bit."""
+    if target == "cext":
+        require_cext(1)
+    make, capture, install, seeds_of, state = kit(
+        system1d, SolverConfig(kernel_target=target, cfl=0.4)
+    )
+    driver = make()
+    for _ in range(3):
+        driver.step()
+    def held(cap):
+        return [seed.tobytes() for seed in seeds_of(cap)]
+
+    cap = capture(driver)
+    before = held(cap)
+    for _ in range(2):
+        driver.step()
+    assert held(cap) == before
+    assert held(capture(driver)) != before  # the run's own seeds moved on
+    resumed = make()
+    install(resumed, cap)
+    for _ in range(2):
+        resumed.step()
+    assert held(cap) == before
+    assert (resumed.t, state(resumed)) == (driver.t, state(driver))

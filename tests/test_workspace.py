@@ -134,6 +134,27 @@ class TestWorkspaceReuse:
         fresh = pipe.rhs(cons.copy(), reuse=False)
         np.testing.assert_array_equal(reused, fresh)
 
+    def test_momentum_cap_reuse_matches_fresh(self):
+        """The interpreted cap's temporaries ride the workspace: same bytes
+        and same ``limiter.momentum_rescaled`` as the allocating call, and
+        nothing leaks from one reusing call into the next."""
+        results = {}
+        for ws in (True, False):
+            pipe, cons = self._pipeline(ws=ws)
+            hot = cons.copy()
+            hot[1, 5:9, 7:20] = -1e3  # |S| far above the W_max cap
+            first, second = hot.copy(), hot.copy()
+            for state in (first, cons.copy(), second):
+                pipe._limit_momentum(state, pipe.workspace)
+            assert first.tobytes() == second.tobytes() != hot.tobytes()
+            results[ws] = (
+                first.tobytes(),
+                pipe.metrics.counter("limiter.momentum_rescaled").value,
+            )
+        assert pipe.workspace is None  # the second arm allocated per call
+        assert results[True] == results[False]
+        assert results[True][1] == 2 * 4 * 13
+
     def test_reuse_returns_workspace_buffers(self):
         pipe, cons = self._pipeline()
         dU = pipe.rhs(cons.copy(), reuse=True)
