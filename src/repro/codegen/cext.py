@@ -53,10 +53,11 @@ CACHE_DIR_ENV = "REPRO_CEXT_CACHE"
 #: loaded compiled modules, keyed by artifact name (name embeds the hash)
 _modules: dict[str, object] = {}
 
+#: ``repro_simd_level()`` of a loaded module -> the sweep clone it names
+_SIMD_LEVELS = ("baseline", "avx2")
+
 #: number of actual cffi compilations this process performed (test hook)
 build_count = 0
-
-_cc_version: str | None = None
 
 #: Flags of every build.  ``-ffp-contract=off`` is the bitwise contract
 #: with the NumPy reference (no FMA contraction); a toolchain that rejects
@@ -64,26 +65,30 @@ _cc_version: str | None = None
 #: silently — and falls back to ``flat`` like a missing compiler does.
 #: ``-fno-math-errno`` lets ``sqrt`` compile to the (equally correctly
 #: rounded) instruction with no libm fallback call to spill registers around.
-CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno")
+#: ``-O3`` turns on the vectoriser's full cost model (cffi appends these
+#: after CPython's own flags, so ours decide); ``-fno-trapping-math`` lets
+#: it if-convert a select whose arm holds a floating-point compare — it
+#: licenses no value-changing transformation, and nothing reads the status
+#: flags (the C is reached through cffi, not a ufunc).
+CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
 
 
 def cext_disabled() -> bool:
     return bool(os.environ.get(DISABLE_ENV))
 
 
+@functools.lru_cache(maxsize=None)
 def _compiler_version(cc: str) -> str:
-    """First line of ``$CC --version``, memoized; 'unknown' when unprobeable."""
-    global _cc_version
-    if _cc_version is None:
-        try:
-            out = subprocess.run(
-                [cc.split()[0], "--version"],
-                capture_output=True, text=True, timeout=10, check=False,
-            )
-            _cc_version = (out.stdout or "unknown").splitlines()[0].strip()
-        except Exception:
-            _cc_version = "unknown"
-    return _cc_version
+    """First line of ``cc --version``, memoized per command string;
+    'unknown' when unprobeable."""
+    try:
+        out = subprocess.run(
+            [cc.split()[0], "--version"],
+            capture_output=True, text=True, timeout=10, check=False,
+        )
+        return (out.stdout or "unknown").splitlines()[0].strip()
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
 
 
 def toolchain_fingerprint() -> str:
@@ -96,7 +101,9 @@ def toolchain_fingerprint() -> str:
         import cffi
     except ImportError as exc:  # pragma: no cover - image ships cffi
         raise CodegenError(f"cffi is not installed: {exc}") from exc
-    cc = sysconfig.get_config_var("CC") or "cc"
+    # The compiler the build will run: distutils' ``customize_compiler``
+    # lets ``$CC`` override the interpreter's own CC, so the key must too.
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     return "|".join(
         [
             f"cffi={cffi.__version__}",
@@ -209,6 +216,11 @@ def _load_spec(name: str, source: str, cdef: str):
             _build(name, source, cdef, path)
             module = _import_artifact(name, path)
         _modules[name] = module
+        if hasattr(module.lib, "repro_simd_level"):
+            _log.info(
+                "cext kernel module %s loaded, sweep clone: %s",
+                name, _SIMD_LEVELS[module.lib.repro_simd_level()],
+            )
     return module.ffi, module.lib
 
 
@@ -222,6 +234,12 @@ def load_cext_module(ndim: int, kinds_axes=None):
     if cext_disabled():
         raise CodegenError(f"cext target disabled via {DISABLE_ENV}=1")
     return _load_spec(*module_spec(ndim, kinds_axes))
+
+
+def simd_level(ndim: int) -> str:
+    """Which clone of the fused sweep this host runs: ``"avx2"`` or
+    ``"baseline"`` (no ifunc, not x86-64, or a CPU without AVX2)."""
+    return _SIMD_LEVELS[load_cext_module(ndim)[1].repro_simd_level()]
 
 
 def clear_modules() -> None:

@@ -57,10 +57,18 @@ CON2PRIM_KERNEL = "con2prim_newton_cext"
 RECOVER_KERNEL = "recover_%dd_cext"
 MAX_SIGNAL_KERNEL = "max_signal_%dd_cext"
 
+#: Which sweep clone the loader picked on this host: 1 = avx2, 0 = baseline.
+SIMD_LEVEL_DECL = "int repro_simd_level(void)"
+
 #: Prologue of every generated C module.  ``REPRO_INLINE`` marks each helper
 #: ``static inline`` and, where the compiler allows, forces the inlining:
-#: -O2 alone keeps the larger ones (HLLC combine, row fillers) out of line
-#: once both axes' sweeps call them.  ``rmin``/``rmax``/``rclip`` are
+#: the optimizer alone keeps the larger ones (tile stages, row fillers) out
+#: of line once both axes' sweeps call them.  ``REPRO_CLONES`` compiles a
+#: sweep once per ISA and lets the loader's ifunc resolver pick the widest
+#: the host runs — a compile-time capability guard, empty where the
+#: compiler or object format has no ``target_clones`` (never
+#: ``-march=native``: the artifact cache may be shared between hosts and
+#: its key does not name the CPU).  ``rmin``/``rmax``/``rclip`` are
 #: ``np.minimum`` / ``np.maximum`` / ``np.clip`` on every non-NaN input,
 #: signed zeros included — a tie returns the *second* argument (clip: ``x``
 #: itself), which libm's ``fmin``/``fmax`` leave unspecified — and compile
@@ -73,6 +81,15 @@ _PROLOGUE_C = """\
 #define REPRO_INLINE static inline __attribute__((always_inline))
 #else
 #define REPRO_INLINE static inline
+#endif
+
+#if (defined(__clang__) ? __clang_major__ >= 14 : defined(__GNUC__)) \
+    && defined(__x86_64__) && defined(__ELF__)
+#define REPRO_CLONES __attribute__((target_clones("default", "avx2")))
+REPRO_INLINE int simd_level(void) { return __builtin_cpu_supports("avx2") ? 1 : 0; }
+#else
+#define REPRO_CLONES
+REPRO_INLINE int simd_level(void) { return 0; }
 #endif
 
 REPRO_INLINE double rmin(double a, double b) { return (a < b) ? a : b; }
@@ -236,7 +253,7 @@ REPRO_INLINE double %(name)s_biased(double cm2, double cm1, double c0,
 REPRO_INLINE void %(name)s_row(const double* c, long m, double* qL,
     double* qR)
 {
-    for (long i = 0; i < m; ++i) {
+    for (long i = 0; i < m; ++i) { /* lanes */
         qL[i] = %(name)s_biased(c[i - 2], c[i - 1], c[i], c[i + 1], c[i + 2]);
         qR[i] = %(name)s_biased(c[i + 3], c[i + 2], c[i + 1], c[i], c[i - 1]);
     }
@@ -270,7 +287,9 @@ _WENO_WEIGHTS_C = {
 #: 4th-order edge per face and one monotonized parabola per cell, in the
 #: operation order of :func:`repro.reconstruct.ppm._monotonize` (both
 #: overshoot masks decided before either edge is rewritten; the right
-#: rewrite reads the rewritten left edge).
+#: rewrite reads the rewritten left edge).  ``/* lanes */`` marks each loop
+#: the compiler is expected to vectorise (``pc_row`` is a copy: it becomes
+#: ``memcpy``); the tripwire in ``tests/test_codegen.py`` reads the marks.
 _STENCIL_ROWS_C = (
     """\
 REPRO_INLINE void pc_row(const double* c, long m, double* qL, double* qR)
@@ -289,7 +308,7 @@ REPRO_INLINE void tvd_row(const double* c, long m, int limiter_id, double* s,
     + "".join(
         f"""\
     case {lid}:
-        for (long i = 0; i <= m; ++i)
+        for (long i = 0; i <= m; ++i) /* lanes */
             s[i] = slope_{name}(c[i] - c[i - 1], c[i + 1] - c[i]);
         break;
 """
@@ -297,7 +316,7 @@ REPRO_INLINE void tvd_row(const double* c, long m, int limiter_id, double* s,
     )
     + """\
     }
-    for (long i = 0; i < m; ++i) {
+    for (long i = 0; i < m; ++i) { /* lanes */
         qL[i] = c[i] + s[i] * 0.5;
         qR[i] = c[i + 1] - s[i + 1] * 0.5;
     }
@@ -306,11 +325,11 @@ REPRO_INLINE void tvd_row(const double* c, long m, int limiter_id, double* s,
 REPRO_INLINE void ppm_row(const double* c, long m, double* h, double* e,
     double* qL, double* qR)
 {
-    for (long i = -1; i <= m + 1; ++i)
+    for (long i = -1; i <= m + 1; ++i) /* lanes */
         h[i + 1] = 0.5 * slope_mc(c[i] - c[i - 1], c[i + 1] - c[i]);
-    for (long i = -1; i <= m; ++i)
+    for (long i = -1; i <= m; ++i) /* lanes */
         e[i + 1] = 0.5 * (c[i] + c[i + 1]) - (h[i + 2] - h[i + 1]) / 3.0;
-    for (long i = 0; i <= m; ++i) {
+    for (long i = 0; i <= m; ++i) { /* lanes */
         const double a = c[i];
         double aL = e[i];
         double aR = e[i + 1];
@@ -531,10 +550,12 @@ class KernelGenerator:
             self.generate_c_max_signal(),
             _STENCIL_COMMON_C,
             _STENCIL_ROWS_C,
-            self.generate_c_sanitize(),
-            *(self.generate_c_cell_side(ax) for ax in axes),
-            self.generate_c_combines(),
+            self.generate_c_sanitize_tile(),
+            *(self.generate_c_face_side_tile(ax) for ax in axes),
+            *(self.generate_c_combine_tile(ax) for ax in axes),
+            self.generate_c_fill_tile(),
             *(self.generate_c_face_flux(ax) for ax in axes),
+            f"{SIMD_LEVEL_DECL} {{ return simd_level(); }}\n",
         ]
         return "\n".join(parts)
 
@@ -551,6 +572,7 @@ class KernelGenerator:
             for src in (self.generate_c_recover(), self.generate_c_max_signal())
         ]
         decls += [self.stencil_c_signature(ax) + ";" for ax in range(self.ndim)]
+        decls.append(SIMD_LEVEL_DECL + ";")
         return "\n".join(decls) + "\n"
 
     # -- recovery sweep and CFL scan (C target only) -------------------------
@@ -699,196 +721,226 @@ void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_cells,
     # algebra is the same CSE'd ``face_side`` list the pointwise kernels
     # print; the handwritten pieces mirror the vectorized Python
     # implementations operation by operation, so with ``-ffp-contract=off``
-    # the fused sweep is bit-identical to the interpreted pipeline.  Every
-    # helper is ``static inline``: the per-face loop makes no calls.
+    # the fused sweep is bit-identical to the interpreted pipeline.  After
+    # the row fillers the tail is three stages, each a loop over the lanes
+    # ``i < m`` of SoA tile rows (marked ``/* lanes */``) that the compiler
+    # vectorises: IEEE add/mul/div/sqrt round per lane at any width and
+    # nothing in the tail is a floating-point reduction, so the width the
+    # host picks cannot move a bit.  Every helper is ``static inline``.
 
     @property
     def nvars(self) -> int:
         return self.ndim + 2
 
-    def cell_side_name(self, axis: int) -> str:
-        return f"cell_side_ax{axis}_{self.ndim}d"
-
     def stencil_kernel_name(self, axis: int) -> str:
         return f"face_flux_ax{axis}_{self.ndim}d_cext"
 
-    def generate_c_cell_side(self, axis: int) -> str:
-        """``face_side`` as a per-face scalar helper: ``q[] -> o[]`` holding
-        ``U``, ``F`` and ``lambda_-+`` back to back.
-
-        Same expressions and same CSE as :meth:`generate_c`, evaluated for
-        a single state vector instead of a loop over SoA rows — which is
-        what keeps the fused sweep bitwise-equal to the pointwise kernel.
-        """
-        lines = [
-            f"REPRO_INLINE void {self.cell_side_name(axis)}"
-            "(const double* q, double* o, double gamma)",
-            "{",
-        ]
-        for i, var in enumerate(self.symbols.input_names()):
-            lines.append(f"    const double {var} = q[{i}];")
-        outs = [f"o[{i}]" for i in range(2 * self.nvars + 2)]
-        lines += self._c_body("face_side", axis, outs, "    ")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def generate_c_sanitize(self) -> str:
-        """Face-state repair, op-for-op equal to
+    def generate_c_sanitize_tile(self) -> str:
+        """Face-state repair over one tile, op-for-op equal to
         :meth:`repro.core.pipeline.HydroPipeline.sanitize_face_states`.
 
         ``counts[0]`` accumulates velocity rescales, ``counts[1]`` floor
         applications (rho and p counted separately, *before* flooring) —
         the same totals the interpreted path feeds its metrics counters.
+        The rescale is rare, so it is decided per tile: the lane loop counts
+        and floors, and the hot path pays no speculative ``sqrt``/division.
+        The rescale touches velocities only and the floors only rho and p,
+        so running it after them changes nothing.
         """
-        nv = self.nvars
+        nd, p, T = self.ndim, self.nvars - 1, STENCIL_TILE
+        v2 = "\n".join(
+            f"        v2 += q[{1 + ax}][i] * q[{1 + ax}][i];" for ax in range(nd)
+        )
+        scale = "\n".join(f"            q[{1 + ax}][i] *= scale;" for ax in range(nd))
+        return f"""\
+REPRO_INLINE void sanitize_tile_{nd}d(double (*restrict q)[{T}], long m,
+    double vmax2, double rho_atmo, double p_atmo, long* counts)
+{{
+    long n_rescale = 0;
+    long n_floor = 0;
+    for (long i = 0; i < m; ++i) {{ /* lanes */
+        double v2 = 0.0;
+{v2}
+        n_rescale += (v2 > vmax2) ? 1 : 0;
+        n_floor += (q[0][i] < rho_atmo) ? 1 : 0;
+        n_floor += (q[{p}][i] < p_atmo) ? 1 : 0;
+        q[0][i] = rmax(q[0][i], rho_atmo);
+        q[{p}][i] = rmax(q[{p}][i], p_atmo);
+    }}
+    for (long i = 0; n_rescale && i < m; ++i) {{
+        double v2 = 0.0;
+{v2}
+        if (v2 > vmax2) {{
+            const double scale = sqrt(vmax2 / v2);
+{scale}
+        }}
+    }}
+    counts[0] += n_rescale;
+    counts[1] += n_floor;
+}}
+"""
+
+    def generate_c_face_side_tile(self, axis: int) -> str:
+        """``face_side`` over one tile: rows ``q[v][i] -> o[k][i]`` holding
+        ``U``, ``F`` and ``lambda_-+`` back to back.
+
+        Same expressions and same CSE as :meth:`generate_c` — which is what
+        keeps the fused sweep bitwise-equal to the pointwise kernel.  The
+        rows are stack scratch, so ``restrict`` is true here (the public
+        pointwise entry points may be called with aliased arrays).
+        """
+        T = STENCIL_TILE
         lines = [
-            f"REPRO_INLINE void sanitize_face_{self.ndim}d(double* q,",
-            "    double vmax2, double rho_atmo, double p_atmo, long* counts)",
+            f"REPRO_INLINE void face_side_tile_ax{axis}_{self.ndim}d("
+            f"double (*restrict q)[{T}],",
+            f"    double (*restrict o)[{T}], long m, double gamma)",
             "{",
-            "    double v2 = 0.0;",
+            "    for (long i = 0; i < m; ++i) { /* lanes */",
         ]
-        for ax in range(self.ndim):
-            lines.append(f"    v2 += q[{1 + ax}] * q[{1 + ax}];")
-        lines.append("    if (v2 > vmax2) {")
-        lines.append("        const double scale = sqrt(vmax2 / v2);")
-        for ax in range(self.ndim):
-            lines.append(f"        q[{1 + ax}] *= scale;")
-        lines += [
-            "        counts[0] += 1;",
-            "    }",
-            "    if (q[0] < rho_atmo) counts[1] += 1;",
-            f"    if (q[{nv - 1}] < p_atmo) counts[1] += 1;",
-            "    q[0] = rmax(q[0], rho_atmo);",
-            f"    q[{nv - 1}] = rmax(q[{nv - 1}], p_atmo);",
-            "}",
-        ]
+        for v, var in enumerate(self.symbols.input_names()):
+            lines.append(f"        const double {var} = q[{v}][i];")
+        outs = [f"o[{k}][i]" for k in range(2 * self.nvars + 2)]
+        lines += self._c_body("face_side", axis, outs, " " * 8)
+        lines += ["    }", "}"]
         return "\n".join(lines) + "\n"
 
-    def generate_c_combines(self) -> str:
-        """The three Riemann combines as per-face helpers.
+    def generate_c_combine_tile(self, axis: int) -> str:
+        """The three Riemann combines over one tile, one lane loop each.
 
         Each mirrors the in-place NumPy implementation in
         :mod:`repro.riemann` exactly (clips, degenerate-fan guards, the
         Citardauq contact-speed form, supersonic sector selection), so the
-        fused sweep reproduces the interpreted fluxes bitwise.
+        fused sweep reproduces the interpreted fluxes bitwise.  A lane loop
+        vectorises only if its body is branch-free, so every lane branch is
+        a select between values loaded or computed unconditionally.  HLLC's
+        two star fluxes are one function of different arguments: selecting
+        the *inputs* by sector and evaluating it once is the value the
+        interpreted compute-both-then-select keeps.
         """
-        nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
-        llf = f"""\
-REPRO_INLINE void combine_llf_{nd}d(double sL, double sR, const double* uL,
-    const double* uR, const double* FLv, const double* FRv, double* Ff)
+        nd, nv, T = self.ndim, self.nvars, STENCIL_TILE
+        tau, Sx = nv - 1, 1 + axis
+        head = "\n".join(
+            [
+                f"            const double uL{k} = sdL[{k}][i], uR{k} = sdR[{k}][i],"
+                f" FL{k} = sdL[{nv + k}][i], FR{k} = sdR[{nv + k}][i];"
+                for k in range(nv)
+            ]
+            + [
+                f"            const double sL = rmin(sdL[{2 * nv}][i], sdR[{2 * nv}][i]);",
+                f"            const double sR = rmax(sdL[{2 * nv + 1}][i],"
+                f" sdR[{2 * nv + 1}][i]);",
+            ]
+        )
+
+        def per_var(fmt, ks=range(nv)):
+            return "\n".join(" " * 12 + fmt.format(k=k) for k in ks)
+
+        star = per_var(
+            "const double Fs{k} = FF{k} + (u{k} * factor - u{k}) * s;",
+            [k for k in range(1, nd + 1) if k != Sx],
+        )
+        return f"""\
+REPRO_INLINE void combine_tile_ax{axis}_{nd}d(int riemann_id,
+    double (*restrict qL)[{T}], double (*restrict qR)[{T}],
+    double (*restrict sdL)[{T}], double (*restrict sdR)[{T}], long m,
+    double* restrict F, long fstride)
 {{
-    double smax = rmax(fabs(sL), fabs(sR));
-    smax *= 0.5;
-    for (int v = 0; v < {nv}; ++v)
-        Ff[v] = (FLv[v] + FRv[v]) * 0.5 - (uR[v] - uL[v]) * smax;
-}}
-"""
-        hll = f"""\
-REPRO_INLINE void combine_hll_{nd}d(double sL, double sR, const double* uL,
-    const double* uR, const double* FLv, const double* FRv, double* Ff)
-{{
-    const double sLc = rmin(sL, 0.0);
-    const double sRc = rmax(sR, 0.0);
-    const double denom = sRc - sLc;
-    const int ok = denom > 1e-300;
-    const double safe = ok ? denom : 1.0;
-    const double ss = sLc * sRc;
-    for (int v = 0; v < {nv}; ++v) {{
-        double t = FLv[v] * sRc - FRv[v] * sLc;
-        t += (uR[v] - uL[v]) * ss;
-        t /= safe;
-        Ff[v] = ok ? t : FLv[v];
-    }}
-}}
-"""
-        side = f"""\
-REPRO_INLINE void hllc_side_{nd}d(int Sx, double s, double lam_star, double p_star,
-    double E, double FE, const double* qp, const double* u,
-    const double* FF, double* Fs)
-{{
-    const double v = qp[Sx];
-    const double p = qp[{nv - 1}];
-    const double smv = s - v;
-    const double smlam = s - lam_star;
-    const double factor = smv / smlam;
-    const double D_star = u[0] * factor;
-    double E_star = E * smv;
-    E_star += p_star * lam_star;
-    E_star -= p * v;
-    E_star /= smlam;
-    double Sx_star = u[Sx] * smv;
-    Sx_star += p_star;
-    Sx_star -= p;
-    Sx_star /= smlam;
-    Fs[0] = FF[0] + (D_star - u[0]) * s;
-    for (int i = 1; i <= {nd}; ++i) {{
-        double t;
-        if (i == Sx) {{
-            t = Sx_star - u[Sx];
-        }} else {{
-            t = u[i] * factor;
-            t -= u[i];
+    switch (riemann_id) {{
+    case 0:
+        for (long i = 0; i < m; ++i) {{ /* lanes */
+{head}
+            double smax = rmax(fabs(sL), fabs(sR));
+            smax *= 0.5;
+{per_var("F[{k} * fstride + i] = (FL{k} + FR{k}) * 0.5 - (uR{k} - uL{k}) * smax;")}
         }}
-        t *= s;
-        Fs[i] = FF[i] + t;
+        break;
+    case 1:
+        for (long i = 0; i < m; ++i) {{ /* lanes */
+{head}
+            const double sLc = rmin(sL, 0.0);
+            const double sRc = rmax(sR, 0.0);
+            const double denom = sRc - sLc;
+            const int ok = denom > 1e-300;
+            const double safe = ok ? denom : 1.0;
+            const double ss = sLc * sRc;
+{per_var("const double t{k} = (FL{k} * sRc - FR{k} * sLc + (uR{k} - uL{k}) * ss) / safe;")}
+{per_var("F[{k} * fstride + i] = ok ? t{k} : FL{k};")}
+        }}
+        break;
+    default:
+        for (long i = 0; i < m; ++i) {{ /* lanes */
+{head}
+            const double vL = qL[{Sx}][i], vR = qR[{Sx}][i];
+            const double pL = qL[{tau}][i], pR = qR[{tau}][i];
+            const double sLc = rmin(sL, -1e-12);
+            const double sRc = rmax(sR, 1e-12);
+            const double dS = sRc - sLc;
+            const double EL = uL{tau} + uL0;
+            const double ER = uR{tau} + uR0;
+            const double FEL = FL{tau} + FL0;
+            const double FER = FR{tau} + FR0;
+            double S_hll = sRc * uR{Sx} - sLc * uL{Sx};
+            S_hll += FL{Sx};
+            S_hll -= FR{Sx};
+            S_hll /= dS;
+            double E_hll = sRc * ER - sLc * EL;
+            E_hll += FEL;
+            E_hll -= FER;
+            E_hll /= dS;
+            double FS_hll = sRc * FL{Sx} - sLc * FR{Sx};
+            FS_hll += (sLc * sRc) * (uR{Sx} - uL{Sx});
+            FS_hll /= dS;
+            double FE_hll = sRc * FEL - sLc * FER;
+            FE_hll += (sLc * sRc) * (ER - EL);
+            FE_hll /= dS;
+            /* contact speed: Citardauq root of FE lam^2 - (E + FS) lam + S = 0 */
+            const double qb = -(E_hll + FS_hll);
+            double disc = qb * qb - (FE_hll * 4.0) * S_hll;
+            disc = rmax(disc, 0.0);
+            disc = sqrt(disc);
+            const double den = -qb + disc;
+            const int ok = fabs(den) > 1e-12;
+            double lam_star = (S_hll * 2.0) / (ok ? den : 1.0);
+            lam_star = ok ? lam_star : 0.0;
+            /* rclip as two selects in sequence (sLc < sRc always) */
+            lam_star = (lam_star < sLc) ? sLc : lam_star;
+            lam_star = (lam_star > sRc) ? sRc : lam_star;
+            double p_star = -FE_hll;
+            p_star *= lam_star;
+            p_star += FS_hll;
+            /* the sector that holds the interface picks the inputs */
+            const int left = lam_star >= 0.0;
+            const double s = left ? sLc : sRc;
+            const double E = left ? EL : ER;
+            const double FE = left ? FEL : FER;
+            const double v = left ? vL : vR;
+            const double p = left ? pL : pR;
+{per_var("const double u{k} = left ? uL{k} : uR{k}, FF{k} = left ? FL{k} : FR{k};", range(nd + 1))}
+            const double smv = s - v;
+            const double smlam = s - lam_star;
+            const double factor = smv / smlam;
+            const double D_star = u0 * factor;
+            double E_star = E * smv;
+            E_star += p_star * lam_star;
+            E_star -= p * v;
+            E_star /= smlam;
+            double Sx_star = u{Sx} * smv;
+            Sx_star += p_star;
+            Sx_star -= p;
+            Sx_star /= smlam;
+            const double Fs0 = FF0 + (D_star - u0) * s;
+            const double Fs{Sx} = FF{Sx} + (Sx_star - u{Sx}) * s;
+{star}
+            const double Fs{tau} = (FE + (E_star - E) * s) - Fs0;
+            /* supersonic: the fan misses the interface (sR <= 0 wins) */
+            const int supL = sL >= 0.0;
+            const int supR = sR <= 0.0;
+{per_var("const double f{k} = supL ? FL{k} : Fs{k};")}
+{per_var("F[{k} * fstride + i] = supR ? FR{k} : f{k};")}
+        }}
     }}
-    double FE_star = FE + (E_star - E) * s;
-    Fs[{tau}] = FE_star - Fs[0];
 }}
 """
-        hllc = f"""\
-REPRO_INLINE void combine_hllc_{nd}d(int Sx, double sL, double sR,
-    const double* qLp, const double* qRp,
-    const double* uL, const double* uR,
-    const double* FLv, const double* FRv, double* Ff)
-{{
-    const double sLc = rmin(sL, -1e-12);
-    const double sRc = rmax(sR, 1e-12);
-    const double dS = sRc - sLc;
-    const double EL = uL[{tau}] + uL[0];
-    const double ER = uR[{tau}] + uR[0];
-    const double FEL = FLv[{tau}] + FLv[0];
-    const double FER = FRv[{tau}] + FRv[0];
-    double S_hll = sRc * uR[Sx] - sLc * uL[Sx];
-    S_hll += FLv[Sx];
-    S_hll -= FRv[Sx];
-    S_hll /= dS;
-    double E_hll = sRc * ER - sLc * EL;
-    E_hll += FEL;
-    E_hll -= FER;
-    E_hll /= dS;
-    double FS_hll = sRc * FLv[Sx] - sLc * FRv[Sx];
-    FS_hll += (sLc * sRc) * (uR[Sx] - uL[Sx]);
-    FS_hll /= dS;
-    double FE_hll = sRc * FEL - sLc * FER;
-    FE_hll += (sLc * sRc) * (ER - EL);
-    FE_hll /= dS;
-    /* contact speed: Citardauq root of FE lam^2 - (E + FS) lam + S = 0 */
-    const double qb = -(E_hll + FS_hll);
-    double disc = qb * qb - (FE_hll * 4.0) * S_hll;
-    disc = rmax(disc, 0.0);
-    disc = sqrt(disc);
-    const double den = -qb + disc;
-    const int ok = fabs(den) > 1e-12;
-    double lam_star = (S_hll * 2.0) / (ok ? den : 1.0);
-    if (!ok) lam_star = 0.0;
-    lam_star = rclip(lam_star, sLc, sRc);
-    double p_star = -FE_hll;
-    p_star *= lam_star;
-    p_star += FS_hll;
-    /* The two star fluxes are independent, so evaluating only the sector
-     * that holds the interface equals compute-both-then-select bitwise. */
-    if (lam_star >= 0.0)
-        hllc_side_{nd}d(Sx, sLc, lam_star, p_star, EL, FEL, qLp, uL, FLv, Ff);
-    else
-        hllc_side_{nd}d(Sx, sRc, lam_star, p_star, ER, FER, qRp, uR, FRv, Ff);
-    if (sL >= 0.0)
-        for (int v = 0; v < {nv}; ++v) Ff[v] = FLv[v];
-    if (sR <= 0.0)
-        for (int v = 0; v < {nv}; ++v) Ff[v] = FRv[v];
-}}
-"""
-        return "\n".join([llf, hll, side, hllc])
 
     def stencil_c_signature(self, axis: int) -> str:
         """cffi ``cdef`` declaration of one fused face-flux sweep."""
@@ -900,84 +952,76 @@ REPRO_INLINE void combine_hllc_{nd}d(int Sx, double sL, double sR,
             "int limiter_id, int riemann_id, long* counts)"
         )
 
+    def generate_c_fill_tile(self) -> str:
+        """Reconstruction of one tile, every variable: gather the cells the
+        stencil reaches (:data:`STENCIL_REACH`) and let the selected row
+        filler of ``_STENCIL_ROWS_C`` write the left/right states of faces
+        ``0 .. m-1`` into ``q[0]`` / ``q[1]``.  No axis appears in it, so it
+        is compiled once per ISA and called by every axis's sweep — one
+        call per tile — instead of being inlined into each.
+        """
+        nv, T = self.nvars, STENCIL_TILE
+        lefts = ", ".join(str(STENCIL_REACH[i][0]) for i in sorted(STENCIL_REACH))
+        return f"""\
+REPRO_CLONES
+static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
+    long axis_stride, long m, int recon_id, int limiter_id,
+    double (*restrict q)[{nv}][{T}])
+{{
+    static const long reach_left[] = {{{lefts}}};
+    const long left = reach_left[recon_id];
+    const long right = left + 1;
+    double cells[{T} + 5];
+    double* c = cells + 2;
+    double h[{T} + 3];
+    double e[{T} + 2];
+    for (int v = 0; v < {nv}; ++v, cv += var_stride) {{
+        for (long i = -left; i < m + right; ++i)
+            c[i] = cv[i * axis_stride];
+        switch (recon_id) {{
+        case 0: pc_row(c, m, q[0][v], q[1][v]); break;
+        case 1: tvd_row(c, m, limiter_id, h, q[0][v], q[1][v]); break;
+        case 2: ppm_row(c, m, h, e, q[0][v], q[1][v]); break;
+        case 3: weno5_row(c, m, q[0][v], q[1][v]); break;
+        default: wenoz_row(c, m, q[0][v], q[1][v]);
+        }}
+    }}
+}}
+"""
+
     def generate_c_face_flux(self, axis: int) -> str:
         """The fused per-axis sweep: reconstruct -> sanitize -> Riemann.
 
         Walks cache-resident rows (``row_offsets`` enumerates the ghosted
         transverse extent in C order, ``axis_stride`` steps along the
-        working axis) in tiles of :data:`STENCIL_TILE` faces.  Per tile and
-        variable it gathers the cells the stencil reaches
-        (:data:`STENCIL_REACH`) and lets the selected row filler of
-        ``_STENCIL_ROWS_C`` write that tile's left/right states; then, per
-        face, it sanitizes both states, evaluates ``face_side`` once per
-        side and combines — no interface-sized temporaries anywhere (the
-        tile scratch is stack).  ``F`` is (nvars, n_rows, n_faces)
-        C-contiguous.  One schedule serves all five reconstruction ids.
+        working axis) in tiles of :data:`STENCIL_TILE` faces: fill the
+        tile's left/right states, then run the three tile stages over its
+        lanes — sanitize and ``face_side`` once per side, combine — with no
+        interface-sized temporaries anywhere (the tile scratch is stack).
+        ``F`` is (nvars, n_rows, n_faces) C-contiguous.  One schedule
+        serves all five reconstruction ids.
         """
         nd, nv, T = self.ndim, self.nvars, STENCIL_TILE
-        side = self.cell_side_name(axis)
-        lefts = ", ".join(str(STENCIL_REACH[i][0]) for i in sorted(STENCIL_REACH))
         return f"""\
+REPRO_CLONES
 {self.stencil_c_signature(axis)}
 {{
-    static const long reach_left[] = {{{lefts}}};
-    const long left = reach_left[recon_id];
-    const long right = left + 1;
     const long fstride = n_rows * n_faces;
-    double cells[{T} + 5];
-    double* c = cells + 2;
-    double h[{T} + 3];
-    double e[{T} + 2];
-    double qLs[{nv}][{T}];
-    double qRs[{nv}][{T}];
+    double q[2][{nv}][{T}];
+    double sd[2][{2 * nv + 2}][{T}];
     for (long r = 0; r < n_rows; ++r) {{
-        const double* row = prim + row_offsets[r];
+        const double* row = prim + row_offsets[r] + j0 * axis_stride;
         double* Frow = F + r * n_faces;
         for (long k0 = 0; k0 < n_faces; k0 += {T}) {{
             const long m = (n_faces - k0 < {T}) ? n_faces - k0 : {T};
-            for (int v = 0; v < {nv}; ++v) {{
-                const double* cv = row + (long) v * var_stride
-                    + (j0 + k0) * axis_stride;
-                for (long i = -left; i < m + right; ++i)
-                    c[i] = cv[i * axis_stride];
-                switch (recon_id) {{
-                case 0: pc_row(c, m, qLs[v], qRs[v]); break;
-                case 1: tvd_row(c, m, limiter_id, h, qLs[v], qRs[v]); break;
-                case 2: ppm_row(c, m, h, e, qLs[v], qRs[v]); break;
-                case 3: weno5_row(c, m, qLs[v], qRs[v]); break;
-                default: wenoz_row(c, m, qLs[v], qRs[v]);
-                }}
+            fill_tile_{nd}d(row + k0 * axis_stride, var_stride, axis_stride, m,
+                         recon_id, limiter_id, q);
+            for (int side = 0; side < 2; ++side) {{
+                sanitize_tile_{nd}d(q[side], m, vmax2, rho_atmo, p_atmo, counts);
+                face_side_tile_ax{axis}_{nd}d(q[side], sd[side], m, gamma);
             }}
-            for (long i = 0; i < m; ++i) {{
-                double qL[{nv}];
-                double qR[{nv}];
-                for (int v = 0; v < {nv}; ++v) {{
-                    qL[v] = qLs[v][i];
-                    qR[v] = qRs[v][i];
-                }}
-                sanitize_face_{nd}d(qL, vmax2, rho_atmo, p_atmo, counts);
-                sanitize_face_{nd}d(qR, vmax2, rho_atmo, p_atmo, counts);
-                double sdL[{2 * nv + 2}];
-                double sdR[{2 * nv + 2}];
-                {side}(qL, sdL, gamma);
-                {side}(qR, sdR, gamma);
-                const double* uL = sdL;
-                const double* uR = sdR;
-                const double* FLv = sdL + {nv};
-                const double* FRv = sdR + {nv};
-                const double sL = rmin(sdL[{2 * nv}], sdR[{2 * nv}]);
-                const double sR = rmax(sdL[{2 * nv + 1}], sdR[{2 * nv + 1}]);
-                double Ff[{nv}];
-                if (riemann_id == 0)
-                    combine_llf_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
-                else if (riemann_id == 1)
-                    combine_hll_{nd}d(sL, sR, uL, uR, FLv, FRv, Ff);
-                else
-                    combine_hllc_{nd}d({1 + axis}, sL, sR, qL, qR, uL, uR,
-                                       FLv, FRv, Ff);
-                for (int v = 0; v < {nv}; ++v)
-                    Frow[(long) v * fstride + k0 + i] = Ff[v];
-            }}
+            combine_tile_ax{axis}_{nd}d(riemann_id, q[0], q[1], sd[0], sd[1], m,
+                                      Frow + k0, fstride);
         }}
     }}
 }}

@@ -134,12 +134,13 @@ class TestGeneratedCBudget:
         gen = KernelGenerator(ndim)
         for axis in range(ndim):
             sources = {
-                "cell": gen.generate_c_cell_side(axis),
+                "tile": gen.generate_c_face_side_tile(axis),
                 "cext": gen.generate_c("face_side", axis),
                 "flat": gen.generate("face_side", axis, "flat").split('"""')[2],
             }
             for where, src in sources.items():
                 body = src[src.index("{") :] if where != "flat" else src
+                body = body.replace("/* lanes */", "")
                 divisions = body.count("/") + body.count("**(-1.0)")
                 assert body.count("sqrt(") == 2, (where, axis, src)
                 assert divisions <= 6, (where, axis, src)
@@ -152,6 +153,7 @@ class TestGeneratedCBudget:
             CON2PRIM_KERNEL,
             MAX_SIGNAL_KERNEL,
             RECOVER_KERNEL,
+            SIMD_LEVEL_DECL,
         )
 
         gen = KernelGenerator(ndim)
@@ -161,18 +163,31 @@ class TestGeneratedCBudget:
             assert token not in code, token
         assert "#define REPRO_INLINE static inline" in module
         # Column-0 definitions: the pointwise kernels, the Newton loop, the
-        # recovery sweep, the CFL scan and the per-axis sweep entry points,
-        # everything else a REPRO_INLINE helper.  One sweep per axis — no
+        # recovery sweep, the CFL scan, the per-axis sweep entry points and
+        # the clone probe, everything else a REPRO_INLINE helper or the one
+        # `static` tile filler the sweeps share.  One sweep per axis — no
         # schedule twins — and one Newton body for the two kernels running it.
         defs = re.findall(r"^(?!#)(\w[^\n;{]*?)\s+\**(\w+)\(", code, flags=re.M)
-        entries = [name for head, name in defs if not head.startswith("REPRO_INLINE")]
+        statics = [name for head, name in defs if head.startswith("static")]
+        assert statics == [f"fill_tile_{ndim}d"]
+        entries = [
+            name for head, name in defs
+            if not head.startswith(("REPRO_INLINE", "static"))
+        ]
         assert entries == [
             *(gen.kernel_name(k, ax, "cext") for k, ax in gen.default_kinds_axes("cext")),
             CON2PRIM_KERNEL,
             RECOVER_KERNEL % ndim,
             MAX_SIGNAL_KERNEL % ndim,
             *(gen.stencil_kernel_name(ax) for ax in range(ndim)),
+            re.search(r"(\w+)\(", SIMD_LEVEL_DECL).group(1),
         ]
+        # One tail, no scalar twin: nothing takes a per-face `double* q`
+        # state, and none of the per-face helpers it replaced is left.
+        assert not re.search(r"double\s*\*\s*q\s*[,)]", code)
+        for gone in ("cell_side_ax", "sanitize_face_", "combine_llf", "combine_hll",
+                     "hllc_side_"):
+            assert gone not in code, gone
         assert code.count("const double dfdp =") == 1
         assert code.count("newton_cell(") == 3  # one definition, two callers
         assert len(defs) > len(entries) + 10
@@ -562,6 +577,44 @@ class TestCacheInvalidation:
         monkeypatch.setenv("CFLAGS", "-ffp-contract=fast")
         assert cext_mod.module_spec(1)[0] != name1
 
+    def test_cc_env_changes_the_artifact_name(self, monkeypatch, tmp_path, rng):
+        """The key names the compiler the build runs — ``$CC`` first, as
+        distutils picks it — so a module built by one compiler is never
+        served, under the same name, to a process that asked for another."""
+        import shutil
+        import sysconfig
+
+        from repro.codegen import cext as cext_mod
+
+        if not cext_mod.cext_available(1):
+            pytest.skip("no C toolchain")
+        real = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
+        wrapper = tmp_path / "wrapped-cc"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'if [ "$1" = "--version" ]; then echo "wrapped-cc 1.0"; exit 0; fi\n'
+            f'exec {real} "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path / "cache"))
+        monkeypatch.delenv("CC", raising=False)
+        cext_mod.clear_modules()
+        n0 = cext_mod.build_count
+        name1 = cext_mod.module_spec(1)[0]
+        k1 = cext_mod.load_cext_kernel("prim_to_con", 1)
+        monkeypatch.setenv("CC", str(wrapper))
+        assert "cc=wrapped-cc 1.0" in cext_mod.toolchain_fingerprint()
+        assert cext_mod.module_spec(1)[0] != name1
+        k2 = cext_mod.load_cext_kernel("prim_to_con", 1)
+        assert cext_mod.build_count == n0 + 2, "the other compiler did not build"
+        system = SRHDSystem(IdealGasEOS(gamma=1.4), ndim=1)
+        rows = list(random_prim(system, (64,), rng))
+        outs = [[np.empty(64) for _ in range(3)] for _ in range(2)]
+        k1(*rows, *outs[0], 1.4)
+        k2(*rows, *outs[1], 1.4)
+        assert [o.tobytes() for o in outs[0]] == [o.tobytes() for o in outs[1]]
+        cext_mod.clear_modules()
+
     def test_rejected_flags_fail_the_build_instead_of_dropping_them(
         self, monkeypatch, tmp_path
     ):
@@ -805,8 +858,11 @@ class TestFusedStencilParity:
     ]
 
     @staticmethod
-    def _pipeline(target, recon, riemann, ndim=2, n_ghost=None, **kw):
+    def _pipeline(
+        target, recon, riemann, ndim=2, n_ghost=None, shape=None, n_batch=0, **kw
+    ):
         from repro.boundary.conditions import BoundarySet
+        from repro.core.batch import BatchGrid
         from repro.core.config import SolverConfig
         from repro.core.pipeline import HydroPipeline
         from repro.mesh.grid import Grid
@@ -814,9 +870,11 @@ class TestFusedStencilParity:
 
         if n_ghost is None:
             n_ghost = max(2, make_reconstruction(recon).required_ghosts)
-        shape = {1: (24,), 2: (12, 10), 3: (8, 6, 5)}[ndim]
+        shape = shape or {1: (24,), 2: (12, 10), 3: (8, 6, 5)}[ndim]
         grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=n_ghost)
-        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=ndim)
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=len(shape))
+        if n_batch:
+            grid = BatchGrid(grid, n_batch)
         config = SolverConfig(
             reconstruction=recon, riemann=riemann, kernel_target=target, **kw
         )
@@ -862,20 +920,37 @@ class TestFusedStencilParity:
         from hypothesis import strategies as st
 
         from repro.codegen import cext_available
+        from repro.codegen.generator import STENCIL_TILE as T
 
-        if not cext_available(2):
+        if not all(cext_available(nd) for nd in (1, 2, 3)):
             pytest.skip("no C toolchain")
         flat = self._pipeline("flat", recon, riemann)
         cext = self._pipeline("cext", recon, riemann)
         assert cext._fused_ids is not None, "fused sweep did not engage"
+        # Tile edges: sweeps of 1 face .. two tiles and a remainder, along
+        # each axis of a 1-/2-/3-D patch and a batched 1-D one (2T + 2 cells
+        # long that way, 2 wide the others), built on first draw.
+        long_pairs: dict = {}
+
+        def long_pair(ndim, n_batch, axis):
+            key = (ndim, n_batch, axis)
+            if key not in long_pairs:
+                shape = tuple(2 * T + 2 if ax == axis else 2 for ax in range(ndim))
+                long_pairs[key] = [
+                    self._pipeline(t, recon, riemann, shape=shape, n_batch=n_batch)
+                    for t in ("flat", "cext")
+                ]
+            return long_pairs[key]
 
         @given(
             seed=st.integers(min_value=0, max_value=2**32 - 1),
             discontinuous=st.booleans(),
             extreme=st.booleans(),
+            layout=st.sampled_from([(1, 0), (2, 0), (3, 0), (1, 1), (1, 5)]),
+            n_faces=st.sampled_from([1, 2, 3, 5, T - 1, T, T + 1, 2 * T + 3]),
         )
-        @settings(max_examples=6, deadline=None, database=None)
-        def check(seed, discontinuous, extreme):
+        @settings(max_examples=10, deadline=None, database=None)
+        def check(seed, discontinuous, extreme, layout, n_faces):
             prim = self._ghosted_prim(flat, seed, discontinuous, extreme)
             with np.errstate(all="ignore"):
                 div_flat = flat.flux_divergence(prim.copy())
@@ -883,11 +958,24 @@ class TestFusedStencilParity:
             assert div_flat.tobytes() == div_cext.tobytes(), (
                 f"{recon}/{riemann}: fused sweep differs bitwise"
             )
-            for counter in self._COUNTERS:
-                assert (
-                    flat.metrics.counter(counter).value
-                    == cext.metrics.counter(counter).value
-                ), f"{recon}/{riemann}: {counter} totals diverge"
+            ndim, n_batch = layout
+            axis = seed % ndim
+            lflat, lcext = long_pair(ndim, n_batch, axis)
+            prim = self._ghosted_prim(lflat, seed, discontinuous, extreme)
+            lo = seed % (2 * T + 4 - n_faces)
+            hi = lo + n_faces - 1
+            with np.errstate(all="ignore"):
+                ref = lflat._interpreted_face_flux(prim.copy(), axis, lo, hi, None)
+            got = lcext._fused_face_flux(prim, axis, lo, hi, None)
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), (
+                f"{recon}/{riemann}: {layout} axis {axis} faces [{lo}, {hi}]"
+            )
+            for a, b in ((flat, cext), (lflat, lcext)):
+                for counter in self._COUNTERS:
+                    assert (
+                        a.metrics.counter(counter).value
+                        == b.metrics.counter(counter).value
+                    ), f"{recon}/{riemann}: {counter} totals diverge"
 
         check()
         assert "reconstruct" not in cext.timers and "riemann" not in cext.timers
@@ -993,6 +1081,260 @@ class TestFusedStencilParity:
                     assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), (
                         axis, n_faces, lo
                     )
+
+    @pytest.mark.parametrize(
+        "poison",
+        ["nan", "+inf", "-inf", "superluminal", "negative_rho", "all_superluminal"],
+    )
+    def test_lanes_are_independent(self, poison):
+        """One poisoned cell (astride a tile seam) changes only the faces
+        whose stencil reaches it — every other face keeps the clean sweep's
+        bytes — and those equal the interpreted faces, counters included: no
+        tile-level repair and no select leaks across lanes.  With every cell
+        superluminal the whole tile takes the rescale."""
+        from itertools import product
+
+        from repro.codegen import cext_available
+        from repro.codegen.generator import (
+            STENCIL_REACH,
+            STENCIL_RECON_IDS,
+            STENCIL_TILE,
+        )
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        for (recon, riemann), (axis, shape) in product(
+            product(("pc", "mc", "ppm", "wenoz"), ("llf", "hll", "hllc")),
+            ((1, (2, 2 * STENCIL_TILE)), (0, (2 * STENCIL_TILE, 2))),
+        ):
+            flat = self._pipeline("flat", recon, riemann, shape=shape, n_ghost=3)
+            cext = self._pipeline("cext", recon, riemann, shape=shape, n_ghost=3)
+            system, g, n = cext.system, cext.grid.n_ghost, shape[axis]
+            clean = self._ghosted_prim(cext, 23, False)
+            bad = clean.copy()
+            j = g - 1 + STENCIL_TILE  # left cell of the second tile's first face
+            cell = [g, g]
+            cell[axis] = j
+            var, value = {
+                "nan": (system.RHO, np.nan),
+                "+inf": (system.P, np.inf),
+                "-inf": (system.V(axis), -np.inf),
+                "superluminal": (system.V(axis), 1.5),
+                "negative_rho": (system.RHO, -1.0),
+                "all_superluminal": (system.V(axis), 0.9999999),
+            }[poison]
+            want = cext._fused_face_flux(clean, axis, 0, n, None).copy()
+            reached = np.zeros(want.shape, dtype=bool)  # (nvars, rows, faces)
+            if poison == "all_superluminal":
+                bad[var] = value
+                reached[:] = True
+            else:
+                bad[(var, *cell)] = value
+                left, right = STENCIL_REACH[
+                    STENCIL_RECON_IDS.get(recon, STENCIL_RECON_IDS["tvd"])
+                ]
+                k = np.arange(n + 1) + g - 1  # left cell of each face
+                reached[:, g, (k - left <= j) & (j <= k + right)] = True
+            for pipe in (flat, cext):
+                pipe.metrics.reset()
+            with np.errstate(all="ignore"):
+                ref = flat._interpreted_face_flux(bad.copy(), axis, 0, n, None)
+            got = cext._fused_face_flux(bad, axis, 0, n, None)
+            where = (poison, recon, riemann, axis)
+            assert got[~reached].tobytes() == want[~reached].tobytes(), where
+            assert (got[reached] != want[reached]).any(), where
+            counts = [
+                [p.metrics.counter(c).value for c in self._COUNTERS]
+                for p in (flat, cext)
+            ]
+            if poison not in ("nan", "+inf", "-inf"):
+                # rmin/rmax are np.minimum/np.maximum on non-NaN input only
+                # (the prologue's contract) and an infinity is a NaN one
+                # operation later, so those faces are not flat's; that the
+                # NaN stays in them is asserted above.
+                assert np.array_equal(got, ref, equal_nan=True), where
+                assert counts[0] == counts[1], where
+            if "superluminal" in poison:
+                assert counts[1][0] >= (2 if poison == "superluminal" else 2 * n), where
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_every_combine_arm_equals_the_interpreted_solver(self, ndim):
+        """The tile combines against ``RiemannSolver._combine`` on raw
+        (state, flux, speed) rows — unphysical ones included, which is the
+        only way into some arms: HLLC's ``|den| <= 1e-12``, ``lam_star``
+        clipped at either end, each supersonic sector and both at once,
+        HLL's collapsed fan."""
+        from repro.codegen import cext as cext_mod
+        from repro.codegen.generator import _PROLOGUE_C, STENCIL_TILE
+        from repro.riemann import make_riemann_solver
+        from repro.riemann.base import RiemannSolver
+
+        if not cext_mod.cext_available(ndim):
+            pytest.skip("no C toolchain")
+        gen = KernelGenerator(ndim)
+        nv, T = ndim + 2, STENCIL_TILE
+        proto = (
+            "void t_combine_ax%d(int riemann_id, const double* qin, "
+            "const double* sdin, long m, double* F)"
+        )
+        body = f"""
+{{
+    double q[2][{nv}][{T}];
+    double sd[2][{2 * nv + 2}][{T}];
+    for (int r = 0; r < {2 * nv}; ++r)
+        for (long i = 0; i < m; ++i) q[0][r][i] = qin[r * m + i];
+    for (int r = 0; r < {2 * (2 * nv + 2)}; ++r)
+        for (long i = 0; i < m; ++i) sd[0][r][i] = sdin[r * m + i];
+    combine_tile_ax%d_{ndim}d(riemann_id, q[0], q[1], sd[0], sd[1], m, F, m);
+}}
+"""
+        source = _PROLOGUE_C + "".join(
+            gen.generate_c_combine_tile(ax) + proto % ax + body % ax
+            for ax in range(ndim)
+        )
+        cdef = "".join(proto % ax + ";" for ax in range(ndim))
+        name = cext_mod._artifact_name(f"_repro_test_combine_{ndim}d", source, cdef)
+        ffi, lib = cext_mod._load_spec(name, source, cdef)
+
+        rng = np.random.default_rng(5)
+        m = T - 3
+        q = rng.normal(size=(2, nv, m))
+        sd = rng.normal(size=(2, 2 * nv + 2, m))
+        lam = np.sort(rng.uniform(-1.0, 1.0, (2, 2, m)), axis=1)
+        lam[:, :, 0:8] = np.abs(lam[:, :, 0:8]) + 0.01     # sL >= 0
+        lam[:, :, 8:16] = -np.abs(lam[:, :, 8:16]) - 0.01  # sR <= 0
+        lam[:, 0, 16:20], lam[:, 1, 16:20] = 0.1, -0.1     # both at once
+        lam[:, :, 20:24] = 0.0                             # collapsed fan
+        sd[:, 2 * nv :] = lam
+        sd[:, : 2 * nv, 24:28] = 0.0                       # den == 0
+        sd[:, : 2 * nv, 28:32] *= 1e-14                    # |den| <= 1e-12
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=ndim)
+        for axis in range(ndim):
+            fn = getattr(lib, f"t_combine_ax{axis}")
+            for rid, solver in enumerate(("llf", "hll", "hllc")):
+                got = np.empty((nv, m))
+                fn(rid, ffi.from_buffer("double*", q), ffi.from_buffer("double*", sd),
+                   m, ffi.from_buffer("double*", got))
+                sL, sR = RiemannSolver._davis(lam[0].copy(), lam[1].copy())
+                with np.errstate(all="ignore"):
+                    ref = make_riemann_solver(solver)._combine(
+                        system, q[0], q[1], sd[0, :nv].copy(), sd[1, :nv].copy(),
+                        sd[0, nv : 2 * nv].copy(), sd[1, nv : 2 * nv].copy(),
+                        sL, sR, axis, out=np.empty((nv, m)),
+                    )
+                assert got.tobytes() == ref.tobytes(), (ndim, axis, solver)
+            # The arms these rows are meant to reach, recomputed plainly.
+            (uL, FL), (uR, FR) = ((side[:nv], side[nv : 2 * nv]) for side in sd)
+            sL, sR = RiemannSolver._davis(lam[0].copy(), lam[1].copy())
+            assert (sL >= 0).any() and (sR <= 0).any() and ((sL >= 0) & (sR <= 0)).any()
+            assert (np.maximum(sR, 0.0) - np.minimum(sL, 0.0) <= 1e-300).any()
+            lo, hi, x = np.minimum(sL, -1e-12), np.maximum(sR, 1e-12), 1 + axis
+
+            def hll(a, b, Fa, Fb):  # (state, flux) HLL averages
+                return ((hi * b - lo * a + Fa - Fb) / (hi - lo),
+                        (hi * Fa - lo * Fb + lo * hi * (b - a)) / (hi - lo))
+
+            S, FS = hll(uL[x], uR[x], FL[x], FR[x])
+            E, FE = hll(uL[-1] + uL[0], uR[-1] + uR[0], FL[-1] + FL[0], FR[-1] + FR[0])
+            den = (E + FS) + np.sqrt(np.maximum((E + FS) ** 2 - 4.0 * FE * S, 0.0))
+            ok = np.abs(den) > 1e-12
+            lam_star = 2.0 * S[ok] / den[ok]
+            assert (~ok).sum() == 8
+            for arm in (lam_star < lo[ok], lam_star > hi[ok],
+                        (lam_star >= 0) & (lam_star < hi[ok]),
+                        (lam_star < 0) & (lam_star > lo[ok])):
+                assert arm.sum() >= 4
+
+    def test_clones_agree_bytewise(self):
+        """The sweep the loader picked (avx2 here) against the same source
+        built without ``REPRO_CLONES``: identical fluxes and counters on
+        the hostile state, every reconstruction x Riemann id."""
+        from repro.codegen import cext as cext_mod
+        from repro.codegen.generator import (
+            STENCIL_LIMITER_IDS,
+            STENCIL_RECON_IDS,
+            STENCIL_RIEMANN_IDS,
+        )
+
+        if not cext_mod.cext_available(2):
+            pytest.skip("no C toolchain")
+        if cext_mod.simd_level(2) == "baseline":
+            pytest.skip("this host runs the default clone: nothing to compare")
+        _, source, cdef = cext_mod.module_spec(2)
+        assert source.count("\nREPRO_CLONES\n") == 3  # the tile filler, two sweeps
+        plain = source.replace("\nREPRO_CLONES\n", "\n")
+        libs = [
+            cext_mod.load_cext_module(2),
+            cext_mod._load_spec(
+                cext_mod._artifact_name("_repro_test_noclone_2d", plain, cdef), plain, cdef
+            ),
+        ]
+        pipe = self._pipeline("cext", "mc", "hllc", shape=(40, 150), n_ghost=3)
+        prim = self._ghosted_prim(pipe, 11, True, extreme=True)
+        rng = np.random.default_rng(11)
+        prim[pipe.system.RHO][rng.random(prim.shape[1:]) < 0.01] *= -1.0
+        prim[1:-1] *= rng.uniform(0.0, 1.3, prim.shape[1:])
+        schemes = [(STENCIL_RECON_IDS["pc"], 0)] + [
+            (STENCIL_RECON_IDS["tvd"], lim) for lim in STENCIL_LIMITER_IDS.values()
+        ] + [(STENCIL_RECON_IDS[r], 0) for r in ("ppm", "weno5", "wenoz")]
+        for axis, (recon_id, limiter_id), riemann_id in (
+            (ax, sch, rid)
+            for ax in (0, 1) for sch in schemes for rid in STENCIL_RIEMANN_IDS.values()
+        ):
+            offs = pipe._face_row_offsets(prim, axis)
+            n_faces = pipe.grid.shape[axis] + 1
+            results = []
+            for ffi, lib in libs:
+                out = np.empty((4, offs.size, n_faces))
+                counts = cext_mod.run_face_flux(
+                    ffi, getattr(lib, f"face_flux_ax{axis}_2d_cext"), prim, axis,
+                    offs, 2, n_faces, out,
+                    axis_stride=prim.strides[axis + 1] // prim.itemsize,
+                    gamma=5.0 / 3.0, vmax2=1.0 - 1e-4, rho_atmo=1e-10, p_atmo=1e-12,
+                    recon_id=recon_id, limiter_id=limiter_id, riemann_id=riemann_id,
+                )
+                results.append((out.tobytes(), counts.tolist()))
+            assert results[0] == results[1], (axis, recon_id, limiter_id, riemann_id)
+            assert min(results[0][1]) > 0
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_every_lane_loop_is_vectorised(self, ndim):
+        """Tripwire: gcc reports "loop vectorized" for every loop the
+        generator marks ``/* lanes */`` — the three tail stages and the row
+        fillers.  A branch, a conditional load or a call added to one of
+        them fails here, not in a benchmark three PRs later."""
+        import re
+        import subprocess
+        import sysconfig
+
+        from repro.codegen import cext as cext_mod
+
+        cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+        if not cext_mod.cext_available(ndim):
+            pytest.skip("no C toolchain")
+        if "gcc" not in cext_mod._compiler_version(cc).lower():
+            pytest.skip("the vectorisation report read here is gcc's")
+        source = KernelGenerator(ndim).generate_c_module()
+        marked = [
+            i for i, line in enumerate(source.splitlines(), 1) if "/* lanes */" in line
+        ]
+        # sanitize + face_side and three combines per axis; 4 limiters and
+        # the tvd edges, 3 ppm loops, weno5, wenoz
+        assert len(marked) == 1 + 4 * ndim + 10
+        proc = subprocess.run(
+            [*cc.split(), *cext_mod.CFLAGS, "-fopt-info-vec-optimized", "-x", "c",
+             "-c", "-", "-o", os.devnull],
+            input=source, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        vectorised = {
+            int(line) for line in
+            re.findall(r"^<stdin>:(\d+):\d+: optimized: loop vectorized", proc.stderr, re.M)
+        }
+        missing = [
+            (i, source.splitlines()[i - 1].strip()) for i in marked if i not in vectorised
+        ]
+        assert not missing, missing
 
     def test_unsupported_scheme_keeps_interpreted_path(self):
         """A scheme the emitter has never seen — here subclasses the

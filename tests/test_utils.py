@@ -211,12 +211,13 @@ class TestOptionSurface:
             "heartbeat_interval_s", "hang_timeout_s", "quiesce_timeout_s",
             "snapshot_every", "degrade",
         }  # 8
-        # REPRO_INLINE is a C macro in the generated source, not a variable.
+        # REPRO_INLINE and REPRO_CLONES are C macros in the generated source
+        # (the second a compile-time capability guard), not variables.
         env = {
             name
             for text in self._sources().values()
             for name in re.findall(r"REPRO_[A-Z_]+", text)
-        } - {"REPRO_INLINE"}
+        } - {"REPRO_INLINE", "REPRO_CLONES"}
         assert env == {"REPRO_CEXT_DISABLE", "REPRO_CEXT_CACHE", "REPRO_LOG"}
         (subparsers,) = (
             a for a in _build_parser()._actions
