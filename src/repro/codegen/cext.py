@@ -2,8 +2,8 @@
 
 The ``cext`` target turns the generated C module of
 :meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` —
-pointwise kernels, con2prim Newton loop, one-pass recovery sweep, CFL scan
-and fused face-flux sweep, one artifact per ndim — into a real shared
+pointwise kernels, con2prim Newton loop, one-pass recovery sweep, CFL scan,
+fused face-flux sweep, update stage: one artifact per ndim — into a real shared
 library via cffi.  Three layers of caching keep rebuilds rare and *correct*:
 
 1. an in-process handle map, keyed by the artifact name;
@@ -398,10 +398,10 @@ def run_face_flux(
     fn,
     prim: np.ndarray,
     axis: int,
-    row_offsets: np.ndarray,
+    row_offsets: np.ndarray | None,
     j0: int,
     n_faces: int,
-    out: np.ndarray,
+    out: np.ndarray | None,
     *,
     axis_stride: int,
     gamma: float,
@@ -411,17 +411,25 @@ def run_face_flux(
     recon_id: int,
     limiter_id: int,
     riemann_id: int,
+    n_ghost: int | None = None,
+    div: np.ndarray | None = None,
+    dx: float = 1.0,
 ) -> np.ndarray:
     """Run one fused face-flux sweep; returns the sanitize counters.
 
     *prim* is the full ghosted primitive array (``(nvars, ...)``,
-    C-contiguous); *out* receives the fluxes as ``(nvars, n_rows,
-    n_faces)``.  The returned int64 pair is ``[velocity_rescaled,
-    floored]`` — the exact totals the interpreted sanitize stage counts.
+    C-contiguous).  *out* (or None) receives the fluxes as ``(nvars, n_out,
+    n_faces)`` and *div* (or None) their difference over *dx* as ``(nvars,
+    n_out, n_faces - 1)``.  Given *row_offsets*, those rows are swept and
+    each written in place; given None and *n_ghost*, every ghosted row is
+    swept (:func:`sweep_rows`) and the interior ones written, in C order.
+    The returned int64 pair is ``[velocity_rescaled, floored]`` — the exact
+    totals the interpreted sanitize stage counts, over every swept row.
 
     The sweep covers faces ``j0 .. j0 + n_faces - 1`` (by left cell) along
-    *axis*; C reads ``STENCIL_REACH[recon_id]`` cells beyond them unchecked,
-    so a region whose stencil leaves the array is refused here.
+    *axis*; C reads ``STENCIL_REACH[recon_id]`` cells beyond them and
+    writes its outputs unchecked, so a region whose stencil leaves the
+    array, or an output of another size, is refused here.
     """
     if not prim.flags.c_contiguous:
         raise CodegenError("fused face_flux needs a C-contiguous prim array")
@@ -433,6 +441,16 @@ def run_face_flux(
             f"[{j0}, {j0 + n_faces}) with stencil reach (-{left}, +{right}) "
             f"need cells [{j0 - left}, {j0 + n_faces + right}) of {extent}"
         )
+    out_row = None
+    if row_offsets is None:
+        row_offsets, out_row, interior = sweep_rows(prim.shape[1:], n_ghost, axis)
+    n_out = row_offsets.size if out_row is None else interior.size
+    for arr, width in ((out, n_faces), (div, n_faces - 1)):
+        if arr is not None and arr.size != prim.shape[0] * n_out * width:
+            raise CodegenError(
+                f"fused face_flux output holds {arr.size} values, the sweep "
+                f"writes {prim.shape[0]} x {n_out} x {width}"
+            )
     counts = np.zeros(2, dtype=np.int64)
     keep: list = []
     fn(
@@ -443,7 +461,11 @@ def run_face_flux(
         int(row_offsets.size),
         int(j0),
         int(n_faces),
-        _out_buf(ffi, out),
+        ffi.NULL if out_row is None else ffi.from_buffer("long*", out_row),
+        int(n_out),
+        ffi.NULL if out is None else _out_buf(ffi, out),
+        ffi.NULL if div is None else _out_buf(ffi, div),
+        float(dx),
         float(gamma),
         float(vmax2),
         float(rho_atmo),
@@ -457,23 +479,38 @@ def run_face_flux(
 
 
 @functools.lru_cache(maxsize=64)
-def interior_rows(cell_shape: tuple, n_ghost: int) -> tuple[np.ndarray, tuple]:
-    """``(row offsets, interior shape)`` of a C-contiguous ghosted cell
-    block: the flat offset of each row's first interior cell (rows run
-    along the last axis, in C order; their length is the interior extent of
-    that axis).  C walks the rows unchecked, so a table that would leave
-    the block is refused here; the cached table is read-only."""
+def sweep_rows(cell_shape: tuple, n_ghost: int, axis: int):
+    """Row tables of a sweep along *axis* of a C-contiguous ghosted cell
+    block, built once per layout and read-only: ``(row_offsets, out_row,
+    interior_offsets)``.  ``row_offsets``: flat offset of every ghosted
+    transverse row's first cell, in C order — the rows the interpreted slab
+    sweep covers; ``out_row[r]``: the interior rows among them numbered in C
+    order, -1 on a ghost row; ``interior_offsets``: each interior row's
+    first *interior* cell, what ``accumulate`` walks.  C walks the tables
+    unchecked, so a block with no interior is refused here."""
     g = int(n_ghost)
-    interior = tuple(n - 2 * g for n in cell_shape)
-    if g < 0 or min(interior) < 1:
+    if g < 0 or min(cell_shape) - 2 * g < 1:
         raise CodegenError(
             f"no interior in a block of shape {cell_shape} with {g} ghost layers"
         )
     cells = np.arange(int(np.prod(cell_shape)), dtype=np.int64).reshape(cell_shape)
-    first = cells[tuple(slice(g, n - g) for n in cell_shape[:-1]) + (g,)]
-    offsets = np.ascontiguousarray(first).reshape(-1)
-    offsets.setflags(write=False)
-    return offsets, interior
+    first = cells.take(0, axis=axis)
+    inner = np.zeros(first.shape, dtype=bool)
+    inner[tuple(slice(g, n - g) for n in first.shape)] = True
+    offsets, inner = np.ascontiguousarray(first).reshape(-1), inner.reshape(-1)
+    out_row = np.where(inner, np.cumsum(inner) - 1, -1)
+    interior = offsets[inner] + g * (cells.strides[axis] // cells.itemsize)
+    for table in (offsets, out_row, interior):
+        table.setflags(write=False)
+    return offsets, out_row, interior
+
+
+def interior_rows(cell_shape: tuple, n_ghost: int) -> tuple[np.ndarray, tuple]:
+    """``(row offsets, interior shape)`` of a C-contiguous ghosted cell
+    block — the interior rows of a sweep along the last axis, whose length
+    is that axis's interior extent: what ``recover``/``max_signal`` walk."""
+    rows = sweep_rows(cell_shape, n_ghost, len(cell_shape) - 1)[2]
+    return rows, tuple(n - 2 * int(n_ghost) for n in cell_shape)
 
 
 def _state_buf(ffi, arr, like=None, writable=False):
@@ -534,3 +571,37 @@ def run_max_signal(ffi, fn, prim, n_ghost, ndim: int, gamma: float) -> list[floa
         ffi.from_buffer("double*", vmax),
     )
     return vmax.tolist()
+
+
+def run_accumulate(ffi, fn, dU, axis: int, n_ghost: int, lo: int, hi: int, div) -> None:
+    """``dU -= div`` over interior cells ``[lo, hi)`` of *axis*, every
+    interior row (:meth:`KernelGenerator.generate_c_accumulate`); *div* is
+    ``(nvars, *transverse_interior, hi - lo)``.  C walks both unchecked: a
+    region leaving the interior or a *div* of another size is refused here."""
+    rows = sweep_rows(dU.shape[1:], n_ghost, axis)[2]
+    n_axis = dU.shape[axis + 1] - 2 * n_ghost
+    if not 0 <= lo < hi <= n_axis or div.size != dU.shape[0] * rows.size * (hi - lo):
+        raise CodegenError(
+            f"accumulate region [{lo}, {hi}) of axis {axis} with a divergence "
+            f"of shape {div.shape} does not fit the interior of {dU.shape}"
+        )
+    fn(
+        _state_buf(ffi, dU, writable=True), dU[0].size,
+        dU.strides[axis + 1] // dU.itemsize, ffi.from_buffer("long*", rows),
+        rows.size, lo, hi - lo, _state_buf(ffi, div),
+    )
+
+
+def run_rk_stage(ffi, fn, stage, U, V, dt: float, k, out) -> None:
+    """``out = combine_stage(stage, U, V, dt, k)`` in one compiled pass over
+    same-shaped C-contiguous float64 arrays
+    (:meth:`KernelGenerator.generate_c_rk_stage`).  The loop is compiled
+    under ``restrict``: *out* aliasing an input is refused."""
+    form, a, b = stage
+    if any(np.may_share_memory(out, x) for x in (U, V, k)):
+        raise CodegenError("rk_stage: out aliases an input")
+    fn(
+        U.size, form, a, b, dt,
+        _state_buf(ffi, U), _state_buf(ffi, V, U.shape), _state_buf(ffi, k, U.shape),
+        _state_buf(ffi, out, U.shape, writable=True),
+    )

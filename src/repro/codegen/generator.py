@@ -57,6 +57,11 @@ CON2PRIM_KERNEL = "con2prim_newton_cext"
 RECOVER_KERNEL = "recover_%dd_cext"
 MAX_SIGNAL_KERNEL = "max_signal_%dd_cext"
 
+#: The update stage: a region's divergence subtracted into ``dU``, and one
+#: SSP-RK stage combination (ndim-independent: a flat loop over the state).
+ACCUMULATE_KERNEL = "accumulate_%dd_cext"
+RK_STAGE_KERNEL = "rk_stage_cext"
+
 #: Which sweep clone the loader picked on this host: 1 = avx2, 0 = baseline.
 SIMD_LEVEL_DECL = "int repro_simd_level(void)"
 
@@ -555,6 +560,8 @@ class KernelGenerator:
             *(self.generate_c_combine_tile(ax) for ax in axes),
             self.generate_c_fill_tile(),
             *(self.generate_c_face_flux(ax) for ax in axes),
+            self.generate_c_accumulate(),
+            self.generate_c_rk_stage(),
             f"{SIMD_LEVEL_DECL} {{ return simd_level(); }}\n",
         ]
         return "\n".join(parts)
@@ -566,12 +573,17 @@ class KernelGenerator:
             kinds_axes = self.default_kinds_axes("cext")
         decls = [self.c_signature(kind, axis) + ";" for kind, axis in kinds_axes]
         decls.append(self.con2prim_c_signature() + ";")
-        # The row kernels' declarations are the heads of their definitions.
+        # The template kernels' declarations are the heads of their definitions.
         decls += [
-            src[: src.index("\n{")] + ";"
-            for src in (self.generate_c_recover(), self.generate_c_max_signal())
+            src[: src.index("\n{")].removeprefix("REPRO_CLONES\n") + ";"
+            for src in (
+                self.generate_c_recover(),
+                self.generate_c_max_signal(),
+                *(self.generate_c_face_flux(ax) for ax in range(self.ndim)),
+                self.generate_c_accumulate(),
+                self.generate_c_rk_stage(),
+            )
         ]
-        decls += [self.stencil_c_signature(ax) + ";" for ax in range(self.ndim)]
         decls.append(SIMD_LEVEL_DECL + ";")
         return "\n".join(decls) + "\n"
 
@@ -942,16 +954,6 @@ REPRO_INLINE void combine_tile_ax{axis}_{nd}d(int riemann_id,
 }}
 """
 
-    def stencil_c_signature(self, axis: int) -> str:
-        """cffi ``cdef`` declaration of one fused face-flux sweep."""
-        return (
-            f"void {self.stencil_kernel_name(axis)}(const double* prim, "
-            "long var_stride, long axis_stride, const long* row_offsets, "
-            "long n_rows, long j0, long n_faces, double* F, double gamma, "
-            "double vmax2, double rho_atmo, double p_atmo, int recon_id, "
-            "int limiter_id, int riemann_id, long* counts)"
-        )
-
     def generate_c_fill_tile(self) -> str:
         """Reconstruction of one tile, every variable: gather the cells the
         stencil reaches (:data:`STENCIL_REACH`) and let the selected row
@@ -990,28 +992,39 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
 """
 
     def generate_c_face_flux(self, axis: int) -> str:
-        """The fused per-axis sweep: reconstruct -> sanitize -> Riemann.
+        """The fused per-axis sweep: reconstruct -> sanitize -> Riemann ->
+        difference.
 
         Walks cache-resident rows (``row_offsets`` enumerates the ghosted
         transverse extent in C order, ``axis_stride`` steps along the
         working axis) in tiles of :data:`STENCIL_TILE` faces: fill the
-        tile's left/right states, then run the three tile stages over its
-        lanes — sanitize and ``face_side`` once per side, combine — with no
-        interface-sized temporaries anywhere (the tile scratch is stack).
-        ``F`` is (nvars, n_rows, n_faces) C-contiguous.  One schedule
-        serves all five reconstruction ids.
+        tile's left/right states, then run the tile stages over its lanes —
+        sanitize and ``face_side`` once per side, combine into the stack
+        block ``Ft`` (slot 0 carries the previous tile's last face: a seam
+        costs ``nvars`` doubles), then ``div = (Ft[i + 1] - Ft[i]) / dx`` —
+        NumPy's subtract, then its divide — before the fluxes leave the
+        cache; no interface-sized temporary anywhere.  ``out_row[r]`` is
+        the row of ``F`` (nvars, n_out, n_faces) and ``div`` (nvars, n_out,
+        n_faces - 1) ghosted row *r* lands in (NULL: row *r*), -1 for a row
+        nobody reads — still *evaluated*: the interpreted stages count its
+        sanitize repairs.  Either output may be NULL.  One schedule serves
+        all five reconstruction ids.
         """
         nd, nv, T = self.ndim, self.nvars, STENCIL_TILE
         return f"""\
 REPRO_CLONES
-{self.stencil_c_signature(axis)}
+void {self.stencil_kernel_name(axis)}(const double* prim, long var_stride,
+    long axis_stride, const long* row_offsets, long n_rows, long j0,
+    long n_faces, const long* out_row, long n_out, double* F, double* div,
+    double dx, double gamma, double vmax2, double rho_atmo, double p_atmo,
+    int recon_id, int limiter_id, int riemann_id, long* counts)
 {{
-    const long fstride = n_rows * n_faces;
     double q[2][{nv}][{T}];
     double sd[2][{2 * nv + 2}][{T}];
+    double Ft[{nv}][{T} + 1];
     for (long r = 0; r < n_rows; ++r) {{
         const double* row = prim + row_offsets[r] + j0 * axis_stride;
-        double* Frow = F + r * n_faces;
+        const long o = out_row ? out_row[r] : r;
         for (long k0 = 0; k0 < n_faces; k0 += {T}) {{
             const long m = (n_faces - k0 < {T}) ? n_faces - k0 : {T};
             fill_tile_{nd}d(row + k0 * axis_stride, var_stride, axis_stride, m,
@@ -1021,8 +1034,88 @@ REPRO_CLONES
                 face_side_tile_ax{axis}_{nd}d(q[side], sd[side], m, gamma);
             }}
             combine_tile_ax{axis}_{nd}d(riemann_id, q[0], q[1], sd[0], sd[1], m,
-                                      Frow + k0, fstride);
+                                      &Ft[0][1], {T} + 1);
+            if (o < 0) continue;
+            for (int v = 0; v < {nv}; ++v) {{
+                const double* f = Ft[v];
+                if (F) {{
+                    double* restrict Fr = F + (v * n_out + o) * n_faces + k0;
+                    for (long i = 0; i < m; ++i) Fr[i] = f[i + 1];
+                }}
+                if (div) {{
+                    double* restrict d = div + (v * n_out + o) * (n_faces - 1) + k0;
+                    for (long i = (k0 == 0); i < m; ++i) /* lanes */
+                        d[i - 1] = (f[i + 1] - f[i]) / dx;
+                }}
+                Ft[v][0] = Ft[v][m];
+            }}
         }}
+    }}
+}}
+"""
+
+    # -- the update stage (C target only) ------------------------------------
+
+    def generate_c_accumulate(self) -> str:
+        """``dU[cell] = dU[cell] - div`` over interior cells ``[k0, k0 +
+        width)`` of one axis — ``HydroPipeline.accumulate_divergence``'s
+        ``target -= div``.  ``rows[r]`` is the offset of interior row *r*'s
+        first interior cell (``cext.sweep_rows``); ``div`` is (nvars, n_rows,
+        width).  A row is one lane loop on the contiguous axis; across a
+        strided one 16 rows advance together, so each line of ``dU`` and of
+        ``div`` is touched once while resident."""
+        return f"""\
+REPRO_CLONES
+void {ACCUMULATE_KERNEL % self.ndim}(double* dU, long var_stride,
+    long axis_stride, const long* rows, long n_rows, long k0, long width,
+    const double* div)
+{{
+    for (int v = 0; v < {self.nvars}; ++v) {{
+        double* const u = dU + v * var_stride + k0 * axis_stride;
+        const double* const d = div + v * n_rows * width;
+        if (axis_stride == 1) {{
+            for (long r = 0; r < n_rows; ++r) {{
+                double* restrict t = u + rows[r];
+                const double* restrict s = d + r * width;
+                for (long k = 0; k < width; ++k) /* lanes */
+                    t[k] = t[k] - s[k];
+            }}
+            continue;
+        }}
+        for (long r0 = 0; r0 < n_rows; r0 += 16) {{
+            const long r1 = (n_rows - r0 < 16) ? n_rows : r0 + 16;
+            for (long k = 0; k < width; ++k)
+                for (long r = r0; r < r1; ++r)
+                    u[rows[r] + k * axis_stride] -= d[r * width + k];
+        }}
+    }}
+}}
+"""
+
+    def generate_c_rk_stage(self) -> str:
+        """One SSP-RK stage combination over the flat ghosted state: the
+        three forms of ``time_integration.ssprk.combine_stage``, operand for
+        operand (``U / a`` stays a division; ``a``/``b`` arrive as the
+        doubles Python folded).  *out* aliases no input."""
+        tail = "b * (V[i] + dt * k[i])"
+        return f"""\
+REPRO_CLONES
+void {RK_STAGE_KERNEL}(long n, int form, double a, double b, double dt,
+    const double* restrict U, const double* restrict V,
+    const double* restrict k, double* restrict out)
+{{
+    switch (form) {{
+    case 0:
+        for (long i = 0; i < n; ++i) /* lanes */
+            out[i] = V[i] + dt * k[i];
+        break;
+    case 1:
+        for (long i = 0; i < n; ++i) /* lanes */
+            out[i] = a * U[i] + {tail};
+        break;
+    default:
+        for (long i = 0; i < n; ++i) /* lanes */
+            out[i] = U[i] / a + {tail};
     }}
 }}
 """

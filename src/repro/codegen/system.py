@@ -14,9 +14,9 @@ it).
 kernels are the cffi-compiled C module of :mod:`repro.codegen.cext` —
 the pointwise algebra, the fused conservative-to-primitive Newton loop
 (which :func:`~repro.physics.con2prim.con_to_prim` picks up through the
-``c2p_newton`` hook) and the fused ``face_flux`` sweep.  Holding one is
-what puts a :class:`~repro.core.pipeline.HydroPipeline` on the compiled
-face-flux path.
+``c2p_newton`` hook), the fused ``face_flux`` sweep and the update stage
+(``accumulate``, ``rk_stage``).  Holding one is what puts a
+:class:`~repro.core.pipeline.HydroPipeline` on the compiled paths.
 
 :func:`make_kernel_system` is the one place a target name
 (``SolverConfig.kernel_target``) is turned into a system, falling back
@@ -36,8 +36,10 @@ from ..utils.errors import CodegenError, ConfigurationError
 from ..utils.logging import get_logger
 from .cache import load_kernel, run_flat_kernel
 from .generator import (
+    ACCUMULATE_KERNEL,
     MAX_SIGNAL_KERNEL,
     RECOVER_KERNEL,
+    RK_STAGE_KERNEL,
     STENCIL_LIMITER_IDS,
     STENCIL_RECON_IDS,
     STENCIL_RIEMANN_IDS,
@@ -171,6 +173,8 @@ class CompiledSRHDSystem(SRHDSystem):
         ]
         self._c_recover = getattr(self._lib, RECOVER_KERNEL % ndim)
         self._c_max_signal = getattr(self._lib, MAX_SIGNAL_KERNEL % ndim)
+        self._c_accumulate = getattr(self._lib, ACCUMULATE_KERNEL % ndim)
+        self._c_rk_stage = getattr(self._lib, RK_STAGE_KERNEL)
 
     # -- marshalling ---------------------------------------------------------
 
@@ -266,48 +270,37 @@ class CompiledSRHDSystem(SRHDSystem):
         )
 
     def face_flux(
-        self,
-        prim: np.ndarray,
-        axis: int,
-        row_offsets: np.ndarray,
-        j0: int,
-        n_faces: int,
-        out: np.ndarray,
-        *,
-        ids: tuple[int, int, int],
-        vmax2: float,
-        rho_atmo: float,
-        p_atmo: float,
-        axis_stride: int,
+        self, prim, axis, row_offsets, j0, n_faces, out, *, ids, **params
     ) -> np.ndarray:
-        """One fused reconstruction+Riemann sweep along *axis*.
-
-        Writes the face fluxes into *out* (``(nvars, n_rows, n_faces)``,
-        C-contiguous) and returns the int64 sanitize counters
-        ``[velocity_rescaled, floored]``. *ids* comes from
-        :func:`stencil_scheme_ids`.
+        """One fused reconstruction+Riemann(+difference) sweep along *axis*
+        (:func:`~repro.codegen.cext.run_face_flux`): fluxes into *out*,
+        their difference over ``dx`` into ``div``, either may be None.
+        Returns the int64 sanitize counters ``[velocity_rescaled,
+        floored]``.  *ids* comes from :func:`stencil_scheme_ids`.
         """
         from .cext import run_face_flux
 
         recon_id, limiter_id, riemann_id = ids
         return run_face_flux(
-            self._ffi,
-            self._c_face_flux[axis],
-            prim,
-            axis,
-            row_offsets,
-            j0,
-            n_faces,
-            out,
-            axis_stride=axis_stride,
-            gamma=self.gamma,
-            vmax2=vmax2,
-            rho_atmo=rho_atmo,
-            p_atmo=p_atmo,
-            recon_id=recon_id,
-            limiter_id=limiter_id,
-            riemann_id=riemann_id,
+            self._ffi, self._c_face_flux[axis], prim, axis, row_offsets, j0,
+            n_faces, out, gamma=self.gamma, recon_id=recon_id,
+            limiter_id=limiter_id, riemann_id=riemann_id, **params,
         )
+
+    def accumulate(self, dU, axis, n_ghost, lo, hi, div) -> None:
+        """``dU -= div`` over interior cells ``[lo, hi)`` of *axis* in one
+        compiled pass (:func:`~repro.codegen.cext.run_accumulate`)."""
+        from .cext import run_accumulate
+
+        run_accumulate(self._ffi, self._c_accumulate, dU, axis, n_ghost, lo, hi, div)
+
+    def rk_stage(self, stage, U, V, dt, k, out) -> None:
+        """One SSP-RK stage combination into *out*, bit for bit
+        :func:`~repro.time_integration.ssprk.combine_stage`
+        (:func:`~repro.codegen.cext.run_rk_stage`)."""
+        from .cext import run_rk_stage
+
+        run_rk_stage(self._ffi, self._c_rk_stage, stage, U, V, dt, k, out)
 
     def __repr__(self):
         return f"CompiledSRHDSystem(gamma={self.gamma}, ndim={self.ndim})"

@@ -472,7 +472,8 @@ class AMRSolver(Driver):
 
     def _rhs(self, cons_parts: dict[BlockKey, np.ndarray]) -> dict[BlockKey, np.ndarray]:
         # Per-block pipelines own their workspaces, so hot-path reuse is
-        # safe; refluxing is too, since last_face_fluxes stores copies.
+        # safe; refluxing is too, since last_face_fluxes holds arrays of
+        # its own.
         prims = {
             key: self._pipeline(key).recover_primitives(cons_parts[key], reuse=True)
             for key in cons_parts
@@ -520,7 +521,7 @@ class AMRSolver(Driver):
     def _integrate(self, dt: float) -> None:
         advanced = self._integrate_parts(
             {k: self.forest.leaves[k].cons for k in self._step_keys()},
-            dt, self._rhs,
+            dt, self._rhs, self._pipeline,
         )
         for key, cons in advanced.items():
             self.forest.leaves[key].cons = cons

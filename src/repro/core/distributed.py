@@ -390,7 +390,9 @@ class DistributedSolver(Driver):
         return clip_dt_to_final(dt, self.t, t_final)
 
     def _integrate(self, dt: float) -> None:
-        self.cons = self._integrate_parts(self.cons, dt, self._rhs)
+        self.cons = self._integrate_parts(
+            self.cons, dt, self._rhs, self.pipelines.__getitem__
+        )
         self._prims_cache = None  # state advanced: next dt recovers afresh
 
     def _patches(self):

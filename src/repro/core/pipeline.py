@@ -19,6 +19,7 @@ from ..physics.srhd import SRHDSystem
 from ..reconstruct import make_reconstruction
 from ..riemann import make_riemann_solver
 from ..time_integration.cfl import max_signal_per_axis
+from ..time_integration.ssprk import combine_stage as _reference_stage
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
 from .workspace import ScratchWorkspace, scratch_buf
@@ -41,6 +42,11 @@ def resolve_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
     from ..codegen.system import make_kernel_system
 
     return make_kernel_system(system, target)
+
+
+def _c_f64(*arrays) -> bool:
+    """Whether the compiled kernels may walk *arrays* as they are."""
+    return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
 
 
 class HydroPipeline:
@@ -106,8 +112,6 @@ class HydroPipeline:
         #: CompiledSRHDSystem does); None runs the interpreted
         #: reconstruct/sanitize/riemann stages.
         self._fused_ids = None
-        #: row-offset tables for the fused sweep, keyed by (axis, layout)
-        self._row_offset_cache: dict = {}
         if hasattr(system, "face_flux"):
             from ..codegen.system import stencil_scheme_ids
 
@@ -115,10 +119,12 @@ class HydroPipeline:
         elif config.kernel_target == "cext":
             # The target's one fallback (logged by make_kernel_system).
             self.metrics.counter("codegen.target_fallbacks").inc()
-        #: the compiled recovery sweep and CFL scan, fixed here like the
-        #: face-flux sweep: None (no such hook) runs the interpreted passes.
+        #: the compiled recovery sweep, CFL scan and update stage, fixed here
+        #: like the sweep: None (no such hook) runs the interpreted passes.
         self._recover_kernel = getattr(system, "recover", None)
         self._max_signal_kernel = getattr(system, "max_signal", None)
+        self._accumulate_kernel = getattr(system, "accumulate", None)
+        self._rk_stage_kernel = getattr(system, "rk_stage", None)
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
@@ -238,7 +244,7 @@ class HydroPipeline:
         - 3: everything, the next seed included.
         """
         kernel = self._recover_kernel
-        if kernel is None or cons.dtype != np.float64 or not cons.flags.c_contiguous:
+        if kernel is None or not _c_f64(cons):
             return 0
         shape, atmo = self.grid.shape, self.atmosphere
         seed, spare = self._p_cache, self._seed_spare
@@ -417,14 +423,22 @@ class HydroPipeline:
         grid = self.grid
         ws = self.workspace if reuse else None
         g = grid.n_ghost
-        full_axis = (lo, hi) == (0, grid.shape[axis])
+        store = self.store_fluxes and (lo, hi) == (0, grid.shape[axis])
+        shape = (self.system.nvars,) + tuple(
+            n for ax, n in enumerate(grid.shape) if ax != axis
+        )
+        div = scratch_buf(ws, ("div", axis, lo, hi), shape + (hi - lo,))
         if self._fused_ids is not None:
             # Compiled path: one C sweep replaces reconstruct + sanitize +
-            # riemann, bit-identical to the interpreted stages below.
+            # riemann + difference, bit-identical to the interpreted stages
+            # below; stored fluxes are a fresh array, never workspace memory.
+            flux = np.empty(shape + (hi - lo + 1,)) if store else None
             with self.timers("face_flux"):
-                Fm = self._fused_face_flux(prim, axis, lo, hi, ws)
-        else:
-            Fm = self._interpreted_face_flux(prim, axis, lo, hi, ws)
+                self._fused_sweep(prim, axis, lo, hi, None, flux, div)
+            if store:
+                self.last_face_fluxes[axis] = flux
+            return div
+        Fm = self._interpreted_face_flux(prim, axis, lo, hi, ws)
         with self.timers("update"):
             # Slice transverse axes to the interior, difference along axis.
             sel = [slice(None)]
@@ -432,9 +446,8 @@ class HydroPipeline:
                 if ax != axis:
                     sel.append(slice(g, g + grid.shape[ax]))
             Fm = Fm[tuple(sel)]
-            if self.store_fluxes and full_axis:
+            if store:
                 self.last_face_fluxes[axis] = Fm.copy()
-            div = scratch_buf(ws, ("div", axis, lo, hi), Fm[..., 1:].shape)
             np.subtract(Fm[..., 1:], Fm[..., :-1], out=div)
             np.divide(div, grid.dx[axis], out=div)
         return div
@@ -483,54 +496,44 @@ class HydroPipeline:
     def _fused_face_flux(
         self, prim: np.ndarray, axis: int, lo: int, hi: int, ws
     ) -> np.ndarray:
-        """Face fluxes via the compiled fused sweep, same layout as
-        :meth:`_interpreted_face_flux` (faces last, ghosted transverse)."""
-        grid, system = self.grid, self.system
-        g = grid.n_ghost
-        n_faces = hi - lo + 1
+        """Face fluxes of the compiled sweep in the layout of
+        :meth:`_interpreted_face_flux` (faces last, ghosted transverse):
+        what the parity suite compares.  The hot path never materialises
+        them — :meth:`flux_divergence_region` differences in-tile."""
+        offs = self._face_row_offsets(prim, axis)
+        out = np.empty((self.system.nvars, offs.size, hi - lo + 1))
+        self._fused_sweep(prim, axis, lo, hi, offs, out, None)
+        transverse = tuple(n for ax, n in enumerate(prim.shape[1:]) if ax != axis)
+        return out.reshape((self.system.nvars,) + transverse + (hi - lo + 1,))
+
+    def _fused_sweep(self, prim, axis, lo, hi, rows, flux, div) -> None:
+        """One compiled sweep of faces ``lo .. hi`` along *axis*: *rows*
+        (ghosted-row offsets) written in place, or with None every ghosted
+        row swept — so the sanitize counter totals match the interpreted
+        path exactly — and the interior ones written."""
+        g = self.grid.n_ghost
         # C walks raw offsets: a strided prim is copied (same bytes).
         prim = np.ascontiguousarray(prim)
-        offs = self._face_row_offsets(prim, axis)
-        out3 = scratch_buf(
-            ws, ("fused_flux", axis, lo, hi), (system.nvars, offs.size, n_faces)
-        )
-        counts = system.face_flux(
-            prim,
-            axis,
-            offs,
-            lo + g - 1,
-            n_faces,
-            out3,
+        counts = self.system.face_flux(
+            prim, axis, rows, lo + g - 1, hi - lo + 1, flux,
             ids=self._fused_ids,
             vmax2=1.0 - 1.0 / self.config.w_max**2,
             rho_atmo=self.atmosphere.rho_atmo,
             p_atmo=self.atmosphere.p_atmo,
             axis_stride=prim.strides[axis + 1] // prim.itemsize,
+            n_ghost=g, div=div, dx=self.grid.dx[axis],
         )
         if counts[0]:
             self.metrics.counter("sanitize.velocity_rescaled").inc(int(counts[0]))
         if counts[1]:
             self.metrics.counter("sanitize.floored").inc(int(counts[1]))
-        transverse = tuple(
-            prim.shape[1 + d] for d in range(grid.ndim) if d != axis
-        )
-        return out3.reshape((system.nvars,) + transverse + (n_faces,))
 
     def _face_row_offsets(self, prim: np.ndarray, axis: int) -> np.ndarray:
-        """Flattened element offsets of every ghosted transverse row.
+        """Flattened element offsets of every ghosted transverse row, in C
+        order — the rows the interpreted slab sweep covers."""
+        from ..codegen.cext import sweep_rows
 
-        Rows enumerate the full ghosted transverse extent in C order —
-        the same rows the interpreted slab sweep covers — so flux values
-        *and* sanitize counter totals match the interpreted path exactly.
-        """
-        key = (axis, prim.shape)
-        offs = self._row_offset_cache.get(key)
-        if offs is None:
-            # prim is C-contiguous here: a cell's offset is its flat index.
-            cells = np.arange(prim[0].size, dtype=np.int64).reshape(prim.shape[1:])
-            offs = np.ascontiguousarray(cells.take(0, axis=axis)).reshape(-1)
-            self._row_offset_cache[key] = offs
-        return offs
+        return sweep_rows(prim.shape[1:], self.grid.n_ghost, axis)[0]
 
     def accumulate_divergence(
         self, dU: np.ndarray, axis: int, lo: int, hi: int, div: np.ndarray
@@ -544,10 +547,36 @@ class HydroPipeline:
         more terms (3-D) floating-point accumulation order changes the
         result bitwise.
         """
-        idx = [slice(None)] * (self.grid.ndim + 1)
-        idx[axis + 1] = slice(lo, hi)
-        target = np.moveaxis(self.grid.interior_of(dU)[tuple(idx)], axis + 1, -1)
-        target -= div
+        with self.timers("update"):
+            if self._accumulate_kernel is not None and _c_f64(dU, div):
+                self._accumulate_kernel(dU, axis, self.grid.n_ghost, lo, hi, div)
+                return
+            idx = [slice(None)] * (self.grid.ndim + 1)
+            idx[axis + 1] = slice(lo, hi)
+            target = np.moveaxis(self.grid.interior_of(dU)[tuple(idx)], axis + 1, -1)
+            target -= div
+
+    def combine_stage(self, stage, U, V, dt, k, final=False) -> np.ndarray:
+        """One SSP-RK stage combination of this patch — the *combine* every
+        driver hands its integrator, timed as the ``update`` kernel it is:
+        :func:`~repro.time_integration.ssprk.combine_stage`, or the same
+        arithmetic in one compiled pass when the system carries it and the
+        arrays are C-contiguous float64 (never copied to make them so).  An
+        intermediate state goes to the workspace buffer *V* does not occupy;
+        the *final* one — the driver commits it, callers may hold it — is a
+        fresh array."""
+        with self.timers("update"):
+            kernel = self._rk_stage_kernel
+            if kernel is None or not _c_f64(U, V, k) or not U.shape == V.shape == k.shape:
+                return _reference_stage(stage, U, V, dt, k)
+            if final or self.workspace is None:
+                out = np.empty_like(U)
+            else:
+                out = self.workspace.buf(("rk", 0), U.shape)
+                if out is V:
+                    out = self.workspace.buf(("rk", 1), U.shape)
+            kernel(stage, U, V, dt, k, out)
+            return out
 
     def flux_divergence(self, prim: np.ndarray, reuse: bool = False) -> np.ndarray:
         """-div F over the interior; ghost entries of the result are zero.
@@ -556,7 +585,7 @@ class HydroPipeline:
         (overwritten by the next reusing call) and every kernel stage runs
         in preallocated buffers; the default allocates fresh arrays.
         AMR refluxing stays safe under reuse: :attr:`last_face_fluxes`
-        always stores copies.
+        never holds workspace memory.
         """
         dU = self.begin_flux_divergence(reuse)
         # The physics' axes: a batched grid's trailing axis is never swept.
@@ -601,6 +630,6 @@ class HydroPipeline:
         one compiled pass when the system carries one, the interpreted
         :func:`~repro.time_integration.cfl.max_signal_per_axis` otherwise."""
         kernel = self._max_signal_kernel
-        if kernel is None or prim.dtype != np.float64 or not prim.flags.c_contiguous:
+        if kernel is None or not _c_f64(prim):
             return max_signal_per_axis(self.system, self.grid, prim)
         return kernel(prim, self.grid.n_ghost)

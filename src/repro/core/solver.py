@@ -146,6 +146,7 @@ class Solver(Driver):
         self.cons = self.integrator.step(
             self.cons, dt, self.pipeline.rhs,
             t0=self.t, set_time=self._set_stage_time,
+            combine=self.pipeline.combine_stage,
         )
         self._prim_dirty = True
 

@@ -36,25 +36,6 @@ from .diagnostics import check_dt, first_nonfinite
 _log = get_logger("core")
 
 
-class _DictState:
-    """Arithmetic adapter so the SSP integrators can step a dict of per-patch
-    arrays as if it were one array (U + dt*k, scalar*U, U/3, ...)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: dict):
-        self.parts = parts
-
-    def __add__(self, other: "_DictState") -> "_DictState":
-        return _DictState({r: a + other.parts[r] for r, a in self.parts.items()})
-
-    def __rmul__(self, scalar: float) -> "_DictState":
-        return _DictState({r: scalar * a for r, a in self.parts.items()})
-
-    def __truediv__(self, scalar: float) -> "_DictState":
-        return _DictState({r: a / scalar for r, a in self.parts.items()})
-
-
 class Driver:
     """Stepping core over ``self.t``, ``self.steps`` and ``self._patches()``.
 
@@ -62,14 +43,20 @@ class Driver:
     and ``recorder`` besides the hooks listed in the module docstring.
     """
 
-    def _integrate_parts(self, parts: dict, dt: float, rhs) -> dict:
+    def _integrate_parts(self, parts: dict, dt: float, rhs, pipeline_of) -> dict:
         """One integrator step over a ``{patch: array}`` state, with
-        ``rhs(parts) -> parts``; returns the advanced parts."""
-        advanced = self.integrator.step(
-            _DictState(parts), dt, lambda s: _DictState(rhs(s.parts)),
-            t0=self.t, set_time=self._set_stage_time,
+        ``rhs(parts) -> parts`` and each patch's stage combined by its own
+        pipeline (``pipeline_of(patch)``); returns the advanced parts."""
+
+        def combine(stage, U, V, dt, k, final):
+            return {
+                p: pipeline_of(p).combine_stage(stage, U[p], V[p], dt, k[p], final)
+                for p in U
+            }
+
+        return self.integrator.step(
+            parts, dt, rhs, t0=self.t, set_time=self._set_stage_time, combine=combine
         )
-        return advanced.parts
 
     def _set_stage_time(self, t: float) -> None:
         """Integrator stage hook: every patch's sources see t0 + c_i dt."""

@@ -50,7 +50,14 @@ class ScratchWorkspace:
     Notes
     -----
     Buffers are created lazily on first request and cached by
-    ``(key, shape, dtype)``; a steady-state step performs no allocations.
+    ``(key, shape, dtype)``, so the pool stops growing after a driver's
+    first step (between regrids, for AMR).  A steady-state step still
+    allocates what it hands out: on ``cext`` one state-sized array, the
+    state the integrator returns (RK intermediates live here, under
+    ``("rk", i)``) — plus ``Solver.primitives()``'s cache when the step
+    computes its own dt and one face-flux array per axis under
+    ``store_fluxes``; on ``numpy``/``flat`` also the interpreted stage
+    combination's temporaries (``tests/test_workspace.py`` pins both).
     The workspace is private to one pipeline — callers that hand buffers
     out across stages (e.g. the primitive cache) use dedicated keys.
     """

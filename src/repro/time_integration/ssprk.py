@@ -8,7 +8,6 @@ TVD property of the spatial scheme carries over to the full update.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Callable
 
 import numpy as np
@@ -17,34 +16,62 @@ from ..utils.errors import ConfigurationError
 
 RHS = Callable[[np.ndarray], np.ndarray]
 
+#: The three shapes an SSP stage takes; a stage is ``(form, a, b)``.
+EULER, CONVEX, THIRD = 0, 1, 2
 
-class TimeIntegrator(ABC):
-    """Base class: one full step of size dt from state U.
 
-    ``step`` accepts the step's start time *t0* and an optional *set_time*
+def combine_stage(stage, U, V, dt, k, final=False):
+    """The state after one stage: *U* the step's start state, *V* the
+    previous stage's (``U`` itself at the first), ``k = rhs(V)``.  These
+    NumPy expressions are the reference: ``numpy``/``flat`` run them, and
+    the compiled ``rk_stage`` is pinned against them operand for operand
+    (``U / a`` is a division, not a multiplication by a reciprocal).  *final*
+    is for combines that recycle intermediates; results here are all fresh."""
+    form, a, b = stage
+    if form == EULER:
+        return V + dt * k
+    if form == CONVEX:
+        return a * U + b * (V + dt * k)
+    return U / a + b * (V + dt * k)
+
+
+class TimeIntegrator:
+    """An SSP scheme as data: one full step of size dt from state U.
+
+    :attr:`table` holds one ``(form, a, b)`` per rhs evaluation and
+    :attr:`stage_fractions` its abscissa ``c_i``; :meth:`step` walks them.
+    It accepts the step's start time *t0* and an optional *set_time*
     callback invoked with the correct stage abscissa ``t0 + c_i dt``
     immediately before each rhs evaluation — this is how time-dependent
     source terms see per-stage times (evaluating every stage at ``t0``
     silently degrades SSPRK2/3 to first order in the source).  The rhs
     signature itself stays ``rhs(U)`` so state-only callers are unaffected.
+    *combine* (default :func:`combine_stage`) forms each stage's state; the
+    state may be anything *rhs* and *combine* agree on.
     """
 
     name = "abstract"
     order = 1
-    stages = 1
+    #: ``(form, a, b)`` per stage, see :func:`combine_stage`
+    table: tuple[tuple, ...] = ()
     #: stage abscissae c_i (fractions of dt), one per rhs evaluation
-    stage_fractions: tuple[float, ...] = (0.0,)
+    stage_fractions: tuple[float, ...] = ()
 
-    @abstractmethod
-    def step(
-        self, U: np.ndarray, dt: float, rhs: RHS, t0: float = 0.0, set_time=None
-    ) -> np.ndarray:
+    @property
+    def stages(self) -> int:
+        return len(self.table)
+
+    def step(self, U, dt, rhs: RHS, t0=0.0, set_time=None, combine=combine_stage):
         """Return the state advanced by dt (input is not modified)."""
+        V = U
+        for i, (stage, c) in enumerate(zip(self.table, self.stage_fractions)):
+            if set_time is not None:
+                set_time(t0 + c * dt)
+            V = combine(stage, U, V, dt, rhs(V), final=i + 1 == len(self.table))
+        return V
 
 
-def _stage(set_time, t: float) -> None:
-    if set_time is not None:
-        set_time(t)
+# Each class re-binds ``step``: bench/trace.py patches ``owner.__dict__``.
 
 
 class ForwardEuler(TimeIntegrator):
@@ -52,12 +79,9 @@ class ForwardEuler(TimeIntegrator):
 
     name = "euler"
     order = 1
-    stages = 1
+    table = ((EULER, 1.0, 1.0),)
     stage_fractions = (0.0,)
-
-    def step(self, U, dt, rhs, t0=0.0, set_time=None):
-        _stage(set_time, t0)
-        return U + dt * rhs(U)
+    step = TimeIntegrator.step
 
 
 class SSPRK2(TimeIntegrator):
@@ -65,14 +89,9 @@ class SSPRK2(TimeIntegrator):
 
     name = "ssprk2"
     order = 2
-    stages = 2
+    table = ((EULER, 1.0, 1.0), (CONVEX, 0.5, 0.5))
     stage_fractions = (0.0, 1.0)
-
-    def step(self, U, dt, rhs, t0=0.0, set_time=None):
-        _stage(set_time, t0)
-        U1 = U + dt * rhs(U)
-        _stage(set_time, t0 + dt)
-        return 0.5 * U + 0.5 * (U1 + dt * rhs(U1))
+    step = TimeIntegrator.step
 
 
 class SSPRK3(TimeIntegrator):
@@ -80,16 +99,9 @@ class SSPRK3(TimeIntegrator):
 
     name = "ssprk3"
     order = 3
-    stages = 3
+    table = ((EULER, 1.0, 1.0), (CONVEX, 0.75, 0.25), (THIRD, 3.0, 2.0 / 3.0))
     stage_fractions = (0.0, 1.0, 0.5)
-
-    def step(self, U, dt, rhs, t0=0.0, set_time=None):
-        _stage(set_time, t0)
-        U1 = U + dt * rhs(U)
-        _stage(set_time, t0 + dt)
-        U2 = 0.75 * U + 0.25 * (U1 + dt * rhs(U1))
-        _stage(set_time, t0 + 0.5 * dt)
-        return U / 3.0 + (2.0 / 3.0) * (U2 + dt * rhs(U2))
+    step = TimeIntegrator.step
 
 
 INTEGRATORS = {"euler": ForwardEuler, "ssprk2": SSPRK2, "ssprk3": SSPRK3}

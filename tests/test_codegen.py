@@ -150,9 +150,11 @@ class TestGeneratedCBudget:
         import re
 
         from repro.codegen.generator import (
+            ACCUMULATE_KERNEL,
             CON2PRIM_KERNEL,
             MAX_SIGNAL_KERNEL,
             RECOVER_KERNEL,
+            RK_STAGE_KERNEL,
             SIMD_LEVEL_DECL,
         )
 
@@ -163,8 +165,9 @@ class TestGeneratedCBudget:
             assert token not in code, token
         assert "#define REPRO_INLINE static inline" in module
         # Column-0 definitions: the pointwise kernels, the Newton loop, the
-        # recovery sweep, the CFL scan, the per-axis sweep entry points and
-        # the clone probe, everything else a REPRO_INLINE helper or the one
+        # recovery sweep, the CFL scan, the per-axis sweep entry points, the
+        # update stage (accumulate, one RK stage combination) and the clone
+        # probe, everything else a REPRO_INLINE helper or the one
         # `static` tile filler the sweeps share.  One sweep per axis — no
         # schedule twins — and one Newton body for the two kernels running it.
         defs = re.findall(r"^(?!#)(\w[^\n;{]*?)\s+\**(\w+)\(", code, flags=re.M)
@@ -180,6 +183,8 @@ class TestGeneratedCBudget:
             RECOVER_KERNEL % ndim,
             MAX_SIGNAL_KERNEL % ndim,
             *(gen.stencil_kernel_name(ax) for ax in range(ndim)),
+            ACCUMULATE_KERNEL % ndim,
+            RK_STAGE_KERNEL,
             re.search(r"(\w+)\(", SIMD_LEVEL_DECL).group(1),
         ]
         # One tail, no scalar twin: nothing takes a per-face `double* q`
@@ -928,48 +933,70 @@ class TestFusedStencilParity:
         cext = self._pipeline("cext", recon, riemann)
         assert cext._fused_ids is not None, "fused sweep did not engage"
         # Tile edges: sweeps of 1 face .. two tiles and a remainder, along
-        # each axis of a 1-/2-/3-D patch and a batched 1-D one (2T + 2 cells
-        # long that way, 2 wide the others), built on first draw.
+        # each axis of a 1-/2-/3-D patch and a batched 1-D one (2T + 3 cells
+        # long that way — dx is no power of two — 2 wide the others), built
+        # on first draw.
         long_pairs: dict = {}
 
         def long_pair(ndim, n_batch, axis):
             key = (ndim, n_batch, axis)
             if key not in long_pairs:
-                shape = tuple(2 * T + 2 if ax == axis else 2 for ax in range(ndim))
+                shape = tuple(2 * T + 3 if ax == axis else 2 for ax in range(ndim))
                 long_pairs[key] = [
                     self._pipeline(t, recon, riemann, shape=shape, n_batch=n_batch)
                     for t in ("flat", "cext")
                 ]
             return long_pairs[key]
 
+        def stored_fluxes_agree(a, b):
+            """b's stored face fluxes are a's, in arrays of their own."""
+            assert list(a.last_face_fluxes) == list(b.last_face_fluxes)
+            pool = [b.workspace.dU, b.workspace.prim, *b.workspace._bufs.values()]
+            for ax, F in b.last_face_fluxes.items():
+                assert F.tobytes() == a.last_face_fluxes[ax].tobytes(), ax
+                assert not any(np.shares_memory(F, buf) for buf in pool)
+
         @given(
             seed=st.integers(min_value=0, max_value=2**32 - 1),
             discontinuous=st.booleans(),
             extreme=st.booleans(),
+            store=st.booleans(),
             layout=st.sampled_from([(1, 0), (2, 0), (3, 0), (1, 1), (1, 5)]),
-            n_faces=st.sampled_from([1, 2, 3, 5, T - 1, T, T + 1, 2 * T + 3]),
+            n_faces=st.sampled_from(
+                [1, 2, 3, 5, T - 1, T, T + 1, T + 2, 2 * T + 3, 2 * T + 4]
+            ),
         )
         @settings(max_examples=10, deadline=None, database=None)
-        def check(seed, discontinuous, extreme, layout, n_faces):
+        def check(seed, discontinuous, extreme, store, layout, n_faces):
             prim = self._ghosted_prim(flat, seed, discontinuous, extreme)
+            flat.store_fluxes = cext.store_fluxes = store
             with np.errstate(all="ignore"):
                 div_flat = flat.flux_divergence(prim.copy())
-            div_cext = cext.flux_divergence(prim.copy())
+            div_cext = cext.flux_divergence(prim.copy(), reuse=True)
             assert div_flat.tobytes() == div_cext.tobytes(), (
                 f"{recon}/{riemann}: fused sweep differs bitwise"
             )
+            stored_fluxes_agree(flat, cext)
             ndim, n_batch = layout
             axis = seed % ndim
             lflat, lcext = long_pair(ndim, n_batch, axis)
             prim = self._ghosted_prim(lflat, seed, discontinuous, extreme)
-            lo = seed % (2 * T + 4 - n_faces)
+            lo = seed % (2 * T + 5 - n_faces)
             hi = lo + n_faces - 1
             with np.errstate(all="ignore"):
                 ref = lflat._interpreted_face_flux(prim.copy(), axis, lo, hi, None)
             got = lcext._fused_face_flux(prim, axis, lo, hi, None)
-            assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), (
-                f"{recon}/{riemann}: {layout} axis {axis} faces [{lo}, {hi}]"
-            )
+            where = f"{recon}/{riemann}: {layout} axis {axis} faces [{lo}, {hi}]"
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), where
+            if n_faces > 1:
+                # Differencing seams: the in-tile difference of a region
+                # 1 .. 2T + 3 cells wide is the interpreted subtract/divide.
+                lflat.store_fluxes = lcext.store_fluxes = store
+                with np.errstate(all="ignore"):
+                    ref = lflat.flux_divergence_region(prim.copy(), axis, lo, hi)
+                got = lcext.flux_divergence_region(prim, axis, lo, hi, reuse=True)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), where
+                stored_fluxes_agree(lflat, lcext)
             for a, b in ((flat, cext), (lflat, lcext)):
                 for counter in self._COUNTERS:
                     assert (
@@ -1261,7 +1288,8 @@ class TestFusedStencilParity:
         if cext_mod.simd_level(2) == "baseline":
             pytest.skip("this host runs the default clone: nothing to compare")
         _, source, cdef = cext_mod.module_spec(2)
-        assert source.count("\nREPRO_CLONES\n") == 3  # the tile filler, two sweeps
+        # the tile filler, two sweeps, accumulate, the RK stage combination
+        assert source.count("\nREPRO_CLONES\n") == 5
         plain = source.replace("\nREPRO_CLONES\n", "\n")
         libs = [
             cext_mod.load_cext_module(2),
@@ -1318,9 +1346,10 @@ class TestFusedStencilParity:
         marked = [
             i for i, line in enumerate(source.splitlines(), 1) if "/* lanes */" in line
         ]
-        # sanitize + face_side and three combines per axis; 4 limiters and
-        # the tvd edges, 3 ppm loops, weno5, wenoz
-        assert len(marked) == 1 + 4 * ndim + 10
+        # sanitize + face_side, three combines and the in-tile difference
+        # per axis; 4 limiters and the tvd edges, 3 ppm loops, weno5, wenoz;
+        # the contiguous accumulate row and the three RK stage forms
+        assert len(marked) == 1 + 5 * ndim + 10 + 1 + 3
         proc = subprocess.run(
             [*cc.split(), *cext_mod.CFLAGS, "-fopt-info-vec-optimized", "-x", "c",
              "-c", "-", "-o", os.devnull],
@@ -1733,6 +1762,246 @@ class TestCompiledRecovery:
                     args["next_seed"], **params,
                 )
             assert cons.tobytes() == before.tobytes()  # refused before C ran
+
+
+class TestCompiledUpdate:
+    """The compiled update stage — ``accumulate`` and ``rk_stage`` — against
+    the interpreted expressions it replaces on ``cext``, bytewise.  (The
+    third piece, the sweep's in-tile difference, rides
+    ``TestFusedStencilParity::test_fused_sweep_bitwise_all_combos``.)"""
+
+    LAYOUTS = [(1, 0), (2, 0), (3, 0), (1, 1), (1, 5)]
+    POISONS = (np.nan, np.inf, -np.inf, -0.0)
+
+    @staticmethod
+    def _pair(layout):
+        ndim, n_batch = layout
+        return [
+            TestFusedStencilParity._pipeline(t, "mc", "hll", ndim=ndim, n_batch=n_batch)
+            for t in ("flat", "cext")
+        ]
+
+    def test_any_partition_accumulates_to_the_full_sweep(self):
+        """Every axis cut into arbitrary regions, each differenced by the
+        sweep and accumulated in ascending axis order by the kernel, is
+        ``flat``'s ``dU`` (3-D included), ghosts still exactly +0.0; and a
+        NaN / +-inf / -0.0 entry of a region's divergence lands in its own
+        cell only, as the interpreted ``target -= div`` puts it there."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.codegen import cext_available
+
+        if not all(cext_available(nd) for nd in (1, 2, 3)):
+            pytest.skip("no C toolchain")
+        pairs = {layout: self._pair(layout) for layout in self.LAYOUTS}
+
+        @given(
+            data=st.data(),
+            seed=st.integers(0, 2**32 - 1),
+            layout=st.sampled_from(self.LAYOUTS),
+            poison=st.sampled_from(self.POISONS),
+        )
+        @settings(max_examples=25, deadline=None, database=None)
+        def check(data, seed, layout, poison):
+            flat, cext = pairs[layout]
+            assert cext._accumulate_kernel is not None and flat._accumulate_kernel is None
+            prim = TestFusedStencilParity._ghosted_prim(cext, seed, True)
+            with np.errstate(all="ignore"):
+                want = flat.flux_divergence(prim.copy())
+            regions = []
+            for axis in range(cext.system.ndim):
+                n = cext.grid.shape[axis]
+                cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+                regions += [(axis, lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
+            divs = [
+                (axis, lo, hi, cext.flux_divergence_region(prim, axis, lo, hi).copy())
+                for axis, lo, hi in data.draw(st.permutations(regions))
+            ]
+            divs.sort(key=lambda e: e[0])
+            dU = cext.begin_flux_divergence(reuse=True)
+            for axis, lo, hi, div in divs:
+                cext.accumulate_divergence(dU, axis, lo, hi, div)
+            assert dU.tobytes() == want.tobytes(), (layout, regions)
+            ghosts = np.ones(dU.shape, dtype=bool)
+            cext.grid.interior_of(ghosts)[...] = False
+            assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
+            # One poisoned entry per region, through both accumulates.
+            rng = np.random.default_rng(seed)
+            for _axis, _lo, _hi, div in divs:
+                div.reshape(-1)[rng.integers(div.size)] = poison
+            got, ref = (p.begin_flux_divergence() for p in (cext, flat))
+            with np.errstate(all="ignore"):
+                for axis, lo, hi, div in divs:
+                    cext.accumulate_divergence(got, axis, lo, hi, div)
+                    flat.accumulate_divergence(ref, axis, lo, hi, div)
+            assert got.tobytes() == ref.tobytes(), (layout, poison)
+            changed = got.view(np.uint64) != dU.view(np.uint64)
+            assert changed.sum() <= len(divs) and not changed[ghosts].any()
+
+        check()
+
+    def test_strided_state_takes_the_interpreted_pass_uncopied(self):
+        """A non-contiguous ``dU`` / ``div`` / state is never copied
+        contiguous: the interpreted pass writes the array it was handed."""
+        from repro.codegen import cext_available
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        flat, cext = self._pair((2, 0))
+        calls = []
+        for hook in ("_accumulate_kernel", "_rk_stage_kernel"):
+            inner = getattr(cext, hook)
+            setattr(cext, hook, lambda *a, _inner=inner: (calls.append(1), _inner(*a))[1])
+        prim = TestFusedStencilParity._ghosted_prim(cext, 4, True)
+        n = cext.grid.shape[0]
+        div = cext.flux_divergence_region(prim, 0, 0, n).copy()
+        want = flat.begin_flux_divergence()
+        flat.accumulate_divergence(want, 0, 0, n, div)
+        wide = np.zeros(want.shape + (2,))
+        cext.accumulate_divergence(wide[..., 0], 0, 0, n, div)
+        assert not calls and not wide[..., 1].any()
+        assert np.ascontiguousarray(wide[..., 0]).tobytes() == want.tobytes()
+        dU = cext.begin_flux_divergence()
+        cext.accumulate_divergence(dU, 0, 0, n, np.asfortranarray(div))
+        assert not calls and dU.tobytes() == want.tobytes()
+        stage = (1, 0.75, 0.25)
+        out = cext.combine_stage(stage, wide[..., 0], want, 0.1, dU)
+        assert not calls
+        assert out.tobytes() == (0.75 * wide[..., 0] + 0.25 * (want + 0.1 * dU)).tobytes()
+        cext.combine_stage(stage, want, want, 0.1, dU)
+        cext.accumulate_divergence(dU, 0, 0, n, div)
+        assert len(calls) == 2  # ... and contiguous float64 arrays do reach C
+
+    def test_regions_that_leave_the_interior_are_refused_before_c(self):
+        from repro.codegen import cext_available
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        _, cext = self._pair((2, 0))
+        system, g, (nx, ny) = cext.system, cext.grid.n_ghost, cext.grid.shape
+        dU = cext.begin_flux_divergence()
+        div = np.ones((system.nvars, ny, nx))
+        for lo, hi, d in ((0, nx + 1, div), (-1, nx - 1, div), (3, 3, div[..., :0]),
+                          (0, nx, div[..., 1:]), (0, nx, div[:, 1:])):
+            with pytest.raises(CodegenError, match="does not fit the interior"):
+                system.accumulate(dU, 0, g, lo, hi, np.ascontiguousarray(d))
+        assert not dU.any()
+        state = np.zeros((3, 8))
+        for out in (state, state[:2], np.zeros((3, 8), dtype=np.float32)):
+            with pytest.raises(CodegenError, match="aliases|C-contiguous float64"):
+                system.rk_stage((0, 1.0, 1.0), state, state, 0.1, state + 1.0, out)
+        with pytest.raises(CodegenError, match="aliases"):
+            system.rk_stage((1, 0.5, 0.5), state, state + 1.0, 0.1, state + 2.0, state[1:2])
+        assert not state.any()
+
+    @pytest.mark.parametrize("name", ["euler", "ssprk2", "ssprk3"])
+    def test_every_stage_is_the_numpy_expression(self, name):
+        """``rk_stage`` == ``combine_stage`` bytewise, stage by stage of each
+        integrator's table, on random, denormal, signed-zero, infinite and
+        NaN inputs; the table reproduces the integrator's abscissae and the
+        three formulas written out."""
+        from repro.codegen import cext_available
+        from repro.time_integration.ssprk import combine_stage, make_integrator
+
+        integ = make_integrator(name)
+        # c_0 = 0; a stage advances the previous one by dt and weighs it b.
+        c, abscissae = 0.0, []
+        for form, a, b in integ.table:
+            abscissae.append(c)
+            c = b * (c + 1.0)
+            assert (1.0 / a if form == 2 else a) + b == pytest.approx(1.0 + (form == 0))
+        assert tuple(abscissae) == integ.stage_fractions and c == 1.0
+        u = np.array([1.0, -2.5])
+        want = {
+            "euler": lambda k: u + 0.3 * k(u),
+            "ssprk2": lambda k: 0.5 * u + 0.5 * ((u + 0.3 * k(u)) + 0.3 * k(u + 0.3 * k(u))),
+            "ssprk3": lambda k: u / 3.0 + (2.0 / 3.0) * (
+                (u2 := 0.75 * u + 0.25 * ((u1 := u + 0.3 * k(u)) + 0.3 * k(u1)))
+                + 0.3 * k(u2)
+            ),
+        }[name](np.cos)
+        assert integ.step(u, 0.3, np.cos).tobytes() == want.tobytes()
+        if not cext_available(1):
+            pytest.skip("no C toolchain")
+        pipe = TestFusedStencilParity._pipeline("cext", "mc", "hll", ndim=1)
+        rng = np.random.default_rng(5)
+        shape = (pipe.system.nvars,) + pipe.grid.shape_with_ghosts
+        special = np.array([0.0, -0.0, 5e-324, -2e-310, np.inf, -np.inf, np.nan, 1e308])
+        U, V, k = (
+            np.where(rng.random(shape) < 0.4, rng.choice(special, shape),
+                     rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape))
+            for _ in range(3)
+        )
+        for i, stage in enumerate(integ.table):
+            final = i + 1 == len(integ.table)
+            prev = U if i == 0 else V
+            with np.errstate(all="ignore"):
+                ref = combine_stage(stage, U, prev, 0.37, k)
+            got = pipe.combine_stage(stage, U, prev, 0.37, k, final)
+            assert got.tobytes() == ref.tobytes(), stage
+            in_ws = any(got is b for b in pipe.workspace._bufs.values())
+            assert in_ws != final  # intermediates recycled, the result owned
+            V = got
+
+    @pytest.mark.parametrize("integrator", ["euler", "ssprk2", "ssprk3"])
+    def test_five_steps_every_driver_cext_equals_flat(self, integrator):
+        """The whole update stage end to end: every driver's state after
+        five steps of every integrator, ``cext`` against ``flat``."""
+        from repro.boundary import make_boundaries
+        from repro.codegen import cext_available
+        from repro.core.amr_solver import AMRConfig, AMRSolver
+        from repro.core.batch import BatchSolver
+        from repro.core.config import SolverConfig
+        from repro.core.distributed import DistributedSolver
+        from repro.core.solver import Solver
+        from repro.mesh.grid import Grid
+        from repro.physics.initial_data import RP1, RP2, blast_wave_2d, shock_tube
+
+        if not (cext_available(1) and cext_available(2)):
+            pytest.skip("no C toolchain")
+        system2 = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        grid2 = Grid((24, 20), ((0.0, 1.0), (0.0, 1.0)))
+        blast = dict(p_in=10.0, p_out=1.0, radius=0.2)
+        prim2 = blast_wave_2d(system2, grid2, **blast)
+        system1 = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid1 = Grid((64,), ((0.0, 1.0),))
+        tubes = [shock_tube(system1, grid1, rp) for rp in (RP1, RP2, RP1)]
+
+        def states(target):
+            config = SolverConfig(kernel_target=target, integrator=integrator, cfl=0.4)
+            periodic = make_boundaries("periodic")
+            solver = Solver(system2, grid2, prim2.copy(), config, periodic)
+            batch = BatchSolver(
+                system1, grid1, [p.copy() for p in tubes], config,
+                make_boundaries("outflow"),
+            )
+            ranks = [
+                DistributedSolver(
+                    system2, grid2, prim2.copy(), (2, 2), boundaries=periodic,
+                    config=SolverConfig(
+                        kernel_target=target, integrator=integrator, cfl=0.4,
+                        overlap_exchange=overlap,
+                    ),
+                )
+                for overlap in (False, True)
+            ]
+            amr = AMRSolver(
+                system2, Grid((32, 32), ((0, 1), (0, 1))),
+                lambda s, g: blast_wave_2d(s, g, **blast), config,
+                AMRConfig(block_size=8, max_levels=2, regrid_interval=2),
+            )
+            out = []
+            for driver in (solver, batch, *ranks, amr):
+                for _ in range(5):
+                    driver.step()
+                out.append(driver.t)
+            out += [solver.cons.tobytes(), batch.cons.tobytes()]
+            out += [r.cons[k].tobytes() for r in ranks for k in sorted(r.cons)]
+            out += [amr.forest.leaves[k].cons.tobytes() for k in sorted(amr.forest.leaves)]
+            return out
+
+        assert states("cext") == states("flat")
 
 
 class TestFusedSolverDigest:

@@ -181,3 +181,85 @@ class TestWorkspaceReuse:
         for F in pipe.last_face_fluxes.values():
             # Stored as copies, never as views of reused workspace memory.
             assert not any(np.shares_memory(F, b) for b in pool)
+
+
+class TestSteadyState:
+    """What a steady-state step allocates (the workspace docstring's claim):
+    the buffer pool stops growing after the first step on every driver, and
+    a ``cext`` ``Solver`` step allocates one state-sized array — the state
+    it returns — plus, when it computes its own dt, the primitive array
+    ``Solver.primitives()`` caches for its callers."""
+
+    @staticmethod
+    def _workspaces(driver):
+        return [pipe.workspace for _label, pipe, _arr in driver._patches()]
+
+    @pytest.mark.parametrize("target", ["numpy", "flat", "cext"])
+    @pytest.mark.parametrize("driver", ["solver", "ranks", "ranks-overlap", "amr"])
+    def test_pool_is_constant_from_step_two(self, driver, target):
+        from repro.core.amr_solver import AMRConfig, AMRSolver
+        from repro.core.distributed import DistributedSolver
+
+        system = SRHDSystem(IdealGasEOS(), ndim=2)
+        grid = Grid((16, 16), ((0.0, 1.0), (0.0, 1.0)))
+        blast = dict(p_in=10.0, p_out=1.0, radius=0.2)
+        config = SolverConfig(
+            kernel_target=target, cfl=0.4, overlap_exchange=driver == "ranks-overlap"
+        )
+        if driver == "solver":
+            d = Solver(system, grid, blast_wave_2d(system, grid, **blast), config,
+                       make_boundaries("periodic"))
+        elif driver == "amr":
+            # regrid_interval beyond the run: the forest (and so the set of
+            # pipelines) is fixed between regrids.
+            d = AMRSolver(
+                system, grid, lambda s, g: blast_wave_2d(s, g, **blast), config,
+                AMRConfig(block_size=8, max_levels=2, regrid_interval=100),
+            )
+        else:
+            d = DistributedSolver(
+                system, grid, blast_wave_2d(system, grid, **blast), (2, 2),
+                config=config, boundaries=make_boundaries("periodic"),
+            )
+        d.step()
+        pool = [(ws.n_buffers, ws.nbytes) for ws in self._workspaces(d)]
+        for _ in range(3):
+            d.step()
+        workspaces = self._workspaces(d)
+        assert [(ws.n_buffers, ws.nbytes) for ws in workspaces] == pool
+        fused = [k for ws in workspaces for k, *_ in ws._bufs if k[0] == "fused_flux"]
+        assert not fused  # the sweep differences in-tile, with or without reflux
+
+    def test_cext_step_allocates_the_state_it_returns(self):
+        import tracemalloc
+
+        from repro.codegen import cext_available
+
+        if not cext_available(2):
+            pytest.skip("no C toolchain")
+        system = SRHDSystem(IdealGasEOS(), ndim=2)
+        grid = Grid((64, 64), ((0.0, 1.0), (0.0, 1.0)))
+        prim0 = blast_wave_2d(system, grid, p_in=10.0, p_out=1.0)
+        peaks = {}
+        for target in ("cext", "flat"):
+            solver = Solver(
+                system, grid, prim0.copy(), SolverConfig(kernel_target=target, cfl=0.4),
+                make_boundaries("periodic"),
+            )
+            for _ in range(2):
+                solver.step()
+            for dt in (None, 1e-4):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    solver.step(dt=dt)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                peaks[target, dt] = peak / solver.cons.nbytes
+        # The new state (plus the finite guard's byte mask and small change),
+        # and compute_dt's primitive cache; the interpreted combination
+        # holds several state-sized temporaries at once.
+        assert 1.0 <= peaks["cext", 1e-4] < 1.5, peaks
+        assert 2.0 <= peaks["cext", None] < 2.5, peaks
+        assert peaks["flat", 1e-4] > 3.0, peaks
