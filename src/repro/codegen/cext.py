@@ -414,17 +414,20 @@ def run_face_flux(
     n_ghost: int | None = None,
     div: np.ndarray | None = None,
     dx: float = 1.0,
+    n_patches: int = 1,
 ) -> np.ndarray:
     """Run one fused face-flux sweep; returns the sanitize counters.
 
     *prim* is the full ghosted primitive array (``(nvars, ...)``,
-    C-contiguous).  *out* (or None) receives the fluxes as ``(nvars, n_out,
-    n_faces)`` and *div* (or None) their difference over *dx* as ``(nvars,
-    n_out, n_faces - 1)``.  Given *row_offsets*, those rows are swept and
-    each written in place; given None and *n_ghost*, every ghosted row is
-    swept (:func:`sweep_rows`) and the interior ones written, in C order.
-    The returned int64 pair is ``[velocity_rescaled, floored]`` — the exact
-    totals the interpreted sanitize stage counts, over every swept row.
+    C-contiguous) — or a stack of *n_patches* of them back to back,
+    ``(n_patches * nvars, ...)``.  *out* (or None) receives the fluxes as
+    ``(nvars, n_out, n_faces)`` and *div* (or None) their difference over
+    *dx* as ``(nvars, n_out, n_faces - 1)``.  Given *row_offsets*, those
+    rows are swept and each written in place; given None and *n_ghost*,
+    every ghosted row of every patch is swept (:func:`sweep_rows`) and the
+    interior ones written, in C order, patch after patch.  The returned
+    int64 pair is ``[velocity_rescaled, floored]`` — the exact totals the
+    interpreted sanitize stage counts, over every swept row.
 
     The sweep covers faces ``j0 .. j0 + n_faces - 1`` (by left cell) along
     *axis*; C reads ``STENCIL_REACH[recon_id]`` cells beyond them and
@@ -441,15 +444,17 @@ def run_face_flux(
             f"[{j0}, {j0 + n_faces}) with stencil reach (-{left}, +{right}) "
             f"need cells [{j0 - left}, {j0 + n_faces + right}) of {extent}"
         )
-    out_row = None
+    nvars, out_row = prim.shape[0] // n_patches, None
     if row_offsets is None:
-        row_offsets, out_row, interior = sweep_rows(prim.shape[1:], n_ghost, axis)
+        row_offsets, out_row, interior = sweep_rows(
+            prim.shape[1:], n_ghost, axis, n_patches, prim.size // n_patches
+        )
     n_out = row_offsets.size if out_row is None else interior.size
     for arr, width in ((out, n_faces), (div, n_faces - 1)):
-        if arr is not None and arr.size != prim.shape[0] * n_out * width:
+        if arr is not None and arr.size != nvars * n_out * width:
             raise CodegenError(
                 f"fused face_flux output holds {arr.size} values, the sweep "
-                f"writes {prim.shape[0]} x {n_out} x {width}"
+                f"writes {nvars} x {n_out} x {width}"
             )
     counts = np.zeros(2, dtype=np.int64)
     keep: list = []
@@ -479,15 +484,20 @@ def run_face_flux(
 
 
 @functools.lru_cache(maxsize=64)
-def sweep_rows(cell_shape: tuple, n_ghost: int, axis: int):
+def sweep_rows(
+    cell_shape: tuple, n_ghost: int, axis: int, n_patches: int = 1, patch_size: int = 0
+):
     """Row tables of a sweep along *axis* of a C-contiguous ghosted cell
     block, built once per layout and read-only: ``(row_offsets, out_row,
     interior_offsets)``.  ``row_offsets``: flat offset of every ghosted
     transverse row's first cell, in C order — the rows the interpreted slab
     sweep covers; ``out_row[r]``: the interior rows among them numbered in C
     order, -1 on a ghost row; ``interior_offsets``: each interior row's
-    first *interior* cell, what ``accumulate`` walks.  C walks the tables
-    unchecked, so a block with no interior is refused here."""
+    first *interior* cell, what ``accumulate`` walks.  For a stack of
+    *n_patches* blocks *patch_size* elements apart, each table repeats per
+    patch shifted by its offset and ``out_row`` numbers the interior rows
+    across the patches, patch after patch.  C walks the tables unchecked,
+    so a block with no interior is refused here."""
     g = int(n_ghost)
     if g < 0 or min(cell_shape) - 2 * g < 1:
         raise CodegenError(
@@ -498,8 +508,11 @@ def sweep_rows(cell_shape: tuple, n_ghost: int, axis: int):
     inner = np.zeros(first.shape, dtype=bool)
     inner[tuple(slice(g, n - g) for n in first.shape)] = True
     offsets, inner = np.ascontiguousarray(first).reshape(-1), inner.reshape(-1)
-    out_row = np.where(inner, np.cumsum(inner) - 1, -1)
     interior = offsets[inner] + g * (cells.strides[axis] // cells.itemsize)
+    shift = np.arange(n_patches, dtype=np.int64)[:, None] * int(patch_size)
+    offsets, interior = (shift + offsets).reshape(-1), (shift + interior).reshape(-1)
+    inner = np.tile(inner, n_patches)
+    out_row = np.where(inner, np.cumsum(inner) - 1, -1)
     for table in (offsets, out_row, interior):
         table.setflags(write=False)
     return offsets, out_row, interior
@@ -528,27 +541,35 @@ def _state_buf(ffi, arr, like=None, writable=False):
 def run_recover(
     ffi, fn, cons, prim, n_ghost, seed, next_seed, *,
     gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
-    solve_only,
+    solve_only, n_patches=1, warm=None,
 ) -> np.ndarray:
     """Run one compiled recovery sweep (see
-    :meth:`KernelGenerator.generate_c_recover`); returns the int64 counts
-    ``[cons_floored, momentum_rescaled, n_unconverged, iters_max,
-    prim_reset]``.
+    :meth:`KernelGenerator.generate_c_recover`) over a stack of *n_patches*
+    patches; returns the int64 counts ``[cons_floored, momentum_rescaled,
+    n_unconverged, iters_max, prim_reset]`` of each, ``(n_patches, 5)``.
 
-    *cons* is floored in place and *prim* receives the interior; *seed*
-    (or None for the cold start) and *next_seed* are interior-shaped.
+    *cons* (``(n_patches * nvars, *cells)``) is floored in place and *prim*
+    receives the interiors; *seed* (or None: every patch starts cold) and
+    *next_seed* hold the patches' interiors back to back,
+    ``(n_patches * interior[0], *interior[1:])``.  *warm* (or None: every
+    patch warm) flags per patch whether its *seed* is read.
     """
     offsets, interior = interior_rows(cons.shape[1:], n_ghost)
-    counts = np.zeros(5, dtype=np.int64)
+    seeds = (n_patches * interior[0],) + interior[1:]
+    counts = np.zeros((n_patches, 5), dtype=np.int64)
+    if warm is not None and (warm.dtype != np.uint8 or warm.shape != (n_patches,)):
+        raise CodegenError(f"recover needs {n_patches} uint8 warm flags, got {warm}")
     fn(
         _state_buf(ffi, cons, writable=True),
         _state_buf(ffi, prim, cons.shape, writable=True),
+        n_patches,
         cons[0].size,
         ffi.from_buffer("long*", offsets),
         offsets.size,
         interior[-1],
-        ffi.NULL if seed is None else _state_buf(ffi, seed, interior),
-        _state_buf(ffi, next_seed, interior, writable=True),
+        ffi.NULL if seed is None else _state_buf(ffi, seed, seeds),
+        ffi.NULL if warm is None else ffi.from_buffer("unsigned char*", warm),
+        _state_buf(ffi, next_seed, seeds, writable=True),
         gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
         bool(solve_only),
         ffi.from_buffer("long*", counts),
@@ -556,13 +577,17 @@ def run_recover(
     return counts
 
 
-def run_max_signal(ffi, fn, prim, n_ghost, ndim: int, gamma: float) -> list[float]:
-    """Per-axis largest |characteristic speed| over the interior of *prim*
-    (see :meth:`KernelGenerator.generate_c_max_signal`)."""
+def run_max_signal(
+    ffi, fn, prim, n_ghost, ndim: int, gamma: float, n_patches: int = 1
+) -> list[list[float]]:
+    """Per-axis largest |characteristic speed| over the interior of each
+    patch of a stack *prim* (``(n_patches * nvars, *cells)``; see
+    :meth:`KernelGenerator.generate_c_max_signal`), one row per patch."""
     offsets, interior = interior_rows(prim.shape[1:], n_ghost)
-    vmax = np.empty(ndim)
+    vmax = np.empty((n_patches, ndim))
     fn(
         _state_buf(ffi, prim),
+        n_patches,
         prim[0].size,
         ffi.from_buffer("long*", offsets),
         offsets.size,
@@ -573,14 +598,19 @@ def run_max_signal(ffi, fn, prim, n_ghost, ndim: int, gamma: float) -> list[floa
     return vmax.tolist()
 
 
-def run_accumulate(ffi, fn, dU, axis: int, n_ghost: int, lo: int, hi: int, div) -> None:
+def run_accumulate(
+    ffi, fn, dU, axis: int, n_ghost: int, lo: int, hi: int, div, n_patches: int = 1
+) -> None:
     """``dU -= div`` over interior cells ``[lo, hi)`` of *axis*, every
-    interior row (:meth:`KernelGenerator.generate_c_accumulate`); *div* is
-    ``(nvars, *transverse_interior, hi - lo)``.  C walks both unchecked: a
-    region leaving the interior or a *div* of another size is refused here."""
-    rows = sweep_rows(dU.shape[1:], n_ghost, axis)[2]
+    interior row of every patch of the stack *dU* (``(n_patches * nvars,
+    *cells)``; :meth:`KernelGenerator.generate_c_accumulate`); *div* is
+    ``(nvars, n_patches, *transverse_interior, hi - lo)``.  C walks both
+    unchecked: a region leaving the interior or a *div* of another size is
+    refused here."""
+    rows = sweep_rows(dU.shape[1:], n_ghost, axis, n_patches, dU.size // n_patches)[2]
     n_axis = dU.shape[axis + 1] - 2 * n_ghost
-    if not 0 <= lo < hi <= n_axis or div.size != dU.shape[0] * rows.size * (hi - lo):
+    nvars = dU.shape[0] // n_patches
+    if not 0 <= lo < hi <= n_axis or div.size != nvars * rows.size * (hi - lo):
         raise CodegenError(
             f"accumulate region [{lo}, {hi}) of axis {axis} with a divergence "
             f"of shape {div.shape} does not fit the interior of {dU.shape}"

@@ -573,9 +573,10 @@ class KernelGenerator:
             kinds_axes = self.default_kinds_axes("cext")
         decls = [self.c_signature(kind, axis) + ";" for kind, axis in kinds_axes]
         decls.append(self.con2prim_c_signature() + ";")
-        # The template kernels' declarations are the heads of their definitions.
+        # The template kernels' declarations are the heads of their entry
+        # points: the last definition of each source, after its helpers.
         decls += [
-            src[: src.index("\n{")].removeprefix("REPRO_CLONES\n") + ";"
+            (head := src[src.rindex("\nvoid ") + 1 :])[: head.index("\n{")] + ";"
             for src in (
                 self.generate_c_recover(),
                 self.generate_c_max_signal(),
@@ -590,24 +591,27 @@ class KernelGenerator:
     # -- recovery sweep and CFL scan (C target only) -------------------------
     #
     # Both walk the interior of a C-contiguous ghosted ``(nvars, *cells)``
-    # array by rows (``cext.interior_rows``), so 1-/2-/3-D patches and a
-    # trailing batch axis are the same loop.
+    # patch by rows (``cext.interior_rows``), so 1-/2-/3-D patches and a
+    # trailing batch axis are the same loop; the entry point walks a stack
+    # of ``n_patches`` such patches back to back, one patch at a time.
 
     def generate_c_recover(self) -> str:
         """One recovery sweep, stage by stage the interpreted one.
 
-        Over every ghosted cell, in place: ``Atmosphere.apply_cons`` and
-        ``HydroPipeline._limit_momentum``.  Over the interior: ``S2``,
-        ``p_lo`` and the seed as ``con_to_prim`` forms them (*seed* NULL is
-        its cold start), the shared Newton body, ``v_i = S_i / Q``, then —
+        Per patch, over every ghosted cell, in place:
+        ``Atmosphere.apply_cons`` and ``HydroPipeline._limit_momentum``.
+        Over the interior: ``S2``, ``p_lo`` and the seed as ``con_to_prim``
+        forms them (no seed is its cold start: *seed* NULL, or ``warm[q]``
+        0 for patch *q*), the shared Newton body, ``v_i = S_i / Q``, then —
         unless *solve_only* — ``Atmosphere.apply_prim``, with the floored
         pressure stored as *next_seed*.  A cell that does not converge
-        writes nothing.  ``counts`` accumulates ``[cons_floored,
-        momentum_rescaled, n_unconverged, iters_max, prim_reset]``.
+        writes nothing.  Patch *q*'s ``counts[5q .. 5q + 4]`` accumulate
+        ``[cons_floored, momentum_rescaled, n_unconverged, iters_max,
+        prim_reset]``.
         """
-        nd, tau = self.ndim, self.nvars - 1
+        nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
         return f"""\
-void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_cells,
+REPRO_INLINE void recover_patch_{nd}d(double* cons, double* prim, long n_cells,
     const long* row_offsets, long n_rows, long row_len, const double* seed,
     double* next_seed, double gamma, double tol, double p_floor,
     int max_newton, double rho_atmo, double p_atmo, double rho_reset,
@@ -675,6 +679,21 @@ void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_cells,
         }}
     }}
 }}
+
+void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_patches,
+    long n_cells, const long* row_offsets, long n_rows, long row_len,
+    const double* seed, const unsigned char* warm, double* next_seed,
+    double gamma, double tol, double p_floor, int max_newton, double rho_atmo,
+    double p_atmo, double rho_reset, double vmax, int solve_only, long* counts)
+{{
+    const long n_interior = n_rows * row_len;
+    for (long q = 0; q < n_patches; ++q)
+        recover_patch_{nd}d(cons + q * {nv} * n_cells, prim + q * {nv} * n_cells,
+            n_cells, row_offsets, n_rows, row_len,
+            (seed && (!warm || warm[q])) ? seed + q * n_interior : 0,
+            next_seed + q * n_interior, gamma, tol, p_floor, max_newton,
+            rho_atmo, p_atmo, rho_reset, vmax, solve_only, counts + 5 * q);
+}}
 """
 
     def generate_c_max_signal(self) -> str:
@@ -685,12 +704,13 @@ void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_cells,
         clips, the ``disc``/``root``/``denom`` sequence) — the kernel every
         target's dt is scanned with — not the generated ``char_speeds``
         kind, which differs from it in the last bit.  A NaN poisons a
-        maximum as it does ``np.max``.
+        maximum as it does ``np.max``.  Patch *q* of the stack writes
+        ``vmax[q * ndim .. q * ndim + ndim - 1]``.
         """
-        nd, tau = self.ndim, self.nvars - 1
+        nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
         vs = ", ".join(f"prim[{1 + a} * n_cells + i]" for a in range(nd))
         return f"""\
-void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_cells,
+REPRO_INLINE void max_signal_patch_{nd}d(const double* prim, long n_cells,
     const long* row_offsets, long n_rows, long row_len, double gamma,
     double* vmax)
 {{
@@ -722,6 +742,15 @@ void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_cells,
         }}
     }}
     for (int a = 0; a < {nd}; ++a) vmax[a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
+}}
+
+void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_patches, long n_cells,
+    const long* row_offsets, long n_rows, long row_len, double gamma,
+    double* vmax)
+{{
+    for (long q = 0; q < n_patches; ++q)
+        max_signal_patch_{nd}d(prim + q * {nv} * n_cells, n_cells, row_offsets,
+            n_rows, row_len, gamma, vmax + q * {nd});
 }}
 """
 

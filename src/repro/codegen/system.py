@@ -250,7 +250,8 @@ class CompiledSRHDSystem(SRHDSystem):
 
     def recover(self, cons, prim, n_ghost, seed, next_seed, **params) -> np.ndarray:
         """One recovery sweep in one compiled pass — conserved floors,
-        momentum cap, seed, Newton, primitive floor — returning its counts
+        momentum cap, seed, Newton, primitive floor — over a stack of
+        patches, returning each patch's counts
         (:func:`~repro.codegen.cext.run_recover`).  Holding this hook puts
         a :class:`~repro.core.pipeline.HydroPipeline` on that path."""
         from .cext import run_recover
@@ -260,20 +261,22 @@ class CompiledSRHDSystem(SRHDSystem):
             gamma=self.gamma, **params,
         )
 
-    def max_signal(self, prim: np.ndarray, n_ghost: int) -> list[float]:
-        """The CFL scan in one compiled reduction, bit for bit
-        :func:`~repro.time_integration.cfl.max_signal_per_axis`."""
+    def max_signal(self, prim: np.ndarray, n_ghost: int, n_patches: int = 1):
+        """The CFL scan of each patch of a stack in one compiled reduction,
+        bit for bit :func:`~repro.time_integration.cfl.max_signal_per_axis`."""
         from .cext import run_max_signal
 
         return run_max_signal(
-            self._ffi, self._c_max_signal, prim, n_ghost, self.ndim, self.gamma
+            self._ffi, self._c_max_signal, prim, n_ghost, self.ndim, self.gamma,
+            n_patches,
         )
 
     def face_flux(
         self, prim, axis, row_offsets, j0, n_faces, out, *, ids, **params
     ) -> np.ndarray:
         """One fused reconstruction+Riemann(+difference) sweep along *axis*
-        (:func:`~repro.codegen.cext.run_face_flux`): fluxes into *out*,
+        of one patch or a stack (:func:`~repro.codegen.cext.run_face_flux`,
+        ``n_patches`` among *params*): fluxes into *out*,
         their difference over ``dx`` into ``div``, either may be None.
         Returns the int64 sanitize counters ``[velocity_rescaled,
         floored]``.  *ids* comes from :func:`stencil_scheme_ids`.
@@ -287,12 +290,15 @@ class CompiledSRHDSystem(SRHDSystem):
             limiter_id=limiter_id, riemann_id=riemann_id, **params,
         )
 
-    def accumulate(self, dU, axis, n_ghost, lo, hi, div) -> None:
-        """``dU -= div`` over interior cells ``[lo, hi)`` of *axis* in one
-        compiled pass (:func:`~repro.codegen.cext.run_accumulate`)."""
+    def accumulate(self, dU, axis, n_ghost, lo, hi, div, n_patches=1) -> None:
+        """``dU -= div`` over interior cells ``[lo, hi)`` of *axis*, every
+        patch of a stack, in one compiled pass
+        (:func:`~repro.codegen.cext.run_accumulate`)."""
         from .cext import run_accumulate
 
-        run_accumulate(self._ffi, self._c_accumulate, dU, axis, n_ghost, lo, hi, div)
+        run_accumulate(
+            self._ffi, self._c_accumulate, dU, axis, n_ghost, lo, hi, div, n_patches
+        )
 
     def rk_stage(self, stage, U, V, dt, k, out) -> None:
         """One SSP-RK stage combination into *out*, bit for bit

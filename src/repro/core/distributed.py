@@ -3,20 +3,26 @@
 Runs the same HRSC pipeline as :class:`~repro.core.solver.Solver`, but with
 the domain split across ranks of a :class:`CartesianDecomposition`:
 
-- each rank owns a ghosted sub-patch and its own :class:`HydroPipeline`;
+- each rank owns a ghosted sub-patch; consecutive owned ranks whose
+  patches are alike (shape, ``dx``, overlap regions) form one *stack*, a
+  ``(P, nvars, *ghosted)`` array stepped by one :class:`HydroPipeline` —
+  one kernel call per stage for all P ranks — and every per-rank surface
+  (halo exchange, shards, the finite guard) works on ``{rank: view}``;
 - physical walls use the supplied boundary conditions, while faces shared
   with a neighbour are marked :class:`InteriorFace` and filled by
   :func:`exchange_halos` through the :class:`SimCommunicator`;
-- the CFL time step is a global allreduce(min).
+- the CFL time step is a global allreduce(max) of per-axis speeds.
 
-The distributed result matches the single-grid solver to round-off — the
-test suite asserts this — so the communicator traffic log faithfully
-represents the real code path the scaling model prices.
+The distributed result is the single-grid solver's bit for bit wherever the
+sub-grids' ``dx`` is the global one — the test suite asserts this — so the
+communicator traffic log faithfully represents the real code path the
+scaling model prices.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,6 +59,25 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the one link the comm.overlap.{modeled_comm_s,hidden_s,exposed_s,
 #: hidden_frac} split is priced on — a Hockney *model*, not a measurement
 _OVERLAP_LINK = make_link("infiniband-fdr")
+
+
+@dataclass
+class _Stack:
+    """Owned ranks stepped as one ``(P, nvars, *ghosted)`` array: their
+    shared pipeline and the ``(axis, lo, hi)`` regions every patch of it
+    evaluates before the halos land (cores) and after (strips)."""
+
+    ranks: tuple[int, ...]
+    pipeline: HydroPipeline
+    cores: list
+    strips: list
+
+
+class _RankViews(dict):
+    """``{rank: view}`` of one array per stack, which it keeps as
+    :attr:`stacks` — what the kernels take — in stack order."""
+
+    stacks: list
 
 
 def decompose(system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic):
@@ -158,89 +183,30 @@ class DistributedSolver(Driver):
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
 
-        # Per-rank boundary sets: faces in the halo face table (neighbour
-        # present) are no-ops, physical walls inherit the global policy.
-        interior = InteriorFace()
-        neighboured = face_table(decomp).by_face
-        # Resolved once for every rank pipeline; self.system stays the plain
-        # one (it converts the initial data and is what workers unpickle).
-        kernel_system = resolve_kernel_system(system, self.config.kernel_target)
-        self.pipelines: dict[int, HydroPipeline] = {}
-        self.subgrids: dict[int, Grid] = {}
-        for rank in self.local_ranks:
-            faces = {
-                (axis, side): (
-                    interior if (rank, axis, side) in neighboured
-                    else wall_bcs.condition(axis, side)
-                )
-                for axis in range(global_grid.ndim)
-                for side in (0, 1)
-            }
-            sub = self.decomp.subgrid(rank)
-            self.subgrids[rank] = sub
-            self.pipelines[rank] = HydroPipeline(
-                kernel_system,
-                sub,
-                BoundarySet(faces=faces),
-                self.config,
-                timers=self.timers,
-                metrics=self.metrics,
-                fault_injector=fault_injector,
-            )
-            self.pipelines[rank].source_fn = source_fn
-
-        # Install the scattered interiors, then fill all ghosts once.
-        self.cons: dict[int, np.ndarray] = {}
-        prims: dict[int, np.ndarray] = {}
-        for rank, pipeline in self.pipelines.items():
-            sub = self.subgrids[rank]
-            prim = sub.allocate(system.nvars)
-            sub.interior_of(prim)[...] = parts[rank]
-            pipeline.boundaries.apply(system, sub, prim)
-            prims[rank] = prim
-        if prime:
-            self._exchange(prims)
-        for rank, prim in prims.items():
-            self.pipelines[rank].atmosphere.apply_prim(system, prim)
-            self.cons[rank] = system.prim_to_con(prim)
-        # Mirror the single-grid solver's primitive cache: the first dt is
-        # computed from the (floored, exchanged) initial primitives, not a
-        # recovery round-trip — keeping the two solvers bit-identical.
-        self._prims_cache: dict[int, np.ndarray] | None = prims
-        self.integrator = make_integrator(self.config.integrator)
-        self.t = 0.0
-        self.steps = 0
-        #: analytic bytes sent by one full halo exchange (all ranks, all
-        #: faces) — the model the measured traffic is checked against
-        self.halo_bytes_per_exchange = sum(
-            halo_bytes_per_step(self.decomp, system.nvars).values()
-        )
-        # Snapshot after the constructor's initial exchange so the first
-        # step's delta counts only that step's traffic.
-        self._traffic_prev = self.comm.traffic_marker()
-
+        self.subgrids: dict[int, Grid] = {
+            rank: decomp.subgrid(rank) for rank in self.local_ranks
+        }
         #: overlapped-exchange mode: RHS evaluations post halos first,
         #: compute each rank's core regions while the exchange is in
         #: flight, then finish the boundary strips (bit-identical to the
         #: blocking path — see tests/test_overlap.py).
         self.overlap = bool(self.config.overlap_exchange)
-        #: per rank, the ``(axis, lo, hi)`` interior ranges the RHS evaluates
-        #: before the halos land (cores) and after (strips).  A blocking
-        #: rank waits for its halos first: no core, one full-axis strip.
-        self._cores: dict[int, list] = {}
-        self._strips: dict[int, list] = {}
+        # Per rank, the (axis, lo, hi) interior ranges the RHS evaluates
+        # before the halos land (cores) and after (strips).  A blocking
+        # rank waits for its halos first: no core, one full-axis strip.
+        cores, strips = {}, {}
         for rank in self.local_ranks:
             regions = (
-                rhs_regions(self.decomp, rank) if self.overlap
+                rhs_regions(decomp, rank) if self.overlap
                 else [((0, 0), [(0, n)]) for n in self.subgrids[rank].shape]
             )
-            self._cores[rank] = [
+            cores[rank] = [
                 (axis, *core) for axis, (core, _) in enumerate(regions)
                 if core[1] > core[0]
             ]
-            self._strips[rank] = [
-                (axis, lo, hi) for axis, (_, strips) in enumerate(regions)
-                for lo, hi in strips
+            strips[rank] = [
+                (axis, lo, hi) for axis, (_, ranges) in enumerate(regions)
+                for lo, hi in ranges
             ]
 
         def cells(ranges_of: dict[int, list]) -> int:
@@ -252,7 +218,89 @@ class DistributedSolver(Driver):
 
         #: per-exchange (core, strip) cell-update counts of the owned ranks
         #: behind the comm.overlap.interior_cells / strip_cells counters
-        self.overlap_cell_counts = (cells(self._cores), cells(self._strips))
+        self.overlap_cell_counts = (cells(cores), cells(strips))
+
+        # Stacks: maximal runs of consecutive owned ranks whose patches one
+        # kernel call can step together — same shape and dx (each patch's
+        # divergence is divided by its own dx, and sub-grids of an inexact
+        # global dx differ in its last bit) and the same regions.  Runs, so
+        # stack after stack, patch after patch is rank order: every
+        # order-sensitive per-patch step (fault-injector consults, which
+        # RecoveryError is raised first) keeps the order it always had.
+        runs: list = []
+        for rank in self.local_ranks:
+            sub = self.subgrids[rank]
+            key = (sub.shape, sub.dx, cores[rank], strips[rank])
+            if runs and runs[-1][0] == key:
+                runs[-1][1].append(rank)
+            else:
+                runs.append((key, [rank]))
+        # Per-rank boundary sets: faces in the halo face table (neighbour
+        # present) are no-ops, physical walls inherit the global policy.
+        interior = InteriorFace()
+        neighboured = face_table(decomp).by_face
+
+        def boundaries(rank: int) -> BoundarySet:
+            return BoundarySet(faces={
+                (axis, side): (
+                    interior if (rank, axis, side) in neighboured
+                    else wall_bcs.condition(axis, side)
+                )
+                for axis in range(global_grid.ndim)
+                for side in (0, 1)
+            })
+
+        # Resolved once for every stack pipeline; self.system stays the
+        # plain one (it converts the initial data and is what workers
+        # unpickle).
+        kernel_system = resolve_kernel_system(system, self.config.kernel_target)
+        self._stacks: list[_Stack] = []
+        #: each owned rank's pipeline: its stack's, shared by the stack
+        self.pipelines: dict[int, HydroPipeline] = {}
+        for (*_, core, strip), ranks in runs:
+            patches = [(self.subgrids[rank], boundaries(rank)) for rank in ranks]
+            pipeline = HydroPipeline(
+                kernel_system, *patches[0], self.config,
+                timers=self.timers, metrics=self.metrics,
+                fault_injector=fault_injector, patches=patches,
+            )
+            pipeline.source_fn = source_fn
+            self._stacks.append(_Stack(tuple(ranks), pipeline, core, strip))
+            self.pipelines.update(dict.fromkeys(ranks, pipeline))
+
+        # Install the scattered interiors, then fill all ghosts once.
+        stacks = []
+        for st in self._stacks:
+            shape = (len(st.ranks), system.nvars) + st.pipeline.grid.shape_with_ghosts
+            prim = np.zeros(shape)
+            for rank, (sub, bcs), patch in zip(st.ranks, st.pipeline.patches, prim):
+                sub.interior_of(patch)[...] = parts[rank]
+                bcs.apply(system, sub, patch)
+            stacks.append(prim)
+        prims = self._views(stacks)
+        if prime:
+            self._exchange(prims)
+        cons = [np.empty_like(prim) for prim in stacks]
+        for st, prim, state in zip(self._stacks, stacks, cons):
+            for patch, patch_cons in zip(prim, state):
+                st.pipeline.atmosphere.apply_prim(system, patch)
+                system.prim_to_con(patch, out=patch_cons)
+        self.cons = self._views(cons)
+        # Mirror the single-grid solver's primitive cache: the first dt is
+        # computed from the (floored, exchanged) initial primitives, not a
+        # recovery round-trip — keeping the two solvers bit-identical.
+        self._prims_cache: _RankViews | None = prims
+        self.integrator = make_integrator(self.config.integrator)
+        self.t = 0.0
+        self.steps = 0
+        #: analytic bytes sent by one full halo exchange (all ranks, all
+        #: faces) — the model the measured traffic is checked against
+        self.halo_bytes_per_exchange = sum(
+            halo_bytes_per_step(self.decomp, system.nvars).values()
+        )
+        # Snapshot after the constructor's initial exchange so the first
+        # step's delta counts only that step's traffic.
+        self._traffic_prev = self.comm.traffic_marker()
 
     # ------------------------------------------------------------------
 
@@ -279,32 +327,50 @@ class DistributedSolver(Driver):
             schedule=self._exchange_schedule(False),
         )
 
-    def _recover_and_exchange(
-        self, cons: dict[int, np.ndarray], use_cache: bool = False
-    ):
+    def _views(self, stacks: list) -> "_RankViews":
+        """``{rank: view}`` of one array per stack, in rank order."""
+        views = _RankViews(
+            (rank, array[i])
+            for st, array in zip(self._stacks, stacks)
+            for i, rank in enumerate(st.ranks)
+        )
+        views.stacks = list(stacks)
+        return views
+
+    def _recover(self, states, reuse: bool = False) -> "_RankViews":
+        """Each stack state's primitives, one recovery sweep per stack."""
+        return self._views([
+            st.pipeline.recover_primitives(U, reuse=reuse)
+            for st, U in zip(self._stacks, states)
+        ])
+
+    def _recover_and_exchange(self, cons: "_RankViews", use_cache: bool = False):
+        """Primitives of the rank views *cons* after a fresh halo exchange;
+        with *use_cache* (for ``self.cons``) read through the exchanged-
+        primitive cache and fill it — a diagnostic read between steps is
+        the recovery the next ``compute_dt`` then skips."""
         if use_cache and self._prims_cache is not None:
             return self._prims_cache
-        prims = {
-            rank: self.pipelines[rank].recover_primitives(cons[rank])
-            for rank in self.local_ranks
-        }
+        prims = self._recover(cons.stacks)
         self._exchange(prims)
+        if use_cache:
+            self._prims_cache = prims
         return prims
 
-    def _divergences(self, rank: int, prim: np.ndarray, ranges) -> list:
-        """``(axis, lo, hi, divergence)`` of each ``(axis, lo, hi)`` range."""
-        pipeline = self.pipelines[rank]
+    def _divergences(self, stack: "_Stack", prim: np.ndarray, ranges) -> list:
+        """``(axis, lo, hi, divergence)`` of each ``(axis, lo, hi)`` range
+        of every patch of *stack* (one sweep per range)."""
         return [
             (axis, lo, hi,
-             pipeline.flux_divergence_region(prim, axis, lo, hi, reuse=True))
+             stack.pipeline.flux_divergence_region(prim, axis, lo, hi, reuse=True))
             for axis, lo, hi in ranges
         ]
 
-    def _rhs(self, cons: dict[int, np.ndarray]):
-        """RHS of every owned rank, around one halo exchange.
+    def _rhs(self, states: dict):
+        """RHS of every stack state, around one halo exchange.
 
         Overlapped: post every strip (:func:`post_halos`), evaluate each
-        rank's cores — the cells whose stencil never reads halo ghosts —
+        stack's cores — the cells whose stencil never reads halo ghosts —
         while the messages are notionally on the wire, complete the
         exchange, then evaluate the halo-dependent strips.  Blocking is the
         same walk with no cores: the whole :func:`exchange_halos`, then one
@@ -314,11 +380,8 @@ class DistributedSolver(Driver):
         accumulation order bitwise (with >= 3 axis terms the order is not
         commutative in IEEE arithmetic).
         """
-        # Each rank pipeline owns its workspace, so per-rank reuse is safe.
-        prims = {
-            rank: self.pipelines[rank].recover_primitives(cons[rank], reuse=True)
-            for rank in self.local_ranks
-        }
+        # Each stack pipeline owns its workspace, so per-stack reuse is safe.
+        prims = self._recover(states.values(), reuse=True)
         handle = None
         if self.overlap:
             handle = post_halos(
@@ -327,10 +390,10 @@ class DistributedSolver(Driver):
                 schedule=self._exchange_schedule(True),
             )
         t0 = time.perf_counter()
-        divs = {
-            rank: self._divergences(rank, prims[rank], self._cores[rank])
-            for rank in self.local_ranks
-        }
+        divs = [
+            self._divergences(st, prim, st.cores)
+            for st, prim in zip(self._stacks, prims.stacks)
+        ]
         interior_s = time.perf_counter() - t0
         if handle is None:
             self._exchange(prims)
@@ -338,13 +401,13 @@ class DistributedSolver(Driver):
             complete_halos(handle)
         t1 = time.perf_counter()
         out = {}
-        for rank in self.local_ranks:
-            pipeline = self.pipelines[rank]
-            divs[rank] += self._divergences(rank, prims[rank], self._strips[rank])
+        for s, (st, prim) in enumerate(zip(self._stacks, prims.stacks)):
+            pipeline = st.pipeline
+            divs[s] += self._divergences(st, prim, st.strips)
             dU = pipeline.begin_flux_divergence(reuse=True)
-            for axis, lo, hi, div in sorted(divs[rank], key=lambda e: e[0]):
+            for axis, lo, hi, div in sorted(divs[s], key=lambda e: e[0]):
                 pipeline.accumulate_divergence(dU, axis, lo, hi, div)
-            out[rank] = pipeline.apply_source(prims[rank], dU)
+            out[s] = pipeline.apply_source(prim, dU)
         if handle is not None:
             self._record_overlap(handle, interior_s, time.perf_counter() - t1)
         return out
@@ -381,18 +444,22 @@ class DistributedSolver(Driver):
         to it (a min over per-rank dt would differ whenever the x- and
         y-maxima live on different ranks)."""
         prims = self._recover_and_exchange(self.cons, use_cache=True)
-        local = {
-            rank: np.asarray(self.pipelines[rank].max_signal_per_axis(prims[rank]))
-            for rank in self.local_ranks
-        }
+        local = {}
+        for st, prim in zip(self._stacks, prims.stacks):
+            maxima = st.pipeline.max_signal_per_axis(prim)
+            local.update(zip(st.ranks, map(np.asarray, maxima)))
         vmax = self.comm.allreduce(local, op="max")[self.local_ranks[0]]
         dt = dt_from_axis_maxima(self.global_grid, vmax, self.config.cfl)
         return clip_dt_to_final(dt, self.t, t_final)
 
     def _integrate(self, dt: float) -> None:
-        self.cons = self._integrate_parts(
-            self.cons, dt, self._rhs, self.pipelines.__getitem__
+        """One integrator step over ``{stack: state}``; the advanced states
+        are fresh stacks, so views and shards handed out stay valid."""
+        states = self._integrate_parts(
+            dict(enumerate(self.cons.stacks)), dt, self._rhs,
+            lambda s: self._stacks[s].pipeline,
         )
+        self.cons = self._views(list(states.values()))
         self._prims_cache = None  # state advanced: next dt recovers afresh
 
     def _patches(self):
@@ -436,27 +503,37 @@ class DistributedSolver(Driver):
         executor streams from its workers, so both write identical
         archives)."""
         return {
-            rank: (self.cons[rank], self.pipelines[rank].warm_state())
-            for rank in self.local_ranks
+            rank: (self.cons[rank], st.pipeline.warm_state(i))
+            for st in self._stacks
+            for i, rank in enumerate(st.ranks)
         }
 
     def install_shards(self, t, steps, shards: dict, prims_cache=None) -> None:
         """Install ``{rank: (ghosted cons, p_cache)}`` for the owned
-        ranks verbatim (bit-exact restart): the one path
+        ranks verbatim (bit-exact restart), as fresh stacks: the one path
         checkpoint reload, the worker's restore commands and the fold to
-        serial all take.  *prims_cache* is the exchanged-primitive cache
-        when one was held."""
-        for rank in self.local_ranks:
-            cons, p_cache = shards[rank]
-            self.cons[rank] = np.array(cons)
-            self.pipelines[rank].install_warm_state(p_cache)
-        self._prims_cache = prims_cache
+        serial all take.  *prims_cache* is the ``{rank: prim}``
+        exchanged-primitive cache when one was held."""
+        for st in self._stacks:
+            for i, rank in enumerate(st.ranks):
+                st.pipeline.install_warm_state(shards[rank][1], i)
+
+        def stacked(arrays_of) -> _RankViews:
+            return self._views([
+                np.stack([np.asarray(arrays_of(rank), dtype=float) for rank in st.ranks])
+                for st in self._stacks
+            ])
+
+        self.cons = stacked(lambda rank: shards[rank][0])
+        self._prims_cache = None if prims_cache is None else stacked(prims_cache.get)
         self.t = float(t)
         self.steps = int(steps)
 
     def interior_primitives(self) -> dict[int, np.ndarray]:
-        """Owned ranks' interior primitives after a fresh exchange."""
-        prims = self._recover_and_exchange(self.cons)
+        """Owned ranks' interior primitives after an exchange — through the
+        primitive cache, like ``Solver.primitives()``: between steps a read
+        is the recovery the next ``compute_dt`` would do, not an extra one."""
+        prims = self._recover_and_exchange(self.cons, use_cache=True)
         return {
             rank: self.subgrids[rank].interior_of(prims[rank]).copy()
             for rank in self.local_ranks

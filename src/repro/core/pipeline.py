@@ -1,9 +1,10 @@
 """The HRSC step pipeline: recover -> reconstruct -> Riemann -> divergence.
 
 :class:`HydroPipeline` owns the per-step numerical kernels and exposes the
-right-hand side ``dU/dt = -div F`` used by the SSP integrators. It is shared
-by the unigrid and AMR solvers and is the unit the heterogeneous runtime's
-performance model is calibrated against (each stage is one "kernel").
+right-hand side ``dU/dt = -div F`` used by the SSP integrators. Every driver
+runs it — on one patch, or (the distributed solver) on a stack of same-shape
+patches — and it is the unit the heterogeneous runtime's performance model
+is calibrated against (each stage is one "kernel").
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _c_f64(*arrays) -> bool:
 
 
 class HydroPipeline:
-    """Numerical kernels for one grid patch.
+    """Numerical kernels for one grid patch, or a stack of same-shape ones.
 
     Parameters
     ----------
@@ -73,6 +74,15 @@ class HydroPipeline:
         once per recovery sweep: an injected con2prim burst forces a batch
         of cells through the same bounded atmosphere failsafe that real
         non-convergence takes (raising past ``config.failsafe_frac``).
+    patches:
+        A stack's ``(grid, boundaries)`` per patch, in order (the first is
+        *grid*, *boundaries*; every grid has its shape, ghosts and ``dx``).
+        The pipeline then takes and returns ``(P, nvars, *ghosted)`` stacks
+        — P = 1 included — and runs each compiled kernel once per call for
+        all P patches; what is per patch (boundary fill, source term, Newton
+        seed, fault-injector consult, recovery accounting, the interpreted
+        paths) runs patch by patch, in order.  Without it the pipeline is
+        one patch in ``(nvars, *ghosted)`` arrays.
     """
 
     def __init__(
@@ -84,12 +94,17 @@ class HydroPipeline:
         timers: TimerRegistry | None = None,
         metrics: MetricsRegistry | None = None,
         fault_injector=None,
+        patches=None,
     ):
         # Here as well as in the drivers that own many pipelines: this is
         # the construction point every driver and direct user goes through.
         self.system = system = resolve_kernel_system(system, config.kernel_target)
         self.grid = grid
-        self.boundaries = boundaries
+        self.patches = [(grid, boundaries)] if patches is None else list(patches)
+        #: the stack axis of this pipeline's arrays: ``(P,)``, or none
+        self._lead = () if patches is None else (len(self.patches),)
+        self._state_shape = self._lead + (system.nvars,) + grid.shape_with_ghosts
+        self._flat_shape = (-1,) + grid.shape_with_ghosts
         self.config = config
         self.reconstruction = make_reconstruction(config.reconstruction)
         self.riemann = make_riemann_solver(config.riemann)
@@ -129,14 +144,18 @@ class HydroPipeline:
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
         #: preallocated kernel buffers for the hot path (one per pipeline, so
-        #: per-rank and per-AMR-block reuse is safe); setting it to None
+        #: per-stack and per-AMR-block reuse is safe); setting it to None
         #: makes every call allocate fresh arrays (bit-identical; tests).
-        self.workspace = ScratchWorkspace(grid, system.nvars)
-        # Pressure cache seeds the next con2prim Newton solve.  Private:
-        # the compiled sweep writes the next seed into _seed_spare and the
-        # two swap, so no array handed out may alias either.
+        self.workspace = ScratchWorkspace(grid, system.nvars, *self._lead)
+        # Pressure cache seeds the next con2prim Newton solve: the patches'
+        # interiors back to back along axis 0 (the layout the compiled sweep
+        # takes; patch i's are rows _seed_rows(i)), read where _warm is set
+        # (a patch without one starts cold).  Private: a sweep writes the
+        # next seeds into _seed_spare and the two swap, so no array handed
+        # out may alias either.
         self._p_cache: np.ndarray | None = None
         self._seed_spare: np.ndarray | None = None
+        self._warm = [False] * len(self.patches)
         #: when True, flux_divergence stashes the interior face fluxes per
         #: axis in :attr:`last_face_fluxes` (used by AMR refluxing).
         self.store_fluxes = False
@@ -151,18 +170,52 @@ class HydroPipeline:
 
     # ------------------------------------------------------------------
 
-    def warm_state(self) -> np.ndarray | None:
-        """The Newton seed ``p_cache`` (an owned copy): with the patch's
-        conserved array, everything the bits of its next recovery sweep
-        depend on.  Every capture/install pair (checkpoints, supervision
-        snapshots, block migration) moves a patch as
+    def warm_state(self, patch: int = 0) -> np.ndarray | None:
+        """The Newton seed ``p_cache`` of *patch* (an owned copy): with the
+        patch's conserved array, everything the bits of its next recovery
+        sweep depend on.  Every capture/install pair (checkpoints,
+        supervision snapshots, block migration) moves a patch as
         ``(cons, warm_state())``."""
-        return None if self._p_cache is None else self._p_cache.copy()
+        if not self._warm[patch]:
+            return None
+        return self._p_cache[self._seed_rows(patch)].copy()
 
-    def install_warm_state(self, p_cache) -> None:
-        self._p_cache = (
-            None if p_cache is None else np.array(p_cache, dtype=float, order="C")
-        )
+    def install_warm_state(self, p_cache, patch: int = 0) -> None:
+        """Install *patch*'s seed (copied); None — or a seed shaped unlike
+        the patch interior, which no sweep could read — starts it cold."""
+        warm = p_cache is not None and np.shape(p_cache) == self.grid.shape
+        if warm:
+            if self._p_cache is None:
+                self._p_cache = self._new_seeds()
+            self._p_cache[self._seed_rows(patch)] = p_cache
+        self._warm[patch] = warm
+
+    def _new_seeds(self) -> np.ndarray:
+        """An unfilled seed array: the patches' interiors back to back."""
+        shape = self.grid.shape
+        return np.empty((len(self.patches) * shape[0],) + shape[1:])
+
+    def _seed_rows(self, patch: int) -> slice:
+        """Patch *patch*'s rows of a seed array (interiors back to back)."""
+        n = self.grid.shape[0]
+        return slice(patch * n, (patch + 1) * n)
+
+    def _stack(self, a: np.ndarray):
+        """The patches of a state-layout array of this pipeline, to iterate
+        or index: the ``(P, nvars, ...)`` stack itself, or a one-tuple of a
+        single patch's array."""
+        return a if self._lead else (a,)
+
+    def _div_patch(self, a: np.ndarray, i: int) -> np.ndarray:
+        """Patch *i*'s part of a divergence (or face-flux) array of this
+        pipeline: a stack's patch axis is the second."""
+        return a[:, i] if self._lead else a
+
+    def _flat(self, a: np.ndarray) -> np.ndarray:
+        """A C-contiguous state-layout array of this pipeline as its
+        patches back to back, ``(P * nvars, *ghosted)``: the view the
+        compiled row kernels walk (a single patch's array is that already)."""
+        return a.reshape(self._flat_shape) if self._lead else a
 
     def recover_primitives(self, cons: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Full primitive array: recovery on the interior + BC ghost fill.
@@ -173,108 +226,126 @@ class HydroPipeline:
         arrays the caller may keep (e.g. the solver's primitive cache).
         Values are bit-identical either way.
         """
-        grid, system = self.grid, self.system
+        system = self.system
         ws = self.workspace if reuse else None
-        if ws is not None:
-            # Zero-fill on reuse so ghost corners match grid.allocate exactly.
-            prim = ws.prim
-            prim.fill(0.0)
-        else:
-            prim = grid.allocate(system.nvars)
-        interior_cons = grid.interior_of(cons)
-        interior_prim = grid.interior_of(prim)
+        prim = ws.prim if ws is not None else np.empty(self._state_shape)
+        prim.fill(0.0)  # ghost corners: neither the sweep nor a boundary fill writes them
+        if self._seed_spare is None:
+            self._seed_spare = self._new_seeds()
         with self.timers("con2prim"):
-            sweep = RecoveryStats()
-            # Three stages: conserved floors, interior solve, primitive
-            # floor + next seed.  The compiled kernel completes the first
-            # `done` of them; the interpreted code below runs the rest.
-            done = self._recover_compiled(cons, prim, sweep)
-            if done < 1:
-                cons_mask = self.atmosphere.apply_cons(system, cons)
-                if cons_mask.any():
-                    self.metrics.counter("atmo.cons_floored").inc(int(cons_mask.sum()))
-                self._limit_momentum(cons, ws)
-            try:
-                if done < 2:
-                    p_guess = self._p_cache
-                    if p_guess is not None and p_guess.shape != interior_cons.shape[1:]:
-                        p_guess = None
-                    con_to_prim(
-                        system,
-                        interior_cons,
-                        p_guess=p_guess,
-                        tol=self.config.recovery_tol,
-                        stats=sweep,
-                        failsafe_frac=self.config.failsafe_frac,
-                        atmosphere=(self.atmosphere.rho_atmo, self.atmosphere.p_atmo),
-                        scratch=ws,
-                        out=interior_prim,
-                        **_NEWTON,
-                    )
-                if self.fault_injector is not None:
-                    self._maybe_inject_burst(interior_cons, interior_prim)
-            finally:
-                # con_to_prim populates the sweep counters before raising,
-                # so the failing sweep is accounted for too.
-                self._record_recovery(sweep)
-            if done < 3:
-                prim_mask = self.atmosphere.apply_prim(system, interior_prim)
-                if prim_mask.any():
-                    self.metrics.counter("atmo.prim_reset").inc(int(prim_mask.sum()))
-                self._p_cache = interior_prim[system.P].copy()
+            # Three stages per patch: conserved floors, interior solve,
+            # primitive floor + next seed.  The compiled kernel completes
+            # the first `done[i]` of patch i's; the interpreted code runs
+            # the rest, patch by patch.  A raise commits no seed.
+            sweeps = [RecoveryStats() for _ in self.patches]
+            done = self._recover_compiled(cons, prim, sweeps)
+            for i, patch_done in enumerate(done):
+                self._finish_recovery(i, cons, prim, patch_done, sweeps[i], ws)
+            self._p_cache, self._seed_spare = self._seed_spare, self._p_cache
+            self._warm = [True] * len(self.patches)
         with self.timers("boundary"):
-            self.boundaries.apply(system, grid, prim)
+            for (grid, boundaries), patch_prim in zip(self.patches, self._stack(prim)):
+                boundaries.apply(system, grid, patch_prim)
         return prim
 
-    def _recover_compiled(self, cons, prim, sweep: RecoveryStats) -> int:
-        """Run the compiled recovery sweep, if this pipeline has one, and
-        return how many stages it completed — the one cold-path rule:
+    def _finish_recovery(self, i, cons, prim, done, sweep, ws):
+        """The stages of patch *i*'s sweep (*cons* → *prim*, this
+        pipeline's layout) the kernel left — all of them on the interpreted
+        path: floors, solve, burst hook, accounting, primitive floor, next
+        seed."""
+        if done == 3:  # the kernel's: only the accounting is left
+            self._record_recovery(sweep)
+            return
+        system = self.system
+        grid = self.patches[i][0]
+        cons, prim = self._stack(cons)[i], self._stack(prim)[i]
+        interior_cons, interior_prim = grid.interior_of(cons), grid.interior_of(prim)
+        if done < 1:
+            cons_mask = self.atmosphere.apply_cons(system, cons)
+            if cons_mask.any():
+                self.metrics.counter("atmo.cons_floored").inc(int(cons_mask.sum()))
+            self._limit_momentum(cons, ws)
+        try:
+            if done < 2:
+                con_to_prim(
+                    system,
+                    interior_cons,
+                    p_guess=self._p_cache[self._seed_rows(i)] if self._warm[i] else None,
+                    tol=self.config.recovery_tol,
+                    stats=sweep,
+                    failsafe_frac=self.config.failsafe_frac,
+                    atmosphere=(self.atmosphere.rho_atmo, self.atmosphere.p_atmo),
+                    scratch=ws,
+                    out=interior_prim,
+                    **_NEWTON,
+                )
+            if self.fault_injector is not None:
+                self._maybe_inject_burst(interior_cons, interior_prim)
+        finally:
+            # con_to_prim populates the sweep counters before raising,
+            # so the failing sweep is accounted for too.
+            self._record_recovery(sweep)
+        if done < 3:
+            prim_mask = self.atmosphere.apply_prim(system, interior_prim)
+            if prim_mask.any():
+                self.metrics.counter("atmo.prim_reset").inc(int(prim_mask.sum()))
+            self._seed_spare[self._seed_rows(i)] = interior_prim[system.P]
+
+    def _recover_compiled(self, cons, prim, sweeps) -> list[int]:
+        """Run the compiled recovery sweep over the stack *cons*, if this
+        pipeline has one, and return per patch how many stages it
+        completed — the one cold-path rule:
 
         - 0: no kernel (``numpy``/``flat``), or *cons* is not C-contiguous
-          float64.  It is never copied contiguous: the floors are in place.
-        - 1: some cell did not converge (or is not finite).  *cons* is
-          floored and capped, counted once, and nothing else is committed —
-          ``_limit_momentum`` is not bitwise idempotent, so the floors must
-          not run again; the interpreted solve recomputes the same Newton
-          bits, then bisects, failsafes or raises as it always did.
-        - 2: a fault injector is attached.  The solve is in *prim* and
-          *sweep*; the burst hook sits between it and the primitive floor
-          (a burst cell is counted by ``atmo.prim_reset`` and its
-          ``p_atmo`` lands in the seed), so those stay interpreted.
+          float64 — every patch.  It is never copied contiguous: the floors
+          are in place.
+        - 1: some cell of the patch did not converge (or is not finite).
+          Its *cons* is floored and capped, counted once, and nothing else
+          is committed — ``_limit_momentum`` is not bitwise idempotent, so
+          the floors must not run again; the interpreted solve recomputes
+          the same Newton bits, then bisects, failsafes or raises as it
+          always did.  The other patches are unaffected.
+        - 2: a fault injector is attached.  The solve is in *prim* and the
+          patch's sweep stats; the burst hook sits between it and the
+          primitive floor (a burst cell is counted by ``atmo.prim_reset``
+          and its ``p_atmo`` lands in the seed), so those stay interpreted.
         - 3: everything, the next seed included.
         """
         kernel = self._recover_kernel
         if kernel is None or not _c_f64(cons):
-            return 0
-        shape, atmo = self.grid.shape, self.atmosphere
-        seed, spare = self._p_cache, self._seed_spare
-        if seed is not None and seed.shape != shape:
-            seed = None
-        if spare is None or spare.shape != shape:
-            spare = np.empty(shape)
+            return [0] * len(self.patches)
+        atmo, warm = self.atmosphere, self._warm
         solve_only = self.fault_injector is not None
-        floored, rescaled, unconverged, iters_max, prim_reset = kernel(
-            cons, prim, self.grid.n_ghost, seed, spare,
+        counts = kernel(
+            self._flat(cons), self._flat(prim), self.grid.n_ghost,
+            self._p_cache if any(warm) else None, self._seed_spare,
+            n_patches=len(warm),
+            warm=None if all(warm) else np.array(warm, dtype=np.uint8),
             tol=self.config.recovery_tol, **_NEWTON,
             rho_atmo=atmo.rho_atmo, p_atmo=atmo.p_atmo,
             rho_reset=atmo.threshold_factor * atmo.rho_atmo,
             vmax=float(np.sqrt(1.0 - 1.0 / self.config.w_max**2)),
             solve_only=solve_only,
-        ).tolist()
+        )
+        n_interior = self._seed_spare.size // len(warm)
+        done, floored, rescaled, prim_reset = [], 0, 0, 0
+        for sweep, (f, r, unconverged, iters_max, reset) in zip(sweeps, counts.tolist()):
+            floored += f
+            rescaled += r
+            if unconverged:
+                done.append(1)
+                continue
+            sweep.n_cells = sweep.n_newton_converged = n_interior
+            sweep.max_iterations = iters_max
+            done.append(2 if solve_only else 3)
+            prim_reset += reset
         if floored:
             self.metrics.counter("atmo.cons_floored").inc(floored)
         if rescaled:
             self.metrics.counter("limiter.momentum_rescaled").inc(rescaled)
-        if unconverged:
-            return 1
-        sweep.n_cells = sweep.n_newton_converged = spare.size
-        sweep.max_iterations = iters_max
-        if solve_only:
-            return 2
         if prim_reset:
             self.metrics.counter("atmo.prim_reset").inc(prim_reset)
-        self._p_cache, self._seed_spare = spare, self._p_cache
-        return 3
+        return done
 
     def _record_recovery(self, sweep: RecoveryStats) -> None:
         """Report one con2prim sweep's counters through the metrics layer."""
@@ -398,7 +469,7 @@ class HydroPipeline:
             dU = self.workspace.dU
             dU.fill(0.0)
             return dU
-        return np.zeros((self.system.nvars,) + self.grid.shape_with_ghosts)
+        return np.zeros(self._state_shape)
 
     def flux_divergence_region(
         self, prim: np.ndarray, axis: int, lo: int, hi: int, reuse: bool = False
@@ -415,41 +486,45 @@ class HydroPipeline:
         halo ghosts at all.
 
         Returns the divergence shaped ``(nvars, *transverse_interior,
-        hi - lo)`` with the working axis moved last; hand it to
-        :meth:`accumulate_divergence`.  With ``reuse=True`` the result lives
-        in a workspace buffer keyed by ``(axis, lo, hi)`` and survives until
-        the same region is evaluated again.
+        hi - lo)`` with the working axis moved last — for a stack ``(nvars,
+        P, *transverse_interior, hi - lo)``, patch *i*'s at ``[:, i]`` — and
+        hand it to :meth:`accumulate_divergence`.  With ``reuse=True`` the
+        result lives in a workspace buffer keyed by ``(axis, lo, hi)`` and
+        survives until the same region is evaluated again.
         """
         grid = self.grid
         ws = self.workspace if reuse else None
         g = grid.n_ghost
         store = self.store_fluxes and (lo, hi) == (0, grid.shape[axis])
-        shape = (self.system.nvars,) + tuple(
+        shape = (self.system.nvars,) + self._lead + tuple(
             n for ax, n in enumerate(grid.shape) if ax != axis
         )
         div = scratch_buf(ws, ("div", axis, lo, hi), shape + (hi - lo,))
+        # Stored fluxes are a fresh array, never workspace memory.
+        flux = np.empty(shape + (hi - lo + 1,)) if store else None
         if self._fused_ids is not None:
-            # Compiled path: one C sweep replaces reconstruct + sanitize +
-            # riemann + difference, bit-identical to the interpreted stages
-            # below; stored fluxes are a fresh array, never workspace memory.
-            flux = np.empty(shape + (hi - lo + 1,)) if store else None
+            # Compiled path: one C sweep of every patch replaces reconstruct
+            # + sanitize + riemann + difference, bit-identical to the
+            # interpreted stages below.
             with self.timers("face_flux"):
                 self._fused_sweep(prim, axis, lo, hi, None, flux, div)
-            if store:
-                self.last_face_fluxes[axis] = flux
-            return div
-        Fm = self._interpreted_face_flux(prim, axis, lo, hi, ws)
-        with self.timers("update"):
+        else:
             # Slice transverse axes to the interior, difference along axis.
             sel = [slice(None)]
             for ax in range(grid.ndim):
                 if ax != axis:
                     sel.append(slice(g, g + grid.shape[ax]))
-            Fm = Fm[tuple(sel)]
-            if store:
-                self.last_face_fluxes[axis] = Fm.copy()
-            np.subtract(Fm[..., 1:], Fm[..., :-1], out=div)
-            np.divide(div, grid.dx[axis], out=div)
+            for i, patch_prim in enumerate(self._stack(prim)):
+                Fm = self._interpreted_face_flux(patch_prim, axis, lo, hi, ws)
+                with self.timers("update"):
+                    Fm = Fm[tuple(sel)]
+                    if store:
+                        self._div_patch(flux, i)[...] = Fm
+                    d = self._div_patch(div, i)
+                    np.subtract(Fm[..., 1:], Fm[..., :-1], out=d)
+                    np.divide(d, self.patches[i][0].dx[axis], out=d)
+        if store:
+            self.last_face_fluxes[axis] = flux
         return div
 
     def _interpreted_face_flux(
@@ -507,21 +582,21 @@ class HydroPipeline:
         return out.reshape((self.system.nvars,) + transverse + (hi - lo + 1,))
 
     def _fused_sweep(self, prim, axis, lo, hi, rows, flux, div) -> None:
-        """One compiled sweep of faces ``lo .. hi`` along *axis*: *rows*
-        (ghosted-row offsets) written in place, or with None every ghosted
-        row swept — so the sanitize counter totals match the interpreted
-        path exactly — and the interior ones written."""
+        """One compiled sweep of faces ``lo .. hi`` along *axis* of every
+        patch: *rows* (ghosted-row offsets) written in place, or with None
+        every ghosted row swept — so the sanitize counter totals match the
+        interpreted path exactly — and the interior ones written."""
         g = self.grid.n_ghost
         # C walks raw offsets: a strided prim is copied (same bytes).
         prim = np.ascontiguousarray(prim)
         counts = self.system.face_flux(
-            prim, axis, rows, lo + g - 1, hi - lo + 1, flux,
+            self._flat(prim), axis, rows, lo + g - 1, hi - lo + 1, flux,
             ids=self._fused_ids,
             vmax2=1.0 - 1.0 / self.config.w_max**2,
             rho_atmo=self.atmosphere.rho_atmo,
             p_atmo=self.atmosphere.p_atmo,
-            axis_stride=prim.strides[axis + 1] // prim.itemsize,
-            n_ghost=g, div=div, dx=self.grid.dx[axis],
+            axis_stride=prim.strides[axis - self.grid.ndim] // prim.itemsize,
+            n_ghost=g, div=div, dx=self.grid.dx[axis], n_patches=len(self.patches),
         )
         if counts[0]:
             self.metrics.counter("sanitize.velocity_rescaled").inc(int(counts[0]))
@@ -549,12 +624,16 @@ class HydroPipeline:
         """
         with self.timers("update"):
             if self._accumulate_kernel is not None and _c_f64(dU, div):
-                self._accumulate_kernel(dU, axis, self.grid.n_ghost, lo, hi, div)
+                self._accumulate_kernel(
+                    self._flat(dU), axis, self.grid.n_ghost, lo, hi, div,
+                    len(self.patches),
+                )
                 return
             idx = [slice(None)] * (self.grid.ndim + 1)
             idx[axis + 1] = slice(lo, hi)
-            target = np.moveaxis(self.grid.interior_of(dU)[tuple(idx)], axis + 1, -1)
-            target -= div
+            for i, patch_dU in enumerate(self._stack(dU)):
+                target = np.moveaxis(self.grid.interior_of(patch_dU)[tuple(idx)], axis + 1, -1)
+                target -= self._div_patch(div, i)
 
     def combine_stage(self, stage, U, V, dt, k, final=False) -> np.ndarray:
         """One SSP-RK stage combination of this patch — the *combine* every
@@ -599,16 +678,18 @@ class HydroPipeline:
         """Add ``source_fn`` (evaluated at *time*, default :attr:`time`) to *dU*.
 
         Shared by every driver (unigrid, distributed, AMR) so the stage-time
-        plumbing has one implementation.
+        plumbing has one implementation; each patch of a stack sees its own
+        grid (coordinates).
         """
         if self.source_fn is None:
             return dU
         with self.timers("source"):
             t = self.time if time is None else time
-            src = self.source_fn(
-                self.system, self.grid, self.grid.interior_of(prim), t
-            )
-            self.grid.interior_of(dU)[...] += src
+            for (grid, _), patch_prim, patch_dU in zip(
+                self.patches, self._stack(prim), self._stack(dU)
+            ):
+                src = self.source_fn(self.system, grid, grid.interior_of(patch_prim), t)
+                grid.interior_of(patch_dU)[...] += src
         return dU
 
     def rhs(self, cons: np.ndarray, reuse: bool = True) -> np.ndarray:
@@ -624,12 +705,18 @@ class HydroPipeline:
         dU = self.flux_divergence(prim, reuse=reuse)
         return self.apply_source(prim, dU)
 
-    def max_signal_per_axis(self, prim: np.ndarray) -> list[float]:
+    def max_signal_per_axis(self, prim: np.ndarray) -> list:
         """Largest |characteristic speed| per physical axis over the
-        interior of *prim*, the scan every driver's ``compute_dt`` reduces:
-        one compiled pass when the system carries one, the interpreted
+        interior of *prim* — a stack's: one such list per patch — the scan
+        every driver's ``compute_dt`` reduces: one compiled pass when the
+        system carries one, the interpreted
         :func:`~repro.time_integration.cfl.max_signal_per_axis` otherwise."""
         kernel = self._max_signal_kernel
         if kernel is None or not _c_f64(prim):
-            return max_signal_per_axis(self.system, self.grid, prim)
-        return kernel(prim, self.grid.n_ghost)
+            maxima = [
+                max_signal_per_axis(self.system, grid, patch_prim)
+                for (grid, _), patch_prim in zip(self.patches, self._stack(prim))
+            ]
+        else:
+            maxima = kernel(self._flat(prim), self.grid.n_ghost, len(self.patches))
+        return maxima if self._lead else maxima[0]

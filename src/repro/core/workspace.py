@@ -46,6 +46,9 @@ class ScratchWorkspace:
         structural buffers (``dU``, ``prim``).
     nvars:
         Number of state variables.
+    n_patches:
+        For the pipeline of a patch stack, its patch count: the structural
+        buffers are then ``(n_patches, nvars, *ghosted)`` stacks.
 
     Notes
     -----
@@ -62,10 +65,11 @@ class ScratchWorkspace:
     out across stages (e.g. the primitive cache) use dedicated keys.
     """
 
-    def __init__(self, grid, nvars: int):
+    def __init__(self, grid, nvars: int, n_patches: int | None = None):
         self.grid = grid
         self.nvars = int(nvars)
-        shape = (self.nvars,) + grid.shape_with_ghosts
+        lead = () if n_patches is None else (int(n_patches),)
+        shape = lead + (self.nvars,) + grid.shape_with_ghosts
         #: flux-divergence accumulator reused by every RK stage
         self.dU = np.zeros(shape)
         #: ghosted primitive array reused by every recovery sweep

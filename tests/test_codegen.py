@@ -2004,6 +2004,166 @@ class TestCompiledUpdate:
         assert states("cext") == states("flat")
 
 
+class TestPatchStacks:
+    """One kernel call over a stack of P same-shape patches is P calls, one
+    per patch, byte for byte: ``recover``'s primitives, floored conserved
+    state, next seeds and per-patch counts (warm, cold and mixed seeds);
+    ``max_signal``'s per-patch maxima; the sweep's divergence and the
+    accumulated ``dU`` (ghosts still +0.0).  A NaN-poisoned or
+    unconvergeable patch changes its own outputs and counts only."""
+
+    _RESOLVED: dict = {}
+
+    @classmethod
+    def _pipelines(cls, layout, axis, n_patches):
+        """``(stack, single)``: ``cext`` pipelines over *n_patches* patches
+        and over one, on a grid T + 3 cells long along *axis* (3 the other
+        ways, a batch axis trailing); each has a registry of its own."""
+        from repro.boundary.conditions import BoundarySet
+        from repro.codegen.generator import STENCIL_TILE as T
+        from repro.core.batch import BatchGrid
+        from repro.core.config import SolverConfig
+        from repro.core.pipeline import HydroPipeline, resolve_kernel_system
+        from repro.mesh.grid import Grid
+
+        ndim, n_batch = layout
+        shape = tuple(T + 3 if ax == axis else 3 for ax in range(ndim))
+        grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=3)
+        if n_batch:
+            grid = BatchGrid(grid, n_batch)
+        if ndim not in cls._RESOLVED:  # a resolution regenerates and hashes the C
+            plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=ndim)
+            cls._RESOLVED[ndim] = resolve_kernel_system(plain, "cext")
+        system = cls._RESOLVED[ndim]
+        config = SolverConfig(
+            kernel_target="cext", reconstruction="mc", riemann="hllc", failsafe_frac=0.5
+        )
+        bcs = BoundarySet()
+        return (
+            HydroPipeline(system, grid, bcs, config, patches=[(grid, bcs)] * n_patches),
+            HydroPipeline(system, grid, bcs, config),
+        )
+
+    def test_a_stack_is_its_patches(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.codegen import cext_available
+        from repro.codegen.generator import STENCIL_TILE as T
+
+        if not all(cext_available(nd) for nd in (1, 2, 3)):
+            pytest.skip("no C toolchain")
+        widths = {"1": 1, "2": 2, "T-1": T - 1, "T+1": T + 1, "full": T + 3}
+
+        @given(
+            data=st.data(),
+            seed=st.integers(0, 2**32 - 1),
+            layout=st.sampled_from(TestCompiledUpdate.LAYOUTS),
+            n_patches=st.sampled_from([1, 2, 5]),
+            width=st.sampled_from(sorted(widths)),
+            poison=st.sampled_from([None, "nan", "hard"]),
+        )
+        @settings(max_examples=30, deadline=None, database=None)
+        def check(data, seed, layout, n_patches, width, poison):
+            axis = data.draw(st.integers(0, layout[0] - 1))
+            stack, single = self._pipelines(layout, axis, n_patches)
+            system, grid, g = single.system, single.grid, single.grid.n_ghost
+            rng = np.random.default_rng(seed)
+            # Admissible states, one patch (maybe) poisoned in one interior cell.
+            prims = [
+                random_prim(system, grid.shape_with_ghosts, rng) for _ in range(n_patches)
+            ]
+            cons = np.stack([SRHDSystem.prim_to_con(system, p) for p in prims])
+            victim = int(rng.integers(n_patches))
+            cell = (victim, slice(None)) + tuple(g for _ in grid.shape)
+            if poison == "nan":
+                cons[cell] = np.nan
+            elif poison == "hard":  # outside the admissible set: nothing recovers it
+                cons[cell] = [6.53e-3, 6.531e-3, *[0.0] * (system.nvars - 3), 1e-12]
+            warm = [bool(w) for w in rng.integers(0, 2, n_patches)]
+            seeds = [p[system.P][grid.interior] * rng.uniform(0.5, 2.0) for p in prims]
+
+            # recover, kernel level: each patch's counts, prim, cons, next seed.
+            params = dict(
+                tol=1e-10, p_floor=1e-16, max_newton=50, rho_atmo=1e-10, p_atmo=1e-12,
+                rho_reset=1e-9, vmax=0.999, solve_only=False,
+            )
+            n0 = grid.shape[0]
+            seed_stack = np.concatenate(
+                [s if w else np.full_like(s, np.nan) for s, w in zip(seeds, warm)]
+            )
+            got = {"cons": cons.copy(), "prim": np.zeros_like(cons),
+                   "next": np.empty_like(seed_stack)}
+            with np.errstate(all="ignore"):
+                counts = system.recover(
+                    got["cons"].reshape((-1,) + cons.shape[2:]),
+                    got["prim"].reshape((-1,) + cons.shape[2:]), g,
+                    seed_stack if any(warm) else None, got["next"],
+                    n_patches=n_patches,
+                    warm=None if all(warm) else np.array(warm, dtype=np.uint8),
+                    **params,
+                )
+                for i in range(n_patches):
+                    c, p, nxt = cons[i].copy(), np.zeros_like(cons[i]), np.empty(grid.shape)
+                    one = system.recover(
+                        c, p, g, seeds[i] if warm[i] else None, nxt, **params
+                    )
+                    assert counts[i].tolist() == one[0].tolist(), (i, warm[i])
+                    assert got["cons"][i].tobytes() == c.tobytes()
+                    assert got["prim"][i].tobytes() == p.tobytes()
+                    if not counts[i, 2]:  # a converged patch wrote its next seed
+                        rows = got["next"][i * n0 : (i + 1) * n0]
+                        assert rows.tobytes() == nxt.tobytes()
+            assert (counts[:, 2] > 0).tolist() == [
+                poison is not None and i == victim for i in range(n_patches)
+            ]
+
+            # recover, pipeline level (the interpreted route of an
+            # unconverged patch included): everything, metrics by name.
+            for i, w in enumerate(warm):
+                stack.install_warm_state(seeds[i] if w else None, i)
+            stack_cons = cons.copy()
+            with np.errstate(all="ignore"):
+                stack_prim = stack.recover_primitives(stack_cons, reuse=True).copy()
+            maxima = []
+            for i in range(n_patches):
+                single.install_warm_state(seeds[i] if warm[i] else None)
+                patch = cons[i].copy()
+                with np.errstate(all="ignore"):
+                    prim = single.recover_primitives(patch, reuse=True)
+                assert stack_prim[i].tobytes() == prim.tobytes(), i
+                assert stack_cons[i].tobytes() == patch.tobytes(), i
+                assert stack.warm_state(i).tobytes() == single.warm_state().tobytes(), i
+                maxima.append(single.max_signal_per_axis(prim))
+            assert stack.metrics.snapshot() == single.metrics.snapshot()
+            # max_signal: per-patch maxima.
+            assert stack.max_signal_per_axis(stack_prim) == maxima
+
+            # sweep + accumulate over [lo, lo + w) of *axis*, every patch.
+            w = widths[width]
+            lo = data.draw(st.integers(0, grid.shape[axis] - w))
+            ghosted = np.stack(prims)
+            if poison == "nan":
+                ghosted[cell] = np.nan
+            with np.errstate(all="ignore"):
+                div = stack.flux_divergence_region(ghosted, axis, lo, lo + w)
+                dU = stack.begin_flux_divergence()
+                stack.accumulate_divergence(dU, axis, lo, lo + w, div)
+                for i in range(n_patches):
+                    one = single.flux_divergence_region(ghosted[i].copy(), axis, lo, lo + w)
+                    assert div[:, i].tobytes() == one.tobytes(), (i, axis, lo, w)
+                    ref = single.begin_flux_divergence()
+                    single.accumulate_divergence(ref, axis, lo, lo + w, one)
+                    assert dU[i].tobytes() == ref.tobytes(), (i, axis, lo, w)
+            ghosts = np.ones(dU.shape, dtype=bool)
+            for patch in ghosts:
+                grid.interior_of(patch)[...] = False
+            assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
+            assert stack.metrics.snapshot() == single.metrics.snapshot()
+
+        check()
+
+
 class TestFusedSolverDigest:
     """End to end: a wide-stencil cext run is the flat run, byte for byte."""
 
