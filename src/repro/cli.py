@@ -98,8 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="P",
-        help="run on the distributed solver with P simulated ranks "
-        "(near-cubic process grid; 0 = single-grid solver)",
+        help="run on the distributed solver with P ranks (near-cubic "
+        "process grid; 0 = single-grid solver), simulated in one process or, "
+        "with --executor process, one worker process each",
     )
     run.add_argument(
         "--overlap",
@@ -111,17 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=("serial", "process"),
         default="serial",
-        help="distributed execution backend: 'serial' simulates all ranks "
+        help="distributed execution backend: 'serial' simulates all --ranks "
         "in one process, 'process' runs each rank as a worker process over "
         "shared memory (bit-identical results, real parallel wall-clock)",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="P",
-        help="with --executor process: number of worker processes (one per "
-        "rank of the decomposition)",
     )
     run.add_argument(
         "--max-rank-restarts",
@@ -182,20 +175,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "rebalance recut",
     )
     amr.add_argument(
-        "--ranks", type=int, default=0, metavar="P",
-        help="distribute the forest over P simulated ranks "
-        "(0 = plain serial AMR solver)",
+        "--ranks", type=int, default=1, metavar="P",
+        help="partition the forest over P ranks along the Morton curve "
+        "(default 1), simulated in one process or, with --executor process, "
+        "one worker process each",
     )
     amr.add_argument(
         "--executor", choices=("serial", "process"), default="serial",
-        help="distributed execution backend: 'serial' simulates all ranks "
+        help="distributed execution backend: 'serial' simulates all --ranks "
         "in one process, 'process' runs one worker process per rank over "
         "shared memory (bit-identical forests, real parallel wall-clock)",
-    )
-    amr.add_argument(
-        "--workers", type=int, default=0, metavar="P",
-        help="with --executor process: number of worker processes "
-        "(one per rank of the Morton-curve partition)",
     )
     amr.add_argument(
         "--max-rank-restarts", type=int, default=None, metavar="N",
@@ -354,18 +343,12 @@ def _validate_run_args(args) -> None:
     err = args._subparser.error
     if args.checkpoint_every and not args.checkpoint:
         err("--checkpoint-every requires --checkpoint")
-    if args.executor == "process":
-        if args.workers < 1:
-            err("--executor process requires --workers >= 1")
-        if args.ranks and args.ranks != args.workers:
-            err("--ranks and --workers disagree; with --executor process "
-                "give just --workers")
-    elif args.workers:
-        err("--workers requires --executor process (the serial executor "
-            "would ignore --workers)")
-    if args.overlap and not (args.ranks or args.workers):
-        err("--overlap requires --ranks (or --executor process with "
-            "--workers); the single-grid solver would ignore --overlap")
+    if args.executor == "process" and args.ranks < 1:
+        err("--executor process requires --ranks >= 1 (one worker process "
+            "per rank)")
+    if args.overlap and not args.ranks:
+        err("--overlap requires --ranks; the single-grid solver would "
+            "ignore --overlap")
     if args.max_rank_restarts is not None and args.executor != "process":
         err("--max-rank-restarts requires --executor process")
     if args.degrade and args.max_rank_restarts is None:
@@ -392,7 +375,6 @@ def _cmd_run(args) -> int:
         kernel_target=args.kernel_target,
     )
     _validate_run_args(args)
-    n_ranks = args.workers if args.executor == "process" else args.ranks
     if args.problem in ("rp1", "rp2"):
         prim0 = shock_tube(system, grid, SHOCK_TUBES[args.problem.upper()])
         bcs = make_boundaries("outflow")
@@ -417,7 +399,7 @@ def _cmd_run(args) -> int:
                 "cfl": args.cfl,
                 "reconstruction": args.reconstruction,
                 "riemann": args.riemann,
-                "ranks": n_ranks,
+                "ranks": args.ranks,
                 "overlap": bool(args.overlap),
                 "executor": args.executor,
                 "kernel_target": args.kernel_target,
@@ -430,7 +412,7 @@ def _cmd_run(args) -> int:
 
         fault_injector = FaultInjector(FaultPlan.load(args.faults))
 
-    if n_ranks:
+    if args.ranks:
         from .core.parallel import make_distributed_solver
         from .mesh.decomposition import choose_dims
 
@@ -450,7 +432,7 @@ def _cmd_run(args) -> int:
                 degrade=bool(args.degrade),
             )
         solver = make_distributed_solver(
-            system, grid, prim0, choose_dims(n_ranks, ndim),
+            system, grid, prim0, choose_dims(args.ranks, ndim),
             config=config, boundaries=bcs, recorder=recorder,
             fault_injector=fault_injector, halo_policy=halo_policy,
             supervision=supervision,
@@ -481,7 +463,7 @@ def _cmd_run(args) -> int:
         steps = solver.steps
         mode = "overlapped" if args.overlap else "blocking"
         print(f"{args.problem}: t = {solver.t:.4f}, steps = {steps}")
-        print(f"  ranks     : {n_ranks} (dims {solver.decomp.dims}, "
+        print(f"  ranks     : {args.ranks} (dims {solver.decomp.dims}, "
               f"{mode} exchange, {args.executor} executor)")
         if sup_info is not None:
             state = "degraded to serial" if sup_info["degraded"] else "held"
@@ -506,7 +488,7 @@ def _cmd_run(args) -> int:
         print(f"{args.problem}: t = {solver.t:.4f}, steps = {summary.steps}")
     print(f"  rho range : [{prim[system.RHO].min():.4g}, {prim[system.RHO].max():.4g}]")
     print(f"  max |v|   : {max(np.abs(prim[system.V(ax)]).max() for ax in range(ndim)):.4f}")
-    if not n_ranks:
+    if not args.ranks:
         drift = summary.conservation_drift
         print(f"  mass drift: {drift['mass']:.2e}")
     if args.overlap:
@@ -557,22 +539,15 @@ def _cmd_run(args) -> int:
 def _validate_amr_args(args) -> None:
     """Fail fast on amr flag combos that would silently ignore each other."""
     err = args._subparser.error
-    if args.executor == "process":
-        if args.workers < 1:
-            err("--executor process requires --workers >= 1")
-        if args.ranks and args.ranks != args.workers:
-            err("--ranks and --workers disagree; with --executor process "
-                "give just --workers")
-    elif args.workers:
-        err("--workers requires --executor process (the serial executor "
-            "would ignore --workers)")
+    if args.ranks < 1:
+        err("--ranks must be >= 1 (one rank is the whole forest in one piece)")
     if args.max_rank_restarts is not None and args.executor != "process":
         err("--max-rank-restarts requires --executor process")
 
 
 def _cmd_amr(args) -> int:
     from .core.amr_parallel import make_distributed_amr_solver
-    from .core.amr_solver import AMRConfig, AMRSolver
+    from .core.amr_solver import AMRConfig
 
     _validate_amr_args(args)
     ndim, default_t = PROBLEMS[args.problem]
@@ -618,28 +593,20 @@ def _cmd_amr(args) -> int:
                 "n": args.n,
                 "ndim": ndim,
                 "cfl": args.cfl,
-                "ranks": args.workers or args.ranks,
+                "ranks": args.ranks,
                 "executor": args.executor,
             },
         )
 
-    n_ranks = args.workers if args.executor == "process" else args.ranks
-    if n_ranks:
-        supervision = None
-        if args.max_rank_restarts is not None:
-            from .resilience import SupervisionPolicy
+    supervision = None
+    if args.max_rank_restarts is not None:
+        from .resilience import SupervisionPolicy
 
-            supervision = SupervisionPolicy(
-                max_rank_restarts=args.max_rank_restarts
-            )
-        solver = make_distributed_amr_solver(
-            system, grid, init, config=config, amr=amr_cfg,
-            n_ranks=n_ranks, recorder=recorder, supervision=supervision,
-        )
-    else:
-        solver = AMRSolver(
-            system, grid, init, config, amr_cfg, recorder=recorder
-        )
+        supervision = SupervisionPolicy(max_rank_restarts=args.max_rank_restarts)
+    solver = make_distributed_amr_solver(
+        system, grid, init, config=config, amr=amr_cfg,
+        n_ranks=args.ranks, recorder=recorder, supervision=supervision,
+    )
     try:
         solver.run(t_final, max_steps=args.max_steps)
         if recorder is not None:
@@ -669,8 +636,8 @@ def _cmd_amr(args) -> int:
     if regrids is not None:
         forest_line += f", {regrids} regrids"
     print(forest_line)
-    if n_ranks:
-        print(f"  ranks     : {n_ranks} ({args.executor} executor, "
+    if args.ranks > 1 or args.executor == "process":
+        print(f"  ranks     : {args.ranks} ({args.executor} executor, "
               f"{amr_cfg.partitioner} partitioner)")
         print(f"  balance   : imbalance {solver.imbalance:.3f}, "
               f"{solver.repartitions} repartition(s), "

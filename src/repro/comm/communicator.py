@@ -117,6 +117,10 @@ class SimCommunicator:
             )
         return box.popleft()
 
+    def begin_exchange_epoch(self) -> None:
+        """No-op: in-process mailboxes hold no stale epochs (the shm
+        communicator's epochs tell its halo records apart)."""
+
     def traffic_marker(self) -> tuple[int, int, int]:
         """Opaque snapshot of the traffic log (bytes, messages, collectives).
 

@@ -316,9 +316,7 @@ def _begin(decomp, comm, states, policy, metrics, schedule) -> HaloHandle:
         )
     if comm.fault_injector is not None:
         comm.fault_injector.begin_exchange()
-    begin_epoch = getattr(comm, "begin_exchange_epoch", None)
-    if begin_epoch is not None:
-        begin_epoch()
+    comm.begin_exchange_epoch()
     return HaloHandle(comm, states, face_table(decomp), policy, metrics, schedule)
 
 

@@ -9,25 +9,61 @@ The headline accounting for experiment E11 is :attr:`cells_updated` — the
 number of leaf-cell RK-stage updates actually performed — against the error
 measured on the composite solution.
 
+Every leaf belongs to one of ``n_ranks`` ranks (Morton space-filling-curve
+partition, :mod:`repro.mesh.amr.partition`), and the driver steps the ranks
+it holds over a communicator, as
+:class:`~repro.core.distributed.DistributedSolver` does: every rank over a
+:class:`~repro.comm.communicator.SimCommunicator` in this process, or one
+rank over a :class:`~repro.comm.shm.ShmCommunicator` inside a process
+worker (:mod:`repro.core.amr_parallel`).  Either way halo interiors, fine
+face-flux columns, merge quarters and checksummed block-migration frames
+travel as messages, and refinement flags and dt reduce through the
+communicator's exact collectives — one code path, so the block bytes are
+the same at every rank count and on every executor.  Ghosts of a rank's
+leaves are filled from partial composites built from its own leaves plus
+their ghost dependencies (:mod:`repro.mesh.amr.exchange`), bitwise equal
+to the global fill because the composites consume only block interiors.
+
 Every regrid decision is made from one *ghosted snapshot* (all leaves
 recovered once, ghosts filled once) and applied in the forest's leaf
 iteration order, so the sequence of topology changes is a deterministic
-function of the snapshot.  The distributed driver
-(:class:`~repro.core.amr_distributed.DistributedAMRSolver`) relies on this:
-each rank flags only the leaves it owns, the flags are combined, and every
-rank replays the identical split/merge sequence.
+function of the snapshot: each rank flags only the leaves it owns, the
+flags are combined, and every rank replays the identical split/merge
+sequence on its replicated topology.  After a regrid the driver measures
+rank imbalance (max/mean rank work) and, above
+``AMRConfig.rebalance_threshold``, recuts the curve and migrates blocks to
+their new owners.
 """
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..boundary.conditions import BoundarySet, InteriorFace, make_boundaries
+from ..comm.communicator import SimCommunicator
 from ..mesh.amr.blocks import BlockKey, BlockLayout
 from ..mesh.amr.criteria import GradientCriterion
+from ..mesh.amr.exchange import (
+    TAG_AMR_FLUX,
+    TAG_AMR_HALO,
+    TAG_AMR_MERGE,
+    TAG_AMR_MIGRATE,
+    block_frame_header,
+    check_block_frame,
+    check_block_payload,
+    face_flux_column,
+    halo_plan,
+    measured_imbalance,
+    merge_plan,
+    migration_plan,
+    rank_loads,
+    reflux_plan,
+)
 from ..mesh.amr.forest import AMRForest
+from ..mesh.amr.partition import PARTITIONERS
 from ..mesh.amr.transfer import prolong_array, restrict_array
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
@@ -73,7 +109,7 @@ class AMRConfig(ParameterSet):
         "sfc",
         str,
         lambda v: v in ("sfc", "round-robin", "random"),
-        "leaf-to-rank partitioner used by the distributed driver",
+        "leaf-to-rank partitioner for the initial cut and every rebalance",
     )
 
 
@@ -98,8 +134,13 @@ class AMRSolver(Driver):
         Physical wall conditions (outflow default).
     recorder:
         Optional :class:`~repro.obs.StepRecorder`; per-step records carry
-        forest shape (leaf counts, cells updated) alongside the shared
-        kernel timings and counters of every block pipeline.
+        forest shape (leaf counts, cells updated, rank balance) alongside
+        the shared kernel timings and counters of every block pipeline.
+    n_ranks:
+        Ranks the leaves are partitioned over, all stepped in this process
+        over a :class:`~repro.comm.communicator.SimCommunicator`
+        (:class:`~repro.core.amr_parallel.AMRProcessSolver` runs one worker
+        process per rank instead).  The block bytes do not depend on it.
     """
 
     def __init__(
@@ -112,9 +153,13 @@ class AMRSolver(Driver):
         boundaries: BoundarySet | None = None,
         recorder: "StepRecorder | None" = None,
         source_fn=None,
+        n_ranks: int = 1,
     ):
+        if n_ranks < 1:
+            raise ConfigurationError(f"n_ranks must be >= 1, got {n_ranks}")
         self._init_core(
-            system, root_grid, config, amr, boundaries, recorder, source_fn
+            system, root_grid, config, amr, boundaries, recorder, source_fn,
+            range(n_ranks), SimCommunicator(n_ranks),
         )
         self._initial_data = initial_data
 
@@ -123,11 +168,14 @@ class AMRSolver(Driver):
             grid = self.layout.grid_for(key)
             prim = initial_data(system, grid).astype(float, copy=True)
             self.forest.add_leaf(key, system.prim_to_con(prim))
-        # Initial refinement sweeps resolve features present at t = 0.
+        # Rank 0 holds every leaf while the initial refinement sweeps
+        # resolve features present at t = 0; the settled forest is then cut.
+        self.assignment = dict.fromkeys(self.forest.leaves, 0)
         for _ in range(self.amr.initial_regrid_passes):
             if not self._initial_refine_pass():
                 break
         self._enforce_balance(from_initial_data=True)
+        self._partition()
 
     def _init_core(
         self,
@@ -138,10 +186,21 @@ class AMRSolver(Driver):
         boundaries: BoundarySet | None,
         recorder: "StepRecorder | None",
         source_fn,
+        local_ranks,
+        comm,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
-        """Everything except initial-data seeding — shared with the
-        process-backend rank worker, which rebuilds its forest from shipped
-        state instead of evaluating ``initial_data``."""
+        """Everything except seeding the forest, for the ranks this stepper
+        holds.
+
+        The public constructor holds every rank over a
+        :class:`SimCommunicator`; the process-backend rank worker holds one
+        (``local_ranks=(rank,)``) over a
+        :class:`~repro.comm.shm.ShmCommunicator` built on *metrics*, and
+        installs a shipped forest state instead of evaluating
+        ``initial_data`` — the same class steps both, which is what keeps
+        the executors bit-identical.
+        """
         if system.ndim != root_grid.ndim:
             raise ConfigurationError("system/grid dimensionality mismatch")
         self.system = system
@@ -154,6 +213,10 @@ class AMRSolver(Driver):
         )
         self.amr = amr or AMRConfig()
         self.wall_bcs = boundaries or make_boundaries("outflow")
+        self.periodic = tuple(
+            self.wall_bcs.condition(ax, 0).name == "periodic"
+            for ax in range(root_grid.ndim)
+        )
         self.layout = BlockLayout(root_grid, self.amr.block_size)
         self.forest = AMRForest(self.layout, self.amr.max_levels)
         self.criterion = GradientCriterion(
@@ -162,6 +225,12 @@ class AMRSolver(Driver):
         self.integrator = make_integrator(self.config.integrator)
         self._initial_data = None
         self.source_fn = source_fn
+        self.comm = comm
+        self.n_ranks = comm.size
+        self.local_ranks = tuple(local_ranks)
+        #: leaf -> owning rank, replicated on every rank
+        self.assignment: dict[BlockKey, int] = {}
+        self._invalidate_plans()
         self._pipelines: dict[BlockKey, HydroPipeline] = {}
         #: installed or migrated-in ``p_cache`` of blocks whose pipeline is
         #: not built yet; consumed by :meth:`_pipeline`
@@ -170,13 +239,16 @@ class AMRSolver(Driver):
         # Shared across every block pipeline so timings/counters aggregate
         # over the whole forest.
         self.timers = TimerRegistry()
-        self.metrics = MetricsRegistry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.recorder = recorder
 
         self.t = 0.0
         self.steps = 0
         self.cells_updated = 0
         self.regrids = 0
+        self.repartitions = 0
+        self.migrated_blocks = 0
+        self._last_imbalance = 1.0
 
     # ------------------------------------------------------------------
     # Pipelines
@@ -219,8 +291,8 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
 
     def forest_state(self, keys=None) -> dict:
-        """Topology, counters and the ``(cons, p_cache)`` of *keys*
-        (default: the leaves this driver evolves).  Leaf
+        """Topology, ownership, counters and the ``(cons, p_cache)`` of
+        *keys* (default: the leaves this stepper evolves).  Leaf
         insertion order is part of the byte-level contract (every
         iteration the drivers do follows it), so it is kept verbatim."""
         return {
@@ -230,16 +302,22 @@ class AMRSolver(Driver):
                 key: (self.forest.leaves[key].cons.copy(), self._warm_state(key))
                 for key in (self._step_keys() if keys is None else keys)
             },
+            "assignment": dict(self.assignment),
             "t": self.t,
             "steps": self.steps,
             "cells_updated": self.cells_updated,
             "regrids": self.regrids,
+            "repartitions": self.repartitions,
+            "migrated_blocks": self.migrated_blocks,
+            "imbalance": self._last_imbalance,
         }
 
     def install_forest_state(self, state: dict) -> None:
-        """Rebuild topology, block data and counters from a
+        """Rebuild topology, block data, ownership and counters from a
         :meth:`forest_state` (leaves outside ``state["blocks"]`` are
-        topology-only, as on a rank that does not own them)."""
+        topology-only, as on a rank that does not own them).  A state
+        without ``assignment`` — an archive's — is cut afresh over this
+        driver's ``n_ranks``."""
         forest = AMRForest(self.layout, self.amr.max_levels)
         for key in state["leaves"]:
             forest.add_leaf(key, None)
@@ -254,13 +332,78 @@ class AMRSolver(Driver):
         self.steps = int(state["steps"])
         self.cells_updated = int(state["cells_updated"])
         self.regrids = int(state["regrids"])
+        self.repartitions = int(state.get("repartitions", 0))
+        self.migrated_blocks = int(state.get("migrated_blocks", 0))
+        if "assignment" in state:
+            self.assignment = dict(state["assignment"])
+            self._invalidate_plans()
+            self._last_imbalance = float(state["imbalance"])
+        else:
+            self._partition()
+
+    # ------------------------------------------------------------------
+    # Ownership and the plans derived from it
+    # ------------------------------------------------------------------
+
+    def _invalidate_plans(self) -> None:
+        """Forget what derives from topology + ownership; every change of
+        either calls this."""
+        self._halo_plan = self._reflux_plan = self._owned = None
+
+    def _get_halo_plan(self):
+        if self._halo_plan is None:
+            self._halo_plan = halo_plan(
+                self.forest, self.assignment, self.n_ranks, self.periodic
+            )
+        return self._halo_plan
+
+    def _get_reflux_plan(self):
+        if self._reflux_plan is None:
+            self._reflux_plan = reflux_plan(self.forest, self.assignment)
+        return self._reflux_plan
+
+    def _flags_here(self, key: BlockKey) -> bool:
+        """Whether one of this stepper's ranks owns — evolves and flags —
+        leaf *key*."""
+        return self.assignment[key] in self.local_ranks
+
+    def _step_keys(self) -> list[BlockKey]:
+        """The leaves this stepper evolves, in leaf iteration order."""
+        if self._owned is None:
+            self._owned = [k for k in self.forest.leaves if self._flags_here(k)]
+        return self._owned
+
+    def _owns_metrics(self) -> bool:
+        """Once-per-fleet observations (rebalance counters, the imbalance
+        gauge) belong to whichever stepper holds rank 0."""
+        return self.local_ranks[0] == 0
+
+    @property
+    def imbalance(self) -> float:
+        """Most recently measured rank-work imbalance (max/mean)."""
+        return self._last_imbalance
+
+    def _measure_imbalance(self) -> float:
+        loads = rank_loads(self.forest, self.assignment, self.n_ranks)
+        imbalance = measured_imbalance(loads)
+        self._last_imbalance = imbalance
+        if self._owns_metrics():
+            self.metrics.gauge("amr.imbalance").set(imbalance)
+        return imbalance
+
+    def _partition(self) -> None:
+        """Cut the current forest over ``n_ranks`` and measure the cut."""
+        part = PARTITIONERS[self.amr.partitioner](self.forest, self.n_ranks)
+        self.assignment = dict(part.assignment)
+        self._invalidate_plans()
+        self._measure_imbalance()
 
     # ------------------------------------------------------------------
     # Ghosted snapshots
     # ------------------------------------------------------------------
 
     def _recover_leaf_prims(self) -> dict[BlockKey, np.ndarray]:
-        """Recover primitives for every leaf this driver evolves, in leaf
+        """Recover primitives for every leaf this stepper evolves, in leaf
         iteration order (warm-start caches make the order part of the
         byte-level contract)."""
         return {
@@ -269,9 +412,46 @@ class AMRSolver(Driver):
         }
 
     def _fill_ghosts(self, prims: dict[BlockKey, np.ndarray]) -> None:
-        """Ghost-fill hook: the distributed drivers swap in per-rank
-        partial fills (plus inter-rank exchange in the process backend)."""
-        self.forest.fill_ghosts(prims, self.system.nvars, self.system, self.wall_bcs)
+        """Fill the ghosts of the evolved leaves in *prims*: every rank
+        posts the interiors other ranks' fills depend on, then builds its
+        partial composites from its own leaves plus what it received."""
+        plan = self._get_halo_plan()
+        comm, nvars = self.comm, self.system.nvars
+        marker = comm.traffic_marker()
+        comm.begin_exchange_epoch()
+        for (src, dst), keys in plan.sends.items():
+            if src not in self.local_ranks:
+                continue
+            for key in keys:
+                interior = self.forest.leaves[key].grid.interior_of(prims[key])
+                comm.send(src, dst, interior, tag=TAG_AMR_HALO)
+        for rank in self.local_ranks:
+            owned = plan.owned[rank]
+            fields = {k: prims[k] for k in owned}
+            for (src, dst), keys in plan.sends.items():
+                if dst != rank:
+                    continue
+                for key in keys:
+                    grid = self.forest.leaves[key].grid
+                    fields[key] = grid.allocate(nvars)
+                    grid.interior_of(fields[key])[...] = comm.recv(
+                        src, dst, tag=TAG_AMR_HALO
+                    )
+            if owned:
+                self.forest.fill_ghosts(
+                    fields, nvars, self.system, self.wall_bcs, only=owned
+                )
+        self._count_halo_traffic(marker)
+
+    def _count_halo_traffic(self, marker) -> None:
+        """``comm.amr.halo_*``: what this stepper's ranks sent since
+        *marker* (summed over the process workers, the in-process count)."""
+        messages = self.comm.messages_since(marker)
+        if messages:
+            self.metrics.counter("comm.amr.halo_messages").inc(messages)
+            self.metrics.counter("comm.amr.halo_bytes").inc(
+                self.comm.bytes_since(marker)
+            )
 
     def _ghosted_snapshot(self) -> dict[BlockKey, np.ndarray]:
         """Recover every evolved leaf once and fill ghosts once; all regrid
@@ -290,16 +470,20 @@ class AMRSolver(Driver):
         from_initial_data: bool = False,
         ghosted_prim: np.ndarray | None = None,
     ) -> None:
-        """Refine one leaf; children get analytic data at t=0, primitives
-        prolonged from the supplied ghosted snapshot afterwards."""
+        """Refine one leaf; its children stay with its owner.  There they
+        get analytic data at t=0, primitives prolonged from the supplied
+        ghosted snapshot afterwards; on other ranks the split is topology
+        only."""
         children = key.children()
-        child_cons: dict[BlockKey, np.ndarray] = {}
-        if from_initial_data and self.t == 0.0:
+        owner = self.assignment.pop(key)
+        here = owner in self.local_ranks
+        child_cons: dict[BlockKey, np.ndarray | None] = dict.fromkeys(children)
+        if here and from_initial_data and self.t == 0.0:
             for child in children:
                 grid = self.layout.grid_for(child)
                 prim = self._initial_data(self.system, grid).astype(float, copy=True)
                 child_cons[child] = self.system.prim_to_con(prim)
-        else:
+        elif here:
             if ghosted_prim is None:
                 raise ConfigurationError(
                     f"split of {key} at t > 0 requires a ghosted snapshot"
@@ -323,44 +507,55 @@ class AMRSolver(Driver):
                 child_cons[child] = self.system.prim_to_con(child_prim)
         self.forest.split(key, child_cons)
         self._drop_pipeline(key)
-        self._on_split(key)
+        self.assignment.update(dict.fromkeys(children, owner))
+        self._invalidate_plans()
 
-    def _on_split(self, key: BlockKey) -> None:
-        """Hook: ownership bookkeeping for the distributed drivers."""
-
-    def _merge_siblings(
-        self, parent: BlockKey, received: dict | None = None, here: bool = True
-    ) -> None:
-        """Coarsen a sibling group into *parent*.  The process backend
-        passes the ``(parent, child)`` quarters *received* from other ranks
-        and ``here=False`` on a rank that does not own the parent (a
-        topology-only merge: its data lives on the owner)."""
-        self._on_merge(parent)
-        children = parent.children()
-        cons = None
-        if here:
-            grid = self.layout.grid_for(parent)
-            cons = grid.allocate(self.system.nvars)
-            half = self.layout.block_size // 2
-            for child in children:
-                data = None if received is None else received.get((parent, child))
-                if data is None:
-                    leaf = self.forest.leaves[child]
-                    data = restrict_array(
-                        leaf.grid.interior_of(leaf.cons), self.layout.ndim
-                    )
-                off = child.child_offset()
-                sel = (slice(None),) + tuple(
-                    slice(o * half, (o + 1) * half) for o in off
+    def _merge_groups(self, merges: list[BlockKey]) -> None:
+        """Coarsen each sibling group into its parent, which goes to the
+        first child's owner; quarters restricted on other ranks arrive
+        there as messages, and other ranks merge topology only."""
+        ndim = self.layout.ndim
+        half = self.layout.block_size // 2
+        plan = merge_plan(merges, self.assignment)
+        for _parent, child, src, dst in plan:
+            if src in self.local_ranks:
+                leaf = self.forest.leaves[child]
+                self.comm.send(
+                    src, dst,
+                    restrict_array(leaf.grid.interior_of(leaf.cons), ndim),
+                    tag=TAG_AMR_MERGE,
                 )
-                grid.interior_of(cons)[sel] = data
-        for child in children:
-            self._drop_pipeline(child)
-        self.forest.merge(parent, cons)
-
-    def _on_merge(self, parent: BlockKey) -> None:
-        """Hook, called while the children are still leaves: ownership
-        bookkeeping for the distributed drivers."""
+        qshape = (self.system.nvars,) + (half,) * ndim
+        received = {
+            (parent, child): check_block_payload(
+                np.asarray(self.comm.recv(src, dst, tag=TAG_AMR_MERGE)),
+                qshape, "merge quarter", child,
+            )
+            for parent, child, src, dst in plan
+            if dst in self.local_ranks
+        }
+        for parent in merges:
+            children = parent.children()
+            owner = self.assignment[children[0]]
+            cons = None
+            if owner in self.local_ranks:
+                grid = self.layout.grid_for(parent)
+                cons = grid.allocate(self.system.nvars)
+                for child in children:
+                    data = received.get((parent, child))
+                    if data is None:
+                        leaf = self.forest.leaves[child]
+                        data = restrict_array(leaf.grid.interior_of(leaf.cons), ndim)
+                    sel = (slice(None),) + tuple(
+                        slice(o * half, (o + 1) * half) for o in child.child_offset()
+                    )
+                    grid.interior_of(cons)[sel] = data
+            for child in children:
+                del self.assignment[child]
+                self._drop_pipeline(child)
+            self.assignment[parent] = owner
+            self.forest.merge(parent, cons)
+            self._invalidate_plans()
 
     def _flag_view(self, prim: np.ndarray, grid: Grid) -> np.ndarray:
         """Interior plus one ghost ring: discontinuities sitting exactly on
@@ -404,7 +599,8 @@ class AMRSolver(Driver):
         raise ConfigurationError("2:1 balance did not converge")
 
     def regrid(self) -> None:
-        """Flag, refine, coarsen, and rebalance."""
+        """Flag, refine, coarsen, restore 2:1 balance, then rebalance the
+        ranks."""
         self.regrids += 1
         prims = self._ghosted_snapshot()
         refine_flags, coarsen_ok = self._flag_leaves(prims)
@@ -427,48 +623,126 @@ class AMRSolver(Driver):
         self._post_regrid()
 
     def _flag_leaves(self, prims) -> tuple[list[BlockKey], list[BlockKey]]:
-        """(refine, coarsen-ok) lists in leaf iteration order.  Each driver
-        scores the leaves it evolves; `_combine_flags` merges the per-rank
-        scores in the distributed backends."""
+        """(refine, coarsen-ok) lists in leaf iteration order.  Each rank
+        scores the leaves it owns; :meth:`_combine_flags` merges the
+        per-rank scores."""
         order = list(self.forest.leaves)
-        flags = np.zeros(len(order), dtype=np.int64)
+        flags = {
+            rank: np.zeros(len(order), dtype=np.int64) for rank in self.local_ranks
+        }
         for i, key in enumerate(order):
             if not self._flags_here(key):
                 continue
             leaf = self.forest.leaves[key]
             view = self._flag_view(prims[key], leaf.grid)
+            mine = flags[self.assignment[key]]
             if self.criterion.needs_refinement(self.system, view):
                 if key.level + 1 < self.amr.max_levels:
-                    flags[i] = 1
+                    mine[i] = 1
             elif self.criterion.allows_coarsening(self.system, view):
-                flags[i] = 2
-        flags = self._combine_flags(flags)
-        refine = [key for key, f in zip(order, flags) if f == 1]
-        coarsen = [key for key, f in zip(order, flags) if f == 2]
+                mine[i] = 2
+        combined = self._combine_flags(flags)
+        refine = [key for key, f in zip(order, combined) if f == 1]
+        coarsen = [key for key, f in zip(order, combined) if f == 2]
         return refine, coarsen
 
-    def _flags_here(self, key: BlockKey) -> bool:
-        return True
+    def _combine_flags(self, flags: dict[int, np.ndarray]) -> np.ndarray:
+        """Every rank's flags, summed (each leaf is scored by one rank)."""
+        return self.comm.allreduce(flags, "sum")[self.local_ranks[0]]
 
-    def _combine_flags(self, flags: np.ndarray) -> np.ndarray:
-        return flags
-
-    def _merge_groups(self, merges: list[BlockKey]) -> None:
-        for parent in merges:
-            self._merge_siblings(parent)
+    # ------------------------------------------------------------------
+    # Dynamic rebalancing
+    # ------------------------------------------------------------------
 
     def _post_regrid(self) -> None:
-        """Hook: the distributed drivers measure imbalance and repartition
-        here, after the topology has settled."""
+        """Measure rank imbalance after the topology has settled and, above
+        the threshold, recut the curve and migrate blocks."""
+        imbalance = self._measure_imbalance()
+        if imbalance <= self.amr.rebalance_threshold:
+            return
+        t0 = time.perf_counter()
+        part = PARTITIONERS[self.amr.partitioner](self.forest, self.n_ranks)
+        new_assignment = dict(part.assignment)
+        moves = migration_plan(self.forest, self.assignment, new_assignment)
+        if not moves:
+            # The recut reproduced the current assignment — the measured
+            # imbalance is irreducible at this topology (e.g. leaves don't
+            # divide evenly).  Not a rebalance: no counters, no event.
+            return
+        self._migrate(moves, new_assignment)
+        self.repartitions += 1
+        self.migrated_blocks += len(moves)
+        after = self._measure_imbalance()
+        elapsed = time.perf_counter() - t0
+        if self._owns_metrics():
+            self.metrics.counter("amr.repartitions").inc()
+            self.metrics.counter("amr.migrated_blocks").inc(len(moves))
+            # _s suffix: wall-clock timing, excluded from canonical streams.
+            self.metrics.counter("amr.repartition_s").inc(elapsed)
+        self._emit_rebalance_event(
+            imbalance_before=imbalance,
+            imbalance_after=after,
+            migrated_blocks=len(moves),
+            repartitions=self.repartitions,
+        )
+
+    def _migrate(self, moves, new_assignment: dict[BlockKey, int]) -> None:
+        """Ship departing blocks as checksummed frames, validate every
+        incoming frame, then clear the departed blocks and install the
+        arrived ones — a torn or corrupt frame raises
+        :class:`~repro.utils.errors.BlockMigrationError` before any forest
+        state changes.  Clearing precedes installing because in one
+        address space a moved block is both departing and arriving."""
+        for key, src, dst in moves:
+            if src not in self.local_ranks:
+                continue
+            leaf = self.forest.leaves[key]
+            p_cache = self._warm_state(key)
+            header = block_frame_header(key, leaf.cons, p_cache)
+            self.comm.send(src, dst, header, tag=TAG_AMR_MIGRATE)
+            self.comm.send(src, dst, leaf.cons, tag=TAG_AMR_MIGRATE)
+            if p_cache is not None:
+                self.comm.send(src, dst, p_cache, tag=TAG_AMR_MIGRATE)
+        staged_in = []
+        for key, src, dst in moves:
+            if dst not in self.local_ranks:
+                continue
+            grid = self.forest.leaves[key].grid
+            gshape = (self.system.nvars,) + grid.shape_with_ghosts
+            header = self.comm.recv(src, dst, tag=TAG_AMR_MIGRATE)
+            has_pcache = check_block_frame(header, key, gshape)
+            cons = check_block_payload(
+                np.asarray(self.comm.recv(src, dst, tag=TAG_AMR_MIGRATE)),
+                gshape, "cons", key,
+            )
+            p_cache = None
+            if has_pcache:
+                # The con2prim warm-start cache holds only the pressure
+                # variable over the block interior.
+                p_cache = check_block_payload(
+                    np.asarray(self.comm.recv(src, dst, tag=TAG_AMR_MIGRATE)),
+                    tuple(grid.shape), "p_cache", key,
+                )
+            staged_in.append((key, cons, p_cache))
+        # Validate-all, then clear, then install: nothing above mutated
+        # the forest.
+        for key, src, _dst in moves:
+            if src in self.local_ranks:
+                self.forest.leaves[key].cons = None
+                self._drop_pipeline(key)
+        for key, cons, p_cache in staged_in:
+            self.forest.leaves[key].cons = cons
+            self._pipe_state[key] = p_cache
+        self.assignment = dict(new_assignment)
+        self._invalidate_plans()
+
+    def _emit_rebalance_event(self, **payload) -> None:
+        if self.recorder is not None:
+            self.recorder.emit_event("amr_rebalance", step=self.steps, **payload)
 
     # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------
-
-    def _step_keys(self) -> list[BlockKey]:
-        """The leaves this driver evolves (all of them; the process-backend
-        worker narrows this to its own rank's blocks)."""
-        return list(self.forest.leaves)
 
     def _rhs(self, cons_parts: dict[BlockKey, np.ndarray]) -> dict[BlockKey, np.ndarray]:
         # Per-block pipelines own their workspaces, so hot-path reuse is
@@ -495,28 +769,58 @@ class AMRSolver(Driver):
         return dU
 
     def _apply_reflux(self, fluxes, dU) -> None:
+        """Correct the evolved coarse leaves' ``dU`` at coarse-fine faces;
+        fine face-flux columns owned by other ranks arrive as messages."""
+        # Looked up per call: bench/trace.py patches the module attribute.
         from ..mesh.amr.reflux import apply_reflux
 
-        apply_reflux(self.forest, fluxes, dU)
+        plan = self._get_reflux_plan()
+        B = self.layout.block_size
+        marker = self.comm.traffic_marker()
+        for (src, dst), entries in plan.items():
+            if src in self.local_ranks:
+                for child, axis in entries:
+                    self.comm.send(
+                        src, dst, face_flux_column(fluxes[child], child, axis, B),
+                        tag=TAG_AMR_FLUX,
+                    )
+        remote_faces = {
+            (child, axis): self.comm.recv(src, dst, tag=TAG_AMR_FLUX)
+            for (src, dst), entries in plan.items()
+            if dst in self.local_ranks
+            for child, axis in entries
+        }
+        apply_reflux(
+            self.forest, fluxes, dU,
+            remote_faces=remote_faces, only=self._step_keys(),
+        )
+        messages = self.comm.messages_since(marker)
+        if messages:
+            self.metrics.counter("comm.amr.reflux_messages").inc(messages)
 
     def compute_dt(self, t_final: float | None = None) -> float:
-        local = []
+        local: dict[int, list[float]] = {rank: [] for rank in self.local_ranks}
         for key in self._step_keys():
             leaf, pipe = self.forest.leaves[key], self._pipeline(key)
             prim = pipe.recover_primitives(leaf.cons, reuse=True)
-            local.append(
+            local[self.assignment[key]].append(
                 dt_from_axis_maxima(
                     leaf.grid, pipe.max_signal_per_axis(prim), self.config.cfl
                 )
             )
-        dt = self._reduce_dt(min(local) if local else float("inf"))
+        dt = self._reduce_dt(
+            {rank: min(dts, default=float("inf")) for rank, dts in local.items()}
+        )
         return clip_dt_to_final(dt, self.t, t_final)
 
-    def _reduce_dt(self, local_min: float) -> float:
-        """Reduction hook: min over ranks in the process backend.  A global
-        min over per-leaf dt values is a *selection*, so reducing per-rank
-        minima is bit-identical to the serial min."""
-        return local_min
+    def _reduce_dt(self, local_min: dict[int, float]) -> float:
+        """Min over ranks.  A global min over per-leaf dt values is a
+        *selection*, so reducing per-rank minima is bit-identical to the
+        one-rank min."""
+        out = self.comm.allreduce(
+            {rank: np.asarray([dt]) for rank, dt in local_min.items()}, "min"
+        )
+        return float(out[self.local_ranks[0]][0])
 
     def _integrate(self, dt: float) -> None:
         advanced = self._integrate_parts(
@@ -527,9 +831,11 @@ class AMRSolver(Driver):
             self.forest.leaves[key].cons = cons
 
     def _block_name(self, key: BlockKey) -> str:
-        """How error messages name a leaf (the distributed drivers prefix
-        the owning rank)."""
-        return f"block {key}"
+        """How error messages name a leaf: with its owner once there is
+        more than one rank."""
+        if self.n_ranks == 1:
+            return f"block {key}"
+        return f"rank {self.assignment[key]}, block {key}"
 
     def _patches(self):
         for key in self._step_keys():
@@ -551,7 +857,23 @@ class AMRSolver(Driver):
             self.regrid()
 
     def _record_extras(self) -> dict:
-        return {"amr": self._amr_record(self._step_cells)}
+        loads = rank_loads(self.forest, self.assignment, self.n_ranks)
+        cells = self.layout.cells_per_block()
+        return {"amr": {
+            "n_leaves": len(self.forest.leaves),
+            "cells_updated": self._step_cells,
+            "regrids": self.regrids,
+            "leaves_by_level": {
+                str(lvl): n
+                for lvl, n in sorted(self.leaf_count_by_level().items())
+            },
+            "imbalance": self._last_imbalance,
+            "migrated_blocks": self.migrated_blocks,
+            "repartitions": self.repartitions,
+            "rank_blocks": {
+                str(r): int(loads[r] // cells) for r in range(self.n_ranks)
+            },
+        }}
 
     # bench/trace.py patches AMRSolver.__dict__["step"]: bound here, not
     # inherited.
@@ -563,20 +885,18 @@ class AMRSolver(Driver):
 
         save_amr_checkpoint(self, path)
 
-    def _amr_record(self, step_cells: int) -> dict:
-        return {
-            "n_leaves": len(self.forest.leaves),
-            "cells_updated": step_cells,
-            "regrids": self.regrids,
-            "leaves_by_level": {
-                str(lvl): n
-                for lvl, n in sorted(self.leaf_count_by_level().items())
-            },
-        }
-
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
+
+    def interior_primitives(self) -> dict[BlockKey, np.ndarray]:
+        """Interior primitives of every leaf this stepper evolves."""
+        return {
+            k: self.forest.leaves[k].grid.interior_of(
+                self._pipeline(k).recover_primitives(self.forest.leaves[k].cons)
+            ).copy()
+            for k in self._step_keys()
+        }
 
     def composite_primitives(self, level: int | None = None):
         """(grid, interior prim array) of the composite at *level*

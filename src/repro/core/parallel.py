@@ -114,7 +114,7 @@ class _WorkerShell:
     """What living inside a worker process adds to a serial driver.
 
     Mixed in ahead of the driver class (:class:`DistributedSolver`,
-    :class:`~repro.core.amr_distributed.DistributedAMRSolver`), it
+    :class:`~repro.core.amr_solver.AMRSolver`), it
     contributes ring attachment, the lockstep barrier in front of
     ``step``, resource snapshots, ring rebinding after a peer respawn and
     teardown — never physics, which stays in the driver it wraps.
@@ -1162,7 +1162,7 @@ def run_supervised(
     the solver's :class:`~repro.resilience.policies.SupervisionPolicy`
     has ``degrade=True``, the run folds down to the solver's serial twin
     (:meth:`ProcessSolver.fold_to_serial`: a :class:`DistributedSolver`,
-    or a ``DistributedAMRSolver`` for the AMR fleet), restored from the
+    or an in-process ``AMRSolver`` for the AMR fleet), restored from the
     last consistent supervision snapshot — state and merged metric
     registries — and finishes there: the final physics state and the
     canonical record stream are bit-identical to a fault-free run.  Steps

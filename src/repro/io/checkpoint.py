@@ -28,7 +28,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..core.amr_solver import AMRConfig, AMRSolver
+from ..core.amr_parallel import make_distributed_amr_solver
+from ..core.amr_solver import AMRConfig
 from ..core.config import SolverConfig
 from ..core.parallel import make_distributed_solver
 from ..core.solver import Solver
@@ -307,11 +308,11 @@ def load_distributed_checkpoint(
 
 def save_amr_checkpoint(solver, path) -> None:
     """Write an AMR solver's forest state to *path* (.npz): every leaf's
-    patch state as entries, topology (leaf order kept) and counters in
-    ``meta``.  Works for every AMR driver through its ``forest_state()``
-    (the process fleet merges its workers'); block ownership is not
-    archived: all of them are bit-identical to the serial ``AMRSolver``,
-    which is what reloads."""
+    patch state as entries, topology (leaf order kept), counters and the
+    rank count in ``meta``.  Works for every AMR driver through its
+    ``forest_state()`` (the process fleet merges its workers'); block
+    ownership is not archived, since the block bytes do not depend on
+    it."""
     state = solver.forest_state()
     meta = {
         name: [[k.level, list(k.idx)] for k in state[name]]
@@ -323,12 +324,22 @@ def save_amr_checkpoint(solver, path) -> None:
         {_leaf_ident(key): patch for key, patch in state["blocks"].items()},
         root_grid=_grid_meta(solver.layout.root_grid),
         amr=solver.amr.to_dict(),
+        n_ranks=solver.n_ranks,
         **meta,
     )
 
 
-def load_amr_checkpoint(path, system, boundaries=None) -> AMRSolver:
-    """Reconstruct an AMR solver (topology + leaf states) from *path*."""
+def load_amr_checkpoint(path, system, boundaries=None):
+    """Reconstruct an AMR solver (topology + leaf states) from *path*.
+
+    The run comes back under the executor (``config.executor``) and rank
+    count that wrote it — an
+    :class:`~repro.core.amr_parallel.AMRProcessSolver` with fresh workers
+    for a process fleet's archive, the in-process
+    :class:`~repro.core.amr_solver.AMRSolver` otherwise; an archive
+    without a rank count loads at one rank.  Leaf ownership is cut afresh
+    over the installed forest.
+    """
     with _read_archive(path) as data:
         meta, config = _read_prologue(data, path, "amr", system)
         state = dict(meta)
@@ -338,18 +349,13 @@ def load_amr_checkpoint(path, system, boundaries=None) -> AMRSolver:
             key: _read_patch(data, "amr", _leaf_ident(key))
             for key in state["leaves"]
         }
-    if config.executor != "serial":
-        _log.info(
-            "checkpoint %s was written under executor=%r; it reloads as the "
-            "serial AMRSolver (bit-identical)", path, config.executor,
-        )
-    solver = AMRSolver(
+    return make_distributed_amr_solver(
         system,
         _grid_from_meta(meta["root_grid"]),
-        _quiescent_prim,
+        None,
         config,
-        AMRConfig(**meta["amr"]).replace(initial_regrid_passes=0),
-        boundaries,
+        AMRConfig(**meta["amr"]),
+        n_ranks=int(meta.get("n_ranks", 1)),
+        boundaries=boundaries,
+        forest_state=state,
     )
-    solver.install_forest_state(state)
-    return solver

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core import SolverConfig
-from repro.core.amr_distributed import DistributedAMRSolver
 from repro.core.amr_parallel import (
     AMRProcessSolver,
     make_distributed_amr_solver,
@@ -26,7 +25,9 @@ from repro.core.amr_parallel import (
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.eos import IdealGasEOS
 from repro.mesh.amr.blocks import BlockKey
+from repro.io.checkpoint import load_amr_checkpoint
 from repro.mesh.amr.exchange import (
+    TAG_AMR_MIGRATE,
     block_frame_header,
     check_block_frame,
     check_block_payload,
@@ -135,10 +136,10 @@ class TestRebalanceDecay:
         threshold low enough that regrids keep tripping it, every recut
         lands at or below the run's worst measured imbalance, and so does
         the final state.  In-process ranks: the policy is the same code the
-        worker fleet runs (``DistributedAMRSolver._post_regrid``)."""
+        worker fleet runs (``AMRSolver._post_regrid``)."""
         system, grid, init, config, amr = _scenario()
         sink = BufferSink()
-        solver = DistributedAMRSolver(
+        solver = AMRSolver(
             system, grid, init, config, amr.replace(rebalance_threshold=1.02),
             recorder=StepRecorder(sink), n_ranks=4,
         )
@@ -150,6 +151,96 @@ class TestRebalanceDecay:
         for event in rebalances:
             assert event["imbalance_after"] <= max(imbalance) + 1e-9
         assert 1.0 <= imbalance[-1] <= max(imbalance) + 1e-9
+
+
+class TestInProcessMigration:
+    """The in-process rank loop migrates over its ``SimCommunicator``: the
+    frames, checks and validate-then-clear-then-install order of the
+    worker fleet, at 4 ranks of the golden scenario."""
+
+    @staticmethod
+    def _solver():
+        system, grid, init, config, amr = _scenario()
+        return AMRSolver(system, grid, init, config, amr, n_ranks=4)
+
+    def test_repartition_ships_frames_over_the_communicator(self):
+        solver = self._solver()
+        migrate, shipped = solver._migrate, []
+
+        def counted(moves, new_assignment):
+            # header + cons (+ Newton seed) per moved block
+            frames = sum(
+                2 + (solver._warm_state(key) is not None) for key, _, _ in moves
+            )
+            marker = solver.comm.traffic_marker()
+            migrate(moves, new_assignment)
+            shipped.append((solver.comm.messages_since(marker), frames))
+
+        solver._migrate = counted
+        for _ in range(AMR_STEPS):
+            solver.step()
+        assert solver.repartitions >= 1 and len(shipped) == solver.repartitions
+        for sent, frames in shipped:
+            assert sent == frames > 0
+
+    def test_corrupt_header_leaves_the_forest_untouched(self, monkeypatch):
+        solver = self._solver()
+        migrate, before = solver._migrate, {}
+
+        def snapshot_then_migrate(moves, new_assignment):
+            before.update(
+                cons={k: leaf.cons.copy() for k, leaf in solver.forest.leaves.items()},
+                assignment=dict(solver.assignment),
+                pipelines={k: id(p) for k, p in solver._pipelines.items()},
+                staged=set(solver._pipe_state),
+            )
+            migrate(moves, new_assignment)
+
+        send = solver.comm.send
+
+        def corrupt_headers(src, dest, data, tag=0, **kw):
+            if tag == TAG_AMR_MIGRATE and np.asarray(data).dtype == np.int64:
+                data = np.array(data)
+                data[0] ^= 1  # the magic word
+            send(src, dest, data, tag=tag, **kw)
+
+        solver._migrate = snapshot_then_migrate
+        monkeypatch.setattr(solver.comm, "send", corrupt_headers)
+        with pytest.raises(BlockMigrationError, match="magic"):
+            for _ in range(AMR_STEPS):
+                solver.step()
+        assert before, "the run never repartitioned"
+        assert solver.assignment == before["assignment"]
+        assert list(solver.forest.leaves) == list(before["cons"])
+        for key, leaf in solver.forest.leaves.items():
+            assert leaf.cons.tobytes() == before["cons"][key].tobytes(), key
+        assert {k: id(p) for k, p in solver._pipelines.items()} == before["pipelines"]
+        assert set(solver._pipe_state) == before["staged"]
+
+
+class TestCheckpointReload:
+    def test_process_archive_reloads_as_the_fleet(self, serial_reference, tmp_path):
+        """A 2-worker fleet's archive comes back as a 2-worker fleet, whose
+        next steps land on the uninterrupted run's block bytes."""
+        system, grid, init, _, amr = _scenario()
+        path = tmp_path / "amr.npz"
+        half = AMR_STEPS // 2
+        with AMRProcessSolver(
+            system, grid, init, config=SolverConfig(cfl=0.4, executor="process"),
+            amr=amr, n_ranks=2,
+        ) as fleet:
+            fleet.run(1.0, max_steps=half, checkpoint_every=half, checkpoint_path=path)
+        resumed = load_amr_checkpoint(path, system)
+        assert isinstance(resumed, AMRProcessSolver)
+        with resumed:
+            assert (resumed.n_ranks, resumed.steps) == (2, half)
+            for _ in range(AMR_STEPS - half):
+                resumed.step()
+            proc = {
+                "blocks": resumed.gather_blocks(),
+                "t": resumed.t, "steps": resumed.steps,
+            }
+        _assert_blocks_bitexact(serial_reference, proc)
 
 
 class TestMigrationWireFormat:
@@ -242,7 +333,7 @@ class TestConfigSurface:
         serial = make_distributed_amr_solver(
             system, grid, init, config=config, amr=amr, n_ranks=2
         )
-        assert isinstance(serial, DistributedAMRSolver)
+        assert isinstance(serial, AMRSolver)
         assert not isinstance(serial, AMRProcessSolver)
 
         system, grid, init, config, amr = _scenario()
@@ -279,7 +370,7 @@ class TestConfigSurface:
             seed=1, processes=[ProcessFault(kind="kill_rank", rank=1, step=1)]
         )
         serial = make(fault_injector=FaultInjector(ok), step_timeout_s=1.0)
-        assert isinstance(serial, DistributedAMRSolver)
+        assert isinstance(serial, AMRSolver)
         serial.step()
 
     def test_non_process_faults_rejected(self):

@@ -132,7 +132,7 @@ class TestAMR:
         assert "repartition(s)" in out and "migrated" in out
 
     def test_process_executor_runs_and_reports(self, capsys):
-        assert main(self.ARGS + ["--executor", "process", "--workers", "2",
+        assert main(self.ARGS + ["--executor", "process", "--ranks", "2",
                                  "--max-rank-restarts", "1"]) == 0
         out = capsys.readouterr().out
         assert "ranks     : 2 (process executor, sfc partitioner)" in out
@@ -155,13 +155,13 @@ class TestAMR:
     @pytest.mark.parametrize(
         "argv,both",
         [
-            (["amr", "rp1", "--workers", "2"],
-             ("--workers", "--executor process")),
-            (["amr", "rp1", "--executor", "process"],
-             ("--executor process", "--workers")),
-            (["amr", "rp1", "--executor", "process", "--workers", "2",
-              "--ranks", "4"],
-             ("--ranks", "--workers")),
+            # --ranks is the one rank count: --workers no longer exists
+            (["amr", "rp1", "--executor", "process", "--workers", "2"],
+             ("--workers",)),
+            (["amr", "rp1", "--executor", "process", "--ranks", "0"],
+             ("--ranks",)),
+            (["amr", "rp1", "--ranks", "2", "--max-rank-restarts", "1"],
+             ("--max-rank-restarts", "--executor process")),
             (["amr", "rp1", "--max-rank-restarts", "1"],
              ("--max-rank-restarts", "--executor process")),
         ],
@@ -182,12 +182,13 @@ class TestFlagCombos:
     @pytest.mark.parametrize(
         "argv,both",
         [
-            (["run", "rp1", "--workers", "2"], ("--workers", "--executor process")),
+            # --ranks is the one rank count: --workers no longer exists
+            (["run", "rp1", "--executor", "process", "--workers", "2"], ("--workers",)),
             (["run", "rp1", "--overlap"], ("--overlap", "--ranks")),
-            (["run", "rp1", "--executor", "process"], ("--executor process", "--workers")),
+            (["run", "rp1", "--executor", "process"], ("--executor process", "--ranks")),
             (
-                ["run", "rp1", "--executor", "process", "--workers", "2", "--ranks", "4"],
-                ("--ranks", "--workers"),
+                ["run", "rp1", "--ranks", "2", "--max-rank-restarts", "1"],
+                ("--max-rank-restarts", "--executor process"),
             ),
             (
                 ["run", "rp1", "--checkpoint-every", "5"],

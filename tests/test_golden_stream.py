@@ -19,11 +19,11 @@ Three fixtures live in ``tests/golden/``:
     The canonical projection of the canonical AMR shock-tube run (serial
     :class:`~repro.core.amr_solver.AMRSolver`, fixed regrid cadence).
     Besides pinning the serial forest numerics byte-for-byte, the same
-    fixture is the parity bar for the distributed driver: the scenario is
-    tuned so the forest topology keeps changing mid-run, which makes
-    :class:`~repro.core.amr_distributed.DistributedAMRSolver` at 2 and 4
-    ranks cross the rebalance threshold and migrate blocks — and it still
-    has to reproduce the serial stream byte-for-byte.
+    fixture is the parity bar for the rank loop: the scenario is tuned so
+    the forest topology keeps changing mid-run, which makes the same
+    :class:`~repro.core.amr_solver.AMRSolver` at 2 and 4 in-process ranks
+    cross the rebalance threshold and migrate blocks — and it still has to
+    reproduce the one-rank stream byte-for-byte.
 
 Regenerate all (after an *intentional* change) with::
 
@@ -41,7 +41,6 @@ import pytest
 from repro.analysis import relative_l1_error
 from repro.boundary import make_boundaries
 from repro.core import Solver, SolverConfig
-from repro.core.amr_distributed import DistributedAMRSolver
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.distributed import DistributedSolver
 from repro.eos import IdealGasEOS
@@ -122,9 +121,9 @@ def _amr_scenario():
 def _amr_stream(n_ranks: int | None = None):
     """Canonical AMR run -> (canonical stream, solver).
 
-    ``n_ranks=None`` runs the plain serial :class:`AMRSolver` (the golden
-    reference); an integer runs :class:`DistributedAMRSolver` with that
-    many ranks in the serial rank loop.
+    ``n_ranks=None`` runs :class:`AMRSolver` at its default one rank (the
+    golden reference); an integer runs it with that many ranks in the
+    in-process rank loop.
     """
     system, grid, init, config, amr = _amr_scenario()
     sink = BufferSink()
@@ -134,7 +133,7 @@ def _amr_stream(n_ranks: int | None = None):
     if n_ranks is None:
         solver = AMRSolver(system, grid, init, config, amr, recorder=recorder)
     else:
-        solver = DistributedAMRSolver(
+        solver = AMRSolver(
             system, grid, init, config=config, amr=amr,
             recorder=recorder, n_ranks=n_ranks,
         )

@@ -119,26 +119,48 @@ class TestAMRCheckpoint:
         assert restored.cells_updated == ref.cells_updated
 
     def test_distributed_driver_writes_the_serial_archive(self, system1d, tmp_path):
-        """The in-process distributed driver is bit-identical to the serial
-        one, so its checkpoint is the serial archive, entry for entry
-        (ownership is not archived)."""
-        from repro.core.amr_distributed import DistributedAMRSolver
-
+        """The rank loop is bit-identical at every rank count, so a 2-rank
+        checkpoint is the 1-rank archive entry for entry (ownership is not
+        archived); only ``meta`` differs, in the rank count it records —
+        which is the rank count the archive reloads at."""
         grid = Grid((64,), ((0.0, 1.0),))
         ic = lambda s, g: shock_tube(s, g, RP1)
         amr_cfg = AMRConfig(block_size=8, max_levels=2, regrid_interval=2)
-        archives = []
-        for solver in (
-            AMRSolver(system1d, grid, ic, amr=amr_cfg),
-            DistributedAMRSolver(system1d, grid, ic, amr=amr_cfg, n_ranks=2),
-        ):
+        archives, metas = [], []
+        for n_ranks in (1, 2):
+            solver = AMRSolver(system1d, grid, ic, amr=amr_cfg, n_ranks=n_ranks)
             solver.run(t_final=1.0, max_steps=5)
-            path = tmp_path / f"{type(solver).__name__}.npz"
+            path = tmp_path / f"ranks{n_ranks}.npz"
             solver.write_checkpoint(path)
             with np.load(path, allow_pickle=False) as data:
-                archives.append({name: data[name].tobytes() for name in data.files})
+                metas.append(json.loads(str(data["meta"])))
+                archives.append({
+                    name: data[name].tobytes() for name in data.files if name != "meta"
+                })
         assert archives[0] == archives[1]
-        assert load_amr_checkpoint(path, system1d).steps == 5
+        assert [meta.pop("n_ranks") for meta in metas] == [1, 2]
+        assert metas[0] == metas[1]
+        restored = load_amr_checkpoint(path, system1d)
+        assert (restored.steps, restored.n_ranks) == (5, 2)
+
+    def test_archive_without_rank_count_loads_at_one_rank(self, system1d, tmp_path):
+        grid = Grid((64,), ((0.0, 1.0),))
+        amr_cfg = AMRConfig(block_size=8, max_levels=2)
+        solver = AMRSolver(
+            system1d, grid, lambda s, g: shock_tube(s, g, RP1), amr=amr_cfg,
+            n_ranks=2,
+        )
+        solver.run(t_final=1.0, max_steps=2)
+        path = tmp_path / "amr.npz"
+        solver.write_checkpoint(path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        del meta["n_ranks"]
+        np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+        restored = load_amr_checkpoint(path, system1d)
+        assert (restored.steps, restored.n_ranks) == (2, 1)
+        assert set(restored.assignment.values()) == {0}
 
     def test_topology_preserved(self, system1d, tmp_path):
         grid = Grid((64,), ((0.0, 1.0),))

@@ -29,8 +29,8 @@ from repro.comm.shm import (
     channel_capacities,
 )
 from repro.core.config import SolverConfig
-from repro.core.amr_distributed import DistributedAMRSolver
 from repro.core.amr_parallel import _AMRRankWorker
+from repro.core.amr_solver import AMRSolver
 from repro.core.distributed import DistributedSolver, decompose
 from repro.core.parallel import (
     ProcessSolver,
@@ -526,6 +526,13 @@ class TestOneRankStepper:
         "_exchange", "_set_stage_time", "run", "write_checkpoint",
     )
     SHELL = ("_attach", "step", "snapshot", "rebind", "close")
+    #: the AMR exchange and decision surface — one implementation, over
+    #: whichever communicator the stepper was built on
+    AMR_STEPPER = (
+        "_fill_ghosts", "_apply_reflux", "_split_leaf", "_merge_groups",
+        "_migrate", "_step_keys", "_flags_here", "_combine_flags",
+        "_reduce_dt", "compute_dt", "regrid", "step", "_count_halo_traffic",
+    )
 
     def test_rank_worker_inherits_the_stepper(self):
         assert issubclass(_RankWorker, DistributedSolver)
@@ -537,9 +544,24 @@ class TestOneRankStepper:
             assert name in vars(DistributedSolver)
 
     def test_amr_worker_inherits_the_shell(self):
-        assert issubclass(_AMRRankWorker, DistributedAMRSolver)
+        assert issubclass(_AMRRankWorker, AMRSolver)
         assert issubclass(_AMRRankWorker, _WorkerShell)
         assert not set(vars(_AMRRankWorker)) & set(self.SHELL)
+
+    def test_amr_worker_is_the_stepper_not_a_mirror(self):
+        own = set(vars(_AMRRankWorker))
+        assert not own & set(self.AMR_STEPPER), "the mirror is growing back"
+        for name in self.AMR_STEPPER:
+            assert callable(getattr(AMRSolver, name)), name
+        # What the worker adds: its construction from a shipped forest
+        # state, the supervision snapshot pair and leaving the rebalance
+        # event to the parent.
+        assert {n for n in own if not n.startswith("__")} == {
+            "supervision_state", "restore_supervision_state",
+            "_emit_rebalance_event",
+        }
+        for name in ("step", "compute_dt", "regrid"):  # bench/trace.py patches these
+            assert name in vars(AMRSolver)
 
     @staticmethod
     def _subset_stepper(prime):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.boundary import make_boundaries
 from repro.core import Solver, SolverConfig
-from repro.core.amr_distributed import DistributedAMRSolver
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.distributed import DistributedSolver
 from repro.comm.communicator import SimCommunicator
@@ -565,7 +564,7 @@ class TestStepGuards:
         ic = lambda sys_, g: shock_tube(sys_, g, RP1)
         if n_ranks is None:
             return AMRSolver(system, grid, ic, config=config, amr=amr)
-        return DistributedAMRSolver(system, grid, ic, amr=amr, n_ranks=n_ranks)
+        return AMRSolver(system, grid, ic, amr=amr, n_ranks=n_ranks)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
     def test_amr_rejects_bad_dt(self, dt):

@@ -1,7 +1,7 @@
 """One driver contract: every driver steps and runs through core.stepping.
 
-``Solver``, ``BatchSolver``, ``DistributedSolver``, ``AMRSolver`` and
-``DistributedAMRSolver`` share :class:`repro.core.stepping.Driver`'s
+``Solver``, ``BatchSolver``, ``DistributedSolver`` and ``AMRSolver`` (at
+one and at two ranks) share :class:`repro.core.stepping.Driver`'s
 ``step``/``run``; what they are allowed to differ in is the patch label a
 guard names, the family block of a step record and whether ``solver.dt`` is
 observed.  ``ProcessSolver`` keeps its parent-side ``step`` and takes the
@@ -21,7 +21,6 @@ import pytest
 
 from repro.boundary import make_boundaries
 from repro.core import BatchSolver, DistributedSolver, ProcessSolver, Solver, SolverConfig
-from repro.core.amr_distributed import DistributedAMRSolver
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.stepping import Driver
 from repro.eos import IdealGasEOS
@@ -66,7 +65,7 @@ def _amr(recorder=None, cls=AMRSolver, **kw):
 
 
 def _distributed_amr(recorder=None):
-    return _amr(recorder, cls=DistributedAMRSolver, n_ranks=2)
+    return _amr(recorder, n_ranks=2)
 
 
 #: name -> (factory, label regex of its last patch, record family key,
@@ -77,6 +76,7 @@ DRIVERS = {
     "DistributedSolver": (_distributed, r": rank 1, variable 0, cell \(", "comm", True),
     # The golden AMR stream carries no solver.dt histogram.
     "AMRSolver": (_amr, r": block .*, variable 0, interior cell \(", "amr", False),
+    # AMRSolver over two in-process ranks (the case id keeps test ids stable).
     "DistributedAMRSolver": (
         _distributed_amr, r": rank 1, block .*, variable 0, interior cell \(", "amr", False,
     ),

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.comm.shm import ShmChannel, ShmCommunicator, SupervisionBoard
-from repro.core.amr_distributed import DistributedAMRSolver
 from repro.core.amr_parallel import AMRProcessSolver
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.config import SolverConfig
@@ -499,14 +498,14 @@ def _amr_supervised_run(plan, supervision, n_ranks=2):
         solver.close()
 
 
-def _amr_serial_reference(config=None, **run_kw):
-    """The uninterrupted serial forest, driven through ``run`` with a
+def _amr_serial_reference(config=None, n_ranks=1, **run_kw):
+    """The uninterrupted in-process forest, driven through ``run`` with a
     recorder (what the degrade and checkpoint tests compare against)."""
     system, grid, init, default, amr = _amr_scenario()
     sink = BufferSink()
     solver = AMRSolver(
         system, grid, init, config or default, amr,
-        recorder=StepRecorder(sink, meta=META),
+        recorder=StepRecorder(sink, meta=META), n_ranks=n_ranks,
     )
     solver.run(1.0, max_steps=AMR_STEPS, **run_kw)
     return solver, sink
@@ -609,7 +608,7 @@ class TestAMRSupervision:
         )
         finisher, info = run_supervised(solver, 1.0, max_steps=AMR_STEPS)
         assert info["degraded"] is True
-        assert isinstance(finisher, DistributedAMRSolver)
+        assert isinstance(finisher, AMRSolver)
         assert not isinstance(finisher, AMRProcessSolver)
         _assert_same_forest(finisher, serial)
         assert finisher.repartitions >= 1  # the migration replayed on the twin
@@ -621,8 +620,9 @@ class TestAMRSupervision:
 
     def test_inrun_checkpoints_match_serial_under_kill(self, tmp_path):
         """``checkpoint_every`` on the fleet, killed mid-migration within
-        budget: every archive is entry-for-entry the serial AMRSolver's at
-        the same step (same SolverConfig on both, so ``meta`` matches)."""
+        budget: every archive is entry-for-entry the in-process AMRSolver's
+        at the same step (same SolverConfig and rank count on both, so
+        ``meta`` matches)."""
         cfg = SolverConfig(cfl=0.4, executor="process")
         archives = {"serial": {}, "fleet": {}}
 
@@ -635,7 +635,7 @@ class TestAMRSupervision:
             return callback
 
         _amr_serial_reference(
-            cfg, checkpoint_every=2, checkpoint_path=tmp_path / "serial.npz",
+            cfg, n_ranks=2, checkpoint_every=2, checkpoint_path=tmp_path / "serial.npz",
             callback=keep("serial"),
         )
         system, grid, init, _, amr = _amr_scenario()
@@ -658,8 +658,9 @@ class TestAMRSupervision:
 
     def test_run_with_restart_resumes_from_a_fleet_checkpoint(self, tmp_path):
         """Budget 0, no degrade: the fleet dies on the migration step and
-        ``run_with_restart`` reloads the last archive *it* wrote — as the
-        serial AMRSolver — onto the uninterrupted run's bytes."""
+        ``run_with_restart`` reloads the last archive *it* wrote — under
+        the executor and rank count that wrote it, as a fresh 2-worker
+        fleet — onto the uninterrupted run's bytes."""
         serial, _ = _amr_serial_reference()
         system, grid, init, config, amr = _amr_scenario()
         fleet = AMRProcessSolver(
@@ -675,8 +676,16 @@ class TestAMRSupervision:
             max_steps=AMR_STEPS,
         )
         assert restarts == 1
-        assert type(final) is AMRSolver
-        _assert_same_forest(final, serial)
+        assert type(final) is AMRProcessSolver
+        with final:
+            assert (final.n_ranks, final.t, final.steps) == (2, serial.t, serial.steps)
+            state = final.forest_state()
+        assert state["leaves"] == list(serial.forest.leaves)
+        assert set(state["refined"]) == serial.forest.refined
+        for key, leaf in serial.forest.leaves.items():
+            assert state["blocks"][key][0].tobytes() == leaf.cons.tobytes(), (
+                f"block {key} diverged from the serial forest"
+            )
 
     def test_budget_exhaustion_surfaces_snapshot(self):
         system, grid, init, config, amr = _amr_scenario()

@@ -231,7 +231,7 @@ class TestOptionSurface:
             for name, sub in subparsers.choices.items()
         }
         assert long_options == {
-            "run": 18, "amr": 16, "experiment": 0, "info": 0, "serve": 4,
+            "run": 17, "amr": 15, "experiment": 0, "info": 0, "serve": 4,
             "sweep": 8, "cache": 2,
         }
 
@@ -242,7 +242,7 @@ class TestOptionSurface:
             "c2p_tuned", "positivity_guess", "newton_damping",
             "scratch_workspace", "fused_stencils", "overlap_link",
             "cext_pointwise", "REPRO_CEXT_STENCIL_DISABLE", "BatchPipeline",
-            "metrics_dir",
+            "metrics_dir", "DistributedAMRSolver", "amr_distributed", "--workers",
         )
         for path, text in self._sources().items():
             if path.name == "checkpoint.py":
