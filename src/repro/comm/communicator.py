@@ -2,7 +2,7 @@
 
 Substitutes for MPI on this single-process substrate: ranks exchange NumPy
 arrays through in-memory mailboxes with mpi4py-like semantics (tagged
-point-to-point, collectives), while a :class:`TrafficLog` records every
+point-to-point, allreduce), while a :class:`TrafficLog` records every
 message so the Hockney model can convert the pattern into simulated wire
 time for the scaling experiments.
 
@@ -20,6 +20,23 @@ import numpy as np
 
 from ..utils.errors import CommunicationError
 from .costs import LinkModel
+
+#: the mailbox entry standing in for a dropped message: receiving it
+#: raises, and ``pending`` skips it
+_TOMBSTONE = None
+
+
+def corrupt_payload(payload: np.ndarray, scale: float) -> np.ndarray:
+    """The canonical in-flight corruption: perturb ~4 evenly spread entries.
+
+    Shared by both communicators so a corrupted strip is bit-identical on
+    both substrates.
+    """
+    corrupted = np.array(payload, copy=True)
+    flat = corrupted.reshape(-1)
+    stride = max(1, flat.size // 4)
+    flat[::stride] += scale * (1.0 + np.abs(flat[::stride]))
+    return corrupted
 
 
 @dataclass
@@ -40,25 +57,20 @@ class TrafficLog:
         """Total serialized wire time, one aggregated message per rank pair."""
         return sum(link.transfer_time(b) for b in self.by_pair.values())
 
-    def reset(self) -> None:
-        self.n_messages = 0
-        self.n_bytes = 0
-        self.n_collectives = 0
-        self.by_pair.clear()
-
 
 class SimCommunicator:
     """Simulated communicator over *size* ranks.
 
     Point-to-point messages are buffered per ``(src, dest, tag)``; receives
-    pop in FIFO order. Collectives act on a dict of per-rank contributions
-    (the SPMD driver supplies all of them at once).
+    pop in FIFO order. ``allreduce`` acts on a dict of per-rank
+    contributions (the SPMD driver supplies all of them at once).
 
-    When a :class:`~repro.resilience.faults.FaultInjector` is attached,
-    every *injectable* send is submitted to it: the injector may drop the
-    message (buffered nowhere), duplicate it (buffered twice), or corrupt
-    the payload in flight.  Traffic is logged for every send regardless —
-    the wire time was spent whether or not the message arrived.
+    A send may carry a pre-decided *fault* (the
+    :class:`~repro.resilience.oracle.FaultOracle`'s, through the halo
+    layer) — the same ``send`` surface as
+    :class:`~repro.comm.shm.ShmCommunicator`.  Traffic is logged for every
+    send regardless: the wire time was spent whether or not the message
+    arrived.
     """
 
     _REDUCTIONS = {
@@ -67,11 +79,10 @@ class SimCommunicator:
         "min": np.min,
     }
 
-    def __init__(self, size: int, fault_injector=None):
+    def __init__(self, size: int):
         if size < 1:
             raise CommunicationError(f"communicator size must be >= 1, got {size}")
         self.size = size
-        self.fault_injector = fault_injector
         self._mailboxes: dict[tuple[int, int, int], deque] = defaultdict(deque)
         self.traffic = TrafficLog()
 
@@ -82,40 +93,42 @@ class SimCommunicator:
     # -- point to point ------------------------------------------------------
 
     def send(
-        self, src: int, dest: int, data: np.ndarray, tag: int = 0,
-        injectable: bool = True,
+        self, src: int, dest: int, data: np.ndarray, tag: int = 0, fault=None,
     ) -> None:
         """Post a message; a copy is buffered (MPI value semantics).
 
-        *injectable* marks the message as fair game for an attached fault
-        injector; control-plane messages (halo checksums) set it False so
-        faults only strike data the recovery layer can verify.
+        *fault* is ``None`` or a ``(kind, scale)`` fate: ``"drop"`` buffers
+        a tombstone in the message's place (its receive raises the
+        missing-message error, so a dropped attempt costs the receiver one
+        try), ``"duplicate"`` buffers the message twice and ``"corrupt"``
+        buffers :func:`corrupt_payload` of it.
         """
         self._check_rank(src, "source")
         self._check_rank(dest, "destination")
         payload = np.array(data, copy=True)
         self.traffic.record(src, dest, payload.nbytes)
-        n_copies = 1
-        if injectable and self.fault_injector is not None:
-            action, payload = self.fault_injector.on_send(src, dest, tag, payload)
-            if action == "drop":
-                return
-            if action == "duplicate":
-                n_copies = 2
         box = self._mailboxes[(src, dest, tag)]
-        for _ in range(n_copies):
+        if fault is None:
             box.append(payload)
+        elif fault[0] == "drop":
+            box.append(_TOMBSTONE)
+        elif fault[0] == "corrupt":
+            box.append(corrupt_payload(payload, fault[1]))
+        else:  # duplicate
+            box.extend((payload, payload))
 
     def recv(self, src: int, dest: int, tag: int = 0) -> np.ndarray:
-        """Pop the oldest matching message; raises if none is pending."""
+        """Pop the oldest matching message; raises if none is pending (or
+        the oldest was dropped)."""
         self._check_rank(src, "source")
         self._check_rank(dest, "destination")
         box = self._mailboxes.get((src, dest, tag))
-        if not box:
+        payload = box.popleft() if box else _TOMBSTONE
+        if payload is _TOMBSTONE:
             raise CommunicationError(
                 f"no pending message src={src} dest={dest} tag={tag}"
             )
-        return box.popleft()
+        return payload
 
     def begin_exchange_epoch(self) -> None:
         """No-op: in-process mailboxes hold no stale epochs (the shm
@@ -140,8 +153,11 @@ class SimCommunicator:
         return self.traffic.n_messages - marker[1]
 
     def pending(self) -> int:
-        """Number of messages posted but not yet received."""
-        return sum(len(b) for b in self._mailboxes.values())
+        """Number of messages posted but not yet received (tombstones are
+        no messages)."""
+        return sum(
+            p is not _TOMBSTONE for box in self._mailboxes.values() for p in box
+        )
 
     def discard_pending(self) -> int:
         """Drop every undelivered message; returns how many were discarded.
@@ -171,24 +187,6 @@ class SimCommunicator:
         self.traffic.n_collectives += 1
         result = self._REDUCTIONS[op](stacked, axis=0)
         return {rank: result.copy() for rank in range(self.size)}
-
-    def broadcast(self, root: int, data):
-        """Root's value delivered to every rank."""
-        self._check_rank(root, "root")
-        self.traffic.n_collectives += 1
-        payload = np.asarray(data)
-        return {rank: payload.copy() for rank in range(self.size)}
-
-    def gather(self, contributions: dict[int, np.ndarray], root: int = 0):
-        """All contributions collected at *root* (returned as a list)."""
-        if set(contributions) != set(range(self.size)):
-            raise CommunicationError("gather needs contributions from all ranks")
-        self._check_rank(root, "root")
-        self.traffic.n_collectives += 1
-        return [np.asarray(contributions[r]).copy() for r in range(self.size)]
-
-    def barrier(self) -> None:
-        """No-op in the SPMD-by-phases model; kept for API parity."""
 
     def __repr__(self):
         return f"SimCommunicator(size={self.size}, pending={self.pending()})"

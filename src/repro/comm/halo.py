@@ -6,7 +6,9 @@ face to the neighbour across that face, which deposits it into its ghost
 layer.  Exchanges go through the :class:`SimCommunicator` so the traffic is
 logged for the cost model, and per-axis phases keep the corner/edge data
 consistent after all axes complete (the standard dimension-by-dimension
-sweep).
+sweep).  Halo faults are decided in one place, the
+:class:`~repro.resilience.oracle.FaultOracle`: an exchange takes its
+:class:`ExchangeSchedule` and every sender posts what it was dealt.
 """
 
 from __future__ import annotations
@@ -29,9 +31,32 @@ if TYPE_CHECKING:  # pragma: no cover
 #: tag offset separating checksum control messages from halo data messages
 CHECKSUM_TAG_OFFSET = 1000
 
+#: the attempts of a message no fault touches: one clean send
+_CLEAN = (None,)
+
 
 def _crc(payload: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(payload).tobytes())
+
+
+class ExchangeSchedule:
+    """Pre-decided fault attempts for one halo exchange.
+
+    ``attempts`` maps ``(src, dest, tag)`` to the ordered fates of that
+    message slot — ``None`` (clean) or a ``(kind, scale)`` fault for the
+    original send, then for each retransmission the receiver will request.
+    A sender pops its own slots and posts every attempt up front; slots no
+    held rank sends (another process's) are left behind.
+    """
+
+    def __init__(self):
+        self.attempts: dict[tuple[int, int, int], list] = {}
+
+    def add(self, src: int, dest: int, tag: int, fault) -> None:
+        self.attempts.setdefault((src, dest, tag), []).append(fault)
+
+    def pop_attempts(self, src: int, dest: int, tag: int):
+        return self.attempts.pop((src, dest, tag), _CLEAN)
 
 
 def face_slices(ndim: int, axis: int, side: int, n_ghost: int, n_interior: int):
@@ -184,77 +209,60 @@ def rhs_regions(decomp: CartesianDecomposition, rank: int):
 def _post_face(h: HaloHandle, face: Face) -> list[tuple[int, int]]:
     """Post *face*'s strip from its rank toward its neighbour.
 
-    Under a retry policy, a CRC32 of the payload rides alongside on a
-    shifted tag; checksum messages are not injectable, so a corrupted data
-    message is always detectable against its (intact) checksum.
+    Every attempt the exchange's schedule holds for this message slot —
+    the original send plus the retransmissions the receiver will request —
+    is posted now, from the state as it stands, each with its decided
+    fate; each fault is counted on the metrics.  Under a retry policy a
+    CRC32 of the payload rides alongside each attempt on a shifted tag;
+    checksums are never faulted, so a corrupted strip is always detectable
+    against its intact checksum.
 
-    With a schedule (process backend), faults are pre-decided by the
-    :class:`~repro.resilience.oracle.FaultOracle` rather than by an
-    injector inside the communicator: every attempt for this message
-    slot — the original send plus the retransmissions the receiver will
-    request — is posted up front, each with its decided fate, and each
-    injected fault is counted on the metrics exactly as the serial
-    injector would have.
-
-    Returns the posted ``(dest, nbytes)`` messages so overlap accounting
-    can price the exchange without re-deriving strip sizes.  Scheduled
-    retransmission attempts are excluded from the return value: serially
-    they are posted later, inside the resilient receive, and accounted
-    on ``resilience.halo_retransmit_bytes`` by the receiver.
+    Returns the first attempt's ``(dest, nbytes)`` messages so overlap
+    accounting can price the exchange without re-deriving strip sizes;
+    retransmissions are charged to ``resilience.halo_retransmit_bytes`` by
+    the receiver that requests them.
     """
     comm, checksum = h.comm, h.policy is not None
     sender, dest, tag = face.rank, face.nbr, face.send_tag
     payload = h.states[sender][face.send]
     crc = np.array([_crc(payload)], dtype=np.int64) if checksum else None
-    attempts = (
-        [(None, 0.0)] if h.schedule is None
-        else h.schedule.pop_attempts(sender, dest, tag)
-    )
-    for kind, scale in attempts:
-        if kind is not None and h.metrics is not None:
-            h.metrics.counter(f"resilience.fault.halo_{kind}").inc()
-        # Only a schedule decides a fate here, and only the process
-        # backend's communicator (the one handed schedules) takes one.
-        fate = {} if kind is None else {"fault": (kind, scale)}
-        comm.send(sender, dest, payload, tag=tag, **fate)
+    for fault in h.schedule.pop_attempts(sender, dest, tag):
+        if fault is not None and h.metrics is not None:
+            h.metrics.counter(f"resilience.fault.halo_{fault[0]}").inc()
+        comm.send(sender, dest, payload, tag, fault)
         if checksum:
-            comm.send(
-                sender, dest, crc,
-                tag=tag + CHECKSUM_TAG_OFFSET,
-                injectable=False,
-            )
+            comm.send(sender, dest, crc, tag + CHECKSUM_TAG_OFFSET)
     posted = [(dest, payload.nbytes)]
     if checksum:
         posted.append((dest, crc.nbytes))
     return posted
 
 
+def _recv_or_none(comm, src: int, dest: int, tag: int):
+    try:
+        return comm.recv(src, dest, tag)
+    except CommunicationError:
+        return None
+
+
 def _recv_reliable(h: HaloHandle, face: Face) -> np.ndarray:
     """Receive *face*'s halo message with checksum verification and retry.
 
     A missing message (dropped in flight) or a checksum mismatch (corrupted
-    in flight) triggers a retransmission request — in this in-process SPMD
-    substrate, re-posting the sender's strip — after an exponential backoff,
-    up to the policy's attempt budget.  Only when the budget is exhausted
-    does :class:`CommunicationError` propagate to the caller.
+    in flight) triggers a retransmission request after an exponential
+    backoff, up to the policy's attempt budget; the sender posted that
+    retransmission with the original (:func:`_post_face`), so the receive
+    charges its bytes and reads the next attempt.  Only when the budget is
+    exhausted does :class:`CommunicationError` propagate to the caller.
     """
     comm, policy, metrics = h.comm, h.policy, h.metrics
     nbr, rank, tag = face.nbr, face.rank, face.recv_tag
     for attempt in range(policy.max_attempts):
-        data = None
-        try:
-            data = comm.recv(nbr, rank, tag)
-        except CommunicationError:
-            # Data lost; drain the orphaned checksum to keep FIFOs aligned.
-            try:
-                comm.recv(nbr, rank, tag + CHECKSUM_TAG_OFFSET)
-            except CommunicationError:
-                pass
+        # One data and one checksum receive per attempt, whether or not the
+        # data was lost, keep the two FIFOs aligned.
+        data = _recv_or_none(comm, nbr, rank, tag)
+        ref = _recv_or_none(comm, nbr, rank, tag + CHECKSUM_TAG_OFFSET)
         if data is not None:
-            try:
-                ref = comm.recv(nbr, rank, tag + CHECKSUM_TAG_OFFSET)
-            except CommunicationError:
-                ref = None
             if ref is not None and int(ref[0]) == _crc(data):
                 return data
             if metrics is not None:
@@ -265,21 +273,14 @@ def _recv_reliable(h: HaloHandle, face: Face) -> np.ndarray:
         if metrics is not None:
             metrics.counter("resilience.halo_retries").inc()
             metrics.histogram("resilience.halo_retry_backoff_s").observe(delay)
-        sender_face = h.table.mirror(face)
-        if h.schedule is None:
-            reposted = sum(nbytes for _, nbytes in _post_face(h, sender_face))
-        else:
-            # Process backend: the sender already posted every scheduled
-            # attempt, so the receiver cannot (and need not) re-post — but
-            # the serial path charges retransmissions to the receiver, so
-            # the same bytes (strip + 8-byte checksum) are charged here.
+            # Retransmissions (strip + 8-byte checksum) are extra wire
+            # traffic on top of the analytic halo_bytes_per_step model;
+            # keeping them on their own counter lets the byte-accounting
+            # tests reconcile the two exactly.
             arr = h.states[rank]
-            reposted = sender_face.cells * arr.shape[0] * arr.itemsize + 8
-        if metrics is not None:
-            # Retransmissions are extra wire traffic on top of the analytic
-            # halo_bytes_per_step model; keeping them on their own counter
-            # lets the byte-accounting tests reconcile the two exactly.
-            metrics.counter("resilience.halo_retransmit_bytes").inc(reposted)
+            metrics.counter("resilience.halo_retransmit_bytes").inc(
+                h.table.mirror(face).cells * arr.shape[0] * arr.itemsize + 8
+            )
     raise CommunicationError(
         f"halo message rank {nbr} -> {rank} (axis {face.axis}, side "
         f"{face.side}) lost after {policy.max_attempts} attempts"
@@ -296,7 +297,7 @@ class HaloHandle:
     table: FaceTable
     policy: "HaloRetryPolicy | None"
     metrics: "MetricsRegistry | None"
-    schedule: object
+    schedule: ExchangeSchedule
     #: ``(dest, nbytes)`` of every message posted, which the overlap cost
     #: model prices with :func:`repro.comm.costs.halo_exchange_time`
     posted: list[tuple[int, int]] = field(default_factory=list)
@@ -308,16 +309,17 @@ class HaloHandle:
 
 
 def _begin(decomp, comm, states, policy, metrics, schedule) -> HaloHandle:
-    """Open one exchange — one fault-injection epoch and one shm ring
-    epoch, whether it then runs blocking or overlapped."""
+    """Open one exchange — one shm ring epoch, whether it then runs
+    blocking or overlapped; no *schedule* is a fault-free one."""
     if comm.size != decomp.size:
         raise CommunicationError(
             f"communicator size {comm.size} != decomposition size {decomp.size}"
         )
-    if comm.fault_injector is not None:
-        comm.fault_injector.begin_exchange()
     comm.begin_exchange_epoch()
-    return HaloHandle(comm, states, face_table(decomp), policy, metrics, schedule)
+    return HaloHandle(
+        comm, states, face_table(decomp), policy, metrics,
+        ExchangeSchedule() if schedule is None else schedule,
+    )
 
 
 def _post_axis(h: HaloHandle, faces) -> None:
@@ -365,10 +367,9 @@ def exchange_halos(
     *states* may hold a subset of the decomposition's ranks: the process
     backend calls this per worker with only its own rank, posting and
     draining that rank's faces while its neighbours do the same in their
-    processes.  With an oracle *schedule*
-    (:class:`~repro.resilience.oracle.ExchangeSchedule`), faults are
-    applied sender-side from the pre-decided plan instead of through a
-    communicator-attached injector.
+    processes.  *schedule* is the exchange's :class:`ExchangeSchedule`
+    from the fault oracle (none: no faults); each sender posts its slots'
+    decided attempts, on either communicator alike.
 
     Parameters
     ----------
@@ -434,10 +435,11 @@ def post_halos(
 def complete_halos(handle: HaloHandle) -> None:
     """Drain an exchange started by :func:`post_halos` into the ghost slabs.
 
-    Nothing is re-posted here — the only sends are the retransmissions the
-    resilient receive itself requests, which keep their own byte accounting
-    (``resilience.halo_retransmit_bytes``) so the ``halo_bytes_per_step``
-    model still reconciles exactly with measured ``comm.halo_bytes``.
+    Nothing is posted here: retransmissions went out with their originals
+    in :func:`post_halos`, from the pre-exchange state like every strip,
+    and keep their own byte accounting (``resilience.halo_retransmit_bytes``)
+    so the ``halo_bytes_per_step`` model still reconciles exactly with
+    measured ``comm.halo_bytes``.
     """
     if handle.completed:
         raise CommunicationError("overlapped halo exchange already completed")

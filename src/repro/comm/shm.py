@@ -1,11 +1,11 @@
 """Shared-memory transport for the process-parallel backend.
 
-``ShmCommunicator`` exposes the same point-to-point/collective surface
-as :class:`repro.comm.communicator.SimCommunicator`, but messages cross
+``ShmCommunicator`` exposes the same point-to-point/allreduce surface as
+:class:`repro.comm.communicator.SimCommunicator`, but messages cross
 real process boundaries through ``multiprocessing.shared_memory`` ring
 buffers instead of in-process mailboxes.  One single-producer /
 single-consumer ring exists per *directed* rank pair that can ever talk
-(halo neighbours plus the rank-0 star used by collectives), so no locks
+(halo neighbours plus the rank-0 star the allreduce uses), so no locks
 are needed: the writer only advances ``head``, the reader only advances
 ``tail``, and the payload bytes are fully written before ``head`` is
 published.
@@ -16,16 +16,13 @@ everything here:
 * ``allreduce`` funnels every contribution to rank 0, stacks them in
   rank order, and applies the same ``np.stack(...)`` + reduction as
   ``SimCommunicator.allreduce`` — so the reduced bytes are identical.
-* Fault injection is *pre-decided* by a rank-local
-  :class:`repro.resilience.oracle.FaultOracle`; the sender applies the
-  decided ``(kind, scale)`` at ``send`` time.  A dropped message posts a
-  **tombstone** record so the receiver unblocks and raises the same
-  "no pending message" error the serial mailbox would.
+* A ``send`` applies its pre-decided ``fault`` exactly as the in-process
+  mailbox does; a dropped message posts a **tombstone** record, so the
+  receiver unblocks and raises the same "no pending message" error.
 * Every data record carries the halo-exchange **epoch** it was posted
   in, so ``discard_pending`` (the post-resilient-exchange stale sweep)
-  drops exactly the records the serial global sweep would: entries from
-  this epoch or earlier, counting only real data (tombstones are a
-  transport artifact and never existed serially).
+  drops exactly the records the in-process global sweep would: entries
+  from this epoch or earlier, counting only real data.
 
 Substrate-level measurements (real bytes moved, send-block and
 recv-wait seconds) are recorded under ``comm.shm.*``; those names are
@@ -42,7 +39,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..utils.errors import CommunicationError
-from .communicator import SimCommunicator, TrafficLog
+from .communicator import SimCommunicator, TrafficLog, corrupt_payload
 from .halo import face_table
 
 _REDUCTIONS = SimCommunicator._REDUCTIONS
@@ -57,14 +54,12 @@ HEADER_BYTES = HEADER_WORDS * 8
 FLAG_DATA = 0
 FLAG_TOMBSTONE = 1
 
-#: epoch stamped on control-plane (collective) records; never discarded
+#: epoch stamped on control-plane (allreduce) records; never discarded
 EPOCH_CONTROL = 2**62
-#: tags at or above this are control-plane (collectives), not halo traffic
+#: tags at or above this are control-plane (allreduce), not halo traffic
 CONTROL_TAG_BASE = 2000
 TAG_REDUCE = 2001
 TAG_RESULT = 2002
-TAG_BCAST = 2003
-TAG_GATHER = 2004
 
 _DTYPE_BY_CODE = {0: np.dtype(np.float64), 1: np.dtype(np.int64)}
 _CODE_BY_DTYPE = {dt: code for code, dt in _DTYPE_BY_CODE.items()}
@@ -467,24 +462,23 @@ def amr_channel_capacities(n_ranks: int, block_nbytes: int,
 class ShmCommunicator:
     """Rank-local communicator over shared-memory rings.
 
-    Mirrors the :class:`SimCommunicator` surface used by the halo layer
-    and the distributed solver, but from the perspective of a single
-    rank: ``send`` requires ``src == rank``, ``recv`` requires
-    ``dest == rank``, and ``allreduce`` takes only this rank's
-    contribution while returning the bit-identical serial reduction.
+    The :class:`SimCommunicator` surface — the same public methods, the
+    same ``send`` parameters — from the perspective of a single rank:
+    ``send`` requires ``src == rank``, ``recv`` requires ``dest == rank``,
+    and ``allreduce`` takes only this rank's contribution while returning
+    the bit-identical serial reduction.  Ring rebinding and step-boundary
+    rollback are the worker shell's private business.
     """
 
     def __init__(self, rank: int, size: int, writers: dict, readers: dict,
-                 metrics=None, barrier=None, timeout_s: float = 120.0,
+                 metrics=None, timeout_s: float = 120.0,
                  board: SupervisionBoard | None = None):
         self.rank = int(rank)
         self.size = int(size)
         self._writers = writers  # {dest: ShmChannel}
         self._readers = readers  # {src: ShmChannel}
         self.traffic = TrafficLog()
-        self.fault_injector = None  # faults are oracle-driven, not comm-driven
         self.metrics = metrics
-        self._barrier = barrier
         self._board = board
         self.timeout_s = float(timeout_s)
         self._epoch = 0
@@ -511,11 +505,11 @@ class ShmCommunicator:
             # migration) would otherwise deadlock: two ranks can block
             # pushing to each other while both their inbound rings sit
             # full.  Draining to the pending mailbox frees peer capacity.
-            self.drain_all()
+            self._drain_all()
 
         return probe
 
-    def drain_all(self) -> None:
+    def _drain_all(self) -> None:
         """Drain every inbound ring into the pending mailbox."""
         for src in self._readers:
             self._drain(src)
@@ -526,8 +520,7 @@ class ShmCommunicator:
         self._epoch += 1
 
     # -- point to point --------------------------------------------------
-    def send(self, src: int, dest: int, data, tag: int = 0,
-             injectable: bool = True, fault=None) -> None:
+    def send(self, src: int, dest: int, data, tag: int = 0, fault=None) -> None:
         if src != self.rank:
             raise CommunicationError(
                 f"rank {self.rank} cannot send on behalf of rank {src}"
@@ -535,32 +528,29 @@ class ShmCommunicator:
         if dest not in self._writers:
             raise CommunicationError(f"no channel from rank {src} to rank {dest}")
         payload = np.ascontiguousarray(data)
-        # Traffic is logged before injection, exactly like the serial path.
+        # Traffic is logged before the fault, exactly like the serial path.
         self.traffic.record(src, dest, payload.nbytes)
         self._count("comm.shm.messages")
         self._count("comm.shm.bytes", payload.nbytes)
         epoch = EPOCH_CONTROL if tag >= CONTROL_TAG_BASE else self._epoch
-        ring = self._writers[dest].ring
-        probe = self._probe_for(dest)
-        kind = fault[0] if fault is not None else None
-        if kind == "drop":
-            # A tombstone stands in for the serial "never buffered"
-            # outcome: the receiver unblocks and sees an empty mailbox.
-            blocked = ring.push(
-                epoch, tag, FLAG_TOMBSTONE, None, self.timeout_s, probe
-            )
-        elif kind == "corrupt":
-            from ..resilience.faults import corrupt_payload
+        if fault is None:
+            records = [(FLAG_DATA, payload)]
+        elif fault[0] == "drop":  # the receiver unblocks on it and raises
+            records = [(FLAG_TOMBSTONE, None)]
+        elif fault[0] == "corrupt":
+            records = [(FLAG_DATA, corrupt_payload(payload, fault[1]))]
+        else:  # duplicate
+            records = [(FLAG_DATA, payload)] * 2
+        self._push(dest, epoch, tag, records)
 
-            blocked = ring.push(
-                epoch, tag, FLAG_DATA,
-                corrupt_payload(payload, fault[1]), self.timeout_s, probe,
-            )
-        elif kind == "duplicate":
-            blocked = ring.push(epoch, tag, FLAG_DATA, payload, self.timeout_s, probe)
-            blocked += ring.push(epoch, tag, FLAG_DATA, payload, self.timeout_s, probe)
-        else:
-            blocked = ring.push(epoch, tag, FLAG_DATA, payload, self.timeout_s, probe)
+    def _push(self, dest: int, epoch: int, tag: int, records) -> None:
+        """Append ``(flag, payload)`` records to *dest*'s ring; time spent
+        blocked on a full ring is ``comm.shm.send_block_s``."""
+        ring, probe = self._writers[dest].ring, self._probe_for(dest)
+        blocked = sum(
+            ring.push(epoch, tag, flag, data, self.timeout_s, probe)
+            for flag, data in records
+        )
         if blocked > 0.0 and self.metrics is not None:
             self.metrics.counter("comm.shm.send_block_s").inc(blocked)
 
@@ -620,22 +610,22 @@ class ShmCommunicator:
 
     # -- mailbox management ----------------------------------------------
     def pending(self) -> int:
-        """Locally visible undelivered messages (drains the rings first)."""
-        for src in self._readers:
-            self._drain(src)
-        return sum(len(box) for box in self._pending.values())
+        """Locally visible undelivered messages (drains the rings first);
+        tombstones are no messages."""
+        self._drain_all()
+        return sum(
+            flag == FLAG_DATA for box in self._pending.values() for _, flag, _ in box
+        )
 
     def discard_pending(self) -> int:
         """Drop stale halo records from this epoch or earlier.
 
-        Matches the serial global sweep after a resilient exchange:
+        Matches the in-process global sweep after a resilient exchange:
         control-plane records and records already posted for a *future*
         epoch (by a neighbour that raced ahead) are kept, and only real
-        data counts toward the discard total — tombstones never existed
-        in the serial mailboxes.
+        data counts toward the discard total.
         """
-        for src in self._readers:
-            self._drain(src)
+        self._drain_all()
         discarded = 0
         for key, box in self._pending.items():
             _, tag = key
@@ -651,8 +641,8 @@ class ShmCommunicator:
             box[:] = kept
         return discarded
 
-    # -- supervised recovery ---------------------------------------------
-    def rebind_channel(self, src: int, dest: int, channel: "ShmChannel") -> None:
+    # -- supervised recovery (the worker shell's) -------------------------
+    def _rebind_channel(self, src: int, dest: int, channel: "ShmChannel") -> None:
         """Swap in a freshly created ring for one directed pair.
 
         Used after a rank respawn: the parent recreates every ring that
@@ -666,24 +656,26 @@ class ShmCommunicator:
             old.close()
         pool[peer] = channel
 
-    def traffic_state(self) -> tuple:
-        """Serializable snapshot of the traffic log (for rollback)."""
+    def _rollback_point(self) -> tuple:
+        """Picklable ``(epoch, traffic log)`` at a step boundary."""
         log = self.traffic
-        return (log.n_messages, log.n_bytes, log.n_collectives,
-                dict(log.by_pair))
+        return self._epoch, (
+            log.n_messages, log.n_bytes, log.n_collectives, dict(log.by_pair)
+        )
 
-    def reset_after_failure(self, epoch: int, traffic: tuple) -> None:
-        """Roll the communicator back to a clean step boundary.
+    def _rollback(self, point: tuple) -> None:
+        """Roll the communicator back to a :meth:`_rollback_point`.
 
         Drops every queued and in-flight record (stale after the
         supervisor's rollback), restores the exchange epoch and traffic
-        log captured by the matching snapshot, and re-baselines the
-        supervision board so the quiescing abort is considered spent.
+        log, and re-baselines the supervision board so the quiescing abort
+        is considered spent.
         """
         self._pending.clear()
         for ch in self._readers.values():
             while ch.ring.pop() is not None:
                 pass
+        epoch, traffic = point
         self._epoch = int(epoch)
         log = self.traffic
         log.n_messages, log.n_bytes, log.n_collectives = (
@@ -704,20 +696,11 @@ class ShmCommunicator:
     def messages_since(self, marker) -> int:
         return self.traffic.n_messages - marker[1]
 
-    # -- collectives -----------------------------------------------------
-    def _send_control(self, dest: int, data, tag: int) -> None:
-        ring = self._writers[dest].ring
-        blocked = ring.push(
-            EPOCH_CONTROL, tag, FLAG_DATA, np.ascontiguousarray(data),
-            self.timeout_s, self._probe_for(dest),
-        )
-        if blocked > 0.0 and self.metrics is not None:
-            self.metrics.counter("comm.shm.send_block_s").inc(blocked)
-
+    # -- allreduce -------------------------------------------------------
     def allreduce(self, contributions: dict, op: str = "sum") -> dict:
         """Reduce this rank's contribution; returns ``{rank: result}``.
 
-        Rank 0 gathers every contribution over the collective star,
+        Rank 0 gathers every contribution over the rank-0 star,
         stacks them **in rank order**, and applies the same reduction as
         the serial communicator, so the result bytes are identical on
         every rank.
@@ -740,43 +723,8 @@ class ShmCommunicator:
                 parts.append(np.asarray(self.recv(r, tag=TAG_REDUCE)))
             result = _REDUCTIONS[op](np.stack(parts), axis=0)
             for r in range(1, self.size):
-                self._send_control(r, result, TAG_RESULT)
+                self._push(r, EPOCH_CONTROL, TAG_RESULT, [(FLAG_DATA, result)])
         else:
-            self._send_control(0, local, TAG_REDUCE)
+            self._push(0, EPOCH_CONTROL, TAG_REDUCE, [(FLAG_DATA, local)])
             result = self.recv(0, tag=TAG_RESULT)
         return {self.rank: np.asarray(result).copy()}
-
-    def broadcast(self, root_value, root: int = 0):
-        """Broadcast from ``root`` (must be 0: channels form a rank-0 star)."""
-        if root != 0:
-            raise CommunicationError("shared-memory broadcast requires root=0")
-        if self.size == 1:
-            return np.asarray(root_value).copy()
-        if self.rank == 0:
-            value = np.asarray(root_value)
-            for r in range(1, self.size):
-                self._send_control(r, value, TAG_BCAST)
-            return value.copy()
-        return self.recv(0, tag=TAG_BCAST)
-
-    def gather(self, contribution, root: int = 0):
-        """Gather to ``root`` (must be 0); returns the list there, else None."""
-        if root != 0:
-            raise CommunicationError("shared-memory gather requires root=0")
-        if self.rank == 0:
-            parts = [np.asarray(contribution).copy()]
-            for r in range(1, self.size):
-                parts.append(np.asarray(self.recv(r, tag=TAG_GATHER)))
-            return parts
-        self._send_control(0, contribution, TAG_GATHER)
-        return None
-
-    def barrier(self) -> None:
-        if self._barrier is None:
-            return
-        start = time.perf_counter()
-        self._barrier.wait(self.timeout_s)
-        if self.metrics is not None:
-            self.metrics.counter("comm.shm.barrier_wait_s").inc(
-                time.perf_counter() - start
-            )

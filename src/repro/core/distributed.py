@@ -114,10 +114,11 @@ class DistributedSolver(Driver):
         globally aggregated kernel timings and counters (all rank pipelines
         share one registry) plus communicator traffic deltas.
     fault_injector:
-        Optional :class:`~repro.resilience.faults.FaultInjector`: halo
-        faults strike the communicator, con2prim bursts strike the rank
-        pipelines.  All ``resilience.*`` counters land in this solver's
-        shared metrics registry.
+        Optional :class:`~repro.resilience.faults.FaultInjector`: a
+        :class:`~repro.resilience.oracle.FaultOracle` of its plan decides
+        the halo faults, its con2prim bursts strike the rank pipelines.  All
+        ``resilience.*`` counters land in this solver's shared metrics
+        registry.
     halo_policy:
         Optional :class:`~repro.resilience.policies.HaloRetryPolicy`.
         Without it a lost halo message kills the run immediately; with it
@@ -144,7 +145,7 @@ class DistributedSolver(Driver):
             system, decomp, config, wall_bcs,
             decomp.scatter(global_grid.interior_of(initial_prim)),
             range(decomp.size),
-            SimCommunicator(decomp.size, fault_injector=fault_injector),
+            SimCommunicator(decomp.size),
             recorder=recorder, fault_injector=fault_injector,
             halo_policy=halo_policy, source_fn=source_fn,
         )
@@ -180,8 +181,15 @@ class DistributedSolver(Driver):
         self.recorder = recorder
         self.fault_injector = fault_injector
         self.halo_policy = halo_policy
-        if fault_injector is not None and fault_injector.metrics is None:
-            fault_injector.metrics = self.metrics
+        #: the one halo-fault decision site, whichever communicator this is
+        self.fault_oracle = None
+        if fault_injector is not None:
+            # Deferred import: repro.resilience's chaos scenarios import this.
+            from ..resilience.oracle import FaultOracle
+
+            self.fault_oracle = FaultOracle(fault_injector.plan, decomp, halo_policy)
+            if fault_injector.metrics is None:
+                fault_injector.metrics = self.metrics
 
         self.subgrids: dict[int, Grid] = {
             rank: decomp.subgrid(rank) for rank in self.local_ranks
@@ -314,10 +322,10 @@ class DistributedSolver(Driver):
         return self.local_ranks[0] == 0
 
     def _exchange_schedule(self, overlapped: bool):
-        """Pre-decided fault schedule of the next exchange: none here (the
-        injector sits inside the communicator); the rank worker consults
-        its :class:`~repro.resilience.oracle.FaultOracle`."""
-        return None
+        """The fault oracle's schedule of the next exchange (``None``, no
+        faults, without a plan) — in-process and in a worker alike."""
+        oracle = self.fault_oracle
+        return None if oracle is None else oracle.next_exchange(overlapped)
 
     def _exchange(self, prims: dict[int, np.ndarray]) -> None:
         """One full halo exchange, resilient when a retry policy is set."""

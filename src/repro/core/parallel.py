@@ -18,8 +18,9 @@ construction:
   calls are the same code, not a copy kept in step with it;
 * the global CFL reduction funnels through rank 0 and replays the
   serial ``np.stack`` + reduction, so dt is bitwise equal;
-* fault injection and retry decisions are derived rank-locally from the
-  shared seeds via :class:`~repro.resilience.oracle.FaultOracle` and
+* halo faults are dealt by the stepper's own
+  :class:`~repro.resilience.oracle.FaultOracle`, built from the shared
+  plan exactly as in-process, and con2prim bursts by a
   :class:`~repro.resilience.oracle.RankStridedFaultInjector`, so seeded
   chaos plans strike the identical messages and sweeps.
 
@@ -74,7 +75,7 @@ from ..obs.events import BufferSink
 from ..obs.metrics import MetricsRegistry, merge_histogram_summaries
 from ..obs.recorder import StepRecorder
 from ..physics.srhd import SRHDSystem
-from ..resilience.oracle import FaultOracle, RankStridedFaultInjector
+from ..resilience.oracle import RankStridedFaultInjector
 from ..utils.errors import (
     ConfigurationError,
     ReproError,
@@ -137,15 +138,18 @@ class _WorkerShell:
                 readers[src] = ch
         return ShmCommunicator(
             self.rank, spec.size, writers, readers,
-            metrics=metrics, barrier=board,
-            timeout_s=spec.comm_timeout_s, board=board,
+            metrics=metrics, timeout_s=spec.comm_timeout_s, board=board,
         )
 
     def step(self, dt: float | None = None, t_final: float | None = None):
-        """Barrier, then the wrapped driver's ``step``; returns this rank's
-        step-record shard (``step``/``t``/``dt`` included) for the parent
-        to merge."""
+        """Barrier (its wait counted as ``comm.shm.barrier_wait_s``), then
+        the wrapped driver's ``step``; returns this rank's step-record
+        shard (``step``/``t``/``dt`` included) for the parent to merge."""
+        start = time.perf_counter()
         self._barrier.wait(self._barrier_timeout)
+        self.metrics.counter("comm.shm.barrier_wait_s").inc(
+            time.perf_counter() - start
+        )
         super().step(dt=dt, t_final=t_final)
         record = self.recorder.sink.records.pop()
         record["rank"] = self.rank
@@ -167,8 +171,7 @@ class _WorkerShell:
             "metrics": self.metrics.snapshot(),
             "timers": self.timers.state(),
             "recorder": self.recorder.state(),
-            "traffic": self.comm.traffic_state(),
-            "epoch": self.comm._epoch,
+            "comm": self.comm._rollback_point(),
         }
 
     def restore_shell_state(self, state: dict) -> None:
@@ -177,14 +180,14 @@ class _WorkerShell:
         self.metrics.restore(state["metrics"])
         self.timers.restore(state["timers"])
         self.recorder.restore_state(state["recorder"])
-        self.comm.reset_after_failure(state["epoch"], state["traffic"])
+        self.comm._rollback(state["comm"])
 
     def rebind(self, channels: dict) -> None:
         """Attach freshly recreated shm rings (a peer was respawned)."""
         for (src, dest), (name, cap) in channels.items():
             ch = ShmChannel.attach(name, cap)
             self._channels.append(ch)
-            self.comm.rebind_channel(src, dest, ch)
+            self.comm._rebind_channel(src, dest, ch)
 
     def close(self) -> None:
         for ch in self._channels:
@@ -198,54 +201,35 @@ class _RankWorker(_WorkerShell, DistributedSolver):
     """One rank of the decomposition, living inside a worker process.
 
     The rank stepper itself, narrowed to ``local_ranks=(rank,)`` over the
-    shm communicator: construction and stepping are inherited, the only
-    physics-adjacent override is :meth:`_exchange_schedule`, which feeds
-    the rank-local :class:`FaultOracle` decisions into the shared halo
-    calls.  Everything else here is snapshot/rollback plumbing.
+    shm communicator: construction, stepping and the fault oracle are
+    inherited.  What is here is the supervision snapshot/rollback pair.
     """
 
     def __init__(self, spec: _WorkerSpec, board: SupervisionBoard):
         p = spec.payload
-        decomp = p["decomp"]
         metrics = MetricsRegistry()
         comm = self._attach(spec, board, metrics)
         plan = p["plan"]
-        self.oracle = (
-            FaultOracle(plan, decomp, p["policy"]) if plan is not None else None
-        )
-        #: ordered ``overlapped`` flags of every oracle consultation — the
-        #: replay tape a supervised restore rewinds the oracle with.
-        self._oracle_calls: list[bool] = []
         self._init_ranks(
-            p["system"], decomp, p["config"], p["wall_bcs"],
+            p["system"], p["decomp"], p["config"], p["wall_bcs"],
             {self.rank: p["part"]}, (self.rank,), comm,
             recorder=StepRecorder(BufferSink()),
-            fault_injector=(
-                RankStridedFaultInjector(
-                    plan, self.rank, spec.size, metrics=metrics
-                )
-                if plan is not None
-                else None
-            ),
+            fault_injector=None if plan is None
+            else RankStridedFaultInjector(plan, self.rank, spec.size, metrics=metrics),
             halo_policy=p["policy"], source_fn=p["source_fn"],
             metrics=metrics, prime=not spec.defer_init,
         )
         self._process_t0 = time.process_time()
-
-    def _exchange_schedule(self, overlapped: bool):
-        self._oracle_calls.append(overlapped)
-        if self.oracle is None:
-            return None
-        return self.oracle.next_exchange(overlapped=overlapped)
 
     # -- supervision -----------------------------------------------------
     def supervision_state(self) -> dict:
         """Everything needed to roll this rank back to this step boundary.
 
         The snapshot is complete with respect to observable behavior —
-        the rank's patch state, the shell state, and the fault-replay
-        position — so a rank restored from it re-executes the following
-        steps bit-identically, emitted records included.
+        the rank's patch state, the shell state, and the fault position
+        (the injector's and the oracle's ``state()``) — so a rank restored
+        from it re-executes the following steps bit-identically, emitted
+        records included.
         """
         prims = self._prims_cache
         injector = self.fault_injector
@@ -258,15 +242,15 @@ class _RankWorker(_WorkerShell, DistributedSolver):
             "t": self.t,
             "steps": self.steps,
             "traffic_prev": tuple(self._traffic_prev),
-            "oracle_calls": list(self._oracle_calls),
-            "injector_sweep": None if injector is None else injector._sweep,
+            "faults": None if injector is None
+            else (injector.state(), self.fault_oracle.state()),
         }
 
     def restore_supervision_state(self, state: dict) -> None:
         """Roll back to *state* (a step boundary) after a rank failure.
 
-        Besides the patch and shell state this rewinds the fault oracle
-        and the con2prim injector, so the replayed steps are
+        Besides the patch and shell state this restores the con2prim
+        injector and the fault oracle, so the replayed steps are
         indistinguishable from a fault-free run.
         """
         prims = state["prims_cache"]
@@ -275,12 +259,10 @@ class _RankWorker(_WorkerShell, DistributedSolver):
             {self.rank: state["shard"]},
             prims_cache=None if prims is None else {self.rank: np.array(prims)},
         )
-        self._oracle_calls = list(state["oracle_calls"])
-        if self.oracle is not None:
-            self.oracle.rewind(self._oracle_calls)
-        injector = self.fault_injector
-        if injector is not None and state["injector_sweep"] is not None:
-            injector._sweep = int(state["injector_sweep"])
+        if state["faults"] is not None:
+            injector, oracle = state["faults"]
+            self.fault_injector.restore(injector)
+            self.fault_oracle.restore(oracle)
         self.restore_shell_state(state)
         self._traffic_prev = tuple(state["traffic_prev"])
 
@@ -485,11 +467,11 @@ class ProcessSolver(Driver):
     """Drive one :class:`_RankWorker` process per rank in lockstep.
 
     Same constructor surface as :class:`DistributedSolver` (the
-    ``fault_injector``'s plan is shipped to the workers and replayed
-    rank-locally; the injector object itself stays untouched in the
-    parent).  ``step``/``run``/``gather_primitives``/checkpointing match
-    the serial driver: workers stream their shards to the parent, which
-    writes the identical distributed checkpoint format.
+    ``fault_injector``'s plan is shipped to the workers, each of which
+    builds its own injector and oracle from it; the injector object itself
+    stays untouched in the parent).  ``step``/``run``/``gather_primitives``/
+    checkpointing match the serial driver: workers stream their shards to
+    the parent, which writes the identical distributed checkpoint format.
 
     Pass a :class:`~repro.resilience.policies.SupervisionPolicy` as
     ``supervision`` to enable in-run rank recovery: crashed or hung
@@ -941,7 +923,7 @@ class ProcessSolver(Driver):
            mid-push, leaving the ring torn), respawn the dead ranks with
            deferred init, and rebind survivors to the fresh rings;
         5. roll **every** rank back to the last consistent snapshot —
-           physics, caches, metrics, fault-replay position — so the
+           physics, caches, metrics, fault position — so the
            retried steps are bit-identical to a fault-free run.
         """
         sup = self.supervision

@@ -4,8 +4,9 @@ Two halves, deliberately separated:
 
 - :mod:`~repro.resilience.faults` — *what goes wrong*: a seeded, declarative
   :class:`FaultPlan` (JSON round-trip) executed by a :class:`FaultInjector`
-  hooked into the communicator, the con2prim pipeline, and the cluster
-  simulator.
+  hooked into the con2prim pipeline and the cluster simulator, and — for
+  halo messages — by the :class:`FaultOracle` a distributed driver builds
+  from its plan.
 - :mod:`~repro.resilience.policies` — *how the system survives*: halo retry
   with exponential backoff, bounded con2prim failsafe (configured via
   ``SolverConfig.failsafe_frac``), device blacklisting + task re-execution
@@ -16,6 +17,7 @@ Two halves, deliberately separated:
 the chaos test suite (and ``pytest -m chaos``) exercises end to end.
 """
 
+from ..comm.communicator import corrupt_payload
 from .chaos import default_chaos_plan, run_chaos_shocktube, run_modelled_failover
 from .faults import (
     Con2PrimFault,
@@ -24,7 +26,6 @@ from .faults import (
     FaultPlan,
     HaloFault,
     ProcessFault,
-    corrupt_payload,
 )
 from .oracle import ExchangeSchedule, FaultOracle, RankStridedFaultInjector
 from .policies import (

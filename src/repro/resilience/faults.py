@@ -7,21 +7,23 @@ are plain data (JSON round-trip) and seeded, so the same plan always yields
 the same fault sequence: chaos runs are reproducible experiments, not
 flaky ones.
 
-A :class:`FaultInjector` executes a plan.  It is handed to the layers it
-targets (:class:`~repro.comm.communicator.SimCommunicator`,
+A :class:`FaultInjector` executes a plan.  It is handed to the drivers and
+layers it targets (:class:`~repro.core.distributed.DistributedSolver`,
 :class:`~repro.core.pipeline.HydroPipeline`,
 :class:`~repro.runtime.simulator.ClusterSimulator`) and consulted at each
 injection point; every injected fault is counted through the shared
 :class:`~repro.obs.metrics.MetricsRegistry` under ``resilience.fault.*``.
+Halo faults are decided by the :class:`~repro.resilience.oracle.FaultOracle`
+a distributed driver builds from the injector's plan, on every executor.
 
 Fault addressing
 ----------------
 Halo faults are keyed by ``(exchange, message)``: the exchange index counts
-calls to :func:`~repro.comm.halo.exchange_halos` on the faulted
-communicator, and the message index counts injectable sends *within* that
-exchange — including retransmissions, which is what makes ``times > 1``
-(hit the retry too) meaningful.  Con2prim faults are keyed by the global
-sweep index (one sweep per :meth:`HydroPipeline.recover_primitives` call).
+the driver's halo exchanges, and the message index counts data sends
+*within* that exchange (checksums are never faulted) — including
+retransmissions, which is what makes ``times > 1`` (hit the retry too)
+meaningful.  Con2prim faults are keyed by the global sweep index (one
+sweep per :meth:`HydroPipeline.recover_primitives` call).
 Device faults are keyed by device name and simulated time.
 """
 
@@ -40,19 +42,6 @@ DEVICE_FAULT_KINDS = ("fail", "straggle")
 PROCESS_FAULT_KINDS = ("kill_rank", "hang_rank")
 
 
-def corrupt_payload(payload: np.ndarray, scale: float) -> np.ndarray:
-    """The canonical in-flight corruption: perturb ~4 evenly spread entries.
-
-    Shared by the serial injector and the shared-memory sender so a
-    corrupted strip is bit-identical on both substrates.
-    """
-    corrupted = np.array(payload, copy=True)
-    flat = corrupted.reshape(-1)
-    stride = max(1, flat.size // 4)
-    flat[::stride] += scale * (1.0 + np.abs(flat[::stride]))
-    return corrupted
-
-
 @dataclass(frozen=True)
 class HaloFault:
     """One fault on a halo message.
@@ -65,7 +54,7 @@ class HaloFault:
     exchange:
         Index of the halo exchange the fault strikes (0-based).
     message:
-        Index of the injectable send within that exchange.
+        Index of the data send within that exchange.
     times:
         How many consecutive sends of the *same* (src, dest, tag) message
         to affect — ``times > max_attempts`` exhausts the retry budget.
@@ -286,6 +275,24 @@ class FaultInjector:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
+    def state(self) -> dict:
+        """Everything that addresses the plan's next fault: the exchange,
+        message and sweep counters, the repeat table and the RNG position
+        (picklable; see :meth:`restore`)."""
+        return {
+            "exchange": self._exchange, "message": self._message,
+            "sweep": self._sweep, "repeat": dict(self._repeat),
+            "rng": self._rng.bit_generator.state,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Resume at a :meth:`state`: the same faults strike next."""
+        self._exchange = state["exchange"]
+        self._message = state["message"]
+        self._sweep = state["sweep"]
+        self._repeat = dict(state["repeat"])
+        self._rng.bit_generator.state = state["rng"]
+
     # -- halo messages -------------------------------------------------------
 
     def begin_exchange(self) -> int:
@@ -299,8 +306,8 @@ class FaultInjector:
 
         Returns ``(kind, scale)`` with kind in ``HALO_FAULT_KINDS`` or
         ``None`` for clean delivery.  Pure plan/seed state transition —
-        no metrics are recorded, so the fault oracle for the process
-        backend can replay the identical decision sequence off-line.
+        no metrics are recorded: the fault oracle replays the exchange
+        protocol through it, and the halo layer counts what is posted.
         """
         msg_idx = self._message
         self._message += 1
@@ -330,23 +337,6 @@ class FaultInjector:
                         kind, scale = name, 10.0
                         break
         return kind, scale
-
-    def on_send(
-        self, src: int, dest: int, tag: int, payload: np.ndarray
-    ) -> tuple[str, np.ndarray]:
-        """Decide the fate of one injectable message.
-
-        Returns ``(action, payload)`` where action is ``"deliver"``,
-        ``"drop"``, ``"duplicate"``, or ``"corrupt"`` (payload already
-        corrupted in the last case).
-        """
-        kind, scale = self.decide(src, dest, tag)
-        if kind is None:
-            return "deliver", payload
-        self._count(f"resilience.fault.halo_{kind}")
-        if kind == "corrupt":
-            return "corrupt", corrupt_payload(payload, scale)
-        return kind, payload
 
     # -- con2prim ------------------------------------------------------------
 

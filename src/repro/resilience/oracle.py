@@ -1,70 +1,51 @@
-"""Rank-local fault oracle for the process-parallel backend.
+"""The fault oracle: the one place a halo fault is decided.
 
-The serial chaos path takes every fault decision inside one global
-:class:`~repro.resilience.faults.FaultInjector` whose message counter
-advances in the deterministic SPMD-by-phases order of
-:func:`repro.comm.halo.exchange_halos`.  Worker processes cannot share
-that counter — so instead every worker runs a :class:`FaultOracle`: a
-dry-run replay of the *global* exchange protocol against a private
-injector seeded from the same plan.  Because the replay walks the same
-:func:`~repro.comm.halo.face_table` in the same post/drain shapes as the
-real exchange, it visits sends and retransmissions in exactly the serial
-order: every worker derives the identical fault decision sequence without
-any communication, and each applies only the decisions whose sender it is.
+Every halo exchange — in-process or in a worker process — takes its
+:class:`~repro.comm.halo.ExchangeSchedule` from a :class:`FaultOracle`,
+and each sender posts the attempts it was dealt.  The oracle is a dry run
+of the *global* exchange protocol against a private
+:class:`~repro.resilience.faults.FaultInjector` seeded from the plan.
+Because the replay walks the same :func:`~repro.comm.halo.face_table` in
+the same post/drain shapes as the real exchange, it visits sends and
+retransmissions in one fixed order: every worker derives the identical
+decision sequence without any communication, and the in-process rank loop
+derives the same one.
 
 The replay has to model just enough of the receive side to know *when*
 retransmissions happen (a retransmit consumes the injector's next
-message index at the point the serial receiver would have re-posted):
+message index at the point the receiver requests it):
 
 * each posted data message becomes delivery tokens in a virtual mailbox
   (``ok``/``corrupt``; duplicates two tokens, drops none),
-* checksums (never injectable, never dropped) become per-key credits,
-* :func:`_sim_recv_reliable` walks the same attempt/orphan-drain/retry
-  control flow as :func:`repro.comm.halo._recv_reliable`.
+* checksums (never faulted, never dropped) become per-key credits,
+* :meth:`FaultOracle._sim_recv_reliable` walks the same
+  attempt/orphan-drain/retry control flow as
+  :func:`repro.comm.halo._recv_reliable`.
 
 The one idealisation is that a CRC32 always detects an injected
-corruption (collision probability 2**-32 per message); the serial path
-shares the same assumption, so the two substrates stay aligned.
+corruption (collision probability 2**-32 per message).
 
 :class:`RankStridedFaultInjector` covers the other injector consumer:
-con2prim bursts are keyed by a global sweep counter that serially
-advances in rank order within each recovery round, so a worker that
-owns rank ``r`` of ``P`` sees global sweeps ``round * P + r``.
+con2prim bursts are keyed by a global sweep counter that in-process
+advances in rank order within each recovery round, so a worker that owns
+rank ``r`` of ``P`` sees global sweeps ``round * P + r``.
 """
 
 from __future__ import annotations
 
-from ..comm.halo import face_table
+from ..comm.halo import ExchangeSchedule, face_table
 from .faults import FaultInjector, FaultPlan
 
-
-class ExchangeSchedule:
-    """Pre-decided fault attempts for one halo exchange.
-
-    ``attempts`` maps ``(src, dest, tag)`` to the ordered list of
-    ``(kind, scale)`` posts for that message slot — first the original
-    send, then any retransmissions the receiver will request.  The
-    sending rank pops its own keys and posts every attempt up front;
-    unclaimed keys (other ranks' sends) are simply dropped.
-    """
-
-    def __init__(self):
-        self.attempts: dict[tuple[int, int, int], list[tuple[str | None, float]]] = {}
-
-    def add(self, src: int, dest: int, tag: int,
-            kind: str | None, scale: float) -> None:
-        self.attempts.setdefault((src, dest, tag), []).append((kind, scale))
-
-    def pop_attempts(self, src: int, dest: int, tag: int):
-        return self.attempts.pop((src, dest, tag), [(None, 0.0)])
+#: what a message of each fate leaves in the receiver's mailbox
+_TOKENS = {None: ("ok",), "drop": (), "duplicate": ("ok", "ok"), "corrupt": ("corrupt",)}
 
 
 class FaultOracle:
-    """Replays the serial fault-decision sequence for one exchange at a time.
+    """Decides the faults of one halo exchange at a time.
 
-    Every rank constructs an identical oracle (same plan, decomposition,
+    Every stepper constructs an identical oracle (same plan, decomposition,
     and retry policy) and calls :meth:`next_exchange` once per halo
-    exchange, in the same order the serial solver would perform them.
+    exchange, in the one global exchange order.
     """
 
     def __init__(self, plan: FaultPlan, decomp, policy=None):
@@ -96,27 +77,27 @@ class FaultOracle:
                 self._sim_post_axis(sched, faces)
                 self._sim_drain_axis(sched, faces)
         if self._policy is not None:
-            # Serial discard_pending(): stale tokens never cross exchanges.
+            # discard_pending(): stale tokens never cross exchanges.
             self._box.clear()
             self._crc.clear()
         return sched
 
-    def rewind(self, calls: list[bool]) -> None:
-        """Reset to plan start, then fast-forward through *calls*.
+    def state(self) -> dict:
+        """The decision position — the injector's :meth:`~FaultInjector.state`
+        and the virtual mailboxes — at an exchange boundary: bounded by the
+        face count, however many exchanges came before."""
+        return {
+            "injector": self._inj.state(),
+            "box": {key: list(tokens) for key, tokens in self._box.items()},
+            "crc": dict(self._crc),
+        }
 
-        *calls* is the ordered list of ``overlapped`` flags of every
-        :meth:`next_exchange` already consumed up to a step boundary (as
-        recorded by the worker's supervision snapshot).  Replaying them
-        against a fresh injector reproduces the exact internal state —
-        message counters, repeat bookkeeping, RNG stream, virtual
-        mailboxes — so a rank restored after a failure keeps deriving the
-        identical fault decisions the serial run would.
-        """
-        self._inj = FaultInjector(self._inj.plan)
-        self._box = {}
-        self._crc = {}
-        for overlapped in calls:
-            self.next_exchange(overlapped=overlapped)
+    def restore(self, state: dict) -> None:
+        """Resume at a :meth:`state`: the next schedules are the ones an
+        uninterrupted oracle would decide."""
+        self._inj.restore(state["injector"])
+        self._box = {key: list(tokens) for key, tokens in state["box"].items()}
+        self._crc = dict(state["crc"])
 
     # -- protocol replay -------------------------------------------------
     def _sim_post_axis(self, sched, faces) -> None:
@@ -137,17 +118,8 @@ class FaultOracle:
         """Decide and deliver one ``(src, dest, tag)`` data message (plus
         its checksum credit under a retry policy)."""
         kind, scale = self._inj.decide(*key)
-        sched.add(*key, kind, scale)
-        if kind == "drop":
-            tokens = []
-        elif kind == "duplicate":
-            tokens = ["ok", "ok"]
-        elif kind == "corrupt":
-            tokens = ["corrupt"]
-        else:
-            tokens = ["ok"]
-        if tokens:
-            self._box.setdefault(key, []).extend(tokens)
+        sched.add(*key, None if kind is None else (kind, scale))
+        self._box.setdefault(key, []).extend(_TOKENS[kind])
         if self._policy is not None:
             self._crc[key] = self._crc.get(key, 0) + 1
 
@@ -172,23 +144,20 @@ class FaultOracle:
             if attempt == policy.max_attempts - 1:
                 return  # budget exhausted; the real receiver raises
             # The retransmission consumes the injector's next message
-            # index exactly where the serial receiver would re-post: the
-            # mirrored face's strip travels under this very key.
+            # index exactly where the receiver requests it: the mirrored
+            # face's strip travels under this very key.
             self._sim_post(sched, key)
 
 
 class RankStridedFaultInjector(FaultInjector):
     """Worker-side injector that maps local sweeps to global sweep indices.
 
-    The serial solver recovers primitives rank-by-rank inside each
+    The in-process rank loop recovers primitives rank-by-rank inside each
     round, so the global con2prim sweep counter advances as
     ``round * size + rank``.  A worker owns one rank and performs one
     local sweep per round; striding its counter reproduces exactly the
-    serial keying of :class:`Con2PrimFault` entries.
-
-    Only the con2prim hook is used in workers — halo faults flow through
-    the :class:`FaultOracle` schedule instead, so this injector is never
-    attached to a communicator.
+    in-process keying of :class:`Con2PrimFault` entries.  Only its
+    con2prim hook is consulted; halo faults are the :class:`FaultOracle`'s.
     """
 
     def __init__(self, plan: FaultPlan, rank: int, size: int, metrics=None):

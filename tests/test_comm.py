@@ -102,17 +102,6 @@ class TestSimCommunicator:
         with pytest.raises(CommunicationError):
             comm.allreduce({0: 1.0, 1: 1.0, 2: 1.0}, "median")
 
-    def test_broadcast(self):
-        comm = SimCommunicator(4)
-        out = comm.broadcast(0, np.array([3.0]))
-        assert len(out) == 4
-        assert all(v[0] == 3.0 for v in out.values())
-
-    def test_gather(self):
-        comm = SimCommunicator(2)
-        out = comm.gather({0: np.array([1.0]), 1: np.array([2.0])})
-        assert out[1][0] == 2.0
-
 
 class TestHaloExchange:
     def _setup(self, shape, dims, periodic=None, nvars=3, n_ghost=2):

@@ -13,6 +13,7 @@ at module level must be import-safe (it is: plain defs and constants).
 
 from __future__ import annotations
 
+import inspect
 import os
 import signal
 import time
@@ -26,6 +27,7 @@ from repro.comm.shm import (
     FLAG_DATA,
     FLAG_TOMBSTONE,
     ShmChannel,
+    ShmCommunicator,
     channel_capacities,
 )
 from repro.core.config import SolverConfig
@@ -208,29 +210,51 @@ def _fault_plan():
     )
 
 
-class TestFaultBitExactness:
-    """Rank-local fault/retry decisions replay the serial injector's global
-    schedule: the same plan strikes the same logical messages and cells on
-    both backends, recoveries included."""
+def _axis1_retransmit_plan():
+    """A corrupt strip on axis 1 (message 5 of a 2x2 walled exchange).  Both
+    executors post its retransmission from the pre-exchange state; one read
+    after the axis-0 ghosts landed would move ``sanitize.floored``."""
+    return FaultPlan(seed=11, halo=[HaloFault(kind="corrupt", exchange=2, message=5)])
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_faulted_run_matches_serial(self, overlap):
+
+#: id prefix -> (plan, the counters the plan must drive above zero)
+FAULTED_RUNS = {
+    "": (_fault_plan, (
+        "resilience.fault.halo_drop",
+        "resilience.fault.halo_duplicate",
+        "resilience.fault.halo_corrupt",
+        "resilience.halo_retries",
+        "resilience.failsafe_cells",
+    )),
+    "axis1-retransmit-": (_axis1_retransmit_plan, (
+        "resilience.fault.halo_corrupt",
+        "resilience.halo_retries",
+        "resilience.halo_checksum_mismatch",
+    )),
+}
+
+
+class TestFaultBitExactness:
+    """Both executors post the one fault oracle's schedule: the same plan
+    strikes the same logical messages and cells on both backends,
+    recoveries included."""
+
+    @pytest.mark.parametrize("plan, counters, overlap", [
+        pytest.param(plan, counters, overlap, id=f"{prefix}{overlap}")
+        for prefix, (plan, counters) in FAULTED_RUNS.items()
+        for overlap in (False, True)
+    ])
+    def test_faulted_run_matches_serial(self, plan, counters, overlap):
         setup = _blast2d_setup()
         kw = dict(
             meta=META, overlap_exchange=overlap, failsafe_frac=0.2,
-            plan=_fault_plan(), policy=HaloRetryPolicy(max_attempts=4),
+            plan=plan(), policy=HaloRetryPolicy(max_attempts=4),
         )
         serial, sink = _run_serial(setup, (2, 2), 4, **kw)
         proc = _run_process(setup, (2, 2), 4, **kw)
         _assert_bitexact(serial, sink, proc)
         snap = serial.metrics.snapshot()["counters"]
-        for name in (
-            "resilience.fault.halo_drop",
-            "resilience.fault.halo_duplicate",
-            "resilience.fault.halo_corrupt",
-            "resilience.halo_retries",
-            "resilience.failsafe_cells",
-        ):
+        for name in counters:
             assert snap[name] > 0, name
             assert proc["counters"][name] == snap[name], name
 
@@ -338,6 +362,19 @@ class TestWorkerFailure:
             solver.close()  # clean no-op after the teardown
         finally:
             solver.close()
+
+    def test_barrier_wait_is_counted(self):
+        """Every worker times its wait at the step barrier."""
+        system, grid, prim0 = _rp1_setup()
+        with ProcessSolver(
+            system, grid, prim0, (2,), config=SolverConfig(cfl=0.4)
+        ) as solver:
+            solver.step()
+            solver.step()
+            snaps = solver.worker_snapshots()
+        assert len(snaps) == 2
+        for snap in snaps:
+            assert snap["metrics"]["counters"]["comm.shm.barrier_wait_s"] > 0.0
 
     def test_call_verb_is_allow_listed(self):
         """``call`` reaches only the methods the protocol names; anything
@@ -523,7 +560,8 @@ class TestOneRankStepper:
         "_rhs", "_divergences", "_record_overlap", "compute_dt",
         "_integrate", "_patches", "_after_step", "_record_extras",
         "_check_finite", "_traffic_delta", "_recover_and_exchange",
-        "_exchange", "_set_stage_time", "run", "write_checkpoint",
+        "_exchange", "_exchange_schedule", "_set_stage_time", "run",
+        "write_checkpoint",
     )
     SHELL = ("_attach", "step", "snapshot", "rebind", "close")
     #: the AMR exchange and decision surface — one implementation, over
@@ -540,8 +578,27 @@ class TestOneRankStepper:
         own = set(vars(_RankWorker))
         assert not own & set(self.STEPPER), "the mirror is growing back"
         assert not own & set(self.SHELL)
+        # What the worker adds: the supervision snapshot pair — the fault
+        # oracle and its schedules are the stepper's.
+        assert {n for n in own if not n.startswith("__")} == {
+            "supervision_state", "restore_supervision_state",
+        }
         for name in ("step", "compute_dt"):  # bench/trace.py patches these
             assert name in vars(DistributedSolver)
+
+    def test_communicators_share_one_surface(self):
+        """The halo layer and the steppers cannot tell the communicators
+        apart: the same public methods, the same ``send`` parameters."""
+
+        def public(cls):
+            return {n for n in dir(cls) if not n.startswith("_")}
+
+        assert public(SimCommunicator) == public(ShmCommunicator)
+        sim, shm = (
+            list(inspect.signature(cls.send).parameters)
+            for cls in (SimCommunicator, ShmCommunicator)
+        )
+        assert sim == shm == ["self", "src", "dest", "data", "tag", "fault"]
 
     def test_amr_worker_inherits_the_shell(self):
         assert issubclass(_AMRRankWorker, AMRSolver)

@@ -6,6 +6,9 @@ scenarios live in test_chaos.py behind the ``chaos`` marker.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,14 @@ from repro.core import Solver, SolverConfig
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.distributed import DistributedSolver
 from repro.comm.communicator import SimCommunicator
-from repro.comm.halo import exchange_halos
+from repro.comm.halo import (
+    CHECKSUM_TAG_OFFSET,
+    _crc,
+    complete_halos,
+    exchange_halos,
+    face_table,
+    post_halos,
+)
 from repro.eos import IdealGasEOS
 from repro.io import (
     load_amr_checkpoint,
@@ -32,6 +42,7 @@ from repro.resilience import (
     Con2PrimFault,
     DeviceFault,
     FaultInjector,
+    FaultOracle,
     FaultPlan,
     HaloFault,
     HaloRetryPolicy,
@@ -104,8 +115,7 @@ class TestFaultPlan:
         def actions():
             inj = FaultInjector(plan)
             inj.begin_exchange()
-            payload = np.zeros(4)
-            return [inj.on_send(0, 1, 0, payload)[0] for _ in range(50)]
+            return [inj.decide(0, 1, 0)[0] for _ in range(50)]
 
         first = actions()
         assert first == actions()
@@ -117,47 +127,60 @@ class TestFaultPlan:
 
 
 class TestCommunicatorInjection:
-    def _comm(self, plan):
-        return SimCommunicator(2, fault_injector=FaultInjector(plan))
+    """A send's pre-decided fate, applied by the mailbox (the same
+    ``fault=`` the shared-memory communicator takes)."""
 
     def test_drop_loses_message(self):
-        plan = FaultPlan(halo=[HaloFault(kind="drop", exchange=0, message=0)])
-        comm = self._comm(plan)
-        comm.fault_injector.begin_exchange()
-        comm.send(0, 1, np.arange(3.0))
+        comm = SimCommunicator(2)
+        comm.send(0, 1, np.arange(3.0), fault=("drop", 10.0))
         with pytest.raises(CommunicationError):
             comm.recv(0, 1)
 
-    def test_duplicate_delivers_twice(self):
-        plan = FaultPlan(halo=[HaloFault(kind="duplicate", exchange=0, message=0)])
-        comm = self._comm(plan)
-        comm.fault_injector.begin_exchange()
+    def test_dropped_attempt_costs_one_receive(self):
+        """A drop leaves a tombstone, not a gap: the retransmission posted
+        behind it is only reached by the next receive, and the tombstone
+        is no pending message."""
+        comm = SimCommunicator(2)
+        comm.send(0, 1, np.zeros(3), fault=("drop", 10.0))
         comm.send(0, 1, np.arange(3.0))
+        assert comm.pending() == 1
+        with pytest.raises(CommunicationError, match="no pending message"):
+            comm.recv(0, 1)
+        assert np.array_equal(comm.recv(0, 1), np.arange(3.0))
+
+    def test_duplicate_delivers_twice(self):
+        comm = SimCommunicator(2)
+        comm.send(0, 1, np.arange(3.0), fault=("duplicate", 10.0))
         assert np.array_equal(comm.recv(0, 1), np.arange(3.0))
         assert np.array_equal(comm.recv(0, 1), np.arange(3.0))
 
     def test_corrupt_perturbs_payload(self):
-        plan = FaultPlan(halo=[HaloFault(kind="corrupt", exchange=0, message=0)])
-        comm = self._comm(plan)
-        comm.fault_injector.begin_exchange()
+        comm = SimCommunicator(2)
         original = np.ones(8)
-        comm.send(0, 1, original)
+        comm.send(0, 1, original, fault=("corrupt", 10.0))
         received = comm.recv(0, 1)
         assert not np.array_equal(received, original)
         assert np.array_equal(original, np.ones(8))  # sender copy untouched
 
     def test_non_injectable_messages_immune(self):
-        plan = FaultPlan(halo=[HaloFault(kind="drop", exchange=0, message=0)])
-        comm = self._comm(plan)
-        comm.fault_injector.begin_exchange()
-        comm.send(0, 1, np.arange(3.0), injectable=False)
-        assert np.array_equal(comm.recv(0, 1), np.arange(3.0))
+        """Checksums are never dealt a fate: with every data strip of the
+        exchange dropped, every checksum still arrives intact."""
+        decomp, states = _decomp_states()
+        policy = HaloRetryPolicy(max_attempts=1)
+        plan = FaultPlan(halo_random={"p_drop": 1.0})
+        schedule = FaultOracle(plan, decomp, policy).next_exchange()
+        assert all(tag < CHECKSUM_TAG_OFFSET for _, _, tag in schedule.attempts)
+        comm = SimCommunicator(decomp.size)
+        post_halos(decomp, comm, states, policy=policy, schedule=schedule)
+        for face in face_table(decomp).by_face.values():
+            with pytest.raises(CommunicationError):
+                comm.recv(face.rank, face.nbr, face.send_tag)
+            crc = comm.recv(face.rank, face.nbr, face.send_tag + CHECKSUM_TAG_OFFSET)
+            assert int(crc[0]) == _crc(states[face.rank][face.send])
 
     def test_traffic_logged_even_for_drops(self):
-        plan = FaultPlan(halo=[HaloFault(kind="drop", exchange=0, message=0)])
-        comm = self._comm(plan)
-        comm.fault_injector.begin_exchange()
-        comm.send(0, 1, np.zeros(4))
+        comm = SimCommunicator(2)
+        comm.send(0, 1, np.zeros(4), fault=("drop", 10.0))
         assert comm.traffic.n_messages == 1
         assert comm.traffic.n_bytes == 32
 
@@ -184,6 +207,32 @@ def _decomp_states(n=32, nranks=2, seed=0):
     return decomp, states
 
 
+def _faulted_exchange(decomp, states, plan, policy, metrics=None):
+    """One exchange over a fresh communicator, its faults dealt by the
+    oracle for *plan* (exchange 0)."""
+    schedule = FaultOracle(plan, decomp, policy).next_exchange()
+    exchange_halos(
+        decomp, SimCommunicator(decomp.size), states,
+        policy=policy, metrics=metrics, schedule=schedule,
+    )
+
+
+def _oracle_problem():
+    """A 2x2 decomposition periodic along x (8 + 4 faces per exchange) and
+    a plan with a drop, a duplicate and a corrupt that hits its retry."""
+    grid = Grid((12, 12), ((0.0, 1.0), (0.0, 1.0)))
+    decomp = CartesianDecomposition(grid, (2, 2), periodic=(True, False))
+    plan = FaultPlan(
+        seed=5,
+        halo=[
+            HaloFault(kind="drop", exchange=0, message=1),
+            HaloFault(kind="duplicate", exchange=0, message=6),
+            HaloFault(kind="corrupt", exchange=1, message=2, times=2),
+        ],
+    )
+    return decomp, plan
+
+
 class TestResilientExchange:
     @pytest.mark.parametrize("kind", ["drop", "corrupt", "duplicate"])
     def test_recovers_bitwise_identical_ghosts(self, kind):
@@ -193,10 +242,7 @@ class TestResilientExchange:
 
         plan = FaultPlan(halo=[HaloFault(kind=kind, exchange=0, message=0)])
         metrics = MetricsRegistry()
-        comm = SimCommunicator(decomp.size, fault_injector=FaultInjector(plan, metrics))
-        exchange_halos(
-            decomp, comm, states, policy=HaloRetryPolicy(), metrics=metrics
-        )
+        _faulted_exchange(decomp, states, plan, HaloRetryPolicy(), metrics)
         for r in range(decomp.size):
             assert np.array_equal(states[r], clean[r])
         counters = metrics.snapshot()["counters"]
@@ -212,9 +258,8 @@ class TestResilientExchange:
         decomp, states = _decomp_states()
         plan = FaultPlan(halo=[HaloFault(kind="drop", exchange=0, message=0)])
         metrics = MetricsRegistry()
-        comm = SimCommunicator(decomp.size, fault_injector=FaultInjector(plan, metrics))
         policy = HaloRetryPolicy(backoff_base_s=1e-3, backoff_cap_s=1.0)
-        exchange_halos(decomp, comm, states, policy=policy, metrics=metrics)
+        _faulted_exchange(decomp, states, plan, policy, metrics)
         hist = metrics.snapshot()["histograms"]["resilience.halo_retry_backoff_s"]
         assert hist["count"] >= 1
         assert hist["min"] >= 1e-3
@@ -225,11 +270,8 @@ class TestResilientExchange:
         plan = FaultPlan(
             halo=[HaloFault(kind="drop", exchange=0, message=0, times=10)]
         )
-        comm = SimCommunicator(decomp.size, fault_injector=FaultInjector(plan))
         with pytest.raises(CommunicationError, match="after 3 attempts"):
-            exchange_halos(
-                decomp, comm, states, policy=HaloRetryPolicy(max_attempts=3)
-            )
+            _faulted_exchange(decomp, states, plan, HaloRetryPolicy(max_attempts=3))
 
     def test_exponential_backoff_schedule(self):
         policy = HaloRetryPolicy(max_attempts=5, backoff_base_s=0.1, backoff_cap_s=0.3)
@@ -252,57 +294,71 @@ class TestResilientExchange:
         assert comm.traffic.n_bytes - before == expected
 
     @pytest.mark.parametrize("overlapped", [False, True])
-    def test_oracle_decides_what_the_serial_injector_decides(
-        self, overlapped, monkeypatch
-    ):
+    def test_in_process_exchange_consumes_its_schedule(self, overlapped):
         """The oracle's dry run and the real exchange walk one face table:
-        message for message — retransmissions included — the oracle decides
-        the (src, dest, tag) the serial injector is asked about, and
-        decides it the same way."""
-        from repro.comm.halo import complete_halos, post_halos
-        from repro.resilience.oracle import FaultOracle
-
-        grid = Grid((12, 12), ((0.0, 1.0), (0.0, 1.0)))
-        decomp = CartesianDecomposition(grid, (2, 2), periodic=(True, False))
-        plan = FaultPlan(
-            seed=5,
-            halo=[
-                HaloFault(kind="drop", exchange=0, message=1),
-                HaloFault(kind="duplicate", exchange=0, message=6),
-                HaloFault(kind="corrupt", exchange=1, message=2, times=2),
-            ],
-        )
+        in-process, where every rank is held, each exchange posts every
+        slot the oracle dealt — retransmissions included — and counts
+        exactly the faults it was dealt."""
+        decomp, plan = _oracle_problem()
         policy = HaloRetryPolicy(max_attempts=4)
-        log = []
-        real_decide = FaultInjector.decide
-
-        def recording_decide(self, src, dest, tag):
-            fate = real_decide(self, src, dest, tag)
-            log.append((self._exchange, src, dest, tag, fate))
-            return fate
-
-        monkeypatch.setattr(FaultInjector, "decide", recording_decide)
+        oracle = FaultOracle(plan, decomp, policy)
+        comm, metrics = SimCommunicator(decomp.size), MetricsRegistry()
         rng = np.random.default_rng(0)
         states = {
             r: rng.random((3,) + decomp.subgrid(r).shape_with_ghosts)
             for r in range(decomp.size)
         }
-        comm = SimCommunicator(decomp.size, fault_injector=FaultInjector(plan))
+        kw = dict(policy=policy, metrics=metrics)
         for _ in range(3):
+            schedule = oracle.next_exchange(overlapped=overlapped)
             if overlapped:
-                complete_halos(post_halos(decomp, comm, states, policy=policy))
+                complete_halos(post_halos(decomp, comm, states, schedule=schedule, **kw))
             else:
-                exchange_halos(decomp, comm, states, policy=policy)
-        serial, log[:] = list(log), []
-        oracle = FaultOracle(plan, decomp, policy)
-        for _ in range(3):
-            oracle.next_exchange(overlapped=overlapped)
-        assert log == serial
+                exchange_halos(decomp, comm, states, schedule=schedule, **kw)
+            assert schedule.attempts == {}
         n_faces = 3 * 12  # 3 exchanges x (8 periodic-axis + 4 walled-axis)
-        assert len(serial) == n_faces + 3  # 1 drop + 2 corrupt retransmits
-        assert [fate[0] for *_, fate in serial if fate[0]] == [
-            "drop", "duplicate", "corrupt", "corrupt"
-        ]
+        # 1 drop + 2 corrupt retransmits; every attempt carries a checksum
+        assert comm.traffic.n_messages == 2 * (n_faces + 3)
+        counters = metrics.snapshot()["counters"]
+        assert [
+            counters.get(f"resilience.fault.halo_{kind}", 0)
+            for kind in ("drop", "duplicate", "corrupt")
+        ] == [1, 1, 2]
+        assert counters["resilience.halo_retries"] == 3
+
+
+class TestFaultOracleState:
+    def test_state_is_bounded_and_resumes_the_decisions(self):
+        """No replay tape: the oracle's state pickles to the same size after
+        5 exchanges as after 50, and an oracle restored from it deals the
+        next schedules an uninterrupted one deals, RNG draws included."""
+        decomp, plan = _oracle_problem()
+        policy = HaloRetryPolicy(max_attempts=4)
+
+        def after(plan, n):
+            oracle = FaultOracle(plan, decomp, policy)
+            for i in range(n):
+                oracle.next_exchange(overlapped=i % 3 == 0)
+            return oracle
+
+        # (without random draws, so that the RNG's own integers keep their
+        # width and any growth would be a tape)
+        assert len(pickle.dumps(after(plan, 5).state())) == len(
+            pickle.dumps(after(plan, 50).state())
+        )
+        plan = dataclasses.replace(
+            plan, halo_random={"p_drop": 0.05, "p_duplicate": 0.05, "p_corrupt": 0.05}
+        )
+        uninterrupted = after(plan, 50)
+        resumed = FaultOracle(plan, decomp, policy)
+        resumed.restore(pickle.loads(pickle.dumps(after(plan, 50).state())))
+        dealt = 0
+        for i in range(20):
+            a = resumed.next_exchange(overlapped=i % 2 == 0)
+            b = uninterrupted.next_exchange(overlapped=i % 2 == 0)
+            assert a.attempts == b.attempts
+            dealt += sum(f is not None for slot in a.attempts.values() for f in slot)
+        assert dealt > 0  # the resumed stretch does deal faults
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class TestKillRecovery:
         assert proc["counters"]["resilience.worker_restarts"] == 2
 
     def test_kill_combined_with_logical_faults(self):
-        """A crash recovery must rewind the fault oracle too: a seeded
+        """A crash recovery must restore the fault oracle too: a seeded
         halo-fault plan keeps striking the identical messages after the
         respawn (serial reference runs the same logical plan)."""
         plan_logical = [
