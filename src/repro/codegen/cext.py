@@ -22,6 +22,16 @@ There is one fallback: missing cffi, a missing or failing C compiler, or
 ``REPRO_CEXT_DISABLE=1`` raise :class:`~repro.utils.errors.CodegenError`
 here, which :func:`repro.codegen.system.make_kernel_system` turns into a
 logged fallback of the whole target to ``flat``.
+
+Threads: the artifact is built with ``-fopenmp``, and its five row kernels
+(``recover``, ``max_signal``, the per-axis sweeps, ``accumulate``,
+``rk_stage``) split a large call over an OpenMP team — every output
+element written by one thread, no floating-point reduction reordered, so
+any team size gives the 1-thread bytes.  The team size is the standard
+OpenMP one (``OMP_NUM_THREADS``, CPU affinity), read by :func:`threads`;
+every fleet worker runs on one (``core.parallel._worker_main``).  A
+compiler that rejects ``-fopenmp`` (probed once, :func:`openmp_supported`)
+builds the same source without it: one thread, same bytes, no other path.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib.util
+import logging
 import os
 import shutil
 import subprocess
@@ -69,8 +80,13 @@ build_count = 0
 #: after CPython's own flags, so ours decide); ``-fno-trapping-math`` lets
 #: it if-convert a select whose arm holds a floating-point compare — it
 #: licenses no value-changing transformation, and nothing reads the status
-#: flags (the C is reached through cffi, not a ufunc).
-CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
+#: flags (the C is reached through cffi, not a ufunc).  ``-fopenmp`` (also
+#: a link flag) turns the kernels' team branches on; :func:`build_flags`
+#: drops it where the compiler rejects it.
+OPENMP_FLAG = "-fopenmp"
+CFLAGS = (
+    "-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math", OPENMP_FLAG,
+)
 
 
 def cext_disabled() -> bool:
@@ -91,6 +107,44 @@ def _compiler_version(cc: str) -> str:
         return "unknown"
 
 
+def _cc() -> str:
+    """The compiler the build will run: distutils' ``customize_compiler``
+    lets ``$CC`` override the interpreter's own CC."""
+    return os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+
+
+@functools.lru_cache(maxsize=None)
+def _openmp_probe(cc: str) -> bool:
+    """Whether *cc* compiles and links an OpenMP shared object, memoized
+    per command string."""
+    with tempfile.TemporaryDirectory(prefix="repro-openmp-probe-") as d:
+        src = Path(d) / "probe.c"
+        src.write_text("#include <omp.h>\nint probe(void) { return omp_get_max_threads(); }\n")
+        try:
+            out = subprocess.run(
+                [*cc.split(), OPENMP_FLAG, "-shared", "-fPIC", str(src), "-o",
+                 str(Path(d) / "probe.so")],
+                capture_output=True, timeout=60, check=False,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return False
+        return out.returncode == 0
+
+
+def openmp_supported() -> bool:
+    """Whether this toolchain builds the kernels' team branches."""
+    return _openmp_probe(_cc())
+
+
+def build_flags() -> tuple[str, ...]:
+    """:data:`CFLAGS` as this toolchain takes them: without ``-fopenmp``
+    where the compiler rejects it, so the same source builds with its
+    pragmas ignored and runs the 1-thread schedule."""
+    if openmp_supported():
+        return CFLAGS
+    return tuple(f for f in CFLAGS if f != OPENMP_FLAG)
+
+
 def toolchain_fingerprint() -> str:
     """Identity of the compiler stack, baked into every artifact key.
 
@@ -101,14 +155,11 @@ def toolchain_fingerprint() -> str:
         import cffi
     except ImportError as exc:  # pragma: no cover - image ships cffi
         raise CodegenError(f"cffi is not installed: {exc}") from exc
-    # The compiler the build will run: distutils' ``customize_compiler``
-    # lets ``$CC`` override the interpreter's own CC, so the key must too.
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     return "|".join(
         [
             f"cffi={cffi.__version__}",
             f"python={sys.version_info.major}.{sys.version_info.minor}",
-            f"cc={_compiler_version(cc)}",
+            f"cc={_compiler_version(_cc())}",
             f"ext={sysconfig.get_config_var('EXT_SUFFIX')}",
         ]
     )
@@ -128,14 +179,20 @@ def cache_dir() -> Path:
 
 def _artifact_name(prefix: str, source: str, cdef: str) -> str:
     """*prefix* plus a SHA-256 over everything that shapes the binary:
-    source, declarations, toolchain, and the compile flags — ours and the
-    ``CFLAGS`` cffi's build inherits from the environment."""
-    key = [
-        source, cdef, toolchain_fingerprint(),
-        " ".join(CFLAGS), os.environ.get("CFLAGS", ""),
-    ]
-    digest = hashlib.sha256("\0".join(key).encode()).hexdigest()[:16]
-    return f"{prefix}_{digest}"
+    source, declarations, toolchain, and the compile flags — ours as the
+    toolchain takes them (:func:`build_flags`) and the ``CFLAGS`` cffi's
+    build inherits from the environment.  An artifact already built under
+    the full :data:`CFLAGS` proves this toolchain takes ``-fopenmp``, so a
+    warm load never pays for the OpenMP probe."""
+    def name(flags):
+        key = [
+            source, cdef, toolchain_fingerprint(),
+            " ".join(flags), os.environ.get("CFLAGS", ""),
+        ]
+        return f"{prefix}_{hashlib.sha256(chr(0).join(key).encode()).hexdigest()[:16]}"
+
+    full = name(CFLAGS)
+    return full if artifact_path(full).exists() else name(build_flags())
 
 
 def module_spec(ndim: int, kinds_axes=None) -> tuple[str, str, str]:
@@ -162,9 +219,13 @@ def _build(name: str, source: str, cdef: str, dest: Path) -> None:
     try:
         import cffi
 
+        flags = build_flags()
         builder = cffi.FFI()
         builder.cdef(cdef)
-        builder.set_source(name, source, extra_compile_args=list(CFLAGS))
+        builder.set_source(
+            name, source, extra_compile_args=list(flags),
+            extra_link_args=[OPENMP_FLAG] if OPENMP_FLAG in flags else [],
+        )
         built = builder.compile(tmpdir=tmpdir, verbose=False)
         build_count += 1
         os.replace(built, dest)
@@ -216,10 +277,13 @@ def _load_spec(name: str, source: str, cdef: str):
             _build(name, source, cdef, path)
             module = _import_artifact(name, path)
         _modules[name] = module
-        if hasattr(module.lib, "repro_simd_level"):
+        if hasattr(module.lib, "repro_threads") and _log.isEnabledFor(logging.INFO):
             _log.info(
-                "cext kernel module %s loaded, sweep clone: %s",
+                "cext kernel module %s loaded, sweep clone: %s, threads: %d%s",
                 name, _SIMD_LEVELS[module.lib.repro_simd_level()],
+                module.lib.repro_threads(0),
+                "" if OPENMP_FLAG in build_flags()
+                else f" (built without OpenMP: the compiler rejects {OPENMP_FLAG})",
             )
     return module.ffi, module.lib
 
@@ -240,6 +304,24 @@ def simd_level(ndim: int) -> str:
     """Which clone of the fused sweep this host runs: ``"avx2"`` or
     ``"baseline"`` (no ifunc, not x86-64, or a CPU without AVX2)."""
     return _SIMD_LEVELS[load_cext_module(ndim)[1].repro_simd_level()]
+
+
+def threads(ndim: int, n: int = 0) -> int:
+    """The OpenMP team this thread's calls into the compiled kernels split
+    over (set to *n* first when ``n > 0``): ``OMP_NUM_THREADS``, else the
+    CPUs this process may use; 1 in a module built without OpenMP.  Every
+    module shares one OpenMP runtime, so *ndim* only names the module to
+    ask (loading it if needed)."""
+    return load_cext_module(ndim)[1].repro_threads(int(n))
+
+
+def loaded_threads() -> int | None:
+    """:func:`threads` as the modules already loaded report it — None
+    before the first load — without loading (or building) one."""
+    for module in _modules.values():
+        if hasattr(module.lib, "repro_threads"):
+            return module.lib.repro_threads(0)
+    return None
 
 
 def clear_modules() -> None:

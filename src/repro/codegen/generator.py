@@ -64,6 +64,19 @@ RK_STAGE_KERNEL = "rk_stage_cext"
 
 #: Which sweep clone the loader picked on this host: 1 = avx2, 0 = baseline.
 SIMD_LEVEL_DECL = "int repro_simd_level(void)"
+#: The kernels' OpenMP team size: set when ``n > 0``, returned (1 in a
+#: module built without OpenMP).
+THREADS_DECL = "int repro_threads(int n)"
+
+#: Work (cells or faces a call visits) below which an entry point runs its
+#: serial branch and never calls into libgomp.  Measured on a 2-vCPU Xeon
+#: (gcc 12.2), 2 threads against 1 through a pipeline call on an N^2
+#: patch: the sweeps and the CFL scan gain from ~500 cells (x1.8 at 64^2),
+#: while ``recover``, ``accumulate`` and ``rk_stage`` — short or
+#: memory-bound — break even only at ~3000-5000 cells (x1.1 at 64^2).  One
+#: threshold, at the latter: AMR's 8^2 leaves (196 ghosted cells) stay
+#: serial, a 64^2 patch or a rank stack of 32^2 patches goes to the team.
+TEAM_MIN_WORK = 4096
 
 #: Prologue of every generated C module.  ``REPRO_INLINE`` marks each helper
 #: ``static inline`` and, where the compiler allows, forces the inlining:
@@ -79,13 +92,23 @@ SIMD_LEVEL_DECL = "int repro_simd_level(void)"
 #: itself), which libm's ``fmin``/``fmax`` leave unspecified — and compile
 #: to ``minsd``/``maxsd`` instead of a PLT call.  ``rmaxn`` is ``rmax`` that
 #: also keeps a NaN first argument, as ``np.maximum`` and ``np.max`` do.
+#: ``OUTLINE`` keeps a threaded kernel's body out of line: the serial branch
+#: of its entry point and every thread of its team call the one copy
+#: (inlined into both, the module took ~25% longer to compile).
+#: ``team_chunk`` is a thread's static share of a parallel loop: one
+#: contiguous range per thread, in thread order, never a dynamic schedule.
 _PROLOGUE_C = """\
 #include <math.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #if defined(__GNUC__)
 #define REPRO_INLINE static inline __attribute__((always_inline))
+#define OUTLINE static __attribute__((noinline))
 #else
 #define REPRO_INLINE static inline
+#define OUTLINE static
 #endif
 
 #if (defined(__clang__) ? __clang_major__ >= 14 : defined(__GNUC__)) \
@@ -107,6 +130,51 @@ REPRO_INLINE double rmaxn(double a, double b)
 {
     return (a > b || a != a) ? a : b;
 }
+""" + f"""
+#define TEAM_MIN_WORK {TEAM_MIN_WORK}
+#ifdef _OPENMP
+REPRO_INLINE void team_chunk(long n, long* lo, long* hi)
+{{
+    const long t = omp_get_thread_num();
+    const long nt = omp_get_num_threads();
+    *lo = n * t / nt;
+    *hi = n * (t + 1) / nt;
+}}
+#endif
+"""
+
+
+def _team_branch(work: str, body: str, head: str = "", tail: str = "") -> str:
+    """An entry point's threaded branch: from *work* >= the threshold on a
+    team of more than one thread, *head*, then *body* as one parallel region
+    (each thread takes its ``team_chunk``), then *tail*, then the entry
+    returns.  Below it — or built without OpenMP — control falls through to
+    the serial branch after it, which calls into libgomp not at all."""
+    return f"""\
+#ifdef _OPENMP
+    if ({work} >= TEAM_MIN_WORK && omp_get_max_threads() > 1) {{
+{head}#pragma omp parallel
+        {{
+{body}
+        }}
+{tail}        return;
+    }}
+#endif
+"""
+
+
+#: ``repro_threads`` (:data:`THREADS_DECL`).
+_THREADS_C = f"""\
+{THREADS_DECL}
+{{
+#ifdef _OPENMP
+    if (n > 0) omp_set_num_threads(n);
+    return omp_get_max_threads();
+#else
+    (void) n;
+    return 1;
+#endif
+}}
 """
 
 #: C template of the fused con2prim Newton loop.  Operation order matches
@@ -563,12 +631,13 @@ class KernelGenerator:
             self.generate_c_accumulate(),
             self.generate_c_rk_stage(),
             f"{SIMD_LEVEL_DECL} {{ return simd_level(); }}\n",
+            _THREADS_C,
         ]
         return "\n".join(parts)
 
     def c_declarations(self, kinds_axes=None) -> str:
         """cffi ``cdef`` declarations matching :meth:`generate_c_module`
-        (entry points only; every sweep helper is ``static inline``)."""
+        (entry points only; every helper is ``static``)."""
         if kinds_axes is None:
             kinds_axes = self.default_kinds_axes("cext")
         decls = [self.c_signature(kind, axis) + ";" for kind, axis in kinds_axes]
@@ -585,7 +654,7 @@ class KernelGenerator:
                 self.generate_c_rk_stage(),
             )
         ]
-        decls.append(SIMD_LEVEL_DECL + ";")
+        decls += [SIMD_LEVEL_DECL + ";", THREADS_DECL + ";"]
         return "\n".join(decls) + "\n"
 
     # -- recovery sweep and CFL scan (C target only) -------------------------
@@ -593,7 +662,9 @@ class KernelGenerator:
     # Both walk the interior of a C-contiguous ghosted ``(nvars, *cells)``
     # patch by rows (``cext.interior_rows``), so 1-/2-/3-D patches and a
     # trailing batch axis are the same loop; the entry point walks a stack
-    # of ``n_patches`` such patches back to back, one patch at a time.
+    # of ``n_patches`` such patches back to back.  On a team, a stack of
+    # several patches is split by patches (each patch is one thread's, as
+    # serially); a single patch splits its cells, then its rows.
 
     def generate_c_recover(self) -> str:
         """One recovery sweep, stage by stage the interpreted one.
@@ -607,17 +678,47 @@ class KernelGenerator:
         pressure stored as *next_seed*.  A cell that does not converge
         writes nothing.  Patch *q*'s ``counts[5q .. 5q + 4]`` accumulate
         ``[cons_floored, momentum_rescaled, n_unconverged, iters_max,
-        prim_reset]``.
+        prim_reset]``; a single patch split over a team sums its threads'
+        counts (``iters_max``: their maximum) — integers, exact in any order.
         """
         nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
+        params = (
+            "double gamma, double tol, double p_floor,\n    int max_newton, "
+            "double rho_atmo, double p_atmo, double rho_reset,\n    double vmax, "
+            "int solve_only"
+        )
+        args = "gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax, solve_only"
+        team = _team_branch(
+            "n_patches * n_cells",
+            f"""\
+            long lo, hi;
+            if (n_patches > 1) {{
+                team_chunk(n_patches, &lo, &hi);
+                for (long q = lo; q < hi; ++q)
+                    recover_patch_{nd}d(q, cons, prim, n_cells, row_offsets, n_rows,
+                        row_len, seed, warm, next_seed, {args}, counts);
+            }} else {{
+                long c[5] = {{0, 0, 0, 0, 0}};
+                team_chunk(n_cells, &lo, &hi);
+                recover_cells_{nd}d(cons, n_cells, lo, hi, rho_atmo, p_atmo, vmax, c);
+#pragma omp barrier
+                team_chunk(n_rows, &lo, &hi);
+                recover_rows_{nd}d(cons, prim, n_cells, row_offsets, lo, hi, row_len,
+                    (seed && (!warm || warm[0])) ? seed : 0, next_seed, {args}, c);
+#pragma omp critical
+                {{
+                    for (int s = 0; s < 5; ++s)
+                        if (s != 3) counts[s] += c[s];
+                    if (c[3] > counts[3]) counts[3] = c[3];
+                }}
+            }}""",
+        )
         return f"""\
-REPRO_INLINE void recover_patch_{nd}d(double* cons, double* prim, long n_cells,
-    const long* row_offsets, long n_rows, long row_len, const double* seed,
-    double* next_seed, double gamma, double tol, double p_floor,
-    int max_newton, double rho_atmo, double p_atmo, double rho_reset,
-    double vmax, int solve_only, long* counts)
+/* Atmosphere.apply_cons and the momentum cap over cells [lo, hi) */
+OUTLINE void recover_cells_{nd}d(double* cons, long n_cells, long lo, long hi,
+    double rho_atmo, double p_atmo, double vmax, long* counts)
 {{
-    for (long i = 0; i < n_cells; ++i) {{
+    for (long i = lo; i < hi; ++i) {{
         double* const D = cons + i;
         double* const S = D + n_cells;
         double* const tau = D + {tau} * n_cells;
@@ -638,7 +739,14 @@ REPRO_INLINE void recover_patch_{nd}d(double* cons, double* prim, long n_cells,
             counts[1] += 1;
         }}
     }}
-    for (long r = 0; r < n_rows; ++r) {{
+}}
+
+/* seed, Newton and the primitive floor over interior rows [lo, hi) */
+OUTLINE void recover_rows_{nd}d(const double* cons, double* prim, long n_cells,
+    const long* row_offsets, long lo, long hi, long row_len, const double* seed,
+    double* next_seed, {params}, long* counts)
+{{
+    for (long r = lo; r < hi; ++r) {{
         for (long j = 0; j < row_len; ++j) {{
             const long i = row_offsets[r] + j;
             const long k = r * row_len + j;
@@ -680,19 +788,30 @@ REPRO_INLINE void recover_patch_{nd}d(double* cons, double* prim, long n_cells,
     }}
 }}
 
+/* patch q of the stack, whole */
+REPRO_INLINE void recover_patch_{nd}d(long q, double* cons, double* prim,
+    long n_cells, const long* row_offsets, long n_rows, long row_len,
+    const double* seed, const unsigned char* warm, double* next_seed,
+    {params}, long* counts)
+{{
+    const long n_interior = n_rows * row_len;
+    cons += q * {nv} * n_cells;
+    recover_cells_{nd}d(cons, n_cells, 0, n_cells, rho_atmo, p_atmo, vmax,
+        counts + 5 * q);
+    recover_rows_{nd}d(cons, prim + q * {nv} * n_cells, n_cells, row_offsets, 0,
+        n_rows, row_len, (seed && (!warm || warm[q])) ? seed + q * n_interior : 0,
+        next_seed + q * n_interior, {args}, counts + 5 * q);
+}}
+
 void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_patches,
     long n_cells, const long* row_offsets, long n_rows, long row_len,
     const double* seed, const unsigned char* warm, double* next_seed,
     double gamma, double tol, double p_floor, int max_newton, double rho_atmo,
     double p_atmo, double rho_reset, double vmax, int solve_only, long* counts)
 {{
-    const long n_interior = n_rows * row_len;
-    for (long q = 0; q < n_patches; ++q)
-        recover_patch_{nd}d(cons + q * {nv} * n_cells, prim + q * {nv} * n_cells,
-            n_cells, row_offsets, n_rows, row_len,
-            (seed && (!warm || warm[q])) ? seed + q * n_interior : 0,
-            next_seed + q * n_interior, gamma, tol, p_floor, max_newton,
-            rho_atmo, p_atmo, rho_reset, vmax, solve_only, counts + 5 * q);
+{team}    for (long q = 0; q < n_patches; ++q)
+        recover_patch_{nd}d(q, cons, prim, n_cells, row_offsets, n_rows, row_len,
+            seed, warm, next_seed, {args}, counts);
 }}
 """
 
@@ -705,18 +824,50 @@ void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_patches,
         target's dt is scanned with — not the generated ``char_speeds``
         kind, which differs from it in the last bit.  A NaN poisons a
         maximum as it does ``np.max``.  Patch *q* of the stack writes
-        ``vmax[q * ndim .. q * ndim + ndim - 1]``.
+        ``vmax[q * ndim .. q * ndim + ndim - 1]``.  A single patch split
+        over a team folds its threads' partial maxima with ``rmaxn``: the
+        maximum of non-negative doubles is exact in any order, and a NaN
+        stays.
         """
         nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
         vs = ", ".join(f"prim[{1 + a} * n_cells + i]" for a in range(nd))
+        team = _team_branch(
+            "n_patches * n_rows * row_len",
+            f"""\
+            long lo, hi;
+            if (n_patches > 1) {{
+                team_chunk(n_patches, &lo, &hi);
+                for (long q = lo; q < hi; ++q)
+                    max_signal_patch_{nd}d(prim + q * {nv} * n_cells, n_cells,
+                        row_offsets, n_rows, row_len, gamma, vmax + q * {nd});
+            }} else {{
+                double tm[{nd}] = {{0.0}};
+                double tp[{nd}] = {{0.0}};
+                team_chunk(n_rows, &lo, &hi);
+                max_signal_rows_{nd}d(prim, n_cells, row_offsets, lo, hi, row_len,
+                    gamma, tm, tp);
+#pragma omp critical
+                for (int a = 0; a < {nd}; ++a) {{
+                    mm[a] = rmaxn(tm[a], mm[a]);
+                    mp[a] = rmaxn(tp[a], mp[a]);
+                }}
+            }}""",
+            head=f"""\
+        double mm[{nd}] = {{0.0}};
+        double mp[{nd}] = {{0.0}};
+""",
+            tail=f"""\
+        if (n_patches == 1)
+            for (int a = 0; a < {nd}; ++a) vmax[a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
+""",
+        )
         return f"""\
-REPRO_INLINE void max_signal_patch_{nd}d(const double* prim, long n_cells,
-    const long* row_offsets, long n_rows, long row_len, double gamma,
-    double* vmax)
+/* fold interior rows [lo, hi) into the running maxima mm (lam-), mp (lam+) */
+OUTLINE void max_signal_rows_{nd}d(const double* prim, long n_cells,
+    const long* row_offsets, long lo, long hi, long row_len, double gamma,
+    double* mm, double* mp)
 {{
-    double mm[{nd}] = {{0.0}};
-    double mp[{nd}] = {{0.0}};
-    for (long r = 0; r < n_rows; ++r) {{
+    for (long r = lo; r < hi; ++r) {{
         for (long j = 0; j < row_len; ++j) {{
             const long i = row_offsets[r] + j;
             const double rho = prim[i];
@@ -741,6 +892,16 @@ REPRO_INLINE void max_signal_patch_{nd}d(const double* prim, long n_cells,
             }}
         }}
     }}
+}}
+
+REPRO_INLINE void max_signal_patch_{nd}d(const double* prim, long n_cells,
+    const long* row_offsets, long n_rows, long row_len, double gamma,
+    double* vmax)
+{{
+    double mm[{nd}] = {{0.0}};
+    double mp[{nd}] = {{0.0}};
+    max_signal_rows_{nd}d(prim, n_cells, row_offsets, 0, n_rows, row_len, gamma,
+        mm, mp);
     for (int a = 0; a < {nd}; ++a) vmax[a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
 }}
 
@@ -748,7 +909,7 @@ void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_patches, long n_cells,
     const long* row_offsets, long n_rows, long row_len, double gamma,
     double* vmax)
 {{
-    for (long q = 0; q < n_patches; ++q)
+{team}    for (long q = 0; q < n_patches; ++q)
         max_signal_patch_{nd}d(prim + q * {nv} * n_cells, n_cells, row_offsets,
             n_rows, row_len, gamma, vmax + q * {nd});
 }}
@@ -767,7 +928,8 @@ void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_patches, long n_cells,
     # ``i < m`` of SoA tile rows (marked ``/* lanes */``) that the compiler
     # vectorises: IEEE add/mul/div/sqrt round per lane at any width and
     # nothing in the tail is a floating-point reduction, so the width the
-    # host picks cannot move a bit.  Every helper is ``static inline``.
+    # host picks cannot move a bit.  Every tile stage is ``static inline``,
+    # inlined into the one ``OUTLINE`` row walker per axis.
 
     @property
     def nvars(self) -> int:
@@ -1037,13 +1199,34 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
         n_faces - 1) ghosted row *r* lands in (NULL: row *r*), -1 for a row
         nobody reads — still *evaluated*: the interpreted stages count its
         sanitize repairs.  Either output may be NULL.  One schedule serves
-        all five reconstruction ids.
+        all five reconstruction ids.  On a team the rows split — never the
+        tiles of a row — each thread with its own ``q``/``sd``/``Ft`` blocks
+        and counter pair, the pairs summed at the end.
         """
         nd, nv, T = self.ndim, self.nvars, STENCIL_TILE
+        name = self.stencil_kernel_name(axis)
+        rows = f"face_flux_rows_ax{axis}_{nd}d"
+        args = (
+            "prim, var_stride, axis_stride, row_offsets, {lo}, {hi}, j0, n_faces, "
+            "out_row, n_out, F, div,\n                dx, gamma, vmax2, rho_atmo, "
+            "p_atmo, recon_id, limiter_id, riemann_id, {counts}"
+        )
+        team = _team_branch(
+            "n_rows * n_faces",
+            f"""\
+            long lo, hi, c[2] = {{0, 0}};
+            team_chunk(n_rows, &lo, &hi);
+            {rows}({args.format(lo="lo", hi="hi", counts="c")});
+#pragma omp atomic
+            counts[0] += c[0];
+#pragma omp atomic
+            counts[1] += c[1];""",
+        )
         return f"""\
+/* ghosted rows [r_lo, r_hi) */
 REPRO_CLONES
-void {self.stencil_kernel_name(axis)}(const double* prim, long var_stride,
-    long axis_stride, const long* row_offsets, long n_rows, long j0,
+OUTLINE void {rows}(const double* prim, long var_stride,
+    long axis_stride, const long* row_offsets, long r_lo, long r_hi, long j0,
     long n_faces, const long* out_row, long n_out, double* F, double* div,
     double dx, double gamma, double vmax2, double rho_atmo, double p_atmo,
     int recon_id, int limiter_id, int riemann_id, long* counts)
@@ -1051,7 +1234,7 @@ void {self.stencil_kernel_name(axis)}(const double* prim, long var_stride,
     double q[2][{nv}][{T}];
     double sd[2][{2 * nv + 2}][{T}];
     double Ft[{nv}][{T} + 1];
-    for (long r = 0; r < n_rows; ++r) {{
+    for (long r = r_lo; r < r_hi; ++r) {{
         const double* row = prim + row_offsets[r] + j0 * axis_stride;
         const long o = out_row ? out_row[r] : r;
         for (long k0 = 0; k0 < n_faces; k0 += {T}) {{
@@ -1081,6 +1264,15 @@ void {self.stencil_kernel_name(axis)}(const double* prim, long var_stride,
         }}
     }}
 }}
+
+void {name}(const double* prim, long var_stride,
+    long axis_stride, const long* row_offsets, long n_rows, long j0,
+    long n_faces, const long* out_row, long n_out, double* F, double* div,
+    double dx, double gamma, double vmax2, double rho_atmo, double p_atmo,
+    int recon_id, int limiter_id, int riemann_id, long* counts)
+{{
+{team}    {rows}({args.format(lo="0", hi="n_rows", counts="counts")});
+}}
 """
 
     # -- the update stage (C target only) ------------------------------------
@@ -1092,18 +1284,31 @@ void {self.stencil_kernel_name(axis)}(const double* prim, long var_stride,
         first interior cell (``cext.sweep_rows``); ``div`` is (nvars, n_rows,
         width).  A row is one lane loop on the contiguous axis; across a
         strided one 16 rows advance together, so each line of ``dU`` and of
-        ``div`` is touched once while resident."""
+        ``div`` is touched once while resident.  On a team the rows split."""
+        nd = self.ndim
+        call = (
+            "accumulate_rows_{nd}d(dU, var_stride, axis_stride, rows, n_rows, {lo}, "
+            "{hi}, k0, width, div);"
+        )
+        team = _team_branch(
+            "n_rows * width",
+            f"""\
+            long lo, hi;
+            team_chunk(n_rows, &lo, &hi);
+            {call.format(nd=nd, lo="lo", hi="hi")}""",
+        )
         return f"""\
+/* interior rows [r_lo, r_hi) */
 REPRO_CLONES
-void {ACCUMULATE_KERNEL % self.ndim}(double* dU, long var_stride,
-    long axis_stride, const long* rows, long n_rows, long k0, long width,
-    const double* div)
+OUTLINE void accumulate_rows_{nd}d(double* dU, long var_stride,
+    long axis_stride, const long* rows, long n_rows, long r_lo, long r_hi,
+    long k0, long width, const double* div)
 {{
     for (int v = 0; v < {self.nvars}; ++v) {{
         double* const u = dU + v * var_stride + k0 * axis_stride;
         const double* const d = div + v * n_rows * width;
         if (axis_stride == 1) {{
-            for (long r = 0; r < n_rows; ++r) {{
+            for (long r = r_lo; r < r_hi; ++r) {{
                 double* restrict t = u + rows[r];
                 const double* restrict s = d + r * width;
                 for (long k = 0; k < width; ++k) /* lanes */
@@ -1111,13 +1316,20 @@ void {ACCUMULATE_KERNEL % self.ndim}(double* dU, long var_stride,
             }}
             continue;
         }}
-        for (long r0 = 0; r0 < n_rows; r0 += 16) {{
-            const long r1 = (n_rows - r0 < 16) ? n_rows : r0 + 16;
+        for (long r0 = r_lo; r0 < r_hi; r0 += 16) {{
+            const long r1 = (r_hi - r0 < 16) ? r_hi : r0 + 16;
             for (long k = 0; k < width; ++k)
                 for (long r = r0; r < r1; ++r)
                     u[rows[r] + k * axis_stride] -= d[r * width + k];
         }}
     }}
+}}
+
+void {ACCUMULATE_KERNEL % nd}(double* dU, long var_stride,
+    long axis_stride, const long* rows, long n_rows, long k0, long width,
+    const double* div)
+{{
+{team}    {call.format(nd=nd, lo="0", hi="n_rows")}
 }}
 """
 
@@ -1125,26 +1337,42 @@ void {ACCUMULATE_KERNEL % self.ndim}(double* dU, long var_stride,
         """One SSP-RK stage combination over the flat ghosted state: the
         three forms of ``time_integration.ssprk.combine_stage``, operand for
         operand (``U / a`` stays a division; ``a``/``b`` arrive as the
-        doubles Python folded).  *out* aliases no input."""
+        doubles Python folded).  *out* aliases no input.  On a team the flat
+        index splits."""
         tail = "b * (V[i] + dt * k[i])"
+        call = "rk_stage_range({lo}, {hi}, form, a, b, dt, U, V, k, out);"
+        team = _team_branch(
+            f"n / {self.nvars}",
+            f"""\
+            long lo, hi;
+            team_chunk(n, &lo, &hi);
+            {call.format(lo="lo", hi="hi")}""",
+        )
         return f"""\
 REPRO_CLONES
-void {RK_STAGE_KERNEL}(long n, int form, double a, double b, double dt,
-    const double* restrict U, const double* restrict V,
+OUTLINE void rk_stage_range(long lo, long hi, int form, double a, double b,
+    double dt, const double* restrict U, const double* restrict V,
     const double* restrict k, double* restrict out)
 {{
     switch (form) {{
     case 0:
-        for (long i = 0; i < n; ++i) /* lanes */
+        for (long i = lo; i < hi; ++i) /* lanes */
             out[i] = V[i] + dt * k[i];
         break;
     case 1:
-        for (long i = 0; i < n; ++i) /* lanes */
+        for (long i = lo; i < hi; ++i) /* lanes */
             out[i] = a * U[i] + {tail};
         break;
     default:
-        for (long i = 0; i < n; ++i) /* lanes */
+        for (long i = lo; i < hi; ++i) /* lanes */
             out[i] = U[i] / a + {tail};
     }}
+}}
+
+void {RK_STAGE_KERNEL}(long n, int form, double a, double b, double dt,
+    const double* restrict U, const double* restrict V,
+    const double* restrict k, double* restrict out)
+{{
+{team}    {call.format(lo="0", hi="n")}
 }}
 """

@@ -53,6 +53,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import sys
 import threading
 import time
 import traceback
@@ -156,10 +157,14 @@ class _WorkerShell:
         return record
 
     def snapshot(self) -> dict:
+        # never imported just to ask: a worker that does not run the
+        # compiled target has not imported it (nor SymPy)
+        cext = sys.modules.get("repro.codegen.cext")
         return {
             "metrics": self.metrics.snapshot(),
             "timers": {name: t.elapsed for name, t in self.timers.items()},
             "process_seconds": time.process_time() - self._process_t0,
+            "cext_threads": None if cext is None else cext.loaded_threads(),
         }
 
     def shell_state(self) -> dict:
@@ -278,12 +283,19 @@ _WORKER_CALLS = frozenset({
 def _worker_main(spec: _WorkerSpec, conn) -> None:
     """Worker process body.  Three verbs: ``step``, ``call`` (one
     allow-listed worker method) and ``shutdown``; every command is answered
-    by exactly one ``done`` / ``step_failed`` / ``error`` reply."""
+    by exactly one ``done`` / ``step_failed`` / ``error`` reply.
+
+    A worker runs its compiled kernels on one thread, pinned before its
+    driver is built: the fleet already occupies one core per rank, and a
+    team per worker on top would oversubscribe the host."""
     worker = None
     board = None
     hb_stop = threading.Event()
     hb_thread = None
     try:
+        # Read by the OpenMP runtime when the first compiled module loads:
+        # nothing here has loaded one before the driver is built.
+        os.environ["OMP_NUM_THREADS"] = "1"
         board = SupervisionBoard.attach(spec.board_name, spec.size,
                                         rank=spec.rank)
         board.beat()
@@ -1053,7 +1065,8 @@ class ProcessSolver(Driver):
         return {rank: shard[0] for rank, shard in self.checkpoint_shards().items()}
 
     def worker_snapshots(self) -> list[dict]:
-        """Per-rank ``{metrics, timers, process_seconds}`` snapshots."""
+        """Per-rank ``{metrics, timers, process_seconds, cext_threads}``
+        snapshots."""
         return list(self._call_all("snapshot").values())
 
     def checkpoint_shards(self) -> dict[int, tuple]:

@@ -45,6 +45,47 @@ def _log_records(name, level=logging.INFO):
         log.setLevel(old_level)
 
 
+def _set_team(n):
+    """Team size *n* for the compiled kernels (every module shares one
+    OpenMP runtime); skips, with the reason, where it cannot exceed 1."""
+    from repro.codegen import cext as cext_mod
+
+    got = cext_mod.threads(1, n)
+    if got != n:
+        pytest.skip(f"the compiled kernels cannot run {n} threads here (team: {got})")
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda n: f"threads{n}")
+def team(request, monkeypatch):
+    """Every compiled kernel on a team of 1, 2 or 4 threads (4 oversubscribes
+    a 2-core host on purpose), small calls included: each ndim's module is
+    swapped, in-process, for a build of the same source whose team
+    threshold is 0, so the hypothesis-sized patches of the parity tests take
+    the threaded branch of every entry point too.  The resolved systems the
+    classes cache are reset around the test."""
+    from repro.codegen import cext as cext_mod
+    from repro.codegen.generator import TEAM_MIN_WORK
+
+    if not all(cext_mod.cext_available(nd) for nd in (1, 2, 3)):
+        pytest.skip("no C toolchain")
+    threshold = f"#define TEAM_MIN_WORK {TEAM_MIN_WORK}\n"
+    for ndim in (1, 2, 3):
+        name, source, cdef = cext_mod.module_spec(ndim)
+        assert source.count(threshold) == 1
+        forced = source.replace(threshold, "#define TEAM_MIN_WORK 0\n")
+        forced_name = cext_mod._artifact_name(f"_repro_test_team_{ndim}d", forced, cdef)
+        cext_mod._load_spec(forced_name, forced, cdef)
+        monkeypatch.setitem(cext_mod._modules, name, cext_mod._modules[forced_name])
+    monkeypatch.setattr(TestCompiledRecovery, "_RESOLVED", {})
+    monkeypatch.setattr(TestPatchStacks, "_RESOLVED", {})
+    before = cext_mod.threads(1)
+    try:
+        _set_team(request.param)
+        yield request.param
+    finally:
+        cext_mod.threads(1, before)
+
+
 def _tracer_system():
     from repro.physics.tracers import TracerSystem
 
@@ -156,6 +197,7 @@ class TestGeneratedCBudget:
             RECOVER_KERNEL,
             RK_STAGE_KERNEL,
             SIMD_LEVEL_DECL,
+            THREADS_DECL,
         )
 
         gen = KernelGenerator(ndim)
@@ -167,15 +209,24 @@ class TestGeneratedCBudget:
         # Column-0 definitions: the pointwise kernels, the Newton loop, the
         # recovery sweep, the CFL scan, the per-axis sweep entry points, the
         # update stage (accumulate, one RK stage combination) and the clone
-        # probe, everything else a REPRO_INLINE helper or the one
-        # `static` tile filler the sweeps share.  One sweep per axis — no
-        # schedule twins — and one Newton body for the two kernels running it.
+        # and team probes, everything else a REPRO_INLINE helper, the one
+        # `static` tile filler the sweeps share, or the OUTLINE body
+        # of a threaded kernel — written once, called by its entry point's
+        # serial branch and by every thread of its team.  One sweep per
+        # axis — no schedule twins — and one Newton body for the two
+        # kernels running it.
         defs = re.findall(r"^(?!#)(\w[^\n;{]*?)\s+\**(\w+)\(", code, flags=re.M)
         statics = [name for head, name in defs if head.startswith("static")]
         assert statics == [f"fill_tile_{ndim}d"]
+        outlines = [name for head, name in defs if head.startswith("OUTLINE")]
+        assert outlines == [
+            f"recover_cells_{ndim}d", f"recover_rows_{ndim}d", f"max_signal_rows_{ndim}d",
+            *(f"face_flux_rows_ax{ax}_{ndim}d" for ax in range(ndim)),
+            f"accumulate_rows_{ndim}d", "rk_stage_range",
+        ]
         entries = [
             name for head, name in defs
-            if not head.startswith(("REPRO_INLINE", "static"))
+            if not head.startswith(("REPRO_INLINE", "static", "OUTLINE"))
         ]
         assert entries == [
             *(gen.kernel_name(k, ax, "cext") for k, ax in gen.default_kinds_axes("cext")),
@@ -186,6 +237,7 @@ class TestGeneratedCBudget:
             ACCUMULATE_KERNEL % ndim,
             RK_STAGE_KERNEL,
             re.search(r"(\w+)\(", SIMD_LEVEL_DECL).group(1),
+            re.search(r"(\w+)\(", THREADS_DECL).group(1),
         ]
         # One tail, no scalar twin: nothing takes a per-face `double* q`
         # state, and none of the per-face helpers it replaced is left.
@@ -749,6 +801,50 @@ class TestNoToolchainFallback:
         assert pipe.metrics.counter("codegen.target_fallbacks").value == 1
         assert [p for p in tmp_path.iterdir() if p.is_file()] == []
 
+    def test_toolchain_without_openmp_builds_the_same_source(self, monkeypatch, tmp_path):
+        """A compiler that rejects ``-fopenmp`` is not a fallback: the same
+        source builds without it (another artifact name), runs one thread,
+        says so on the load line, and its bytes are the threaded build's."""
+        from repro.boundary import make_boundaries
+        from repro.codegen import cext as cext_mod
+        from repro.core.batch import BatchSolver
+        from repro.core.config import SolverConfig
+        from repro.mesh.grid import Grid
+        from repro.physics.initial_data import RP1, RP2, shock_tube
+
+        if not cext_mod.cext_available(1):
+            pytest.skip("no C toolchain")
+        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid = Grid((600,), ((0.0, 1.0),))
+        tubes = [shock_tube(system, grid, rp) for rp in (RP1, RP2) * 4]
+
+        def run():
+            solver = BatchSolver(
+                system, grid, [p.copy() for p in tubes],
+                SolverConfig(kernel_target="cext", cfl=0.4), make_boundaries("outflow"),
+            )
+            assert hasattr(solver.pipeline.system, "recover")
+            for _ in range(5):
+                solver.step()
+            return solver.cons.tobytes(), solver.metrics.snapshot()
+
+        threaded_name = cext_mod.module_spec(1)[0]
+        before = cext_mod.threads(1)
+        try:
+            _set_team(2)
+            want = run()
+        finally:
+            cext_mod.threads(1, before)
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(cext_mod, "openmp_supported", lambda: False)
+        assert cext_mod.OPENMP_FLAG not in cext_mod.build_flags()
+        assert cext_mod.module_spec(1)[0] != threaded_name
+        with _log_records("repro.codegen.cext") as records:
+            assert cext_mod.threads(1) == 1
+            assert cext_mod.threads(1, 2) == 1
+        assert any("built without OpenMP" in r.getMessage() for r in records)
+        assert run() == want
+
 
 class TestUnsupportedSystemRefused:
     """A system the generator cannot specialise is refused by name, not run
@@ -844,6 +940,41 @@ class TestCextCacheCorruption:
             "corrupt artifact was not evicted and rebuilt"
         )
         assert path.read_bytes() != garbage, "corrupt artifact left in cache"
+
+    def test_concurrent_cold_builders_leave_one_whole_artifact(self, tmp_path):
+        """Three processes race a cold build of one module into an empty
+        cache: each builds in a private temp dir and installs with an
+        atomic rename, so every one loads a whole artifact (the same
+        clone, the same team) and the cache ends holding exactly one file
+        and no temp dir."""
+        import json
+        import subprocess
+        import sys
+
+        from repro.codegen import cext as cext_mod
+
+        if not cext_mod.cext_available(1):
+            pytest.skip("no C toolchain")
+        env = dict(os.environ)
+        env[cext_mod.CACHE_DIR_ENV] = str(tmp_path)
+        probe = (
+            "import json\n"
+            "from repro.codegen import cext\n"
+            "ffi, lib = cext.load_cext_module(1)\n"
+            "print(json.dumps([lib.repro_simd_level(), lib.repro_threads(0)]))\n"
+        )
+        procs = [
+            subprocess.Popen([sys.executable, "-c", probe], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for _ in range(3)
+        ]
+        outs = [proc.communicate(timeout=300) for proc in procs]
+        for proc, (_, err) in zip(procs, outs):
+            assert proc.returncode == 0, err
+        loaded = [json.loads(out.strip().splitlines()[-1]) for out, _ in outs]
+        assert loaded[0] == loaded[1] == loaded[2]
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == [cext_mod.artifact_path(cext_mod.module_spec(1)[0]).name], left
 
 
 class TestFusedStencilParity:
@@ -1653,6 +1784,17 @@ class TestCompiledRecovery:
             plain, grid, ghost_only
         )
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_on_a_team(self, layout, team):
+        """The three kernel-level parities above — every floor branch, the
+        recover property, the CFL scan with its NaN cells — with every
+        ``recover`` / ``max_signal`` call on a team of *team* threads: the
+        bytes (and counts) of the serial branch at any team size."""
+        with pytest.MonkeyPatch.context() as mp:
+            self.test_every_floor_branch_on_the_hot_path(layout, mp)
+        self.test_recover_parity_property(layout)
+        self.test_max_signal_is_the_handwritten_scan(layout)
+
     def _hard_cons(self, pipe, fail=False):
         """Newton-hostile cells: the atmosphere-scale state of
         ``test_srhd.py::test_bisection_at_atmosphere_scale``, cold W ~ 60
@@ -1944,6 +2086,14 @@ class TestCompiledUpdate:
             assert in_ws != final  # intermediates recycled, the result owned
             V = got
 
+    def test_on_a_team(self, team):
+        """The kernel-level update parities above with every
+        ``face_flux`` / ``accumulate`` / ``rk_stage`` call on a team of
+        *team* threads."""
+        self.test_any_partition_accumulates_to_the_full_sweep()
+        for name in ("euler", "ssprk2", "ssprk3"):
+            self.test_every_stage_is_the_numpy_expression(name)
+
     @pytest.mark.parametrize("integrator", ["euler", "ssprk2", "ssprk3"])
     def test_five_steps_every_driver_cext_equals_flat(self, integrator):
         """The whole update stage end to end: every driver's state after
@@ -2162,6 +2312,132 @@ class TestPatchStacks:
             assert stack.metrics.snapshot() == single.metrics.snapshot()
 
         check()
+
+    def test_a_stack_is_its_patches_on_a_team(self, team):
+        """As above, every kernel call on a team of *team* threads: a stack
+        of several patches splits by patches, a single patch by cells and
+        rows — each the bytes of one call per patch."""
+        self.test_a_stack_is_its_patches()
+
+
+class TestThreadCounts:
+    """Whole runs at 1, 2 and 4 threads on the production build: the calls
+    of a 64^2 patch, a 2x2 stack of 32^2 and an 8-wide batch reach the
+    team, and every team size gives the 1-thread bytes and stream."""
+
+    @staticmethod
+    def _hostile_blast(system, grid):
+        """A blast with a band of diagonal near-luminal flow and a strip
+        of near-vacuum: the sanitize repairs, the atmosphere floors, the
+        momentum cap and the failsafe all fire within five steps."""
+        from repro.physics.initial_data import blast_wave_2d
+
+        prim = blast_wave_2d(system, grid, p_in=10.0, p_out=1.0)
+        inner = grid.interior_of(prim)
+        shape = inner.shape[1:]
+        checker = np.indices(shape).sum(axis=0) % 2 == 0
+        band = np.zeros(shape, dtype=bool)
+        band[:, 40:48] = True
+        inner[system.V(0)][band & checker] = 0.8
+        inner[system.V(1)][band & ~checker] = 0.8
+        inner[system.RHO, 40:48] = 1e-6
+        inner[system.P, 40:48] = 1e-8
+        return prim
+
+    def test_whole_runs_are_the_same_at_any_team_size(self):
+        from repro.boundary import make_boundaries
+        from repro.codegen import cext as cext_mod
+        from repro.core.batch import BatchSolver
+        from repro.core.config import SolverConfig
+        from repro.core.distributed import DistributedSolver
+        from repro.core.solver import Solver
+        from repro.mesh.grid import Grid
+        from repro.obs import BufferSink, StepRecorder, canonical_stream
+        from repro.physics.initial_data import RP1, RP2, shock_tube
+
+        if not (cext_mod.cext_available(1) and cext_mod.cext_available(2)):
+            pytest.skip("no C toolchain")
+        system2 = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        grid2 = Grid((64, 64), ((0.0, 1.0), (0.0, 1.0)))
+        prim2 = self._hostile_blast(system2, grid2)
+        system1 = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid1 = Grid((600,), ((0.0, 1.0),))
+        tubes = [shock_tube(system1, grid1, (RP1, RP2)[i % 2]) * (1.0 + 0.1 * i)
+                 for i in range(8)]
+        config = SolverConfig(
+            kernel_target="cext", cfl=0.4, reconstruction="weno5", riemann="hllc",
+            failsafe_frac=0.01,
+        )
+        periodic = make_boundaries("periodic")
+
+        def runs():
+            out = []
+            for make in (
+                lambda rec: Solver(system2, grid2, prim2.copy(), config, periodic,
+                                   recorder=rec),
+                lambda rec: DistributedSolver(system2, grid2, prim2.copy(), (2, 2),
+                                              config, periodic, recorder=rec),
+                lambda rec: BatchSolver(system1, grid1, [p.copy() for p in tubes],
+                                        config, make_boundaries("outflow"), recorder=rec),
+            ):
+                sink = BufferSink()
+                driver = make(StepRecorder(sink))
+                for _ in range(5):
+                    driver.step()
+                cons = driver.cons
+                states = [cons[k].tobytes() for k in sorted(cons)] if isinstance(
+                    cons, dict) else [cons.tobytes()]
+                out.append((states, driver.t, canonical_stream(sink.records)))
+            return out
+
+        before = cext_mod.threads(2)
+        try:
+            _set_team(1)
+            want = runs()
+            for n in (2, 4):
+                _set_team(n)
+                got = runs()
+                for (states, t, stream), ref in zip(got, want):
+                    assert (states, t) == ref[:2], n
+                    assert stream == ref[2], n
+        finally:
+            cext_mod.threads(2, before)
+        for name in ("sanitize.floored", "sanitize.velocity_rescaled", "con2prim.cells",
+                     "atmo.cons_floored", "resilience.failsafe_cells"):
+            assert f'"{name}": ' in want[0][2], name
+
+    def test_a_nan_cell_stays_nan_at_any_team_size(self):
+        """The CFL scan over a 64^2 patch (the single-patch row split) and a
+        stack of four 32^2 patches (the patch split), one NaN pressure in
+        one patch: NaN there on every axis, the handwritten scan elsewhere."""
+        from repro.codegen import cext as cext_mod
+        from repro.mesh.grid import Grid
+        from repro.time_integration.cfl import max_signal_per_axis
+
+        if not cext_mod.cext_available(2):
+            pytest.skip("no C toolchain")
+        from repro.codegen.system import make_kernel_system
+
+        plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        system = make_kernel_system(plain, "cext")
+        rng = np.random.default_rng(3)
+        before = cext_mod.threads(2)
+        try:
+            for n_patches, n in ((1, 64), (4, 32)):
+                grid = Grid((n, n), ((0.0, 1.0), (0.0, 1.0)), n_ghost=3)
+                prims = np.stack([random_prim(plain, grid.shape_with_ghosts, rng)
+                                  for _ in range(n_patches)])
+                victim = n_patches - 1
+                grid.interior_of(prims[victim])[plain.P, n // 2, n // 3] = np.nan
+                want = [max_signal_per_axis(plain, grid, p) for p in prims]
+                stack = prims.reshape((-1,) + prims.shape[2:])
+                for threads in (1, 2, 4):
+                    _set_team(threads)
+                    got = system.max_signal(stack, grid.n_ghost, n_patches)
+                    assert np.isnan(got[victim]).all(), threads
+                    assert got[:victim] == want[:victim], threads
+        finally:
+            cext_mod.threads(2, before)
 
 
 class TestFusedSolverDigest:

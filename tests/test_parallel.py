@@ -510,6 +510,75 @@ class TestProcessCheckpointing:
             assert prims.tobytes() == clean.gather_primitives().tobytes()
 
 
+class TestWorkerThreads:
+    """A fleet worker runs its compiled kernels on one thread: the fleet
+    already holds one core per rank, and a team in every worker on top
+    would oversubscribe the host (2 workers x 2 threads on 2 cores ran
+    ``blast2d_proc2`` ~5x slower)."""
+
+    def test_every_worker_runs_one_thread(self):
+        from repro.core.amr_parallel import AMRProcessSolver
+        from repro.core.amr_solver import AMRConfig
+
+        require_cext(2)
+        system, grid, prim0 = _blast2d_setup(16)
+        config = SolverConfig(cfl=0.4, kernel_target="cext", executor="process")
+        with ProcessSolver(system, grid, prim0, (2, 1), config=config) as fleet:
+            fleet.step()
+            assert [s["cext_threads"] for s in fleet.worker_snapshots()] == [1, 1]
+        with AMRProcessSolver(
+            system, Grid((32, 32), ((0.0, 1.0), (0.0, 1.0))),
+            lambda s, g: blast_wave_2d(s, g), config=config,
+            amr=AMRConfig(block_size=8, max_levels=2), n_ranks=2,
+        ) as fleet:
+            fleet.step()
+            assert [s["cext_threads"] for s in fleet.worker_snapshots()] == [1, 1]
+
+    def test_the_pin_comes_before_the_driver(self, monkeypatch):
+        """``_worker_main`` pins before ``worker_cls(spec, board)`` runs:
+        ``OMP_NUM_THREADS`` is 1 by then, before anything could have
+        loaded a compiled module — driven in-process, with a worker class
+        that records what its construction sees."""
+        from repro.core import parallel
+
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+        class _Board:
+            def beat(self):
+                pass
+
+            def close(self):
+                pass
+
+        class _Conn:
+            def __init__(self):
+                self.sent = []
+
+            def send(self, msg):
+                self.sent.append(msg)
+
+            def close(self):
+                pass
+
+        seen = []
+
+        class _Probe:
+            def __init__(self, spec, board):
+                seen.append(os.environ.get("OMP_NUM_THREADS"))
+                raise RuntimeError("probe done")
+
+        monkeypatch.setattr(parallel.SupervisionBoard, "attach", lambda *a, **k: _Board())
+        spec = parallel._WorkerSpec(
+            rank=0, size=1, channels={}, comm_timeout_s=1.0, barrier_timeout_s=1.0,
+            board_name="unused", heartbeat_interval_s=60.0, worker_cls=_Probe,
+            payload={},
+        )
+        conn = _Conn()
+        parallel._worker_main(spec, conn)
+        assert seen == ["1"]
+        assert conn.sent[0][0] == "error" and "probe done" in conn.sent[0][1]
+
+
 class TestMakeDistributedSolver:
     def test_dispatch(self):
         system, grid, prim0 = _rp1_setup()
