@@ -1,15 +1,16 @@
 """Automatic kernel generation from symbolic physics (SymPy).
 
 Write the SRHD equations once (:class:`SRHDSymbols`), emit per-architecture
-kernels (:class:`KernelGenerator`: ``numpy`` host flavour, ``flat`` SoA
-accelerator flavour, ``cext`` compiled-C flavour), compile and cache them
-(:func:`load_kernel`, :mod:`repro.codegen.cext`), and verify every
-generated kernel against the handwritten reference
-(:func:`verify_kernels`).
+kernels (:class:`KernelGenerator`: ``numpy`` host flavour and ``flat`` SoA
+accelerator flavour of every pointwise kind, and the ``cext`` module of
+compiled row kernels), compile and cache them (:func:`load_kernel`,
+:mod:`repro.codegen.cext`), and verify every generated kernel against the
+handwritten reference (:func:`verify_kernels`).  A solver calls one
+generated pointwise kernel, ``face_side`` on ``flat``; on ``cext`` the
+same CSE'd list runs inside the compiled sweep.
 """
 
 from .cache import (
-    ALL_TARGETS,
     cache_size,
     clear_cache,
     load_kernel,
@@ -47,5 +48,4 @@ __all__ = [
     "load_cext_module",
     "cache_report",
     "prune_cache",
-    "ALL_TARGETS",
 ]

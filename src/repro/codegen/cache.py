@@ -47,13 +47,6 @@ def load_kernel(kind: str, ndim: int, axis: int = 0, target: str = "numpy") -> C
     expressions per call.
     """
     global compile_count
-    if target == "cext":
-        # Compiled kernels live in a shared library with a different calling
-        # convention; repro.codegen.cext wraps them in flat-compatible
-        # callables and owns the artifact cache.
-        from .cext import load_cext_kernel
-
-        return load_cext_kernel(kind, ndim, axis)
     gen = KernelGenerator(ndim)
     source = gen.generate(kind, axis, target)
     name = gen.kernel_name(kind, axis, target)
@@ -82,18 +75,13 @@ def run_flat_kernel(kernel: Callable, prim: np.ndarray, n_out: int, gamma: float
 
     Splits ``prim`` into per-variable flat views (zero-copy), allocates flat
     outputs, and restacks the result — the host-side marshalling a real GPU
-    launch performs.  Works unchanged for the compiled ``cext`` wrappers,
-    which share the flat calling convention.
+    launch performs.
     """
     shape = prim.shape[1:]
     ins = [prim[i].reshape(-1) for i in range(prim.shape[0])]
     outs = [np.empty(ins[0].shape) for _ in range(n_out)]
     kernel(*ins, *outs, gamma)
     return np.stack([o.reshape(shape) for o in outs])
-
-
-#: All kernel targets, in emission order.
-ALL_TARGETS = ("numpy", "flat", "cext")
 
 
 def _sample_states(system: SRHDSystem, n_samples: int, rng) -> np.ndarray:
@@ -114,17 +102,13 @@ def verify_kernels(
     n_samples: int = 256,
     rtol: float = 1e-12,
     seed: int = 7,
-    targets: tuple[str, ...] | None = None,
     con2prim_rtol: float = 1e-10,
 ) -> dict[str, float]:
-    """Compare every generated kernel a solver evaluates on each target
-    (:meth:`KernelGenerator.default_kinds_axes`) against the handwritten
-    reference.
+    """Compare every generated kernel (:meth:`KernelGenerator.kinds`) on the
+    ``numpy`` and ``flat`` targets against the handwritten reference.
 
-    *targets* defaults to ``("numpy", "flat")`` plus ``"cext"`` whenever the
-    compiled target is actually buildable here — pass an explicit tuple to
-    force (or forbid) it.  For ``cext`` the fused con2prim Newton kernel is
-    additionally checked by running a full
+    Whenever the compiled target is buildable here, its con2prim Newton
+    kernel is checked too, by running a full
     :func:`~repro.physics.con2prim.con_to_prim` recovery through
     :class:`~repro.codegen.system.CompiledSRHDSystem` and comparing the
     recovered primitives at *con2prim_rtol* (the inversion is iterative, so
@@ -133,10 +117,7 @@ def verify_kernels(
     Returns the max relative deviation per kernel; raises
     :class:`CodegenError` if any exceeds its tolerance.
     """
-    if targets is None:
-        from .cext import cext_available
-
-        targets = ("numpy", "flat") + (("cext",) if cext_available(ndim) else ())
+    from .cext import cext_available
 
     rng = np.random.default_rng(seed)
     system = SRHDSystem(IdealGasEOS(gamma=gamma), ndim=ndim)
@@ -160,8 +141,8 @@ def verify_kernels(
         refs["char_speeds", axis] = lam_ref
         refs["face_side", axis] = np.concatenate([cons_ref, F_ref, lam_ref])
 
-    for target in targets:
-        for kind, axis in KernelGenerator(ndim).default_kinds_axes(target):
+    for target in ("numpy", "flat"):
+        for kind, axis in KernelGenerator(ndim).kinds():
             ref = refs[kind, axis]
             k = load_kernel(kind, ndim, axis, target)
             if target == "numpy":
@@ -171,13 +152,13 @@ def verify_kernels(
             label = kind if kind == "prim_to_con" else f"{kind}{axis}"
             check(f"{label}/{target}", got, ref)
 
-        if target == "cext":
-            from ..physics.con2prim import con_to_prim
-            from .system import CompiledSRHDSystem
+    if cext_available(ndim):
+        from ..physics.con2prim import con_to_prim
+        from .system import CompiledSRHDSystem
 
-            compiled = CompiledSRHDSystem(gamma=gamma, ndim=ndim)
-            prim_ref = con_to_prim(system, cons_ref.copy())
-            prim_got = con_to_prim(compiled, cons_ref.copy())
-            check(f"con2prim/{target}", prim_got, prim_ref, tol=con2prim_rtol)
+        compiled = CompiledSRHDSystem(gamma=gamma, ndim=ndim)
+        prim_ref = con_to_prim(system, cons_ref.copy())
+        prim_got = con_to_prim(compiled, cons_ref.copy())
+        check("con2prim/cext", prim_got, prim_ref, tol=con2prim_rtol)
 
     return deviations

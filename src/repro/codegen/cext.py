@@ -1,10 +1,14 @@
 """Compiled C kernel target: cffi build, on-disk artifact cache, fallback.
 
 The ``cext`` target turns the generated C module of
-:meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` —
-pointwise kernels, con2prim Newton loop, one-pass recovery sweep, CFL scan,
-fused face-flux sweep, update stage: one artifact per ndim — into a real shared
-library via cffi.  Three layers of caching keep rebuilds rare and *correct*:
+:meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` into a
+real shared library via cffi: one artifact per ndim, whose entry points are
+the row kernels (one-pass recovery sweep, CFL scan, fused face-flux sweep
+per axis, ``accumulate``, ``rk_stage``), the cold-path con2prim Newton loop
+and the clone and team probes — each driven by one ``run_*`` function
+below.  There is no pointwise entry point: the per-side algebra runs
+inside the sweep.  Three layers of caching keep rebuilds rare and
+*correct*:
 
 1. an in-process handle map, keyed by the artifact name;
 2. an on-disk artifact cache (``$REPRO_CEXT_CACHE``, default
@@ -195,15 +199,15 @@ def _artifact_name(prefix: str, source: str, cdef: str) -> str:
     return full if artifact_path(full).exists() else name(build_flags())
 
 
-def module_spec(ndim: int, kinds_axes=None) -> tuple[str, str, str]:
+def module_spec(ndim: int) -> tuple[str, str, str]:
     """(artifact name, C source, cdef declarations) for one ndim's module.
 
     Any change to the symbolic spec, the emitter, the compiler stack or
     the compile flags changes the name and forces a rebuild.
     """
     gen = KernelGenerator(ndim)
-    source = gen.generate_c_module(kinds_axes)
-    cdef = gen.c_declarations(kinds_axes)
+    source = gen.generate_c_module()
+    cdef = gen.c_declarations()
     return _artifact_name(f"_repro_cext_{ndim}d", source, cdef), source, cdef
 
 
@@ -288,7 +292,7 @@ def _load_spec(name: str, source: str, cdef: str):
     return module.ffi, module.lib
 
 
-def load_cext_module(ndim: int, kinds_axes=None):
+def load_cext_module(ndim: int):
     """(ffi, lib) of the compiled kernel module for *ndim*.
 
     Builds (and disk-caches) on first use; raises
@@ -297,7 +301,7 @@ def load_cext_module(ndim: int, kinds_axes=None):
     """
     if cext_disabled():
         raise CodegenError(f"cext target disabled via {DISABLE_ENV}=1")
-    return _load_spec(*module_spec(ndim, kinds_axes))
+    return _load_spec(*module_spec(ndim))
 
 
 def simd_level(ndim: int) -> str:
@@ -406,33 +410,6 @@ def _out_buf(ffi, arr, ctype="double*"):
     if not arr.flags.c_contiguous:
         raise CodegenError("cext output buffers must be C-contiguous")
     return ffi.from_buffer(ctype, arr, require_writable=True)
-
-
-def load_cext_kernel(kind: str, ndim: int, axis: int = 0):
-    """A Python callable with the flat/SoA calling convention.
-
-    The returned function takes ``(*input_rows, *output_rows, gamma)`` flat
-    float64 arrays exactly like a ``target="flat"`` kernel, so
-    :func:`repro.codegen.cache.run_flat_kernel` can drive it unchanged.
-    """
-    gen = KernelGenerator(ndim)
-    # A kind the solver's module does not carry (``flux``) still compiles
-    # on demand, as a one-kernel module of its own.
-    in_default = (kind, axis) in gen.default_kinds_axes("cext")
-    ffi, lib = load_cext_module(ndim, None if in_default else [(kind, axis)])
-    fn = getattr(lib, gen.kernel_name(kind, axis, "cext"))
-    n_in = len(gen.symbols.input_names())
-
-    def kernel(*args):
-        *arrays, gamma = args
-        ins, outs = arrays[:n_in], arrays[n_in:]
-        keep: list = []
-        cins = [_in_buf(ffi, a, keep) for a in ins]
-        couts = [_out_buf(ffi, o) for o in outs]
-        fn(ins[0].size, *cins, *couts, float(gamma))
-        return outs[0] if len(outs) == 1 else tuple(outs)
-
-    return kernel
 
 
 def run_con2prim_newton(

@@ -9,11 +9,15 @@ Three targets model the architectures of a heterogeneous node:
   CUDA kernel receives raw device pointers. On this substrate it still
   executes through NumPy, but it exercises the same generation path and
   data layout a GPU emitter uses.
-- ``cext`` — genuinely compiled C: the same CSE'd expressions printed
-  through SymPy's C99 printer into a per-cell loop with SoA pointer
-  arguments, built into a shared library by :mod:`repro.codegen.cext`.
-  The per-cell loop body is exactly the flat target's data layout, so the
-  two differ only in who runs the loop (the C compiler vs. NumPy).
+- ``cext`` — genuinely compiled C: one module of *row kernels*
+  (:meth:`KernelGenerator.generate_c_module`), each walking whole rows of a
+  ghosted patch or a stack of them — the recovery sweep, the CFL scan, the
+  fused reconstruction + Riemann + difference sweep per axis, the update
+  stage and the cold-path Newton loop — built into a shared library by
+  :mod:`repro.codegen.cext`.  The spec reaches it through the sweep's
+  per-side tile stage, which prints the same CSE'd ``face_side`` list
+  through SymPy's C99 printer that the ``flat`` kernel prints through
+  NumPy's; there is no pointwise C entry point.
 
 Common subexpression elimination (``sympy.cse``) is applied before
 printing, exactly as production generators do to keep register pressure and
@@ -30,7 +34,7 @@ from sympy.printing.numpy import NumPyPrinter
 from ..utils.errors import CodegenError
 from .symbols import SRHDSymbols
 
-_TARGETS = ("numpy", "flat", "cext")
+_TARGETS = ("numpy", "flat")
 
 #: Runtime dispatch ids baked into the fused stencil kernels.  The ids are
 #: part of the compiled ABI: they select the reconstruction family, the
@@ -482,16 +486,9 @@ class KernelGenerator:
         return assignments, reduced[len(stages):]
 
     def generate(self, kind: str, axis: int = 0, target: str = "numpy") -> str:
-        """Return the complete source of one kernel function.
-
-        For the ``numpy`` and ``flat`` targets this is Python source; for
-        ``cext`` it is the C function body that
-        :func:`repro.codegen.cext.load_cext_module` compiles.
-        """
+        """Return the complete Python source of one kernel function."""
         if target not in _TARGETS:
             raise CodegenError(f"unknown target {target!r}; choose from {_TARGETS}")
-        if target == "cext":
-            return self.generate_c(kind, axis)
         sym = self.symbols
         in_names = sym.input_names()
         out_names = sym.output_names(kind, axis)
@@ -523,73 +520,27 @@ class KernelGenerator:
         lines.append(f"    return {ret}")
         return "\n".join(lines) + "\n"
 
-    def default_kinds_axes(self, target: str = "numpy") -> list[tuple[str, int]]:
-        """Every (kind, axis) pair a solver on *target* evaluates.
-
-        ``flat``/``cext`` Riemann solvers take both sides' (U, F, lambda)
-        from ``face_side``; ``flux`` alone is only reached by the ``numpy``
-        target, whose ``face_side`` is the three separate calls.
-        """
-        per_axis = ("flux", "char_speeds") if target == "numpy" else (
-            "char_speeds", "face_side")
+    def kinds(self) -> list[tuple[str, int]]:
+        """Every (kind, axis) pair the spec generates.  Of these a solver
+        calls only ``face_side`` (on ``flat``); the rest are checked against
+        the handwritten reference and timed by E12."""
         return [("prim_to_con", 0)] + [
-            (kind, ax) for ax in range(self.ndim) for kind in per_axis
+            (kind, ax)
+            for ax in range(self.ndim)
+            for kind in ("flux", "char_speeds", "face_side")
         ]
 
-    def generate_module(self, kinds_axes=None, target: str = "numpy") -> str:
+    def generate_module(self, target: str = "numpy") -> str:
         """Source for a whole kernel module (all kinds, all axes)."""
-        if target == "cext":
-            return self.generate_c_module(kinds_axes)
-        if kinds_axes is None:
-            kinds_axes = self.default_kinds_axes(target)
         header = (
             '"""Auto-generated SRHD kernels — do not edit.\n\n'
             f"ndim={self.ndim}, target={target}. Generated by "
             'repro.codegen.KernelGenerator."""\n'
         )
-        bodies = [self.generate(kind, axis, target) for kind, axis in kinds_axes]
+        bodies = [self.generate(kind, axis, target) for kind, axis in self.kinds()]
         return header + "\n".join(bodies)
 
     # -- C target ------------------------------------------------------------
-
-    def _c_body(self, kind: str, axis: int, out_refs: list[str], indent: str):
-        """The CSE'd C statements of one kernel: temporaries, then stores."""
-        printer = _CPrinter()
-        assignments, outputs = self._cse(kind, axis)
-        lines = [
-            f"{indent}const double {s} = {printer.doprint(e)};"
-            for s, e in assignments
-        ]
-        lines += [
-            f"{indent}{ref} = {printer.doprint(e)};"
-            for ref, e in zip(out_refs, outputs)
-        ]
-        return lines
-
-    def c_signature(self, kind: str, axis: int = 0) -> str:
-        """The C declaration of one generated kernel (cffi ``cdef`` form)."""
-        sym = self.symbols
-        name = self.kernel_name(kind, axis, "cext")
-        args = ["long n"]
-        args += [f"const double* in_{v}" for v in sym.input_names()]
-        args += [f"double* out_{o}" for o in sym.output_names(kind, axis)]
-        args.append("double gamma")
-        return f"void {name}({', '.join(args)})"
-
-    def generate_c(self, kind: str, axis: int = 0) -> str:
-        """C source of one kernel: a per-cell loop over SoA pointers."""
-        sym = self.symbols
-        lines = [
-            self.c_signature(kind, axis),
-            "{",
-            "    for (long i = 0; i < n; ++i) {",
-        ]
-        for var in sym.input_names():
-            lines.append(f"        const double {var} = in_{var}[i];")
-        outs = [f"out_{o}[i]" for o in sym.output_names(kind, axis)]
-        lines += self._c_body(kind, axis, outs, " " * 8)
-        lines += ["    }", "}"]
-        return "\n".join(lines) + "\n"
 
     def con2prim_c_signature(self) -> str:
         """C declaration of the fused con2prim Newton kernel."""
@@ -604,20 +555,16 @@ class KernelGenerator:
         """C source of the fused con2prim Newton kernel (template)."""
         return _CON2PRIM_C % {"name": CON2PRIM_KERNEL}
 
-    def generate_c_module(self, kinds_axes=None) -> str:
+    def generate_c_module(self) -> str:
         """Complete C source of the compiled module for this ndim: the
-        pointwise kernels (*kinds_axes*, default every kind a solver
-        evaluates), the con2prim Newton loop, the one-pass recovery sweep,
-        the CFL scan and the fused face-flux sweep of every axis — one
-        translation unit, one artifact."""
-        if kinds_axes is None:
-            kinds_axes = self.default_kinds_axes("cext")
+        con2prim Newton loop, the one-pass recovery sweep, the CFL scan, the
+        fused face-flux sweep of every axis and the update stage — one
+        translation unit, one artifact, row kernels only."""
         axes = range(self.ndim)
         parts = [
             "/* Auto-generated SRHD kernels -- do not edit.\n"
             f" * ndim={self.ndim}, target=cext. "
             "Generated by repro.codegen.KernelGenerator. */\n" + _PROLOGUE_C,
-            *(self.generate_c(kind, axis) for kind, axis in kinds_axes),
             self.generate_c_con2prim(),
             self.generate_c_recover(),
             self.generate_c_max_signal(),
@@ -635,13 +582,10 @@ class KernelGenerator:
         ]
         return "\n".join(parts)
 
-    def c_declarations(self, kinds_axes=None) -> str:
+    def c_declarations(self) -> str:
         """cffi ``cdef`` declarations matching :meth:`generate_c_module`
         (entry points only; every helper is ``static``)."""
-        if kinds_axes is None:
-            kinds_axes = self.default_kinds_axes("cext")
-        decls = [self.c_signature(kind, axis) + ";" for kind, axis in kinds_axes]
-        decls.append(self.con2prim_c_signature() + ";")
+        decls = [self.con2prim_c_signature() + ";"]
         # The template kernels' declarations are the heads of their entry
         # points: the last definition of each source, after its helpers.
         decls += [
@@ -920,8 +864,8 @@ void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_patches, long n_cells,
     # The sweep compiles the whole face-flux stage — reconstruction,
     # face-state sanitization, the joint per-side (U, F, lambda) evaluation
     # and the LLF/HLL/HLLC combine — into one per-axis sweep.  The per-side
-    # algebra is the same CSE'd ``face_side`` list the pointwise kernels
-    # print; the handwritten pieces mirror the vectorized Python
+    # algebra is the same CSE'd ``face_side`` list the ``flat`` kernel
+    # prints; the handwritten pieces mirror the vectorized Python
     # implementations operation by operation, so with ``-ffp-contract=off``
     # the fused sweep is bit-identical to the interpreted pipeline.  After
     # the row fillers the tail is three stages, each a loop over the lanes
@@ -987,10 +931,10 @@ REPRO_INLINE void sanitize_tile_{nd}d(double (*restrict q)[{T}], long m,
         """``face_side`` over one tile: rows ``q[v][i] -> o[k][i]`` holding
         ``U``, ``F`` and ``lambda_-+`` back to back.
 
-        Same expressions and same CSE as :meth:`generate_c` — which is what
-        keeps the fused sweep bitwise-equal to the pointwise kernel.  The
-        rows are stack scratch, so ``restrict`` is true here (the public
-        pointwise entry points may be called with aliased arrays).
+        Same expressions and same CSE (:meth:`_cse`) as the ``flat``
+        ``face_side`` kernel — which is what keeps the fused sweep
+        bitwise-equal to the interpreted Riemann stage.  The rows are stack
+        scratch, so ``restrict`` is true here.
         """
         T = STENCIL_TILE
         lines = [
@@ -1002,8 +946,14 @@ REPRO_INLINE void sanitize_tile_{nd}d(double (*restrict q)[{T}], long m,
         ]
         for v, var in enumerate(self.symbols.input_names()):
             lines.append(f"        const double {var} = q[{v}][i];")
-        outs = [f"o[{k}][i]" for k in range(2 * self.nvars + 2)]
-        lines += self._c_body("face_side", axis, outs, " " * 8)
+        printer = _CPrinter()
+        assignments, outputs = self._cse("face_side", axis)
+        lines += [
+            f"        const double {s} = {printer.doprint(e)};" for s, e in assignments
+        ]
+        lines += [
+            f"        o[{k}][i] = {printer.doprint(e)};" for k, e in enumerate(outputs)
+        ]
         lines += ["    }", "}"]
         return "\n".join(lines) + "\n"
 

@@ -1,22 +1,21 @@
 """Drop-in SRHD systems backed by generated kernels.
 
-:class:`GeneratedSRHDSystem` has the same interface as
-:class:`~repro.physics.srhd.SRHDSystem` but evaluates ``prim_to_con``,
-``flux``, and ``char_speeds`` through the SymPy-generated kernels — i.e.
-the generated code runs in the *production solver path*, not just in
-micro-benchmarks.  It is the ``flat`` target (SoA marshalling, the
-accelerator rehearsal path).  On ``flat`` and ``cext`` the Riemann solvers'
-per-side work is the one joint ``face_side`` kernel; ``flux`` on its own
-stays the handwritten reference there (nothing in the solver path calls
-it).
+Each system overrides exactly the methods a pipeline calls on its target;
+everything else is the handwritten :class:`~repro.physics.srhd.SRHDSystem`,
+so a resolved system converts data (``prim_to_con``, ``flux``,
+``char_speeds``) bit for bit as the plain one does.
 
-:class:`CompiledSRHDSystem` is the same idea one step further: the
-kernels are the cffi-compiled C module of :mod:`repro.codegen.cext` —
-the pointwise algebra, the fused conservative-to-primitive Newton loop
-(which :func:`~repro.physics.con2prim.con_to_prim` picks up through the
-``c2p_newton`` hook), the fused ``face_flux`` sweep and the update stage
-(``accumulate``, ``rk_stage``).  Holding one is what puts a
-:class:`~repro.core.pipeline.HydroPipeline` on the compiled paths.
+:class:`GeneratedSRHDSystem` (the ``flat`` target) adds the SymPy-generated
+``face_side``: the Riemann solvers' per-side stage, one joint kernel over
+SoA rows (the accelerator rehearsal path).
+
+:class:`CompiledSRHDSystem` (the ``cext`` target) adds the row kernels of
+the cffi-compiled C module of :mod:`repro.codegen.cext`: the one-pass
+recovery sweep, the CFL scan, the fused ``face_flux`` sweep, the update
+stage (``accumulate``, ``rk_stage``) and the cold-path Newton loop
+(``c2p_newton``, which :func:`~repro.physics.con2prim.con_to_prim` picks
+up).  Holding one is what puts a :class:`~repro.core.pipeline.HydroPipeline`
+on the compiled paths.
 
 :func:`make_kernel_system` is the one place a target name
 (``SolverConfig.kernel_target``) is turned into a system, falling back
@@ -34,7 +33,7 @@ from ..eos.ideal import IdealGasEOS
 from ..physics.srhd import SRHDSystem
 from ..utils.errors import CodegenError, ConfigurationError
 from ..utils.logging import get_logger
-from .cache import load_kernel, run_flat_kernel
+from .cache import load_kernel
 from .generator import (
     ACCUMULATE_KERNEL,
     MAX_SIGNAL_KERNEL,
@@ -77,69 +76,40 @@ def stencil_scheme_ids(reconstruction, riemann) -> tuple[int, int, int]:
     raise CodegenError(f"no compiled face_flux form for {missing}")
 
 
-def _side_rows(prim: np.ndarray, scratch, tag):
-    """Output buffer of one ``face_side`` evaluation: its ``2 nvars + 2``
-    contiguous rows, and the same memory as ``(cons, F, (lam-, lam+))``."""
-    nv = prim.shape[0]
-    side = scratch_buf(scratch, (tag, "side"), (2 * nv + 2,) + prim.shape[1:])
-    return list(side), (side[:nv], side[nv : 2 * nv], (side[-2], side[-1]))
-
-
 class GeneratedSRHDSystem(SRHDSystem):
-    """SRHD system whose algebraic kernels are generated from SymPy: the
-    ``flat`` target (SoA marshalling through
-    :func:`~repro.codegen.cache.run_flat_kernel`)."""
+    """:class:`SRHDSystem` plus the one generated kernel an interpreted
+    pipeline calls: ``face_side``, the per-side stage of the Riemann
+    solvers.  The ``flat`` target (SoA marshalling); every other method is
+    the handwritten one."""
 
     target = "flat"
-    #: what the CFL scan calls (see ``cfl.max_signal_per_axis``)
-    cfl_char_speeds = SRHDSystem.char_speeds
 
     def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
         super().__init__(IdealGasEOS(gamma=gamma), ndim)
         self.gamma = float(gamma)
-        self._k_prim_to_con = load_kernel("prim_to_con", ndim, 0, "flat")
-        # Each side of a face is the joint kernel; ``flux`` alone stays the
-        # inherited handwritten reference.
         self._k_side = [
             load_kernel("face_side", ndim, axis, "flat") for axis in range(ndim)
         ]
-        self._k_char = [
-            load_kernel("char_speeds", ndim, axis, "flat") for axis in range(ndim)
-        ]
-
-    def prim_to_con(self, prim: np.ndarray, out=None, scratch=None, tag="p2c") -> np.ndarray:
-        # Keep the reference implementation's admissibility guard.
-        self.lorentz_factor(prim)
-        got = run_flat_kernel(self._k_prim_to_con, prim, self.nvars, self.gamma)
-        if out is None:
-            return got
-        np.copyto(out, got)
-        return out
 
     def face_side(self, prim: np.ndarray, axis: int = 0, scratch=None, tag="side"):
         # Keep the reference implementation's admissibility guard.
         self.lorentz_factor(prim)
-        rows, split = _side_rows(prim, scratch, tag)
+        nv = prim.shape[0]
+        side = scratch_buf(scratch, (tag, "side"), (2 * nv + 2,) + prim.shape[1:])
         self._k_side[axis](
-            *(q.reshape(-1) for q in prim), *(r.reshape(-1) for r in rows),
+            *(q.reshape(-1) for q in prim), *(r.reshape(-1) for r in side),
             self.gamma,
         )
-        return split
-
-    def char_speeds(self, prim: np.ndarray, axis: int = 0, out=None, scratch=None, tag="cs"):
-        lam = run_flat_kernel(self._k_char[axis], prim, 2, self.gamma)
-        if out is None:
-            return lam[0], lam[1]
-        np.copyto(out[0], lam[0])
-        np.copyto(out[1], lam[1])
-        return out[0], out[1]
+        return side[:nv], side[nv : 2 * nv], (side[-2], side[-1])
 
     def __repr__(self):
         return f"GeneratedSRHDSystem(gamma={self.gamma}, ndim={self.ndim})"
 
 
-class CompiledSRHDSystem(SRHDSystem):
-    """SRHD system backed by the cffi-compiled C kernels (``cext`` target).
+class CompiledSRHDSystem(GeneratedSRHDSystem):
+    """:class:`GeneratedSRHDSystem` plus the compiled row kernels of the
+    ``cext`` target: ``recover``, ``max_signal``, ``face_flux``,
+    ``accumulate``, ``rk_stage`` and the cold-path ``c2p_newton``.
 
     Construction raises :class:`~repro.utils.errors.CodegenError` when the
     compiled module cannot be built or loaded — callers that want the
@@ -147,27 +117,21 @@ class CompiledSRHDSystem(SRHDSystem):
     """
 
     target = "cext"
-    #: what the CFL scan calls (see ``cfl.max_signal_per_axis``)
-    cfl_char_speeds = SRHDSystem.char_speeds
+
+    #: The handwritten pointwise algebra, inherited — re-bound here because
+    #: ``bench/trace.py`` patches ``CompiledSRHDSystem.__dict__[name]``.
+    prim_to_con = SRHDSystem.prim_to_con
+    flux = SRHDSystem.flux
+    char_speeds = SRHDSystem.char_speeds
 
     def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
-        super().__init__(IdealGasEOS(gamma=gamma), ndim)
-        self.gamma = float(gamma)
         from .cext import load_cext_module
 
+        # The module first: a target that cannot load fails before the
+        # interpreted kernels are generated.
         self._ffi, self._lib = load_cext_module(ndim)
+        super().__init__(gamma, ndim)
         gen = KernelGenerator(ndim)
-        self._c_prim_to_con = getattr(
-            self._lib, gen.kernel_name("prim_to_con", 0, "cext")
-        )
-        self._c_side = [
-            getattr(self._lib, gen.kernel_name("face_side", ax, "cext"))
-            for ax in range(ndim)
-        ]
-        self._c_char = [
-            getattr(self._lib, gen.kernel_name("char_speeds", ax, "cext"))
-            for ax in range(ndim)
-        ]
         self._c_face_flux = [
             getattr(self._lib, gen.stencil_kernel_name(ax)) for ax in range(ndim)
         ]
@@ -175,65 +139,6 @@ class CompiledSRHDSystem(SRHDSystem):
         self._c_max_signal = getattr(self._lib, MAX_SIGNAL_KERNEL % ndim)
         self._c_accumulate = getattr(self._lib, ACCUMULATE_KERNEL % ndim)
         self._c_rk_stage = getattr(self._lib, RK_STAGE_KERNEL)
-
-    # -- marshalling ---------------------------------------------------------
-
-    def _run(self, fn, in_rows, out_rows):
-        ffi = self._ffi
-        keep = []
-        cins = []
-        for a in in_rows:
-            a = np.ascontiguousarray(a, dtype=np.float64)
-            keep.append(a)
-            cins.append(ffi.from_buffer("double*", a))
-        couts = []
-        copyback = []
-        for o in out_rows:
-            if o.flags.c_contiguous:
-                couts.append(ffi.from_buffer("double*", o, require_writable=True))
-            else:
-                tmp = np.empty(o.shape, dtype=np.float64)
-                copyback.append((o, tmp))
-                couts.append(ffi.from_buffer("double*", tmp, require_writable=True))
-        fn(int(in_rows[0].size), *cins, *couts, self.gamma)
-        for dst, tmp in copyback:
-            np.copyto(dst, tmp)
-
-    def prim_to_con(self, prim: np.ndarray, out=None, scratch=None, tag="p2c") -> np.ndarray:
-        # Keep the reference implementation's admissibility guard.
-        self.lorentz_factor(prim)
-        dst = np.empty_like(prim) if out is None else out
-        self._run(
-            self._c_prim_to_con,
-            [prim[i] for i in range(self.nvars)],
-            [dst[i] for i in range(self.nvars)],
-        )
-        return dst
-
-    #: The handwritten reference — the compiled module carries no ``flux``
-    #: of its own, ``face_side`` evaluates it.  Re-bound here because
-    #: ``bench/trace.py`` patches ``CompiledSRHDSystem.__dict__["flux"]``.
-    flux = SRHDSystem.flux
-
-    def face_side(self, prim: np.ndarray, axis: int = 0, scratch=None, tag="side"):
-        # Keep the reference implementation's admissibility guard.
-        self.lorentz_factor(prim)
-        rows, split = _side_rows(prim, scratch, tag)
-        self._run(self._c_side[axis], list(prim), rows)
-        return split
-
-    def char_speeds(self, prim: np.ndarray, axis: int = 0, out=None, scratch=None, tag="cs"):
-        lam = scratch_buf(scratch, (tag, "lam2"), (2,) + prim.shape[1:])
-        self._run(
-            self._c_char[axis],
-            [prim[i] for i in range(self.nvars)],
-            [lam[0], lam[1]],
-        )
-        if out is None:
-            return lam[0], lam[1]
-        np.copyto(out[0], lam[0])
-        np.copyto(out[1], lam[1])
-        return out[0], out[1]
 
     def c2p_newton(self, D, S2, tau, p, p_lo, *, tol, p_floor, max_newton):
         """Fused Newton phase hook consumed by ``con_to_prim``.
@@ -328,9 +233,7 @@ def make_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
     failing the run — the one fallback of the target; pipelines count it
     in ``codegen.target_fallbacks``.
     """
-    if target in (None, "numpy") or isinstance(
-        system, (GeneratedSRHDSystem, CompiledSRHDSystem)
-    ):
+    if target in (None, "numpy") or isinstance(system, GeneratedSRHDSystem):
         return system
     if type(system) is not SRHDSystem or not isinstance(system.eos, IdealGasEOS):
         raise ConfigurationError(

@@ -62,11 +62,12 @@ class SolverConfig(ParameterSet):
         "numpy",
         str,
         choices=("numpy", "flat", "cext"),
-        doc="codegen target for the hot kernels (prim_to_con/flux/"
-        "char_speeds and the fused con2prim Newton loop): 'numpy' keeps the "
+        doc="codegen target of the solver stages: 'numpy' keeps the "
         "handwritten reference kernels (golden-pinned default), 'flat' runs "
-        "the SymPy-generated SoA kernels through NumPy, 'cext' runs the "
-        "cffi-compiled C module (falls back to 'flat' with a logged warning "
-        "when no C toolchain is available)",
+        "the Riemann stage's per-side algebra as the SymPy-generated SoA "
+        "face_side kernel through NumPy, 'cext' runs recovery, the CFL scan, "
+        "the fused reconstruction + Riemann sweep and the update stage as "
+        "the cffi-compiled row kernels (falls back to 'flat' with a logged "
+        "warning when no C toolchain is available)",
     )
     max_steps = param(1_000_000, int, lambda v: v > 0, "hard step-count limit")

@@ -186,6 +186,16 @@ class ScenarioSpec:
             return Grid((self.nx, ny), ((0.0, 1.0), (0.0, 1.0)))
         return Grid((self.nx,), ((0.0, 1.0),))
 
+    def solver_config(self) -> SolverConfig:
+        """The numerics of the solve; everything else at its default."""
+        return SolverConfig(
+            reconstruction=self.reconstruction,
+            riemann=self.riemann,
+            integrator=self.integrator,
+            cfl=self.cfl,
+            kernel_target=self.kernel_target,
+        )
+
     def build_system(self) -> SRHDSystem:
         """Plain (unresolved) system; the service maps it to the requested
         kernel target through its cache."""

@@ -15,7 +15,8 @@
   ``(ndim, EOS gamma, reconstruction, riemann, kernel_target)`` so a
   thousand requests for the same physics pay SymPy codegen once (the
   compiled artifact itself is additionally content-hash cached on disk by
-  ``repro.codegen.cache``).
+  ``repro.codegen.cext``).  A resolved system converts data exactly as
+  the plain one, so a served scenario is the ``Solver`` run bit for bit.
 - **Per-request metrics** — queue wait, solve time, end-to-end latency,
   and batch occupancy flow through the ordinary
   :class:`~repro.obs.MetricsRegistry` histograms (``serve.*``), and an
@@ -37,7 +38,6 @@ import numpy as np
 
 from ..boundary.conditions import make_boundaries
 from ..core.batch import FAILED, BatchSolver
-from ..core.config import SolverConfig
 from ..core.pipeline import resolve_kernel_system
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import StepRecorder
@@ -236,18 +236,11 @@ class BatchService:
         spec0 = members[0].spec
         system = self.kernel_system(spec0)
         grid = spec0.build_grid()
-        # Initial data comes from the *plain* spec system only through
-        # variable indices, which every kernel target shares.
+        # A resolved system converts data exactly as the plain one does, so
+        # handing the cached one to the driver moves no bit.
         prims = [req.spec.build_initial(system, grid) for req in members]
-        config = SolverConfig(
-            reconstruction=spec0.reconstruction,
-            riemann=spec0.riemann,
-            integrator=spec0.integrator,
-            cfl=spec0.cfl,
-            kernel_target=spec0.kernel_target,
-        )
         solver = BatchSolver(
-            system, grid, prims, config, make_boundaries("outflow"),
+            system, grid, prims, spec0.solver_config(), make_boundaries("outflow"),
         )
         outcome = solver.run(t_final=spec0.t_final)
         for i, req in enumerate(members):

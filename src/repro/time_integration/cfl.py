@@ -3,6 +3,10 @@
 In special relativity every characteristic speed is bounded by c = 1, so
 ``dt = cfl * min(dx)`` is always stable; using the actual max signal speed
 (as here) recovers the sharper bound the paper-series codes use.
+
+The scan calls the system's ``char_speeds``, which is the handwritten one
+on every kernel target; a ``cext`` pipeline runs the compiled
+``max_signal`` reduction instead, bit for bit this scan.
 """
 
 from __future__ import annotations
@@ -66,14 +70,12 @@ def max_signal_per_axis(system: SRHDSystem, grid: Grid, prim: np.ndarray) -> lis
     on different ranks).  Drivers reach this interpreted scan (or its
     compiled twin) through ``HydroPipeline.max_signal_per_axis``.
 
-    Every kernel target scans with the *handwritten* ``char_speeds``: the
-    golden streams pin dt, and the generated kind — a ``flat``/``cext``
-    system's own ``char_speeds`` — differs from it in the last bit."""
-    char_speeds = getattr(system, "cfl_char_speeds", system.char_speeds)
+    Every kernel target's system carries the handwritten ``char_speeds``,
+    so every target scans with the same bits."""
     interior = grid.interior_of(prim)
     out = []
     for axis in range(system.ndim):
-        lam_m, lam_p = char_speeds(interior, axis)
+        lam_m, lam_p = system.char_speeds(interior, axis)
         out.append(max(float(np.max(np.abs(lam_m))), float(np.max(np.abs(lam_p)))))
     return out
 

@@ -170,17 +170,17 @@ class TestGeneratedCBudget:
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_face_side_op_budget(self, ndim):
-        """One side's (U, F, lambda) from 2 sqrt and <= 6 divisions, on
-        every target — the three separate kernels spent 7 and 13."""
+        """One side's (U, F, lambda) from 2 sqrt and <= 6 divisions, in the
+        compiled sweep's tile stage and the flat kernel — the three separate
+        kernels spent 7 and 13."""
         gen = KernelGenerator(ndim)
         for axis in range(ndim):
             sources = {
                 "tile": gen.generate_c_face_side_tile(axis),
-                "cext": gen.generate_c("face_side", axis),
                 "flat": gen.generate("face_side", axis, "flat").split('"""')[2],
             }
             for where, src in sources.items():
-                body = src[src.index("{") :] if where != "flat" else src
+                body = src[src.index("{") :] if where == "tile" else src
                 body = body.replace("/* lanes */", "")
                 divisions = body.count("/") + body.count("**(-1.0)")
                 assert body.count("sqrt(") == 2, (where, axis, src)
@@ -206,10 +206,11 @@ class TestGeneratedCBudget:
         for token in ("fmin(", "fmax(", "pow("):
             assert token not in code, token
         assert "#define REPRO_INLINE static inline" in module
-        # Column-0 definitions: the pointwise kernels, the Newton loop, the
-        # recovery sweep, the CFL scan, the per-axis sweep entry points, the
-        # update stage (accumulate, one RK stage combination) and the clone
-        # and team probes, everything else a REPRO_INLINE helper, the one
+        # Column-0 definitions: the Newton loop, the recovery sweep, the CFL
+        # scan, the per-axis sweep entry points, the update stage
+        # (accumulate, one RK stage combination) and the clone and team
+        # probes — no pointwise kernel — everything else a REPRO_INLINE
+        # helper, the one
         # `static` tile filler the sweeps share, or the OUTLINE body
         # of a threaded kernel — written once, called by its entry point's
         # serial branch and by every thread of its team.  One sweep per
@@ -229,7 +230,6 @@ class TestGeneratedCBudget:
             if not head.startswith(("REPRO_INLINE", "static", "OUTLINE"))
         ]
         assert entries == [
-            *(gen.kernel_name(k, ax, "cext") for k, ax in gen.default_kinds_axes("cext")),
             CON2PRIM_KERNEL,
             RECOVER_KERNEL % ndim,
             MAX_SIGNAL_KERNEL % ndim,
@@ -403,13 +403,10 @@ class TestCrossTargetParity:
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_algebraic_kernels_agree_across_targets(self, ndim, rng):
-        from repro.codegen import cext_available
-
         gamma = 5.0 / 3.0
         system = SRHDSystem(IdealGasEOS(gamma=gamma), ndim=ndim)
         prim = self._hostile_prim(system, self.N, rng)
         cons = system.prim_to_con(prim)
-        have_cext = cext_available(ndim)
 
         cases = [("prim_to_con", 0, cons, system.nvars)]
         for ax in range(ndim):
@@ -431,14 +428,38 @@ class TestCrossTargetParity:
                 got_flat, ref, rtol=1e-9, atol=1e-12,
                 err_msg=f"{kind}{axis}/flat vs handwritten",
             )
-            if have_cext:
-                k_c = load_kernel(kind, ndim, axis, "cext")
-                got_c = run_flat_kernel(k_c, prim, n_out, gamma)
-                # Same CSE'd expression tree, contraction disabled: the C
-                # kernels reproduce the flat target bit for bit.
-                assert got_c.tobytes() == got_flat.tobytes(), (
-                    f"{kind}{axis}: cext differs bitwise from flat"
-                )
+
+    @staticmethod
+    def _envelope_state(ndim):
+        """One state of the sanitize envelope, ``(W, log10 rho, log10 p,
+        direction)``: W up to ``w_max``, rho and p down to the atmosphere
+        floors, any direction."""
+        from hypothesis import strategies as st
+
+        from repro.core.config import SolverConfig
+
+        cfg = SolverConfig()
+        return st.tuples(
+            st.floats(1.0, cfg.w_max),
+            st.floats(np.log10(cfg.rho_atmo), 1.0),
+            st.floats(np.log10(cfg.p_atmo), 1.0),
+            st.lists(st.floats(-1.0, 1.0), min_size=ndim, max_size=ndim).filter(
+                lambda d: sum(x * x for x in d) > 1e-6
+            ),
+        )
+
+    @staticmethod
+    def _envelope_prim(system, states):
+        """``(nvars, len(states))`` primitives of :meth:`_envelope_state`
+        draws."""
+        prim = np.empty((system.nvars, len(states)))
+        for i, (W, log_rho, log_p, direction) in enumerate(states):
+            d = np.asarray(direction)
+            speed = np.sqrt(1.0 - 1.0 / W**2)
+            prim[1 : 1 + system.ndim, i] = d / np.sqrt(d @ d) * speed
+            prim[system.RHO, i] = 10.0**log_rho
+            prim[system.P, i] = 10.0**log_p
+        return prim
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_face_side_near_luminal_and_atmosphere(self, ndim):
@@ -449,34 +470,14 @@ class TestCrossTargetParity:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from repro.codegen import cext_available
-        from repro.core.config import SolverConfig
-
-        cfg = SolverConfig()
         gamma = 5.0 / 3.0
         system = SRHDSystem(IdealGasEOS(gamma=gamma), ndim=ndim)
-        have_cext = cext_available(ndim)
         n_out = 2 * system.nvars + 2
 
-        state = st.tuples(
-            st.floats(1.0, cfg.w_max),
-            st.floats(np.log10(cfg.rho_atmo), 1.0),
-            st.floats(np.log10(cfg.p_atmo), 1.0),
-            st.lists(st.floats(-1.0, 1.0), min_size=ndim, max_size=ndim).filter(
-                lambda d: sum(x * x for x in d) > 1e-6
-            ),
-        )
-
-        @given(states=st.lists(state, min_size=1, max_size=16))
+        @given(states=st.lists(self._envelope_state(ndim), min_size=1, max_size=16))
         @settings(max_examples=40, deadline=None, database=None)
         def check(states):
-            prim = np.empty((system.nvars, len(states)))
-            for i, (W, log_rho, log_p, direction) in enumerate(states):
-                d = np.asarray(direction)
-                speed = np.sqrt(1.0 - 1.0 / W**2)
-                prim[1 : 1 + ndim, i] = d / np.sqrt(d @ d) * speed
-                prim[system.RHO, i] = 10.0**log_rho
-                prim[system.P, i] = 10.0**log_p
+            prim = self._envelope_prim(system, states)
             cons = system.prim_to_con(prim)
             for ax in range(ndim):
                 ref = np.concatenate(
@@ -496,34 +497,73 @@ class TestCrossTargetParity:
                 )
                 assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref) + atol), ax
                 assert np.all(np.abs(got[-2:]) < 1.0), "superluminal signal speed"
-                if have_cext:
-                    k_c = load_kernel("face_side", ndim, ax, "cext")
-                    got_c = run_flat_kernel(k_c, prim, n_out, gamma)
-                    assert got_c.tobytes() == got.tobytes(), ax
+
+        check()
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_compiled_sweep_near_luminal_and_atmosphere(self, ndim):
+        """The compiled per-side algebra on the same envelope: a ``pc``
+        patch of those states — every cell one of the drawn states, so
+        every face a pair of them — swept by the compiled ``face_flux``
+        under llf, hll and hllc equals the ``flat`` interpreted stages byte
+        for byte along every axis, sanitize counters included."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.codegen import cext_available
+
+        if not cext_available(ndim):
+            pytest.skip("no C toolchain")
+        pairs = {
+            riemann: [
+                TestFusedStencilParity._pipeline(target, "pc", riemann, ndim=ndim)
+                for target in ("flat", "cext")
+            ]
+            for riemann in ("llf", "hll", "hllc")
+        }
+
+        @given(
+            states=st.lists(self._envelope_state(ndim), min_size=1, max_size=16),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        @settings(max_examples=40, deadline=None, database=None)
+        def check(states, seed):
+            for riemann, (flat, cext) in pairs.items():
+                assert cext._fused_ids is not None
+                cells = np.random.default_rng(seed).integers(
+                    0, len(states), flat.grid.shape_with_ghosts
+                )
+                prim = self._envelope_prim(flat.system, states)[:, cells]
+                with np.errstate(all="ignore"):
+                    ref = flat.flux_divergence(prim.copy())
+                got = cext.flux_divergence(prim.copy())
+                assert got.tobytes() == ref.tobytes(), riemann
+                for counter in TestFusedStencilParity._COUNTERS:
+                    assert (
+                        flat.metrics.counter(counter).value
+                        == cext.metrics.counter(counter).value
+                    ), (riemann, counter)
 
         check()
 
     def test_compiled_face_side_is_the_flat_kernel(self, rng):
         """The interpreted Riemann stage on a compiled system evaluates each
-        side through the compiled pointwise ``face_side`` — and that is the
-        flat kernel, byte for byte."""
+        side through ``face_side``: the flat kernel itself, inherited — one
+        generated body, the same bytes."""
         from repro.codegen import cext_available
         from repro.codegen.system import CompiledSRHDSystem, GeneratedSRHDSystem
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
+        assert CompiledSRHDSystem.face_side is GeneratedSRHDSystem.face_side
         compiled = CompiledSRHDSystem(ndim=2)
         flat = GeneratedSRHDSystem(ndim=2)
-        calls = []
-        for ax, fn in enumerate(compiled._c_side):
-            compiled._c_side[ax] = lambda *a, fn=fn: calls.append(1) or fn(*a)
         prim = self._hostile_prim(compiled, 257, rng).reshape(4, 1, 257)
         for ax in range(2):
             got = compiled.face_side(prim, ax)
             ref = flat.face_side(prim, ax)
             for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
                 assert a.tobytes() == b.tobytes()
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_con2prim_recovery_compiled_matches_reference(self, ndim, rng):
@@ -613,7 +653,7 @@ class TestCacheInvalidation:
         monkeypatch.setattr(
             KernelGenerator,
             "generate_c_module",
-            lambda self, kinds_axes=None: orig(self, kinds_axes) + "\n/* v2 */\n",
+            lambda self: orig(self) + "\n/* v2 */\n",
         )
         name2, _, _ = cext_mod.module_spec(1)
         assert name2 != name1, "emitter change did not change the artifact key"
@@ -658,18 +698,17 @@ class TestCacheInvalidation:
         cext_mod.clear_modules()
         n0 = cext_mod.build_count
         name1 = cext_mod.module_spec(1)[0]
-        k1 = cext_mod.load_cext_kernel("prim_to_con", 1)
+        builds = [cext_mod.load_cext_module(1)]
         monkeypatch.setenv("CC", str(wrapper))
         assert "cc=wrapped-cc 1.0" in cext_mod.toolchain_fingerprint()
         assert cext_mod.module_spec(1)[0] != name1
-        k2 = cext_mod.load_cext_kernel("prim_to_con", 1)
+        builds.append(cext_mod.load_cext_module(1))
         assert cext_mod.build_count == n0 + 2, "the other compiler did not build"
-        system = SRHDSystem(IdealGasEOS(gamma=1.4), ndim=1)
-        rows = list(random_prim(system, (64,), rng))
-        outs = [[np.empty(64) for _ in range(3)] for _ in range(2)]
-        k1(*rows, *outs[0], 1.4)
-        k2(*rows, *outs[1], 1.4)
-        assert [o.tobytes() for o in outs[0]] == [o.tobytes() for o in outs[1]]
+        U, V, k = (rng.normal(size=(3, 64)) for _ in range(3))
+        outs = [np.empty_like(U) for _ in builds]
+        for (ffi, lib), out in zip(builds, outs):
+            cext_mod.run_rk_stage(ffi, lib.rk_stage_cext, (1, 0.75, 0.25), U, V, 0.01, k, out)
+        assert outs[0].tobytes() == outs[1].tobytes()
         cext_mod.clear_modules()
 
     def test_rejected_flags_fail_the_build_instead_of_dropping_them(
@@ -689,7 +728,7 @@ class TestCacheInvalidation:
         cext_mod.clear_modules()
         n0 = cext_mod.build_count
         with pytest.raises(CodegenError, match="build failed"):
-            cext_mod.load_cext_module(1, [("prim_to_con", 0)])
+            cext_mod.load_cext_module(1)
         assert cext_mod.build_count == n0
         assert [p for p in tmp_path.iterdir() if p.is_file()] == []
 
@@ -700,24 +739,22 @@ class TestCacheInvalidation:
             pytest.skip("no C toolchain")
         monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
         cext_mod.clear_modules()
-        # A minimal one-kernel module keeps the two builds cheap.
-        kinds_axes = [("prim_to_con", 0)]
         n0 = cext_mod.build_count
-        cext_mod.load_cext_module(1, kinds_axes)
+        cext_mod.load_cext_module(1)
         assert cext_mod.build_count == n0 + 1
-        cext_mod.load_cext_module(1, kinds_axes)  # in-process handle
+        cext_mod.load_cext_module(1)  # in-process handle
         assert cext_mod.build_count == n0 + 1
         cext_mod.clear_modules()
-        cext_mod.load_cext_module(1, kinds_axes)  # disk artifact hit
+        cext_mod.load_cext_module(1)  # disk artifact hit
         assert cext_mod.build_count == n0 + 1
 
         orig = KernelGenerator.generate_c_module
         monkeypatch.setattr(
             KernelGenerator,
             "generate_c_module",
-            lambda self, ka=None: orig(self, ka) + "\n/* spec v2 */\n",
+            lambda self: orig(self) + "\n/* spec v2 */\n",
         )
-        cext_mod.load_cext_module(1, kinds_axes)  # new hash: full rebuild
+        cext_mod.load_cext_module(1)  # new hash: full rebuild
         assert cext_mod.build_count == n0 + 2
         cext_mod.clear_modules()
 
@@ -915,8 +952,7 @@ class TestCextCacheCorruption:
         # look up (CPython caches extension imports in-process, so the
         # eviction path only runs on a cold start — drive one).
         monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
-        kinds_axes = [("prim_to_con", 0)]
-        name, _, _ = cext_mod.module_spec(1, kinds_axes)
+        name, _, _ = cext_mod.module_spec(1)
         path = cext_mod.artifact_path(name)
         garbage = b"\x7fELF garbage, not a real shared object"
         path.write_bytes(garbage)
@@ -926,7 +962,7 @@ class TestCextCacheCorruption:
         probe = (
             "import json\n"
             "from repro.codegen import cext\n"
-            "ffi, lib = cext.load_cext_module(1, [('prim_to_con', 0)])\n"
+            "ffi, lib = cext.load_cext_module(1)\n"
             "print(json.dumps({'builds': cext.build_count,"
             " 'loaded': lib is not None}))\n"
         )
@@ -2584,12 +2620,13 @@ class TestCacheMaintenance:
         if not cext_available(1):
             pytest.skip("no C toolchain")
         monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
-        kinds_axes = [("prim_to_con", 0)]
-        cext_mod.load_cext_module(1, kinds_axes)
-        name, _, _ = cext_mod.module_spec(1, kinds_axes)
+        cext_mod.clear_modules()
+        cext_mod.load_cext_module(1)
+        name, _, _ = cext_mod.module_spec(1)
         path = cext_mod.artifact_path(name)
         assert path.exists()
         os.utime(path, (1000.0, 1000.0))
         cext_mod.clear_modules()
-        cext_mod.load_cext_module(1, kinds_axes)
+        cext_mod.load_cext_module(1)
         assert path.stat().st_mtime > 1000.0
+        cext_mod.clear_modules()

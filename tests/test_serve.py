@@ -173,6 +173,51 @@ class TestService:
         assert "reconstruct" in flat.timers and "face_flux" not in flat.timers
         assert results["cext"] == results["flat"]
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            pytest.param(dict(kernel_target="flat"), id="rp1-flat"),
+            pytest.param(dict(kernel_target="cext"), id="rp1-cext"),
+            pytest.param(
+                dict(kind="blast_wave_2d", problem="RP1", nx=16, t_final=0.03,
+                     p_in=10.0, radius=0.2, kernel_target="cext"),
+                id="blast2d-cext",
+            ),
+        ],
+    )
+    def test_served_scenario_is_the_solver_run(self, monkeypatch, kw):
+        """A served scenario is its spec run through ``Solver`` on the plain
+        system with the same config, byte for byte: the service hands its
+        batch solver the cached *resolved* system, which must convert the
+        initial data exactly as the plain one does."""
+        from repro import Solver
+        from repro.boundary import make_boundaries
+        from repro.core.batch import BatchSolver
+
+        spec = _spec(**kw)
+        if spec.kernel_target == "cext":
+            require_cext(spec.ndim)
+        solvers = []
+        real_run = BatchSolver.run
+
+        def run(self, *args, **kwargs):
+            solvers.append(self)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchSolver, "run", run)
+        (req,) = BatchService().sweep([spec])
+        assert req.status == "ok"
+        served = solvers[0].scenario_interior_primitives(0)
+        system, grid = spec.build_system(), spec.build_grid()
+        ref = Solver(
+            system, grid, spec.build_initial(system, grid), spec.solver_config(),
+            make_boundaries("outflow"),
+        )
+        ref.run(t_final=spec.t_final)
+        want = ref.interior_primitives()
+        assert served.shape == want.shape
+        assert served.tobytes() == want.tobytes()
+
     def test_metrics_schema(self):
         svc = BatchService()
         svc.sweep([_spec() for _ in range(2)])

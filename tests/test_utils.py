@@ -243,6 +243,7 @@ class TestOptionSurface:
             "scratch_workspace", "fused_stencils", "overlap_link",
             "cext_pointwise", "REPRO_CEXT_STENCIL_DISABLE", "BatchPipeline",
             "metrics_dir", "DistributedAMRSolver", "amr_distributed", "--workers",
+            "load_cext_kernel", "cfl_char_speeds",
         )
         for path, text in self._sources().items():
             if path.name == "checkpoint.py":
