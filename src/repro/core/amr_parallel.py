@@ -16,11 +16,11 @@ bytes therefore match the in-process solver at every rank count, before
 and after every block migration and across supervised rank failures.
 
 Construction happens once, in the parent: an in-process prototype seeds
-the forest from ``initial_data`` (which may be an unpicklable lambda) or
-carries an installed forest state, and each worker receives its rank's
-blocks plus the replicated topology as plain arrays.  Rank 0 additionally
-inherits the prototype's metric and timer baselines so merged step records
-reproduce the in-process stream.
+the forest from ``initial_data`` (which may be an unpicklable lambda), and
+each worker installs its rank's slice of the prototype's ``state()`` —
+its blocks plus the replicated topology, as plain arrays.  Rank 0
+additionally inherits the prototype's metric and timer baselines so merged
+step records reproduce the in-process stream.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from ..utils.errors import ConfigurationError
 from .amr_solver import AMRConfig, AMRSolver
 from .config import SolverConfig
 from .parallel import ProcessSolver, _WorkerShell, serial_factory_kwargs
+from .stepping import placeholder_prim
 
 
 def _validate_amr_plan(fault_injector) -> None:
@@ -55,38 +56,13 @@ def _validate_amr_plan(fault_injector) -> None:
         )
 
 
-def _installed(
-    state: dict,
-    system: SRHDSystem,
-    root_grid: Grid,
-    config: SolverConfig | None = None,
-    amr: AMRConfig | None = None,
-    boundaries: BoundarySet | None = None,
-    recorder: "StepRecorder | None" = None,
-    source_fn=None,
-    n_ranks: int = 1,
-) -> AMRSolver:
-    """The in-process rank loop carrying the forest *state*: built on
-    quiescent placeholder data with no initial regrid, then *state*
-    installed verbatim."""
-    from ..io.checkpoint import _quiescent_prim
-
-    solver = AMRSolver(
-        system, root_grid, _quiescent_prim, config,
-        (amr or AMRConfig()).replace(initial_regrid_passes=0),
-        boundaries, recorder, source_fn, n_ranks,
-    )
-    solver.install_forest_state(state)
-    return solver
-
-
 class _AMRRankWorker(_WorkerShell, AMRSolver):
     """One rank of the AMR run, inside a worker process.
 
     The AMR stepper itself, narrowed to ``local_ranks=(rank,)`` over the
-    shm communicator: stepping, exchange and every regrid and rebalance
-    decision are inherited.  What is here: construction from a shipped
-    forest state, the supervision snapshot pair, and leaving the rebalance
+    shm communicator: stepping, exchange, every regrid and rebalance
+    decision and ``state()`` / ``install_state()`` are inherited.  What is
+    here: construction from a shipped state, and leaving the rebalance
     event to the parent.  The process-side protocol (ring attachment,
     barrier-then-step, snapshots, rebinding) is the shared
     :class:`~repro.core.parallel._WorkerShell`.
@@ -101,33 +77,17 @@ class _AMRRankWorker(_WorkerShell, AMRSolver):
             p["wall_bcs"], StepRecorder(BufferSink()), p["source_fn"],
             (self.rank,), comm, metrics=metrics,
         )
-        #: initial :meth:`~AMRSolver.forest_state` of this rank (rank 0's
-        #: also carries the prototype's ``metrics``/``timers`` baselines)
+        #: initial :meth:`~AMRSolver.state` of this rank (rank 0's also
+        #: carries the prototype's ``metrics``/``timers`` baselines)
         state = p["state"]
-        self.install_forest_state(state)
+        self.install_state(state)
         if "metrics" in state:
             self.metrics.restore(state["metrics"])
             self.timers.restore(state["timers"])
         self._process_t0 = time.process_time()
 
-    def supervision_state(self) -> dict:
-        return {**self.forest_state(), **self.shell_state()}
-
-    def restore_supervision_state(self, state: dict) -> None:
-        """Roll back to a step boundary after a rank failure."""
-        self.install_forest_state(state)
-        self.restore_shell_state(state)
-
     def _emit_rebalance_event(self, **payload) -> None:
         pass  # the parent emits the event from the merged record delta
-
-
-def _merge_forest_states(states: dict) -> dict:
-    """One whole-forest state from per-rank ones (``{rank: forest_state}``):
-    rank 0's topology and counters — replicated on every rank — over the
-    union of every rank's blocks, in leaf order."""
-    blocks = {k: b for st in states.values() for k, b in st["blocks"].items()}
-    return {**states[0], "blocks": {k: blocks[k] for k in states[0]["leaves"]}}
 
 
 class AMRProcessSolver(ProcessSolver):
@@ -140,9 +100,7 @@ class AMRProcessSolver(ProcessSolver):
     processes.  Results are bit-identical to the in-process
     :class:`~repro.core.amr_solver.AMRSolver` at any rank count (the test
     tier pins this at 1/2/4 ranks, through migrations and injected process
-    faults).  Given *forest_state* (a :meth:`AMRSolver.forest_state`, or
-    an archive's) the fleet starts from it instead of evaluating
-    *initial_data*.
+    faults).
     """
 
     def __init__(
@@ -161,19 +119,12 @@ class AMRProcessSolver(ProcessSolver):
         step_timeout_s: float = 600.0,
         ready_timeout_s: float = 180.0,
         supervision=None,
-        forest_state: dict | None = None,
     ):
         _validate_amr_plan(fault_injector)
-        if forest_state is None:
-            proto = AMRSolver(
-                system, root_grid, initial_data, config, amr, boundaries,
-                source_fn=source_fn, n_ranks=n_ranks,
-            )
-        else:
-            proto = _installed(
-                forest_state, system, root_grid, config, amr, boundaries,
-                source_fn=source_fn, n_ranks=n_ranks,
-            )
+        proto = AMRSolver(
+            system, root_grid, initial_data, config, amr, boundaries,
+            source_fn=source_fn, n_ranks=n_ranks,
+        )
         self.system = system
         self.root_grid = root_grid
         self.config = proto.config
@@ -192,32 +143,21 @@ class AMRProcessSolver(ProcessSolver):
         self.repartitions = proto.repartitions
         self.migrated_blocks = proto.migrated_blocks
         self.imbalance = proto.imbalance
-        self._init_states = self._states_from_proto(proto)
+        # Rank 0 carries the prototype's metric/timer baselines (the
+        # construction-time con2prim work), so merged step records
+        # reproduce the in-process recorder stream byte for byte.
+        state = proto.state()
+        self._init_states = {
+            rank: self._rank_state(state, rank) for rank in range(self.n_ranks)
+        }
+        self._init_states[0].update(
+            metrics=proto.metrics.snapshot(), timers=proto.timers.state()
+        )
 
         g = root_grid.n_ghost
         B = self.amr.block_size
         block_nbytes = 8 * system.nvars * (B + 2 * g) ** root_grid.ndim
         self._start_fleet(amr_channel_capacities(self.n_ranks, block_nbytes))
-
-    def _states_from_proto(self, proto: AMRSolver) -> dict:
-        """Per-rank initial install states from the prototype solver.
-
-        Rank 0 carries the prototype's full metric/timer baselines (the
-        construction-time con2prim work), so merged step records reproduce
-        the in-process recorder stream byte for byte.
-        """
-        baselines = {
-            "metrics": proto.metrics.snapshot(), "timers": proto.timers.state(),
-        }
-        return {
-            rank: {
-                **proto.forest_state(
-                    [k for k in proto.forest.leaves if proto.assignment[k] == rank]
-                ),
-                **(baselines if rank == 0 else {}),
-            }
-            for rank in range(self.n_ranks)
-        }
 
     _worker_cls = _AMRRankWorker
 
@@ -251,33 +191,39 @@ class AMRProcessSolver(ProcessSolver):
         self.imbalance = amr["imbalance"]
         super()._emit_step_record(merged)
 
-    def forest_state(self) -> dict:
-        """The fleet's :meth:`~AMRSolver.forest_state`: rank 0's topology,
-        ownership and counters (replicated on every rank) plus the union
-        of every rank's blocks, in leaf order."""
-        return _merge_forest_states(self._call_all("forest_state"))
+    def install_state(self, state: dict) -> None:
+        super().install_state(state)
+        self.repartitions = int(state.get("repartitions", 0))
+        self.migrated_blocks = int(state.get("migrated_blocks", 0))
+        self.imbalance = float(state.get("imbalance", self.imbalance))
 
-    #: the forest archive over :meth:`forest_state`, entry for entry what
-    #: the in-process ``AMRSolver`` writes for the same trajectory and rank
-    #: count (:func:`repro.io.checkpoint.load_amr_checkpoint` reloads it as
-    #: a fleet of the same size)
-    write_checkpoint = AMRSolver.write_checkpoint
+    @staticmethod
+    def _merge_states(states: dict) -> dict:
+        """Rank 0's topology, ownership and counters — replicated on every
+        rank — over the union of every rank's patches, in leaf order."""
+        patches = {k: p for st in states.values() for k, p in st["patches"].items()}
+        return {**states[0], "patches": {k: patches[k] for k in states[0]["leaves"]}}
 
-    def fold_to_serial(self, snapshot: dict) -> AMRSolver:
-        """This run's serial twin carrying *snapshot*: the in-process rank
-        loop at this fleet's rank count with the merged per-rank forest
-        states installed."""
-        return _installed(
-            _merge_forest_states(snapshot["states"]),
-            self.system, self.root_grid, self.config, self.amr,
-            self._wall_bcs, source_fn=self._source_fn, n_ranks=self.n_ranks,
+    @staticmethod
+    def _rank_state(state: dict, rank: int) -> dict:
+        """The patches *rank* owns; a state without ownership (an
+        archive's) goes whole, to be cut afresh by every rank alike."""
+        owner = state.get("assignment")
+        if owner is None:
+            return state
+        return {
+            **state,
+            "patches": {k: p for k, p in state["patches"].items() if owner[k] == rank},
+        }
+
+    def _serial_twin(self) -> AMRSolver:
+        """The in-process rank loop of this run, on placeholder data with
+        no initial regrid."""
+        return AMRSolver(
+            self.system, self.root_grid, placeholder_prim, self.config,
+            self.amr.replace(initial_regrid_passes=0), self._wall_bcs,
+            source_fn=self._source_fn, n_ranks=self.n_ranks,
         )
-
-    def gather_blocks(self) -> dict[BlockKey, np.ndarray]:
-        """Every leaf's ghosted conserved array, merged across ranks."""
-        return {k: b[0] for k, b in self.forest_state()["blocks"].items()}
-
-    gather_cons = gather_blocks
 
     def gather_block_primitives(self) -> dict[BlockKey, np.ndarray]:
         """Every leaf's interior primitives, merged across ranks."""
@@ -285,7 +231,7 @@ class AMRProcessSolver(ProcessSolver):
 
     def gather_primitives(self):
         raise ConfigurationError(
-            "the AMR executor gathers per-block data; use gather_blocks() "
+            "the AMR executor gathers per-block data; use state() "
             "or gather_block_primitives()"
         )
 
@@ -306,9 +252,7 @@ def make_distributed_amr_solver(
     sequence, bit-identical block bytes.  Both accept the same fault plans
     (process faults only; on the serial executor they name processes that
     do not exist and are ignored, as plans are supersets by design) and
-    refuse the same ones, and both take a ``forest_state`` keyword that is
-    installed in place of evaluating *initial_data* (how
-    ``load_amr_checkpoint`` rebuilds a run).
+    refuse the same ones.
     """
     cfg = config or SolverConfig()
     if cfg.executor == "process":
@@ -318,11 +262,6 @@ def make_distributed_amr_solver(
         )
     kwargs = serial_factory_kwargs(kwargs)
     _validate_amr_plan(kwargs.pop("fault_injector", None))
-    state = kwargs.pop("forest_state", None)
-    if state is not None:
-        return _installed(
-            state, system, root_grid, cfg, amr, n_ranks=n_ranks, **kwargs
-        )
     return AMRSolver(
         system, root_grid, initial_data,
         config=cfg, amr=amr, n_ranks=n_ranks, **kwargs,

@@ -286,25 +286,24 @@ class AMRSolver(Driver):
         return self._pipe_state.get(key)
 
     # ------------------------------------------------------------------
-    # Forest state: the one capture/install pair behind AMR checkpoints,
-    # the process fleet's initial states and its supervision snapshots
+    # Driver state: topology, ownership and counters beside the patches
     # ------------------------------------------------------------------
 
-    def forest_state(self, keys=None) -> dict:
+    def state(self) -> dict:
         """Topology, ownership, counters and the ``(cons, p_cache)`` of
-        *keys* (default: the leaves this stepper evolves).  Leaf
-        insertion order is part of the byte-level contract (every
-        iteration the drivers do follows it), so it is kept verbatim."""
+        every leaf this stepper evolves.  Leaf insertion order is part of
+        the byte-level contract (every iteration the drivers do follows
+        it), so it is kept verbatim."""
         return {
-            "leaves": list(self.forest.leaves),
-            "refined": sorted(self.forest.refined),
-            "blocks": {
-                key: (self.forest.leaves[key].cons.copy(), self._warm_state(key))
-                for key in (self._step_keys() if keys is None else keys)
-            },
-            "assignment": dict(self.assignment),
             "t": self.t,
             "steps": self.steps,
+            "patches": {
+                key: (self.forest.leaves[key].cons.copy(), self._warm_state(key))
+                for key in self._step_keys()
+            },
+            "leaves": list(self.forest.leaves),
+            "refined": sorted(self.forest.refined),
+            "assignment": dict(self.assignment),
             "cells_updated": self.cells_updated,
             "regrids": self.regrids,
             "repartitions": self.repartitions,
@@ -312,12 +311,12 @@ class AMRSolver(Driver):
             "imbalance": self._last_imbalance,
         }
 
-    def install_forest_state(self, state: dict) -> None:
-        """Rebuild topology, block data, ownership and counters from a
-        :meth:`forest_state` (leaves outside ``state["blocks"]`` are
-        topology-only, as on a rank that does not own them).  A state
-        without ``assignment`` — an archive's — is cut afresh over this
-        driver's ``n_ranks``."""
+    def install_state(self, state: dict) -> None:
+        """Rebuild topology, ownership and counters from a :meth:`state`
+        and install the patches of the leaves this stepper evolves (the
+        others are topology only, as on a rank that does not own them).  A
+        state without ``assignment`` — an archive's — is cut afresh over
+        this driver's ``n_ranks``."""
         forest = AMRForest(self.layout, self.amr.max_levels)
         for key in state["leaves"]:
             forest.add_leaf(key, None)
@@ -325,9 +324,6 @@ class AMRSolver(Driver):
         self.forest = forest
         self._pipelines = {}
         self._pipe_state = {}
-        for key, (cons, p_cache) in state["blocks"].items():
-            forest.leaves[key].cons = np.array(cons)
-            self._pipe_state[key] = p_cache
         self.t = float(state["t"])
         self.steps = int(state["steps"])
         self.cells_updated = int(state["cells_updated"])
@@ -340,6 +336,10 @@ class AMRSolver(Driver):
             self._last_imbalance = float(state["imbalance"])
         else:
             self._partition()
+        for key in self._step_keys():
+            cons, p_cache = state["patches"][key]
+            forest.leaves[key].cons = np.array(cons)
+            self._pipe_state[key] = p_cache
 
     # ------------------------------------------------------------------
     # Ownership and the plans derived from it
@@ -878,12 +878,6 @@ class AMRSolver(Driver):
     # bench/trace.py patches AMRSolver.__dict__["step"]: bound here, not
     # inherited.
     step = Driver.step
-
-    def write_checkpoint(self, path) -> None:
-        # Deferred import: repro.io imports this module.
-        from ..io.checkpoint import save_amr_checkpoint
-
-        save_amr_checkpoint(self, path)
 
     # ------------------------------------------------------------------
     # Output

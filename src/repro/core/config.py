@@ -7,6 +7,13 @@ from ..riemann import SOLVERS
 from ..time_integration.ssprk import INTEGRATORS
 from ..utils.parameters import ParameterSet, param
 
+#: Fixed numerics, not options: the con2prim Newton tolerance, the
+#: atmosphere flooring threshold (a factor over ``rho_atmo``) and the run
+#: loop's hard step limit (a call bounds its own run with ``max_steps``).
+RECOVERY_TOL = 1e-12
+ATMO_THRESHOLD = 10.0
+MAX_STEPS = 1_000_000
+
 
 class SolverConfig(ParameterSet):
     """All numerical knobs of the HRSC solver.
@@ -27,10 +34,6 @@ class SolverConfig(ParameterSet):
     cfl = param(0.5, float, lambda v: 0 < v <= 1, "CFL number in (0, 1]")
     rho_atmo = param(1e-10, float, lambda v: v > 0, "atmosphere density floor")
     p_atmo = param(1e-12, float, lambda v: v > 0, "atmosphere pressure floor")
-    atmo_threshold = param(
-        10.0, float, lambda v: v >= 1, "flooring threshold factor over rho_atmo"
-    )
-    recovery_tol = param(1e-12, float, lambda v: 0 < v < 1e-3, "con2prim tolerance")
     failsafe_frac = param(
         0.0,
         float,
@@ -70,4 +73,3 @@ class SolverConfig(ParameterSet):
         "the cffi-compiled row kernels (falls back to 'flat' with a logged "
         "warning when no C toolchain is available)",
     )
-    max_steps = param(1_000_000, int, lambda v: v > 0, "hard step-count limit")

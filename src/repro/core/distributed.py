@@ -7,7 +7,7 @@ the domain split across ranks of a :class:`CartesianDecomposition`:
   patches are alike (shape, ``dx``, overlap regions) form one *stack*, a
   ``(P, nvars, *ghosted)`` array stepped by one :class:`HydroPipeline` —
   one kernel call per stage for all P ranks — and every per-rank surface
-  (halo exchange, shards, the finite guard) works on ``{rank: view}``;
+  (halo exchange, ``state()``, the finite guard) works on ``{rank: view}``;
 - physical walls use the supplied boundary conditions, while faces shared
   with a neighbour are marked :class:`InteriorFace` and filled by
   :func:`exchange_halos` through the :class:`SimCommunicator`;
@@ -462,7 +462,7 @@ class DistributedSolver(Driver):
 
     def _integrate(self, dt: float) -> None:
         """One integrator step over ``{stack: state}``; the advanced states
-        are fresh stacks, so views and shards handed out stay valid."""
+        are fresh stacks, so views handed out stay valid."""
         states = self._integrate_parts(
             dict(enumerate(self.cons.stacks)), dt, self._rhs,
             lambda s: self._stacks[s].pipeline,
@@ -497,34 +497,39 @@ class DistributedSolver(Driver):
             "halo_bytes_model_per_exchange": self.halo_bytes_per_exchange,
         }
 
-    def write_checkpoint(self, path) -> None:
-        """All rank sub-patches plus their warm-start state, through
-        :meth:`checkpoint_shards` (so both executors write one format)."""
-        # Deferred import: repro.io imports this module's siblings.
-        from ..io.checkpoint import save_distributed_checkpoint
-
-        save_distributed_checkpoint(self, path)
-
-    def checkpoint_shards(self) -> dict[int, tuple]:
-        """Per-rank ``(ghosted cons, p_cache)`` — the payload of one
-        distributed checkpoint (same accessor the process
-        executor streams from its workers, so both write identical
-        archives)."""
+    def state(self) -> dict:
+        """Per owned rank ``(ghosted cons, p_cache)`` plus the exchanged-
+        primitive cache, the traffic not yet in a step record (relative to
+        the communicator's log, so a state moves between communicators) and
+        the fault position of an attached injector.  Patches are views of
+        the committed stacks: a step commits fresh ones, so they keep their
+        bytes."""
+        prims = self._prims_cache
+        now = self.comm.traffic_marker()
+        injector = self.fault_injector
         return {
-            rank: (self.cons[rank], st.pipeline.warm_state(i))
-            for st in self._stacks
-            for i, rank in enumerate(st.ranks)
+            "t": self.t,
+            "steps": self.steps,
+            "patches": {
+                rank: (self.cons[rank], st.pipeline.warm_state(i))
+                for st in self._stacks
+                for i, rank in enumerate(st.ranks)
+            },
+            "prims_cache": None if prims is None
+            else {rank: prims[rank] for rank in self.local_ranks},
+            "unrecorded_traffic": tuple(a - b for a, b in zip(now, self._traffic_prev)),
+            "faults": None if injector is None
+            else (injector.state(), self.fault_oracle.state()),
         }
 
-    def install_shards(self, t, steps, shards: dict, prims_cache=None) -> None:
-        """Install ``{rank: (ghosted cons, p_cache)}`` for the owned
-        ranks verbatim (bit-exact restart), as fresh stacks: the one path
-        checkpoint reload, the worker's restore commands and the fold to
-        serial all take.  *prims_cache* is the ``{rank: prim}``
-        exchanged-primitive cache when one was held."""
+    def install_state(self, state: dict) -> None:
+        """Install the owned ranks' patches of a :meth:`state` verbatim, as
+        fresh stacks (extras a state lacks keep their fresh values; a fault
+        position is restored only where an injector is attached)."""
+        patches = state["patches"]
         for st in self._stacks:
             for i, rank in enumerate(st.ranks):
-                st.pipeline.install_warm_state(shards[rank][1], i)
+                st.pipeline.install_warm_state(patches[rank][1], i)
 
         def stacked(arrays_of) -> _RankViews:
             return self._views([
@@ -532,10 +537,19 @@ class DistributedSolver(Driver):
                 for st in self._stacks
             ])
 
-        self.cons = stacked(lambda rank: shards[rank][0])
-        self._prims_cache = None if prims_cache is None else stacked(prims_cache.get)
-        self.t = float(t)
-        self.steps = int(steps)
+        self.cons = stacked(lambda rank: patches[rank][0])
+        prims = state.get("prims_cache")
+        self._prims_cache = None if prims is None else stacked(prims.get)
+        self.t = float(state["t"])
+        self.steps = int(state["steps"])
+        unrecorded = state.get("unrecorded_traffic", (0, 0, 0))
+        self._traffic_prev = tuple(
+            a - b for a, b in zip(self.comm.traffic_marker(), unrecorded)
+        )
+        if state.get("faults") is not None and self.fault_injector is not None:
+            injector, oracle = state["faults"]
+            self.fault_injector.restore(injector)
+            self.fault_oracle.restore(oracle)
 
     def interior_primitives(self) -> dict[int, np.ndarray]:
         """Owned ranks' interior primitives after an exchange — through the

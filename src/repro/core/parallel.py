@@ -83,9 +83,9 @@ from ..utils.errors import (
     SupervisionExhausted,
     WorkerError,
 )
-from .config import SolverConfig
+from .config import MAX_STEPS, SolverConfig
 from .distributed import DistributedSolver, decompose
-from .stepping import Driver
+from .stepping import Driver, placeholder_prim
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..resilience.policies import HaloRetryPolicy, SupervisionPolicy
@@ -118,8 +118,10 @@ class _WorkerShell:
     Mixed in ahead of the driver class (:class:`DistributedSolver`,
     :class:`~repro.core.amr_solver.AMRSolver`), it
     contributes ring attachment, the lockstep barrier in front of
-    ``step``, resource snapshots, ring rebinding after a peer respawn and
-    teardown — never physics, which stays in the driver it wraps.
+    ``step``, resource snapshots, the supervision snapshot pair (the
+    driver's ``state()`` plus the shell's own), ring rebinding after a peer
+    respawn and teardown — never physics, which stays in the driver it
+    wraps.
     """
 
     def _attach(self, spec, board: SupervisionBoard, metrics) -> ShmCommunicator:
@@ -179,13 +181,23 @@ class _WorkerShell:
             "comm": self.comm._rollback_point(),
         }
 
-    def restore_shell_state(self, state: dict) -> None:
-        """Inverse of :meth:`shell_state`; the communicator drops pending
-        messages and re-baselines the supervision board."""
+    def supervision_state(self) -> dict:
+        """Everything needed to roll this rank back to this step boundary —
+        complete with respect to observable behavior, so a rank restored
+        from it re-executes the following steps bit-identically, emitted
+        records included.  Pickled to the parent as it is returned."""
+        return {**self.state(), **self.shell_state()}
+
+    def restore_supervision_state(self, state: dict) -> None:
+        """Roll back to a :meth:`supervision_state` after a rank failure:
+        the shell first (the communicator drops pending messages, restores
+        its traffic log and re-baselines the supervision board), then the
+        driver's ``install_state``, which reads that log."""
         self.metrics.restore(state["metrics"])
         self.timers.restore(state["timers"])
         self.recorder.restore_state(state["recorder"])
         self.comm._rollback(state["comm"])
+        self.install_state(state)
 
     def rebind(self, channels: dict) -> None:
         """Attach freshly recreated shm rings (a peer was respawned)."""
@@ -206,8 +218,8 @@ class _RankWorker(_WorkerShell, DistributedSolver):
     """One rank of the decomposition, living inside a worker process.
 
     The rank stepper itself, narrowed to ``local_ranks=(rank,)`` over the
-    shm communicator: construction, stepping and the fault oracle are
-    inherited.  What is here is the supervision snapshot/rollback pair.
+    shm communicator: stepping, the fault oracle and ``state()`` /
+    ``install_state()`` are inherited; only construction is here.
     """
 
     def __init__(self, spec: _WorkerSpec, board: SupervisionBoard):
@@ -226,57 +238,11 @@ class _RankWorker(_WorkerShell, DistributedSolver):
         )
         self._process_t0 = time.process_time()
 
-    # -- supervision -----------------------------------------------------
-    def supervision_state(self) -> dict:
-        """Everything needed to roll this rank back to this step boundary.
-
-        The snapshot is complete with respect to observable behavior —
-        the rank's patch state, the shell state, and the fault position
-        (the injector's and the oracle's ``state()``) — so a rank restored
-        from it re-executes the following steps bit-identically, emitted
-        records included.
-        """
-        prims = self._prims_cache
-        injector = self.fault_injector
-        return {
-            **self.shell_state(),
-            # Pickled to the parent as it is returned: cons goes uncopied
-            # (the seed is warm_state()'s own copy).
-            "shard": self.checkpoint_shards()[self.rank],
-            "prims_cache": None if prims is None else prims[self.rank],
-            "t": self.t,
-            "steps": self.steps,
-            "traffic_prev": tuple(self._traffic_prev),
-            "faults": None if injector is None
-            else (injector.state(), self.fault_oracle.state()),
-        }
-
-    def restore_supervision_state(self, state: dict) -> None:
-        """Roll back to *state* (a step boundary) after a rank failure.
-
-        Besides the patch and shell state this restores the con2prim
-        injector and the fault oracle, so the replayed steps are
-        indistinguishable from a fault-free run.
-        """
-        prims = state["prims_cache"]
-        self.install_shards(
-            state["t"], state["steps"],
-            {self.rank: state["shard"]},
-            prims_cache=None if prims is None else {self.rank: np.array(prims)},
-        )
-        if state["faults"] is not None:
-            injector, oracle = state["faults"]
-            self.fault_injector.restore(injector)
-            self.fault_oracle.restore(oracle)
-        self.restore_shell_state(state)
-        self._traffic_prev = tuple(state["traffic_prev"])
-
 
 #: worker methods the parent may invoke through the ``call`` verb
 _WORKER_CALLS = frozenset({
-    "interior_primitives", "checkpoint_shards", "install_shards",
-    "forest_state", "snapshot", "supervision_state",
-    "restore_supervision_state", "rebind",
+    "interior_primitives", "state", "install_state", "snapshot",
+    "supervision_state", "restore_supervision_state", "rebind",
 })
 
 
@@ -482,8 +448,9 @@ class ProcessSolver(Driver):
     ``fault_injector``'s plan is shipped to the workers, each of which
     builds its own injector and oracle from it; the injector object itself
     stays untouched in the parent).  ``step``/``run``/``gather_primitives``/
-    checkpointing match the serial driver: workers stream their shards to
-    the parent, which writes the identical distributed checkpoint format.
+    ``state()`` match the serial driver: ``state()`` merges the workers'
+    states and ``install_state`` scatters one to them, so both executors
+    write and reload the identical checkpoint archive.
 
     Pass a :class:`~repro.resilience.policies.SupervisionPolicy` as
     ``supervision`` to enable in-run rank recovery: crashed or hung
@@ -1047,49 +1014,74 @@ class ProcessSolver(Driver):
             resumed_step=self.steps, t=self.t,
         )
 
-    #: ``run`` is the shared :meth:`Driver.run` over this parent-side
-    #: ``step``; the checkpoint writer is the serial driver's.  Workers
-    #: stream their shards to the parent, which writes the same
-    #: distributed checkpoint format — bit-identical entries, so a run may
-    #: checkpoint under one executor and restart under the other
-    #: (:func:`repro.io.checkpoint.load_distributed_checkpoint`).
-    write_checkpoint = DistributedSolver.write_checkpoint
-
     def gather_primitives(self) -> np.ndarray:
         return self.decomp.gather(
             self._gather("interior_primitives"), self.system.nvars
         )
-
-    def gather_cons(self) -> dict[int, np.ndarray]:
-        """Every rank's full ghosted conserved array (bit-exactness tests)."""
-        return {rank: shard[0] for rank, shard in self.checkpoint_shards().items()}
 
     def worker_snapshots(self) -> list[dict]:
         """Per-rank ``{metrics, timers, process_seconds, cext_threads}``
         snapshots."""
         return list(self._call_all("snapshot").values())
 
-    def checkpoint_shards(self) -> dict[int, tuple]:
-        """Per-rank ``(ghosted cons, p_cache)`` streamed from the workers —
-        the payload of one distributed checkpoint."""
-        return self._gather("checkpoint_shards")
+    def state(self) -> dict:
+        """The serial driver's ``state()``, merged from the workers'."""
+        return self._merge_states(self._call_all("state"))
 
-    def install_shards(self, t, steps, shards: dict, prims_cache=None) -> None:
-        """The serial driver's ``install_shards`` over the fleet: each
-        worker installs its own rank's slice verbatim, and a supervised
-        run moves its rollback point onto the installed state."""
+    def install_state(self, state: dict) -> None:
+        """The serial driver's ``install_state`` over the fleet: each worker
+        installs its own slice of *state* verbatim, and a supervised run
+        moves its rollback point onto the installed state."""
         self._call_all(
-            "install_shards",
-            per_rank={
-                r: (t, steps, {r: shards[r]},
-                    None if prims_cache is None else {r: prims_cache[r]})
-                for r in range(self.size)
-            },
+            "install_state",
+            per_rank={r: (self._rank_state(state, r),) for r in range(self.size)},
         )
-        self.t = float(t)
-        self.steps = int(steps)
+        self.t = float(state["t"])
+        self.steps = int(state["steps"])
         if self.supervision is not None:
             self._take_snapshot()
+
+    @staticmethod
+    def _merge_states(states: dict) -> dict:
+        """One state from the workers' ``{rank: state}``: their patches and
+        primitive caches united.  Per-worker extras (unrecorded traffic,
+        fault positions) stay behind: fault plans are not resumed across a
+        fold."""
+        prims = [st["prims_cache"] for st in states.values()]
+        return {
+            "t": states[0]["t"],
+            "steps": states[0]["steps"],
+            "patches": {
+                r: p for st in states.values() for r, p in st["patches"].items()
+            },
+            "prims_cache": None if None in prims
+            else {r: p for cache in prims for r, p in cache.items()},
+        }
+
+    @staticmethod
+    def _rank_state(state: dict, rank: int) -> dict:
+        """What worker *rank* installs of a fleet-wide *state*."""
+        prims = state.get("prims_cache")
+        return {
+            "t": state["t"],
+            "steps": state["steps"],
+            "patches": {rank: state["patches"][rank]},
+            "prims_cache": None if prims is None else {rank: prims[rank]},
+        }
+
+    def _serial_twin(self) -> DistributedSolver:
+        """The in-process driver of this run, on placeholder data."""
+        return DistributedSolver(
+            self.system,
+            self.global_grid,
+            placeholder_prim(self.system, self.global_grid),
+            tuple(self.decomp.dims),
+            config=self.config,
+            boundaries=self._wall_bcs,
+            periodic=self.decomp.periodic,
+            halo_policy=self.halo_policy,
+            source_fn=self._source_fn,
+        )
 
     def close(self) -> None:
         """Shut the workers down and release the shared-memory segments."""
@@ -1111,36 +1103,17 @@ class ProcessSolver(Driver):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def fold_to_serial(self, snapshot: dict) -> DistributedSolver:
-        """This run's serial twin carrying *snapshot*: a
-        :class:`DistributedSolver` with the per-rank supervision states
-        installed verbatim — ghosted conserved arrays, Newton seeds
-        and (when every rank has one) the exchanged-primitive cache
-        — so the serial continuation advances the exact bytes the process
-        run held at its last consistent boundary.  Logical fault plans are
-        not resumed across the fold: the degraded tail runs fault-free
-        (mirroring ``run_with_restart``'s per-run plan semantics).
+    def fold_to_serial(self, snapshot: dict):
+        """This run's serial twin carrying *snapshot*: the workers'
+        supervision states merged and installed verbatim — patches, Newton
+        seeds and whatever else the family's state carries — so the serial
+        continuation advances the exact bytes the process run held at its
+        last consistent boundary.  Logical fault plans are not resumed
+        across the fold: the degraded tail runs fault-free (mirroring
+        ``run_with_restart``'s per-run plan semantics).
         """
-        from ..io.checkpoint import _quiescent_prim
-
-        serial = DistributedSolver(
-            self.system,
-            self.global_grid,
-            _quiescent_prim(self.system, self.global_grid),
-            tuple(self.decomp.dims),
-            config=self.config,
-            boundaries=self._wall_bcs,
-            periodic=self.decomp.periodic,
-            halo_policy=self.halo_policy,
-            source_fn=self._source_fn,
-        )
-        states = snapshot["states"]
-        prims = {rank: st["prims_cache"] for rank, st in states.items()}
-        serial.install_shards(
-            snapshot["t"], snapshot["steps"],
-            {rank: st["shard"] for rank, st in states.items()},
-            prims_cache=None if any(p is None for p in prims.values()) else prims,
-        )
+        serial = self._serial_twin()
+        serial.install_state(self._merge_states(snapshot["states"]))
         return serial
 
 
@@ -1197,7 +1170,7 @@ def run_supervised(
                 step=serial.steps, t=serial.t, reason=str(exc),
             )
         # Quiet replay of steps the caller's recorder already saw.
-        limit = max_steps if max_steps is not None else serial.config.max_steps
+        limit = max_steps if max_steps is not None else MAX_STEPS
         while (
             serial.steps < min(emitted, limit)
             and serial.t < t_final * (1.0 - 1e-14)

@@ -22,7 +22,7 @@ from ..riemann import make_riemann_solver
 from ..time_integration.cfl import max_signal_per_axis
 from ..time_integration.ssprk import combine_stage as _reference_stage
 from ..utils.timers import TimerRegistry
-from .config import SolverConfig
+from .config import ATMO_THRESHOLD, RECOVERY_TOL, SolverConfig
 from .workspace import ScratchWorkspace, scratch_buf
 
 
@@ -110,7 +110,7 @@ class HydroPipeline:
         self.riemann = make_riemann_solver(config.riemann)
         self.atmosphere = Atmosphere(
             rho_atmo=config.rho_atmo,
-            threshold_factor=config.atmo_threshold,
+            threshold_factor=ATMO_THRESHOLD,
             p_atmo=config.p_atmo,
         )
         if grid.n_ghost < self.reconstruction.required_ghosts:
@@ -271,7 +271,7 @@ class HydroPipeline:
                     system,
                     interior_cons,
                     p_guess=self._p_cache[self._seed_rows(i)] if self._warm[i] else None,
-                    tol=self.config.recovery_tol,
+                    tol=RECOVERY_TOL,
                     stats=sweep,
                     failsafe_frac=self.config.failsafe_frac,
                     atmosphere=(self.atmosphere.rho_atmo, self.atmosphere.p_atmo),
@@ -321,7 +321,7 @@ class HydroPipeline:
             self._p_cache if any(warm) else None, self._seed_spare,
             n_patches=len(warm),
             warm=None if all(warm) else np.array(warm, dtype=np.uint8),
-            tol=self.config.recovery_tol, **_NEWTON,
+            tol=RECOVERY_TOL, **_NEWTON,
             rho_atmo=atmo.rho_atmo, p_atmo=atmo.p_atmo,
             rho_reset=atmo.threshold_factor * atmo.rho_atmo,
             vmax=float(np.sqrt(1.0 - 1.0 / self.config.w_max**2)),

@@ -17,6 +17,8 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ..boundary.conditions import BoundarySet, make_boundaries
@@ -160,11 +162,41 @@ class Solver(Driver):
     # bench/trace.py patches Solver.__dict__["step"]: bound here, not inherited.
     step = Driver.step
 
-    def write_checkpoint(self, path) -> None:
-        # Deferred import: repro.io imports this module.
-        from ..io.checkpoint import save_checkpoint
+    def state(self) -> dict:
+        """The one patch plus what the run summary measures from: the
+        initial totals and the dt range (a json-ready ``summary``)."""
+        return {
+            "t": self.t,
+            "steps": self.steps,
+            "patches": {"": (self.cons, self.pipeline.warm_state())},
+            "summary": {
+                "initial": dataclasses.asdict(self.summary.initial),
+                "dt_min": self.summary.dt_min,
+                "dt_max": self.summary.dt_max,
+            },
+        }
 
-        save_checkpoint(self, path)
+    def install_state(self, state: dict) -> None:
+        """Install a :meth:`state` verbatim; without a ``summary`` the
+        installed state becomes the one drift is measured from."""
+        cons, p_cache = state["patches"][""]
+        self.cons = np.array(cons, dtype=float)
+        self.pipeline.install_warm_state(p_cache)
+        self._prim_dirty = True
+        self.t = float(state["t"])
+        self.summary = RunSummary(steps=int(state["steps"]))
+        summary = state.get("summary")
+        if summary is None:
+            self.summary.initial = ConservedTotals.measure(
+                self.system, self.grid, self.cons
+            )
+        else:
+            initial = summary["initial"]
+            self.summary.initial = ConservedTotals(
+                **dict(initial, momentum=tuple(initial["momentum"]))
+            )
+            self.summary.dt_min = summary["dt_min"]
+            self.summary.dt_max = summary["dt_max"]
 
     def _finish_run(self) -> RunSummary:
         self.summary.t_final = self.t

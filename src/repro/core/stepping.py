@@ -15,9 +15,16 @@ drivers supply only what is theirs:
 ``_after_step(dt)``      bookkeeping on the guarded step (``solver.dt``)
 ``_record_extras()``     the family block of a step record
 ``_keep_running()``      run-loop predicate beyond ``t < t_final``
-``write_checkpoint``     the driver's archive writer
+``state()``              ``{"t", "steps", "patches": {ident: (cons,
+                         p_cache)}, ...}`` plus the family's extras
+``install_state(s)``     the inverse of ``state()``, verbatim
 ``_finish_run()``        what ``run`` returns
 ======================  ================================================
+
+``state()``/``install_state()`` is the one way a driver's state moves:
+checkpoints (:meth:`Driver.write_checkpoint`,
+:func:`repro.io.load_checkpoint`), a worker's supervision snapshot and the
+fold of a fleet to its serial twin all call this pair and nothing else.
 
 ``step`` and ``run`` never ask which driver they serve.  Drivers named in
 ``bench/trace.py::PATCH_POINTS`` re-bind ``step``/``run`` in their own
@@ -31,9 +38,19 @@ import time
 
 from ..utils.errors import ConfigurationError, NumericsError
 from ..utils.logging import get_logger
+from .config import MAX_STEPS
 from .diagnostics import check_dt, first_nonfinite
 
 _log = get_logger("core")
+
+
+def placeholder_prim(system, grid):
+    """Physically admissible placeholder state (rho = p = 1, v = 0): what a
+    driver is built on before ``install_state`` replaces it."""
+    prim = grid.allocate(system.nvars, fill=0.0)
+    prim[system.RHO] = 1.0
+    prim[system.P] = 1.0
+    return prim
 
 
 class Driver:
@@ -92,6 +109,13 @@ class Driver:
     def _finish_run(self):
         return None
 
+    def write_checkpoint(self, path) -> None:
+        """Archive :meth:`state` at *path* (:func:`repro.io.save_checkpoint`)."""
+        # Deferred import: repro.io imports the drivers.
+        from ..io.checkpoint import save_checkpoint
+
+        save_checkpoint(self, path)
+
     def step(self, dt: float | None = None, t_final: float | None = None) -> float:
         """Advance one time step; returns the dt taken."""
         wall0 = time.perf_counter()
@@ -134,7 +158,7 @@ class Driver:
             raise ConfigurationError(f"t_final={t_final} is before t={self.t}")
         if checkpoint_every and checkpoint_path is None:
             raise ConfigurationError("checkpoint_every requires a checkpoint_path")
-        limit = max_steps if max_steps is not None else self.config.max_steps
+        limit = max_steps if max_steps is not None else MAX_STEPS
         while self.t < t_final * (1.0 - 1e-14) and self._keep_running():
             if self.steps >= limit:
                 _log.warning("step limit %d reached at t=%g", limit, self.t)

@@ -20,8 +20,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..utils.errors import EOSError
-
 
 class EOS(ABC):
     """Equation of state p = p(rho, eps) with analytic derivatives."""
@@ -61,18 +59,6 @@ class EOS(ABC):
         h = 1.0 + eps + p / rho
         cs2 = (self.chi(rho, eps) + (p / rho**2) * self.kappa(rho, eps)) / h
         return cs2
-
-    def sound_speed(self, rho, eps):
-        """Relativistic sound speed cs; raises EOSError if cs^2 is not in [0, 1)."""
-        cs2 = self.sound_speed_sq(rho, eps)
-        cs2_arr = np.asarray(cs2)
-        if np.any(cs2_arr < -1e-14) or np.any(cs2_arr >= 1.0):
-            bad = cs2_arr[(cs2_arr < -1e-14) | (cs2_arr >= 1.0)]
-            raise EOSError(
-                f"{self.name}: acausal or negative sound speed, cs^2 range "
-                f"[{bad.min():.3e}, {bad.max():.3e}]"
-            )
-        return np.sqrt(np.clip(cs2, 0.0, None))
 
     def __repr__(self):
         return f"<EOS {self.name}>"

@@ -1,22 +1,11 @@
 """Checkpoint/restart and solution output."""
 
-from .checkpoint import (
-    load_amr_checkpoint,
-    load_checkpoint,
-    load_distributed_checkpoint,
-    save_amr_checkpoint,
-    save_checkpoint,
-    save_distributed_checkpoint,
-)
+from .checkpoint import load_checkpoint, save_checkpoint
 from .output import load_solution, read_curve, save_solution, write_curve
 
 __all__ = [
     "save_checkpoint",
     "load_checkpoint",
-    "save_amr_checkpoint",
-    "load_amr_checkpoint",
-    "save_distributed_checkpoint",
-    "load_distributed_checkpoint",
     "save_solution",
     "load_solution",
     "write_curve",

@@ -1,20 +1,25 @@
-"""Checkpoint/restart for solver runs.
+"""Checkpoint/restart for every driver.
 
-Long cluster campaigns live and die by restart capability; this module
-serializes the full state of the unigrid and AMR solvers to ``.npz``
-archives (portable, dependency-free) and restores them exactly — the
-restarted evolution is bit-identical to an uninterrupted one (tested).
+Long cluster campaigns live and die by restart capability.  Every driver
+has one state pair, ``state()`` / ``install_state()``
+(:mod:`repro.core.stepping`); this module writes a driver's ``state()`` to
+an ``.npz`` archive (portable, dependency-free) and builds the driver an
+archive names, installing the archived state verbatim — the restarted
+evolution is bit-identical to an uninterrupted one (tested).  One writer,
+:func:`save_checkpoint` (what every ``Driver.write_checkpoint`` calls), and
+one reader, :func:`load_checkpoint`.
 
-Format (unigrid), one compressed npz:
+Format, one compressed npz per run:
 
-- ``meta``: json-encoded dict (format version, t, steps, grid geometry,
-  solver config, EOS descriptor)
-- ``cons``: the ghosted conserved state array
-- ``p_cache`` (optional): the con2prim Newton seed
-
-Distributed checkpoints hold the same pair per rank (``rank_<r>``, ...),
-AMR checkpoints per leaf (``leaf_<level>_<idx...>``, ...) plus the forest
-topology in ``meta``.
+- ``meta``: json-encoded dict — format version, ``kind`` (``unigrid``,
+  ``distributed`` or ``amr``), t, steps, solver config, ndim, and the
+  kind's geometry: the grid (plus, for a unigrid run, its optional run
+  ``summary``), the process grid's ``dims``/``periodic``, or the AMR root
+  grid, refinement policy, rank count, topology and counters
+- per patch, its ``(cons, p_cache)`` pair (the ghosted conserved array and
+  the con2prim Newton seed): ``cons``/``p_cache`` for the unigrid patch,
+  ``rank_<r>``/``pcache_<r>`` per rank, ``leaf_<level>_<idx...>``/
+  ``pcache_leaf_<level>_<idx...>`` per AMR leaf
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ import numpy as np
 
 from ..core.amr_parallel import make_distributed_amr_solver
 from ..core.amr_solver import AMRConfig
-from ..core.config import SolverConfig
+from ..core.config import ATMO_THRESHOLD, MAX_STEPS, RECOVERY_TOL, SolverConfig
 from ..core.parallel import make_distributed_solver
 from ..core.solver import Solver
+from ..core.stepping import placeholder_prim
 from ..mesh.amr.blocks import BlockKey
 from ..mesh.grid import Grid
 from ..utils.errors import CheckpointError, ConfigurationError
@@ -93,14 +99,6 @@ def _read_archive(path):
         ) from exc
 
 
-def _quiescent_prim(system, grid: Grid) -> np.ndarray:
-    """Physically admissible placeholder state (rho = p = 1, v = 0)."""
-    prim = grid.allocate(system.nvars, fill=0.0)
-    prim[system.RHO] = 1.0
-    prim[system.P] = 1.0
-    return prim
-
-
 def _grid_meta(grid: Grid) -> dict:
     return {
         "shape": list(grid.shape),
@@ -126,32 +124,76 @@ _ENTRY_NAMES = {
 }
 
 #: SolverConfig fields retired since FORMAT_VERSION 1 archives were first
-#: written, each with whether a set value changed solution bytes.  An
-#: archived value is dropped rather than refused; one that did change bytes
-#: is dropped with a warning, because the resumed run continues without it.
+#: written, each with the value the code now always runs with (None: no
+#: value changed solution bytes).  An archived value is dropped rather than
+#: refused; one that differs from the value run now is dropped with a
+#: warning, because the resumed run continues without it.
 _RETIRED_CONFIG_KEYS = {
     # selected between bit-identical code paths
-    "scratch_workspace": False,
-    "fused_stencils": False,
+    "scratch_workspace": None,
+    "fused_stencils": None,
     # only priced a modelled counter
-    "overlap_link": False,
+    "overlap_link": None,
     # reseeded the cold Newton start and damped it on recovery statistics
-    "c2p_tuned": True,
+    "c2p_tuned": False,
+    # options nobody set, now module constants
+    "recovery_tol": RECOVERY_TOL,
+    "atmo_threshold": ATMO_THRESHOLD,
+    "max_steps": MAX_STEPS,
 }
 
 
-def _write_archive(path, kind: str, solver, patches: dict, **meta) -> None:
-    """The one archive writer: the shared meta prologue, *meta* on top,
-    and ``{ident: (cons, p_cache)}`` as named entries."""
+def _kind_of(driver) -> str:
+    """Which archive kind *driver* writes: a forest (``layout``), a
+    Cartesian decomposition (``decomp``), or one grid."""
+    if hasattr(driver, "layout"):
+        return "amr"
+    if hasattr(driver, "decomp"):
+        return "distributed"
+    return "unigrid"
+
+
+def _leaf_ident(key: BlockKey) -> str:
+    return f"{key.level}_" + "_".join(map(str, key.idx))
+
+
+def save_checkpoint(driver, path) -> None:
+    """Write *driver*'s :meth:`~repro.core.stepping.Driver.state` to *path*
+    (.npz): the shared meta prologue, the kind's geometry and every patch's
+    ``(cons, p_cache)`` as named entries.  A process fleet's state is its
+    workers' merged, so both executors write identical entries for the
+    same trajectory; AMR block ownership is not archived (the block bytes
+    do not depend on it)."""
+    kind = _kind_of(driver)
+    state = driver.state()
     meta = {
         "format": FORMAT_VERSION,
         "kind": kind,
-        "t": solver.t,
-        "steps": solver.steps,
-        "config": solver.config.to_dict(),
-        "ndim": solver.system.ndim,
-        **meta,
+        "t": state["t"],
+        "steps": state["steps"],
+        "config": driver.config.to_dict(),
+        "ndim": driver.system.ndim,
     }
+    patches = state["patches"]
+    if kind == "unigrid":
+        meta.update(grid=_grid_meta(driver.grid), summary=state["summary"])
+    elif kind == "distributed":
+        meta.update(
+            dims=list(driver.decomp.dims),
+            periodic=list(driver.decomp.periodic),
+            grid=_grid_meta(driver.global_grid),
+        )
+    else:
+        meta.update(
+            root_grid=_grid_meta(driver.layout.root_grid),
+            amr=driver.amr.to_dict(),
+            n_ranks=driver.n_ranks,
+            leaves=[[k.level, list(k.idx)] for k in state["leaves"]],
+            refined=[[k.level, list(k.idx)] for k in state["refined"]],
+            cells_updated=state["cells_updated"],
+            regrids=state["regrids"],
+        )
+        patches = {_leaf_ident(key): patches[key] for key in state["leaves"]}
     arrays = {}
     for ident, (cons, p_cache) in patches.items():
         c_name, p_name = (n.format(ident) for n in _ENTRY_NAMES[kind])
@@ -163,17 +205,17 @@ def _write_archive(path, kind: str, solver, patches: dict, **meta) -> None:
     _atomic_savez(path, meta=json.dumps(meta), **arrays)
 
 
-def _read_prologue(data, path, kind: str, system) -> tuple[dict, SolverConfig]:
+def _read_prologue(data, path, system) -> tuple[dict, SolverConfig]:
     """``(meta, config)`` of an open archive after the ``format`` /
-    ``kind`` / ``ndim`` checks every loader makes."""
+    ``kind`` / ``ndim`` checks."""
     meta = json.loads(str(data["meta"]))
     if meta.get("format") != FORMAT_VERSION:
         raise ConfigurationError(
             f"unsupported checkpoint format {meta.get('format')!r}"
         )
-    if meta.get("kind") != kind:
+    if meta.get("kind") not in _ENTRY_NAMES:
         raise ConfigurationError(
-            f"checkpoint holds a {meta.get('kind')!r} run, not {kind}"
+            f"checkpoint holds a {meta.get('kind')!r} run, which no driver loads"
         )
     if meta["ndim"] != system.ndim:
         raise ConfigurationError(
@@ -183,7 +225,10 @@ def _read_prologue(data, path, kind: str, system) -> tuple[dict, SolverConfig]:
     retired = [key for key in _RETIRED_CONFIG_KEYS if key in config]
     if retired:
         _log.info("checkpoint %s: dropping retired config keys %s", path, retired)
-        changed = [k for k in retired if _RETIRED_CONFIG_KEYS[k] and config[k]]
+        changed = [
+            k for k in retired
+            if _RETIRED_CONFIG_KEYS[k] not in (None, config[k])
+        ]
         if changed:
             _log.warning(
                 "checkpoint %s was written with %s set; that behaviour no "
@@ -205,157 +250,69 @@ def _read_patch(data, kind: str, ident) -> tuple:
     )
 
 
-def _leaf_ident(key: BlockKey) -> str:
-    return f"{key.level}_" + "_".join(map(str, key.idx))
-
-
-def save_checkpoint(solver: Solver, path) -> None:
-    """Write a unigrid solver's full state to *path* (.npz)."""
-    _write_archive(
-        path, "unigrid", solver,
-        {"": (solver.cons, solver.pipeline.warm_state())},
-        grid=_grid_meta(solver.grid),
-    )
-
-
-def load_checkpoint(path, system, boundaries=None) -> Solver:
-    """Reconstruct a unigrid solver from a checkpoint.
+def load_checkpoint(
+    path, system, boundaries=None, fault_injector=None, halo_policy=None
+):
+    """Rebuild the driver a checkpoint names and install its state.
 
     The physics (*system*) and boundary conditions are code, not data, so
-    the caller supplies them; geometry, configuration, time, and the
-    conserved state come from the archive.
+    the caller supplies them; the kind, geometry, configuration, time and
+    per-patch state come from the archive.  A ``unigrid`` archive comes
+    back as a :class:`~repro.core.solver.Solver`, a ``distributed`` one as
+    a :class:`~repro.core.distributed.DistributedSolver` or — when its
+    ``config.executor`` is ``"process"`` — a
+    :class:`~repro.core.parallel.ProcessSolver` with fresh workers, an
+    ``amr`` one as the AMR driver of that executor at the rank count that
+    wrote it (one without a rank count loads at one rank; leaf ownership
+    is cut afresh).  Resilience hooks (*fault_injector*, and *halo_policy*
+    for a distributed run) are fresh objects supplied by the caller: fault
+    plans are replayed from the restart point, not resumed — which is what
+    lets :func:`repro.resilience.run_with_restart` drive chaos runs on
+    every driver through this loader.
     """
     with _read_archive(path) as data:
-        meta, config = _read_prologue(data, path, "unigrid", system)
-        cons, p_cache = _read_patch(data, "unigrid", "")
-    grid = _grid_from_meta(meta["grid"])
-    # Build the solver through a quiescent placeholder state, then install
-    # the checkpointed conserved variables verbatim.
-    solver = Solver(system, grid, _quiescent_prim(system, grid), config, boundaries)
-    solver.cons = cons
-    solver.pipeline.install_warm_state(p_cache)
-    solver._prim_dirty = True
-    solver.t = meta["t"]
-    solver.steps = meta["steps"]
-    return solver
-
-
-def save_distributed_checkpoint(solver, path) -> None:
-    """Write a distributed solver's full state to *path* (.npz).
-
-    Stores one ghosted conserved array per rank plus each rank pipeline's
-    Newton seed, so the restarted evolution stays bit-identical
-    to an uninterrupted one.  Works for both executors: *solver* may be a
-    :class:`~repro.core.distributed.DistributedSolver` or a
-    :class:`~repro.core.parallel.ProcessSolver` (whose workers stream their
-    shards to the parent through ``checkpoint_shards``); given the same
-    trajectory both write bit-identical archive entries.
-    """
-    shards = solver.checkpoint_shards()
-    _write_archive(
-        path, "distributed", solver,
-        {rank: shards[rank] for rank in range(solver.size)},
-        dims=list(solver.decomp.dims),
-        periodic=list(solver.decomp.periodic),
-        grid=_grid_meta(solver.global_grid),
-    )
-
-
-def load_distributed_checkpoint(
-    path,
-    system,
-    boundaries=None,
-    fault_injector=None,
-    halo_policy=None,
-):
-    """Reconstruct a distributed solver from a checkpoint.
-
-    As with the other loaders, physics and boundary conditions are code and
-    come from the caller; geometry, process-grid shape, configuration, time,
-    and per-rank conserved states come from the archive.  Resilience hooks
-    (*fault_injector*, *halo_policy*) are fresh objects supplied by the
-    caller — fault plans are replayed from the restart point, not resumed.
-
-    The execution backend follows the checkpointed ``config.executor``: a
-    run checkpointed under ``executor="process"`` restarts as a
-    :class:`~repro.core.parallel.ProcessSolver` (fresh workers), anything
-    else as a :class:`DistributedSolver`; both install the shards verbatim
-    through their ``install_shards`` — which is what lets
-    :func:`repro.resilience.run_with_restart` drive chaos runs on either
-    backend through the same loader.
-    """
-    with _read_archive(path) as data:
-        meta, config = _read_prologue(data, path, "distributed", system)
-        shards = {
-            rank: _read_patch(data, "distributed", rank)
-            for rank in range(int(np.prod(meta["dims"])))
+        meta, config = _read_prologue(data, path, system)
+        kind = meta["kind"]
+        state = {"t": meta["t"], "steps": meta["steps"]}
+        if kind == "amr":
+            for name in ("leaves", "refined"):
+                state[name] = [BlockKey(lvl, tuple(idx)) for lvl, idx in meta[name]]
+            state.update(cells_updated=meta["cells_updated"], regrids=meta["regrids"])
+            idents = {key: _leaf_ident(key) for key in state["leaves"]}
+        elif kind == "distributed":
+            idents = {rank: rank for rank in range(int(np.prod(meta["dims"])))}
+        else:
+            idents = {"": ""}
+        state["patches"] = {
+            key: _read_patch(data, kind, ident) for key, ident in idents.items()
         }
-    grid = _grid_from_meta(meta["grid"])
-    solver = make_distributed_solver(
-        system,
-        grid,
-        _quiescent_prim(system, grid),
-        tuple(meta["dims"]),
-        config=config,
-        boundaries=boundaries,
-        periodic=tuple(meta["periodic"]),
-        fault_injector=fault_injector,
-        halo_policy=halo_policy,
-    )
-    solver.install_shards(meta["t"], meta["steps"], shards)
-    return solver
-
-
-def save_amr_checkpoint(solver, path) -> None:
-    """Write an AMR solver's forest state to *path* (.npz): every leaf's
-    patch state as entries, topology (leaf order kept), counters and the
-    rank count in ``meta``.  Works for every AMR driver through its
-    ``forest_state()`` (the process fleet merges its workers'); block
-    ownership is not archived, since the block bytes do not depend on
-    it."""
-    state = solver.forest_state()
-    meta = {
-        name: [[k.level, list(k.idx)] for k in state[name]]
-        for name in ("leaves", "refined")
-    }
-    meta.update({n: state[n] for n in ("t", "steps", "cells_updated", "regrids")})
-    _write_archive(
-        path, "amr", solver,
-        {_leaf_ident(key): patch for key, patch in state["blocks"].items()},
-        root_grid=_grid_meta(solver.layout.root_grid),
-        amr=solver.amr.to_dict(),
-        n_ranks=solver.n_ranks,
-        **meta,
-    )
-
-
-def load_amr_checkpoint(path, system, boundaries=None):
-    """Reconstruct an AMR solver (topology + leaf states) from *path*.
-
-    The run comes back under the executor (``config.executor``) and rank
-    count that wrote it — an
-    :class:`~repro.core.amr_parallel.AMRProcessSolver` with fresh workers
-    for a process fleet's archive, the in-process
-    :class:`~repro.core.amr_solver.AMRSolver` otherwise; an archive
-    without a rank count loads at one rank.  Leaf ownership is cut afresh
-    over the installed forest.
-    """
-    with _read_archive(path) as data:
-        meta, config = _read_prologue(data, path, "amr", system)
-        state = dict(meta)
-        for name in ("leaves", "refined"):
-            state[name] = [BlockKey(lvl, tuple(idx)) for lvl, idx in meta[name]]
-        state["blocks"] = {
-            key: _read_patch(data, "amr", _leaf_ident(key))
-            for key in state["leaves"]
-        }
-    return make_distributed_amr_solver(
-        system,
-        _grid_from_meta(meta["root_grid"]),
-        None,
-        config,
-        AMRConfig(**meta["amr"]),
-        n_ranks=int(meta.get("n_ranks", 1)),
-        boundaries=boundaries,
-        forest_state=state,
-    )
+    if kind == "unigrid":
+        grid = _grid_from_meta(meta["grid"])
+        driver = Solver(
+            system, grid, placeholder_prim(system, grid), config, boundaries,
+            fault_injector=fault_injector,
+        )
+        if "summary" in meta:
+            state["summary"] = meta["summary"]
+        else:
+            _log.info(
+                "checkpoint %s carries no run summary: conservation drift is "
+                "measured from the restored state", path,
+            )
+    elif kind == "distributed":
+        grid = _grid_from_meta(meta["grid"])
+        driver = make_distributed_solver(
+            system, grid, placeholder_prim(system, grid), tuple(meta["dims"]),
+            config=config, boundaries=boundaries,
+            periodic=tuple(meta["periodic"]),
+            fault_injector=fault_injector, halo_policy=halo_policy,
+        )
+    else:
+        driver = make_distributed_amr_solver(
+            system, _grid_from_meta(meta["root_grid"]), placeholder_prim, config,
+            AMRConfig(**meta["amr"]).replace(initial_regrid_passes=0),
+            n_ranks=int(meta.get("n_ranks", 1)), boundaries=boundaries,
+            fault_injector=fault_injector,
+        )
+    driver.install_state(state)
+    return driver

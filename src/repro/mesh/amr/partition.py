@@ -67,9 +67,6 @@ class Partition:
     edge_cut: int
     comm_volume: int
 
-    def rank_of(self, key: BlockKey) -> int:
-        return self.assignment[key]
-
 
 def _measure(forest: AMRForest, assignment: dict, n_ranks: int,
              work: dict | None = None) -> Partition:

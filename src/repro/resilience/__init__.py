@@ -32,7 +32,6 @@ from .policies import (
     HaloRetryPolicy,
     RestartPolicy,
     SupervisionPolicy,
-    blocking_retry_policy,
     run_with_restart,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "FaultOracle",
     "RankStridedFaultInjector",
     "HaloRetryPolicy",
-    "blocking_retry_policy",
     "RestartPolicy",
     "SupervisionPolicy",
     "run_with_restart",

@@ -9,7 +9,6 @@ exchange, solver run loops) stay testable without a chaos harness.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,16 +25,13 @@ class HaloRetryPolicy:
     ``max_attempts`` counts the first delivery too, so ``max_attempts=4``
     allows three retransmissions before
     :class:`~repro.utils.errors.CommunicationError` is raised.  Backoff is
-    exponential (``base * 2**retry``) and capped; by default it is only
-    *recorded* (the simulated communicator has no real wire to wait on) —
-    pass ``sleep_fn=time.sleep`` to actually block, as a real transport
-    would.
+    exponential (``base * 2**retry``) and capped, and only *recorded*: the
+    communicators retransmit at once, with no wire to wait on.
     """
 
     max_attempts: int = 4
     backoff_base_s: float = 1e-4
     backoff_cap_s: float = 0.1
-    sleep_fn: Callable[[float], None] | None = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -50,17 +46,8 @@ class HaloRetryPolicy:
         return min(self.backoff_base_s * (2.0**retry), self.backoff_cap_s)
 
     def wait(self, retry: int) -> float:
-        """Apply (and return) the backoff for one retry."""
-        delay = self.backoff_s(retry)
-        if self.sleep_fn is not None and delay > 0:
-            self.sleep_fn(delay)
-        return delay
-
-
-def blocking_retry_policy(**overrides) -> HaloRetryPolicy:
-    """A :class:`HaloRetryPolicy` that really sleeps (production transport)."""
-    overrides.setdefault("sleep_fn", time.sleep)
-    return HaloRetryPolicy(**overrides)
+        """The backoff recorded for one retry."""
+        return self.backoff_s(retry)
 
 
 @dataclass(frozen=True)

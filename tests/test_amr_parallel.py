@@ -25,7 +25,7 @@ from repro.core.amr_parallel import (
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.eos import IdealGasEOS
 from repro.mesh.amr.blocks import BlockKey
-from repro.io.checkpoint import load_amr_checkpoint
+from repro.io.checkpoint import load_checkpoint
 from repro.mesh.amr.exchange import (
     TAG_AMR_MIGRATE,
     block_frame_header,
@@ -89,7 +89,7 @@ def _run_process(n_ranks, *, steps=AMR_STEPS, fault_injector=None,
         for _ in range(steps):
             solver.step()
         out = {
-            "blocks": solver.gather_blocks(),
+            "blocks": {k: p[0] for k, p in solver.state()["patches"].items()},
             "records": sink.records,
             "t": solver.t,
             "steps": solver.steps,
@@ -230,14 +230,14 @@ class TestCheckpointReload:
             amr=amr, n_ranks=2,
         ) as fleet:
             fleet.run(1.0, max_steps=half, checkpoint_every=half, checkpoint_path=path)
-        resumed = load_amr_checkpoint(path, system)
+        resumed = load_checkpoint(path, system)
         assert isinstance(resumed, AMRProcessSolver)
         with resumed:
             assert (resumed.n_ranks, resumed.steps) == (2, half)
             for _ in range(AMR_STEPS - half):
                 resumed.step()
             proc = {
-                "blocks": resumed.gather_blocks(),
+                "blocks": {k: p[0] for k, p in resumed.state()["patches"].items()},
                 "t": resumed.t, "steps": resumed.steps,
             }
         _assert_blocks_bitexact(serial_reference, proc)

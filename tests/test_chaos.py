@@ -23,7 +23,7 @@ from repro.boundary import make_boundaries
 from repro.core import SolverConfig
 from repro.core.distributed import DistributedSolver
 from repro.eos import IdealGasEOS
-from repro.io import load_distributed_checkpoint
+from repro.io import load_checkpoint
 from repro.mesh.grid import Grid
 from repro.obs import read_events
 from repro.obs.events import steps_of
@@ -166,7 +166,7 @@ class TestChaosRestart:
             build(FaultInjector(plan), HaloRetryPolicy()),
             t_final=1.0,
             policy=RestartPolicy(checkpoint_path=path, checkpoint_every=2),
-            loader=lambda p: load_distributed_checkpoint(p, system, bcs),
+            loader=lambda p: load_checkpoint(p, system, bcs),
             max_steps=24,
         )
         assert restarts == 1

@@ -317,13 +317,14 @@ class TestStacks:
         solver = self._periodic16()
         for _ in range(2):
             solver.step()
-        t, steps, shards = solver.t, solver.steps, solver.checkpoint_shards()
+        state = solver.state()
+        shards = state["patches"]
         held = {rank: (c.tobytes(), p.tobytes()) for rank, (c, p) in shards.items()}
         for _ in range(2):
             solver.step()
         assert {rank: (c.tobytes(), p.tobytes()) for rank, (c, p) in shards.items()} == held
         resumed = self._periodic16()
-        resumed.install_shards(t, steps, shards)
+        resumed.install_state(state)
         assert [s.shape for s in resumed.cons.stacks] == [(16, 4, 14, 14)]
         for _ in range(2):
             resumed.step()
@@ -340,10 +341,12 @@ class TestStacks:
             solver.step()
             shards = {
                 rank: (c.copy(), p if rank % 3 else None)
-                for rank, (c, p) in solver.checkpoint_shards().items()
+                for rank, (c, p) in solver.state()["patches"].items()
             }
             resumed = self._periodic16(target)
-            resumed.install_shards(solver.t, solver.steps, shards)
+            resumed.install_state(
+                {"t": solver.t, "steps": solver.steps, "patches": shards}
+            )
             for _ in range(2):
                 resumed.step()
             out[target] = (_cons_bytes(resumed), _numerics(resumed.metrics.snapshot()))
@@ -382,7 +385,7 @@ class TestDiagnosticRead:
                     solver.gather_primitives()
                 for _ in range(2):
                     solver.step()
-                cons = solver.checkpoint_shards()
+                cons = solver.state()["patches"]
                 return (
                     canonical_stream(sink.records),
                     [r["comm"] for r in sink.records if r["event"] == "step"],

@@ -17,12 +17,9 @@ from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.distributed import DistributedSolver
 from repro.io import checkpoint as checkpoint_mod
 from repro.io import (
-    load_amr_checkpoint,
     load_checkpoint,
-    load_distributed_checkpoint,
     load_solution,
     read_curve,
-    save_amr_checkpoint,
     save_checkpoint,
     save_solution,
     write_curve,
@@ -56,6 +53,27 @@ class TestUnigridCheckpoint:
             restored.interior_primitives(), ref.interior_primitives()
         )
 
+    def test_reloaded_run_keeps_its_summary(self, tmp_path):
+        """The archive carries what the run summary measures from (initial
+        totals, dt range), so a restarted run reports the uninterrupted
+        run's conservation drift and dt range exactly — not drift against
+        the placeholder state the loader builds on."""
+        system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid = Grid((64,), ((0.0, 1.0),))
+        cfg = SolverConfig(cfl=0.4)
+        ref = Solver(system, grid, shock_tube(system, grid, RP1), cfg)
+        expected = ref.run(t_final=1.0, max_steps=15)
+        path = tmp_path / "rp1.npz"
+        first = Solver(system, grid, shock_tube(system, grid, RP1), cfg)
+        first.run(t_final=1.0, max_steps=10, checkpoint_every=7, checkpoint_path=path)
+        restored = load_checkpoint(path, system)
+        assert restored.steps == 7
+        summary = restored.run(t_final=1.0, max_steps=15)
+        assert restored.cons.tobytes() == ref.cons.tobytes()
+        assert summary.conservation_drift == expected.conservation_drift
+        assert (summary.dt_min, summary.dt_max) == (expected.dt_min, expected.dt_max)
+        assert summary.steps == expected.steps == 15
+
     def test_metadata_round_trip(self, system1d, tmp_path):
         grid = Grid((32,), ((0.25, 0.75),), n_ghost=3)
         cfg = SolverConfig(cfl=0.3, reconstruction="weno5", riemann="hll")
@@ -77,6 +95,8 @@ class TestUnigridCheckpoint:
             load_checkpoint(path, system2d)
 
     def test_wrong_kind_rejected(self, system1d, tmp_path):
+        """The one loader builds the driver an archive names; a kind no
+        driver writes is refused by name."""
         grid = Grid((64,), ((0.0, 1.0),))
         amr = AMRSolver(
             system1d,
@@ -86,8 +106,10 @@ class TestUnigridCheckpoint:
             AMRConfig(block_size=16, max_levels=2),
         )
         path = tmp_path / "amr.npz"
-        save_amr_checkpoint(amr, path)
-        with pytest.raises(ConfigurationError, match="unigrid"):
+        save_checkpoint(amr, path)
+        assert type(load_checkpoint(path, system1d)) is AMRSolver
+        _rewrite_meta(path, kind="batch")
+        with pytest.raises(ConfigurationError, match="'batch'"):
             load_checkpoint(path, system1d)
 
 
@@ -105,8 +127,8 @@ class TestAMRCheckpoint:
         first = AMRSolver(system1d, grid, ic, cfg, amr_cfg)
         first.run(t_final=0.05)
         path = tmp_path / "amr.npz"
-        save_amr_checkpoint(first, path)
-        restored = load_amr_checkpoint(path, system1d)
+        save_checkpoint(first, path)
+        restored = load_checkpoint(path, system1d)
         assert restored.t == first.t
         assert set(restored.forest.leaves) == set(first.forest.leaves)
         restored.run(t_final=0.1)
@@ -140,7 +162,7 @@ class TestAMRCheckpoint:
         assert archives[0] == archives[1]
         assert [meta.pop("n_ranks") for meta in metas] == [1, 2]
         assert metas[0] == metas[1]
-        restored = load_amr_checkpoint(path, system1d)
+        restored = load_checkpoint(path, system1d)
         assert (restored.steps, restored.n_ranks) == (5, 2)
 
     def test_archive_without_rank_count_loads_at_one_rank(self, system1d, tmp_path):
@@ -158,7 +180,7 @@ class TestAMRCheckpoint:
         meta = json.loads(str(arrays.pop("meta")))
         del meta["n_ranks"]
         np.savez_compressed(path, meta=json.dumps(meta), **arrays)
-        restored = load_amr_checkpoint(path, system1d)
+        restored = load_checkpoint(path, system1d)
         assert (restored.steps, restored.n_ranks) == (2, 1)
         assert set(restored.assignment.values()) == {0}
 
@@ -172,8 +194,8 @@ class TestAMRCheckpoint:
             AMRConfig(block_size=16, max_levels=3),
         )
         path = tmp_path / "amr.npz"
-        save_amr_checkpoint(amr, path)
-        restored = load_amr_checkpoint(path, system1d)
+        save_checkpoint(amr, path)
+        restored = load_checkpoint(path, system1d)
         assert restored.forest.refined == amr.forest.refined
         assert restored.leaf_count_by_level() == amr.leaf_count_by_level()
         assert restored.forest.is_balanced()
@@ -216,6 +238,9 @@ _RETIRED_CASES = {
           "overlap_link": "ethernet-10g"}, False),
     "-c2p_tuned_false": ({"c2p_tuned": False}, False),
     "-c2p_tuned_true": ({"c2p_tuned": True}, True),
+    # what every archive held while these were SolverConfig fields
+    "-constants": ({"recovery_tol": 1e-12, "atmo_threshold": 10.0,
+                    "max_steps": 1_000_000}, False),
 }
 
 
@@ -226,18 +251,18 @@ class TestArchivePrologue:
 
     @staticmethod
     def _solver(kind, system1d):
-        """A fresh *kind* driver and its archive loader."""
+        """A fresh *kind* driver and the archive loader (one for all kinds)."""
         grid = Grid((32,), ((0.0, 1.0),))
         if kind == "unigrid":
             return Solver(system1d, grid, smooth_wave(system1d, grid)), load_checkpoint
         if kind == "distributed":
             return DistributedSolver(
                 system1d, grid, smooth_wave(system1d, grid), (2,)
-            ), load_distributed_checkpoint
+            ), load_checkpoint
         return AMRSolver(
             system1d, grid, lambda s, g: shock_tube(s, g, RP1),
             amr=AMRConfig(block_size=8, max_levels=2),
-        ), load_amr_checkpoint
+        ), load_checkpoint
 
     @classmethod
     def _archive(cls, kind, system1d, path):
@@ -262,15 +287,16 @@ class TestArchivePrologue:
     ):
         path = tmp_path / "c.npz"
         load = self._archive(kind, system1d, path)
-        assert load(path, system1d).t == 0.0
+        driver = load(path, system1d)
+        assert driver.t == 0.0
+        assert type(driver) is type(self._solver(kind, system1d)[0])
         with pytest.raises(ConfigurationError, match="1D"):
             load(path, system2d)
-        for other in self.KINDS:
-            if other != kind:
-                other_path = tmp_path / f"{other}.npz"
-                self._archive(other, system1d, other_path)
-                with pytest.raises(ConfigurationError, match=f"not {kind}"):
-                    load(other_path, system1d)
+        foreign = tmp_path / "foreign.npz"
+        self._archive(kind, system1d, foreign)
+        _rewrite_meta(foreign, kind=f"not {kind}")
+        with pytest.raises(ConfigurationError, match=f"not {kind}"):
+            load(foreign, system1d)
         _rewrite_meta(path, format=checkpoint_mod.FORMAT_VERSION + 1)
         with pytest.raises(ConfigurationError, match="unsupported checkpoint format"):
             load(path, system1d)
@@ -318,6 +344,27 @@ class TestArchivePrologue:
         _rewrite_meta(path, config={"no_such_knob": 1})
         with pytest.raises(ConfigurationError):
             load(path, system1d)
+
+
+    def test_retired_constant_that_differs_warns(self, system1d, tmp_path, caplog):
+        """An archived ``recovery_tol`` / ``atmo_threshold`` / ``max_steps``
+        other than the module constant the code now always runs with is
+        dropped with one WARNING naming it."""
+        path = tmp_path / "c.npz"
+        self._archive("unigrid", system1d, path)
+        _rewrite_meta(path, config={"recovery_tol": 1e-10, "max_steps": 1_000_000})
+        logger = logging.getLogger("repro.io")
+        logger.addHandler(caplog.handler)
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.io"):
+                load_checkpoint(path, system1d)
+        finally:
+            logger.removeHandler(caplog.handler)
+        warned = [
+            r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING
+        ]
+        assert len(warned) == 1
+        assert "recovery_tol" in warned[0] and "max_steps" not in warned[0]
 
 
 class TestSolutionOutput:

@@ -52,10 +52,7 @@ from repro.resilience.faults import (
     FaultPlan,
     HaloFault,
 )
-from repro.io.checkpoint import (
-    load_distributed_checkpoint,
-    save_distributed_checkpoint,
-)
+from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.resilience.policies import (
     HaloRetryPolicy,
     RestartPolicy,
@@ -131,7 +128,7 @@ def _run_process(setup, dims, steps, *, plan=None, policy=None, meta=None, **cfg
         out = {
             "t": solver.t,
             "steps": solver.steps,
-            "cons": solver.gather_cons(),
+            "cons": {r: p[0] for r, p in solver.state()["patches"].items()},
             "prims": solver.gather_primitives(),
             "counters": solver.metrics.snapshot()["counters"],
             "sink": sink,
@@ -438,13 +435,13 @@ class TestProcessCheckpointing:
             first.run(
                 t_final=1.0, max_steps=4, checkpoint_every=4, checkpoint_path=path
             )
-        resumed = load_distributed_checkpoint(path, system)
+        resumed = load_checkpoint(path, system)
         assert isinstance(resumed, ProcessSolver)
         assert resumed.steps == 4
         with resumed:
-            # the workers' install_shards landed the archive bytes verbatim
+            # the workers' install_state landed the archive bytes verbatim
             archive = _npz_entries(path)
-            for rank, (cons, p_cache) in resumed.checkpoint_shards().items():
+            for rank, (cons, p_cache) in resumed.state()["patches"].items():
                 assert cons.tobytes() == archive[f"rank_{rank}"]
                 assert p_cache.tobytes() == archive[f"pcache_{rank}"]
             resumed.run(t_final=1.0, max_steps=7)
@@ -458,8 +455,8 @@ class TestProcessCheckpointing:
             assert prims.tobytes() == clean.gather_primitives().tobytes()
 
     def test_manual_save_matches_run_loop_save(self, tmp_path):
-        # save_distributed_checkpoint works on a live ProcessSolver outside
-        # the run loop (streaming shards through checkpoint_shards).
+        # save_checkpoint works on a live ProcessSolver outside the run loop
+        # (its state() merges the workers').
         system, grid, prim0 = _rp1_setup()
         with ProcessSolver(
             system, grid, prim0.copy(), (2,), config=SolverConfig(**self.CFG)
@@ -468,7 +465,7 @@ class TestProcessCheckpointing:
                 t_final=1.0, max_steps=2,
                 checkpoint_every=2, checkpoint_path=tmp_path / "loop.npz",
             )
-            save_distributed_checkpoint(solver, tmp_path / "manual.npz")
+            save_checkpoint(solver, tmp_path / "manual.npz")
         a = _npz_entries(tmp_path / "loop.npz")
         b = _npz_entries(tmp_path / "manual.npz")
         assert a == b
@@ -492,7 +489,7 @@ class TestProcessCheckpointing:
             solver,
             t_final=1.0,
             policy=RestartPolicy(checkpoint_path=path, checkpoint_every=2),
-            loader=lambda p: load_distributed_checkpoint(p, system),
+            loader=lambda p: load_checkpoint(p, system),
             metrics=registry,
             max_steps=8,
         )
@@ -630,9 +627,12 @@ class TestOneRankStepper:
         "_integrate", "_patches", "_after_step", "_record_extras",
         "_check_finite", "_traffic_delta", "_recover_and_exchange",
         "_exchange", "_exchange_schedule", "_set_stage_time", "run",
-        "write_checkpoint",
+        "write_checkpoint", "state", "install_state",
     )
-    SHELL = ("_attach", "step", "snapshot", "rebind", "close")
+    SHELL = (
+        "_attach", "step", "snapshot", "supervision_state",
+        "restore_supervision_state", "rebind", "close",
+    )
     #: the AMR exchange and decision surface — one implementation, over
     #: whichever communicator the stepper was built on
     AMR_STEPPER = (
@@ -647,11 +647,10 @@ class TestOneRankStepper:
         own = set(vars(_RankWorker))
         assert not own & set(self.STEPPER), "the mirror is growing back"
         assert not own & set(self.SHELL)
-        # What the worker adds: the supervision snapshot pair — the fault
-        # oracle and its schedules are the stepper's.
-        assert {n for n in own if not n.startswith("__")} == {
-            "supervision_state", "restore_supervision_state",
-        }
+        # The worker adds nothing but its construction: the fault oracle,
+        # its schedules and the state pair are the stepper's, the
+        # supervision snapshot pair the shell's.
+        assert {n for n in own if not n.startswith("__")} == set()
         for name in ("step", "compute_dt"):  # bench/trace.py patches these
             assert name in vars(DistributedSolver)
 
@@ -679,11 +678,9 @@ class TestOneRankStepper:
         assert not own & set(self.AMR_STEPPER), "the mirror is growing back"
         for name in self.AMR_STEPPER:
             assert callable(getattr(AMRSolver, name)), name
-        # What the worker adds: its construction from a shipped forest
-        # state, the supervision snapshot pair and leaving the rebalance
-        # event to the parent.
+        # What the worker adds: its construction from a shipped state and
+        # leaving the rebalance event to the parent.
         assert {n for n in own if not n.startswith("__")} == {
-            "supervision_state", "restore_supervision_state",
             "_emit_rebalance_event",
         }
         for name in ("step", "compute_dt", "regrid"):  # bench/trace.py patches these

@@ -226,17 +226,7 @@ def _solver_kit(system, config):
     def make():
         return Solver(system, grid, shock_tube(system, grid, RP1), config)
 
-    def capture(d):
-        return {"cons": d.cons.copy(), "seed": d.pipeline.warm_state(), "t": d.t,
-                "steps": d.steps}
-
-    def install(d, cap):
-        d.cons = cap["cons"].copy()
-        d.pipeline.install_warm_state(cap["seed"])
-        d._prim_dirty = True
-        d.t, d.steps = cap["t"], cap["steps"]
-
-    return make, capture, install, lambda cap: [cap["seed"]], lambda d: d.cons.tobytes()
+    return make, lambda d: d.cons.tobytes()
 
 
 def _distributed_kit(system, config):
@@ -247,17 +237,7 @@ def _distributed_kit(system, config):
     def make():
         return DistributedSolver(system, grid, shock_tube(system, grid, RP1), (2,), config)
 
-    def capture(d):
-        shards = {r: (c.copy(), p) for r, (c, p) in d.checkpoint_shards().items()}
-        return {"shards": shards, "t": d.t, "steps": d.steps}
-
-    def install(d, cap):
-        d.install_shards(cap["t"], cap["steps"], cap["shards"])
-
-    return (
-        make, capture, install, lambda cap: [cap["shards"][1][1]],
-        lambda d: b"".join(d.cons[r].tobytes() for r in d.local_ranks),
-    )
+    return make, lambda d: b"".join(d.cons[r].tobytes() for r in d.local_ranks)
 
 
 def _amr_kit(system, config):
@@ -269,14 +249,8 @@ def _amr_kit(system, config):
     def make():
         return AMRSolver(system, grid, lambda s, g: shock_tube(s, g, RP1), config, amr)
 
-    def seeds_of(cap):
-        return [p for _, p in cap["blocks"].values() if p is not None]
-
-    return (
-        make, AMRSolver.forest_state, AMRSolver.install_forest_state, seeds_of,
-        lambda d: b"".join(
-            repr(k).encode() + leaf.cons.tobytes() for k, leaf in d.forest.leaves.items()
-        ),
+    return make, lambda d: b"".join(
+        repr(k).encode() + leaf.cons.tobytes() for k, leaf in d.forest.leaves.items()
     )
 
 
@@ -289,23 +263,21 @@ def test_warm_state_is_a_snapshot(kit, target, system1d):
     reproduces the uninterrupted run bit for bit."""
     if target == "cext":
         require_cext(1)
-    make, capture, install, seeds_of, state = kit(
-        system1d, SolverConfig(kernel_target=target, cfl=0.4)
-    )
+    make, state = kit(system1d, SolverConfig(kernel_target=target, cfl=0.4))
     driver = make()
     for _ in range(3):
         driver.step()
     def held(cap):
-        return [seed.tobytes() for seed in seeds_of(cap)]
+        return [p.tobytes() for _, p in cap["patches"].values() if p is not None]
 
-    cap = capture(driver)
+    cap = driver.state()
     before = held(cap)
     for _ in range(2):
         driver.step()
     assert held(cap) == before
-    assert held(capture(driver)) != before  # the run's own seeds moved on
+    assert held(driver.state()) != before  # the run's own seeds moved on
     resumed = make()
-    install(resumed, cap)
+    resumed.install_state(cap)
     for _ in range(2):
         resumed.step()
     assert held(cap) == before

@@ -26,12 +26,7 @@ from repro.comm.halo import (
     post_halos,
 )
 from repro.eos import IdealGasEOS
-from repro.io import (
-    load_amr_checkpoint,
-    load_checkpoint,
-    load_distributed_checkpoint,
-    save_distributed_checkpoint,
-)
+from repro.io import load_checkpoint, save_checkpoint
 from repro.mesh.decomposition import CartesianDecomposition
 from repro.mesh.grid import Grid
 from repro.obs import MetricsRegistry
@@ -788,15 +783,13 @@ class TestCheckpointRestart:
 
         first = build()
         first.run(t_final=1.0, max_steps=6)
-        save_distributed_checkpoint(first, path)
-        resumed = load_distributed_checkpoint(
-            path, system, make_boundaries("outflow")
-        )
+        save_checkpoint(first, path)
+        resumed = load_checkpoint(path, system, make_boundaries("outflow"))
         assert resumed.steps == 6
         assert resumed.t == first.t
-        # install_shards landed the saved bytes verbatim
-        for rank, (cons, p_cache) in first.checkpoint_shards().items():
-            got_cons, got_p_cache = resumed.checkpoint_shards()[rank]
+        # install_state landed the saved bytes verbatim
+        for rank, (cons, p_cache) in first.state()["patches"].items():
+            got_cons, got_p_cache = resumed.state()["patches"][rank]
             assert got_cons.tobytes() == cons.tobytes()
             assert got_p_cache.tobytes() == p_cache.tobytes()
         resumed.run(t_final=1.0, max_steps=10)
@@ -815,15 +808,19 @@ class TestCheckpointRestart:
             system, grid, shock_tube(system, grid, RP1), (2,)
         )
         dsolver.run(t_final=1.0, max_steps=4, checkpoint_every=2, checkpoint_path=path)
-        resumed = load_distributed_checkpoint(path, system, make_boundaries("outflow"))
+        resumed = load_checkpoint(path, system, make_boundaries("outflow"))
+        assert isinstance(resumed, DistributedSolver)
         assert resumed.steps == 4
 
     def test_distributed_checkpoint_kind_mismatch(self, tmp_path):
+        """The archive's kind, not the caller, picks the driver: a unigrid
+        archive reloads as the unigrid Solver."""
         path = tmp_path / "uni.npz"
         solver = _solver_1d()
         solver.run(t_final=1.0, max_steps=2, checkpoint_every=2, checkpoint_path=path)
-        with pytest.raises(ConfigurationError, match="not distributed"):
-            load_distributed_checkpoint(path, solver.system)
+        resumed = load_checkpoint(path, solver.system)
+        assert type(resumed) is type(solver)
+        assert resumed.cons.tobytes() == solver.cons.tobytes()
 
     def test_amr_run_with_restart_recovers(self, tmp_path):
         """The shared run gives AMRSolver ``checkpoint_every`` too, so
@@ -846,7 +843,7 @@ class TestCheckpointRestart:
             solver,
             t_final=1.0,
             policy=RestartPolicy(checkpoint_path=path, checkpoint_every=2),
-            loader=lambda p: load_amr_checkpoint(p, system),
+            loader=lambda p: load_checkpoint(p, system),
             metrics=metrics,
             max_steps=9,
         )

@@ -30,7 +30,7 @@ from repro.core.distributed import DistributedSolver
 from repro.core.parallel import ProcessSolver, run_supervised
 from repro.eos import IdealGasEOS
 from repro.harness.report import Report
-from repro.io.checkpoint import load_amr_checkpoint
+from repro.io.checkpoint import load_checkpoint
 from repro.mesh.grid import Grid
 from repro.obs import (
     BufferSink,
@@ -120,7 +120,7 @@ def _run_supervised_process(
         out = {
             "t": solver.t,
             "steps": solver.steps,
-            "cons": solver.gather_cons(),
+            "cons": {r: p[0] for r, p in solver.state()["patches"].items()},
             "prims": solver.gather_primitives(),
             "counters": solver.metrics.snapshot()["counters"],
             "restarts": solver.restarts_used,
@@ -387,8 +387,8 @@ class TestBudgetAndDegradation:
         # last consistent bytes into the serial stepper.
         folded = solver.fold_to_serial(snapshot)
         assert (folded.t, folded.steps) == (snapshot["t"], snapshot["steps"])
-        for rank, (cons, p_cache) in folded.checkpoint_shards().items():
-            snap_cons, snap_p_cache = snapshot["states"][rank]["shard"]
+        for rank, (cons, p_cache) in folded.state()["patches"].items():
+            snap_cons, snap_p_cache = snapshot["states"][rank]["patches"][rank]
             assert cons.tobytes() == snap_cons.tobytes()
             assert p_cache.tobytes() == snap_p_cache.tobytes()
 
@@ -489,7 +489,7 @@ def _amr_supervised_run(plan, supervision, n_ranks=2):
         for _ in range(AMR_STEPS):
             solver.step()
         return {
-            "blocks": solver.gather_blocks(),
+            "blocks": {k: p[0] for k, p in solver.state()["patches"].items()},
             "t": solver.t, "steps": solver.steps,
             "restarts": solver.restarts_used,
             "records": sink.records,
@@ -672,18 +672,18 @@ class TestAMRSupervision:
         final, restarts = run_with_restart(
             fleet, 1.0,
             RestartPolicy(checkpoint_path=tmp_path / "amr.npz", checkpoint_every=2),
-            loader=lambda p: load_amr_checkpoint(p, system),
+            loader=lambda p: load_checkpoint(p, system),
             max_steps=AMR_STEPS,
         )
         assert restarts == 1
         assert type(final) is AMRProcessSolver
         with final:
             assert (final.n_ranks, final.t, final.steps) == (2, serial.t, serial.steps)
-            state = final.forest_state()
+            state = final.state()
         assert state["leaves"] == list(serial.forest.leaves)
         assert set(state["refined"]) == serial.forest.refined
         for key, leaf in serial.forest.leaves.items():
-            assert state["blocks"][key][0].tobytes() == leaf.cons.tobytes(), (
+            assert state["patches"][key][0].tobytes() == leaf.cons.tobytes(), (
                 f"block {key} diverged from the serial forest"
             )
 
@@ -776,7 +776,7 @@ class TestFailureMatrix:
                 serial, serial_sink = fault_free
                 proc = {
                     "t": solver.t, "steps": solver.steps,
-                    "cons": solver.gather_cons(),
+                    "cons": {r: p[0] for r, p in solver.state()["patches"].items()},
                     "prims": solver.gather_primitives(), "sink": sink,
                 }
                 _assert_bitexact(serial, serial_sink, proc)
