@@ -341,6 +341,8 @@ def _validate_run_args(args) -> None:
     running something other than what was asked is never an option.
     """
     err = args._subparser.error
+    if args.ranks < 0:
+        err(f"--ranks must be >= 0 (0: the single-grid solver), got {args.ranks}")
     if args.checkpoint_every and not args.checkpoint:
         err("--checkpoint-every requires --checkpoint")
     if args.executor == "process" and args.ranks < 1:

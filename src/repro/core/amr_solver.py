@@ -9,6 +9,13 @@ The headline accounting for experiment E11 is :attr:`cells_updated` — the
 number of leaf-cell RK-stage updates actually performed — against the error
 measured on the composite solution.
 
+The leaves step in stacks by the distributed ranks' rule
+(:func:`~repro.core.pipeline.patch_stacks`): each run of consecutive leaves
+alike in shape and ``dx`` — about one per level — is one array stepped by
+one pipeline, one kernel call per stage.  ``forest.leaves[key].cons`` views
+its stack, so the forest, ghost fill, reflux and migration work leaf by
+leaf; a change of leaf set or owners re-keys the stacks on their next use.
+
 Every leaf belongs to one of ``n_ranks`` ranks (Morton space-filling-curve
 partition, :mod:`repro.mesh.amr.partition`), and the driver steps the ranks
 it holds over a communicator, as
@@ -38,6 +45,7 @@ their new owners.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -74,7 +82,8 @@ from ..utils.errors import ConfigurationError
 from ..utils.parameters import ParameterSet, param
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .pipeline import HydroPipeline, resolve_kernel_system
+from .pipeline import HydroPipeline, PatchStack, PatchViews, patch_stacks, recover_stacks
+from .pipeline import resolve_kernel_system
 from .stepping import Driver
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,7 +123,8 @@ class AMRConfig(ParameterSet):
 
 
 class AMRSolver(Driver):
-    """Block-structured AMR evolution of the SRHD system.
+    """Block-structured AMR evolution of the SRHD system; the leaves step in
+    stacks, one pipeline per run of like leaves (:meth:`leaf_pipeline`).
 
     Parameters
     ----------
@@ -135,7 +145,7 @@ class AMRSolver(Driver):
     recorder:
         Optional :class:`~repro.obs.StepRecorder`; per-step records carry
         forest shape (leaf counts, cells updated, rank balance) alongside
-        the shared kernel timings and counters of every block pipeline.
+        the shared kernel timings and counters of every stack pipeline.
     n_ranks:
         Ranks the leaves are partitioned over, all stepped in this process
         over a :class:`~repro.comm.communicator.SimCommunicator`
@@ -205,7 +215,7 @@ class AMRSolver(Driver):
             raise ConfigurationError("system/grid dimensionality mismatch")
         self.system = system
         self.config = config or SolverConfig()
-        # Resolved once for every block pipeline, regrids included;
+        # Resolved once for every stack pipeline, regrids included;
         # self.system stays the plain one (it converts initial and
         # prolonged data and is what workers unpickle).
         self._kernel_system = resolve_kernel_system(
@@ -230,13 +240,13 @@ class AMRSolver(Driver):
         self.local_ranks = tuple(local_ranks)
         #: leaf -> owning rank, replicated on every rank
         self.assignment: dict[BlockKey, int] = {}
+        #: the stacks the evolved leaves step in, and their state arrays
+        #: (``forest.leaves[key].cons`` views them); re-keyed when due
+        self._stacks: list[PatchStack] = []
+        self._cons = PatchViews.of([], [])
         self._invalidate_plans()
-        self._pipelines: dict[BlockKey, HydroPipeline] = {}
-        #: installed or migrated-in ``p_cache`` of blocks whose pipeline is
-        #: not built yet; consumed by :meth:`_pipeline`
-        self._pipe_state: dict[BlockKey, np.ndarray | None] = {}
         self._interior_bcs = BoundarySet(default=InteriorFace())
-        # Shared across every block pipeline so timings/counters aggregate
+        # Shared across every stack pipeline so timings/counters aggregate
         # over the whole forest.
         self.timers = TimerRegistry()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -251,39 +261,55 @@ class AMRSolver(Driver):
         self._last_imbalance = 1.0
 
     # ------------------------------------------------------------------
-    # Pipelines
+    # Stacks
     # ------------------------------------------------------------------
 
-    def _pipeline(self, key: BlockKey) -> HydroPipeline:
-        pipe = self._pipelines.get(key)
-        if pipe is None:
-            pipe = HydroPipeline(
-                self._kernel_system,
-                self.forest.leaves[key].grid,
-                self._interior_bcs,
-                self.config,
-                timers=self.timers,
-                metrics=self.metrics,
-            )
-            pipe.store_fluxes = self.amr.reflux
-            pipe.source_fn = self.source_fn
-            pipe.time = self.t
-            self._pipelines[key] = pipe
-            pipe.install_warm_state(self._pipe_state.pop(key, None))
-        return pipe
+    def _stacks_now(self) -> list[PatchStack]:
+        """The stacks, re-keyed first if the leaves or owners changed."""
+        if self._restack_due:
+            self._restack()
+        return self._stacks
 
-    def _drop_pipeline(self, key: BlockKey) -> None:
-        """Forget a block's pipeline and any warm state staged for it."""
-        self._pipelines.pop(key, None)
-        self._pipe_state.pop(key, None)
+    def _restack(self, seeds: dict | None = None) -> None:
+        """Re-key the stacks over the evolved leaves, each a fresh array of
+        its leaves' ``cons`` that they then view.  A leaf keeps its old
+        stack's Newton seed (one born since starts cold) unless *seeds*
+        brings its own; a run of unchanged leaves keeps its pipeline."""
+        leaves = self.forest.leaves
+        carried = {
+            key: st.pipeline.warm_state(i)
+            for st in self._stacks
+            for i, key in enumerate(st.idents)
+            if key in leaves
+        }
+        carried.update(seeds or {})
+        self._stacks = patch_stacks(
+            self._kernel_system, self.config,
+            ((key, leaves[key].grid, self._interior_bcs, ()) for key in self._step_keys()),
+            kept=self._stacks, timers=self.timers, metrics=self.metrics,
+        )
+        for st in self._stacks:
+            st.pipeline.store_fluxes = self.amr.reflux
+            st.pipeline.source_fn = self.source_fn
+            st.pipeline.time = self.t
+            for i, key in enumerate(st.idents):
+                st.pipeline.install_warm_state(carried.get(key), i)
+        self._restack_due = False
+        self._commit([np.stack([leaves[k].cons for k in st.idents]) for st in self._stacks])
 
-    def _warm_state(self, key: BlockKey) -> np.ndarray | None:
-        """``p_cache`` of one block: its pipeline's, or what is staged for
-        a pipeline not built yet."""
-        pipe = self._pipelines.get(key)
-        if pipe is not None:
-            return pipe.warm_state()
-        return self._pipe_state.get(key)
+    def _commit(self, arrays: list) -> None:
+        """Make *arrays*, one per stack, the state the leaves view."""
+        self._cons = PatchViews.of(self._stacks, arrays)
+        for key, view in self._cons.items():
+            self.forest.leaves[key].cons = view
+
+    def leaf_pipeline(self, key: BlockKey) -> tuple[HydroPipeline, int]:
+        """The pipeline of the stack leaf *key* steps in, and the leaf's
+        patch index there (``warm_state(i)``, ``face_fluxes(i)``)."""
+        for st in self._stacks_now():
+            if key in st.idents:
+                return st.pipeline, st.idents.index(key)
+        raise KeyError(key)
 
     # ------------------------------------------------------------------
     # Driver state: topology, ownership and counters beside the patches
@@ -298,8 +324,9 @@ class AMRSolver(Driver):
             "t": self.t,
             "steps": self.steps,
             "patches": {
-                key: (self.forest.leaves[key].cons.copy(), self._warm_state(key))
-                for key in self._step_keys()
+                key: (self.forest.leaves[key].cons.copy(), st.pipeline.warm_state(i))
+                for st in self._stacks_now()
+                for i, key in enumerate(st.idents)
             },
             "leaves": list(self.forest.leaves),
             "refined": sorted(self.forest.refined),
@@ -322,8 +349,6 @@ class AMRSolver(Driver):
             forest.add_leaf(key, None)
         forest.refined = set(state["refined"])
         self.forest = forest
-        self._pipelines = {}
-        self._pipe_state = {}
         self.t = float(state["t"])
         self.steps = int(state["steps"])
         self.cells_updated = int(state["cells_updated"])
@@ -336,25 +361,24 @@ class AMRSolver(Driver):
             self._last_imbalance = float(state["imbalance"])
         else:
             self._partition()
-        for key in self._step_keys():
-            cons, p_cache = state["patches"][key]
+        patches = {key: state["patches"][key] for key in self._step_keys()}
+        for key, (cons, _) in patches.items():
             forest.leaves[key].cons = np.array(cons)
-            self._pipe_state[key] = p_cache
+        self._restack({key: p_cache for key, (_, p_cache) in patches.items()})
 
     # ------------------------------------------------------------------
     # Ownership and the plans derived from it
     # ------------------------------------------------------------------
 
     def _invalidate_plans(self) -> None:
-        """Forget what derives from topology + ownership; every change of
-        either calls this."""
+        """Forget what derives from topology + ownership, the stacks
+        included; every change of either calls this."""
         self._halo_plan = self._reflux_plan = self._owned = None
+        self._restack_due = True
 
     def _get_halo_plan(self):
         if self._halo_plan is None:
-            self._halo_plan = halo_plan(
-                self.forest, self.assignment, self.n_ranks, self.periodic
-            )
+            self._halo_plan = halo_plan(self.forest, self.assignment, self.n_ranks, self.periodic)
         return self._halo_plan
 
     def _get_reflux_plan(self):
@@ -402,14 +426,10 @@ class AMRSolver(Driver):
     # Ghosted snapshots
     # ------------------------------------------------------------------
 
-    def _recover_leaf_prims(self) -> dict[BlockKey, np.ndarray]:
-        """Recover primitives for every leaf this stepper evolves, in leaf
-        iteration order (warm-start caches make the order part of the
-        byte-level contract)."""
-        return {
-            k: self._pipeline(k).recover_primitives(self.forest.leaves[k].cons)
-            for k in self._step_keys()
-        }
+    def _recover_leaf_prims(self) -> PatchViews:
+        """Fresh primitives of every leaf this stepper evolves, one recovery
+        sweep per stack."""
+        return recover_stacks(self._stacks_now(), self._cons.stacks)
 
     def _fill_ghosts(self, prims: dict[BlockKey, np.ndarray]) -> None:
         """Fill the ghosts of the evolved leaves in *prims*: every rank
@@ -506,7 +526,6 @@ class AMRSolver(Driver):
                 self.wall_bcs.apply(self.system, grid, child_prim)
                 child_cons[child] = self.system.prim_to_con(child_prim)
         self.forest.split(key, child_cons)
-        self._drop_pipeline(key)
         self.assignment.update(dict.fromkeys(children, owner))
         self._invalidate_plans()
 
@@ -552,7 +571,6 @@ class AMRSolver(Driver):
                     grid.interior_of(cons)[sel] = data
             for child in children:
                 del self.assignment[child]
-                self._drop_pipeline(child)
             self.assignment[parent] = owner
             self.forest.merge(parent, cons)
             self._invalidate_plans()
@@ -697,7 +715,8 @@ class AMRSolver(Driver):
             if src not in self.local_ranks:
                 continue
             leaf = self.forest.leaves[key]
-            p_cache = self._warm_state(key)
+            pipeline, i = self.leaf_pipeline(key)
+            p_cache = pipeline.warm_state(i)
             header = block_frame_header(key, leaf.cons, p_cache)
             self.comm.send(src, dst, header, tag=TAG_AMR_MIGRATE)
             self.comm.send(src, dst, leaf.cons, tag=TAG_AMR_MIGRATE)
@@ -729,12 +748,11 @@ class AMRSolver(Driver):
         for key, src, _dst in moves:
             if src in self.local_ranks:
                 self.forest.leaves[key].cons = None
-                self._drop_pipeline(key)
-        for key, cons, p_cache in staged_in:
+        for key, cons, _ in staged_in:
             self.forest.leaves[key].cons = cons
-            self._pipe_state[key] = p_cache
         self.assignment = dict(new_assignment)
         self._invalidate_plans()
+        self._restack({key: p_cache for key, _, p_cache in staged_in})
 
     def _emit_rebalance_event(self, **payload) -> None:
         if self.recorder is not None:
@@ -744,28 +762,23 @@ class AMRSolver(Driver):
     # Evolution
     # ------------------------------------------------------------------
 
-    def _rhs(self, cons_parts: dict[BlockKey, np.ndarray]) -> dict[BlockKey, np.ndarray]:
-        # Per-block pipelines own their workspaces, so hot-path reuse is
-        # safe; refluxing is too, since last_face_fluxes holds arrays of
-        # its own.
-        prims = {
-            key: self._pipeline(key).recover_primitives(cons_parts[key], reuse=True)
-            for key in cons_parts
-        }
+    def _rhs(self, states: list) -> PatchViews:
+        """RHS of every stack state, ``{leaf: view}``.  Each stack pipeline
+        owns its workspace, so per-stack reuse is safe; refluxing is too,
+        since ``last_face_fluxes`` holds arrays of its own."""
+        stacks = self._stacks
+        prims = recover_stacks(stacks, states, reuse=True)
         self._fill_ghosts(prims)
-        dU = {
-            key: self._pipeline(key).flux_divergence(prims[key], reuse=True)
-            for key in cons_parts
-        }
+        dU = PatchViews.of(stacks, [
+            st.pipeline.flux_divergence(prim, reuse=True)
+            for st, prim in zip(stacks, prims.stacks)
+        ])
         if self.amr.reflux:
-            fluxes = {
-                key: self._pipelines[key].last_face_fluxes
-                for key in cons_parts
-            }
-            self._apply_reflux(fluxes, dU)
-        if self.source_fn is not None:
-            for key in cons_parts:
-                self._pipeline(key).apply_source(prims[key], dU[key])
+            self._apply_reflux({
+                key: st.pipeline.face_fluxes(i) for st in stacks for i, key in enumerate(st.idents)
+            }, dU)
+        for st, prim, div in zip(stacks, prims.stacks, dU.stacks):
+            st.pipeline.apply_source(prim, div)
         return dU
 
     def _apply_reflux(self, fluxes, dU) -> None:
@@ -800,17 +813,13 @@ class AMRSolver(Driver):
 
     def compute_dt(self, t_final: float | None = None) -> float:
         local: dict[int, list[float]] = {rank: [] for rank in self.local_ranks}
-        for key in self._step_keys():
-            leaf, pipe = self.forest.leaves[key], self._pipeline(key)
-            prim = pipe.recover_primitives(leaf.cons, reuse=True)
-            local[self.assignment[key]].append(
-                dt_from_axis_maxima(
-                    leaf.grid, pipe.max_signal_per_axis(prim), self.config.cfl
-                )
-            )
-        dt = self._reduce_dt(
-            {rank: min(dts, default=float("inf")) for rank, dts in local.items()}
-        )
+        stacks = self._stacks_now()
+        prims = recover_stacks(stacks, self._cons.stacks, reuse=True)
+        for st, prim in zip(stacks, prims.stacks):
+            for key, maxima in zip(st.idents, st.pipeline.max_signal_per_axis(prim)):
+                grid = self.forest.leaves[key].grid
+                local[self.assignment[key]].append(dt_from_axis_maxima(grid, maxima, self.config.cfl))
+        dt = self._reduce_dt({rank: min(dts, default=float("inf")) for rank, dts in local.items()})
         return clip_dt_to_final(dt, self.t, t_final)
 
     def _reduce_dt(self, local_min: dict[int, float]) -> float:
@@ -823,28 +832,17 @@ class AMRSolver(Driver):
         return float(out[self.local_ranks[0]][0])
 
     def _integrate(self, dt: float) -> None:
-        advanced = self._integrate_parts(
-            {k: self.forest.leaves[k].cons for k in self._step_keys()},
-            dt, self._rhs, self._pipeline,
-        )
-        for key, cons in advanced.items():
-            self.forest.leaves[key].cons = cons
-
-    def _block_name(self, key: BlockKey) -> str:
-        """How error messages name a leaf: with its owner once there is
-        more than one rank."""
-        if self.n_ranks == 1:
-            return f"block {key}"
-        return f"rank {self.assignment[key]}, block {key}"
+        """One integrator step over the stack states; the advanced states
+        are fresh stacks the leaves then view."""
+        self._commit(self._integrate_stacks(self._stacks_now(), self._cons.stacks, dt))
 
     def _patches(self):
-        for key in self._step_keys():
-            leaf = self.forest.leaves[key]
-            yield (
-                f"{self._block_name(key)}, ",
-                self._pipeline(key),
-                leaf.grid.interior_of(leaf.cons),
-            )
+        for st in self._stacks_now():
+            for key in st.idents:
+                leaf = self.forest.leaves[key]
+                # Error messages name a leaf's owner once there are ranks.
+                owner = "" if self.n_ranks == 1 else f"rank {self.assignment[key]}, "
+                yield f"{owner}block {key}, ", st.pipeline, leaf.grid.interior_of(leaf.cons)
 
     def _after_step(self, dt: float) -> None:
         """Count the step's leaf-cell RK-stage updates and run a due
@@ -886,19 +884,14 @@ class AMRSolver(Driver):
     def interior_primitives(self) -> dict[BlockKey, np.ndarray]:
         """Interior primitives of every leaf this stepper evolves."""
         return {
-            k: self.forest.leaves[k].grid.interior_of(
-                self._pipeline(k).recover_primitives(self.forest.leaves[k].cons)
-            ).copy()
-            for k in self._step_keys()
+            k: self.forest.leaves[k].grid.interior_of(prim).copy()
+            for k, prim in self._recover_leaf_prims().items()
         }
 
     def composite_primitives(self, level: int | None = None):
         """(grid, interior prim array) of the composite at *level*
         (finest active level by default)."""
-        prims = {
-            k: self._pipeline(k).recover_primitives(leaf.cons)
-            for k, leaf in self.forest.leaves.items()
-        }
+        prims = self._recover_leaf_prims()
         target = self.forest.finest_level() if level is None else level
         composites = self.forest.composite_levels(
             prims, self.system.nvars, self.system, self.wall_bcs, up_to_level=target
@@ -907,7 +900,4 @@ class AMRSolver(Driver):
         return grid, grid.interior_of(arr)
 
     def leaf_count_by_level(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for key in self.forest.leaves:
-            out[key.level] = out.get(key.level, 0) + 1
-        return out
+        return dict(Counter(key.level for key in self.forest.leaves))

@@ -4,7 +4,8 @@ Runs the same HRSC pipeline as :class:`~repro.core.solver.Solver`, but with
 the domain split across ranks of a :class:`CartesianDecomposition`:
 
 - each rank owns a ghosted sub-patch; consecutive owned ranks whose
-  patches are alike (shape, ``dx``, overlap regions) form one *stack*, a
+  patches are alike (shape, ``dx``, overlap regions — the one rule of
+  :func:`~repro.core.pipeline.patch_stacks`) form one *stack*, a
   ``(P, nvars, *ghosted)`` array stepped by one :class:`HydroPipeline` —
   one kernel call per stage for all P ranks — and every per-rank surface
   (halo exchange, ``state()``, the finite guard) works on ``{rank: view}``;
@@ -22,7 +23,6 @@ scaling model prices.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,7 +47,8 @@ from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
-from .pipeline import HydroPipeline, resolve_kernel_system
+from .pipeline import HydroPipeline, PatchStack, PatchViews, patch_stacks, recover_stacks
+from .pipeline import resolve_kernel_system
 from .stepping import Driver
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,25 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the one link the comm.overlap.{modeled_comm_s,hidden_s,exposed_s,
 #: hidden_frac} split is priced on — a Hockney *model*, not a measurement
 _OVERLAP_LINK = make_link("infiniband-fdr")
-
-
-@dataclass
-class _Stack:
-    """Owned ranks stepped as one ``(P, nvars, *ghosted)`` array: their
-    shared pipeline and the ``(axis, lo, hi)`` regions every patch of it
-    evaluates before the halos land (cores) and after (strips)."""
-
-    ranks: tuple[int, ...]
-    pipeline: HydroPipeline
-    cores: list
-    strips: list
-
-
-class _RankViews(dict):
-    """``{rank: view}`` of one array per stack, which it keeps as
-    :attr:`stacks` — what the kernels take — in stack order."""
-
-    stacks: list
 
 
 def decompose(system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic):
@@ -199,50 +181,30 @@ class DistributedSolver(Driver):
         #: flight, then finish the boundary strips (bit-identical to the
         #: blocking path — see tests/test_overlap.py).
         self.overlap = bool(self.config.overlap_exchange)
-        # Per rank, the (axis, lo, hi) interior ranges the RHS evaluates
-        # before the halos land (cores) and after (strips).  A blocking
-        # rank waits for its halos first: no core, one full-axis strip.
-        cores, strips = {}, {}
-        for rank in self.local_ranks:
-            regions = (
+        # Per rank, (cores, strips): the (axis, lo, hi) interior ranges the
+        # RHS evaluates before the halos land and after.  A blocking rank
+        # waits for its halos first: no core, one full-axis strip.
+        regions = {}
+        for rank, sub in self.subgrids.items():
+            split = (
                 rhs_regions(decomp, rank) if self.overlap
-                else [((0, 0), [(0, n)]) for n in self.subgrids[rank].shape]
+                else [((0, 0), [(0, n)]) for n in sub.shape]
             )
-            cores[rank] = [
-                (axis, *core) for axis, (core, _) in enumerate(regions)
-                if core[1] > core[0]
-            ]
-            strips[rank] = [
-                (axis, lo, hi) for axis, (_, ranges) in enumerate(regions)
-                for lo, hi in ranges
-            ]
-
-        def cells(ranges_of: dict[int, list]) -> int:
-            return sum(
-                (hi - lo) * (self.subgrids[rank].n_cells // self.subgrids[rank].shape[axis])
-                for rank, ranges in ranges_of.items()
-                for axis, lo, hi in ranges
+            regions[rank] = (
+                [(axis, *core) for axis, (core, _) in enumerate(split) if core[1] > core[0]],
+                [(axis, lo, hi) for axis, (_, ranges) in enumerate(split) for lo, hi in ranges],
             )
-
         #: per-exchange (core, strip) cell-update counts of the owned ranks
         #: behind the comm.overlap.interior_cells / strip_cells counters
-        self.overlap_cell_counts = (cells(cores), cells(strips))
+        self.overlap_cell_counts = tuple(
+            sum(
+                (hi - lo) * (sub.n_cells // sub.shape[axis])
+                for rank, sub in self.subgrids.items()
+                for axis, lo, hi in regions[rank][part]
+            )
+            for part in (0, 1)
+        )
 
-        # Stacks: maximal runs of consecutive owned ranks whose patches one
-        # kernel call can step together — same shape and dx (each patch's
-        # divergence is divided by its own dx, and sub-grids of an inexact
-        # global dx differ in its last bit) and the same regions.  Runs, so
-        # stack after stack, patch after patch is rank order: every
-        # order-sensitive per-patch step (fault-injector consults, which
-        # RecoveryError is raised first) keeps the order it always had.
-        runs: list = []
-        for rank in self.local_ranks:
-            sub = self.subgrids[rank]
-            key = (sub.shape, sub.dx, cores[rank], strips[rank])
-            if runs and runs[-1][0] == key:
-                runs[-1][1].append(rank)
-            else:
-                runs.append((key, [rank]))
         # Per-rank boundary sets: faces in the halo face table (neighbour
         # present) are no-ops, physical walls inherit the global policy.
         interior = InteriorFace()
@@ -258,34 +220,32 @@ class DistributedSolver(Driver):
                 for side in (0, 1)
             })
 
-        # Resolved once for every stack pipeline; self.system stays the
-        # plain one (it converts the initial data and is what workers
-        # unpickle).
-        kernel_system = resolve_kernel_system(system, self.config.kernel_target)
-        self._stacks: list[_Stack] = []
+        # Stacks (patch_stacks' one rule): runs of consecutive owned ranks
+        # alike in shape, dx and (cores, strips), each stepped by one
+        # pipeline of the kernel system resolved here once; self.system
+        # stays the plain one (it converts the initial data and is what
+        # workers unpickle).
+        self._stacks: list[PatchStack] = patch_stacks(
+            resolve_kernel_system(system, self.config.kernel_target), self.config,
+            ((rank, sub, boundaries(rank), regions[rank]) for rank, sub in self.subgrids.items()),
+            timers=self.timers, metrics=self.metrics, fault_injector=fault_injector,
+        )
         #: each owned rank's pipeline: its stack's, shared by the stack
         self.pipelines: dict[int, HydroPipeline] = {}
-        for (*_, core, strip), ranks in runs:
-            patches = [(self.subgrids[rank], boundaries(rank)) for rank in ranks]
-            pipeline = HydroPipeline(
-                kernel_system, *patches[0], self.config,
-                timers=self.timers, metrics=self.metrics,
-                fault_injector=fault_injector, patches=patches,
-            )
-            pipeline.source_fn = source_fn
-            self._stacks.append(_Stack(tuple(ranks), pipeline, core, strip))
-            self.pipelines.update(dict.fromkeys(ranks, pipeline))
+        for st in self._stacks:
+            st.pipeline.source_fn = source_fn
+            self.pipelines.update(dict.fromkeys(st.idents, st.pipeline))
 
         # Install the scattered interiors, then fill all ghosts once.
         stacks = []
         for st in self._stacks:
-            shape = (len(st.ranks), system.nvars) + st.pipeline.grid.shape_with_ghosts
+            shape = (len(st.idents), system.nvars) + st.pipeline.grid.shape_with_ghosts
             prim = np.zeros(shape)
-            for rank, (sub, bcs), patch in zip(st.ranks, st.pipeline.patches, prim):
+            for rank, (sub, bcs), patch in zip(st.idents, st.pipeline.patches, prim):
                 sub.interior_of(patch)[...] = parts[rank]
                 bcs.apply(system, sub, patch)
             stacks.append(prim)
-        prims = self._views(stacks)
+        prims = PatchViews.of(self._stacks, stacks)
         if prime:
             self._exchange(prims)
         cons = [np.empty_like(prim) for prim in stacks]
@@ -293,11 +253,11 @@ class DistributedSolver(Driver):
             for patch, patch_cons in zip(prim, state):
                 st.pipeline.atmosphere.apply_prim(system, patch)
                 system.prim_to_con(patch, out=patch_cons)
-        self.cons = self._views(cons)
+        self.cons = PatchViews.of(self._stacks, cons)
         # Mirror the single-grid solver's primitive cache: the first dt is
         # computed from the (floored, exchanged) initial primitives, not a
         # recovery round-trip — keeping the two solvers bit-identical.
-        self._prims_cache: _RankViews | None = prims
+        self._prims_cache: PatchViews | None = prims
         self.integrator = make_integrator(self.config.integrator)
         self.t = 0.0
         self.steps = 0
@@ -335,37 +295,20 @@ class DistributedSolver(Driver):
             schedule=self._exchange_schedule(False),
         )
 
-    def _views(self, stacks: list) -> "_RankViews":
-        """``{rank: view}`` of one array per stack, in rank order."""
-        views = _RankViews(
-            (rank, array[i])
-            for st, array in zip(self._stacks, stacks)
-            for i, rank in enumerate(st.ranks)
-        )
-        views.stacks = list(stacks)
-        return views
-
-    def _recover(self, states, reuse: bool = False) -> "_RankViews":
-        """Each stack state's primitives, one recovery sweep per stack."""
-        return self._views([
-            st.pipeline.recover_primitives(U, reuse=reuse)
-            for st, U in zip(self._stacks, states)
-        ])
-
-    def _recover_and_exchange(self, cons: "_RankViews", use_cache: bool = False):
+    def _recover_and_exchange(self, cons: "PatchViews", use_cache: bool = False):
         """Primitives of the rank views *cons* after a fresh halo exchange;
         with *use_cache* (for ``self.cons``) read through the exchanged-
         primitive cache and fill it — a diagnostic read between steps is
         the recovery the next ``compute_dt`` then skips."""
         if use_cache and self._prims_cache is not None:
             return self._prims_cache
-        prims = self._recover(cons.stacks)
+        prims = recover_stacks(self._stacks, cons.stacks)
         self._exchange(prims)
         if use_cache:
             self._prims_cache = prims
         return prims
 
-    def _divergences(self, stack: "_Stack", prim: np.ndarray, ranges) -> list:
+    def _divergences(self, stack: PatchStack, prim: np.ndarray, ranges) -> list:
         """``(axis, lo, hi, divergence)`` of each ``(axis, lo, hi)`` range
         of every patch of *stack* (one sweep per range)."""
         return [
@@ -374,8 +317,9 @@ class DistributedSolver(Driver):
             for axis, lo, hi in ranges
         ]
 
-    def _rhs(self, states: dict):
-        """RHS of every stack state, around one halo exchange.
+    def _rhs(self, states: list) -> PatchViews:
+        """RHS of every stack state, ``{rank: view}``, around one halo
+        exchange.
 
         Overlapped: post every strip (:func:`post_halos`), evaluate each
         stack's cores — the cells whose stencil never reads halo ghosts —
@@ -389,7 +333,7 @@ class DistributedSolver(Driver):
         commutative in IEEE arithmetic).
         """
         # Each stack pipeline owns its workspace, so per-stack reuse is safe.
-        prims = self._recover(states.values(), reuse=True)
+        prims = recover_stacks(self._stacks, states, reuse=True)
         handle = None
         if self.overlap:
             handle = post_halos(
@@ -399,7 +343,7 @@ class DistributedSolver(Driver):
             )
         t0 = time.perf_counter()
         divs = [
-            self._divergences(st, prim, st.cores)
+            self._divergences(st, prim, st.regions[0])
             for st, prim in zip(self._stacks, prims.stacks)
         ]
         interior_s = time.perf_counter() - t0
@@ -408,17 +352,17 @@ class DistributedSolver(Driver):
         else:
             complete_halos(handle)
         t1 = time.perf_counter()
-        out = {}
+        out = []
         for s, (st, prim) in enumerate(zip(self._stacks, prims.stacks)):
             pipeline = st.pipeline
-            divs[s] += self._divergences(st, prim, st.strips)
+            divs[s] += self._divergences(st, prim, st.regions[1])
             dU = pipeline.begin_flux_divergence(reuse=True)
             for axis, lo, hi, div in sorted(divs[s], key=lambda e: e[0]):
                 pipeline.accumulate_divergence(dU, axis, lo, hi, div)
-            out[s] = pipeline.apply_source(prim, dU)
+            out.append(pipeline.apply_source(prim, dU))
         if handle is not None:
             self._record_overlap(handle, interior_s, time.perf_counter() - t1)
-        return out
+        return PatchViews.of(self._stacks, out)
 
     def _record_overlap(self, handle, interior_s: float, strip_s: float) -> None:
         """comm.overlap.* accounting for one overlapped exchange.
@@ -455,19 +399,16 @@ class DistributedSolver(Driver):
         local = {}
         for st, prim in zip(self._stacks, prims.stacks):
             maxima = st.pipeline.max_signal_per_axis(prim)
-            local.update(zip(st.ranks, map(np.asarray, maxima)))
+            local.update(zip(st.idents, map(np.asarray, maxima)))
         vmax = self.comm.allreduce(local, op="max")[self.local_ranks[0]]
         dt = dt_from_axis_maxima(self.global_grid, vmax, self.config.cfl)
         return clip_dt_to_final(dt, self.t, t_final)
 
     def _integrate(self, dt: float) -> None:
-        """One integrator step over ``{stack: state}``; the advanced states
+        """One integrator step over the stack states; the advanced states
         are fresh stacks, so views handed out stay valid."""
-        states = self._integrate_parts(
-            dict(enumerate(self.cons.stacks)), dt, self._rhs,
-            lambda s: self._stacks[s].pipeline,
-        )
-        self.cons = self._views(list(states.values()))
+        states = self._integrate_stacks(self._stacks, self.cons.stacks, dt)
+        self.cons = PatchViews.of(self._stacks, states)
         self._prims_cache = None  # state advanced: next dt recovers afresh
 
     def _patches(self):
@@ -513,7 +454,7 @@ class DistributedSolver(Driver):
             "patches": {
                 rank: (self.cons[rank], st.pipeline.warm_state(i))
                 for st in self._stacks
-                for i, rank in enumerate(st.ranks)
+                for i, rank in enumerate(st.idents)
             },
             "prims_cache": None if prims is None
             else {rank: prims[rank] for rank in self.local_ranks},
@@ -528,12 +469,12 @@ class DistributedSolver(Driver):
         position is restored only where an injector is attached)."""
         patches = state["patches"]
         for st in self._stacks:
-            for i, rank in enumerate(st.ranks):
+            for i, rank in enumerate(st.idents):
                 st.pipeline.install_warm_state(patches[rank][1], i)
 
-        def stacked(arrays_of) -> _RankViews:
-            return self._views([
-                np.stack([np.asarray(arrays_of(rank), dtype=float) for rank in st.ranks])
+        def stacked(arrays_of) -> PatchViews:
+            return PatchViews.of(self._stacks, [
+                np.stack([np.asarray(arrays_of(rank), dtype=float) for rank in st.idents])
                 for st in self._stacks
             ])
 

@@ -2,12 +2,16 @@
 
 :class:`HydroPipeline` owns the per-step numerical kernels and exposes the
 right-hand side ``dU/dt = -div F`` used by the SSP integrators. Every driver
-runs it — on one patch, or (the distributed solver) on a stack of same-shape
-patches — and it is the unit the heterogeneous runtime's performance model
-is calibrated against (each stage is one "kernel").
+runs it — on one patch, or on a stack of same-shape patches (rank sub-grids,
+AMR leaves; :func:`patch_stacks` is the one grouping rule) — and it is the
+unit the heterogeneous runtime's performance model is calibrated against
+(each stage is one "kernel").
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -76,10 +80,11 @@ class HydroPipeline:
         non-convergence takes (raising past ``config.failsafe_frac``).
     patches:
         A stack's ``(grid, boundaries)`` per patch, in order (the first is
-        *grid*, *boundaries*; every grid has its shape, ghosts and ``dx``).
-        The pipeline then takes and returns ``(P, nvars, *ghosted)`` stacks
-        — P = 1 included — and runs each compiled kernel once per call for
-        all P patches; what is per patch (boundary fill, source term, Newton
+        *grid*, *boundaries*; every grid has its shape, ghosts and ``dx``;
+        drivers build stacks through :func:`patch_stacks`).  The pipeline
+        then takes and returns ``(P, nvars, *ghosted)`` stacks — P = 1
+        included — and runs each compiled kernel once per call for all P
+        patches; what is per patch (boundary fill, source term, Newton
         seed, fault-injector consult, recovery accounting, the interpreted
         paths) runs patch by patch, in order.  Without it the pipeline is
         one patch in ``(nvars, *ghosted)`` arrays.
@@ -144,7 +149,7 @@ class HydroPipeline:
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
         #: preallocated kernel buffers for the hot path (one per pipeline, so
-        #: per-stack and per-AMR-block reuse is safe); setting it to None
+        #: per-stack reuse is safe); setting it to None
         #: makes every call allocate fresh arrays (bit-identical; tests).
         self.workspace = ScratchWorkspace(grid, system.nvars, *self._lead)
         # Pressure cache seeds the next con2prim Newton solve: the patches'
@@ -189,6 +194,11 @@ class HydroPipeline:
                 self._p_cache = self._new_seeds()
             self._p_cache[self._seed_rows(patch)] = p_cache
         self._warm[patch] = warm
+
+    def face_fluxes(self, patch: int = 0) -> dict[int, np.ndarray]:
+        """*patch*'s part of :attr:`last_face_fluxes` (views): per axis,
+        ``(nvars, *transverse_interior, n + 1)`` with the face index last."""
+        return {ax: self._div_patch(f, patch) for ax, f in self.last_face_fluxes.items()}
 
     def _new_seeds(self) -> np.ndarray:
         """An unfilled seed array: the patches' interiors back to back."""
@@ -720,3 +730,56 @@ class HydroPipeline:
         else:
             maxima = kernel(self._flat(prim), self.grid.n_ghost, len(self.patches))
         return maxima if self._lead else maxima[0]
+
+
+@dataclass
+class PatchStack:
+    """Patches stepped as one ``(P, nvars, *ghosted)`` array: their idents
+    in order, the one pipeline every kernel call of the stack goes through,
+    and the regions the driver keyed them on."""
+
+    idents: tuple
+    pipeline: HydroPipeline
+    regions: tuple
+
+
+class PatchViews(dict):
+    """``{ident: view}`` of one array per stack, which it keeps as
+    :attr:`stacks` — what the kernels take — in stack order."""
+
+    stacks: list
+
+    @classmethod
+    def of(cls, stacks: list[PatchStack], arrays) -> "PatchViews":
+        views = cls((ident, a[p]) for st, a in zip(stacks, arrays) for p, ident in enumerate(st.idents))
+        views.stacks = list(arrays)
+        return views
+
+
+def patch_stacks(system, config, patches, kept=(), **pipeline_kw) -> list[PatchStack]:
+    """The one stacking rule: of *patches*, ``(ident, grid, boundaries,
+    regions)`` in stepping order, every maximal run alike in shape, ``dx``
+    (each patch's divergence is divided by its own, and grids of an inexact
+    spacing differ in its last bit) and *regions* is one stack.  Runs, so
+    stack after stack, patch after patch is the patches' order, which every
+    order-sensitive per-patch step (fault-injector consults, which
+    RecoveryError is raised first) keeps.  A stack of *kept* with the same
+    idents is reused, pipeline and all; any other run gets a new one."""
+    reuse = {st.idents: st for st in kept}
+    stacks = []
+    for (*_, regions), run in groupby(patches, lambda p: (p[1].shape, p[1].dx, p[3])):
+        run = list(run)
+        idents = tuple(ident for ident, *_ in run)
+        if idents not in reuse:
+            members = [(grid, bcs) for _, grid, bcs, _ in run]
+            pipeline = HydroPipeline(system, *members[0], config, patches=members, **pipeline_kw)
+            reuse[idents] = PatchStack(idents, pipeline, regions)
+        stacks.append(reuse[idents])
+    return stacks
+
+
+def recover_stacks(stacks: list[PatchStack], states, reuse: bool = False) -> PatchViews:
+    """Each stack state's primitives, one recovery sweep per stack."""
+    return PatchViews.of(stacks, [
+        st.pipeline.recover_primitives(U, reuse=reuse) for st, U in zip(stacks, states)
+    ])

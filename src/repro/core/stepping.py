@@ -2,14 +2,16 @@
 
 Recover -> reconstruct -> Riemann -> update under SSP-RK is the same on
 every target and at every scale; what differs between drivers is *where
-the patches live* (one grid, a batch axis, rank sub-grids, forest leaves)
+the patches live* (one grid, a batch axis, or rank sub-grids and forest
+leaves stepped in the stacks of :func:`~repro.core.pipeline.patch_stacks`)
 and *how their ghosts are filled*.  :class:`Driver` therefore owns the
 skeleton over the explicit solution state ``(t, steps, patches)`` and the
 drivers supply only what is theirs:
 
 ======================  ================================================
 ``compute_dt(t_final)``  the CFL step (and its reduction across patches)
-``_integrate(dt)``       the integrator call and the commit of its result
+``_integrate(dt)``       the integrator call (``_integrate_stacks`` for a
+                         driver of stacks) and the commit of its result
 ``_patches()``           ``(label, pipeline, array)`` per evolved patch —
                          serves the stage-time hook and the finite guard
 ``_after_step(dt)``      bookkeeping on the guarded step (``solver.dt``)
@@ -60,19 +62,22 @@ class Driver:
     and ``recorder`` besides the hooks listed in the module docstring.
     """
 
-    def _integrate_parts(self, parts: dict, dt: float, rhs, pipeline_of) -> dict:
-        """One integrator step over a ``{patch: array}`` state, with
-        ``rhs(parts) -> parts`` and each patch's stage combined by its own
-        pipeline (``pipeline_of(patch)``); returns the advanced parts."""
+    def _integrate_stacks(self, stacks, states: list, dt: float) -> list:
+        """One integrator step over a list of one state array per stack
+        (:func:`~repro.core.pipeline.patch_stacks`): ``self._rhs`` maps such
+        a list to the :class:`~repro.core.pipeline.PatchViews` of its
+        right-hand sides, and each stack's stage is combined by its own
+        pipeline.  Returns the advanced states."""
 
         def combine(stage, U, V, dt, k, final):
-            return {
-                p: pipeline_of(p).combine_stage(stage, U[p], V[p], dt, k[p], final)
-                for p in U
-            }
+            return [
+                st.pipeline.combine_stage(stage, u, v, dt, dU, final)
+                for st, u, v, dU in zip(stacks, U, V, k.stacks)
+            ]
 
         return self.integrator.step(
-            parts, dt, rhs, t0=self.t, set_time=self._set_stage_time, combine=combine
+            list(states), dt, self._rhs,
+            t0=self.t, set_time=self._set_stage_time, combine=combine,
         )
 
     def _set_stage_time(self, t: float) -> None:

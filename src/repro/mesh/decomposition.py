@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils.errors import MeshError
+from ..utils.errors import ConfigurationError, MeshError
 from .grid import Grid
 
 
@@ -34,6 +34,8 @@ def balanced_split(n_cells: int, n_parts: int) -> list[tuple[int, int]]:
 
 def choose_dims(n_ranks: int, ndim: int) -> tuple[int, ...]:
     """Near-cubic process-grid dimensions for *n_ranks* (MPI_Dims_create)."""
+    if n_ranks < 1:
+        raise ConfigurationError(f"n_ranks must be >= 1, got {n_ranks}")
     dims = [1] * ndim
     remaining = n_ranks
     # Greedily peel off the largest factor for the least-loaded axis.

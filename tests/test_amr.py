@@ -12,6 +12,7 @@ from repro import Grid, IdealGasEOS, Solver, SolverConfig, SRHDSystem
 from repro.analysis import relative_l1_error
 from repro.boundary import make_boundaries
 from repro.core.amr_solver import AMRConfig, AMRSolver
+from repro.core.pipeline import HydroPipeline
 from repro.mesh.amr import (
     AMRForest,
     BlockKey,
@@ -25,6 +26,8 @@ from repro.mesh.amr import (
 from repro.physics.exact_riemann import ExactRiemannSolver
 from repro.physics.initial_data import RP1, blast_wave_2d, shock_tube
 from repro.utils.errors import ConfigurationError, MeshError
+
+from .conftest import require_cext
 
 
 class TestBlockKey:
@@ -317,7 +320,7 @@ class TestAMREvolution:
             forests[target] = amr
         assert len(compiled_system_inits) == 1
         cext, flat = forests["cext"], forests["flat"]
-        assert {id(p.system) for p in cext._pipelines.values()} == {
+        assert {id(cext.leaf_pipeline(k)[0].system) for k in cext.forest.leaves} == {
             id(cext._kernel_system)
         }
         assert "face_flux" in cext.timers and "reconstruct" not in cext.timers
@@ -348,7 +351,7 @@ class TestAMREvolution:
 
     def test_single_level_amr_is_exactly_unigrid(self, system1d):
         """With max_levels=1 the AMR machinery (blocks, composite ghost
-        fill, per-leaf pipelines) must reproduce the unigrid solver
+        fill, leaf stacks) must reproduce the unigrid solver
         bit-for-bit — the strongest correctness anchor for the forest."""
         grid = Grid((64,), ((0.0, 1.0),))
         cfg = SolverConfig(cfl=0.4)
@@ -377,3 +380,116 @@ class TestAMREvolution:
         )
         amr.step(dt=1e-4)
         assert amr.cells_updated == 32 * 3  # 2 blocks x 16 cells x 3 stages
+
+
+class TestLeafStacks:
+    """Leaves step in stacks (``patch_stacks``' rule, the distributed
+    solver's): pipeline builds and kernel calls scale with the stacks, not
+    with the leaves, and a stack call large enough for the OpenMP team gives
+    the 1-thread bytes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """HydroPipeline constructions (the benchmark's ``pipeline.builds``),
+        recovery sweeps and divergence sweeps, counted."""
+        made = {"builds": 0, "recover_primitives": 0, "flux_divergence_region": 0}
+        real_init = HydroPipeline.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made["builds"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HydroPipeline, "__init__", counting_init)
+        for name in ("recover_primitives", "flux_divergence_region"):
+            real = getattr(HydroPipeline, name)
+
+            def counting(self, *args, _real=real, _name=name, **kwargs):
+                made[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(HydroPipeline, name, counting)
+        return made
+
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    def test_builds_and_calls_scale_with_the_stacks(self, system2d, calls, n_ranks):
+        """Regrids every third step (and, at two ranks, migrations): a step
+        that changes no topology builds no pipeline and sweeps once per
+        stack per recovery (compute_dt + 3 RK stages) and per axis and
+        stage; a regrid, with its migration, builds at most one pipeline
+        per stack of the forest it leaves."""
+        amr = AMRSolver(
+            system2d,
+            Grid((32, 32), ((0, 1), (0, 1))),
+            lambda s, g: blast_wave_2d(s, g, p_in=10.0, p_out=1.0, radius=0.2,
+                                       center=(0.4, 0.45)),
+            SolverConfig(cfl=0.4),
+            AMRConfig(block_size=8, max_levels=2, regrid_interval=3,
+                      refine_threshold=0.2, coarsen_threshold=0.05,
+                      rebalance_threshold=1.02),
+            make_boundaries("periodic"),
+            n_ranks=n_ranks,
+        )
+        stages = amr.integrator.stages
+        topologies, rebuilt = set(), 0
+        for name in calls:
+            calls[name] = 0
+        for step in range(1, 13):
+            if step % 3 != 1:  # a regrid's builds land in the next step
+                for name in calls:
+                    calls[name] = 0
+            amr.step()
+            n_stacks = len(amr._stacks_now())
+            assert n_stacks < len(amr.forest.leaves)
+            topologies.add((tuple(amr.forest.leaves), tuple(amr.assignment.values())))
+            if step % 3 == 2:  # neither regridded nor re-keyed
+                assert calls == {
+                    "builds": 0,
+                    "recover_primitives": (stages + 1) * n_stacks,
+                    "flux_divergence_region": stages * 2 * n_stacks,
+                }, step
+            elif step % 3 == 1:  # re-keyed after the regrid (or construction)
+                assert calls["builds"] <= n_stacks, step
+                rebuilt += calls["builds"]
+        assert amr.regrids == 4 and len(topologies) > 1 and rebuilt > 0
+        assert (amr.repartitions > 0) == (n_ranks > 1)
+
+    def test_a_stack_on_a_team_is_the_one_thread_run(self, system2d):
+        """A stack of >= 16 leaves of 16^2 (>= 4096 interior cells, the team
+        threshold) steps through a regrid on 1, 2 and 4 threads: every
+        leaf's bytes are the 1-thread run's."""
+        from repro.codegen import cext as cext_mod
+        from repro.codegen.generator import TEAM_MIN_WORK
+
+        from .test_codegen import _set_team
+
+        require_cext(2)
+
+        def run():
+            amr = AMRSolver(
+                system2d,
+                # Blocks 1/8 wide: every level-0 leaf has the one exact dx.
+                Grid((96, 96), ((0, 0.75), (0, 0.75))),
+                lambda s, g: blast_wave_2d(s, g, p_in=10.0, p_out=1.0, radius=0.1,
+                                           center=(0.375, 0.375)),
+                SolverConfig(kernel_target="cext", cfl=0.4),
+                # Coarse at t = 0: the regrid at step 2 refines the blast.
+                AMRConfig(block_size=16, max_levels=2, regrid_interval=2,
+                          initial_regrid_passes=0),
+            )
+            leaves = list(amr.forest.leaves)
+            biggest = max(len(st.idents) for st in amr._stacks_now())
+            assert biggest * 16**2 >= TEAM_MIN_WORK
+            for _ in range(3):
+                amr.step()
+            assert amr.regrids == 1 and list(amr.forest.leaves) != leaves
+            return {k: leaf.cons.tobytes() for k, leaf in amr.forest.leaves.items()}
+
+        before = cext_mod.threads(2)
+        try:
+            _set_team(1)
+            want = run()
+            for n in (2, 4):
+                _set_team(n)
+                assert run() == want, n
+        finally:
+            cext_mod.threads(2, before)

@@ -153,6 +153,21 @@ class TestRebalanceDecay:
         assert 1.0 <= imbalance[-1] <= max(imbalance) + 1e-9
 
 
+def _leaf_pipelines(solver):
+    """Each leaf's stack pipeline (by identity) and patch index in it."""
+    return {k: (id(p), i) for k in solver.forest.leaves for p, i in [solver.leaf_pipeline(k)]}
+
+
+def _leaf_seeds(solver):
+    """Each leaf's Newton seed bytes (None: cold)."""
+    return {
+        k: None if seed is None else seed.tobytes()
+        for k in solver.forest.leaves
+        for p, i in [solver.leaf_pipeline(k)]
+        for seed in [p.warm_state(i)]
+    }
+
+
 class TestInProcessMigration:
     """The in-process rank loop migrates over its ``SimCommunicator``: the
     frames, checks and validate-then-clear-then-install order of the
@@ -170,7 +185,9 @@ class TestInProcessMigration:
         def counted(moves, new_assignment):
             # header + cons (+ Newton seed) per moved block
             frames = sum(
-                2 + (solver._warm_state(key) is not None) for key, _, _ in moves
+                2 + (pipe.warm_state(i) is not None)
+                for key, _, _ in moves
+                for pipe, i in [solver.leaf_pipeline(key)]
             )
             marker = solver.comm.traffic_marker()
             migrate(moves, new_assignment)
@@ -191,8 +208,8 @@ class TestInProcessMigration:
             before.update(
                 cons={k: leaf.cons.copy() for k, leaf in solver.forest.leaves.items()},
                 assignment=dict(solver.assignment),
-                pipelines={k: id(p) for k, p in solver._pipelines.items()},
-                staged=set(solver._pipe_state),
+                pipelines=_leaf_pipelines(solver),
+                staged=_leaf_seeds(solver),
             )
             migrate(moves, new_assignment)
 
@@ -214,8 +231,8 @@ class TestInProcessMigration:
         assert list(solver.forest.leaves) == list(before["cons"])
         for key, leaf in solver.forest.leaves.items():
             assert leaf.cons.tobytes() == before["cons"][key].tobytes(), key
-        assert {k: id(p) for k, p in solver._pipelines.items()} == before["pipelines"]
-        assert set(solver._pipe_state) == before["staged"]
+        assert _leaf_pipelines(solver) == before["pipelines"]
+        assert _leaf_seeds(solver) == before["staged"]
 
 
 class TestCheckpointReload:

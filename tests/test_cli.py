@@ -199,6 +199,7 @@ class TestFlagCombos:
                 ("--max-rank-restarts", "--executor process"),
             ),
             (["run", "rp1", "--degrade"], ("--degrade", "--max-rank-restarts")),
+            (["run", "rp1", "--ranks", "-2"], ("--ranks",)),
         ],
     )
     def test_contradictory_flags_fail_fast(self, argv, both, capsys):

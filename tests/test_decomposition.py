@@ -11,7 +11,7 @@ from repro.mesh.decomposition import (
     choose_dims,
 )
 from repro.mesh.grid import Grid
-from repro.utils.errors import MeshError
+from repro.utils.errors import ConfigurationError, MeshError
 
 
 class TestBalancedSplit:
@@ -38,6 +38,11 @@ class TestChooseDims:
 
     def test_prime(self):
         assert sorted(choose_dims(7, 2)) == [1, 7]
+
+    @pytest.mark.parametrize("n_ranks", [0, -2])
+    def test_non_positive_rank_count_is_refused(self, n_ranks):
+        with pytest.raises(ConfigurationError, match="n_ranks must be >= 1"):
+            choose_dims(n_ranks, 2)
 
     def test_product_preserved(self):
         for n in (1, 2, 6, 12, 64, 100):

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import Grid, IdealGasEOS, SolverConfig, SRHDSystem
 from repro.core.amr_solver import AMRConfig, AMRSolver
+from repro.core.pipeline import PatchViews
 from repro.mesh.amr.reflux import apply_reflux, fine_face_flux
 from repro.physics.initial_data import RP1, blast_wave_2d, shock_tube
 
@@ -119,7 +119,11 @@ class TestFineFaceFlux:
             AMRConfig(block_size=16, max_levels=1, reflux=True),
         )
         amr.step(dt=1e-4)
-        fluxes = {k: amr._pipelines[k].last_face_fluxes for k in amr.forest.leaves}
+        fluxes = {
+            k: pipe.face_fluxes(i)
+            for k in amr.forest.leaves
+            for pipe, i in [amr.leaf_pipeline(k)]
+        }
         for key in amr.forest.leaves:
             for side in (0, 1):
                 assert fine_face_flux(amr.forest, fluxes, key, 0, side) is None
@@ -131,16 +135,17 @@ class TestFineFaceFlux:
         system = SRHDSystem(eos, ndim=1)
         amr = make_amr_1d(system, reflux=True)
         # Topology: {0: 2, 1: 2, 2: 4} -> coarse-fine faces exist.
-        prims = {
-            k: amr._pipeline(k).recover_primitives(leaf.cons)
-            for k, leaf in amr.forest.leaves.items()
-        }
+        prims = amr._recover_leaf_prims()  # per-leaf views of one array per stack
         amr.forest.fill_ghosts(prims, system.nvars, system, amr.wall_bcs)
-        dU = {
-            k: amr._pipeline(k).flux_divergence(prims[k])
+        dU = PatchViews.of(amr._stacks, [
+            st.pipeline.flux_divergence(prim)
+            for st, prim in zip(amr._stacks, prims.stacks)
+        ])
+        fluxes = {
+            k: pipe.face_fluxes(i)
             for k in amr.forest.leaves
+            for pipe, i in [amr.leaf_pipeline(k)]
         }
-        fluxes = {k: amr._pipelines[k].last_face_fluxes for k in amr.forest.leaves}
         n = apply_reflux(amr.forest, fluxes, dU)
         # Count expected coarse-fine faces directly from the topology.
         expected = 0
