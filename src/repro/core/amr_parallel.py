@@ -227,7 +227,7 @@ class AMRProcessSolver(ProcessSolver):
 
     def gather_block_primitives(self) -> dict[BlockKey, np.ndarray]:
         """Every leaf's interior primitives, merged across ranks."""
-        return self._gather("interior_primitives")
+        return self.interior_primitives()
 
     def gather_primitives(self):
         raise ConfigurationError(

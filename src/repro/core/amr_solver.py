@@ -14,7 +14,7 @@ The leaves step in stacks by the distributed ranks' rule
 alike in shape and ``dx`` — about one per level — is one array stepped by
 one pipeline, one kernel call per stage.  ``forest.leaves[key].cons`` views
 its stack, so the forest, ghost fill, reflux and migration work leaf by
-leaf; a change of leaf set or owners re-keys the stacks on their next use.
+leaf; a change of leaf set or owners re-keys the stacks before they step.
 
 Every leaf belongs to one of ``n_ranks`` ranks (Morton space-filling-curve
 partition, :mod:`repro.mesh.amr.partition`), and the driver steps the ranks
@@ -186,6 +186,7 @@ class AMRSolver(Driver):
                 break
         self._enforce_balance(from_initial_data=True)
         self._partition()
+        self._stacks_now()  # every topology change ends re-keyed: steps find them current
 
     def _init_core(
         self,
@@ -240,10 +241,9 @@ class AMRSolver(Driver):
         self.local_ranks = tuple(local_ranks)
         #: leaf -> owning rank, replicated on every rank
         self.assignment: dict[BlockKey, int] = {}
-        #: the stacks the evolved leaves step in, and their state arrays
-        #: (``forest.leaves[key].cons`` views them); re-keyed when due
+        #: the stacks the evolved leaves step in; ``forest.leaves[key].cons``
+        #: views their committed state, ``self._cons``; re-keyed when due
         self._stacks: list[PatchStack] = []
-        self._cons = PatchViews.of([], [])
         self._invalidate_plans()
         self._interior_bcs = BoundarySet(default=InteriorFace())
         # Shared across every stack pipeline so timings/counters aggregate
@@ -270,19 +270,13 @@ class AMRSolver(Driver):
             self._restack()
         return self._stacks
 
-    def _restack(self, seeds: dict | None = None) -> None:
-        """Re-key the stacks over the evolved leaves, each a fresh array of
-        its leaves' ``cons`` that they then view.  A leaf keeps its old
-        stack's Newton seed (one born since starts cold) unless *seeds*
-        brings its own; a run of unchanged leaves keeps its pipeline."""
+    def _restack(self, installed: dict | None = None) -> None:
+        """Re-key the stacks over the evolved leaves and install each leaf's
+        ``(cons, p_cache)``: *installed*'s, else its old stack's, else (a
+        leaf born since) its ``cons`` with a cold seed.  The leaves then view
+        the stacks; a run of unchanged leaves keeps its pipeline."""
         leaves = self.forest.leaves
-        carried = {
-            key: st.pipeline.warm_state(i)
-            for st in self._stacks
-            for i, key in enumerate(st.idents)
-            if key in leaves
-        }
-        carried.update(seeds or {})
+        patches = {**self._capture_patches(), **(installed or {})}
         self._stacks = patch_stacks(
             self._kernel_system, self.config,
             ((key, leaves[key].grid, self._interior_bcs, ()) for key in self._step_keys()),
@@ -292,14 +286,14 @@ class AMRSolver(Driver):
             st.pipeline.store_fluxes = self.amr.reflux
             st.pipeline.source_fn = self.source_fn
             st.pipeline.time = self.t
-            for i, key in enumerate(st.idents):
-                st.pipeline.install_warm_state(carried.get(key), i)
         self._restack_due = False
-        self._commit([np.stack([leaves[k].cons for k in st.idents]) for st in self._stacks])
+        self._install_patches({
+            k: patches.get(k) or (leaves[k].cons, None) for k in self._step_keys()
+        })
 
     def _commit(self, arrays: list) -> None:
-        """Make *arrays*, one per stack, the state the leaves view."""
-        self._cons = PatchViews.of(self._stacks, arrays)
+        """:meth:`Driver._commit`, then point the leaves at their views."""
+        super()._commit(arrays)
         for key, view in self._cons.items():
             self.forest.leaves[key].cons = view
 
@@ -321,13 +315,7 @@ class AMRSolver(Driver):
         the byte-level contract (every iteration the drivers do follows
         it), so it is kept verbatim."""
         return {
-            "t": self.t,
-            "steps": self.steps,
-            "patches": {
-                key: (self.forest.leaves[key].cons.copy(), st.pipeline.warm_state(i))
-                for st in self._stacks_now()
-                for i, key in enumerate(st.idents)
-            },
+            **super().state(),
             "leaves": list(self.forest.leaves),
             "refined": sorted(self.forest.refined),
             "assignment": dict(self.assignment),
@@ -361,10 +349,7 @@ class AMRSolver(Driver):
             self._last_imbalance = float(state["imbalance"])
         else:
             self._partition()
-        patches = {key: state["patches"][key] for key in self._step_keys()}
-        for key, (cons, _) in patches.items():
-            forest.leaves[key].cons = np.array(cons)
-        self._restack({key: p_cache for key, (_, p_cache) in patches.items()})
+        self._restack(state["patches"])
 
     # ------------------------------------------------------------------
     # Ownership and the plans derived from it
@@ -427,8 +412,8 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
 
     def _recover_leaf_prims(self) -> PatchViews:
-        """Fresh primitives of every leaf this stepper evolves, one recovery
-        sweep per stack."""
+        """Fresh primitives of every evolved leaf, one sweep per stack: the
+        regrid snapshot's own (reads go through ``_prims()``)."""
         return recover_stacks(self._stacks_now(), self._cons.stacks)
 
     def _fill_ghosts(self, prims: dict[BlockKey, np.ndarray]) -> None:
@@ -639,6 +624,7 @@ class AMRSolver(Driver):
         self._merge_groups(merges)
         self._enforce_balance()
         self._post_regrid()
+        self._stacks_now()
 
     def _flag_leaves(self, prims) -> tuple[list[BlockKey], list[BlockKey]]:
         """(refine, coarsen-ok) lists in leaf iteration order.  Each rank
@@ -748,11 +734,9 @@ class AMRSolver(Driver):
         for key, src, _dst in moves:
             if src in self.local_ranks:
                 self.forest.leaves[key].cons = None
-        for key, cons, _ in staged_in:
-            self.forest.leaves[key].cons = cons
         self.assignment = dict(new_assignment)
         self._invalidate_plans()
-        self._restack({key: p_cache for key, _, p_cache in staged_in})
+        self._restack({key: (cons, p_cache) for key, cons, p_cache in staged_in})
 
     def _emit_rebalance_event(self, **payload) -> None:
         if self.recorder is not None:
@@ -813,9 +797,7 @@ class AMRSolver(Driver):
 
     def compute_dt(self, t_final: float | None = None) -> float:
         local: dict[int, list[float]] = {rank: [] for rank in self.local_ranks}
-        stacks = self._stacks_now()
-        prims = recover_stacks(stacks, self._cons.stacks, reuse=True)
-        for st, prim in zip(stacks, prims.stacks):
+        for st, prim in zip(self._stacks, self._prims().stacks):
             for key, maxima in zip(st.idents, st.pipeline.max_signal_per_axis(prim)):
                 grid = self.forest.leaves[key].grid
                 local[self.assignment[key]].append(dt_from_axis_maxima(grid, maxima, self.config.cfl))
@@ -831,13 +813,8 @@ class AMRSolver(Driver):
         )
         return float(out[self.local_ranks[0]][0])
 
-    def _integrate(self, dt: float) -> None:
-        """One integrator step over the stack states; the advanced states
-        are fresh stacks the leaves then view."""
-        self._commit(self._integrate_stacks(self._stacks_now(), self._cons.stacks, dt))
-
     def _patches(self):
-        for st in self._stacks_now():
+        for st in self._stacks:
             for key in st.idents:
                 leaf = self.forest.leaves[key]
                 # Error messages name a leaf's owner once there are ranks.
@@ -881,17 +858,10 @@ class AMRSolver(Driver):
     # Output
     # ------------------------------------------------------------------
 
-    def interior_primitives(self) -> dict[BlockKey, np.ndarray]:
-        """Interior primitives of every leaf this stepper evolves."""
-        return {
-            k: self.forest.leaves[k].grid.interior_of(prim).copy()
-            for k, prim in self._recover_leaf_prims().items()
-        }
-
     def composite_primitives(self, level: int | None = None):
         """(grid, interior prim array) of the composite at *level*
         (finest active level by default)."""
-        prims = self._recover_leaf_prims()
+        prims = self._prims()
         target = self.forest.finest_level() if level is None else level
         composites = self.forest.composite_levels(
             prims, self.system.nvars, self.system, self.wall_bcs, up_to_level=target

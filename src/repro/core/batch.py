@@ -11,9 +11,9 @@ single vectorized call.
 Layout
 ------
 A batch of ``N`` scenarios on a base grid of shape ``(*phys,)`` is stored
-as one state array of shape ``(nvars, *phys_ghosted, N + 2 g)``: the batch
-axis is appended as the **innermost** grid axis, so for each variable and
-each cell the ``N`` scenario values are contiguous in memory — a
+as one patch (a stack of one) of shape ``(nvars, *phys_ghosted, N + 2 g)``:
+the batch axis is appended as the **innermost** grid axis, so for each
+variable and each cell the ``N`` scenario values are contiguous in memory — a
 structure-of-arrays sweep over scenarios with unit stride, exactly what
 the elementwise kernels vectorize over.  Every kernel in the pipeline is
 elementwise over non-working axes, so the same reconstruction, Riemann,
@@ -209,9 +209,9 @@ class BatchSolver(Solver):
         return sum(1 for s in self.status if s == ACTIVE)
 
     def scenario_primitives(self, i: int) -> np.ndarray:
-        """Scenario *i*'s ghosted primitive state, shaped like an unbatched
-        solver's ``primitives()``: ``(nvars, *base.shape_with_ghosts)``."""
-        return self.primitives()[self.grid.scenario_slice(i)]
+        """Scenario *i*'s ghosted primitive state (a copy), shaped like an
+        unbatched solver's ``primitives()``."""
+        return self._prims()[""][self.grid.scenario_slice(i)].copy()
 
     def scenario_interior_primitives(self, i: int) -> np.ndarray:
         return self.grid.base.interior_of(self.scenario_primitives(i))
@@ -252,7 +252,7 @@ class BatchSolver(Solver):
             self.cons[self.grid.scenario_slice(b)] = benign
             newly.append(b)
         if newly:
-            self._prim_dirty = True
+            self._prims_cache = None  # the parked columns recover afresh
             self.metrics.counter("batch.scenarios_failed").inc(len(newly))
             if self.recorder is not None:
                 self.recorder.emit_event(

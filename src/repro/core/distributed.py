@@ -239,8 +239,7 @@ class DistributedSolver(Driver):
         # Install the scattered interiors, then fill all ghosts once.
         stacks = []
         for st in self._stacks:
-            shape = (len(st.idents), system.nvars) + st.pipeline.grid.shape_with_ghosts
-            prim = np.zeros(shape)
+            prim = np.zeros(st.pipeline._state_shape)
             for rank, (sub, bcs), patch in zip(st.idents, st.pipeline.patches, prim):
                 sub.interior_of(patch)[...] = parts[rank]
                 bcs.apply(system, sub, patch)
@@ -253,11 +252,11 @@ class DistributedSolver(Driver):
             for patch, patch_cons in zip(prim, state):
                 st.pipeline.atmosphere.apply_prim(system, patch)
                 system.prim_to_con(patch, out=patch_cons)
-        self.cons = PatchViews.of(self._stacks, cons)
+        self._commit(cons)
         # Mirror the single-grid solver's primitive cache: the first dt is
         # computed from the (floored, exchanged) initial primitives, not a
         # recovery round-trip — keeping the two solvers bit-identical.
-        self._prims_cache: PatchViews | None = prims
+        self._prims_cache = prims
         self.integrator = make_integrator(self.config.integrator)
         self.t = 0.0
         self.steps = 0
@@ -287,26 +286,19 @@ class DistributedSolver(Driver):
         oracle = self.fault_oracle
         return None if oracle is None else oracle.next_exchange(overlapped)
 
+    @property
+    def cons(self) -> PatchViews:
+        """The committed state, ``{rank: view}`` of the ``.stacks``."""
+        return self._cons
+
     def _exchange(self, prims: dict[int, np.ndarray]) -> None:
-        """One full halo exchange, resilient when a retry policy is set."""
+        """One full halo exchange (``_prims()``'s ghost hook), resilient
+        when a retry policy is set."""
         exchange_halos(
             self.decomp, self.comm, prims,
             policy=self.halo_policy, metrics=self.metrics,
             schedule=self._exchange_schedule(False),
         )
-
-    def _recover_and_exchange(self, cons: "PatchViews", use_cache: bool = False):
-        """Primitives of the rank views *cons* after a fresh halo exchange;
-        with *use_cache* (for ``self.cons``) read through the exchanged-
-        primitive cache and fill it — a diagnostic read between steps is
-        the recovery the next ``compute_dt`` then skips."""
-        if use_cache and self._prims_cache is not None:
-            return self._prims_cache
-        prims = recover_stacks(self._stacks, cons.stacks)
-        self._exchange(prims)
-        if use_cache:
-            self._prims_cache = prims
-        return prims
 
     def _divergences(self, stack: PatchStack, prim: np.ndarray, ranges) -> list:
         """``(axis, lo, hi, divergence)`` of each ``(axis, lo, hi)`` range
@@ -395,7 +387,7 @@ class DistributedSolver(Driver):
         then the same dt formula as the single-grid solver — bit-identical
         to it (a min over per-rank dt would differ whenever the x- and
         y-maxima live on different ranks)."""
-        prims = self._recover_and_exchange(self.cons, use_cache=True)
+        prims = self._prims()
         local = {}
         for st, prim in zip(self._stacks, prims.stacks):
             maxima = st.pipeline.max_signal_per_axis(prim)
@@ -403,13 +395,6 @@ class DistributedSolver(Driver):
         vmax = self.comm.allreduce(local, op="max")[self.local_ranks[0]]
         dt = dt_from_axis_maxima(self.global_grid, vmax, self.config.cfl)
         return clip_dt_to_final(dt, self.t, t_final)
-
-    def _integrate(self, dt: float) -> None:
-        """One integrator step over the stack states; the advanced states
-        are fresh stacks, so views handed out stay valid."""
-        states = self._integrate_stacks(self._stacks, self.cons.stacks, dt)
-        self.cons = PatchViews.of(self._stacks, states)
-        self._prims_cache = None  # state advanced: next dt recovers afresh
 
     def _patches(self):
         for rank in self.local_ranks:
@@ -442,20 +427,12 @@ class DistributedSolver(Driver):
         """Per owned rank ``(ghosted cons, p_cache)`` plus the exchanged-
         primitive cache, the traffic not yet in a step record (relative to
         the communicator's log, so a state moves between communicators) and
-        the fault position of an attached injector.  Patches are views of
-        the committed stacks: a step commits fresh ones, so they keep their
-        bytes."""
+        the fault position of an attached injector."""
         prims = self._prims_cache
         now = self.comm.traffic_marker()
         injector = self.fault_injector
         return {
-            "t": self.t,
-            "steps": self.steps,
-            "patches": {
-                rank: (self.cons[rank], st.pipeline.warm_state(i))
-                for st in self._stacks
-                for i, rank in enumerate(st.idents)
-            },
+            **super().state(),
             "prims_cache": None if prims is None
             else {rank: prims[rank] for rank in self.local_ranks},
             "unrecorded_traffic": tuple(a - b for a, b in zip(now, self._traffic_prev)),
@@ -467,22 +444,13 @@ class DistributedSolver(Driver):
         """Install the owned ranks' patches of a :meth:`state` verbatim, as
         fresh stacks (extras a state lacks keep their fresh values; a fault
         position is restored only where an injector is attached)."""
-        patches = state["patches"]
-        for st in self._stacks:
-            for i, rank in enumerate(st.idents):
-                st.pipeline.install_warm_state(patches[rank][1], i)
-
-        def stacked(arrays_of) -> PatchViews:
-            return PatchViews.of(self._stacks, [
-                np.stack([np.asarray(arrays_of(rank), dtype=float) for rank in st.idents])
+        super().install_state(state)
+        prims = state.get("prims_cache")
+        if prims is not None:
+            self._prims_cache = PatchViews.of(self._stacks, [
+                np.stack([np.asarray(prims[rank], dtype=float) for rank in st.idents])
                 for st in self._stacks
             ])
-
-        self.cons = stacked(lambda rank: patches[rank][0])
-        prims = state.get("prims_cache")
-        self._prims_cache = None if prims is None else stacked(prims.get)
-        self.t = float(state["t"])
-        self.steps = int(state["steps"])
         unrecorded = state.get("unrecorded_traffic", (0, 0, 0))
         self._traffic_prev = tuple(
             a - b for a, b in zip(self.comm.traffic_marker(), unrecorded)
@@ -491,16 +459,6 @@ class DistributedSolver(Driver):
             injector, oracle = state["faults"]
             self.fault_injector.restore(injector)
             self.fault_oracle.restore(oracle)
-
-    def interior_primitives(self) -> dict[int, np.ndarray]:
-        """Owned ranks' interior primitives after an exchange — through the
-        primitive cache, like ``Solver.primitives()``: between steps a read
-        is the recovery the next ``compute_dt`` would do, not an extra one."""
-        prims = self._recover_and_exchange(self.cons, use_cache=True)
-        return {
-            rank: self.subgrids[rank].interior_of(prims[rank]).copy()
-            for rank in self.local_ranks
-        }
 
     def gather_primitives(self) -> np.ndarray:
         """Global interior primitive field assembled from all ranks."""

@@ -1014,10 +1014,12 @@ class ProcessSolver(Driver):
             resumed_step=self.steps, t=self.t,
         )
 
+    def interior_primitives(self) -> dict:
+        """Every worker's ``interior_primitives()``, merged."""
+        return self._gather("interior_primitives")
+
     def gather_primitives(self) -> np.ndarray:
-        return self.decomp.gather(
-            self._gather("interior_primitives"), self.system.nvars
-        )
+        return self.decomp.gather(self.interior_primitives(), self.system.nvars)
 
     def worker_snapshots(self) -> list[dict]:
         """Per-rank ``{metrics, timers, process_seconds, cext_threads}``

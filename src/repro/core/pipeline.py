@@ -2,8 +2,9 @@
 
 :class:`HydroPipeline` owns the per-step numerical kernels and exposes the
 right-hand side ``dU/dt = -div F`` used by the SSP integrators. Every driver
-runs it — on one patch, or on a stack of same-shape patches (rank sub-grids,
-AMR leaves; :func:`patch_stacks` is the one grouping rule) — and it is the
+runs it on stacks: ``(P, nvars, *ghosted)`` arrays of P same-shape patches
+(a unigrid or batch patch is a stack of one; rank sub-grids and AMR leaves
+are grouped by :func:`patch_stacks`, the one grouping rule).  It is the
 unit the heterogeneous runtime's performance model is calibrated against
 (each stage is one "kernel").
 """
@@ -25,6 +26,7 @@ from ..reconstruct import make_reconstruction
 from ..riemann import make_riemann_solver
 from ..time_integration.cfl import max_signal_per_axis
 from ..time_integration.ssprk import combine_stage as _reference_stage
+from ..utils.errors import ConfigurationError, RecoveryError
 from ..utils.timers import TimerRegistry
 from .config import ATMO_THRESHOLD, RECOVERY_TOL, SolverConfig
 from .workspace import ScratchWorkspace, scratch_buf
@@ -55,7 +57,7 @@ def _c_f64(*arrays) -> bool:
 
 
 class HydroPipeline:
-    """Numerical kernels for one grid patch, or a stack of same-shape ones.
+    """Numerical kernels for a stack of same-shape grid patches.
 
     Parameters
     ----------
@@ -79,15 +81,15 @@ class HydroPipeline:
         of cells through the same bounded atmosphere failsafe that real
         non-convergence takes (raising past ``config.failsafe_frac``).
     patches:
-        A stack's ``(grid, boundaries)`` per patch, in order (the first is
-        *grid*, *boundaries*; every grid has its shape, ghosts and ``dx``;
-        drivers build stacks through :func:`patch_stacks`).  The pipeline
-        then takes and returns ``(P, nvars, *ghosted)`` stacks — P = 1
-        included — and runs each compiled kernel once per call for all P
-        patches; what is per patch (boundary fill, source term, Newton
-        seed, fault-injector consult, recovery accounting, the interpreted
-        paths) runs patch by patch, in order.  Without it the pipeline is
-        one patch in ``(nvars, *ghosted)`` arrays.
+        The stack's ``(grid, boundaries)`` per patch, in order (the first is
+        *grid*, *boundaries*, the default stack of one; every grid has its
+        shape, ghosts and ``dx``; drivers build stacks through
+        :func:`patch_stacks`).  Every stage takes and returns ``(P, nvars,
+        *ghosted)`` stacks — any other array raises ``ConfigurationError``
+        — and runs each compiled kernel once per call for all P patches;
+        what is per patch (boundary fill, source term, Newton seed,
+        fault-injector consult, recovery accounting, the interpreted paths)
+        runs patch by patch, in order.
     """
 
     def __init__(
@@ -106,10 +108,8 @@ class HydroPipeline:
         self.system = system = resolve_kernel_system(system, config.kernel_target)
         self.grid = grid
         self.patches = [(grid, boundaries)] if patches is None else list(patches)
-        #: the stack axis of this pipeline's arrays: ``(P,)``, or none
-        self._lead = () if patches is None else (len(self.patches),)
-        self._state_shape = self._lead + (system.nvars,) + grid.shape_with_ghosts
-        self._flat_shape = (-1,) + grid.shape_with_ghosts
+        #: the shape of every stack this pipeline takes and returns
+        self._state_shape = (len(self.patches), system.nvars) + grid.shape_with_ghosts
         self.config = config
         self.reconstruction = make_reconstruction(config.reconstruction)
         self.riemann = make_riemann_solver(config.riemann)
@@ -119,8 +119,6 @@ class HydroPipeline:
             p_atmo=config.p_atmo,
         )
         if grid.n_ghost < self.reconstruction.required_ghosts:
-            from ..utils.errors import ConfigurationError
-
             raise ConfigurationError(
                 f"grid has {grid.n_ghost} ghost layers but "
                 f"{config.reconstruction} needs {self.reconstruction.required_ghosts}"
@@ -151,7 +149,7 @@ class HydroPipeline:
         #: preallocated kernel buffers for the hot path (one per pipeline, so
         #: per-stack reuse is safe); setting it to None
         #: makes every call allocate fresh arrays (bit-identical; tests).
-        self.workspace = ScratchWorkspace(grid, system.nvars, *self._lead)
+        self.workspace = ScratchWorkspace(grid, system.nvars, len(self.patches))
         # Pressure cache seeds the next con2prim Newton solve: the patches'
         # interiors back to back along axis 0 (the layout the compiled sweep
         # takes; patch i's are rows _seed_rows(i)), read where _warm is set
@@ -198,7 +196,7 @@ class HydroPipeline:
     def face_fluxes(self, patch: int = 0) -> dict[int, np.ndarray]:
         """*patch*'s part of :attr:`last_face_fluxes` (views): per axis,
         ``(nvars, *transverse_interior, n + 1)`` with the face index last."""
-        return {ax: self._div_patch(f, patch) for ax, f in self.last_face_fluxes.items()}
+        return {ax: f[:, patch] for ax, f in self.last_face_fluxes.items()}
 
     def _new_seeds(self) -> np.ndarray:
         """An unfilled seed array: the patches' interiors back to back."""
@@ -210,22 +208,19 @@ class HydroPipeline:
         n = self.grid.shape[0]
         return slice(patch * n, (patch + 1) * n)
 
-    def _stack(self, a: np.ndarray):
-        """The patches of a state-layout array of this pipeline, to iterate
-        or index: the ``(P, nvars, ...)`` stack itself, or a one-tuple of a
-        single patch's array."""
-        return a if self._lead else (a,)
-
-    def _div_patch(self, a: np.ndarray, i: int) -> np.ndarray:
-        """Patch *i*'s part of a divergence (or face-flux) array of this
-        pipeline: a stack's patch axis is the second."""
-        return a[:, i] if self._lead else a
+    def _expect_stack(self, a: np.ndarray, stage: str) -> None:
+        """Refuse an *a* that is not this pipeline's stack: the interpreted
+        loops would walk its leading axis as patches."""
+        if a.shape != self._state_shape:
+            raise ConfigurationError(
+                f"{stage} takes this pipeline's stack {self._state_shape}, "
+                f"got an array shaped {a.shape}"
+            )
 
     def _flat(self, a: np.ndarray) -> np.ndarray:
-        """A C-contiguous state-layout array of this pipeline as its
-        patches back to back, ``(P * nvars, *ghosted)``: the view the
-        compiled row kernels walk (a single patch's array is that already)."""
-        return a.reshape(self._flat_shape) if self._lead else a
+        """A C-contiguous stack (or a stack of one's patch) as its patches
+        back to back, ``(P * nvars, *ghosted)``: what the row kernels walk."""
+        return a.reshape((-1,) + self.grid.shape_with_ghosts)
 
     def recover_primitives(self, cons: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Full primitive array: recovery on the interior + BC ghost fill.
@@ -237,6 +232,7 @@ class HydroPipeline:
         Values are bit-identical either way.
         """
         system = self.system
+        self._expect_stack(cons, "recover_primitives")
         ws = self.workspace if reuse else None
         prim = ws.prim if ws is not None else np.empty(self._state_shape)
         prim.fill(0.0)  # ghost corners: neither the sweep nor a boundary fill writes them
@@ -254,13 +250,13 @@ class HydroPipeline:
             self._p_cache, self._seed_spare = self._seed_spare, self._p_cache
             self._warm = [True] * len(self.patches)
         with self.timers("boundary"):
-            for (grid, boundaries), patch_prim in zip(self.patches, self._stack(prim)):
+            for (grid, boundaries), patch_prim in zip(self.patches, prim):
                 boundaries.apply(system, grid, patch_prim)
         return prim
 
     def _finish_recovery(self, i, cons, prim, done, sweep, ws):
         """The stages of patch *i*'s sweep (*cons* → *prim*, this
-        pipeline's layout) the kernel left — all of them on the interpreted
+        pipeline's stacks) the kernel left — all of them on the interpreted
         path: floors, solve, burst hook, accounting, primitive floor, next
         seed."""
         if done == 3:  # the kernel's: only the accounting is left
@@ -268,7 +264,7 @@ class HydroPipeline:
             return
         system = self.system
         grid = self.patches[i][0]
-        cons, prim = self._stack(cons)[i], self._stack(prim)[i]
+        cons, prim = cons[i], prim[i]
         interior_cons, interior_prim = grid.interior_of(cons), grid.interior_of(prim)
         if done < 1:
             cons_mask = self.atmosphere.apply_cons(system, cons)
@@ -384,7 +380,6 @@ class HydroPipeline:
         raises :class:`RecoveryError`.
         """
         from ..physics.con2prim import reset_cells_to_atmosphere
-        from ..utils.errors import RecoveryError
 
         n_cells = interior_prim[0].size
         n_burst = self.fault_injector.con2prim_burst(n_cells)
@@ -495,18 +490,19 @@ class HydroPipeline:
         on: the core region (``lo >= g`` from any neighboured face) reads no
         halo ghosts at all.
 
-        Returns the divergence shaped ``(nvars, *transverse_interior,
-        hi - lo)`` with the working axis moved last — for a stack ``(nvars,
-        P, *transverse_interior, hi - lo)``, patch *i*'s at ``[:, i]`` — and
-        hand it to :meth:`accumulate_divergence`.  With ``reuse=True`` the
-        result lives in a workspace buffer keyed by ``(axis, lo, hi)`` and
-        survives until the same region is evaluated again.
+        Returns the divergence shaped ``(nvars, P, *transverse_interior,
+        hi - lo)`` with the working axis moved last — patch *i*'s at
+        ``[:, i]`` — and hand it to :meth:`accumulate_divergence`.  With
+        ``reuse=True`` the result lives in a workspace buffer keyed by
+        ``(axis, lo, hi)`` and survives until the same region is evaluated
+        again.
         """
         grid = self.grid
+        self._expect_stack(prim, "flux_divergence_region")
         ws = self.workspace if reuse else None
         g = grid.n_ghost
         store = self.store_fluxes and (lo, hi) == (0, grid.shape[axis])
-        shape = (self.system.nvars,) + self._lead + tuple(
+        shape = (self.system.nvars, len(self.patches)) + tuple(
             n for ax, n in enumerate(grid.shape) if ax != axis
         )
         div = scratch_buf(ws, ("div", axis, lo, hi), shape + (hi - lo,))
@@ -524,13 +520,13 @@ class HydroPipeline:
             for ax in range(grid.ndim):
                 if ax != axis:
                     sel.append(slice(g, g + grid.shape[ax]))
-            for i, patch_prim in enumerate(self._stack(prim)):
+            for i, patch_prim in enumerate(prim):
                 Fm = self._interpreted_face_flux(patch_prim, axis, lo, hi, ws)
                 with self.timers("update"):
                     Fm = Fm[tuple(sel)]
                     if store:
-                        self._div_patch(flux, i)[...] = Fm
-                    d = self._div_patch(div, i)
+                        flux[:, i] = Fm
+                    d = div[:, i]
                     np.subtract(Fm[..., 1:], Fm[..., :-1], out=d)
                     np.divide(d, self.patches[i][0].dx[axis], out=d)
         if store:
@@ -540,9 +536,9 @@ class HydroPipeline:
     def _interpreted_face_flux(
         self, prim: np.ndarray, axis: int, lo: int, hi: int, ws
     ) -> np.ndarray:
-        """Face fluxes via the interpreted reconstruct/sanitize/riemann
-        stages; returns them with the face index last (ghosted transverse
-        extent kept)."""
+        """Face fluxes of one patch's *prim* ``(nvars, *ghosted)`` via the
+        interpreted reconstruct/sanitize/riemann stages; returns them with
+        the face index last (ghosted transverse extent kept)."""
         grid, system = self.grid, self.system
         g = grid.n_ghost
         slab_idx = [slice(None)] * (grid.ndim + 1)
@@ -581,10 +577,11 @@ class HydroPipeline:
     def _fused_face_flux(
         self, prim: np.ndarray, axis: int, lo: int, hi: int, ws
     ) -> np.ndarray:
-        """Face fluxes of the compiled sweep in the layout of
-        :meth:`_interpreted_face_flux` (faces last, ghosted transverse):
-        what the parity suite compares.  The hot path never materialises
-        them — :meth:`flux_divergence_region` differences in-tile."""
+        """Face fluxes of the compiled sweep over a stack of one, given as
+        its patch *prim*, in the layout of :meth:`_interpreted_face_flux`
+        (faces last, ghosted transverse): what the parity suite compares.
+        The hot path never materialises them —
+        :meth:`flux_divergence_region` differences in-tile."""
         offs = self._face_row_offsets(prim, axis)
         out = np.empty((self.system.nvars, offs.size, hi - lo + 1))
         self._fused_sweep(prim, axis, lo, hi, offs, out, None)
@@ -632,6 +629,7 @@ class HydroPipeline:
         more terms (3-D) floating-point accumulation order changes the
         result bitwise.
         """
+        self._expect_stack(dU, "accumulate_divergence")
         with self.timers("update"):
             if self._accumulate_kernel is not None and _c_f64(dU, div):
                 self._accumulate_kernel(
@@ -641,12 +639,12 @@ class HydroPipeline:
                 return
             idx = [slice(None)] * (self.grid.ndim + 1)
             idx[axis + 1] = slice(lo, hi)
-            for i, patch_dU in enumerate(self._stack(dU)):
+            for i, patch_dU in enumerate(dU):
                 target = np.moveaxis(self.grid.interior_of(patch_dU)[tuple(idx)], axis + 1, -1)
-                target -= self._div_patch(div, i)
+                target -= div[:, i]
 
     def combine_stage(self, stage, U, V, dt, k, final=False) -> np.ndarray:
-        """One SSP-RK stage combination of this patch — the *combine* every
+        """One SSP-RK stage combination of this stack — the *combine* every
         driver hands its integrator, timed as the ``update`` kernel it is:
         :func:`~repro.time_integration.ssprk.combine_stage`, or the same
         arithmetic in one compiled pass when the system carries it and the
@@ -695,9 +693,7 @@ class HydroPipeline:
             return dU
         with self.timers("source"):
             t = self.time if time is None else time
-            for (grid, _), patch_prim, patch_dU in zip(
-                self.patches, self._stack(prim), self._stack(dU)
-            ):
+            for (grid, _), patch_prim, patch_dU in zip(self.patches, prim, dU):
                 src = self.source_fn(self.system, grid, grid.interior_of(patch_prim), t)
                 grid.interior_of(patch_dU)[...] += src
         return dU
@@ -717,19 +713,18 @@ class HydroPipeline:
 
     def max_signal_per_axis(self, prim: np.ndarray) -> list:
         """Largest |characteristic speed| per physical axis over the
-        interior of *prim* — a stack's: one such list per patch — the scan
-        every driver's ``compute_dt`` reduces: one compiled pass when the
-        system carries one, the interpreted
+        interior of each patch of the stack *prim*, one list per patch — the
+        scan every driver's ``compute_dt`` reduces: one compiled pass when
+        the system carries one, the interpreted
         :func:`~repro.time_integration.cfl.max_signal_per_axis` otherwise."""
+        self._expect_stack(prim, "max_signal_per_axis")
         kernel = self._max_signal_kernel
         if kernel is None or not _c_f64(prim):
-            maxima = [
+            return [
                 max_signal_per_axis(self.system, grid, patch_prim)
-                for (grid, _), patch_prim in zip(self.patches, self._stack(prim))
+                for (grid, _), patch_prim in zip(self.patches, prim)
             ]
-        else:
-            maxima = kernel(self._flat(prim), self.grid.n_ghost, len(self.patches))
-        return maxima if self._lead else maxima[0]
+        return kernel(self._flat(prim), self.grid.n_ghost, len(self.patches))
 
 
 @dataclass

@@ -1,5 +1,10 @@
 """Unigrid HRSC solver: the user-facing driver for single-patch runs.
 
+The one patch is a stack of one (:func:`~repro.core.pipeline.patch_stacks`,
+ident ``""``): the commit, primitive cache, integrator call and state pair
+are :class:`~repro.core.stepping.Driver`'s, and :attr:`Solver.cons` views
+the committed stack.
+
 Typical use::
 
     from repro import IdealGasEOS, SRHDSystem, Grid, Solver, SolverConfig
@@ -31,7 +36,7 @@ from ..utils.errors import ConfigurationError
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
 from .diagnostics import ConservedTotals, RunSummary
-from .pipeline import HydroPipeline
+from .pipeline import PatchViews, patch_stacks
 from .stepping import Driver
 
 
@@ -93,28 +98,30 @@ class Solver(Driver):
     def _init_patch(
         self, system, grid, prim, config, boundaries, recorder, fault_injector
     ) -> None:
-        """Pipeline, integrator and the conserved state of one ghosted patch
-        from its primitives (*prim* is taken over, not copied) — shared
-        with :class:`~repro.core.batch.BatchSolver`, whose patch carries a
-        trailing batch axis."""
+        """The stack of one ghosted patch, its integrator and committed state
+        from the patch's primitives (*prim* is taken over, not copied) —
+        shared with :class:`~repro.core.batch.BatchSolver`, whose patch
+        carries a trailing batch axis."""
         self.system = system
         self.grid = grid
         self.config = config or SolverConfig()
         self.boundaries = boundaries
         self.timers = TimerRegistry()
-        self.pipeline = HydroPipeline(
-            system, grid, boundaries, self.config, self.timers,
-            fault_injector=fault_injector,
+        self._stacks = patch_stacks(
+            system, self.config, [("", grid, boundaries, ())],
+            timers=self.timers, fault_injector=fault_injector,
         )
+        #: the stack's pipeline (``pipeline.system``: the resolved kernels)
+        self.pipeline = self._stacks[0].pipeline
         self.metrics = self.pipeline.metrics
         self.recorder = recorder
         self.integrator = make_integrator(self.config.integrator)
 
         boundaries.apply(system, grid, prim)
         self.pipeline.atmosphere.apply_prim(system, prim)
-        self.cons = system.prim_to_con(prim)
-        self._prim_cache = prim
-        self._prim_dirty = False
+        self._commit([system.prim_to_con(prim)[None]])
+        # The first dt reads the floored initial primitives, not a recovery.
+        self._prims_cache = PatchViews.of(self._stacks, [prim[None]])
         self.t = 0.0
         self.summary = RunSummary()
 
@@ -129,28 +136,22 @@ class Solver(Driver):
     def steps(self, n: int) -> None:
         self.summary.steps = n
 
+    @property
+    def cons(self) -> np.ndarray:
+        """The committed state ``(nvars, *ghosted)``, a view of the stack."""
+        return self._cons[""]
+
     def primitives(self) -> np.ndarray:
-        """Current primitive state (ghosts filled), recovered on demand."""
-        if self._prim_dirty:
-            self._prim_cache = self.pipeline.recover_primitives(self.cons)
-            self._prim_dirty = False
-        return self._prim_cache
+        """Current primitive state (ghosts filled), a copy."""
+        return self._prims()[""].copy()
 
     def interior_primitives(self) -> np.ndarray:
-        return self.grid.interior_of(self.primitives())
+        return self.grid.interior_of(self._prims()[""]).copy()
 
     def compute_dt(self, t_final: float | None = None) -> float:
-        vmax = self.pipeline.max_signal_per_axis(self.primitives())
+        (vmax,) = self.pipeline.max_signal_per_axis(self._prims().stacks[0])
         dt = dt_from_axis_maxima(self.grid, vmax, self.config.cfl)
         return clip_dt_to_final(dt, self.t, t_final)
-
-    def _integrate(self, dt: float) -> None:
-        self.cons = self.integrator.step(
-            self.cons, dt, self.pipeline.rhs,
-            t0=self.t, set_time=self._set_stage_time,
-            combine=self.pipeline.combine_stage,
-        )
-        self._prim_dirty = True
 
     def _patches(self):
         yield "", self.pipeline, self.cons
@@ -166,9 +167,7 @@ class Solver(Driver):
         """The one patch plus what the run summary measures from: the
         initial totals and the dt range (a json-ready ``summary``)."""
         return {
-            "t": self.t,
-            "steps": self.steps,
-            "patches": {"": (self.cons, self.pipeline.warm_state())},
+            **super().state(),
             "summary": {
                 "initial": dataclasses.asdict(self.summary.initial),
                 "dt_min": self.summary.dt_min,
@@ -179,12 +178,8 @@ class Solver(Driver):
     def install_state(self, state: dict) -> None:
         """Install a :meth:`state` verbatim; without a ``summary`` the
         installed state becomes the one drift is measured from."""
-        cons, p_cache = state["patches"][""]
-        self.cons = np.array(cons, dtype=float)
-        self.pipeline.install_warm_state(p_cache)
-        self._prim_dirty = True
-        self.t = float(state["t"])
-        self.summary = RunSummary(steps=int(state["steps"]))
+        super().install_state(state)
+        self.summary = RunSummary(steps=self.steps)
         summary = state.get("summary")
         if summary is None:
             self.summary.initial = ConservedTotals.measure(

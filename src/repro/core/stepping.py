@@ -3,22 +3,26 @@
 Recover -> reconstruct -> Riemann -> update under SSP-RK is the same on
 every target and at every scale; what differs between drivers is *where
 the patches live* (one grid, a batch axis, or rank sub-grids and forest
-leaves stepped in the stacks of :func:`~repro.core.pipeline.patch_stacks`)
-and *how their ghosts are filled*.  :class:`Driver` therefore owns the
-skeleton over the explicit solution state ``(t, steps, patches)`` and the
-drivers supply only what is theirs:
+leaves) and *how their ghosts are filled*.  Every driver steps its patches
+in the stacks of :func:`~repro.core.pipeline.patch_stacks` (a unigrid or
+batch patch is a stack of one), so :class:`Driver` owns the solution
+state — ``_stacks``, the committed ``_cons`` and the primitive cache —
+with the one ``_commit``, ``_integrate``, ``_prims()`` and patch
+capture/install pair.  The drivers supply only what is theirs:
 
 ======================  ================================================
-``compute_dt(t_final)``  the CFL step (and its reduction across patches)
-``_integrate(dt)``       the integrator call (``_integrate_stacks`` for a
-                         driver of stacks) and the commit of its result
+``compute_dt(t_final)``  the CFL step (reduced across patches) from
+                         ``_prims()``
+``_exchange(prims)``     the ghost hook of ``_prims()``: the rank halo
+                         exchange; nothing for the other drivers
+``_rhs(states)``         right-hand sides (default: each stack's ``rhs``)
 ``_patches()``           ``(label, pipeline, array)`` per evolved patch —
-                         serves the stage-time hook and the finite guard
+                         serves the finite guard
 ``_after_step(dt)``      bookkeeping on the guarded step (``solver.dt``)
 ``_record_extras()``     the family block of a step record
 ``_keep_running()``      run-loop predicate beyond ``t < t_final``
-``state()``              ``{"t", "steps", "patches": {ident: (cons,
-                         p_cache)}, ...}`` plus the family's extras
+``state()``              the family's extras beside Driver's ``{"t",
+                         "steps", "patches": {ident: (cons, p_cache)}}``
 ``install_state(s)``     the inverse of ``state()``, verbatim
 ``_finish_run()``        what ``run`` returns
 ======================  ================================================
@@ -26,7 +30,8 @@ drivers supply only what is theirs:
 ``state()``/``install_state()`` is the one way a driver's state moves:
 checkpoints (:meth:`Driver.write_checkpoint`,
 :func:`repro.io.load_checkpoint`), a worker's supervision snapshot and the
-fold of a fleet to its serial twin all call this pair and nothing else.
+fold of a fleet to its serial twin all call this pair and nothing else;
+its patches go through ``_capture_patches`` / ``_install_patches``.
 
 ``step`` and ``run`` never ask which driver they serve.  Drivers named in
 ``bench/trace.py::PATCH_POINTS`` re-bind ``step``/``run`` in their own
@@ -38,10 +43,13 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..utils.errors import ConfigurationError, NumericsError
 from ..utils.logging import get_logger
 from .config import MAX_STEPS
 from .diagnostics import check_dt, first_nonfinite
+from .pipeline import PatchViews, recover_stacks
 
 _log = get_logger("core")
 
@@ -56,18 +64,44 @@ def placeholder_prim(system, grid):
 
 
 class Driver:
-    """Stepping core over ``self.t``, ``self.steps`` and ``self._patches()``.
+    """Stepping core over ``self.t``, ``self.steps`` and the stacks.
 
     Subclasses provide ``config``, ``integrator``, ``timers``, ``metrics``
-    and ``recorder`` besides the hooks listed in the module docstring.
+    and ``recorder``, build ``_stacks`` and ``_commit`` their first state,
+    besides the hooks listed in the module docstring.
     """
 
-    def _integrate_stacks(self, stacks, states: list, dt: float) -> list:
-        """One integrator step over a list of one state array per stack
-        (:func:`~repro.core.pipeline.patch_stacks`): ``self._rhs`` maps such
-        a list to the :class:`~repro.core.pipeline.PatchViews` of its
-        right-hand sides, and each stack's stage is combined by its own
-        pipeline.  Returns the advanced states."""
+    #: primitives of the committed state ``_cons`` (None until read)
+    _prims_cache: PatchViews | None = None
+
+    def _commit(self, arrays: list) -> None:
+        """Make *arrays*, one per stack, the committed state."""
+        self._cons = PatchViews.of(self._stacks, arrays)
+        self._prims_cache = None
+
+    def _prims(self) -> PatchViews:
+        """Primitives of the committed state (read-only): recovered once
+        per commit into fresh arrays, ghosts filled by :meth:`_exchange`.
+        Every ``compute_dt`` and diagnostic read goes through here, so a
+        read between steps is the recovery the next ``compute_dt`` skips."""
+        if self._prims_cache is None:
+            prims = recover_stacks(self._stacks, self._cons.stacks)
+            self._exchange(prims)
+            self._prims_cache = prims
+        return self._prims_cache
+
+    def _exchange(self, prims: PatchViews) -> None:
+        """Fill the ghosts of *prims* that other patches own."""
+
+    def _rhs(self, states: list) -> PatchViews:
+        rhs = [st.pipeline.rhs(U) for st, U in zip(self._stacks, states)]
+        return PatchViews.of(self._stacks, rhs)
+
+    def _integrate(self, dt: float) -> None:
+        """One integrator step, each stack's stages combined by its own
+        pipeline; the advanced states are fresh arrays, so views handed out
+        keep their bytes."""
+        stacks = self._stacks
 
         def combine(stage, U, V, dt, k, final):
             return [
@@ -75,15 +109,60 @@ class Driver:
                 for st, u, v, dU in zip(stacks, U, V, k.stacks)
             ]
 
-        return self.integrator.step(
-            list(states), dt, self._rhs,
+        self._commit(self.integrator.step(
+            list(self._cons.stacks), dt, self._rhs,
             t0=self.t, set_time=self._set_stage_time, combine=combine,
-        )
+        ))
 
     def _set_stage_time(self, t: float) -> None:
         """Integrator stage hook: every patch's sources see t0 + c_i dt."""
-        for _label, pipeline, _arr in self._patches():
-            pipeline.time = t
+        for st in self._stacks:
+            st.pipeline.time = t
+
+    def interior_primitives(self) -> dict:
+        """``{ident: interior primitives}`` of every patch (copies)."""
+        prims = self._prims()
+        return {
+            ident: grid.interior_of(prims[ident]).copy()
+            for st in self._stacks
+            for ident, (grid, _) in zip(st.idents, st.pipeline.patches)
+        }
+
+    def state(self) -> dict:
+        """``{"t", "steps", "patches"}``; a family adds its extras."""
+        return {"t": self.t, "steps": self.steps, "patches": self._capture_patches()}
+
+    def install_state(self, state: dict) -> None:
+        self._install_patches(state["patches"])
+        self.t = float(state["t"])
+        self.steps = int(state["steps"])
+
+    def _capture_patches(self) -> dict:
+        """``{ident: (cons, p_cache)}`` of every patch, owned copies."""
+        return {
+            ident: (self._cons[ident].copy(), st.pipeline.warm_state(i))
+            for st in self._stacks
+            for i, ident in enumerate(st.idents)
+        }
+
+    def _install_patches(self, patches: dict) -> None:
+        """Commit *patches*' ``(cons, p_cache)`` of every patch as fresh
+        stacks.  A ``cons`` shaped unlike its grid raises; a mis-shaped
+        ``p_cache`` starts its patch cold."""
+        arrays = []
+        for st in self._stacks:
+            stack = np.empty(st.pipeline._state_shape)
+            for i, ident in enumerate(st.idents):
+                cons, p_cache = patches[ident]
+                if np.shape(cons) != stack.shape[1:]:
+                    raise ConfigurationError(
+                        f"patch {ident!r}: cons shaped {np.shape(cons)}, its "
+                        f"grid holds {stack.shape[1:]}"
+                    )
+                stack[i] = cons
+                st.pipeline.install_warm_state(p_cache, i)
+            arrays.append(stack)
+        self._commit(arrays)
 
     def _check_finite(self) -> None:
         """Name the first NaN/Inf of the just-committed state.  A patch

@@ -37,18 +37,18 @@ def scratch_buf(scratch: "ScratchWorkspace | None", key, shape, dtype=float):
 
 
 class ScratchWorkspace:
-    """Keyed pool of preallocated kernel buffers for one grid patch.
+    """Keyed pool of preallocated kernel buffers for one pipeline's stack.
 
     Parameters
     ----------
     grid:
-        The ghosted grid the pipeline runs on; fixes the shapes of the
-        structural buffers (``dU``, ``prim``).
+        The ghosted grid of every patch of the stack.
     nvars:
         Number of state variables.
     n_patches:
-        For the pipeline of a patch stack, its patch count: the structural
-        buffers are then ``(n_patches, nvars, *ghosted)`` stacks.
+        The stack's patch count (one for a unigrid or batch patch): the
+        structural buffers (``dU``, ``prim``) are ``(n_patches, nvars,
+        *ghosted)`` stacks, like every state the pipeline takes.
 
     Notes
     -----
@@ -57,19 +57,18 @@ class ScratchWorkspace:
     first step (between regrids, for AMR).  A steady-state step still
     allocates what it hands out: on ``cext`` one state-sized array, the
     state the integrator returns (RK intermediates live here, under
-    ``("rk", i)``) — plus ``Solver.primitives()``'s cache when the step
+    ``("rk", i)``) — plus the driver's primitive cache when the step
     computes its own dt and one face-flux array per axis under
     ``store_fluxes``; on ``numpy``/``flat`` also the interpreted stage
     combination's temporaries (``tests/test_workspace.py`` pins both).
-    The workspace is private to one pipeline — callers that hand buffers
-    out across stages (e.g. the primitive cache) use dedicated keys.
+    The workspace is private to one pipeline — what outlives a stage (the
+    driver's primitive cache) is allocated fresh, never taken from here.
     """
 
-    def __init__(self, grid, nvars: int, n_patches: int | None = None):
+    def __init__(self, grid, nvars: int, n_patches: int = 1):
         self.grid = grid
         self.nvars = int(nvars)
-        lead = () if n_patches is None else (int(n_patches),)
-        shape = lead + (self.nvars,) + grid.shape_with_ghosts
+        shape = (int(n_patches), self.nvars) + grid.shape_with_ghosts
         #: flux-divergence accumulator reused by every RK stage
         self.dU = np.zeros(shape)
         #: ghosted primitive array reused by every recovery sweep

@@ -533,7 +533,7 @@ class TestCrossTargetParity:
                 cells = np.random.default_rng(seed).integers(
                     0, len(states), flat.grid.shape_with_ghosts
                 )
-                prim = self._envelope_prim(flat.system, states)[:, cells]
+                prim = self._envelope_prim(flat.system, states)[:, cells][None]
                 with np.errstate(all="ignore"):
                     ref = flat.flux_divergence(prim.copy())
                 got = cext.flux_divergence(prim.copy())
@@ -1138,8 +1138,8 @@ class TestFusedStencilParity:
             prim = self._ghosted_prim(flat, seed, discontinuous, extreme)
             flat.store_fluxes = cext.store_fluxes = store
             with np.errstate(all="ignore"):
-                div_flat = flat.flux_divergence(prim.copy())
-            div_cext = cext.flux_divergence(prim.copy(), reuse=True)
+                div_flat = flat.flux_divergence(prim[None].copy())
+            div_cext = cext.flux_divergence(prim[None].copy(), reuse=True)
             assert div_flat.tobytes() == div_cext.tobytes(), (
                 f"{recon}/{riemann}: fused sweep differs bitwise"
             )
@@ -1160,8 +1160,8 @@ class TestFusedStencilParity:
                 # 1 .. 2T + 3 cells wide is the interpreted subtract/divide.
                 lflat.store_fluxes = lcext.store_fluxes = store
                 with np.errstate(all="ignore"):
-                    ref = lflat.flux_divergence_region(prim.copy(), axis, lo, hi)
-                got = lcext.flux_divergence_region(prim, axis, lo, hi, reuse=True)
+                    ref = lflat.flux_divergence_region(prim[None].copy(), axis, lo, hi)
+                got = lcext.flux_divergence_region(prim[None], axis, lo, hi, reuse=True)
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), where
                 stored_fluxes_agree(lflat, lcext)
             for a, b in ((flat, cext), (lflat, lcext)):
@@ -1179,7 +1179,7 @@ class TestFusedStencilParity:
         whose counters the parity tests compare."""
         flat = self._pipeline("flat", "ppm", "hll")
         with np.errstate(all="ignore"):
-            flat.flux_divergence(self._ghosted_prim(flat, 3, True, extreme=True))
+            flat.flux_divergence(self._ghosted_prim(flat, 3, True, extreme=True)[None])
         for counter in self._COUNTERS:
             assert flat.metrics.counter(counter).value > 0, counter
 
@@ -1194,7 +1194,7 @@ class TestFusedStencilParity:
             cext = self._pipeline("cext", recon, "hllc", ndim=ndim)
             assert cext._fused_ids is not None
             for seed, extreme in ((1234, False), (4321, True)):
-                prim = self._ghosted_prim(flat, seed, True, extreme)
+                prim = self._ghosted_prim(flat, seed, True, extreme)[None]
                 with np.errstate(all="ignore"):
                     div_flat = flat.flux_divergence(prim.copy())
                 assert (
@@ -1224,7 +1224,7 @@ class TestFusedStencilParity:
         @given(data=st.data(), seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
         @settings(max_examples=8, deadline=None, database=None)
         def check(data, seed, extreme):
-            prim = self._ghosted_prim(cext, seed, True, extreme)
+            prim = self._ghosted_prim(cext, seed, True, extreme)[None]
             for axis, n in enumerate(cext.grid.shape):
                 lo = data.draw(st.integers(0, n - 1))
                 hi = data.draw(st.integers(lo + 1, n))
@@ -1561,7 +1561,7 @@ class TestFusedStencilParity:
         fused = self._pipeline("cext", "ppm", "hll")
         plain = self._pipeline("flat", "ppm", "hll")
         plain.reconstruction = SteepenedPPM()
-        prim = self._ghosted_prim(fused, 5, False)
+        prim = self._ghosted_prim(fused, 5, False)[None]
         assert (
             plain.flux_divergence(prim.copy()).tobytes()
             == fused.flux_divergence(prim.copy()).tobytes()
@@ -1576,7 +1576,7 @@ class TestFusedStencilParity:
         if not cext_available(2):
             pytest.skip("no C toolchain")
         pipe = self._pipeline("cext", "ppm", "hll")
-        prim = self._ghosted_prim(pipe, 1, False)
+        prim = self._ghosted_prim(pipe, 1, False)[None]
         n = pipe.grid.shape[1]
         pipe.flux_divergence_region(prim, 1, 0, n)  # the full sweep fits
         with pytest.raises(CodegenError, match=r"axis 1.*reach \(-2, \+3\)"):
@@ -1595,7 +1595,7 @@ class TestFusedStencilParity:
         if not cext_available(2):
             pytest.skip("no C toolchain")
         pipe = self._pipeline("cext", "ppm", "hll")
-        prim = self._ghosted_prim(pipe, 8, True)
+        prim = self._ghosted_prim(pipe, 8, True)[None]
         want = pipe.flux_divergence(prim.copy()).tobytes()
         strided = np.empty(prim.shape + (2,))[..., 0]
         strided[...] = prim
@@ -1692,7 +1692,7 @@ class TestCompiledRecovery:
         """Everything one sweep leaves behind, comparable with ``==``."""
         from repro.utils.errors import RecoveryError
 
-        cons = cons.copy()
+        cons = cons[None].copy()
         try:
             with np.errstate(all="ignore"):
                 prim = pipe.recover_primitives(cons, reuse=reuse).tobytes()
@@ -1803,22 +1803,22 @@ class TestCompiledRecovery:
             prim = random_prim(plain, grid.shape_with_ghosts, rng, vmax=vmax)
             prim[plain.P] *= 10.0 ** rng.uniform(-9, 2, prim[0].shape)
             want = max_signal_per_axis(plain, grid, prim)
-            assert pipes["cext"].max_signal_per_axis(prim) == want
+            assert pipes["cext"].max_signal_per_axis(prim[None]) == [want]
             # ... and so does flat, whose own char_speeds is the generated kind
-            assert pipes["flat"].max_signal_per_axis(prim) == want
+            assert pipes["flat"].max_signal_per_axis(prim[None]) == [want]
 
         check()
         prim = random_prim(plain, grid.shape_with_ghosts, np.random.default_rng(1))
         grid.interior_of(prim)[plain.P].flat[3] = np.nan
         ghost_only = prim.copy()
         for target in ("flat", "cext"):
-            assert np.isnan(pipes[target].max_signal_per_axis(prim)).all(), target
+            assert np.isnan(pipes[target].max_signal_per_axis(prim[None])).all(), target
         ghost_only[...] = np.nan
         grid.interior_of(ghost_only)[...] = 1.0
         grid.interior_of(ghost_only)[1 : 1 + plain.ndim] = 0.0
-        assert pipes["cext"].max_signal_per_axis(ghost_only) == max_signal_per_axis(
+        assert pipes["cext"].max_signal_per_axis(ghost_only[None]) == [max_signal_per_axis(
             plain, grid, ghost_only
-        )
+        )]
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_on_a_team(self, layout, team):
@@ -1902,7 +1902,7 @@ class TestCompiledRecovery:
         strided = np.asfortranarray(cons)
         assert not strided.flags.c_contiguous
         calls = self._interpreted_solves(monkeypatch)
-        prim = pipes["cext"].recover_primitives(strided)
+        prim = pipes["cext"].recover_primitives(strided[None])
         assert len(calls) == 1
         assert prim.tobytes() == want["prim"]
         assert np.ascontiguousarray(strided).tobytes() == want["cons"]  # floors landed
@@ -1984,7 +1984,7 @@ class TestCompiledUpdate:
         def check(data, seed, layout, poison):
             flat, cext = pairs[layout]
             assert cext._accumulate_kernel is not None and flat._accumulate_kernel is None
-            prim = TestFusedStencilParity._ghosted_prim(cext, seed, True)
+            prim = TestFusedStencilParity._ghosted_prim(cext, seed, True)[None]
             with np.errstate(all="ignore"):
                 want = flat.flux_divergence(prim.copy())
             regions = []
@@ -2002,7 +2002,7 @@ class TestCompiledUpdate:
                 cext.accumulate_divergence(dU, axis, lo, hi, div)
             assert dU.tobytes() == want.tobytes(), (layout, regions)
             ghosts = np.ones(dU.shape, dtype=bool)
-            cext.grid.interior_of(ghosts)[...] = False
+            cext.grid.interior_of(ghosts[0])[...] = False
             assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
             # One poisoned entry per region, through both accumulates.
             rng = np.random.default_rng(seed)
@@ -2031,7 +2031,7 @@ class TestCompiledUpdate:
         for hook in ("_accumulate_kernel", "_rk_stage_kernel"):
             inner = getattr(cext, hook)
             setattr(cext, hook, lambda *a, _inner=inner: (calls.append(1), _inner(*a))[1])
-        prim = TestFusedStencilParity._ghosted_prim(cext, 4, True)
+        prim = TestFusedStencilParity._ghosted_prim(cext, 4, True)[None]
         n = cext.grid.shape[0]
         div = cext.flux_divergence_region(prim, 0, 0, n).copy()
         want = flat.begin_flux_divergence()
@@ -2058,7 +2058,7 @@ class TestCompiledUpdate:
             pytest.skip("no C toolchain")
         _, cext = self._pair((2, 0))
         system, g, (nx, ny) = cext.system, cext.grid.n_ghost, cext.grid.shape
-        dU = cext.begin_flux_divergence()
+        dU = cext.begin_flux_divergence()[0]
         div = np.ones((system.nvars, ny, nx))
         for lo, hi, d in ((0, nx + 1, div), (-1, nx - 1, div), (3, 3, div[..., :0]),
                           (0, nx, div[..., 1:]), (0, nx, div[:, 1:])):
@@ -2314,13 +2314,13 @@ class TestPatchStacks:
             maxima = []
             for i in range(n_patches):
                 single.install_warm_state(seeds[i] if warm[i] else None)
-                patch = cons[i].copy()
+                patch = cons[i : i + 1].copy()
                 with np.errstate(all="ignore"):
                     prim = single.recover_primitives(patch, reuse=True)
                 assert stack_prim[i].tobytes() == prim.tobytes(), i
                 assert stack_cons[i].tobytes() == patch.tobytes(), i
                 assert stack.warm_state(i).tobytes() == single.warm_state().tobytes(), i
-                maxima.append(single.max_signal_per_axis(prim))
+                maxima.extend(single.max_signal_per_axis(prim))
             assert stack.metrics.snapshot() == single.metrics.snapshot()
             # max_signal: per-patch maxima.
             assert stack.max_signal_per_axis(stack_prim) == maxima
@@ -2336,7 +2336,9 @@ class TestPatchStacks:
                 dU = stack.begin_flux_divergence()
                 stack.accumulate_divergence(dU, axis, lo, lo + w, div)
                 for i in range(n_patches):
-                    one = single.flux_divergence_region(ghosted[i].copy(), axis, lo, lo + w)
+                    one = single.flux_divergence_region(
+                        ghosted[i : i + 1].copy(), axis, lo, lo + w
+                    )
                     assert div[:, i].tobytes() == one.tobytes(), (i, axis, lo, w)
                     ref = single.begin_flux_divergence()
                     single.accumulate_divergence(ref, axis, lo, lo + w, one)

@@ -397,3 +397,63 @@ class TestDiagnosticRead:
                     solver.close()
 
         assert run(read=True) == run(read=False)
+
+    @pytest.mark.usefixtures("no_fleet_leaks")
+    @pytest.mark.parametrize("target", ["numpy", "cext"])
+    @pytest.mark.parametrize(
+        "executor,n_ranks,read",
+        [
+            ("serial", 1, "interior"),
+            ("serial", 1, "composite"),
+            ("serial", 2, "interior"),
+            ("serial", 2, "composite"),
+            ("process", 2, "blocks"),
+        ],
+    )
+    def test_an_amr_read_between_steps_moves_no_record(
+        self, executor, n_ranks, read, target
+    ):
+        """The AMR driver's reads go through the same primitive cache: a
+        read after step 1 is the recovery step 2's ``compute_dt`` then
+        skips, so the records (``con2prim.cells`` included) are the unread
+        run's."""
+        from repro.core.amr_parallel import make_distributed_amr_solver
+        from repro.core.amr_solver import AMRConfig
+
+        if target == "cext":
+            require_cext(2)
+        system = SRHDSystem(IdealGasEOS(), ndim=2)
+        grid = Grid((32, 32), ((0, 1), (0, 1)))
+        amr = AMRConfig(block_size=8, max_levels=2, regrid_interval=2)
+        config = SolverConfig(cfl=0.4, kernel_target=target, executor=executor)
+
+        def blast(system, grid):
+            return blast_wave_2d(system, grid, p_in=10.0, p_out=1.0, radius=0.2)
+
+        def run(read):
+            sink = BufferSink()
+            solver = make_distributed_amr_solver(
+                system, grid, blast, config, amr, n_ranks=n_ranks,
+                recorder=StepRecorder(sink),
+            )
+            try:
+                solver.step()
+                if read:
+                    {
+                        "interior": lambda: solver.interior_primitives(),
+                        "composite": lambda: solver.composite_primitives(),
+                        "blocks": lambda: solver.gather_block_primitives(),
+                    }[read]()
+                for _ in range(2):
+                    solver.step()
+                patches = solver.state()["patches"]
+                return (
+                    canonical_stream(sink.records),
+                    _numerics(solver.metrics.snapshot()),
+                    b"".join(cons.tobytes() for cons, _ in patches.values()),
+                )
+            finally:
+                if executor == "process":
+                    solver.close()
+
+        assert run(read=read) == run(read=None)

@@ -239,7 +239,7 @@ class TestByteAccounting:
 
     def test_handle_posted_bytes_match_model(self):
         solver = self._solver(True)
-        prims = solver._recover_and_exchange(solver.cons, use_cache=True)
+        prims = solver._prims()
         before = solver.comm.traffic.n_bytes
         handle = post_halos(solver.decomp, solver.comm, prims)
         assert handle.posted_bytes == solver.halo_bytes_per_exchange
@@ -342,7 +342,7 @@ class TestOverlapMetrics:
         # is exactly halo_exchange_time over its posted message list (the
         # same strips every exchange), so a step's modeled_comm_s delta is
         # its three exchanges' worth.
-        prims = solver._recover_and_exchange(solver.cons)
+        prims = solver._prims()
         handle = post_halos(solver.decomp, solver.comm, prims)
         expected = halo_exchange_time(_OVERLAP_LINK, handle.posted)
         complete_halos(handle)

@@ -31,6 +31,40 @@ class TestConstruction:
             )
 
 
+class TestStackLayout:
+    """Every stage takes the pipeline's stack and nothing else: a patch
+    array (or another stack) is refused by name, with both shapes, before
+    the interpreted loops could walk its leading axis as patches."""
+
+    @pytest.mark.parametrize("n_patches", [1, 2])
+    def test_a_stage_refuses_an_array_that_is_not_its_stack(self, system1d, n_patches):
+        grid = Grid((32,), ((0.0, 1.0),))
+        bcs = make_boundaries("periodic")
+        pipe = HydroPipeline(
+            system1d, grid, bcs, SolverConfig(), patches=[(grid, bcs)] * n_patches
+        )
+        patch = system1d.prim_to_con(smooth_wave(system1d, grid))
+        stack = np.stack([patch] * n_patches)
+        wrong = [patch, np.stack([patch] * (n_patches + 1))]
+        div = pipe.flux_divergence_region(pipe.recover_primitives(stack.copy()), 0, 0, 32)
+        stages = {
+            "recover_primitives": lambda a: pipe.recover_primitives(a),
+            "rhs": lambda a: pipe.rhs(a),
+            "flux_divergence_region": lambda a: pipe.flux_divergence_region(a, 0, 0, 32),
+            "accumulate_divergence": lambda a: pipe.accumulate_divergence(a, 0, 0, 32, div),
+            "max_signal_per_axis": lambda a: pipe.max_signal_per_axis(a),
+        }
+        for name, call in stages.items():
+            for a in wrong:
+                before = a.copy()
+                with pytest.raises(ConfigurationError) as err:
+                    call(a)
+                message = str(err.value)
+                assert str(stack.shape) in message and str(a.shape) in message, name
+                assert a.tobytes() == before.tobytes(), name  # refused before any floor
+        assert len(pipe.max_signal_per_axis(pipe.recover_primitives(stack))) == n_patches
+
+
 class TestSanitizeFaceStates:
     def test_superluminal_rescaled_to_cap(self, pipeline, system1d):
         q = np.array([[1.0], [0.8], [1.0]])
@@ -91,8 +125,8 @@ class TestRhsBookkeeping:
     def test_ghost_entries_of_rhs_are_zero(self, pipeline, system1d):
         grid = pipeline.grid
         prim = smooth_wave(system1d, grid, amplitude=0.2, velocity=0.4)
-        cons = system1d.prim_to_con(prim)
-        dU = pipeline.rhs(cons)
+        cons = system1d.prim_to_con(prim)[None]
+        (dU,) = pipeline.rhs(cons)
         g = grid.n_ghost
         assert np.all(dU[:, :g] == 0.0)
         assert np.all(dU[:, -g:] == 0.0)
@@ -100,16 +134,16 @@ class TestRhsBookkeeping:
     def test_face_fluxes_not_stored_by_default(self, pipeline, system1d):
         grid = pipeline.grid
         prim = smooth_wave(system1d, grid)
-        pipeline.rhs(system1d.prim_to_con(prim))
+        pipeline.rhs(system1d.prim_to_con(prim)[None])
         assert pipeline.last_face_fluxes == {}
 
     def test_face_fluxes_stored_on_request(self, pipeline, system1d):
         pipeline.store_fluxes = True
         grid = pipeline.grid
         prim = smooth_wave(system1d, grid)
-        pipeline.rhs(system1d.prim_to_con(prim))
+        pipeline.rhs(system1d.prim_to_con(prim)[None])
         assert 0 in pipeline.last_face_fluxes
-        assert pipeline.last_face_fluxes[0].shape == (3, grid.shape[0] + 1)
+        assert pipeline.face_fluxes(0)[0].shape == (3, grid.shape[0] + 1)
 
     def test_flux_divergence_telescopes(self, pipeline, system1d):
         """Interior sum of dU equals the boundary-flux difference (discrete
@@ -117,17 +151,17 @@ class TestRhsBookkeeping:
         pipeline.store_fluxes = True
         grid = pipeline.grid
         prim = smooth_wave(system1d, grid, amplitude=0.3, velocity=0.4)
-        cons = system1d.prim_to_con(prim)
+        cons = system1d.prim_to_con(prim)[None]
         prim_full = pipeline.recover_primitives(cons)
-        dU = pipeline.flux_divergence(prim_full)
-        F = pipeline.last_face_fluxes[0]
+        (dU,) = pipeline.flux_divergence(prim_full)
+        F = pipeline.face_fluxes(0)[0]
         total = grid.interior_of(dU).sum(axis=1) * grid.dx[0]
         np.testing.assert_allclose(total, F[:, 0] - F[:, -1], atol=1e-13)
 
     def test_recovery_stats_accumulate(self, pipeline, system1d):
         grid = pipeline.grid
         prim = smooth_wave(system1d, grid)
-        cons = system1d.prim_to_con(prim)
+        cons = system1d.prim_to_con(prim)[None]
         cells = pipeline.metrics.counter("con2prim.cells")
         pipeline.recover_primitives(cons)
         n1 = cells.value
@@ -138,7 +172,7 @@ class TestRhsBookkeeping:
 class TestRecoveryInstrumentation:
     def _cons(self, pipeline, system1d):
         prim = smooth_wave(system1d, pipeline.grid)
-        return system1d.prim_to_con(prim)
+        return system1d.prim_to_con(prim)[None]
 
     def test_warm_start_reuses_pressure_cache(
         self, pipeline, system1d, monkeypatch
@@ -154,7 +188,7 @@ class TestRecoveryInstrumentation:
 
         monkeypatch.setattr(mod, "con_to_prim", spy)
         cons = self._cons(pipeline, system1d)
-        prim1 = pipeline.recover_primitives(cons.copy())
+        (prim1,) = pipeline.recover_primitives(cons.copy())
         pipeline.recover_primitives(cons.copy())
         assert guesses[0] is None
         # The second sweep is seeded with the first sweep's pressures.
@@ -178,7 +212,7 @@ class TestRecoveryInstrumentation:
     def test_atmosphere_resets_counted(self, pipeline, system1d):
         cons = self._cons(pipeline, system1d)
         # Push a few interior cells below the conserved-density floor.
-        interior = pipeline.grid.interior_of(cons)
+        interior = pipeline.grid.interior_of(cons[0])
         interior[system1d.D, :3] = 1e-30
         interior[system1d.S(0), :3] = 0.0
         interior[system1d.TAU, :3] = 1e-30

@@ -172,6 +172,42 @@ def test_distributed_state_carries_a_read_between_steps():
     assert comm[1] == comm[0][-AFTER:]
 
 
+@pytest.mark.parametrize("family", ["solver", "distributed", "amr"])
+def test_install_state_refuses_a_patch_shaped_unlike_its_grid(family):
+    """A patch whose ``cons`` is not ``(nvars, *ghosted)`` of its grid is
+    refused by name, with both shapes — not installed to fail the next
+    step on a broadcast; a mis-shaped ``p_cache`` only starts it cold."""
+    import re
+
+    from repro.utils.errors import ConfigurationError
+
+    driver = _driver(family, 2, "numpy", True)
+    state = driver.state()
+    ident = next(iter(state["patches"]))
+    cons, p_cache = state["patches"][ident]
+    if family == "amr":
+        bad = cons[:, 1:]
+    else:  # the same driver's state on a 120-cell grid
+        system, _, config = _scenario()
+        grid = Grid((120,), ((0.0, 1.0),))
+        prim = shock_tube(system, grid, RP1)
+        other = (
+            Solver(system, grid, prim, config) if family == "solver"
+            else DistributedSolver(system, grid, prim, (2,), config)
+        )
+        bad = other.state()["patches"][ident][0]
+    state["patches"][ident] = (bad, p_cache)
+    with pytest.raises(ConfigurationError, match=re.escape(
+        f"patch {ident!r}: cons shaped {bad.shape}, its grid holds {cons.shape}"
+    )):
+        driver.install_state(state)
+    state["patches"][ident] = (cons, np.ones(7))
+    driver.install_state(state)
+    stack = next(st for st in driver._stacks if ident in st.idents)
+    assert stack.pipeline.warm_state(stack.idents.index(ident)) is None
+    driver.step()
+
+
 class TestCompatArchives:
     """``tests/data/checkpoint_v1_<kind>.npz`` were written by the code
     before the state pair existed (FORMAT_VERSION 1, no run summary), with::

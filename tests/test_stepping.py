@@ -170,6 +170,42 @@ class TestRunContract:
         assert seen == [1, 2, 3]
 
 
+class TestPrimitiveReads:
+    """A primitive read hands out a copy: writing into it leaves the
+    driver's primitive cache — and so the next ``compute_dt`` — alone."""
+
+    READS = {
+        "primitives": lambda s, P: s.primitives()[P],
+        "interior_primitives": lambda s, P: s.interior_primitives()[P],
+        "scenario_primitives": lambda s, P: s.scenario_primitives(0)[P],
+        "scenario_interior_primitives": lambda s, P: s.scenario_interior_primitives(0)[P],
+    }
+
+    @pytest.mark.parametrize("target", ["numpy", "cext"])
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_a_written_read_moves_no_step(self, read, target):
+        if target == "cext":
+            from .conftest import require_cext
+
+            require_cext(1)
+        system, grid, prim0 = _rp1(100)
+        config = SolverConfig(kernel_target=target)
+
+        def run(write):
+            if read.startswith("scenario"):
+                solver = BatchSolver(system, grid, [prim0.copy()], config)
+            else:
+                solver = Solver(system, grid, prim0.copy(), config)
+            for _ in range(3):
+                solver.step()
+            if write:
+                self.READS[read](solver, system.P)[...] *= 4.0
+            dt = solver.step()
+            return dt, solver.cons.tobytes()
+
+        assert run(write=True) == run(write=False)
+
+
 def test_trace_patch_points_resolve():
     """bench/trace.py looks every PATCH_POINTS path up as
     ``owner.__dict__[attr]``; a name that moved (or is merely inherited)

@@ -119,7 +119,7 @@ class TestWorkspaceReuse:
         if not ws:
             pipe.workspace = None
         prim0 = blast_wave_2d(system, grid)
-        return pipe, system.prim_to_con(prim0)
+        return pipe, system.prim_to_con(prim0)[None]
 
     def test_rhs_reuse_is_stable(self):
         """Repeated reusing rhs calls see no state leak between evaluations."""
@@ -140,7 +140,7 @@ class TestWorkspaceReuse:
         nothing leaks from one reusing call into the next."""
         results = {}
         for ws in (True, False):
-            pipe, cons = self._pipeline(ws=ws)
+            pipe, (cons,) = self._pipeline(ws=ws)  # one patch: the cap is per patch
             hot = cons.copy()
             hot[1, 5:9, 7:20] = -1e3  # |S| far above the W_max cap
             first, second = hot.copy(), hot.copy()
@@ -188,7 +188,7 @@ class TestSteadyState:
     the buffer pool stops growing after the first step on every driver, and
     a ``cext`` ``Solver`` step allocates one state-sized array — the state
     it returns — plus, when it computes its own dt, the primitive array
-    ``Solver.primitives()`` caches for its callers."""
+    the driver's primitive cache holds."""
 
     @staticmethod
     def _workspaces(driver):
