@@ -186,6 +186,17 @@ class BoundarySet:
     def condition(self, axis: int, side: int) -> BoundaryCondition:
         return self.faces.get((axis, side), self.default)
 
+    def walls(self, ndim: int) -> list:
+        """``(axis, side, condition)`` of every face :meth:`apply` fills, in
+        its order: all but the :class:`InteriorFace` ones, which another
+        layer (a halo exchange, the AMR ghost fill) fills."""
+        return [
+            (axis, side, cond)
+            for axis in range(ndim)
+            for side in (0, 1)
+            if not isinstance(cond := self.condition(axis, side), InteriorFace)
+        ]
+
     def apply(self, system: SRHDSystem, grid: Grid, prim: np.ndarray) -> None:
         """Fill all ghost zones of *prim* in place."""
         for axis in range(grid.ndim):

@@ -4,9 +4,13 @@ An in-process stand-in for MPI: :class:`SimCommunicator` provides tagged
 point-to-point and collective operations with full traffic accounting,
 :func:`exchange_halos` implements the nearest-neighbour ghost exchange over
 a :class:`~repro.mesh.decomposition.CartesianDecomposition` (with a split
-:func:`post_halos`/:func:`complete_halos` pair for comm/compute overlap),
-and :class:`LinkModel` (Hockney alpha-beta) converts logged traffic into
-simulated wire time for the scaling experiments.
+:func:`post_halos`/:func:`complete_halos` pair for comm/compute overlap) —
+per axis one gather into a packed buffer, one communicator post/receive
+pair and one scatter, planned once per layout of the states
+(:func:`~repro.comm.halo.halo_plan`) — and :class:`LinkModel` (Hockney
+alpha-beta) converts logged traffic into simulated wire time for the
+scaling experiments.  :class:`ShmCommunicator` is the same surface over
+shared-memory rings between rank processes.
 """
 
 from .communicator import SimCommunicator, TrafficLog

@@ -4,7 +4,9 @@ Substitutes for MPI on this single-process substrate: ranks exchange NumPy
 arrays through in-memory mailboxes with mpi4py-like semantics (tagged
 point-to-point, allreduce), while a :class:`TrafficLog` records every
 message so the Hockney model can convert the pattern into simulated wire
-time for the scaling experiments.
+time for the scaling experiments.  A halo exchange hands over one
+:class:`PackedStrips` per axis instead of one call per strip: the messages
+of a packed buffer, logged one by one from precomputed totals.
 
 The execution model is SPMD-by-phases: the driver iterates ranks, posting
 sends first, then draining receives — deterministic, deadlock-free for the
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +56,54 @@ class TrafficLog:
         self.n_bytes += n_bytes
         self.by_pair[(src, dest)] += n_bytes
 
+    def record_packed(self, strips: "PackedStrips") -> None:
+        """Log every message *strips* posts, from its precomputed totals."""
+        self.n_messages += len(strips.sends)
+        self.n_bytes += strips.n_bytes
+        for pair, n_bytes in strips.by_pair:
+            self.by_pair[pair] += n_bytes
+
     def point_to_point_time(self, link: LinkModel) -> float:
         """Total serialized wire time, one aggregated message per rank pair."""
         return sum(link.transfer_time(b) for b in self.by_pair.values())
+
+
+class PackedStrips(NamedTuple):
+    """The messages of one packed buffer, as a communicator moves them.
+
+    A message is ``(src, dest, tag, lo, hi)``: its payload is the slot
+    ``buf[lo:hi]`` of the caller's buffer.  *sends* are posted from the
+    buffer and *recvs* received into it; the traffic of *sends* is summed
+    once, here, so logging a packed post costs no work per message.
+    """
+
+    sends: tuple
+    recvs: tuple
+    itemsize: int
+    #: the same messages in the same slots: every receiver is also the
+    #: poster's buffer (all ranks in one process), so nothing moves
+    loopback: bool
+    n_bytes: int
+    #: ``((src, dest), bytes)`` summed per rank pair
+    by_pair: tuple
+
+    @classmethod
+    def of(cls, sends, recvs, itemsize: int) -> "PackedStrips":
+        by_pair: dict = {}
+        for src, dest, _, lo, hi in sends:
+            by_pair[src, dest] = by_pair.get((src, dest), 0) + (hi - lo) * itemsize
+        return cls(
+            tuple(sends), tuple(recvs), itemsize, set(sends) == set(recvs),
+            sum(by_pair.values()), tuple(by_pair.items()),
+        )
+
+    def without(self, keys) -> "PackedStrips":
+        """These messages but those whose ``(src, dest, tag)`` is in *keys*."""
+        return PackedStrips.of(
+            [m for m in self.sends if m[:3] not in keys],
+            [m for m in self.recvs if m[:3] not in keys],
+            self.itemsize,
+        )
 
 
 class SimCommunicator:
@@ -71,6 +119,15 @@ class SimCommunicator:
     :class:`~repro.comm.shm.ShmCommunicator`.  Traffic is logged for every
     send regardless: the wire time was spent whether or not the message
     arrived.
+
+    A halo axis moves as one :class:`PackedStrips` (:meth:`post_packed` /
+    :meth:`recv_packed`, the same pair on both communicators).  With every
+    rank in this process the packed buffer *is* the delivery: a post logs
+    its messages and a receive leaves the buffer as it is — unless a
+    message is queued behind an undelivered one of its ``(src, dest,
+    tag)`` (a duplicate no retry policy purged), which it then takes the
+    place of, as a ``recv`` would.  A packed message no receiver in the
+    buffer expects goes through the mailboxes.
     """
 
     _REDUCTIONS = {
@@ -122,13 +179,41 @@ class SimCommunicator:
         the oldest was dropped)."""
         self._check_rank(src, "source")
         self._check_rank(dest, "destination")
-        box = self._mailboxes.get((src, dest, tag))
+        key = (src, dest, tag)
+        box = self._mailboxes.get(key)
         payload = box.popleft() if box else _TOMBSTONE
+        if box is not None and not box:
+            # Only non-empty mailboxes are kept: recv_packed's no-backlog
+            # test is then one truth test of the dict.
+            del self._mailboxes[key]
         if payload is _TOMBSTONE:
             raise CommunicationError(
                 f"no pending message src={src} dest={dest} tag={tag}"
             )
         return payload
+
+    def post_packed(self, strips: PackedStrips, buf: np.ndarray) -> None:
+        """Post every message of ``strips.sends`` from its slot of *buf*.
+
+        The gather that packed *buf* is the copy MPI value semantics need;
+        the caller does not touch *buf* again until :meth:`recv_packed`.
+        """
+        self.traffic.record_packed(strips)
+        if not strips.loopback:
+            for src, dest, tag, lo, hi in strips.sends:
+                self._mailboxes[(src, dest, tag)].append(buf[lo:hi].copy())
+
+    def recv_packed(self, strips: PackedStrips, buf: np.ndarray) -> None:
+        """Receive every message of ``strips.recvs`` into its slot of *buf*."""
+        if strips.loopback and not self._mailboxes:
+            return
+        for src, dest, tag, lo, hi in strips.recvs:
+            if strips.loopback:
+                box = self._mailboxes.get((src, dest, tag))
+                if not box:
+                    continue
+                box.append(buf[lo:hi].copy())
+            buf[lo:hi] = self.recv(src, dest, tag)
 
     def begin_exchange_epoch(self) -> None:
         """No-op: in-process mailboxes hold no stale epochs (the shm

@@ -3,12 +3,18 @@
 The canonical nearest-neighbour pattern of every distributed stencil code:
 each rank sends the ``n_ghost``-deep strip of interior cells adjacent to a
 face to the neighbour across that face, which deposits it into its ghost
-layer.  Exchanges go through the :class:`SimCommunicator` so the traffic is
-logged for the cost model, and per-axis phases keep the corner/edge data
-consistent after all axes complete (the standard dimension-by-dimension
-sweep).  Halo faults are decided in one place, the
+layer.  The :class:`FaceTable` lists every strip; a :class:`HaloPlan`
+compiles it, once per layout of the states exchanged, into flat index
+arrays, so an axis of an exchange is one gather of every strip into a
+packed buffer, one communicator post/receive pair (which logs each strip as
+its own message) and one scatter into the ghosts — AthenaK's one pack and
+one unpack over all of a rank's blocks.  Per-axis phases keep the
+corner/edge data consistent after all axes complete (the standard
+dimension-by-dimension sweep).  Halo faults are decided in one place, the
 :class:`~repro.resilience.oracle.FaultOracle`: an exchange takes its
-:class:`ExchangeSchedule` and every sender posts what it was dealt.
+:class:`ExchangeSchedule`, and a strip whose slot holds a fault — or every
+strip, under a retry policy — takes the per-face protocol on its slot of
+the packed buffer.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from ..mesh.decomposition import CartesianDecomposition
 from ..utils.errors import CommunicationError
-from .communicator import SimCommunicator
+from .communicator import PackedStrips, SimCommunicator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -108,10 +114,9 @@ class Face(NamedTuple):
 class FaceTable(NamedTuple):
     """Who sends which strip to whom, in what order, under which tag.
 
-    The single definition of the Cartesian halo protocol: the blocking and
-    overlapped exchanges, the fault oracle's dry run, the shm ring sizing,
-    the byte model and the core/strip split all read it and enumerate
-    nothing themselves.
+    The single definition of the Cartesian halo protocol: the exchanges'
+    plans, the fault oracle's dry run, the shm ring sizing, the byte model
+    and the core/strip split all read it and enumerate nothing themselves.
     """
 
     #: ``axes[axis]``: that axis's faces in (rank, side) order — the message
@@ -206,8 +211,170 @@ def rhs_regions(decomp: CartesianDecomposition, rank: int):
     ]
 
 
-def _post_face(h: HaloHandle, face: Face) -> list[tuple[int, int]]:
-    """Post *face*'s strip from its rank toward its neighbour.
+class Strip(NamedTuple):
+    """One message of a plan axis: *face*'s strip, posted by ``face.rank``
+    under ``key = (src, dest, tag)``, in slot ``[lo, hi)`` of the axis's
+    packed buffer."""
+
+    face: Face
+    key: tuple
+    lo: int
+    hi: int
+
+
+class AxisPlan(NamedTuple):
+    """One axis of a :class:`HaloPlan`: where every strip of the axis that a
+    held rank posts or receives sits in one packed buffer, and the flat
+    indices that fill the buffer from the states and the ghosts from it."""
+
+    #: packed buffer length: one slot per strip, in face order
+    size: int
+    #: every strip a held rank posts or receives, in face order
+    strips: tuple
+    #: the strips a held rank posts, in face order (the fault order)
+    sent: tuple
+    #: ``(receiving face, its strip)`` of every held receiver, in the
+    #: receivers' face order
+    received: tuple
+    #: ``(array, buffer positions, flat indices)`` per source array:
+    #: ``buf[pos] = array.flat[idx]``
+    gather: tuple
+    #: the one gather fills the whole buffer in slot order: it *is* the buffer
+    gather_is_buffer: bool
+    #: ``(array, buffer positions or None for all, flat indices)`` per
+    #: destination array: ``array.flat[idx] = buf[pos]``
+    scatter: tuple
+    #: the strips as the communicator moves them, traffic totals precomputed
+    wire: PackedStrips
+    #: ``(dest, nbytes)`` of each of :attr:`sent` — what a clean axis adds
+    #: to :attr:`HaloHandle.posted`
+    posted: tuple
+
+
+class HaloPlan(NamedTuple):
+    """The face table compiled for one layout of states: one
+    :class:`AxisPlan` per axis, and the element type of the packed buffers."""
+
+    axes: tuple
+    dtype: np.dtype
+
+
+def halo_plan(decomp: CartesianDecomposition, states) -> tuple[HaloPlan, list]:
+    """The plan of *states*' layout, and the arrays it indexes.
+
+    *states* is ``{rank: (nvars, *ghosted)}``: a
+    :class:`~repro.core.pipeline.PatchViews` — the plan indexes its
+    ``.stacks``, patch *p* of a stack at flat offset *p* × patch size — or
+    a plain dict, each array its own.  Plans are kept on the decomposition
+    per layout (the ranks in order, the arrays' shapes and types), like the
+    face table: a driver's stacks are one layout for its life, so its
+    exchanges build nothing, and new stacks are a new plan.  Building one
+    validates *states*, before anything is posted.
+    """
+    stacks = getattr(states, "stacks", None)
+    arrays = list(states.values()) if stacks is None else stacks
+    key = (tuple(states), stacks is None, tuple([(a.shape, a.dtype) for a in arrays]))
+    plan = decomp._halo_plans.get(key)
+    if plan is None:
+        plan = decomp._halo_plans[key] = _build_plan(decomp, states, stacks)
+    return plan, arrays
+
+
+def _build_plan(decomp, states, stacks) -> HaloPlan:
+    """Validate *states* and compile the face table for their layout."""
+    for rank in states:
+        if not isinstance(rank, (int, np.integer)) or not 0 <= rank < decomp.size:
+            raise CommunicationError(
+                f"state key {rank!r} is no rank of the {decomp.size}-rank "
+                f"decomposition"
+            )
+    first = next(iter(states.values()), np.empty((0,)))
+    for rank, arr in states.items():
+        want = first.shape[:1] + decomp.subgrid(rank).shape_with_ghosts
+        if arr.shape != want or arr.dtype != first.dtype:
+            raise CommunicationError(
+                f"rank {rank}: state {arr.dtype} {arr.shape}, but the exchange "
+                f"needs {first.dtype} {want} (nvars, *its subgrid's ghosted shape)"
+            )
+    # Each rank's (array, flat offset) in the arrays the plan indexes.
+    if stacks is None:
+        where = {rank: (k, 0) for k, rank in enumerate(states)}
+    else:
+        ranks = iter(states)
+        where = {
+            next(ranks): (k, p * prod(a.shape[1:]))
+            for k, a in enumerate(stacks) for p in range(len(a))
+        }
+    local = {rank: np.arange(arr.size).reshape(arr.shape) for rank, arr in states.items()}
+    itemsize = first.dtype.itemsize
+    axes = []
+    for faces in face_table(decomp).axes:
+        strips, lo = [], 0
+        for f in faces:
+            if f.rank in where or f.nbr in where:
+                n = first.shape[0] * f.cells
+                strips.append(Strip(f, (f.rank, f.nbr, f.send_tag), lo, lo + n))
+                lo += n
+        by_key = {s.key: s for s in strips}
+        sent = tuple(s for s in strips if s.face.rank in where)
+        received = tuple(
+            (f, by_key[f.nbr, f.rank, f.recv_tag]) for f in faces if f.rank in where
+        )
+        gather = _index_groups(
+            ((where[s.face.rank], s, local[s.face.rank][s.face.send]) for s in sent),
+            lo,
+        )
+        axes.append(AxisPlan(
+            lo, tuple(strips), sent, received, gather,
+            len(gather) == 1 and gather[0][1] is None,
+            # Slot order: with one destination array the scatter reads the
+            # whole buffer as it lies (ghost slabs of one axis are disjoint).
+            _index_groups(
+                ((where[f.rank], s, local[f.rank][f.recv])
+                 for f, s in sorted(received, key=lambda fs: fs[1].lo)),
+                lo,
+            ),
+            PackedStrips.of(
+                [s.key + (s.lo, s.hi) for s in sent],
+                [s.key + (s.lo, s.hi) for _, s in received],
+                itemsize,
+            ),
+            tuple((s.face.nbr, (s.hi - s.lo) * itemsize) for s in sent),
+        ))
+    return HaloPlan(tuple(axes), first.dtype)
+
+
+def _index_groups(entries, size: int) -> tuple:
+    """``(array, buffer positions, flat indices)`` per array of *entries*
+    ``((array, offset), strip, local indices)``, in first-seen order; the
+    positions are ``None`` when they are the whole *size*-long buffer in
+    slot order."""
+    groups: dict = {}
+    for (k, offset), strip, idx in entries:
+        pos, flat = groups.setdefault(k, ([], []))
+        pos.append(np.arange(strip.lo, strip.hi))
+        flat.append(idx.ravel() + offset)
+    out = []
+    for k, (pos, flat) in groups.items():
+        pos = np.concatenate(pos)
+        if np.array_equal(pos, np.arange(size)):
+            pos = None
+        out.append((k, pos, np.concatenate(flat)))
+    return tuple(out)
+
+
+def _put(a: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``a.flat[idx] = values``, in place (``np.put`` is the slower path a
+    strided *a* needs)."""
+    if a.flags.c_contiguous:
+        a.reshape(-1)[idx] = values
+    else:
+        np.put(a, idx, values)
+
+
+def _post_face(h: HaloHandle, face: Face, payload: np.ndarray) -> list[tuple[int, int]]:
+    """Post *face*'s strip, *payload* (its slot of the packed buffer), from
+    its rank toward its neighbour: the per-face protocol.
 
     Every attempt the exchange's schedule holds for this message slot —
     the original send plus the retransmissions the receiver will request —
@@ -224,7 +391,6 @@ def _post_face(h: HaloHandle, face: Face) -> list[tuple[int, int]]:
     """
     comm, checksum = h.comm, h.policy is not None
     sender, dest, tag = face.rank, face.nbr, face.send_tag
-    payload = h.states[sender][face.send]
     crc = np.array([_crc(payload)], dtype=np.int64) if checksum else None
     for fault in h.schedule.pop_attempts(sender, dest, tag):
         if fault is not None and h.metrics is not None:
@@ -287,6 +453,10 @@ def _recv_reliable(h: HaloHandle, face: Face) -> np.ndarray:
     )
 
 
+#: no strip of an axis takes the per-face protocol
+_PACKED_ONLY = frozenset()
+
+
 @dataclass(slots=True)
 class HaloHandle:
     """One halo exchange in progress: the state its begin / post-axis /
@@ -298,6 +468,11 @@ class HaloHandle:
     policy: "HaloRetryPolicy | None"
     metrics: "MetricsRegistry | None"
     schedule: ExchangeSchedule
+    plan: HaloPlan
+    #: the arrays the plan indexes
+    arrays: list
+    #: per posted axis, ``(buffer, packed strips, per-face keys)``
+    packed: list = field(default_factory=list)
     #: ``(dest, nbytes)`` of every message posted, which the overlap cost
     #: model prices with :func:`repro.comm.costs.halo_exchange_time`
     posted: list[tuple[int, int]] = field(default_factory=list)
@@ -310,35 +485,81 @@ class HaloHandle:
 
 def _begin(decomp, comm, states, policy, metrics, schedule) -> HaloHandle:
     """Open one exchange — one shm ring epoch, whether it then runs
-    blocking or overlapped; no *schedule* is a fault-free one."""
+    blocking or overlapped; no *schedule* is a fault-free one.  *states*
+    are validated (by their plan) before anything is posted."""
     if comm.size != decomp.size:
         raise CommunicationError(
             f"communicator size {comm.size} != decomposition size {decomp.size}"
         )
+    plan, arrays = halo_plan(decomp, states)
     comm.begin_exchange_epoch()
     return HaloHandle(
         comm, states, face_table(decomp), policy, metrics,
-        ExchangeSchedule() if schedule is None else schedule,
+        ExchangeSchedule() if schedule is None else schedule, plan, arrays,
     )
 
 
-def _post_axis(h: HaloHandle, faces) -> None:
-    """Every present rank posts its strips across one axis's *faces*."""
-    for face in faces:
-        if face.rank in h.states:
-            h.posted += _post_face(h, face)
-
-
-def _drain_axis(h: HaloHandle, faces) -> None:
-    """Every present rank fills its ghost slabs across one axis's *faces*."""
-    for face in faces:
-        if face.rank not in h.states:
+def _per_face(h: HaloHandle, ax: AxisPlan) -> frozenset:
+    """Keys of *ax*'s strips that take the per-face protocol this exchange:
+    every strip under a retry policy (checksums), else each strip whose
+    schedule slot holds a fault.  A held sender's clean slots are consumed
+    here, as posting them would."""
+    if h.policy is not None:
+        return frozenset(strip.key for strip in ax.strips)
+    attempts = h.schedule.attempts
+    if not attempts:
+        return _PACKED_ONLY
+    faulted = set()
+    for strip in ax.strips:
+        fates = attempts.get(strip.key)
+        if fates is None:
             continue
-        if h.policy is None:
-            data = h.comm.recv(face.nbr, face.rank, tag=face.recv_tag)
+        if any(fate is not None for fate in fates):
+            faulted.add(strip.key)
+        elif strip.face.rank in h.states:
+            del attempts[strip.key]
+    return frozenset(faulted)
+
+
+def _post_axis(h: HaloHandle, ax: AxisPlan) -> None:
+    """Pack one axis's strips (one gather per source array) and post them:
+    the clean ones in one communicator call, the per-face ones each through
+    :func:`_post_face` on its slot."""
+    if ax.gather_is_buffer:
+        k, _, idx = ax.gather[0]
+        buf = h.arrays[k].take(idx)
+    else:
+        buf = np.empty(ax.size, h.plan.dtype)
+        for k, pos, idx in ax.gather:
+            buf[pos] = h.arrays[k].take(idx)
+    per_face = _per_face(h, ax)
+    wire = ax.wire.without(per_face) if per_face else ax.wire
+    h.packed.append((buf, wire, per_face))
+    h.comm.post_packed(wire, buf)
+    if not per_face:
+        h.posted += ax.posted
+        return
+    for strip, posted in zip(ax.sent, ax.posted):
+        if strip.key in per_face:
+            h.posted += _post_face(h, strip.face, buf[strip.lo:strip.hi])
         else:
-            data = _recv_reliable(h, face)
-        h.states[face.rank][face.recv] = data
+            h.posted.append(posted)
+
+
+def _drain_axis(h: HaloHandle, ax: AxisPlan, buf, wire, per_face) -> None:
+    """Receive one axis's strips into its buffer — the clean ones in one
+    communicator call, the per-face ones plainly or through
+    :func:`_recv_reliable` — and fill the ghosts (one scatter per
+    destination array)."""
+    h.comm.recv_packed(wire, buf)
+    for face, strip in ax.received if per_face else ():
+        if strip.key in per_face:
+            buf[strip.lo:strip.hi] = (
+                h.comm.recv(face.nbr, face.rank, tag=face.recv_tag)
+                if h.policy is None else _recv_reliable(h, face)
+            )
+    for k, pos, idx in ax.scatter:
+        _put(h.arrays[k], idx, buf if pos is None else buf[pos])
 
 
 def _finish(h: HaloHandle) -> None:
@@ -360,24 +581,28 @@ def exchange_halos(
 ) -> None:
     """Fill ghost layers of every rank's ghosted state array in place.
 
-    The blocking composition: per axis, post then drain, so axis ``k``'s
-    strips carry axis ``k-1``'s freshly landed ghosts and corner data
-    propagates (the standard dimension-by-dimension sweep).
+    The blocking composition: per axis, gather then scatter, so axis
+    ``k``'s strips carry axis ``k-1``'s freshly landed ghosts and corner
+    data propagates (the standard dimension-by-dimension sweep).
 
     *states* may hold a subset of the decomposition's ranks: the process
-    backend calls this per worker with only its own rank, posting and
-    draining that rank's faces while its neighbours do the same in their
-    processes.  *schedule* is the exchange's :class:`ExchangeSchedule`
-    from the fault oracle (none: no faults); each sender posts its slots'
-    decided attempts, on either communicator alike.
+    backend calls this per worker with only its own rank, posting its
+    faces' strips and receiving its ghosts while its neighbours do the
+    same in their processes.  *schedule* is the exchange's
+    :class:`ExchangeSchedule` from the fault oracle (none: no faults); each
+    sender posts its slots' decided attempts, on either communicator alike.
 
     Parameters
     ----------
     decomp:
         The Cartesian decomposition (its face table supplies neighbours,
-        strip geometry, order and tags).
+        strip geometry, order and tags; its plans the packed layout).
     states:
-        ``{rank: array (nvars, *local_shape_with_ghosts)}``.
+        ``{rank: array (nvars, *local_shape_with_ghosts)}`` — a plain dict
+        or a stack layout's :class:`~repro.core.pipeline.PatchViews`.  A
+        key that is no rank, or an array of another shape (or element
+        type than the others), raises :class:`CommunicationError` naming
+        the rank before anything is posted.
     policy:
         Optional :class:`~repro.resilience.policies.HaloRetryPolicy`. When
         given, every message carries a checksum and lost/corrupted messages
@@ -394,9 +619,9 @@ def exchange_halos(
     physical boundary conditions fill them afterwards.
     """
     h = _begin(decomp, comm, states, policy, metrics, schedule)
-    for faces in h.table.axes:
-        _post_axis(h, faces)
-        _drain_axis(h, faces)
+    for ax in h.plan.axes:
+        _post_axis(h, ax)
+        _drain_axis(h, ax, *h.packed.pop())
     _finish(h)
 
 
@@ -408,12 +633,13 @@ def post_halos(
     metrics: "MetricsRegistry | None" = None,
     schedule=None,
 ) -> HaloHandle:
-    """Post every rank's face strips for *all* axes and return immediately.
+    """Gather and post every rank's face strips for *all* axes and return
+    immediately.
 
-    This is the send half of the overlapped composition — post all axes,
-    then (:func:`complete_halos`) drain all axes: unlike the blocking
-    sweep, every strip is posted from the pre-exchange state.  Ghost
-    *corners* therefore receive the sender's stale transverse ghosts
+    This is the send half of the overlapped composition — gather every
+    axis, then (:func:`complete_halos`) scatter every axis: unlike the
+    blocking sweep, every strip is packed from the pre-exchange state.
+    Ghost *corners* therefore receive the sender's stale transverse ghosts
     instead of corner-propagated values.  That is safe for the RHS because
     per-axis reconstruction gives the update a plus-shaped stencil — corner
     ghosts are only ever read into transverse ghost-row face values that the
@@ -422,18 +648,18 @@ def post_halos(
     corner-consistent ghosts (e.g. diagnostics) must use
     :func:`exchange_halos`.
 
-    Both compositions walk the same face table, so the same logical message
+    Both compositions walk the same plan, so the same logical message
     gets the same tag and the same ``(exchange, message)`` fault address in
     either mode.
     """
     h = _begin(decomp, comm, states, policy, metrics, schedule)
-    for faces in h.table.axes:
-        _post_axis(h, faces)
+    for ax in h.plan.axes:
+        _post_axis(h, ax)
     return h
 
 
 def complete_halos(handle: HaloHandle) -> None:
-    """Drain an exchange started by :func:`post_halos` into the ghost slabs.
+    """Receive an exchange started by :func:`post_halos` and fill the ghosts.
 
     Nothing is posted here: retransmissions went out with their originals
     in :func:`post_halos`, from the pre-exchange state like every strip,
@@ -443,8 +669,8 @@ def complete_halos(handle: HaloHandle) -> None:
     """
     if handle.completed:
         raise CommunicationError("overlapped halo exchange already completed")
-    for faces in handle.table.axes:
-        _drain_axis(handle, faces)
+    for ax, packed in zip(handle.plan.axes, handle.packed):
+        _drain_axis(handle, ax, *packed)
     _finish(handle)
 
 

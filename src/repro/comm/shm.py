@@ -19,6 +19,11 @@ everything here:
 * A ``send`` applies its pre-decided ``fault`` exactly as the in-process
   mailbox does; a dropped message posts a **tombstone** record, so the
   receiver unblocks and raises the same "no pending message" error.
+* A halo axis moves as one packed buffer (``post_packed`` /
+  ``recv_packed``), but each of its strips is still one ``send`` — one
+  ring record, one ``comm.shm.messages`` — and one ``recv``, so a worker
+  delivers what the in-process exchange delivers, in the same order per
+  ``(src, tag)``.
 * Every data record carries the halo-exchange **epoch** it was posted
   in, so ``discard_pending`` (the post-resilient-exchange stale sweep)
   drops exactly the records the in-process global sweep would: entries
@@ -463,7 +468,8 @@ class ShmCommunicator:
     """Rank-local communicator over shared-memory rings.
 
     The :class:`SimCommunicator` surface — the same public methods, the
-    same ``send`` parameters — from the perspective of a single rank:
+    same ``send`` parameters, the packed pair a halo axis moves through —
+    from the perspective of a single rank:
     ``send`` requires ``src == rank``, ``recv`` requires ``dest == rank``,
     and ``allreduce`` takes only this rank's contribution while returning
     the bit-identical serial reduction.  Ring rebinding and step-boundary
@@ -542,6 +548,18 @@ class ShmCommunicator:
         else:  # duplicate
             records = [(FLAG_DATA, payload)] * 2
         self._push(dest, epoch, tag, records)
+
+    def post_packed(self, strips, buf: np.ndarray) -> None:
+        """Post every message of ``strips.sends`` (:class:`~repro.comm.
+        communicator.PackedStrips`) from its slot of *buf*: one ring record
+        per message, as :meth:`send` posts it."""
+        for src, dest, tag, lo, hi in strips.sends:
+            self.send(src, dest, buf[lo:hi], tag)
+
+    def recv_packed(self, strips, buf: np.ndarray) -> None:
+        """Receive every message of ``strips.recvs`` into its slot of *buf*."""
+        for src, dest, tag, lo, hi in strips.recvs:
+            buf[lo:hi] = self.recv(src, dest, tag)
 
     def _push(self, dest: int, epoch: int, tag: int, records) -> None:
         """Append ``(flag, payload)`` records to *dest*'s ring; time spent

@@ -8,10 +8,12 @@ the domain split across ranks of a :class:`CartesianDecomposition`:
   :func:`~repro.core.pipeline.patch_stacks`) form one *stack*, a
   ``(P, nvars, *ghosted)`` array stepped by one :class:`HydroPipeline` —
   one kernel call per stage for all P ranks — and every per-rank surface
-  (halo exchange, ``state()``, the finite guard) works on ``{rank: view}``;
+  (``state()``, the finite guard) works on ``{rank: view}``;
 - physical walls use the supplied boundary conditions, while faces shared
-  with a neighbour are marked :class:`InteriorFace` and filled by
-  :func:`exchange_halos` through the :class:`SimCommunicator`;
+  with a neighbour are marked :class:`InteriorFace` (the pipelines never
+  visit them) and filled by :func:`exchange_halos` — per axis one gather
+  from the stacks, one :class:`SimCommunicator` post/receive pair and one
+  scatter into them (:func:`~repro.comm.halo.halo_plan`);
 - the CFL time step is a global allreduce(max) of per-axis speeds.
 
 The distributed result is the single-grid solver's bit for bit wherever the

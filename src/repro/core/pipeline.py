@@ -11,6 +11,7 @@ unit the heterogeneous runtime's performance model is calibrated against
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -108,6 +109,14 @@ class HydroPipeline:
         self.system = system = resolve_kernel_system(system, config.kernel_target)
         self.grid = grid
         self.patches = [(grid, boundaries)] if patches is None else list(patches)
+        #: ``(patch, grid, walls)`` of every patch with a face to fill: the
+        #: recovery's boundary fill visits these faces and no other — a
+        #: fully neighboured rank makes no call
+        self._walls = [
+            (i, g, walls)
+            for i, (g, bcs) in enumerate(self.patches)
+            if (walls := bcs.walls(g.ndim))
+        ]
         #: the shape of every stack this pipeline takes and returns
         self._state_shape = (len(self.patches), system.nvars) + grid.shape_with_ghosts
         self.config = config
@@ -245,23 +254,31 @@ class HydroPipeline:
             # the rest, patch by patch.  A raise commits no seed.
             sweeps = [RecoveryStats() for _ in self.patches]
             done = self._recover_compiled(cons, prim, sweeps)
-            for i, patch_done in enumerate(done):
-                self._finish_recovery(i, cons, prim, patch_done, sweeps[i], ws)
+            # A patch the kernel completed leaves only its accounting: those
+            # up to a raise are recorded once, merged.
+            completed = []
+            try:
+                for i, patch_done in enumerate(done):
+                    if patch_done == 3:
+                        completed.append(sweeps[i])
+                    else:
+                        self._finish_recovery(i, cons, prim, patch_done, sweeps[i], ws)
+            finally:
+                if completed:
+                    self._record_recovery(*completed)
             self._p_cache, self._seed_spare = self._seed_spare, self._p_cache
             self._warm = [True] * len(self.patches)
         with self.timers("boundary"):
-            for (grid, boundaries), patch_prim in zip(self.patches, prim):
-                boundaries.apply(system, grid, patch_prim)
+            for i, grid, walls in self._walls:
+                for axis, side, condition in walls:
+                    condition.apply(system, grid, prim[i], axis, side)
         return prim
 
     def _finish_recovery(self, i, cons, prim, done, sweep, ws):
         """The stages of patch *i*'s sweep (*cons* → *prim*, this
-        pipeline's stacks) the kernel left — all of them on the interpreted
-        path: floors, solve, burst hook, accounting, primitive floor, next
-        seed."""
-        if done == 3:  # the kernel's: only the accounting is left
-            self._record_recovery(sweep)
-            return
+        pipeline's stacks) the kernel left (``done < 3``) — all of them on
+        the interpreted path: floors, solve, burst hook, accounting,
+        primitive floor, next seed."""
         system = self.system
         grid = self.patches[i][0]
         cons, prim = cons[i], prim[i]
@@ -353,21 +370,28 @@ class HydroPipeline:
             self.metrics.counter("atmo.prim_reset").inc(prim_reset)
         return done
 
-    def _record_recovery(self, sweep: RecoveryStats) -> None:
-        """Report one con2prim sweep's counters through the metrics layer."""
+    def _record_recovery(self, *sweeps: RecoveryStats) -> None:
+        """Report con2prim sweeps' counters through the metrics layer, summed
+        — the record of reporting each sweep alone, byte for byte (every
+        count is an integer)."""
         m = self.metrics
-        m.counter("con2prim.cells").inc(sweep.n_cells)
-        m.counter("con2prim.newton_converged").inc(sweep.n_newton_converged)
-        m.counter("con2prim.bisection").inc(sweep.n_bisection)
-        m.counter("con2prim.failed").inc(sweep.n_failed)
-        m.counter("con2prim.unbracketed").inc(sweep.n_unbracketed)
-        if sweep.n_failsafe:
-            m.counter("resilience.failsafe_cells").inc(sweep.n_failsafe)
-        m.gauge("con2prim.max_newton_iters").max(sweep.max_iterations)
+        m.counter("con2prim.cells").inc(sum(s.n_cells for s in sweeps))
+        m.counter("con2prim.newton_converged").inc(sum(s.n_newton_converged for s in sweeps))
+        m.counter("con2prim.bisection").inc(sum(s.n_bisection for s in sweeps))
+        m.counter("con2prim.failed").inc(sum(s.n_failed for s in sweeps))
+        m.counter("con2prim.unbracketed").inc(sum(s.n_unbracketed for s in sweeps))
+        failsafe = sum(s.n_failsafe for s in sweeps)
+        if failsafe:
+            m.counter("resilience.failsafe_cells").inc(failsafe)
+        iters = Counter(s.max_iterations for s in sweeps)
+        m.gauge("con2prim.max_newton_iters").max(max(iters))
         # Tail analysis works off the full distribution of per-sweep maxima,
-        # not just the running maximum the gauge keeps. (The name says _max:
-        # this is the sweep's worst cell, not a per-cell distribution.)
-        m.histogram("con2prim.newton_iters_max").observe(sweep.max_iterations)
+        # not just the running maximum the gauge keeps: one observation per
+        # sweep. (The name says _max: this is the sweep's worst cell, not a
+        # per-cell distribution.)
+        hist = m.histogram("con2prim.newton_iters_max")
+        for value, n in iters.items():
+            hist.observe(value, n)
 
     def _maybe_inject_burst(
         self, interior_cons: np.ndarray, interior_prim: np.ndarray

@@ -101,6 +101,9 @@ class CartesianDecomposition:
         #: halo face table, built on first use by repro.comm.halo.face_table
         #: and kept here so it pickles to workers with the decomposition
         self._face_table = None
+        #: the face table compiled per layout of exchanged states, built on
+        #: first use by repro.comm.halo.halo_plan
+        self._halo_plans: dict = {}
 
     # -- rank <-> coordinates ----------------------------------------------
 

@@ -220,17 +220,20 @@ class Histogram:
     nonpos: int = 0
     buckets: dict[int, int] = field(default_factory=dict)
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, n: int = 1) -> None:
+        """Record *value* as *n* samples — the summary of *n* single calls,
+        byte for byte wherever ``value * n`` and the running sum are exact
+        (integer samples, such as iteration counts)."""
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += n
+        self.total += value * n
         self.vmin = min(self.vmin, value)
         self.vmax = max(self.vmax, value)
         if value > 0.0 and math.isfinite(value):
             idx = bucket_index(value)
-            self.buckets[idx] = self.buckets.get(idx, 0) + 1
+            self.buckets[idx] = self.buckets.get(idx, 0) + n
         else:
-            self.nonpos += 1
+            self.nonpos += n
 
     @property
     def mean(self) -> float:

@@ -2,18 +2,31 @@
 
 from __future__ import annotations
 
+import cProfile
+import itertools
+import pstats
+
 import numpy as np
 import pytest
 
+from repro.boundary import make_boundaries
 from repro.comm import (
     LinkModel,
     SimCommunicator,
+    complete_halos,
     exchange_halos,
     halo_bytes_per_step,
     make_link,
+    post_halos,
 )
+from repro.comm.halo import face_table
+from repro.core import SolverConfig
+from repro.core.distributed import DistributedSolver
+from repro.eos import IdealGasEOS
 from repro.mesh.decomposition import CartesianDecomposition
 from repro.mesh.grid import Grid
+from repro.physics.initial_data import blast_wave_2d
+from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import CommunicationError, ConfigurationError
 
 
@@ -178,18 +191,92 @@ class TestHaloExchange:
             exchange_halos(decomp, SimCommunicator(3), {})
 
     def test_analytic_byte_count_matches_traffic(self):
-        """halo_bytes_per_step must predict exactly what exchange sends."""
-        for shape, dims, periodic in [
+        """halo_bytes_per_step must predict exactly what exchange sends, and
+        the log must hold one message per face of the face table, with each
+        rank pair's bytes the sum over its faces — blocking and overlapped."""
+        for (shape, dims, periodic), overlapped in itertools.product([
             ((12,), (3,), None),
             ((8, 8), (2, 2), None),
             ((8, 8), (2, 2), (True, True)),
-        ]:
+            ((8, 8), (1, 1), (True, True)),  # every face its own neighbour
+            ((8, 8), (2, 1), (True, True)),
+            ((12, 8), (3, 1), None),
+            ((16, 16), (4, 4), (True, True)),
+            ((8, 8, 8), (2, 2, 2), None),
+        ], (False, True)):
             grid, decomp, comm = self._setup(shape, dims, periodic, nvars=4)
             states = {}
             for rank in range(decomp.size):
                 sub = decomp.subgrid(rank)
                 arr = sub.allocate(4)
                 states[rank] = arr
-            exchange_halos(decomp, comm, states)
+            if overlapped:
+                complete_halos(post_halos(decomp, comm, states))
+            else:
+                exchange_halos(decomp, comm, states)
             predicted = sum(halo_bytes_per_step(decomp, nvars=4).values())
             assert comm.traffic.n_bytes == predicted
+            faces = face_table(decomp).by_face.values()
+            assert comm.traffic.n_messages == len(faces)
+            pairs = {}
+            for f in faces:
+                pairs[f.rank, f.nbr] = pairs.get((f.rank, f.nbr), 0) + f.cells * 4 * 8
+            assert dict(comm.traffic.by_pair) == pairs
+
+    def test_a_state_of_another_shape_is_refused(self):
+        """A rank's state must be (nvars, *its ghosted shape): one with the
+        neighbour's row count would post and fill the wrong rows."""
+        grid, decomp, comm = self._setup((16, 16), (2, 1), n_ghost=3)
+        states = {r: decomp.subgrid(r).allocate(4) for r in range(decomp.size)}
+        assert states[0].shape == (4, 14, 22)
+        states[0] = np.zeros((4, 20, 22))
+        with pytest.raises(CommunicationError, match=r"rank 0.*\(4, 20, 22\).*\(4, 14, 22\)"):
+            exchange_halos(decomp, comm, states)
+        assert comm.traffic.n_messages == 0
+
+    def test_a_refused_state_posts_nothing(self):
+        """The shapes are checked before the first strip is posted: no
+        message is left behind in the mailboxes."""
+        grid, decomp, comm = self._setup((16, 16), (2, 2), (True, True), n_ghost=3)
+        states = {r: decomp.subgrid(r).allocate(4) for r in range(decomp.size)}
+        states[2] = np.zeros((4, 16, 16))
+        with pytest.raises(CommunicationError, match=r"rank 2.*\(4, 16, 16\).*\(4, 14, 14\)"):
+            exchange_halos(decomp, comm, states)
+        assert comm.pending() == 0
+        assert comm.traffic.n_messages == 0
+
+    def test_a_key_that_is_no_rank_is_refused(self):
+        grid, decomp, comm = self._setup((16, 16), (2, 2))
+        states = {r: decomp.subgrid(r).allocate(4) for r in range(decomp.size)}
+        states[7] = states[3]
+        with pytest.raises(CommunicationError, match="7 is no rank of the 4-rank"):
+            exchange_halos(decomp, comm, states)
+        assert comm.traffic.n_messages == 0
+
+    @pytest.mark.parametrize("overlapped", [False, True])
+    def test_clean_exchange_work_is_independent_of_the_rank_count(self, overlapped):
+        """A fault-free exchange of a rank stack is one gather, one
+        communicator post/receive and one scatter per axis: 4 and 16
+        in-process ranks make the same number of Python calls."""
+        system = SRHDSystem(IdealGasEOS(), ndim=2)
+        grid = Grid((32, 32), ((0.0, 1.0), (0.0, 1.0)))
+        calls = []
+        for dims in ((2, 2), (4, 4)):
+            solver = DistributedSolver(
+                system, grid, blast_wave_2d(system, grid, p_in=10.0, p_out=1.0),
+                dims, SolverConfig(overlap_exchange=overlapped),
+                make_boundaries("periodic"),
+            )
+            prims = solver._prims()
+
+            def exchange():
+                if overlapped:
+                    complete_halos(post_halos(solver.decomp, solver.comm, prims))
+                else:
+                    exchange_halos(solver.decomp, solver.comm, prims)
+
+            exchange()  # the layout's plan is built once, before this
+            profile = cProfile.Profile()
+            profile.runcall(exchange)
+            calls.append(pstats.Stats(profile).total_calls)
+        assert calls[0] == calls[1]
