@@ -13,8 +13,13 @@ The leaves step in stacks by the distributed ranks' rule
 (:func:`~repro.core.pipeline.patch_stacks`): each run of consecutive leaves
 alike in shape and ``dx`` — about one per level — is one array stepped by
 one pipeline, one kernel call per stage.  ``forest.leaves[key].cons`` views
-its stack, so the forest, ghost fill, reflux and migration work leaf by
-leaf; a change of leaf set or owners re-keys the stacks before they step.
+its stack.  Ghost fill and reflux run from plans compiled once per
+topology, ownership and stack layout (:meth:`AMRForest.ghost_plan
+<repro.mesh.amr.forest.AMRForest.ghost_plan>`,
+:func:`~repro.mesh.amr.reflux.compile_reflux`), and flagging scores a
+stack in one indicator pass, so a stage makes a few array calls per level
+and stack, not per leaf; a change of leaf set or owners drops the plans
+and re-keys the stacks before they step.
 
 Every leaf belongs to one of ``n_ranks`` ranks (Morton space-filling-curve
 partition, :mod:`repro.mesh.amr.partition`), and the driver steps the ranks
@@ -62,8 +67,8 @@ from ..mesh.amr.exchange import (
     block_frame_header,
     check_block_frame,
     check_block_payload,
-    face_flux_column,
     halo_plan,
+    import_rows,
     measured_imbalance,
     merge_plan,
     migration_plan,
@@ -72,6 +77,7 @@ from ..mesh.amr.exchange import (
 )
 from ..mesh.amr.forest import AMRForest
 from ..mesh.amr.partition import PARTITIONERS
+from ..mesh.amr.reflux import compile_reflux
 from ..mesh.amr.transfer import prolong_array, restrict_array
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
@@ -229,7 +235,7 @@ class AMRSolver(Driver):
             for ax in range(root_grid.ndim)
         )
         self.layout = BlockLayout(root_grid, self.amr.block_size)
-        self.forest = AMRForest(self.layout, self.amr.max_levels)
+        self.forest = AMRForest(self.layout, self.amr.max_levels, self.periodic)
         self.criterion = GradientCriterion(
             self.amr.refine_threshold, self.amr.coarsen_threshold
         )
@@ -287,6 +293,7 @@ class AMRSolver(Driver):
             st.pipeline.source_fn = self.source_fn
             st.pipeline.time = self.t
         self._restack_due = False
+        self._ghost_plan = self._reflux_plan = None  # compiled for the old layout
         self._install_patches({
             k: patches.get(k) or (leaves[k].cons, None) for k in self._step_keys()
         })
@@ -332,7 +339,7 @@ class AMRSolver(Driver):
         others are topology only, as on a rank that does not own them).  A
         state without ``assignment`` — an archive's — is cut afresh over
         this driver's ``n_ranks``."""
-        forest = AMRForest(self.layout, self.amr.max_levels)
+        forest = AMRForest(self.layout, self.amr.max_levels, self.periodic)
         for key in state["leaves"]:
             forest.add_leaf(key, None)
         forest.refined = set(state["refined"])
@@ -356,9 +363,10 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
 
     def _invalidate_plans(self) -> None:
-        """Forget what derives from topology + ownership, the stacks
-        included; every change of either calls this."""
-        self._halo_plan = self._reflux_plan = self._owned = None
+        """Forget what derives from topology + ownership, the stacks and
+        the plans compiled over them included; every change of either
+        calls this."""
+        self._halo_plan = self._ghost_plan = self._reflux_plan = self._owned = None
         self._restack_due = True
 
     def _get_halo_plan(self):
@@ -366,9 +374,31 @@ class AMRSolver(Driver):
             self._halo_plan = halo_plan(self.forest, self.assignment, self.n_ranks, self.periodic)
         return self._halo_plan
 
+    def _get_ghost_plan(self):
+        """``(GhostPlan, import rows per level, receipts)`` over the current
+        stacks: every held rank has a composite slot, its leaves deposit
+        there and so do the interiors it imports."""
+        if self._ghost_plan is None:
+            slots = {rank: i for i, rank in enumerate(self.local_ranks)}
+            imports, receipts = import_rows(self._get_halo_plan(), slots)
+            stacks = [[(k, slots[self.assignment[k]]) for k in st.idents] for st in self._stacks]
+            plan = self.forest.ghost_plan(stacks + imports, stacks, len(slots), self.system.nvars)
+            self._ghost_plan = (plan, [len(rows) for rows in imports], receipts)
+        return self._ghost_plan
+
     def _get_reflux_plan(self):
+        """``(sends, RefluxPlan)``: the fine columns each held rank owes
+        others (:func:`~repro.mesh.amr.exchange.reflux_plan`) and the
+        compiled correction of the held coarse leaves."""
         if self._reflux_plan is None:
-            self._reflux_plan = reflux_plan(self.forest, self.assignment)
+            sends = reflux_plan(self.forest, self.assignment)
+            remote = [
+                entry for (_src, dst), entries in sends.items()
+                if dst in self.local_ranks for entry in entries
+            ]
+            self._reflux_plan = sends, compile_reflux(
+                self.forest, [st.idents for st in self._stacks], self.system.nvars, remote
+            )
         return self._reflux_plan
 
     def _flags_here(self, key: BlockKey) -> bool:
@@ -416,36 +446,27 @@ class AMRSolver(Driver):
         regrid snapshot's own (reads go through ``_prims()``)."""
         return recover_stacks(self._stacks_now(), self._cons.stacks)
 
-    def _fill_ghosts(self, prims: dict[BlockKey, np.ndarray]) -> None:
-        """Fill the ghosts of the evolved leaves in *prims*: every rank
-        posts the interiors other ranks' fills depend on, then builds its
-        partial composites from its own leaves plus what it received."""
-        plan = self._get_halo_plan()
-        comm, nvars = self.comm, self.system.nvars
+    def _fill_ghosts(self, prims: PatchViews) -> None:
+        """Fill the ghosts of the evolved leaves, *prims* of the current
+        stacks: every rank posts the interiors other ranks' fills depend
+        on, each received one lands in its import-buffer row, and the ghost
+        plan builds every held rank's partial composites from its own
+        leaves plus its imports."""
+        plan, n_imports, receipts = self._get_ghost_plan()
+        comm = self.comm
         marker = comm.traffic_marker()
         comm.begin_exchange_epoch()
-        for (src, dst), keys in plan.sends.items():
+        for (src, dst), keys in self._get_halo_plan().items():
             if src not in self.local_ranks:
                 continue
             for key in keys:
                 interior = self.forest.leaves[key].grid.interior_of(prims[key])
                 comm.send(src, dst, interior, tag=TAG_AMR_HALO)
-        for rank in self.local_ranks:
-            owned = plan.owned[rank]
-            fields = {k: prims[k] for k in owned}
-            for (src, dst), keys in plan.sends.items():
-                if dst != rank:
-                    continue
-                for key in keys:
-                    grid = self.forest.leaves[key].grid
-                    fields[key] = grid.allocate(nvars)
-                    grid.interior_of(fields[key])[...] = comm.recv(
-                        src, dst, tag=TAG_AMR_HALO
-                    )
-            if owned:
-                self.forest.fill_ghosts(
-                    fields, nvars, self.system, self.wall_bcs, only=owned
-                )
+        block = (self.system.nvars,) + (self.layout.block_size,) * self.layout.ndim
+        imports = [np.empty((n,) + block) for n in n_imports]
+        for src, dst, buf, row in receipts:
+            imports[buf][row] = comm.recv(src, dst, tag=TAG_AMR_HALO)
+        self.forest.fill_ghosts(plan, prims.stacks, imports, self.system, self.wall_bcs)
         self._count_halo_traffic(marker)
 
     def _count_halo_traffic(self, marker) -> None:
@@ -458,7 +479,7 @@ class AMRSolver(Driver):
                 self.comm.bytes_since(marker)
             )
 
-    def _ghosted_snapshot(self) -> dict[BlockKey, np.ndarray]:
+    def _ghosted_snapshot(self) -> PatchViews:
         """Recover every evolved leaf once and fill ghosts once; all regrid
         decisions and prolongations read this snapshot."""
         prims = self._recover_leaf_prims()
@@ -560,26 +581,23 @@ class AMRSolver(Driver):
             self.forest.merge(parent, cons)
             self._invalidate_plans()
 
-    def _flag_view(self, prim: np.ndarray, grid: Grid) -> np.ndarray:
-        """Interior plus one ghost ring: discontinuities sitting exactly on
-        a block face must still flag both neighbouring blocks."""
-        g = grid.n_ghost
-        sel = (slice(None),) + tuple(
-            slice(g - 1, g + n + 1) for n in grid.shape
-        )
-        return prim[sel]
+    def _scores(self, prims: PatchViews):
+        """``(key, refine, coarsen-ok)`` of every evolved leaf, in stack
+        order: one indicator per stack over its interiors plus one ghost
+        ring (a discontinuity sitting exactly on a block face must still
+        flag both neighbouring blocks), reduced per leaf."""
+        g, B = self.layout.n_ghost, self.layout.block_size
+        ring = (slice(None), slice(None)) + (slice(g - 1, g + B + 1),) * self.layout.ndim
+        for st, prim in zip(self._stacks, prims.stacks):
+            yield from zip(st.idents, *self.criterion.patch_flags(self.system, prim[ring]))
 
     def _initial_refine_pass(self) -> bool:
         """One sweep of refinement over the initial data; True if changed."""
         prims = self._ghosted_snapshot()
-        flagged = []
-        for key, leaf in self.forest.leaves.items():
-            if key.level + 1 >= self.amr.max_levels:
-                continue
-            if self.criterion.needs_refinement(
-                self.system, self._flag_view(prims[key], leaf.grid)
-            ):
-                flagged.append(key)
+        flagged = [
+            key for key, refine, _ in self._scores(prims)
+            if refine and key.level + 1 < self.amr.max_levels
+        ]
         for key in flagged:
             self._split_leaf(key, from_initial_data=True)
         return bool(flagged)
@@ -631,20 +649,16 @@ class AMRSolver(Driver):
         scores the leaves it owns; :meth:`_combine_flags` merges the
         per-rank scores."""
         order = list(self.forest.leaves)
+        position = {key: i for i, key in enumerate(order)}
         flags = {
             rank: np.zeros(len(order), dtype=np.int64) for rank in self.local_ranks
         }
-        for i, key in enumerate(order):
-            if not self._flags_here(key):
-                continue
-            leaf = self.forest.leaves[key]
-            view = self._flag_view(prims[key], leaf.grid)
-            mine = flags[self.assignment[key]]
-            if self.criterion.needs_refinement(self.system, view):
+        for key, refine, coarsen in self._scores(prims):
+            if refine:
                 if key.level + 1 < self.amr.max_levels:
-                    mine[i] = 1
-            elif self.criterion.allows_coarsening(self.system, view):
-                mine[i] = 2
+                    flags[self.assignment[key]][position[key]] = 1
+            elif coarsen:
+                flags[self.assignment[key]][position[key]] = 2
         combined = self._combine_flags(flags)
         refine = [key for key, f in zip(order, combined) if f == 1]
         coarsen = [key for key, f in zip(order, combined) if f == 2]
@@ -758,38 +772,39 @@ class AMRSolver(Driver):
             for st, prim in zip(stacks, prims.stacks)
         ])
         if self.amr.reflux:
-            self._apply_reflux({
-                key: st.pipeline.face_fluxes(i) for st in stacks for i, key in enumerate(st.idents)
-            }, dU)
+            self._apply_reflux(dU)
         for st, prim, div in zip(stacks, prims.stacks, dU.stacks):
             st.pipeline.apply_source(prim, div)
         return dU
 
-    def _apply_reflux(self, fluxes, dU) -> None:
-        """Correct the evolved coarse leaves' ``dU`` at coarse-fine faces;
-        fine face-flux columns owned by other ranks arrive as messages."""
+    def _apply_reflux(self, dU: PatchViews) -> None:
+        """Correct the evolved coarse leaves' ``dU`` (of the current
+        stacks) at coarse-fine faces by the compiled reflux plan; fine
+        face-flux columns owned by other ranks arrive as messages, each
+        into its row of the plan's per-axis buffer."""
         # Looked up per call: bench/trace.py patches the module attribute.
         from ..mesh.amr.reflux import apply_reflux
 
-        plan = self._get_reflux_plan()
+        sends, plan = self._get_reflux_plan()
         B = self.layout.block_size
         marker = self.comm.traffic_marker()
-        for (src, dst), entries in plan.items():
+        for (src, dst), entries in sends.items():
             if src in self.local_ranks:
                 for child, axis in entries:
-                    self.comm.send(
-                        src, dst, face_flux_column(fluxes[child], child, axis, B),
-                        tag=TAG_AMR_FLUX,
+                    # The child's face on its parent's boundary.
+                    pipeline, i = self.leaf_pipeline(child)
+                    face = pipeline.last_face_fluxes[axis][:, i, ..., B * child.child_offset()[axis]]
+                    self.comm.send(src, dst, np.ascontiguousarray(face), tag=TAG_AMR_FLUX)
+        column = (self.system.nvars,) + (B,) * (self.layout.ndim - 1)
+        remote = {axis: np.empty((len(rows),) + column) for axis, rows in plan.remote.items()}
+        for (src, dst), entries in sends.items():
+            if dst in self.local_ranks:
+                for child, axis in entries:
+                    remote[axis][plan.remote[axis][child]] = self.comm.recv(
+                        src, dst, tag=TAG_AMR_FLUX
                     )
-        remote_faces = {
-            (child, axis): self.comm.recv(src, dst, tag=TAG_AMR_FLUX)
-            for (src, dst), entries in plan.items()
-            if dst in self.local_ranks
-            for child, axis in entries
-        }
         apply_reflux(
-            self.forest, fluxes, dU,
-            remote_faces=remote_faces, only=self._step_keys(),
+            plan, [st.pipeline.last_face_fluxes for st in self._stacks], dU.stacks, remote
         )
         messages = self.comm.messages_since(marker)
         if messages:
@@ -863,11 +878,13 @@ class AMRSolver(Driver):
         (finest active level by default)."""
         prims = self._prims()
         target = self.forest.finest_level() if level is None else level
-        composites = self.forest.composite_levels(
-            prims, self.system.nvars, self.system, self.wall_bcs, up_to_level=target
+        plan = self.forest.ghost_plan(
+            [[(k, 0) for k in st.idents] for st in self._stacks], [], 1,
+            self.system.nvars, top=target,
         )
-        grid, arr = composites[target]
-        return grid, grid.interior_of(arr)
+        composites = self.forest.composites(plan, prims.stacks, [], self.system, self.wall_bcs)
+        grid = plan.grids[target]
+        return grid, grid.interior_of(composites[target][0])
 
     def leaf_count_by_level(self) -> dict[int, int]:
         return dict(Counter(key.level for key in self.forest.leaves))

@@ -12,11 +12,10 @@ from .partition import (
     partition_sfc,
     sfc_order,
 )
-from .reflux import apply_reflux, fine_face_flux
+from .reflux import apply_reflux, compile_reflux
 from .transfer import (
     conservation_check,
     prolong_array,
-    prolong_to_children,
     restrict_array,
 )
 
@@ -28,11 +27,10 @@ __all__ = [
     "GradientCriterion",
     "scaled_gradient",
     "prolong_array",
-    "prolong_to_children",
     "restrict_array",
     "conservation_check",
     "apply_reflux",
-    "fine_face_flux",
+    "compile_reflux",
     "morton_key",
     "sfc_order",
     "Partition",

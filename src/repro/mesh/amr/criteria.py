@@ -50,14 +50,26 @@ class GradientCriterion:
             )
 
     def indicator(self, system: SRHDSystem, prim_interior: np.ndarray) -> np.ndarray:
-        """Max scaled gradient over {rho, p} and all axes, per cell."""
-        ind = np.zeros_like(prim_interior[0])
+        """Max scaled gradient over {rho, p} and all grid axes, per cell, of
+        ``(nvars, *cells)`` — or of a stack ``(P, nvars, *cells)``, every
+        patch getting the bits of its own call."""
+        lead = prim_interior.ndim - 1 - system.ndim
+        at = (slice(None),) * lead
+        ind = np.zeros_like(prim_interior[at + (0,)])
         for var in (system.RHO, system.P):
-            for axis in range(prim_interior.ndim - 1):
-                np.maximum(
-                    ind, scaled_gradient(prim_interior[var], axis), out=ind
-                )
+            field = prim_interior[at + (var,)]
+            for axis in range(lead, field.ndim):
+                np.maximum(ind, scaled_gradient(field, axis), out=ind)
         return ind
+
+    def patch_flags(self, system: SRHDSystem, prims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(needs refinement, allows coarsening)`` per patch of the stack
+        *prims* ``(P, nvars, *cells)``, from one indicator pass."""
+        ind = self.indicator(system, prims).reshape(len(prims), -1)
+        return (
+            (ind > self.refine_threshold).any(axis=1),
+            (ind < self.coarsen_threshold).all(axis=1),
+        )
 
     def needs_refinement(self, system: SRHDSystem, prim_interior: np.ndarray) -> bool:
         return bool(

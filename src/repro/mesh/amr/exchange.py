@@ -7,7 +7,10 @@ consumes **only the interiors** of the input arrays — so a rank can rebuild
 the exact ghost bytes of its own leaves from a *partial* composite, as long
 as it holds the interiors of every leaf whose data can reach its blocks'
 ghost windows.  This module computes that dependency set and turns it into
-deterministic send/recv plans.
+deterministic send/recv plans; each imported interior travels as its own
+message and lands in a row of an import buffer, one per level, that the
+compiled :class:`~repro.mesh.amr.forest.GhostPlan` deposits from like a
+stack (:func:`import_rows`).
 
 The dependency computation is conservative (a superset is always safe — the
 partial composite then matches the full composite on a larger region), and
@@ -23,8 +26,6 @@ or corrupt messages.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,39 +142,40 @@ def ghost_dependencies(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HaloPlan:
-    """Who sends which leaf interiors to whom for one ghost fill.
-
-    All fields are identical on every rank (pure functions of the
-    replicated topology + assignment), so sends and recvs pair up without
-    negotiation.
-    """
-
-    #: rank -> leaves it owns, in forest order
-    owned: dict[int, list[BlockKey]] = field(default_factory=dict)
-    #: rank -> leaves whose interiors it must import, in forest order
-    deps: dict[int, list[BlockKey]] = field(default_factory=dict)
-    #: (src, dst) -> leaves src sends to dst, in forest order
-    sends: dict[tuple[int, int], list[BlockKey]] = field(default_factory=dict)
-
-
 def halo_plan(
     forest: AMRForest,
     assignment: dict[BlockKey, int],
     n_ranks: int,
     periodic: tuple[bool, ...],
-) -> HaloPlan:
-    plan = HaloPlan()
+) -> dict[tuple[int, int], list[BlockKey]]:
+    """(src, dst) -> leaves whose interiors src sends dst for one ghost
+    fill, in forest order: dst's :func:`ghost_dependencies`.  A pure
+    function of the replicated topology and assignment, identical on every
+    rank, so sends and recvs pair up without negotiation."""
+    sends: dict[tuple[int, int], list[BlockKey]] = {}
     for rank in range(n_ranks):
-        plan.owned[rank] = [k for k in forest.leaves if assignment[k] == rank]
-    for rank in range(n_ranks):
-        deps = ghost_dependencies(forest, plan.owned[rank], periodic)
-        plan.deps[rank] = deps
-        for key in deps:
-            src = assignment[key]
-            plan.sends.setdefault((src, rank), []).append(key)
-    return plan
+        owned = [k for k in forest.leaves if assignment[k] == rank]
+        for key in ghost_dependencies(forest, owned, periodic):
+            sends.setdefault((assignment[key], rank), []).append(key)
+    return sends
+
+
+def import_rows(sends: dict, slots: dict[int, int]):
+    """The import buffers of the held ranks (*slots*: rank -> composite
+    slot) for the :func:`halo_plan` *sends*: per level, in ascending order,
+    the ``(key, slot)`` rows, and every ``(src, dst, buffer, row)`` receipt
+    in send order."""
+    rows: dict[int, list] = {}
+    receipts = []
+    for (src, dst), keys in sends.items():
+        if dst in slots:
+            for key in keys:
+                level = rows.setdefault(key.level, [])
+                receipts.append((src, dst, key.level, len(level)))
+                level.append((key, slots[dst]))
+    levels = sorted(rows)
+    receipts = [(src, dst, levels.index(lvl), row) for src, dst, lvl, row in receipts]
+    return [rows[lvl] for lvl in levels], receipts
 
 
 def reflux_plan(
@@ -194,28 +196,19 @@ def reflux_plan(
         dst = assignment[key]
         for axis in range(ndim):
             for side in (0, 1):
-                nbr = key.neighbor(axis, side)
-                if not forest.layout.in_domain(nbr) or nbr not in forest.refined:
+                nbr = forest.neighbor(key, axis, side)
+                if nbr is None or nbr not in forest.refined:
                     continue
                 touching = 1 - side
                 for child in nbr.children():
                     if child.child_offset()[axis] != touching:
                         continue
                     if child not in forest.leaves:
-                        continue  # 2:1 violation; apply_reflux will raise
+                        continue  # 2:1 violation; compile_reflux will raise
                     src = assignment[child]
                     if src != dst:
                         plan.setdefault((src, dst), []).append((child, axis))
     return plan
-
-
-def face_flux_column(
-    fluxes: dict[int, np.ndarray], child: BlockKey, axis: int, block_size: int
-) -> np.ndarray:
-    """The face-flux column of *child* on the face it shares with its
-    parent's coarse neighbour along *axis*."""
-    face_col = 0 if child.child_offset()[axis] == 0 else block_size
-    return np.ascontiguousarray(fluxes[axis][..., face_col])
 
 
 def merge_plan(

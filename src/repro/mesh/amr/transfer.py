@@ -6,8 +6,10 @@
   linear interpolation; each coarse cell's children average back to the
   parent value, so prolongation is conservative and non-oscillatory.
 
-Both operate on plain arrays with an optional leading variable axis and are
-dimension-generic (1-D/2-D/3-D) via per-axis passes.
+Both operate on plain arrays whose last ``ndim`` axes are the grid — any
+leading axes (variables, patches of a stack, composite slots) ride along
+untouched — and are dimension-generic (1-D/2-D/3-D) via per-axis passes,
+so one call over a stack gives every patch the bits of its own call.
 """
 
 from __future__ import annotations
@@ -15,17 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from ...utils.errors import MeshError
-from ..grid import Grid
 
 
 def restrict_array(fine: np.ndarray, ndim: int) -> np.ndarray:
     """Average 2^ndim fine cells into each coarse cell.
 
-    *fine* has shape ``([nvars,] n_0, ..., n_{ndim-1})`` with every grid
+    *fine* has shape ``(..., n_0, ..., n_{ndim-1})`` with every grid
     extent even.
     """
     extra = fine.ndim - ndim
-    if extra not in (0, 1):
+    if extra < 0:
         raise MeshError(f"array rank {fine.ndim} incompatible with ndim {ndim}")
     for ax in range(extra, fine.ndim):
         if fine.shape[ax] % 2 != 0:
@@ -54,7 +55,7 @@ def prolong_array(coarse: np.ndarray, ndim: int) -> np.ndarray:
     cell on each side.
     """
     extra = coarse.ndim - ndim
-    if extra not in (0, 1):
+    if extra < 0:
         raise MeshError(f"array rank {coarse.ndim} incompatible with ndim {ndim}")
     out = coarse
     for ax in range(extra, extra + ndim):
@@ -79,16 +80,6 @@ def prolong_array(coarse: np.ndarray, ndim: int) -> np.ndarray:
         shape[ax] *= 2
         out = stacked.reshape(shape)
     return out
-
-
-def prolong_to_children(coarse_interior: np.ndarray, ndim: int) -> np.ndarray:
-    """Prolong a full block interior (padded by 1 ghost ring on each side).
-
-    Convenience wrapper documenting the padding contract: the input must be
-    the block interior plus exactly one ghost layer per side; the output is
-    the refined interior (2x extent per axis).
-    """
-    return prolong_array(coarse_interior, ndim)
 
 
 def conservation_check(coarse: np.ndarray, fine: np.ndarray, ndim: int) -> float:

@@ -410,13 +410,62 @@ class TestLeafStacks:
             monkeypatch.setattr(HydroPipeline, name, counting)
         return made
 
+    @pytest.fixture
+    def plan_calls(self, monkeypatch):
+        """The array calls of the ghost and reflux plans — restrictions,
+        prolongations and flat scatters — tallied per ``_fill_ghosts`` /
+        ``_apply_reflux`` call by :meth:`_per_call`."""
+        from repro.mesh.amr import forest, reflux
+
+        made = {"restrict_array": 0, "prolong_array": 0, "scatter": 0}
+        for module in (forest, reflux):
+            for name in made:
+                real = getattr(module, name, None)
+                if real is None:
+                    continue
+
+                def counting(*args, _real=real, _name=name):
+                    made[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counting)
+        return made
+
+    @staticmethod
+    def _per_call(amr, made, method, log):
+        """Log each *method* call's plan calls with the bound it must keep,
+        read off the plan it ran."""
+        real = getattr(amr, method)
+
+        def counting(*args):
+            before = dict(made)
+            real(*args)
+            n_stacks = len(amr._stacks)
+            if method == "_fill_ghosts":
+                plan = amr._get_ghost_plan()[0]
+                levels, sources = len(plan.grids), len(plan.levels)
+                bound = {"restrict_array": levels * sources, "prolong_array": levels - 1,
+                         "scatter": levels * sources + n_stacks}
+                assert sources <= n_stacks + levels  # one import buffer per level
+            else:
+                groups = len(amr._get_reflux_plan()[1].groups)
+                bound = {"restrict_array": groups, "prolong_array": 0, "scatter": groups}
+                assert groups <= 2 * amr.layout.ndim * n_stacks  # per (axis, side, stack)
+            log.append(({k: made[k] - before[k] for k in made}, bound, len(amr.forest.leaves)))
+
+        setattr(amr, method, counting)
+
     @pytest.mark.parametrize("n_ranks", [1, 2])
-    def test_builds_and_calls_scale_with_the_stacks(self, system2d, calls, n_ranks):
+    def test_builds_and_calls_scale_with_the_stacks(self, system2d, calls, plan_calls, n_ranks):
         """Regrids every third step (and, at two ranks, migrations): a step
         that changes no topology builds no pipeline and sweeps once per
         stack per recovery (compute_dt + 3 RK stages) and per axis and
         stage; a regrid, with its migration, builds at most one pipeline
-        per stack of the forest it leaves."""
+        per stack of the forest it leaves.  A ghost fill makes at most one
+        restriction per level and source (stack or import buffer), one
+        prolongation per level and one scatter per level and source plus
+        one per stack; a reflux one restriction and one scatter per (axis,
+        side, stack) — whatever the leaf count."""
         amr = AMRSolver(
             system2d,
             Grid((32, 32), ((0, 1), (0, 1))),
@@ -430,6 +479,9 @@ class TestLeafStacks:
             n_ranks=n_ranks,
         )
         stages = amr.integrator.stages
+        fills, refluxes = [], []
+        self._per_call(amr, plan_calls, "_fill_ghosts", fills)
+        self._per_call(amr, plan_calls, "_apply_reflux", refluxes)
         topologies, rebuilt = set(), 0
         for name in calls:
             calls[name] = 0
@@ -450,6 +502,11 @@ class TestLeafStacks:
             elif step % 3 == 1:  # re-keyed after the regrid (or construction)
                 assert calls["builds"] <= n_stacks, step
                 rebuilt += calls["builds"]
+        assert fills and refluxes
+        for made, bound, n_leaves in fills + refluxes:
+            for name, n in made.items():
+                assert n <= bound[name] < n_leaves, (made, bound, n_leaves)
+        assert max(made["scatter"] for made, _, _ in refluxes) > 0
         assert amr.regrids == 4 and len(topologies) > 1 and rebuilt > 0
         assert (amr.repartitions > 0) == (n_ranks > 1)
 
