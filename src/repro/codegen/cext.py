@@ -457,7 +457,6 @@ def run_face_flux(
     fn,
     prim: np.ndarray,
     axis: int,
-    row_offsets: np.ndarray | None,
     j0: int,
     n_faces: int,
     out: np.ndarray | None,
@@ -470,7 +469,7 @@ def run_face_flux(
     recon_id: int,
     limiter_id: int,
     riemann_id: int,
-    n_ghost: int | None = None,
+    n_ghost: int,
     div: np.ndarray | None = None,
     dx: float = 1.0,
     n_patches: int = 1,
@@ -479,14 +478,14 @@ def run_face_flux(
 
     *prim* is the full ghosted primitive array (``(nvars, ...)``,
     C-contiguous) — or a stack of *n_patches* of them back to back,
-    ``(n_patches * nvars, ...)``.  *out* (or None) receives the fluxes as
-    ``(nvars, n_out, n_faces)`` and *div* (or None) their difference over
-    *dx* as ``(nvars, n_out, n_faces - 1)``.  Given *row_offsets*, those
-    rows are swept and each written in place; given None and *n_ghost*,
-    every ghosted row of every patch is swept (:func:`sweep_rows`) and the
-    interior ones written, in C order, patch after patch.  The returned
-    int64 pair is ``[velocity_rescaled, floored]`` — the exact totals the
-    interpreted sanitize stage counts, over every swept row.
+    ``(n_patches * nvars, ...)``.  The sweep visits the interior transverse
+    rows of every patch (:func:`sweep_rows`, C's ``j0`` counted from their
+    first interior cell), in C order, patch after patch;
+    *out* (or None) receives their fluxes as ``(nvars, n_rows, n_faces)``
+    and *div* (or None) their difference over *dx* as ``(nvars, n_rows,
+    n_faces - 1)``.  The returned int64 pair is ``[velocity_rescaled,
+    floored]`` — the exact totals the interpreted sanitize stage counts over
+    the same rows.
 
     The sweep covers faces ``j0 .. j0 + n_faces - 1`` (by left cell) along
     *axis*; C reads ``STENCIL_REACH[recon_id]`` cells beyond them and
@@ -503,17 +502,13 @@ def run_face_flux(
             f"[{j0}, {j0 + n_faces}) with stencil reach (-{left}, +{right}) "
             f"need cells [{j0 - left}, {j0 + n_faces + right}) of {extent}"
         )
-    nvars, out_row = prim.shape[0] // n_patches, None
-    if row_offsets is None:
-        row_offsets, out_row, interior = sweep_rows(
-            prim.shape[1:], n_ghost, axis, n_patches, prim.size // n_patches
-        )
-    n_out = row_offsets.size if out_row is None else interior.size
+    nvars = prim.shape[0] // n_patches
+    rows = sweep_rows(prim.shape[1:], n_ghost, axis, n_patches, prim.size // n_patches)
     for arr, width in ((out, n_faces), (div, n_faces - 1)):
-        if arr is not None and arr.size != nvars * n_out * width:
+        if arr is not None and arr.size != nvars * rows.size * width:
             raise CodegenError(
                 f"fused face_flux output holds {arr.size} values, the sweep "
-                f"writes {nvars} x {n_out} x {width}"
+                f"writes {nvars} x {rows.size} x {width}"
             )
     counts = np.zeros(2, dtype=np.int64)
     keep: list = []
@@ -521,12 +516,10 @@ def run_face_flux(
         _in_buf(ffi, prim, keep),
         int(prim.strides[0] // prim.itemsize),
         int(axis_stride),
-        ffi.from_buffer("long*", row_offsets),
-        int(row_offsets.size),
-        int(j0),
+        ffi.from_buffer("long*", rows),
+        int(rows.size),
+        int(j0 - n_ghost),
         int(n_faces),
-        ffi.NULL if out_row is None else ffi.from_buffer("long*", out_row),
-        int(n_out),
         ffi.NULL if out is None else _out_buf(ffi, out),
         ffi.NULL if div is None else _out_buf(ffi, div),
         float(dx),
@@ -545,43 +538,32 @@ def run_face_flux(
 @functools.lru_cache(maxsize=64)
 def sweep_rows(
     cell_shape: tuple, n_ghost: int, axis: int, n_patches: int = 1, patch_size: int = 0
-):
-    """Row tables of a sweep along *axis* of a C-contiguous ghosted cell
-    block, built once per layout and read-only: ``(row_offsets, out_row,
-    interior_offsets)``.  ``row_offsets``: flat offset of every ghosted
-    transverse row's first cell, in C order — the rows the interpreted slab
-    sweep covers; ``out_row[r]``: the interior rows among them numbered in C
-    order, -1 on a ghost row; ``interior_offsets``: each interior row's
-    first *interior* cell, what ``accumulate`` walks.  For a stack of
-    *n_patches* blocks *patch_size* elements apart, each table repeats per
-    patch shifted by its offset and ``out_row`` numbers the interior rows
-    across the patches, patch after patch.  C walks the tables unchecked,
-    so a block with no interior is refused here."""
+) -> np.ndarray:
+    """Flat offset of the first interior cell along *axis* of every
+    interior transverse row of a C-contiguous ghosted cell block, in C
+    order: the rows every row kernel walks (transverse ghost rows are never
+    swept).  For a stack of *n_patches* blocks *patch_size* elements apart,
+    the table repeats per patch shifted by its offset.  Built once per
+    layout and read-only.  C walks it unchecked, so a block with no
+    interior is refused here."""
     g = int(n_ghost)
     if g < 0 or min(cell_shape) - 2 * g < 1:
         raise CodegenError(
             f"no interior in a block of shape {cell_shape} with {g} ghost layers"
         )
     cells = np.arange(int(np.prod(cell_shape)), dtype=np.int64).reshape(cell_shape)
-    first = cells.take(0, axis=axis)
-    inner = np.zeros(first.shape, dtype=bool)
-    inner[tuple(slice(g, n - g) for n in first.shape)] = True
-    offsets, inner = np.ascontiguousarray(first).reshape(-1), inner.reshape(-1)
-    interior = offsets[inner] + g * (cells.strides[axis] // cells.itemsize)
+    first = np.asarray(cells[tuple(slice(g, n - g) for n in cell_shape)].take(0, axis=axis))
     shift = np.arange(n_patches, dtype=np.int64)[:, None] * int(patch_size)
-    offsets, interior = (shift + offsets).reshape(-1), (shift + interior).reshape(-1)
-    inner = np.tile(inner, n_patches)
-    out_row = np.where(inner, np.cumsum(inner) - 1, -1)
-    for table in (offsets, out_row, interior):
-        table.setflags(write=False)
-    return offsets, out_row, interior
+    rows = (shift + first.reshape(-1)).reshape(-1)
+    rows.setflags(write=False)
+    return rows
 
 
 def interior_rows(cell_shape: tuple, n_ghost: int) -> tuple[np.ndarray, tuple]:
     """``(row offsets, interior shape)`` of a C-contiguous ghosted cell
     block — the interior rows of a sweep along the last axis, whose length
     is that axis's interior extent: what ``recover``/``max_signal`` walk."""
-    rows = sweep_rows(cell_shape, n_ghost, len(cell_shape) - 1)[2]
+    rows = sweep_rows(cell_shape, n_ghost, len(cell_shape) - 1)
     return rows, tuple(n - 2 * int(n_ghost) for n in cell_shape)
 
 
@@ -658,15 +640,17 @@ def run_max_signal(
 
 
 def run_accumulate(
-    ffi, fn, dU, axis: int, n_ghost: int, lo: int, hi: int, div, n_patches: int = 1
+    ffi, fn, dU, axis: int, n_ghost: int, lo: int, hi: int, div, n_patches: int = 1,
+    first: bool = False,
 ) -> None:
-    """``dU -= div`` over interior cells ``[lo, hi)`` of *axis*, every
-    interior row of every patch of the stack *dU* (``(n_patches * nvars,
-    *cells)``; :meth:`KernelGenerator.generate_c_accumulate`); *div* is
-    ``(nvars, n_patches, *transverse_interior, hi - lo)``.  C walks both
-    unchecked: a region leaving the interior or a *div* of another size is
-    refused here."""
-    rows = sweep_rows(dU.shape[1:], n_ghost, axis, n_patches, dU.size // n_patches)[2]
+    """``dU -= div`` (*first*: ``dU = 0.0 - div``) over interior cells
+    ``[lo, hi)`` of *axis*, every interior row of every patch of the stack
+    *dU* (``(n_patches * nvars, *cells)``;
+    :meth:`KernelGenerator.generate_c_accumulate`); *div* is ``(nvars,
+    n_patches, *transverse_interior, hi - lo)``.  C walks both unchecked: a
+    region leaving the interior or a *div* of another size is refused
+    here."""
+    rows = sweep_rows(dU.shape[1:], n_ghost, axis, n_patches, dU.size // n_patches)
     n_axis = dU.shape[axis + 1] - 2 * n_ghost
     nvars = dU.shape[0] // n_patches
     if not 0 <= lo < hi <= n_axis or div.size != nvars * rows.size * (hi - lo):
@@ -677,7 +661,7 @@ def run_accumulate(
     fn(
         _state_buf(ffi, dU, writable=True), dU[0].size,
         dU.strides[axis + 1] // dU.itemsize, ffi.from_buffer("long*", rows),
-        rows.size, lo, hi - lo, _state_buf(ffi, div),
+        rows.size, lo, hi - lo, _state_buf(ffi, div), bool(first),
     )
 
 

@@ -1136,20 +1136,19 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
         """The fused per-axis sweep: reconstruct -> sanitize -> Riemann ->
         difference.
 
-        Walks cache-resident rows (``row_offsets`` enumerates the ghosted
-        transverse extent in C order, ``axis_stride`` steps along the
-        working axis) in tiles of :data:`STENCIL_TILE` faces: fill the
-        tile's left/right states, then run the tile stages over its lanes —
-        sanitize and ``face_side`` once per side, combine into the stack
+        Walks cache-resident rows (``row_offsets``, ``cext.sweep_rows``:
+        each interior transverse row's first interior cell in C order, ``j0``
+        counted from it; ``axis_stride`` steps along the working axis) in
+        tiles of :data:`STENCIL_TILE` faces: fill the tile's left/right
+        states, then run the tile stages over its lanes — sanitize and
+        ``face_side`` once per side, combine into the stack
         block ``Ft`` (slot 0 carries the previous tile's last face: a seam
         costs ``nvars`` doubles), then ``div = (Ft[i + 1] - Ft[i]) / dx`` —
         NumPy's subtract, then its divide — before the fluxes leave the
-        cache; no interface-sized temporary anywhere.  ``out_row[r]`` is
-        the row of ``F`` (nvars, n_out, n_faces) and ``div`` (nvars, n_out,
-        n_faces - 1) ghosted row *r* lands in (NULL: row *r*), -1 for a row
-        nobody reads — still *evaluated*: the interpreted stages count its
-        sanitize repairs.  Either output may be NULL.  One schedule serves
-        all five reconstruction ids.  On a team the rows split — never the
+        cache; no interface-sized temporary anywhere.  Row *r* lands in row
+        *r* of ``F`` (nvars, n_rows, n_faces) and ``div`` (nvars, n_rows,
+        n_faces - 1); either output may be NULL.  One schedule serves all
+        five reconstruction ids.  On a team the rows split — never the
         tiles of a row — each thread with its own ``q``/``sd``/``Ft`` blocks
         and counter pair, the pairs summed at the end.
         """
@@ -1157,8 +1156,8 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
         name = self.stencil_kernel_name(axis)
         rows = f"face_flux_rows_ax{axis}_{nd}d"
         args = (
-            "prim, var_stride, axis_stride, row_offsets, {lo}, {hi}, j0, n_faces, "
-            "out_row, n_out, F, div,\n                dx, gamma, vmax2, rho_atmo, "
+            "prim, var_stride, axis_stride, row_offsets, n_rows, {lo}, {hi}, j0, "
+            "n_faces, F, div,\n                dx, gamma, vmax2, rho_atmo, "
             "p_atmo, recon_id, limiter_id, riemann_id, {counts}"
         )
         team = _team_branch(
@@ -1173,11 +1172,11 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
             counts[1] += c[1];""",
         )
         return f"""\
-/* ghosted rows [r_lo, r_hi) */
+/* rows [r_lo, r_hi) of n_rows */
 REPRO_CLONES
 OUTLINE void {rows}(const double* prim, long var_stride,
-    long axis_stride, const long* row_offsets, long r_lo, long r_hi, long j0,
-    long n_faces, const long* out_row, long n_out, double* F, double* div,
+    long axis_stride, const long* row_offsets, long n_rows, long r_lo, long r_hi,
+    long j0, long n_faces, double* F, double* div,
     double dx, double gamma, double vmax2, double rho_atmo, double p_atmo,
     int recon_id, int limiter_id, int riemann_id, long* counts)
 {{
@@ -1186,7 +1185,6 @@ OUTLINE void {rows}(const double* prim, long var_stride,
     double Ft[{nv}][{T} + 1];
     for (long r = r_lo; r < r_hi; ++r) {{
         const double* row = prim + row_offsets[r] + j0 * axis_stride;
-        const long o = out_row ? out_row[r] : r;
         for (long k0 = 0; k0 < n_faces; k0 += {T}) {{
             const long m = (n_faces - k0 < {T}) ? n_faces - k0 : {T};
             fill_tile_{nd}d(row + k0 * axis_stride, var_stride, axis_stride, m,
@@ -1197,15 +1195,14 @@ OUTLINE void {rows}(const double* prim, long var_stride,
             }}
             combine_tile_ax{axis}_{nd}d(riemann_id, q[0], q[1], sd[0], sd[1], m,
                                       &Ft[0][1], {T} + 1);
-            if (o < 0) continue;
             for (int v = 0; v < {nv}; ++v) {{
                 const double* f = Ft[v];
                 if (F) {{
-                    double* restrict Fr = F + (v * n_out + o) * n_faces + k0;
+                    double* restrict Fr = F + (v * n_rows + r) * n_faces + k0;
                     for (long i = 0; i < m; ++i) Fr[i] = f[i + 1];
                 }}
                 if (div) {{
-                    double* restrict d = div + (v * n_out + o) * (n_faces - 1) + k0;
+                    double* restrict d = div + (v * n_rows + r) * (n_faces - 1) + k0;
                     for (long i = (k0 == 0); i < m; ++i) /* lanes */
                         d[i - 1] = (f[i + 1] - f[i]) / dx;
                 }}
@@ -1217,7 +1214,7 @@ OUTLINE void {rows}(const double* prim, long var_stride,
 
 void {name}(const double* prim, long var_stride,
     long axis_stride, const long* row_offsets, long n_rows, long j0,
-    long n_faces, const long* out_row, long n_out, double* F, double* div,
+    long n_faces, double* F, double* div,
     double dx, double gamma, double vmax2, double rho_atmo, double p_atmo,
     int recon_id, int limiter_id, int riemann_id, long* counts)
 {{
@@ -1228,17 +1225,18 @@ void {name}(const double* prim, long var_stride,
     # -- the update stage (C target only) ------------------------------------
 
     def generate_c_accumulate(self) -> str:
-        """``dU[cell] = dU[cell] - div`` over interior cells ``[k0, k0 +
-        width)`` of one axis — ``HydroPipeline.accumulate_divergence``'s
-        ``target -= div``.  ``rows[r]`` is the offset of interior row *r*'s
-        first interior cell (``cext.sweep_rows``); ``div`` is (nvars, n_rows,
-        width).  A row is one lane loop on the contiguous axis; across a
-        strided one 16 rows advance together, so each line of ``dU`` and of
-        ``div`` is touched once while resident.  On a team the rows split."""
+        """``dU[cell] = dU[cell] - div`` — with *first* (the first axis)
+        ``0.0 - div``, so ``dU`` needs no zeroing — over interior cells
+        ``[k0, k0 + width)`` of one axis: ``HydroPipeline.accumulate_divergence``.
+        ``rows[r]`` is the offset of interior row *r*'s first interior cell
+        (``cext.sweep_rows``); ``div`` is (nvars, n_rows, width).  A row is
+        one lane loop on the contiguous axis; across a strided one 16 rows
+        advance together, so each line of ``dU`` and of ``div`` is touched
+        once while resident.  On a team the rows split."""
         nd = self.ndim
         call = (
             "accumulate_rows_{nd}d(dU, var_stride, axis_stride, rows, n_rows, {lo}, "
-            "{hi}, k0, width, div);"
+            "{hi}, k0, width, div, first);"
         )
         team = _team_branch(
             "n_rows * width",
@@ -1252,7 +1250,7 @@ void {name}(const double* prim, long var_stride,
 REPRO_CLONES
 OUTLINE void accumulate_rows_{nd}d(double* dU, long var_stride,
     long axis_stride, const long* rows, long n_rows, long r_lo, long r_hi,
-    long k0, long width, const double* div)
+    long k0, long width, const double* div, int first)
 {{
     for (int v = 0; v < {self.nvars}; ++v) {{
         double* const u = dU + v * var_stride + k0 * axis_stride;
@@ -1261,23 +1259,29 @@ OUTLINE void accumulate_rows_{nd}d(double* dU, long var_stride,
             for (long r = r_lo; r < r_hi; ++r) {{
                 double* restrict t = u + rows[r];
                 const double* restrict s = d + r * width;
-                for (long k = 0; k < width; ++k) /* lanes */
-                    t[k] = t[k] - s[k];
+                if (first)
+                    for (long k = 0; k < width; ++k) /* lanes */
+                        t[k] = 0.0 - s[k];
+                else
+                    for (long k = 0; k < width; ++k) /* lanes */
+                        t[k] = t[k] - s[k];
             }}
             continue;
         }}
         for (long r0 = r_lo; r0 < r_hi; r0 += 16) {{
             const long r1 = (r_hi - r0 < 16) ? r_hi : r0 + 16;
             for (long k = 0; k < width; ++k)
-                for (long r = r0; r < r1; ++r)
-                    u[rows[r] + k * axis_stride] -= d[r * width + k];
+                for (long r = r0; r < r1; ++r) {{
+                    double* t = u + rows[r] + k * axis_stride;
+                    *t = (first ? 0.0 : *t) - d[r * width + k];
+                }}
         }}
     }}
 }}
 
 void {ACCUMULATE_KERNEL % nd}(double* dU, long var_stride,
     long axis_stride, const long* rows, long n_rows, long k0, long width,
-    const double* div)
+    const double* div, int first)
 {{
 {team}    {call.format(nd=nd, lo="0", hi="n_rows")}
 }}

@@ -176,13 +176,12 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
             n_patches,
         )
 
-    def face_flux(
-        self, prim, axis, row_offsets, j0, n_faces, out, *, ids, **params
-    ) -> np.ndarray:
+    def face_flux(self, prim, axis, j0, n_faces, out, *, ids, **params) -> np.ndarray:
         """One fused reconstruction+Riemann(+difference) sweep along *axis*
-        of one patch or a stack (:func:`~repro.codegen.cext.run_face_flux`,
-        ``n_patches`` among *params*): fluxes into *out*,
-        their difference over ``dx`` into ``div``, either may be None.
+        of the interior rows of one patch or a stack
+        (:func:`~repro.codegen.cext.run_face_flux`, ``n_ghost`` and
+        ``n_patches`` among *params*): fluxes into *out*, their difference
+        over ``dx`` into ``div``, either may be None.
         Returns the int64 sanitize counters ``[velocity_rescaled,
         floored]``.  *ids* comes from :func:`stencil_scheme_ids`.
         """
@@ -190,19 +189,19 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
 
         recon_id, limiter_id, riemann_id = ids
         return run_face_flux(
-            self._ffi, self._c_face_flux[axis], prim, axis, row_offsets, j0,
-            n_faces, out, gamma=self.gamma, recon_id=recon_id,
-            limiter_id=limiter_id, riemann_id=riemann_id, **params,
+            self._ffi, self._c_face_flux[axis], prim, axis, j0, n_faces, out,
+            gamma=self.gamma, recon_id=recon_id, limiter_id=limiter_id,
+            riemann_id=riemann_id, **params,
         )
 
-    def accumulate(self, dU, axis, n_ghost, lo, hi, div, n_patches=1) -> None:
-        """``dU -= div`` over interior cells ``[lo, hi)`` of *axis*, every
-        patch of a stack, in one compiled pass
+    def accumulate(self, dU, axis, n_ghost, lo, hi, div, n_patches=1, first=False) -> None:
+        """``dU -= div`` (*first*: ``dU = 0.0 - div``) over interior cells
+        ``[lo, hi)`` of *axis*, every patch of a stack, in one compiled pass
         (:func:`~repro.codegen.cext.run_accumulate`)."""
         from .cext import run_accumulate
 
         run_accumulate(
-            self._ffi, self._c_accumulate, dU, axis, n_ghost, lo, hi, div, n_patches
+            self._ffi, self._c_accumulate, dU, axis, n_ghost, lo, hi, div, n_patches, first
         )
 
     def rk_stage(self, stage, U, V, dt, k, out) -> None:

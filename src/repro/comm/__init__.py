@@ -21,7 +21,7 @@ from .halo import (
     complete_halos,
     exchange_halos,
     face_slices,
-    halo_bytes_per_step,
+    halo_bytes_per_exchange,
     post_halos,
     rhs_regions,
     split_axis_regions,
@@ -44,5 +44,5 @@ __all__ = [
     "face_slices",
     "split_axis_regions",
     "rhs_regions",
-    "halo_bytes_per_step",
+    "halo_bytes_per_exchange",
 ]

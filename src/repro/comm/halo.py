@@ -440,7 +440,7 @@ def _recv_reliable(h: HaloHandle, face: Face) -> np.ndarray:
             metrics.counter("resilience.halo_retries").inc()
             metrics.histogram("resilience.halo_retry_backoff_s").observe(delay)
             # Retransmissions (strip + 8-byte checksum) are extra wire
-            # traffic on top of the analytic halo_bytes_per_step model;
+            # traffic on top of the analytic halo_bytes_per_exchange model;
             # keeping them on their own counter lets the byte-accounting
             # tests reconcile the two exactly.
             arr = h.states[rank]
@@ -613,7 +613,7 @@ def exchange_halos(
         ``resilience.halo_retry_backoff_s``), and leftover duplicates are
         purged after the exchange (``resilience.halo_stale_discarded``).
         Checksum traffic is counted in the byte log, so resilient exchanges
-        deliberately exceed the bare-wire ``halo_bytes_per_step`` model.
+        deliberately exceed the bare-wire ``halo_bytes_per_exchange`` model.
 
     Faces with no neighbour (non-periodic wall) are left untouched —
     physical boundary conditions fill them afterwards.
@@ -641,10 +641,10 @@ def post_halos(
     blocking sweep, every strip is packed from the pre-exchange state.
     Ghost *corners* therefore receive the sender's stale transverse ghosts
     instead of corner-propagated values.  That is safe for the RHS because
-    per-axis reconstruction gives the update a plus-shaped stencil — corner
-    ghosts are only ever read into transverse ghost-row face values that the
-    divergence discards — which is exactly what makes the overlapped solver
-    bit-identical to the blocking one (tested).  Callers that *do* need
+    per-axis reconstruction gives the update a plus-shaped stencil and the
+    sweeps visit interior transverse rows only — no corner ghost is ever
+    read — which is exactly what makes the overlapped solver bit-identical
+    to the blocking one (tested).  Callers that *do* need
     corner-consistent ghosts (e.g. diagnostics) must use
     :func:`exchange_halos`.
 
@@ -664,7 +664,7 @@ def complete_halos(handle: HaloHandle) -> None:
     Nothing is posted here: retransmissions went out with their originals
     in :func:`post_halos`, from the pre-exchange state like every strip,
     and keep their own byte accounting (``resilience.halo_retransmit_bytes``)
-    so the ``halo_bytes_per_step`` model still reconciles exactly with
+    so the ``halo_bytes_per_exchange`` model still reconciles exactly with
     measured ``comm.halo_bytes``.
     """
     if handle.completed:
@@ -674,7 +674,7 @@ def complete_halos(handle: HaloHandle) -> None:
     _finish(handle)
 
 
-def halo_bytes_per_step(
+def halo_bytes_per_exchange(
     decomp: CartesianDecomposition, nvars: int, itemsize: int = 8
 ) -> dict[int, int]:
     """Bytes each rank sends in one full halo exchange (all axes, all faces).

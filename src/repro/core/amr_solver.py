@@ -36,8 +36,8 @@ leaves are filled from partial composites built from its own leaves plus
 their ghost dependencies (:mod:`repro.mesh.amr.exchange`), bitwise equal
 to the global fill because the composites consume only block interiors.
 
-Every regrid decision is made from one *ghosted snapshot* (all leaves
-recovered once, ghosts filled once) and applied in the forest's leaf
+Every regrid decision is made from one *ghosted snapshot* (the primitive
+cache ``_prims()``, ghosts filled once) and applied in the forest's leaf
 iteration order, so the sequence of topology changes is a deterministic
 function of the snapshot: each rank flags only the leaves it owns, the
 flags are combined, and every rank replays the identical split/merge
@@ -413,8 +413,8 @@ class AMRSolver(Driver):
         return self._owned
 
     def _owns_metrics(self) -> bool:
-        """Once-per-fleet observations (rebalance counters, the imbalance
-        gauge) belong to whichever stepper holds rank 0."""
+        """Once-per-fleet observations (``solver.dt``, rebalance counters,
+        the imbalance gauge) belong to whichever stepper holds rank 0."""
         return self.local_ranks[0] == 0
 
     @property
@@ -440,11 +440,6 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
     # Ghosted snapshots
     # ------------------------------------------------------------------
-
-    def _recover_leaf_prims(self) -> PatchViews:
-        """Fresh primitives of every evolved leaf, one sweep per stack: the
-        regrid snapshot's own (reads go through ``_prims()``)."""
-        return recover_stacks(self._stacks_now(), self._cons.stacks)
 
     def _fill_ghosts(self, prims: PatchViews) -> None:
         """Fill the ghosts of the evolved leaves, *prims* of the current
@@ -480,9 +475,12 @@ class AMRSolver(Driver):
             )
 
     def _ghosted_snapshot(self) -> PatchViews:
-        """Recover every evolved leaf once and fill ghosts once; all regrid
-        decisions and prolongations read this snapshot."""
-        prims = self._recover_leaf_prims()
+        """``_prims()`` of the current stacks — re-keyed first, so a cache
+        from before a split is never read — with its ghosts filled; all
+        regrid decisions and prolongations read this snapshot, and a regrid
+        that changes no leaf leaves it to the next ``compute_dt``."""
+        self._stacks_now()
+        prims = self._prims()
         self._fill_ghosts(prims)
         return prims
 
@@ -761,11 +759,15 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
 
     def _rhs(self, states: list) -> PatchViews:
-        """RHS of every stack state, ``{leaf: view}``.  Each stack pipeline
-        owns its workspace, so per-stack reuse is safe; refluxing is too,
+        """RHS of every stack state, ``{leaf: view}``.  RK stage 1 steps
+        from ``_prims()``'s cache when it is their recovery (the ghost fill
+        writes its ghosts only); otherwise each stack pipeline recovers into
+        its own workspace, so per-stack reuse is safe.  Refluxing is too,
         since ``last_face_fluxes`` holds arrays of its own."""
         stacks = self._stacks
-        prims = recover_stacks(stacks, states, reuse=True)
+        prims = self._committed_prims(states)
+        if prims is None:
+            prims = recover_stacks(stacks, states, reuse=True)
         self._fill_ghosts(prims)
         dU = PatchViews.of(stacks, [
             st.pipeline.flux_divergence(prim, reuse=True)
@@ -837,10 +839,11 @@ class AMRSolver(Driver):
                 yield f"{owner}block {key}, ", st.pipeline, leaf.grid.interior_of(leaf.cons)
 
     def _after_step(self, dt: float) -> None:
-        """Count the step's leaf-cell RK-stage updates and run a due
-        regrid — after the finite guard, so a regrid never prolongs or
-        restricts NaNs.  No ``solver.dt`` observation: the golden AMR
-        stream has none (golden-regeneration debt)."""
+        """Observe ``solver.dt`` (once per fleet), count the step's
+        leaf-cell RK-stage updates and run a due regrid — after the finite
+        guard, so a regrid never prolongs or restricts NaNs."""
+        if self._owns_metrics():
+            super()._after_step(dt)
         self._step_cells = self.forest.n_leaf_cells() * self.integrator.stages
         self.cells_updated += self._step_cells
         if self.steps % self.amr.regrid_interval == 0:

@@ -36,7 +36,7 @@ from ..comm.halo import (
     complete_halos,
     exchange_halos,
     face_table,
-    halo_bytes_per_step,
+    halo_bytes_per_exchange,
     post_halos,
     rhs_regions,
 )
@@ -265,7 +265,7 @@ class DistributedSolver(Driver):
         #: analytic bytes sent by one full halo exchange (all ranks, all
         #: faces) — the model the measured traffic is checked against
         self.halo_bytes_per_exchange = sum(
-            halo_bytes_per_step(self.decomp, system.nvars).values()
+            halo_bytes_per_exchange(self.decomp, system.nvars).values()
         )
         # Snapshot after the constructor's initial exchange so the first
         # step's delta counts only that step's traffic.
@@ -313,7 +313,8 @@ class DistributedSolver(Driver):
 
     def _rhs(self, states: list) -> PatchViews:
         """RHS of every stack state, ``{rank: view}``, around one halo
-        exchange.
+        exchange — none at RK stage 1 when it steps from ``_prims()``'s
+        cache, which is exchanged already.
 
         Overlapped: post every strip (:func:`post_halos`), evaluate each
         stack's cores — the cells whose stencil never reads halo ghosts —
@@ -326,10 +327,13 @@ class DistributedSolver(Driver):
         accumulation order bitwise (with >= 3 axis terms the order is not
         commutative in IEEE arithmetic).
         """
-        # Each stack pipeline owns its workspace, so per-stack reuse is safe.
-        prims = recover_stacks(self._stacks, states, reuse=True)
+        prims = self._committed_prims(states)
+        exchanged = prims is not None
+        if not exchanged:
+            # Each stack pipeline owns its workspace, so per-stack reuse is safe.
+            prims = recover_stacks(self._stacks, states, reuse=True)
         handle = None
-        if self.overlap:
+        if self.overlap and not exchanged:
             handle = post_halos(
                 self.decomp, self.comm, prims,
                 policy=self.halo_policy, metrics=self.metrics,
@@ -341,10 +345,10 @@ class DistributedSolver(Driver):
             for st, prim in zip(self._stacks, prims.stacks)
         ]
         interior_s = time.perf_counter() - t0
-        if handle is None:
-            self._exchange(prims)
-        else:
+        if handle is not None:
             complete_halos(handle)
+        elif not exchanged:
+            self._exchange(prims)
         t1 = time.perf_counter()
         out = []
         for s, (st, prim) in enumerate(zip(self._stacks, prims.stacks)):
@@ -427,9 +431,10 @@ class DistributedSolver(Driver):
 
     def state(self) -> dict:
         """Per owned rank ``(ghosted cons, p_cache)`` plus the exchanged-
-        primitive cache, the traffic not yet in a step record (relative to
-        the communicator's log, so a state moves between communicators) and
-        the fault position of an attached injector."""
+        primitive cache and whether it is a recovery (RK stage 1's
+        primitives), the traffic not yet in a step record (relative to the
+        communicator's log, so a state moves between communicators) and the
+        fault position of an attached injector."""
         prims = self._prims_cache
         now = self.comm.traffic_marker()
         injector = self.fault_injector
@@ -437,6 +442,7 @@ class DistributedSolver(Driver):
             **super().state(),
             "prims_cache": None if prims is None
             else {rank: prims[rank] for rank in self.local_ranks},
+            "prims_recovered": self._prims_recovered,
             "unrecorded_traffic": tuple(a - b for a, b in zip(now, self._traffic_prev)),
             "faults": None if injector is None
             else (injector.state(), self.fault_oracle.state()),
@@ -453,6 +459,7 @@ class DistributedSolver(Driver):
                 np.stack([np.asarray(prims[rank], dtype=float) for rank in st.idents])
                 for st in self._stacks
             ])
+            self._prims_recovered = bool(state.get("prims_recovered", False))
         unrecorded = state.get("unrecorded_traffic", (0, 0, 0))
         self._traffic_prev = tuple(
             a - b for a, b in zip(self.comm.traffic_marker(), unrecorded)

@@ -1046,9 +1046,9 @@ class ProcessSolver(Driver):
     @staticmethod
     def _merge_states(states: dict) -> dict:
         """One state from the workers' ``{rank: state}``: their patches and
-        primitive caches united.  Per-worker extras (unrecorded traffic,
-        fault positions) stay behind: fault plans are not resumed across a
-        fold."""
+        primitive caches united (a recovery if every worker's is).
+        Per-worker extras (unrecorded traffic, fault positions) stay behind:
+        fault plans are not resumed across a fold."""
         prims = [st["prims_cache"] for st in states.values()]
         return {
             "t": states[0]["t"],
@@ -1058,6 +1058,7 @@ class ProcessSolver(Driver):
             },
             "prims_cache": None if None in prims
             else {r: p for cache in prims for r, p in cache.items()},
+            "prims_recovered": all(st["prims_recovered"] for st in states.values()),
         }
 
     @staticmethod
@@ -1069,6 +1070,7 @@ class ProcessSolver(Driver):
             "steps": state["steps"],
             "patches": {rank: state["patches"][rank]},
             "prims_cache": None if prims is None else {rank: prims[rank]},
+            "prims_recovered": state.get("prims_recovered", False),
         }
 
     def _serial_twin(self) -> DistributedSolver:

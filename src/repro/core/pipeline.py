@@ -7,6 +7,10 @@ runs it on stacks: ``(P, nvars, *ghosted)`` arrays of P same-shape patches
 are grouped by :func:`patch_stacks`, the one grouping rule).  It is the
 unit the heterogeneous runtime's performance model is calibrated against
 (each stage is one "kernel").
+
+A sweep visits the interior transverse rows only (no corner ghost is
+read), and nothing is zero-filled per call: the first axis's
+:meth:`HydroPipeline.accumulate_divergence` assigns ``dU``'s interior.
 """
 
 from __future__ import annotations
@@ -238,13 +242,14 @@ class HydroPipeline:
         recovery temporaries live in the pipeline workspace and are
         overwritten by the next reusing call; the default returns fresh
         arrays the caller may keep (e.g. the solver's primitive cache).
-        Values are bit-identical either way.
+        Values are bit-identical either way.  Ghost corners, which neither
+        the sweep nor a boundary fill writes and no sweep reads, are not
+        zero-filled: a fresh array's are zeros from allocation.
         """
         system = self.system
         self._expect_stack(cons, "recover_primitives")
         ws = self.workspace if reuse else None
-        prim = ws.prim if ws is not None else np.empty(self._state_shape)
-        prim.fill(0.0)  # ghost corners: neither the sweep nor a boundary fill writes them
+        prim = ws.prim if ws is not None else np.zeros(self._state_shape)
         if self._seed_spare is None:
             self._seed_spare = self._new_seeds()
         with self.timers("con2prim"):
@@ -492,12 +497,12 @@ class HydroPipeline:
         return q
 
     def begin_flux_divergence(self, reuse: bool = False) -> np.ndarray:
-        """Zeroed divergence accumulator for a (possibly region-split)
-        evaluation; ghost entries stay zero throughout."""
+        """Divergence accumulator for a (possibly region-split) evaluation:
+        zero from allocation, and nothing writes its ghost shell; the first
+        axis's :meth:`accumulate_divergence` assigns the interior, so a
+        reused one needs no zeroing."""
         if reuse and self.workspace is not None:
-            dU = self.workspace.dU
-            dU.fill(0.0)
-            return dU
+            return self.workspace.dU
         return np.zeros(self._state_shape)
 
     def flux_divergence_region(
@@ -505,14 +510,14 @@ class HydroPipeline:
     ) -> np.ndarray:
         """Flux divergence along *axis* for interior cells ``[lo, hi)``.
 
-        The slab handed to reconstruction keeps the full (ghosted)
-        transverse extent and spans ghosted coordinates ``[lo, hi + 2g)``
-        along *axis*, so every face value is produced by exactly the same
-        elementwise operations as the full sweep — a region's divergence is
-        bit-identical to the matching slice of the whole-axis result.  That
-        is the property the overlapped solver's interior/strip split rests
-        on: the core region (``lo >= g`` from any neighboured face) reads no
-        halo ghosts at all.
+        The slab handed to reconstruction is the interior transverse rows
+        (ghost rows are never swept, so no corner ghost is read) over
+        ghosted coordinates ``[lo, hi + 2g)`` along *axis*, so every face
+        value is produced by exactly the same elementwise operations as the
+        full sweep — a region's divergence is bit-identical to the matching
+        slice of the whole-axis result.  That is the property the overlapped
+        solver's interior/strip split rests on: the core region (``lo >= g``
+        from any neighboured face) reads no halo ghosts at all.
 
         Returns the divergence shaped ``(nvars, P, *transverse_interior,
         hi - lo)`` with the working axis moved last — patch *i*'s at
@@ -524,7 +529,6 @@ class HydroPipeline:
         grid = self.grid
         self._expect_stack(prim, "flux_divergence_region")
         ws = self.workspace if reuse else None
-        g = grid.n_ghost
         store = self.store_fluxes and (lo, hi) == (0, grid.shape[axis])
         shape = (self.system.nvars, len(self.patches)) + tuple(
             n for ax, n in enumerate(grid.shape) if ax != axis
@@ -537,17 +541,11 @@ class HydroPipeline:
             # + sanitize + riemann + difference, bit-identical to the
             # interpreted stages below.
             with self.timers("face_flux"):
-                self._fused_sweep(prim, axis, lo, hi, None, flux, div)
+                self._fused_sweep(prim, axis, lo, hi, flux, div)
         else:
-            # Slice transverse axes to the interior, difference along axis.
-            sel = [slice(None)]
-            for ax in range(grid.ndim):
-                if ax != axis:
-                    sel.append(slice(g, g + grid.shape[ax]))
             for i, patch_prim in enumerate(prim):
                 Fm = self._interpreted_face_flux(patch_prim, axis, lo, hi, ws)
                 with self.timers("update"):
-                    Fm = Fm[tuple(sel)]
                     if store:
                         flux[:, i] = Fm
                     d = div[:, i]
@@ -561,21 +559,19 @@ class HydroPipeline:
         self, prim: np.ndarray, axis: int, lo: int, hi: int, ws
     ) -> np.ndarray:
         """Face fluxes of one patch's *prim* ``(nvars, *ghosted)`` via the
-        interpreted reconstruct/sanitize/riemann stages; returns them with
-        the face index last (ghosted transverse extent kept)."""
+        interpreted reconstruct/sanitize/riemann stages, over its interior
+        transverse rows; returns them with the face index last."""
         grid, system = self.grid, self.system
         g = grid.n_ghost
-        slab_idx = [slice(None)] * (grid.ndim + 1)
-        slab_idx[axis + 1] = slice(lo, hi + 2 * g)
-        slab = prim[tuple(slab_idx)]
+        slab = prim[(slice(None),) + tuple(
+            slice(lo, hi + 2 * g) if ax == axis else slice(g, g + n)
+            for ax, n in enumerate(grid.shape)
+        )]
         face_shape = (
             ws.region_face_shape(axis, hi - lo)
             if ws is not None
             else (system.nvars,)
-            + tuple(
-                hi - lo + 1 if ax == axis else grid.shape_with_ghosts[ax]
-                for ax in range(grid.ndim)
-            )
+            + tuple(hi - lo + 1 if ax == axis else n for ax, n in enumerate(grid.shape))
         )
         with self.timers("reconstruct"):
             qL, qR = self.reconstruction.interface_states(
@@ -603,25 +599,23 @@ class HydroPipeline:
     ) -> np.ndarray:
         """Face fluxes of the compiled sweep over a stack of one, given as
         its patch *prim*, in the layout of :meth:`_interpreted_face_flux`
-        (faces last, ghosted transverse): what the parity suite compares.
+        (faces last, interior transverse): what the parity suite compares.
         The hot path never materialises them —
         :meth:`flux_divergence_region` differences in-tile."""
-        offs = self._face_row_offsets(prim, axis)
-        out = np.empty((self.system.nvars, offs.size, hi - lo + 1))
-        self._fused_sweep(prim, axis, lo, hi, offs, out, None)
-        transverse = tuple(n for ax, n in enumerate(prim.shape[1:]) if ax != axis)
-        return out.reshape((self.system.nvars,) + transverse + (hi - lo + 1,))
+        transverse = tuple(n for ax, n in enumerate(self.grid.shape) if ax != axis)
+        out = np.empty((self.system.nvars,) + transverse + (hi - lo + 1,))
+        self._fused_sweep(prim, axis, lo, hi, out, None)
+        return out
 
-    def _fused_sweep(self, prim, axis, lo, hi, rows, flux, div) -> None:
+    def _fused_sweep(self, prim, axis, lo, hi, flux, div) -> None:
         """One compiled sweep of faces ``lo .. hi`` along *axis* of every
-        patch: *rows* (ghosted-row offsets) written in place, or with None
-        every ghosted row swept — so the sanitize counter totals match the
-        interpreted path exactly — and the interior ones written."""
+        interior transverse row of every patch — the rows the interpreted
+        slab covers, so the sanitize counter totals match it exactly."""
         g = self.grid.n_ghost
         # C walks raw offsets: a strided prim is copied (same bytes).
         prim = np.ascontiguousarray(prim)
         counts = self.system.face_flux(
-            self._flat(prim), axis, rows, lo + g - 1, hi - lo + 1, flux,
+            self._flat(prim), axis, lo + g - 1, hi - lo + 1, flux,
             ids=self._fused_ids,
             vmax2=1.0 - 1.0 / self.config.w_max**2,
             rho_atmo=self.atmosphere.rho_atmo,
@@ -634,18 +628,14 @@ class HydroPipeline:
         if counts[1]:
             self.metrics.counter("sanitize.floored").inc(int(counts[1]))
 
-    def _face_row_offsets(self, prim: np.ndarray, axis: int) -> np.ndarray:
-        """Flattened element offsets of every ghosted transverse row, in C
-        order — the rows the interpreted slab sweep covers."""
-        from ..codegen.cext import sweep_rows
-
-        return sweep_rows(prim.shape[1:], self.grid.n_ghost, axis)[0]
-
     def accumulate_divergence(
         self, dU: np.ndarray, axis: int, lo: int, hi: int, div: np.ndarray
     ) -> None:
         """Subtract a region's divergence (from
-        :meth:`flux_divergence_region`) into *dU*.
+        :meth:`flux_divergence_region`) into *dU*; the first axis's
+        (axis 0) assigns ``0.0 - div`` instead — what subtracting from a
+        zeroed *dU* gives, signed zeros included — so *dU*'s interior needs
+        no zeroing.
 
         Callers that split an axis into regions must apply *all* of a cell's
         axis contributions in ascending axis order — the overlapped solver
@@ -654,18 +644,19 @@ class HydroPipeline:
         result bitwise.
         """
         self._expect_stack(dU, "accumulate_divergence")
+        first = axis == 0
         with self.timers("update"):
             if self._accumulate_kernel is not None and _c_f64(dU, div):
                 self._accumulate_kernel(
                     self._flat(dU), axis, self.grid.n_ghost, lo, hi, div,
-                    len(self.patches),
+                    len(self.patches), first,
                 )
                 return
             idx = [slice(None)] * (self.grid.ndim + 1)
             idx[axis + 1] = slice(lo, hi)
             for i, patch_dU in enumerate(dU):
                 target = np.moveaxis(self.grid.interior_of(patch_dU)[tuple(idx)], axis + 1, -1)
-                target -= div[:, i]
+                np.subtract(0.0 if first else target, div[:, i], out=target)
 
     def combine_stage(self, stage, U, V, dt, k, final=False) -> np.ndarray:
         """One SSP-RK stage combination of this stack — the *combine* every
@@ -722,16 +713,19 @@ class HydroPipeline:
                 grid.interior_of(patch_dU)[...] += src
         return dU
 
-    def rhs(self, cons: np.ndarray, reuse: bool = True) -> np.ndarray:
+    def rhs(self, cons: np.ndarray, reuse: bool = True, prim=None) -> np.ndarray:
         """dU/dt for the SSP integrators (cons may be floored in place).
 
         By default the result lives in the pipeline workspace and is valid
         until the next ``rhs``/``recover_primitives`` call — exactly the
         lifetime the SSP integrators need, since each stage consumes the
         previous rhs before requesting the next. Pass ``reuse=False`` for
-        a caller-owned array.
+        a caller-owned array.  *prim*, when the caller holds the recovery
+        of *cons* already (a driver's primitive cache), is read instead of
+        recovering again.
         """
-        prim = self.recover_primitives(cons, reuse=reuse)
+        if prim is None:
+            prim = self.recover_primitives(cons, reuse=reuse)
         dU = self.flux_divergence(prim, reuse=reuse)
         return self.apply_source(prim, dU)
 

@@ -15,7 +15,9 @@ capture/install pair.  The drivers supply only what is theirs:
                          ``_prims()``
 ``_exchange(prims)``     the ghost hook of ``_prims()``: the rank halo
                          exchange; nothing for the other drivers
-``_rhs(states)``         right-hand sides (default: each stack's ``rhs``)
+``_rhs(states)``         right-hand sides (default: each stack's ``rhs``),
+                         from ``_committed_prims(states)`` when that is
+                         the cache
 ``_patches()``           ``(label, pipeline, array)`` per evolved patch —
                          serves the finite guard
 ``_after_step(dt)``      bookkeeping on the guarded step (``solver.dt``)
@@ -26,6 +28,11 @@ capture/install pair.  The drivers supply only what is theirs:
 ``install_state(s)``     the inverse of ``state()``, verbatim
 ``_finish_run()``        what ``run`` returns
 ======================  ================================================
+
+One recovery per committed state serves ``compute_dt``, reads and RK
+stage 1 alike: a step makes one recovery sweep per stack and stage.  The
+constructors' primed cache (floored initial primitives) is no recovery, so
+step 1's stage 1 recovers its own.
 
 ``state()``/``install_state()`` is the one way a driver's state moves:
 checkpoints (:meth:`Driver.write_checkpoint`,
@@ -73,28 +80,45 @@ class Driver:
 
     #: primitives of the committed state ``_cons`` (None until read)
     _prims_cache: PatchViews | None = None
+    #: whether ``_prims_cache`` is a recovery of ``_cons`` — RK stage 1 then
+    #: steps from it — and not a constructor's floored initial primitives
+    _prims_recovered = False
 
     def _commit(self, arrays: list) -> None:
         """Make *arrays*, one per stack, the committed state."""
         self._cons = PatchViews.of(self._stacks, arrays)
-        self._prims_cache = None
+        self._prims_cache, self._prims_recovered = None, False
 
     def _prims(self) -> PatchViews:
         """Primitives of the committed state (read-only): recovered once
         per commit into fresh arrays, ghosts filled by :meth:`_exchange`.
-        Every ``compute_dt`` and diagnostic read goes through here, so a
-        read between steps is the recovery the next ``compute_dt`` skips."""
+        Every ``compute_dt`` and diagnostic read goes through here, and so
+        does RK stage 1 (:meth:`_committed_prims`): a step recovers once per
+        stage, and a read between steps is the recovery the next step
+        skips."""
         if self._prims_cache is None:
             prims = recover_stacks(self._stacks, self._cons.stacks)
             self._exchange(prims)
-            self._prims_cache = prims
+            self._prims_cache, self._prims_recovered = prims, True
         return self._prims_cache
+
+    def _committed_prims(self, states: list) -> PatchViews | None:
+        """``_prims()``'s cache when *states* are the committed stacks
+        themselves and the cache is their recovery — RK stage 1 after a
+        ``compute_dt`` or a read — else None: the stage recovers its own."""
+        if self._prims_recovered and all(
+            U is C for U, C in zip(states, self._cons.stacks)
+        ):
+            return self._prims_cache
+        return None
 
     def _exchange(self, prims: PatchViews) -> None:
         """Fill the ghosts of *prims* that other patches own."""
 
     def _rhs(self, states: list) -> PatchViews:
-        rhs = [st.pipeline.rhs(U) for st, U in zip(self._stacks, states)]
+        prims = self._committed_prims(states)
+        cached = [None] * len(states) if prims is None else prims.stacks
+        rhs = [st.pipeline.rhs(U, prim=p) for st, U, p in zip(self._stacks, states, cached)]
         return PatchViews.of(self._stacks, rhs)
 
     def _integrate(self, dt: float) -> None:

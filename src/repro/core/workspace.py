@@ -69,9 +69,11 @@ class ScratchWorkspace:
         self.grid = grid
         self.nvars = int(nvars)
         shape = (int(n_patches), self.nvars) + grid.shape_with_ghosts
-        #: flux-divergence accumulator reused by every RK stage
+        #: flux-divergence accumulator reused by every RK stage; zero from
+        #: here on in its ghost shell, which nothing writes
         self.dU = np.zeros(shape)
-        #: ghosted primitive array reused by every recovery sweep
+        #: ghosted primitive array reused by every recovery sweep (its
+        #: corner ghosts are never read)
         self.prim = np.zeros(shape)
         self._bufs: dict = {}
 
@@ -88,17 +90,18 @@ class ScratchWorkspace:
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
         """Shape of a reconstructed face-state array along *axis*:
-        ``n + 1`` faces on the working axis, ghosts kept elsewhere."""
+        ``n + 1`` faces on the working axis, the interior rows elsewhere."""
         return self.region_face_shape(axis, self.grid.shape[axis])
 
     def region_face_shape(self, axis: int, n_cells: int) -> tuple[int, ...]:
         """Face-state shape for an *n_cells*-wide sub-region along *axis*
-        (``n_cells + 1`` faces on the working axis, ghosts kept elsewhere).
+        (``n_cells + 1`` faces on the working axis, the interior rows
+        elsewhere: transverse ghost rows are never swept).
 
         The overlapped solver's interior/strip sweeps request these; region
         widths are fixed per decomposition, so the buffer pool stays bounded.
         """
-        shape = list(self.grid.shape_with_ghosts)
+        shape = list(self.grid.shape)
         shape[axis] = int(n_cells) + 1
         return (self.nvars,) + tuple(shape)
 

@@ -62,7 +62,7 @@ def experiment_e13_model_validation(
         )
 
     # 2. Halo traffic of a real distributed run vs the analytic count.
-    from ..comm.halo import halo_bytes_per_step
+    from ..comm.halo import halo_bytes_per_exchange
 
     system = SRHDSystem(eos, ndim=2)
     grid2 = Grid((32, 32), ((0.0, 1.0), (0.0, 1.0)))
@@ -73,7 +73,7 @@ def experiment_e13_model_validation(
     measured_bytes = dist.comm.traffic.n_bytes - base
     decomp = CartesianDecomposition(grid2, (2, 2))
     predicted_bytes = 3 * sum(
-        halo_bytes_per_step(decomp, nvars=system.nvars).values()
+        halo_bytes_per_exchange(decomp, nvars=system.nvars).values()
     )
     report.add_row(
         "halo bytes / step (2x2 ranks)",

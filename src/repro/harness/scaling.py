@@ -9,7 +9,9 @@ plus one allreduce (the CFL reduction) per step. The per-step simulated
 time is ``rk_stages * (compute [overlapped with] halo) + allreduce``, where
 the non-overlapped variant serializes compute and communication and the
 overlapped variant hides the exchange behind interior-cell compute
-(experiment E10 measures the difference).
+(experiment E10 measures the difference).  A recorded
+:class:`~repro.core.distributed.DistributedSolver` step sends exactly these
+``rk_stages`` exchanges (tested): its CFL exchange serves RK stage 1.
 
 The decomposition, ghost widths, and message sizes are the *real* ones from
 :mod:`repro.mesh.decomposition` / :mod:`repro.comm.halo` — the same code
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..comm.costs import LinkModel
-from ..comm.halo import halo_bytes_per_step
+from ..comm.halo import halo_bytes_per_exchange
 from ..mesh.decomposition import CartesianDecomposition, choose_dims
 from ..mesh.grid import Grid
 from ..runtime.cluster import Cluster
@@ -70,7 +72,7 @@ def simulate_step(
     n_nodes = cluster.size
     dims = choose_dims(n_nodes, global_grid.ndim)
     decomp = CartesianDecomposition(global_grid, dims)
-    halo_bytes = halo_bytes_per_step(decomp, nvars=nvars)
+    halo_bytes = halo_bytes_per_exchange(decomp, nvars=nvars)
 
     worst_total = 0.0
     worst = None

@@ -459,8 +459,8 @@ class TestLeafStacks:
     def test_builds_and_calls_scale_with_the_stacks(self, system2d, calls, plan_calls, n_ranks):
         """Regrids every third step (and, at two ranks, migrations): a step
         that changes no topology builds no pipeline and sweeps once per
-        stack per recovery (compute_dt + 3 RK stages) and per axis and
-        stage; a regrid, with its migration, builds at most one pipeline
+        stack per recovery (one per RK stage: compute_dt's serves stage 1)
+        and per axis and stage; a regrid, with its migration, builds at most one pipeline
         per stack of the forest it leaves.  A ghost fill makes at most one
         restriction per level and source (stack or import buffer), one
         prolongation per level and one scatter per level and source plus
@@ -496,7 +496,7 @@ class TestLeafStacks:
             if step % 3 == 2:  # neither regridded nor re-keyed
                 assert calls == {
                     "builds": 0,
-                    "recover_primitives": (stages + 1) * n_stacks,
+                    "recover_primitives": stages * n_stacks,
                     "flux_divergence_region": stages * 2 * n_stacks,
                 }, step
             elif step % 3 == 1:  # re-keyed after the regrid (or construction)

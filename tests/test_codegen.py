@@ -1328,7 +1328,8 @@ class TestFusedStencilParity:
                     STENCIL_RECON_IDS.get(recon, STENCIL_RECON_IDS["tvd"])
                 ]
                 k = np.arange(n + 1) + g - 1  # left cell of each face
-                reached[:, g, (k - left <= j) & (j <= k + right)] = True
+                # the poisoned cell's row: the first interior one (row 0)
+                reached[:, 0, (k - left <= j) & (j <= k + right)] = True
             for pipe in (flat, cext):
                 pipe.metrics.reset()
             with np.errstate(all="ignore"):
@@ -1476,14 +1477,14 @@ class TestFusedStencilParity:
             (ax, sch, rid)
             for ax in (0, 1) for sch in schemes for rid in STENCIL_RIEMANN_IDS.values()
         ):
-            offs = pipe._face_row_offsets(prim, axis)
+            rows = cext_mod.sweep_rows(prim.shape[1:], 3, axis)
             n_faces = pipe.grid.shape[axis] + 1
             results = []
             for ffi, lib in libs:
-                out = np.empty((4, offs.size, n_faces))
+                out = np.empty((4, rows.size, n_faces))
                 counts = cext_mod.run_face_flux(
                     ffi, getattr(lib, f"face_flux_ax{axis}_2d_cext"), prim, axis,
-                    offs, 2, n_faces, out,
+                    2, n_faces, out, n_ghost=3,
                     axis_stride=prim.strides[axis + 1] // prim.itemsize,
                     gamma=5.0 / 3.0, vmax2=1.0 - 1e-4, rho_atmo=1e-10, p_atmo=1e-12,
                     recon_id=recon_id, limiter_id=limiter_id, riemann_id=riemann_id,
@@ -1515,8 +1516,9 @@ class TestFusedStencilParity:
         ]
         # sanitize + face_side, three combines and the in-tile difference
         # per axis; 4 limiters and the tvd edges, 3 ppm loops, weno5, wenoz;
-        # the contiguous accumulate row and the three RK stage forms
-        assert len(marked) == 1 + 5 * ndim + 10 + 1 + 3
+        # the contiguous accumulate row (first axis and later axes) and the
+        # three RK stage forms
+        assert len(marked) == 1 + 5 * ndim + 10 + 2 + 3
         proc = subprocess.run(
             [*cc.split(), *cext_mod.CFLAGS, "-fopt-info-vec-optimized", "-x", "c",
              "-c", "-", "-o", os.devnull],

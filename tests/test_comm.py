@@ -15,7 +15,7 @@ from repro.comm import (
     SimCommunicator,
     complete_halos,
     exchange_halos,
-    halo_bytes_per_step,
+    halo_bytes_per_exchange,
     make_link,
     post_halos,
 )
@@ -191,7 +191,7 @@ class TestHaloExchange:
             exchange_halos(decomp, SimCommunicator(3), {})
 
     def test_analytic_byte_count_matches_traffic(self):
-        """halo_bytes_per_step must predict exactly what exchange sends, and
+        """halo_bytes_per_exchange must predict exactly what exchange sends, and
         the log must hold one message per face of the face table, with each
         rank pair's bytes the sum over its faces — blocking and overlapped."""
         for (shape, dims, periodic), overlapped in itertools.product([
@@ -214,7 +214,7 @@ class TestHaloExchange:
                 complete_halos(post_halos(decomp, comm, states))
             else:
                 exchange_halos(decomp, comm, states)
-            predicted = sum(halo_bytes_per_step(decomp, nvars=4).values())
+            predicted = sum(halo_bytes_per_exchange(decomp, nvars=4).values())
             assert comm.traffic.n_bytes == predicted
             faces = face_table(decomp).by_face.values()
             assert comm.traffic.n_messages == len(faces)

@@ -325,10 +325,11 @@ class TestSolverRecording:
         solver, sink = self._run(3)
         stages = solver.integrator.stages
         steps = steps_of(sink.records)
-        # Each RK stage recovers once; from the second step on, compute_dt
-        # adds one more sweep (the first uses the constructor's cache).
+        # One recovery per RK stage: the first step's dt reads the
+        # constructor's cache, a later step's compute_dt recovers what RK
+        # stage 1 then steps from.
         assert steps[0]["counters"]["con2prim.cells"] == 64 * stages
-        assert steps[1]["counters"]["con2prim.cells"] == 64 * (stages + 1)
+        assert steps[1]["counters"]["con2prim.cells"] == 64 * stages
 
 
 class TestDistributedRecording:
@@ -345,16 +346,17 @@ class TestDistributedRecording:
         steps = steps_of(sink.records)
         assert len(steps) == 2
         per_exchange = solver.halo_bytes_per_exchange
-        from repro.comm.halo import halo_bytes_per_step
+        from repro.comm.halo import halo_bytes_per_exchange
 
         assert per_exchange == sum(
-            halo_bytes_per_step(solver.decomp, system.nvars).values()
+            halo_bytes_per_exchange(solver.decomp, system.nvars).values()
         )
         stages = solver.integrator.stages
-        # First step: dt comes from the constructor's cached primitives, so
-        # only the RK stages exchange; afterwards compute_dt adds one more.
+        # One exchange per RK stage: the first step's dt reads the
+        # constructor's cached primitives, a later step's compute_dt
+        # exchanges what RK stage 1 then steps from.
         assert steps[0]["comm"]["halo_bytes"] == stages * per_exchange
-        assert steps[1]["comm"]["halo_bytes"] == (stages + 1) * per_exchange
+        assert steps[1]["comm"]["halo_bytes"] == stages * per_exchange
         assert steps[0]["comm"]["halo_bytes_model_per_exchange"] == per_exchange
         assert steps[1]["comm"]["collectives"] >= 1
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.comm.costs import halo_exchange_time
-from repro.comm.halo import halo_bytes_per_step, post_halos
+from repro.comm.halo import halo_bytes_per_exchange, post_halos
 from repro.core.config import SolverConfig
 from repro.core.distributed import DistributedSolver
 from repro.eos import IdealGasEOS
@@ -218,7 +218,7 @@ class TestFaultBehaviour:
 
 
 class TestByteAccounting:
-    """`halo_bytes_per_step` model vs measured `comm.halo_bytes` must agree
+    """`halo_bytes_per_exchange` model vs measured `comm.halo_bytes` must agree
     exactly in the overlapped path (regression: early-posted sends must not
     double-count retransmissions)."""
 
@@ -236,6 +236,28 @@ class TestByteAccounting:
             solver.step(dt=1e-4)  # explicit dt: no CFL exchange, 3 RK stages
         measured = solver.comm.traffic.n_bytes - before
         assert measured == 3 * 3 * model
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_recorded_cfl_step_is_the_scaling_model(self, dims, overlap):
+        """A recorded CFL step sends what ``harness.scaling`` prices:
+        ``rk_stages`` exchanges of the per-exchange model (compute_dt's
+        exchange serves RK stage 1), first step and later steps alike."""
+        from inspect import signature
+
+        from repro.harness.scaling import simulate_step
+
+        rk_stages = signature(simulate_step).parameters["rk_stages"].default
+        system, grid, prim0 = _blast2d_setup(32)
+        sink = BufferSink()
+        solver = _run(
+            system, grid, prim0, dims, overlap, steps=3, t_final=1.0,
+            recorder=StepRecorder(sink),
+        )
+        assert solver.integrator.stages == rk_stages
+        model = sum(halo_bytes_per_exchange(solver.decomp, system.nvars).values())
+        steps = [r for r in sink.records if r["event"] == "step"]
+        assert [r["comm"]["halo_bytes"] for r in steps] == [rk_stages * model] * 3
 
     def test_handle_posted_bytes_match_model(self):
         solver = self._solver(True)
@@ -286,6 +308,13 @@ class TestByteAccounting:
         assert measured == n_exchanges * (model + 8 * n_msgs) + retransmit
 
 
+def _overlapped_exchanges(stages: int, steps: int) -> int:
+    """Overlapped RHS exchanges of *steps* CFL steps: one per RK stage,
+    except stage 1 from step 2 on — it steps from compute_dt's (blocking)
+    exchanged primitives."""
+    return stages * steps - (steps - 1)
+
+
 class TestOverlapMetrics:
     def _run_recorded(self):
         system, grid, prim0 = _blast2d_setup()
@@ -299,9 +328,9 @@ class TestOverlapMetrics:
         solver, _ = self._run_recorded()
         snap = solver.metrics.snapshot()
         c = snap["counters"]
-        # RK3 + CFL dt: 3 overlapped RHS exchanges per step (the dt path
-        # keeps the blocking exchange; dt reads only interior cells).
-        assert c["comm.overlap.exchanges"] == 3 * solver.steps
+        # RK3 + CFL dt: the dt path keeps the blocking exchange, which RK
+        # stage 1 reuses from step 2 on.
+        assert c["comm.overlap.exchanges"] == _overlapped_exchanges(3, solver.steps)
         assert c["comm.overlap.hidden_s"] + c["comm.overlap.exposed_s"] == pytest.approx(
             c["comm.overlap.modeled_comm_s"]
         )
@@ -321,7 +350,7 @@ class TestOverlapMetrics:
         steps = [r for r in records if r["event"] == "step"]
         assert steps
         summed = sum(s["counters"].get("comm.overlap.exchanges", 0) for s in steps)
-        assert summed == 3 * len(steps)
+        assert summed == _overlapped_exchanges(3, len(steps))
 
     def test_report_derives_hidden_frac(self):
         from repro.harness.report import Report
@@ -340,8 +369,8 @@ class TestOverlapMetrics:
         solver, records = self._run_recorded()
         # Re-post one exchange and re-price it: an exchange's modeled time
         # is exactly halo_exchange_time over its posted message list (the
-        # same strips every exchange), so a step's modeled_comm_s delta is
-        # its three exchanges' worth.
+        # same strips every exchange), so the first step's modeled_comm_s
+        # delta is its three exchanges' worth.
         prims = solver._prims()
         handle = post_halos(solver.decomp, solver.comm, prims)
         expected = halo_exchange_time(_OVERLAP_LINK, handle.posted)
@@ -350,7 +379,7 @@ class TestOverlapMetrics:
         first = next(r for r in records if r["event"] == "step")
         assert first["counters"]["comm.overlap.modeled_comm_s"] == 3 * expected
         total = solver.metrics.snapshot()["counters"]["comm.overlap.modeled_comm_s"]
-        assert total == pytest.approx(3 * solver.steps * expected)
+        assert total == pytest.approx(_overlapped_exchanges(3, solver.steps) * expected)
 
 
 class TestModelConsistency:
@@ -373,7 +402,7 @@ class TestModelConsistency:
             system, grid, prim0 = setup()
             config = SolverConfig(overlap_exchange=True)
             solver = DistributedSolver(system, grid, prim0, dims, config=config)
-            model = sum(halo_bytes_per_step(solver.decomp, system.nvars).values())
+            model = sum(halo_bytes_per_exchange(solver.decomp, system.nvars).values())
             del handles[:]
             solver.step(dt=1e-4)
             assert [h.posted_bytes for h in handles] == [model] * 3

@@ -165,7 +165,7 @@ class TestFaceStripSlicing:
         exchange's (axis, rank, side) order; its two ends of each message
         agree on tag and shape; and its strip sizes are the byte model and
         the measured traffic."""
-        from repro.comm.halo import face_table, halo_bytes_per_step
+        from repro.comm.halo import face_table, halo_bytes_per_exchange
 
         dims = tuple(data.draw(st.integers(1, 3)) for _ in range(ndim))
         periodic = tuple(data.draw(st.booleans()) for _ in range(ndim))
@@ -196,7 +196,7 @@ class TestFaceStripSlicing:
         exchange_halos(decomp, comm, states)
         assert (
             sum(f.cells for f in faces) * nvars * 8
-            == sum(halo_bytes_per_step(decomp, nvars).values())
+            == sum(halo_bytes_per_exchange(decomp, nvars).values())
             == comm.traffic.n_bytes
         )
 
@@ -279,6 +279,68 @@ class TestRecoveryAcrossEOS:
         cons = system.prim_to_con(prim)
         recovered = con_to_prim(system, cons, tol=1e-10)
         np.testing.assert_allclose(recovered, prim, rtol=1e-4)
+
+
+class TestRecoveryFixedPoint:
+    """A clean recovery seeded with its own converged pressure returns the
+    same bytes — primitives and next seed — on every target: Newton tests
+    convergence before it updates.  RK stage 1 stepping from the recovery
+    ``compute_dt`` made, instead of recovering again, moves no state byte
+    because of this."""
+
+    @pytest.mark.parametrize("target", ["numpy", "flat", "cext"])
+    def test_a_seeded_recovery_is_a_fixed_point(self, target):
+        from repro.boundary import make_boundaries
+        from repro.core import SolverConfig
+        from repro.core.pipeline import HydroPipeline
+
+        if target == "cext":
+            from .conftest import require_cext
+
+            require_cext(2)
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        grid = Grid((7, 5), ((0.0, 1.0), (0.0, 1.0)))
+        pipe = HydroPipeline(
+            system, grid, make_boundaries("outflow"), SolverConfig(kernel_target=target)
+        )
+
+        @settings(max_examples=30, deadline=None)
+        @given(
+            seed=st.integers(min_value=0, max_value=2**31),
+            log_rho=st.floats(min_value=-3.0, max_value=2.0),
+            log_p_over_rho=st.floats(min_value=-2.0, max_value=2.0),
+            speed=st.floats(min_value=0.0, max_value=0.95),
+        )
+        def check(seed, log_rho, log_p_over_rho, speed):
+            rng = np.random.default_rng(seed)
+            prim = grid.allocate(system.nvars)
+            cells = prim.shape[1:]
+            prim[system.RHO] = 10.0 ** (log_rho + rng.uniform(-0.5, 0.5, cells))
+            prim[system.P] = prim[system.RHO] * 10.0 ** (
+                log_p_over_rho + rng.uniform(-0.5, 0.5, cells)
+            )
+            direction = rng.normal(size=(2,) + cells)
+            direction /= np.linalg.norm(direction, axis=0)
+            for ax in range(2):
+                prim[system.V(ax)] = speed * rng.uniform(0.0, 1.0, cells) * direction[ax]
+            cons = system.prim_to_con(prim)[None]
+            pipe.metrics.reset()
+            pipe.install_warm_state(None)
+            first = pipe.recover_primitives(cons).copy()
+            seed_p = pipe.warm_state()
+            floored = cons.copy()
+            second = pipe.recover_primitives(cons)
+            assert second.tobytes() == first.tobytes()
+            assert pipe.warm_state().tobytes() == seed_p.tobytes()
+            assert cons.tobytes() == floored.tobytes()
+            counters = pipe.metrics.snapshot()["counters"]
+            assert not any(
+                counters.get(name) for name in
+                ("atmo.cons_floored", "atmo.prim_reset", "limiter.momentum_rescaled",
+                 "con2prim.bisection", "con2prim.failed")
+            ), counters  # clean: neither sweep floored, capped or bisected
+
+        check()
 
 
 class TestExactRiemannProperties:

@@ -132,8 +132,7 @@ class TestFineFaceFlux:
         system = SRHDSystem(eos, ndim=1)
         amr = make_amr_1d(system, reflux=True)
         # Topology: {0: 2, 1: 2, 2: 4} -> coarse-fine faces exist.
-        prims = amr._recover_leaf_prims()  # per-leaf views of one array per stack
-        amr._fill_ghosts(prims)
+        prims = amr._ghosted_snapshot()  # per-leaf views of one array per stack
         dU = PatchViews.of(amr._stacks, [
             st.pipeline.flux_divergence(prim)
             for st, prim in zip(amr._stacks, prims.stacks)

@@ -283,9 +283,9 @@ class TestResilientExchange:
         before = comm.traffic.n_bytes
         exchange_halos(decomp, comm, states)
         # No checksum traffic without a policy.
-        from repro.comm.halo import halo_bytes_per_step
+        from repro.comm.halo import halo_bytes_per_exchange
 
-        expected = sum(halo_bytes_per_step(decomp, 3).values())
+        expected = sum(halo_bytes_per_exchange(decomp, 3).values())
         assert comm.traffic.n_bytes - before == expected
 
     @pytest.mark.parametrize("overlapped", [False, True])

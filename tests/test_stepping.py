@@ -3,9 +3,9 @@
 ``Solver``, ``BatchSolver``, ``DistributedSolver`` and ``AMRSolver`` (at
 one and at two ranks) share :class:`repro.core.stepping.Driver`'s
 ``step``/``run``; what they are allowed to differ in is the patch label a
-guard names, the family block of a step record and whether ``solver.dt`` is
-observed.  ``ProcessSolver`` keeps its parent-side ``step`` and takes the
-shared ``run``, so it joins the run-argument checks.
+guard names and the family block of a step record.  ``ProcessSolver`` keeps
+its parent-side ``step`` and takes the shared ``run``, so it joins the
+run-argument checks.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import pytest
 from repro.boundary import make_boundaries
 from repro.core import BatchSolver, DistributedSolver, ProcessSolver, Solver, SolverConfig
 from repro.core.amr_solver import AMRConfig, AMRSolver
+from repro.core.pipeline import HydroPipeline
 from repro.core.stepping import Driver
 from repro.eos import IdealGasEOS
 from repro.mesh.grid import Grid
@@ -29,6 +30,7 @@ from repro.obs import StepRecorder
 from repro.obs.events import BufferSink
 from repro.physics.initial_data import RP1, shock_tube
 from repro.physics.srhd import SRHDSystem
+from repro.time_integration.ssprk import make_integrator
 from repro.utils.errors import ConfigurationError, NumericsError
 
 
@@ -68,17 +70,15 @@ def _distributed_amr(recorder=None):
     return _amr(recorder, n_ranks=2)
 
 
-#: name -> (factory, label regex of its last patch, record family key,
-#:          whether a step observes solver.dt)
+#: name -> (factory, label regex of its last patch, record family key)
 DRIVERS = {
-    "Solver": (_unigrid, r": variable 0, cell \(", None, True),
-    "BatchSolver": (_batch, r": scenario 1, variable 0, interior cell \(", "batch", True),
-    "DistributedSolver": (_distributed, r": rank 1, variable 0, cell \(", "comm", True),
-    # The golden AMR stream carries no solver.dt histogram.
-    "AMRSolver": (_amr, r": block .*, variable 0, interior cell \(", "amr", False),
+    "Solver": (_unigrid, r": variable 0, cell \(", None),
+    "BatchSolver": (_batch, r": scenario 1, variable 0, interior cell \(", "batch"),
+    "DistributedSolver": (_distributed, r": rank 1, variable 0, cell \(", "comm"),
+    "AMRSolver": (_amr, r": block .*, variable 0, interior cell \(", "amr"),
     # AMRSolver over two in-process ranks (the case id keeps test ids stable).
     "DistributedAMRSolver": (
-        _distributed_amr, r": rank 1, block .*, variable 0, interior cell \(", "amr", False,
+        _distributed_amr, r": rank 1, block .*, variable 0, interior cell \(", "amr",
     ),
 }
 
@@ -103,7 +103,7 @@ class TestStepContract:
         assert (solver.steps, solver.t) == (0, 0.0)
 
     def test_nonfinite_state_names_the_patch(self, driver_case):
-        factory, label, _family, _dt = driver_case
+        factory, label, _family = driver_case
         solver = factory()
         integrate = solver._integrate
 
@@ -119,7 +119,7 @@ class TestStepContract:
         assert re.search(label, str(err.value)), str(err.value)
 
     def test_one_record_per_step_with_family_extras(self, driver_case):
-        factory, _label, family, observes_dt = driver_case
+        factory, _label, family = driver_case
         recorder = StepRecorder(BufferSink())
         solver = factory(recorder)
         solver.step()
@@ -130,7 +130,8 @@ class TestStepContract:
         for record in steps:
             assert {"comm", "amr", "batch"} & set(record) == ({family} if family else set())
         hist = solver.metrics.snapshot()["histograms"].get("solver.dt", {"count": 0})
-        assert hist["count"] == (2 if observes_dt else 0)
+        # Every driver observes solver.dt once a step, AMR included.
+        assert hist["count"] == 2
 
 
 class TestRunContract:
@@ -168,6 +169,140 @@ class TestRunContract:
         seen = []
         solver.run(t_final=1.0, max_steps=3, callback=lambda s: seen.append(s.steps))
         assert seen == [1, 2, 3]
+
+
+def _overlapped(recorder=None):
+    system, grid, prim0 = _rp1()
+    return DistributedSolver(
+        system, grid, prim0, (2,), SolverConfig(overlap_exchange=True), recorder=recorder,
+    )
+
+
+class TestOneRecoveryPerState:
+    """A step recovers its state once per RK stage: the recovery — and the
+    exchange — that ``compute_dt`` or a read made of the committed state is
+    RK stage 1's.  Counted per driver as recovery sweeps (one per stack per
+    call) and exchanges (halo exchanges; ghost fills on AMR) per step."""
+
+    DRIVERS = {
+        "Solver": _unigrid,
+        "BatchSolver": _batch,
+        "DistributedSolver": _distributed,
+        "DistributedSolver-overlap": _overlapped,
+        "AMRSolver": _amr,
+        "AMRSolver-2ranks": _distributed_amr,
+    }
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import repro.core.distributed as distributed
+
+        n = {"sweeps": 0, "exchanges": 0}
+
+        def counting(real, key):
+            def wrapped(*args, **kwargs):
+                n[key] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            HydroPipeline, "recover_primitives",
+            counting(HydroPipeline.recover_primitives, "sweeps"),
+        )
+        for name in ("exchange_halos", "post_halos"):
+            monkeypatch.setattr(distributed, name, counting(getattr(distributed, name), "exchanges"))
+        monkeypatch.setattr(AMRSolver, "_fill_ghosts", counting(AMRSolver._fill_ghosts, "exchanges"))
+        return n
+
+    @staticmethod
+    def _per_stage(driver) -> dict:
+        """What one RK stage costs *driver*: a sweep per stack, and an
+        exchange where ghosts come from other patches."""
+        exchanges = isinstance(driver, (DistributedSolver, AMRSolver))
+        return {"sweeps": len(driver._stacks), "exchanges": int(exchanges)}
+
+    def _expect(self, counts, driver, stages):
+        per = self._per_stage(driver)
+        assert counts == {k: stages * v for k, v in per.items()}
+        for k in counts:
+            counts[k] = 0
+
+    @pytest.fixture(params=sorted(DRIVERS))
+    def driver(self, request, counts):
+        driver = self.DRIVERS[request.param]()
+        for k in counts:
+            counts[k] = 0
+        return driver
+
+    def test_a_cfl_step_recovers_once_per_stage(self, driver, counts):
+        stages = driver.integrator.stages
+        for _ in range(3):  # the first step's dt reads the constructor's data
+            driver.step()
+            self._expect(counts, driver, stages)
+
+    def test_an_explicit_dt_step_reuses_a_read(self, driver, counts):
+        stages = driver.integrator.stages
+        driver.step()
+        self._expect(counts, driver, stages)
+        driver.step(dt=1e-4)  # no read: stage 1 recovers its own
+        self._expect(counts, driver, stages)
+        driver.interior_primitives()
+        driver.step(dt=1e-4)  # the read is stage 1's
+        self._expect(counts, driver, stages)
+
+    def test_stage_one_recovers_afresh_after_a_new_state(self, driver, counts):
+        """A read's recovery is dropped by whatever replaces the committed
+        state — ``install_state``, a restack, an eviction — so the next
+        stage 1 recovers again; a state carrying a recovery (a distributed
+        driver's cache) hands it on."""
+        stages = driver.integrator.stages
+        driver.step()
+        self._expect(counts, driver, stages)
+        replacements = []
+        if not isinstance(driver, BatchSolver):
+            state = driver.state()
+            replacements.append(lambda: driver.install_state(state))
+        if isinstance(driver, BatchSolver):
+            replacements.append(lambda: driver._evict([1], "evicted by the test"))
+        if isinstance(driver, AMRSolver):
+            replacements.append(lambda: (driver._invalidate_plans(), driver._stacks_now()))
+        assert replacements
+        for replace in replacements:
+            driver.interior_primitives()
+            replace()
+            for k in counts:
+                counts[k] = 0
+            driver.step(dt=1e-4)
+            self._expect(counts, driver, stages)
+        if isinstance(driver, DistributedSolver):
+            driver.interior_primitives()
+            state = driver.state()
+            assert state["prims_recovered"]
+            driver.install_state(state)
+            for k in counts:
+                counts[k] = 0
+            driver.step(dt=1e-4)
+            self._expect(counts, driver, stages - 1)
+
+    def test_process_workers_recover_once_per_stage(self):
+        """Two worker processes: each CFL step recovers the 64 cells once
+        per stage and exchanges once per stage, first step and later."""
+        system, grid, prim0 = _rp1()
+        sink = BufferSink()
+        with ProcessSolver(
+            system, grid, prim0, (2,), config=SolverConfig(executor="process"),
+            recorder=StepRecorder(sink), step_timeout_s=60.0,
+        ) as proc:
+            for _ in range(3):
+                proc.step()
+        stages = make_integrator(proc.config.integrator).stages
+        steps = [r for r in sink.records if r["event"] == "step"]
+        assert len(steps) == 3
+        for record in steps:
+            assert record["counters"]["con2prim.cells"] == stages * grid.n_cells
+            comm = record["comm"]
+            assert comm["halo_bytes"] == stages * comm["halo_bytes_model_per_exchange"]
 
 
 class TestPrimitiveReads:

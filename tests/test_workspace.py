@@ -43,9 +43,9 @@ class TestScratchBuf:
 
     def test_face_shape(self, grid2d, system2d):
         ws = ScratchWorkspace(grid2d, system2d.nvars)
-        ng = grid2d.shape_with_ghosts
-        assert ws.face_shape(0) == (system2d.nvars, grid2d.shape[0] + 1, ng[1])
-        assert ws.face_shape(1) == (system2d.nvars, ng[0], grid2d.shape[1] + 1)
+        n = grid2d.shape  # the interior rows: transverse ghosts are never swept
+        assert ws.face_shape(0) == (system2d.nvars, n[0] + 1, n[1])
+        assert ws.face_shape(1) == (system2d.nvars, n[0], n[1] + 1)
 
     def test_accounting(self, grid1d, system1d):
         ws = ScratchWorkspace(grid1d, system1d.nvars)
