@@ -4,8 +4,9 @@ The ``cext`` target turns the generated C module of
 :meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` into a
 real shared library via cffi: one artifact per ndim, whose entry points are
 the row kernels (one-pass recovery sweep, CFL scan, fused face-flux sweep
-per axis, ``accumulate``, ``rk_stage``), the cold-path con2prim Newton loop
-and the clone and team probes — each driven by one ``run_*`` function
+per axis, ``accumulate``, ``rk_stage``), the AMR gather program (a ghost
+fill or a reflux in one call), the cold-path con2prim Newton loop and the
+clone and team probes — each driven by one ``run_*`` function
 below.  There is no pointwise entry point: the per-side algebra runs
 inside the sweep.  Three layers of caching keep rebuilds rare and
 *correct*:
@@ -29,9 +30,10 @@ logged fallback of the whole target to ``flat``.
 
 Threads: the artifact is built with ``-fopenmp``, and its five row kernels
 (``recover``, ``max_signal``, the per-axis sweeps, ``accumulate``,
-``rk_stage``) split a large call over an OpenMP team — every output
-element written by one thread, no floating-point reduction reordered, so
-any team size gives the 1-thread bytes.  The team size is the standard
+``rk_stage``; the AMR program runs serially) split a large call over an
+OpenMP team — every output element written by one thread, no
+floating-point reduction reordered, so any team size gives the 1-thread
+bytes.  The team size is the standard
 OpenMP one (``OMP_NUM_THREADS``, CPU affinity), read by :func:`threads`;
 every fleet worker runs on one (``core.parallel._worker_main``).  A
 compiler that rejects ``-fopenmp`` (probed once, :func:`openmp_supported`)
@@ -678,3 +680,14 @@ def run_rk_stage(ffi, fn, stage, U, V, dt: float, k, out) -> None:
         _state_buf(ffi, U), _state_buf(ffi, V, U.shape), _state_buf(ffi, k, U.shape),
         _state_buf(ffi, out, U.shape, writable=True),
     )
+
+
+def run_program(ffi, fn, code, arrays, values, reals) -> None:
+    """Run one AMR gather program (:meth:`KernelGenerator.generate_c_amr_program`)
+    over the table *arrays* and the value buffer *values* (``(sites,
+    nvars)``) in one call.  C indexes them unchecked by *code*:
+    ``mesh.amr.forest.run_program`` checks the table against the sizes
+    the program was compiled for before it calls here."""
+    table = ffi.new("double*[]", [_out_buf(ffi, a) for a in arrays])
+    fn(table, ffi.from_buffer("long*", code), code.size, _out_buf(ffi, values),
+       ffi.from_buffer("double*", reals))

@@ -66,6 +66,9 @@ MAX_SIGNAL_KERNEL = "max_signal_%dd_cext"
 ACCUMULATE_KERNEL = "accumulate_%dd_cext"
 RK_STAGE_KERNEL = "rk_stage_cext"
 
+#: The AMR gather program: a ghost fill or a reflux in one call.
+AMR_PROGRAM_KERNEL = "amr_program_%dd_cext"
+
 #: Which sweep clone the loader picked on this host: 1 = avx2, 0 = baseline.
 SIMD_LEVEL_DECL = "int repro_simd_level(void)"
 #: The kernels' OpenMP team size: set when ``n > 0``, returned (1 in a
@@ -577,6 +580,7 @@ class KernelGenerator:
             *(self.generate_c_face_flux(ax) for ax in axes),
             self.generate_c_accumulate(),
             self.generate_c_rk_stage(),
+            self.generate_c_amr_program(),
             f"{SIMD_LEVEL_DECL} {{ return simd_level(); }}\n",
             _THREADS_C,
         ]
@@ -596,6 +600,7 @@ class KernelGenerator:
                 *(self.generate_c_face_flux(ax) for ax in range(self.ndim)),
                 self.generate_c_accumulate(),
                 self.generate_c_rk_stage(),
+                self.generate_c_amr_program(),
             )
         ]
         decls += [SIMD_LEVEL_DECL + ";", THREADS_DECL + ";"]
@@ -1328,5 +1333,97 @@ void {RK_STAGE_KERNEL}(long n, int form, double a, double b, double dt,
     const double* restrict k, double* restrict out)
 {{
 {team}    {call.format(lo="0", hi="n")}
+}}
+"""
+
+    # -- the AMR gather program (C target only) ------------------------------
+
+    def generate_c_amr_program(self) -> str:
+        """The AMR gather program (``mesh.amr.forest.run_program``): segments
+        of *code*, each a head ``[op, n, array, var_stride, side, real]`` and
+        *n* records, run in order over the value buffer ``W`` (``(sites,
+        nvars)``) and the table *arrs*, per variable: 0 load, 1 restrict ``2^d``
+        sites, 2 prolong a ``3^d`` stencil to the child its mask names, 3
+        copy a scalar (``~src``: times -1.0), 4 put, 5 reflux a ``dU`` cell.
+        Element for element ``restrict_array`` / ``prolong_array``'s
+        arithmetic: pairs summed from 0.0, as ``np.add.reduce`` does, axis 0
+        first.  Serial: a fill is a few thousand cells."""
+        nd, nv = self.ndim, self.nvars
+        return f"""\
+/* 2^k values in C order of their offsets -> their restriction */
+REPRO_INLINE double amr_restrict(double* s, long m)
+{{
+    while (m > 1) {{
+        m /= 2;
+        for (long k = 0; k < m; ++k)
+            s[k] = (0.0 + s[k] + s[k + m]) / 2.0;
+    }}
+    return s[0];
+}}
+
+/* the 3^{nd} stencil around a parent, C order -> the child *mask* names */
+REPRO_INLINE double amr_prolong(double* s, long mask)
+{{
+    long m = {3 ** nd};
+    for (int ax = 0; ax < {nd}; ++ax) {{
+        m /= 3;
+        const long hi = (mask >> ({nd - 1} - ax)) & 1;
+        for (long k = 0; k < m; ++k) {{
+            const double c = s[k + m], a = c - s[k], b = s[k + 2 * m] - c;
+            const double sl = (a * b > 0.0) ? ((fabs(a) < fabs(b)) ? a : b) : 0.0;
+            s[k] = hi ? c + 0.25 * sl : c - 0.25 * sl;
+        }}
+    }}
+    return s[0];
+}}
+
+void {AMR_PROGRAM_KERNEL % nd}(double** arrs, const long* code, long n_code,
+    double* W, const double* reals)
+{{
+    double s[{3 ** nd}];
+    for (const long* c = code; c < code + n_code;) {{
+        const long op = c[0], n = c[1], vs = c[3], side = c[4];
+        double* const x = (c[2] < 0) ? 0 : arrs[c[2]];
+        const double dx = reals[c[5]];
+        c += 6;
+        switch (op) {{
+        case 0:
+            for (long i = 0; i < n; ++i, c += 2)
+                for (long v = 0; v < {nv}; ++v)
+                    W[c[1] * {nv} + v] = x[c[0] + v * vs];
+            break;
+        case 1:
+            for (long i = 0; i < n; ++i, c += 1 + {2 ** nd})
+                for (long v = 0; v < {nv}; ++v) {{
+                    for (int k = 0; k < {2 ** nd}; ++k) s[k] = W[c[1 + k] * {nv} + v];
+                    W[c[0] * {nv} + v] = amr_restrict(s, {2 ** nd});
+                }}
+            break;
+        case 2:
+            for (long i = 0; i < n; ++i, c += 2 + {3 ** nd})
+                for (long v = 0; v < {nv}; ++v) {{
+                    for (int k = 0; k < {3 ** nd}; ++k) s[k] = W[c[2 + k] * {nv} + v];
+                    W[c[0] * {nv} + v] = amr_prolong(s, c[1]);
+                }}
+            break;
+        case 3:
+            for (long i = 0; i < n; ++i, c += 2)
+                W[c[0]] = (c[1] < 0) ? W[~c[1]] * -1.0 : W[c[1]];
+            break;
+        case 4:
+            for (long i = 0; i < n; ++i, c += 2)
+                for (long v = 0; v < {nv}; ++v)
+                    x[c[0] + v * vs] = W[c[1] * {nv} + v];
+            break;
+        default:
+            for (long i = 0; i < n; ++i, c += 2 + {2 ** (nd - 1)})
+                for (long v = 0; v < {nv}; ++v) {{
+                    for (int k = 0; k < {2 ** (nd - 1)}; ++k) s[k] = W[c[2 + k] * {nv} + v];
+                    const double d = (amr_restrict(s, {2 ** (nd - 1)}) - W[c[1] * {nv} + v]) / dx;
+                    double* const e = x + c[0] + v * vs;
+                    *e = side ? *e - d : *e + d;
+                }}
+        }}
+    }}
 }}
 """

@@ -12,10 +12,11 @@ SoA rows (the accelerator rehearsal path).
 :class:`CompiledSRHDSystem` (the ``cext`` target) adds the row kernels of
 the cffi-compiled C module of :mod:`repro.codegen.cext`: the one-pass
 recovery sweep, the CFL scan, the fused ``face_flux`` sweep, the update
-stage (``accumulate``, ``rk_stage``) and the cold-path Newton loop
-(``c2p_newton``, which :func:`~repro.physics.con2prim.con_to_prim` picks
-up).  Holding one is what puts a :class:`~repro.core.pipeline.HydroPipeline`
-on the compiled paths.
+stage (``accumulate``, ``rk_stage``), the AMR gather program
+(``run_program``: a ghost fill or a reflux in one call) and the cold-path
+Newton loop (``c2p_newton``, which :func:`~repro.physics.con2prim.con_to_prim`
+picks up).  Holding one is what puts a
+:class:`~repro.core.pipeline.HydroPipeline` on the compiled paths.
 
 :func:`make_kernel_system` is the one place a target name
 (``SolverConfig.kernel_target``) is turned into a system, falling back
@@ -36,6 +37,7 @@ from ..utils.logging import get_logger
 from .cache import load_kernel
 from .generator import (
     ACCUMULATE_KERNEL,
+    AMR_PROGRAM_KERNEL,
     MAX_SIGNAL_KERNEL,
     RECOVER_KERNEL,
     RK_STAGE_KERNEL,
@@ -109,7 +111,8 @@ class GeneratedSRHDSystem(SRHDSystem):
 class CompiledSRHDSystem(GeneratedSRHDSystem):
     """:class:`GeneratedSRHDSystem` plus the compiled row kernels of the
     ``cext`` target: ``recover``, ``max_signal``, ``face_flux``,
-    ``accumulate``, ``rk_stage`` and the cold-path ``c2p_newton``.
+    ``accumulate``, ``rk_stage``, the AMR ``run_program`` and the cold-path
+    ``c2p_newton``.
 
     Construction raises :class:`~repro.utils.errors.CodegenError` when the
     compiled module cannot be built or loaded — callers that want the
@@ -139,6 +142,7 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
         self._c_max_signal = getattr(self._lib, MAX_SIGNAL_KERNEL % ndim)
         self._c_accumulate = getattr(self._lib, ACCUMULATE_KERNEL % ndim)
         self._c_rk_stage = getattr(self._lib, RK_STAGE_KERNEL)
+        self._c_amr_program = getattr(self._lib, AMR_PROGRAM_KERNEL % ndim)
 
     def c2p_newton(self, D, S2, tau, p, p_lo, *, tol, p_floor, max_newton):
         """Fused Newton phase hook consumed by ``con_to_prim``.
@@ -211,6 +215,14 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
         from .cext import run_rk_stage
 
         run_rk_stage(self._ffi, self._c_rk_stage, stage, U, V, dt, k, out)
+
+    def run_program(self, code, arrays, values, reals) -> None:
+        """One AMR gather program — a ghost fill or a reflux — in one
+        compiled call (:func:`~repro.codegen.cext.run_program`); holding
+        this hook puts :func:`~repro.mesh.amr.forest.run_program` on it."""
+        from .cext import run_program
+
+        run_program(self._ffi, self._c_amr_program, code, arrays, values, reals)
 
     def __repr__(self):
         return f"CompiledSRHDSystem(gamma={self.gamma}, ndim={self.ndim})"

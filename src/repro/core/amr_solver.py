@@ -2,8 +2,9 @@
 
 Evolves the leaf blocks of an :class:`~repro.mesh.amr.forest.AMRForest`
 with the same HRSC pipeline as the unigrid solver: shared global time step
-(no subcycling), ghost zones filled per RK stage from the composite-level
-snapshots, gradient-based regridding with 2:1 balance enforcement.
+(no subcycling), ghost zones filled per RK stage as the composite-level
+snapshots define them, gradient-based regridding with 2:1 balance
+enforcement.
 
 The headline accounting for experiment E11 is :attr:`cells_updated` — the
 number of leaf-cell RK-stage updates actually performed — against the error
@@ -13,13 +14,13 @@ The leaves step in stacks by the distributed ranks' rule
 (:func:`~repro.core.pipeline.patch_stacks`): each run of consecutive leaves
 alike in shape and ``dx`` — about one per level — is one array stepped by
 one pipeline, one kernel call per stage.  ``forest.leaves[key].cons`` views
-its stack.  Ghost fill and reflux run from plans compiled once per
+its stack.  Ghost fill and reflux run gather programs compiled once per
 topology, ownership and stack layout (:meth:`AMRForest.ghost_plan
 <repro.mesh.amr.forest.AMRForest.ghost_plan>`,
-:func:`~repro.mesh.amr.reflux.compile_reflux`), and flagging scores a
-stack in one indicator pass, so a stage makes a few array calls per level
-and stack, not per leaf; a change of leaf set or owners drops the plans
-and re-keys the stacks before they step.
+:func:`~repro.mesh.amr.reflux.compile_reflux`) — one kernel call each on
+``cext`` — and flagging scores a stack in one indicator pass, so a stage
+makes a few calls per level and stack, not per leaf; a change of leaf set
+or owners drops the plans and re-keys the stacks before they step.
 
 Every leaf belongs to one of ``n_ranks`` ranks (Morton space-filling-curve
 partition, :mod:`repro.mesh.amr.partition`), and the driver steps the ranks
@@ -32,9 +33,9 @@ face-flux columns, merge quarters and checksummed block-migration frames
 travel as messages, and refinement flags and dt reduce through the
 communicator's exact collectives — one code path, so the block bytes are
 the same at every rank count and on every executor.  Ghosts of a rank's
-leaves are filled from partial composites built from its own leaves plus
-their ghost dependencies (:mod:`repro.mesh.amr.exchange`), bitwise equal
-to the global fill because the composites consume only block interiors.
+leaves are read from partial composites of its own leaves plus their ghost
+dependencies (:mod:`repro.mesh.amr.exchange`), bitwise equal to the
+global fill because the composites consume only block interiors.
 
 Every regrid decision is made from one *ghosted snapshot* (the primitive
 cache ``_prims()``, ghosts filled once) and applied in the forest's leaf
@@ -75,14 +76,14 @@ from ..mesh.amr.exchange import (
     rank_loads,
     reflux_plan,
 )
-from ..mesh.amr.forest import AMRForest
+from ..mesh.amr.forest import AMRForest, run_program
 from ..mesh.amr.partition import PARTITIONERS
 from ..mesh.amr.reflux import compile_reflux
 from ..mesh.amr.transfer import prolong_array, restrict_array
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
-from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima
+from ..time_integration.cfl import clip_dt_to_final
 from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
 from ..utils.parameters import ParameterSet, param
@@ -375,14 +376,16 @@ class AMRSolver(Driver):
         return self._halo_plan
 
     def _get_ghost_plan(self):
-        """``(GhostPlan, import rows per level, receipts)`` over the current
-        stacks: every held rank has a composite slot, its leaves deposit
-        there and so do the interiors it imports."""
+        """``(GatherProgram, import rows per level, receipts)`` over the
+        current stacks: every held rank has a composite slot, its leaves
+        deposit there and so do the interiors it imports."""
         if self._ghost_plan is None:
             slots = {rank: i for i, rank in enumerate(self.local_ranks)}
             imports, receipts = import_rows(self._get_halo_plan(), slots)
             stacks = [[(k, slots[self.assignment[k]]) for k in st.idents] for st in self._stacks]
-            plan = self.forest.ghost_plan(stacks + imports, stacks, len(slots), self.system.nvars)
+            plan = self.forest.ghost_plan(
+                stacks, imports, len(slots), self.system.nvars, self.system, self.wall_bcs
+            )
             self._ghost_plan = (plan, [len(rows) for rows in imports], receipts)
         return self._ghost_plan
 
@@ -445,8 +448,8 @@ class AMRSolver(Driver):
         """Fill the ghosts of the evolved leaves, *prims* of the current
         stacks: every rank posts the interiors other ranks' fills depend
         on, each received one lands in its import-buffer row, and the ghost
-        plan builds every held rank's partial composites from its own
-        leaves plus its imports."""
+        program reads every held rank's leaves plus its imports — one
+        compiled call on ``cext``."""
         plan, n_imports, receipts = self._get_ghost_plan()
         comm = self.comm
         marker = comm.traffic_marker()
@@ -461,7 +464,7 @@ class AMRSolver(Driver):
         imports = [np.empty((n,) + block) for n in n_imports]
         for src, dst, buf, row in receipts:
             imports[buf][row] = comm.recv(src, dst, tag=TAG_AMR_HALO)
-        self.forest.fill_ghosts(plan, prims.stacks, imports, self.system, self.wall_bcs)
+        self.forest.fill_ghosts(plan, prims.stacks, imports, self._kernel_system)
         self._count_halo_traffic(marker)
 
     def _count_halo_traffic(self, marker) -> None:
@@ -806,25 +809,31 @@ class AMRSolver(Driver):
                         src, dst, tag=TAG_AMR_FLUX
                     )
         apply_reflux(
-            plan, [st.pipeline.last_face_fluxes for st in self._stacks], dU.stacks, remote
+            plan, [st.pipeline.last_face_fluxes for st in self._stacks], dU.stacks, remote,
+            self._kernel_system,
         )
         messages = self.comm.messages_since(marker)
         if messages:
             self.metrics.counter("comm.amr.reflux_messages").inc(messages)
 
     def compute_dt(self, t_final: float | None = None) -> float:
-        local: dict[int, list[float]] = {rank: [] for rank in self.local_ranks}
+        """One CFL scan and one min per stack: every leaf's dt in array ops
+        in :func:`~repro.time_integration.cfl.dt_from_axis_maxima`'s order
+        (``0.0 + max(v, 1e-12) / dx`` axis by axis, then ``cfl / inv_dt``)."""
+        dt = float("inf")
         for st, prim in zip(self._stacks, self._prims().stacks):
-            for key, maxima in zip(st.idents, st.pipeline.max_signal_per_axis(prim)):
-                grid = self.forest.leaves[key].grid
-                local[self.assignment[key]].append(dt_from_axis_maxima(grid, maxima, self.config.cfl))
-        dt = self._reduce_dt({rank: min(dts, default=float("inf")) for rank, dts in local.items()})
+            maxima = np.asarray(st.pipeline.max_signal_per_axis(prim))
+            inv_dt = 0.0
+            for axis, dx in enumerate(self.forest.leaves[st.idents[0]].grid.dx):
+                inv_dt = inv_dt + np.maximum(maxima[:, axis], 1e-12) / dx
+            dt = min(dt, float(np.min(self.config.cfl / inv_dt)))
+        dt = self._reduce_dt(dict.fromkeys(self.local_ranks, dt))
         return clip_dt_to_final(dt, self.t, t_final)
 
     def _reduce_dt(self, local_min: dict[int, float]) -> float:
         """Min over ranks.  A global min over per-leaf dt values is a
-        *selection*, so reducing per-rank minima is bit-identical to the
-        one-rank min."""
+        *selection*, so reducing the held leaves' minimum, whichever ranks
+        hold them, is bit-identical to the one-rank min."""
         out = self.comm.allreduce(
             {rank: np.asarray([dt]) for rank, dt in local_min.items()}, "min"
         )
@@ -883,11 +892,13 @@ class AMRSolver(Driver):
         target = self.forest.finest_level() if level is None else level
         plan = self.forest.ghost_plan(
             [[(k, 0) for k in st.idents] for st in self._stacks], [], 1,
-            self.system.nvars, top=target,
+            self.system.nvars, self.system, self.wall_bcs, level=target,
         )
-        composites = self.forest.composites(plan, prims.stacks, [], self.system, self.wall_bcs)
-        grid = plan.grids[target]
-        return grid, grid.interior_of(composites[target][0])
+        root = self.layout.root_grid
+        grid = root.refined(2**target) if target else root
+        out = np.empty((self.system.nvars,) + grid.shape)
+        run_program(plan, [*prims.stacks, out], self._kernel_system)
+        return grid, out
 
     def leaf_count_by_level(self) -> dict[int, int]:
         return dict(Counter(key.level for key in self.forest.leaves))

@@ -1,15 +1,16 @@
 """Inter-rank exchange planning for distributed AMR.
 
 Every rank holds the full (replicated) forest *topology* but evolves only
-the leaves assigned to it.  Ghost zones are still filled through the
-composite-level construction of :meth:`AMRForest.fill_ghosts`, which
-consumes **only the interiors** of the input arrays — so a rank can rebuild
-the exact ghost bytes of its own leaves from a *partial* composite, as long
-as it holds the interiors of every leaf whose data can reach its blocks'
-ghost windows.  This module computes that dependency set and turns it into
+the leaves assigned to it.  Ghost zones are defined by the composite-level
+construction the ghost program of :meth:`AMRForest.ghost_plan` compiles,
+which consumes **only the interiors** of the input arrays — so a rank can
+rebuild the exact ghost bytes of its own leaves from a *partial* composite,
+as long as it holds the interiors of every leaf whose data can reach its
+blocks' ghost windows (a read beyond them raises when the program is
+built).  This module computes that dependency set and turns it into
 deterministic send/recv plans; each imported interior travels as its own
 message and lands in a row of an import buffer, one per level, that the
-compiled :class:`~repro.mesh.amr.forest.GhostPlan` deposits from like a
+compiled :class:`~repro.mesh.amr.forest.GatherProgram` loads from like a
 stack (:func:`import_rows`).
 
 The dependency computation is conservative (a superset is always safe — the

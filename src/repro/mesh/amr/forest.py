@@ -3,24 +3,30 @@
 Topology is a 2^d-tree over fixed-size blocks (see
 :mod:`~repro.mesh.amr.blocks`); :meth:`AMRForest.neighbor` is the one
 face-neighbour rule, wrapping across periodic walls, that 2:1 balance and
-refluxing share. Ghost zones of every leaf are filled from *composite level
-arrays*: a uniform snapshot of the solution is assembled per refinement
-level (coarse levels by restriction of finer leaves, fine levels by
-prolongation of the next-coarser composite, leaf footprints deposited
-verbatim), and each leaf copies its halo from the composite at its own
-level. This handles same-level faces, coarse-fine faces, corners, and
-physical walls through a single code path.
+refluxing share. Ghost zones of every leaf are defined by *composite level
+arrays*: a uniform snapshot of the solution per refinement level (coarse
+levels by restriction of finer leaves, fine levels by prolongation of the
+next-coarser composite, leaf footprints deposited verbatim, physical walls
+by the solver's boundary conditions), from which each leaf reads its halo
+at its own level. This handles same-level faces, coarse-fine faces,
+corners, and physical walls through a single definition.
 
-The fill runs from a :class:`GhostPlan` compiled once per topology,
-ownership and stack layout (:meth:`AMRForest.ghost_plan`): the leaves
-arrive as stacks — one ``(rows, nvars, *block)`` interior array per run of
-same-level leaves — so a fill makes a few array calls per level and
-stack (one restriction per level below a stack, one prolongation per
-level, one flat deposit per stack and level, one ghost scatter per stack)
-whatever the leaf count, and writes each leaf's ghosts and nothing else.
+The composites are never built.  :meth:`AMRForest.ghost_plan` compiles,
+once per topology, ownership and stack layout, a :class:`GatherProgram`
+over only the composite cells the ghosts read, directly or transitively:
+loads from a stack interior or an import row, restrictions of 2^d cells,
+minmod prolongations from a 3^d stencil, and wall ghosts, resolved at build
+time into signed copies or constants by probing the boundary conditions
+(:func:`_walls`).  A deposited cell is its source's value, loaded once.
+:func:`run_program` executes a program — a ghost fill, or a reflux
+(:mod:`~repro.mesh.amr.reflux`) — in one call of the compiled kernel on the
+``cext`` target, and otherwise through a NumPy mirror that makes one
+:func:`restrict_array` / :func:`prolong_array` call per level on the
+gathered stencils: element for element the dense construction's
+arithmetic, so every target gives its bytes.
 
 Production codes exchange ghosts neighbour-to-neighbour instead; the
-composite construction trades asymptotic cost for exactness and simplicity
+composite definition trades asymptotic cost for exactness and simplicity
 on this substrate (see DESIGN.md section 2). The *evolved* work — the
 quantity the AMR-efficiency experiment counts — is per-leaf only.
 """
@@ -33,7 +39,7 @@ import numpy as np
 
 from ...boundary.conditions import BoundarySet
 from ...physics.srhd import SRHDSystem
-from ...utils.errors import MeshError
+from ...utils.errors import ConfigurationError, MeshError
 from .blocks import BlockKey, BlockLayout, LeafBlock
 from .transfer import prolong_array, restrict_array
 
@@ -110,194 +116,326 @@ class AMRForest:
         idx[axis] %= extent
         return BlockKey(key.level, tuple(idx))
 
-    def max_adjacent_level(self, key: BlockKey, axis: int, side: int) -> int | None:
-        """Finest leaf level touching face (axis, side) of *key*, or None at
-        a non-periodic domain wall."""
-        nbr = self.neighbor(key, axis, side)
-        if nbr is None:
-            return None
-        # Walk up to the covering ancestor if the same-level key is absent.
-        probe = nbr
-        while probe.level > 0 and probe not in self.leaves and probe not in self.refined:
-            probe = probe.parent()
-        if probe in self.leaves:
-            return probe.level
-        if probe not in self.refined:
-            raise MeshError(f"no block covers {nbr}")
-        # Descend through refined blocks along the shared face.
-        level = probe.level
-        frontier = [probe]
-        touching_side = 1 - side  # children of the neighbour facing us
-        while frontier:
-            nxt = []
-            for blk in frontier:
-                for child in blk.children():
-                    if child.child_offset()[axis] != touching_side:
-                        continue
-                    if child in self.leaves:
-                        level = max(level, child.level)
-                    elif child in self.refined:
-                        nxt.append(child)
-            frontier = nxt
-        return level
-
     def is_balanced(self) -> bool:
         """2:1 face balance: adjacent leaves differ by at most one level."""
         return not self.unbalanced_leaves()
 
     def unbalanced_leaves(self) -> list[BlockKey]:
-        """Leaves with a face neighbour more than one level finer."""
-        return [
-            key for key in self.leaves
-            if any(
-                (adj := self.max_adjacent_level(key, axis, side)) is not None
-                and adj > key.level + 1
-                for axis in range(self.layout.ndim) for side in (0, 1)
-            )
-        ]
+        """Leaves with a face neighbour more than one level finer, in leaf
+        order: one map of the covering leaf's level per block of the finest
+        level, shifted one block across each face — wrapped across periodic
+        walls as :meth:`neighbor` wraps, -1 beyond the others — and each
+        leaf's largest value over its boundary layer on that face."""
+        layout, top = self.layout, self.finest_level()
+        by_level: dict[int, list] = {}
+        for key in self.leaves:
+            by_level.setdefault(key.level, []).append(key.idx)
+        cover = np.full(layout.level_blocks(top), -1)
+        for level, idx in by_level.items():
+            here = np.full(layout.level_blocks(level), -1)
+            here[tuple(np.transpose(idx))] = level
+            for axis in range(layout.ndim):
+                here = np.repeat(here, 2 ** (top - level), axis)
+            cover = np.maximum(cover, here)
+        worst = {level: np.full(layout.level_blocks(level), -1) for level in by_level}
+        for axis in range(layout.ndim):
+            for side in (0, 1):
+                adj = np.roll(cover, -1 if side else 1, axis)
+                if not (axis < len(self.periodic) and self.periodic[axis]):
+                    adj[(slice(None),) * axis + (-1 if side else 0,)] = -1
+                for level, w in worst.items():
+                    n = 2 ** (top - level)
+                    blocks = adj.reshape(sum(((b, n) for b in w.shape), ()))
+                    edge = [slice(None)] * blocks.ndim
+                    edge[2 * axis + 1] = slice(n - 1, n) if side else slice(0, 1)
+                    layer = blocks[tuple(edge)].max(axis=tuple(range(1, blocks.ndim, 2)))
+                    np.maximum(w, layer, out=w)
+        return [key for key in self.leaves if worst[key.level][key.idx] > key.level + 1]
 
-    # -- composite levels and ghost fill -----------------------------------------
+    # -- the ghost fill ------------------------------------------------------
 
     def ghost_plan(
         self,
-        sources: list[list[tuple[BlockKey, int]]],
-        targets: list[list[tuple[BlockKey, int]]],
+        stacks: list[list[tuple[BlockKey, int]]],
+        imports: list[list[tuple[BlockKey, int]]],
         slots: int,
         nvars: int,
-        top: int | None = None,
-    ) -> "GhostPlan":
-        """Compile the composite construction and ghost scatter.
-
-        Each source is a run of same-level leaves whose interiors arrive as
-        one ``(rows, nvars, *block)`` array — a stack's interiors, or an
-        import buffer of received ones — given as ``(key, slot)`` per row:
-        the composite the row deposits into.  There are *slots* composites
-        per level (a rank's ghosts are built from its own leaves and their
-        ghost dependencies only, so every held rank has one).  Each target
-        is a stack, ``(key, slot)`` per patch, whose ghosts are read from
-        the composite *slot* at the leaf's level.  Composites are built for
-        levels ``0..top`` (default: the finest target's).
-        """
-        layout = self.layout
-        B, g, ndim = layout.block_size, layout.n_ghost, layout.ndim
-        if top is None:
-            top = max((rows[0][0].level for rows in targets), default=-1)
-        root = layout.root_grid
-        grids = [root.refined(2**level) if level else root for level in range(top + 1)]
-        dims = [(slots, nvars) + grid.shape_with_ghosts for grid in grids]
-        deposits: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in grids]
-        levels = []
-        for s, rows in enumerate(sources):
-            level = rows[0][0].level
-            levels.append(level)
-            for lvl in range(min(level, top) + 1):
-                size = B >> (level - lvl)
-                index = _flat_index(
-                    [slot for _, slot in rows],
-                    [[g + i * size for i in key.idx] for key, _ in rows],
-                    dims[lvl], np.indices((size,) * ndim).reshape(ndim, -1),
-                )
-                deposits[lvl].append((s, level - lvl, index))
-        G = B + 2 * g
-        ghost = np.ones((G,) * ndim, dtype=bool)
-        ghost[(slice(g, g + B),) * ndim] = False
-        cells = np.nonzero(ghost)
-        fills = []
-        for rows in targets:
-            level = rows[0][0].level
-            P = len(rows)
-            dst = _flat_index(range(P), np.zeros((P, ndim), int), (P, nvars) + (G,) * ndim, cells)
-            src = _flat_index(
-                [slot for _, slot in rows], [[i * B for i in key.idx] for key, _ in rows],
-                dims[level], cells,
-            )
-            fills.append((level, dst, src))
-        return GhostPlan(grids, slots, nvars, levels, deposits, fills)
-
-    def composites(
-        self,
-        plan: "GhostPlan",
-        prims: list[np.ndarray],
-        imports: list[np.ndarray],
         system: SRHDSystem,
         wall_bcs: BoundarySet,
-    ) -> list[np.ndarray]:
-        """The composite of every level, ``(slots, nvars, *ghosted)``, built
-        from the interiors of the stacks *prims* (``(P, nvars, *ghosted)``)
-        and the *imports* buffers (``(rows, nvars, *block)``) — the plan's
-        sources in order: each is restricted once per level below it, each
-        level prolonged from the one below in one call, deposited into and
-        wall-filled."""
-        ndim, g, B = self.layout.ndim, self.layout.n_ghost, self.layout.block_size
-        lead = (slice(None), slice(None))
-        sources = [prim[lead + (slice(g, g + B),) * ndim] for prim in prims] + list(imports)
-        restricted = []
-        for level, data in zip(plan.levels, sources):
-            chain = [data]
-            for _ in range(level):
-                chain.append(restrict_array(chain[-1], ndim))
-            restricted.append(chain)
-        out: list[np.ndarray] = []
-        for level, grid in enumerate(plan.grids):
-            comp = np.zeros((plan.slots, plan.nvars) + grid.shape_with_ghosts)
-            if level:
-                prev = plan.grids[level - 1]
-                pad = lead + tuple(slice(g - 1, g + n + 1) for n in prev.shape)
-                inner = lead + tuple(slice(g, g + n) for n in grid.shape)
-                comp[inner] = prolong_array(out[-1][pad], ndim)
-            for s, steps, index in plan.deposits[level]:
-                scatter(comp, index, restricted[s][steps])
-            for slot in comp:
-                wall_bcs.apply(system, grid, slot)
-            out.append(comp)
-        return out
+        level: int | None = None,
+    ) -> "GatherProgram":
+        """Compile the ghost fill of *stacks* into a gather program over the
+        composite cells its ghosts read, directly or transitively.
+
+        Stacks and import buffers are runs of same-level leaves, ``(key,
+        slot)`` rows (*slot*: the held rank's composite), arriving as
+        ``(P, nvars, *ghosted)`` stacks, then ``(rows, nvars, *block)``
+        interiors: the program's table.  It writes every stack leaf's
+        ghosts and nothing else — or, given *level*, that composite's
+        interior (slot 0) into one more array, ``(nvars, *shape)``.  A read
+        of a level-0 cell no source covers raises :class:`MeshError`."""
+        B, g, nd = self.layout.block_size, self.layout.n_ghost, self.layout.ndim
+        G = B + 2 * g
+        sources = [(rows, G) for rows in stacks] + [(rows, B) for rows in imports]
+        top = max([rows[0][0].level for rows, _ in sources] + [-1 if level is None else level])
+        root = self.layout.root_grid
+        grids = [root.refined(2**lvl) if lvl else root for lvl in range(top + 1)]
+        dims = [(slots,) + grid.shape_with_ghosts for grid in grids]
+        walls = [_walls(grid, nvars, system, wall_bcs) for grid in grids]
+        kinds = []
+        for dim in dims:
+            kind = np.full(dim, _WALL, np.int8)
+            kind[(slice(None),) + (slice(g, -g),) * nd] = _PROLONGED
+            kinds.append(kind.reshape(-1))
+        loads = []  # per source: its level, its cells there, their offsets
+        for rows, extent in sources:
+            own, slot, idx = rows[0][0].level, *_rows(rows)
+            for lvl in range(own + 1):
+                size = B >> (own - lvl)
+                cells = _cells((size,) * nd)
+                pos = _index(slot, g + idx * size, dims[lvl], cells)
+                kinds[lvl][pos] = _LOADED if lvl == own else _RESTRICTED
+            lead, corner = np.arange(len(rows)) * nvars, [(extent - B) // 2] * nd
+            off = _index(lead, corner, (lead.size * nvars,) + (extent,) * nd, cells)
+            loads.append((own, pos, off))
+        # (array, level, labels, composite cells (rows, n), offsets, stride)
+        if level is None:
+            ghost = np.ones((G,) * nd, dtype=bool)
+            ghost[(slice(g, g + B),) * nd] = False
+            cells, reads = np.array(np.nonzero(ghost)), []
+            for a, rows in enumerate(stacks):
+                lvl, slot, idx = rows[0][0].level, *_rows(rows)
+                lead = np.arange(len(rows)) * nvars
+                off = _index(lead, [0] * nd, (lead.size * nvars,) + (G,) * nd, cells)
+                comp = _index(slot, idx * B, dims[lvl], cells)
+                reads.append((a, lvl, [key for key, _ in rows], comp, off, G**nd))
+        else:
+            shape = grids[level].shape
+            cells = _cells(shape)
+            comp = _index([0], [g] * nd, dims[level], cells)
+            off = _index([0], [0] * nd, (1,) + shape, cells)
+            reads = [(len(sources), level, [f"level {level}"], comp, off, int(np.prod(shape)))]
+
+        def walk(seeds):
+            """Mark every composite cell the *seeds* read: walls and
+            prolongations top-down, then restrictions bottom-up; None when a
+            read reaches an uncovered level-0 cell."""
+            need = [np.zeros(kind.size, dtype=bool) for kind in kinds]
+            for lvl, comp in seeds:
+                need[lvl][comp] = True
+            stencils, children = {}, {}
+            for lvl in range(top, -1, -1):
+                n_cells = kinds[lvl].size // slots
+                wall = np.flatnonzero(need[lvl] & (kinds[lvl] == _WALL))
+                src = walls[lvl][0][:, wall % n_cells]
+                need[lvl][(wall - wall % n_cells + src % n_cells)[src >= 0]] = True
+                pro = np.flatnonzero(need[lvl] & (kinds[lvl] == _PROLONGED))
+                if pro.size and lvl == 0:
+                    return None
+                if pro.size:
+                    slot, *fine = np.unravel_index(pro, dims[lvl])
+                    corner = [g - 1 + (c - g) // 2 for c in fine]
+                    parent = _index(slot, corner, dims[lvl - 1], _cells((3,) * nd))
+                    # which child: axis 0 the high bit
+                    mask = sum((c - g) % 2 << (nd - 1 - ax) for ax, c in enumerate(fine))
+                    stencils[lvl] = pro, parent, mask
+                    need[lvl - 1][parent] = True
+            for lvl in range(top):
+                res = np.flatnonzero(need[lvl] & (kinds[lvl] == _RESTRICTED))
+                slot, *coarse = np.unravel_index(res, dims[lvl])
+                corner = [g + 2 * (c - g) for c in coarse]
+                kids = _index(slot, corner, dims[lvl + 1], _cells((2,) * nd))
+                children[lvl] = res, kids
+                need[lvl + 1][kids] = True
+            return need, stencils, children
+
+        walked = walk([(lvl, comp) for _, lvl, _, comp, _, _ in reads])
+        if walked is None:  # name the first leaf whose own walk fails
+            label, lvl = next(
+                (label, lvl) for _, lvl, labels, comp, _, _ in reads
+                for label, row in zip(labels, comp) if walk([(lvl, row)]) is None
+            )
+            raise MeshError(
+                f"the ghost fill of {label} (level {lvl}) reads level-0 "
+                "composite cells no held or imported leaf covers"
+            )
+        need, stencils, children = walked
+        site, n_sites = [], 0  # value-buffer column of every kept cell
+        for keep in need:
+            site.append(np.full(keep.size, -1, dtype=np.int64))
+            site[-1][keep] = np.arange(n_sites, n_sites + np.count_nonzero(keep))
+            n_sites += np.count_nonzero(keep)
+        values, var = np.zeros((n_sites, nvars)), np.arange(nvars)[:, None]
+        segments = []
+        for a, (lvl, pos, off) in enumerate(loads):
+            keep = need[lvl][pos]
+            record = np.stack([off[keep], site[lvl][pos[keep]]], 1)
+            segments.append((LOAD, a, sources[a][1] ** nd, 0, 0.0, record))
+        for lvl in range(top - 1, -1, -1):
+            res, kids = children[lvl]
+            record = np.column_stack([site[lvl][res], site[lvl + 1][kids]])
+            segments.append((RESTRICT, -1, 0, 0, 0.0, record))
+        for lvl in range(top + 1):
+            if lvl in stencils:
+                pro, stencil, mask = stencils[lvl]
+                record = np.column_stack([site[lvl][pro], mask, site[lvl - 1][stencil]])
+                segments.append((PROLONG, -1, 0, 0, 0.0, record))
+            src, neg, const = walls[lvl]
+            n_cells = kinds[lvl].size // slots
+            wall = np.flatnonzero(need[lvl] & (kinds[lvl] == _WALL))
+            cell, at = wall % n_cells, site[lvl][wall]
+            read = src[:, cell]
+            scalar = site[lvl][wall - cell + read % n_cells] * nvars + read // n_cells
+            copied = read >= 0
+            values[at] = np.where(copied, 0.0, const[:, cell]).T
+            scalar = np.where(neg[:, cell], ~scalar, scalar)
+            record = np.stack([(at * nvars + var)[copied], scalar[copied]], 1)
+            segments.append((COPY, -1, 0, 0, 0.0, record))
+        for a, lvl, _, comp, off, stride in reads:
+            record = np.stack([off.ravel(), site[lvl][comp.ravel()]], 1)
+            segments.append((PUT, a, stride, 0, 0.0, record))
+        sizes = [len(rows) * nvars * extent**nd for rows, extent in sources]
+        if level is not None:
+            sizes.append(nvars * reads[0][-1])
+        return GatherProgram.of(nd, sizes, segments, values)
 
     def fill_ghosts(
-        self,
-        plan: "GhostPlan",
-        prims: list[np.ndarray],
-        imports: list[np.ndarray],
-        system: SRHDSystem,
-        wall_bcs: BoundarySet,
+        self, plan: "GatherProgram", prims: list, imports: list, system=None
     ) -> None:
-        """Fill the ghosts of every stack in *prims* (the plan's targets)
-        in place, and only their ghosts, from :meth:`composites`."""
-        comps = self.composites(plan, prims, imports, system, wall_bcs)
-        for prim, (level, dst, src) in zip(prims, plan.fills):
-            scatter(prim, dst, comps[level].take(src))
+        """Fill the ghosts of every stack in *prims* (``(P, nvars,
+        *ghosted)``), and only their ghosts, by running *plan*
+        (:meth:`ghost_plan`) over them and the *imports*; compiled on a
+        *system* that carries the kernel."""
+        run_program(plan, list(prims) + list(imports), system)
+
+
+#: Gather-program ops, the compiled kernel's switch (``generate_c_amr_program``).
+LOAD, RESTRICT, PROLONG, COPY, PUT, REFLUX = range(6)
+#: What a composite cell is: prolonged from the level below, a leaf's own
+#: value, a restriction of the level above, or a wall ghost.
+_PROLONGED, _LOADED, _RESTRICTED, _WALL = range(4)
 
 
 @dataclass
-class GhostPlan:
-    """One compiled ghost fill (:meth:`AMRForest.ghost_plan`)."""
+class GatherProgram:
+    """A compiled ghost fill or reflux (:func:`run_program`)."""
 
-    #: composite grid of each level ``0..top``
-    grids: list
-    #: composites per level, one per held rank
-    slots: int
-    nvars: int
-    #: level of each source
-    levels: list[int]
-    #: per composite level: ``(source, restrictions, flat index)`` deposits
-    deposits: list
-    #: per target stack: ``(level, flat ghost index into the stack, flat
-    #: index into that level's composite)``
-    fills: list
+    ndim: int
+    #: element count of every array of the table, in order
+    sizes: list
+    #: ``(op, array, var_stride, side, dx, records)``, in execution order
+    segments: list
+    #: the value buffer ``(sites, nvars)``, wall constants preset
+    values: np.ndarray
+    #: the segments flattened for the compiled kernel, and their ``dx``
+    code: np.ndarray
+    reals: np.ndarray
+
+    @classmethod
+    def of(cls, ndim, sizes, segments, values) -> "GatherProgram":
+        segments = [seg for seg in segments if len(seg[-1])]
+        code = [
+            np.concatenate([[op, len(rec), arr, stride, side, i], rec.ravel()])
+            for i, (op, arr, stride, side, _, rec) in enumerate(segments)
+        ]
+        code = np.concatenate(code).astype(np.int64) if code else np.zeros(0, np.int64)
+        reals = np.array([seg[4] for seg in segments] + [0.0])
+        return cls(ndim, sizes, segments, values, code, reals)
 
 
-def scatter(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """``target.flat[index] = values`` — the one write of every plan."""
-    np.put(target, index, values)
+def run_program(program: GatherProgram, arrays: list, system=None) -> None:
+    """Run *program* over *arrays*, its table in order: in one call of the
+    compiled kernel when *system* carries it (``run_program``), otherwise by
+    a NumPy mirror of the same segments — one :func:`restrict_array` or
+    :func:`prolong_array` call per level on the gathered stencils, so
+    element for element the same arithmetic."""
+    if len(arrays) != len(program.sizes) or any(
+        a.dtype != np.float64 or not a.flags.c_contiguous or a.size != n
+        for a, n in zip(arrays, program.sizes)
+    ):
+        raise MeshError(
+            f"a gather program compiled for arrays of {program.sizes} elements "
+            f"got {[a.size for a in arrays]} (C-contiguous float64 only)"
+        )
+    if hasattr(system, "run_program"):
+        system.run_program(program.code, arrays, program.values, program.reals)
+        return
+    W, nd = program.values, program.ndim
+    n_vars = W.shape[1]
+    flat, var = W.reshape(-1), np.arange(n_vars)
+    for op, a, stride, side, dx, rec in program.segments:
+        n = len(rec)
+
+        def grid(sites, extent, k=nd):  # (n, nvars, *(extent,) * k)
+            return W[sites].swapaxes(1, 2).reshape((n, n_vars) + (extent,) * k)
+
+        if op == LOAD:
+            W[rec[:, 1]] = arrays[a].take(rec[:, :1] + var * stride)
+        elif op == RESTRICT:
+            W[rec[:, 0]] = restrict_array(grid(rec[:, 1:], 2), nd).reshape(n, n_vars)
+        elif op == PROLONG:
+            fine = prolong_array(grid(rec[:, 2:], 3), nd).reshape(n, n_vars, -1)
+            W[rec[:, 0]] = fine[np.arange(n), :, rec[:, 1]]
+        elif op == COPY:
+            src = rec[:, 1]
+            got = flat[np.where(src < 0, ~src, src)]
+            flat[rec[:, 0]] = np.where(src < 0, got * -1.0, got)
+        elif op == PUT:
+            np.put(arrays[a], rec[:, :1] + var * stride, W[rec[:, 1]])
+        else:
+            fine = restrict_array(grid(rec[:, 2:], 2, nd - 1), nd - 1).reshape(n, n_vars)
+            cells = rec[:, :1] + var * stride
+            edge, delta = arrays[a].take(cells), (fine - W[rec[:, 1]]) / dx
+            np.put(arrays[a], cells, edge - delta if side else edge + delta)
 
 
-def _flat_index(slots, origins, dims, cells) -> np.ndarray:
-    """Flat indices into an array shaped *dims* ``(slots, nvars, *grid)``:
-    for every row (a slot and a per-axis origin) and variable, the *cells*
-    (per-axis coordinates) offset by the origin — shaped ``(rows, nvars,
-    n_cells)``, which for the cells of a whole block in C order is the
-    order of a ``(rows, nvars, *block)`` array."""
-    slot = np.asarray(slots)[:, None, None]
-    origin = np.asarray(origins)
-    coords = [origin[:, ax, None, None] + np.asarray(c)[None, None, :] for ax, c in enumerate(cells)]
-    var = np.arange(dims[1])[None, :, None]
-    return np.ravel_multi_index(np.broadcast_arrays(slot, var, *coords), dims)
+def _cells(shape) -> np.ndarray:
+    """Per-axis coordinates of every cell of *shape*, C order: ``(ndim, n)``."""
+    return np.indices(shape).reshape(len(shape), -1)
+
+
+def _index(lead, corner, dims, cells) -> np.ndarray:
+    """Flat indices into an array shaped *dims*, ``(lead, *grid)``: per row,
+    its *lead* index and the *cells* (per-axis coordinates, ``(d, n)``)
+    offset by its *corner* (per axis, a scalar or one per row) — ``(rows,
+    n)``; a composite's cells, a parent stencil, an array's offsets."""
+    at = (np.asarray(c)[..., None] + x for c, x in zip(corner, cells))
+    return np.ravel_multi_index(np.broadcast_arrays(np.asarray(lead)[:, None], *at), dims)
+
+
+def _walls(grid, nvars: int, system: SRHDSystem, wall_bcs: BoundarySet):
+    """The wall ghosts of a composite over *grid*, resolved by applying
+    *wall_bcs* to two arrays of cell ids, ``id`` and ``2 id`` (ghosts 0):
+    a ghost reading ``+-a`` and ``+-2a`` copies scalar ``a - 1`` (negated),
+    one equal in both holds that constant.  Per scalar: the one copied (or
+    -1), whether negated, the constant."""
+    g = grid.n_ghost
+    shape = (nvars,) + grid.shape_with_ghosts
+    inner = np.zeros(shape, dtype=bool)
+    inner[(slice(None),) + tuple(slice(g, g + n) for n in grid.shape)] = True
+    one = np.where(inner, np.arange(1.0, inner.size + 1).reshape(shape), 0.0)
+    two = 2.0 * one
+    wall_bcs.apply(system, grid, one)
+    wall_bcs.apply(system, grid, two)
+    one, two, inner = one.reshape(nvars, -1), two.reshape(nvars, -1), inner.reshape(-1)
+    scalar = np.clip(np.abs(one), 1, inner.size).astype(np.int64) - 1
+    # A copy reads an interior id: a linear combination of ids (an
+    # extrapolation) passes the doubling test but names no interior cell.
+    copy = (two == 2.0 * one) & (np.abs(one) == scalar + 1) & inner[scalar]
+    bad = ~inner.reshape(nvars, -1) & ~copy & (one != two)
+    if bad.any():
+        cell = np.unravel_index(np.flatnonzero(bad.any(axis=0))[0], grid.shape_with_ghosts)
+        axis = max(ax for ax, n in enumerate(grid.shape) if not g <= cell[ax] < g + n)
+        side = int(cell[axis] >= g)
+        raise ConfigurationError(
+            f"the {wall_bcs.condition(axis, side).name!r} condition on face (axis "
+            f"{axis}, side {side}) is neither a copy of interior cells nor a "
+            "constant: the AMR ghost fill cannot compile it"
+        )
+    return np.where(copy, scalar, -1), one < 0, np.where(copy, 0.0, one)
+
+
+def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The slots and the per-axis block indices ``(d, rows)`` of ``(key,
+    slot)`` rows."""
+    return np.array([s for _, s in rows]), np.array([key.idx for key, _ in rows]).T

@@ -14,13 +14,14 @@ For the coarse cell column adjacent to the face:
 
 The coarse-fine faces are found once per topology, ownership and stack
 layout (:func:`compile_reflux`, across periodic walls too, through
-:meth:`~repro.mesh.amr.forest.AMRForest.neighbor`) and compiled into one
-group per (axis, side, coarse stack): a gather of the touching children's
-face columns out of the stacked ``last_face_fluxes`` (or the slots of
-columns received from other ranks), one restriction, the difference with
-the coarse columns, and one indexed update of the coarse stack's ``dU``.
-Groups run axis 0 low, axis 0 high, axis 1 low, ... — the order in which
-a leaf-by-leaf sweep corrects any one cell, so the bits are its bits.
+:meth:`~repro.mesh.amr.forest.AMRForest.neighbor`) and compiled into a
+:class:`~repro.mesh.amr.forest.GatherProgram` — the ghost fill's kind:
+loads of the touching children's face columns, read in place from the
+stacked ``last_face_fluxes`` (or the rows of columns received from other
+ranks), and of the coarse ones, then one reflux segment per (axis, side,
+coarse stack) of ops ``dU[cell] = dU[cell] -+ (restrict(fine) - coarse) /
+dx``.  Segments run axis 0 low, axis 0 high, axis 1 low, ... — the order in
+which a leaf-by-leaf sweep corrects any one cell, so the bits are its bits.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from ...utils.errors import MeshError
 from .blocks import BlockKey
-from .forest import AMRForest, scatter
-from .transfer import restrict_array
+from .forest import LOAD, REFLUX, AMRForest, GatherProgram, run_program
+from .transfer import restrict_array  # noqa: F401  (a bench/trace.py patch point)
 
 
 @dataclass
@@ -42,12 +43,12 @@ class RefluxPlan:
 
     #: per axis, the received columns' rows: ``child -> row``
     remote: dict
-    #: ``(axis, side, stack, fine, coarse, cells, dx)``: flat indices of the
-    #: fine face values (into the axis' column pool), the coarse face
-    #: values (same pool) and the corrected ``dU`` cells (into the stack)
-    groups: list
+    #: the face-value loads, then the correction segments (:attr:`groups`)
+    program: GatherProgram
     #: coarse faces corrected per application
     faces: int
+    #: the correction segments, one per (axis, side, coarse stack)
+    groups: list
 
 
 def compile_reflux(
@@ -59,31 +60,48 @@ def compile_reflux(
     """Plan the correction of every coarse leaf of *stacks* (idents per
     stack, in stack order) at faces shared with finer leaves.
 
-    Per axis, the column pool is every stack's ``last_face_fluxes[axis]``
-    (``(nvars, P, *transverse, B + 1)``) flattened in stack order, then the
-    received columns ``(rows, nvars, *transverse)`` of the *remote*
-    ``(child, axis)`` entries, in receipt order; a child held here is read
-    from its stack even if its column was also received.
+    The program's table is every stack's ``last_face_fluxes[axis]``
+    (``(nvars, P, *transverse, B + 1)``) axis by axis, in stack order, then
+    per axis that has some the received columns ``(rows, nvars,
+    *transverse)`` of the *remote* ``(child, axis)`` entries, in receipt
+    order, then every stack's ``dU``; a child held here is read from its
+    stack even if its column was also received.
     """
     layout = forest.layout
     ndim, B, g = layout.ndim, layout.block_size, layout.n_ghost
     tshape = (B,) * (ndim - 1)
     t = tuple(np.indices(tshape))  # transverse cells of a face
-    var = np.arange(nvars).reshape((nvars,) + (1,) * (ndim - 1))
     where = {key: (s, p) for s, idents in enumerate(stacks) for p, key in enumerate(idents)}
-    offsets = np.cumsum([0] + [len(ids) * nvars * B ** (ndim - 1) * (B + 1) for ids in stacks])
     rows: dict[int, dict] = {axis: {} for axis in range(ndim)}
     for child, axis in remote:
         rows[axis].setdefault(child, len(rows[axis]))
+    received = [axis for axis in range(ndim) if rows[axis]]
+    column_size = B ** (ndim - 1)
+    # per array of the table: rows of nvars variables, and the variable stride
+    counts = [1] * ndim * len(stacks) + [len(rows[ax]) for ax in received]
+    counts += [len(ids) for ids in stacks]
+    strides = [len(ids) * column_size * (B + 1) for _ in range(ndim) for ids in stacks]
+    strides += [column_size] * len(received) + [(B + 2 * g) ** ndim] * len(stacks)
+    loads: dict[int, tuple[list, list]] = {}
+    n_sites = 0
 
     def column(key, axis, face):
-        """Pool indices of *key*'s face *face* along *axis*, ``(nvars, *t)``."""
+        """Value-buffer sites of *key*'s face *face* along *axis*, loaded
+        from its stack's fluxes or its received row, ``(*t)``."""
+        nonlocal n_sites
         if key in where:
             s, p = where[key]
-            dims = (nvars, len(stacks[s])) + tshape + (B + 1,)
-            return offsets[s] + np.ravel_multi_index((var, p, *t, face), dims)
-        dims = (len(rows[axis]), nvars) + tshape
-        return offsets[-1] + np.ravel_multi_index((rows[axis][key], var, *t), dims)
+            arr = axis * len(stacks) + s
+            dims = (len(stacks[s]),) + tshape + (B + 1,)
+            off = np.asarray(np.ravel_multi_index((p, *t, face), dims))
+        else:
+            arr = ndim * len(stacks) + received.index(axis)
+            off = rows[axis][key] * nvars * column_size + np.arange(column_size).reshape(tshape)
+        sites = np.arange(n_sites, n_sites + off.size).reshape(off.shape)
+        n_sites += off.size
+        for out, new in zip(loads.setdefault(arr, ([], [])), (off, sites)):
+            out.append(new.ravel())
+        return sites
 
     groups, faces = [], 0
     for axis, side in product(range(ndim), (0, 1)):
@@ -96,7 +114,7 @@ def compile_reflux(
                 nbr = forest.neighbor(key, axis, side)
                 if nbr is None or nbr not in forest.refined:
                     continue
-                f = np.empty((nvars,) + (2 * B,) * (ndim - 1), dtype=np.intp)
+                f = np.empty((2 * B,) * (ndim - 1), dtype=np.int64)
                 for child in nbr.children():
                     off = child.child_offset()
                     if off[axis] == side:  # the neighbour's far half
@@ -106,16 +124,27 @@ def compile_reflux(
                             f"2:1 balance violated: {child} borders {key} but is not a leaf"
                         )
                     at = tuple(slice(off[ax] * B, (off[ax] + 1) * B) for ax in trans)
-                    f[(slice(None),) + at] = column(child, axis, B * (1 - side))
-                fine.append(f)
-                coarse.append(column(key, axis, B * side))
+                    f[at] = column(child, axis, B * (1 - side))
+                # (transverse cell, its 2^(d-1) fine faces in C order)
+                k = ndim - 1
+                pairs = f.reshape((B, 2) * k).transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+                fine.append(pairs.reshape(column_size, 2**k))
+                coarse.append(column(key, axis, B * side).ravel())
                 dims = (len(idents), nvars) + (B + 2 * g,) * ndim
-                cells.append(np.ravel_multi_index((p, var, *edge), dims))
+                cells.append(np.ravel_multi_index((p, 0, *edge), dims).ravel())
             if fine:
                 dx = forest.leaves[idents[0]].grid.dx[axis]
-                groups.append((axis, side, s, *(np.stack(a, axis=1) for a in (fine, coarse, cells)), dx))
+                record = np.column_stack([np.concatenate(a) for a in (cells, coarse, fine)])
+                arr = ndim * len(stacks) + len(received) + s
+                groups.append((REFLUX, arr, strides[arr], side, dx, record))
                 faces += len(fine)
-    return RefluxPlan(rows, groups, faces)
+    segments = [
+        (LOAD, arr, strides[arr], 0, 0.0, np.stack([np.concatenate(o) for o in loads[arr]], 1))
+        for arr in sorted(loads)
+    ]
+    sizes = [n * nvars * stride for n, stride in zip(counts, strides)]
+    program = GatherProgram.of(ndim, sizes, segments + groups, np.zeros((n_sites, nvars)))
+    return RefluxPlan(rows, program, faces, groups)
 
 
 def apply_reflux(
@@ -123,23 +152,18 @@ def apply_reflux(
     fluxes: list[dict[int, np.ndarray]],
     dU: list[np.ndarray],
     remote: dict[int, np.ndarray] | None = None,
+    system=None,
 ) -> int:
     """Correct the coarse stacks' ``dU`` (full ghosted right-hand sides,
-    modified in place) at faces shared with finer leaves.
+    modified in place) at faces shared with finer leaves, in one call of the
+    compiled kernel on a *system* that carries it.
 
     *fluxes* is each stack's ``last_face_fluxes``, *remote* the received
     columns per axis (see :func:`compile_reflux`).  Returns the number of
     faces corrected.
     """
-    pools = {}
-    for axis, side, s, fine, coarse, cells, dx in plan.groups:
-        if axis not in pools:
-            extra = [remote[axis].reshape(-1)] if remote else []
-            pools[axis] = np.concatenate([f[axis].reshape(-1) for f in fluxes] + extra)
-        fine_face = pools[axis].take(fine)
-        if fine.ndim > 2:
-            fine_face = restrict_array(fine_face, fine.ndim - 2)
-        delta = (fine_face - pools[axis].take(coarse)) / dx
-        edge = dU[s].take(cells)
-        scatter(dU[s], cells, edge + delta if side == 0 else edge - delta)
+    if plan.faces:
+        arrays = [f[axis] for axis in range(plan.program.ndim) for f in fluxes]
+        arrays += [remote[axis] for axis, rows in plan.remote.items() if rows]
+        run_program(plan.program, arrays + list(dU), system)
     return plan.faces

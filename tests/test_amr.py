@@ -12,7 +12,7 @@ from repro import Grid, IdealGasEOS, Solver, SolverConfig, SRHDSystem
 from repro.analysis import relative_l1_error
 from repro.boundary import make_boundaries
 from repro.core.amr_solver import AMRConfig, AMRSolver
-from repro.core.pipeline import HydroPipeline
+from repro.core.pipeline import HydroPipeline, PatchViews
 from repro.mesh.amr import (
     AMRForest,
     BlockKey,
@@ -234,8 +234,64 @@ class TestForestTopology:
         layout, forest = self._forest()
         key = BlockKey(0, (1,))
         forest.split(key, {c: layout.grid_for(c).allocate(3) for c in key.children()})
-        assert forest.max_adjacent_level(BlockKey(0, (0,)), 0, 1) == 1
-        assert forest.max_adjacent_level(BlockKey(0, (0,)), 0, 0) is None  # wall
+        assert max_adjacent_level(forest, BlockKey(0, (0,)), 0, 1) == 1
+        assert max_adjacent_level(forest, BlockKey(0, (0,)), 0, 0) is None  # wall
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ndim=st.sampled_from([1, 2]),
+        periodic=st.booleans(),
+        picks=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_unbalanced_leaves_is_the_face_walk(self, ndim, periodic, picks):
+        """The array form of 2:1 detection returns the face walk's keys in
+        the walk's (leaf) order, on random forests — balanced or not, with
+        walls and across periodic wraps."""
+        layout = BlockLayout(Grid((32,) * ndim, ((0.0, 1.0),) * ndim), block_size=8)
+        forest = AMRForest(layout, max_levels=4, periodic=(periodic,) * ndim)
+        for key in layout.root_keys():
+            forest.add_leaf(key, None)
+        for pick in picks:
+            splittable = [k for k in forest.leaves if k.level + 1 < forest.max_levels]
+            if splittable:
+                key = splittable[pick % len(splittable)]
+                forest.split(key, dict.fromkeys(key.children()))
+        want = [
+            key for key in forest.leaves
+            if any(
+                (adj := max_adjacent_level(forest, key, axis, side)) is not None
+                and adj > key.level + 1
+                for axis in range(ndim) for side in (0, 1)
+            )
+        ]
+        assert forest.unbalanced_leaves() == want
+
+
+def max_adjacent_level(forest, key, axis, side):
+    """Finest leaf level touching face (axis, side) of *key*, or None at a
+    non-periodic wall: the leaf-by-leaf walk ``unbalanced_leaves`` is
+    checked against."""
+    nbr = forest.neighbor(key, axis, side)
+    if nbr is None:
+        return None
+    probe = nbr
+    while probe.level > 0 and probe not in forest.leaves and probe not in forest.refined:
+        probe = probe.parent()
+    if probe in forest.leaves:
+        return probe.level
+    level, frontier = probe.level, [probe]
+    while frontier:
+        nxt = []
+        for blk in frontier:
+            for child in blk.children():
+                if child.child_offset()[axis] != 1 - side:
+                    continue
+                if child in forest.leaves:
+                    level = max(level, child.level)
+                elif child in forest.refined:
+                    nxt.append(child)
+        frontier = nxt
+    return level
 
 
 class TestAMREvolution:
@@ -412,66 +468,74 @@ class TestLeafStacks:
 
     @pytest.fixture
     def plan_calls(self, monkeypatch):
-        """The array calls of the ghost and reflux plans — restrictions,
-        prolongations and flat scatters — tallied per ``_fill_ghosts`` /
-        ``_apply_reflux`` call by :meth:`_per_call`."""
-        from repro.mesh.amr import forest, reflux
+        """The calls the ghost and reflux programs make — restrictions and
+        prolongations of the NumPy mirror, compiled program calls on
+        ``cext`` — tallied per ``_fill_ghosts`` / ``_apply_reflux`` call by
+        :meth:`_per_call`."""
+        from repro.codegen.system import CompiledSRHDSystem
+        from repro.mesh.amr import forest
 
-        made = {"restrict_array": 0, "prolong_array": 0, "scatter": 0}
-        for module in (forest, reflux):
-            for name in made:
-                real = getattr(module, name, None)
-                if real is None:
-                    continue
+        made = {"restrict_array": 0, "prolong_array": 0, "run_program": 0}
+        for owner, name in ((forest, "restrict_array"), (forest, "prolong_array"),
+                            (CompiledSRHDSystem, "run_program")):
+            real = getattr(owner, name)
 
-                def counting(*args, _real=real, _name=name):
-                    made[_name] += 1
-                    return _real(*args)
+            def counting(*args, _real=real, _name=name):
+                made[_name] += 1
+                return _real(*args)
 
-                monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         return made
 
     @staticmethod
     def _per_call(amr, made, method, log):
-        """Log each *method* call's plan calls with the bound it must keep,
-        read off the plan it ran."""
+        """Log each *method* call's program calls with the bound it must
+        keep: on ``cext`` one compiled call and no mirror call; otherwise
+        at most one restriction and one prolongation per level for a fill,
+        one restriction per (axis, side, coarse stack) group for a
+        reflux."""
         real = getattr(amr, method)
+        compiled = hasattr(amr._kernel_system, "run_program")
 
         def counting(*args):
             before = dict(made)
             real(*args)
             n_stacks = len(amr._stacks)
             if method == "_fill_ghosts":
-                plan = amr._get_ghost_plan()[0]
-                levels, sources = len(plan.grids), len(plan.levels)
-                bound = {"restrict_array": levels * sources, "prolong_array": levels - 1,
-                         "scatter": levels * sources + n_stacks}
-                assert sources <= n_stacks + levels  # one import buffer per level
+                levels = amr.forest.finest_level() + 1
+                bound = {"restrict_array": levels, "prolong_array": levels, "run_program": 0}
             else:
                 groups = len(amr._get_reflux_plan()[1].groups)
-                bound = {"restrict_array": groups, "prolong_array": 0, "scatter": groups}
+                bound = {"restrict_array": groups, "prolong_array": 0, "run_program": 0}
                 assert groups <= 2 * amr.layout.ndim * n_stacks  # per (axis, side, stack)
+            if compiled:
+                bound = {"restrict_array": 0, "prolong_array": 0, "run_program": 1}
             log.append(({k: made[k] - before[k] for k in made}, bound, len(amr.forest.leaves)))
 
         setattr(amr, method, counting)
 
-    @pytest.mark.parametrize("n_ranks", [1, 2])
-    def test_builds_and_calls_scale_with_the_stacks(self, system2d, calls, plan_calls, n_ranks):
+    @pytest.mark.parametrize(
+        "n_ranks, target", [(1, "numpy"), (2, "numpy"), (1, "cext")], ids=["1", "2", "cext"]
+    )
+    def test_builds_and_calls_scale_with_the_stacks(
+        self, system2d, calls, plan_calls, n_ranks, target
+    ):
         """Regrids every third step (and, at two ranks, migrations): a step
         that changes no topology builds no pipeline and sweeps once per
         stack per recovery (one per RK stage: compute_dt's serves stage 1)
         and per axis and stage; a regrid, with its migration, builds at most one pipeline
-        per stack of the forest it leaves.  A ghost fill makes at most one
-        restriction per level and source (stack or import buffer), one
-        prolongation per level and one scatter per level and source plus
-        one per stack; a reflux one restriction and one scatter per (axis,
-        side, stack) — whatever the leaf count."""
+        per stack of the forest it leaves.  A ghost fill is one compiled
+        program call on ``cext``, and on ``numpy`` at most one restriction
+        and one prolongation per level; a reflux one compiled call, or one
+        restriction per (axis, side, stack) — whatever the leaf count."""
+        if target == "cext":
+            require_cext(2)
         amr = AMRSolver(
             system2d,
             Grid((32, 32), ((0, 1), (0, 1))),
             lambda s, g: blast_wave_2d(s, g, p_in=10.0, p_out=1.0, radius=0.2,
                                        center=(0.4, 0.45)),
-            SolverConfig(cfl=0.4),
+            SolverConfig(cfl=0.4, kernel_target=target),
             AMRConfig(block_size=8, max_levels=2, regrid_interval=3,
                       refine_threshold=0.2, coarsen_threshold=0.05,
                       rebalance_threshold=1.02),
@@ -506,7 +570,9 @@ class TestLeafStacks:
         for made, bound, n_leaves in fills + refluxes:
             for name, n in made.items():
                 assert n <= bound[name] < n_leaves, (made, bound, n_leaves)
-        assert max(made["scatter"] for made, _, _ in refluxes) > 0
+        if target == "cext":
+            assert all(made["run_program"] == 1 for made, _, _ in fills)
+        assert max(sum(made.values()) for made, _, _ in refluxes) > 0
         assert amr.regrids == 4 and len(topologies) > 1 and rebuilt > 0
         assert (amr.repartitions > 0) == (n_ranks > 1)
 
@@ -550,3 +616,191 @@ class TestLeafStacks:
                 assert run() == want, n
         finally:
             cext_mod.threads(2, before)
+
+    def test_the_ghost_program_on_a_team_is_the_one_thread_run(self, system2d):
+        """The compiled ghost fill and reflux on 1, 2 and 4 threads: the
+        program kernel is one serial call whatever the team, so every
+        ghost and every corrected ``dU`` byte is the 1-thread run's."""
+        from repro.codegen import cext as cext_mod
+
+        from .test_codegen import _set_team
+
+        require_cext(2)
+        amr = _blob_amr(2, make_boundaries("periodic"), 1, "cext")
+
+        def run():
+            prims = amr._ghosted_snapshot()
+            dU = PatchViews.of(amr._stacks, [
+                st.pipeline.flux_divergence(prim) for st, prim in zip(amr._stacks, prims.stacks)
+            ])
+            amr._apply_reflux(dU)
+            return [a.tobytes() for a in prims.stacks + dU.stacks]
+
+        before = cext_mod.threads(2)
+        try:
+            _set_team(1)
+            want = run()
+            for n in (2, 4):
+                _set_team(n)
+                assert run() == want, n
+        finally:
+            cext_mod.threads(2, before)
+
+
+def _blob(system, grid):
+    """A dense off-centre blob in a sheared flow, in any ndim: a jump to
+    refine on, and velocities whose sign a reflecting wall flips."""
+    ndim = grid.ndim
+    x = np.meshgrid(*(grid.coords_with_ghosts(ax) for ax in range(ndim)), indexing="ij")
+    r2 = sum((xi - c) ** 2 for xi, c in zip(x, (0.3, 0.35, 0.4)))
+    prim = grid.allocate(system.nvars)
+    prim[system.RHO] = np.where(r2 < 0.04, 10.0, 1.0)
+    prim[system.P] = np.where(r2 < 0.04, 5.0, 1.0)
+    for ax in range(ndim):
+        prim[system.V(ax)] = 0.2 * np.sin(2 * np.pi * x[(ax + 1) % ndim] + ax) / ndim
+    return prim
+
+
+def _blob_amr(ndim, boundaries, n_ranks, target):
+    """An AMR run over :func:`_blob`: 64 cells of 16-cell blocks on three
+    levels in 1-D, 32^2 of 8^2 on two in 2-D, 24^3 of 8^3 on two in 3-D."""
+    system = SRHDSystem(IdealGasEOS(), ndim=ndim)
+    n, block, levels = {1: (64, 16, 3), 2: (32, 8, 2), 3: (24, 8, 2)}[ndim]
+    return AMRSolver(
+        system, Grid((n,) * ndim, ((0.0, 1.0),) * ndim), _blob,
+        SolverConfig(cfl=0.4, kernel_target=target),
+        AMRConfig(block_size=block, max_levels=levels),
+        boundaries, n_ranks=n_ranks,
+    )
+
+
+def dense_composites(amr, interiors):
+    """Every level's composite, ``(nvars, *ghosted)``, built densely from
+    the leaf *interiors* as the ghost fill defines it: prolongation of the
+    level below over the whole interior, every leaf footprint deposited
+    (restricted to coarser levels), then the walls — the reference the
+    ghost program is checked against."""
+    layout, system = amr.layout, amr.system
+    ndim, g, B = layout.ndim, layout.n_ghost, layout.block_size
+    root, lead = layout.root_grid, (slice(None),)
+    out = []
+    for level in range(amr.forest.finest_level() + 1):
+        grid = root.refined(2**level) if level else root
+        comp = np.zeros((system.nvars,) + grid.shape_with_ghosts)
+        if level:
+            prev = root.refined(2 ** (level - 1)) if level > 1 else root
+            pad = lead + tuple(slice(g - 1, g + n + 1) for n in prev.shape)
+            inner = lead + tuple(slice(g, g + n) for n in grid.shape)
+            comp[inner] = prolong_array(out[-1][pad], ndim)
+        for key, data in interiors.items():
+            if key.level < level:
+                continue
+            for _ in range(key.level - level):
+                data = restrict_array(data, ndim)
+            size = B >> (key.level - level)
+            comp[lead + tuple(slice(g + i * size, g + (i + 1) * size) for i in key.idx)] = data
+        amr.wall_bcs.apply(system, grid, comp)
+        out.append(comp)
+    return out
+
+
+def _wall_sets(ndim):
+    from repro.boundary.conditions import (
+        BoundarySet,
+        FixedState,
+        JetInflowBC,
+        Outflow,
+        Reflecting,
+    )
+    from repro.physics.initial_data import JetInflow
+
+    fixed = [1.5, *(0.1 * (ax + 1) for ax in range(ndim)), 0.7]
+    sets = {
+        "outflow": make_boundaries("outflow"),
+        "periodic": make_boundaries("periodic"),
+        "reflecting": make_boundaries("reflecting"),
+        "fixed": BoundarySet(FixedState(fixed)),
+        "mixed": BoundarySet(Outflow(), {
+            (0, 0): Reflecting(), (0, 1): FixedState(fixed),
+            **({(1, 1): Reflecting()} if ndim > 1 else {}),
+        }),
+    }
+    if ndim == 2:
+        sets["jet"] = BoundarySet(Outflow(), {(0, 0): JetInflowBC(JetInflow(radius=0.2), 0.4)})
+    return sets
+
+
+_GHOST_CASES = [
+    pytest.param(ndim, name, n_ranks, id=f"{ndim}d-{name}-ranks{n_ranks}")
+    for ndim in (1, 2) for name in _wall_sets(ndim) for n_ranks in (1, 2)
+] + [pytest.param(3, "periodic", n_ranks, id=f"3d-periodic-ranks{n_ranks}") for n_ranks in (1, 2)]
+
+
+class TestGhostProgram:
+    """The compiled ghost fill writes every ghost byte the dense composite
+    construction (:func:`dense_composites`) defines — walls of every kind,
+    coarse-fine faces and corners, at one rank and from partial composites
+    at two — on the NumPy mirror and in the compiled kernel."""
+
+    @staticmethod
+    def _check(ndim, name, n_ranks, target):
+        amr = _blob_amr(ndim, _wall_sets(ndim)[name], n_ranks, target)
+        assert len(amr.leaf_count_by_level()) > 1  # coarse-fine faces
+        prims = amr._ghosted_snapshot()
+        leaves = amr.forest.leaves
+        interiors = {key: leaves[key].grid.interior_of(view) for key, view in prims.items()}
+        comps = dense_composites(amr, interiors)
+        G = amr.layout.block_size + 2 * amr.layout.n_ghost
+        B = amr.layout.block_size
+        for key, view in prims.items():
+            window = (slice(None),) + tuple(slice(i * B, i * B + G) for i in key.idx)
+            assert view.tobytes() == comps[key.level][window].tobytes(), key
+
+    @pytest.mark.parametrize("ndim, name, n_ranks", _GHOST_CASES)
+    def test_numpy_ghosts_are_the_dense_composites(self, ndim, name, n_ranks):
+        self._check(ndim, name, n_ranks, "numpy")
+
+    @pytest.mark.parametrize("ndim, name, n_ranks", _GHOST_CASES)
+    def test_cext_ghosts_are_the_dense_composites(self, ndim, name, n_ranks):
+        require_cext(ndim)
+        self._check(ndim, name, n_ranks, "cext")
+
+    def test_a_wall_that_is_no_copy_or_constant_is_refused_at_build(self, system1d):
+        """Linear extrapolation passes a doubling probe (it is linear) but
+        reads no interior cell's id: the build refuses it, naming the
+        face."""
+        from repro.boundary.conditions import BoundaryCondition, BoundarySet
+
+        class Extrapolate(BoundaryCondition):
+            name = "extrapolate"
+
+            def apply(self, system, grid, prim, axis, side):
+                g, n = grid.n_ghost, grid.shape[0]
+                for k in range(g):
+                    if side == 0:
+                        prim[:, g - 1 - k] = 2 * prim[:, g - k] - prim[:, g - k + 1]
+                    else:
+                        prim[:, g + n + k] = 2 * prim[:, g + n + k - 1] - prim[:, g + n + k - 2]
+
+        with pytest.raises(ConfigurationError, match=r"'extrapolate'.*axis 0, side 0"):
+            AMRSolver(
+                system1d, Grid((32,), ((0.0, 1.0),)), lambda s, g: shock_tube(s, g, RP1),
+                SolverConfig(cfl=0.4), AMRConfig(block_size=16, max_levels=1),
+                BoundarySet(Extrapolate()),
+            )
+
+    def test_a_read_no_source_covers_raises_naming_the_leaf(self, system1d):
+        """A plan whose sources omit a leaf a target's ghosts read refuses
+        to build (the dense construction read the 0.0 of its zeros)."""
+        layout = BlockLayout(Grid((64,), ((0.0, 1.0),)), block_size=16)
+        forest = AMRForest(layout, max_levels=2)
+        for key in layout.root_keys():
+            forest.add_leaf(key, None)
+        forest.split(BlockKey(0, (2,)), dict.fromkeys(BlockKey(0, (2,)).children()))
+        walls = make_boundaries("outflow")
+        held = [BlockKey(0, (0,)), BlockKey(0, (1,))]
+        # Block 1's ghosts reach into level-1 leaf (1, (4,)), held nowhere.
+        with pytest.raises(MeshError, match=r"BlockKey\(level=0, idx=\(1,\)\)"):
+            forest.ghost_plan([[(k, 0) for k in held]], [], 1, 3, system1d, walls)
+        fine = [BlockKey(1, (4,)), BlockKey(1, (5,))]
+        forest.ghost_plan([[(k, 0) for k in held]], [[(k, 0) for k in fine]], 1, 3, system1d, walls)

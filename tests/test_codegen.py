@@ -192,6 +192,7 @@ class TestGeneratedCBudget:
 
         from repro.codegen.generator import (
             ACCUMULATE_KERNEL,
+            AMR_PROGRAM_KERNEL,
             CON2PRIM_KERNEL,
             MAX_SIGNAL_KERNEL,
             RECOVER_KERNEL,
@@ -208,8 +209,9 @@ class TestGeneratedCBudget:
         assert "#define REPRO_INLINE static inline" in module
         # Column-0 definitions: the Newton loop, the recovery sweep, the CFL
         # scan, the per-axis sweep entry points, the update stage
-        # (accumulate, one RK stage combination) and the clone and team
-        # probes — no pointwise kernel — everything else a REPRO_INLINE
+        # (accumulate, one RK stage combination), the AMR gather program
+        # and the clone and team probes — no pointwise kernel — everything
+        # else a REPRO_INLINE
         # helper, the one
         # `static` tile filler the sweeps share, or the OUTLINE body
         # of a threaded kernel — written once, called by its entry point's
@@ -236,6 +238,7 @@ class TestGeneratedCBudget:
             *(gen.stencil_kernel_name(ax) for ax in range(ndim)),
             ACCUMULATE_KERNEL % ndim,
             RK_STAGE_KERNEL,
+            AMR_PROGRAM_KERNEL % ndim,
             re.search(r"(\w+)\(", SIMD_LEVEL_DECL).group(1),
             re.search(r"(\w+)\(", THREADS_DECL).group(1),
         ]
