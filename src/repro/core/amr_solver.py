@@ -33,9 +33,10 @@ face-flux columns, merge quarters and checksummed block-migration frames
 travel as messages, and refinement flags and dt reduce through the
 communicator's exact collectives — one code path, so the block bytes are
 the same at every rank count and on every executor.  Ghosts of a rank's
-leaves are read from partial composites of its own leaves plus their ghost
-dependencies (:mod:`repro.mesh.amr.exchange`), bitwise equal to the
-global fill because the composites consume only block interiors.
+leaves are read from a partial composite of its own leaves plus the
+interiors it imports — exactly those its ghost program's walk loads —
+bitwise equal to the global fill because the composites consume only
+block interiors.
 
 Every regrid decision is made from one *ghosted snapshot* (the primitive
 cache ``_prims()``, ghosts filled once) and applied in the forest's leaf
@@ -68,8 +69,6 @@ from ..mesh.amr.exchange import (
     block_frame_header,
     check_block_frame,
     check_block_payload,
-    halo_plan,
-    import_rows,
     measured_imbalance,
     merge_plan,
     migration_plan,
@@ -367,26 +366,25 @@ class AMRSolver(Driver):
         """Forget what derives from topology + ownership, the stacks and
         the plans compiled over them included; every change of either
         calls this."""
-        self._halo_plan = self._ghost_plan = self._reflux_plan = self._owned = None
+        self._ghost_plan = self._reflux_plan = self._owned = None
         self._restack_due = True
 
-    def _get_halo_plan(self):
-        if self._halo_plan is None:
-            self._halo_plan = halo_plan(self.forest, self.assignment, self.n_ranks, self.periodic)
-        return self._halo_plan
-
     def _get_ghost_plan(self):
-        """``(GatherProgram, import rows per level, receipts)`` over the
-        current stacks: every held rank has a composite slot, its leaves
-        deposit there and so do the interiors it imports."""
+        """``(GatherProgram, imports)`` over the current stacks.  Each rank
+        has a composite slot and may import every leaf it does not own; its
+        imports are the ones its ghost walk loads, ``(key, rank)`` rows in
+        import-buffer order, each sent by the key's owner.  Ranks held
+        elsewhere are walked too (:meth:`AMRForest.ghost_plan`), so every
+        stepper derives the same imports and knows what it must send."""
         if self._ghost_plan is None:
-            slots = {rank: i for i, rank in enumerate(self.local_ranks)}
-            imports, receipts = import_rows(self._get_halo_plan(), slots)
-            stacks = [[(k, slots[self.assignment[k]]) for k in st.idents] for st in self._stacks]
-            plan = self.forest.ghost_plan(
-                stacks, imports, len(slots), self.system.nvars, self.system, self.wall_bcs
+            owner, leaves = self.assignment, self.forest.leaves
+            stacks = [[(k, owner[k]) for k in st.idents] for st in self._stacks]
+            others = [(k, owner[k]) for k in leaves if not self._flags_here(k)]
+            candidates = [(k, r) for r in range(self.n_ranks) for k in leaves if owner[k] != r]
+            self._ghost_plan = self.forest.ghost_plan(
+                stacks, [candidates], self.n_ranks, self.system.nvars, self.system,
+                self.wall_bcs, targets=[others],
             )
-            self._ghost_plan = (plan, [len(rows) for rows in imports], receipts)
         return self._ghost_plan
 
     def _get_reflux_plan(self):
@@ -446,25 +444,28 @@ class AMRSolver(Driver):
 
     def _fill_ghosts(self, prims: PatchViews) -> None:
         """Fill the ghosts of the evolved leaves, *prims* of the current
-        stacks: every rank posts the interiors other ranks' fills depend
-        on, each received one lands in its import-buffer row, and the ghost
-        program reads every held rank's leaves plus its imports — one
-        compiled call on ``cext``."""
-        plan, n_imports, receipts = self._get_ghost_plan()
-        comm = self.comm
+        stacks: every rank posts the interiors other ranks' fills read,
+        each received one, its shape checked, lands in its import-buffer
+        row, and the ghost program reads every held rank's leaves plus its
+        imports — one compiled call on ``cext``."""
+        plan, imports = self._get_ghost_plan()
+        comm, owner = self.comm, self.assignment
         marker = comm.traffic_marker()
         comm.begin_exchange_epoch()
-        for (src, dst), keys in self._get_halo_plan().items():
-            if src not in self.local_ranks:
-                continue
-            for key in keys:
+        for key, dst in imports:
+            if owner[key] in self.local_ranks:
                 interior = self.forest.leaves[key].grid.interior_of(prims[key])
-                comm.send(src, dst, interior, tag=TAG_AMR_HALO)
+                comm.send(owner[key], dst, interior, tag=TAG_AMR_HALO)
+        rows = [(key, dst) for key, dst in imports if dst in self.local_ranks]
         block = (self.system.nvars,) + (self.layout.block_size,) * self.layout.ndim
-        imports = [np.empty((n,) + block) for n in n_imports]
-        for src, dst, buf, row in receipts:
-            imports[buf][row] = comm.recv(src, dst, tag=TAG_AMR_HALO)
-        self.forest.fill_ghosts(plan, prims.stacks, imports, self._kernel_system)
+        buffer = np.empty((len(rows),) + block)
+        for row, (key, dst) in zip(buffer, rows):
+            src = owner[key]
+            row[...] = check_block_payload(
+                np.asarray(comm.recv(src, dst, tag=TAG_AMR_HALO)), block,
+                f"rank {src}'s ghost import", key,
+            )
+        self.forest.fill_ghosts(plan, prims.stacks, [buffer] if rows else [], self._kernel_system)
         self._count_halo_traffic(marker)
 
     def _count_halo_traffic(self, marker) -> None:
@@ -785,8 +786,8 @@ class AMRSolver(Driver):
     def _apply_reflux(self, dU: PatchViews) -> None:
         """Correct the evolved coarse leaves' ``dU`` (of the current
         stacks) at coarse-fine faces by the compiled reflux plan; fine
-        face-flux columns owned by other ranks arrive as messages, each
-        into its row of the plan's per-axis buffer."""
+        face-flux columns owned by other ranks arrive as messages, each,
+        its shape checked, into its row of the plan's per-axis buffer."""
         # Looked up per call: bench/trace.py patches the module attribute.
         from ..mesh.amr.reflux import apply_reflux
 
@@ -805,8 +806,9 @@ class AMRSolver(Driver):
         for (src, dst), entries in sends.items():
             if dst in self.local_ranks:
                 for child, axis in entries:
-                    remote[axis][plan.remote[axis][child]] = self.comm.recv(
-                        src, dst, tag=TAG_AMR_FLUX
+                    remote[axis][plan.remote[axis][child]] = check_block_payload(
+                        np.asarray(self.comm.recv(src, dst, tag=TAG_AMR_FLUX)), column,
+                        f"rank {src}'s reflux column", child,
                     )
         apply_reflux(
             plan, [st.pipeline.last_face_fluxes for st in self._stacks], dU.stacks, remote,
@@ -890,7 +892,7 @@ class AMRSolver(Driver):
         (finest active level by default)."""
         prims = self._prims()
         target = self.forest.finest_level() if level is None else level
-        plan = self.forest.ghost_plan(
+        plan, _ = self.forest.ghost_plan(
             [[(k, 0) for k in st.idents] for st in self._stacks], [], 1,
             self.system.nvars, self.system, self.wall_bcs, level=target,
         )

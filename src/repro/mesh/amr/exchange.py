@@ -1,22 +1,14 @@
 """Inter-rank exchange planning for distributed AMR.
 
 Every rank holds the full (replicated) forest *topology* but evolves only
-the leaves assigned to it.  Ghost zones are defined by the composite-level
-construction the ghost program of :meth:`AMRForest.ghost_plan` compiles,
-which consumes **only the interiors** of the input arrays — so a rank can
-rebuild the exact ghost bytes of its own leaves from a *partial* composite,
-as long as it holds the interiors of every leaf whose data can reach its
-blocks' ghost windows (a read beyond them raises when the program is
-built).  This module computes that dependency set and turns it into
-deterministic send/recv plans; each imported interior travels as its own
-message and lands in a row of an import buffer, one per level, that the
-compiled :class:`~repro.mesh.amr.forest.GatherProgram` loads from like a
-stack (:func:`import_rows`).
-
-The dependency computation is conservative (a superset is always safe — the
-partial composite then matches the full composite on a larger region), and
-purely topological: given the same forest and assignment, every rank
-computes identical plans, so message schedules never need negotiation.
+the leaves assigned to it.  Which leaf interiors a rank imports for its
+ghost fill is not decided here: the ghost program's own walk
+(:meth:`AMRForest.ghost_plan <repro.mesh.amr.forest.AMRForest.ghost_plan>`)
+walks one composite slot per rank and imports exactly the leaves it loads.
+This module plans the rest of the traffic — fine face-flux columns for
+refluxing, merge quarters, block migrations — as deterministic send lists:
+pure functions of the topology and assignment, identical on every rank, so
+message schedules never need negotiation.
 
 Also here: the block-migration wire format used by dynamic rebalancing.  A
 migrating block travels as a fixed int64 header frame followed by its full
@@ -45,138 +37,8 @@ MIGRATION_MAGIC = 0x4D494752  # "MIGR"
 
 
 # ---------------------------------------------------------------------------
-# Ghost dependencies
-# ---------------------------------------------------------------------------
-
-
-def _owned_boxes(layout, owned, top_level):
-    """Per-level cell boxes (one tuple of per-axis [lo, hi) intervals per
-    box) that cover every composite cell the owned leaves' ghost fill can
-    read, with a safety margin.
-
-    Level ``l`` boxes are the owned windows at ``l`` plus the prolongation
-    preimages of the level ``l+1`` boxes: fine cells ``[a, b)`` read coarse
-    cells ``[floor(a/2) - 1, ceil(b/2) + 1)`` (minmod stencil), and a
-    composite's own ghosts derive from up to ``n_ghost`` interior cells at
-    the walls — the margin ``n_ghost + 2`` covers both with room to spare.
-    """
-    B = layout.block_size
-    m = layout.n_ghost + 2
-    boxes: list[list[tuple]] = [[] for _ in range(top_level + 1)]
-    for key in owned:
-        boxes[key.level].append(
-            tuple((i * B - m, i * B + B + m) for i in key.idx)
-        )
-    for level in range(top_level, 0, -1):
-        for box in boxes[level]:
-            boxes[level - 1].append(
-                tuple((a // 2 - m, -(-b // 2) + m) for a, b in box)
-            )
-    return boxes
-
-
-def _interval_overlaps(flo, fhi, blo, bhi, n_cells, periodic):
-    if periodic:
-        # Wrapped reads (periodic walls copy [n-g, n) into the ghosts):
-        # test the footprint shifted by one domain period either way.
-        for shift in (-n_cells, 0, n_cells):
-            if max(flo + shift, blo) < min(fhi + shift, bhi):
-                return True
-        return False
-    # Non-periodic walls derive ghost values from near-boundary interior
-    # cells that the clipped box still contains.
-    blo = max(blo, 0)
-    bhi = min(bhi, n_cells)
-    return max(flo, blo) < min(fhi, bhi)
-
-
-def ghost_dependencies(
-    forest: AMRForest,
-    owned,
-    periodic: tuple[bool, ...],
-) -> list[BlockKey]:
-    """Leaves (beyond *owned*) whose interiors the partial ghost fill of
-    *owned* needs, in forest iteration order.
-
-    Correctness contract: filling ghosts of *owned* from a partial
-    composite built from ``owned + ghost_dependencies(owned)`` is bitwise
-    identical to filling them from the full composite.
-    """
-    layout = forest.layout
-    owned_set = set(owned)
-    if not owned_set:
-        return []
-    top = max(k.level for k in owned_set)
-    boxes = _owned_boxes(layout, owned_set, top)
-    B = layout.block_size
-    deps = []
-    for key in forest.leaves:
-        if key in owned_set:
-            continue
-        needed = False
-        for level in range(min(key.level, top) + 1):
-            delta = key.level - level
-            n_cells = tuple(nb * B for nb in layout.level_blocks(level))
-            flo = tuple((i * B) >> delta for i in key.idx)
-            fhi = tuple(
-                ((i + 1) * B + (1 << delta) - 1) >> delta for i in key.idx
-            )
-            for box in boxes[level]:
-                if all(
-                    _interval_overlaps(
-                        flo[ax], fhi[ax], box[ax][0], box[ax][1],
-                        n_cells[ax], periodic[ax],
-                    )
-                    for ax in range(layout.ndim)
-                ):
-                    needed = True
-                    break
-            if needed:
-                break
-        if needed:
-            deps.append(key)
-    return deps
-
-
-# ---------------------------------------------------------------------------
 # Deterministic exchange plans
 # ---------------------------------------------------------------------------
-
-
-def halo_plan(
-    forest: AMRForest,
-    assignment: dict[BlockKey, int],
-    n_ranks: int,
-    periodic: tuple[bool, ...],
-) -> dict[tuple[int, int], list[BlockKey]]:
-    """(src, dst) -> leaves whose interiors src sends dst for one ghost
-    fill, in forest order: dst's :func:`ghost_dependencies`.  A pure
-    function of the replicated topology and assignment, identical on every
-    rank, so sends and recvs pair up without negotiation."""
-    sends: dict[tuple[int, int], list[BlockKey]] = {}
-    for rank in range(n_ranks):
-        owned = [k for k in forest.leaves if assignment[k] == rank]
-        for key in ghost_dependencies(forest, owned, periodic):
-            sends.setdefault((assignment[key], rank), []).append(key)
-    return sends
-
-
-def import_rows(sends: dict, slots: dict[int, int]):
-    """The import buffers of the held ranks (*slots*: rank -> composite
-    slot) for the :func:`halo_plan` *sends*: per level, in ascending order,
-    the ``(key, slot)`` rows, and every ``(src, dst, buffer, row)`` receipt
-    in send order."""
-    rows: dict[int, list] = {}
-    receipts = []
-    for (src, dst), keys in sends.items():
-        if dst in slots:
-            for key in keys:
-                level = rows.setdefault(key.level, [])
-                receipts.append((src, dst, key.level, len(level)))
-                level.append((key, slots[dst]))
-    levels = sorted(rows)
-    receipts = [(src, dst, levels.index(lvl), row) for src, dst, lvl, row in receipts]
-    return [rows[lvl] for lvl in levels], receipts
 
 
 def reflux_plan(
@@ -184,31 +46,16 @@ def reflux_plan(
     assignment: dict[BlockKey, int],
 ) -> dict[tuple[int, int], list[tuple[BlockKey, int]]]:
     """(src, dst) -> ``(fine_child, axis)`` face fluxes dst's refluxing
-    needs from src, in deterministic coarse-leaf order.
-
-    For each coarse leaf bordering a refined neighbour, the children of the
-    neighbour that touch the shared face contribute their face-flux column;
-    a ``(child, axis)`` pair identifies that column uniquely (which of the
-    child's two faces is shared follows from its offset within the parent).
-    """
+    needs from src, in :meth:`~AMRForest.coarse_fine_faces` order: the
+    face-flux column of each child touching a coarse leaf's face, which a
+    ``(child, axis)`` pair identifies (which of the child's two faces is
+    shared follows from its offset within the parent)."""
     plan: dict[tuple[int, int], list[tuple[BlockKey, int]]] = {}
-    ndim = forest.layout.ndim
-    for key in forest.leaves:
-        dst = assignment[key]
-        for axis in range(ndim):
-            for side in (0, 1):
-                nbr = forest.neighbor(key, axis, side)
-                if nbr is None or nbr not in forest.refined:
-                    continue
-                touching = 1 - side
-                for child in nbr.children():
-                    if child.child_offset()[axis] != touching:
-                        continue
-                    if child not in forest.leaves:
-                        continue  # 2:1 violation; compile_reflux will raise
-                    src = assignment[child]
-                    if src != dst:
-                        plan.setdefault((src, dst), []).append((child, axis))
+    for (key, axis, _side), children in forest.coarse_fine_faces().items():
+        for child in children:
+            src, dst = assignment[child], assignment[key]
+            if src != dst:
+                plan.setdefault((src, dst), []).append((child, axis))
     return plan
 
 
@@ -325,6 +172,12 @@ def check_block_payload(
     what: str,
     key: BlockKey,
 ) -> np.ndarray:
+    """*arr*, a received AMR payload — a migrating block's ``cons`` or
+    ``p_cache``, a merge quarter, a ghost import, a reflux column — if it
+    has the shape the replicated plan fixes; otherwise
+    :class:`~repro.utils.errors.BlockMigrationError` naming *what* and
+    *key*, raised before the receiver writes anything (a payload NumPy
+    could broadcast would fill the rows silently)."""
     if tuple(arr.shape) != tuple(expected_shape):
         raise BlockMigrationError(
             f"{what} payload for {key} has shape {tuple(arr.shape)}, "

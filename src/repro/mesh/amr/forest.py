@@ -3,13 +3,14 @@
 Topology is a 2^d-tree over fixed-size blocks (see
 :mod:`~repro.mesh.amr.blocks`); :meth:`AMRForest.neighbor` is the one
 face-neighbour rule, wrapping across periodic walls, that 2:1 balance and
-refluxing share. Ghost zones of every leaf are defined by *composite level
-arrays*: a uniform snapshot of the solution per refinement level (coarse
-levels by restriction of finer leaves, fine levels by prolongation of the
-next-coarser composite, leaf footprints deposited verbatim, physical walls
-by the solver's boundary conditions), from which each leaf reads its halo
-at its own level. This handles same-level faces, coarse-fine faces,
-corners, and physical walls through a single definition.
+refluxing (:meth:`AMRForest.coarse_fine_faces`) share. Ghost zones of
+every leaf are defined by *composite level arrays*: a uniform snapshot of
+the solution per refinement level (coarse levels by restriction of finer
+leaves, fine levels by prolongation of the next-coarser composite, leaf
+footprints deposited verbatim, physical walls by the solver's boundary
+conditions), from which each leaf reads its halo at its own level. This
+handles same-level faces, coarse-fine faces, corners, and physical walls
+through a single definition.
 
 The composites are never built.  :meth:`AMRForest.ghost_plan` compiles,
 once per topology, ownership and stack layout, a :class:`GatherProgram`
@@ -18,6 +19,9 @@ loads from a stack interior or an import row, restrictions of 2^d cells,
 minmod prolongations from a 3^d stencil, and wall ghosts, resolved at build
 time into signed copies or constants by probing the boundary conditions
 (:func:`_walls`).  A deposited cell is its source's value, loaded once.
+The same walk, over one composite slot per rank with every leaf a rank
+does not own a candidate, is the one definition of what a distributed fill
+reads: the candidates it loads are the rank's imports.
 :func:`run_program` executes a program — a ghost fill, or a reflux
 (:mod:`~repro.mesh.amr.reflux`) — in one call of the compiled kernel on the
 ``cext`` target, and otherwise through a NumPy mirror that makes one
@@ -34,6 +38,7 @@ quantity the AMR-efficiency experiment counts — is per-leaf only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -116,6 +121,28 @@ class AMRForest:
         idx[axis] %= extent
         return BlockKey(key.level, tuple(idx))
 
+    def coarse_fine_faces(self) -> dict[tuple[BlockKey, int, int], list[BlockKey]]:
+        """``(leaf, axis, side) -> children``, in leaf order, for every leaf
+        face (wrapped as :meth:`neighbor` wraps) shared with a refined
+        neighbour: the neighbour's children that touch it, in child order.
+        One of them that is no leaf violates 2:1 balance and raises
+        :class:`MeshError`."""
+        faces = {}
+        for key in self.leaves:
+            for axis in range(self.layout.ndim):
+                for side in (0, 1):
+                    nbr = self.neighbor(key, axis, side)
+                    if nbr is None or nbr not in self.refined:
+                        continue
+                    touching = [c for c in nbr.children() if c.child_offset()[axis] != side]
+                    for child in touching:
+                        if child not in self.leaves:
+                            raise MeshError(
+                                f"2:1 balance violated: {child} borders {key} but is not a leaf"
+                            )
+                    faces[key, axis, side] = touching
+        return faces
+
     def is_balanced(self) -> bool:
         """2:1 face balance: adjacent leaves differ by at most one level."""
         return not self.unbalanced_leaves()
@@ -157,27 +184,36 @@ class AMRForest:
     def ghost_plan(
         self,
         stacks: list[list[tuple[BlockKey, int]]],
-        imports: list[list[tuple[BlockKey, int]]],
+        candidates: list[list[tuple[BlockKey, int]]],
         slots: int,
         nvars: int,
         system: SRHDSystem,
         wall_bcs: BoundarySet,
         level: int | None = None,
-    ) -> "GatherProgram":
+        targets: list[list[tuple[BlockKey, int]]] = (),
+    ) -> tuple["GatherProgram", list[tuple[BlockKey, int]]]:
         """Compile the ghost fill of *stacks* into a gather program over the
-        composite cells its ghosts read, directly or transitively.
+        composite cells its ghosts read, directly or transitively, and find
+        what each composite imports.
 
-        Stacks and import buffers are runs of same-level leaves, ``(key,
-        slot)`` rows (*slot*: the held rank's composite), arriving as
-        ``(P, nvars, *ghosted)`` stacks, then ``(rows, nvars, *block)``
-        interiors: the program's table.  It writes every stack leaf's
-        ghosts and nothing else — or, given *level*, that composite's
-        interior (slot 0) into one more array, ``(nvars, *shape)``.  A read
-        of a level-0 cell no source covers raises :class:`MeshError`."""
+        Every argument holds runs of ``(key, slot)`` rows, *slot* one
+        composite (a rank's).  A slot fills the ghosts of its leaves in
+        *stacks*, runs of same-level leaves, and may import its rows of
+        *candidates*: one whose cells the slot's walk loads is an import,
+        the others are never read.  The ghost reads of *targets*, the leaves
+        of slots no stack is in (ranks held elsewhere), are walked too, so
+        every slot's imports come out of the one walk; the program runs for
+        the stacks' slots only.  Its table is the stacks, ``(P, nvars,
+        *ghosted)``, then, if they import, one buffer of the interiors,
+        ``(rows, nvars, *block)``.  It writes every stack leaf's ghosts and
+        nothing else — or, given *level*, that composite's interior (slot 0)
+        into one more array after the stacks, ``(nvars, *shape)``.  Returns
+        the program and every slot's imports, in the buffer's row order.  A
+        read of a level-0 cell no row covers raises :class:`MeshError`."""
         B, g, nd = self.layout.block_size, self.layout.n_ghost, self.layout.ndim
         G = B + 2 * g
-        sources = [(rows, G) for rows in stacks] + [(rows, B) for rows in imports]
-        top = max([rows[0][0].level for rows, _ in sources] + [-1 if level is None else level])
+        filled, pool = _by_level([*stacks, *targets]), _by_level(candidates)
+        top = max([*filled, *pool, -1 if level is None else level])
         root = self.layout.root_grid
         grids = [root.refined(2**lvl) if lvl else root for lvl in range(top + 1)]
         dims = [(slots,) + grid.shape_with_ghosts for grid in grids]
@@ -187,34 +223,38 @@ class AMRForest:
             kind = np.full(dim, _WALL, np.int8)
             kind[(slice(None),) + (slice(g, -g),) * nd] = _PROLONGED
             kinds.append(kind.reshape(-1))
-        loads = []  # per source: its level, its cells there, their offsets
-        for rows, extent in sources:
-            own, slot, idx = rows[0][0].level, *_rows(rows)
+        for own, rows in [*filled.items(), *pool.items()]:
+            slot, idx = _rows(rows)
             for lvl in range(own + 1):
                 size = B >> (own - lvl)
-                cells = _cells((size,) * nd)
-                pos = _index(slot, g + idx * size, dims[lvl], cells)
+                pos = _index(slot, g + idx * size, dims[lvl], _cells((size,) * nd))
                 kinds[lvl][pos] = _LOADED if lvl == own else _RESTRICTED
-            lead, corner = np.arange(len(rows)) * nvars, [(extent - B) // 2] * nd
-            off = _index(lead, corner, (lead.size * nvars,) + (extent,) * nd, cells)
-            loads.append((own, pos, off))
-        # (array, level, labels, composite cells (rows, n), offsets, stride)
+        cells = _cells((B,) * nd)
+
+        def interiors(rows):
+            """The composite cells of same-level *rows*' interiors, ``(rows, B^d)``."""
+            slot, idx = _rows(rows)
+            return _index(slot, g + idx * B, dims[rows[0][0].level], cells)
+
+        # (stack, level, labels, composite cells (rows, n), offsets, stride);
+        # a target's stack is None
         if level is None:
             ghost = np.ones((G,) * nd, dtype=bool)
             ghost[(slice(g, g + B),) * nd] = False
-            cells, reads = np.array(np.nonzero(ghost)), []
-            for a, rows in enumerate(stacks):
+            halo, reads = np.array(np.nonzero(ghost)), []
+            others = [(None, rows) for rows in _by_level(targets).values()]
+            for a, rows in [*enumerate(stacks), *others]:
                 lvl, slot, idx = rows[0][0].level, *_rows(rows)
                 lead = np.arange(len(rows)) * nvars
-                off = _index(lead, [0] * nd, (lead.size * nvars,) + (G,) * nd, cells)
-                comp = _index(slot, idx * B, dims[lvl], cells)
+                off = _index(lead, [0] * nd, (lead.size * nvars,) + (G,) * nd, halo)
+                comp = _index(slot, idx * B, dims[lvl], halo)
                 reads.append((a, lvl, [key for key, _ in rows], comp, off, G**nd))
         else:
             shape = grids[level].shape
-            cells = _cells(shape)
-            comp = _index([0], [g] * nd, dims[level], cells)
-            off = _index([0], [0] * nd, (1,) + shape, cells)
-            reads = [(len(sources), level, [f"level {level}"], comp, off, int(np.prod(shape)))]
+            whole = _cells(shape)
+            comp = _index([0], [g] * nd, dims[level], whole)
+            off = _index([0], [0] * nd, (1,) + shape, whole)
+            reads = [(len(stacks), level, [f"level {level}"], comp, off, int(np.prod(shape)))]
 
         def walk(seeds):
             """Mark every composite cell the *seeds* read: walls and
@@ -260,26 +300,43 @@ class AMRForest:
                 "composite cells no held or imported leaf covers"
             )
         need, stencils, children = walked
+        imports = []
+        for lvl, rows in pool.items():
+            loaded = need[lvl][interiors(rows)].any(axis=1)
+            imports += [row for row, hit in zip(rows, loaded) if hit]
+        # The program runs for the stacks' slots: the targets' cells get no
+        # site, and the records writing them are dropped.
+        idle = sorted({slot for rows in targets for _, slot in rows})
+        for keep in need:
+            keep.reshape(slots, -1)[idle] = False
         site, n_sites = [], 0  # value-buffer column of every kept cell
         for keep in need:
             site.append(np.full(keep.size, -1, dtype=np.int64))
             site[-1][keep] = np.arange(n_sites, n_sites + np.count_nonzero(keep))
             n_sites += np.count_nonzero(keep)
         values, var = np.zeros((n_sites, nvars)), np.arange(nvars)[:, None]
-        segments = []
-        for a, (lvl, pos, off) in enumerate(loads):
-            keep = need[lvl][pos]
-            record = np.stack([off[keep], site[lvl][pos[keep]]], 1)
-            segments.append((LOAD, a, sources[a][1] ** nd, 0, 0.0, record))
+        table = [(a, rows, G) for a, rows in enumerate(stacks)]
+        received = [row for row in imports if row[1] not in idle]  # in level order
+        if received:
+            table.append((len(stacks) + (level is not None), received, B))
+        segments, sizes = [], [len(rows) * nvars * G**nd for rows in stacks]
+        for a, rows, extent in table:
+            got = np.concatenate([
+                site[lvl][interiors(list(run))] for lvl, run in groupby(rows, lambda row: row[0].level)
+            ])
+            lead, corner = np.arange(len(rows)) * nvars, [(extent - B) // 2] * nd
+            off = _index(lead, corner, (lead.size * nvars,) + (extent,) * nd, cells)
+            keep = got >= 0
+            segments.append((LOAD, a, extent**nd, 0, 0.0, np.stack([off[keep], got[keep]], 1)))
         for lvl in range(top - 1, -1, -1):
             res, kids = children[lvl]
             record = np.column_stack([site[lvl][res], site[lvl + 1][kids]])
-            segments.append((RESTRICT, -1, 0, 0, 0.0, record))
+            segments.append((RESTRICT, -1, 0, 0, 0.0, record[record[:, 0] >= 0]))
         for lvl in range(top + 1):
             if lvl in stencils:
                 pro, stencil, mask = stencils[lvl]
                 record = np.column_stack([site[lvl][pro], mask, site[lvl - 1][stencil]])
-                segments.append((PROLONG, -1, 0, 0, 0.0, record))
+                segments.append((PROLONG, -1, 0, 0, 0.0, record[record[:, 0] >= 0]))
             src, neg, const = walls[lvl]
             n_cells = kinds[lvl].size // slots
             wall = np.flatnonzero(need[lvl] & (kinds[lvl] == _WALL))
@@ -292,12 +349,14 @@ class AMRForest:
             record = np.stack([(at * nvars + var)[copied], scalar[copied]], 1)
             segments.append((COPY, -1, 0, 0, 0.0, record))
         for a, lvl, _, comp, off, stride in reads:
-            record = np.stack([off.ravel(), site[lvl][comp.ravel()]], 1)
-            segments.append((PUT, a, stride, 0, 0.0, record))
-        sizes = [len(rows) * nvars * extent**nd for rows, extent in sources]
+            if a is not None:
+                record = np.stack([off.ravel(), site[lvl][comp.ravel()]], 1)
+                segments.append((PUT, a, stride, 0, 0.0, record))
         if level is not None:
             sizes.append(nvars * reads[0][-1])
-        return GatherProgram.of(nd, sizes, segments, values)
+        if received:
+            sizes.append(len(received) * nvars * B**nd)
+        return GatherProgram.of(nd, sizes, segments, values), imports
 
     def fill_ghosts(
         self, plan: "GatherProgram", prims: list, imports: list, system=None
@@ -433,6 +492,16 @@ def _walls(grid, nvars: int, system: SRHDSystem, wall_bcs: BoundarySet):
             "constant: the AMR ghost fill cannot compile it"
         )
     return np.where(copy, scalar, -1), one < 0, np.where(copy, 0.0, one)
+
+
+def _by_level(runs) -> dict[int, list]:
+    """The ``(key, slot)`` rows of *runs* by level, ascending, each level's
+    in run order."""
+    out: dict[int, list] = {}
+    for rows in runs:
+        for row in rows:
+            out.setdefault(row[0].level, []).append(row)
+    return dict(sorted(out.items()))
 
 
 def _rows(rows) -> tuple[np.ndarray, np.ndarray]:

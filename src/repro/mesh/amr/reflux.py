@@ -12,9 +12,11 @@ For the coarse cell column adjacent to the face:
     side = 1 (high):  dU_edge -= (avg(F_fine) - F_coarse) / dx
     side = 0 (low):   dU_edge += (avg(F_fine) - F_coarse) / dx
 
-The coarse-fine faces are found once per topology, ownership and stack
-layout (:func:`compile_reflux`, across periodic walls too, through
-:meth:`~repro.mesh.amr.forest.AMRForest.neighbor`) and compiled into a
+The coarse-fine faces — across periodic walls too, and the 2:1 check —
+come from :meth:`~repro.mesh.amr.forest.AMRForest.coarse_fine_faces`, the
+enumeration :func:`~repro.mesh.amr.exchange.reflux_plan` reads as well;
+once per topology, ownership and stack layout :func:`compile_reflux`
+compiles them into a
 :class:`~repro.mesh.amr.forest.GatherProgram` — the ghost fill's kind:
 loads of the touching children's face columns, read in place from the
 stacked ``last_face_fluxes`` (or the rows of columns received from other
@@ -31,7 +33,6 @@ from itertools import product
 
 import numpy as np
 
-from ...utils.errors import MeshError
 from .blocks import BlockKey
 from .forest import LOAD, REFLUX, AMRForest, GatherProgram, run_program
 from .transfer import restrict_array  # noqa: F401  (a bench/trace.py patch point)
@@ -103,7 +104,7 @@ def compile_reflux(
             out.append(new.ravel())
         return sites
 
-    groups, faces = [], 0
+    groups, faces, touching = [], 0, forest.coarse_fine_faces()
     for axis, side in product(range(ndim), (0, 1)):
         trans = [ax for ax in range(ndim) if ax != axis]
         edge = [g + c for c in t]
@@ -111,18 +112,11 @@ def compile_reflux(
         for s, idents in enumerate(stacks):
             fine, coarse, cells = [], [], []
             for p, key in enumerate(idents):
-                nbr = forest.neighbor(key, axis, side)
-                if nbr is None or nbr not in forest.refined:
+                if (key, axis, side) not in touching:
                     continue
                 f = np.empty((2 * B,) * (ndim - 1), dtype=np.int64)
-                for child in nbr.children():
+                for child in touching[key, axis, side]:
                     off = child.child_offset()
-                    if off[axis] == side:  # the neighbour's far half
-                        continue
-                    if child not in forest.leaves:
-                        raise MeshError(
-                            f"2:1 balance violated: {child} borders {key} but is not a leaf"
-                        )
                     at = tuple(slice(off[ax] * B, (off[ax] + 1) * B) for ax in trans)
                     f[at] = column(child, axis, B * (1 - side))
                 # (transverse cell, its 2^(d-1) fine faces in C order)

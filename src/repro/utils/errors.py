@@ -61,10 +61,11 @@ class WorkerError(ReproError):
 
 
 class BlockMigrationError(CommunicationError):
-    """A block-migration message arrived torn or corrupt (bad frame header,
-    wrong block address, or mismatched payload shape).  Raised *before* any
-    forest state is modified so a failed migration cannot corrupt the
-    receiver's topology."""
+    """An AMR block message arrived torn or corrupt (a migration frame's bad
+    header or wrong block address, or a migrated block, merge quarter,
+    ghost import or reflux column of the wrong shape).  Raised *before* any
+    forest state, ghost or ``dU`` is written, so a failed exchange cannot
+    corrupt the receiver."""
 
 
 class SupervisionExhausted(WorkerError):

@@ -804,3 +804,88 @@ class TestGhostProgram:
             forest.ghost_plan([[(k, 0) for k in held]], [], 1, 3, system1d, walls)
         fine = [BlockKey(1, (4,)), BlockKey(1, (5,))]
         forest.ghost_plan([[(k, 0) for k in held]], [[(k, 0) for k in fine]], 1, 3, system1d, walls)
+
+
+def _import_case(ndim, walls, n_ranks):
+    """The 1-D RP1 tube (64 cells, 8-cell blocks) or the 2-D blast (32^2,
+    8^2 blocks), three levels, on *walls* over *n_ranks* in-process ranks,
+    stepped through its first regrid."""
+    system = SRHDSystem(IdealGasEOS(), ndim=ndim)
+    if ndim == 1:
+        grid, init = Grid((64,), ((0.0, 1.0),)), lambda s, g: shock_tube(s, g, RP1)
+        amr = AMRConfig(block_size=8, max_levels=3, refine_threshold=0.05,
+                        coarsen_threshold=0.02, regrid_interval=2)
+    else:
+        grid = Grid((32, 32), ((0.0, 1.0), (0.0, 1.0)))
+
+        def init(s, g):
+            return blast_wave_2d(s, g, p_in=10.0, p_out=1.0, radius=0.15, center=(0.45, 0.4))
+
+        amr = AMRConfig(block_size=8, max_levels=3, regrid_interval=2,
+                        refine_threshold=0.2, coarsen_threshold=0.05)
+    args = (system, grid, init, SolverConfig(cfl=0.4), amr, make_boundaries(walls))
+    solver = AMRSolver(*args, n_ranks=n_ranks)
+    for _ in range(amr.regrid_interval):
+        solver.step()
+    assert len(solver.leaf_count_by_level()) > 1  # coarse-fine faces
+    return solver, args
+
+
+def _sends(solver):
+    """``(src, dst) -> keys`` of the ghost plan's imports, in plan order."""
+    sends = {}
+    for key, dst in solver._get_ghost_plan()[1]:
+        sends.setdefault((solver.assignment[key], dst), []).append(key)
+    return sends
+
+
+_IMPORT_CASES = [
+    pytest.param(ndim, walls, n_ranks, id=f"{ndim}d-{walls}-ranks{n_ranks}")
+    for ndim in (1, 2) for walls in ("outflow", "periodic") for n_ranks in (2, 3, 4)
+]
+
+
+class TestExactImports:
+    """A rank imports exactly the leaf interiors its ghost program loads:
+    the imports come out of the program's own walk, one slot per rank, and
+    every stepper derives the same ones, whichever ranks it holds."""
+
+    @pytest.mark.parametrize("ndim, walls, n_ranks", _IMPORT_CASES)
+    def test_every_import_is_loaded_and_every_load_is_held_or_imported(
+        self, ndim, walls, n_ranks
+    ):
+        from repro.mesh.amr.forest import LOAD
+
+        amr, _ = _import_case(ndim, walls, n_ranks)
+        plan, imports = amr._get_ghost_plan()
+        owner, stacks = amr.assignment, amr._stacks
+        nvars, nd = amr.system.nvars, amr.layout.ndim
+        B, G = amr.layout.block_size, amr.layout.block_size + 2 * amr.layout.n_ghost
+        rows = [(key, rank) for key, rank in imports if rank in amr.local_ranks]
+        loaded = set()  # (leaf, the rank whose program loads it)
+        for op, a, _, _, _, record in plan.segments:
+            if op == LOAD and a < len(stacks):
+                idents = stacks[a].idents
+                loaded |= {(idents[p], owner[idents[p]])
+                           for p in np.unique(record[:, 0] // (nvars * G**nd))}
+            elif op == LOAD:
+                loaded |= {rows[i] for i in np.unique(record[:, 0] // (nvars * B**nd))}
+        assert rows and len(set(rows)) == len(rows) == len(imports)
+        assert all(owner[key] != rank for key, rank in imports)
+        assert {(key, rank) for key, rank in loaded if owner[key] != rank} == set(imports)
+
+    @pytest.mark.parametrize("ndim, walls, n_ranks", _IMPORT_CASES)
+    def test_a_stepper_holding_one_rank_derives_the_same_sends(self, ndim, walls, n_ranks):
+        from repro.comm.communicator import SimCommunicator
+
+        amr, args = _import_case(ndim, walls, n_ranks)
+        want = _sends(amr)
+        assert want
+        for rank in range(n_ranks):
+            one = AMRSolver.__new__(AMRSolver)
+            system, grid, _, config, policy, walls_set = args
+            one._init_core(system, grid, config, policy, walls_set, None, None,
+                           (rank,), SimCommunicator(n_ranks))
+            one.install_state(amr.state())
+            one._stacks_now()
+            assert _sends(one) == want, rank

@@ -14,19 +14,25 @@ at module level must be import-safe.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.boundary import make_boundaries
 from repro.core import SolverConfig
 from repro.core.amr_parallel import (
     AMRProcessSolver,
     make_distributed_amr_solver,
 )
 from repro.core.amr_solver import AMRConfig, AMRSolver
+from repro.core.pipeline import PatchViews
 from repro.eos import IdealGasEOS
 from repro.mesh.amr.blocks import BlockKey
 from repro.io.checkpoint import load_checkpoint
 from repro.mesh.amr.exchange import (
+    TAG_AMR_FLUX,
+    TAG_AMR_HALO,
     TAG_AMR_MIGRATE,
     block_frame_header,
     check_block_frame,
@@ -35,7 +41,7 @@ from repro.mesh.amr.exchange import (
 from repro.mesh.grid import Grid
 from repro.obs import BufferSink, StepRecorder, canonical_stream
 from repro.obs.events import steps_of
-from repro.physics.initial_data import SHOCK_TUBES, shock_tube
+from repro.physics.initial_data import SHOCK_TUBES, blast_wave_2d, shock_tube
 from repro.physics.srhd import SRHDSystem
 from repro.resilience.faults import FaultInjector, FaultPlan, HaloFault
 from repro.utils.errors import BlockMigrationError, ConfigurationError
@@ -100,6 +106,35 @@ def _run_process(n_ranks, *, steps=AMR_STEPS, fault_injector=None,
     return out
 
 
+#: steps of the 2-D run: four regrids
+AMR2D_STEPS = 8
+
+
+def _blast2d(system, grid):
+    return blast_wave_2d(system, grid, p_in=10.0, p_out=1.0, radius=0.15, center=(0.45, 0.4))
+
+
+def _blast2d_scenario():
+    """The 2-D AMR golden's blast: 32^2 of 8^2 blocks, three levels, a
+    regrid every second step, on ``cext`` (``flat`` without a toolchain:
+    the same bytes)."""
+    system = SRHDSystem(IdealGasEOS(), ndim=2)
+    grid = Grid((32, 32), ((0.0, 1.0), (0.0, 1.0)))
+    config = SolverConfig(cfl=0.4, kernel_target="cext")
+    amr = AMRConfig(block_size=8, max_levels=3, regrid_interval=2,
+                    refine_threshold=0.2, coarsen_threshold=0.05)
+    return system, grid, config, amr
+
+
+def _leaf_digest(layout, blocks):
+    """SHA-256 over every leaf's key and interior bytes, in key order."""
+    digest = hashlib.sha256()
+    for key in sorted(blocks):
+        digest.update(repr(key).encode())
+        digest.update(layout.grid_for(key).interior_of(blocks[key]).tobytes())
+    return digest.hexdigest()
+
+
 def _assert_blocks_bitexact(ref, proc):
     assert proc["t"] == ref["t"] and proc["steps"] == ref["steps"]
     assert set(proc["blocks"]) == set(ref["blocks"]), "leaf sets differ"
@@ -128,6 +163,47 @@ class TestProcessParity:
         assert canonical_stream(steps_of(proc["records"])) == canonical_stream(
             steps_of(serial_reference["records"])
         )
+
+
+    def test_2d_periodic_blast_matches_serial(self):
+        """The periodic 2-D blast on 2 worker processes, on ``cext`` with
+        each worker on one thread: every step's leaf digest and the
+        canonical stream are the serial run's.  Periodic walls are where
+        the exact ghost imports differ most from a box-overlap superset."""
+        from repro.codegen import cext_available
+
+        system, grid, config, amr = _blast2d_scenario()
+        walls = make_boundaries("periodic")
+        runs = {}
+        for n_ranks in (1, 2):
+            sink = BufferSink()
+            recorder = StepRecorder(sink, meta={"suite": "amr2d"})
+            if n_ranks == 1:
+                solver = AMRSolver(system, grid, _blast2d, config, amr, walls, recorder=recorder)
+                blocks = lambda: {k: leaf.cons for k, leaf in solver.forest.leaves.items()}  # noqa: E731
+            else:
+                solver = AMRProcessSolver(
+                    system, grid, _blast2d, config=config, amr=amr, boundaries=walls,
+                    recorder=recorder, n_ranks=n_ranks,
+                )
+                blocks = lambda: {k: p[0] for k, p in solver.state()["patches"].items()}  # noqa: E731
+            try:
+                digests = []
+                for _ in range(AMR2D_STEPS):
+                    solver.step()
+                    digests.append(_leaf_digest(solver.layout, blocks()))
+                if n_ranks > 1:
+                    threads = [s["cext_threads"] for s in solver.worker_snapshots()]
+                    assert solver.restarts_used == 0
+            finally:
+                if n_ranks > 1:
+                    solver.close()
+            runs[n_ranks] = digests, canonical_stream(steps_of(sink.records))
+        assert runs[2][0] == runs[1][0], "leaf digests diverged from the serial forest"
+        assert runs[2][1] == runs[1][1]
+        assert steps_of(sink.records)[-1]["amr"]["regrids"] == AMR2D_STEPS // 2
+        if cext_available(2):
+            assert threads == [1, 1]
 
 
 class TestRebalanceDecay:
@@ -342,6 +418,53 @@ class TestMigrationWireFormat:
         assert check_block_payload(arr, (3, 12), "cons", self.KEY) is arr
         with pytest.raises(BlockMigrationError, match="p_cache payload"):
             check_block_payload(np.zeros(8), (3, 8), "p_cache", self.KEY)
+
+
+class TestReceivedPayloadShapes:
+    """A received ghost import or reflux column of the wrong shape is
+    refused, naming the leaf and the sender, before any ghost or ``dU`` is
+    written: NumPy would broadcast a row of it into every variable."""
+
+    @staticmethod
+    def _solver(monkeypatch, which):
+        """The 2-D blast over 2 in-process ranks whose communicator hands
+        over only the first row of every payload tagged *which*."""
+        system, grid, config, amr = _blast2d_scenario()
+        solver = AMRSolver(system, grid, _blast2d, config, amr, n_ranks=2)
+        real = solver.comm.recv
+
+        def first_row(src, dest, tag=0):
+            got = real(src, dest, tag=tag)
+            return got[0] if tag == which else got
+
+        monkeypatch.setattr(solver.comm, "recv", first_row)
+        return solver
+
+    def test_a_misshaped_ghost_import_is_refused(self, monkeypatch):
+        solver = self._solver(monkeypatch, TAG_AMR_HALO)
+        prims = solver._prims()
+        before = [a.tobytes() for a in prims.stacks]
+        with pytest.raises(
+            BlockMigrationError,
+            match=r"rank \d's ghost import payload for BlockKey.* shape \(8, 8\), expected \(4, 8, 8\)",
+        ):
+            solver._fill_ghosts(prims)
+        assert [a.tobytes() for a in prims.stacks] == before
+
+    def test_a_misshaped_reflux_column_is_refused(self, monkeypatch):
+        solver = self._solver(monkeypatch, TAG_AMR_FLUX)
+        assert solver._get_reflux_plan()[0]  # columns cross ranks
+        prims = solver._ghosted_snapshot()
+        dU = PatchViews.of(solver._stacks, [
+            st.pipeline.flux_divergence(prim) for st, prim in zip(solver._stacks, prims.stacks)
+        ])
+        before = [a.tobytes() for a in dU.stacks]
+        with pytest.raises(
+            BlockMigrationError,
+            match=r"rank \d's reflux column payload for BlockKey.* shape \(8,\), expected \(4, 8\)",
+        ):
+            solver._apply_reflux(dU)
+        assert [a.tobytes() for a in dU.stacks] == before
 
 
 class TestConfigSurface:

@@ -205,3 +205,38 @@ class TestPeriodicWrap:
         assert forests[True].neighbor(BlockKey(0, (3,)), 0, 1) == BlockKey(0, (0,))
         assert BlockKey(0, (3,)) not in forests[False].unbalanced_leaves()
         assert BlockKey(0, (3,)) in forests[True].unbalanced_leaves()
+
+    def test_the_one_face_list_holds_the_2_1_check(self):
+        """``reflux_plan`` and ``compile_reflux`` read one coarse-fine face
+        list, ``AMRForest.coarse_fine_faces``: block 3 borders the twice
+        refined block 0 across the wrap, whose touching child is no leaf,
+        so both refuse there, naming it; without the wrap both see the two
+        faces of the refined region."""
+        from repro.mesh.amr import AMRForest, BlockKey, BlockLayout, compile_reflux
+        from repro.mesh.amr.exchange import reflux_plan
+        from repro.utils.errors import MeshError
+
+        layout = BlockLayout(Grid((64,), ((0.0, 1.0),)), block_size=16)
+        for periodic in (False, True):
+            forest = AMRForest(layout, max_levels=3, periodic=(periodic,))
+            for key in layout.root_keys():
+                forest.add_leaf(key, None)
+            forest.split(BlockKey(0, (0,)), dict.fromkeys(BlockKey(0, (0,)).children()))
+            forest.split(BlockKey(1, (0,)), dict.fromkeys(BlockKey(1, (0,)).children()))
+            owners = {key: key.level % 2 for key in forest.leaves}
+            stacks = [[k for k in forest.leaves if k.level == lvl] for lvl in range(3)]
+            plans = (lambda: reflux_plan(forest, owners),
+                     lambda: compile_reflux(forest, stacks, 3))
+            if periodic:
+                for plan in plans:
+                    with pytest.raises(MeshError, match=r"BlockKey\(level=1, idx=\(0,\)\) borders "
+                                                         r"BlockKey\(level=0, idx=\(3,\)\)"):
+                        plan()
+                continue
+            assert forest.coarse_fine_faces() == {
+                (BlockKey(0, (1,)), 0, 0): [BlockKey(1, (1,))],
+                (BlockKey(1, (1,)), 0, 0): [BlockKey(2, (1,))],
+            }
+            assert plans[0]() == {(1, 0): [(BlockKey(1, (1,)), 0)],
+                                  (0, 1): [(BlockKey(2, (1,)), 0)]}
+            assert plans[1]().faces == 2
