@@ -17,19 +17,17 @@ from ..physics.srhd import SRHDSystem
 from ..utils.errors import ConfigurationError
 
 
-def _ghost_slices(grid: Grid, axis: int, side: int):
-    """(ghost, source-interior) slice tuples for one face, variable axis first."""
-    g = grid.n_ghost
-    n = grid.shape[axis]
+def _along(grid: Grid, axis: int, sl) -> tuple:
+    """Index of *sl* along *axis* of a ghosted array, variable axis first."""
+    idx = [slice(None)] * (grid.ndim + 1)
+    idx[axis + 1] = sl
+    return tuple(idx)
 
-    def along(sl):
-        idx = [slice(None)] * (grid.ndim + 1)
-        idx[axis + 1] = sl
-        return tuple(idx)
 
-    if side == 0:
-        return along(slice(0, g)), along(slice(g, 2 * g))
-    return along(slice(g + n, g + n + 2 * g)), along(slice(n, g + n))
+def _ghosts(grid: Grid, axis: int, side: int) -> tuple:
+    """Index of the ghost layers of face (axis, side)."""
+    g, n = grid.n_ghost, grid.shape[axis]
+    return _along(grid, axis, slice(0, g) if side == 0 else slice(g + n, 2 * g + n))
 
 
 class BoundaryCondition(ABC):
@@ -60,18 +58,9 @@ class Outflow(BoundaryCondition):
     name = "outflow"
 
     def apply(self, system, grid, prim, axis, side):
-        g = grid.n_ghost
-        n = grid.shape[axis]
-        edge = g if side == 0 else g + n - 1
-
-        def at(i):
-            idx = [slice(None)] * (grid.ndim + 1)
-            idx[axis + 1] = i
-            return tuple(idx)
-
-        ghosts = range(g) if side == 0 else range(g + n, g + n + g)
-        for gi in ghosts:
-            prim[at(gi)] = prim[at(edge)]
+        g, n = grid.n_ghost, grid.shape[axis]
+        edge = slice(g, g + 1) if side == 0 else slice(g + n - 1, g + n)
+        prim[_ghosts(grid, axis, side)] = prim[_along(grid, axis, edge)]
 
 
 class Periodic(BoundaryCondition):
@@ -80,22 +69,13 @@ class Periodic(BoundaryCondition):
     name = "periodic"
 
     def apply(self, system, grid, prim, axis, side):
-        g = grid.n_ghost
-        n = grid.shape[axis]
+        g, n = grid.n_ghost, grid.shape[axis]
         if n < g:
             raise ConfigurationError(
                 f"periodic BC needs at least {g} interior cells along axis {axis}"
             )
-
-        def at(sl):
-            idx = [slice(None)] * (grid.ndim + 1)
-            idx[axis + 1] = sl
-            return tuple(idx)
-
-        if side == 0:
-            prim[at(slice(0, g))] = prim[at(slice(n, n + g))]
-        else:
-            prim[at(slice(g + n, 2 * g + n))] = prim[at(slice(g, 2 * g))]
+        src = slice(n, n + g) if side == 0 else slice(g, 2 * g)
+        prim[_ghosts(grid, axis, side)] = prim[_along(grid, axis, src)]
 
 
 class Reflecting(BoundaryCondition):
@@ -104,21 +84,12 @@ class Reflecting(BoundaryCondition):
     name = "reflecting"
 
     def apply(self, system, grid, prim, axis, side):
-        g = grid.n_ghost
-        n = grid.shape[axis]
-
-        def at(i):
-            idx = [slice(None)] * (grid.ndim + 1)
-            idx[axis + 1] = i
-            return tuple(idx)
-
-        for k in range(g):
-            if side == 0:
-                ghost, src = g - 1 - k, g + k
-            else:
-                ghost, src = g + n + k, g + n - 1 - k
-            prim[at(ghost)] = prim[at(src)]
-            prim[(system.V(axis),) + at(ghost)[1:]] *= -1.0
+        g, n = grid.n_ghost, grid.shape[axis]
+        # ghost layer k out from the face mirrors interior layer k in
+        src = slice(2 * g - 1, g - 1, -1) if side == 0 else slice(g + n - 1, n - 1, -1)
+        ghosts = _ghosts(grid, axis, side)
+        prim[ghosts] = prim[_along(grid, axis, src)]
+        prim[(system.V(axis),) + ghosts[1:]] *= -1.0
 
 
 class FixedState(BoundaryCondition):
@@ -135,10 +106,7 @@ class FixedState(BoundaryCondition):
                 f"fixed state has shape {self.state.shape}, "
                 f"expected ({system.nvars},)"
             )
-        ghost, _ = _ghost_slices(grid, axis, side)
-        region = prim[ghost]
-        for var in range(system.nvars):
-            region[var] = self.state[var]
+        prim[_ghosts(grid, axis, side)] = self.state.reshape((-1,) + (1,) * grid.ndim)
 
 
 class JetInflowBC(BoundaryCondition):

@@ -3,12 +3,12 @@
 The ``cext`` target turns the generated C module of
 :meth:`~repro.codegen.generator.KernelGenerator.generate_c_module` into a
 real shared library via cffi: one artifact per ndim, whose entry points are
-the row kernels (one-pass recovery sweep, CFL scan, fused face-flux sweep
-per axis, ``accumulate``, ``rk_stage``), the AMR gather program (a ghost
-fill or a reflux in one call), the cold-path con2prim Newton loop and the
-clone and team probes — each driven by one ``run_*`` function
-below.  There is no pointwise entry point: the per-side algebra runs
-inside the sweep.  Three layers of caching keep rebuilds rare and
+the row kernels (one-pass recovery sweep with its CFL scan, fused
+face-flux sweep per axis, ``accumulate``, ``rk_stage``), the AMR gather
+program (a ghost fill or a reflux in one call), the cold-path con2prim
+Newton loop and the clone and team probes — each driven by one ``run_*``
+function below.  There is no pointwise entry point: the per-side algebra
+runs inside the sweep.  Three layers of caching keep rebuilds rare and
 *correct*:
 
 1. an in-process handle map, keyed by the artifact name;
@@ -28,13 +28,12 @@ There is one fallback: missing cffi, a missing or failing C compiler, or
 here, which :func:`repro.codegen.system.make_kernel_system` turns into a
 logged fallback of the whole target to ``flat``.
 
-Threads: the artifact is built with ``-fopenmp``, and its five row kernels
-(``recover``, ``max_signal``, the per-axis sweeps, ``accumulate``,
-``rk_stage``; the AMR program runs serially) split a large call over an
-OpenMP team — every output element written by one thread, no
-floating-point reduction reordered, so any team size gives the 1-thread
-bytes.  The team size is the standard
-OpenMP one (``OMP_NUM_THREADS``, CPU affinity), read by :func:`threads`;
+Threads: the artifact is built with ``-fopenmp``, and its four row kernels
+(``recover``, the per-axis sweeps, ``accumulate``, ``rk_stage``; the AMR
+program runs serially) split a large call over an OpenMP team — every
+output element written by one thread, no floating-point reduction
+reordered, so any team size gives the 1-thread bytes.  The team size is
+the standard OpenMP one (``OMP_NUM_THREADS``, CPU affinity), read by :func:`threads`;
 every fleet worker runs on one (``core.parallel._worker_main``).  A
 compiler that rejects ``-fopenmp`` (probed once, :func:`openmp_supported`)
 builds the same source without it: one thread, same bytes, no other path.
@@ -564,7 +563,7 @@ def sweep_rows(
 def interior_rows(cell_shape: tuple, n_ghost: int) -> tuple[np.ndarray, tuple]:
     """``(row offsets, interior shape)`` of a C-contiguous ghosted cell
     block — the interior rows of a sweep along the last axis, whose length
-    is that axis's interior extent: what ``recover``/``max_signal`` walk."""
+    is that axis's interior extent: what ``recover`` walks."""
     rows = sweep_rows(cell_shape, n_ghost, len(cell_shape) - 1)
     return rows, tuple(n - 2 * int(n_ghost) for n in cell_shape)
 
@@ -584,7 +583,7 @@ def _state_buf(ffi, arr, like=None, writable=False):
 def run_recover(
     ffi, fn, cons, prim, n_ghost, seed, next_seed, *,
     gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
-    solve_only, n_patches=1, warm=None,
+    solve_only, n_patches=1, warm=None, scan=None,
 ) -> np.ndarray:
     """Run one compiled recovery sweep (see
     :meth:`KernelGenerator.generate_c_recover`) over a stack of *n_patches*
@@ -595,10 +594,13 @@ def run_recover(
     receives the interiors; *seed* (or None: every patch starts cold) and
     *next_seed* hold the patches' interiors back to back,
     ``(n_patches * interior[0], *interior[1:])``.  *warm* (or None: every
-    patch warm) flags per patch whether its *seed* is read.
+    patch warm) flags per patch whether its *seed* is read.  *scan* (or
+    None: no scan), ``(n_patches, ndim)``, receives each patch's per-axis
+    largest |characteristic speed| over its recovered interior.
     """
     offsets, interior = interior_rows(cons.shape[1:], n_ghost)
     seeds = (n_patches * interior[0],) + interior[1:]
+    scan_shape = (n_patches, cons.shape[0] // n_patches - 2)  # nvars = ndim + 2
     counts = np.zeros((n_patches, 5), dtype=np.int64)
     if warm is not None and (warm.dtype != np.uint8 or warm.shape != (n_patches,)):
         raise CodegenError(f"recover needs {n_patches} uint8 warm flags, got {warm}")
@@ -616,29 +618,9 @@ def run_recover(
         gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
         bool(solve_only),
         ffi.from_buffer("long*", counts),
+        ffi.NULL if scan is None else _state_buf(ffi, scan, scan_shape, writable=True),
     )
     return counts
-
-
-def run_max_signal(
-    ffi, fn, prim, n_ghost, ndim: int, gamma: float, n_patches: int = 1
-) -> list[list[float]]:
-    """Per-axis largest |characteristic speed| over the interior of each
-    patch of a stack *prim* (``(n_patches * nvars, *cells)``; see
-    :meth:`KernelGenerator.generate_c_max_signal`), one row per patch."""
-    offsets, interior = interior_rows(prim.shape[1:], n_ghost)
-    vmax = np.empty((n_patches, ndim))
-    fn(
-        _state_buf(ffi, prim),
-        n_patches,
-        prim[0].size,
-        ffi.from_buffer("long*", offsets),
-        offsets.size,
-        interior[-1],
-        gamma,
-        ffi.from_buffer("double*", vmax),
-    )
-    return vmax.tolist()
 
 
 def run_accumulate(

@@ -11,13 +11,14 @@ Three targets model the architectures of a heterogeneous node:
   data layout a GPU emitter uses.
 - ``cext`` — genuinely compiled C: one module of *row kernels*
   (:meth:`KernelGenerator.generate_c_module`), each walking whole rows of a
-  ghosted patch or a stack of them — the recovery sweep, the CFL scan, the
-  fused reconstruction + Riemann + difference sweep per axis, the update
-  stage and the cold-path Newton loop — built into a shared library by
-  :mod:`repro.codegen.cext`.  The spec reaches it through the sweep's
-  per-side tile stage, which prints the same CSE'd ``face_side`` list
-  through SymPy's C99 printer that the ``flat`` kernel prints through
-  NumPy's; there is no pointwise C entry point.
+  ghosted patch or a stack of them — the recovery sweep (the CFL scan of
+  the rows it recovered included), the fused reconstruction + Riemann +
+  difference sweep per axis, the update stage and the cold-path Newton
+  loop — built into a shared library by :mod:`repro.codegen.cext`.  The
+  spec reaches it through the sweep's per-side tile stage, which prints the
+  same CSE'd ``face_side`` list through SymPy's C99 printer that the
+  ``flat`` kernel prints through NumPy's; there is no pointwise C entry
+  point.
 
 Common subexpression elimination (``sympy.cse``) is applied before
 printing, exactly as production generators do to keep register pressure and
@@ -57,9 +58,8 @@ STENCIL_TILE = 128
 #: a template that mirrors the vectorized Python iteration line by line).
 CON2PRIM_KERNEL = "con2prim_newton_cext"
 
-#: The one-pass recovery sweep and the CFL scan (templates, like the loop).
+#: The one-pass recovery sweep and its CFL scan (a template, like the loop).
 RECOVER_KERNEL = "recover_%dd_cext"
-MAX_SIGNAL_KERNEL = "max_signal_%dd_cext"
 
 #: The update stage: a region's divergence subtracted into ``dU``, and one
 #: SSP-RK stage combination (ndim-independent: a flat loop over the state).
@@ -78,7 +78,7 @@ THREADS_DECL = "int repro_threads(int n)"
 #: Work (cells or faces a call visits) below which an entry point runs its
 #: serial branch and never calls into libgomp.  Measured on a 2-vCPU Xeon
 #: (gcc 12.2), 2 threads against 1 through a pipeline call on an N^2
-#: patch: the sweeps and the CFL scan gain from ~500 cells (x1.8 at 64^2),
+#: patch: the sweeps gain from ~500 cells (x1.8 at 64^2),
 #: while ``recover``, ``accumulate`` and ``rk_stage`` — short or
 #: memory-bound — break even only at ~3000-5000 cells (x1.1 at 64^2).  One
 #: threshold, at the latter: AMR's 8^2 leaves (196 ghosted cells) stay
@@ -560,8 +560,8 @@ class KernelGenerator:
 
     def generate_c_module(self) -> str:
         """Complete C source of the compiled module for this ndim: the
-        con2prim Newton loop, the one-pass recovery sweep, the CFL scan, the
-        fused face-flux sweep of every axis and the update stage — one
+        con2prim Newton loop, the one-pass recovery sweep with its CFL scan,
+        the fused face-flux sweep of every axis and the update stage — one
         translation unit, one artifact, row kernels only."""
         axes = range(self.ndim)
         parts = [
@@ -570,7 +570,6 @@ class KernelGenerator:
             "Generated by repro.codegen.KernelGenerator. */\n" + _PROLOGUE_C,
             self.generate_c_con2prim(),
             self.generate_c_recover(),
-            self.generate_c_max_signal(),
             _STENCIL_COMMON_C,
             _STENCIL_ROWS_C,
             self.generate_c_sanitize_tile(),
@@ -596,7 +595,6 @@ class KernelGenerator:
             (head := src[src.rindex("\nvoid ") + 1 :])[: head.index("\n{")] + ";"
             for src in (
                 self.generate_c_recover(),
-                self.generate_c_max_signal(),
                 *(self.generate_c_face_flux(ax) for ax in range(self.ndim)),
                 self.generate_c_accumulate(),
                 self.generate_c_rk_stage(),
@@ -606,7 +604,7 @@ class KernelGenerator:
         decls += [SIMD_LEVEL_DECL + ";", THREADS_DECL + ";"]
         return "\n".join(decls) + "\n"
 
-    # -- recovery sweep and CFL scan (C target only) -------------------------
+    # -- recovery sweep and its CFL scan (C target only) ---------------------
     #
     # Both walk the interior of a C-contiguous ghosted ``(nvars, *cells)``
     # patch by rows (``cext.interior_rows``), so 1-/2-/3-D patches and a
@@ -629,8 +627,25 @@ class KernelGenerator:
         ``[cons_floored, momentum_rescaled, n_unconverged, iters_max,
         prim_reset]``; a single patch split over a team sums its threads'
         counts (``iters_max``: their maximum) — integers, exact in any order.
+
+        Unless *scan* is NULL, the CFL scan follows as a loop of its own
+        over the rows just recovered (inside the Newton row loop it made
+        the sweep ~1.7x slower): per axis ``max(max|lam-|,
+        max|lam+|)`` of the interior into ``scan[q * ndim .. q * ndim +
+        ndim - 1]``.  It mirrors the *handwritten* ``SRHDSystem.char_speeds``
+        (``v_squared`` order, ``eps_from_pressure``,
+        ``IdealGasEOS.sound_speed_sq``, both clips, the
+        ``disc``/``root``/``denom`` sequence) — the kernel every target's dt
+        is scanned with — not the generated ``char_speeds`` kind, which
+        differs from it in the last bit.  A NaN poisons a maximum as it does
+        ``np.max``.  A single patch on a team scans each thread's rows and
+        folds the partial maxima with ``rmaxn``: the maximum of non-negative
+        doubles is exact in any order, and a NaN stays.  The scan reads
+        unconverged cells' unwritten primitives too: only a patch whose
+        every cell converged has maxima to read.
         """
         nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
+        vs = ", ".join(f"prim[{1 + a} * n_cells + i]" for a in range(nd))
         params = (
             "double gamma, double tol, double p_floor,\n    int max_newton, "
             "double rho_atmo, double p_atmo, double rho_reset,\n    double vmax, "
@@ -645,22 +660,39 @@ class KernelGenerator:
                 team_chunk(n_patches, &lo, &hi);
                 for (long q = lo; q < hi; ++q)
                     recover_patch_{nd}d(q, cons, prim, n_cells, row_offsets, n_rows,
-                        row_len, seed, warm, next_seed, {args}, counts);
+                        row_len, seed, warm, next_seed, {args}, counts, scan);
             }} else {{
                 long c[5] = {{0, 0, 0, 0, 0}};
+                double tm[{nd}] = {{0.0}};
+                double tp[{nd}] = {{0.0}};
                 team_chunk(n_cells, &lo, &hi);
                 recover_cells_{nd}d(cons, n_cells, lo, hi, rho_atmo, p_atmo, vmax, c);
 #pragma omp barrier
                 team_chunk(n_rows, &lo, &hi);
                 recover_rows_{nd}d(cons, prim, n_cells, row_offsets, lo, hi, row_len,
                     (seed && (!warm || warm[0])) ? seed : 0, next_seed, {args}, c);
+                if (scan)
+                    max_signal_rows_{nd}d(prim, n_cells, row_offsets, lo, hi, row_len,
+                        gamma, tm, tp);
 #pragma omp critical
                 {{
                     for (int s = 0; s < 5; ++s)
                         if (s != 3) counts[s] += c[s];
                     if (c[3] > counts[3]) counts[3] = c[3];
+                    for (int a = 0; a < {nd}; ++a) {{
+                        mm[a] = rmaxn(tm[a], mm[a]);
+                        mp[a] = rmaxn(tp[a], mp[a]);
+                    }}
                 }}
             }}""",
+            head=f"""\
+        double mm[{nd}] = {{0.0}};
+        double mp[{nd}] = {{0.0}};
+""",
+            tail=f"""\
+        if (scan && n_patches == 1)
+            for (int a = 0; a < {nd}; ++a) scan[a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
+""",
         )
         return f"""\
 /* Atmosphere.apply_cons and the momentum cap over cells [lo, hi) */
@@ -737,80 +769,6 @@ OUTLINE void recover_rows_{nd}d(const double* cons, double* prim, long n_cells,
     }}
 }}
 
-/* patch q of the stack, whole */
-REPRO_INLINE void recover_patch_{nd}d(long q, double* cons, double* prim,
-    long n_cells, const long* row_offsets, long n_rows, long row_len,
-    const double* seed, const unsigned char* warm, double* next_seed,
-    {params}, long* counts)
-{{
-    const long n_interior = n_rows * row_len;
-    cons += q * {nv} * n_cells;
-    recover_cells_{nd}d(cons, n_cells, 0, n_cells, rho_atmo, p_atmo, vmax,
-        counts + 5 * q);
-    recover_rows_{nd}d(cons, prim + q * {nv} * n_cells, n_cells, row_offsets, 0,
-        n_rows, row_len, (seed && (!warm || warm[q])) ? seed + q * n_interior : 0,
-        next_seed + q * n_interior, {args}, counts + 5 * q);
-}}
-
-void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_patches,
-    long n_cells, const long* row_offsets, long n_rows, long row_len,
-    const double* seed, const unsigned char* warm, double* next_seed,
-    double gamma, double tol, double p_floor, int max_newton, double rho_atmo,
-    double p_atmo, double rho_reset, double vmax, int solve_only, long* counts)
-{{
-{team}    for (long q = 0; q < n_patches; ++q)
-        recover_patch_{nd}d(q, cons, prim, n_cells, row_offsets, n_rows, row_len,
-            seed, warm, next_seed, {args}, counts);
-}}
-"""
-
-    def generate_c_max_signal(self) -> str:
-        """Per-axis ``max(max|lam-|, max|lam+|)`` over the interior.
-
-        Mirrors the *handwritten* ``SRHDSystem.char_speeds`` (``v_squared``
-        order, ``eps_from_pressure``, ``IdealGasEOS.sound_speed_sq``, both
-        clips, the ``disc``/``root``/``denom`` sequence) — the kernel every
-        target's dt is scanned with — not the generated ``char_speeds``
-        kind, which differs from it in the last bit.  A NaN poisons a
-        maximum as it does ``np.max``.  Patch *q* of the stack writes
-        ``vmax[q * ndim .. q * ndim + ndim - 1]``.  A single patch split
-        over a team folds its threads' partial maxima with ``rmaxn``: the
-        maximum of non-negative doubles is exact in any order, and a NaN
-        stays.
-        """
-        nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
-        vs = ", ".join(f"prim[{1 + a} * n_cells + i]" for a in range(nd))
-        team = _team_branch(
-            "n_patches * n_rows * row_len",
-            f"""\
-            long lo, hi;
-            if (n_patches > 1) {{
-                team_chunk(n_patches, &lo, &hi);
-                for (long q = lo; q < hi; ++q)
-                    max_signal_patch_{nd}d(prim + q * {nv} * n_cells, n_cells,
-                        row_offsets, n_rows, row_len, gamma, vmax + q * {nd});
-            }} else {{
-                double tm[{nd}] = {{0.0}};
-                double tp[{nd}] = {{0.0}};
-                team_chunk(n_rows, &lo, &hi);
-                max_signal_rows_{nd}d(prim, n_cells, row_offsets, lo, hi, row_len,
-                    gamma, tm, tp);
-#pragma omp critical
-                for (int a = 0; a < {nd}; ++a) {{
-                    mm[a] = rmaxn(tm[a], mm[a]);
-                    mp[a] = rmaxn(tp[a], mp[a]);
-                }}
-            }}""",
-            head=f"""\
-        double mm[{nd}] = {{0.0}};
-        double mp[{nd}] = {{0.0}};
-""",
-            tail=f"""\
-        if (n_patches == 1)
-            for (int a = 0; a < {nd}; ++a) vmax[a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
-""",
-        )
-        return f"""\
 /* fold interior rows [lo, hi) into the running maxima mm (lam-), mp (lam+) */
 OUTLINE void max_signal_rows_{nd}d(const double* prim, long n_cells,
     const long* row_offsets, long lo, long hi, long row_len, double gamma,
@@ -843,24 +801,39 @@ OUTLINE void max_signal_rows_{nd}d(const double* prim, long n_cells,
     }}
 }}
 
-REPRO_INLINE void max_signal_patch_{nd}d(const double* prim, long n_cells,
-    const long* row_offsets, long n_rows, long row_len, double gamma,
-    double* vmax)
+/* patch q of the stack, whole, then (unless scan is NULL) its CFL scan */
+REPRO_INLINE void recover_patch_{nd}d(long q, double* cons, double* prim,
+    long n_cells, const long* row_offsets, long n_rows, long row_len,
+    const double* seed, const unsigned char* warm, double* next_seed,
+    {params}, long* counts, double* scan)
 {{
+    const long n_interior = n_rows * row_len;
+    cons += q * {nv} * n_cells;
+    prim += q * {nv} * n_cells;
+    recover_cells_{nd}d(cons, n_cells, 0, n_cells, rho_atmo, p_atmo, vmax,
+        counts + 5 * q);
+    recover_rows_{nd}d(cons, prim, n_cells, row_offsets, 0, n_rows, row_len,
+        (seed && (!warm || warm[q])) ? seed + q * n_interior : 0,
+        next_seed + q * n_interior, {args}, counts + 5 * q);
+    if (!scan) return;
     double mm[{nd}] = {{0.0}};
     double mp[{nd}] = {{0.0}};
     max_signal_rows_{nd}d(prim, n_cells, row_offsets, 0, n_rows, row_len, gamma,
         mm, mp);
-    for (int a = 0; a < {nd}; ++a) vmax[a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
+    for (int a = 0; a < {nd}; ++a)
+        scan[q * {nd} + a] = (mp[a] > mm[a]) ? mp[a] : mm[a];
 }}
 
-void {MAX_SIGNAL_KERNEL % nd}(const double* prim, long n_patches, long n_cells,
-    const long* row_offsets, long n_rows, long row_len, double gamma,
-    double* vmax)
+void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_patches,
+    long n_cells, const long* row_offsets, long n_rows, long row_len,
+    const double* seed, const unsigned char* warm, double* next_seed,
+    double gamma, double tol, double p_floor, int max_newton, double rho_atmo,
+    double p_atmo, double rho_reset, double vmax, int solve_only, long* counts,
+    double* scan)
 {{
 {team}    for (long q = 0; q < n_patches; ++q)
-        max_signal_patch_{nd}d(prim + q * {nv} * n_cells, n_cells, row_offsets,
-            n_rows, row_len, gamma, vmax + q * {nd});
+        recover_patch_{nd}d(q, cons, prim, n_cells, row_offsets, n_rows, row_len,
+            seed, warm, next_seed, {args}, counts, scan);
 }}
 """
 

@@ -11,7 +11,7 @@ SoA rows (the accelerator rehearsal path).
 
 :class:`CompiledSRHDSystem` (the ``cext`` target) adds the row kernels of
 the cffi-compiled C module of :mod:`repro.codegen.cext`: the one-pass
-recovery sweep, the CFL scan, the fused ``face_flux`` sweep, the update
+recovery sweep with its CFL scan, the fused ``face_flux`` sweep, the update
 stage (``accumulate``, ``rk_stage``), the AMR gather program
 (``run_program``: a ghost fill or a reflux in one call) and the cold-path
 Newton loop (``c2p_newton``, which :func:`~repro.physics.con2prim.con_to_prim`
@@ -38,7 +38,6 @@ from .cache import load_kernel
 from .generator import (
     ACCUMULATE_KERNEL,
     AMR_PROGRAM_KERNEL,
-    MAX_SIGNAL_KERNEL,
     RECOVER_KERNEL,
     RK_STAGE_KERNEL,
     STENCIL_LIMITER_IDS,
@@ -110,7 +109,7 @@ class GeneratedSRHDSystem(SRHDSystem):
 
 class CompiledSRHDSystem(GeneratedSRHDSystem):
     """:class:`GeneratedSRHDSystem` plus the compiled row kernels of the
-    ``cext`` target: ``recover``, ``max_signal``, ``face_flux``,
+    ``cext`` target: ``recover`` (with its CFL scan), ``face_flux``,
     ``accumulate``, ``rk_stage``, the AMR ``run_program`` and the cold-path
     ``c2p_newton``.
 
@@ -139,7 +138,6 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
             getattr(self._lib, gen.stencil_kernel_name(ax)) for ax in range(ndim)
         ]
         self._c_recover = getattr(self._lib, RECOVER_KERNEL % ndim)
-        self._c_max_signal = getattr(self._lib, MAX_SIGNAL_KERNEL % ndim)
         self._c_accumulate = getattr(self._lib, ACCUMULATE_KERNEL % ndim)
         self._c_rk_stage = getattr(self._lib, RK_STAGE_KERNEL)
         self._c_amr_program = getattr(self._lib, AMR_PROGRAM_KERNEL % ndim)
@@ -159,8 +157,10 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
 
     def recover(self, cons, prim, n_ghost, seed, next_seed, **params) -> np.ndarray:
         """One recovery sweep in one compiled pass — conserved floors,
-        momentum cap, seed, Newton, primitive floor — over a stack of
-        patches, returning each patch's counts
+        momentum cap, seed, Newton, primitive floor and, given a *scan*
+        array among *params*, the CFL scan of the recovered interiors, bit
+        for bit :func:`~repro.time_integration.cfl.max_signal_per_axis` —
+        over a stack of patches, returning each patch's counts
         (:func:`~repro.codegen.cext.run_recover`).  Holding this hook puts
         a :class:`~repro.core.pipeline.HydroPipeline` on that path."""
         from .cext import run_recover
@@ -168,16 +168,6 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
         return run_recover(
             self._ffi, self._c_recover, cons, prim, n_ghost, seed, next_seed,
             gamma=self.gamma, **params,
-        )
-
-    def max_signal(self, prim: np.ndarray, n_ghost: int, n_patches: int = 1):
-        """The CFL scan of each patch of a stack in one compiled reduction,
-        bit for bit :func:`~repro.time_integration.cfl.max_signal_per_axis`."""
-        from .cext import run_max_signal
-
-        return run_max_signal(
-            self._ffi, self._c_max_signal, prim, n_ghost, self.ndim, self.gamma,
-            n_patches,
         )
 
     def face_flux(self, prim, axis, j0, n_faces, out, *, ids, **params) -> np.ndarray:

@@ -42,6 +42,18 @@ def corrupt_payload(payload: np.ndarray, scale: float) -> np.ndarray:
     return corrupted
 
 
+def fill_slot(buf: np.ndarray, lo: int, hi: int, payload, src: int, dest: int, tag: int) -> None:
+    """``buf[lo:hi] = payload`` for the message ``(src, dest, tag)``; a
+    payload of another size than its slot (which numpy would broadcast, or
+    refuse with a bare ``ValueError``) raises :class:`CommunicationError`."""
+    if np.size(payload) != hi - lo:
+        raise CommunicationError(
+            f"message src={src} dest={dest} tag={tag} holds {np.size(payload)} "
+            f"values, its slot {hi - lo}"
+        )
+    buf[lo:hi] = payload
+
+
 @dataclass
 class TrafficLog:
     """Per-communicator accounting of simulated message traffic."""
@@ -213,7 +225,7 @@ class SimCommunicator:
                 if not box:
                     continue
                 box.append(buf[lo:hi].copy())
-            buf[lo:hi] = self.recv(src, dest, tag)
+            fill_slot(buf, lo, hi, self.recv(src, dest, tag), src, dest, tag)
 
     def begin_exchange_epoch(self) -> None:
         """No-op: in-process mailboxes hold no stale epochs (the shm

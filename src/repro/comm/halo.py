@@ -28,7 +28,7 @@ import numpy as np
 
 from ..mesh.decomposition import CartesianDecomposition
 from ..utils.errors import CommunicationError
-from .communicator import PackedStrips, SimCommunicator
+from .communicator import PackedStrips, SimCommunicator, fill_slot
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -554,10 +554,11 @@ def _drain_axis(h: HaloHandle, ax: AxisPlan, buf, wire, per_face) -> None:
     h.comm.recv_packed(wire, buf)
     for face, strip in ax.received if per_face else ():
         if strip.key in per_face:
-            buf[strip.lo:strip.hi] = (
+            payload = (
                 h.comm.recv(face.nbr, face.rank, tag=face.recv_tag)
                 if h.policy is None else _recv_reliable(h, face)
             )
+            fill_slot(buf, strip.lo, strip.hi, payload, *strip.key)
     for k, pos, idx in ax.scatter:
         _put(h.arrays[k], idx, buf if pos is None else buf[pos])
 

@@ -44,7 +44,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..utils.errors import CommunicationError
-from .communicator import SimCommunicator, TrafficLog, corrupt_payload
+from .communicator import SimCommunicator, TrafficLog, corrupt_payload, fill_slot
 from .halo import face_table
 
 _REDUCTIONS = SimCommunicator._REDUCTIONS
@@ -559,7 +559,7 @@ class ShmCommunicator:
     def recv_packed(self, strips, buf: np.ndarray) -> None:
         """Receive every message of ``strips.recvs`` into its slot of *buf*."""
         for src, dest, tag, lo, hi in strips.recvs:
-            buf[lo:hi] = self.recv(src, dest, tag)
+            fill_slot(buf, lo, hi, self.recv(src, dest, tag), src, dest, tag)
 
     def _push(self, dest: int, epoch: int, tag: int, records) -> None:
         """Append ``(flag, payload)`` records to *dest*'s ring; time spent

@@ -11,10 +11,14 @@ unit the heterogeneous runtime's performance model is calibrated against
 A sweep visits the interior transverse rows only (no corner ghost is
 read), and nothing is zero-filled per call: the first axis's
 :meth:`HydroPipeline.accumulate_divergence` assigns ``dU``'s interior.
+On ``cext`` the CFL scan rides the recovery: a fresh compiled recovery
+scans the rows it recovered, and :meth:`HydroPipeline.max_signal_per_axis`
+of that array reads its maxima.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
@@ -150,10 +154,9 @@ class HydroPipeline:
         elif config.kernel_target == "cext":
             # The target's one fallback (logged by make_kernel_system).
             self.metrics.counter("codegen.target_fallbacks").inc()
-        #: the compiled recovery sweep, CFL scan and update stage, fixed here
-        #: like the sweep: None (no such hook) runs the interpreted passes.
+        #: the compiled recovery sweep and update stage, fixed here like the
+        #: sweep: None (no such hook) runs the interpreted passes.
         self._recover_kernel = getattr(system, "recover", None)
-        self._max_signal_kernel = getattr(system, "max_signal", None)
         self._accumulate_kernel = getattr(system, "accumulate", None)
         self._rk_stage_kernel = getattr(system, "rk_stage", None)
         self.fault_injector = fault_injector
@@ -172,6 +175,11 @@ class HydroPipeline:
         self._p_cache: np.ndarray | None = None
         self._seed_spare: np.ndarray | None = None
         self._warm = [False] * len(self.patches)
+        #: ``(weak reference to prim, per-patch maxima)`` of the last fresh
+        #: compiled recovery, a patch's None where the kernel did not
+        #: complete it; dropped by the next recovery.  Weak: it never keeps
+        #: a recovered array alive.
+        self._scan = None
         #: when True, flux_divergence stashes the interior face fluxes per
         #: axis in :attr:`last_face_fluxes` (used by AMR refluxing).
         self.store_fluxes = False
@@ -244,12 +252,21 @@ class HydroPipeline:
         arrays the caller may keep (e.g. the solver's primitive cache).
         Values are bit-identical either way.  Ghost corners, which neither
         the sweep nor a boundary fill writes and no sweep reads, are not
-        zero-filled: a fresh array's are zeros from allocation.
+        zero-filled: a fresh array's are zeros from allocation.  A fresh
+        array's CFL scan rides a compiled sweep: :meth:`max_signal_per_axis`
+        of it reads the maxima the kernel computed.
         """
         system = self.system
         self._expect_stack(cons, "recover_primitives")
+        self._scan = None
         ws = self.workspace if reuse else None
         prim = ws.prim if ws is not None else np.zeros(self._state_shape)
+        # Only a fresh array outlives the next recovery, so only it is
+        # scanned — and not with a fault injector, whose burst precedes the
+        # primitive floor the scan follows.
+        scan = None
+        if ws is None and self.fault_injector is None:
+            scan = np.empty((len(self.patches), system.ndim))
         if self._seed_spare is None:
             self._seed_spare = self._new_seeds()
         with self.timers("con2prim"):
@@ -258,7 +275,7 @@ class HydroPipeline:
             # the first `done[i]` of patch i's; the interpreted code runs
             # the rest, patch by patch.  A raise commits no seed.
             sweeps = [RecoveryStats() for _ in self.patches]
-            done = self._recover_compiled(cons, prim, sweeps)
+            done = self._recover_compiled(cons, prim, sweeps, scan)
             # A patch the kernel completed leaves only its accounting: those
             # up to a raise are recorded once, merged.
             completed = []
@@ -273,6 +290,9 @@ class HydroPipeline:
                     self._record_recovery(*completed)
             self._p_cache, self._seed_spare = self._seed_spare, self._p_cache
             self._warm = [True] * len(self.patches)
+        if scan is not None and 3 in done:
+            maxima = [row if d == 3 else None for row, d in zip(scan.tolist(), done)]
+            self._scan = (weakref.ref(prim), maxima)
         with self.timers("boundary"):
             for i, grid, walls in self._walls:
                 for axis, side, condition in walls:
@@ -319,10 +339,11 @@ class HydroPipeline:
                 self.metrics.counter("atmo.prim_reset").inc(int(prim_mask.sum()))
             self._seed_spare[self._seed_rows(i)] = interior_prim[system.P]
 
-    def _recover_compiled(self, cons, prim, sweeps) -> list[int]:
+    def _recover_compiled(self, cons, prim, sweeps, scan=None) -> list[int]:
         """Run the compiled recovery sweep over the stack *cons*, if this
-        pipeline has one, and return per patch how many stages it
-        completed — the one cold-path rule:
+        pipeline has one (with the CFL scan into *scan*, unless None), and
+        return per patch how many stages it completed — the one cold-path
+        rule:
 
         - 0: no kernel (``numpy``/``flat``), or *cons* is not C-contiguous
           float64 — every patch.  It is never copied contiguous: the floors
@@ -337,7 +358,8 @@ class HydroPipeline:
           patch's sweep stats; the burst hook sits between it and the
           primitive floor (a burst cell is counted by ``atmo.prim_reset``
           and its ``p_atmo`` lands in the seed), so those stay interpreted.
-        - 3: everything, the next seed included.
+        - 3: everything, the next seed included — and the patch's row of
+          *scan*.
         """
         kernel = self._recover_kernel
         if kernel is None or not _c_f64(cons):
@@ -353,7 +375,7 @@ class HydroPipeline:
             rho_atmo=atmo.rho_atmo, p_atmo=atmo.p_atmo,
             rho_reset=atmo.threshold_factor * atmo.rho_atmo,
             vmax=float(np.sqrt(1.0 - 1.0 / self.config.w_max**2)),
-            solve_only=solve_only,
+            solve_only=solve_only, scan=scan,
         )
         n_interior = self._seed_spare.size // len(warm)
         done, floored, rescaled, prim_reset = [], 0, 0, 0
@@ -732,17 +754,18 @@ class HydroPipeline:
     def max_signal_per_axis(self, prim: np.ndarray) -> list:
         """Largest |characteristic speed| per physical axis over the
         interior of each patch of the stack *prim*, one list per patch — the
-        scan every driver's ``compute_dt`` reduces: one compiled pass when
-        the system carries one, the interpreted
-        :func:`~repro.time_integration.cfl.max_signal_per_axis` otherwise."""
+        scan every driver's ``compute_dt`` reduces.  For the fresh array of
+        this pipeline's last recovery, a patch the compiled sweep completed
+        reads the maxima it scanned; every other patch and array runs the
+        interpreted :func:`~repro.time_integration.cfl.max_signal_per_axis`,
+        which gives the same bits."""
         self._expect_stack(prim, "max_signal_per_axis")
-        kernel = self._max_signal_kernel
-        if kernel is None or not _c_f64(prim):
-            return [
-                max_signal_per_axis(self.system, grid, patch_prim)
-                for (grid, _), patch_prim in zip(self.patches, prim)
-            ]
-        return kernel(self._flat(prim), self.grid.n_ghost, len(self.patches))
+        scan = self._scan
+        maxima = scan[1] if scan and scan[0]() is prim else [None] * len(self.patches)
+        return [
+            max_signal_per_axis(self.system, grid, patch_prim) if got is None else got
+            for (grid, _), patch_prim, got in zip(self.patches, prim, maxima)
+        ]
 
 
 @dataclass

@@ -29,8 +29,9 @@ capture/install pair.  The drivers supply only what is theirs:
 ``_finish_run()``        what ``run`` returns
 ======================  ================================================
 
-One recovery per committed state serves ``compute_dt``, reads and RK
-stage 1 alike: a step makes one recovery sweep per stack and stage.  The
+One recovery per committed state serves ``compute_dt`` (on ``cext``
+through the CFL maxima the recovery scanned), reads and RK stage 1
+alike: a step makes one recovery sweep per stack and stage.  The
 constructors' primed cache (floored initial primitives) is no recovery, so
 step 1's stage 1 recovers its own.
 

@@ -5,8 +5,9 @@ In special relativity every characteristic speed is bounded by c = 1, so
 (as here) recovers the sharper bound the paper-series codes use.
 
 The scan calls the system's ``char_speeds``, which is the handwritten one
-on every kernel target; a ``cext`` pipeline runs the compiled
-``max_signal`` reduction instead, bit for bit this scan.
+on every kernel target; a ``cext`` pipeline's fresh recovery scans the
+rows it recovered in the compiled sweep instead, bit for bit this scan,
+and this one stays the reference and the fallback.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ def max_signal_per_axis(system: SRHDSystem, grid: Grid, prim: np.ndarray) -> lis
     Exposed separately so distributed drivers can allreduce the per-axis
     maxima before forming dt — giving the identical step the single-grid
     solver takes (per-rank dt minima differ when the per-axis maxima live
-    on different ranks).  Drivers reach this interpreted scan (or its
-    compiled twin) through ``HydroPipeline.max_signal_per_axis``.
+    on different ranks).  Drivers reach this interpreted scan (or the
+    maxima a compiled recovery scanned) through
+    ``HydroPipeline.max_signal_per_axis``.
 
     Every kernel target's system carries the handwritten ``char_speeds``,
     so every target scans with the same bits."""

@@ -132,3 +132,45 @@ class TestBoundarySet:
         grid.interior_of(prim)[...] = 1.0
         make_boundaries("outflow").apply(system2d, grid, prim)
         assert np.all(np.isfinite(prim))
+
+
+def _layer_by_layer(kind, system, grid, prim, axis, side):
+    """The wall fills one ghost layer per assignment: the reference the
+    slab copies must match byte for byte."""
+    g, n = grid.n_ghost, grid.shape[axis]
+
+    def at(i):
+        idx = [slice(None)] * (grid.ndim + 1)
+        idx[axis + 1] = i
+        return tuple(idx)
+
+    for k in range(g):
+        ghost = g - 1 - k if side == 0 else g + n + k
+        if kind == "outflow":
+            prim[at(ghost)] = prim[at(g if side == 0 else g + n - 1)]
+        else:
+            prim[at(ghost)] = prim[at(g + k if side == 0 else g + n - 1 - k)]
+            prim[(system.V(axis),) + at(ghost)[1:]] *= -1.0
+
+
+class TestSlabFills:
+    @pytest.mark.parametrize("kind", ["outflow", "reflecting"])
+    @pytest.mark.parametrize("n_ghost", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(5,), (1,), (5, 3), (2, 4), (3, 1, 4)])
+    def test_one_slab_copy_is_the_layer_by_layer_fill(self, kind, n_ghost, shape):
+        from repro.eos import IdealGasEOS
+        from repro.physics.srhd import SRHDSystem
+
+        system = SRHDSystem(IdealGasEOS(), ndim=len(shape))
+        grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=n_ghost)
+        condition = {"outflow": Outflow(), "reflecting": Reflecting()}[kind]
+        rng = np.random.default_rng(n_ghost)
+        for axis in range(grid.ndim):
+            for side in (0, 1):
+                prim = rng.normal(size=(system.nvars,) + grid.shape_with_ghosts)
+                prim.flat[::7] = -0.0
+                prim.flat[::11] = np.nan
+                want = prim.copy()
+                _layer_by_layer(kind, system, grid, want, axis, side)
+                condition.apply(system, grid, prim, axis, side)
+                assert prim.tobytes() == want.tobytes(), (axis, side)

@@ -194,7 +194,6 @@ class TestGeneratedCBudget:
             ACCUMULATE_KERNEL,
             AMR_PROGRAM_KERNEL,
             CON2PRIM_KERNEL,
-            MAX_SIGNAL_KERNEL,
             RECOVER_KERNEL,
             RK_STAGE_KERNEL,
             SIMD_LEVEL_DECL,
@@ -207,8 +206,8 @@ class TestGeneratedCBudget:
         for token in ("fmin(", "fmax(", "pow("):
             assert token not in code, token
         assert "#define REPRO_INLINE static inline" in module
-        # Column-0 definitions: the Newton loop, the recovery sweep, the CFL
-        # scan, the per-axis sweep entry points, the update stage
+        # Column-0 definitions: the Newton loop, the recovery sweep (its CFL
+        # scan included), the per-axis sweep entry points, the update stage
         # (accumulate, one RK stage combination), the AMR gather program
         # and the clone and team probes — no pointwise kernel — everything
         # else a REPRO_INLINE
@@ -234,7 +233,6 @@ class TestGeneratedCBudget:
         assert entries == [
             CON2PRIM_KERNEL,
             RECOVER_KERNEL % ndim,
-            MAX_SIGNAL_KERNEL % ndim,
             *(gen.stencil_kernel_name(ax) for ax in range(ndim)),
             ACCUMULATE_KERNEL % ndim,
             RK_STAGE_KERNEL,
@@ -1610,10 +1608,10 @@ class TestFusedStencilParity:
 
 
 class TestCompiledRecovery:
-    """One compiled pass per recovery sweep and per CFL scan: ``cext`` is
-    ``flat`` byte for byte — primitives (ghosts included), the floored
-    conserved state, the next seed, every metric by name — on the hot path
-    and on each route off it."""
+    """One compiled pass per recovery sweep, the CFL scan of a fresh array
+    included: ``cext`` is ``flat`` byte for byte — primitives (ghosts
+    included), the floored conserved state, the next seed, every metric by
+    name, the scan's maxima — on the hot path and on each route off it."""
 
     LAYOUTS = ("1d", "2d", "3d", "batch1", "batch5")
     _RESOLVED: dict = {}
@@ -1631,9 +1629,9 @@ class TestCompiledRecovery:
         return grid, system
 
     @classmethod
-    def _pair(cls, layout, injector=None, **cfg):
-        """``{"flat": pipeline, "cext": pipeline}`` on one layout (skips
-        without a C toolchain)."""
+    def _pair(cls, layout, injector=None, n_patches=1, **cfg):
+        """``{"flat": pipeline, "cext": pipeline}`` on one layout, over a
+        stack of *n_patches* patches (skips without a C toolchain)."""
         from repro.boundary import make_boundaries
         from repro.codegen import cext_available
         from repro.core.batch import batch_boundaries
@@ -1657,6 +1655,7 @@ class TestCompiledRecovery:
                 resolved[target], grid, bcs,
                 SolverConfig(kernel_target=target, **cfg),
                 fault_injector=injector() if injector else None,
+                patches=[(grid, bcs)] * n_patches,
             )
             for target in ("flat", "cext")
         }
@@ -1712,19 +1711,29 @@ class TestCompiledRecovery:
         }
 
     @staticmethod
-    def _interpreted_solves(monkeypatch):
-        """Calls of the interpreted ``con_to_prim`` from any pipeline."""
+    def _interpreted(monkeypatch, name="con_to_prim"):
+        """Calls of the interpreted ``con_to_prim`` (or ``cfl.max_signal_per_axis``:
+        *name* ``"max_signal_per_axis"``) from any pipeline."""
         import repro.core.pipeline as pipeline_mod
 
         calls = []
-        real = pipeline_mod.con_to_prim
+        real = getattr(pipeline_mod, name)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline_mod, "con_to_prim", counting)
+        monkeypatch.setattr(pipeline_mod, name, counting)
         return calls
+
+    @staticmethod
+    def _stages_done(pipe):
+        """Per recovery of *pipe* from now on, the stages its kernel
+        completed per patch (``_recover_compiled``'s list)."""
+        done = []
+        real = pipe._recover_compiled
+        pipe._recover_compiled = lambda *a: done.append(real(*a)) or done[-1]
+        return done
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_every_floor_branch_on_the_hot_path(self, layout, monkeypatch):
@@ -1738,7 +1747,7 @@ class TestCompiledRecovery:
         got = {}
         for reuse in (True, False):
             for target, pipe in pipes.items():
-                calls = self._interpreted_solves(monkeypatch)
+                calls = self._interpreted(monkeypatch)
                 # cold seed, then warm seed on a nudged state
                 got[target] = [
                     self._sweep(pipe, cons, reuse),
@@ -1793,6 +1802,10 @@ class TestCompiledRecovery:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_max_signal_is_the_handwritten_scan(self, layout):
+        """The scan a fresh recovery made is the handwritten scan of the
+        primitives it recovered — near-luminal flow, pressures over eleven
+        decades, NaN conserved ghosts (the scan reads the interior only) —
+        and so is flat's, which has no compiled recovery to ride."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
@@ -1800,6 +1813,8 @@ class TestCompiledRecovery:
 
         pipes = self._pair(layout)
         grid, plain = self._grid_system(layout)
+        ghosts = np.ones(grid.shape_with_ghosts, dtype=bool)
+        grid.interior_of(ghosts[None])[...] = False
 
         @given(seed=st.integers(0, 2**32 - 1), vmax=st.sampled_from([0.5, 0.99, 0.99999]))
         @settings(max_examples=15, deadline=None, database=None)
@@ -1807,30 +1822,152 @@ class TestCompiledRecovery:
             rng = np.random.default_rng(seed)
             prim = random_prim(plain, grid.shape_with_ghosts, rng, vmax=vmax)
             prim[plain.P] *= 10.0 ** rng.uniform(-9, 2, prim[0].shape)
-            want = max_signal_per_axis(plain, grid, prim)
-            assert pipes["cext"].max_signal_per_axis(prim[None]) == [want]
-            # ... and so does flat, whose own char_speeds is the generated kind
-            assert pipes["flat"].max_signal_per_axis(prim[None]) == [want]
+            cons = SRHDSystem.prim_to_con(plain, prim)
+            cons[:, ghosts] = np.nan
+            for target, pipe in pipes.items():
+                done = self._stages_done(pipe)
+                with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                    got = pipe.recover_primitives(cons[None].copy())
+                    calls = self._interpreted(mp, "max_signal_per_axis")
+                    maxima = pipe.max_signal_per_axis(got)
+                assert maxima == [max_signal_per_axis(plain, grid, got[0])], target
+                assert len(calls) == (done[-1] != [3]), target
 
         check()
-        prim = random_prim(plain, grid.shape_with_ghosts, np.random.default_rng(1))
-        grid.interior_of(prim)[plain.P].flat[3] = np.nan
-        ghost_only = prim.copy()
-        for target in ("flat", "cext"):
-            assert np.isnan(pipes[target].max_signal_per_axis(prim[None])).all(), target
-        ghost_only[...] = np.nan
-        grid.interior_of(ghost_only)[...] = 1.0
-        grid.interior_of(ghost_only)[1 : 1 + plain.ndim] = 0.0
-        assert pipes["cext"].max_signal_per_axis(ghost_only[None]) == [max_signal_per_axis(
-            plain, grid, ghost_only
-        )]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_the_recovery_scan_property(self, layout):
+        """Every floor branch, warm or cold seeds, stacks of 1 and 4
+        patches: each patch's maxima are the handwritten scan of its
+        recovered primitives byte for byte — read off the kernel for a
+        patch it completed, interpreted for any other."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.time_integration.cfl import max_signal_per_axis
+
+        grid, plain = self._grid_system(layout)
+        poke = st.tuples(
+            st.sampled_from(["d_floor", "tau_floor", "cap", "thin", "negzero"]),
+            st.floats(0.0, 1.0, exclude_max=True),
+        )
+
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            pokes=st.lists(poke, max_size=6),
+            warm=st.booleans(),
+            n_patches=st.sampled_from([1, 4]),
+            w_max=st.sampled_from([4.0, 100.0]),
+        )
+        @settings(max_examples=20, deadline=None, database=None)
+        def check(seed, pokes, warm, n_patches, w_max):
+            pipe = self._pair(layout, n_patches=n_patches, w_max=w_max)["cext"]
+            cons = np.stack([self._cons(pipe, seed + i, pokes) for i in range(n_patches)])
+            done = self._stages_done(pipe)
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                if warm:
+                    pipe.recover_primitives(cons * 0.99, reuse=True)
+                prim = pipe.recover_primitives(cons.copy())
+                calls = self._interpreted(mp, "max_signal_per_axis")
+                got = pipe.max_signal_per_axis(prim)
+            want = [max_signal_per_axis(plain, grid, p) for p in prim]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert len(calls) == sum(d != 3 for d in done[-1])
+
+        check()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_the_recovery_scan_on_a_team(self, layout, team):
+        """The scan's property with every recovery on a team of *team*
+        threads: a stack of four splits by patches, a single patch by rows,
+        each thread scanning its own and the partial maxima folded."""
+        self.test_the_recovery_scan_property(layout)
+
+    def test_other_arrays_and_patches_scan_interpreted(self, monkeypatch):
+        """The kernel's maxima answer only for the fresh array of the last
+        recovery and the patches it completed: an unconverged patch, a
+        workspace array, a copy, an array a later recovery outdated and
+        every patch of a pipeline with a fault injector scan interpreted."""
+        from repro.resilience.faults import FaultInjector, FaultPlan
+        from repro.time_integration.cfl import max_signal_per_axis
+
+        pipes = self._pair("1d", n_patches=3, failsafe_frac=0.25)
+        pipe = pipes["cext"]
+        grid, plain = self._grid_system("1d")
+        cons = np.stack([self._cons(pipe, 4), self._hard_cons(pipe), self._cons(pipe, 5)])
+        with np.errstate(all="ignore"):
+            prim = pipe.recover_primitives(cons.copy())
+        want = [max_signal_per_axis(plain, grid, p) for p in prim]
+        calls = self._interpreted(monkeypatch, "max_signal_per_axis")
+        assert pipe.max_signal_per_axis(prim) == want
+        assert len(calls) == 1  # the patch that needed bisection
+        with np.errstate(all="ignore"):
+            reused = pipe.recover_primitives(cons.copy(), reuse=True)
+        injected = self._pair(
+            "1d", injector=lambda: FaultInjector(FaultPlan()), n_patches=3, failsafe_frac=0.25
+        )["cext"]
+        with np.errstate(all="ignore"):
+            burst_free = injected.recover_primitives(cons.copy())
+        # prim.copy(), the workspace array, prim outdated by that recovery
+        for owner, other in ((pipe, prim.copy()), (pipe, reused), (pipe, prim),
+                             (injected, burst_free)):
+            calls.clear()
+            assert owner.max_signal_per_axis(other) == [
+                max_signal_per_axis(plain, grid, p) for p in other
+            ]
+            assert len(calls) == 3
+
+    def test_compute_dt_reads_the_recovery_scan_on_every_driver(self, monkeypatch):
+        """After step 1 — whose dt may scan a constructor's primitives —
+        ``compute_dt`` on every cext driver reads the maxima its recovery
+        computed, and makes no interpreted scan."""
+        from repro.boundary import make_boundaries
+        from repro.codegen import cext_available
+        from repro.core.amr_solver import AMRConfig, AMRSolver
+        from repro.core.batch import BatchSolver
+        from repro.core.config import SolverConfig
+        from repro.core.distributed import DistributedSolver
+        from repro.core.solver import Solver
+        from repro.mesh.grid import Grid
+        from repro.physics.initial_data import RP1, blast_wave_2d, shock_tube
+
+        if not (cext_available(1) and cext_available(2)):
+            pytest.skip("no C toolchain")
+        system2 = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        grid2 = Grid((24, 20), ((0.0, 1.0), (0.0, 1.0)))
+        blast = dict(p_in=10.0, p_out=1.0, radius=0.2)
+        prim2 = blast_wave_2d(system2, grid2, **blast)
+        system1 = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
+        grid1 = Grid((64,), ((0.0, 1.0),))
+        config = SolverConfig(kernel_target="cext", cfl=0.4)
+        periodic = make_boundaries("periodic")
+        drivers = [
+            Solver(system2, grid2, prim2.copy(), config, periodic),
+            DistributedSolver(system2, grid2, prim2.copy(), (2, 2), config, periodic),
+            AMRSolver(
+                system2, Grid((32, 32), ((0, 1), (0, 1))),
+                lambda s, g: blast_wave_2d(s, g, **blast), config,
+                AMRConfig(block_size=8, max_levels=2, regrid_interval=2),
+            ),
+            BatchSolver(
+                system1, grid1, [shock_tube(system1, grid1, RP1)] * 3, config,
+                make_boundaries("outflow"),
+            ),
+        ]
+        calls = self._interpreted(monkeypatch, "max_signal_per_axis")
+        for driver in drivers:
+            driver.step()  # its dt may scan a constructor's primitives
+            calls.clear()
+            for _ in range(3):
+                driver.step()
+            assert not calls, type(driver).__name__
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_on_a_team(self, layout, team):
         """The three kernel-level parities above — every floor branch, the
-        recover property, the CFL scan with its NaN cells — with every
-        ``recover`` / ``max_signal`` call on a team of *team* threads: the
-        bytes (and counts) of the serial branch at any team size."""
+        recover property, the CFL scan of recovered primitives — with every
+        ``recover`` call on a team of *team* threads: the bytes (and
+        counts) of the serial branch at any team size."""
         with pytest.MonkeyPatch.context() as mp:
             self.test_every_floor_branch_on_the_hot_path(layout, mp)
         self.test_recover_parity_property(layout)
@@ -1857,7 +1994,7 @@ class TestCompiledRecovery:
     ):
         pipes = self._pair("1d", failsafe_frac=failsafe_frac)
         cons = self._hard_cons(pipes["flat"], fail)
-        calls = self._interpreted_solves(monkeypatch)
+        calls = self._interpreted(monkeypatch)
         got = {t: self._sweep(pipe, cons, True) for t, pipe in pipes.items()}
         assert len(calls) == 2  # cext fell back to the same interpreted solve
         assert got["cext"] == got["flat"]
@@ -1885,7 +2022,7 @@ class TestCompiledRecovery:
 
         pipes = self._pair("2d", injector=injector, failsafe_frac=0.1)
         cons = self._cons(pipes["flat"], 5, [("thin", 0.4)])
-        calls = self._interpreted_solves(monkeypatch)
+        calls = self._interpreted(monkeypatch)
         got = {
             t: [self._sweep(pipe, cons * f, True) for f in (1.0, 1.01, 1.02)]
             for t, pipe in pipes.items()
@@ -1906,7 +2043,7 @@ class TestCompiledRecovery:
         want = self._sweep(pipes["flat"], cons, False)
         strided = np.asfortranarray(cons)
         assert not strided.flags.c_contiguous
-        calls = self._interpreted_solves(monkeypatch)
+        calls = self._interpreted(monkeypatch)
         prim = pipes["cext"].recover_primitives(strided[None])
         assert len(calls) == 1
         assert prim.tobytes() == want["prim"]
@@ -1936,13 +2073,14 @@ class TestCompiledRecovery:
             dict(prim=np.asfortranarray(prim)),
             dict(next_seed=seed[1:]),
             dict(seed=seed.astype(np.float32)),
+            dict(scan=np.empty((1, system.ndim + 1))),  # a row per patch, ndim wide
         ):
-            args = dict(cons=cons, prim=prim, seed=None, next_seed=seed) | bad
+            args = dict(cons=cons, prim=prim, seed=None, next_seed=seed, scan=None) | bad
             before = cons.copy()
             with pytest.raises(CodegenError, match="C-contiguous float64"):
                 system.recover(
                     args["cons"], args["prim"], grid.n_ghost, args["seed"],
-                    args["next_seed"], **params,
+                    args["next_seed"], scan=args["scan"], **params,
                 )
             assert cons.tobytes() == before.tobytes()  # refused before C ran
 
@@ -2199,7 +2337,7 @@ class TestPatchStacks:
     """One kernel call over a stack of P same-shape patches is P calls, one
     per patch, byte for byte: ``recover``'s primitives, floored conserved
     state, next seeds and per-patch counts (warm, cold and mixed seeds);
-    ``max_signal``'s per-patch maxima; the sweep's divergence and the
+    the per-patch maxima of its CFL scan; the sweep's divergence and the
     accumulated ``dU`` (ghosts still +0.0).  A NaN-poisoned or
     unconvergeable patch changes its own outputs and counts only."""
 
@@ -2315,19 +2453,19 @@ class TestPatchStacks:
                 stack.install_warm_state(seeds[i] if w else None, i)
             stack_cons = cons.copy()
             with np.errstate(all="ignore"):
-                stack_prim = stack.recover_primitives(stack_cons, reuse=True).copy()
+                stack_prim = stack.recover_primitives(stack_cons)
             maxima = []
             for i in range(n_patches):
                 single.install_warm_state(seeds[i] if warm[i] else None)
                 patch = cons[i : i + 1].copy()
                 with np.errstate(all="ignore"):
-                    prim = single.recover_primitives(patch, reuse=True)
+                    prim = single.recover_primitives(patch)
                 assert stack_prim[i].tobytes() == prim.tobytes(), i
                 assert stack_cons[i].tobytes() == patch.tobytes(), i
                 assert stack.warm_state(i).tobytes() == single.warm_state().tobytes(), i
                 maxima.extend(single.max_signal_per_axis(prim))
             assert stack.metrics.snapshot() == single.metrics.snapshot()
-            # max_signal: per-patch maxima.
+            # the recoveries' scans: per-patch maxima.
             assert stack.max_signal_per_axis(stack_prim) == maxima
 
             # sweep + accumulate over [lo, lo + w) of *axis*, every patch.
@@ -2449,36 +2587,51 @@ class TestThreadCounts:
                      "atmo.cons_floored", "resilience.failsafe_cells"):
             assert f'"{name}": ' in want[0][2], name
 
-    def test_a_nan_cell_stays_nan_at_any_team_size(self):
-        """The CFL scan over a 64^2 patch (the single-patch row split) and a
-        stack of four 32^2 patches (the patch split), one NaN pressure in
-        one patch: NaN there on every axis, the handwritten scan elsewhere."""
+    def test_the_recovery_scan_at_any_team_size(self, monkeypatch):
+        """The scan a recovery makes over a 64^2 patch (the single-patch row
+        split) and a stack of four 32^2 patches (the patch split), the last
+        with a cell Newton cannot recover: the handwritten scan of the
+        recovered primitives at every team size, that patch's
+        interpreted."""
+        from repro.boundary import make_boundaries
         from repro.codegen import cext as cext_mod
+        from repro.core.config import SolverConfig
+        from repro.core.pipeline import HydroPipeline
         from repro.mesh.grid import Grid
         from repro.time_integration.cfl import max_signal_per_axis
 
         if not cext_mod.cext_available(2):
             pytest.skip("no C toolchain")
-        from repro.codegen.system import make_kernel_system
-
         plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
-        system = make_kernel_system(plain, "cext")
+        config = SolverConfig(kernel_target="cext", failsafe_frac=0.01)
+        bcs = make_boundaries("outflow")
         rng = np.random.default_rng(3)
+        calls = TestCompiledRecovery._interpreted(monkeypatch, "max_signal_per_axis")
         before = cext_mod.threads(2)
         try:
-            for n_patches, n in ((1, 64), (4, 32)):
+            for n_patches, n, victims in ((1, 64, []), (4, 32, [3])):
                 grid = Grid((n, n), ((0.0, 1.0), (0.0, 1.0)), n_ghost=3)
-                prims = np.stack([random_prim(plain, grid.shape_with_ghosts, rng)
-                                  for _ in range(n_patches)])
-                victim = n_patches - 1
-                grid.interior_of(prims[victim])[plain.P, n // 2, n // 3] = np.nan
-                want = [max_signal_per_axis(plain, grid, p) for p in prims]
-                stack = prims.reshape((-1,) + prims.shape[2:])
+                pipe = HydroPipeline(plain, grid, bcs, config, patches=[(grid, bcs)] * n_patches)
+                cons = np.stack([
+                    SRHDSystem.prim_to_con(plain, random_prim(plain, grid.shape_with_ghosts, rng))
+                    for _ in range(n_patches)
+                ])
+                for victim in victims:  # one cell nothing recovers: failsafe reset
+                    grid.interior_of(cons[victim])[:, n // 2, n // 3] = [
+                        6.53e-3, 6.531e-3, 0.0, 1e-12
+                    ]
+                got = []
                 for threads in (1, 2, 4):
                     _set_team(threads)
-                    got = system.max_signal(stack, grid.n_ghost, n_patches)
-                    assert np.isnan(got[victim]).all(), threads
-                    assert got[:victim] == want[:victim], threads
+                    prim = pipe.recover_primitives(cons.copy())
+                    calls.clear()
+                    got.append(np.array(pipe.max_signal_per_axis(prim)).tobytes())
+                    assert len(calls) == len(victims), threads
+                    want = [max_signal_per_axis(plain, grid, p) for p in prim]
+                    assert got[-1] == np.array(want).tobytes(), threads
+                    for i in range(n_patches):  # every patch starts cold again
+                        pipe.install_warm_state(None, i)
+                assert got[1:] == got[:1] * 2
         finally:
             cext_mod.threads(2, before)
 

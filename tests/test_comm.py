@@ -253,6 +253,48 @@ class TestHaloExchange:
             exchange_halos(decomp, comm, states)
         assert comm.traffic.n_messages == 0
 
+    @staticmethod
+    def _stray_ahead(decomp, sender):
+        """Queue a 1-value message on rank 1's low-face tag from rank 0 —
+        ahead of the 3-variable strip the exchange posts there."""
+        face = face_table(decomp).by_face[1, 0, 0]
+        sender.send(0, 1, np.array([7.0]), tag=face.recv_tag)
+        return face
+
+    def test_a_misfit_strip_is_refused(self):
+        """A received strip of another size than its slot raises, naming
+        the message and both sizes, before any ghost is written (numpy
+        would broadcast the one value over the whole slot)."""
+        grid, decomp, comm = self._setup((8,), (2,))
+        states = {r: decomp.subgrid(r).allocate(3, fill=-1.0) for r in range(2)}
+        face = self._stray_ahead(decomp, comm)
+        match = f"src=0 dest=1 tag={face.recv_tag} holds 1 values, its slot 6"
+        with pytest.raises(CommunicationError, match=match):
+            exchange_halos(decomp, comm, states)
+        assert (states[1][:, : grid.n_ghost] == -1.0).all()
+
+    def test_a_misfit_strip_is_refused_on_shared_memory(self):
+        """The same on the rank processes' communicator: rank 1's exchange
+        of its own state reads the stray from rank 0's ring."""
+        from repro.comm.shm import ShmChannel, ShmCommunicator
+
+        grid, decomp, _ = self._setup((8,), (2,))
+        to_1, to_0 = ShmChannel.create(4096), ShmChannel.create(4096)
+        from_0 = ShmChannel.attach(to_1.name, to_1.capacity)
+        try:
+            rank0 = ShmCommunicator(0, 2, writers={1: to_1}, readers={}, timeout_s=5.0)
+            rank1 = ShmCommunicator(1, 2, writers={0: to_0}, readers={0: from_0},
+                                    timeout_s=5.0)
+            state = decomp.subgrid(1).allocate(3, fill=-1.0)
+            face = self._stray_ahead(decomp, rank0)
+            match = f"src=0 dest=1 tag={face.recv_tag} holds 1 values, its slot 6"
+            with pytest.raises(CommunicationError, match=match):
+                exchange_halos(decomp, rank1, {1: state})
+            assert (state[:, : grid.n_ghost] == -1.0).all()
+        finally:
+            for channel in (from_0, to_1, to_0):
+                channel.close()
+
     @pytest.mark.parametrize("overlapped", [False, True])
     def test_clean_exchange_work_is_independent_of_the_rank_count(self, overlapped):
         """A fault-free exchange of a rank stack is one gather, one
