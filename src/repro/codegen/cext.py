@@ -430,11 +430,15 @@ def run_con2prim_newton(
     """Run the fused Newton kernel; returns (converged mask, max iters).
 
     *p* is updated in place (it must be a contiguous scratch buffer, which
-    is what :func:`repro.physics.con2prim.con_to_prim` passes).
+    is what :func:`repro.physics.con2prim.con_to_prim` passes).  C indexes
+    every buffer by ``D.size`` unchecked: a *p* or an input of another size
+    or a non-float64 *p* is refused before it runs.
     """
     n = int(D.size)
+    sizes = [np.size(a) for a in (S2, tau, p, p_lo)]
+    if p.dtype != np.float64 or sizes != [n] * 4:
+        raise CodegenError(f"c2p_newton: {n} entries per buffer, a float64 p: {sizes} {p.dtype}")
     conv = np.zeros(n, dtype=np.uint8)
-    iters = np.empty(n, dtype=np.int32)
     keep: list = []
     it_max = getattr(lib, CON2PRIM_KERNEL)(
         n,
@@ -444,7 +448,6 @@ def run_con2prim_newton(
         _out_buf(ffi, p),
         _in_buf(ffi, p_lo, keep),
         _out_buf(ffi, conv, "unsigned char*"),
-        _out_buf(ffi, iters, "int*"),
         float(gamma),
         float(tol),
         float(p_floor),

@@ -51,6 +51,8 @@ STENCIL_RIEMANN_IDS = {"llf": 0, "hll": 1, "hllc": 2}
 STENCIL_REACH = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (2, 3), 4: (2, 3)}
 #: Faces per tile of the row schedule (sizes its stack scratch).
 STENCIL_TILE = 128
+#: Cells per tile of the recovery sweep, whose lanes iterate Newton in lockstep.
+C2P_LANES = 16
 
 #: Name of the fused conservative-to-primitive Newton kernel in the
 #: compiled module (the one kernel not generated from the symbolic spec:
@@ -78,10 +80,10 @@ THREADS_DECL = "int repro_threads(int n)"
 #: Work (cells or faces a call visits) below which an entry point runs its
 #: serial branch and never calls into libgomp.  Measured on a 2-vCPU Xeon
 #: (gcc 12.2), 2 threads against 1 through a pipeline call on an N^2
-#: patch: the sweeps gain from ~500 cells (x1.8 at 64^2),
-#: while ``recover``, ``accumulate`` and ``rk_stage`` — short or
-#: memory-bound — break even only at ~3000-5000 cells (x1.1 at 64^2).  One
-#: threshold, at the latter: AMR's 8^2 leaves (196 ghosted cells) stay
+#: patch: the sweeps and (its Newton in lanes) ``recover`` gain from ~500
+#: cells (x1.8 and x1.4-1.6 at 64^2), while ``accumulate`` and ``rk_stage``
+#: — short, memory-bound — break even only at ~3000-5000 (x1.1 at 64^2).
+#: One threshold, at the latter: AMR's 8^2 leaves (196 ghosted cells) stay
 #: serial, a 64^2 patch or a rank stack of 32^2 patches goes to the team.
 TEAM_MIN_WORK = 4096
 
@@ -184,62 +186,75 @@ _THREADS_C = f"""\
 }}
 """
 
-#: C template of the fused con2prim Newton loop.  Operation order matches
+#: C template of the con2prim Newton iteration: one lane body that a tile of
+#: :data:`C2P_LANES` cells runs in lockstep.  Operation order matches
 #: :func:`repro.physics.con2prim.con_to_prim`'s vectorized Newton phase
-#: exactly (same clips, same step, same convergence test), so when
-#: compiled without FP contraction the compiled iteration is bit-identical
-#: to the NumPy one.  ``S2`` arrives precomputed, which keeps the body
-#: ndim-independent.  The per-cell body is one helper shared by the two
-#: kernels that run it (this loop and ``recover``); it also hands back
-#: ``rho`` and ``Q`` of the last pressure it evaluated — on convergence,
-#: what ``_eval_state`` recomputes there.
+#: exactly (same clips, same step, same convergence test), so when compiled
+#: without FP contraction every lane is bit-identical to the NumPy
+#: iteration.  A lane freezes ``p`` where it converges, as
+#: ``np.where(converged, p, p_new)`` does, and recomputes the same ``rho``
+#: and ``Q`` until no lane is active; the passes the tile ran are its
+#: slowest lane's iteration count, the maximum both callers (this loop and
+#: ``recover``) report.  They fill tile rows ``C_D .. C_P``.
 _CON2PRIM_C = """\
-REPRO_INLINE int newton_cell(double D, double S2, double tau, double plo,
-    double gamma, double tol, double p_floor, int max_newton,
-    double* p, int* iters, double* rho_out, double* Q_out)
+#define C2P_LANES %(lanes)d
+enum { C_D, C_S2, C_TAU, C_PLO, C_P, C_RHO, C_Q, C_ROWS };
+
+REPRO_INLINE long newton_tile(double (*restrict c)[C2P_LANES], long* restrict done,
+    long m, double gamma, double tol, double p_floor, int max_newton)
 {
-    double pi = *p;
-    int conv = 0;
-    int it = 0;
-    for (it = 1; it <= max_newton; ++it) {
-        const double Q = tau + D + pi;
-        const double v2 = rclip(S2 / (Q * Q), 0.0, 1.0 - 1e-14);
-        const double W = 1.0 / sqrt(1.0 - v2);
-        const double rho = D / W;
-        const double eps = rmax((Q * (1.0 - v2) - pi) / rho - 1.0, 0.0);
-        const double f = (gamma - 1.0) * rho * eps - pi;
-        *rho_out = rho;
-        *Q_out = Q;
-        if (fabs(f) <= tol * rmax(pi, p_floor)) { conv = 1; break; }
-        const double epsc = rmax(eps, 1e-300);
-        const double p_th = (gamma - 1.0) * rho * epsc;
-        const double h = 1.0 + epsc + p_th / rho;
-        const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
-        const double dfdp = v2 * cs2 - 1.0;
-        const double step = f / dfdp;
-        pi = rmax(pi - step, 0.5 * (pi + plo));
+    long it = 0;
+    for (long i = 0; i < m; ++i) done[i] = 0;
+    for (long active = m; active && it < max_newton; ++it) {
+        active = 0;
+        for (long i = 0; i < m; ++i) { /* lanes */
+            const double D = c[C_D][i], S2 = c[C_S2][i], tau = c[C_TAU][i], pi = c[C_P][i];
+            const double Q = tau + D + pi;
+            const double v2 = rclip(S2 / (Q * Q), 0.0, 1.0 - 1e-14);
+            const double W = 1.0 / sqrt(1.0 - v2);
+            const double rho = D / W;
+            const double eps = rmax((Q * (1.0 - v2) - pi) / rho - 1.0, 0.0);
+            const double f = (gamma - 1.0) * rho * eps - pi;
+            const long hit = fabs(f) <= tol * rmax(pi, p_floor);
+            const double epsc = rmax(eps, 1e-300);
+            const double p_th = (gamma - 1.0) * rho * epsc;
+            const double h = 1.0 + epsc + p_th / rho;
+            const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
+            const double dfdp = v2 * cs2 - 1.0;
+            const double step = f / dfdp;
+            const double p_new = rmax(pi - step, 0.5 * (pi + c[C_PLO][i]));
+            c[C_RHO][i] = rho;
+            c[C_Q][i] = Q;
+            done[i] |= hit;
+            c[C_P][i] = done[i] ? pi : p_new;
+            active += !done[i];
+        }
     }
-    if (it > max_newton) it = max_newton;
-    *p = pi;
-    *iters = it;
-    return conv;
+    return it;
 }
 
 /* Returns the largest per-cell iteration count. */
+REPRO_CLONES
 long %(name)s(long n,
               const double* in_D, const double* in_S2, const double* in_tau,
               double* p, const double* p_lo,
-              unsigned char* converged, int* iters,
+              unsigned char* converged,
               double gamma, double tol, double p_floor,
               int max_newton)
 {
-    long iters_max = 0;
-    for (long i = 0; i < n; ++i) {
-        double rho = 0.0, Q = 0.0;
-        converged[i] = (unsigned char) newton_cell(in_D[i], in_S2[i],
-            in_tau[i], p_lo[i], gamma, tol, p_floor, max_newton,
-            &p[i], &iters[i], &rho, &Q);
-        if (iters[i] > iters_max) iters_max = iters[i];
+    const double* const in[] = {in_D, in_S2, in_tau, p_lo, p}; /* rows C_D .. C_P */
+    double c[C_ROWS][C2P_LANES];
+    long done[C2P_LANES], iters_max = 0;
+    for (long i0 = 0; i0 < n; i0 += C2P_LANES) {
+        const long m = (n - i0 < C2P_LANES) ? n - i0 : C2P_LANES;
+        for (int r = C_D; r <= C_P; ++r)
+            for (long i = 0; i < m; ++i) c[r][i] = in[r][i0 + i];
+        const long it = newton_tile(c, done, m, gamma, tol, p_floor, max_newton);
+        if (it > iters_max) iters_max = it;
+        for (long i = 0; i < m; ++i) {
+            p[i0 + i] = c[C_P][i];
+            converged[i0 + i] = (unsigned char) done[i];
+        }
     }
     return iters_max;
 }
@@ -550,13 +565,13 @@ class KernelGenerator:
         return (
             f"long {CON2PRIM_KERNEL}(long n, const double* in_D, "
             "const double* in_S2, const double* in_tau, double* p, "
-            "const double* p_lo, unsigned char* converged, int* iters, "
+            "const double* p_lo, unsigned char* converged, "
             "double gamma, double tol, double p_floor, int max_newton)"
         )
 
     def generate_c_con2prim(self) -> str:
         """C source of the fused con2prim Newton kernel (template)."""
-        return _CON2PRIM_C % {"name": CON2PRIM_KERNEL}
+        return _CON2PRIM_C % {"name": CON2PRIM_KERNEL, "lanes": C2P_LANES}
 
     def generate_c_module(self) -> str:
         """Complete C source of the compiled module for this ndim: the
@@ -616,23 +631,25 @@ class KernelGenerator:
     def generate_c_recover(self) -> str:
         """One recovery sweep, stage by stage the interpreted one.
 
-        Per patch, over every ghosted cell, in place:
+        Per patch, over every ghosted cell, in place and branch-free:
         ``Atmosphere.apply_cons`` and ``HydroPipeline._limit_momentum``.
-        Over the interior: ``S2``, ``p_lo`` and the seed as ``con_to_prim``
-        forms them (no seed is its cold start: *seed* NULL, or ``warm[q]``
-        0 for patch *q*), the shared Newton body, ``v_i = S_i / Q``, then —
-        unless *solve_only* — ``Atmosphere.apply_prim``, with the floored
-        pressure stored as *next_seed*.  A cell that does not converge
-        writes nothing.  Patch *q*'s ``counts[5q .. 5q + 4]`` accumulate
-        ``[cons_floored, momentum_rescaled, n_unconverged, iters_max,
-        prim_reset]``; a single patch split over a team sums its threads'
-        counts (``iters_max``: their maximum) — integers, exact in any order.
+        Over the interior, per tile of :data:`C2P_LANES` cells of a row:
+        ``S2``, ``p_lo`` and the seed as ``con_to_prim`` forms them (no seed
+        is its cold start: *seed* NULL, or ``warm[q]`` 0 for patch *q*),
+        the one Newton lane body (``newton_tile``) in lockstep, then per cell
+        ``v_i = S_i / Q`` and — unless *solve_only* — ``Atmosphere.apply_prim``
+        with the floored pressure stored as *next_seed*.  A cell that does
+        not converge writes nothing.  Patch *q*'s ``counts[5q .. 5q + 4]``
+        accumulate ``[cons_floored, momentum_rescaled, n_unconverged,
+        iters_max, prim_reset]``; a single patch split over a team sums its
+        threads' (``iters_max``: their maximum), exact in any order.
 
         Unless *scan* is NULL, the CFL scan follows as a loop of its own
         over the rows just recovered (inside the Newton row loop it made
-        the sweep ~1.7x slower): per axis ``max(max|lam-|,
-        max|lam+|)`` of the interior into ``scan[q * ndim .. q * ndim +
-        ndim - 1]``.  It mirrors the *handwritten* ``SRHDSystem.char_speeds``
+        the scalar sweep ~1.7x slower), each tile's speeds computed in lanes
+        and folded in row order: per axis ``max(max|lam-|, max|lam+|)`` of
+        the interior into ``scan[q * ndim .. q * ndim + ndim - 1]``.  It
+        mirrors the *handwritten* ``SRHDSystem.char_speeds``
         (``v_squared`` order, ``eps_from_pressure``,
         ``IdealGasEOS.sound_speed_sq``, both clips, the
         ``disc``/``root``/``denom`` sequence) — the kernel every target's dt
@@ -645,7 +662,10 @@ class KernelGenerator:
         every cell converged has maxima to read.
         """
         nd, nv, tau = self.ndim, self.nvars, self.nvars - 1
-        vs = ", ".join(f"prim[{1 + a} * n_cells + i]" for a in range(nd))
+
+        def lines(fmt, indent=8):  # one line per axis a (state row s)
+            return "\n".join(" " * indent + fmt.format(a=a, s=a + 1) for a in range(nd))
+
         params = (
             "double gamma, double tol, double p_floor,\n    int max_newton, "
             "double rho_atmo, double p_atmo, double rho_reset,\n    double vmax, "
@@ -696,107 +716,129 @@ class KernelGenerator:
         )
         return f"""\
 /* Atmosphere.apply_cons and the momentum cap over cells [lo, hi) */
+REPRO_CLONES
 OUTLINE void recover_cells_{nd}d(double* cons, long n_cells, long lo, long hi,
     double rho_atmo, double p_atmo, double vmax, long* counts)
 {{
-    for (long i = lo; i < hi; ++i) {{
-        double* const D = cons + i;
-        double* const S = D + n_cells;
-        double* const tau = D + {tau} * n_cells;
-        const int bad_d = *D < rho_atmo;
-        const int bad_tau = *tau < p_atmo;
-        counts[0] += bad_d | bad_tau;
-        if (bad_d) {{
-            *D = rho_atmo;
-            for (int a = 0; a < {nd}; ++a) S[a * n_cells] = 0.0;
-        }}
-        if (bad_tau) *tau = p_atmo;
+    double* restrict const D = cons;
+{lines("double* restrict const S_{a} = cons + {s} * n_cells;", 4)}
+    double* restrict const tau = cons + {tau} * n_cells;
+    long n_floored = 0, n_capped = 0;
+    for (long i = lo; i < hi; ++i) {{ /* lanes */
+        const long bad_d = D[i] < rho_atmo;
+        const long bad_tau = tau[i] < p_atmo;
+        n_floored += bad_d | bad_tau;
+        const double d = bad_d ? rho_atmo : D[i];
+        const double t = bad_tau ? p_atmo : tau[i];
+{lines("const double s_{a} = bad_d ? 0.0 : S_{a}[i];")}
         double S2 = 0.0;
-        for (int a = 0; a < {nd}; ++a) S2 += S[a * n_cells] * S[a * n_cells];
-        const double smax = vmax * (*tau + *D + p_atmo);
-        if (S2 > smax * smax) {{
-            const double scale = smax / sqrt(S2);
-            for (int a = 0; a < {nd}; ++a) S[a * n_cells] *= scale;
-            counts[1] += 1;
-        }}
+{lines("S2 += s_{a} * s_{a};")}
+        const double smax = vmax * (t + d + p_atmo);
+        const long cap = S2 > smax * smax;
+        n_capped += cap;
+        const double scale = smax / sqrt(S2);
+        D[i] = d;
+        tau[i] = t;
+{lines("S_{a}[i] = cap ? s_{a} * scale : s_{a};")}
     }}
+    counts[0] += n_floored;
+    counts[1] += n_capped;
 }}
 
 /* seed, Newton and the primitive floor over interior rows [lo, hi) */
+REPRO_CLONES
 OUTLINE void recover_rows_{nd}d(const double* cons, double* prim, long n_cells,
     const long* row_offsets, long lo, long hi, long row_len, const double* seed,
     double* next_seed, {params}, long* counts)
 {{
+    double c[C_ROWS][C2P_LANES];
+    long done[C2P_LANES];
     for (long r = lo; r < hi; ++r) {{
-        for (long j = 0; j < row_len; ++j) {{
-            const long i = row_offsets[r] + j;
-            const long k = r * row_len + j;
-            const double D = cons[i];
-            const double* const S = cons + n_cells + i;
-            const double tau = cons[{tau} * n_cells + i];
-            double S2 = 0.0;
-            for (int a = 0; a < {nd}; ++a) S2 += S[a * n_cells] * S[a * n_cells];
-            const double plo = rmax((sqrt(S2) - tau - D) * (1.0 + 1e-10), p_floor);
-            double p = seed ? seed[k] : fabs(tau - sqrt(S2)) * 0.5 + p_floor;
-            /* np.maximum keeps a NaN seed; Newton then never converges */
-            p = rmaxn(p, plo);
-            double rho = 0.0, Q = 0.0;
-            int it;
-            const int conv = newton_cell(D, S2, tau, plo, gamma, tol, p_floor,
-                max_newton, &p, &it, &rho, &Q);
+        for (long j0 = 0; j0 < row_len; j0 += C2P_LANES) {{
+            const long m = (row_len - j0 < C2P_LANES) ? row_len - j0 : C2P_LANES;
+            const double* const u = cons + row_offsets[r] + j0;
+            const long k0 = r * row_len + j0;
+            for (long i = 0; i < m; ++i) {{ /* lanes */
+                double S2 = 0.0;
+                for (int a = 1; a <= {nd}; ++a) S2 += u[a * n_cells + i] * u[a * n_cells + i];
+                const double D = c[C_D][i] = u[i];
+                const double tau = c[C_TAU][i] = u[{tau} * n_cells + i];
+                c[C_S2][i] = S2;
+                c[C_PLO][i] = rmax((sqrt(S2) - tau - D) * (1.0 + 1e-10), p_floor);
+                /* np.maximum keeps a NaN seed; Newton then never converges */
+                c[C_P][i] = rmaxn(seed ? seed[k0 + i] : fabs(tau - sqrt(S2)) * 0.5 + p_floor,
+                                  c[C_PLO][i]);
+            }}
+            const long it = newton_tile(c, done, m, gamma, tol, p_floor, max_newton);
             if (it > counts[3]) counts[3] = it;
-            if (!conv) {{
-                counts[2] += 1;
-                continue;
-            }}
-            double v[{nd}];
-            for (int a = 0; a < {nd}; ++a) v[a] = S[a * n_cells] / Q;
-            if (!solve_only) {{
-                if (rho < rho_reset) {{
-                    rho = rho_atmo;
-                    for (int a = 0; a < {nd}; ++a) v[a] = 0.0;
-                    p = p_atmo;
-                    counts[4] += 1;
+            for (long j = 0; j < m; ++j) {{
+                if (!done[j]) {{
+                    counts[2] += 1;
+                    continue;
                 }}
-                p = rmax(p, p_atmo);
-                rho = rmax(rho, rho_atmo);
-                next_seed[k] = p;
+                const long i = row_offsets[r] + j0 + j;
+                double rho = c[C_RHO][j], p = c[C_P][j];
+                double v[{nd}];
+                for (int a = 0; a < {nd}; ++a) v[a] = cons[(1 + a) * n_cells + i] / c[C_Q][j];
+                if (!solve_only) {{
+                    if (rho < rho_reset) {{
+                        rho = rho_atmo;
+                        for (int a = 0; a < {nd}; ++a) v[a] = 0.0;
+                        p = p_atmo;
+                        counts[4] += 1;
+                    }}
+                    p = rmax(p, p_atmo);
+                    rho = rmax(rho, rho_atmo);
+                    next_seed[k0 + j] = p;
+                }}
+                prim[i] = rho;
+                for (int a = 0; a < {nd}; ++a) prim[(1 + a) * n_cells + i] = v[a];
+                prim[{tau} * n_cells + i] = p;
             }}
-            prim[i] = rho;
-            for (int a = 0; a < {nd}; ++a) prim[(1 + a) * n_cells + i] = v[a];
-            prim[{tau} * n_cells + i] = p;
         }}
     }}
 }}
 
 /* fold interior rows [lo, hi) into the running maxima mm (lam-), mp (lam+) */
+REPRO_CLONES
 OUTLINE void max_signal_rows_{nd}d(const double* prim, long n_cells,
     const long* row_offsets, long lo, long hi, long row_len, double gamma,
     double* mm, double* mp)
 {{
+    double lam[{2 * nd}][C2P_LANES];
     for (long r = lo; r < hi; ++r) {{
-        for (long j = 0; j < row_len; ++j) {{
-            const long i = row_offsets[r] + j;
-            const double rho = prim[i];
-            const double p = prim[{tau} * n_cells + i];
-            const double v[{nd}] = {{{vs}}};
-            double v2 = 0.0;
-            for (int a = 0; a < {nd}; ++a) v2 += v[a] * v[a];
-            const double eps = p / ((gamma - 1.0) * rho);
-            const double p_th = (gamma - 1.0) * rho * eps;
-            const double h = 1.0 + eps + p_th / rho;
-            const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
-            const double w2 = rmaxn(1.0 - v2, 1e-16);
-            const double denom = 1.0 - v2 * cs2;
-            const double cs = sqrt(cs2);
-            for (int a = 0; a < {nd}; ++a) {{
-                const double vk2 = v[a] * v[a];
-                const double disc = w2 * ((1.0 - vk2) - (v2 - vk2) * cs2);
-                const double b = cs * sqrt(rmaxn(disc, 0.0));
-                const double c = v[a] * (1.0 - cs2);
-                mm[a] = rmaxn(fabs((c - b) / denom), mm[a]);
-                mp[a] = rmaxn(fabs((c + b) / denom), mp[a]);
+        for (long j0 = 0; j0 < row_len; j0 += C2P_LANES) {{
+            const long m = (row_len - j0 < C2P_LANES) ? row_len - j0 : C2P_LANES;
+            const double* const q = prim + row_offsets[r] + j0;
+            for (long i = 0; i < m; ++i) {{ /* lanes */
+                const double rho = q[i];
+                const double p = q[{tau} * n_cells + i];
+                double v[{nd}], v2 = 0.0;
+                for (int a = 0; a < {nd}; ++a) {{
+                    v[a] = q[(1 + a) * n_cells + i];
+                    v2 += v[a] * v[a];
+                }}
+                const double eps = p / ((gamma - 1.0) * rho);
+                const double p_th = (gamma - 1.0) * rho * eps;
+                const double h = 1.0 + eps + p_th / rho;
+                const double cs2 = rclip(gamma * p_th / (rho * h), 0.0, 1.0 - 1e-12);
+                const double w2 = rmaxn(1.0 - v2, 1e-16);
+                const double denom = 1.0 - v2 * cs2;
+                const double cs = sqrt(cs2);
+                for (int a = 0; a < {nd}; ++a) {{
+                    const double vk2 = v[a] * v[a];
+                    const double disc = w2 * ((1.0 - vk2) - (v2 - vk2) * cs2);
+                    const double b = cs * sqrt(rmaxn(disc, 0.0));
+                    const double c = v[a] * (1.0 - cs2);
+                    lam[2 * a][i] = fabs((c - b) / denom);
+                    lam[2 * a + 1][i] = fabs((c + b) / denom);
+                }}
             }}
+            for (long i = 0; i < m; ++i)
+                for (int a = 0; a < {nd}; ++a) {{
+                    mm[a] = rmaxn(lam[2 * a][i], mm[a]);
+                    mp[a] = rmaxn(lam[2 * a + 1][i], mp[a]);
+                }}
         }}
     }}
 }}

@@ -841,6 +841,8 @@ class AMRSolver(Driver):
         )
         return float(out[self.local_ranks[0]][0])
 
+    _finite_interior = True
+
     def _patches(self):
         for st in self._stacks:
             for key in st.idents:

@@ -216,6 +216,8 @@ class BatchSolver(Solver):
     def scenario_interior_primitives(self, i: int) -> np.ndarray:
         return self.grid.base.interior_of(self.scenario_primitives(i))
 
+    _finite_interior = True
+
     def _patches(self):
         # Interior only: the batch-face ghost columns are never evolved.
         yield (

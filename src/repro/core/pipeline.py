@@ -274,20 +274,24 @@ class HydroPipeline:
             # primitive floor + next seed.  The compiled kernel completes
             # the first `done[i]` of patch i's; the interpreted code runs
             # the rest, patch by patch.  A raise commits no seed.
-            sweeps = [RecoveryStats() for _ in self.patches]
-            done = self._recover_compiled(cons, prim, sweeps, scan)
-            # A patch the kernel completed leaves only its accounting: those
-            # up to a raise are recorded once, merged.
+            iters = [0] * len(self.patches)
+            done = self._recover_compiled(cons, prim, iters, scan)
+            n = self._seed_spare.size // len(done)  # interior cells per patch
+            # A patch the kernel completed leaves only its accounting (all n
+            # cells by Newton): those up to a raise are recorded once, merged.
             completed = []
             try:
                 for i, patch_done in enumerate(done):
                     if patch_done == 3:
-                        completed.append(sweeps[i])
-                    else:
-                        self._finish_recovery(i, cons, prim, patch_done, sweeps[i], ws)
+                        completed.append(iters[i])
+                        continue
+                    solved = n if patch_done == 2 else 0  # by the kernel's Newton
+                    sweep = RecoveryStats(solved, solved, max_iterations=iters[i])
+                    self._finish_recovery(i, cons, prim, patch_done, sweep, ws)
             finally:
                 if completed:
-                    self._record_recovery(*completed)
+                    cells = n * len(completed)
+                    self._record_recovery(completed, RecoveryStats(cells, cells))
             self._p_cache, self._seed_spare = self._seed_spare, self._p_cache
             self._warm = [True] * len(self.patches)
         if scan is not None and 3 in done:
@@ -332,14 +336,14 @@ class HydroPipeline:
         finally:
             # con_to_prim populates the sweep counters before raising,
             # so the failing sweep is accounted for too.
-            self._record_recovery(sweep)
+            self._record_recovery([sweep.max_iterations], sweep)
         if done < 3:
             prim_mask = self.atmosphere.apply_prim(system, interior_prim)
             if prim_mask.any():
                 self.metrics.counter("atmo.prim_reset").inc(int(prim_mask.sum()))
             self._seed_spare[self._seed_rows(i)] = interior_prim[system.P]
 
-    def _recover_compiled(self, cons, prim, sweeps, scan=None) -> list[int]:
+    def _recover_compiled(self, cons, prim, iters, scan=None) -> list[int]:
         """Run the compiled recovery sweep over the stack *cons*, if this
         pipeline has one (with the CFL scan into *scan*, unless None), and
         return per patch how many stages it completed — the one cold-path
@@ -354,12 +358,12 @@ class HydroPipeline:
           the floors must not run again; the interpreted solve recomputes
           the same Newton bits, then bisects, failsafes or raises as it
           always did.  The other patches are unaffected.
-        - 2: a fault injector is attached.  The solve is in *prim* and the
-          patch's sweep stats; the burst hook sits between it and the
-          primitive floor (a burst cell is counted by ``atmo.prim_reset``
+        - 2: a fault injector is attached.  The solve is in *prim* (its
+          iteration count in ``iters[i]``); the burst hook sits between it and
+          the primitive floor (a burst cell is counted by ``atmo.prim_reset``
           and its ``p_atmo`` lands in the seed), so those stay interpreted.
         - 3: everything, the next seed included — and the patch's row of
-          *scan*.
+          *scan* and ``iters[i]``.
         """
         kernel = self._recover_kernel
         if kernel is None or not _c_f64(cons):
@@ -377,16 +381,14 @@ class HydroPipeline:
             vmax=float(np.sqrt(1.0 - 1.0 / self.config.w_max**2)),
             solve_only=solve_only, scan=scan,
         )
-        n_interior = self._seed_spare.size // len(warm)
         done, floored, rescaled, prim_reset = [], 0, 0, 0
-        for sweep, (f, r, unconverged, iters_max, reset) in zip(sweeps, counts.tolist()):
+        for i, (f, r, unconverged, iters_max, reset) in enumerate(counts.tolist()):
             floored += f
             rescaled += r
             if unconverged:
                 done.append(1)
                 continue
-            sweep.n_cells = sweep.n_newton_converged = n_interior
-            sweep.max_iterations = iters_max
+            iters[i] = iters_max
             done.append(2 if solve_only else 3)
             prim_reset += reset
         if floored:
@@ -397,20 +399,20 @@ class HydroPipeline:
             self.metrics.counter("atmo.prim_reset").inc(prim_reset)
         return done
 
-    def _record_recovery(self, *sweeps: RecoveryStats) -> None:
-        """Report con2prim sweeps' counters through the metrics layer, summed
-        — the record of reporting each sweep alone, byte for byte (every
-        count is an integer)."""
+    def _record_recovery(self, iters_max: list, s: RecoveryStats) -> None:
+        """Report con2prim sweeps through the metrics layer: *s* holds their
+        counters summed, *iters_max* each one's ``max_iterations`` — the
+        record of reporting each sweep alone, byte for byte (every count is
+        an integer)."""
         m = self.metrics
-        m.counter("con2prim.cells").inc(sum(s.n_cells for s in sweeps))
-        m.counter("con2prim.newton_converged").inc(sum(s.n_newton_converged for s in sweeps))
-        m.counter("con2prim.bisection").inc(sum(s.n_bisection for s in sweeps))
-        m.counter("con2prim.failed").inc(sum(s.n_failed for s in sweeps))
-        m.counter("con2prim.unbracketed").inc(sum(s.n_unbracketed for s in sweeps))
-        failsafe = sum(s.n_failsafe for s in sweeps)
-        if failsafe:
-            m.counter("resilience.failsafe_cells").inc(failsafe)
-        iters = Counter(s.max_iterations for s in sweeps)
+        m.counter("con2prim.cells").inc(s.n_cells)
+        m.counter("con2prim.newton_converged").inc(s.n_newton_converged)
+        m.counter("con2prim.bisection").inc(s.n_bisection)
+        m.counter("con2prim.failed").inc(s.n_failed)
+        m.counter("con2prim.unbracketed").inc(s.n_unbracketed)
+        if s.n_failsafe:
+            m.counter("resilience.failsafe_cells").inc(s.n_failsafe)
+        iters = Counter(iters_max)
         m.gauge("con2prim.max_newton_iters").max(max(iters))
         # Tail analysis works off the full distribution of per-sweep maxima,
         # not just the running maximum the gauge keeps: one observation per

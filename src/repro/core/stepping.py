@@ -84,6 +84,8 @@ class Driver:
     #: whether ``_prims_cache`` is a recovery of ``_cons`` — RK stage 1 then
     #: steps from it — and not a constructor's floored initial primitives
     _prims_recovered = False
+    #: whether ``_patches()`` yields interiors (else ghosted patches)
+    _finite_interior = False
 
     def _commit(self, arrays: list) -> None:
         """Make *arrays*, one per stack, the committed state."""
@@ -192,7 +194,14 @@ class Driver:
     def _check_finite(self) -> None:
         """Name the first NaN/Inf of the just-committed state.  A patch
         array shaped like its grid's interior reports interior indices;
-        a callable label is resolved from the offending cell."""
+        a callable label is resolved from the offending cell.  One
+        reduction per stack; its patches are walked only on a hit."""
+        inner = self._finite_interior
+        if all(
+            np.isfinite(U[(...,) + st.pipeline.grid.interior] if inner else U).all()
+            for st, U in zip(self._stacks, self._cons.stacks)
+        ):
+            return
         for label, pipeline, arr in self._patches():
             hit = first_nonfinite(arr)
             if hit is None:

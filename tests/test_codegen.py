@@ -247,7 +247,9 @@ class TestGeneratedCBudget:
                      "hllc_side_"):
             assert gone not in code, gone
         assert code.count("const double dfdp =") == 1
-        assert code.count("newton_cell(") == 3  # one definition, two callers
+        # One Newton lane body, no scalar twin: one definition, two callers.
+        assert code.count("newton_tile(") == 3
+        assert "newton_cell" not in code
         assert len(defs) > len(entries) + 10
         # ... and the cdef declares exactly those entry points.
         assert re.findall(r"(\w+)\(", gen.c_declarations()) == entries
@@ -1444,7 +1446,10 @@ class TestFusedStencilParity:
     def test_clones_agree_bytewise(self):
         """The sweep the loader picked (avx2 here) against the same source
         built without ``REPRO_CLONES``: identical fluxes and counters on
-        the hostile state, every reconstruction x Riemann id."""
+        the hostile state, every reconstruction x Riemann id — and the
+        same floors, primitives, seeds, counts and CFL maxima from the
+        recovery, and the same Newton iterates from ``c2p_newton``, on the
+        conserved state of it."""
         from repro.codegen import cext as cext_mod
         from repro.codegen.generator import (
             STENCIL_LIMITER_IDS,
@@ -1457,8 +1462,9 @@ class TestFusedStencilParity:
         if cext_mod.simd_level(2) == "baseline":
             pytest.skip("this host runs the default clone: nothing to compare")
         _, source, cdef = cext_mod.module_spec(2)
-        # the tile filler, two sweeps, accumulate, the RK stage combination
-        assert source.count("\nREPRO_CLONES\n") == 5
+        # the tile filler, two sweeps, accumulate, the RK stage combination;
+        # the Newton loop and the recovery's floors, rows and scan
+        assert source.count("\nREPRO_CLONES\n") == 9
         plain = source.replace("\nREPRO_CLONES\n", "\n")
         libs = [
             cext_mod.load_cext_module(2),
@@ -1493,6 +1499,43 @@ class TestFusedStencilParity:
                 results.append((out.tobytes(), counts.tolist()))
             assert results[0] == results[1], (axis, recon_id, limiter_id, riemann_id)
             assert min(results[0][1]) > 0
+        # The conserved state of the admissible part, then every floor, the
+        # cap and NaN lanes poked in.
+        cons0 = SRHDSystem.prim_to_con(
+            pipe.system, self._ghosted_prim(pipe, 11, True, extreme=True)
+        )
+        cells = cons0.reshape(4, -1)
+        poked = rng.permutation(cells.shape[1])[:400].reshape(4, 100)
+        cells[0, poked[0]] *= -1.0
+        cells[3, poked[1]] = -1.0
+        cells[1, poked[2]] *= 1e3
+        cells[:, poked[3]] = np.nan
+        interior = pipe.grid.interior_of(prim)[-1]
+        recovered = []
+        for ffi, lib in libs:
+            runs = []
+            for seed in (None, np.abs(interior)):
+                cons, out = cons0.copy(), np.zeros_like(cons0)
+                next_seed, scan = np.zeros(interior.shape), np.zeros((1, 2))
+                counts = cext_mod.run_recover(
+                    ffi, lib.recover_2d_cext, cons, out, 3, seed, next_seed,
+                    gamma=5.0 / 3.0, tol=1e-12, p_floor=1e-16, max_newton=50,
+                    rho_atmo=1e-10, p_atmo=1e-12, rho_reset=1e-9, vmax=0.9999,
+                    solve_only=False, scan=scan,
+                )
+                runs.append([a.tobytes() for a in (cons, out, next_seed, counts, scan)])
+            D, tau = cons[0].ravel(), cons[-1].ravel()
+            S2 = cons[1].ravel() ** 2 + cons[2].ravel() ** 2
+            p = np.abs(tau - np.sqrt(S2)) * 0.5 + 1e-16
+            conv, it_max = cext_mod.run_con2prim_newton(
+                ffi, lib, D, S2, tau, p, np.full(D.size, 1e-16),
+                gamma=5.0 / 3.0, tol=1e-12, p_floor=1e-16, max_newton=50,
+            )
+            runs.append([p.tobytes(), conv.tobytes(), it_max])
+            recovered.append(runs)
+        assert recovered[0] == recovered[1]
+        counts = np.frombuffer(recovered[0][0][3], np.int64)
+        assert min(counts[:4]) > 0  # floors, caps, unconverged lanes, iterations
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_every_lane_loop_is_vectorised(self, ndim):
@@ -1517,9 +1560,10 @@ class TestFusedStencilParity:
         ]
         # sanitize + face_side, three combines and the in-tile difference
         # per axis; 4 limiters and the tvd edges, 3 ppm loops, weno5, wenoz;
-        # the contiguous accumulate row (first axis and later axes) and the
-        # three RK stage forms
-        assert len(marked) == 1 + 5 * ndim + 10 + 2 + 3
+        # the contiguous accumulate row (first axis and later axes), the
+        # three RK stage forms; the recovery's floors, tile load, Newton
+        # iteration and scan speeds
+        assert len(marked) == 1 + 5 * ndim + 10 + 2 + 3 + 4
         proc = subprocess.run(
             [*cc.split(), *cext_mod.CFLAGS, "-fopt-info-vec-optimized", "-x", "c",
              "-c", "-", "-o", os.devnull],
@@ -1622,6 +1666,8 @@ class TestCompiledRecovery:
         from repro.mesh.grid import Grid
 
         shape = {"1d": (24,), "2d": (10, 12), "3d": (6, 5, 7)}.get(layout, (16,))
+        if layout.startswith("row"):  # "rowN": two interior rows of N cells
+            shape = (2, int(layout[3:]))
         grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=3)
         system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=len(shape))
         if layout.startswith("batch"):
@@ -1696,7 +1742,7 @@ class TestCompiledRecovery:
         """Everything one sweep leaves behind, comparable with ``==``."""
         from repro.utils.errors import RecoveryError
 
-        cons = cons[None].copy()
+        cons = cons.reshape(pipe._state_shape).copy()  # a patch, or the stack
         try:
             with np.errstate(all="ignore"):
                 prim = pipe.recover_primitives(cons, reuse=reuse).tobytes()
@@ -1972,6 +2018,107 @@ class TestCompiledRecovery:
             self.test_every_floor_branch_on_the_hot_path(layout, mp)
         self.test_recover_parity_property(layout)
         self.test_max_signal_is_the_handwritten_scan(layout)
+
+    @pytest.mark.parametrize("n", [1, 7, 15, 16, 17, 33])
+    def test_lanes_are_the_interpreted_recovery(self, n):
+        """Newton in lockstep over tiles of ``C2P_LANES`` cells is the
+        interpreted recovery byte for byte, for rows of *n* cells across the
+        lane width: converged, Newton-exhausted (``max_newton`` 1 or 3, or
+        W ~ 60 cold) and NaN lanes in one tile, cold and warm seeds,
+        ``solve_only`` (a fault injector), stacks of 1 and 4 — through
+        ``recover`` (cext pipeline against flat) and through ``c2p_newton``
+        (``con_to_prim`` of the compiled system against the plain one, whose
+        bisection starts from the pressure Newton left)."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        import repro.core.pipeline as pipeline_mod
+        from repro.codegen.generator import C2P_LANES
+        from repro.physics.con2prim import RecoveryStats, con_to_prim
+        from repro.resilience.faults import FaultInjector, FaultPlan
+        from repro.utils.errors import RecoveryError
+
+        assert 1 < C2P_LANES < 33
+
+        def seeds(pipe):  # every patch's (_sweep keeps the first's)
+            kept = map(pipe.warm_state, range(len(pipe.patches)))
+            return [w if w is None else w.tobytes() for w in kept]
+
+        hard = np.array([1e-3, np.sqrt(1 - 1 / 60.0**2), 1e-9])  # rho, W ~ 60, p
+
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            lanes=st.lists(st.sampled_from(["ok", "ok", "hard", "nan"]), min_size=n, max_size=n),
+            warm=st.booleans(),
+            solve_only=st.booleans(),
+            n_patches=st.sampled_from([1, 4]),
+            max_newton=st.sampled_from([1, 3, 50]),
+        )
+        @settings(max_examples=12, deadline=None, database=None)
+        def check(seed, lanes, warm, solve_only, n_patches, max_newton):
+            injector = (lambda: FaultInjector(FaultPlan())) if solve_only else None
+            pipes = self._pair(f"row{n}", injector, n_patches, failsafe_frac=0.5)
+            flat = pipes["flat"]
+            cons = np.stack([self._cons(flat, seed + q) for q in range(n_patches)])
+            cell = SRHDSystem.prim_to_con(flat.system, np.insert(hard, 2, 0.0)[:, None])[:, 0]
+            for q in range(n_patches):
+                row = flat.grid.interior_of(cons[q])[:, q % 2]
+                for j, kind in enumerate(lanes):
+                    if kind != "ok":
+                        row[:, j] = cell if kind == "hard" else np.nan
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(pipeline_mod._NEWTON, "max_newton", max_newton)
+                got = {
+                    target: [
+                        (self._sweep(pipe, c, False), seeds(pipe))
+                        for c in (cons, cons * 0.99)[: 1 + warm]
+                    ]
+                    for target, pipe in pipes.items()
+                }
+            assert got["cext"] == got["flat"]
+            interior = flat.grid.interior_of(cons[0]).copy()
+            guess = np.abs(interior[-1]) if warm else None
+            solved = []
+            for system in (flat.system, pipes["cext"].system):
+                stats = RecoveryStats()
+                try:
+                    with np.errstate(all="ignore"):
+                        prim = con_to_prim(
+                            system, interior.copy(), p_guess=guess, stats=stats,
+                            tol=pipeline_mod.RECOVERY_TOL, max_newton=max_newton,
+                        ).tobytes()
+                except RecoveryError as exc:
+                    prim = ("raised", exc.n_failed, np.asarray(exc.indices).tolist())
+                solved.append((prim, stats))
+            assert solved[0] == solved[1]
+
+        check()
+
+    def test_lanes_on_a_team(self, team):
+        """The lane property with every ``recover`` on a team of *team*
+        threads: a stack of four splits by patches, a single patch by rows."""
+        for n in (7, 17):
+            self.test_lanes_are_the_interpreted_recovery(n)
+
+    def test_c2p_newton_refuses_buffers_it_would_overrun(self):
+        """C indexes the Newton kernel's buffers by ``D.size`` unchecked: a
+        ``p`` that is not float64 of that many entries, or an input of
+        another size, is refused before C runs, and ``p`` is untouched."""
+        system = self._pair("1d")["cext"].system
+        rng = np.random.default_rng(3)
+        D, S2, tau = rng.uniform(1.0, 2.0, (3, 8))
+        p_lo = np.full(8, 1e-16)
+        kw = dict(tol=1e-12, p_floor=1e-16, max_newton=50)
+        backing = np.zeros(16, np.float32)
+        with pytest.raises(CodegenError, match="8 entries per buffer, a float64 p"):
+            system.c2p_newton(D, S2, tau, backing[:8], p_lo, **kw)
+        assert not backing.any()
+        p = np.ones(8)
+        with pytest.raises(CodegenError, match=r"\[4, 8, 8, 8\]"):
+            system.c2p_newton(D, S2[:4], tau, p, p_lo, **kw)
+        assert (p == 1.0).all()
+        converged, _ = system.c2p_newton(D, S2, tau, p, p_lo, **kw)
+        assert converged.all()
 
     def _hard_cons(self, pipe, fail=False):
         """Newton-hostile cells: the atmosphere-scale state of

@@ -22,6 +22,7 @@ import pytest
 from repro.boundary import make_boundaries
 from repro.core import BatchSolver, DistributedSolver, ProcessSolver, Solver, SolverConfig
 from repro.core.amr_solver import AMRConfig, AMRSolver
+from repro.core.diagnostics import first_nonfinite
 from repro.core.pipeline import HydroPipeline
 from repro.core.stepping import Driver
 from repro.eos import IdealGasEOS
@@ -117,6 +118,46 @@ class TestStepContract:
             solver.step(dt=1e-4)
         assert "after step 1 at t=0.0001" in str(err.value)
         assert re.search(label, str(err.value)), str(err.value)
+
+    @pytest.mark.parametrize("where", ["second patch", "ghost cell"])
+    def test_stack_reduction_finds_what_the_patch_walk_finds(self, driver_case, where):
+        """The guard reduces each stack once; the offender and the message
+        are still those of walking ``_patches()`` one patch at a time — a
+        later patch of a stack is named, and a ghost cell raises exactly
+        where the walk reads ghosts (unigrid and rank patches), nowhere
+        else (AMR leaves and batches read their interiors)."""
+        solver = driver_case[0]()
+        integrate = solver._integrate
+        expected = []
+
+        def poisoned(dt):
+            integrate(dt)
+            if where == "ghost cell":
+                stack = solver._cons.stacks[-1]
+                stack[(0,) * stack.ndim] = np.nan
+            else:
+                patches = [arr for _, _, arr in solver._patches()]
+                arr = patches[min(1, len(patches) - 1)]
+                arr[(0,) + (1,) * (arr.ndim - 1)] = np.inf
+            for label, pipeline, arr in solver._patches():
+                hit = first_nonfinite(arr)
+                if hit is not None:
+                    (var, cell), interior = hit, arr.shape[1:] == pipeline.grid.shape
+                    label = label(cell) if callable(label) else label
+                    kind = "interior cell" if interior else "cell"
+                    expected.append(f"{label}variable {var}, {kind} {cell}")
+                    break
+
+        solver._integrate = poisoned
+        if where == "ghost cell" and solver._finite_interior:
+            solver.step(dt=1e-4)
+            assert expected == []
+            return
+        with pytest.raises(NumericsError, match="non-finite conserved state") as err:
+            solver.step(dt=1e-4)
+        assert len(expected) == 1 and str(err.value).endswith(expected[0]), (
+            str(err.value), expected,
+        )
 
     def test_one_record_per_step_with_family_extras(self, driver_case):
         factory, _label, family = driver_case
