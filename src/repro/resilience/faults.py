@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -76,6 +76,11 @@ class HaloFault:
             )
         if self.times < 1:
             raise ConfigurationError(f"halo fault times must be >= 1, got {self.times}")
+        for name in ("exchange", "message"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"halo fault {name} must be >= 0, got {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,10 @@ class Con2PrimFault:
     n_cells: int
 
     def __post_init__(self):
+        if self.sweep < 0:
+            raise ConfigurationError(
+                f"con2prim fault sweep must be >= 0, got {self.sweep}"
+            )
         if self.n_cells < 1:
             raise ConfigurationError(
                 f"con2prim fault n_cells must be >= 1, got {self.n_cells}"
@@ -168,6 +177,28 @@ class ProcessFault:
             )
 
 
+def _entries(data: dict, name: str, cls) -> list:
+    """The *name* list of a plan payload as *cls* records; an unknown or
+    missing field raises naming the list and the field."""
+    known = {f.name: f for f in fields(cls)}
+    out = []
+    for entry in data.get(name, []):
+        unknown = set(entry) - set(known)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {name} fault field(s) {sorted(unknown)}; "
+                f"choose from {sorted(known)}"
+            )
+        missing = [
+            n for n, f in known.items()
+            if n not in entry and f.default is MISSING
+        ]
+        if missing:
+            raise ConfigurationError(f"{name} fault entry is missing {missing}")
+        out.append(cls(**entry))
+    return out
+
+
 @dataclass
 class FaultPlan:
     """A complete, seeded fault schedule for one chaos run.
@@ -191,6 +222,17 @@ class FaultPlan:
         if bad:
             raise ConfigurationError(
                 f"unknown halo_random keys {sorted(bad)}; choose from {sorted(known)}"
+            )
+        for name, rate in self.halo_random.items():
+            if not 0.0 <= rate <= 1.0:
+                raise ConfigurationError(
+                    f"halo_random {name} must be in [0, 1], got {rate}"
+                )
+        # One uniform draw picks at most one kind per message: rates summing
+        # past 1 would silently cut the later kinds short.
+        if sum(self.halo_random.values()) > 1.0:
+            raise ConfigurationError(
+                f"halo_random rates sum to {sum(self.halo_random.values())}, above 1"
             )
         names = [d.device for d in self.devices]
         if len(set(names)) != len(names):
@@ -217,11 +259,11 @@ class FaultPlan:
             raise ConfigurationError(f"unknown fault plan keys {sorted(unknown)}")
         return cls(
             seed=int(data.get("seed", 0)),
-            halo=[HaloFault(**f) for f in data.get("halo", [])],
-            devices=[DeviceFault(**f) for f in data.get("devices", [])],
-            con2prim=[Con2PrimFault(**f) for f in data.get("con2prim", [])],
+            halo=_entries(data, "halo", HaloFault),
+            devices=_entries(data, "devices", DeviceFault),
+            con2prim=_entries(data, "con2prim", Con2PrimFault),
             halo_random=dict(data.get("halo_random", {})),
-            processes=[ProcessFault(**f) for f in data.get("processes", [])],
+            processes=_entries(data, "processes", ProcessFault),
         )
 
     def save(self, path) -> None:

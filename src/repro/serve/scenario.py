@@ -129,6 +129,17 @@ class ScenarioSpec:
             raise ConfigurationError(f"gamma must be > 1, got {self.gamma}")
         if not 0 < self.cfl <= 1:
             raise ConfigurationError(f"cfl must be in (0, 1], got {self.cfl}")
+        # The generators' parameters: a value outside these ranges builds a
+        # state no recovery admits (and fails the whole batch) or one the
+        # atmosphere floors silently.
+        if not 0 <= self.amplitude < 1:
+            raise ConfigurationError(f"amplitude must be in [0, 1), got {self.amplitude}")
+        if not abs(self.velocity) < 1:
+            raise ConfigurationError(f"velocity must satisfy |v| < 1, got {self.velocity}")
+        for field in ("p_in", "radius"):
+            value = getattr(self, field)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{field} must be finite and > 0, got {value}")
         # Preset names are case-insensitive, like the `repro run` CLI.
         object.__setattr__(self, "problem", self.problem.upper())
         if self.kind == "shock_tube" and self.problem not in SHOCK_TUBES:

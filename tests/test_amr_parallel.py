@@ -6,7 +6,10 @@ changing (refine ahead of the shock, coarsen behind it), so the Morton
 rebalance threshold trips mid-run and whole blocks migrate between worker
 processes.  The contract: :class:`AMRProcessSolver` is bit-identical to the
 serial :class:`AMRSolver` — block bytes and canonical record stream — at
-every rank count, through at least one real cross-process migration.
+every rank count, through at least one real cross-process migration —
+whole runs asserted as cells of the equivalence lattice
+(``tests/lattice.py``); the checkpoint reload below compares its fleet
+with the serial forest directly.
 
 The spawn-based workers re-import this module by file path, so everything
 at module level must be import-safe.
@@ -14,12 +17,9 @@ at module level must be import-safe.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 
-from repro.boundary import make_boundaries
 from repro.core import SolverConfig
 from repro.core.amr_parallel import (
     AMRProcessSolver,
@@ -39,12 +39,14 @@ from repro.mesh.amr.exchange import (
     check_block_payload,
 )
 from repro.mesh.grid import Grid
-from repro.obs import BufferSink, StepRecorder, canonical_stream
+from repro.obs import BufferSink, StepRecorder
 from repro.obs.events import steps_of
 from repro.physics.initial_data import SHOCK_TUBES, blast_wave_2d, shock_tube
 from repro.physics.srhd import SRHDSystem
 from repro.resilience.faults import FaultInjector, FaultPlan, HaloFault
 from repro.utils.errors import BlockMigrationError, ConfigurationError
+
+from .lattice import legacy
 
 #: every test here must leave no worker process and no shm segment behind
 pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
@@ -81,35 +83,6 @@ def serial_reference():
     }
 
 
-def _run_process(n_ranks, *, steps=AMR_STEPS, fault_injector=None,
-                 supervision=None):
-    system, grid, init, config, amr = _scenario()
-    sink = BufferSink()
-    solver = AMRProcessSolver(
-        system, grid, init, config=config, amr=amr,
-        recorder=StepRecorder(sink, meta={"suite": "amr"}),
-        n_ranks=n_ranks, fault_injector=fault_injector,
-        supervision=supervision,
-    )
-    try:
-        for _ in range(steps):
-            solver.step()
-        out = {
-            "blocks": {k: p[0] for k, p in solver.state()["patches"].items()},
-            "records": sink.records,
-            "t": solver.t,
-            "steps": solver.steps,
-            "restarts": solver.restarts_used,
-        }
-    finally:
-        solver.close()
-    return out
-
-
-#: steps of the 2-D run: four regrids
-AMR2D_STEPS = 8
-
-
 def _blast2d(system, grid):
     return blast_wave_2d(system, grid, p_in=10.0, p_out=1.0, radius=0.15, center=(0.45, 0.4))
 
@@ -126,15 +99,6 @@ def _blast2d_scenario():
     return system, grid, config, amr
 
 
-def _leaf_digest(layout, blocks):
-    """SHA-256 over every leaf's key and interior bytes, in key order."""
-    digest = hashlib.sha256()
-    for key in sorted(blocks):
-        digest.update(repr(key).encode())
-        digest.update(layout.grid_for(key).interior_of(blocks[key]).tobytes())
-    return digest.hexdigest()
-
-
 def _assert_blocks_bitexact(ref, proc):
     assert proc["t"] == ref["t"] and proc["steps"] == ref["steps"]
     assert set(proc["blocks"]) == set(ref["blocks"]), "leaf sets differ"
@@ -144,66 +108,11 @@ def _assert_blocks_bitexact(ref, proc):
         )
 
 
+@legacy("test_amr_parallel.py::TestProcessParity")
 class TestProcessParity:
-    @pytest.mark.parametrize("n_ranks", [2, 4])
-    def test_rank_parity_bitexact_through_migration(
-        self, serial_reference, n_ranks
-    ):
-        proc = _run_process(n_ranks)
-        _assert_blocks_bitexact(serial_reference, proc)
-        # The parity is only meaningful if the run actually repartitioned
-        # and moved at least one block between worker processes.
-        last = steps_of(proc["records"])[-1]
-        assert last["amr"]["repartitions"] >= 1
-        assert last["amr"]["migrated_blocks"] >= 1
-        assert proc["restarts"] == 0
-        # Canonical projection of the merged parent stream matches the
-        # serial AMRSolver stream byte for byte (rank counts, shm traffic
-        # and rebalance bookkeeping all canonicalize away).
-        assert canonical_stream(steps_of(proc["records"])) == canonical_stream(
-            steps_of(serial_reference["records"])
-        )
-
-
-    def test_2d_periodic_blast_matches_serial(self):
-        """The periodic 2-D blast on 2 worker processes, on ``cext`` with
-        each worker on one thread: every step's leaf digest and the
-        canonical stream are the serial run's.  Periodic walls are where
-        the exact ghost imports differ most from a box-overlap superset."""
-        from repro.codegen import cext_available
-
-        system, grid, config, amr = _blast2d_scenario()
-        walls = make_boundaries("periodic")
-        runs = {}
-        for n_ranks in (1, 2):
-            sink = BufferSink()
-            recorder = StepRecorder(sink, meta={"suite": "amr2d"})
-            if n_ranks == 1:
-                solver = AMRSolver(system, grid, _blast2d, config, amr, walls, recorder=recorder)
-                blocks = lambda: {k: leaf.cons for k, leaf in solver.forest.leaves.items()}  # noqa: E731
-            else:
-                solver = AMRProcessSolver(
-                    system, grid, _blast2d, config=config, amr=amr, boundaries=walls,
-                    recorder=recorder, n_ranks=n_ranks,
-                )
-                blocks = lambda: {k: p[0] for k, p in solver.state()["patches"].items()}  # noqa: E731
-            try:
-                digests = []
-                for _ in range(AMR2D_STEPS):
-                    solver.step()
-                    digests.append(_leaf_digest(solver.layout, blocks()))
-                if n_ranks > 1:
-                    threads = [s["cext_threads"] for s in solver.worker_snapshots()]
-                    assert solver.restarts_used == 0
-            finally:
-                if n_ranks > 1:
-                    solver.close()
-            runs[n_ranks] = digests, canonical_stream(steps_of(sink.records))
-        assert runs[2][0] == runs[1][0], "leaf digests diverged from the serial forest"
-        assert runs[2][1] == runs[1][1]
-        assert steps_of(sink.records)[-1]["amr"]["regrids"] == AMR2D_STEPS // 2
-        if cext_available(2):
-            assert threads == [1, 1]
+    """:class:`AMRProcessSolver` is the serial :class:`AMRSolver` bit for
+    bit — block bytes and canonical stream, through a migration: cells of
+    the equivalence lattice (``tests/lattice.py``)."""
 
 
 class TestRebalanceDecay:

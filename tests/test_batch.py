@@ -14,21 +14,14 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_mod
-from repro.boundary import make_boundaries
-from repro.core import BatchGrid, BatchSolver, Solver, SolverConfig
+from repro.core import BatchGrid, BatchSolver, SolverConfig
 from repro.mesh.grid import Grid
 from repro.eos import IdealGasEOS
-from repro.physics.initial_data import (
-    RP1,
-    RP2,
-    blast_wave_2d,
-    shock_tube,
-    smooth_wave,
-)
+from repro.physics.initial_data import RP1, shock_tube
 from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import ConfigurationError, RecoveryError
 
-from .conftest import require_cext
+from .lattice import legacy
 
 
 def _system(ndim=1, gamma=RP1.gamma):
@@ -59,126 +52,11 @@ class TestBatchGrid:
             BatchGrid(_grid_1d(), 0)
 
 
+@legacy("test_batch.py::TestBitIdentity")
 class TestBitIdentity:
-    @pytest.mark.parametrize("kernel_target", ["numpy", "flat", "cext"])
-    def test_n1_matches_unbatched_solver_1d(self, kernel_target):
-        if kernel_target == "cext":
-            require_cext(1)
-        system = _system()
-        grid = _grid_1d(96)
-        prim0 = shock_tube(system, grid, RP1)
-        cfg = SolverConfig(kernel_target=kernel_target)
-        ref = Solver(system, grid, prim0.copy(), cfg, make_boundaries("outflow"))
-        ref.run(t_final=0.1)
-        bat = BatchSolver(system, grid, [prim0.copy()], cfg, make_boundaries("outflow"))
-        out = bat.run(t_final=0.1)
-        assert out["steps"] == ref.summary.steps
-        assert out["status"] == ["ok"]
-        assert (
-            bat.scenario_interior_primitives(0).tobytes()
-            == ref.interior_primitives().tobytes()
-        )
-
-    def test_n1_matches_unbatched_solver_2d(self):
-        system = _system(ndim=2, gamma=4.0 / 3.0)
-        grid = Grid((24, 24), ((0.0, 1.0), (0.0, 1.0)))
-        prim0 = blast_wave_2d(system, grid, p_in=50.0)
-        cfg = SolverConfig()
-        ref = Solver(system, grid, prim0.copy(), cfg, make_boundaries("outflow"))
-        ref.run(t_final=0.02)
-        bat = BatchSolver(system, grid, [prim0.copy()], cfg, make_boundaries("outflow"))
-        bat.run(t_final=0.02)
-        assert (
-            bat.scenario_interior_primitives(0).tobytes()
-            == ref.interior_primitives().tobytes()
-        )
-
-    @pytest.mark.parametrize(
-        "ndim,recon,riemann,n_ghost",
-        [(1, "mc", "hllc", 2), (1, "ppm", "hll", 3), (2, "mc", "hllc", 2)],
-    )
-    def test_cext_batch_is_the_flat_batch(self, ndim, recon, riemann, n_ghost):
-        """The batch layout (scenarios on a trailing axis, so stencil rows
-        are strided) on the compiled sweep: every member's bytes and every
-        counter the numerics drive equal the interpreted flat batch's."""
-        require_cext(ndim)
-        if ndim == 1:
-            system, t_final = _system(), 0.05
-            grid = Grid((96,), ((0.0, 1.0),), n_ghost=n_ghost)
-            prims = [
-                shock_tube(system, grid, RP1),
-                shock_tube(system, grid, RP2),
-                smooth_wave(system, grid, amplitude=0.1),
-            ]
-        else:
-            system, t_final = _system(ndim=2, gamma=4.0 / 3.0), 0.02
-            grid = Grid((16, 16), ((0.0, 1.0), (0.0, 1.0)), n_ghost=n_ghost)
-            prims = [blast_wave_2d(system, grid, p_in=p) for p in (20.0, 50.0, 35.0)]
-        runs = {}
-        for target in ("flat", "cext"):
-            bat = BatchSolver(
-                system, grid, [p.copy() for p in prims],
-                SolverConfig(
-                    kernel_target=target, reconstruction=recon, riemann=riemann
-                ),
-                make_boundaries("outflow"),
-            )
-            out = bat.run(t_final=t_final)
-            assert out["status"] == ["ok"] * len(prims)
-            counters = {
-                name: value
-                for name, value in bat.metrics.snapshot()["counters"].items()
-                if name.startswith(("sanitize.", "con2prim.", "atmo."))
-            }
-            assert counters["con2prim.cells"] > 0
-            runs[target] = bat, (out["steps"], counters)
-        (flat, flat_record), (cext, cext_record) = runs["flat"], runs["cext"]
-        assert "face_flux" in cext.timers and "reconstruct" not in cext.timers
-        assert "reconstruct" in flat.timers
-        assert cext_record == flat_record
-        for i in range(len(prims)):
-            assert (
-                cext.scenario_interior_primitives(i).tobytes()
-                == flat.scenario_interior_primitives(i).tobytes()
-            ), f"scenario {i}"
-
-    def test_replicated_batch_members_all_match_solo(self):
-        # N identical scenarios share the solo run's dt sequence, so every
-        # column must reproduce the unbatched result bit-for-bit.
-        system = _system()
-        grid = _grid_1d(64)
-        prim0 = shock_tube(system, grid, RP2)
-        cfg = SolverConfig()
-        ref = Solver(system, grid, prim0.copy(), cfg, make_boundaries("outflow"))
-        ref.run(t_final=0.05)
-        bat = BatchSolver(
-            system, grid, [prim0.copy() for _ in range(4)],
-            cfg, make_boundaries("outflow"),
-        )
-        bat.run(t_final=0.05)
-        expected = ref.interior_primitives().tobytes()
-        for i in range(4):
-            assert bat.scenario_interior_primitives(i).tobytes() == expected
-
-    def test_batch_order_invariance(self):
-        # Scenario results must not depend on their slot in the batch.
-        system = _system()
-        grid = _grid_1d(64)
-        a = shock_tube(system, grid, RP1)
-        b = smooth_wave(system, grid, amplitude=0.1)
-        cfg = SolverConfig()
-        fwd = BatchSolver(system, grid, [a.copy(), b.copy()], cfg)
-        rev = BatchSolver(system, grid, [b.copy(), a.copy()], cfg)
-        fwd.run(t_final=0.05)
-        rev.run(t_final=0.05)
-        assert (
-            fwd.scenario_interior_primitives(0).tobytes()
-            == rev.scenario_interior_primitives(1).tobytes()
-        )
-        assert (
-            fwd.scenario_interior_primitives(1).tobytes()
-            == rev.scenario_interior_primitives(0).tobytes()
-        )
+    """A batch member is the unbatched :class:`Solver` run bit for bit, in
+    any slot and on every target: cells of the equivalence lattice
+    (``tests/lattice.py``)."""
 
 
 class TestBatchSolverValidation:

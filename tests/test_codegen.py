@@ -25,6 +25,7 @@ from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import CodegenError
 
 from .conftest import random_prim
+from .lattice import legacy
 
 
 @contextlib.contextmanager
@@ -2232,11 +2233,13 @@ class TestCompiledRecovery:
             assert cons.tobytes() == before.tobytes()  # refused before C ran
 
 
+@legacy("test_codegen.py::TestCompiledUpdate")
 class TestCompiledUpdate:
     """The compiled update stage — ``accumulate`` and ``rk_stage`` — against
     the interpreted expressions it replaces on ``cext``, bytewise.  (The
     third piece, the sweep's in-tile difference, rides
-    ``TestFusedStencilParity::test_fused_sweep_bitwise_all_combos``.)"""
+    ``TestFusedStencilParity::test_fused_sweep_bitwise_all_combos``; whole
+    runs of every driver, the lattice's ``cext`` cells.)"""
 
     LAYOUTS = [(1, 0), (2, 0), (3, 0), (1, 1), (1, 5)]
     POISONS = (np.nan, np.inf, -np.inf, -0.0)
@@ -2420,65 +2423,6 @@ class TestCompiledUpdate:
         for name in ("euler", "ssprk2", "ssprk3"):
             self.test_every_stage_is_the_numpy_expression(name)
 
-    @pytest.mark.parametrize("integrator", ["euler", "ssprk2", "ssprk3"])
-    def test_five_steps_every_driver_cext_equals_flat(self, integrator):
-        """The whole update stage end to end: every driver's state after
-        five steps of every integrator, ``cext`` against ``flat``."""
-        from repro.boundary import make_boundaries
-        from repro.codegen import cext_available
-        from repro.core.amr_solver import AMRConfig, AMRSolver
-        from repro.core.batch import BatchSolver
-        from repro.core.config import SolverConfig
-        from repro.core.distributed import DistributedSolver
-        from repro.core.solver import Solver
-        from repro.mesh.grid import Grid
-        from repro.physics.initial_data import RP1, RP2, blast_wave_2d, shock_tube
-
-        if not (cext_available(1) and cext_available(2)):
-            pytest.skip("no C toolchain")
-        system2 = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
-        grid2 = Grid((24, 20), ((0.0, 1.0), (0.0, 1.0)))
-        blast = dict(p_in=10.0, p_out=1.0, radius=0.2)
-        prim2 = blast_wave_2d(system2, grid2, **blast)
-        system1 = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
-        grid1 = Grid((64,), ((0.0, 1.0),))
-        tubes = [shock_tube(system1, grid1, rp) for rp in (RP1, RP2, RP1)]
-
-        def states(target):
-            config = SolverConfig(kernel_target=target, integrator=integrator, cfl=0.4)
-            periodic = make_boundaries("periodic")
-            solver = Solver(system2, grid2, prim2.copy(), config, periodic)
-            batch = BatchSolver(
-                system1, grid1, [p.copy() for p in tubes], config,
-                make_boundaries("outflow"),
-            )
-            ranks = [
-                DistributedSolver(
-                    system2, grid2, prim2.copy(), (2, 2), boundaries=periodic,
-                    config=SolverConfig(
-                        kernel_target=target, integrator=integrator, cfl=0.4,
-                        overlap_exchange=overlap,
-                    ),
-                )
-                for overlap in (False, True)
-            ]
-            amr = AMRSolver(
-                system2, Grid((32, 32), ((0, 1), (0, 1))),
-                lambda s, g: blast_wave_2d(s, g, **blast), config,
-                AMRConfig(block_size=8, max_levels=2, regrid_interval=2),
-            )
-            out = []
-            for driver in (solver, batch, *ranks, amr):
-                for _ in range(5):
-                    driver.step()
-                out.append(driver.t)
-            out += [solver.cons.tobytes(), batch.cons.tobytes()]
-            out += [r.cons[k].tobytes() for r in ranks for k in sorted(r.cons)]
-            out += [amr.forest.leaves[k].cons.tobytes() for k in sorted(amr.forest.leaves)]
-            return out
-
-        assert states("cext") == states("flat")
-
 
 class TestPatchStacks:
     """One kernel call over a stack of P same-shape patches is P calls, one
@@ -2648,91 +2592,11 @@ class TestPatchStacks:
         self.test_a_stack_is_its_patches()
 
 
+@legacy("test_codegen.py::TestThreadCounts")
 class TestThreadCounts:
-    """Whole runs at 1, 2 and 4 threads on the production build: the calls
-    of a 64^2 patch, a 2x2 stack of 32^2 and an 8-wide batch reach the
-    team, and every team size gives the 1-thread bytes and stream."""
-
-    @staticmethod
-    def _hostile_blast(system, grid):
-        """A blast with a band of diagonal near-luminal flow and a strip
-        of near-vacuum: the sanitize repairs, the atmosphere floors, the
-        momentum cap and the failsafe all fire within five steps."""
-        from repro.physics.initial_data import blast_wave_2d
-
-        prim = blast_wave_2d(system, grid, p_in=10.0, p_out=1.0)
-        inner = grid.interior_of(prim)
-        shape = inner.shape[1:]
-        checker = np.indices(shape).sum(axis=0) % 2 == 0
-        band = np.zeros(shape, dtype=bool)
-        band[:, 40:48] = True
-        inner[system.V(0)][band & checker] = 0.8
-        inner[system.V(1)][band & ~checker] = 0.8
-        inner[system.RHO, 40:48] = 1e-6
-        inner[system.P, 40:48] = 1e-8
-        return prim
-
-    def test_whole_runs_are_the_same_at_any_team_size(self):
-        from repro.boundary import make_boundaries
-        from repro.codegen import cext as cext_mod
-        from repro.core.batch import BatchSolver
-        from repro.core.config import SolverConfig
-        from repro.core.distributed import DistributedSolver
-        from repro.core.solver import Solver
-        from repro.mesh.grid import Grid
-        from repro.obs import BufferSink, StepRecorder, canonical_stream
-        from repro.physics.initial_data import RP1, RP2, shock_tube
-
-        if not (cext_mod.cext_available(1) and cext_mod.cext_available(2)):
-            pytest.skip("no C toolchain")
-        system2 = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
-        grid2 = Grid((64, 64), ((0.0, 1.0), (0.0, 1.0)))
-        prim2 = self._hostile_blast(system2, grid2)
-        system1 = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
-        grid1 = Grid((600,), ((0.0, 1.0),))
-        tubes = [shock_tube(system1, grid1, (RP1, RP2)[i % 2]) * (1.0 + 0.1 * i)
-                 for i in range(8)]
-        config = SolverConfig(
-            kernel_target="cext", cfl=0.4, reconstruction="weno5", riemann="hllc",
-            failsafe_frac=0.01,
-        )
-        periodic = make_boundaries("periodic")
-
-        def runs():
-            out = []
-            for make in (
-                lambda rec: Solver(system2, grid2, prim2.copy(), config, periodic,
-                                   recorder=rec),
-                lambda rec: DistributedSolver(system2, grid2, prim2.copy(), (2, 2),
-                                              config, periodic, recorder=rec),
-                lambda rec: BatchSolver(system1, grid1, [p.copy() for p in tubes],
-                                        config, make_boundaries("outflow"), recorder=rec),
-            ):
-                sink = BufferSink()
-                driver = make(StepRecorder(sink))
-                for _ in range(5):
-                    driver.step()
-                cons = driver.cons
-                states = [cons[k].tobytes() for k in sorted(cons)] if isinstance(
-                    cons, dict) else [cons.tobytes()]
-                out.append((states, driver.t, canonical_stream(sink.records)))
-            return out
-
-        before = cext_mod.threads(2)
-        try:
-            _set_team(1)
-            want = runs()
-            for n in (2, 4):
-                _set_team(n)
-                got = runs()
-                for (states, t, stream), ref in zip(got, want):
-                    assert (states, t) == ref[:2], n
-                    assert stream == ref[2], n
-        finally:
-            cext_mod.threads(2, before)
-        for name in ("sanitize.floored", "sanitize.velocity_rescaled", "con2prim.cells",
-                     "atmo.cons_floored", "resilience.failsafe_cells"):
-            assert f'"{name}": ' in want[0][2], name
+    """The production build at 1, 2 and 4 threads: a recovery's scan over
+    calls that reach the team.  (Whole runs at 2 threads: the lattice's
+    ``threads`` cells.)"""
 
     def test_the_recovery_scan_at_any_team_size(self, monkeypatch):
         """The scan a recovery makes over a 64^2 patch (the single-patch row
@@ -2783,93 +2647,10 @@ class TestThreadCounts:
             cext_mod.threads(2, before)
 
 
+@legacy("test_codegen.py::TestFusedSolverDigest")
 class TestFusedSolverDigest:
-    """End to end: a wide-stencil cext run is the flat run, byte for byte."""
-
-    def test_kh_ppm_hll_20_steps_cext_equals_flat(self):
-        import hashlib
-
-        from repro.boundary import make_boundaries
-        from repro.codegen import cext_available
-        from repro.core.config import SolverConfig
-        from repro.core.solver import Solver
-        from repro.mesh.grid import Grid
-        from repro.physics.initial_data import kelvin_helmholtz_2d
-
-        if not cext_available(2):
-            pytest.skip("no C toolchain")
-        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
-        grid = Grid((48, 48), ((0.0, 1.0), (0.0, 1.0)), n_ghost=3)
-        prim0 = kelvin_helmholtz_2d(system, grid, seed=7)
-        digests = {}
-        for target in ("flat", "cext"):
-            config = SolverConfig(
-                kernel_target=target, cfl=0.4, reconstruction="ppm", riemann="hll"
-            )
-            solver = Solver(
-                system, grid, prim0.copy(), config, make_boundaries("periodic")
-            )
-            for _ in range(20):
-                solver.step()
-            digests[target] = hashlib.sha256(
-                np.ascontiguousarray(solver.interior_primitives()).tobytes()
-            ).hexdigest()
-            if target == "cext":
-                assert solver.pipeline._fused_ids is not None
-                assert "face_flux" in solver.pipeline.timers
-                assert "reconstruct" not in solver.pipeline.timers
-        assert digests["cext"] == digests["flat"]
-
-
-    @pytest.mark.parametrize("case", ["rp1_1d", "blast_3d", "batch4"])
-    def test_five_steps_cext_equals_flat(self, case):
-        """The compiled recovery sweep and CFL scan end to end: state, time
-        and every metric after five steps, on the layouts the KH run does
-        not cover."""
-        from repro.boundary import make_boundaries
-        from repro.codegen import cext_available
-        from repro.core.batch import BatchSolver
-        from repro.core.config import SolverConfig
-        from repro.core.solver import Solver
-        from repro.mesh.grid import Grid
-        from repro.physics.initial_data import RP1, RP2, shock_tube
-
-        if case == "blast_3d":
-            system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=3)
-            grid = Grid((12, 10, 8), ((0.0, 1.0),) * 3)
-            prim0 = grid.allocate(system.nvars)
-            r2 = sum(
-                (np.moveaxis(grid.coords_with_ghosts(ax)[:, None, None], 0, ax) - 0.5) ** 2
-                for ax in range(3)
-            )
-            prim0[system.RHO] = 1.0
-            prim0[system.P] = np.where(r2 < 0.25**2, 10.0, 0.1)
-        else:
-            system = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)
-            grid = Grid((96,), ((0.0, 1.0),))
-            prim0 = shock_tube(system, grid, RP1)
-        if not cext_available(system.ndim):
-            pytest.skip("no C toolchain")
-        runs = {}
-        for target in ("flat", "cext"):
-            config = SolverConfig(kernel_target=target)
-            if case == "batch4":
-                prims = [prim0, shock_tube(system, grid, RP2), prim0 * 0.5, prim0]
-                solver = BatchSolver(
-                    system, grid, [p.copy() for p in prims], config,
-                    make_boundaries("outflow"),
-                )
-            else:
-                solver = Solver(
-                    system, grid, prim0.copy(), config, make_boundaries("outflow")
-                )
-            for _ in range(5):
-                solver.step()
-            runs[target] = (
-                solver.primitives().tobytes(), solver.cons.tobytes(), solver.t,
-                solver.pipeline.warm_state().tobytes(), solver.metrics.snapshot(),
-            )
-        assert runs["cext"] == runs["flat"]
+    """End to end: a cext run is the flat run, byte for byte — cells of the
+    equivalence lattice (``tests/lattice.py``)."""
 
 
 class TestCacheMaintenance:

@@ -1,5 +1,7 @@
-"""Integration tests: the distributed solver must reproduce the single-grid
-solver exactly (the property that validates the whole comm substrate)."""
+"""Integration tests of the distributed solver: its communication pattern,
+its rank stacks and its diagnostic reads.  That it reproduces the
+single-grid solver exactly (the property that validates the whole comm
+substrate) is asserted by the equivalence lattice (``tests/lattice.py``)."""
 
 from __future__ import annotations
 
@@ -11,40 +13,19 @@ from repro.boundary import make_boundaries
 from repro.core import DistributedSolver
 from repro.core.pipeline import HydroPipeline
 from repro.obs import BufferSink, StepRecorder, canonical_stream
-from repro.physics.initial_data import RP1, blast_wave_2d, shock_tube, smooth_wave
+from repro.physics.initial_data import blast_wave_2d, smooth_wave
 from repro.resilience.faults import Con2PrimFault, FaultInjector, FaultPlan
 from repro.utils.errors import ConfigurationError, RecoveryError
 
 from .conftest import require_cext
+from .lattice import legacy
 
 
+@legacy("test_distributed.py::TestEquivalence")
 class TestEquivalence:
-    @pytest.mark.parametrize("dims", [(2,), (4,)])
-    def test_1d_shock_tube_matches_single_grid(self, dims):
-        eos = IdealGasEOS(gamma=RP1.gamma)
-        system = SRHDSystem(eos, ndim=1)
-        grid = Grid((64,), ((0.0, 1.0),))
-        prim0 = shock_tube(system, grid, RP1)
-        single = Solver(system, grid, prim0.copy())
-        single.run(t_final=0.1)
-        dist = DistributedSolver(system, grid, prim0.copy(), dims=dims)
-        dist.run(t_final=0.1)
-        np.testing.assert_allclose(
-            dist.gather_primitives(), single.interior_primitives(), atol=1e-13
-        )
-        assert dist.steps == single.summary.steps
-
-    def test_2d_blast_matches_single_grid(self, system2d):
-        grid = Grid((16, 16), ((0, 1), (0, 1)))
-        prim0 = blast_wave_2d(system2d, grid, p_in=10.0, radius=0.2)
-        cfg = SolverConfig(cfl=0.4)
-        single = Solver(system2d, grid, prim0.copy(), cfg)
-        single.run(t_final=0.05)
-        dist = DistributedSolver(system2d, grid, prim0.copy(), dims=(2, 2), config=cfg)
-        dist.run(t_final=0.05)
-        np.testing.assert_allclose(
-            dist.gather_primitives(), single.interior_primitives(), atol=1e-12
-        )
+    """The distributed solver reproduces the single-grid solver exactly:
+    whole runs are cells of the equivalence lattice (``tests/lattice.py``);
+    here, that sixteen ranks share one kernel resolution."""
 
     def test_kernel_target_resolved_once_for_all_ranks(
         self, system2d, compiled_system_inits
@@ -66,33 +47,6 @@ class TestEquivalence:
         assert (
             dist.gather_primitives().tobytes()
             == single.interior_primitives().tobytes()
-        )
-
-    def test_periodic_1d_matches(self, system1d):
-        grid = Grid((32,), ((0.0, 1.0),))
-        prim0 = smooth_wave(system1d, grid, amplitude=0.2, velocity=0.4)
-        bcs = make_boundaries("periodic")
-        single = Solver(system1d, grid, prim0.copy(), boundaries=bcs)
-        single.run(t_final=0.2)
-        dist = DistributedSolver(
-            system1d, grid, prim0.copy(), dims=(4,), boundaries=bcs
-        )
-        dist.run(t_final=0.2)
-        np.testing.assert_allclose(
-            dist.gather_primitives(), single.interior_primitives(), atol=1e-13
-        )
-
-    @pytest.mark.parametrize("integrator", ["euler", "ssprk2", "ssprk3"])
-    def test_all_integrators_supported(self, system1d, integrator):
-        grid = Grid((32,), ((0.0, 1.0),))
-        prim0 = smooth_wave(system1d, grid)
-        cfg = SolverConfig(integrator=integrator, cfl=0.3)
-        single = Solver(system1d, grid, prim0.copy(), cfg)
-        single.run(t_final=0.05)
-        dist = DistributedSolver(system1d, grid, prim0.copy(), dims=(2,), config=cfg)
-        dist.run(t_final=0.05)
-        np.testing.assert_allclose(
-            dist.gather_primitives(), single.interior_primitives(), atol=1e-13
         )
 
 
@@ -210,6 +164,7 @@ _STACK_CASES = {
 }
 
 
+@legacy("test_distributed.py::TestStacks")
 class TestStacks:
     """Same-shape ranks step as one ``(P, nvars, *ghosted)`` stack through
     one pipeline: one kernel call per stage for all P, every per-rank
@@ -228,12 +183,10 @@ class TestStacks:
         monkeypatch.setattr(HydroPipeline, "__init__", counting)
         return made
 
-    @pytest.mark.parametrize("integrator", ["euler", "ssprk3"])
     @pytest.mark.parametrize("case", sorted(_STACK_CASES))
-    def test_stacks_step_as_their_ranks(self, case, integrator, builds):
-        """``cext`` == ``flat`` (state, metrics by name) == the single-grid
-        solver, with one pipeline per stack and one recovery histogram
-        observation per patch per sweep."""
+    def test_one_pipeline_per_stack_and_one_observation_per_patch(self, case, builds):
+        """One pipeline per stack, and one recovery histogram observation
+        per patch per sweep (the stacks' bytes: the lattice's rank cells)."""
         shape, bounds, dims, walls, overlap, n_stacks = _STACK_CASES[case]
         require_cext(len(shape))
         system = SRHDSystem(IdealGasEOS(), ndim=len(shape))
@@ -242,39 +195,15 @@ class TestStacks:
             _smooth3d(system, grid) if len(shape) == 3
             else blast_wave_2d(system, grid, p_in=10.0, p_out=1.0, radius=0.2)
         )
-        n_steps, stages = 4, {"euler": 1, "ssprk3": 3}[integrator]
-
-        def run(target):
-            config = SolverConfig(
-                kernel_target=target, integrator=integrator, cfl=0.4,
-                overlap_exchange=overlap,
-            )
-            builds.clear()
-            solver = DistributedSolver(
-                system, grid, prim0.copy(), dims, config, make_boundaries(walls)
-            )
-            assert len(builds) == len({id(p) for p in solver.pipelines.values()}) == n_stacks
-            for _ in range(n_steps):
-                solver.step()
-            # One sweep per RK stage: the first dt reads the constructor's
-            # primitives, later ones recover what RK stage 1 steps from.
-            sweeps = n_steps * stages
-            hist = solver.metrics.snapshot()["histograms"]["con2prim.newton_iters_max"]
-            assert hist["count"] == solver.size * sweeps
-            return solver
-
-        cext, flat = run("cext"), run("flat")
-        assert _cons_bytes(cext) == _cons_bytes(flat)
-        assert _numerics(cext.metrics.snapshot()) == _numerics(flat.metrics.snapshot())
-        single = Solver(
-            system, grid, prim0.copy(),
-            SolverConfig(kernel_target="cext", integrator=integrator, cfl=0.4),
-            make_boundaries(walls),
-        )
-        for _ in range(n_steps):
-            single.step()
-        assert cext.t == single.t
-        assert cext.gather_primitives().tobytes() == single.interior_primitives().tobytes()
+        config = SolverConfig(kernel_target="cext", cfl=0.4, overlap_exchange=overlap)
+        solver = DistributedSolver(system, grid, prim0, dims, config, make_boundaries(walls))
+        assert len(builds) == len({id(p) for p in solver.pipelines.values()}) == n_stacks
+        for _ in range(2):
+            solver.step()
+        # One sweep per RK stage: the first dt reads the constructor's
+        # primitives, later ones recover what RK stage 1 steps from.
+        hist = solver.metrics.snapshot()["histograms"]["con2prim.newton_iters_max"]
+        assert hist["count"] == solver.size * 2 * solver.integrator.stages
 
     @pytest.mark.parametrize("target", ["numpy", "cext"])
     def test_a_burst_on_one_rank_of_a_stack_raises_as_it_always_did(self, target):

@@ -1,12 +1,10 @@
-"""Overlapped halo-exchange tests: bit-exactness, faults, byte accounting.
+"""Overlapped halo-exchange tests: faults, byte accounting, metrics.
 
 The overlapped mode (``SolverConfig(overlap_exchange=True)``) must be
 *bit-identical* to the blocking mode — same states, same dt sequence — for
-every decomposition, scheme, and fault scenario.  These tests are strict
-``np.array_equal`` comparisons, not tolerances: the interior/strip split
-reuses the exact elementwise kernels of the full sweep, and any drift here
-means the region decomposition (or its floating-point accumulation order)
-is wrong.
+every decomposition, scheme, and fault scenario; the equivalence lattice
+(``tests/lattice.py``) asserts that byte for byte.  This file keeps what
+only the overlapped path has: its byte accounting and its metrics.
 """
 
 from __future__ import annotations
@@ -26,6 +24,8 @@ from repro.physics.srhd import SRHDSystem
 from repro.resilience.faults import FaultInjector, FaultPlan, HaloFault
 from repro.resilience.policies import HaloRetryPolicy
 
+from .lattice import legacy
+
 
 def _blast2d_setup(n=16):
     system = SRHDSystem(IdealGasEOS(), ndim=2)
@@ -39,26 +39,10 @@ def _rp1_setup(n=32):
     return system, grid, shock_tube(system, grid, SHOCK_TUBES["RP1"])
 
 
-def _smooth3d_setup(n=8):
-    system = SRHDSystem(IdealGasEOS(), ndim=3)
-    grid = Grid((n,) * 3, ((0.0, 1.0),) * 3)
-    shape = grid.shape_with_ghosts
-    prim = np.empty((system.nvars,) + shape)
-    x = np.linspace(0, 2 * np.pi, shape[0])[:, None, None]
-    y = np.linspace(0, 2 * np.pi, shape[1])[None, :, None]
-    z = np.linspace(0, 2 * np.pi, shape[2])[None, None, :]
-    prim[system.RHO] = 1.0 + 0.3 * np.sin(x) * np.cos(y) * np.cos(z)
-    prim[system.P] = 1.0 + 0.2 * np.cos(x + y + z)
-    prim[system.V(0)] = 0.2 * np.sin(y)
-    prim[system.V(1)] = 0.2 * np.sin(z)
-    prim[system.V(2)] = 0.2 * np.sin(x)
-    return system, grid, prim
-
-
 def _run(system, grid, prim0, dims, overlap, *, steps=6, t_final=0.05, **kw):
     solver_kw = {
         k: kw.pop(k)
-        for k in ("periodic", "fault_injector", "halo_policy", "recorder")
+        for k in ("fault_injector", "halo_policy", "recorder")
         if k in kw
     }
     config = SolverConfig(cfl=0.4, overlap_exchange=overlap, **kw)
@@ -69,140 +53,17 @@ def _run(system, grid, prim0, dims, overlap, *, steps=6, t_final=0.05, **kw):
     return solver
 
 
-def _assert_identical(a: DistributedSolver, b: DistributedSolver):
-    """Blocking (a) and overlapped (b) runs match bitwise, rank by rank."""
-    assert a.t == b.t and a.steps == b.steps
-    for rank in range(a.size):
-        np.testing.assert_array_equal(a.cons[rank], b.cons[rank])
-    np.testing.assert_array_equal(a.gather_primitives(), b.gather_primitives())
-
-
+@legacy("test_overlap.py::TestBitExactness")
 class TestBitExactness:
-    @pytest.mark.parametrize("riemann", ["llf", "hll", "hllc"])
-    @pytest.mark.parametrize("limiter", ["minmod", "mc", "vanleer", "superbee"])
-    def test_blast2d_all_combos(self, riemann, limiter):
-        system, grid, prim0 = _blast2d_setup()
-        kw = dict(riemann=riemann, reconstruction=limiter)
-        blocking = _run(system, grid, prim0, (2, 2), False, **kw)
-        overlapped = _run(system, grid, prim0, (2, 2), True, **kw)
-        _assert_identical(blocking, overlapped)
-
-    @pytest.mark.parametrize("dims", [(2,), (4,)])
-    def test_1d_decompositions(self, dims):
-        system, grid, prim0 = _rp1_setup()
-        _assert_identical(
-            _run(system, grid, prim0, dims, False, t_final=0.1),
-            _run(system, grid, prim0, dims, True, t_final=0.1),
-        )
-
-    def test_1d_thin_patches_use_merged_strips(self):
-        """Local patches narrower than 2*n_ghost collapse to one merged
-        strip (no core); the split must not double-update any cell."""
-        system, grid, prim0 = _rp1_setup(n=16)  # 4 cells/rank < 2*3 ghosts
-        overlapped = _run(system, grid, prim0, (4,), True, t_final=0.1)
-        _assert_identical(
-            _run(system, grid, prim0, (4,), False, t_final=0.1), overlapped
-        )
-        interior_cells, strip_cells = overlapped.overlap_cell_counts
-        # End ranks keep a 1-cell core next to the wall; the two middle
-        # ranks (4 cells, neighbours both sides) are all strip.
-        assert (interior_cells, strip_cells) == (2, 14)
-
-    @pytest.mark.parametrize("dims", [(4, 1), (1, 4), (4, 2)])
-    def test_2d_asymmetric_decompositions(self, dims):
-        system, grid, prim0 = _blast2d_setup()
-        _assert_identical(
-            _run(system, grid, prim0, dims, False),
-            _run(system, grid, prim0, dims, True),
-        )
-
-    def test_2d_periodic(self):
-        from repro.boundary import make_boundaries
-
-        system, grid, prim0 = _blast2d_setup()
-        runs = []
-        for overlap in (False, True):
-            config = SolverConfig(cfl=0.4, overlap_exchange=overlap)
-            s = DistributedSolver(
-                system, grid, prim0.copy(), (2, 2), config=config,
-                boundaries=make_boundaries("periodic"),
-            )
-            s.run(t_final=0.05, max_steps=6)
-            runs.append(s)
-        _assert_identical(*runs)
-
-    def test_3d_locks_accumulation_order(self):
-        """In 3-D a cell's dU sums three axis terms; the overlapped path
-        must replay the blocking sweep's accumulation order bitwise."""
-        system, grid, prim0 = _smooth3d_setup()
-        kw = dict(periodic=(True, True, True), steps=4)
-        _assert_identical(
-            _run(system, grid, prim0, (2, 1, 2), False, **kw),
-            _run(system, grid, prim0, (2, 1, 2), True, **kw),
-        )
-
-    @pytest.mark.parametrize(
-        "scheme,target",
-        [
-            pytest.param("ppm", "numpy", id="ppm"),
-            pytest.param("weno5", "numpy", id="weno5"),
-            pytest.param("ppm", "cext", id="ppm-cext"),
-            pytest.param("weno5", "cext", id="weno5-cext"),
-        ],
-    )
-    def test_higher_order_schemes(self, scheme, target):
-        system, grid, prim0 = _blast2d_setup()
-        kw = dict(reconstruction=scheme, steps=3, kernel_target=target)
-        blocking = _run(system, grid, prim0, (2, 2), False, **kw)
-        _assert_identical(blocking, _run(system, grid, prim0, (2, 2), True, **kw))
-        if target == "cext":
-            # The fused wide-stencil sweep, full and region-split, is the
-            # interpreted flat sweep byte for byte.
-            kw["kernel_target"] = "flat"
-            _assert_identical(_run(system, grid, prim0, (2, 2), False, **kw), blocking)
+    """Blocking vs overlapped whole runs: cells of the equivalence lattice
+    (``tests/lattice.py``)."""
 
 
+@legacy("test_overlap.py::TestFaultBehaviour")
 class TestFaultBehaviour:
     """Overlapped exchanges under the retry policy recover every injected
-    fault bitwise — including stale-duplicate discard with early posts."""
-
-    def _plan(self):
-        return FaultPlan(
-            seed=11,
-            halo=[
-                HaloFault(kind="drop", exchange=2, message=3),
-                HaloFault(kind="duplicate", exchange=4, message=1),
-                HaloFault(kind="corrupt", exchange=5, message=0),
-            ],
-        )
-
-    def _faulted(self, overlap):
-        system, grid, prim0 = _blast2d_setup()
-        return _run(
-            system, grid, prim0, (2, 2), overlap,
-            fault_injector=FaultInjector(self._plan()),
-            halo_policy=HaloRetryPolicy(max_attempts=4),
-        )
-
-    def test_faulted_overlap_matches_fault_free_blocking(self):
-        system, grid, prim0 = _blast2d_setup()
-        clean = _run(system, grid, prim0, (2, 2), False)
-        faulted = self._faulted(True)
-        _assert_identical(clean, faulted)
-        snap = faulted.metrics.snapshot()["counters"]
-        assert snap["resilience.fault.halo_drop"] == 1
-        assert snap["resilience.fault.halo_duplicate"] == 1
-        assert snap["resilience.fault.halo_corrupt"] == 1
-        assert snap["resilience.halo_retries"] >= 2
-        # The duplicated message's stale copy was posted before any compute
-        # ran; the completed exchange still purges it.
-        assert snap["resilience.halo_stale_discarded"] >= 1
-
-    def test_same_fault_plan_same_behaviour_both_modes(self):
-        """post_halos posts strips in the blocking sweep's (axis, rank,
-        side) order, so a FaultPlan strikes the same logical message in
-        either mode."""
-        _assert_identical(self._faulted(False), self._faulted(True))
+    fault bitwise: the faulted cells of the lattice; here, the one run
+    that must die."""
 
     def test_overlap_without_policy_dies_on_drop(self):
         from repro.utils.errors import CommunicationError
@@ -344,6 +205,14 @@ class TestOverlapMetrics:
         assert c["comm.overlap.interior_cells"] == (
             solver.overlap_cell_counts[0] * c["comm.overlap.exchanges"]
         )
+
+    def test_thin_patches_are_one_merged_strip(self):
+        """Local patches narrower than 2*n_ghost have no core: the end ranks
+        keep a 1-cell core next to the wall, the two middle ranks (4 cells,
+        neighbours both sides) are all strip."""
+        system, grid, prim0 = _rp1_setup(n=16)
+        solver = _run(system, grid, prim0, (4,), True, t_final=0.1)
+        assert solver.overlap_cell_counts == (2, 14)
 
     def test_recorder_carries_overlap_counters(self):
         _, records = self._run_recorded()

@@ -4,8 +4,9 @@ The contract of :class:`repro.core.parallel.ProcessSolver` is that every
 decomposition, exchange mode, and seeded fault plan produces *bit-identical*
 results to the in-process :class:`DistributedSolver` — same conserved bytes
 on every rank, same dt sequence, and the same canonical metrics stream after
-the per-rank shards are merged.  These tests are strict byte comparisons,
-not tolerances.
+the per-rank shards are merged.  The equivalence lattice
+(``tests/lattice.py``) asserts that for whole runs; the fault semantics
+below compare the executors directly.
 
 The spawn-based workers re-import this module by file path, so everything
 at module level must be import-safe (it is: plain defs and constants).
@@ -61,6 +62,7 @@ from repro.resilience.policies import (
 from repro.utils.errors import CommunicationError, ConfigurationError, WorkerError
 
 from .conftest import require_cext
+from .lattice import legacy
 
 #: every test here must leave no worker process and no shm segment behind
 pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
@@ -76,22 +78,6 @@ def _blast2d_setup(n=12):
     system = SRHDSystem(IdealGasEOS(), ndim=2)
     grid = Grid((n, n), ((0.0, 1.0), (0.0, 1.0)))
     return system, grid, blast_wave_2d(system, grid)
-
-
-def _smooth3d_setup(n=8):
-    system = SRHDSystem(IdealGasEOS(), ndim=3)
-    grid = Grid((n,) * 3, ((0.0, 1.0),) * 3)
-    shape = grid.shape_with_ghosts
-    prim = np.empty((system.nvars,) + shape)
-    x = np.linspace(0, 2 * np.pi, shape[0])[:, None, None]
-    y = np.linspace(0, 2 * np.pi, shape[1])[None, :, None]
-    z = np.linspace(0, 2 * np.pi, shape[2])[None, None, :]
-    prim[system.RHO] = 1.0 + 0.3 * np.sin(x) * np.cos(y) * np.cos(z)
-    prim[system.P] = 1.0 + 0.2 * np.cos(x + y + z)
-    prim[system.V(0)] = 0.2 * np.sin(y)
-    prim[system.V(1)] = 0.2 * np.sin(z)
-    prim[system.V(2)] = 0.2 * np.sin(x)
-    return system, grid, prim
 
 
 def _run_serial(setup, dims, steps, *, plan=None, policy=None, meta=None, **cfg):
@@ -152,108 +138,17 @@ def _assert_bitexact(serial, sink, proc):
 META = {"problem": "bitexact", "suite": "parallel"}
 
 
+@legacy("test_parallel.py::TestBitExactness")
 class TestBitExactness:
-    """The serial-vs-process matrix: geometry x overlap x faults."""
-
-    def test_1d_two_ranks(self):
-        setup = _rp1_setup()
-        serial, sink = _run_serial(setup, (2,), 4, meta=META)
-        proc = _run_process(setup, (2,), 4, meta=META)
-        _assert_bitexact(serial, sink, proc)
-
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_2d_four_ranks(self, overlap):
-        setup = _blast2d_setup()
-        kw = dict(meta=META, overlap_exchange=overlap)
-        serial, sink = _run_serial(setup, (2, 2), 3, **kw)
-        proc = _run_process(setup, (2, 2), 3, **kw)
-        _assert_bitexact(serial, sink, proc)
-
-    @pytest.mark.parametrize("kernel_target", ["flat", "cext"])
-    def test_2d_two_ranks_per_kernel_target(self, kernel_target):
-        """Each worker resolves the target for itself from the plain system
-        it unpickles; the fleet is the serial run on every target."""
-        if kernel_target == "cext":
-            require_cext(2)
-        setup = _blast2d_setup()
-        kw = dict(meta=META, kernel_target=kernel_target)
-        serial, sink = _run_serial(setup, (2, 1), 3, **kw)
-        proc = _run_process(setup, (2, 1), 3, **kw)
-        _assert_bitexact(serial, sink, proc)
-
-    def test_3d_two_ranks(self):
-        setup = _smooth3d_setup()
-        serial, sink = _run_serial(setup, (2, 1, 1), 2, meta=META)
-        proc = _run_process(setup, (2, 1, 1), 2, meta=META)
-        _assert_bitexact(serial, sink, proc)
-
-    def test_riemann_limiter_combo(self):
-        setup = _rp1_setup()
-        kw = dict(meta=META, riemann="hll", reconstruction="superbee")
-        serial, sink = _run_serial(setup, (2,), 3, **kw)
-        proc = _run_process(setup, (2,), 3, **kw)
-        _assert_bitexact(serial, sink, proc)
+    """Serial vs process whole runs (geometry x overlap x target): cells of
+    the equivalence lattice (``tests/lattice.py``)."""
 
 
-def _fault_plan():
-    return FaultPlan(
-        seed=11,
-        halo=[
-            HaloFault(kind="drop", exchange=2, message=3),
-            HaloFault(kind="duplicate", exchange=4, message=1),
-            HaloFault(kind="corrupt", exchange=5, message=0),
-        ],
-        con2prim=[Con2PrimFault(sweep=3, n_cells=4)],
-    )
-
-
-def _axis1_retransmit_plan():
-    """A corrupt strip on axis 1 (message 5 of a 2x2 walled exchange).  Both
-    executors post its retransmission from the pre-exchange state; one read
-    after the axis-0 ghosts landed would move ``sanitize.floored``."""
-    return FaultPlan(seed=11, halo=[HaloFault(kind="corrupt", exchange=2, message=5)])
-
-
-#: id prefix -> (plan, the counters the plan must drive above zero)
-FAULTED_RUNS = {
-    "": (_fault_plan, (
-        "resilience.fault.halo_drop",
-        "resilience.fault.halo_duplicate",
-        "resilience.fault.halo_corrupt",
-        "resilience.halo_retries",
-        "resilience.failsafe_cells",
-    )),
-    "axis1-retransmit-": (_axis1_retransmit_plan, (
-        "resilience.fault.halo_corrupt",
-        "resilience.halo_retries",
-        "resilience.halo_checksum_mismatch",
-    )),
-}
-
-
+@legacy("test_parallel.py::TestFaultBitExactness")
 class TestFaultBitExactness:
     """Both executors post the one fault oracle's schedule: the same plan
     strikes the same logical messages and cells on both backends,
-    recoveries included."""
-
-    @pytest.mark.parametrize("plan, counters, overlap", [
-        pytest.param(plan, counters, overlap, id=f"{prefix}{overlap}")
-        for prefix, (plan, counters) in FAULTED_RUNS.items()
-        for overlap in (False, True)
-    ])
-    def test_faulted_run_matches_serial(self, plan, counters, overlap):
-        setup = _blast2d_setup()
-        kw = dict(
-            meta=META, overlap_exchange=overlap, failsafe_frac=0.2,
-            plan=plan(), policy=HaloRetryPolicy(max_attempts=4),
-        )
-        serial, sink = _run_serial(setup, (2, 2), 4, **kw)
-        proc = _run_process(setup, (2, 2), 4, **kw)
-        _assert_bitexact(serial, sink, proc)
-        snap = serial.metrics.snapshot()["counters"]
-        for name in counters:
-            assert snap[name] > 0, name
-            assert proc["counters"][name] == snap[name], name
+    recoveries included (a recovered plan: the faulted lattice cells)."""
 
     def test_duplicate_without_policy_keeps_serial_stale_semantics(self):
         """A duplicate with no retry policy leaves a stale copy pending; the
@@ -395,64 +290,12 @@ def _npz_entries(path):
         }
 
 
+@legacy("test_parallel.py::TestProcessCheckpointing")
 class TestProcessCheckpointing:
-    """executor="process" checkpoints: same format, same bytes, restartable."""
+    """executor="process" checkpoints: same format, same bytes, restartable
+    (a fleet resumed from its checkpoint: a lattice cell)."""
 
     CFG = dict(cfl=0.4, executor="process")
-
-    def test_checkpoint_bit_identical_to_serial(self, tmp_path):
-        # Same config on both solvers (DistributedSolver ignores the
-        # executor field) so the checkpoint meta matches byte-for-byte too.
-        setup = _blast2d_setup()
-        system, grid, prim0 = setup
-        serial = DistributedSolver(
-            system, grid, prim0.copy(), (2, 2), config=SolverConfig(**self.CFG)
-        )
-        serial.run(
-            t_final=1.0, max_steps=6,
-            checkpoint_every=3, checkpoint_path=tmp_path / "serial.npz",
-        )
-        with ProcessSolver(
-            system, grid, prim0.copy(), (2, 2), config=SolverConfig(**self.CFG)
-        ) as proc:
-            proc.run(
-                t_final=1.0, max_steps=6,
-                checkpoint_every=3, checkpoint_path=tmp_path / "process.npz",
-            )
-        a = _npz_entries(tmp_path / "serial.npz")
-        b = _npz_entries(tmp_path / "process.npz")
-        assert set(a) == set(b)
-        for name in a:
-            assert a[name] == b[name], f"checkpoint entry {name} differs"
-
-    def test_restart_continues_bit_exactly(self, tmp_path):
-        setup = _blast2d_setup()
-        system, grid, prim0 = setup
-        path = tmp_path / "ck.npz"
-        with ProcessSolver(
-            system, grid, prim0.copy(), (2, 2), config=SolverConfig(**self.CFG)
-        ) as first:
-            first.run(
-                t_final=1.0, max_steps=4, checkpoint_every=4, checkpoint_path=path
-            )
-        resumed = load_checkpoint(path, system)
-        assert isinstance(resumed, ProcessSolver)
-        assert resumed.steps == 4
-        with resumed:
-            # the workers' install_state landed the archive bytes verbatim
-            archive = _npz_entries(path)
-            for rank, (cons, p_cache) in resumed.state()["patches"].items():
-                assert cons.tobytes() == archive[f"rank_{rank}"]
-                assert p_cache.tobytes() == archive[f"pcache_{rank}"]
-            resumed.run(t_final=1.0, max_steps=7)
-            prims = resumed.gather_primitives()
-            t, steps = resumed.t, resumed.steps
-        with ProcessSolver(
-            system, grid, prim0.copy(), (2, 2), config=SolverConfig(**self.CFG)
-        ) as clean:
-            clean.run(t_final=1.0, max_steps=7)
-            assert (t, steps) == (clean.t, clean.steps)
-            assert prims.tobytes() == clean.gather_primitives().tobytes()
 
     def test_manual_save_matches_run_loop_save(self, tmp_path):
         # save_checkpoint works on a live ProcessSolver outside the run loop

@@ -100,6 +100,30 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             Con2PrimFault(sweep=0, n_cells=0)
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"halo": [{"kind": "drop", "exchange": 1, "mesage": 0}]}, "halo.*mesage"),
+        ({"halo": [{"kind": "drop", "exchange": 1}]}, "halo.*message"),
+        ({"con2prim": [{"sweep": 1, "n_cells": 2, "cells": 3}]}, "con2prim.*cells"),
+        ({"halo": [{"kind": "drop", "exchange": -1, "message": 0}]}, "exchange"),
+        ({"halo": [{"kind": "drop", "exchange": 0, "message": -1}]}, "message"),
+        ({"con2prim": [{"sweep": -1, "n_cells": 2}]}, "sweep"),
+        ({"halo_random": {"p_drop": 2.0}}, "p_drop"),
+        ({"halo_random": {"p_drop": -0.1}}, "p_drop"),
+        ({"halo_random": {"p_drop": 0.6, "p_corrupt": 0.6}}, "sum"),
+    ])
+    def test_a_plan_that_would_test_nothing_is_refused(self, payload, named):
+        """A misspelled field, a negative address or rates that cannot all
+        be drawn raise a named ConfigurationError — not a TypeError, and
+        not a run that injects nothing."""
+        with pytest.raises(ConfigurationError, match=named):
+            FaultPlan.from_dict(payload)
+
+    def test_the_reference_chaos_plan_still_loads(self):
+        from repro.resilience.chaos import default_chaos_plan
+
+        plan = default_chaos_plan()
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+
     def test_rejects_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             FaultPlan.load(tmp_path / "missing.json")

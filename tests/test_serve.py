@@ -95,6 +95,27 @@ class TestAdmission:
             svc.submit({"nx": 64, "bogus": 1})
         assert svc.queue_depth == 0
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("smooth_wave", "amplitude", -2.0),
+        ("smooth_wave", "amplitude", 1.0),
+        ("smooth_wave", "velocity", 1.5),
+        ("smooth_wave", "velocity", -1.0),
+        ("blast_wave_2d", "p_in", -1.0),
+        ("blast_wave_2d", "p_in", float("inf")),
+        ("blast_wave_2d", "radius", 0.0),
+        ("blast_wave_2d", "radius", float("nan")),
+    ])
+    def test_a_generator_parameter_out_of_range_is_refused_at_submit(
+        self, kind, field, value
+    ):
+        """Admitted, such a request failed its whole batch or was served
+        ``ok`` with a floored state; refused, it costs no slot."""
+        svc = BatchService(max_queue_depth=2)
+        svc.submit(dict(kind=kind, nx=16, t_final=0.01))
+        with pytest.raises(ConfigurationError, match=field):
+            svc.submit({"kind": kind, "nx": 16, "t_final": 0.01, field: value})
+        assert svc.queue_depth == 1
+
 
 class TestService:
     def test_sweep_returns_per_request_results(self):

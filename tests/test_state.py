@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from repro import Grid, IdealGasEOS, Solver, SolverConfig, SRHDSystem
-from repro.core.amr_parallel import AMRProcessSolver
 from repro.core.amr_solver import AMRConfig, AMRSolver
 from repro.core.diagnostics import ConservedTotals
 from repro.core.distributed import DistributedSolver
-from repro.core.parallel import ProcessSolver
 from repro.io import load_checkpoint
 from repro.obs import BufferSink, StepRecorder, canonical_stream
 from repro.physics.initial_data import RP1, shock_tube
+
+from .lattice import legacy
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -100,52 +100,16 @@ def _driver(family, n_ranks, target, placeholder, recorder=None):
     prim = init(system, grid)
     if family == "solver":
         return Solver(system, grid, prim, config, recorder=recorder)
-    if family in ("distributed", "process"):
-        cls = DistributedSolver if family == "distributed" else ProcessSolver
-        return cls(system, grid, prim, (n_ranks,), config, recorder=recorder)
-    cls = AMRSolver if family == "amr" else AMRProcessSolver
-    return cls(system, grid, init, config, amr, recorder=recorder, n_ranks=n_ranks)
+    if family == "distributed":
+        return DistributedSolver(system, grid, prim, (n_ranks,), config, recorder=recorder)
+    return AMRSolver(system, grid, init, config, amr, recorder=recorder, n_ranks=n_ranks)
 
 
-_CASES = [
-    ("solver", 1), ("distributed", 2), ("process", 2),
-    ("amr", 1), ("amr", 2), ("amr-process", 1), ("amr-process", 2),
-]
-
-
-@pytest.mark.usefixtures("no_fleet_leaks")
-@pytest.mark.parametrize("target", ["numpy", "cext"])
-@pytest.mark.parametrize(
-    "family,n_ranks", _CASES, ids=[f"{f}-{n}" for f, n in _CASES]
+#: a twin installing a running driver's state() continues its bytes and
+#: numerics: the lattice's ``resume="state"`` cells
+test_install_state_continues_bit_exactly = pytest.mark.usefixtures("no_fleet_leaks")(
+    legacy("test_state.py")
 )
-def test_install_state_continues_bit_exactly(family, n_ranks, target):
-    """Mid-run, a fresh twin installs the running driver's ``state()``;
-    after more steps (a regrid among them on the AMR drivers) its patches
-    and its per-step numerics are the uninterrupted run's.  ``cext`` runs
-    the compiled recovery where a toolchain exists and its interpreted
-    fallback where not."""
-    sinks = {"run": BufferSink(), "twin": BufferSink()}
-    run = _driver(family, n_ranks, target, False, StepRecorder(sinks["run"]))
-    twin = None
-    try:
-        twin = _driver(family, n_ranks, target, True, StepRecorder(sinks["twin"]))
-        for _ in range(3):
-            run.step()
-        twin.install_state(run.state())
-        assert (twin.t, twin.steps) == (run.t, run.steps)
-        assert _patch_bytes(twin) == _patch_bytes(run)
-        for _ in range(AFTER):
-            run.step()
-            twin.step()
-        assert (twin.t, twin.steps) == (run.t, run.steps)
-        assert _patch_bytes(twin) == _patch_bytes(run)
-        assert _step_numerics(sinks["twin"].records) == (
-            _step_numerics(sinks["run"].records)[-AFTER:]
-        )
-    finally:
-        for driver in (run, twin):
-            if hasattr(driver, "close"):
-                driver.close()
 
 
 def test_distributed_state_carries_a_read_between_steps():
