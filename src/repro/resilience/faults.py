@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -180,23 +180,10 @@ class ProcessFault:
 def _entries(data: dict, name: str, cls) -> list:
     """The *name* list of a plan payload as *cls* records; an unknown or
     missing field raises naming the list and the field."""
-    known = {f.name: f for f in fields(cls)}
-    out = []
-    for entry in data.get(name, []):
-        unknown = set(entry) - set(known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {name} fault field(s) {sorted(unknown)}; "
-                f"choose from {sorted(known)}"
-            )
-        missing = [
-            n for n, f in known.items()
-            if n not in entry and f.default is MISSING
-        ]
-        if missing:
-            raise ConfigurationError(f"{name} fault entry is missing {missing}")
-        out.append(cls(**entry))
-    return out
+    try:
+        return [cls(**entry) for entry in data.get(name, [])]
+    except TypeError as e:
+        raise ConfigurationError(f"{name} fault entry: {e}") from e
 
 
 @dataclass

@@ -20,7 +20,9 @@ depend on how the grid is cut or where it runs — is then one rule:
 Adding an axis value is one entry in :data:`AXES` plus what builds it
 (:data:`PROBLEMS`, :data:`DIMS`, :data:`SCHEMES`, ...), and a clause in
 :func:`valid` if it does not combine with everything; removing one is
-deleting those lines.  :func:`tier1` chooses the cells a test run checks.
+deleting those lines.  :func:`defect` names the accepted configurations
+known to run wrongly; one cell of each runs as a strict expected failure.
+:func:`tier1` chooses the cells a test run checks.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro.boundary import make_boundaries
+from repro.codegen import cext
 from repro.codegen.generator import TEAM_MIN_WORK
 from repro.core.amr_parallel import make_distributed_amr_solver
 from repro.core.amr_solver import AMRConfig
@@ -236,17 +239,11 @@ def team_cells(cell: Cell) -> int:
 
 
 def valid(cell: Cell) -> bool:
-    """Whether *cell* is a configuration the code runs."""
+    """Whether *cell* is a configuration the code accepts."""
     p, kind = PROBLEMS[cell.problem], cell.kind()
     if kind == "amr" and cell.layout not in AMR_RANKS:
         return False
     if kind == "batch" and p.ndim > 2:  # the batch axis trails a 1-D or 2-D grid
-        return False
-    # The halo exchange sends interior cells only: a patch narrower than the
-    # scheme's stencil reach would hand its neighbours stale ghost cells.
-    if kind == "ranks" and min(
-        n // d for n, d in zip(p.shape, DIMS[cell.layout][p.ndim])
-    ) < make_reconstruction(SCHEMES[cell.scheme][0]).required_ghosts:
         return False
     # Overlap and halo faults need the Cartesian halo exchange.
     if kind != "ranks" and (cell.exchange != "blocking" or cell.faults != "none"):
@@ -273,6 +270,20 @@ def valid(cell: Cell) -> bool:
     )):
         return False
     return True
+
+
+def defect(cell: Cell) -> str | None:
+    """Why *cell*, a configuration the code accepts, is known to run wrongly
+    (None when it is not)."""
+    p = PROBLEMS[cell.problem]
+    if cell.kind() == "ranks" and min(
+        n // d for n, d in zip(p.shape, DIMS[cell.layout][p.ndim])
+    ) < make_reconstruction(SCHEMES[cell.scheme][0]).required_ghosts:
+        return (
+            "CartesianDecomposition accepts a patch narrower than the stencil "
+            "reach, and the halo exchange then sends the sender's own ghost cells"
+        )
+    return None
 
 
 #: the execution axes at their base values (``target`` and ``layout`` map)
@@ -404,21 +415,28 @@ def _resume(cell: Cell, driver, sink, workdir: Path):
         p = PROBLEMS[cell.problem]
         twin = load_checkpoint(path, p.system(), make_boundaries(p.walls))
         twin.recorder = recorder
+    assert type(twin) is type(driver), f"{cell.id} resumed as {type(twin).__name__}"
     return twin
 
 
 @contextlib.contextmanager
 def _team(cell: Cell):
-    """The compiled kernels on a team of ``cell.threads`` for the run."""
-    from repro.codegen import cext
-
+    """The compiled kernels on a team of ``cell.threads`` for the run.  A
+    cext cell skips where the target cannot load, unless ``REPRO_CEXT_DISABLE``
+    asks for its fallback (then it must equal flat, and a second thread has
+    nothing to split); a threads cell skips where no such team forms."""
     ndim = PROBLEMS[cell.problem].ndim
-    if cell.target != "cext" or not cext.cext_available(ndim):
+    if cell.target != "cext" or cext.cext_disabled():
+        if cell.threads > 1:
+            pytest.skip("cext disabled: no team to split over")
         yield
         return
+    if not cext.cext_available(ndim):
+        pytest.skip("no C toolchain")
     before = cext.threads(ndim)
-    cext.threads(ndim, cell.threads)
     try:
+        if cext.threads(ndim, cell.threads) != cell.threads:
+            pytest.skip(f"no team of {cell.threads} threads (a build without OpenMP)")
         yield
     finally:
         cext.threads(ndim, before)
@@ -488,6 +506,9 @@ def _run(cell: Cell) -> Outcome:
                 counters[k] = counters.get(k, 0) + v
         amr = steps[-1].get("amr", {})
         counters.update({f"amr.{k}": v for k, v in amr.items() if isinstance(v, (int, float))})
+        # a cext cell that fell back would equal flat trivially
+        if cell.target == "cext" and not cext.cext_disabled():
+            assert not counters.get("codegen.target_fallbacks"), f"{cell.id} ran on flat"
         return Outcome(
             t=driver.t, steps=driver.steps, dts=tuple(r["dt"] for r in steps),
             mid=mid, end=end, stream=stream, numerics=numerics, counters=counters,
@@ -643,14 +664,11 @@ LEGACY_PAIRS = tuple((test_id, cells if isinstance(cells, tuple) else (cells,), 
     *((f"test_parallel.py::TestFaultBitExactness::test_faulted_run_matches_serial[{p}{ov}]",
        _BLAST_PROC_OV if ov else _BLAST_PROC,
        f"a halo plan with an axis-1 corruption, {_FLEET} and resilience counters "
-       "(its con2prim burst leg is no lattice value)")
+       "(its con2prim burst leg: TestFaultBitExactness)")
       for p in ("", "axis1-retransmit-") for ov in (False, True)),
-    *((f"test_parallel.py::TestProcessCheckpointing::{name}",
-       Cell("blast", "four", _PR, resume="checkpoint", scheme="ppm-hll-rk3"),
-       "a fleet resumed from its checkpoint vs the uninterrupted serial run (the "
-       "archive is compared as the state it installs)")
-      for name in ("test_checkpoint_bit_identical_to_serial",
-                   "test_restart_continues_bit_exactly")),
+    ("test_parallel.py::TestProcessCheckpointing::test_restart_continues_bit_exactly",
+     Cell("blast", "four", _PR, resume="checkpoint", scheme="ppm-hll-rk3"),
+     "a fleet resumed from its checkpoint vs the uninterrupted serial run"),
     *((f"test_distributed.py::TestEquivalence::test_1d_shock_tube_matches_single_grid[dims{i}]",
        Cell("rp1", layout), f"RP1 on {layout} ranks vs Solver")
       for i, layout in enumerate(("two", "four"))),
@@ -762,10 +780,15 @@ def legacy(prefix: str):
     return decorate
 
 
+#: one cell per :func:`defect`, checked as a strict expected failure: it
+#: flips when the code runs the cut right or starts refusing it
+DEFECTIVE = (Cell("wave3d", "uneven", scheme="weno5-hllc-rk2"),)
+
+
 def tier1() -> list:
-    """The cells a test run checks: the pinned and legacy cells, then an
-    all-pairs cover of the valid cells."""
+    """The cells a test run checks: the pinned, legacy and defective cells,
+    then an all-pairs cover of the valid cells that run right."""
     seed = list(dict.fromkeys(
         [*PINNED.values(), *(c for _, cells, _ in LEGACY_PAIRS for c in cells)]
     ))
-    return cover(seed, all_cells())
+    return [*cover(seed, [cell for cell in all_cells() if defect(cell) is None]), *DEFECTIVE]

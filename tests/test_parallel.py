@@ -150,6 +150,21 @@ class TestFaultBitExactness:
     strikes the same logical messages and cells on both backends,
     recoveries included (a recovered plan: the faulted lattice cells)."""
 
+    def test_a_con2prim_burst_strikes_both_executors_alike(self):
+        """A burst changes the run, so it has no fault-free lattice
+        reference: the faulted serial run is the process run's."""
+        setup = _blast2d_setup()
+        kw = dict(
+            meta=META, failsafe_frac=0.2,
+            plan=FaultPlan(seed=11, con2prim=[Con2PrimFault(sweep=3, n_cells=4)]),
+        )
+        serial, sink = _run_serial(setup, (2, 2), 4, **kw)
+        proc = _run_process(setup, (2, 2), 4, **kw)
+        _assert_bitexact(serial, sink, proc)
+        snap = serial.metrics.snapshot()["counters"]
+        assert snap["resilience.failsafe_cells"] > 0
+        assert proc["counters"]["resilience.failsafe_cells"] == snap["resilience.failsafe_cells"]
+
     def test_duplicate_without_policy_keeps_serial_stale_semantics(self):
         """A duplicate with no retry policy leaves a stale copy pending; the
         serial mailbox hands it to the *next* exchange in FIFO order, and
@@ -296,6 +311,31 @@ class TestProcessCheckpointing:
     (a fleet resumed from its checkpoint: a lattice cell)."""
 
     CFG = dict(cfl=0.4, executor="process")
+
+    def test_checkpoint_bit_identical_to_serial(self, tmp_path):
+        # Same config on both solvers (DistributedSolver ignores the
+        # executor field) so the checkpoint meta matches byte-for-byte too.
+        setup = _blast2d_setup()
+        system, grid, prim0 = setup
+        serial = DistributedSolver(
+            system, grid, prim0.copy(), (2, 2), config=SolverConfig(**self.CFG)
+        )
+        serial.run(
+            t_final=1.0, max_steps=6,
+            checkpoint_every=3, checkpoint_path=tmp_path / "serial.npz",
+        )
+        with ProcessSolver(
+            system, grid, prim0.copy(), (2, 2), config=SolverConfig(**self.CFG)
+        ) as proc:
+            proc.run(
+                t_final=1.0, max_steps=6,
+                checkpoint_every=3, checkpoint_path=tmp_path / "process.npz",
+            )
+        a = _npz_entries(tmp_path / "serial.npz")
+        b = _npz_entries(tmp_path / "process.npz")
+        assert set(a) == set(b)
+        for name in a:
+            assert a[name] == b[name], f"checkpoint entry {name} differs"
 
     def test_manual_save_matches_run_loop_save(self, tmp_path):
         # save_checkpoint works on a live ProcessSolver outside the run loop
