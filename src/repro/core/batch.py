@@ -302,6 +302,12 @@ class BatchSolver(Solver):
     def _keep_running(self) -> bool:
         return bool(self.n_active)
 
+    def state(self) -> dict:
+        raise ConfigurationError("BatchSolver has no state pair")
+
+    def install_state(self, state: dict) -> None:
+        raise ConfigurationError("BatchSolver has no state pair")
+
     def write_checkpoint(self, path) -> None:
         raise ConfigurationError("BatchSolver has no checkpoint format")
 

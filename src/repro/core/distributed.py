@@ -44,6 +44,7 @@ from ..mesh.decomposition import CartesianDecomposition
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
+from ..reconstruct import make_reconstruction
 from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima
 from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
@@ -64,9 +65,19 @@ if TYPE_CHECKING:  # pragma: no cover
 _OVERLAP_LINK = make_link("infiniband-fdr")
 
 
-def decompose(system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic):
+def decompose(
+    system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic,
+    config: SolverConfig | None = None, fault_injector=None, halo_policy=None,
+):
     """``(wall conditions, decomposition)`` from the constructor arguments
-    both Cartesian executors take; periodicity defaults to the walls'."""
+    both Cartesian executors take; periodicity defaults to the walls'.
+
+    Given *config* (and a fault plan), it refuses — before any rank or
+    worker exists — the runs the halo exchange cannot carry out: a block
+    with a neighbour narrower than the reconstruction's stencil reach
+    (its exchange would send ghost cells it does not own), and a halo
+    fault addressed past the messages its exchange sends (it would never
+    strike)."""
     if system.ndim != global_grid.ndim:
         raise ConfigurationError("system/grid dimensionality mismatch")
     wall_bcs = boundaries or make_boundaries("outflow")
@@ -75,7 +86,33 @@ def decompose(system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic)
             wall_bcs.condition(ax, 0).name == "periodic"
             for ax in range(global_grid.ndim)
         )
-    return wall_bcs, CartesianDecomposition(global_grid, dims, periodic=periodic)
+    decomp = CartesianDecomposition(global_grid, dims, periodic=periodic)
+    if config is not None:
+        reach = make_reconstruction(config.reconstruction).required_ghosts
+        for rank in range(decomp.size):
+            for axis, width in enumerate(decomp.subgrid(rank).shape):
+                if width < reach and any(
+                    decomp.neighbor(rank, axis, side) is not None for side in (0, 1)
+                ):
+                    raise ConfigurationError(
+                        f"rank {rank} is {width} cells wide along axis {axis}, "
+                        f"narrower than the {config.reconstruction} stencil reach "
+                        f"of {reach}: its halo would carry cells it does not own"
+                    )
+    plan = getattr(fault_injector, "plan", None)
+    if plan is not None and plan.halo:
+        faces = len(face_table(decomp).by_face)
+        attempts = halo_policy.max_attempts if halo_policy is not None else 1
+        for fault in plan.halo:
+            if fault.message >= faces * attempts:
+                raise ConfigurationError(
+                    f"halo fault on message {fault.message} of exchange "
+                    f"{fault.exchange} is never sent: an exchange of this cut "
+                    f"sends {faces} messages"
+                    + (f", {faces * attempts} with {attempts} attempts each"
+                       if halo_policy is not None else "")
+                )
+    return wall_bcs, decomp
 
 
 class DistributedSolver(Driver):
@@ -124,7 +161,10 @@ class DistributedSolver(Driver):
         halo_policy: "HaloRetryPolicy | None" = None,
         source_fn=None,
     ):
-        wall_bcs, decomp = decompose(system, global_grid, dims, boundaries, periodic)
+        wall_bcs, decomp = decompose(
+            system, global_grid, dims, boundaries, periodic,
+            config or SolverConfig(), fault_injector, halo_policy,
+        )
         self._init_ranks(
             system, decomp, config, wall_bcs,
             decomp.scatter(global_grid.interior_of(initial_prim)),

@@ -476,12 +476,13 @@ class ProcessSolver(Driver):
         ready_timeout_s: float = 180.0,
         supervision: "SupervisionPolicy | None" = None,
     ):
+        self.config = config or SolverConfig()
         self._wall_bcs, self.decomp = decompose(
-            system, global_grid, dims, boundaries, periodic
+            system, global_grid, dims, boundaries, periodic,
+            self.config, fault_injector, halo_policy,
         )
         self.system = system
         self.global_grid = global_grid
-        self.config = config or SolverConfig()
         self.halo_policy = halo_policy
         self._source_fn = source_fn
         self._init_supervisor(

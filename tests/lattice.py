@@ -1,4 +1,4 @@
-"""The equivalence lattice: every whole-run bit-identity claim as data.
+"""The equivalence lattice: every bit-identity claim as data.
 
 A *cell* is one run configuration: a value on each axis of :data:`AXES`.
 :func:`valid` says which combinations exist, :func:`outcome` runs a cell
@@ -20,9 +20,11 @@ depend on how the grid is cut or where it runs — is then one rule:
 Adding an axis value is one entry in :data:`AXES` plus what builds it
 (:data:`PROBLEMS`, :data:`DIMS`, :data:`SCHEMES`, ...), and a clause in
 :func:`valid` if it does not combine with everything; removing one is
-deleting those lines.  :func:`defect` names the accepted configurations
-known to run wrongly; one cell of each runs as a strict expected failure.
-:func:`tier1` chooses the cells a test run checks.
+deleting those lines.  :func:`tier1` chooses the cells a test run checks.
+
+The kernel level (the last section) is the same rule for one compiled
+entry point at a time: a ``cext`` stack of P patches on a team of t
+threads is the ``flat`` pipeline run patch by patch on one thread.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from repro.codegen import cext
 from repro.codegen.generator import TEAM_MIN_WORK
 from repro.core.amr_parallel import make_distributed_amr_solver
 from repro.core.amr_solver import AMRConfig
-from repro.core.batch import BatchSolver
+from repro.core.batch import BatchGrid, BatchSolver, batch_boundaries
 from repro.core.config import SolverConfig
 from repro.core.distributed import decompose
 from repro.core.parallel import make_distributed_solver
+from repro.core.pipeline import HydroPipeline, resolve_kernel_system
 from repro.core.solver import Solver
 from repro.core.stepping import placeholder_prim
 from repro.eos import IdealGasEOS
@@ -243,6 +246,11 @@ def valid(cell: Cell) -> bool:
     p, kind = PROBLEMS[cell.problem], cell.kind()
     if kind == "amr" and cell.layout not in AMR_RANKS:
         return False
+    # A neighboured block narrower than the stencil reach is refused.
+    if kind == "ranks" and min(
+        n // d for n, d in zip(p.shape, DIMS[cell.layout][p.ndim])
+    ) < make_reconstruction(SCHEMES[cell.scheme][0]).required_ghosts:
+        return False
     if kind == "batch" and p.ndim > 2:  # the batch axis trails a 1-D or 2-D grid
         return False
     # Overlap and halo faults need the Cartesian halo exchange.
@@ -270,20 +278,6 @@ def valid(cell: Cell) -> bool:
     )):
         return False
     return True
-
-
-def defect(cell: Cell) -> str | None:
-    """Why *cell*, a configuration the code accepts, is known to run wrongly
-    (None when it is not)."""
-    p = PROBLEMS[cell.problem]
-    if cell.kind() == "ranks" and min(
-        n // d for n, d in zip(p.shape, DIMS[cell.layout][p.ndim])
-    ) < make_reconstruction(SCHEMES[cell.scheme][0]).required_ghosts:
-        return (
-            "CartesianDecomposition accepts a patch narrower than the stencil "
-            "reach, and the halo exchange then sends the sender's own ghost cells"
-        )
-    return None
 
 
 #: the execution axes at their base values (``target`` and ``layout`` map)
@@ -617,9 +611,7 @@ _FLEET = "serial vs process: state and stream"
 _FLAT = "cext vs flat"
 
 #: every pair a retired whole-run test asserted: ``(test id, cells, what it
-#: compared)``.  Each id stays collectable in its file as an alias of its
-#: cells (:func:`legacy`), so a selection by an old id still runs the pairs
-#: it ran.
+#: compared)`` — the seed of :func:`tier1`.
 LEGACY_PAIRS = tuple((test_id, cells if isinstance(cells, tuple) else (cells,), note) for (
     test_id, cells, note) in (
     *((f"test_overlap.py::TestBitExactness::test_blast2d_all_combos[{lim}-{rie}]",
@@ -738,57 +730,92 @@ LEGACY_PAIRS = tuple((test_id, cells if isinstance(cells, tuple) else (cells,), 
 ))
 
 
-def legacy(prefix: str):
-    """The retired tests under *prefix* (``file::Class``, or ``file`` for
-    module-level functions) as tests that check their cells: a class
-    decorator, or with a function prefix the one test function."""
-    entries = {}
-    for test_id, cells, _ in LEGACY_PAIRS:
-        head, _, rest = test_id.partition(prefix + "::")
-        if head or not rest:
-            continue
-        name, _, param = rest.partition("[")
-        entries.setdefault(name, {})[param.rstrip("]")] = cells
-
-    def alias(by_param: dict, method: bool):
-        ids = list(by_param)
-        if ids == [""]:
-            def test(*_):
-                for cell in by_param[""]:
-                    check(cell)
-
-            return test
-        if method:
-            def test(self, cells):
-                for cell in cells:
-                    check(cell)
-        else:
-            def test(cells):
-                for cell in cells:
-                    check(cell)
-        return pytest.mark.parametrize("cells", [by_param[i] for i in ids], ids=ids)(test)
-
-    if "::" not in prefix:
-        (only,) = entries.values()
-        return alias(only, method=False)
-
-    def decorate(cls):
-        for name, by_param in entries.items():
-            setattr(cls, name, alias(by_param, method=True))
-        return cls
-
-    return decorate
-
-
-#: one cell per :func:`defect`, checked as a strict expected failure: it
-#: flips when the code runs the cut right or starts refusing it
-DEFECTIVE = (Cell("wave3d", "uneven", scheme="weno5-hllc-rk2"),)
-
-
 def tier1() -> list:
-    """The cells a test run checks: the pinned, legacy and defective cells,
-    then an all-pairs cover of the valid cells that run right."""
+    """The cells a test run checks: the pinned and legacy cells, then an
+    all-pairs cover of the valid cells."""
     seed = list(dict.fromkeys(
         [*PINNED.values(), *(c for _, cells, _ in LEGACY_PAIRS for c in cells)]
     ))
-    return [*cover(seed, [cell for cell in all_cells() if defect(cell) is None]), *DEFECTIVE]
+    return cover(seed, all_cells())
+
+
+# ---------------------------------------------------------------------------
+# Kernel level
+# ---------------------------------------------------------------------------
+#
+# One compiled entry point at a time — ``recover`` with its CFL scan,
+# ``face_flux`` with its in-tile difference, ``accumulate``, ``rk_stage`` —
+# a ``cext`` stack of P patches on a team of t threads equals the ``flat``
+# pipeline run patch by patch on one thread, byte for byte and metric by
+# metric (``tests/test_codegen.py::TestKernelParity``).
+
+#: layout -> (ndim, batch width); a batch axis trails a 1-D patch
+KERNEL_LAYOUTS = {"1d": (1, 0), "2d": (2, 0), "3d": (3, 0), "batch1": (1, 1), "batch5": (1, 5)}
+#: interior cells per ndim where a test asks for no other shape
+KERNEL_SHAPES = {1: (24,), 2: (10, 12), 3: (6, 5, 7)}
+#: the stack sizes P a property draws and the team sizes t it runs on
+STACKS, TEAMS = (1, 2, 5), (1, 2, 4)
+
+#: (build, ndim, target) -> resolved system: a resolution regenerates and
+#: hashes the C source, and the properties build many pipelines
+_RESOLVED: dict = {}
+#: the build of the compiled modules loaded now (see :func:`kernel_team`)
+_BUILD = {"now": "production"}
+
+
+def kernel_pipeline(target: str, layout: str = "2d", n_patches: int = 1, shape=None,
+                    n_ghost: int = 3, injector=None, **cfg) -> HydroPipeline:
+    """A *target* pipeline over a stack of *n_patches* patches of *layout*
+    (interior *shape*, outflow walls); *cfg* goes to :class:`SolverConfig`
+    and *injector* builds its fault injector.  ``cext`` skips where the
+    target cannot load."""
+    ndim, n_batch = KERNEL_LAYOUTS[layout]
+    shape = shape or KERNEL_SHAPES[ndim]
+    ndim = len(shape)
+    if target == "cext" and not cext.cext_available(ndim):
+        pytest.skip("no C toolchain")
+    grid = Grid(shape, ((0.0, 1.0),) * ndim, n_ghost=n_ghost)
+    walls = make_boundaries("outflow")
+    if n_batch:
+        grid = BatchGrid(grid, n_batch)
+        walls = batch_boundaries(walls, grid)
+    key = (_BUILD["now"], ndim, target)
+    if key not in _RESOLVED:
+        plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=ndim)
+        _RESOLVED[key] = resolve_kernel_system(plain, target)
+    return HydroPipeline(
+        _RESOLVED[key], grid, walls, SolverConfig(kernel_target=target, **cfg),
+        fault_injector=injector() if injector else None,
+        patches=[(grid, walls)] * n_patches,
+    )
+
+
+@contextlib.contextmanager
+def kernel_team(threads: int):
+    """Every compiled kernel on a team of *threads* (4 oversubscribes a
+    2-core host on purpose), small calls included: each ndim's module is
+    swapped, in-process, for a build of the same source whose team
+    threshold is 0, so hypothesis-sized stacks take the threaded branch of
+    every entry point — at one thread, the serial branch."""
+    if not all(cext.cext_available(nd) for nd in (1, 2, 3)):
+        pytest.skip("no C toolchain")
+    threshold = f"#define TEAM_MIN_WORK {TEAM_MIN_WORK}\n"
+    production = {}
+    for ndim in (1, 2, 3):
+        name, source, cdef = cext.module_spec(ndim)
+        assert source.count(threshold) == 1
+        forced = source.replace(threshold, "#define TEAM_MIN_WORK 0\n")
+        forced_name = cext._artifact_name(f"_repro_test_team_{ndim}d", forced, cdef)
+        cext._load_spec(forced_name, forced, cdef)
+        production[name] = cext._modules[name]
+        cext._modules[name] = cext._modules[forced_name]
+    before = cext.threads(1)
+    _BUILD["now"] = "team"
+    try:
+        if cext.threads(1, threads) != threads:
+            pytest.skip(f"no team of {threads} threads (a build without OpenMP)")
+        yield
+    finally:
+        cext.threads(1, before)
+        _BUILD["now"] = "production"
+        cext._modules.update(production)

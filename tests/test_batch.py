@@ -1,11 +1,9 @@
 """Tests for the SoA-batched pipeline (repro.core.batch).
 
-The load-bearing property is degeneracy: an N=1 batch must be
-*bit-identical* to the unbatched :class:`Solver` — same dt sequence, same
-kernels, same flatten order — and a batch of identical scenarios must give
-every member that same bit-identical result.  Per-request isolation is
-the other contract: one scenario's con2prim failure evicts that scenario
-only.
+The load-bearing property is degeneracy: a batch member is *bit-identical*
+to the unbatched :class:`Solver` in any slot — the lattice's batch cells.
+Per-request isolation is the other contract: one scenario's con2prim
+failure evicts that scenario only.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from repro.eos import IdealGasEOS
 from repro.physics.initial_data import RP1, shock_tube
 from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import ConfigurationError, RecoveryError
-
-from .lattice import legacy
 
 
 def _system(ndim=1, gamma=RP1.gamma):
@@ -52,13 +48,6 @@ class TestBatchGrid:
             BatchGrid(_grid_1d(), 0)
 
 
-@legacy("test_batch.py::TestBitIdentity")
-class TestBitIdentity:
-    """A batch member is the unbatched :class:`Solver` run bit for bit, in
-    any slot and on every target: cells of the equivalence lattice
-    (``tests/lattice.py``)."""
-
-
 class TestBatchSolverValidation:
     def test_shape_mismatch_names_scenario(self):
         system = _system()
@@ -71,6 +60,16 @@ class TestBatchSolverValidation:
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one"):
             BatchSolver(_system(), _grid_1d(), [])
+
+    def test_state_is_refused(self):
+        solver = BatchSolver(_system(), _grid_1d(), [shock_tube(_system(), _grid_1d(), RP1)])
+        with pytest.raises(ConfigurationError, match="BatchSolver has no state pair"):
+            solver.state()
+
+    def test_install_state_is_refused(self):
+        solver = BatchSolver(_system(), _grid_1d(), [shock_tube(_system(), _grid_1d(), RP1)])
+        with pytest.raises(ConfigurationError, match="BatchSolver has no state pair"):
+            solver.install_state({"t": 0.0, "steps": 0, "patches": {}})
 
 
 class _FailOnce:

@@ -25,7 +25,7 @@ from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import CodegenError
 
 from .conftest import random_prim
-from .lattice import legacy
+from .lattice import KERNEL_LAYOUTS, STACKS, TEAMS, kernel_pipeline, kernel_team
 
 
 @contextlib.contextmanager
@@ -56,35 +56,12 @@ def _set_team(n):
         pytest.skip(f"the compiled kernels cannot run {n} threads here (team: {got})")
 
 
-@pytest.fixture(params=[1, 2, 4], ids=lambda n: f"threads{n}")
-def team(request, monkeypatch):
-    """Every compiled kernel on a team of 1, 2 or 4 threads (4 oversubscribes
-    a 2-core host on purpose), small calls included: each ndim's module is
-    swapped, in-process, for a build of the same source whose team
-    threshold is 0, so the hypothesis-sized patches of the parity tests take
-    the threaded branch of every entry point too.  The resolved systems the
-    classes cache are reset around the test."""
-    from repro.codegen import cext as cext_mod
-    from repro.codegen.generator import TEAM_MIN_WORK
-
-    if not all(cext_mod.cext_available(nd) for nd in (1, 2, 3)):
-        pytest.skip("no C toolchain")
-    threshold = f"#define TEAM_MIN_WORK {TEAM_MIN_WORK}\n"
-    for ndim in (1, 2, 3):
-        name, source, cdef = cext_mod.module_spec(ndim)
-        assert source.count(threshold) == 1
-        forced = source.replace(threshold, "#define TEAM_MIN_WORK 0\n")
-        forced_name = cext_mod._artifact_name(f"_repro_test_team_{ndim}d", forced, cdef)
-        cext_mod._load_spec(forced_name, forced, cdef)
-        monkeypatch.setitem(cext_mod._modules, name, cext_mod._modules[forced_name])
-    monkeypatch.setattr(TestCompiledRecovery, "_RESOLVED", {})
-    monkeypatch.setattr(TestPatchStacks, "_RESOLVED", {})
-    before = cext_mod.threads(1)
-    try:
-        _set_team(request.param)
+@pytest.fixture(params=TEAMS, ids=lambda n: f"threads{n}")
+def team(request):
+    """The compiled kernels on a team of 1, 2 or 4 threads, small calls
+    included (:func:`~tests.lattice.kernel_team`)."""
+    with kernel_team(request.param):
         yield request.param
-    finally:
-        cext_mod.threads(1, before)
 
 
 def _tracer_system():
@@ -520,7 +497,7 @@ class TestCrossTargetParity:
             pytest.skip("no C toolchain")
         pairs = {
             riemann: [
-                TestFusedStencilParity._pipeline(target, "pc", riemann, ndim=ndim)
+                kernel_pipeline(target, f"{ndim}d", reconstruction="pc", riemann=riemann)
                 for target in ("flat", "cext")
             ]
             for riemann in ("llf", "hll", "hllc")
@@ -826,7 +803,11 @@ class TestNoToolchainFallback:
         """A toolchain that is present but cannot build the module (here:
         it rejects a flag) takes the one fallback too — whole target to
         flat, logged and counted, nothing left in the cache."""
+        from repro.boundary import make_boundaries
         from repro.codegen import cext as cext_mod
+        from repro.core.config import SolverConfig
+        from repro.core.pipeline import HydroPipeline
+        from repro.mesh.grid import Grid
 
         if not cext_mod.cext_available(1):
             pytest.skip("no C toolchain")
@@ -836,7 +817,10 @@ class TestNoToolchainFallback:
         )
         cext_mod.clear_modules()
         with _log_records("repro.codegen.system") as records:
-            pipe = TestFusedStencilParity._pipeline("cext", "mc", "hllc", ndim=1)
+            pipe = HydroPipeline(
+                SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=1), Grid((24,), ((0.0, 1.0),)),
+                make_boundaries("outflow"), SolverConfig(kernel_target="cext"),
+            )
         assert any("build failed" in r.getMessage() for r in records)
         assert pipe.system.target == "flat" and pipe._fused_ids is None
         assert pipe.metrics.counter("codegen.target_fallbacks").value == 1
@@ -1034,29 +1018,6 @@ class TestFusedStencilParity:
     ]
 
     @staticmethod
-    def _pipeline(
-        target, recon, riemann, ndim=2, n_ghost=None, shape=None, n_batch=0, **kw
-    ):
-        from repro.boundary.conditions import BoundarySet
-        from repro.core.batch import BatchGrid
-        from repro.core.config import SolverConfig
-        from repro.core.pipeline import HydroPipeline
-        from repro.mesh.grid import Grid
-        from repro.reconstruct import make_reconstruction
-
-        if n_ghost is None:
-            n_ghost = max(2, make_reconstruction(recon).required_ghosts)
-        shape = shape or {1: (24,), 2: (12, 10), 3: (8, 6, 5)}[ndim]
-        grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=n_ghost)
-        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=len(shape))
-        if n_batch:
-            grid = BatchGrid(grid, n_batch)
-        config = SolverConfig(
-            reconstruction=recon, riemann=riemann, kernel_target=target, **kw
-        )
-        return HydroPipeline(system, grid, BoundarySet(), config)
-
-    @staticmethod
     def _ghosted_prim(pipe, seed, discontinuous, extreme=False):
         rng = np.random.default_rng(seed)
         shape = (pipe.system.nvars,) + pipe.grid.shape_with_ghosts
@@ -1100,8 +1061,8 @@ class TestFusedStencilParity:
 
         if not all(cext_available(nd) for nd in (1, 2, 3)):
             pytest.skip("no C toolchain")
-        flat = self._pipeline("flat", recon, riemann)
-        cext = self._pipeline("cext", recon, riemann)
+        flat = kernel_pipeline("flat", reconstruction=recon, riemann=riemann)
+        cext = kernel_pipeline("cext", reconstruction=recon, riemann=riemann)
         assert cext._fused_ids is not None, "fused sweep did not engage"
         # Tile edges: sweeps of 1 face .. two tiles and a remainder, along
         # each axis of a 1-/2-/3-D patch and a batched 1-D one (2T + 3 cells
@@ -1109,15 +1070,15 @@ class TestFusedStencilParity:
         # on first draw.
         long_pairs: dict = {}
 
-        def long_pair(ndim, n_batch, axis):
-            key = (ndim, n_batch, axis)
-            if key not in long_pairs:
+        def long_pair(layout, axis):
+            if (layout, axis) not in long_pairs:
+                ndim = KERNEL_LAYOUTS[layout][0]
                 shape = tuple(2 * T + 3 if ax == axis else 2 for ax in range(ndim))
-                long_pairs[key] = [
-                    self._pipeline(t, recon, riemann, shape=shape, n_batch=n_batch)
+                long_pairs[layout, axis] = [
+                    kernel_pipeline(t, layout, shape=shape, reconstruction=recon, riemann=riemann)
                     for t in ("flat", "cext")
                 ]
-            return long_pairs[key]
+            return long_pairs[layout, axis]
 
         def stored_fluxes_agree(a, b):
             """b's stored face fluxes are a's, in arrays of their own."""
@@ -1132,7 +1093,7 @@ class TestFusedStencilParity:
             discontinuous=st.booleans(),
             extreme=st.booleans(),
             store=st.booleans(),
-            layout=st.sampled_from([(1, 0), (2, 0), (3, 0), (1, 1), (1, 5)]),
+            layout=st.sampled_from(list(KERNEL_LAYOUTS)),
             n_faces=st.sampled_from(
                 [1, 2, 3, 5, T - 1, T, T + 1, T + 2, 2 * T + 3, 2 * T + 4]
             ),
@@ -1148,9 +1109,8 @@ class TestFusedStencilParity:
                 f"{recon}/{riemann}: fused sweep differs bitwise"
             )
             stored_fluxes_agree(flat, cext)
-            ndim, n_batch = layout
-            axis = seed % ndim
-            lflat, lcext = long_pair(ndim, n_batch, axis)
+            axis = seed % KERNEL_LAYOUTS[layout][0]
+            lflat, lcext = long_pair(layout, axis)
             prim = self._ghosted_prim(lflat, seed, discontinuous, extreme)
             lo = seed % (2 * T + 5 - n_faces)
             hi = lo + n_faces - 1
@@ -1181,7 +1141,7 @@ class TestFusedStencilParity:
     def test_extreme_states_exercise_both_sanitize_repairs(self):
         """The near-luminal/atmosphere generator really drives the repairs
         whose counters the parity tests compare."""
-        flat = self._pipeline("flat", "ppm", "hll")
+        flat = kernel_pipeline("flat", reconstruction="ppm", riemann="hll")
         with np.errstate(all="ignore"):
             flat.flux_divergence(self._ghosted_prim(flat, 3, True, extreme=True)[None])
         for counter in self._COUNTERS:
@@ -1194,8 +1154,8 @@ class TestFusedStencilParity:
         if not cext_available(ndim):
             pytest.skip("no C toolchain")
         for recon in ("mc", "ppm", "weno5", "wenoz"):
-            flat = self._pipeline("flat", recon, "hllc", ndim=ndim)
-            cext = self._pipeline("cext", recon, "hllc", ndim=ndim)
+            flat = kernel_pipeline("flat", f"{ndim}d", reconstruction=recon, riemann="hllc")
+            cext = kernel_pipeline("cext", f"{ndim}d", reconstruction=recon, riemann="hllc")
             assert cext._fused_ids is not None
             for seed, extreme in ((1234, False), (4321, True)):
                 prim = self._ghosted_prim(flat, seed, True, extreme)[None]
@@ -1222,8 +1182,8 @@ class TestFusedStencilParity:
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
-        flat = self._pipeline("flat", recon, "hll")
-        cext = self._pipeline("cext", recon, "hll")
+        flat = kernel_pipeline("flat", reconstruction=recon, riemann="hll")
+        cext = kernel_pipeline("cext", reconstruction=recon, riemann="hll")
 
         @given(data=st.data(), seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
         @settings(max_examples=8, deadline=None, database=None)
@@ -1246,29 +1206,14 @@ class TestFusedStencilParity:
         """pc/tvd ride the row tile too: sweeps that end just before, on and
         just after a tile boundary (and a single face) equal the interpreted
         faces byte for byte, along the contiguous and the strided axis."""
-        from repro.boundary.conditions import BoundarySet
-        from repro.codegen import cext_available
         from repro.codegen.generator import STENCIL_TILE
-        from repro.core.config import SolverConfig
-        from repro.core.pipeline import HydroPipeline
-        from repro.mesh.grid import Grid
 
-        if not cext_available(2):
-            pytest.skip("no C toolchain")
         assert STENCIL_TILE == 128
-        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
         for axis, shape in ((1, (3, 260)), (0, (260, 3))):
-            grid = Grid(shape, ((0.0, 1.0), (0.0, 1.0)), n_ghost=2)
-            pipes = [
-                HydroPipeline(
-                    system, grid, BoundarySet(),
-                    SolverConfig(
-                        reconstruction=limiter, riemann="hllc", kernel_target=t
-                    ),
-                )
+            flat, cext = (
+                kernel_pipeline(t, shape=shape, n_ghost=2, reconstruction=limiter, riemann="hllc")
                 for t in ("flat", "cext")
-            ]
-            flat, cext = pipes
+            )
             prim = self._ghosted_prim(cext, 17, True, extreme=True)
             for n_faces in (1, 127, 128, 129, 257):
                 for lo in (0, 3):
@@ -1305,8 +1250,8 @@ class TestFusedStencilParity:
             product(("pc", "mc", "ppm", "wenoz"), ("llf", "hll", "hllc")),
             ((1, (2, 2 * STENCIL_TILE)), (0, (2 * STENCIL_TILE, 2))),
         ):
-            flat = self._pipeline("flat", recon, riemann, shape=shape, n_ghost=3)
-            cext = self._pipeline("cext", recon, riemann, shape=shape, n_ghost=3)
+            flat = kernel_pipeline("flat", shape=shape, reconstruction=recon, riemann=riemann)
+            cext = kernel_pipeline("cext", shape=shape, reconstruction=recon, riemann=riemann)
             system, g, n = cext.system, cext.grid.n_ghost, shape[axis]
             clean = self._ghosted_prim(cext, 23, False)
             bad = clean.copy()
@@ -1473,7 +1418,7 @@ class TestFusedStencilParity:
                 cext_mod._artifact_name("_repro_test_noclone_2d", plain, cdef), plain, cdef
             ),
         ]
-        pipe = self._pipeline("cext", "mc", "hllc", shape=(40, 150), n_ghost=3)
+        pipe = kernel_pipeline("cext", shape=(40, 150), reconstruction="mc", riemann="hllc")
         prim = self._ghosted_prim(pipe, 11, True, extreme=True)
         rng = np.random.default_rng(11)
         prim[pipe.system.RHO][rng.random(prim.shape[1:]) < 0.01] *= -1.0
@@ -1606,8 +1551,8 @@ class TestFusedStencilParity:
             stencil_scheme_ids(PPM(), Exotic())
         assert stencil_scheme_ids(PPM(), hll) is not None
 
-        fused = self._pipeline("cext", "ppm", "hll")
-        plain = self._pipeline("flat", "ppm", "hll")
+        fused = kernel_pipeline("cext", reconstruction="ppm", riemann="hll")
+        plain = kernel_pipeline("flat", reconstruction="ppm", riemann="hll")
         plain.reconstruction = SteepenedPPM()
         prim = self._ghosted_prim(fused, 5, False)[None]
         assert (
@@ -1623,7 +1568,7 @@ class TestFusedStencilParity:
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
-        pipe = self._pipeline("cext", "ppm", "hll")
+        pipe = kernel_pipeline("cext", reconstruction="ppm", riemann="hll")
         prim = self._ghosted_prim(pipe, 1, False)[None]
         n = pipe.grid.shape[1]
         pipe.flux_divergence_region(prim, 1, 0, n)  # the full sweep fits
@@ -1632,7 +1577,7 @@ class TestFusedStencilParity:
         with pytest.raises(CodegenError, match="axis 0"):
             pipe.flux_divergence_region(prim, 0, -1, 4)
         # The same region is legal for a narrower stencil on the same grid.
-        narrow = self._pipeline("cext", "mc", "hll", n_ghost=3)
+        narrow = kernel_pipeline("cext", reconstruction="mc", riemann="hll")
         narrow.flux_divergence_region(prim, 1, 0, n + 1)
 
     def test_strided_prim_is_copied_contiguous(self):
@@ -1642,7 +1587,7 @@ class TestFusedStencilParity:
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
-        pipe = self._pipeline("cext", "ppm", "hll")
+        pipe = kernel_pipeline("cext", reconstruction="ppm", riemann="hll")
         prim = self._ghosted_prim(pipe, 8, True)[None]
         want = pipe.flux_divergence(prim.copy()).tobytes()
         strided = np.empty(prim.shape + (2,))[..., 0]
@@ -1656,69 +1601,30 @@ class TestCompiledRecovery:
     """One compiled pass per recovery sweep, the CFL scan of a fresh array
     included: ``cext`` is ``flat`` byte for byte — primitives (ghosts
     included), the floored conserved state, the next seed, every metric by
-    name, the scan's maxima — on the hot path and on each route off it."""
-
-    LAYOUTS = ("1d", "2d", "3d", "batch1", "batch5")
-    _RESOLVED: dict = {}
+    name, the scan's maxima — on the hot path and on each route off it.
+    (Over stacks and teams: ``TestKernelParity::test_recover``.)"""
 
     @staticmethod
-    def _grid_system(layout):
-        from repro.core.batch import BatchGrid
-        from repro.mesh.grid import Grid
-
-        shape = {"1d": (24,), "2d": (10, 12), "3d": (6, 5, 7)}.get(layout, (16,))
-        if layout.startswith("row"):  # "rowN": two interior rows of N cells
-            shape = (2, int(layout[3:]))
-        grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=3)
-        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=len(shape))
-        if layout.startswith("batch"):
-            grid = BatchGrid(grid, int(layout[5:]))
-        return grid, system
-
-    @classmethod
-    def _pair(cls, layout, injector=None, n_patches=1, **cfg):
-        """``{"flat": pipeline, "cext": pipeline}`` on one layout, over a
-        stack of *n_patches* patches (skips without a C toolchain)."""
-        from repro.boundary import make_boundaries
-        from repro.codegen import cext_available
-        from repro.core.batch import batch_boundaries
-        from repro.core.config import SolverConfig
-        from repro.core.pipeline import HydroPipeline, resolve_kernel_system
-
-        grid, system = cls._grid_system(layout)
-        if not cext_available(system.ndim):
-            pytest.skip("no C toolchain")
-        bcs = make_boundaries("outflow")
-        if layout.startswith("batch"):
-            bcs = batch_boundaries(bcs, grid)
-        # Resolved once per (ndim, target): a resolution regenerates and
-        # hashes the C source, and the properties build many pipelines.
-        resolved = cls._RESOLVED.setdefault(system.ndim, {})
-        for target in ("flat", "cext"):
-            if target not in resolved:
-                resolved[target] = resolve_kernel_system(system, target)
-        pipes = {
-            target: HydroPipeline(
-                resolved[target], grid, bcs,
-                SolverConfig(kernel_target=target, **cfg),
-                fault_injector=injector() if injector else None,
-                patches=[(grid, bcs)] * n_patches,
-            )
-            for target in ("flat", "cext")
-        }
+    def _pair(layout, n_patches=1, **kw):
+        """``{target: kernel_pipeline(target, ...)}`` of flat and cext."""
+        pipes = {t: kernel_pipeline(t, layout, n_patches, **kw) for t in ("flat", "cext")}
         assert hasattr(pipes["cext"].system, "recover")
         assert not hasattr(pipes["flat"].system, "recover")
         return pipes
 
     @staticmethod
-    def _cons(pipe, seed, pokes=()):
-        """A ghosted conserved state every cell of which Newton recovers,
+    def _cons(pipe, seed, pokes=(), vmax=0.9, spread=False):
+        """A ghosted conserved state every cell of which Newton recovers
+        (flow up to *vmax*; with *spread*, pressures over eleven decades),
         then *pokes* ``(kind, where)`` that each force one branch of the
-        floors, on two cells: the one *where* (in [0, 1)) of the way through
-        the ghosted block and the one that far through the interior."""
+        floors or of the solve, on two cells: the one *where* (in [0, 1))
+        of the way through the ghosted block and the one that far through
+        the interior."""
         system, grid, atmo = pipe.system, pipe.grid, pipe.atmosphere
         rng = np.random.default_rng(seed)
-        prim = random_prim(system, grid.shape_with_ghosts, rng, vmax=0.9)
+        prim = random_prim(system, grid.shape_with_ghosts, rng, vmax=vmax)
+        if spread:
+            prim[system.P] *= 10.0 ** rng.uniform(-9, 2, prim[0].shape)
         cons = SRHDSystem.prim_to_con(system, prim)
         flat = cons.reshape(system.nvars, -1)
         S = slice(1, 1 + system.ndim)
@@ -1736,6 +1642,12 @@ class TestCompiledRecovery:
                 flat[:, i] = np.array([[5.0 * atmo.rho_atmo, *[0.0] * system.ndim, 1e-9]]).T
             elif kind == "negzero":  # signed zeros survive S / Q
                 flat[S, i] = -0.0
+            elif kind == "hard":  # W ~ 60, cold: Newton runs out, bisection
+                cell = np.zeros((system.nvars, 1))
+                cell[0], cell[1], cell[-1] = 1e-3, np.sqrt(1 - 1 / 60.0**2), 1e-9
+                flat[:, i] = SRHDSystem.prim_to_con(system, cell)
+            elif kind == "nan":  # nothing recovers it: failsafe or raise
+                flat[:, i] = np.nan
         return cons
 
     @staticmethod
@@ -1782,7 +1694,7 @@ class TestCompiledRecovery:
         pipe._recover_compiled = lambda *a: done.append(real(*a)) or done[-1]
         return done
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
     def test_every_floor_branch_on_the_hot_path(self, layout, monkeypatch):
         # A low cap keeps the capped cells (W = 4) within Newton's reach.
         pipes = self._pair(layout, w_max=4.0)
@@ -1808,128 +1720,6 @@ class TestCompiledRecovery:
             assert counters[name] > 0, name
         assert counters["con2prim.bisection"] == counters["con2prim.failed"] == 0
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_recover_parity_property(self, layout):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        poke = st.tuples(
-            st.sampled_from(
-                ["d_floor", "tau_floor", "cap", "thin", "negzero", "hard"]
-            ),
-            st.floats(0.0, 1.0, exclude_max=True),
-        )
-
-        @given(
-            seed=st.integers(0, 2**32 - 1),
-            pokes=st.lists(poke, max_size=8),
-            reuse=st.booleans(),
-            warm=st.booleans(),
-            w_max=st.sampled_from([4.0, 100.0]),
-        )
-        @settings(max_examples=25, deadline=None, database=None)
-        def check(seed, pokes, reuse, warm, w_max):
-            pipes = self._pair(layout, w_max=w_max)
-            cons = self._cons(pipes["flat"], seed, pokes)
-            flat = cons.reshape(cons.shape[0], -1)
-            for kind, where in pokes:
-                if kind == "hard":  # W ~ 60, cold: Newton runs out, bisection
-                    i = int(where * flat.shape[1])
-                    cell = np.zeros((cons.shape[0], 1))
-                    cell[0], cell[1], cell[-1] = 1e-3, np.sqrt(1 - 1 / 60.0**2), 1e-9
-                    flat[:, i] = SRHDSystem.prim_to_con(pipes["flat"].system, cell)[:, 0]
-            got = {}
-            for target, pipe in pipes.items():
-                got[target] = [self._sweep(pipe, cons, reuse)]
-                if warm:
-                    got[target].append(self._sweep(pipe, cons * 0.99, reuse))
-            assert got["cext"] == got["flat"]
-
-        check()
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_max_signal_is_the_handwritten_scan(self, layout):
-        """The scan a fresh recovery made is the handwritten scan of the
-        primitives it recovered — near-luminal flow, pressures over eleven
-        decades, NaN conserved ghosts (the scan reads the interior only) —
-        and so is flat's, which has no compiled recovery to ride."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.time_integration.cfl import max_signal_per_axis
-
-        pipes = self._pair(layout)
-        grid, plain = self._grid_system(layout)
-        ghosts = np.ones(grid.shape_with_ghosts, dtype=bool)
-        grid.interior_of(ghosts[None])[...] = False
-
-        @given(seed=st.integers(0, 2**32 - 1), vmax=st.sampled_from([0.5, 0.99, 0.99999]))
-        @settings(max_examples=15, deadline=None, database=None)
-        def check(seed, vmax):
-            rng = np.random.default_rng(seed)
-            prim = random_prim(plain, grid.shape_with_ghosts, rng, vmax=vmax)
-            prim[plain.P] *= 10.0 ** rng.uniform(-9, 2, prim[0].shape)
-            cons = SRHDSystem.prim_to_con(plain, prim)
-            cons[:, ghosts] = np.nan
-            for target, pipe in pipes.items():
-                done = self._stages_done(pipe)
-                with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-                    got = pipe.recover_primitives(cons[None].copy())
-                    calls = self._interpreted(mp, "max_signal_per_axis")
-                    maxima = pipe.max_signal_per_axis(got)
-                assert maxima == [max_signal_per_axis(plain, grid, got[0])], target
-                assert len(calls) == (done[-1] != [3]), target
-
-        check()
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_the_recovery_scan_property(self, layout):
-        """Every floor branch, warm or cold seeds, stacks of 1 and 4
-        patches: each patch's maxima are the handwritten scan of its
-        recovered primitives byte for byte — read off the kernel for a
-        patch it completed, interpreted for any other."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.time_integration.cfl import max_signal_per_axis
-
-        grid, plain = self._grid_system(layout)
-        poke = st.tuples(
-            st.sampled_from(["d_floor", "tau_floor", "cap", "thin", "negzero"]),
-            st.floats(0.0, 1.0, exclude_max=True),
-        )
-
-        @given(
-            seed=st.integers(0, 2**32 - 1),
-            pokes=st.lists(poke, max_size=6),
-            warm=st.booleans(),
-            n_patches=st.sampled_from([1, 4]),
-            w_max=st.sampled_from([4.0, 100.0]),
-        )
-        @settings(max_examples=20, deadline=None, database=None)
-        def check(seed, pokes, warm, n_patches, w_max):
-            pipe = self._pair(layout, n_patches=n_patches, w_max=w_max)["cext"]
-            cons = np.stack([self._cons(pipe, seed + i, pokes) for i in range(n_patches)])
-            done = self._stages_done(pipe)
-            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-                if warm:
-                    pipe.recover_primitives(cons * 0.99, reuse=True)
-                prim = pipe.recover_primitives(cons.copy())
-                calls = self._interpreted(mp, "max_signal_per_axis")
-                got = pipe.max_signal_per_axis(prim)
-            want = [max_signal_per_axis(plain, grid, p) for p in prim]
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert len(calls) == sum(d != 3 for d in done[-1])
-
-        check()
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_the_recovery_scan_on_a_team(self, layout, team):
-        """The scan's property with every recovery on a team of *team*
-        threads: a stack of four splits by patches, a single patch by rows,
-        each thread scanning its own and the partial maxima folded."""
-        self.test_the_recovery_scan_property(layout)
-
     def test_other_arrays_and_patches_scan_interpreted(self, monkeypatch):
         """The kernel's maxima answer only for the fresh array of the last
         recovery and the patches it completed: an unconverged patch, a
@@ -1940,7 +1730,7 @@ class TestCompiledRecovery:
 
         pipes = self._pair("1d", n_patches=3, failsafe_frac=0.25)
         pipe = pipes["cext"]
-        grid, plain = self._grid_system("1d")
+        grid, plain = pipe.grid, SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=1)
         cons = np.stack([self._cons(pipe, 4), self._hard_cons(pipe), self._cons(pipe, 5)])
         with np.errstate(all="ignore"):
             prim = pipe.recover_primitives(cons.copy())
@@ -2009,17 +1799,6 @@ class TestCompiledRecovery:
                 driver.step()
             assert not calls, type(driver).__name__
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_on_a_team(self, layout, team):
-        """The three kernel-level parities above — every floor branch, the
-        recover property, the CFL scan of recovered primitives — with every
-        ``recover`` call on a team of *team* threads: the bytes (and
-        counts) of the serial branch at any team size."""
-        with pytest.MonkeyPatch.context() as mp:
-            self.test_every_floor_branch_on_the_hot_path(layout, mp)
-        self.test_recover_parity_property(layout)
-        self.test_max_signal_is_the_handwritten_scan(layout)
-
     @pytest.mark.parametrize("n", [1, 7, 15, 16, 17, 33])
     def test_lanes_are_the_interpreted_recovery(self, n):
         """Newton in lockstep over tiles of ``C2P_LANES`` cells is the
@@ -2058,7 +1837,9 @@ class TestCompiledRecovery:
         @settings(max_examples=12, deadline=None, database=None)
         def check(seed, lanes, warm, solve_only, n_patches, max_newton):
             injector = (lambda: FaultInjector(FaultPlan())) if solve_only else None
-            pipes = self._pair(f"row{n}", injector, n_patches, failsafe_frac=0.5)
+            pipes = self._pair(
+                "2d", n_patches, shape=(2, n), injector=injector, failsafe_frac=0.5
+            )
             flat = pipes["flat"]
             cons = np.stack([self._cons(flat, seed + q) for q in range(n_patches)])
             cell = SRHDSystem.prim_to_con(flat.system, np.insert(hard, 2, 0.0)[:, None])[:, 0]
@@ -2094,12 +1875,6 @@ class TestCompiledRecovery:
             assert solved[0] == solved[1]
 
         check()
-
-    def test_lanes_on_a_team(self, team):
-        """The lane property with every ``recover`` on a team of *team*
-        threads: a stack of four splits by patches, a single patch by rows."""
-        for n in (7, 17):
-            self.test_lanes_are_the_interpreted_recovery(n)
 
     def test_c2p_newton_refuses_buffers_it_would_overrun(self):
         """C indexes the Newton kernel's buffers by ``D.size`` unchecked: a
@@ -2233,84 +2008,12 @@ class TestCompiledRecovery:
             assert cons.tobytes() == before.tobytes()  # refused before C ran
 
 
-@legacy("test_codegen.py::TestCompiledUpdate")
 class TestCompiledUpdate:
-    """The compiled update stage — ``accumulate`` and ``rk_stage`` — against
-    the interpreted expressions it replaces on ``cext``, bytewise.  (The
-    third piece, the sweep's in-tile difference, rides
-    ``TestFusedStencilParity::test_fused_sweep_bitwise_all_combos``; whole
-    runs of every driver, the lattice's ``cext`` cells.)"""
-
-    LAYOUTS = [(1, 0), (2, 0), (3, 0), (1, 1), (1, 5)]
-    POISONS = (np.nan, np.inf, -np.inf, -0.0)
-
-    @staticmethod
-    def _pair(layout):
-        ndim, n_batch = layout
-        return [
-            TestFusedStencilParity._pipeline(t, "mc", "hll", ndim=ndim, n_batch=n_batch)
-            for t in ("flat", "cext")
-        ]
-
-    def test_any_partition_accumulates_to_the_full_sweep(self):
-        """Every axis cut into arbitrary regions, each differenced by the
-        sweep and accumulated in ascending axis order by the kernel, is
-        ``flat``'s ``dU`` (3-D included), ghosts still exactly +0.0; and a
-        NaN / +-inf / -0.0 entry of a region's divergence lands in its own
-        cell only, as the interpreted ``target -= div`` puts it there."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.codegen import cext_available
-
-        if not all(cext_available(nd) for nd in (1, 2, 3)):
-            pytest.skip("no C toolchain")
-        pairs = {layout: self._pair(layout) for layout in self.LAYOUTS}
-
-        @given(
-            data=st.data(),
-            seed=st.integers(0, 2**32 - 1),
-            layout=st.sampled_from(self.LAYOUTS),
-            poison=st.sampled_from(self.POISONS),
-        )
-        @settings(max_examples=25, deadline=None, database=None)
-        def check(data, seed, layout, poison):
-            flat, cext = pairs[layout]
-            assert cext._accumulate_kernel is not None and flat._accumulate_kernel is None
-            prim = TestFusedStencilParity._ghosted_prim(cext, seed, True)[None]
-            with np.errstate(all="ignore"):
-                want = flat.flux_divergence(prim.copy())
-            regions = []
-            for axis in range(cext.system.ndim):
-                n = cext.grid.shape[axis]
-                cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
-                regions += [(axis, lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
-            divs = [
-                (axis, lo, hi, cext.flux_divergence_region(prim, axis, lo, hi).copy())
-                for axis, lo, hi in data.draw(st.permutations(regions))
-            ]
-            divs.sort(key=lambda e: e[0])
-            dU = cext.begin_flux_divergence(reuse=True)
-            for axis, lo, hi, div in divs:
-                cext.accumulate_divergence(dU, axis, lo, hi, div)
-            assert dU.tobytes() == want.tobytes(), (layout, regions)
-            ghosts = np.ones(dU.shape, dtype=bool)
-            cext.grid.interior_of(ghosts[0])[...] = False
-            assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
-            # One poisoned entry per region, through both accumulates.
-            rng = np.random.default_rng(seed)
-            for _axis, _lo, _hi, div in divs:
-                div.reshape(-1)[rng.integers(div.size)] = poison
-            got, ref = (p.begin_flux_divergence() for p in (cext, flat))
-            with np.errstate(all="ignore"):
-                for axis, lo, hi, div in divs:
-                    cext.accumulate_divergence(got, axis, lo, hi, div)
-                    flat.accumulate_divergence(ref, axis, lo, hi, div)
-            assert got.tobytes() == ref.tobytes(), (layout, poison)
-            changed = got.view(np.uint64) != dU.view(np.uint64)
-            assert changed.sum() <= len(divs) and not changed[ghosts].any()
-
-        check()
+    """The compiled update stage — ``accumulate`` and ``rk_stage`` — off its
+    compiled path: what it leaves to the interpreted pass, what it refuses
+    before C runs, and the integrator tables it combines.  (Its parity:
+    ``TestKernelParity``; whole runs of every driver, the lattice's ``cext``
+    cells.)"""
 
     def test_strided_state_takes_the_interpreted_pass_uncopied(self):
         """A non-contiguous ``dU`` / ``div`` / state is never copied
@@ -2319,7 +2022,7 @@ class TestCompiledUpdate:
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
-        flat, cext = self._pair((2, 0))
+        flat, cext = (kernel_pipeline(t, reconstruction="mc", riemann="hll") for t in ("flat", "cext"))
         calls = []
         for hook in ("_accumulate_kernel", "_rk_stage_kernel"):
             inner = getattr(cext, hook)
@@ -2349,7 +2052,7 @@ class TestCompiledUpdate:
 
         if not cext_available(2):
             pytest.skip("no C toolchain")
-        _, cext = self._pair((2, 0))
+        cext = kernel_pipeline("cext", reconstruction="mc", riemann="hll")
         system, g, (nx, ny) = cext.system, cext.grid.n_ghost, cext.grid.shape
         dU = cext.begin_flux_divergence()[0]
         div = np.ones((system.nvars, ny, nx))
@@ -2368,12 +2071,9 @@ class TestCompiledUpdate:
 
     @pytest.mark.parametrize("name", ["euler", "ssprk2", "ssprk3"])
     def test_every_stage_is_the_numpy_expression(self, name):
-        """``rk_stage`` == ``combine_stage`` bytewise, stage by stage of each
-        integrator's table, on random, denormal, signed-zero, infinite and
-        NaN inputs; the table reproduces the integrator's abscissae and the
-        three formulas written out."""
-        from repro.codegen import cext_available
-        from repro.time_integration.ssprk import combine_stage, make_integrator
+        """The table ``rk_stage`` and ``combine_stage`` read reproduces the
+        integrator's abscissae and the three formulas written out."""
+        from repro.time_integration.ssprk import make_integrator
 
         integ = make_integrator(name)
         # c_0 = 0; a stage advances the previous one by dt and weighs it b.
@@ -2393,206 +2093,251 @@ class TestCompiledUpdate:
             ),
         }[name](np.cos)
         assert integ.step(u, 0.3, np.cos).tobytes() == want.tobytes()
-        if not cext_available(1):
-            pytest.skip("no C toolchain")
-        pipe = TestFusedStencilParity._pipeline("cext", "mc", "hll", ndim=1)
-        rng = np.random.default_rng(5)
-        shape = (pipe.system.nvars,) + pipe.grid.shape_with_ghosts
-        special = np.array([0.0, -0.0, 5e-324, -2e-310, np.inf, -np.inf, np.nan, 1e308])
-        U, V, k = (
-            np.where(rng.random(shape) < 0.4, rng.choice(special, shape),
-                     rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape))
-            for _ in range(3)
-        )
-        for i, stage in enumerate(integ.table):
-            final = i + 1 == len(integ.table)
-            prev = U if i == 0 else V
-            with np.errstate(all="ignore"):
-                ref = combine_stage(stage, U, prev, 0.37, k)
-            got = pipe.combine_stage(stage, U, prev, 0.37, k, final)
-            assert got.tobytes() == ref.tobytes(), stage
-            in_ws = any(got is b for b in pipe.workspace._bufs.values())
-            assert in_ws != final  # intermediates recycled, the result owned
-            V = got
-
-    def test_on_a_team(self, team):
-        """The kernel-level update parities above with every
-        ``face_flux`` / ``accumulate`` / ``rk_stage`` call on a team of
-        *team* threads."""
-        self.test_any_partition_accumulates_to_the_full_sweep()
-        for name in ("euler", "ssprk2", "ssprk3"):
-            self.test_every_stage_is_the_numpy_expression(name)
 
 
-class TestPatchStacks:
-    """One kernel call over a stack of P same-shape patches is P calls, one
-    per patch, byte for byte: ``recover``'s primitives, floored conserved
-    state, next seeds and per-patch counts (warm, cold and mixed seeds);
-    the per-patch maxima of its CFL scan; the sweep's divergence and the
-    accumulated ``dU`` (ghosts still +0.0).  A NaN-poisoned or
-    unconvergeable patch changes its own outputs and counts only."""
+class TestKernelParity:
+    """One property per compiled entry point — ``recover`` with its CFL
+    scan, ``face_flux`` with its in-tile difference, ``accumulate`` and
+    ``rk_stage`` — and one reference rule (``tests/lattice.py``, kernel
+    level): a ``cext`` stack of P patches, every call on a team of *team*
+    threads of the threshold-0 build (a stack splits by patches, a single
+    patch by cells and rows), is the ``flat`` pipeline run patch by patch on
+    one thread, byte for byte and metric by metric.  Patches are drawn one
+    by one, so a poisoned patch shows it changed its own outputs only."""
 
-    _RESOLVED: dict = {}
-
-    @classmethod
-    def _pipelines(cls, layout, axis, n_patches):
-        """``(stack, single)``: ``cext`` pipelines over *n_patches* patches
-        and over one, on a grid T + 3 cells long along *axis* (3 the other
-        ways, a batch axis trailing); each has a registry of its own."""
-        from repro.boundary.conditions import BoundarySet
-        from repro.codegen.generator import STENCIL_TILE as T
-        from repro.core.batch import BatchGrid
-        from repro.core.config import SolverConfig
-        from repro.core.pipeline import HydroPipeline, resolve_kernel_system
-        from repro.mesh.grid import Grid
-
-        ndim, n_batch = layout
-        shape = tuple(T + 3 if ax == axis else 3 for ax in range(ndim))
-        grid = Grid(shape, tuple((0.0, 1.0) for _ in shape), n_ghost=3)
-        if n_batch:
-            grid = BatchGrid(grid, n_batch)
-        if ndim not in cls._RESOLVED:  # a resolution regenerates and hashes the C
-            plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=ndim)
-            cls._RESOLVED[ndim] = resolve_kernel_system(plain, "cext")
-        system = cls._RESOLVED[ndim]
-        config = SolverConfig(
-            kernel_target="cext", reconstruction="mc", riemann="hllc", failsafe_frac=0.5
-        )
-        bcs = BoundarySet()
-        return (
-            HydroPipeline(system, grid, bcs, config, patches=[(grid, bcs)] * n_patches),
-            HydroPipeline(system, grid, bcs, config),
-        )
-
-    def test_a_stack_is_its_patches(self):
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_recover(self, layout, team):
+        """Every floor branch and solve route (cold W ~ 60 and NaN cells,
+        Newton capped at 1 or 3 iterations, a fault injector's solve-only
+        kernel), near-luminal flow and pressures over eleven decades, warm,
+        cold and mixed seeds, a fresh or a reused array: each patch's
+        primitives, floored conserved state and next seed, the metrics, and
+        the scan's maxima — read off the kernel for a patch it completed,
+        interpreted for any other."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from repro.codegen import cext_available
+        import repro.core.pipeline as pipeline_mod
+        from repro.resilience.faults import FaultInjector, FaultPlan
+
+        kinds = ["d_floor", "tau_floor", "cap", "thin", "negzero", "hard", "nan"]
+        poke = st.tuples(st.sampled_from(kinds), st.floats(0.0, 1.0, exclude_max=True))
+        per_patch = dict(min_size=max(STACKS), max_size=max(STACKS))
+
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            n_patches=st.sampled_from(STACKS),
+            pokes=st.lists(st.lists(poke, max_size=4), **per_patch),
+            cold=st.lists(st.booleans(), **per_patch),
+            reuse=st.booleans(),
+            w_max=st.sampled_from([4.0, 100.0]),
+            vmax=st.sampled_from([0.5, 0.9, 0.99999]),
+            spread=st.booleans(),
+            max_newton=st.sampled_from([50, 3, 1]),
+            solve_only=st.booleans(),
+        )
+        @settings(max_examples=25, deadline=None, database=None)
+        def check(seed, n_patches, pokes, cold, reuse, w_max, vmax, spread, max_newton,
+                  solve_only):
+            injector = (lambda: FaultInjector(FaultPlan())) if solve_only else None
+            kw = dict(injector=injector, w_max=w_max, failsafe_frac=0.5)
+            stack = kernel_pipeline("cext", layout, n_patches, **kw)
+            flat = kernel_pipeline("flat", layout, **kw)
+            cons = np.stack([
+                TestCompiledRecovery._cons(flat, seed + i, pokes[i], vmax, spread)
+                for i in range(n_patches)
+            ])
+            seeds = [None] * n_patches
+            done = TestCompiledRecovery._stages_done(stack)
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                mp.setitem(pipeline_mod._NEWTON, "max_newton", max_newton)
+                calls = TestCompiledRecovery._interpreted(mp, "max_signal_per_axis")
+                for scale in (0.99, 1.0):  # all cold, then all warm but *cold*'s
+                    got = cons * scale
+                    prim = stack.recover_primitives(got, reuse=reuse)
+                    maxima = []
+                    for i in range(n_patches):
+                        flat.install_warm_state(seeds[i])
+                        want = cons[i : i + 1] * scale
+                        ref = flat.recover_primitives(want, reuse=reuse)
+                        assert prim[i].tobytes() == ref.tobytes(), i
+                        assert got[i].tobytes() == want.tobytes(), i
+                        seeds[i] = flat.warm_state()
+                        assert stack.warm_state(i).tobytes() == seeds[i].tobytes(), i
+                        maxima += flat.max_signal_per_axis(ref)
+                        if cold[i]:
+                            seeds[i] = None
+                            stack.install_warm_state(None, i)
+                    assert stack.metrics.snapshot() == flat.metrics.snapshot()
+                    calls.clear()
+                    scan = stack.max_signal_per_axis(prim)
+                    assert np.array(scan).tobytes() == np.array(maxima).tobytes()
+                    interpreted = sum(d != 3 for d in done[-1])
+                    assert len(calls) == (n_patches if reuse or solve_only else interpreted)
+
+        check()
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_face_flux(self, layout, team):
+        """Every reconstruction x Riemann solver, a region of 1, 2, T - 1,
+        T + 1 or T + 3 cells anywhere along any axis of a patch T + 3 cells
+        long that way, smooth, discontinuous or near-luminal states, one
+        patch maybe poisoned: each patch's divergence and the sanitize
+        counts.  A NaN patch's own faces are not flat's (the prologue's
+        ``rmin``/``rmax`` contract, ``test_lanes_are_independent``): the
+        other patches' are."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
         from repro.codegen.generator import STENCIL_TILE as T
 
-        if not all(cext_available(nd) for nd in (1, 2, 3)):
-            pytest.skip("no C toolchain")
-        widths = {"1": 1, "2": 2, "T-1": T - 1, "T+1": T + 1, "full": T + 3}
+        ndim = KERNEL_LAYOUTS[layout][0]
 
         @given(
             data=st.data(),
             seed=st.integers(0, 2**32 - 1),
-            layout=st.sampled_from(TestCompiledUpdate.LAYOUTS),
-            n_patches=st.sampled_from([1, 2, 5]),
-            width=st.sampled_from(sorted(widths)),
-            poison=st.sampled_from([None, "nan", "hard"]),
+            n_patches=st.sampled_from(STACKS),
+            combo=st.sampled_from(TestFusedStencilParity.COMBOS),
+            axis=st.integers(0, ndim - 1),
+            width=st.sampled_from([1, 2, T - 1, T + 1, T + 3]),
+            extreme=st.booleans(),
+            poison=st.sampled_from([None, "nan", "superluminal", "negative_rho"]),
         )
-        @settings(max_examples=30, deadline=None, database=None)
-        def check(data, seed, layout, n_patches, width, poison):
-            axis = data.draw(st.integers(0, layout[0] - 1))
-            stack, single = self._pipelines(layout, axis, n_patches)
-            system, grid, g = single.system, single.grid, single.grid.n_ghost
-            rng = np.random.default_rng(seed)
-            # Admissible states, one patch (maybe) poisoned in one interior cell.
-            prims = [
-                random_prim(system, grid.shape_with_ghosts, rng) for _ in range(n_patches)
-            ]
-            cons = np.stack([SRHDSystem.prim_to_con(system, p) for p in prims])
-            victim = int(rng.integers(n_patches))
-            cell = (victim, slice(None)) + tuple(g for _ in grid.shape)
-            if poison == "nan":
-                cons[cell] = np.nan
-            elif poison == "hard":  # outside the admissible set: nothing recovers it
-                cons[cell] = [6.53e-3, 6.531e-3, *[0.0] * (system.nvars - 3), 1e-12]
-            warm = [bool(w) for w in rng.integers(0, 2, n_patches)]
-            seeds = [p[system.P][grid.interior] * rng.uniform(0.5, 2.0) for p in prims]
-
-            # recover, kernel level: each patch's counts, prim, cons, next seed.
-            params = dict(
-                tol=1e-10, p_floor=1e-16, max_newton=50, rho_atmo=1e-10, p_atmo=1e-12,
-                rho_reset=1e-9, vmax=0.999, solve_only=False,
-            )
-            n0 = grid.shape[0]
-            seed_stack = np.concatenate(
-                [s if w else np.full_like(s, np.nan) for s, w in zip(seeds, warm)]
-            )
-            got = {"cons": cons.copy(), "prim": np.zeros_like(cons),
-                   "next": np.empty_like(seed_stack)}
+        @settings(max_examples=6, deadline=None, database=None)
+        def check(data, seed, n_patches, combo, axis, width, extreme, poison):
+            recon, riemann = combo
+            shape = tuple(T + 3 if ax == axis else 3 for ax in range(ndim))
+            kw = dict(shape=shape, reconstruction=recon, riemann=riemann)
+            stack = kernel_pipeline("cext", layout, n_patches, **kw)
+            flat = kernel_pipeline("flat", layout, **kw)
+            prim = np.stack([
+                TestFusedStencilParity._ghosted_prim(flat, seed + i, True, extreme)
+                for i in range(n_patches)
+            ])
+            victim, system, g = seed % n_patches, flat.system, flat.grid.n_ghost
+            if poison:
+                var, value = {
+                    "nan": (system.RHO, np.nan), "superluminal": (system.V(axis), 1.5),
+                    "negative_rho": (system.RHO, -1.0),
+                }[poison]
+                prim[(victim, var) + (g,) * len(flat.grid.shape)] = value
+            lo = data.draw(st.integers(0, T + 3 - width))
             with np.errstate(all="ignore"):
-                counts = system.recover(
-                    got["cons"].reshape((-1,) + cons.shape[2:]),
-                    got["prim"].reshape((-1,) + cons.shape[2:]), g,
-                    seed_stack if any(warm) else None, got["next"],
-                    n_patches=n_patches,
-                    warm=None if all(warm) else np.array(warm, dtype=np.uint8),
-                    **params,
-                )
+                div = stack.flux_divergence_region(prim, axis, lo, lo + width)
                 for i in range(n_patches):
-                    c, p, nxt = cons[i].copy(), np.zeros_like(cons[i]), np.empty(grid.shape)
-                    one = system.recover(
-                        c, p, g, seeds[i] if warm[i] else None, nxt, **params
-                    )
-                    assert counts[i].tolist() == one[0].tolist(), (i, warm[i])
-                    assert got["cons"][i].tobytes() == c.tobytes()
-                    assert got["prim"][i].tobytes() == p.tobytes()
-                    if not counts[i, 2]:  # a converged patch wrote its next seed
-                        rows = got["next"][i * n0 : (i + 1) * n0]
-                        assert rows.tobytes() == nxt.tobytes()
-            assert (counts[:, 2] > 0).tolist() == [
-                poison is not None and i == victim for i in range(n_patches)
-            ]
-
-            # recover, pipeline level (the interpreted route of an
-            # unconverged patch included): everything, metrics by name.
-            for i, w in enumerate(warm):
-                stack.install_warm_state(seeds[i] if w else None, i)
-            stack_cons = cons.copy()
-            with np.errstate(all="ignore"):
-                stack_prim = stack.recover_primitives(stack_cons)
-            maxima = []
-            for i in range(n_patches):
-                single.install_warm_state(seeds[i] if warm[i] else None)
-                patch = cons[i : i + 1].copy()
-                with np.errstate(all="ignore"):
-                    prim = single.recover_primitives(patch)
-                assert stack_prim[i].tobytes() == prim.tobytes(), i
-                assert stack_cons[i].tobytes() == patch.tobytes(), i
-                assert stack.warm_state(i).tobytes() == single.warm_state().tobytes(), i
-                maxima.extend(single.max_signal_per_axis(prim))
-            assert stack.metrics.snapshot() == single.metrics.snapshot()
-            # the recoveries' scans: per-patch maxima.
-            assert stack.max_signal_per_axis(stack_prim) == maxima
-
-            # sweep + accumulate over [lo, lo + w) of *axis*, every patch.
-            w = widths[width]
-            lo = data.draw(st.integers(0, grid.shape[axis] - w))
-            ghosted = np.stack(prims)
-            if poison == "nan":
-                ghosted[cell] = np.nan
-            with np.errstate(all="ignore"):
-                div = stack.flux_divergence_region(ghosted, axis, lo, lo + w)
-                dU = stack.begin_flux_divergence()
-                stack.accumulate_divergence(dU, axis, lo, lo + w, div)
-                for i in range(n_patches):
-                    one = single.flux_divergence_region(
-                        ghosted[i : i + 1].copy(), axis, lo, lo + w
-                    )
-                    assert div[:, i].tobytes() == one.tobytes(), (i, axis, lo, w)
-                    ref = single.begin_flux_divergence()
-                    single.accumulate_divergence(ref, axis, lo, lo + w, one)
-                    assert dU[i].tobytes() == ref.tobytes(), (i, axis, lo, w)
-            ghosts = np.ones(dU.shape, dtype=bool)
-            for patch in ghosts:
-                grid.interior_of(patch)[...] = False
-            assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
-            assert stack.metrics.snapshot() == single.metrics.snapshot()
+                    ref = flat.flux_divergence_region(prim[i : i + 1], axis, lo, lo + width)
+                    if poison != "nan" or i != victim:
+                        assert div[:, i].tobytes() == ref.tobytes(), (recon, riemann, i, lo)
+            if poison != "nan":
+                assert stack.metrics.snapshot() == flat.metrics.snapshot()
 
         check()
 
-    def test_a_stack_is_its_patches_on_a_team(self, team):
-        """As above, every kernel call on a team of *team* threads: a stack
-        of several patches splits by patches, a single patch by cells and
-        rows — each the bytes of one call per patch."""
-        self.test_a_stack_is_its_patches()
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_accumulate(self, layout, team):
+        """Every axis cut into arbitrary regions, each differenced by the
+        sweep and accumulated in ascending axis order, is each patch's whole
+        ``flat`` sweep, ghosts still exactly +0.0; and a NaN, +-inf or -0.0
+        entry of a region's divergence lands in its own cell only, as the
+        interpreted ``target -= div`` puts it there."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        ndim = KERNEL_LAYOUTS[layout][0]
+
+        @given(
+            data=st.data(),
+            seed=st.integers(0, 2**32 - 1),
+            n_patches=st.sampled_from(STACKS),
+            poison=st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+        )
+        @settings(max_examples=5, deadline=None, database=None)
+        def check(data, seed, n_patches, poison):
+            kw = dict(reconstruction="mc", riemann="hll")
+            stack = kernel_pipeline("cext", layout, n_patches, **kw)
+            flat = kernel_pipeline("flat", layout, **kw)
+            assert stack._accumulate_kernel is not None and flat._accumulate_kernel is None
+            prim = np.stack([
+                TestFusedStencilParity._ghosted_prim(flat, seed + i, True)
+                for i in range(n_patches)
+            ])
+            regions = []
+            for axis, n in enumerate(flat.grid.shape[:ndim]):
+                cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+                regions += [(axis, lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
+            divs = sorted(
+                ((axis, lo, hi, stack.flux_divergence_region(prim, axis, lo, hi).copy())
+                 for axis, lo, hi in data.draw(st.permutations(regions))),
+                key=lambda e: e[0],
+            )
+            dU = stack.begin_flux_divergence(reuse=True)
+            for axis, lo, hi, div in divs:
+                stack.accumulate_divergence(dU, axis, lo, hi, div)
+            ghosts = np.ones(dU.shape, dtype=bool)
+            for patch in ghosts:
+                flat.grid.interior_of(patch)[...] = False
+            assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
+            # One poisoned entry per region, through both accumulates.
+            rng = np.random.default_rng(seed)
+            for *_, div in divs:
+                div.reshape(-1)[rng.integers(div.size)] = poison
+            got = stack.begin_flux_divergence()
+            with np.errstate(all="ignore"):
+                for axis, lo, hi, div in divs:
+                    stack.accumulate_divergence(got, axis, lo, hi, div)
+                for i in range(n_patches):
+                    whole = flat.flux_divergence(prim[i : i + 1].copy())
+                    assert dU[i].tobytes() == whole.tobytes(), (i, regions)
+                    ref = flat.begin_flux_divergence()
+                    for axis, lo, hi, div in divs:
+                        flat.accumulate_divergence(ref, axis, lo, hi, div[:, i : i + 1])
+                    assert got[i].tobytes() == ref.tobytes(), (i, poison)
+            changed = got.view(np.uint64) != dU.view(np.uint64)
+            assert changed.sum() <= len(divs) and not changed[ghosts].any()
+
+        check()
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_rk_stage(self, layout, team):
+        """Stage by stage of each integrator's table, on random, denormal,
+        signed-zero, infinite and NaN inputs: each patch's combination, the
+        intermediates in the workspace and the result owned."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.time_integration.ssprk import make_integrator
+
+        special = np.array([0.0, -0.0, 5e-324, -2e-310, np.inf, -np.inf, np.nan, 1e308])
+
+        @given(seed=st.integers(0, 2**32 - 1), n_patches=st.sampled_from(STACKS))
+        @settings(max_examples=3, deadline=None, database=None)
+        def check(seed, n_patches):
+            stack = kernel_pipeline("cext", layout, n_patches)
+            flat = kernel_pipeline("flat", layout)
+            rng = np.random.default_rng(seed)
+            shape = stack._state_shape
+            U, V, k = (
+                np.where(rng.random(shape) < 0.4, rng.choice(special, shape),
+                         rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape))
+                for _ in range(3)
+            )
+            for table in (make_integrator(n).table for n in ("euler", "ssprk2", "ssprk3")):
+                for j, stage in enumerate(table):
+                    final = j + 1 == len(table)
+                    prev = U if j == 0 else V
+                    with np.errstate(all="ignore"):
+                        got = stack.combine_stage(stage, U, prev, 0.37, k, final)
+                        for i in range(n_patches):
+                            one = slice(i, i + 1)
+                            ref = flat.combine_stage(stage, U[one], prev[one], 0.37, k[one], final)
+                            assert got[i].tobytes() == ref.tobytes(), (stage, i)
+                    in_ws = any(got is b for b in stack.workspace._bufs.values())
+                    assert in_ws != final  # intermediates recycled, the result owned
+                    V = got
+
+        check()
 
 
-@legacy("test_codegen.py::TestThreadCounts")
 class TestThreadCounts:
     """The production build at 1, 2 and 4 threads: a recovery's scan over
     calls that reach the team.  (Whole runs at 2 threads: the lattice's
@@ -2645,12 +2390,6 @@ class TestThreadCounts:
                 assert got[1:] == got[:1] * 2
         finally:
             cext_mod.threads(2, before)
-
-
-@legacy("test_codegen.py::TestFusedSolverDigest")
-class TestFusedSolverDigest:
-    """End to end: a cext run is the flat run, byte for byte — cells of the
-    equivalence lattice (``tests/lattice.py``)."""
 
 
 class TestCacheMaintenance:

@@ -62,8 +62,6 @@ from repro.resilience.policies import (
 from repro.utils.errors import CommunicationError, ConfigurationError, WorkerError
 
 from .conftest import require_cext
-from .lattice import legacy
-
 #: every test here must leave no worker process and no shm segment behind
 pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
 
@@ -138,13 +136,6 @@ def _assert_bitexact(serial, sink, proc):
 META = {"problem": "bitexact", "suite": "parallel"}
 
 
-@legacy("test_parallel.py::TestBitExactness")
-class TestBitExactness:
-    """Serial vs process whole runs (geometry x overlap x target): cells of
-    the equivalence lattice (``tests/lattice.py``)."""
-
-
-@legacy("test_parallel.py::TestFaultBitExactness")
 class TestFaultBitExactness:
     """Both executors post the one fault oracle's schedule: the same plan
     strikes the same logical messages and cells on both backends,
@@ -305,7 +296,6 @@ def _npz_entries(path):
         }
 
 
-@legacy("test_parallel.py::TestProcessCheckpointing")
 class TestProcessCheckpointing:
     """executor="process" checkpoints: same format, same bytes, restartable
     (a fleet resumed from its checkpoint: a lattice cell)."""
@@ -500,6 +490,22 @@ class TestMakeDistributedSolver:
         )
         assert isinstance(serial, DistributedSolver)
         serial.step()
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("attempts", [None, 3])
+    def test_a_halo_fault_past_its_exchange_is_refused(self, executor, attempts):
+        """A 2-rank 1-D cut sends 2 halo messages an exchange (6 in 3
+        attempts): a fault on message 7 would never strike, so both
+        executors refuse its plan before a rank exists, naming the message."""
+        system, grid, prim0 = _rp1_setup()
+        plan = FaultPlan(halo=[HaloFault(kind="drop", exchange=1, message=7)])
+        policy = attempts and HaloRetryPolicy(max_attempts=attempts)
+        sent = f"sends 2 messages, {2 * attempts} with" if attempts else "sends 2 messages$"
+        with pytest.raises(ConfigurationError, match=f"message 7 .* {sent}"):
+            make_distributed_solver(
+                system, grid, prim0, (2,), config=SolverConfig(executor=executor),
+                fault_injector=FaultInjector(plan), halo_policy=policy,
+            )
 
 
 class TestOneRankStepper:

@@ -1,10 +1,10 @@
 """One state pair for every driver: ``state()`` / ``install_state()``.
 
 Checkpoints, supervision snapshots and the fold of a fleet to its serial
-twin all move a driver's state through this pair, so it is pinned here
-once per driver: a twin that installs a running driver's ``state()``
-continues on the same bytes and emits the same per-step numerics, and the
-archives the code wrote before the pair existed still load and continue
+twin all move a driver's state through this pair.  That a twin installing
+a running driver's ``state()`` continues its bytes and per-step numerics
+is the lattice's ``resume="state"`` cells; here, the rest of the pair and
+the archives written before it existed, which still load and continue
 bit-exactly.
 """
 
@@ -23,8 +23,6 @@ from repro.core.distributed import DistributedSolver
 from repro.io import load_checkpoint
 from repro.obs import BufferSink, StepRecorder, canonical_stream
 from repro.physics.initial_data import RP1, shock_tube
-
-from .lattice import legacy
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -103,13 +101,6 @@ def _driver(family, n_ranks, target, placeholder, recorder=None):
     if family == "distributed":
         return DistributedSolver(system, grid, prim, (n_ranks,), config, recorder=recorder)
     return AMRSolver(system, grid, init, config, amr, recorder=recorder, n_ranks=n_ranks)
-
-
-#: a twin installing a running driver's state() continues its bytes and
-#: numerics: the lattice's ``resume="state"`` cells
-test_install_state_continues_bit_exactly = pytest.mark.usefixtures("no_fleet_leaks")(
-    legacy("test_state.py")
-)
 
 
 def test_distributed_state_carries_a_read_between_steps():
