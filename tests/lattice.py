@@ -611,7 +611,9 @@ _FLEET = "serial vs process: state and stream"
 _FLAT = "cext vs flat"
 
 #: every pair a retired whole-run test asserted: ``(test id, cells, what it
-#: compared)`` — the seed of :func:`tier1`.
+#: compared)`` — the seed of :func:`tier1`.  Each id stays collectable in
+#: its file as an alias of its cells (:func:`legacy`), so a selection by an
+#: old id still runs the pairs it ran.
 LEGACY_PAIRS = tuple((test_id, cells if isinstance(cells, tuple) else (cells,), note) for (
     test_id, cells, note) in (
     *((f"test_overlap.py::TestBitExactness::test_blast2d_all_combos[{lim}-{rie}]",
@@ -728,6 +730,48 @@ LEGACY_PAIRS = tuple((test_id, cells if isinstance(cells, tuple) else (cells,), 
           ("amr-process", 1, _AMR_PROC),
           ("amr-process", 2, _AMR_PROC))),
 ))
+
+
+def legacy(prefix: str):
+    """The retired tests under *prefix* (``file::Class``, or ``file`` for
+    module-level functions) as tests that check their cells: a class
+    decorator, or with a function prefix the one test function."""
+    entries = {}
+    for test_id, cells, _ in LEGACY_PAIRS:
+        head, _, rest = test_id.partition(prefix + "::")
+        if head or not rest:
+            continue
+        name, _, param = rest.partition("[")
+        entries.setdefault(name, {})[param.rstrip("]")] = cells
+
+    def alias(by_param: dict, method: bool):
+        ids = list(by_param)
+        if ids == [""]:
+            def test(*_):
+                for cell in by_param[""]:
+                    check(cell)
+
+            return test
+        if method:
+            def test(self, cells):
+                for cell in cells:
+                    check(cell)
+        else:
+            def test(cells):
+                for cell in cells:
+                    check(cell)
+        return pytest.mark.parametrize("cells", [by_param[i] for i in ids], ids=ids)(test)
+
+    if "::" not in prefix:
+        (only,) = entries.values()
+        return alias(only, method=False)
+
+    def decorate(cls):
+        for name, by_param in entries.items():
+            setattr(cls, name, alias(by_param, method=True))
+        return cls
+
+    return decorate
 
 
 def tier1() -> list:

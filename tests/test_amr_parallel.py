@@ -46,6 +46,8 @@ from repro.physics.srhd import SRHDSystem
 from repro.resilience.faults import FaultInjector, FaultPlan, HaloFault
 from repro.utils.errors import BlockMigrationError, ConfigurationError
 
+from .lattice import legacy
+
 #: every test here must leave no worker process and no shm segment behind
 pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
 
@@ -104,6 +106,13 @@ def _assert_blocks_bitexact(ref, proc):
         assert proc["blocks"][key].tobytes() == ref_cons.tobytes(), (
             f"block {key} diverged from the serial forest"
         )
+
+
+@legacy("test_amr_parallel.py::TestProcessParity")
+class TestProcessParity:
+    """:class:`AMRProcessSolver` is the serial :class:`AMRSolver` bit for
+    bit — block bytes and canonical stream, through a migration: cells of
+    the equivalence lattice (``tests/lattice.py``)."""
 
 
 class TestRebalanceDecay:

@@ -19,6 +19,8 @@ from repro.physics.initial_data import RP1, shock_tube
 from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import ConfigurationError, RecoveryError
 
+from .lattice import legacy
+
 
 def _system(ndim=1, gamma=RP1.gamma):
     return SRHDSystem(IdealGasEOS(gamma=gamma), ndim=ndim)
@@ -46,6 +48,13 @@ class TestBatchGrid:
     def test_rejects_empty_batch(self):
         with pytest.raises(ConfigurationError):
             BatchGrid(_grid_1d(), 0)
+
+
+@legacy("test_batch.py::TestBitIdentity")
+class TestBitIdentity:
+    """A batch member is the unbatched :class:`Solver` run bit for bit, in
+    any slot and on every target: cells of the equivalence lattice
+    (``tests/lattice.py``)."""
 
 
 class TestBatchSolverValidation:

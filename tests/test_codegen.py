@@ -25,7 +25,7 @@ from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import CodegenError
 
 from .conftest import random_prim
-from .lattice import KERNEL_LAYOUTS, STACKS, TEAMS, kernel_pipeline, kernel_team
+from .lattice import KERNEL_LAYOUTS, STACKS, TEAMS, kernel_pipeline, kernel_team, legacy
 
 
 @contextlib.contextmanager
@@ -1601,8 +1601,8 @@ class TestCompiledRecovery:
     """One compiled pass per recovery sweep, the CFL scan of a fresh array
     included: ``cext`` is ``flat`` byte for byte — primitives (ghosts
     included), the floored conserved state, the next seed, every metric by
-    name, the scan's maxima — on the hot path and on each route off it.
-    (Over stacks and teams: ``TestKernelParity::test_recover``.)"""
+    name, the scan's maxima — on the hot path and on each route off it,
+    over stacks of P patches and on teams of threads."""
 
     @staticmethod
     def _pair(layout, n_patches=1, **kw):
@@ -1720,6 +1720,177 @@ class TestCompiledRecovery:
             assert counters[name] > 0, name
         assert counters["con2prim.bisection"] == counters["con2prim.failed"] == 0
 
+    @staticmethod
+    def _recovery_draws():
+        """What the recover and scan properties draw: every floor branch and
+        solve route (cold W ~ 60 and NaN cells, Newton capped at 1 or 3
+        iterations, a fault injector's solve-only kernel), near-luminal flow
+        and pressures over eleven decades, warm, cold and mixed seeds, a
+        fresh or a reused array, stacks of P patches."""
+        from hypothesis import strategies as st
+
+        kinds = ["d_floor", "tau_floor", "cap", "thin", "negzero", "hard", "nan"]
+        poke = st.tuples(st.sampled_from(kinds), st.floats(0.0, 1.0, exclude_max=True))
+        per_patch = dict(min_size=max(STACKS), max_size=max(STACKS))
+        return dict(
+            seed=st.integers(0, 2**32 - 1),
+            n_patches=st.sampled_from(STACKS),
+            pokes=st.lists(st.lists(poke, max_size=4), **per_patch),
+            cold=st.lists(st.booleans(), **per_patch),
+            reuse=st.booleans(),
+            w_max=st.sampled_from([4.0, 100.0]),
+            vmax=st.sampled_from([0.5, 0.9, 0.99999]),
+            spread=st.booleans(),
+            max_newton=st.sampled_from([50, 3, 1]),
+            solve_only=st.booleans(),
+        )
+
+    @classmethod
+    def _recover_property(cls, layout):
+        """``recover`` on a ``cext`` stack of P patches (the draws of
+        :meth:`_recovery_draws`) is the ``flat`` pipeline run patch by
+        patch: each patch's primitives, floored conserved state and next
+        seed, and the metrics by name."""
+        from hypothesis import given, settings
+
+        import repro.core.pipeline as pipeline_mod
+        from repro.resilience.faults import FaultInjector, FaultPlan
+
+        @given(**cls._recovery_draws())
+        @settings(max_examples=25, deadline=None, database=None)
+        def check(seed, n_patches, pokes, cold, reuse, w_max, vmax, spread, max_newton,
+                  solve_only):
+            injector = (lambda: FaultInjector(FaultPlan())) if solve_only else None
+            kw = dict(injector=injector, w_max=w_max, failsafe_frac=0.5)
+            stack = kernel_pipeline("cext", layout, n_patches, **kw)
+            flat = kernel_pipeline("flat", layout, **kw)
+            cons = np.stack([
+                cls._cons(flat, seed + i, pokes[i], vmax, spread)
+                for i in range(n_patches)
+            ])
+            seeds = [None] * n_patches
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                mp.setitem(pipeline_mod._NEWTON, "max_newton", max_newton)
+                for scale in (0.99, 1.0):  # all cold, then all warm but *cold*'s
+                    got = cons * scale
+                    prim = stack.recover_primitives(got, reuse=reuse)
+                    for i in range(n_patches):
+                        flat.install_warm_state(seeds[i])
+                        want = cons[i : i + 1] * scale
+                        ref = flat.recover_primitives(want, reuse=reuse)
+                        assert prim[i].tobytes() == ref.tobytes(), i
+                        assert got[i].tobytes() == want.tobytes(), i
+                        seeds[i] = flat.warm_state()
+                        assert stack.warm_state(i).tobytes() == seeds[i].tobytes(), i
+                        if cold[i]:
+                            seeds[i] = None
+                            stack.install_warm_state(None, i)
+                    assert stack.metrics.snapshot() == flat.metrics.snapshot()
+
+        check()
+
+    @classmethod
+    def _scan_property(cls, layout):
+        """The CFL scan of each recovery of a ``cext`` stack of P patches
+        (the draws of :meth:`_recovery_draws`) is the handwritten scan —
+        ``flat``'s — of each patch's primitives byte for byte: read off the
+        kernel for a patch it completed, interpreted for any other, and for
+        every patch of a reused array or under a fault injector."""
+        from hypothesis import given, settings
+
+        import repro.core.pipeline as pipeline_mod
+        from repro.resilience.faults import FaultInjector, FaultPlan
+        from repro.time_integration.cfl import max_signal_per_axis
+
+        @given(**cls._recovery_draws())
+        @settings(max_examples=20, deadline=None, database=None)
+        def check(seed, n_patches, pokes, cold, reuse, w_max, vmax, spread, max_newton,
+                  solve_only):
+            injector = (lambda: FaultInjector(FaultPlan())) if solve_only else None
+            stack = kernel_pipeline(
+                "cext", layout, n_patches, injector=injector, w_max=w_max, failsafe_frac=0.5
+            )
+            plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=stack.system.ndim)
+            cons = np.stack([
+                cls._cons(stack, seed + i, pokes[i], vmax, spread) for i in range(n_patches)
+            ])
+            done = cls._stages_done(stack)
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                mp.setitem(pipeline_mod._NEWTON, "max_newton", max_newton)
+                calls = cls._interpreted(mp, "max_signal_per_axis")
+                for scale in (0.99, 1.0):  # all cold, then all warm but *cold*'s
+                    prim = stack.recover_primitives(cons * scale, reuse=reuse)
+                    calls.clear()
+                    got = stack.max_signal_per_axis(prim)
+                    want = [max_signal_per_axis(plain, stack.grid, p) for p in prim]
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+                    interpreted = sum(d != 3 for d in done[-1])
+                    assert len(calls) == (n_patches if reuse or solve_only else interpreted)
+                    for i in range(n_patches):
+                        if cold[i]:
+                            stack.install_warm_state(None, i)
+
+        check()
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_recover_parity_property(self, layout):
+        """The recover property on the production build."""
+        self._recover_property(layout)
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_on_a_team(self, layout, team):
+        """The recover property with every call on a team of *team* threads
+        (a stack splits by patches, a single patch by rows)."""
+        self._recover_property(layout)
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_the_recovery_scan_property(self, layout):
+        """The scan property on the production build."""
+        self._scan_property(layout)
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_the_recovery_scan_on_a_team(self, layout, team):
+        """The scan property with every recovery on a team of *team*
+        threads, each thread scanning its own rows or patches and the
+        partial maxima folded."""
+        self._scan_property(layout)
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    def test_max_signal_is_the_handwritten_scan(self, layout):
+        """The scan a fresh recovery made is the handwritten scan of the
+        primitives it recovered — near-luminal flow, pressures over eleven
+        decades, NaN conserved ghosts (the scan reads the interior only) —
+        and so is flat's, which has no compiled recovery to ride."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.time_integration.cfl import max_signal_per_axis
+
+        pipes = self._pair(layout)
+        grid = pipes["flat"].grid
+        plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=pipes["flat"].system.ndim)
+        ghosts = np.ones(grid.shape_with_ghosts, dtype=bool)
+        grid.interior_of(ghosts[None])[...] = False
+
+        @given(seed=st.integers(0, 2**32 - 1), vmax=st.sampled_from([0.5, 0.99, 0.99999]))
+        @settings(max_examples=15, deadline=None, database=None)
+        def check(seed, vmax):
+            rng = np.random.default_rng(seed)
+            prim = random_prim(plain, grid.shape_with_ghosts, rng, vmax=vmax)
+            prim[plain.P] *= 10.0 ** rng.uniform(-9, 2, prim[0].shape)
+            cons = SRHDSystem.prim_to_con(plain, prim)
+            cons[:, ghosts] = np.nan
+            for target, pipe in pipes.items():
+                done = self._stages_done(pipe)
+                with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                    got = pipe.recover_primitives(cons[None].copy())
+                    calls = self._interpreted(mp, "max_signal_per_axis")
+                    maxima = pipe.max_signal_per_axis(got)
+                assert maxima == [max_signal_per_axis(plain, grid, got[0])], target
+                assert len(calls) == (done[-1] != [3]), target
+
+        check()
+
     def test_other_arrays_and_patches_scan_interpreted(self, monkeypatch):
         """The kernel's maxima answer only for the fresh array of the last
         recovery and the patches it completed: an unconverged patch, a
@@ -1801,6 +1972,16 @@ class TestCompiledRecovery:
 
     @pytest.mark.parametrize("n", [1, 7, 15, 16, 17, 33])
     def test_lanes_are_the_interpreted_recovery(self, n):
+        """The lane property on the production build."""
+        self._lanes_property(n)
+
+    def test_lanes_on_a_team(self, team):
+        """The lane property with every ``recover`` on a team of *team*
+        threads: a stack of four splits by patches, a single patch by rows."""
+        for n in (7, 17):
+            self._lanes_property(n)
+
+    def _lanes_property(self, n):
         """Newton in lockstep over tiles of ``C2P_LANES`` cells is the
         interpreted recovery byte for byte, for rows of *n* cells across the
         lane width: converged, Newton-exhausted (``max_newton`` 1 or 3, or
@@ -2008,12 +2189,132 @@ class TestCompiledRecovery:
             assert cons.tobytes() == before.tobytes()  # refused before C ran
 
 
+@legacy("test_codegen.py::TestCompiledUpdate")
 class TestCompiledUpdate:
-    """The compiled update stage — ``accumulate`` and ``rk_stage`` — off its
-    compiled path: what it leaves to the interpreted pass, what it refuses
-    before C runs, and the integrator tables it combines.  (Its parity:
-    ``TestKernelParity``; whole runs of every driver, the lattice's ``cext``
+    """The compiled update stage — ``accumulate`` and ``rk_stage`` — against
+    the interpreted expressions it replaces: a ``cext`` stack of P patches
+    is the ``flat`` pipeline run patch by patch, over every layout of
+    ``KERNEL_LAYOUTS``; what it leaves to the interpreted pass and what it
+    refuses before C runs.  (The sweep's in-tile difference:
+    ``TestPatchStacks``; whole runs of every driver, the lattice's ``cext``
     cells.)"""
+
+    @staticmethod
+    def _accumulate_property(layout):
+        """Every axis cut into arbitrary regions, each differenced by the
+        sweep and accumulated in ascending axis order, is each patch's whole
+        ``flat`` sweep, ghosts still exactly +0.0; and a NaN, +-inf or -0.0
+        entry of a region's divergence lands in its own cell only, as the
+        interpreted ``target -= div`` puts it there."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        ndim = KERNEL_LAYOUTS[layout][0]
+
+        @given(
+            data=st.data(),
+            seed=st.integers(0, 2**32 - 1),
+            n_patches=st.sampled_from(STACKS),
+            poison=st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+        )
+        @settings(max_examples=5, deadline=None, database=None)
+        def check(data, seed, n_patches, poison):
+            kw = dict(reconstruction="mc", riemann="hll")
+            stack = kernel_pipeline("cext", layout, n_patches, **kw)
+            flat = kernel_pipeline("flat", layout, **kw)
+            assert stack._accumulate_kernel is not None and flat._accumulate_kernel is None
+            prim = np.stack([
+                TestFusedStencilParity._ghosted_prim(flat, seed + i, True)
+                for i in range(n_patches)
+            ])
+            regions = []
+            for axis, n in enumerate(flat.grid.shape[:ndim]):
+                cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+                regions += [(axis, lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
+            divs = sorted(
+                ((axis, lo, hi, stack.flux_divergence_region(prim, axis, lo, hi).copy())
+                 for axis, lo, hi in data.draw(st.permutations(regions))),
+                key=lambda e: e[0],
+            )
+            dU = stack.begin_flux_divergence(reuse=True)
+            for axis, lo, hi, div in divs:
+                stack.accumulate_divergence(dU, axis, lo, hi, div)
+            ghosts = np.ones(dU.shape, dtype=bool)
+            for patch in ghosts:
+                flat.grid.interior_of(patch)[...] = False
+            assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
+            # One poisoned entry per region, through both accumulates.
+            rng = np.random.default_rng(seed)
+            for *_, div in divs:
+                div.reshape(-1)[rng.integers(div.size)] = poison
+            got = stack.begin_flux_divergence()
+            with np.errstate(all="ignore"):
+                for axis, lo, hi, div in divs:
+                    stack.accumulate_divergence(got, axis, lo, hi, div)
+                for i in range(n_patches):
+                    whole = flat.flux_divergence(prim[i : i + 1].copy())
+                    assert dU[i].tobytes() == whole.tobytes(), (i, regions)
+                    ref = flat.begin_flux_divergence()
+                    for axis, lo, hi, div in divs:
+                        flat.accumulate_divergence(ref, axis, lo, hi, div[:, i : i + 1])
+                    assert got[i].tobytes() == ref.tobytes(), (i, poison)
+            changed = got.view(np.uint64) != dU.view(np.uint64)
+            assert changed.sum() <= len(divs) and not changed[ghosts].any()
+
+        check()
+
+    @staticmethod
+    def _rk_stage_property(layout, names=("euler", "ssprk2", "ssprk3")):
+        """Stage by stage of each integrator's table (*names*), on random,
+        denormal, signed-zero, infinite and NaN inputs: each patch's
+        combination, the intermediates in the workspace and the result
+        owned."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.time_integration.ssprk import make_integrator
+
+        special = np.array([0.0, -0.0, 5e-324, -2e-310, np.inf, -np.inf, np.nan, 1e308])
+
+        @given(seed=st.integers(0, 2**32 - 1), n_patches=st.sampled_from(STACKS))
+        @settings(max_examples=3, deadline=None, database=None)
+        def check(seed, n_patches):
+            stack = kernel_pipeline("cext", layout, n_patches)
+            flat = kernel_pipeline("flat", layout)
+            rng = np.random.default_rng(seed)
+            shape = stack._state_shape
+            U, V, k = (
+                np.where(rng.random(shape) < 0.4, rng.choice(special, shape),
+                         rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape))
+                for _ in range(3)
+            )
+            for table in (make_integrator(n).table for n in names):
+                for j, stage in enumerate(table):
+                    final = j + 1 == len(table)
+                    prev = U if j == 0 else V
+                    with np.errstate(all="ignore"):
+                        got = stack.combine_stage(stage, U, prev, 0.37, k, final)
+                        for i in range(n_patches):
+                            one = slice(i, i + 1)
+                            ref = flat.combine_stage(stage, U[one], prev[one], 0.37, k[one], final)
+                            assert got[i].tobytes() == ref.tobytes(), (stage, i)
+                    in_ws = any(got is b for b in stack.workspace._bufs.values())
+                    assert in_ws != final  # intermediates recycled, the result owned
+                    V = got
+
+        check()
+
+    def test_any_partition_accumulates_to_the_full_sweep(self):
+        """The accumulate property on the production build."""
+        for layout in KERNEL_LAYOUTS:
+            self._accumulate_property(layout)
+
+    def test_on_a_team(self, team):
+        """The accumulate and stage properties with every call on a team of
+        *team* threads."""
+        for layout in KERNEL_LAYOUTS:
+            self._accumulate_property(layout)
+            self._rk_stage_property(layout)
 
     def test_strided_state_takes_the_interpreted_pass_uncopied(self):
         """A non-contiguous ``dU`` / ``div`` / state is never copied
@@ -2093,92 +2394,17 @@ class TestCompiledUpdate:
             ),
         }[name](np.cos)
         assert integ.step(u, 0.3, np.cos).tobytes() == want.tobytes()
+        for layout in KERNEL_LAYOUTS:  # ... and so does the production kernel
+            self._rk_stage_property(layout, (name,))
 
 
-class TestKernelParity:
-    """One property per compiled entry point — ``recover`` with its CFL
-    scan, ``face_flux`` with its in-tile difference, ``accumulate`` and
-    ``rk_stage`` — and one reference rule (``tests/lattice.py``, kernel
-    level): a ``cext`` stack of P patches, every call on a team of *team*
-    threads of the threshold-0 build (a stack splits by patches, a single
-    patch by cells and rows), is the ``flat`` pipeline run patch by patch on
-    one thread, byte for byte and metric by metric.  Patches are drawn one
-    by one, so a poisoned patch shows it changed its own outputs only."""
+class TestPatchStacks:
+    """One ``face_flux`` call over a stack of P same-shape patches, with its
+    in-tile difference, is the ``flat`` sweep of each patch, byte for byte:
+    the property over every layout of ``KERNEL_LAYOUTS``."""
 
-    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
-    def test_recover(self, layout, team):
-        """Every floor branch and solve route (cold W ~ 60 and NaN cells,
-        Newton capped at 1 or 3 iterations, a fault injector's solve-only
-        kernel), near-luminal flow and pressures over eleven decades, warm,
-        cold and mixed seeds, a fresh or a reused array: each patch's
-        primitives, floored conserved state and next seed, the metrics, and
-        the scan's maxima — read off the kernel for a patch it completed,
-        interpreted for any other."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        import repro.core.pipeline as pipeline_mod
-        from repro.resilience.faults import FaultInjector, FaultPlan
-
-        kinds = ["d_floor", "tau_floor", "cap", "thin", "negzero", "hard", "nan"]
-        poke = st.tuples(st.sampled_from(kinds), st.floats(0.0, 1.0, exclude_max=True))
-        per_patch = dict(min_size=max(STACKS), max_size=max(STACKS))
-
-        @given(
-            seed=st.integers(0, 2**32 - 1),
-            n_patches=st.sampled_from(STACKS),
-            pokes=st.lists(st.lists(poke, max_size=4), **per_patch),
-            cold=st.lists(st.booleans(), **per_patch),
-            reuse=st.booleans(),
-            w_max=st.sampled_from([4.0, 100.0]),
-            vmax=st.sampled_from([0.5, 0.9, 0.99999]),
-            spread=st.booleans(),
-            max_newton=st.sampled_from([50, 3, 1]),
-            solve_only=st.booleans(),
-        )
-        @settings(max_examples=25, deadline=None, database=None)
-        def check(seed, n_patches, pokes, cold, reuse, w_max, vmax, spread, max_newton,
-                  solve_only):
-            injector = (lambda: FaultInjector(FaultPlan())) if solve_only else None
-            kw = dict(injector=injector, w_max=w_max, failsafe_frac=0.5)
-            stack = kernel_pipeline("cext", layout, n_patches, **kw)
-            flat = kernel_pipeline("flat", layout, **kw)
-            cons = np.stack([
-                TestCompiledRecovery._cons(flat, seed + i, pokes[i], vmax, spread)
-                for i in range(n_patches)
-            ])
-            seeds = [None] * n_patches
-            done = TestCompiledRecovery._stages_done(stack)
-            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-                mp.setitem(pipeline_mod._NEWTON, "max_newton", max_newton)
-                calls = TestCompiledRecovery._interpreted(mp, "max_signal_per_axis")
-                for scale in (0.99, 1.0):  # all cold, then all warm but *cold*'s
-                    got = cons * scale
-                    prim = stack.recover_primitives(got, reuse=reuse)
-                    maxima = []
-                    for i in range(n_patches):
-                        flat.install_warm_state(seeds[i])
-                        want = cons[i : i + 1] * scale
-                        ref = flat.recover_primitives(want, reuse=reuse)
-                        assert prim[i].tobytes() == ref.tobytes(), i
-                        assert got[i].tobytes() == want.tobytes(), i
-                        seeds[i] = flat.warm_state()
-                        assert stack.warm_state(i).tobytes() == seeds[i].tobytes(), i
-                        maxima += flat.max_signal_per_axis(ref)
-                        if cold[i]:
-                            seeds[i] = None
-                            stack.install_warm_state(None, i)
-                    assert stack.metrics.snapshot() == flat.metrics.snapshot()
-                    calls.clear()
-                    scan = stack.max_signal_per_axis(prim)
-                    assert np.array(scan).tobytes() == np.array(maxima).tobytes()
-                    interpreted = sum(d != 3 for d in done[-1])
-                    assert len(calls) == (n_patches if reuse or solve_only else interpreted)
-
-        check()
-
-    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
-    def test_face_flux(self, layout, team):
+    @staticmethod
+    def _face_flux_property(layout):
         """Every reconstruction x Riemann solver, a region of 1, 2, T - 1,
         T + 1 or T + 3 cells anywhere along any axis of a patch T + 3 cells
         long that way, smooth, discontinuous or near-luminal states, one
@@ -2233,111 +2459,20 @@ class TestKernelParity:
 
         check()
 
-    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
-    def test_accumulate(self, layout, team):
-        """Every axis cut into arbitrary regions, each differenced by the
-        sweep and accumulated in ascending axis order, is each patch's whole
-        ``flat`` sweep, ghosts still exactly +0.0; and a NaN, +-inf or -0.0
-        entry of a region's divergence lands in its own cell only, as the
-        interpreted ``target -= div`` puts it there."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
+    def test_a_stack_is_its_patches(self):
+        """The sweep property on the production build."""
+        for layout in KERNEL_LAYOUTS:
+            self._face_flux_property(layout)
 
-        ndim = KERNEL_LAYOUTS[layout][0]
-
-        @given(
-            data=st.data(),
-            seed=st.integers(0, 2**32 - 1),
-            n_patches=st.sampled_from(STACKS),
-            poison=st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
-        )
-        @settings(max_examples=5, deadline=None, database=None)
-        def check(data, seed, n_patches, poison):
-            kw = dict(reconstruction="mc", riemann="hll")
-            stack = kernel_pipeline("cext", layout, n_patches, **kw)
-            flat = kernel_pipeline("flat", layout, **kw)
-            assert stack._accumulate_kernel is not None and flat._accumulate_kernel is None
-            prim = np.stack([
-                TestFusedStencilParity._ghosted_prim(flat, seed + i, True)
-                for i in range(n_patches)
-            ])
-            regions = []
-            for axis, n in enumerate(flat.grid.shape[:ndim]):
-                cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
-                regions += [(axis, lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
-            divs = sorted(
-                ((axis, lo, hi, stack.flux_divergence_region(prim, axis, lo, hi).copy())
-                 for axis, lo, hi in data.draw(st.permutations(regions))),
-                key=lambda e: e[0],
-            )
-            dU = stack.begin_flux_divergence(reuse=True)
-            for axis, lo, hi, div in divs:
-                stack.accumulate_divergence(dU, axis, lo, hi, div)
-            ghosts = np.ones(dU.shape, dtype=bool)
-            for patch in ghosts:
-                flat.grid.interior_of(patch)[...] = False
-            assert dU[ghosts].tobytes() == np.zeros(int(ghosts.sum())).tobytes()
-            # One poisoned entry per region, through both accumulates.
-            rng = np.random.default_rng(seed)
-            for *_, div in divs:
-                div.reshape(-1)[rng.integers(div.size)] = poison
-            got = stack.begin_flux_divergence()
-            with np.errstate(all="ignore"):
-                for axis, lo, hi, div in divs:
-                    stack.accumulate_divergence(got, axis, lo, hi, div)
-                for i in range(n_patches):
-                    whole = flat.flux_divergence(prim[i : i + 1].copy())
-                    assert dU[i].tobytes() == whole.tobytes(), (i, regions)
-                    ref = flat.begin_flux_divergence()
-                    for axis, lo, hi, div in divs:
-                        flat.accumulate_divergence(ref, axis, lo, hi, div[:, i : i + 1])
-                    assert got[i].tobytes() == ref.tobytes(), (i, poison)
-            changed = got.view(np.uint64) != dU.view(np.uint64)
-            assert changed.sum() <= len(divs) and not changed[ghosts].any()
-
-        check()
-
-    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
-    def test_rk_stage(self, layout, team):
-        """Stage by stage of each integrator's table, on random, denormal,
-        signed-zero, infinite and NaN inputs: each patch's combination, the
-        intermediates in the workspace and the result owned."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.time_integration.ssprk import make_integrator
-
-        special = np.array([0.0, -0.0, 5e-324, -2e-310, np.inf, -np.inf, np.nan, 1e308])
-
-        @given(seed=st.integers(0, 2**32 - 1), n_patches=st.sampled_from(STACKS))
-        @settings(max_examples=3, deadline=None, database=None)
-        def check(seed, n_patches):
-            stack = kernel_pipeline("cext", layout, n_patches)
-            flat = kernel_pipeline("flat", layout)
-            rng = np.random.default_rng(seed)
-            shape = stack._state_shape
-            U, V, k = (
-                np.where(rng.random(shape) < 0.4, rng.choice(special, shape),
-                         rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape))
-                for _ in range(3)
-            )
-            for table in (make_integrator(n).table for n in ("euler", "ssprk2", "ssprk3")):
-                for j, stage in enumerate(table):
-                    final = j + 1 == len(table)
-                    prev = U if j == 0 else V
-                    with np.errstate(all="ignore"):
-                        got = stack.combine_stage(stage, U, prev, 0.37, k, final)
-                        for i in range(n_patches):
-                            one = slice(i, i + 1)
-                            ref = flat.combine_stage(stage, U[one], prev[one], 0.37, k[one], final)
-                            assert got[i].tobytes() == ref.tobytes(), (stage, i)
-                    in_ws = any(got is b for b in stack.workspace._bufs.values())
-                    assert in_ws != final  # intermediates recycled, the result owned
-                    V = got
-
-        check()
+    def test_a_stack_is_its_patches_on_a_team(self, team):
+        """The sweep property with every call on a team of *team* threads:
+        a stack of several patches splits by patches, a single patch by
+        cells and rows."""
+        for layout in KERNEL_LAYOUTS:
+            self._face_flux_property(layout)
 
 
+@legacy("test_codegen.py::TestThreadCounts")
 class TestThreadCounts:
     """The production build at 1, 2 and 4 threads: a recovery's scan over
     calls that reach the team.  (Whole runs at 2 threads: the lattice's
@@ -2390,6 +2525,12 @@ class TestThreadCounts:
                 assert got[1:] == got[:1] * 2
         finally:
             cext_mod.threads(2, before)
+
+
+@legacy("test_codegen.py::TestFusedSolverDigest")
+class TestFusedSolverDigest:
+    """End to end: a cext run is the flat run, byte for byte — cells of the
+    equivalence lattice (``tests/lattice.py``)."""
 
 
 class TestCacheMaintenance:

@@ -18,7 +18,10 @@ from repro.resilience.faults import Con2PrimFault, FaultInjector, FaultPlan
 from repro.utils.errors import ConfigurationError, RecoveryError
 
 from .conftest import require_cext
+from .lattice import legacy
 
+
+@legacy("test_distributed.py::TestEquivalence")
 class TestEquivalence:
     """The distributed solver reproduces the single-grid solver exactly:
     whole runs are cells of the equivalence lattice (``tests/lattice.py``);
@@ -161,6 +164,7 @@ _STACK_CASES = {
 }
 
 
+@legacy("test_distributed.py::TestStacks")
 class TestStacks:
     """Same-shape ranks step as one ``(P, nvars, *ghosted)`` stack through
     one pipeline: one kernel call per stage for all P, every per-rank

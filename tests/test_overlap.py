@@ -24,6 +24,8 @@ from repro.physics.srhd import SRHDSystem
 from repro.resilience.faults import FaultInjector, FaultPlan, HaloFault
 from repro.resilience.policies import HaloRetryPolicy
 
+from .lattice import legacy
+
 
 def _blast2d_setup(n=16):
     system = SRHDSystem(IdealGasEOS(), ndim=2)
@@ -51,6 +53,13 @@ def _run(system, grid, prim0, dims, overlap, *, steps=6, t_final=0.05, **kw):
     return solver
 
 
+@legacy("test_overlap.py::TestBitExactness")
+class TestBitExactness:
+    """Blocking vs overlapped whole runs: cells of the equivalence lattice
+    (``tests/lattice.py``)."""
+
+
+@legacy("test_overlap.py::TestFaultBehaviour")
 class TestFaultBehaviour:
     """Overlapped exchanges under the retry policy recover every injected
     fault bitwise: the faulted cells of the lattice; here, the one run

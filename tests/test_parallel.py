@@ -62,6 +62,8 @@ from repro.resilience.policies import (
 from repro.utils.errors import CommunicationError, ConfigurationError, WorkerError
 
 from .conftest import require_cext
+from .lattice import legacy
+
 #: every test here must leave no worker process and no shm segment behind
 pytestmark = pytest.mark.usefixtures("no_fleet_leaks")
 
@@ -136,6 +138,13 @@ def _assert_bitexact(serial, sink, proc):
 META = {"problem": "bitexact", "suite": "parallel"}
 
 
+@legacy("test_parallel.py::TestBitExactness")
+class TestBitExactness:
+    """Serial vs process whole runs (geometry x overlap x target): cells of
+    the equivalence lattice (``tests/lattice.py``)."""
+
+
+@legacy("test_parallel.py::TestFaultBitExactness")
 class TestFaultBitExactness:
     """Both executors post the one fault oracle's schedule: the same plan
     strikes the same logical messages and cells on both backends,
@@ -296,6 +305,7 @@ def _npz_entries(path):
         }
 
 
+@legacy("test_parallel.py::TestProcessCheckpointing")
 class TestProcessCheckpointing:
     """executor="process" checkpoints: same format, same bytes, restartable
     (a fleet resumed from its checkpoint: a lattice cell)."""

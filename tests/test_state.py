@@ -24,6 +24,8 @@ from repro.io import load_checkpoint
 from repro.obs import BufferSink, StepRecorder, canonical_stream
 from repro.physics.initial_data import RP1, shock_tube
 
+from .lattice import legacy
+
 DATA = Path(__file__).resolve().parent / "data"
 
 #: steps before the archive / install point, and after it
@@ -101,6 +103,13 @@ def _driver(family, n_ranks, target, placeholder, recorder=None):
     if family == "distributed":
         return DistributedSolver(system, grid, prim, (n_ranks,), config, recorder=recorder)
     return AMRSolver(system, grid, init, config, amr, recorder=recorder, n_ranks=n_ranks)
+
+
+#: a twin installing a running driver's state() continues its bytes and
+#: numerics: the lattice's ``resume="state"`` cells
+test_install_state_continues_bit_exactly = pytest.mark.usefixtures("no_fleet_leaks")(
+    legacy("test_state.py")
+)
 
 
 def test_distributed_state_carries_a_read_between_steps():
