@@ -67,17 +67,16 @@ _OVERLAP_LINK = make_link("infiniband-fdr")
 
 def decompose(
     system: SRHDSystem, global_grid: Grid, dims, boundaries, periodic,
-    config: SolverConfig | None = None, fault_injector=None, halo_policy=None,
+    config: SolverConfig, fault_injector=None, halo_policy=None,
 ):
     """``(wall conditions, decomposition)`` from the constructor arguments
     both Cartesian executors take; periodicity defaults to the walls'.
 
-    Given *config* (and a fault plan), it refuses — before any rank or
-    worker exists — the runs the halo exchange cannot carry out: a block
-    with a neighbour narrower than the reconstruction's stencil reach
-    (its exchange would send ghost cells it does not own), and a halo
-    fault addressed past the messages its exchange sends (it would never
-    strike)."""
+    It refuses — before any rank or worker exists — the runs the halo
+    exchange cannot carry out: a block with a neighbour narrower than the
+    reconstruction's stencil reach (its exchange would send ghost cells it
+    does not own), and a halo fault addressed past the messages its
+    exchange sends (it would never strike)."""
     if system.ndim != global_grid.ndim:
         raise ConfigurationError("system/grid dimensionality mismatch")
     wall_bcs = boundaries or make_boundaries("outflow")
@@ -87,18 +86,17 @@ def decompose(
             for ax in range(global_grid.ndim)
         )
     decomp = CartesianDecomposition(global_grid, dims, periodic=periodic)
-    if config is not None:
-        reach = make_reconstruction(config.reconstruction).required_ghosts
-        for rank in range(decomp.size):
-            for axis, width in enumerate(decomp.subgrid(rank).shape):
-                if width < reach and any(
-                    decomp.neighbor(rank, axis, side) is not None for side in (0, 1)
-                ):
-                    raise ConfigurationError(
-                        f"rank {rank} is {width} cells wide along axis {axis}, "
-                        f"narrower than the {config.reconstruction} stencil reach "
-                        f"of {reach}: its halo would carry cells it does not own"
-                    )
+    reach = make_reconstruction(config.reconstruction).required_ghosts
+    for rank in range(decomp.size):
+        for axis, width in enumerate(decomp.subgrid(rank).shape):
+            if width < reach and any(
+                decomp.neighbor(rank, axis, side) is not None for side in (0, 1)
+            ):
+                raise ConfigurationError(
+                    f"rank {rank} is {width} cells wide along axis {axis}, "
+                    f"narrower than the {config.reconstruction} stencil reach "
+                    f"of {reach}: its halo would carry cells it does not own"
+                )
     plan = getattr(fault_injector, "plan", None)
     if plan is not None and plan.halo:
         faces = len(face_table(decomp).by_face)
@@ -161,9 +159,10 @@ class DistributedSolver(Driver):
         halo_policy: "HaloRetryPolicy | None" = None,
         source_fn=None,
     ):
+        config = config or SolverConfig()
         wall_bcs, decomp = decompose(
             system, global_grid, dims, boundaries, periodic,
-            config or SolverConfig(), fault_injector, halo_policy,
+            config, fault_injector, halo_policy,
         )
         self._init_ranks(
             system, decomp, config, wall_bcs,

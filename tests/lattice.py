@@ -349,7 +349,7 @@ def _build(cell: Cell, recorder, placeholder: bool = False):
     dims = DIMS[cell.layout][p.ndim]
     extra = {}
     if cell.faults == "halo":
-        _, decomp = decompose(system, grid, dims, walls, None)
+        _, decomp = decompose(system, grid, dims, walls, None, config)
         n_messages = sum(
             decomp.neighbor(rank, axis, side) is not None
             for rank in range(decomp.size) for axis in range(p.ndim) for side in (0, 1)
@@ -791,7 +791,7 @@ def tier1() -> list:
 # ``face_flux`` with its in-tile difference, ``accumulate``, ``rk_stage`` —
 # a ``cext`` stack of P patches on a team of t threads equals the ``flat``
 # pipeline run patch by patch on one thread, byte for byte and metric by
-# metric (``tests/test_codegen.py::TestKernelParity``).
+# metric (the ``_*_property`` helpers of ``tests/test_codegen.py``).
 
 #: layout -> (ndim, batch width); a batch axis trails a 1-D patch
 KERNEL_LAYOUTS = {"1d": (1, 0), "2d": (2, 0), "3d": (3, 0), "batch1": (1, 1), "batch5": (1, 5)}
@@ -844,18 +844,18 @@ def kernel_team(threads: int):
     if not all(cext.cext_available(nd) for nd in (1, 2, 3)):
         pytest.skip("no C toolchain")
     threshold = f"#define TEAM_MIN_WORK {TEAM_MIN_WORK}\n"
-    production = {}
-    for ndim in (1, 2, 3):
-        name, source, cdef = cext.module_spec(ndim)
-        assert source.count(threshold) == 1
-        forced = source.replace(threshold, "#define TEAM_MIN_WORK 0\n")
-        forced_name = cext._artifact_name(f"_repro_test_team_{ndim}d", forced, cdef)
-        cext._load_spec(forced_name, forced, cdef)
-        production[name] = cext._modules[name]
-        cext._modules[name] = cext._modules[forced_name]
+    production = {}  # what is swapped so far, so that a failed build restores it
     before = cext.threads(1)
-    _BUILD["now"] = "team"
     try:
+        for ndim in (1, 2, 3):
+            name, source, cdef = cext.module_spec(ndim)
+            assert source.count(threshold) == 1
+            forced = source.replace(threshold, "#define TEAM_MIN_WORK 0\n")
+            forced_name = cext._artifact_name(f"_repro_test_team_{ndim}d", forced, cdef)
+            cext._load_spec(forced_name, forced, cdef)
+            production[name] = cext._modules[name]
+            cext._modules[name] = cext._modules[forced_name]
+        _BUILD["now"] = "team"
         if cext.threads(1, threads) != threads:
             pytest.skip(f"no team of {threads} threads (a build without OpenMP)")
         yield

@@ -590,7 +590,7 @@ class TestOneRankStepper:
         """Rank 0 of a 2-rank decomposition against a communicator that
         expects both ranks — a mis-wired fleet."""
         system, grid, prim0 = _rp1_setup()
-        wall_bcs, decomp = decompose(system, grid, (2,), None, None)
+        wall_bcs, decomp = decompose(system, grid, (2,), None, None, SolverConfig())
         parts = decomp.scatter(grid.interior_of(prim0))
         stepper = DistributedSolver.__new__(DistributedSolver)
         stepper._init_ranks(
