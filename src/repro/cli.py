@@ -614,30 +614,16 @@ def _cmd_amr(args) -> int:
         if recorder is not None:
             recorder.finish(t_end=solver.t)
             recorder.close()
-        if args.executor == "process":
-            prims = solver.gather_block_primitives()
-            levels: dict[int, int] = {}
-            for key in prims:
-                levels[key.level] = levels.get(key.level, 0) + 1
-            rho_min = min(p[system.RHO].min() for p in prims.values())
-            rho_max = max(p[system.RHO].max() for p in prims.values())
-        else:
-            levels = solver.leaf_count_by_level()
-            _, prim = solver.composite_primitives()
-            rho_min = prim[system.RHO].min()
-            rho_max = prim[system.RHO].max()
+        rho = [p[system.RHO] for p in solver.interior_primitives().values()]
+        levels = solver.leaf_count_by_level()
     finally:
         if args.executor == "process":
-            solver.close()  # workers stay up through the gathers above
+            solver.close()  # workers stay up through the gather above
 
     print(f"{args.problem} [amr]: t = {solver.t:.4f}, steps = {solver.steps}")
     by_level = " ".join(f"{lvl}:{n}" for lvl, n in sorted(levels.items()))
-    n_leaves = sum(levels.values())
-    regrids = getattr(solver, "regrids", None)
-    forest_line = f"  forest    : {n_leaves} leaves (level {by_level})"
-    if regrids is not None:
-        forest_line += f", {regrids} regrids"
-    print(forest_line)
+    print(f"  forest    : {sum(levels.values())} leaves (level {by_level}), "
+          f"{solver.regrids} regrids")
     if args.ranks > 1 or args.executor == "process":
         print(f"  ranks     : {args.ranks} ({args.executor} executor, "
               f"{amr_cfg.partitioner} partitioner)")
@@ -647,7 +633,7 @@ def _cmd_amr(args) -> int:
         if args.max_rank_restarts is not None:
             print(f"  supervise : {solver.restarts_used} rank respawn(s) "
                   f"of {args.max_rank_restarts} allowed")
-    print(f"  rho range : [{rho_min:.4g}, {rho_max:.4g}]")
+    print(f"  rho range : [{min(r.min() for r in rho):.4g}, {max(r.max() for r in rho):.4g}]")
     if args.metrics_out:
         from .harness.report import Report
         from .obs import read_events

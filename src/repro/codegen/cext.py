@@ -475,7 +475,7 @@ def run_face_flux(
     riemann_id: int,
     n_ghost: int,
     div: np.ndarray | None = None,
-    dx: float = 1.0,
+    dx: np.ndarray | None = None,
     n_patches: int = 1,
 ) -> np.ndarray:
     """Run one fused face-flux sweep; returns the sanitize counters.
@@ -486,15 +486,17 @@ def run_face_flux(
     rows of every patch (:func:`sweep_rows`, C's ``j0`` counted from their
     first interior cell), in C order, patch after patch;
     *out* (or None) receives their fluxes as ``(nvars, n_rows, n_faces)``
-    and *div* (or None) their difference over *dx* as ``(nvars, n_rows,
-    n_faces - 1)``.  The returned int64 pair is ``[velocity_rescaled,
+    and *div* (or None) their difference, each patch's over its own entry
+    of the spacing row *dx* (one per patch; None: unit spacing), as
+    ``(nvars, n_rows, n_faces - 1)``.  The returned int64 pair is ``[velocity_rescaled,
     floored]`` — the exact totals the interpreted sanitize stage counts over
     the same rows.
 
     The sweep covers faces ``j0 .. j0 + n_faces - 1`` (by left cell) along
     *axis*; C reads ``STENCIL_REACH[recon_id]`` cells beyond them and
     writes its outputs unchecked, so a region whose stencil leaves the
-    array, or an output of another size, is refused here.
+    array, an output of another size, or a spacing row that is not one
+    value per patch, is refused here.
     """
     if not prim.flags.c_contiguous:
         raise CodegenError("fused face_flux needs a C-contiguous prim array")
@@ -514,6 +516,11 @@ def run_face_flux(
                 f"fused face_flux output holds {arr.size} values, the sweep "
                 f"writes {nvars} x {rows.size} x {width}"
             )
+    dx = np.ascontiguousarray(np.ones(n_patches) if dx is None else dx, dtype=np.float64)
+    if dx.shape != (n_patches,):
+        raise CodegenError(
+            f"fused face_flux needs one spacing per patch ({n_patches}), got {dx.shape}"
+        )
     counts = np.zeros(2, dtype=np.int64)
     keep: list = []
     fn(
@@ -526,7 +533,8 @@ def run_face_flux(
         int(n_faces),
         ffi.NULL if out is None else _out_buf(ffi, out),
         ffi.NULL if div is None else _out_buf(ffi, div),
-        float(dx),
+        _in_buf(ffi, dx, keep),
+        int(rows.size // n_patches),
         float(gamma),
         float(vmax2),
         float(rho_atmo),

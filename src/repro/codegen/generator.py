@@ -1163,8 +1163,9 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
         states, then run the tile stages over its lanes — sanitize and
         ``face_side`` once per side, combine into the stack
         block ``Ft`` (slot 0 carries the previous tile's last face: a seam
-        costs ``nvars`` doubles), then ``div = (Ft[i + 1] - Ft[i]) / dx`` —
-        NumPy's subtract, then its divide — before the fluxes leave the
+        costs ``nvars`` doubles), then ``div = (Ft[i + 1] - Ft[i]) / dx[q]``
+        — NumPy's subtract, then its divide, by the spacing of the row's
+        patch *q* (``patch_rows`` rows each) — before the fluxes leave the
         cache; no interface-sized temporary anywhere.  Row *r* lands in row
         *r* of ``F`` (nvars, n_rows, n_faces) and ``div`` (nvars, n_rows,
         n_faces - 1); either output may be NULL.  One schedule serves all
@@ -1177,7 +1178,7 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
         rows = f"face_flux_rows_ax{axis}_{nd}d"
         args = (
             "prim, var_stride, axis_stride, row_offsets, n_rows, {lo}, {hi}, j0, "
-            "n_faces, F, div,\n                dx, gamma, vmax2, rho_atmo, "
+            "n_faces, F, div,\n                dx, patch_rows, gamma, vmax2, rho_atmo, "
             "p_atmo, recon_id, limiter_id, riemann_id, {counts}"
         )
         team = _team_branch(
@@ -1197,14 +1198,15 @@ REPRO_CLONES
 OUTLINE void {rows}(const double* prim, long var_stride,
     long axis_stride, const long* row_offsets, long n_rows, long r_lo, long r_hi,
     long j0, long n_faces, double* F, double* div,
-    double dx, double gamma, double vmax2, double rho_atmo, double p_atmo,
-    int recon_id, int limiter_id, int riemann_id, long* counts)
+    const double* dx, long patch_rows, double gamma, double vmax2, double rho_atmo,
+    double p_atmo, int recon_id, int limiter_id, int riemann_id, long* counts)
 {{
     double q[2][{nv}][{T}];
     double sd[2][{2 * nv + 2}][{T}];
     double Ft[{nv}][{T} + 1];
     for (long r = r_lo; r < r_hi; ++r) {{
         const double* row = prim + row_offsets[r] + j0 * axis_stride;
+        const double h = dx[r / patch_rows];
         for (long k0 = 0; k0 < n_faces; k0 += {T}) {{
             const long m = (n_faces - k0 < {T}) ? n_faces - k0 : {T};
             fill_tile_{nd}d(row + k0 * axis_stride, var_stride, axis_stride, m,
@@ -1224,7 +1226,7 @@ OUTLINE void {rows}(const double* prim, long var_stride,
                 if (div) {{
                     double* restrict d = div + (v * n_rows + r) * (n_faces - 1) + k0;
                     for (long i = (k0 == 0); i < m; ++i) /* lanes */
-                        d[i - 1] = (f[i + 1] - f[i]) / dx;
+                        d[i - 1] = (f[i + 1] - f[i]) / h;
                 }}
                 Ft[v][0] = Ft[v][m];
             }}
@@ -1235,8 +1237,8 @@ OUTLINE void {rows}(const double* prim, long var_stride,
 void {name}(const double* prim, long var_stride,
     long axis_stride, const long* row_offsets, long n_rows, long j0,
     long n_faces, double* F, double* div,
-    double dx, double gamma, double vmax2, double rho_atmo, double p_atmo,
-    int recon_id, int limiter_id, int riemann_id, long* counts)
+    const double* dx, long patch_rows, double gamma, double vmax2, double rho_atmo,
+    double p_atmo, int recon_id, int limiter_id, int riemann_id, long* counts)
 {{
 {team}    {rows}({args.format(lo="0", hi="n_rows", counts="counts")});
 }}

@@ -173,9 +173,10 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
     def face_flux(self, prim, axis, j0, n_faces, out, *, ids, **params) -> np.ndarray:
         """One fused reconstruction+Riemann(+difference) sweep along *axis*
         of the interior rows of one patch or a stack
-        (:func:`~repro.codegen.cext.run_face_flux`, ``n_ghost`` and
-        ``n_patches`` among *params*): fluxes into *out*, their difference
-        over ``dx`` into ``div``, either may be None.
+        (:func:`~repro.codegen.cext.run_face_flux`, ``n_ghost``,
+        ``n_patches`` and the per-patch spacing row ``dx`` among *params*):
+        fluxes into *out*, their difference over each patch's ``dx`` into
+        ``div``, either may be None.
         Returns the int64 sanitize counters ``[velocity_rescaled,
         floored]``.  *ids* comes from :func:`stencil_scheme_ids`.
         """

@@ -26,12 +26,10 @@ step records reproduce the in-process stream.
 from __future__ import annotations
 
 import time
-
-import numpy as np
+from collections import Counter
 
 from ..boundary.conditions import BoundarySet
 from ..comm.shm import SupervisionBoard, amr_channel_capacities
-from ..mesh.amr.blocks import BlockKey
 from ..mesh.grid import Grid
 from ..obs.events import BufferSink
 from ..obs.metrics import MetricsRegistry
@@ -138,8 +136,10 @@ class AMRProcessSolver(ProcessSolver):
             comm_timeout_s, step_timeout_s, ready_timeout_s,
         )
         self.t, self.steps = proto.t, proto.steps
-        # Rebalance bookkeeping mirrored from the workers' step records,
-        # matching the AMRSolver surface.
+        # Regrid and rebalance bookkeeping mirrored from the workers' step
+        # records, matching the AMRSolver surface.
+        self.regrids = proto.regrids
+        self._leaves_by_level = proto.leaf_count_by_level()
         self.repartitions = proto.repartitions
         self.migrated_blocks = proto.migrated_blocks
         self.imbalance = proto.imbalance
@@ -186,13 +186,21 @@ class AMRProcessSolver(ProcessSolver):
                 migrated_blocks=amr["migrated_blocks"] - self.migrated_blocks,
                 repartitions=amr["repartitions"],
             )
+        self.regrids = amr["regrids"]
+        self._leaves_by_level = {int(lvl): n for lvl, n in amr["leaves_by_level"].items()}
         self.repartitions = amr["repartitions"]
         self.migrated_blocks = amr["migrated_blocks"]
         self.imbalance = amr["imbalance"]
         super()._emit_step_record(merged)
 
+    def leaf_count_by_level(self) -> dict[int, int]:
+        """Leaves per level, as of the last step (or install)."""
+        return dict(self._leaves_by_level)
+
     def install_state(self, state: dict) -> None:
         super().install_state(state)
+        self.regrids = int(state["regrids"])
+        self._leaves_by_level = dict(Counter(key.level for key in state["leaves"]))
         self.repartitions = int(state.get("repartitions", 0))
         self.migrated_blocks = int(state.get("migrated_blocks", 0))
         self.imbalance = float(state.get("imbalance", self.imbalance))
@@ -225,14 +233,10 @@ class AMRProcessSolver(ProcessSolver):
             source_fn=self._source_fn, n_ranks=self.n_ranks,
         )
 
-    def gather_block_primitives(self) -> dict[BlockKey, np.ndarray]:
-        """Every leaf's interior primitives, merged across ranks."""
-        return self.interior_primitives()
-
     def gather_primitives(self):
         raise ConfigurationError(
             "the AMR executor gathers per-block data; use state() "
-            "or gather_block_primitives()"
+            "or interior_primitives()"
         )
 
 

@@ -11,16 +11,16 @@ number of leaf-cell RK-stage updates actually performed — against the error
 measured on the composite solution.
 
 The leaves step in stacks by the distributed ranks' rule
-(:func:`~repro.core.pipeline.patch_stacks`): each run of consecutive leaves
-alike in shape and ``dx`` — about one per level — is one array stepped by
-one pipeline, one kernel call per stage.  ``forest.leaves[key].cons`` views
-its stack.  Ghost fill and reflux run gather programs compiled once per
-topology, ownership and stack layout (:meth:`AMRForest.ghost_plan
-<repro.mesh.amr.forest.AMRForest.ghost_plan>`,
+(:func:`~repro.core.pipeline.patch_stacks`): every leaf has the block
+shape and carries its own ``dx``, so the evolved leaves of every level are
+one array stepped by one pipeline, one kernel call per stage.
+``forest.leaves[key].cons`` views its stack.  Ghost fill and reflux run
+gather programs compiled once per topology, ownership and stack layout
+(:meth:`AMRForest.ghost_plan <repro.mesh.amr.forest.AMRForest.ghost_plan>`,
 :func:`~repro.mesh.amr.reflux.compile_reflux`) — one kernel call each on
 ``cext`` — and flagging scores a stack in one indicator pass, so a stage
-makes a few calls per level and stack, not per leaf; a change of leaf set
-or owners drops the plans and re-keys the stacks before they step.
+makes a few calls, not a few per leaf; a change of leaf set or owners
+drops the plans and re-keys the stacks before they step.
 
 Every leaf belongs to one of ``n_ranks`` ranks (Morton space-filling-curve
 partition, :mod:`repro.mesh.amr.partition`), and the driver steps the ranks
@@ -82,7 +82,6 @@ from ..mesh.amr.transfer import prolong_array, restrict_array
 from ..mesh.grid import Grid
 from ..obs.metrics import MetricsRegistry
 from ..physics.srhd import SRHDSystem
-from ..time_integration.cfl import clip_dt_to_final
 from ..time_integration.ssprk import make_integrator
 from ..utils.errors import ConfigurationError
 from ..utils.parameters import ParameterSet, param
@@ -129,8 +128,8 @@ class AMRConfig(ParameterSet):
 
 
 class AMRSolver(Driver):
-    """Block-structured AMR evolution of the SRHD system; the leaves step in
-    stacks, one pipeline per run of like leaves (:meth:`leaf_pipeline`).
+    """Block-structured AMR evolution of the SRHD system; the evolved leaves
+    step as one stack through one pipeline (:meth:`leaf_pipeline`).
 
     Parameters
     ----------
@@ -774,7 +773,7 @@ class AMRSolver(Driver):
             prims = recover_stacks(stacks, states, reuse=True)
         self._fill_ghosts(prims)
         dU = PatchViews.of(stacks, [
-            st.pipeline.flux_divergence(prim, reuse=True)
+            st.pipeline.flux_divergence(prim)
             for st, prim in zip(stacks, prims.stacks)
         ])
         if self.amr.reflux:
@@ -818,26 +817,16 @@ class AMRSolver(Driver):
         if messages:
             self.metrics.counter("comm.amr.reflux_messages").inc(messages)
 
-    def compute_dt(self, t_final: float | None = None) -> float:
-        """One CFL scan and one min per stack: every leaf's dt in array ops
-        in :func:`~repro.time_integration.cfl.dt_from_axis_maxima`'s order
-        (``0.0 + max(v, 1e-12) / dx`` axis by axis, then ``cfl / inv_dt``)."""
-        dt = float("inf")
-        for st, prim in zip(self._stacks, self._prims().stacks):
-            maxima = np.asarray(st.pipeline.max_signal_per_axis(prim))
-            inv_dt = 0.0
-            for axis, dx in enumerate(self.forest.leaves[st.idents[0]].grid.dx):
-                inv_dt = inv_dt + np.maximum(maxima[:, axis], 1e-12) / dx
-            dt = min(dt, float(np.min(self.config.cfl / inv_dt)))
-        dt = self._reduce_dt(dict.fromkeys(self.local_ranks, dt))
-        return clip_dt_to_final(dt, self.t, t_final)
+    # bench/trace.py patches AMRSolver.__dict__["compute_dt"]: bound here,
+    # not inherited.
+    compute_dt = Driver.compute_dt
 
-    def _reduce_dt(self, local_min: dict[int, float]) -> float:
+    def _reduce_dt(self, dt: float) -> float:
         """Min over ranks.  A global min over per-leaf dt values is a
         *selection*, so reducing the held leaves' minimum, whichever ranks
         hold them, is bit-identical to the one-rank min."""
         out = self.comm.allreduce(
-            {rank: np.asarray([dt]) for rank, dt in local_min.items()}, "min"
+            {rank: np.asarray([dt]) for rank in self.local_ranks}, "min"
         )
         return float(out[self.local_ranks[0]][0])
 

@@ -328,4 +328,4 @@ class BatchSolver(Solver):
     # inherited from Solver.
     step = Driver.step
     run = Driver.run
-    compute_dt = Solver.compute_dt
+    compute_dt = Driver.compute_dt

@@ -3,9 +3,9 @@
 Runs the same HRSC pipeline as :class:`~repro.core.solver.Solver`, but with
 the domain split across ranks of a :class:`CartesianDecomposition`:
 
-- each rank owns a ghosted sub-patch; consecutive owned ranks whose
-  patches are alike (shape, ``dx``, overlap regions — the one rule of
-  :func:`~repro.core.pipeline.patch_stacks`) form one *stack*, a
+- each rank owns a ghosted sub-patch, with the global ``dx``; consecutive
+  owned ranks whose patches are alike (shape and overlap regions — the one
+  rule of :func:`~repro.core.pipeline.patch_stacks`) form one *stack*, a
   ``(P, nvars, *ghosted)`` array stepped by one :class:`HydroPipeline` —
   one kernel call per stage for all P ranks — and every per-rank surface
   (``state()``, the finite guard) works on ``{rank: view}``;
@@ -16,10 +16,10 @@ the domain split across ranks of a :class:`CartesianDecomposition`:
   scatter into them (:func:`~repro.comm.halo.halo_plan`);
 - the CFL time step is a global allreduce(max) of per-axis speeds.
 
-The distributed result is the single-grid solver's bit for bit wherever the
-sub-grids' ``dx`` is the global one — the test suite asserts this — so the
-communicator traffic log faithfully represents the real code path the
-scaling model prices.
+The distributed result is the single-grid solver's bit for bit — every
+sub-grid carries the global ``dx`` (:meth:`~repro.mesh.grid.Grid.subgrid`),
+and the test suite asserts this — so the communicator traffic log
+faithfully represents the real code path the scaling model prices.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ class DistributedSolver(Driver):
             })
 
         # Stacks (patch_stacks' one rule): runs of consecutive owned ranks
-        # alike in shape, dx and (cores, strips), each stepped by one
+        # alike in shape and (cores, strips), each stepped by one
         # pipeline of the kernel system resolved here once; self.system
         # stays the plain one (it converts the initial data and is what
         # workers unpickle).
@@ -345,8 +345,7 @@ class DistributedSolver(Driver):
         """``(axis, lo, hi, divergence)`` of each ``(axis, lo, hi)`` range
         of every patch of *stack* (one sweep per range)."""
         return [
-            (axis, lo, hi,
-             stack.pipeline.flux_divergence_region(prim, axis, lo, hi, reuse=True))
+            (axis, lo, hi, stack.pipeline.flux_divergence_region(prim, axis, lo, hi))
             for axis, lo, hi in ranges
         ]
 
@@ -393,7 +392,7 @@ class DistributedSolver(Driver):
         for s, (st, prim) in enumerate(zip(self._stacks, prims.stacks)):
             pipeline = st.pipeline
             divs[s] += self._divergences(st, prim, st.regions[1])
-            dU = pipeline.begin_flux_divergence(reuse=True)
+            dU = pipeline.begin_flux_divergence()
             for axis, lo, hi, div in sorted(divs[s], key=lambda e: e[0]):
                 pipeline.accumulate_divergence(dU, axis, lo, hi, div)
             out.append(pipeline.apply_source(prim, dU))

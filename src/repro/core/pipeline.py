@@ -92,13 +92,13 @@ class HydroPipeline:
     patches:
         The stack's ``(grid, boundaries)`` per patch, in order (the first is
         *grid*, *boundaries*, the default stack of one; every grid has its
-        shape, ghosts and ``dx``; drivers build stacks through
-        :func:`patch_stacks`).  Every stage takes and returns ``(P, nvars,
-        *ghosted)`` stacks — any other array raises ``ConfigurationError``
-        — and runs each compiled kernel once per call for all P patches;
-        what is per patch (boundary fill, source term, Newton seed,
-        fault-injector consult, recovery accounting, the interpreted paths)
-        runs patch by patch, in order.
+        shape and ghosts, and its own ``dx``, which :attr:`dx` holds as
+        data; drivers build stacks through :func:`patch_stacks`).  Every
+        stage takes and returns ``(P, nvars, *ghosted)`` stacks — any other
+        array raises ``ConfigurationError`` — and runs each compiled kernel
+        once per call for all P patches; what is per patch (boundary fill,
+        source term, Newton seed, fault-injector consult, recovery
+        accounting, the interpreted paths) runs patch by patch, in order.
     """
 
     def __init__(
@@ -127,6 +127,9 @@ class HydroPipeline:
         ]
         #: the shape of every stack this pipeline takes and returns
         self._state_shape = (len(self.patches), system.nvars) + grid.shape_with_ghosts
+        #: every patch's spacing along the swept (physical) axes, ``(P,
+        #: ndim)``: each patch's divergence and CFL bound divide by its own
+        self.dx = np.array([g.dx[: system.ndim] for g, _ in self.patches])
         self.config = config
         self.reconstruction = make_reconstruction(config.reconstruction)
         self.riemann = make_riemann_solver(config.riemann)
@@ -163,8 +166,7 @@ class HydroPipeline:
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
         #: preallocated kernel buffers for the hot path (one per pipeline, so
-        #: per-stack reuse is safe); setting it to None
-        #: makes every call allocate fresh arrays (bit-identical; tests).
+        #: per-stack reuse is safe)
         self.workspace = ScratchWorkspace(grid, system.nvars, len(self.patches))
         # Pressure cache seeds the next con2prim Newton solve: the patches'
         # interiors back to back along axis 0 (the layout the compiled sweep
@@ -246,26 +248,25 @@ class HydroPipeline:
     def recover_primitives(self, cons: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Full primitive array: recovery on the interior + BC ghost fill.
 
-        With ``reuse=True`` (the hot path) the returned array and the
-        recovery temporaries live in the pipeline workspace and are
-        overwritten by the next reusing call; the default returns fresh
-        arrays the caller may keep (e.g. the solver's primitive cache).
-        Values are bit-identical either way.  Ghost corners, which neither
-        the sweep nor a boundary fill writes and no sweep reads, are not
-        zero-filled: a fresh array's are zeros from allocation.  A fresh
-        array's CFL scan rides a compiled sweep: :meth:`max_signal_per_axis`
-        of it reads the maxima the kernel computed.
+        With ``reuse=True`` (the hot path) the returned array lives in the
+        pipeline workspace and is overwritten by the next reusing call;
+        the default returns a fresh one the caller may keep (e.g. the
+        solver's primitive cache); the temporaries are the workspace's
+        either way.  Ghost corners, which neither the sweep nor a boundary
+        fill writes and no sweep reads, are not zero-filled: a fresh
+        array's are zeros from allocation.  A fresh array's CFL scan rides
+        a compiled sweep: :meth:`max_signal_per_axis` of it reads the
+        maxima the kernel computed.
         """
         system = self.system
         self._expect_stack(cons, "recover_primitives")
         self._scan = None
-        ws = self.workspace if reuse else None
-        prim = ws.prim if ws is not None else np.zeros(self._state_shape)
+        prim = self.workspace.prim if reuse else np.zeros(self._state_shape)
         # Only a fresh array outlives the next recovery, so only it is
         # scanned — and not with a fault injector, whose burst precedes the
         # primitive floor the scan follows.
         scan = None
-        if ws is None and self.fault_injector is None:
+        if not reuse and self.fault_injector is None:
             scan = np.empty((len(self.patches), system.ndim))
         if self._seed_spare is None:
             self._seed_spare = self._new_seeds()
@@ -287,7 +288,7 @@ class HydroPipeline:
                         continue
                     solved = n if patch_done == 2 else 0  # by the kernel's Newton
                     sweep = RecoveryStats(solved, solved, max_iterations=iters[i])
-                    self._finish_recovery(i, cons, prim, patch_done, sweep, ws)
+                    self._finish_recovery(i, cons, prim, patch_done, sweep)
             finally:
                 if completed:
                     cells = n * len(completed)
@@ -303,12 +304,12 @@ class HydroPipeline:
                     condition.apply(system, grid, prim[i], axis, side)
         return prim
 
-    def _finish_recovery(self, i, cons, prim, done, sweep, ws):
+    def _finish_recovery(self, i, cons, prim, done, sweep):
         """The stages of patch *i*'s sweep (*cons* → *prim*, this
         pipeline's stacks) the kernel left (``done < 3``) — all of them on
         the interpreted path: floors, solve, burst hook, accounting,
         primitive floor, next seed."""
-        system = self.system
+        system, ws = self.system, self.workspace
         grid = self.patches[i][0]
         cons, prim = cons[i], prim[i]
         interior_cons, interior_prim = grid.interior_of(cons), grid.interior_of(prim)
@@ -520,17 +521,16 @@ class HydroPipeline:
         np.maximum(q[system.P], self.atmosphere.p_atmo, out=q[system.P])
         return q
 
-    def begin_flux_divergence(self, reuse: bool = False) -> np.ndarray:
-        """Divergence accumulator for a (possibly region-split) evaluation:
-        zero from allocation, and nothing writes its ghost shell; the first
-        axis's :meth:`accumulate_divergence` assigns the interior, so a
-        reused one needs no zeroing."""
-        if reuse and self.workspace is not None:
-            return self.workspace.dU
-        return np.zeros(self._state_shape)
+    def begin_flux_divergence(self) -> np.ndarray:
+        """Divergence accumulator for a (possibly region-split) evaluation,
+        the workspace's ``dU`` (overwritten by the next evaluation): zero
+        from allocation, and nothing writes its ghost shell; the first
+        axis's :meth:`accumulate_divergence` assigns the interior, so it
+        needs no zeroing."""
+        return self.workspace.dU
 
     def flux_divergence_region(
-        self, prim: np.ndarray, axis: int, lo: int, hi: int, reuse: bool = False
+        self, prim: np.ndarray, axis: int, lo: int, hi: int
     ) -> np.ndarray:
         """Flux divergence along *axis* for interior cells ``[lo, hi)``.
 
@@ -545,14 +545,12 @@ class HydroPipeline:
 
         Returns the divergence shaped ``(nvars, P, *transverse_interior,
         hi - lo)`` with the working axis moved last — patch *i*'s at
-        ``[:, i]`` — and hand it to :meth:`accumulate_divergence`.  With
-        ``reuse=True`` the result lives in a workspace buffer keyed by
-        ``(axis, lo, hi)`` and survives until the same region is evaluated
-        again.
+        ``[:, i]`` — and hand it to :meth:`accumulate_divergence`.  It
+        lives in a workspace buffer keyed by ``(axis, lo, hi)`` and survives
+        until the same region is evaluated again.
         """
-        grid = self.grid
+        grid, ws = self.grid, self.workspace
         self._expect_stack(prim, "flux_divergence_region")
-        ws = self.workspace if reuse else None
         store = self.store_fluxes and (lo, hi) == (0, grid.shape[axis])
         shape = (self.system.nvars, len(self.patches)) + tuple(
             n for ax, n in enumerate(grid.shape) if ax != axis
@@ -574,7 +572,7 @@ class HydroPipeline:
                         flux[:, i] = Fm
                     d = div[:, i]
                     np.subtract(Fm[..., 1:], Fm[..., :-1], out=d)
-                    np.divide(d, self.patches[i][0].dx[axis], out=d)
+                    np.divide(d, self.dx[i, axis], out=d)
         if store:
             self.last_face_fluxes[axis] = flux
         return div
@@ -584,19 +582,15 @@ class HydroPipeline:
     ) -> np.ndarray:
         """Face fluxes of one patch's *prim* ``(nvars, *ghosted)`` via the
         interpreted reconstruct/sanitize/riemann stages, over its interior
-        transverse rows; returns them with the face index last."""
+        transverse rows; returns them with the face index last.  *ws*
+        holds the temporaries (None: fresh arrays)."""
         grid, system = self.grid, self.system
         g = grid.n_ghost
         slab = prim[(slice(None),) + tuple(
             slice(lo, hi + 2 * g) if ax == axis else slice(g, g + n)
             for ax, n in enumerate(grid.shape)
         )]
-        face_shape = (
-            ws.region_face_shape(axis, hi - lo)
-            if ws is not None
-            else (system.nvars,)
-            + tuple(hi - lo + 1 if ax == axis else n for ax, n in enumerate(grid.shape))
-        )
+        face_shape = self.workspace.region_face_shape(axis, hi - lo)
         with self.timers("reconstruct"):
             qL, qR = self.reconstruction.interface_states(
                 slab,
@@ -645,7 +639,7 @@ class HydroPipeline:
             rho_atmo=self.atmosphere.rho_atmo,
             p_atmo=self.atmosphere.p_atmo,
             axis_stride=prim.strides[axis - self.grid.ndim] // prim.itemsize,
-            n_ghost=g, div=div, dx=self.grid.dx[axis], n_patches=len(self.patches),
+            n_ghost=g, div=div, dx=self.dx[:, axis], n_patches=len(self.patches),
         )
         if counts[0]:
             self.metrics.counter("sanitize.velocity_rescaled").inc(int(counts[0]))
@@ -695,7 +689,7 @@ class HydroPipeline:
             kernel = self._rk_stage_kernel
             if kernel is None or not _c_f64(U, V, k) or not U.shape == V.shape == k.shape:
                 return _reference_stage(stage, U, V, dt, k)
-            if final or self.workspace is None:
+            if final:
                 out = np.empty_like(U)
             else:
                 out = self.workspace.buf(("rk", 0), U.shape)
@@ -704,20 +698,19 @@ class HydroPipeline:
             kernel(stage, U, V, dt, k, out)
             return out
 
-    def flux_divergence(self, prim: np.ndarray, reuse: bool = False) -> np.ndarray:
+    def flux_divergence(self, prim: np.ndarray) -> np.ndarray:
         """-div F over the interior; ghost entries of the result are zero.
 
-        With ``reuse=True`` the result is the workspace's ``dU`` buffer
-        (overwritten by the next reusing call) and every kernel stage runs
-        in preallocated buffers; the default allocates fresh arrays.
-        AMR refluxing stays safe under reuse: :attr:`last_face_fluxes`
-        never holds workspace memory.
+        The result is the workspace's ``dU`` buffer (overwritten by the
+        next evaluation) and every kernel stage runs in preallocated
+        buffers.  AMR refluxing stays safe: :attr:`last_face_fluxes` never
+        holds workspace memory.
         """
-        dU = self.begin_flux_divergence(reuse)
+        dU = self.begin_flux_divergence()
         # The physics' axes: a batched grid's trailing axis is never swept.
         for axis in range(self.system.ndim):
             n = self.grid.shape[axis]
-            div = self.flux_divergence_region(prim, axis, 0, n, reuse=reuse)
+            div = self.flux_divergence_region(prim, axis, 0, n)
             self.accumulate_divergence(dU, axis, 0, n, div)
         return dU
 
@@ -737,20 +730,19 @@ class HydroPipeline:
                 grid.interior_of(patch_dU)[...] += src
         return dU
 
-    def rhs(self, cons: np.ndarray, reuse: bool = True, prim=None) -> np.ndarray:
+    def rhs(self, cons: np.ndarray, prim=None) -> np.ndarray:
         """dU/dt for the SSP integrators (cons may be floored in place).
 
-        By default the result lives in the pipeline workspace and is valid
-        until the next ``rhs``/``recover_primitives`` call — exactly the
-        lifetime the SSP integrators need, since each stage consumes the
-        previous rhs before requesting the next. Pass ``reuse=False`` for
-        a caller-owned array.  *prim*, when the caller holds the recovery
-        of *cons* already (a driver's primitive cache), is read instead of
-        recovering again.
+        The result lives in the pipeline workspace and is valid until the
+        next ``rhs``/``recover_primitives`` call — exactly the lifetime the
+        SSP integrators need, since each stage consumes the previous rhs
+        before requesting the next.  *prim*, when the caller holds the
+        recovery of *cons* already (a driver's primitive cache), is read
+        instead of recovering again.
         """
         if prim is None:
-            prim = self.recover_primitives(cons, reuse=reuse)
-        dU = self.flux_divergence(prim, reuse=reuse)
+            prim = self.recover_primitives(cons, reuse=True)
+        dU = self.flux_divergence(prim)
         return self.apply_source(prim, dU)
 
     def max_signal_per_axis(self, prim: np.ndarray) -> list:
@@ -796,16 +788,17 @@ class PatchViews(dict):
 
 def patch_stacks(system, config, patches, kept=(), **pipeline_kw) -> list[PatchStack]:
     """The one stacking rule: of *patches*, ``(ident, grid, boundaries,
-    regions)`` in stepping order, every maximal run alike in shape, ``dx``
-    (each patch's divergence is divided by its own, and grids of an inexact
-    spacing differ in its last bit) and *regions* is one stack.  Runs, so
+    regions)`` in stepping order, every maximal run alike in shape and
+    *regions* is one stack.  A patch's spacing is its own data
+    (:attr:`HydroPipeline.dx`), so patches of any ``dx`` — the leaves of
+    every AMR level — stack together.  Runs, so
     stack after stack, patch after patch is the patches' order, which every
     order-sensitive per-patch step (fault-injector consults, which
     RecoveryError is raised first) keeps.  A stack of *kept* with the same
     idents is reused, pipeline and all; any other run gets a new one."""
     reuse = {st.idents: st for st in kept}
     stacks = []
-    for (*_, regions), run in groupby(patches, lambda p: (p[1].shape, p[1].dx, p[3])):
+    for (_, regions), run in groupby(patches, lambda p: (p[1].shape, p[3])):
         run = list(run)
         idents = tuple(ident for ident, *_ in run)
         if idents not in reuse:

@@ -11,8 +11,8 @@ with the one ``_commit``, ``_integrate``, ``_prims()`` and patch
 capture/install pair.  The drivers supply only what is theirs:
 
 ======================  ================================================
-``compute_dt(t_final)``  the CFL step (reduced across patches) from
-                         ``_prims()``
+``_reduce_dt(dt)``       the min over ranks of ``compute_dt``'s step (AMR;
+                         ``DistributedSolver`` allreduces the maxima)
 ``_exchange(prims)``     the ghost hook of ``_prims()``: the rank halo
                          exchange; nothing for the other drivers
 ``_rhs(states)``         right-hand sides (default: each stack's ``rhs``),
@@ -53,6 +53,7 @@ import time
 
 import numpy as np
 
+from ..time_integration.cfl import clip_dt_to_final
 from ..utils.errors import ConfigurationError, NumericsError
 from ..utils.logging import get_logger
 from .config import MAX_STEPS
@@ -117,6 +118,23 @@ class Driver:
 
     def _exchange(self, prims: PatchViews) -> None:
         """Fill the ghosts of *prims* that other patches own."""
+
+    def compute_dt(self, t_final: float | None = None) -> float:
+        """The CFL step from ``_prims()``: per patch ``cfl / sum_d max(v_d,
+        1e-12) / dx_d`` (:func:`~repro.time_integration.cfl.dt_from_axis_maxima`'s
+        order), the min over patches, through :meth:`_reduce_dt`."""
+        dts = []
+        for st, prim in zip(self._stacks, self._prims().stacks):
+            maxima = np.asarray(st.pipeline.max_signal_per_axis(prim))
+            inv_dt = 0.0
+            for vmax, dx in zip(maxima.T, st.pipeline.dx.T):
+                inv_dt = inv_dt + np.maximum(vmax, 1e-12) / dx
+            dts.append(self.config.cfl / inv_dt)
+        dt = self._reduce_dt(float(np.min(np.concatenate(dts))))
+        return clip_dt_to_final(dt, self.t, t_final)
+
+    def _reduce_dt(self, dt: float) -> float:
+        return dt
 
     def _rhs(self, states: list) -> PatchViews:
         prims = self._committed_prims(states)

@@ -10,10 +10,8 @@ mapping onto accelerators (AthenaK-style codes preallocate per-patch
 scratch for this reason).
 
 :class:`ScratchWorkspace` owns one keyed pool of buffers per pipeline.
-Kernels request named buffers through :func:`scratch_buf`, which falls back
-to a fresh ``np.empty`` when no workspace is given — so the same in-place
-kernel code serves both the reused-buffer path and the fresh-allocation
-path (the opt-out), and the two are bit-identical by construction.
+Kernels request named buffers through :func:`scratch_buf`; a direct caller
+of a kernel function that passes no workspace gets fresh arrays.
 
 Buffer keys include the requested shape, so one workspace can serve the
 per-axis face shapes of a multi-dimensional sweep without thrashing.
@@ -25,12 +23,8 @@ import numpy as np
 
 
 def scratch_buf(scratch: "ScratchWorkspace | None", key, shape, dtype=float):
-    """A named scratch buffer, or a fresh array when *scratch* is None.
-
-    This is the single allocation point of the in-place kernels: with a
-    workspace the buffer is reused across calls, without one the behaviour
-    is the old allocate-per-call path.
-    """
+    """A named scratch buffer, or a fresh array when *scratch* is None:
+    the single allocation point of the in-place kernels."""
     if scratch is None:
         return np.empty(shape, dtype=dtype)
     return scratch.buf(key, shape, dtype)

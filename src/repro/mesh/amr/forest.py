@@ -198,7 +198,7 @@ class AMRForest:
 
         Every argument holds runs of ``(key, slot)`` rows, *slot* one
         composite (a rank's).  A slot fills the ghosts of its leaves in
-        *stacks*, runs of same-level leaves, and may import its rows of
+        *stacks*, runs of leaves of any levels, and may import its rows of
         *candidates*: one whose cells the slot's walk loads is an import,
         the others are never read.  The ghost reads of *targets*, the leaves
         of slots no stack is in (ranks held elsewhere), are walked too, so
@@ -236,19 +236,20 @@ class AMRForest:
             slot, idx = _rows(rows)
             return _index(slot, g + idx * B, dims[rows[0][0].level], cells)
 
-        # (stack, level, labels, composite cells (rows, n), offsets, stride);
-        # a target's stack is None
+        # (stack, level, labels, composite cells (rows, n), offsets, stride)
+        # per run of one level of a stack; a target's stack is None
         if level is None:
             ghost = np.ones((G,) * nd, dtype=bool)
             ghost[(slice(g, g + B),) * nd] = False
             halo, reads = np.array(np.nonzero(ghost)), []
             others = [(None, rows) for rows in _by_level(targets).values()]
             for a, rows in [*enumerate(stacks), *others]:
-                lvl, slot, idx = rows[0][0].level, *_rows(rows)
-                lead = np.arange(len(rows)) * nvars
-                off = _index(lead, [0] * nd, (lead.size * nvars,) + (G,) * nd, halo)
-                comp = _index(slot, idx * B, dims[lvl], halo)
-                reads.append((a, lvl, [key for key, _ in rows], comp, off, G**nd))
+                for lvl, run in groupby(enumerate(rows), lambda p_row: p_row[1][0].level):
+                    at, run = zip(*run)  # the run's patches in the stack, its rows
+                    off = _index(np.array(at) * nvars, [0] * nd, (len(rows) * nvars,) + (G,) * nd, halo)
+                    slot, idx = _rows(run)
+                    comp = _index(slot, idx * B, dims[lvl], halo)
+                    reads.append((a, lvl, [key for key, _ in run], comp, off, G**nd))
         else:
             shape = grids[level].shape
             whole = _cells(shape)

@@ -21,9 +21,10 @@ compiles them into a
 loads of the touching children's face columns, read in place from the
 stacked ``last_face_fluxes`` (or the rows of columns received from other
 ranks), and of the coarse ones, then one reflux segment per (axis, side,
-coarse stack) of ops ``dU[cell] = dU[cell] -+ (restrict(fine) - coarse) /
-dx``.  Segments run axis 0 low, axis 0 high, axis 1 low, ... — the order in
-which a leaf-by-leaf sweep corrects any one cell, so the bits are its bits.
+stack, coarse spacing) of ops ``dU[cell] = dU[cell] -+ (restrict(fine) -
+coarse) / dx``, each coarse leaf corrected over its own ``dx``.  Segments
+run axis 0 low, axis 0 high, axis 1 low, ... — the order in which a
+leaf-by-leaf sweep corrects any one cell, so the bits are its bits.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class RefluxPlan:
     program: GatherProgram
     #: coarse faces corrected per application
     faces: int
-    #: the correction segments, one per (axis, side, coarse stack)
+    #: the correction segments, one per (axis, side, stack, coarse ``dx``)
     groups: list
 
 
@@ -110,10 +111,13 @@ def compile_reflux(
         edge = [g + c for c in t]
         edge.insert(axis, np.full(tshape, g + (B - 1) * side))
         for s, idents in enumerate(stacks):
-            fine, coarse, cells = [], [], []
+            # per coarse spacing: (fine, coarse, cells) records
+            by_dx: dict[float, tuple[list, list, list]] = {}
             for p, key in enumerate(idents):
                 if (key, axis, side) not in touching:
                     continue
+                dx = forest.leaves[key].grid.dx[axis]
+                fine, coarse, cells = by_dx.setdefault(dx, ([], [], []))
                 f = np.empty((2 * B,) * (ndim - 1), dtype=np.int64)
                 for child in touching[key, axis, side]:
                     off = child.child_offset()
@@ -126,10 +130,9 @@ def compile_reflux(
                 coarse.append(column(key, axis, B * side).ravel())
                 dims = (len(idents), nvars) + (B + 2 * g,) * ndim
                 cells.append(np.ravel_multi_index((p, 0, *edge), dims).ravel())
-            if fine:
-                dx = forest.leaves[idents[0]].grid.dx[axis]
+            arr = ndim * len(stacks) + len(received) + s
+            for dx, (fine, coarse, cells) in by_dx.items():
                 record = np.column_stack([np.concatenate(a) for a in (cells, coarse, fine)])
-                arr = ndim * len(stacks) + len(received) + s
                 groups.append((REFLUX, arr, strides[arr], side, dx, record))
                 faces += len(fine)
     segments = [

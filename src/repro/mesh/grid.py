@@ -114,7 +114,9 @@ class Grid:
         )
 
     def subgrid(self, lo_idx, hi_idx) -> "Grid":
-        """Grid covering interior index block [lo, hi) of this grid."""
+        """Grid covering interior index block [lo, hi) of this grid, with
+        this grid's ``dx`` bit for bit (its rounded bounds may give another
+        last bit)."""
         lo_idx = tuple(int(i) for i in np.atleast_1d(lo_idx))
         hi_idx = tuple(int(i) for i in np.atleast_1d(hi_idx))
         if len(lo_idx) != self.ndim or len(hi_idx) != self.ndim:
@@ -127,7 +129,9 @@ class Grid:
             for (b0, _), dx, lo, hi in zip(self.bounds, self.dx, lo_idx, hi_idx)
         )
         shape = tuple(hi - lo for lo, hi in zip(lo_idx, hi_idx))
-        return Grid(shape, bounds, self.n_ghost)
+        sub = Grid(shape, bounds, self.n_ghost)
+        sub.dx = self.dx
+        return sub
 
     def __eq__(self, other):
         return (

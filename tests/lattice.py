@@ -808,29 +808,34 @@ _BUILD = {"now": "production"}
 
 
 def kernel_pipeline(target: str, layout: str = "2d", n_patches: int = 1, shape=None,
-                    n_ghost: int = 3, injector=None, **cfg) -> HydroPipeline:
+                    n_ghost: int = 3, injector=None, extents=None, **cfg) -> HydroPipeline:
     """A *target* pipeline over a stack of *n_patches* patches of *layout*
-    (interior *shape*, outflow walls); *cfg* goes to :class:`SolverConfig`
-    and *injector* builds its fault injector.  ``cext`` skips where the
-    target cannot load."""
+    (interior *shape*, outflow walls, each over ``[0, extent]`` per axis:
+    *extents*, one per patch, default 1.0 — so each its own spacing);
+    *cfg* goes to :class:`SolverConfig` and *injector* builds its fault
+    injector.  ``cext`` skips where the target cannot load."""
     ndim, n_batch = KERNEL_LAYOUTS[layout]
     shape = shape or KERNEL_SHAPES[ndim]
     ndim = len(shape)
     if target == "cext" and not cext.cext_available(ndim):
         pytest.skip("no C toolchain")
-    grid = Grid(shape, ((0.0, 1.0),) * ndim, n_ghost=n_ghost)
-    walls = make_boundaries("outflow")
-    if n_batch:
-        grid = BatchGrid(grid, n_batch)
-        walls = batch_boundaries(walls, grid)
+
+    def patch(extent):
+        grid = Grid(shape, ((0.0, extent),) * ndim, n_ghost=n_ghost)
+        walls = make_boundaries("outflow")
+        if n_batch:
+            grid = BatchGrid(grid, n_batch)
+            walls = batch_boundaries(walls, grid)
+        return grid, walls
+
+    patches = [patch(extent) for extent in extents or [1.0] * n_patches]
     key = (_BUILD["now"], ndim, target)
     if key not in _RESOLVED:
         plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=ndim)
         _RESOLVED[key] = resolve_kernel_system(plain, target)
     return HydroPipeline(
-        _RESOLVED[key], grid, walls, SolverConfig(kernel_target=target, **cfg),
-        fault_injector=injector() if injector else None,
-        patches=[(grid, walls)] * n_patches,
+        _RESOLVED[key], *patches[0], SolverConfig(kernel_target=target, **cfg),
+        fault_injector=injector() if injector else None, patches=patches,
     )
 
 

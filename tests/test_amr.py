@@ -492,7 +492,7 @@ class TestLeafStacks:
         """Log each *method* call's program calls with the bound it must
         keep: on ``cext`` one compiled call and no mirror call; otherwise
         at most one restriction and one prolongation per level for a fill,
-        one restriction per (axis, side, coarse stack) group for a
+        one restriction per (axis, side, stack, coarse level) group for a
         reflux."""
         real = getattr(amr, method)
         compiled = hasattr(amr._kernel_system, "run_program")
@@ -507,7 +507,8 @@ class TestLeafStacks:
             else:
                 groups = len(amr._get_reflux_plan()[1].groups)
                 bound = {"restrict_array": groups, "prolong_array": 0, "run_program": 0}
-                assert groups <= 2 * amr.layout.ndim * n_stacks  # per (axis, side, stack)
+                # per (axis, side, stack, coarse level)
+                assert groups <= 2 * amr.layout.ndim * n_stacks * amr.forest.finest_level()
             if compiled:
                 bound = {"restrict_array": 0, "prolong_array": 0, "run_program": 1}
             log.append(({k: made[k] - before[k] for k in made}, bound, len(amr.forest.leaves)))
@@ -527,7 +528,8 @@ class TestLeafStacks:
         per stack of the forest it leaves.  A ghost fill is one compiled
         program call on ``cext``, and on ``numpy`` at most one restriction
         and one prolongation per level; a reflux one compiled call, or one
-        restriction per (axis, side, stack) — whatever the leaf count."""
+        restriction per (axis, side, stack, coarse level) — whatever the
+        leaf count."""
         if target == "cext":
             require_cext(2)
         amr = AMRSolver(
@@ -575,6 +577,60 @@ class TestLeafStacks:
         assert max(sum(made.values()) for made, _, _ in refluxes) > 0
         assert amr.regrids == 4 and len(topologies) > 1 and rebuilt > 0
         assert (amr.repartitions > 0) == (n_ranks > 1)
+
+    def test_the_forest_steps_as_one_stack(self, system2d, monkeypatch):
+        """``amr_blast2d``'s configuration on ``cext`` through 17 regrids
+        (the 16th refines): the leaves of both levels, each with its own
+        ``dx``, step as one
+        stack at every RK stage — one recovery per stage (stage 1 reads
+        ``compute_dt``'s), two sweeps and two accumulates, and one stage
+        combination — whatever the leaf count."""
+        from collections import Counter
+
+        from repro.codegen.system import CompiledSRHDSystem
+
+        require_cext(2)
+        made = Counter()
+        for name in ("recover", "face_flux", "accumulate", "rk_stage"):
+            real = getattr(CompiledSRHDSystem, name)
+
+            def counting(self, *args, _real=real, _name=name, **kwargs):
+                made[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(CompiledSRHDSystem, name, counting)
+        amr = AMRSolver(
+            system2d,
+            Grid((32, 32), ((0, 1), (0, 1))),
+            lambda s, g: blast_wave_2d(s, g, p_in=10.0, p_out=1.0, center=(0.4, 0.45)),
+            SolverConfig(kernel_target="cext", cfl=0.4),
+            AMRConfig(block_size=8, max_levels=2, regrid_interval=2,
+                      refine_threshold=0.4, coarsen_threshold=0.1),
+            make_boundaries("periodic"),
+        )
+        stages, rhs, stage_calls = amr.integrator.stages, amr._rhs, []
+
+        def counting_rhs(states):
+            before = Counter(made)
+            out = rhs(states)
+            stage_calls.append((len(states), len(amr._stacks), made - before))
+            return out
+
+        amr._rhs = counting_rhs
+        topologies = set()
+        for _ in range(34):
+            before = Counter(made)
+            amr.step()
+            assert (made - before)["rk_stage"] == stages
+            assert (made - before)["recover"] <= stages + 1  # + a regrid's snapshot
+            topologies.add(tuple(amr.forest.leaves))
+        assert amr.regrids == 17 and len(topologies) > 1
+        assert len(amr.leaf_count_by_level()) == 2
+        assert len(stage_calls) == 34 * stages
+        for i, (n_states, n_stacks, calls) in enumerate(stage_calls):
+            recover = {"recover": 1} if i % stages else {}
+            assert (n_states, n_stacks) == (1, 1), i
+            assert calls == Counter(face_flux=2, accumulate=2, **recover), i
 
     def test_a_stack_on_a_team_is_the_one_thread_run(self, system2d):
         """A stack of >= 16 leaves of 16^2 (>= 4096 interior cells, the team

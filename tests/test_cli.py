@@ -138,6 +138,20 @@ class TestAMR:
         assert "ranks     : 2 (process executor, sfc partitioner)" in out
         assert "supervise : 0 rank respawn(s) of 1 allowed" in out
 
+    def test_executors_print_one_report(self, capsys):
+        """Both executors report from ``interior_primitives()`` and the
+        forest counts: the same forest line (regrids included) and rho
+        range."""
+
+        def report(extra):
+            assert main(["amr", "rp1", "--n", "64", "--max-steps", "20", *extra]) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "forest" in line or "rho" in line]
+
+        serial = report([])
+        assert len(serial) == 2 and "regrids" in serial[0]
+        assert report(["--executor", "process", "--ranks", "2"]) == serial
+
     def test_metrics_out_written(self, tmp_path, capsys):
         path = tmp_path / "amr.jsonl"
         # 40 steps: enough shock travel for the rebalance threshold to trip.

@@ -4,6 +4,7 @@ handwritten reference bit-for-bit (to round-off) on both targets."""
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 import logging
 import os
 
@@ -1109,7 +1110,7 @@ class TestFusedStencilParity:
             flat.store_fluxes = cext.store_fluxes = store
             with np.errstate(all="ignore"):
                 div_flat = flat.flux_divergence(prim[None].copy())
-            div_cext = cext.flux_divergence(prim[None].copy(), reuse=True)
+            div_cext = cext.flux_divergence(prim[None].copy())
             assert div_flat.tobytes() == div_cext.tobytes(), (
                 f"{recon}/{riemann}: fused sweep differs bitwise"
             )
@@ -1130,7 +1131,7 @@ class TestFusedStencilParity:
                 lflat.store_fluxes = lcext.store_fluxes = store
                 with np.errstate(all="ignore"):
                     ref = lflat.flux_divergence_region(prim[None].copy(), axis, lo, hi)
-                got = lcext.flux_divergence_region(prim[None], axis, lo, hi, reuse=True)
+                got = lcext.flux_divergence_region(prim[None], axis, lo, hi)
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), where
                 stored_fluxes_agree(lflat, lcext)
             for a, b in ((flat, cext), (lflat, lcext)):
@@ -2253,7 +2254,7 @@ class TestCompiledUpdate:
                  for axis, lo, hi in data.draw(st.permutations(regions))),
                 key=lambda e: e[0],
             )
-            dU = stack.begin_flux_divergence(reuse=True)
+            dU = stack.begin_flux_divergence().copy()
             for axis, lo, hi, div in divs:
                 stack.accumulate_divergence(dU, axis, lo, hi, div)
             ghosts = np.ones(dU.shape, dtype=bool)
@@ -2416,17 +2417,18 @@ class TestCompiledUpdate:
 
 
 class TestPatchStacks:
-    """One ``face_flux`` call over a stack of P same-shape patches, with its
-    in-tile difference, is the ``flat`` sweep of each patch, byte for byte:
-    the property over every layout of ``KERNEL_LAYOUTS``."""
+    """One ``face_flux`` call over a stack of P same-shape patches, each of
+    its own spacing, with its in-tile difference, is the ``flat`` sweep of
+    each patch, byte for byte: the property over every layout of
+    ``KERNEL_LAYOUTS``."""
 
     @staticmethod
     def _face_flux_property(layout):
         """Every reconstruction x Riemann solver, a region of 1, 2, T - 1,
         T + 1 or T + 3 cells anywhere along any axis of a patch T + 3 cells
-        long that way, smooth, discontinuous or near-luminal states, one
-        patch maybe poisoned: each patch's divergence and the sanitize
-        counts.  A NaN patch's own faces are not flat's (the prologue's
+        long that way, each patch's spacing drawn, smooth, discontinuous or
+        near-luminal states, one patch maybe poisoned: each patch's
+        divergence (over its own spacing) and the sanitize counts.  A NaN patch's own faces are not flat's (the prologue's
         ``rmin``/``rmax`` contract, ``test_lanes_are_independent``): the
         other patches' are, and every patch's, the NaN patch's included,
         are those of a ``cext`` call over that patch alone."""
@@ -2452,9 +2454,13 @@ class TestPatchStacks:
             recon, riemann = combo
             shape = tuple(T + 3 if ax == axis else 3 for ax in range(ndim))
             kw = dict(shape=shape, reconstruction=recon, riemann=riemann)
-            stack = kernel_pipeline("cext", layout, n_patches, **kw)
-            one = kernel_pipeline("cext", layout, **kw)
-            flat = kernel_pipeline("flat", layout, **kw)
+            extents = data.draw(st.lists(
+                st.floats(0.01, 100.0), min_size=n_patches, max_size=n_patches
+            ))
+            stack = kernel_pipeline("cext", layout, n_patches, extents=extents, **kw)
+            ones = [kernel_pipeline("cext", layout, extents=[e], **kw) for e in extents]
+            flats = [kernel_pipeline("flat", layout, extents=[e], **kw) for e in extents]
+            flat = flats[0]
             prim = np.stack([
                 TestFusedStencilParity._ghosted_prim(flat, seed + i, True, extreme)
                 for i in range(n_patches)
@@ -2469,17 +2475,41 @@ class TestPatchStacks:
             lo = data.draw(st.integers(0, T + 3 - width))
             with np.errstate(all="ignore"):
                 div = stack.flux_divergence_region(prim, axis, lo, lo + width)
-                for i in range(n_patches):
+                for i, (one, interpreted) in enumerate(zip(ones, flats)):
                     alone = one.flux_divergence_region(prim[i : i + 1], axis, lo, lo + width)
                     assert div[:, i].tobytes() == alone.tobytes(), (recon, riemann, i, lo)
-                    ref = flat.flux_divergence_region(prim[i : i + 1], axis, lo, lo + width)
+                    ref = interpreted.flux_divergence_region(prim[i : i + 1], axis, lo, lo + width)
                     if poison != "nan" or i != victim:
                         assert div[:, i].tobytes() == ref.tobytes(), (recon, riemann, i, lo)
-            assert stack.metrics.snapshot() == one.metrics.snapshot()
+
+            def counters(pipes):
+                total = Counter()
+                for pipe in pipes:
+                    total.update(pipe.metrics.snapshot()["counters"])
+                return dict(total)
+
+            assert stack.metrics.snapshot()["counters"] == counters(ones)
             if poison != "nan":
-                assert stack.metrics.snapshot() == flat.metrics.snapshot()
+                assert stack.metrics.snapshot()["counters"] == counters(flats)
 
         check()
+
+    def test_a_spacing_row_of_another_length_is_refused(self):
+        """C reads one spacing per patch unchecked: a row of another length
+        (or a bare number) is refused before the call."""
+        stack = kernel_pipeline("cext", "2d", 2, reconstruction="mc", riemann="hll")
+        prim = np.stack([
+            TestFusedStencilParity._ghosted_prim(stack, i, True) for i in range(2)
+        ])
+        g, n = stack.grid.n_ghost, stack.grid.shape[0]
+        for dx in (np.ones(1), np.ones(3), np.ones((2, 1)), 0.5):
+            with pytest.raises(CodegenError, match="one spacing per patch"):
+                stack.system.face_flux(
+                    stack._flat(prim), 0, g - 1, n + 1, None, ids=stack._fused_ids,
+                    vmax2=0.99, rho_atmo=1e-10, p_atmo=1e-12,
+                    axis_stride=prim.strides[-2] // prim.itemsize, n_ghost=g,
+                    dx=dx, n_patches=2,
+                )
 
     def test_a_stack_is_its_patches(self):
         """The sweep property on the production build."""

@@ -151,16 +151,19 @@ def _smooth3d(system, grid):
     return prim
 
 
-#: name -> (grid shape, bounds, dims, walls, overlap, stacks).  Every dx is a
-#: power of two, so each sub-grid's dx is the global one and the ranks are
-#: the single-grid solver bit for bit.  2 x 3 on 13 x 11: shapes (7|6, 4|4|3)
-#: in row-major rank order, i.e. stacks {0, 1}, {2}, {3, 4}, {5}.
+#: name -> (grid shape, bounds, dims, walls, overlap, stacks).  Each sub-grid
+#: carries the global dx, so the ranks are the single-grid solver bit for
+#: bit.  2 x 3 on 13 x 11: shapes (7|6, 4|4|3) in row-major rank order, i.e.
+#: stacks {0, 1}, {2}, {3, 4}, {5}.  3 x 1 on 13 x 8 over the unit square:
+#: an inexact dx (1/13) whose rank bounds round, shapes 5|4|4, stacks {0},
+#: {1, 2}.
 _STACK_CASES = {
     "4x4-periodic": ((32, 32), ((0, 1), (0, 1)), (4, 4), "periodic", False, 1),
     "4x4-periodic-overlap": ((32, 32), ((0, 1), (0, 1)), (4, 4), "periodic", True, 1),
     "2x2-outflow-overlap": ((32, 16), ((0, 1), (0, 1)), (2, 2), "outflow", True, 4),
     "2x3-13x11": ((13, 11), ((0, 0.8125), (0, 0.6875)), (2, 3), "outflow", False, 4),
     "2x2x2-overlap": ((8, 8, 8), ((0, 1),) * 3, (2, 2, 2), "periodic", True, 1),
+    "3x1-13x8": ((13, 8), ((0, 1), (0, 1)), (3, 1), "outflow", False, 2),
 }
 
 
@@ -185,8 +188,9 @@ class TestStacks:
 
     @pytest.mark.parametrize("case", sorted(_STACK_CASES))
     def test_one_pipeline_per_stack_and_one_observation_per_patch(self, case, builds):
-        """One pipeline per stack, and one recovery histogram observation
-        per patch per sweep (the stacks' bytes: the lattice's rank cells)."""
+        """One pipeline per stack, one recovery histogram observation per
+        patch per sweep, and the single-grid run's bytes (the lattice's rank
+        cells run more schemes)."""
         shape, bounds, dims, walls, overlap, n_stacks = _STACK_CASES[case]
         require_cext(len(shape))
         system = SRHDSystem(IdealGasEOS(), ndim=len(shape))
@@ -204,6 +208,11 @@ class TestStacks:
         # primitives, later ones recover what RK stage 1 steps from.
         hist = solver.metrics.snapshot()["histograms"]["con2prim.newton_iters_max"]
         assert hist["count"] == solver.size * 2 * solver.integrator.stages
+        single = Solver(system, grid, prim0, config, make_boundaries(walls))
+        for _ in range(2):
+            single.step()
+        assert solver.t == single.t
+        assert solver.gather_primitives().tobytes() == single.interior_primitives().tobytes()
 
     @pytest.mark.parametrize("target", ["numpy", "cext"])
     def test_a_burst_on_one_rank_of_a_stack_raises_as_it_always_did(self, target):
@@ -373,7 +382,7 @@ class TestDiagnosticRead:
                     {
                         "interior": lambda: solver.interior_primitives(),
                         "composite": lambda: solver.composite_primitives(),
-                        "blocks": lambda: solver.gather_block_primitives(),
+                        "blocks": lambda: solver.interior_primitives(),
                     }[read]()
                 for _ in range(2):
                     solver.step()

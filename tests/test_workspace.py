@@ -1,9 +1,8 @@
-"""Scratch-workspace tests: buffer pool semantics and bit-exactness.
+"""Scratch-workspace tests: buffer pool semantics and reuse.
 
-The workspace optimization must be *invisible*: a run through the
-pipeline's scratch workspace produces bit-identical conserved states to
-the allocate-per-call path (``pipeline.workspace = None``), and a reused
-workspace buffer never leaks state between rhs evaluations.
+Every pipeline runs its hot path in its scratch workspace: a reused
+workspace buffer never leaks state between rhs evaluations, and what
+outlives a stage is never workspace memory.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from repro import Grid, IdealGasEOS, Solver, SolverConfig, SRHDSystem
 from repro.boundary import make_boundaries
 from repro.core.pipeline import HydroPipeline
 from repro.core.workspace import ScratchWorkspace, scratch_buf
-from repro.physics.initial_data import RP1, blast_wave_2d, shock_tube
+from repro.physics.initial_data import blast_wave_2d
 
 
 class TestScratchBuf:
@@ -57,67 +56,13 @@ class TestScratchBuf:
         assert "ScratchWorkspace" in repr(ws)
 
 
-def _advance(make_system, make_prim, grid_args, config, n_steps, workspace=True):
-    system = make_system()
-    grid = Grid(*grid_args)
-    solver = Solver(
-        system, grid, make_prim(system, grid), config, make_boundaries("outflow")
-    )
-    if not workspace:
-        solver.pipeline.workspace = None
-    for _ in range(n_steps):
-        solver.step()
-    return grid.interior_of(solver.cons).copy(), solver.t
-
-
-class TestWorkspaceBitExact:
-    """Workspace path vs fresh-allocation path: identical to the last bit."""
-
-    @pytest.mark.parametrize(
-        "riemann,recon",
-        [("hllc", "mc"), ("llf", "minmod"), ("hll", "weno5")],
-    )
-    def test_rp1_shock_tube(self, riemann, recon):
-        results = []
-        for ws in (True, False):
-            cfg = SolverConfig(riemann=riemann, reconstruction=recon)
-            state, t = _advance(
-                lambda: SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1),
-                lambda s, g: shock_tube(s, g, RP1),
-                (((100,), ((0.0, 1.0),))),
-                cfg,
-                10,
-                workspace=ws,
-            )
-            results.append((state, t))
-        assert results[0][1] == results[1][1]
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-
-    def test_blast2d(self):
-        results = []
-        for ws in (True, False):
-            state, t = _advance(
-                lambda: SRHDSystem(IdealGasEOS(), ndim=2),
-                blast_wave_2d,
-                (((32, 32), ((0.0, 1.0), (0.0, 1.0)))),
-                SolverConfig(),
-                5,
-                workspace=ws,
-            )
-            results.append((state, t))
-        assert results[0][1] == results[1][1]
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-
-
 class TestWorkspaceReuse:
-    def _pipeline(self, ws=True):
+    def _pipeline(self):
         system = SRHDSystem(IdealGasEOS(), ndim=2)
         grid = Grid((24, 24), ((0.0, 1.0), (0.0, 1.0)))
         pipe = HydroPipeline(
             system, grid, make_boundaries("outflow"), SolverConfig()
         )
-        if not ws:
-            pipe.workspace = None
         prim0 = blast_wave_2d(system, grid)
         return pipe, system.prim_to_con(prim0)[None]
 
@@ -128,54 +73,34 @@ class TestWorkspaceReuse:
         again = pipe.rhs(cons.copy())
         np.testing.assert_array_equal(first, again)
 
-    def test_reuse_matches_fresh(self):
-        pipe, cons = self._pipeline()
-        reused = pipe.rhs(cons.copy(), reuse=True).copy()
-        fresh = pipe.rhs(cons.copy(), reuse=False)
-        np.testing.assert_array_equal(reused, fresh)
-
     def test_momentum_cap_reuse_matches_fresh(self):
-        """The interpreted cap's temporaries ride the workspace: same bytes
-        and same ``limiter.momentum_rescaled`` as the allocating call, and
-        nothing leaks from one reusing call into the next."""
-        results = {}
-        for ws in (True, False):
-            pipe, (cons,) = self._pipeline(ws=ws)  # one patch: the cap is per patch
-            hot = cons.copy()
-            hot[1, 5:9, 7:20] = -1e3  # |S| far above the W_max cap
-            first, second = hot.copy(), hot.copy()
-            for state in (first, cons.copy(), second):
-                pipe._limit_momentum(state, pipe.workspace)
-            assert first.tobytes() == second.tobytes() != hot.tobytes()
-            results[ws] = (
-                first.tobytes(),
-                pipe.metrics.counter("limiter.momentum_rescaled").value,
-            )
-        assert pipe.workspace is None  # the second arm allocated per call
-        assert results[True] == results[False]
-        assert results[True][1] == 2 * 4 * 13
+        """The interpreted cap's temporaries ride the workspace: nothing
+        leaks from one reusing call into the next, and every call counts
+        its own ``limiter.momentum_rescaled``."""
+        pipe, (cons,) = self._pipeline()  # one patch: the cap is per patch
+        hot = cons.copy()
+        hot[1, 5:9, 7:20] = -1e3  # |S| far above the W_max cap
+        first, second = hot.copy(), hot.copy()
+        for state in (first, cons.copy(), second):
+            pipe._limit_momentum(state, pipe.workspace)
+        assert first.tobytes() == second.tobytes() != hot.tobytes()
+        assert pipe.metrics.counter("limiter.momentum_rescaled").value == 2 * 4 * 13
 
     def test_reuse_returns_workspace_buffers(self):
         pipe, cons = self._pipeline()
-        dU = pipe.rhs(cons.copy(), reuse=True)
+        dU = pipe.rhs(cons.copy())
         assert dU is pipe.workspace.dU
         prim = pipe.recover_primitives(cons.copy(), reuse=True)
         assert prim is pipe.workspace.prim
-        # The opt-out hands back caller-owned arrays.
-        assert pipe.rhs(cons.copy(), reuse=False) is not pipe.workspace.dU
-
-    def test_disabled_workspace(self):
-        pipe, cons = self._pipeline(ws=False)
-        assert pipe.workspace is None
-        dU = pipe.rhs(cons.copy())  # reuse=True falls back to fresh arrays
-        assert isinstance(dU, np.ndarray)
+        # A fresh recovery hands back a caller-owned array.
+        assert pipe.recover_primitives(cons.copy()) is not pipe.workspace.prim
 
     def test_amr_reflux_fluxes_survive_reuse(self):
         """last_face_fluxes must stay valid after the buffers are reused."""
         pipe, cons = self._pipeline()
         pipe.store_fluxes = True
         prim = pipe.recover_primitives(cons.copy(), reuse=True)
-        pipe.flux_divergence(prim, reuse=True)
+        pipe.flux_divergence(prim)
         ws = pipe.workspace
         pool = [ws.dU, ws.prim, *ws._bufs.values()]
         for F in pipe.last_face_fluxes.values():
