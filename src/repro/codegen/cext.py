@@ -474,8 +474,8 @@ def run_face_flux(
     limiter_id: int,
     riemann_id: int,
     n_ghost: int,
+    dx: np.ndarray,
     div: np.ndarray | None = None,
-    dx: np.ndarray | None = None,
     n_patches: int = 1,
 ) -> np.ndarray:
     """Run one fused face-flux sweep; returns the sanitize counters.
@@ -487,7 +487,7 @@ def run_face_flux(
     first interior cell), in C order, patch after patch;
     *out* (or None) receives their fluxes as ``(nvars, n_rows, n_faces)``
     and *div* (or None) their difference, each patch's over its own entry
-    of the spacing row *dx* (one per patch; None: unit spacing), as
+    of the spacing row *dx* (one per patch), as
     ``(nvars, n_rows, n_faces - 1)``.  The returned int64 pair is ``[velocity_rescaled,
     floored]`` — the exact totals the interpreted sanitize stage counts over
     the same rows.
@@ -516,7 +516,7 @@ def run_face_flux(
                 f"fused face_flux output holds {arr.size} values, the sweep "
                 f"writes {nvars} x {rows.size} x {width}"
             )
-    dx = np.ascontiguousarray(np.ones(n_patches) if dx is None else dx, dtype=np.float64)
+    dx = np.ascontiguousarray(dx, dtype=np.float64)
     if dx.shape != (n_patches,):
         raise CodegenError(
             f"fused face_flux needs one spacing per patch ({n_patches}), got {dx.shape}"

@@ -437,7 +437,7 @@ class DistributedSolver(Driver):
             maxima = st.pipeline.max_signal_per_axis(prim)
             local.update(zip(st.idents, map(np.asarray, maxima)))
         vmax = self.comm.allreduce(local, op="max")[self.local_ranks[0]]
-        dt = dt_from_axis_maxima(self.global_grid, vmax, self.config.cfl)
+        dt = float(dt_from_axis_maxima(self.global_grid.dx, vmax, self.config.cfl))
         return clip_dt_to_final(dt, self.t, t_final)
 
     def _patches(self):

@@ -127,9 +127,10 @@ class HydroPipeline:
         ]
         #: the shape of every stack this pipeline takes and returns
         self._state_shape = (len(self.patches), system.nvars) + grid.shape_with_ghosts
-        #: every patch's spacing along the swept (physical) axes, ``(P,
-        #: ndim)``: each patch's divergence and CFL bound divide by its own
-        self.dx = np.array([g.dx[: system.ndim] for g, _ in self.patches])
+        #: every patch's spacing along the swept (physical) axes, axis-major
+        #: ``(ndim, P)``, each row contiguous (what the compiled sweep
+        #: reads): each patch's divergence and CFL bound divide by its own
+        self.dx = np.array([g.dx[: system.ndim] for g, _ in self.patches]).T.copy()
         self.config = config
         self.reconstruction = make_reconstruction(config.reconstruction)
         self.riemann = make_riemann_solver(config.riemann)
@@ -572,7 +573,7 @@ class HydroPipeline:
                         flux[:, i] = Fm
                     d = div[:, i]
                     np.subtract(Fm[..., 1:], Fm[..., :-1], out=d)
-                    np.divide(d, self.dx[i, axis], out=d)
+                    np.divide(d, self.dx[axis, i], out=d)
         if store:
             self.last_face_fluxes[axis] = flux
         return div
@@ -639,7 +640,7 @@ class HydroPipeline:
             rho_atmo=self.atmosphere.rho_atmo,
             p_atmo=self.atmosphere.p_atmo,
             axis_stride=prim.strides[axis - self.grid.ndim] // prim.itemsize,
-            n_ghost=g, div=div, dx=self.dx[:, axis], n_patches=len(self.patches),
+            n_ghost=g, div=div, dx=self.dx[axis], n_patches=len(self.patches),
         )
         if counts[0]:
             self.metrics.counter("sanitize.velocity_rescaled").inc(int(counts[0]))

@@ -53,7 +53,7 @@ import time
 
 import numpy as np
 
-from ..time_integration.cfl import clip_dt_to_final
+from ..time_integration.cfl import clip_dt_to_final, dt_from_axis_maxima
 from ..utils.errors import ConfigurationError, NumericsError
 from ..utils.logging import get_logger
 from .config import MAX_STEPS
@@ -120,18 +120,15 @@ class Driver:
         """Fill the ghosts of *prims* that other patches own."""
 
     def compute_dt(self, t_final: float | None = None) -> float:
-        """The CFL step from ``_prims()``: per patch ``cfl / sum_d max(v_d,
-        1e-12) / dx_d`` (:func:`~repro.time_integration.cfl.dt_from_axis_maxima`'s
-        order), the min over patches, through :meth:`_reduce_dt`."""
-        dts = []
+        """The CFL step from ``_prims()``: every patch's
+        :func:`~repro.time_integration.cfl.dt_from_axis_maxima` over its own
+        spacings, the min over patches (inf on a rank that owns no leaf),
+        through :meth:`_reduce_dt`."""
+        dt = np.inf
         for st, prim in zip(self._stacks, self._prims().stacks):
-            maxima = np.asarray(st.pipeline.max_signal_per_axis(prim))
-            inv_dt = 0.0
-            for vmax, dx in zip(maxima.T, st.pipeline.dx.T):
-                inv_dt = inv_dt + np.maximum(vmax, 1e-12) / dx
-            dts.append(self.config.cfl / inv_dt)
-        dt = self._reduce_dt(float(np.min(np.concatenate(dts))))
-        return clip_dt_to_final(dt, self.t, t_final)
+            maxima = np.asarray(st.pipeline.max_signal_per_axis(prim)).T
+            dt = np.minimum(dt, np.min(dt_from_axis_maxima(st.pipeline.dx, maxima, self.config.cfl)))
+        return clip_dt_to_final(self._reduce_dt(float(dt)), self.t, t_final)
 
     def _reduce_dt(self, dt: float) -> float:
         return dt

@@ -58,7 +58,7 @@ def compute_dt(
     if not 0.0 < cfl <= 1.0:
         raise ConfigurationError(f"cfl must be in (0, 1], got {cfl}")
     vmax = max_signal_per_axis(system, grid, prim)
-    dt = dt_from_axis_maxima(grid, vmax, cfl)
+    dt = float(dt_from_axis_maxima(grid.dx, vmax, cfl))
     return clip_dt_to_final(dt, t, t_final)
 
 
@@ -82,10 +82,11 @@ def max_signal_per_axis(system: SRHDSystem, grid: Grid, prim: np.ndarray) -> lis
     return out
 
 
-def dt_from_axis_maxima(grid: Grid, vmax_per_axis, cfl: float) -> float:
+def dt_from_axis_maxima(dx, vmax_per_axis, cfl: float):
     """dt limited by the dimensionally-unsplit bound
-    1/dt >= sum_d vmax_d / dx_d."""
+    1/dt >= sum_d vmax_d / dx_d, per axis a scalar each (one patch) or a
+    ``(P,)`` row each (a stack: per patch, in the one-patch order)."""
     inv_dt = 0.0
-    for axis, vmax in enumerate(vmax_per_axis):
-        inv_dt += max(vmax, 1e-12) / grid.dx[axis]
+    for vmax, h in zip(vmax_per_axis, dx):
+        inv_dt = inv_dt + np.maximum(vmax, 1e-12) / h
     return cfl / inv_dt

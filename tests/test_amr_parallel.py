@@ -245,6 +245,36 @@ class TestCheckpointReload:
         _assert_blocks_bitexact(serial_reference, proc)
 
 
+class TestRankWithoutLeaves:
+    def test_a_rank_that_owns_no_leaf_takes_the_forest_dt(self):
+        """Three workers over a forest of two leaves: the rank that owns
+        none contributes inf to the rank min, and the fleet lands on the
+        serial forest's block bytes and time."""
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=1)
+        grid = Grid((16,), ((0.0, 1.0),))
+        amr = AMRConfig(block_size=8, max_levels=1)
+        init = lambda sys, g: shock_tube(sys, g, SHOCK_TUBES["RP1"])  # noqa: E731
+        serial = AMRSolver(system, grid, init, SolverConfig(cfl=0.4), amr)
+        for _ in range(3):
+            serial.step()
+        with AMRProcessSolver(
+            system, grid, init, config=SolverConfig(cfl=0.4, executor="process"),
+            amr=amr, n_ranks=3,
+        ) as fleet:
+            for _ in range(3):
+                fleet.step()
+            proc = {
+                "blocks": {k: p[0] for k, p in fleet.state()["patches"].items()},
+                "t": fleet.t, "steps": fleet.steps,
+            }
+        assert len(proc["blocks"]) == 2
+        _assert_blocks_bitexact(
+            {"blocks": {k: leaf.cons for k, leaf in serial.forest.leaves.items()},
+             "t": serial.t, "steps": serial.steps},
+            proc,
+        )
+
+
 class TestMigrationWireFormat:
     KEY = BlockKey(1, (3,))
 

@@ -1443,7 +1443,7 @@ class TestFusedStencilParity:
                 out = np.empty((4, rows.size, n_faces))
                 counts = cext_mod.run_face_flux(
                     ffi, getattr(lib, f"face_flux_ax{axis}_2d_cext"), prim, axis,
-                    2, n_faces, out, n_ghost=3,
+                    2, n_faces, out, n_ghost=3, dx=np.ones(1),
                     axis_stride=prim.strides[axis + 1] // prim.itemsize,
                     gamma=5.0 / 3.0, vmax2=1.0 - 1e-4, rho_atmo=1e-10, p_atmo=1e-12,
                     recon_id=recon_id, limiter_id=limiter_id, riemann_id=riemann_id,
