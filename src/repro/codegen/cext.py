@@ -6,9 +6,13 @@ real shared library via cffi: one artifact per ndim, whose entry points are
 the row kernels (one-pass recovery sweep with its CFL scan, fused
 face-flux sweep per axis, ``accumulate``, ``rk_stage``), the AMR gather
 program (a ghost fill or a reflux in one call), the cold-path con2prim
-Newton loop and the clone and team probes — each driven by one ``run_*``
-function below.  There is no pointwise entry point: the per-side algebra
-runs inside the sweep.  Three layers of caching keep rebuilds rare and
+Newton loop and the clone and team probes.  Each row kernel and the
+program are bound by one ``bind_*`` function below: it checks once what
+is fixed for a stack (shapes, element types, stencil reach) and makes the
+pointers to the buffers the stack keeps, and returns the call, which takes
+only the arrays that change and checks and points to an array it was not
+bound to.  There is no pointwise entry point: the per-side algebra runs
+inside the sweep.  Three layers of caching keep rebuilds rare and
 *correct*:
 
 1. an in-process handle map, keyed by the artifact name;
@@ -51,6 +55,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -400,17 +405,55 @@ def cext_available(ndim: int = 1) -> bool:
 
 # -- Python-side kernel drivers ---------------------------------------------
 
+#: the NumPy element type each pointer type of the kernels' signatures walks
+_C_DTYPES = {
+    "double*": np.dtype(np.float64), "long*": np.dtype(np.int64),
+    "unsigned char*": np.dtype(np.uint8),
+}
 
-def _in_buf(ffi, arr, keepalive):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    keepalive.append(arr)
-    return ffi.from_buffer("double*", arr)
+
+def _ptr(ffi, arr, shape=None, ctype="double*", writable=False):
+    """Pointer to an array C indexes unchecked: C-contiguous, of the element
+    type *ctype* points to, and shaped *shape* (an int: that many elements;
+    None: any) — anything else is refused."""
+    dtype, sized = _C_DTYPES[ctype], isinstance(shape, int)
+    if arr.dtype != dtype or not arr.flags.c_contiguous or shape not in (
+        None, arr.size if sized else arr.shape
+    ):
+        raise CodegenError(
+            f"compiled kernels need a C-contiguous {dtype} array of "
+            f"{'size' if sized else 'shape'} {shape}, got {arr.dtype} {arr.shape}"
+        )
+    return ffi.from_buffer(ctype, arr, require_writable=writable)
 
 
-def _out_buf(ffi, arr, ctype="double*"):
-    if not arr.flags.c_contiguous:
-        raise CodegenError("cext output buffers must be C-contiguous")
-    return ffi.from_buffer(ctype, arr, require_writable=True)
+class _Pointers(dict):
+    """The pointers of one bound call: ``id(array) -> (weak reference,
+    pointer, shape, writable)`` of each array it was handed, checked
+    (:func:`_ptr`) and pointed to once for as long as it lives; an array
+    not seen (or seen only as an input, or under another shape) is checked
+    and pointed to when passed.  A pointer holds no reference (an entry
+    outlives its array, unread, until a new array prunes it); the arrays
+    bound at bind time (:meth:`bind`) are kept."""
+
+    def __init__(self, ffi):
+        super().__init__()
+        self.ffi, self.kept = ffi, []
+
+    def bind(self, arr, shape=None, ctype="double*", writable=False):
+        self.kept.append(arr)
+        return self.of(arr, shape, ctype, writable)
+
+    def of(self, arr, shape=None, ctype="double*", writable=False):
+        hit = self.get(id(arr))
+        if hit is not None and hit[0]() is arr and hit[2] == shape and hit[3] >= writable:
+            return hit[1]
+        ptr = _ptr(self.ffi, arr, shape, ctype, writable)
+        if len(self) >= 16:
+            for key in [key for key, hit in self.items() if hit[0]() is None]:
+                del self[key]
+        self[id(arr)] = (weakref.ref(arr), self.ffi.cast(ctype, ptr), shape, writable)
+        return ptr
 
 
 def run_con2prim_newton(
@@ -439,112 +482,72 @@ def run_con2prim_newton(
     if p.dtype != np.float64 or sizes != [n] * 4:
         raise CodegenError(f"c2p_newton: {n} entries per buffer, a float64 p: {sizes} {p.dtype}")
     conv = np.zeros(n, dtype=np.uint8)
-    keep: list = []
+    inputs = [np.ascontiguousarray(a, dtype=np.float64) for a in (D, S2, tau, p_lo)]
+    D, S2, tau, p_lo = (ffi.from_buffer("double*", a) for a in inputs)
     it_max = getattr(lib, CON2PRIM_KERNEL)(
-        n,
-        _in_buf(ffi, D, keep),
-        _in_buf(ffi, S2, keep),
-        _in_buf(ffi, tau, keep),
-        _out_buf(ffi, p),
-        _in_buf(ffi, p_lo, keep),
-        _out_buf(ffi, conv, "unsigned char*"),
-        float(gamma),
-        float(tol),
-        float(p_floor),
-        int(max_newton),
+        n, D, S2, tau, _ptr(ffi, p, writable=True), p_lo,
+        _ptr(ffi, conv, ctype="unsigned char*", writable=True),
+        float(gamma), float(tol), float(p_floor), int(max_newton),
     )
     return conv.view(bool), int(it_max)
 
 
-def run_face_flux(
-    ffi,
-    fn,
-    prim: np.ndarray,
-    axis: int,
-    j0: int,
-    n_faces: int,
-    out: np.ndarray | None,
-    *,
-    axis_stride: int,
-    gamma: float,
-    vmax2: float,
-    rho_atmo: float,
-    p_atmo: float,
-    recon_id: int,
-    limiter_id: int,
-    riemann_id: int,
-    n_ghost: int,
-    dx: np.ndarray,
-    div: np.ndarray | None = None,
-    n_patches: int = 1,
-) -> np.ndarray:
-    """Run one fused face-flux sweep; returns the sanitize counters.
+def bind_face_flux(
+    ffi, fn, shape: tuple, axis: int, j0: int, n_faces: int, *,
+    n_ghost: int, dx: np.ndarray, div: np.ndarray | None = None,
+    gamma: float, vmax2: float, rho_atmo: float, p_atmo: float,
+    recon_id: int, limiter_id: int, riemann_id: int,
+):
+    """Bind one fused face-flux sweep of stacks shaped *shape* ``(P, nvars,
+    *ghosted)``; returns the call ``(prim, out=None) -> counts``.
 
-    *prim* is the full ghosted primitive array (``(nvars, ...)``,
-    C-contiguous) — or a stack of *n_patches* of them back to back,
-    ``(n_patches * nvars, ...)``.  The sweep visits the interior transverse
-    rows of every patch (:func:`sweep_rows`, C's ``j0`` counted from their
-    first interior cell), in C order, patch after patch;
-    *out* (or None) receives their fluxes as ``(nvars, n_rows, n_faces)``
-    and *div* (or None) their difference, each patch's over its own entry
-    of the spacing row *dx* (one per patch), as
-    ``(nvars, n_rows, n_faces - 1)``.  The returned int64 pair is ``[velocity_rescaled,
-    floored]`` — the exact totals the interpreted sanitize stage counts over
-    the same rows.
-
-    The sweep covers faces ``j0 .. j0 + n_faces - 1`` (by left cell) along
-    *axis*; C reads ``STENCIL_REACH[recon_id]`` cells beyond them and
-    writes its outputs unchecked, so a region whose stencil leaves the
-    array, an output of another size, or a spacing row that is not one
-    value per patch, is refused here.
+    It visits the interior transverse rows of every patch
+    (:func:`sweep_rows`, C's ``j0`` counted from their first interior
+    cell), in C order, patch after patch, over faces ``j0 .. j0 + n_faces -
+    1`` (by left cell) along *axis*: *out* (or None) receives their fluxes
+    as ``(nvars, n_rows, n_faces)`` and the bound *div* (or None) their
+    difference over each patch's entry of the spacing row *dx*, ``(nvars,
+    n_rows, n_faces - 1)``.  *counts*, which the next call overwrites, is
+    the int64 ``[velocity_rescaled, floored]``: the interpreted sanitize
+    stage's totals over the same rows.  C reads ``STENCIL_REACH[recon_id]``
+    cells beyond the faces and writes its outputs unchecked, so a stencil
+    leaving the array, a spacing row that is not one value per patch, or an
+    output or *prim* that is not C-contiguous float64 of its size is
+    refused.
     """
-    if not prim.flags.c_contiguous:
-        raise CodegenError("fused face_flux needs a C-contiguous prim array")
+    n_patches, nvars, cells = shape[0], shape[1], shape[2:]
     left, right = STENCIL_REACH[recon_id]
-    extent = prim.shape[axis + 1]
+    extent = cells[axis]
     if n_faces < 1 or j0 - left < 0 or j0 + n_faces + right > extent:
         raise CodegenError(
             f"fused face_flux region out of bounds on axis {axis}: faces "
             f"[{j0}, {j0 + n_faces}) with stencil reach (-{left}, +{right}) "
             f"need cells [{j0 - left}, {j0 + n_faces + right}) of {extent}"
         )
-    nvars = prim.shape[0] // n_patches
-    rows = sweep_rows(prim.shape[1:], n_ghost, axis, n_patches, prim.size // n_patches)
-    for arr, width in ((out, n_faces), (div, n_faces - 1)):
-        if arr is not None and arr.size != nvars * rows.size * width:
-            raise CodegenError(
-                f"fused face_flux output holds {arr.size} values, the sweep "
-                f"writes {nvars} x {rows.size} x {width}"
-            )
     dx = np.ascontiguousarray(dx, dtype=np.float64)
     if dx.shape != (n_patches,):
         raise CodegenError(
             f"fused face_flux needs one spacing per patch ({n_patches}), got {dx.shape}"
         )
-    counts = np.zeros(2, dtype=np.int64)
-    keep: list = []
-    fn(
-        _in_buf(ffi, prim, keep),
-        int(prim.strides[0] // prim.itemsize),
-        int(axis_stride),
-        ffi.from_buffer("long*", rows),
-        int(rows.size),
-        int(j0 - n_ghost),
-        int(n_faces),
-        ffi.NULL if out is None else _out_buf(ffi, out),
-        ffi.NULL if div is None else _out_buf(ffi, div),
-        _in_buf(ffi, dx, keep),
-        int(rows.size // n_patches),
-        float(gamma),
-        float(vmax2),
-        float(rho_atmo),
-        float(p_atmo),
-        int(recon_id),
-        int(limiter_id),
-        int(riemann_id),
-        _out_buf(ffi, counts, "long*"),
+    var = int(np.prod(cells))
+    rows = sweep_rows(cells, n_ghost, axis, n_patches, nvars * var)
+    n_out, counts, ptrs = nvars * rows.size * n_faces, np.zeros(2, dtype=np.int64), _Pointers(ffi)
+    head = (var, int(np.prod(cells[axis + 1:])), ptrs.bind(rows, ctype="long*"),
+            rows.size, j0 - n_ghost, n_faces)
+    tail = (
+        ffi.NULL if div is None
+        else ptrs.bind(div, nvars * rows.size * (n_faces - 1), writable=True),
+        ptrs.bind(dx), rows.size // n_patches, gamma, vmax2, rho_atmo, p_atmo,
+        recon_id, limiter_id, riemann_id, ptrs.bind(counts, ctype="long*", writable=True),
     )
-    return counts
+
+    def sweep(prim, out=None):  # stored fluxes are a fresh array per call: not kept
+        out = ffi.NULL if out is None else _ptr(ffi, out, n_out, writable=True)
+        counts.fill(0)
+        fn(ptrs.of(prim, shape), *head, out, *tail)
+        return counts
+
+    return sweep
 
 
 @functools.lru_cache(maxsize=64)
@@ -579,108 +582,112 @@ def interior_rows(cell_shape: tuple, n_ghost: int) -> tuple[np.ndarray, tuple]:
     return rows, tuple(n - 2 * int(n_ghost) for n in cell_shape)
 
 
-def _state_buf(ffi, arr, like=None, writable=False):
-    """Pointer to an array the row kernels index unchecked: it must be
-    C-contiguous float64 (and shaped *like*)."""
-    shape = arr.shape if like is None else like
-    if arr.dtype != np.float64 or not arr.flags.c_contiguous or arr.shape != shape:
-        raise CodegenError(
-            f"compiled row kernels need a C-contiguous float64 array of shape "
-            f"{shape}, got {arr.dtype} {arr.shape}"
+def bind_recover(ffi, fn, shape: tuple, n_ghost: int, prim, seeds, warm, scan, **params):
+    """Bind one compiled recovery sweep
+    (:meth:`KernelGenerator.generate_c_recover`) of stacks shaped *shape*
+    ``(P, nvars, *ghosted)`` to a stack's workspace *prim*, its two seed
+    arrays *seeds* (the patches' interiors back to back, ``(P *
+    interior[0], *interior[1:])``), its ``(P,)`` uint8 *warm* flags (a
+    patch's *seed* is read where set) and its ``(P, ndim)`` *scan* buffer;
+    *params* are the kernel's scalars (``gamma``, ``tol``, ``p_floor``,
+    ``max_newton``, ``rho_atmo``, ``p_atmo``, ``rho_reset``, ``vmax``, in
+    that order).  Returns the call ``(cons, prim, seed, next_seed,
+    solve_only, scan=None) -> counts``: *cons* floored in place, *prim*'s
+    interiors recovered, *next_seed* written, *scan* (or None: no scan)
+    given each patch's per-axis largest |characteristic speed|, and the
+    int64 ``[cons_floored, momentum_rescaled, n_unconverged, iters_max,
+    prim_reset]`` of each patch, ``(P, 5)``, which the next call
+    overwrites.  An array of another shape or type is refused."""
+    n_patches, nvars, cells = shape[0], shape[1], shape[2:]
+    offsets, interior = interior_rows(cells, n_ghost)
+    seeds_shape = (n_patches * interior[0],) + interior[1:]
+    scan_shape = (n_patches, nvars - 2)  # nvars = ndim + 2
+    counts, ptrs = np.zeros((n_patches, 5), dtype=np.int64), _Pointers(ffi)
+    ptrs.bind(prim, shape, writable=True)
+    ptrs.bind(scan, scan_shape, writable=True)
+    for seed in seeds:
+        ptrs.bind(seed, seeds_shape, writable=True)
+    rows = (n_patches, int(np.prod(cells)), ptrs.bind(offsets, ctype="long*"),
+            offsets.size, interior[-1])
+    warm = ptrs.bind(warm, (n_patches,), "unsigned char*")
+    params = tuple(params[k] for k in (
+        "gamma", "tol", "p_floor", "max_newton", "rho_atmo", "p_atmo", "rho_reset", "vmax"))
+    counts_ptr = ptrs.bind(counts, ctype="long*", writable=True)
+
+    def recover(cons, prim, seed, next_seed, solve_only, scan=None):
+        scan = ffi.NULL if scan is None else ptrs.of(scan, scan_shape, writable=True)
+        counts.fill(0)
+        fn(
+            ptrs.of(cons, shape, writable=True), ptrs.of(prim, shape, writable=True), *rows,
+            ptrs.of(seed, seeds_shape), warm, ptrs.of(next_seed, seeds_shape, writable=True),
+            *params, bool(solve_only), counts_ptr, scan,
         )
-    return ffi.from_buffer("double*", arr, require_writable=writable)
+        return counts
+
+    return recover
 
 
-def run_recover(
-    ffi, fn, cons, prim, n_ghost, seed, next_seed, *,
-    gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
-    solve_only, n_patches=1, warm=None, scan=None,
-) -> np.ndarray:
-    """Run one compiled recovery sweep (see
-    :meth:`KernelGenerator.generate_c_recover`) over a stack of *n_patches*
-    patches; returns the int64 counts ``[cons_floored, momentum_rescaled,
-    n_unconverged, iters_max, prim_reset]`` of each, ``(n_patches, 5)``.
-
-    *cons* (``(n_patches * nvars, *cells)``) is floored in place and *prim*
-    receives the interiors; *seed* (or None: every patch starts cold) and
-    *next_seed* hold the patches' interiors back to back,
-    ``(n_patches * interior[0], *interior[1:])``.  *warm* (or None: every
-    patch warm) flags per patch whether its *seed* is read.  *scan* (or
-    None: no scan), ``(n_patches, ndim)``, receives each patch's per-axis
-    largest |characteristic speed| over its recovered interior.
-    """
-    offsets, interior = interior_rows(cons.shape[1:], n_ghost)
-    seeds = (n_patches * interior[0],) + interior[1:]
-    scan_shape = (n_patches, cons.shape[0] // n_patches - 2)  # nvars = ndim + 2
-    counts = np.zeros((n_patches, 5), dtype=np.int64)
-    if warm is not None and (warm.dtype != np.uint8 or warm.shape != (n_patches,)):
-        raise CodegenError(f"recover needs {n_patches} uint8 warm flags, got {warm}")
-    fn(
-        _state_buf(ffi, cons, writable=True),
-        _state_buf(ffi, prim, cons.shape, writable=True),
-        n_patches,
-        cons[0].size,
-        ffi.from_buffer("long*", offsets),
-        offsets.size,
-        interior[-1],
-        ffi.NULL if seed is None else _state_buf(ffi, seed, seeds),
-        ffi.NULL if warm is None else ffi.from_buffer("unsigned char*", warm),
-        _state_buf(ffi, next_seed, seeds, writable=True),
-        gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax,
-        bool(solve_only),
-        ffi.from_buffer("long*", counts),
-        ffi.NULL if scan is None else _state_buf(ffi, scan, scan_shape, writable=True),
-    )
-    return counts
-
-
-def run_accumulate(
-    ffi, fn, dU, axis: int, n_ghost: int, lo: int, hi: int, div, n_patches: int = 1,
-    first: bool = False,
-) -> None:
-    """``dU -= div`` (*first*: ``dU = 0.0 - div``) over interior cells
-    ``[lo, hi)`` of *axis*, every interior row of every patch of the stack
-    *dU* (``(n_patches * nvars, *cells)``;
-    :meth:`KernelGenerator.generate_c_accumulate`); *div* is ``(nvars,
-    n_patches, *transverse_interior, hi - lo)``.  C walks both unchecked: a
-    region leaving the interior or a *div* of another size is refused
-    here."""
-    rows = sweep_rows(dU.shape[1:], n_ghost, axis, n_patches, dU.size // n_patches)
-    n_axis = dU.shape[axis + 1] - 2 * n_ghost
-    nvars = dU.shape[0] // n_patches
-    if not 0 <= lo < hi <= n_axis or div.size != nvars * rows.size * (hi - lo):
+def bind_accumulate(ffi, fn, shape: tuple, axis: int, n_ghost: int, lo: int, hi: int, dU, div):
+    """Bind ``dU -= div`` over interior cells ``[lo, hi)`` of *axis*, every
+    interior row of every patch of stacks shaped *shape*
+    (:meth:`KernelGenerator.generate_c_accumulate`), to a stack's *dU* and
+    the region's *div* ``(nvars, P, *transverse_interior, hi - lo)``;
+    returns the call ``(dU, div, first)`` (*first*: ``dU = 0.0 - div``).
+    C walks both unchecked: a region leaving the interior, or a *dU* or
+    *div* of another size or type, is refused."""
+    n_patches, nvars, cells = shape[0], shape[1], shape[2:]
+    rows = sweep_rows(cells, n_ghost, axis, n_patches, int(np.prod(shape[1:])))
+    n_div = nvars * rows.size * (hi - lo)
+    if not 0 <= lo < hi <= cells[axis] - 2 * n_ghost or div.size != n_div:
         raise CodegenError(
             f"accumulate region [{lo}, {hi}) of axis {axis} with a divergence "
-            f"of shape {div.shape} does not fit the interior of {dU.shape}"
+            f"of shape {div.shape} does not fit the interior of {shape}"
         )
-    fn(
-        _state_buf(ffi, dU, writable=True), dU[0].size,
-        dU.strides[axis + 1] // dU.itemsize, ffi.from_buffer("long*", rows),
-        rows.size, lo, hi - lo, _state_buf(ffi, div), bool(first),
-    )
+    ptrs = _Pointers(ffi)
+    ptrs.bind(dU, shape, writable=True)
+    ptrs.bind(div, n_div)
+    region = (int(np.prod(cells)), int(np.prod(cells[axis + 1:])),
+              ptrs.bind(rows, ctype="long*"), rows.size, lo, hi - lo)
+
+    def accumulate(dU, div, first):
+        fn(ptrs.of(dU, shape, writable=True), *region, ptrs.of(div, n_div), bool(first))
+
+    return accumulate
 
 
-def run_rk_stage(ffi, fn, stage, U, V, dt: float, k, out) -> None:
-    """``out = combine_stage(stage, U, V, dt, k)`` in one compiled pass over
-    same-shaped C-contiguous float64 arrays
-    (:meth:`KernelGenerator.generate_c_rk_stage`).  The loop is compiled
-    under ``restrict``: *out* aliasing an input is refused."""
-    form, a, b = stage
-    if any(np.may_share_memory(out, x) for x in (U, V, k)):
-        raise CodegenError("rk_stage: out aliases an input")
-    fn(
-        U.size, form, a, b, dt,
-        _state_buf(ffi, U), _state_buf(ffi, V, U.shape), _state_buf(ffi, k, U.shape),
-        _state_buf(ffi, out, U.shape, writable=True),
-    )
+def bind_rk_stage(ffi, fn, shape: tuple, *buffers):
+    """Bind ``out = combine_stage(stage, U, V, dt, k)`` in one compiled pass
+    (:meth:`KernelGenerator.generate_c_rk_stage`) over C-contiguous float64
+    arrays shaped *shape*, to a stack's *buffers*; returns the call
+    ``(stage, U, V, dt, k, out)``.  The loop is compiled under
+    ``restrict``: an *out* aliasing an input is refused, as is an array of
+    another shape or type."""
+    ptrs, n = _Pointers(ffi), int(np.prod(shape))
+    for buf in buffers:
+        ptrs.bind(buf, shape, writable=True)
+
+    def rk_stage(stage, U, V, dt, k, out):
+        if np.may_share_memory(out, U) or np.may_share_memory(out, V) or np.may_share_memory(out, k):
+            raise CodegenError("rk_stage: out aliases an input")
+        fn(n, *stage, dt, ptrs.of(U, shape), ptrs.of(V, shape), ptrs.of(k, shape),
+           ptrs.of(out, shape, writable=True))
+
+    return rk_stage
 
 
-def run_program(ffi, fn, code, arrays, values, reals) -> None:
-    """Run one AMR gather program (:meth:`KernelGenerator.generate_c_amr_program`)
-    over the table *arrays* and the value buffer *values* (``(sites,
-    nvars)``) in one call.  C indexes them unchecked by *code*:
-    ``mesh.amr.forest.run_program`` checks the table against the sizes
-    the program was compiled for before it calls here."""
-    table = ffi.new("double*[]", [_out_buf(ffi, a) for a in arrays])
-    fn(table, ffi.from_buffer("long*", code), code.size, _out_buf(ffi, values),
-       ffi.from_buffer("double*", reals))
+def bind_program(ffi, fn, code, values, reals, n_arrays: int):
+    """Bind one AMR gather program
+    (:meth:`KernelGenerator.generate_c_amr_program`) — its *code*, its
+    value buffer *values* ``(sites, nvars)``, its *reals* and a table of
+    *n_arrays* pointers — and return the call ``(arrays)``, one C call.  C
+    indexes *arrays* unchecked by *code*: ``mesh.amr.forest.run_program``
+    checks them against the sizes the program was compiled for first."""
+    table, ptrs = ffi.new("double*[]", n_arrays), _Pointers(ffi)
+    args = (ptrs.bind(code, ctype="long*"), code.size, ptrs.bind(values, writable=True),
+            ptrs.bind(reals))
+
+    def program(arrays):
+        table[0:n_arrays] = [ptrs.of(a, writable=True) for a in arrays]
+        fn(table, *args)
+
+    return program

@@ -15,7 +15,9 @@ recovery sweep with its CFL scan, the fused ``face_flux`` sweep, the update
 stage (``accumulate``, ``rk_stage``), the AMR gather program
 (``run_program``: a ghost fill or a reflux in one call) and the cold-path
 Newton loop (``c2p_newton``, which :func:`~repro.physics.con2prim.con_to_prim`
-picks up).  Holding one is what puts a
+picks up).  Each row kernel is a pair: ``bind_*`` binds it to the buffers a
+stack keeps, once, and the hook of its name runs a bound call — every
+call's entry point.  Holding one is what puts a
 :class:`~repro.core.pipeline.HydroPipeline` on the compiled paths.
 
 :func:`make_kernel_system` is the one place a target name
@@ -34,6 +36,7 @@ from ..eos.ideal import IdealGasEOS
 from ..physics.srhd import SRHDSystem
 from ..utils.errors import CodegenError, ConfigurationError
 from ..utils.logging import get_logger
+from . import cext
 from .cache import load_kernel
 from .generator import (
     ACCUMULATE_KERNEL,
@@ -127,11 +130,9 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
     char_speeds = SRHDSystem.char_speeds
 
     def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
-        from .cext import load_cext_module
-
         # The module first: a target that cannot load fails before the
         # interpreted kernels are generated.
-        self._ffi, self._lib = load_cext_module(ndim)
+        self._ffi, self._lib = cext.load_cext_module(ndim)
         super().__init__(gamma, ndim)
         gen = KernelGenerator(ndim)
         self._c_face_flux = [
@@ -148,72 +149,71 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
         Returns ``(converged mask, max iteration count)``; *p* is updated
         in place, exactly like the vectorized Python iteration it replaces.
         """
-        from .cext import run_con2prim_newton
-
-        return run_con2prim_newton(
+        return cext.run_con2prim_newton(
             self._ffi, self._lib, D, S2, tau, p, p_lo,
             gamma=self.gamma, tol=tol, p_floor=p_floor, max_newton=max_newton,
         )
 
-    def recover(self, cons, prim, n_ghost, seed, next_seed, **params) -> np.ndarray:
-        """One recovery sweep in one compiled pass — conserved floors,
-        momentum cap, seed, Newton, primitive floor and, given a *scan*
-        array among *params*, the CFL scan of the recovered interiors, bit
-        for bit :func:`~repro.time_integration.cfl.max_signal_per_axis` —
-        over a stack of patches, returning each patch's counts
-        (:func:`~repro.codegen.cext.run_recover`).  Holding this hook puts
-        a :class:`~repro.core.pipeline.HydroPipeline` on that path."""
-        from .cext import run_recover
-
-        return run_recover(
-            self._ffi, self._c_recover, cons, prim, n_ghost, seed, next_seed,
+    def bind_recover(self, shape, n_ghost, prim, seeds, warm, scan, **params):
+        """One recovery sweep — conserved floors, momentum cap, seed, Newton,
+        primitive floor and, asked for, the CFL scan of the recovered
+        interiors, bit for bit
+        :func:`~repro.time_integration.cfl.max_signal_per_axis` — bound."""
+        return cext.bind_recover(
+            self._ffi, self._c_recover, shape, n_ghost, prim, seeds, warm, scan,
             gamma=self.gamma, **params,
         )
 
-    def face_flux(self, prim, axis, j0, n_faces, out, *, ids, **params) -> np.ndarray:
-        """One fused reconstruction+Riemann(+difference) sweep along *axis*
-        of the interior rows of one patch or a stack
-        (:func:`~repro.codegen.cext.run_face_flux`, ``n_ghost``,
-        ``n_patches`` and the per-patch spacing row ``dx`` among *params*):
-        fluxes into *out*, their difference over each patch's ``dx`` into
-        ``div``, either may be None.
-        Returns the int64 sanitize counters ``[velocity_rescaled,
-        floored]``.  *ids* comes from :func:`stencil_scheme_ids`.
-        """
-        from .cext import run_face_flux
+    def recover(self, bound, *args) -> np.ndarray:
+        """Run a bound recovery; each patch's counts.  Holding this hook
+        puts a :class:`~repro.core.pipeline.HydroPipeline` on that path."""
+        return bound(*args)
 
+    def bind_face_flux(self, shape, axis, j0, n_faces, *, ids, **params):
+        """One fused reconstruction+Riemann(+difference) sweep along *axis*,
+        bound; *ids* comes from :func:`stencil_scheme_ids`."""
         recon_id, limiter_id, riemann_id = ids
-        return run_face_flux(
-            self._ffi, self._c_face_flux[axis], prim, axis, j0, n_faces, out,
+        return cext.bind_face_flux(
+            self._ffi, self._c_face_flux[axis], shape, axis, j0, n_faces,
             gamma=self.gamma, recon_id=recon_id, limiter_id=limiter_id,
             riemann_id=riemann_id, **params,
         )
 
-    def accumulate(self, dU, axis, n_ghost, lo, hi, div, n_patches=1, first=False) -> None:
-        """``dU -= div`` (*first*: ``dU = 0.0 - div``) over interior cells
-        ``[lo, hi)`` of *axis*, every patch of a stack, in one compiled pass
-        (:func:`~repro.codegen.cext.run_accumulate`)."""
-        from .cext import run_accumulate
+    def face_flux(self, sweep, prim, out=None) -> np.ndarray:
+        """Run a bound sweep over the stack *prim*: fluxes into *out* (or
+        None), their difference into its ``div``; the int64 sanitize
+        counters ``[velocity_rescaled, floored]``."""
+        return sweep(prim, out)
 
-        run_accumulate(
-            self._ffi, self._c_accumulate, dU, axis, n_ghost, lo, hi, div, n_patches, first
+    def bind_accumulate(self, shape, axis, n_ghost, lo, hi, dU, div):
+        """``dU -= div`` over interior cells ``[lo, hi)`` of *axis*, bound."""
+        return cext.bind_accumulate(
+            self._ffi, self._c_accumulate, shape, axis, n_ghost, lo, hi, dU, div
         )
 
-    def rk_stage(self, stage, U, V, dt, k, out) -> None:
-        """One SSP-RK stage combination into *out*, bit for bit
-        :func:`~repro.time_integration.ssprk.combine_stage`
-        (:func:`~repro.codegen.cext.run_rk_stage`)."""
-        from .cext import run_rk_stage
+    def accumulate(self, bound, *args) -> None:
+        """Run a bound accumulate: ``(dU, div, first)``."""
+        bound(*args)
 
-        run_rk_stage(self._ffi, self._c_rk_stage, stage, U, V, dt, k, out)
+    def bind_rk_stage(self, shape, *buffers):
+        """SSP-RK stage combinations of arrays shaped *shape*, bound."""
+        return cext.bind_rk_stage(self._ffi, self._c_rk_stage, shape, *buffers)
 
-    def run_program(self, code, arrays, values, reals) -> None:
+    def rk_stage(self, bound, *args) -> None:
+        """Run a bound stage combination ``(stage, U, V, dt, k, out)``, bit
+        for bit :func:`~repro.time_integration.ssprk.combine_stage`."""
+        bound(*args)
+
+    def run_program(self, program, arrays) -> None:
         """One AMR gather program — a ghost fill or a reflux — in one
-        compiled call (:func:`~repro.codegen.cext.run_program`); holding
-        this hook puts :func:`~repro.mesh.amr.forest.run_program` on it."""
-        from .cext import run_program
-
-        run_program(self._ffi, self._c_amr_program, code, arrays, values, reals)
+        compiled call, bound on its first; holding this hook puts
+        :func:`~repro.mesh.amr.forest.run_program` on it."""
+        if program.bound is None or program.bound[0] is not self._lib:
+            program.bound = (self._lib, cext.bind_program(
+                self._ffi, self._c_amr_program, program.code, program.values,
+                program.reals, len(program.sizes),
+            ))
+        program.bound[1](arrays)
 
     def __repr__(self):
         return f"CompiledSRHDSystem(gamma={self.gamma}, ndim={self.ndim})"

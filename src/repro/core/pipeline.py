@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from ..reconstruct import make_reconstruction
 from ..riemann import make_riemann_solver
 from ..time_integration.cfl import max_signal_per_axis
 from ..time_integration.ssprk import combine_stage as _reference_stage
-from ..utils.errors import ConfigurationError, RecoveryError
+from ..utils.errors import CodegenError, ConfigurationError, RecoveryError
 from ..utils.timers import TimerRegistry
 from .config import ATMO_THRESHOLD, RECOVERY_TOL, SolverConfig
 from .workspace import ScratchWorkspace, scratch_buf
@@ -58,11 +59,6 @@ def resolve_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
     from ..codegen.system import make_kernel_system
 
     return make_kernel_system(system, target)
-
-
-def _c_f64(*arrays) -> bool:
-    """Whether the compiled kernels may walk *arrays* as they are."""
-    return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
 
 
 class HydroPipeline:
@@ -158,31 +154,38 @@ class HydroPipeline:
         elif config.kernel_target == "cext":
             # The target's one fallback (logged by make_kernel_system).
             self.metrics.counter("codegen.target_fallbacks").inc()
-        #: the compiled recovery sweep and update stage, fixed here like the
-        #: sweep: None (no such hook) runs the interpreted passes.
-        self._recover_kernel = getattr(system, "recover", None)
-        self._accumulate_kernel = getattr(system, "accumulate", None)
-        self._rk_stage_kernel = getattr(system, "rk_stage", None)
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
         #: preallocated kernel buffers for the hot path (one per pipeline, so
         #: per-stack reuse is safe)
-        self.workspace = ScratchWorkspace(grid, system.nvars, len(self.patches))
+        self.workspace = ws = ScratchWorkspace(grid, system.nvars, len(self.patches))
         # Pressure cache seeds the next con2prim Newton solve: the patches'
         # interiors back to back along axis 0 (the layout the compiled sweep
         # takes; patch i's are rows _seed_rows(i)), read where _warm is set
         # (a patch without one starts cold).  Private: a sweep writes the
         # next seeds into _seed_spare and the two swap, so no array handed
         # out may alias either.
-        self._p_cache: np.ndarray | None = None
-        self._seed_spare: np.ndarray | None = None
-        self._warm = [False] * len(self.patches)
-        #: ``(weak reference to prim, per-patch maxima)`` of the last fresh
-        #: compiled recovery, a patch's None where the kernel did not
-        #: complete it; dropped by the next recovery.  Weak: it never keeps
-        #: a recovered array alive.
+        self._p_cache, self._seed_spare = self._new_seeds(), self._new_seeds()
+        self._warm = np.zeros(len(self.patches), dtype=np.uint8)
+        #: the compiled recovery's CFL scan, one row per patch, and
+        #: ``(weak reference to prim, patches it did not complete)`` of the
+        #: last fresh compiled recovery, whose maxima the other rows hold;
+        #: dropped by the next recovery.  Weak: it never keeps a recovered
+        #: array alive.
+        self._scanned = np.empty((len(self.patches), system.ndim))
         self._scan = None
+        #: the compiled recovery (bound on first use) and stage combination
+        #: bound to this stack's buffers, and the two workspace buffers RK
+        #: intermediates take turns in; None (no such hook) runs the
+        #: interpreted passes
+        self._recover_call = self._rk_call = None
+        if hasattr(system, "rk_stage"):
+            shape = self._state_shape
+            self._rk = (ws.buf(("rk", 0), shape), ws.buf(("rk", 1), shape))
+            self._rk_call = system.bind_rk_stage(shape, ws.dU, *self._rk)
+        #: ``(axis, lo, hi) -> [div, sweep, accumulate]`` (:meth:`_region`)
+        self._regions: dict = {}
         #: when True, flux_divergence stashes the interior face fluxes per
         #: axis in :attr:`last_face_fluxes` (used by AMR refluxing).
         self.store_fluxes = False
@@ -212,8 +215,6 @@ class HydroPipeline:
         the patch interior, which no sweep could read — starts it cold."""
         warm = p_cache is not None and np.shape(p_cache) == self.grid.shape
         if warm:
-            if self._p_cache is None:
-                self._p_cache = self._new_seeds()
             self._p_cache[self._seed_rows(patch)] = p_cache
         self._warm[patch] = warm
 
@@ -241,11 +242,6 @@ class HydroPipeline:
                 f"got an array shaped {a.shape}"
             )
 
-    def _flat(self, a: np.ndarray) -> np.ndarray:
-        """A C-contiguous stack (or a stack of one's patch) as its patches
-        back to back, ``(P * nvars, *ghosted)``: what the row kernels walk."""
-        return a.reshape((-1,) + self.grid.shape_with_ghosts)
-
     def recover_primitives(self, cons: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Full primitive array: recovery on the interior + BC ghost fill.
 
@@ -266,44 +262,57 @@ class HydroPipeline:
         # Only a fresh array outlives the next recovery, so only it is
         # scanned — and not with a fault injector, whose burst precedes the
         # primitive floor the scan follows.
-        scan = None
-        if not reuse and self.fault_injector is None:
-            scan = np.empty((len(self.patches), system.ndim))
-        if self._seed_spare is None:
-            self._seed_spare = self._new_seeds()
+        scan = not reuse and self.fault_injector is None
         with self.timers("con2prim"):
             # Three stages per patch: conserved floors, interior solve,
             # primitive floor + next seed.  The compiled kernel completes
             # the first `done[i]` of patch i's; the interpreted code runs
             # the rest, patch by patch.  A raise commits no seed.
-            iters = [0] * len(self.patches)
-            done = self._recover_compiled(cons, prim, iters, scan)
-            n = self._seed_spare.size // len(done)  # interior cells per patch
-            # A patch the kernel completed leaves only its accounting (all n
-            # cells by Newton): those up to a raise are recorded once, merged.
-            completed = []
-            try:
-                for i, patch_done in enumerate(done):
-                    if patch_done == 3:
-                        completed.append(iters[i])
-                        continue
-                    solved = n if patch_done == 2 else 0  # by the kernel's Newton
-                    sweep = RecoveryStats(solved, solved, max_iterations=iters[i])
-                    self._finish_recovery(i, cons, prim, patch_done, sweep)
-            finally:
-                if completed:
-                    cells = n * len(completed)
-                    self._record_recovery(completed, RecoveryStats(cells, cells))
+            counts, complete = self._recover_compiled(cons, prim, scan)
+            if complete:
+                # Every patch completed: only their accounting is left (all
+                # cells by Newton), merged, and the scan holds every patch.
+                n = self._seed_spare.size
+                self._record_recovery(counts[:, 3].tolist(), RecoveryStats(n, n))
+                rest = ()
+            else:
+                rest = self._recover_patches(cons, prim, counts)
             self._p_cache, self._seed_spare = self._seed_spare, self._p_cache
-            self._warm = [True] * len(self.patches)
-        if scan is not None and 3 in done:
-            maxima = [row if d == 3 else None for row, d in zip(scan.tolist(), done)]
-            self._scan = (weakref.ref(prim), maxima)
+            self._warm.fill(1)
+        if scan and counts is not None:
+            self._scan = (weakref.ref(prim), rest)
         with self.timers("boundary"):
             for i, grid, walls in self._walls:
                 for axis, side, condition in walls:
                     condition.apply(system, grid, prim[i], axis, side)
         return prim
+
+    def _recover_patches(self, cons, prim, counts) -> list:
+        """The stages of a sweep the kernel left (*counts* its rows, None: it
+        did not run), patch by patch; returns the patches it did not
+        complete.  Those it completed leave only their accounting: up to a
+        raise, recorded once, merged."""
+        done, iters = [0] * len(self.patches), [0] * len(self.patches)
+        if counts is not None:
+            solved = 2 if self.fault_injector is not None else 3
+            for i, (unconverged, iters_max) in enumerate(counts[:, 2:4].tolist()):
+                done[i] = 1 if unconverged else solved
+                iters[i] = 0 if unconverged else iters_max
+        n = self._seed_spare.size // len(done)  # interior cells per patch
+        completed = []
+        try:
+            for i, patch_done in enumerate(done):
+                if patch_done == 3:
+                    completed.append(iters[i])
+                    continue
+                solved = n if patch_done == 2 else 0  # by the kernel's Newton
+                sweep = RecoveryStats(solved, solved, max_iterations=iters[i])
+                self._finish_recovery(i, cons, prim, patch_done, sweep)
+        finally:
+            if completed:
+                cells = n * len(completed)
+                self._record_recovery(completed, RecoveryStats(cells, cells))
+        return [i for i, patch_done in enumerate(done) if patch_done != 3]
 
     def _finish_recovery(self, i, cons, prim, done, sweep):
         """The stages of patch *i*'s sweep (*cons* → *prim*, this
@@ -345,11 +354,11 @@ class HydroPipeline:
                 self.metrics.counter("atmo.prim_reset").inc(int(prim_mask.sum()))
             self._seed_spare[self._seed_rows(i)] = interior_prim[system.P]
 
-    def _recover_compiled(self, cons, prim, iters, scan=None) -> list[int]:
+    def _recover_compiled(self, cons, prim, scan) -> tuple:
         """Run the compiled recovery sweep over the stack *cons*, if this
-        pipeline has one (with the CFL scan into *scan*, unless None), and
-        return per patch how many stages it completed — the one cold-path
-        rule:
+        pipeline has one (with the CFL scan, when *scan*), and count its
+        floors; returns ``(count rows or None, whether it completed every
+        patch)``.  Each patch's completed stages — the one cold-path rule:
 
         - 0: no kernel (``numpy``/``flat``), or *cons* is not C-contiguous
           float64 — every patch.  It is never copied contiguous: the floors
@@ -361,45 +370,42 @@ class HydroPipeline:
           the same Newton bits, then bisects, failsafes or raises as it
           always did.  The other patches are unaffected.
         - 2: a fault injector is attached.  The solve is in *prim* (its
-          iteration count in ``iters[i]``); the burst hook sits between it and
+          iteration count in the row); the burst hook sits between it and
           the primitive floor (a burst cell is counted by ``atmo.prim_reset``
           and its ``p_atmo`` lands in the seed), so those stay interpreted.
         - 3: everything, the next seed included — and the patch's row of
-          *scan* and ``iters[i]``.
+          the scan.
         """
-        kernel = self._recover_kernel
-        if kernel is None or not _c_f64(cons):
-            return [0] * len(self.patches)
-        atmo, warm = self.atmosphere, self._warm
+        if self._rk_call is None:
+            return None, False
+        if self._recover_call is None:  # with the Newton controls as they are now
+            atmo = self.atmosphere
+            self._recover_call = self.system.bind_recover(
+                self._state_shape, self.grid.n_ghost, self.workspace.prim,
+                (self._p_cache, self._seed_spare), self._warm, self._scanned,
+                tol=RECOVERY_TOL, **_NEWTON, rho_atmo=atmo.rho_atmo, p_atmo=atmo.p_atmo,
+                rho_reset=atmo.threshold_factor * atmo.rho_atmo,
+                vmax=float(np.sqrt(1.0 - 1.0 / self.config.w_max**2)),
+            )
         solve_only = self.fault_injector is not None
-        counts = kernel(
-            self._flat(cons), self._flat(prim), self.grid.n_ghost,
-            self._p_cache if any(warm) else None, self._seed_spare,
-            n_patches=len(warm),
-            warm=None if all(warm) else np.array(warm, dtype=np.uint8),
-            tol=RECOVERY_TOL, **_NEWTON,
-            rho_atmo=atmo.rho_atmo, p_atmo=atmo.p_atmo,
-            rho_reset=atmo.threshold_factor * atmo.rho_atmo,
-            vmax=float(np.sqrt(1.0 - 1.0 / self.config.w_max**2)),
-            solve_only=solve_only, scan=scan,
-        )
-        done, floored, rescaled, prim_reset = [], 0, 0, 0
-        for i, (f, r, unconverged, iters_max, reset) in enumerate(counts.tolist()):
-            floored += f
-            rescaled += r
-            if unconverged:
-                done.append(1)
-                continue
-            iters[i] = iters_max
-            done.append(2 if solve_only else 3)
-            prim_reset += reset
+        try:
+            counts = self.system.recover(
+                self._recover_call, cons, prim, self._p_cache, self._seed_spare,
+                solve_only, self._scanned if scan else None,
+            )
+        except CodegenError:  # cons not C-contiguous float64, refused before C
+            return None, False
+        totals = counts[0] if len(counts) == 1 else counts.sum(axis=0)
+        floored, rescaled, unconverged, _, reset = totals.tolist()
+        if unconverged:  # an unconverged patch's resets are the interpreted pass's
+            reset = int(counts[counts[:, 2] == 0, 4].sum())
         if floored:
             self.metrics.counter("atmo.cons_floored").inc(floored)
         if rescaled:
             self.metrics.counter("limiter.momentum_rescaled").inc(rescaled)
-        if prim_reset:
-            self.metrics.counter("atmo.prim_reset").inc(prim_reset)
-        return done
+        if reset:
+            self.metrics.counter("atmo.prim_reset").inc(reset)
+        return counts, not (unconverged or solve_only)
 
     def _record_recovery(self, iters_max: list, s: RecoveryStats) -> None:
         """Report con2prim sweeps through the metrics layer: *s* holds their
@@ -550,24 +556,20 @@ class HydroPipeline:
         lives in a workspace buffer keyed by ``(axis, lo, hi)`` and survives
         until the same region is evaluated again.
         """
-        grid, ws = self.grid, self.workspace
         self._expect_stack(prim, "flux_divergence_region")
-        store = self.store_fluxes and (lo, hi) == (0, grid.shape[axis])
-        shape = (self.system.nvars, len(self.patches)) + tuple(
-            n for ax, n in enumerate(grid.shape) if ax != axis
-        )
-        div = scratch_buf(ws, ("div", axis, lo, hi), shape + (hi - lo,))
+        store = self.store_fluxes and (lo, hi) == (0, self.grid.shape[axis])
+        div, sweep, _ = self._region(axis, lo, hi)
         # Stored fluxes are a fresh array, never workspace memory.
-        flux = np.empty(shape + (hi - lo + 1,)) if store else None
-        if self._fused_ids is not None:
+        flux = np.empty(div.shape[:-1] + (hi - lo + 1,)) if store else None
+        if sweep is not None:
             # Compiled path: one C sweep of every patch replaces reconstruct
             # + sanitize + riemann + difference, bit-identical to the
             # interpreted stages below.
             with self.timers("face_flux"):
-                self._fused_sweep(prim, axis, lo, hi, flux, div)
+                self._fused_sweep(sweep, prim, flux)
         else:
             for i, patch_prim in enumerate(prim):
-                Fm = self._interpreted_face_flux(patch_prim, axis, lo, hi, ws)
+                Fm = self._interpreted_face_flux(patch_prim, axis, lo, hi, self.workspace)
                 with self.timers("update"):
                     if store:
                         flux[:, i] = Fm
@@ -577,6 +579,32 @@ class HydroPipeline:
         if store:
             self.last_face_fluxes[axis] = flux
         return div
+
+    def _region(self, axis: int, lo: int, hi: int) -> list:
+        """``[div, sweep, accumulate]`` of interior cells ``[lo, hi)`` of
+        *axis*, made on first use: its divergence's workspace buffer and
+        the compiled sweep into it and accumulate from it, bound (None: no
+        compiled path, or the accumulate not yet bound)."""
+        region = self._regions.get((axis, lo, hi))
+        if region is None:
+            transverse = tuple(n for ax, n in enumerate(self.grid.shape) if ax != axis)
+            shape = (self.system.nvars, len(self.patches)) + transverse + (hi - lo,)
+            div = self.workspace.buf(("div", axis, lo, hi), shape)
+            sweep = None if self._fused_ids is None else self._bind_sweep(axis, lo, hi, div)
+            region = self._regions[axis, lo, hi] = [div, sweep, None]
+        return region
+
+    def _bind_sweep(self, axis: int, lo: int, hi: int, div):
+        """The compiled sweep of faces ``lo .. hi`` along *axis* of the rows
+        the interpreted slab covers (so the sanitize totals match it), bound,
+        differencing into *div* (None: none)."""
+        g = self.grid.n_ghost
+        return self.system.bind_face_flux(
+            self._state_shape, axis, lo + g - 1, hi - lo + 1, ids=self._fused_ids,
+            n_ghost=g, dx=self.dx[axis], div=div,
+            vmax2=1.0 - 1.0 / self.config.w_max**2,
+            rho_atmo=self.atmosphere.rho_atmo, p_atmo=self.atmosphere.p_atmo,
+        )
 
     def _interpreted_face_flux(
         self, prim: np.ndarray, axis: int, lo: int, hi: int, ws
@@ -623,25 +651,14 @@ class HydroPipeline:
         :meth:`flux_divergence_region` differences in-tile."""
         transverse = tuple(n for ax, n in enumerate(self.grid.shape) if ax != axis)
         out = np.empty((self.system.nvars,) + transverse + (hi - lo + 1,))
-        self._fused_sweep(prim, axis, lo, hi, out, None)
+        self._fused_sweep(self._bind_sweep(axis, lo, hi, None), prim[None], out)
         return out
 
-    def _fused_sweep(self, prim, axis, lo, hi, flux, div) -> None:
-        """One compiled sweep of faces ``lo .. hi`` along *axis* of every
-        interior transverse row of every patch — the rows the interpreted
-        slab covers, so the sanitize counter totals match it exactly."""
-        g = self.grid.n_ghost
+    def _fused_sweep(self, sweep, prim, flux) -> None:
+        """Run the bound *sweep* over the stack *prim*, fluxes into *flux*
+        (or None), and count its sanitize repairs."""
         # C walks raw offsets: a strided prim is copied (same bytes).
-        prim = np.ascontiguousarray(prim)
-        counts = self.system.face_flux(
-            self._flat(prim), axis, lo + g - 1, hi - lo + 1, flux,
-            ids=self._fused_ids,
-            vmax2=1.0 - 1.0 / self.config.w_max**2,
-            rho_atmo=self.atmosphere.rho_atmo,
-            p_atmo=self.atmosphere.p_atmo,
-            axis_stride=prim.strides[axis - self.grid.ndim] // prim.itemsize,
-            n_ghost=g, div=div, dx=self.dx[axis], n_patches=len(self.patches),
-        )
+        counts = self.system.face_flux(sweep, np.ascontiguousarray(prim, dtype=np.float64), flux)
         if counts[0]:
             self.metrics.counter("sanitize.velocity_rescaled").inc(int(counts[0]))
         if counts[1]:
@@ -665,12 +682,15 @@ class HydroPipeline:
         self._expect_stack(dU, "accumulate_divergence")
         first = axis == 0
         with self.timers("update"):
-            if self._accumulate_kernel is not None and _c_f64(dU, div):
-                self._accumulate_kernel(
-                    self._flat(dU), axis, self.grid.n_ghost, lo, hi, div,
-                    len(self.patches), first,
+            if self._rk_call is not None:
+                region = self._region(axis, lo, hi)
+                region[2] = region[2] or self.system.bind_accumulate(
+                    self._state_shape, axis, self.grid.n_ghost, lo, hi, self.workspace.dU, region[0]
                 )
-                return
+                try:
+                    return self.system.accumulate(region[2], dU, div, first)
+                except CodegenError:  # a strided or non-float64 dU or div
+                    pass
             idx = [slice(None)] * (self.grid.ndim + 1)
             idx[axis + 1] = slice(lo, hi)
             for i, patch_dU in enumerate(dU):
@@ -687,17 +707,14 @@ class HydroPipeline:
         the *final* one — the driver commits it, callers may hold it — is a
         fresh array."""
         with self.timers("update"):
-            kernel = self._rk_stage_kernel
-            if kernel is None or not _c_f64(U, V, k) or not U.shape == V.shape == k.shape:
-                return _reference_stage(stage, U, V, dt, k)
-            if final:
-                out = np.empty_like(U)
-            else:
-                out = self.workspace.buf(("rk", 0), U.shape)
-                if out is V:
-                    out = self.workspace.buf(("rk", 1), U.shape)
-            kernel(stage, U, V, dt, k, out)
-            return out
+            if self._rk_call is not None:
+                out = np.empty(self._state_shape) if final else self._rk[V is self._rk[0]]
+                try:
+                    self.system.rk_stage(self._rk_call, stage, U, V, dt, k, out)
+                    return out
+                except CodegenError:  # an array the compiled pass cannot walk
+                    pass
+            return _reference_stage(stage, U, V, dt, k)
 
     def flux_divergence(self, prim: np.ndarray) -> np.ndarray:
         """-div F over the interior; ghost entries of the result are zero.
@@ -746,9 +763,9 @@ class HydroPipeline:
         dU = self.flux_divergence(prim)
         return self.apply_source(prim, dU)
 
-    def max_signal_per_axis(self, prim: np.ndarray) -> list:
+    def max_signal_per_axis(self, prim: np.ndarray) -> np.ndarray:
         """Largest |characteristic speed| per physical axis over the
-        interior of each patch of the stack *prim*, one list per patch — the
+        interior of each patch of the stack *prim*, ``(P, ndim)`` — the
         scan every driver's ``compute_dt`` reduces.  For the fresh array of
         this pipeline's last recovery, a patch the compiled sweep completed
         reads the maxima it scanned; every other patch and array runs the
@@ -756,11 +773,11 @@ class HydroPipeline:
         which gives the same bits."""
         self._expect_stack(prim, "max_signal_per_axis")
         scan = self._scan
-        maxima = scan[1] if scan and scan[0]() is prim else [None] * len(self.patches)
-        return [
-            max_signal_per_axis(self.system, grid, patch_prim) if got is None else got
-            for (grid, _), patch_prim, got in zip(self.patches, prim, maxima)
-        ]
+        rest = scan[1] if scan and scan[0]() is prim else range(len(self.patches))
+        maxima = self._scanned.copy()
+        for i in rest:
+            maxima[i] = max_signal_per_axis(self.system, self.patches[i][0], prim[i])
+        return maxima
 
 
 @dataclass
@@ -774,17 +791,31 @@ class PatchStack:
     regions: tuple
 
 
-class PatchViews(dict):
+class PatchViews(Mapping):
     """``{ident: view}`` of one array per stack, which it keeps as
-    :attr:`stacks` — what the kernels take — in stack order."""
-
-    stacks: list
+    :attr:`stacks` — what the kernels take — in stack order.  Made per
+    call, it costs nothing per patch: the views are made on the first
+    lookup."""
 
     @classmethod
     def of(cls, stacks: list[PatchStack], arrays) -> "PatchViews":
-        views = cls((ident, a[p]) for st, a in zip(stacks, arrays) for p, ident in enumerate(st.idents))
-        views.stacks = list(arrays)
+        views = cls()
+        views.stacks, views._idents, views._views = list(arrays), [st.idents for st in stacks], None
         return views
+
+    def __getitem__(self, ident):
+        if self._views is None:
+            self._views = {
+                ident: a[p]
+                for idents, a in zip(self._idents, self.stacks) for p, ident in enumerate(idents)
+            }
+        return self._views[ident]
+
+    def __iter__(self):
+        return chain.from_iterable(self._idents)
+
+    def __len__(self):
+        return sum(map(len, self._idents))
 
 
 def patch_stacks(system, config, patches, kept=(), **pipeline_kw) -> list[PatchStack]:

@@ -126,7 +126,7 @@ class Driver:
         through :meth:`_reduce_dt`."""
         dt = np.inf
         for st, prim in zip(self._stacks, self._prims().stacks):
-            maxima = np.asarray(st.pipeline.max_signal_per_axis(prim)).T
+            maxima = st.pipeline.max_signal_per_axis(prim).T
             dt = np.minimum(dt, np.min(dt_from_axis_maxima(st.pipeline.dx, maxima, self.config.cfl)))
         return clip_dt_to_final(self._reduce_dt(float(dt)), self.t, t_final)
 

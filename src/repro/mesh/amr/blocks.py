@@ -90,8 +90,11 @@ class BlockLayout:
             width = (b1 - b0) / self.level_blocks(key.level)[ax]
             lo = b0 + key.idx[ax] * width
             bounds.append((lo, lo + width))
-        shape = (self.block_size,) * self.ndim
-        return Grid(shape, tuple(bounds), n_ghost=self.n_ghost)
+        grid = Grid((self.block_size,) * self.ndim, tuple(bounds), n_ghost=self.n_ghost)
+        # The root's spacing halved per level, bit for bit, as Grid.subgrid
+        # keeps it: the rounded bounds may give another last bit.
+        grid.dx = tuple(d / 2**key.level for d in self.root_grid.dx)
+        return grid
 
     def root_keys(self) -> list[BlockKey]:
         return [

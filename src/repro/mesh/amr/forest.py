@@ -37,7 +37,7 @@ quantity the AMR-efficiency experiment counts — is per-leaf only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -390,6 +390,9 @@ class GatherProgram:
     #: the segments flattened for the compiled kernel, and their ``dx``
     code: np.ndarray
     reals: np.ndarray
+    #: ``(module, call)`` of the compiled kernel this program is bound to
+    #: (``CompiledSRHDSystem.run_program``), made on its first run there
+    bound: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, ndim, sizes, segments, values) -> "GatherProgram":
@@ -418,7 +421,7 @@ def run_program(program: GatherProgram, arrays: list, system=None) -> None:
             f"got {[a.size for a in arrays]} (C-contiguous float64 only)"
         )
     if hasattr(system, "run_program"):
-        system.run_program(program.code, arrays, program.values, program.reals)
+        system.run_program(program, arrays)
         return
     W, nd = program.values, program.ndim
     n_vars = W.shape[1]

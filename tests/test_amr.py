@@ -425,6 +425,24 @@ class TestAMREvolution:
         np.testing.assert_array_equal(prim, uni.interior_primitives())
         assert amr.steps == uni.summary.steps
 
+    def test_single_level_amr_of_non_dyadic_blocks_is_exactly_unigrid(self, system1d):
+        """Each block's spacing is the root's halved per level, bit for bit:
+        blocks a third of the domain wide (whose rounded bounds give another
+        last bit of ``dx``) still step as the unigrid solver does."""
+        grid = Grid((24,), ((0.0, 1.0),))
+        layout = BlockLayout(grid, block_size=8)
+        assert all(layout.grid_for(k).dx == grid.dx for k in layout.root_keys())
+        cfg = SolverConfig(cfl=0.4)
+        uni = Solver(system1d, grid, shock_tube(system1d, grid, RP1), cfg)
+        amr = AMRSolver(
+            system1d, grid, lambda s, g: shock_tube(s, g, RP1), cfg,
+            AMRConfig(block_size=8, max_levels=1),
+        )
+        for _ in range(10):
+            assert amr.step() == uni.step()
+        _, prim = amr.composite_primitives(level=0)
+        assert prim.tobytes() == uni.interior_primitives().tobytes()
+
     def test_cells_updated_accounting(self, system1d):
         root = Grid((32,), ((0.0, 1.0),))
         amr = AMRSolver(

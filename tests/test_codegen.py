@@ -25,7 +25,7 @@ from repro.eos import IdealGasEOS
 from repro.physics.srhd import SRHDSystem
 from repro.utils.errors import CodegenError
 
-from .conftest import random_prim
+from .conftest import random_prim, require_cext
 from .lattice import KERNEL_LAYOUTS, STACKS, TEAMS, kernel_pipeline, kernel_team, legacy
 
 
@@ -694,7 +694,8 @@ class TestCacheInvalidation:
         U, V, k = (rng.normal(size=(3, 64)) for _ in range(3))
         outs = [np.empty_like(U) for _ in builds]
         for (ffi, lib), out in zip(builds, outs):
-            cext_mod.run_rk_stage(ffi, lib.rk_stage_cext, (1, 0.75, 0.25), U, V, 0.01, k, out)
+            rk_stage = cext_mod.bind_rk_stage(ffi, lib.rk_stage_cext, U.shape)
+            rk_stage((1, 0.75, 0.25), U, V, 0.01, k, out)
         assert outs[0].tobytes() == outs[1].tobytes()
         cext_mod.clear_modules()
 
@@ -1441,13 +1442,13 @@ class TestFusedStencilParity:
             results = []
             for ffi, lib in libs:
                 out = np.empty((4, rows.size, n_faces))
-                counts = cext_mod.run_face_flux(
-                    ffi, getattr(lib, f"face_flux_ax{axis}_2d_cext"), prim, axis,
-                    2, n_faces, out, n_ghost=3, dx=np.ones(1),
-                    axis_stride=prim.strides[axis + 1] // prim.itemsize,
+                sweep = cext_mod.bind_face_flux(
+                    ffi, getattr(lib, f"face_flux_ax{axis}_2d_cext"), (1,) + prim.shape,
+                    axis, 2, n_faces, n_ghost=3, dx=np.ones(1),
                     gamma=5.0 / 3.0, vmax2=1.0 - 1e-4, rho_atmo=1e-10, p_atmo=1e-12,
                     recon_id=recon_id, limiter_id=limiter_id, riemann_id=riemann_id,
                 )
+                counts = sweep(prim[None], out)
                 results.append((out.tobytes(), counts.tolist()))
             assert results[0] == results[1], (axis, recon_id, limiter_id, riemann_id)
             assert min(results[0][1]) > 0
@@ -1466,16 +1467,19 @@ class TestFusedStencilParity:
         recovered = []
         for ffi, lib in libs:
             runs = []
-            for seed in (None, np.abs(interior)):
-                cons, out = cons0.copy(), np.zeros_like(cons0)
-                next_seed, scan = np.zeros(interior.shape), np.zeros((1, 2))
-                counts = cext_mod.run_recover(
-                    ffi, lib.recover_2d_cext, cons, out, 3, seed, next_seed,
+            for warm in (0, 1):  # cold, then seeded
+                cons, out = cons0.copy()[None], np.zeros((1,) + cons0.shape)
+                seed, next_seed = np.abs(interior), np.zeros(interior.shape)
+                scan = np.zeros((1, 2))
+                recover = cext_mod.bind_recover(
+                    ffi, lib.recover_2d_cext, cons.shape, 3, out, (seed, next_seed),
+                    np.full(1, warm, dtype=np.uint8), scan,
                     gamma=5.0 / 3.0, tol=1e-12, p_floor=1e-16, max_newton=50,
                     rho_atmo=1e-10, p_atmo=1e-12, rho_reset=1e-9, vmax=0.9999,
-                    solve_only=False, scan=scan,
                 )
+                counts = recover(cons, out, seed, next_seed, False, scan)
                 runs.append([a.tobytes() for a in (cons, out, next_seed, counts, scan)])
+            cons = cons[0]
             D, tau = cons[0].ravel(), cons[-1].ravel()
             S2 = cons[1].ravel() ** 2 + cons[2].ravel() ** 2
             p = np.abs(tau - np.sqrt(S2)) * 0.5 + 1e-16
@@ -1697,10 +1701,15 @@ class TestCompiledRecovery:
         returned, one per patch (``_recover_compiled`` reads them; column 2
         counts the cells that did not converge); none without a kernel."""
         rows = []
-        real = pipe._recover_kernel
-        if real is not None:
-            pipe._recover_kernel = lambda *a, **kw: (
-                out := real(*a, **kw), rows.append(out.tolist()))[0]
+        real = pipe._recover_compiled
+
+        def spy(*args):
+            counts, complete = real(*args)
+            if counts is not None:
+                rows.append(counts.tolist())
+            return counts, complete
+
+        pipe._recover_compiled = spy
         return rows
 
     @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
@@ -1904,7 +1913,7 @@ class TestCompiledRecovery:
                     got = pipe.recover_primitives(cons[None].copy())
                     calls = self._interpreted(mp, "max_signal_per_axis")
                     maxima = pipe.max_signal_per_axis(got)
-                assert maxima == [max_signal_per_axis(plain, grid, got[0])], target
+                assert maxima.tolist() == [max_signal_per_axis(plain, grid, got[0])], target
                 assert len(calls) == (not rows or rows[-1][0][2] > 0), target
 
         check()
@@ -1925,7 +1934,7 @@ class TestCompiledRecovery:
             prim = pipe.recover_primitives(cons.copy())
         want = [max_signal_per_axis(plain, grid, p) for p in prim]
         calls = self._interpreted(monkeypatch, "max_signal_per_axis")
-        assert pipe.max_signal_per_axis(prim) == want
+        assert pipe.max_signal_per_axis(prim).tolist() == want
         assert len(calls) == 1  # the patch that needed bisection
         with np.errstate(all="ignore"):
             reused = pipe.recover_primitives(cons.copy(), reuse=True)
@@ -1938,7 +1947,7 @@ class TestCompiledRecovery:
         for owner, other in ((pipe, prim.copy()), (pipe, reused), (pipe, prim),
                              (injected, burst_free)):
             calls.clear()
-            assert owner.max_signal_per_axis(other) == [
+            assert owner.max_signal_per_axis(other).tolist() == [
                 max_signal_per_axis(plain, grid, p) for p in other
             ]
             assert len(calls) == 3
@@ -2183,26 +2192,46 @@ class TestCompiledRecovery:
                 cext_mod.interior_rows(shape, g)
         pipes = self._pair("2d")
         system, grid = pipes["cext"].system, pipes["cext"].grid
-        cons = self._cons(pipes["cext"], 1)
+        cons = self._cons(pipes["cext"], 1)[None]
         prim = np.zeros_like(cons)
-        seed = np.empty(grid.shape)
+        seed, next_seed = np.ones(grid.shape), np.empty(grid.shape)
+        warm, scan = np.ones(1, dtype=np.uint8), np.empty((1, system.ndim))
         params = dict(
             tol=1e-12, p_floor=1e-16, max_newton=50, rho_atmo=1e-10, p_atmo=1e-12,
-            rho_reset=1e-9, vmax=0.99, solve_only=False,
+            rho_reset=1e-9, vmax=0.99,
         )
+        bound = dict(prim=prim, seeds=(seed, next_seed), warm=warm, scan=scan)
         for bad in (
-            dict(prim=prim[:, 1:]),  # another shape
+            dict(prim=prim[:, :, 1:]),  # another shape
             dict(prim=np.asfortranarray(prim)),
-            dict(next_seed=seed[1:]),
-            dict(seed=seed.astype(np.float32)),
+            dict(seeds=(seed, next_seed[1:])),
+            dict(seeds=(seed.astype(np.float32), next_seed)),
+            dict(warm=np.ones(2, dtype=np.uint8)),  # a flag per patch
+            dict(warm=np.ones(1, dtype=bool)),
             dict(scan=np.empty((1, system.ndim + 1))),  # a row per patch, ndim wide
         ):
-            args = dict(cons=cons, prim=prim, seed=None, next_seed=seed, scan=None) | bad
+            args = bound | bad
+            with pytest.raises(CodegenError, match="C-contiguous"):
+                system.bind_recover(
+                    cons.shape, grid.n_ghost, args["prim"], args["seeds"], args["warm"],
+                    args["scan"], **params,
+                )
+        call = system.bind_recover(cons.shape, grid.n_ghost, **bound, **params)
+        for bad in (
+            dict(cons=cons[:, :, 1:].copy()),  # another shape
+            dict(cons=np.asfortranarray(cons)),
+            dict(cons=cons.astype(np.float32)),
+            dict(prim=prim[:, :, :, 1:]),
+            dict(next_seed=next_seed[1:]),
+            dict(seed=seed.astype(np.float32)),
+            dict(scan=np.empty((1, system.ndim + 1))),
+        ):
+            args = dict(cons=cons, prim=prim, seed=seed, next_seed=next_seed, scan=scan) | bad
             before = cons.copy()
             with pytest.raises(CodegenError, match="C-contiguous float64"):
                 system.recover(
-                    args["cons"], args["prim"], grid.n_ghost, args["seed"],
-                    args["next_seed"], scan=args["scan"], **params,
+                    call, args["cons"], args["prim"], args["seed"], args["next_seed"],
+                    False, args["scan"],
                 )
             assert cons.tobytes() == before.tobytes()  # refused before C ran
 
@@ -2240,7 +2269,7 @@ class TestCompiledUpdate:
             kw = dict(reconstruction="mc", riemann="hll")
             stack = kernel_pipeline("cext", layout, n_patches, **kw)
             flat = kernel_pipeline("flat", layout, **kw)
-            assert stack._accumulate_kernel is not None and flat._accumulate_kernel is None
+            assert hasattr(stack.system, "accumulate") and not hasattr(flat.system, "accumulate")
             prim = np.stack([
                 TestFusedStencilParity._ghosted_prim(flat, seed + i, True)
                 for i in range(n_patches)
@@ -2334,7 +2363,7 @@ class TestCompiledUpdate:
             self._accumulate_property(layout)
             self._rk_stage_property(layout)
 
-    def test_strided_state_takes_the_interpreted_pass_uncopied(self):
+    def test_strided_state_takes_the_interpreted_pass_uncopied(self, monkeypatch):
         """A non-contiguous ``dU`` / ``div`` / state is never copied
         contiguous: the interpreted pass writes the array it was handed."""
         from repro.codegen import cext_available
@@ -2342,10 +2371,12 @@ class TestCompiledUpdate:
         if not cext_available(2):
             pytest.skip("no C toolchain")
         flat, cext = (kernel_pipeline(t, reconstruction="mc", riemann="hll") for t in ("flat", "cext"))
-        calls = []
-        for hook in ("_accumulate_kernel", "_rk_stage_kernel"):
-            inner = getattr(cext, hook)
-            setattr(cext, hook, lambda *a, _inner=inner: (calls.append(1), _inner(*a))[1])
+        calls = []  # the compiled calls that ran (a refused one raises before C)
+        for hook in ("accumulate", "rk_stage"):
+            inner = getattr(cext.system, hook)
+            monkeypatch.setattr(
+                cext.system, hook, lambda *a, _inner=inner: (_inner(*a), calls.append(1))[0]
+            )
         prim = TestFusedStencilParity._ghosted_prim(cext, 4, True)[None]
         n = cext.grid.shape[0]
         div = cext.flux_divergence_region(prim, 0, 0, n).copy()
@@ -2373,19 +2404,22 @@ class TestCompiledUpdate:
             pytest.skip("no C toolchain")
         cext = kernel_pipeline("cext", reconstruction="mc", riemann="hll")
         system, g, (nx, ny) = cext.system, cext.grid.n_ghost, cext.grid.shape
-        dU = cext.begin_flux_divergence()[0]
-        div = np.ones((system.nvars, ny, nx))
+        dU = cext.begin_flux_divergence()
+        div = np.ones((system.nvars, 1, ny, nx))
         for lo, hi, d in ((0, nx + 1, div), (-1, nx - 1, div), (3, 3, div[..., :0]),
-                          (0, nx, div[..., 1:]), (0, nx, div[:, 1:])):
+                          (0, nx, div[..., 1:]), (0, nx, div[:, :, 1:])):
             with pytest.raises(CodegenError, match="does not fit the interior"):
-                system.accumulate(dU, 0, g, lo, hi, np.ascontiguousarray(d))
+                system.bind_accumulate(dU.shape, 0, g, lo, hi, dU, np.ascontiguousarray(d))
         assert not dU.any()
         state = np.zeros((3, 8))
+        rk_stage = system.bind_rk_stage(state.shape)
         for out in (state, state[:2], np.zeros((3, 8), dtype=np.float32)):
             with pytest.raises(CodegenError, match="aliases|C-contiguous float64"):
-                system.rk_stage((0, 1.0, 1.0), state, state, 0.1, state + 1.0, out)
+                system.rk_stage(rk_stage, (0, 1.0, 1.0), state, state, 0.1, state + 1.0, out)
         with pytest.raises(CodegenError, match="aliases"):
-            system.rk_stage((1, 0.5, 0.5), state, state + 1.0, 0.1, state + 2.0, state[1:2])
+            system.rk_stage(
+                rk_stage, (1, 0.5, 0.5), state, state + 1.0, 0.1, state + 2.0, state[1:2]
+            )
         assert not state.any()
 
     @pytest.mark.parametrize("name", ["euler", "ssprk2", "ssprk3"])
@@ -2504,11 +2538,9 @@ class TestPatchStacks:
         g, n = stack.grid.n_ghost, stack.grid.shape[0]
         for dx in (np.ones(1), np.ones(3), np.ones((2, 1)), 0.5):
             with pytest.raises(CodegenError, match="one spacing per patch"):
-                stack.system.face_flux(
-                    stack._flat(prim), 0, g - 1, n + 1, None, ids=stack._fused_ids,
-                    vmax2=0.99, rho_atmo=1e-10, p_atmo=1e-12,
-                    axis_stride=prim.strides[-2] // prim.itemsize, n_ghost=g,
-                    dx=dx, n_patches=2,
+                stack.system.bind_face_flux(
+                    prim.shape, 0, g - 1, n + 1, ids=stack._fused_ids,
+                    vmax2=0.99, rho_atmo=1e-10, p_atmo=1e-12, n_ghost=g, dx=dx,
                 )
 
     def test_a_stack_is_its_patches(self):
@@ -2650,3 +2682,209 @@ class TestCacheMaintenance:
         cext_mod.load_cext_module(1)
         assert path.stat().st_mtime > 1000.0
         cext_mod.clear_modules()
+
+
+class TestBoundCalls:
+    """Each compiled kernel is bound once per stack — shapes, element types
+    and stencil reach checked, the pointers to the buffers the stack keeps
+    made — and a call checks and points to only an array it has not seen:
+    what a binding and a call refuse, that no binding outlives its buffer,
+    and the pointers a steady step makes."""
+
+    @staticmethod
+    def _stack():
+        pipe = kernel_pipeline("cext", "2d", 2, reconstruction="mc", riemann="hllc")
+        prim = np.stack([TestFusedStencilParity._ghosted_prim(pipe, i, True) for i in range(2)])
+        return pipe, prim
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int32])
+    @pytest.mark.parametrize("output", ["out", "div"])
+    def test_a_sweep_output_of_another_element_type_is_refused(self, output, dtype):
+        """C writes 8 bytes per element of a sweep's outputs: an ``out`` or
+        ``div`` of 4-byte elements, of the right element count, would be
+        written past its end."""
+        pipe, prim = self._stack()
+        g, (n, ny) = pipe.grid.n_ghost, pipe.grid.shape
+        kw = dict(ids=pipe._fused_ids, vmax2=0.99, rho_atmo=1e-10, p_atmo=1e-12,
+                  n_ghost=g, dx=pipe.dx[0])
+        bad = np.zeros((pipe.system.nvars, 2 * ny, n + (output == "out")), dtype=dtype)
+        with pytest.raises(CodegenError, match="C-contiguous float64"):
+            if output == "div":
+                pipe.system.bind_face_flux(prim.shape, 0, g - 1, n + 1, div=bad, **kw)
+            else:
+                sweep = pipe.system.bind_face_flux(prim.shape, 0, g - 1, n + 1, **kw)
+                pipe.system.face_flux(sweep, prim, bad)
+        assert not bad.any()
+
+    @pytest.mark.parametrize("kernel", ["sweep", "recover", "accumulate", "rk_stage", "program"])
+    def test_a_bound_call_refuses_a_state_it_cannot_walk(self, kernel):
+        """A state of another shape, a non-contiguous state and a non-float64
+        state are each refused before C runs — by the call, once bound, as
+        they were per call before; a gather program by its ``MeshError``."""
+        from repro import Grid, SolverConfig
+        from repro.boundary import make_boundaries
+        from repro.core.amr_solver import AMRConfig, AMRSolver
+        from repro.mesh.amr.forest import run_program
+        from repro.physics.initial_data import blast_wave_2d
+        from repro.utils.errors import MeshError
+
+        pipe, prim = self._stack()
+        system, g, n = pipe.system, pipe.grid.n_ghost, pipe.grid.shape[0]
+        cons = np.stack([SRHDSystem.prim_to_con(system, p) for p in prim])
+        refused = CodegenError
+        if kernel == "sweep":
+            state = prim
+            call = lambda s: system.face_flux(pipe._region(0, 0, n)[1], s)  # noqa: E731
+        elif kernel == "recover":
+            state = cons
+            pipe.recover_primitives(cons.copy())  # binds the recovery
+            call = lambda s: system.recover(  # noqa: E731
+                pipe._recover_call, s, pipe.workspace.prim, pipe._p_cache, pipe._seed_spare, False
+            )
+        elif kernel == "accumulate":
+            div = pipe.flux_divergence_region(prim, 0, 0, n)
+            state = pipe.begin_flux_divergence()
+            bound = system.bind_accumulate(prim.shape, 0, g, 0, n, state, div)
+            call = lambda s: system.accumulate(bound, s, div, True)  # noqa: E731
+        elif kernel == "rk_stage":
+            state = cons
+            call = lambda s: system.rk_stage(  # noqa: E731
+                pipe._rk_call, (0, 1.0, 1.0), s, cons, 0.1, pipe.workspace.dU, np.empty(cons.shape)
+            )
+        else:
+            plain = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+            amr = AMRSolver(
+                plain, Grid((16, 16), ((0.0, 1.0), (0.0, 1.0))),
+                lambda s, grid: blast_wave_2d(s, grid, p_in=10.0, p_out=1.0),
+                SolverConfig(kernel_target="cext"), AMRConfig(block_size=8, max_levels=1),
+                make_boundaries("periodic"),
+            )
+            program, _ = amr._get_ghost_plan()
+            state, refused = amr._prims().stacks[0], MeshError
+            call = lambda s: run_program(program, [s], amr._kernel_system)  # noqa: E731
+        call(state)  # binds what the call keeps
+        with np.errstate(over="ignore"):
+            narrow = state.astype(np.float32)
+        for bad in (state[..., 1:].copy(), np.asfortranarray(state), narrow):
+            before = bad.copy()
+            with pytest.raises(refused, match="C-contiguous"):
+                call(bad)
+            assert bad.tobytes() == before.tobytes()  # refused before C ran
+
+    def test_no_binding_outlives_its_buffer(self):
+        """Bindings follow array identity: an AMR run across a refining
+        regrid and through a ``state()``/``install_state()`` round trip, and
+        a seed installed into a cold patch, give the bytes of the ``flat``
+        runs, which bind nothing."""
+        from repro import Grid, SolverConfig
+        from repro.boundary import make_boundaries
+        from repro.core.amr_solver import AMRConfig, AMRSolver
+        from repro.physics.initial_data import blast_wave_2d
+
+        runs = {}
+        for target in ("cext", "flat"):
+            amr = AMRSolver(
+                SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2),
+                Grid((32, 32), ((0.0, 1.0), (0.0, 1.0))),
+                lambda s, grid: blast_wave_2d(s, grid, center=(0.4, 0.45), p_in=10.0, p_out=1.0),
+                SolverConfig(kernel_target=target, cfl=0.4),
+                AMRConfig(block_size=8, max_levels=2, regrid_interval=2,
+                          refine_threshold=0.05, coarsen_threshold=0.01),
+                make_boundaries("periodic"),
+            )
+            if target == "cext" and not hasattr(amr._kernel_system, "run_program"):
+                pytest.skip("no C toolchain")
+            leaves = [len(amr.forest.leaves)]
+            for _ in range(5):
+                amr.step()
+                leaves.append(len(amr.forest.leaves))
+            amr.install_state(amr.state())
+            for _ in range(3):
+                amr.step()
+            runs[target] = [
+                (key, cons.tobytes(), None if seed is None else seed.tobytes())
+                for key, (cons, seed) in amr.state()["patches"].items()
+            ]
+        assert len(set(leaves)) > 1, "no regrid changed the forest"
+        assert runs["cext"] == runs["flat"]
+
+        pipes = {t: kernel_pipeline(t, "2d", 2, reconstruction="mc", riemann="hllc") for t in ("cext", "flat")}
+        cons = np.stack([
+            SRHDSystem.prim_to_con(pipes["flat"].system, TestFusedStencilParity._ghosted_prim(pipes["flat"], i, True))
+            for i in range(2)
+        ])
+        got = {}
+        for target, pipe in pipes.items():
+            pipe.recover_primitives(cons.copy())
+            seed = pipe.warm_state(0)
+            pipe.install_warm_state(None, 1)
+            cold = pipe.recover_primitives(cons.copy()).tobytes()
+            pipe.install_warm_state(seed * 1.01, 1)
+            warm = pipe.recover_primitives(cons.copy()).tobytes()
+            got[target] = (cold, warm, pipe.warm_state(0).tobytes(), pipe.warm_state(1).tobytes())
+        assert got["cext"] == got["flat"]
+
+    @pytest.mark.parametrize("driver, budget, calls", [("solver", 30, 18), ("amr", 45, 24.5)])
+    def test_a_steady_step_makes_few_pointers(self, monkeypatch, driver, budget, calls):
+        """``ffi.from_buffer`` calls per steady step: what is bound once per
+        stack is not pointed to again — at most *budget* on a 96² periodic
+        ``Solver`` step (79 when every call bound its arguments) and on the
+        ``amr_blast2d`` configuration (117) — while the compiled calls per
+        step stay *calls*."""
+        from repro import Grid, Solver, SolverConfig
+        from repro.boundary import make_boundaries
+        from repro.codegen.system import CompiledSRHDSystem
+        from repro.core.amr_solver import AMRConfig, AMRSolver
+        from repro.physics.initial_data import blast_wave_2d, kelvin_helmholtz_2d
+
+        require_cext(2)
+        made = Counter()
+
+        class CountingFFI:
+            def __init__(self, ffi):
+                self._ffi = ffi
+
+            def from_buffer(self, *args, **kwargs):
+                made["from_buffer"] += 1
+                return self._ffi.from_buffer(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._ffi, name)
+
+        real_init = CompiledSRHDSystem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self._ffi = CountingFFI(self._ffi)
+
+        monkeypatch.setattr(CompiledSRHDSystem, "__init__", counting_init)
+        for hook in ("recover", "face_flux", "accumulate", "rk_stage", "run_program"):
+            def counting(self, *args, _real=getattr(CompiledSRHDSystem, hook)):
+                made["calls"] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(CompiledSRHDSystem, hook, counting)
+        system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=2)
+        if driver == "solver":
+            grid = Grid((96, 96), ((0.0, 1.0), (0.0, 1.0)))
+            solver = Solver(
+                system, grid, kelvin_helmholtz_2d(system, grid, seed=0),
+                SolverConfig(kernel_target="cext", cfl=0.4), make_boundaries("periodic"),
+            )
+        else:
+            solver = AMRSolver(
+                system, Grid((32, 32), ((0.0, 1.0), (0.0, 1.0))),
+                lambda s, grid: blast_wave_2d(s, grid, center=(0.4, 0.45), p_in=10.0, p_out=1.0),
+                SolverConfig(kernel_target="cext", cfl=0.4),
+                AMRConfig(block_size=8, max_levels=2, regrid_interval=2,
+                          refine_threshold=0.4, coarsen_threshold=0.1),
+                make_boundaries("periodic"),
+            )
+        steps = 40
+        solver.step()
+        made.clear()
+        for _ in range(steps):
+            solver.step()
+        # (an AMR step makes 23 or 26, and one in a while a recovery more)
+        assert made["calls"] / steps == pytest.approx(calls, abs=0.05)
+        assert made["from_buffer"] / steps <= budget, made
