@@ -222,9 +222,8 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
 def make_kernel_system(system: SRHDSystem, target: str) -> SRHDSystem:
     """Resolve ``SolverConfig.kernel_target`` to the system to run with.
 
-    ``numpy`` returns *system* unchanged — the handwritten reference path,
-    which the golden-stream fixtures pin bit-for-bit — and so does an
-    already resolved system (idempotent: a driver resolves once and every
+    ``numpy`` returns *system* unchanged — the handwritten reference path
+    — and so does an already resolved system (idempotent: a driver resolves once and every
     pipeline it builds passes through here for free).  ``flat`` and
     ``cext`` require the plain :class:`SRHDSystem` + ideal-gas combination
     the generator specializes for; anything else (tracer systems, exotic

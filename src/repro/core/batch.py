@@ -33,11 +33,12 @@ order — the batched solution is **bit-identical** to the unbatched one
 Per-request isolation
 ---------------------
 Scenarios in a batch fail independently: a con2prim
-:class:`~repro.utils.errors.RecoveryError` mid-step names its failed
-cells, the owning scenarios are evicted (state replaced by a benign
-uniform fluid that cannot fail or constrain the CFL step), and the step is
-retried for the survivors.  One poisoned request degrades one response,
-never the whole sweep.
+:class:`~repro.utils.errors.RecoveryError` in any recovery of a step (the
+CFL read's or a stage's) names its failed cells, the owning scenarios are
+evicted (state replaced by a benign uniform fluid that cannot fail or
+constrain the CFL step), and the recovery or step is retried for the
+survivors.  One poisoned request degrades one response, never the whole
+sweep.
 """
 
 from __future__ import annotations
@@ -275,17 +276,14 @@ class BatchSolver(Solver):
 
     # -- stepping -------------------------------------------------------
 
-    def _integrate(self, dt: float) -> None:
-        """One shared step for the whole batch.  A mid-step
-        :class:`RecoveryError` evicts the owning scenarios and retries the
-        step for the survivors (the conserved state is only committed
-        after a fully successful integrator step, so survivors never see
-        a half-applied update)."""
-        # Eviction can only slow the fastest signal (the parking fluid is
-        # subsonic), so retrying with the same dt stays CFL-stable.
+    def _isolated(self, fn, *args):
+        """``fn(*args)`` for the whole batch: a :class:`RecoveryError`
+        evicts the owning scenarios and retries for the survivors.  Every
+        recovery of a step runs under it — ``_prims()`` (the CFL read) and
+        the integrator's stages."""
         for _ in range(self.n_batch + 1):
             try:
-                return super()._integrate(dt)
+                return fn(*args)
             except RecoveryError as exc:
                 failed = self._attribute_failure(exc)
                 if not self._evict(failed, str(exc)):
@@ -295,6 +293,17 @@ class BatchSolver(Solver):
         raise RecoveryError(  # pragma: no cover - eviction always progresses
             "batch step failed after evicting every scenario"
         )
+
+    def _prims(self):
+        return self._isolated(super()._prims)
+
+    def _integrate(self, dt: float) -> None:
+        """One shared step for the whole batch, isolated (the conserved
+        state is only committed after a fully successful integrator step,
+        so survivors never see a half-applied update)."""
+        # Eviction can only slow the fastest signal (the parking fluid is
+        # subsonic), so retrying with the same dt stays CFL-stable.
+        self._isolated(super()._integrate, dt)
 
     def _record_extras(self) -> dict:
         return {"batch": {"n": self.n_batch, "active": self.n_active}}

@@ -66,9 +66,10 @@ class SolverConfig(ParameterSet):
         str,
         choices=("numpy", "flat", "cext"),
         doc="codegen target of the solver stages: 'numpy' keeps the "
-        "handwritten reference kernels (golden-pinned default), 'flat' runs "
-        "the Riemann stage's per-side algebra as the SymPy-generated SoA "
-        "face_side kernel through NumPy, 'cext' runs recovery, the CFL scan, "
+        "handwritten reference kernels (the default), 'flat' runs the "
+        "Riemann stage's per-side algebra as the SymPy-generated SoA "
+        "face_side kernel through NumPy (the target the golden streams "
+        "pin), 'cext' runs recovery, the CFL scan, "
         "the fused reconstruction + Riemann sweep and the update stage as "
         "the cffi-compiled row kernels (falls back to 'flat' with a logged "
         "warning when no C toolchain is available)",

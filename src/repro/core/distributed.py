@@ -277,7 +277,8 @@ class DistributedSolver(Driver):
             st.pipeline.source_fn = source_fn
             self.pipelines.update(dict.fromkeys(st.idents, st.pipeline))
 
-        # Install the scattered interiors, then fill all ghosts once.
+        # Install the scattered interiors, then fill all ghosts once: the
+        # conserved ghosts are converted from the exchanged primitives.
         stacks = []
         for st in self._stacks:
             prim = np.zeros(st.pipeline._state_shape)
@@ -285,19 +286,14 @@ class DistributedSolver(Driver):
                 sub.interior_of(patch)[...] = parts[rank]
                 bcs.apply(system, sub, patch)
             stacks.append(prim)
-        prims = PatchViews.of(self._stacks, stacks)
         if prime:
-            self._exchange(prims)
+            self._exchange(PatchViews.of(self._stacks, stacks))
         cons = [np.empty_like(prim) for prim in stacks]
         for st, prim, state in zip(self._stacks, stacks, cons):
             for patch, patch_cons in zip(prim, state):
                 st.pipeline.atmosphere.apply_prim(system, patch)
                 system.prim_to_con(patch, out=patch_cons)
         self._commit(cons)
-        # Mirror the single-grid solver's primitive cache: the first dt is
-        # computed from the (floored, exchanged) initial primitives, not a
-        # recovery round-trip — keeping the two solvers bit-identical.
-        self._prims_cache = prims
         self.integrator = make_integrator(self.config.integrator)
         self.t = 0.0
         self.steps = 0
@@ -469,8 +465,8 @@ class DistributedSolver(Driver):
 
     def state(self) -> dict:
         """Per owned rank ``(ghosted cons, p_cache)`` plus the exchanged-
-        primitive cache and whether it is a recovery (RK stage 1's
-        primitives), the traffic not yet in a step record (relative to the
+        primitive cache (a read's recovery, which RK stage 1 then steps
+        from), the traffic not yet in a step record (relative to the
         communicator's log, so a state moves between communicators) and the
         fault position of an attached injector."""
         prims = self._prims_cache
@@ -480,7 +476,6 @@ class DistributedSolver(Driver):
             **super().state(),
             "prims_cache": None if prims is None
             else {rank: prims[rank] for rank in self.local_ranks},
-            "prims_recovered": self._prims_recovered,
             "unrecorded_traffic": tuple(a - b for a, b in zip(now, self._traffic_prev)),
             "faults": None if injector is None
             else (injector.state(), self.fault_oracle.state()),
@@ -497,7 +492,6 @@ class DistributedSolver(Driver):
                 np.stack([np.asarray(prims[rank], dtype=float) for rank in st.idents])
                 for st in self._stacks
             ])
-            self._prims_recovered = bool(state.get("prims_recovered", False))
         unrecorded = state.get("unrecorded_traffic", (0, 0, 0))
         self._traffic_prev = tuple(
             a - b for a, b in zip(self.comm.traffic_marker(), unrecorded)

@@ -1047,7 +1047,7 @@ class ProcessSolver(Driver):
     @staticmethod
     def _merge_states(states: dict) -> dict:
         """One state from the workers' ``{rank: state}``: their patches and
-        primitive caches united (a recovery if every worker's is).
+        primitive caches united (None unless every worker holds one).
         Per-worker extras (unrecorded traffic, fault positions) stay behind:
         fault plans are not resumed across a fold."""
         prims = [st["prims_cache"] for st in states.values()]
@@ -1059,7 +1059,6 @@ class ProcessSolver(Driver):
             },
             "prims_cache": None if None in prims
             else {r: p for cache in prims for r, p in cache.items()},
-            "prims_recovered": all(st["prims_recovered"] for st in states.values()),
         }
 
     @staticmethod
@@ -1071,7 +1070,6 @@ class ProcessSolver(Driver):
             "steps": state["steps"],
             "patches": {rank: state["patches"][rank]},
             "prims_cache": None if prims is None else {rank: prims[rank]},
-            "prims_recovered": state.get("prims_recovered", False),
         }
 
     def _serial_twin(self) -> DistributedSolver:

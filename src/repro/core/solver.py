@@ -35,7 +35,7 @@ from ..utils.errors import ConfigurationError
 from ..utils.timers import TimerRegistry
 from .config import SolverConfig
 from .diagnostics import ConservedTotals, RunSummary
-from .pipeline import PatchViews, patch_stacks
+from .pipeline import patch_stacks
 from .stepping import Driver
 
 
@@ -119,8 +119,6 @@ class Solver(Driver):
         boundaries.apply(system, grid, prim)
         self.pipeline.atmosphere.apply_prim(system, prim)
         self._commit([system.prim_to_con(prim)[None]])
-        # The first dt reads the floored initial primitives, not a recovery.
-        self._prims_cache = PatchViews.of(self._stacks, [prim[None]])
         self.t = 0.0
         self.summary = RunSummary()
 

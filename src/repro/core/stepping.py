@@ -31,9 +31,9 @@ capture/install pair.  The drivers supply only what is theirs:
 
 One recovery per committed state serves ``compute_dt`` (on ``cext``
 through the CFL maxima the recovery scanned), reads and RK stage 1
-alike: a step makes one recovery sweep per stack and stage.  The
-constructors' primed cache (floored initial primitives) is no recovery, so
-step 1's stage 1 recovers its own.
+alike: every step, the first included, makes one recovery sweep per stack
+and stage.  A constructor commits its conserved state and nothing else;
+the first read recovers it.
 
 ``state()``/``install_state()`` is the one way a driver's state moves:
 checkpoints (:meth:`Driver.write_checkpoint`,
@@ -80,18 +80,15 @@ class Driver:
     besides the hooks listed in the module docstring.
     """
 
-    #: primitives of the committed state ``_cons`` (None until read)
+    #: the recovery of the committed state ``_cons`` (None until read)
     _prims_cache: PatchViews | None = None
-    #: whether ``_prims_cache`` is a recovery of ``_cons`` — RK stage 1 then
-    #: steps from it — and not a constructor's floored initial primitives
-    _prims_recovered = False
     #: whether ``_patches()`` yields interiors (else ghosted patches)
     _finite_interior = False
 
     def _commit(self, arrays: list) -> None:
         """Make *arrays*, one per stack, the committed state."""
         self._cons = PatchViews.of(self._stacks, arrays)
-        self._prims_cache, self._prims_recovered = None, False
+        self._prims_cache = None
 
     def _prims(self) -> PatchViews:
         """Primitives of the committed state (read-only): recovered once
@@ -103,14 +100,14 @@ class Driver:
         if self._prims_cache is None:
             prims = recover_stacks(self._stacks, self._cons.stacks)
             self._exchange(prims)
-            self._prims_cache, self._prims_recovered = prims, True
+            self._prims_cache = prims
         return self._prims_cache
 
     def _committed_prims(self, states: list) -> PatchViews | None:
         """``_prims()``'s cache when *states* are the committed stacks
-        themselves and the cache is their recovery — RK stage 1 after a
+        themselves and a read has recovered them — RK stage 1 after a
         ``compute_dt`` or a read — else None: the stage recovers its own."""
-        if self._prims_recovered and all(
+        if self._prims_cache is not None and all(
             U is C for U, C in zip(states, self._cons.stacks)
         ):
             return self._prims_cache

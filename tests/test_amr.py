@@ -443,6 +443,32 @@ class TestAMREvolution:
         _, prim = amr.composite_primitives(level=0)
         assert prim.tobytes() == uni.interior_primitives().tobytes()
 
+    def test_single_level_forest_takes_the_unigrid_first_dt(self):
+        """Step 1 is an ordinary step on every driver: ``Solver``, a 4 x 4
+        ``DistributedSolver`` and a single-level forest of 32^2 blocks all
+        form step 1's dt from a recovery of the committed state, so they
+        take the same one (the benchmark's blast, off centre)."""
+        from repro.core.distributed import DistributedSolver
+
+        system = SRHDSystem(IdealGasEOS(), ndim=2)
+        grid = Grid((128, 128), ((0.0, 1.0), (0.0, 1.0)))
+
+        def init(s, g):
+            return blast_wave_2d(s, g, p_in=10.0, p_out=1.0, center=(0.4, 0.45))
+
+        config = SolverConfig(kernel_target="flat", cfl=0.4)
+        periodic = make_boundaries("periodic")
+        dts = [
+            driver.step() for driver in (
+                Solver(system, grid, init(system, grid), config, periodic),
+                DistributedSolver(system, grid, init(system, grid), (4, 4), config, periodic),
+                AMRSolver(
+                    system, grid, init, config, AMRConfig(block_size=32, max_levels=1), periodic,
+                ),
+            )
+        ]
+        assert dts[0] == dts[1] == dts[2], [repr(dt) for dt in dts]
+
     def test_cells_updated_accounting(self, system1d):
         root = Grid((32,), ((0.0, 1.0),))
         amr = AMRSolver(

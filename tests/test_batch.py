@@ -82,17 +82,19 @@ class TestBatchSolverValidation:
 
 
 class _FailOnce:
-    """Wrap con_to_prim: first call raises RecoveryError at chosen interior
-    cells, later calls delegate to the real kernel."""
+    """Wrap con_to_prim: call *at* (the first by default) raises
+    RecoveryError at chosen interior cells, every other call delegates to
+    the real kernel."""
 
-    def __init__(self, indices):
+    def __init__(self, indices, at=1):
         self.indices = np.asarray(indices)
+        self.at = at
         self.calls = 0
         self.real = pipeline_mod.con_to_prim
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        if self.calls == 1:
+        if self.calls == self.at:
             raise RecoveryError(
                 "injected failure", n_failed=len(self.indices), indices=self.indices
             )
@@ -132,6 +134,29 @@ class TestPerScenarioIsolation:
         assert out["status"] == ["ok", "failed"]
         assert out["t"] == pytest.approx(0.05)
         assert out["steps"] > 0
+
+    @pytest.mark.parametrize("driver", ["BatchSolver", "BatchService"])
+    @pytest.mark.parametrize("at", [1, 2, 4])
+    def test_any_recovery_of_a_step_evicts_only_its_scenario(self, monkeypatch, at, driver):
+        """Calls 1 and 4 are steps 1 and 2's ``compute_dt`` recoveries, call 2
+        is step 1's RK stage 2: each evicts scenario 1 alone."""
+        failer = _FailOnce([1, 4, 7], at=at)
+        monkeypatch.setattr(pipeline_mod, "con_to_prim", failer)
+        if driver == "BatchService":
+            from repro.serve import BatchService, ScenarioSpec
+
+            spec = ScenarioSpec(kind="shock_tube", problem="RP1", nx=64, t_final=0.05)
+            reqs = BatchService().sweep([spec] * 3)
+            status = [r.status for r in reqs]
+            assert "injected failure" in reqs[1].error
+        else:
+            system, grid = _system(), _grid_1d(64)
+            prims = [shock_tube(system, grid, RP1) for _ in range(3)]
+            out = BatchSolver(system, grid, prims, SolverConfig()).run(t_final=0.05)
+            status = out["status"]
+            assert "injected failure" in out["failures"][1]
+        assert failer.calls > at
+        assert status == ["ok", "failed", "ok"]
 
     def test_indexless_failure_fails_all_active(self, monkeypatch):
         system = _system()

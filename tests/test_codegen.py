@@ -1953,7 +1953,7 @@ class TestCompiledRecovery:
             assert len(calls) == 3
 
     def test_compute_dt_reads_the_recovery_scan_on_every_driver(self, monkeypatch):
-        """After step 1 — whose dt may scan a constructor's primitives —
+        """From step 1 on — a constructor commits no primitives to scan —
         ``compute_dt`` on every cext driver reads the maxima its recovery
         computed, and makes no interpreted scan."""
         from repro.boundary import make_boundaries
@@ -1991,7 +1991,6 @@ class TestCompiledRecovery:
         ]
         calls = self._interpreted(monkeypatch, "max_signal_per_axis")
         for driver in drivers:
-            driver.step()  # its dt may scan a constructor's primitives
             calls.clear()
             for _ in range(3):
                 driver.step()

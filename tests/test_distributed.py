@@ -204,8 +204,8 @@ class TestStacks:
         assert len(builds) == len({id(p) for p in solver.pipelines.values()}) == n_stacks
         for _ in range(2):
             solver.step()
-        # One sweep per RK stage: the first dt reads the constructor's
-        # primitives, later ones recover what RK stage 1 steps from.
+        # One sweep per RK stage: every compute_dt, the first included,
+        # recovers what RK stage 1 steps from.
         hist = solver.metrics.snapshot()["histograms"]["con2prim.newton_iters_max"]
         assert hist["count"] == solver.size * 2 * solver.integrator.stages
         single = Solver(system, grid, prim0, config, make_boundaries(walls))

@@ -1,35 +1,39 @@
 """Golden-stream regression tests: committed fixtures pin the numerics.
 
-Three fixtures live in ``tests/golden/``:
+Four fixtures live in ``tests/golden/``.  Each is recorded on the
+interpreted ``flat`` kernel target, or on ``cext``, whose bytes equal
+``flat``'s — so a host without a C toolchain, where ``cext`` falls back to
+``flat``, checks every one:
 
 ``rp1_l1_golden.json``
     Relative L1(rho) errors of the RP1 shock tube against the exact
-    Riemann solution, per (riemann, reconstruction) combo.  Compared for
-    *exact* float equality — any change to the numerical kernels that
-    shifts a single bit of the solution fails here first.
+    Riemann solution, per (riemann, reconstruction) combo, on ``flat``.
+    Compared for *exact* float equality — any change to the numerical
+    kernels that shifts a single bit of the solution fails here first.
 
 ``blast2d_stream_golden.jsonl``
     The canonical projection (:func:`repro.obs.canonical_stream`) of a
-    short overlapped 2-D blast run's StepRecorder stream — counters,
-    gauges, histogram summaries, and comm byte accounting with all
-    wall-clock-derived fields removed.  Compared byte-for-byte, so metric
-    renames, schema drift, and stream regressions fail loudly.
+    short overlapped 2-D blast run's StepRecorder stream on ``flat``
+    (``cext`` must give the same bytes) — counters, gauges, histogram
+    summaries, and comm byte accounting with all wall-clock-derived fields
+    removed.  Compared byte-for-byte, so metric renames, schema drift, and
+    stream regressions fail loudly.
 
 ``amr_rp1_stream_golden.jsonl``
     The canonical projection of the canonical AMR shock-tube run (serial
-    :class:`~repro.core.amr_solver.AMRSolver`, fixed regrid cadence).
-    Besides pinning the serial forest numerics byte-for-byte, the same
-    fixture is the parity bar for the rank loop: the scenario is tuned so
-    the forest topology keeps changing mid-run, which makes the same
+    :class:`~repro.core.amr_solver.AMRSolver` on ``flat``, fixed regrid
+    cadence).  Besides pinning the serial forest numerics byte-for-byte,
+    the same fixture is the parity bar for the rank loop: the scenario is
+    tuned so the forest topology keeps changing mid-run, which makes the same
     :class:`~repro.core.amr_solver.AMRSolver` at 2 and 4 in-process ranks
     cross the rebalance threshold and migrate blocks — and it still has to
     reproduce the one-rank stream byte-for-byte.
 
 ``amr_blast2d_stream_golden.jsonl``
-    The same projection of a 2-D AMR blast (three levels, outflow walls,
-    a regrid every other step that both splits and merges), with a
-    ``leaf_digest`` event after every step: the SHA-256 of every leaf's
-    interior, in key order.  Leaf bytes depend on every ghost the fill
+    The same projection of a 2-D AMR blast on ``cext`` (three levels,
+    outflow walls, a regrid every other step that both splits and merges),
+    with a ``leaf_digest`` event after every step: the SHA-256 of every
+    leaf's interior, in key order.  Leaf bytes depend on every ghost the fill
     writes — edge, corner, coarse-fine and coarse-fine-corner — so the
     digest pins them; 2 and 3 in-process ranks and the flat kernel
     target must reproduce it byte for byte.
@@ -75,7 +79,10 @@ def _rp1_l1_errors() -> dict[str, float]:
         grid = Grid((64,), ((0.0, 1.0),))
         solver = Solver(
             system, grid, shock_tube(system, grid, prob),
-            SolverConfig(cfl=0.4, riemann=riemann, reconstruction=reconstruction),
+            SolverConfig(
+                cfl=0.4, riemann=riemann, reconstruction=reconstruction,
+                kernel_target="flat",
+            ),
             make_boundaries("outflow"),
         )
         solver.run(t_final=0.1)
@@ -89,7 +96,7 @@ def _rp1_l1_errors() -> dict[str, float]:
     return out
 
 
-def _blast2d_stream(kernel_target: str = "numpy") -> str:
+def _blast2d_stream(kernel_target: str = "flat") -> str:
     system = SRHDSystem(IdealGasEOS(), ndim=2)
     grid = Grid((12, 12), ((0.0, 1.0), (0.0, 1.0)))
     sink = BufferSink()
@@ -119,7 +126,7 @@ AMR_STEPS = 40
 def _amr_scenario():
     system = SRHDSystem(IdealGasEOS(gamma=5.0 / 3.0), ndim=1)
     grid = Grid((64,), ((0.0, 1.0),))
-    config = SolverConfig(cfl=0.4)
+    config = SolverConfig(cfl=0.4, kernel_target="flat")
     amr = AMRConfig(
         block_size=8, max_levels=3, refine_threshold=0.05,
         coarsen_threshold=0.02, regrid_interval=4, rebalance_threshold=1.05,
@@ -273,12 +280,10 @@ class TestBlast2DStreamGolden:
             for name in list(r["counters"]) + list(r["gauges"]):
                 assert not name.endswith(("_s", "_seconds", "_frac")), name
             # The overlap counters that *are* deterministic stay pinned: one
-            # overlapped exchange per SSP-RK3 stage, but from step 2 on
-            # stage 1 steps from compute_dt's exchanged primitives.
+            # overlapped exchange per SSP-RK3 stage but stage 1, which steps
+            # from compute_dt's exchanged primitives on every step.
             stages = 3
-            assert r["counters"]["comm.overlap.exchanges"] == (
-                stages if r["step"] == 1 else stages - 1
-            )
+            assert r["counters"]["comm.overlap.exchanges"] == stages - 1
             assert r["comm"]["halo_bytes"] > 0
 
     def test_stream_is_reproducible_within_session(self):

@@ -325,9 +325,8 @@ class TestSolverRecording:
         solver, sink = self._run(3)
         stages = solver.integrator.stages
         steps = steps_of(sink.records)
-        # One recovery per RK stage: the first step's dt reads the
-        # constructor's cache, a later step's compute_dt recovers what RK
-        # stage 1 then steps from.
+        # One recovery per RK stage: every step's compute_dt, the first
+        # included, recovers what RK stage 1 then steps from.
         assert steps[0]["counters"]["con2prim.cells"] == 64 * stages
         assert steps[1]["counters"]["con2prim.cells"] == 64 * stages
 
@@ -352,9 +351,8 @@ class TestDistributedRecording:
             halo_bytes_per_exchange(solver.decomp, system.nvars).values()
         )
         stages = solver.integrator.stages
-        # One exchange per RK stage: the first step's dt reads the
-        # constructor's cached primitives, a later step's compute_dt
-        # exchanges what RK stage 1 then steps from.
+        # One exchange per RK stage: every step's compute_dt, the first
+        # included, exchanges what RK stage 1 then steps from.
         assert steps[0]["comm"]["halo_bytes"] == stages * per_exchange
         assert steps[1]["comm"]["halo_bytes"] == stages * per_exchange
         assert steps[0]["comm"]["halo_bytes_model_per_exchange"] == per_exchange

@@ -170,10 +170,9 @@ class TestByteAccounting:
 
 
 def _overlapped_exchanges(stages: int, steps: int) -> int:
-    """Overlapped RHS exchanges of *steps* CFL steps: one per RK stage,
-    except stage 1 from step 2 on — it steps from compute_dt's (blocking)
-    exchanged primitives."""
-    return stages * steps - (steps - 1)
+    """Overlapped RHS exchanges of *steps* CFL steps: one per RK stage but
+    stage 1 — it steps from compute_dt's (blocking) exchanged primitives."""
+    return (stages - 1) * steps
 
 
 class TestOverlapMetrics:
@@ -190,7 +189,7 @@ class TestOverlapMetrics:
         snap = solver.metrics.snapshot()
         c = snap["counters"]
         # RK3 + CFL dt: the dt path keeps the blocking exchange, which RK
-        # stage 1 reuses from step 2 on.
+        # stage 1 reuses on every step.
         assert c["comm.overlap.exchanges"] == _overlapped_exchanges(3, solver.steps)
         assert c["comm.overlap.hidden_s"] + c["comm.overlap.exposed_s"] == pytest.approx(
             c["comm.overlap.modeled_comm_s"]
@@ -239,14 +238,14 @@ class TestOverlapMetrics:
         # Re-post one exchange and re-price it: an exchange's modeled time
         # is exactly halo_exchange_time over its posted message list (the
         # same strips every exchange), so the first step's modeled_comm_s
-        # delta is its three exchanges' worth.
+        # delta is its two overlapped exchanges' worth.
         prims = solver._prims()
         handle = post_halos(solver.decomp, solver.comm, prims)
         expected = halo_exchange_time(_OVERLAP_LINK, handle.posted)
         complete_halos(handle)
         assert expected > 0
         first = next(r for r in records if r["event"] == "step")
-        assert first["counters"]["comm.overlap.modeled_comm_s"] == 3 * expected
+        assert first["counters"]["comm.overlap.modeled_comm_s"] == 2 * expected
         total = solver.metrics.snapshot()["counters"]["comm.overlap.modeled_comm_s"]
         assert total == pytest.approx(_overlapped_exchanges(3, solver.steps) * expected)
 
