@@ -77,15 +77,35 @@ SIMD_LEVEL_DECL = "int repro_simd_level(void)"
 #: module built without OpenMP).
 THREADS_DECL = "int repro_threads(int n)"
 
-#: Work (cells or faces a call visits) below which an entry point runs its
-#: serial branch and never calls into libgomp.  Measured on a 2-vCPU Xeon
-#: (gcc 12.2), 2 threads against 1 through a pipeline call on an N^2
-#: patch: the sweeps and (its Newton in lanes) ``recover`` gain from ~500
-#: cells (x1.8 and x1.4-1.6 at 64^2), while ``accumulate`` and ``rk_stage``
-#: — short, memory-bound — break even only at ~3000-5000 (x1.1 at 64^2).
-#: One threshold, at the latter: AMR's 8^2 leaves (196 ghosted cells) stay
-#: serial, a 64^2 patch or a rank stack of 32^2 patches goes to the team.
+#: Weighted work below which an entry point runs its serial branch and never
+#: calls into libgomp: a call of *work* cells or faces (each entry point
+#: counts its own, see :data:`TEAM_COST`) teams from
+#: ``TEAM_COST[kernel] * work >= TEAM_MIN_WORK``.
 TEAM_MIN_WORK = 4096
+
+#: Each entry point's cost per unit of its work, relative to the short,
+#: memory-bound ``accumulate`` and ``rk_stage``: ``TEAM_MIN_WORK`` over the
+#: work at which 2 threads first beat 1 on the layout that gains last,
+#: rounded down to a power of two.  Measured on a 2-vCPU Xeon (gcc 12.2),
+#: the C time of one call on the threshold-0 build, stacks of 8^2 leaves,
+#: single N^2 patches and 1-D batches of B x 256:
+#:
+#: ============  ===============  =========  ====================================
+#: entry point   work             crossover  2 vs 1 thread
+#: ============  ===============  =========  ====================================
+#: face_flux     rows x faces     ~500       x1.4 at 2 leaves (144), x1.6 at a
+#:                                           batch of 2 (514), x0.9 at one of 1
+#: recover       ghosted cells    ~500-900   x1.2 at 4 leaves (784), x1.4 at
+#:                                           24^2 (900), x0.9 at 16^2 (484)
+#: rk_stage      ghosted cells    ~3000      x1.0 at 32^2 (1444), x1.2 at 48^2
+#: accumulate    rows x width     >4096      x1.2 at 32 leaves (2048); a strided
+#:                                           batch stays below x1 up to 8192
+#: ============  ===============  =========  ====================================
+#:
+#: So AMR's stacks of 8^2 leaves team their sweeps from 8 leaves (576 faces)
+#: and their recovery from 3, while a lone 8^2 leaf (196 ghosted cells)
+#: stays serial.
+TEAM_COST = {"face_flux": 8, "recover": 8, "rk_stage": 1, "accumulate": 1}
 
 #: Prologue of every generated C module.  ``REPRO_INLINE`` marks each helper
 #: ``static inline`` and, where the compiler allows, forces the inlining:
@@ -153,15 +173,16 @@ REPRO_INLINE void team_chunk(long n, long* lo, long* hi)
 """
 
 
-def _team_branch(work: str, body: str, head: str = "", tail: str = "") -> str:
-    """An entry point's threaded branch: from *work* >= the threshold on a
-    team of more than one thread, *head*, then *body* as one parallel region
-    (each thread takes its ``team_chunk``), then *tail*, then the entry
-    returns.  Below it — or built without OpenMP — control falls through to
-    the serial branch after it, which calls into libgomp not at all."""
+def _team_branch(kernel: str, work: str, body: str, head: str = "", tail: str = "") -> str:
+    """An entry point's threaded branch: from *kernel*'s weighted *work*
+    (``TEAM_COST[kernel] * work >= TEAM_MIN_WORK``) on a team of more than
+    one thread, *head*, then *body* as one parallel region (each thread
+    takes its ``team_chunk``), then *tail*, then the entry returns.  Below
+    it — or built without OpenMP — control falls through to the serial
+    branch after it, which calls into libgomp not at all."""
     return f"""\
 #ifdef _OPENMP
-    if ({work} >= TEAM_MIN_WORK && omp_get_max_threads() > 1) {{
+    if ({TEAM_COST[kernel]} * ({work}) >= TEAM_MIN_WORK && omp_get_max_threads() > 1) {{
 {head}#pragma omp parallel
         {{
 {body}
@@ -673,7 +694,7 @@ class KernelGenerator:
         )
         args = "gamma, tol, p_floor, max_newton, rho_atmo, p_atmo, rho_reset, vmax, solve_only"
         team = _team_branch(
-            "n_patches * n_cells",
+            "recover", "n_patches * n_cells",
             f"""\
             long lo, hi;
             if (n_patches > 1) {{
@@ -1182,7 +1203,7 @@ static void fill_tile_{self.ndim}d(const double* cv, long var_stride,
             "p_atmo, recon_id, limiter_id, riemann_id, {counts}"
         )
         team = _team_branch(
-            "n_rows * n_faces",
+            "face_flux", "n_rows * n_faces",
             f"""\
             long lo, hi, c[2] = {{0, 0}};
             team_chunk(n_rows, &lo, &hi);
@@ -1261,7 +1282,7 @@ void {name}(const double* prim, long var_stride,
             "{hi}, k0, width, div, first);"
         )
         team = _team_branch(
-            "n_rows * width",
+            "accumulate", "n_rows * width",
             f"""\
             long lo, hi;
             team_chunk(n_rows, &lo, &hi);
@@ -1318,7 +1339,7 @@ void {ACCUMULATE_KERNEL % nd}(double* dU, long var_stride,
         tail = "b * (V[i] + dt * k[i])"
         call = "rk_stage_range({lo}, {hi}, form, a, b, dt, U, V, k, out);"
         team = _team_branch(
-            f"n / {self.nvars}",
+            "rk_stage", f"n / {self.nvars}",
             f"""\
             long lo, hi;
             team_chunk(n, &lo, &hi);

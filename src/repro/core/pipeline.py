@@ -142,6 +142,9 @@ class HydroPipeline:
             )
         self.timers = timers if timers is not None else TimerRegistry()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: ``(registry generation, instruments)`` of :meth:`_record_recovery`,
+        #: resolved at the first recovery sweep and after a restore
+        self._c2p_instruments = None
         #: dispatch ids (recon, limiter, riemann) of the compiled face-flux
         #: sweep, fixed here: set iff the system carries one (only a
         #: CompiledSRHDSystem does); None runs the interpreted
@@ -413,20 +416,28 @@ class HydroPipeline:
         record of reporting each sweep alone, byte for byte (every count is
         an integer)."""
         m = self.metrics
-        m.counter("con2prim.cells").inc(s.n_cells)
-        m.counter("con2prim.newton_converged").inc(s.n_newton_converged)
-        m.counter("con2prim.bisection").inc(s.n_bisection)
-        m.counter("con2prim.failed").inc(s.n_failed)
-        m.counter("con2prim.unbracketed").inc(s.n_unbracketed)
+        if self._c2p_instruments is None or self._c2p_instruments[0] != m.generation:
+            self._c2p_instruments = (m.generation, (
+                m.counter("con2prim.cells"), m.counter("con2prim.newton_converged"),
+                m.counter("con2prim.bisection"), m.counter("con2prim.failed"),
+                m.counter("con2prim.unbracketed"),
+                m.gauge("con2prim.max_newton_iters"),
+                # Tail analysis works off the full distribution of per-sweep
+                # maxima, not just the running maximum the gauge keeps: one
+                # observation per sweep. (The name says _max: this is the
+                # sweep's worst cell, not a per-cell distribution.)
+                m.histogram("con2prim.newton_iters_max"),
+            ))
+        cells, newton, bisection, failed, unbracketed, gauge, hist = self._c2p_instruments[1]
+        cells.inc(s.n_cells)
+        newton.inc(s.n_newton_converged)
+        bisection.inc(s.n_bisection)
+        failed.inc(s.n_failed)
+        unbracketed.inc(s.n_unbracketed)
         if s.n_failsafe:
             m.counter("resilience.failsafe_cells").inc(s.n_failsafe)
         iters = Counter(iters_max)
-        m.gauge("con2prim.max_newton_iters").max(max(iters))
-        # Tail analysis works off the full distribution of per-sweep maxima,
-        # not just the running maximum the gauge keeps: one observation per
-        # sweep. (The name says _max: this is the sweep's worst cell, not a
-        # per-cell distribution.)
-        hist = m.histogram("con2prim.newton_iters_max")
+        gauge.max(max(iters))
         for value, n in iters.items():
             hist.observe(value, n)
 

@@ -99,9 +99,10 @@ def _measure(forest: AMRForest, assignment: dict, n_ranks: int,
 
 
 def _adjacent_leaves(forest: AMRForest, key: BlockKey, axis: int, side: int):
-    """Leaves sharing face (axis, side) with *key* (any level)."""
-    nbr = key.neighbor(axis, side)
-    if not forest.layout.in_domain(nbr):
+    """Leaves sharing face (axis, side) with *key* (any level), wrapped
+    across a periodic wall as :meth:`AMRForest.neighbor` wraps."""
+    nbr = forest.neighbor(key, axis, side)
+    if nbr is None:
         return
     probe = nbr
     while probe.level > 0 and probe not in forest.leaves and probe not in forest.refined:

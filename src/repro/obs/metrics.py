@@ -300,6 +300,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: bumped by :meth:`restore`, which replaces every instrument: a
+        #: caller that keeps instrument handles re-resolves them when it moves
+        self.generation = 0
 
     def _check_free(self, name: str, kind: dict) -> None:
         for pool in (self._counters, self._gauges, self._histograms):
@@ -349,7 +352,9 @@ class MetricsRegistry:
         predates), so after restoring, :meth:`snapshot` returns exactly
         the dict that was passed in. Used by the supervised process
         executor to roll a rank back to the last consistent step boundary.
+        Handles taken before it are stale: :attr:`generation` moves.
         """
+        self.generation += 1
         self._counters = {
             n: Counter(n, float(v))
             for n, v in snapshot.get("counters", {}).items()

@@ -41,7 +41,7 @@ import pytest
 
 from repro.boundary import make_boundaries
 from repro.codegen import cext
-from repro.codegen.generator import TEAM_MIN_WORK
+from repro.codegen.generator import TEAM_COST, TEAM_MIN_WORK
 from repro.core.amr_parallel import make_distributed_amr_solver
 from repro.core.amr_solver import AMRConfig
 from repro.core.batch import BatchGrid, BatchSolver, batch_boundaries
@@ -225,20 +225,31 @@ def _ranks(cell: Cell) -> int:
     return 1
 
 
-def team_cells(cell: Cell) -> int:
-    """Ghosted cells of the largest kernel call: a stack of the patches
-    shaped like the largest (AMR: every leaf the forest can hold)."""
+def team_work(cell: Cell) -> int:
+    """The largest weighted work (``TEAM_COST[kernel] * work``) of any
+    compiled kernel call of *cell*'s run: a stack of the patches shaped like
+    the largest (AMR: every leaf the forest can hold), whose ``recover`` and
+    ``rk_stage`` visit its ghosted cells, each axis's ``face_flux`` its
+    interior rows' faces and ``accumulate`` their cells."""
     p = PROBLEMS[cell.problem]
     if p.amr is not None:
         block = p.amr.block_size
-        leaves = int(np.prod([n // block for n in p.shape])) * 2 ** (p.ndim * (p.amr.max_levels - 1))
-        return leaves * (block + 6) ** p.ndim
-    if cell.kind() == "batch":
-        return BATCH[cell.layout][0] * int(np.prod([n + 6 for n in p.shape]))
-    dims = DIMS.get(cell.layout, {p.ndim: (1,) * p.ndim})[p.ndim]
-    largest = [-(-n // d) for n, d in zip(p.shape, dims)]
-    same = int(np.prod([d if n % d == 0 else n % d for n, d in zip(p.shape, dims)]))
-    return same * int(np.prod([n + 6 for n in largest]))
+        count = int(np.prod([n // block for n in p.shape])) * 2 ** (p.ndim * (p.amr.max_levels - 1))
+        shape = (block,) * p.ndim
+    elif cell.kind() == "batch":
+        count, shape = 1, p.shape + (BATCH[cell.layout][0],)
+    else:
+        dims = DIMS.get(cell.layout, {p.ndim: (1,) * p.ndim})[p.ndim]
+        count = int(np.prod([d if n % d == 0 else n % d for n, d in zip(p.shape, dims)]))
+        shape = tuple(-(-n // d) for n, d in zip(p.shape, dims))
+    # A batch's trailing axis carries no ghosts and is never swept.
+    ghosted = count * int(np.prod([n + 6 for n in shape[:p.ndim]] + list(shape[p.ndim:])))
+    work = {"recover": ghosted, "rk_stage": ghosted, "face_flux": 0, "accumulate": 0}
+    for axis in range(p.ndim):
+        rows = count * int(np.prod(shape)) // shape[axis]
+        work["face_flux"] = max(work["face_flux"], rows * (shape[axis] + 1))
+        work["accumulate"] = max(work["accumulate"], rows * shape[axis])
+    return max(TEAM_COST[kernel] * w for kernel, w in work.items())
 
 
 def valid(cell: Cell) -> bool:
@@ -265,7 +276,7 @@ def valid(cell: Cell) -> bool:
     # nothing) and the serial executor (fleet workers are pinned to one).
     if cell.threads > 1 and (
         cell.target != "cext" or cell.executor != "serial"
-        or team_cells(cell) < TEAM_MIN_WORK
+        or team_work(cell) < TEAM_MIN_WORK
     ):
         return False
     if cell.resume != "none" and kind == "batch":  # BatchSolver has no state pair
@@ -774,11 +785,22 @@ def legacy(prefix: str):
     return decorate
 
 
+def floor_cells() -> list:
+    """The cells of ``tests/lattice_floor.txt``: every cell an earlier
+    tier-1 run checked (the collected test ids are a floor)."""
+    cells = []
+    for line in Path(__file__).with_name("lattice_floor.txt").read_text().splitlines():
+        if line and not line.startswith("#"):  # a Cell.id: the scheme holds dashes too
+            values = dict(zip(AXES, line.split("-", len(AXES) - 1)))
+            cells.append(Cell(**values | {"threads": int(values["threads"])}))
+    return cells
+
+
 def tier1() -> list:
-    """The cells a test run checks: the pinned and legacy cells, then an
-    all-pairs cover of the valid cells."""
+    """The cells a test run checks: the pinned, legacy and floor cells, then
+    an all-pairs cover of the valid cells."""
     seed = list(dict.fromkeys(
-        [*PINNED.values(), *(c for _, cells, _ in LEGACY_PAIRS for c in cells)]
+        [*PINNED.values(), *(c for _, cells, _ in LEGACY_PAIRS for c in cells), *floor_cells()]
     ))
     return cover(seed, all_cells())
 

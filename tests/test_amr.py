@@ -677,11 +677,12 @@ class TestLeafStacks:
             assert calls == Counter(face_flux=2, accumulate=2, **recover), i
 
     def test_a_stack_on_a_team_is_the_one_thread_run(self, system2d):
-        """A stack of >= 16 leaves of 16^2 (>= 4096 interior cells, the team
-        threshold) steps through a regrid on 1, 2 and 4 threads: every
-        leaf's bytes are the 1-thread run's."""
+        """A stack of leaves of 16^2 whose sweeps take the team branch
+        (weighted work ``TEAM_COST["face_flux"] * rows * faces`` at least
+        ``TEAM_MIN_WORK``) steps through a regrid on 1, 2 and 4 threads:
+        every leaf's bytes are the 1-thread run's."""
         from repro.codegen import cext as cext_mod
-        from repro.codegen.generator import TEAM_MIN_WORK
+        from repro.codegen.generator import TEAM_COST, TEAM_MIN_WORK
 
         from .test_codegen import _set_team
 
@@ -701,10 +702,50 @@ class TestLeafStacks:
             )
             leaves = list(amr.forest.leaves)
             biggest = max(len(st.idents) for st in amr._stacks_now())
-            assert biggest * 16**2 >= TEAM_MIN_WORK
+            assert TEAM_COST["face_flux"] * biggest * 16 * 17 >= TEAM_MIN_WORK  # rows x faces
             for _ in range(3):
                 amr.step()
             assert amr.regrids == 1 and list(amr.forest.leaves) != leaves
+            return {k: leaf.cons.tobytes() for k, leaf in amr.forest.leaves.items()}
+
+        before = cext_mod.threads(2)
+        try:
+            _set_team(1)
+            want = run()
+            for n in (2, 4):
+                _set_team(n)
+                assert run() == want, n
+        finally:
+            cext_mod.threads(2, before)
+
+    def test_the_benchmark_forest_on_a_team_is_the_one_thread_run(self, system2d):
+        """The ``amr_blast2d`` forest (32^2 root of 8^2 blocks, 2 levels, a
+        regrid every 2 steps, periodic) on the production build steps
+        through a regrid on 1, 2 and 4 threads with the 1-thread run's leaf
+        bytes.  Its stack's sweep clears the weighted team threshold, so on
+        a team the sweeps split: the equality is not the serial branch's."""
+        from repro.codegen import cext as cext_mod
+        from repro.codegen.generator import TEAM_COST, TEAM_MIN_WORK
+
+        from .test_codegen import _set_team
+
+        require_cext(2)
+
+        def run():
+            amr = AMRSolver(
+                system2d,
+                Grid((32, 32), ((0.0, 1.0), (0.0, 1.0))),
+                lambda s, g: blast_wave_2d(s, g, p_in=10.0, p_out=1.0, center=(0.4, 0.45)),
+                SolverConfig(kernel_target="cext", cfl=0.4),
+                AMRConfig(block_size=8, max_levels=2, regrid_interval=2,
+                          refine_threshold=0.4, coarsen_threshold=0.1),
+                make_boundaries("periodic"),
+            )
+            (stack,) = amr._stacks_now()
+            assert TEAM_COST["face_flux"] * len(stack.idents) * 8 * 9 >= TEAM_MIN_WORK
+            for _ in range(3):
+                amr.step()
+            assert amr.regrids == 1
             return {k: leaf.cons.tobytes() for k, leaf in amr.forest.leaves.items()}
 
         before = cext_mod.threads(2)

@@ -331,6 +331,22 @@ class TestSolverRecording:
         assert steps[1]["counters"]["con2prim.cells"] == 64 * stages
 
 
+    def test_a_restored_registry_keeps_counting(self):
+        """The pipeline keeps its recovery instruments between sweeps; a
+        restore replaces every instrument, and the next step counts into
+        the restored ones, not the dropped."""
+        solver, _ = self._run(2)
+        stages = solver.integrator.stages
+        snap = solver.metrics.snapshot()
+        solver.step()
+        solver.metrics.restore(snap)
+        solver.step()
+        after = solver.metrics.snapshot()
+        assert after["counters"]["con2prim.cells"] == snap["counters"]["con2prim.cells"] + 64 * stages
+        hist = after["histograms"]["con2prim.newton_iters_max"]
+        assert hist["count"] == snap["histograms"]["con2prim.newton_iters_max"]["count"] + stages
+
+
 class TestDistributedRecording:
     def test_halo_bytes_match_analytic_model(self):
         eos = IdealGasEOS(gamma=RP1.gamma)

@@ -136,6 +136,20 @@ class TestPartitioners:
         assert part.edge_cut >= 1
 
 
+    @pytest.mark.parametrize("periodic, faces", [((True, True), 64), ((False, False), 48)])
+    def test_periodic_faces_wrap(self, periodic, faces):
+        """A 4x4 root of 8^2 blocks, one leaf per rank: every leaf face is
+        cut, each wall face too where the forest wraps across it (64 faces,
+        32 adjacencies), none where it ends there (48, 24)."""
+        layout = BlockLayout(Grid((32, 32), ((0.0, 1.0), (0.0, 1.0))), block_size=8)
+        forest = AMRForest(layout, max_levels=1, periodic=periodic)
+        for key in layout.root_keys():
+            forest.add_leaf(key, layout.grid_for(key).allocate(4))
+        part = _measure(forest, {key: i for i, key in enumerate(forest.leaves)}, 16)
+        assert part.edge_cut == faces // 2
+        assert part.comm_volume == faces // 2 * 8
+
+
 MAX_LEVELS = 3
 
 
