@@ -296,12 +296,8 @@ class AMRSolver(Driver):
         self._install_patches({
             k: patches.get(k) or (leaves[k].cons, None) for k in self._step_keys()
         })
-
-    def _commit(self, arrays: list) -> None:
-        """:meth:`Driver._commit`, then point the leaves at their views."""
-        super()._commit(arrays)
-        for key, view in self._cons.items():
-            self.forest.leaves[key].cons = view
+        for key in self._step_keys():  # each read views the state committed then
+            leaves[key].view = lambda k: self._cons[k]
 
     def leaf_pipeline(self, key: BlockKey) -> tuple[HydroPipeline, int]:
         """The pipeline of the stack leaf *key* steps in, and the leaf's
@@ -365,8 +361,8 @@ class AMRSolver(Driver):
         """Forget what derives from topology + ownership, the stacks and
         the plans compiled over them included; every change of either
         calls this."""
-        self._ghost_plan = self._reflux_plan = self._owned = None
-        self._restack_due = True
+        self._ghost_plan = self._reflux_plan = self._owned = self._filled = None
+        self._restack_due, self._settled = True, False
 
     def _get_ghost_plan(self):
         """``(GatherProgram, imports)`` over the current stacks.  Each rank
@@ -479,12 +475,14 @@ class AMRSolver(Driver):
 
     def _ghosted_snapshot(self) -> PatchViews:
         """``_prims()`` of the current stacks — re-keyed first, so a cache
-        from before a split is never read — with its ghosts filled; all
-        regrid decisions and prolongations read this snapshot, and a regrid
-        that changes no leaf leaves it to the next ``compute_dt``."""
+        from before a split is never read — its ghosts filled once per cache
+        and plan; all regrid decisions and prolongations read this snapshot,
+        and a regrid that changes no leaf leaves it to the next step."""
         self._stacks_now()
         prims = self._prims()
-        self._fill_ghosts(prims)
+        if prims is not self._filled:
+            self._fill_ghosts(prims)
+            self._filled = prims
         return prims
 
     # ------------------------------------------------------------------
@@ -515,9 +513,7 @@ class AMRSolver(Driver):
                 raise ConfigurationError(
                     f"split of {key} at t > 0 requires a ghosted snapshot"
                 )
-            leaf = self.forest.leaves[key]
-            g = leaf.grid.n_ghost
-            B = self.layout.block_size
+            g, B = self.layout.n_ghost, self.layout.block_size
             pad = (slice(None),) + (slice(g - 1, g + B + 1),) * self.layout.ndim
             fine_prim = prolong_array(ghosted_prim[pad], self.layout.ndim)
             for child in children:
@@ -582,23 +578,9 @@ class AMRSolver(Driver):
             self.forest.merge(parent, cons)
             self._invalidate_plans()
 
-    def _scores(self, prims: PatchViews):
-        """``(key, refine, coarsen-ok)`` of every evolved leaf, in stack
-        order: one indicator per stack over its interiors plus one ghost
-        ring (a discontinuity sitting exactly on a block face must still
-        flag both neighbouring blocks), reduced per leaf."""
-        g, B = self.layout.n_ghost, self.layout.block_size
-        ring = (slice(None), slice(None)) + (slice(g - 1, g + B + 1),) * self.layout.ndim
-        for st, prim in zip(self._stacks, prims.stacks):
-            yield from zip(st.idents, *self.criterion.patch_flags(self.system, prim[ring]))
-
     def _initial_refine_pass(self) -> bool:
         """One sweep of refinement over the initial data; True if changed."""
-        prims = self._ghosted_snapshot()
-        flagged = [
-            key for key, refine, _ in self._scores(prims)
-            if refine and key.level + 1 < self.amr.max_levels
-        ]
+        flagged = self._flag_leaves(self._ghosted_snapshot())[0]
         for key in flagged:
             self._split_leaf(key, from_initial_data=True)
         return bool(flagged)
@@ -608,16 +590,11 @@ class AMRSolver(Driver):
             bad = self.forest.unbalanced_leaves()
             if not bad:
                 return
-            prims = None
-            if not (from_initial_data and self.t == 0.0):
-                prims = self._ghosted_snapshot()
+            prims = None if from_initial_data and self.t == 0.0 else self._ghosted_snapshot()
             for key in bad:
                 if key in self.forest.leaves:
-                    self._split_leaf(
-                        key,
-                        from_initial_data=from_initial_data,
-                        ghosted_prim=None if prims is None else prims.get(key),
-                    )
+                    ghosted = None if prims is None else prims.get(key)
+                    self._split_leaf(key, from_initial_data, ghosted)
         raise ConfigurationError("2:1 balance did not converge")
 
     def regrid(self) -> None:
@@ -632,38 +609,31 @@ class AMRSolver(Driver):
         # Coarsen complete, unflagged sibling groups.
         parents: dict[BlockKey, list[BlockKey]] = {}
         for key in coarsen_ok:
-            if key.level == 0 or key not in self.forest.leaves:
-                continue
-            parents.setdefault(key.parent(), []).append(key)
-        merges = [
-            parent
-            for parent, kids in parents.items()
-            if len(kids) == 2**self.layout.ndim
-        ]
-        self._merge_groups(merges)
+            if key.level and key in self.forest.leaves:
+                parents.setdefault(key.parent(), []).append(key)
+        self._merge_groups([p for p, kids in parents.items() if len(kids) == 2**self.layout.ndim])
         self._enforce_balance()
         self._post_regrid()
         self._stacks_now()
 
     def _flag_leaves(self, prims) -> tuple[list[BlockKey], list[BlockKey]]:
         """(refine, coarsen-ok) lists in leaf iteration order.  Each rank
-        scores the leaves it owns; :meth:`_combine_flags` merges the
-        per-rank scores."""
+        scores the leaves it owns, one indicator per stack over their
+        interiors plus one ghost ring (a discontinuity sitting exactly on a
+        block face must still flag both neighbouring blocks);
+        :meth:`_combine_flags` merges the per-rank scores."""
         order = list(self.forest.leaves)
         position = {key: i for i, key in enumerate(order)}
-        flags = {
-            rank: np.zeros(len(order), dtype=np.int64) for rank in self.local_ranks
-        }
-        for key, refine, coarsen in self._scores(prims):
-            if refine:
-                if key.level + 1 < self.amr.max_levels:
-                    flags[self.assignment[key]][position[key]] = 1
-            elif coarsen:
-                flags[self.assignment[key]][position[key]] = 2
+        flags = {rank: np.zeros(len(order), dtype=np.int64) for rank in self.local_ranks}
+        g, B = self.layout.n_ghost, self.layout.block_size
+        ring = (slice(None), slice(None)) + (slice(g - 1, g + B + 1),) * self.layout.ndim
+        for st, prim in zip(self._stacks, prims.stacks):
+            scores = self.criterion.patch_flags(self.system, prim[ring])
+            for key, refine, coarsen in zip(st.idents, *scores):
+                if coarsen or refine and key.level + 1 < self.amr.max_levels:  # never both
+                    flags[self.assignment[key]][position[key]] = 1 if refine else 2
         combined = self._combine_flags(flags)
-        refine = [key for key, f in zip(order, combined) if f == 1]
-        coarsen = [key for key, f in zip(order, combined) if f == 2]
-        return refine, coarsen
+        return tuple([k for k, f in zip(order, combined) if f == flag] for flag in (1, 2))
 
     def _combine_flags(self, flags: dict[int, np.ndarray]) -> np.ndarray:
         """Every rank's flags, summed (each leaf is scored by one rank)."""
@@ -674,8 +644,11 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
 
     def _post_regrid(self) -> None:
-        """Measure rank imbalance after the topology has settled and, above
-        the threshold, recut the curve and migrate blocks."""
+        """Measure rank imbalance once the topology settled and, above the
+        threshold, recut the curve and migrate; again only after leaves or owners change."""
+        if self._settled:
+            return
+        self._settled = True
         imbalance = self._measure_imbalance()
         if imbalance <= self.amr.rebalance_threshold:
             return
@@ -689,6 +662,7 @@ class AMRSolver(Driver):
             # divide evenly).  Not a rebalance: no counters, no event.
             return
         self._migrate(moves, new_assignment)
+        self._settled = True
         self.repartitions += 1
         self.migrated_blocks += len(moves)
         after = self._measure_imbalance()
@@ -763,15 +737,17 @@ class AMRSolver(Driver):
 
     def _rhs(self, states: list) -> PatchViews:
         """RHS of every stack state, ``{leaf: view}``.  RK stage 1 steps
-        from ``_prims()``'s cache when it is their recovery (the ghost fill
-        writes its ghosts only); otherwise each stack pipeline recovers into
-        its own workspace, so per-stack reuse is safe.  Refluxing is too,
-        since ``last_face_fluxes`` holds arrays of its own."""
+        from ``_prims()``'s cache when it is their recovery (filled once:
+        :meth:`_ghosted_snapshot`); otherwise each stack pipeline recovers
+        into its own workspace, so per-stack reuse is safe.  Refluxing is
+        too, since ``last_face_fluxes`` holds arrays of its own."""
         stacks = self._stacks
         prims = self._committed_prims(states)
         if prims is None:
             prims = recover_stacks(stacks, states, reuse=True)
-        self._fill_ghosts(prims)
+            self._fill_ghosts(prims)
+        else:
+            prims = self._ghosted_snapshot()
         dU = PatchViews.of(stacks, [
             st.pipeline.flux_divergence(prim)
             for st, prim in zip(stacks, prims.stacks)

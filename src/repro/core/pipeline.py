@@ -19,7 +19,6 @@ of that array reads its maxima.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -142,7 +141,7 @@ class HydroPipeline:
             )
         self.timers = timers if timers is not None else TimerRegistry()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: ``(registry generation, instruments)`` of :meth:`_record_recovery`,
+        #: ``(registry generation, *instruments)`` of :meth:`_record_recovery`,
         #: resolved at the first recovery sweep and after a restore
         self._c2p_instruments = None
         #: dispatch ids (recon, limiter, riemann) of the compiled face-flux
@@ -415,10 +414,10 @@ class HydroPipeline:
         counters summed, *iters_max* each one's ``max_iterations`` — the
         record of reporting each sweep alone, byte for byte (every count is
         an integer)."""
-        m = self.metrics
-        if self._c2p_instruments is None or self._c2p_instruments[0] != m.generation:
-            self._c2p_instruments = (m.generation, (
-                m.counter("con2prim.cells"), m.counter("con2prim.newton_converged"),
+        m, instruments = self.metrics, self._c2p_instruments
+        if instruments is None or instruments[0] != m.generation:
+            instruments = self._c2p_instruments = (
+                m.generation, m.counter("con2prim.cells"), m.counter("con2prim.newton_converged"),
                 m.counter("con2prim.bisection"), m.counter("con2prim.failed"),
                 m.counter("con2prim.unbracketed"),
                 m.gauge("con2prim.max_newton_iters"),
@@ -427,19 +426,19 @@ class HydroPipeline:
                 # observation per sweep. (The name says _max: this is the
                 # sweep's worst cell, not a per-cell distribution.)
                 m.histogram("con2prim.newton_iters_max"),
-            ))
-        cells, newton, bisection, failed, unbracketed, gauge, hist = self._c2p_instruments[1]
+            )
+        _, cells, newton, bisection, failed, unbracketed, gauge, hist = instruments
         cells.inc(s.n_cells)
         newton.inc(s.n_newton_converged)
-        bisection.inc(s.n_bisection)
-        failed.inc(s.n_failed)
-        unbracketed.inc(s.n_unbracketed)
+        if s.n_bisection or s.n_failed or s.n_unbracketed:  # 0 on a Newton-only sweep
+            bisection.inc(s.n_bisection)
+            failed.inc(s.n_failed)
+            unbracketed.inc(s.n_unbracketed)
         if s.n_failsafe:
             m.counter("resilience.failsafe_cells").inc(s.n_failsafe)
-        iters = Counter(iters_max)
-        gauge.max(max(iters))
-        for value, n in iters.items():
-            hist.observe(value, n)
+        gauge.max(max(iters_max))
+        for value in set(iters_max):  # integers: any order gives the same sums
+            hist.observe(value, iters_max.count(value))
 
     def _maybe_inject_burst(
         self, interior_cons: np.ndarray, interior_prim: np.ndarray

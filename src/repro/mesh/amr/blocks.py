@@ -107,14 +107,21 @@ class BlockLayout:
 
 
 class LeafBlock:
-    """One evolved leaf: its grid plus the conserved state array."""
+    """One evolved leaf: its grid plus the conserved state array — its own,
+    or, once a driver steps it (:attr:`view`), the driver's current view."""
 
-    __slots__ = ("key", "grid", "cons")
+    __slots__ = ("key", "grid", "_cons", "view")
 
     def __init__(self, key: BlockKey, grid: Grid, cons: np.ndarray):
-        self.key = key
-        self.grid = grid
-        self.cons = cons
+        self.key, self.grid, self.cons = key, grid, cons
+
+    @property
+    def cons(self) -> np.ndarray:
+        return self._cons if self.view is None else self.view(self.key)
+
+    @cons.setter
+    def cons(self, value) -> None:
+        self._cons, self.view = value, None
 
     def __repr__(self):
         return f"LeafBlock({self.key})"

@@ -18,20 +18,19 @@ from ...utils.errors import ConfigurationError
 def scaled_gradient(field: np.ndarray, axis: int, floor: float = 1e-12) -> np.ndarray:
     """Per-cell scaled jump along *axis*; same shape as *field* (edge cells
     take their one-sided value)."""
-    fwd = np.abs(np.diff(field, axis=axis))
-    scale_view = [slice(None)] * field.ndim
-    scale_view[axis] = slice(0, -1)
-    lo = field[tuple(scale_view)]
-    scale_view[axis] = slice(1, None)
-    hi = field[tuple(scale_view)]
-    jump = fwd / (np.abs(lo) + np.abs(hi) + floor)
-    # Deposit the face value on both adjacent cells (max).
     out = np.zeros_like(field)
-    scale_view[axis] = slice(0, -1)
-    np.maximum(out[tuple(scale_view)], jump, out=out[tuple(scale_view)])
-    scale_view[axis] = slice(1, None)
-    np.maximum(out[tuple(scale_view)], jump, out=out[tuple(scale_view)])
+    _deposit_jumps(field, np.abs(field), axis, floor, out)
     return out
+
+
+def _deposit_jumps(field, mag, axis: int, floor: float, out: np.ndarray) -> None:
+    """Raise *out* to the scaled jump of every face along *axis* on both of
+    its cells (*mag* is ``|field|``)."""
+    lo = (slice(None),) * axis + (slice(0, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    jump = np.abs(np.diff(field, axis=axis)) / (mag[lo] + mag[hi] + floor)
+    np.maximum(out[lo], jump, out=out[lo])
+    np.maximum(out[hi], jump, out=out[hi])
 
 
 class GradientCriterion:
@@ -49,34 +48,19 @@ class GradientCriterion:
                 "coarsen_threshold must lie in (0, refine_threshold]"
             )
 
-    def indicator(self, system: SRHDSystem, prim_interior: np.ndarray) -> np.ndarray:
-        """Max scaled gradient over {rho, p} and all grid axes, per cell, of
-        ``(nvars, *cells)`` — or of a stack ``(P, nvars, *cells)``, every
-        patch getting the bits of its own call."""
-        lead = prim_interior.ndim - 1 - system.ndim
-        at = (slice(None),) * lead
-        ind = np.zeros_like(prim_interior[at + (0,)])
-        for var in (system.RHO, system.P):
-            field = prim_interior[at + (var,)]
-            for axis in range(lead, field.ndim):
-                np.maximum(ind, scaled_gradient(field, axis), out=ind)
-        return ind
-
     def patch_flags(self, system: SRHDSystem, prims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(needs refinement, allows coarsening)`` per patch of the stack
-        *prims* ``(P, nvars, *cells)``, from one indicator pass."""
-        ind = self.indicator(system, prims).reshape(len(prims), -1)
+        *prims* ``(P, nvars, *cells)``, from one indicator pass: the max
+        scaled gradient over {rho, p} and all grid axes per cell, rho and p
+        together, each axis's jumps deposited into one array — a max is
+        exact in any order, so every patch gets the bits of its own call
+        and of :func:`scaled_gradient` per field and axis."""
+        fields = np.take(prims, [system.RHO, system.P], axis=1)
+        mag, ind = np.abs(fields), np.zeros_like(fields)
+        for axis in range(2, fields.ndim):
+            _deposit_jumps(fields, mag, axis, 1e-12, ind)
+        ind = ind.max(axis=1).reshape(len(prims), -1)
         return (
             (ind > self.refine_threshold).any(axis=1),
             (ind < self.coarsen_threshold).all(axis=1),
-        )
-
-    def needs_refinement(self, system: SRHDSystem, prim_interior: np.ndarray) -> bool:
-        return bool(
-            np.any(self.indicator(system, prim_interior) > self.refine_threshold)
-        )
-
-    def allows_coarsening(self, system: SRHDSystem, prim_interior: np.ndarray) -> bool:
-        return bool(
-            np.all(self.indicator(system, prim_interior) < self.coarsen_threshold)
         )

@@ -63,11 +63,11 @@ class AMRForest:
         self.periodic = tuple(periodic)
         self.leaves: dict[BlockKey, LeafBlock] = {}
         self.refined: set[BlockKey] = set()
+        #: bumped by every added leaf (so by every split and merge)
+        self.generation = 0
+        self._balanced_at = -1  # the generation last found balanced
 
     # -- topology -----------------------------------------------------------
-
-    def is_leaf(self, key: BlockKey) -> bool:
-        return key in self.leaves
 
     def finest_level(self) -> int:
         return max((k.level for k in self.leaves), default=0)
@@ -82,6 +82,7 @@ class AMRForest:
             raise MeshError(f"block {key} exceeds max level {self.max_levels - 1}")
         leaf = LeafBlock(key, self.layout.grid_for(key), cons)
         self.leaves[key] = leaf
+        self.generation += 1
         return leaf
 
     def split(self, key: BlockKey, child_cons: dict[BlockKey, np.ndarray]) -> None:
@@ -152,7 +153,16 @@ class AMRForest:
         order: one map of the covering leaf's level per block of the finest
         level, shifted one block across each face — wrapped across periodic
         walls as :meth:`neighbor` wraps, -1 beyond the others — and each
-        leaf's largest value over its boundary layer on that face."""
+        leaf's largest value over its boundary layer on that face — walked
+        again only once the topology changed (:attr:`generation`)."""
+        if self._balanced_at == self.generation:
+            return []
+        bad = self._unbalanced_walk()
+        if not bad:
+            self._balanced_at = self.generation
+        return bad
+
+    def _unbalanced_walk(self) -> list[BlockKey]:
         layout, top = self.layout, self.finest_level()
         by_level: dict[int, list] = {}
         for key in self.leaves:
@@ -396,7 +406,13 @@ class GatherProgram:
 
     @classmethod
     def of(cls, ndim, sizes, segments, values) -> "GatherProgram":
+        """The program of *segments*, refusing (:class:`MeshError`) one in
+        which a record reads or writes what another record of it writes: a
+        team splits every segment's records anyhow."""
         segments = [seg for seg in segments if len(seg[-1])]
+        for i, (op, *_, rec) in enumerate(segments):
+            if _races(op, rec):
+                raise MeshError(f"segment {i} (op {op}): a record touches what another writes")
         code = [
             np.concatenate([[op, len(rec), arr, stride, side, i], rec.ravel()])
             for i, (op, arr, stride, side, _, rec) in enumerate(segments)
@@ -450,6 +466,23 @@ def run_program(program: GatherProgram, arrays: list, system=None) -> None:
             cells = rec[:, :1] + var * stride
             edge, delta = arrays[a].take(cells), (fine - W[rec[:, 1]]) / dx
             np.put(arrays[a], cells, edge - delta if side else edge + delta)
+
+
+def _races(op: int, rec: np.ndarray) -> bool:
+    """Whether a record of a segment of *op* writes a site (a scalar, for a
+    copy; an array cell, for a put or reflux) that another one writes or
+    reads."""
+    writes = rec[:, 1] if op == LOAD else rec[:, 0]
+    order = np.argsort(writes, kind="stable")
+    ranked = writes[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return True
+    reads = {RESTRICT: rec[:, 1:], PROLONG: rec[:, 2:], COPY: rec[:, 1:]}.get(op)
+    if reads is None:  # a load or put reads the other space; a reflux its own cell
+        return False
+    reads = np.where(reads < 0, ~reads, reads)  # a negated copy's source
+    at = np.searchsorted(ranked, reads).clip(max=len(ranked) - 1)
+    return bool(((ranked[at] == reads) & (order[at] != np.arange(len(rec))[:, None])).any())
 
 
 def _cells(shape) -> np.ndarray:

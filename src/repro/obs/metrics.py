@@ -195,7 +195,9 @@ class Gauge:
 
     def max(self, value: float) -> None:
         """Keep the running maximum (e.g. deepest iteration count)."""
-        self.value = max(self.value, float(value))
+        value = float(value)
+        if value > self.value:  # max(self.value, value), without the call
+            self.value = value
 
     def reset(self) -> None:
         self.value = 0.0
@@ -227,9 +229,11 @@ class Histogram:
         value = float(value)
         self.count += n
         self.total += value * n
-        self.vmin = min(self.vmin, value)
-        self.vmax = max(self.vmax, value)
-        if value > 0.0 and math.isfinite(value):
+        if value < self.vmin:  # min() / max() keep the first on a tie or NaN
+            self.vmin = value
+        if value > self.vmax:
+            self.vmax = value
+        if 0.0 < value < math.inf:  # positive and finite
             idx = bucket_index(value)
             self.buckets[idx] = self.buckets.get(idx, 0) + n
         else:

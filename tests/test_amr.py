@@ -157,23 +157,21 @@ class TestCriterion:
         prim[0] = 1.0 + 0.001 * np.sin(np.linspace(0, 2 * np.pi, 32))
         prim[1] = 0.0
         prim[2] = 1.0
-        assert not crit.needs_refinement(system1d, prim)
-        assert crit.allows_coarsening(system1d, prim)
+        assert crit.patch_flags(system1d, prim[None]) == ([False], [True])
 
     def test_shock_flagged(self, system1d):
         crit = GradientCriterion(refine_threshold=0.1)
         prim = np.ones((3, 32))
         prim[0, 16:] = 10.0
         prim[1] = 0.0
-        assert crit.needs_refinement(system1d, prim)
+        assert crit.patch_flags(system1d, prim[None])[0] == [True]
 
     def test_hysteresis_band(self, system1d):
         crit = GradientCriterion(refine_threshold=0.5, coarsen_threshold=0.01)
         prim = np.ones((3, 16))
         prim[0, 8:] = 1.2  # moderate gradient: neither refine nor coarsen
         prim[1] = 0.0
-        assert not crit.needs_refinement(system1d, prim)
-        assert not crit.allows_coarsening(system1d, prim)
+        assert crit.patch_flags(system1d, prim[None]) == ([False], [False])
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -200,8 +198,8 @@ class TestForestTopology:
         key = BlockKey(0, (1,))
         children = {c: layout.grid_for(c).allocate(3) for c in key.children()}
         forest.split(key, children)
-        assert not forest.is_leaf(key)
-        assert all(forest.is_leaf(c) for c in key.children())
+        assert key not in forest.leaves
+        assert all(c in forest.leaves for c in key.children())
         assert forest.finest_level() == 1
 
     def test_merge_restores_leaf(self):
@@ -210,7 +208,7 @@ class TestForestTopology:
         children = {c: layout.grid_for(c).allocate(3) for c in key.children()}
         forest.split(key, children)
         forest.merge(key, layout.grid_for(key).allocate(3))
-        assert forest.is_leaf(key)
+        assert key in forest.leaves
 
     def test_split_validation(self):
         layout, forest = self._forest()
@@ -732,15 +730,7 @@ class TestLeafStacks:
         require_cext(2)
 
         def run():
-            amr = AMRSolver(
-                system2d,
-                Grid((32, 32), ((0.0, 1.0), (0.0, 1.0))),
-                lambda s, g: blast_wave_2d(s, g, p_in=10.0, p_out=1.0, center=(0.4, 0.45)),
-                SolverConfig(kernel_target="cext", cfl=0.4),
-                AMRConfig(block_size=8, max_levels=2, regrid_interval=2,
-                          refine_threshold=0.4, coarsen_threshold=0.1),
-                make_boundaries("periodic"),
-            )
+            amr = _bench_forest(system2d, "cext")
             (stack,) = amr._stacks_now()
             assert TEAM_COST["face_flux"] * len(stack.idents) * 8 * 9 >= TEAM_MIN_WORK
             for _ in range(3):
@@ -758,34 +748,104 @@ class TestLeafStacks:
         finally:
             cext_mod.threads(2, before)
 
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_the_benchmark_forest_on_the_forced_team_is_flat(self, system2d, threads):
+        """The ``amr_blast2d`` forest on the build whose every call takes
+        the team branch (``lattice.kernel_team``), at 1 (the serial branch),
+        2 and 4 threads, through the regrid at step 2 that refines it: its
+        leaf bytes, and then a ghost fill and a reflux, equal the ``flat``
+        run's, whose gather programs run the NumPy mirror.  On a team the
+        ghost program splits every segment's records."""
+        from .lattice import kernel_team
+
+        def run(amr):
+            leaves = list(amr.forest.leaves)
+            for _ in range(9):
+                amr.step()
+            assert amr.regrids == 4 and len(amr.forest.leaves) > len(leaves)
+            return [leaf.cons.tobytes() for leaf in amr.forest.leaves.values()], _fill_and_reflux(amr)
+
+        policy = dict(refine_threshold=0.2, coarsen_threshold=0.05)
+        want = run(_bench_forest(system2d, "flat", **policy))
+        with kernel_team(threads):
+            assert run(_bench_forest(system2d, "cext", **policy)) == want
+
     def test_the_ghost_program_on_a_team_is_the_one_thread_run(self, system2d):
-        """The compiled ghost fill and reflux on 1, 2 and 4 threads: the
-        program kernel is one serial call whatever the team, so every
-        ghost and every corrected ``dU`` byte is the 1-thread run's."""
-        from repro.codegen import cext as cext_mod
+        """The compiled ghost fill and reflux on 1, 2 and 4 threads, on the
+        build whose every call takes the team branch (at one thread, the
+        serial one): every ghost and every corrected ``dU`` byte is the
+        1-thread run's."""
+        from .lattice import kernel_team
 
-        from .test_codegen import _set_team
+        want = None
+        for n in (1, 2, 4):
+            with kernel_team(n):
+                got = _fill_and_reflux(_blob_amr(2, make_boundaries("periodic"), 1, "cext"))
+            assert want is None or got == want, n
+            want = got
 
-        require_cext(2)
-        amr = _blob_amr(2, make_boundaries("periodic"), 1, "cext")
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    def test_a_regrid_pays_only_for_what_changed(self, system2d, monkeypatch, n_ranks):
+        """Over 40 steps of the ``amr_blast2d`` forest: the 2:1 balance walk
+        runs once per regrid that split or merged and at no other; every
+        ghost fill fills a different recovery, and stage 1 after a regrid
+        that changed no leaf and moved none steps from the regrid's own
+        snapshot (one fill fewer); after every step each leaf's ``cons`` is
+        its view of the committed state."""
+        from repro.mesh.amr.forest import AMRForest
 
-        def run():
-            prims = amr._ghosted_snapshot()
-            dU = PatchViews.of(amr._stacks, [
-                st.pipeline.flux_divergence(prim) for st, prim in zip(amr._stacks, prims.stacks)
-            ])
-            amr._apply_reflux(dU)
-            return [a.tobytes() for a in prims.stacks + dU.stacks]
+        filled, walks = [], []
+        real_fill, real_walk = AMRSolver._fill_ghosts, AMRForest._unbalanced_walk
+        monkeypatch.setattr(AMRSolver, "_fill_ghosts", lambda self, p: (filled.append(p), real_fill(self, p)))
+        monkeypatch.setattr(AMRForest, "_unbalanced_walk", lambda self: (walks.append(1), real_walk(self))[1])
+        amr = _bench_forest(system2d, "flat", n_ranks=n_ranks, refine_threshold=0.2,
+                            coarsen_threshold=0.05, rebalance_threshold=1.02)
+        stages, steps = amr.integrator.stages, 40
+        del filled[:], walks[:]
+        changed = saved = 0
+        for step in range(1, steps + 1):
+            before = (amr.forest.generation, amr.migrated_blocks)
+            amr.step()
+            for key, leaf in amr.forest.leaves.items():
+                assert np.shares_memory(leaf.cons, amr._cons.stacks[0])
+                assert leaf.cons.tobytes() == amr._cons[key].tobytes()
+            if step % amr.amr.regrid_interval == 0:
+                if amr.forest.generation != before[0]:
+                    changed += 1
+                elif amr.migrated_blocks == before[1] and step < steps:
+                    saved += 1
+        assert amr.regrids == steps // 2 and 0 < changed < amr.regrids and saved > 0
+        assert len(walks) == changed
+        assert len({id(p) for p in filled}) == len(filled)
+        assert len(filled) == steps * stages + amr.regrids - saved
 
-        before = cext_mod.threads(2)
-        try:
-            _set_team(1)
-            want = run()
-            for n in (2, 4):
-                _set_team(n)
-                assert run() == want, n
-        finally:
-            cext_mod.threads(2, before)
+
+def _bench_forest(system2d, target, n_ranks=1, **amr):
+    """The ``amr_blast2d`` set-up: a periodic 32^2 blast of 8^2 blocks on 2
+    levels, regridded every 2 steps, on *target*; *amr* overrides its
+    policy (at ``refine_threshold=0.2`` its regrids at steps 8, 10, 26 and
+    34 split)."""
+    policy = {"refine_threshold": 0.4, "coarsen_threshold": 0.1, **amr}
+    return AMRSolver(
+        system2d,
+        Grid((32, 32), ((0.0, 1.0), (0.0, 1.0))),
+        lambda s, g: blast_wave_2d(s, g, p_in=10.0, p_out=1.0, center=(0.4, 0.45)),
+        SolverConfig(kernel_target=target, cfl=0.4),
+        AMRConfig(block_size=8, max_levels=2, regrid_interval=2, **policy),
+        make_boundaries("periodic"), n_ranks=n_ranks,
+    )
+
+
+def _fill_and_reflux(amr) -> list:
+    """The bytes of a ghost fill of the committed state's recovery and of
+    the refluxed ``dU`` of its sweeps."""
+    prims = amr._prims()
+    amr._fill_ghosts(prims)
+    dU = PatchViews.of(amr._stacks, [
+        st.pipeline.flux_divergence(prim) for st, prim in zip(amr._stacks, prims.stacks)
+    ])
+    amr._apply_reflux(dU)
+    return [a.tobytes() for a in prims.stacks + dU.stacks]
 
 
 def _blob(system, grid):
@@ -945,6 +1005,33 @@ class TestGhostProgram:
             forest.ghost_plan([[(k, 0) for k in held]], [], 1, 3, system1d, walls)
         fine = [BlockKey(1, (4,)), BlockKey(1, (5,))]
         forest.ghost_plan([[(k, 0) for k in held]], [[(k, 0) for k in fine]], 1, 3, system1d, walls)
+
+    def test_a_segment_whose_records_depend_on_each_other_is_refused(self):
+        """The kernel's team splits every segment's records anyhow, so a
+        segment in which one record reads or writes what another writes is
+        refused at build; records that read their own write, or other
+        records' sources, are not."""
+        from repro.mesh.amr.forest import COPY, LOAD, PUT, REFLUX, RESTRICT, GatherProgram
+
+        def segment(op, *records):
+            return (op, 0, 1, 0, 1.0, np.array(records, dtype=np.int64))
+
+        values = np.zeros((16, 1))
+        GatherProgram.of(1, [16], [
+            segment(COPY, [0, 4], [1, ~4], [2, 2]),  # shared and own sources
+            segment(RESTRICT, [0, 1, 2], [3, 1, 2]),
+            segment(REFLUX, [0, 5, 6], [1, 5, 6]),
+        ], values)
+        for bad in (
+            segment(COPY, [0, 4], [4, 5]),  # a copy of another copy's target
+            segment(COPY, [0, 4], [1, ~0]),  # negated, the same
+            segment(RESTRICT, [0, 1, 2], [3, 0, 4]),  # a restriction of another's site
+            segment(LOAD, [0, 3], [1, 3]),  # one site loaded twice
+            segment(PUT, [7, 3], [7, 4]),  # one cell put twice
+            segment(REFLUX, [0, 5, 6], [0, 7, 8]),  # one dU cell corrected twice
+        ):
+            with pytest.raises(MeshError, match="a record touches what another writes"):
+                GatherProgram.of(1, [16], [bad], values)
 
 
 def _import_case(ndim, walls, n_ranks):

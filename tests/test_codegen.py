@@ -208,7 +208,7 @@ class TestGeneratedCBudget:
         assert outlines == [
             f"recover_cells_{ndim}d", f"recover_rows_{ndim}d", f"max_signal_rows_{ndim}d",
             *(f"face_flux_rows_ax{ax}_{ndim}d" for ax in range(ndim)),
-            f"accumulate_rows_{ndim}d", "rk_stage_range",
+            f"accumulate_rows_{ndim}d", "rk_stage_range", "amr_segment",
         ]
         entries = [
             name for head, name in defs
@@ -2609,6 +2609,35 @@ class TestThreadCounts:
         finally:
             cext_mod.threads(2, before)
 
+    def test_a_wide_batch_accumulates_on_a_team_as_on_one_thread(self, monkeypatch):
+        """``serve_sweep96``'s layout, a 1-D batch of 32 members of 512
+        cells, clears the weighted team threshold, and its accumulate — on
+        a strided axis, which a team splits by the axis — gives the
+        1-thread bytes at 2 and 4 threads, NaN, infinities and signed zeros
+        included."""
+        from repro.codegen import cext as cext_mod
+        from repro.codegen.generator import TEAM_COST, TEAM_MIN_WORK
+
+        monkeypatch.setattr("tests.lattice.KERNEL_LAYOUTS", dict(KERNEL_LAYOUTS, batch32=(1, 32)))
+        pipe = kernel_pipeline("cext", "batch32", shape=(512,), reconstruction="mc", riemann="hll")
+        rng = np.random.default_rng(5)
+        shape = (pipe.system.nvars, 1, 32, 512)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+        div = np.where(rng.random(shape) < 0.05, rng.choice(special, shape), rng.normal(size=shape))
+        assert TEAM_COST["accumulate"] * 32 * 512 >= TEAM_MIN_WORK
+        before, got = cext_mod.threads(1), []
+        try:
+            for threads in (1, 2, 4):
+                _set_team(threads)
+                dU = rng.normal(size=pipe._state_shape) if not got else got[0][1].copy()
+                start = dU.copy()
+                with np.errstate(all="ignore"):
+                    pipe.accumulate_divergence(dU, 0, 0, 512, div)
+                got.append((dU.tobytes(), start))
+        finally:
+            cext_mod.threads(1, before)
+        assert [b for b, _ in got[1:]] == [got[0][0]] * 2
+
 
 @legacy("test_codegen.py::TestFusedSolverDigest")
 class TestFusedSolverDigest:
@@ -2823,7 +2852,7 @@ class TestBoundCalls:
             got[target] = (cold, warm, pipe.warm_state(0).tobytes(), pipe.warm_state(1).tobytes())
         assert got["cext"] == got["flat"]
 
-    @pytest.mark.parametrize("driver, budget, calls", [("solver", 30, 18), ("amr", 45, 24.5)])
+    @pytest.mark.parametrize("driver, budget, calls", [("solver", 30, 18), ("amr", 45, 24.05)])
     def test_a_steady_step_makes_few_pointers(self, monkeypatch, driver, budget, calls):
         """``ffi.from_buffer`` calls per steady step: what is bound once per
         stack is not pointed to again — at most *budget* on a 96² periodic
@@ -2884,6 +2913,7 @@ class TestBoundCalls:
         made.clear()
         for _ in range(steps):
             solver.step()
-        # (an AMR step makes 23 or 26, and one in a while a recovery more)
+        # (an AMR step makes 23 or 26, and one in a while a recovery more;
+        # a step after a regrid that changed no leaf fills one ghost set less)
         assert made["calls"] / steps == pytest.approx(calls, abs=0.05)
         assert made["from_buffer"] / steps <= budget, made
