@@ -32,11 +32,11 @@ There is one fallback: missing cffi, a missing or failing C compiler, or
 here, which :func:`repro.codegen.system.make_kernel_system` turns into a
 logged fallback of the whole target to ``flat``.
 
-Threads: the artifact is built with ``-fopenmp``, and its row kernels
-(``recover``, the per-axis sweeps, ``accumulate``, ``rk_stage``) and the
-AMR program split a large call over an OpenMP team — every output element
-written by one thread, no floating-point reduction reordered, so any team
-size gives the 1-thread bytes.  The team size is
+Threads: the artifact is built with ``-fopenmp``, and its four row kernels
+(``recover``, the per-axis sweeps, ``accumulate``, ``rk_stage``; the AMR
+program runs serially) split a large call over an OpenMP team — every
+output element written by one thread, no floating-point reduction
+reordered, so any team size gives the 1-thread bytes.  The team size is
 the standard OpenMP one (``OMP_NUM_THREADS``, CPU affinity), read by :func:`threads`;
 every fleet worker runs on one (``core.parallel._worker_main``).  A
 compiler that rejects ``-fopenmp`` (probed once, :func:`openmp_supported`)

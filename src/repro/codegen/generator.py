@@ -100,20 +100,12 @@ TEAM_MIN_WORK = 4096
 #: rk_stage      ghosted cells    ~3000      x1.0 at 32^2 (1444), x1.2 at 48^2
 #: accumulate    rows x width     >4096      x1.2 at 32 leaves (2048); a strided
 #:                                           batch stays below x1 up to 8192
-#: amr_program   code words       ~50 000-   x0.4-0.7 at 4-16 leaves (3-10 k),
-#:                                65 000     x0.9-1.1 at 28-88 leaves (20-48 k),
-#:                                           x1.5 at 124 (65 k), x2.0 at 256 (111 k)
 #: ============  ===============  =========  ====================================
 #:
 #: So AMR's stacks of 8^2 leaves team their sweeps from 8 leaves (576 faces)
 #: and their recovery from 3, while a lone 8^2 leaf (196 ghosted cells)
-#: stays serial.  A ghost fill (2-D forests of 8^2 leaves, 1-2 levels) is
-#: latency-bound: its segments hand each other scattered sites, which on a
-#: team cross between cores, so it teams from 65 536 code words (~120 leaves)
-#: and the ``amr_blast2d`` forest's (~24 000 words) runs serially.
-TEAM_COST = {
-    "face_flux": 8, "recover": 8, "rk_stage": 1, "accumulate": 1, "amr_program": 1 / 16,
-}
+#: stays serial.
+TEAM_COST = {"face_flux": 8, "recover": 8, "rk_stage": 1, "accumulate": 1}
 
 #: Prologue of every generated C module.  ``REPRO_INLINE`` marks each helper
 #: ``static inline`` and, where the compiler allows, forces the inlining:
@@ -1283,33 +1275,25 @@ void {name}(const double* prim, long var_stride,
         (``cext.sweep_rows``); ``div`` is (nvars, n_rows, width).  A row is
         one lane loop on the contiguous axis; across a strided one 16 rows
         advance together, so each line of ``dU`` and of ``div`` is touched
-        once while resident.  On a team the rows split on the contiguous
-        axis, and the axis itself on a strided one: the rows' cells at one
-        ``k`` are neighbours there (a batch's members), so split by row two
-        threads would write the same lines."""
+        once while resident.  On a team the rows split."""
         nd = self.ndim
         call = (
             "accumulate_rows_{nd}d(dU, var_stride, axis_stride, rows, n_rows, {lo}, "
-            "{hi}, k0, width, {k_lo}, {k_hi}, div, first);"
+            "{hi}, k0, width, div, first);"
         )
         team = _team_branch(
             "accumulate", "n_rows * width",
             f"""\
             long lo, hi;
-            if (axis_stride == 1) {{
-                team_chunk(n_rows, &lo, &hi);
-                {call.format(nd=nd, lo="lo", hi="hi", k_lo="0", k_hi="width")}
-            }} else {{
-                team_chunk(width, &lo, &hi);
-                {call.format(nd=nd, lo="0", hi="n_rows", k_lo="lo", k_hi="hi")}
-            }}""",
+            team_chunk(n_rows, &lo, &hi);
+            {call.format(nd=nd, lo="lo", hi="hi")}""",
         )
         return f"""\
-/* interior rows [r_lo, r_hi), cells [k_lo, k_hi) of each */
+/* interior rows [r_lo, r_hi) */
 REPRO_CLONES
 OUTLINE void accumulate_rows_{nd}d(double* dU, long var_stride,
     long axis_stride, const long* rows, long n_rows, long r_lo, long r_hi,
-    long k0, long width, long k_lo, long k_hi, const double* div, int first)
+    long k0, long width, const double* div, int first)
 {{
     for (int v = 0; v < {self.nvars}; ++v) {{
         double* const u = dU + v * var_stride + k0 * axis_stride;
@@ -1319,17 +1303,17 @@ OUTLINE void accumulate_rows_{nd}d(double* dU, long var_stride,
                 double* restrict t = u + rows[r];
                 const double* restrict s = d + r * width;
                 if (first)
-                    for (long k = k_lo; k < k_hi; ++k) /* lanes */
+                    for (long k = 0; k < width; ++k) /* lanes */
                         t[k] = 0.0 - s[k];
                 else
-                    for (long k = k_lo; k < k_hi; ++k) /* lanes */
+                    for (long k = 0; k < width; ++k) /* lanes */
                         t[k] = t[k] - s[k];
             }}
             continue;
         }}
         for (long r0 = r_lo; r0 < r_hi; r0 += 16) {{
             const long r1 = (r_hi - r0 < 16) ? r_hi : r0 + 16;
-            for (long k = k_lo; k < k_hi; ++k)
+            for (long k = 0; k < width; ++k)
                 for (long r = r0; r < r1; ++r) {{
                     double* t = u + rows[r] + k * axis_stride;
                     *t = (first ? 0.0 : *t) - d[r * width + k];
@@ -1342,7 +1326,7 @@ void {ACCUMULATE_KERNEL % nd}(double* dU, long var_stride,
     long axis_stride, const long* rows, long n_rows, long k0, long width,
     const double* div, int first)
 {{
-{team}    {call.format(nd=nd, lo="0", hi="n_rows", k_lo="0", k_hi="width")}
+{team}    {call.format(nd=nd, lo="0", hi="n_rows")}
 }}
 """
 
@@ -1401,28 +1385,8 @@ void {RK_STAGE_KERNEL}(long n, int form, double a, double b, double dt,
         copy a scalar (``~src``: times -1.0), 4 put, 5 reflux a ``dU`` cell.
         Element for element ``restrict_array`` / ``prolong_array``'s
         arithmetic: pairs summed from 0.0, as ``np.add.reduce`` does, axis 0
-        first.  The work is the code's length.  On a team every thread walks
-        the heads and takes its ``team_chunk`` of each segment's records,
-        with a barrier between segments: no record of a segment reads or
-        writes what another writes (``GatherProgram.of`` refuses one that
-        does), so any split gives the serial bytes."""
+        first.  Serial: a fill is a few thousand cells."""
         nd, nv = self.ndim, self.nvars
-        width = ", ".join(str(w) for w in (2, 1 + 2**nd, 2 + 3**nd, 2, 2, 2 + 2 ** (nd - 1)))
-
-        def walk(team: bool) -> str:
-            """Every segment in order; on a team each thread takes its chunk
-            of the records, and all wait at the segment's end."""
-            pad = " " * (12 if team else 4)
-            chunk = f"{pad}    team_chunk(c[1], &lo, &hi);\n" if team else ""
-            return (
-                f"{pad}for (const long* c = code; c < code + n_code; "
-                "c += 6 + c[1] * amr_width[c[0]]) {\n"
-                f"{pad}    long lo = 0, hi = c[1];\n{chunk}"
-                f"{pad}    amr_segment(c, lo, hi, arrs, W, reals);\n"
-                + ("#pragma omp barrier\n" if team else "") + f"{pad}}}"
-            )
-
-        team = _team_branch("amr_program", "n_code", walk(True))
         return f"""\
 /* 2^k values in C order of their offsets -> their restriction */
 REPRO_INLINE double amr_restrict(double* s, long m)
@@ -1451,61 +1415,53 @@ REPRO_INLINE double amr_prolong(double* s, long mask)
     return s[0];
 }}
 
-/* the words of one record, per op */
-static const long amr_width[6] = {{{width}}};
-
-/* records [lo, hi) of the segment headed at h */
-OUTLINE void amr_segment(const long* h, long lo, long hi, double** arrs, double* W,
-    const double* reals)
-{{
-    const long op = h[0], vs = h[3], side = h[4];
-    double* const x = (h[2] < 0) ? 0 : arrs[h[2]];
-    const double dx = reals[h[5]];
-    const long* c = h + 6 + lo * amr_width[op];
-    double s[{3 ** nd}];
-    switch (op) {{
-    case 0:
-        for (long i = lo; i < hi; ++i, c += 2)
-            for (long v = 0; v < {nv}; ++v)
-                W[c[1] * {nv} + v] = x[c[0] + v * vs];
-        break;
-    case 1:
-        for (long i = lo; i < hi; ++i, c += 1 + {2 ** nd})
-            for (long v = 0; v < {nv}; ++v) {{
-                for (int k = 0; k < {2 ** nd}; ++k) s[k] = W[c[1 + k] * {nv} + v];
-                W[c[0] * {nv} + v] = amr_restrict(s, {2 ** nd});
-            }}
-        break;
-    case 2:
-        for (long i = lo; i < hi; ++i, c += 2 + {3 ** nd})
-            for (long v = 0; v < {nv}; ++v) {{
-                for (int k = 0; k < {3 ** nd}; ++k) s[k] = W[c[2 + k] * {nv} + v];
-                W[c[0] * {nv} + v] = amr_prolong(s, c[1]);
-            }}
-        break;
-    case 3:
-        for (long i = lo; i < hi; ++i, c += 2)
-            W[c[0]] = (c[1] < 0) ? W[~c[1]] * -1.0 : W[c[1]];
-        break;
-    case 4:
-        for (long i = lo; i < hi; ++i, c += 2)
-            for (long v = 0; v < {nv}; ++v)
-                x[c[0] + v * vs] = W[c[1] * {nv} + v];
-        break;
-    default:
-        for (long i = lo; i < hi; ++i, c += 2 + {2 ** (nd - 1)})
-            for (long v = 0; v < {nv}; ++v) {{
-                for (int k = 0; k < {2 ** (nd - 1)}; ++k) s[k] = W[c[2 + k] * {nv} + v];
-                const double d = (amr_restrict(s, {2 ** (nd - 1)}) - W[c[1] * {nv} + v]) / dx;
-                double* const e = x + c[0] + v * vs;
-                *e = side ? *e - d : *e + d;
-            }}
-    }}
-}}
-
 void {AMR_PROGRAM_KERNEL % nd}(double** arrs, const long* code, long n_code,
     double* W, const double* reals)
 {{
-{team}{walk(False)}
+    double s[{3 ** nd}];
+    for (const long* c = code; c < code + n_code;) {{
+        const long op = c[0], n = c[1], vs = c[3], side = c[4];
+        double* const x = (c[2] < 0) ? 0 : arrs[c[2]];
+        const double dx = reals[c[5]];
+        c += 6;
+        switch (op) {{
+        case 0:
+            for (long i = 0; i < n; ++i, c += 2)
+                for (long v = 0; v < {nv}; ++v)
+                    W[c[1] * {nv} + v] = x[c[0] + v * vs];
+            break;
+        case 1:
+            for (long i = 0; i < n; ++i, c += 1 + {2 ** nd})
+                for (long v = 0; v < {nv}; ++v) {{
+                    for (int k = 0; k < {2 ** nd}; ++k) s[k] = W[c[1 + k] * {nv} + v];
+                    W[c[0] * {nv} + v] = amr_restrict(s, {2 ** nd});
+                }}
+            break;
+        case 2:
+            for (long i = 0; i < n; ++i, c += 2 + {3 ** nd})
+                for (long v = 0; v < {nv}; ++v) {{
+                    for (int k = 0; k < {3 ** nd}; ++k) s[k] = W[c[2 + k] * {nv} + v];
+                    W[c[0] * {nv} + v] = amr_prolong(s, c[1]);
+                }}
+            break;
+        case 3:
+            for (long i = 0; i < n; ++i, c += 2)
+                W[c[0]] = (c[1] < 0) ? W[~c[1]] * -1.0 : W[c[1]];
+            break;
+        case 4:
+            for (long i = 0; i < n; ++i, c += 2)
+                for (long v = 0; v < {nv}; ++v)
+                    x[c[0] + v * vs] = W[c[1] * {nv} + v];
+            break;
+        default:
+            for (long i = 0; i < n; ++i, c += 2 + {2 ** (nd - 1)})
+                for (long v = 0; v < {nv}; ++v) {{
+                    for (int k = 0; k < {2 ** (nd - 1)}; ++k) s[k] = W[c[2 + k] * {nv} + v];
+                    const double d = (amr_restrict(s, {2 ** (nd - 1)}) - W[c[1] * {nv} + v]) / dx;
+                    double* const e = x + c[0] + v * vs;
+                    *e = side ? *e - d : *e + d;
+                }}
+        }}
+    }}
 }}
 """

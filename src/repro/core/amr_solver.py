@@ -361,8 +361,8 @@ class AMRSolver(Driver):
         """Forget what derives from topology + ownership, the stacks and
         the plans compiled over them included; every change of either
         calls this."""
-        self._ghost_plan = self._reflux_plan = self._owned = self._filled = None
-        self._restack_due, self._settled = True, False
+        self._ghost_plan = self._reflux_plan = self._owned = None
+        self._restack_due = True
 
     def _get_ghost_plan(self):
         """``(GatherProgram, imports)`` over the current stacks.  Each rank
@@ -473,17 +473,17 @@ class AMRSolver(Driver):
                 self.comm.bytes_since(marker)
             )
 
+    def _exchange(self, prims: PatchViews) -> None:
+        """``_prims()``'s ghost hook: its cache is ghosted once, when made."""
+        self._fill_ghosts(prims)
+
     def _ghosted_snapshot(self) -> PatchViews:
         """``_prims()`` of the current stacks — re-keyed first, so a cache
-        from before a split is never read — its ghosts filled once per cache
-        and plan; all regrid decisions and prolongations read this snapshot,
-        and a regrid that changes no leaf leaves it to the next step."""
+        from before a split is never read; all regrid decisions and
+        prolongations read this snapshot, and a regrid that changes no leaf
+        leaves it, ghosts and all, to the next step."""
         self._stacks_now()
-        prims = self._prims()
-        if prims is not self._filled:
-            self._fill_ghosts(prims)
-            self._filled = prims
-        return prims
+        return self._prims()
 
     # ------------------------------------------------------------------
     # Refinement operations
@@ -644,11 +644,8 @@ class AMRSolver(Driver):
     # ------------------------------------------------------------------
 
     def _post_regrid(self) -> None:
-        """Measure rank imbalance once the topology settled and, above the
-        threshold, recut the curve and migrate; again only after leaves or owners change."""
-        if self._settled:
-            return
-        self._settled = True
+        """Measure rank imbalance after the topology has settled and, above
+        the threshold, recut the curve and migrate blocks."""
         imbalance = self._measure_imbalance()
         if imbalance <= self.amr.rebalance_threshold:
             return
@@ -662,7 +659,6 @@ class AMRSolver(Driver):
             # divide evenly).  Not a rebalance: no counters, no event.
             return
         self._migrate(moves, new_assignment)
-        self._settled = True
         self.repartitions += 1
         self.migrated_blocks += len(moves)
         after = self._measure_imbalance()
@@ -737,8 +733,8 @@ class AMRSolver(Driver):
 
     def _rhs(self, states: list) -> PatchViews:
         """RHS of every stack state, ``{leaf: view}``.  RK stage 1 steps
-        from ``_prims()``'s cache when it is their recovery (filled once:
-        :meth:`_ghosted_snapshot`); otherwise each stack pipeline recovers
+        from ``_prims()``'s cache when it is their recovery (its ghosts
+        filled by :meth:`_exchange`); otherwise each stack pipeline recovers
         into its own workspace, so per-stack reuse is safe.  Refluxing is
         too, since ``last_face_fluxes`` holds arrays of its own."""
         stacks = self._stacks
@@ -746,8 +742,6 @@ class AMRSolver(Driver):
         if prims is None:
             prims = recover_stacks(stacks, states, reuse=True)
             self._fill_ghosts(prims)
-        else:
-            prims = self._ghosted_snapshot()
         dU = PatchViews.of(stacks, [
             st.pipeline.flux_divergence(prim)
             for st, prim in zip(stacks, prims.stacks)

@@ -406,13 +406,7 @@ class GatherProgram:
 
     @classmethod
     def of(cls, ndim, sizes, segments, values) -> "GatherProgram":
-        """The program of *segments*, refusing (:class:`MeshError`) one in
-        which a record reads or writes what another record of it writes: a
-        team splits every segment's records anyhow."""
         segments = [seg for seg in segments if len(seg[-1])]
-        for i, (op, *_, rec) in enumerate(segments):
-            if _races(op, rec):
-                raise MeshError(f"segment {i} (op {op}): a record touches what another writes")
         code = [
             np.concatenate([[op, len(rec), arr, stride, side, i], rec.ravel()])
             for i, (op, arr, stride, side, _, rec) in enumerate(segments)
@@ -466,23 +460,6 @@ def run_program(program: GatherProgram, arrays: list, system=None) -> None:
             cells = rec[:, :1] + var * stride
             edge, delta = arrays[a].take(cells), (fine - W[rec[:, 1]]) / dx
             np.put(arrays[a], cells, edge - delta if side else edge + delta)
-
-
-def _races(op: int, rec: np.ndarray) -> bool:
-    """Whether a record of a segment of *op* writes a site (a scalar, for a
-    copy; an array cell, for a put or reflux) that another one writes or
-    reads."""
-    writes = rec[:, 1] if op == LOAD else rec[:, 0]
-    order = np.argsort(writes, kind="stable")
-    ranked = writes[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        return True
-    reads = {RESTRICT: rec[:, 1:], PROLONG: rec[:, 2:], COPY: rec[:, 1:]}.get(op)
-    if reads is None:  # a load or put reads the other space; a reflux its own cell
-        return False
-    reads = np.where(reads < 0, ~reads, reads)  # a negated copy's source
-    at = np.searchsorted(ranked, reads).clip(max=len(ranked) - 1)
-    return bool(((ranked[at] == reads) & (order[at] != np.arange(len(rec))[:, None])).any())
 
 
 def _cells(shape) -> np.ndarray:

@@ -748,41 +748,34 @@ class TestLeafStacks:
         finally:
             cext_mod.threads(2, before)
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_the_benchmark_forest_on_the_forced_team_is_flat(self, system2d, threads):
-        """The ``amr_blast2d`` forest on the build whose every call takes
-        the team branch (``lattice.kernel_team``), at 1 (the serial branch),
-        2 and 4 threads, through the regrid at step 2 that refines it: its
-        leaf bytes, and then a ghost fill and a reflux, equal the ``flat``
-        run's, whose gather programs run the NumPy mirror.  On a team the
-        ghost program splits every segment's records."""
-        from .lattice import kernel_team
-
-        def run(amr):
-            leaves = list(amr.forest.leaves)
-            for _ in range(9):
-                amr.step()
-            assert amr.regrids == 4 and len(amr.forest.leaves) > len(leaves)
-            return [leaf.cons.tobytes() for leaf in amr.forest.leaves.values()], _fill_and_reflux(amr)
-
-        policy = dict(refine_threshold=0.2, coarsen_threshold=0.05)
-        want = run(_bench_forest(system2d, "flat", **policy))
-        with kernel_team(threads):
-            assert run(_bench_forest(system2d, "cext", **policy)) == want
-
     def test_the_ghost_program_on_a_team_is_the_one_thread_run(self, system2d):
-        """The compiled ghost fill and reflux on 1, 2 and 4 threads, on the
-        build whose every call takes the team branch (at one thread, the
-        serial one): every ghost and every corrected ``dU`` byte is the
-        1-thread run's."""
-        from .lattice import kernel_team
+        """The compiled ghost fill and reflux on 1, 2 and 4 threads: the
+        program kernel is one serial call whatever the team, so every
+        ghost and every corrected ``dU`` byte is the 1-thread run's."""
+        from repro.codegen import cext as cext_mod
 
-        want = None
-        for n in (1, 2, 4):
-            with kernel_team(n):
-                got = _fill_and_reflux(_blob_amr(2, make_boundaries("periodic"), 1, "cext"))
-            assert want is None or got == want, n
-            want = got
+        from .test_codegen import _set_team
+
+        require_cext(2)
+        amr = _blob_amr(2, make_boundaries("periodic"), 1, "cext")
+
+        def run():
+            prims = amr._ghosted_snapshot()
+            dU = PatchViews.of(amr._stacks, [
+                st.pipeline.flux_divergence(prim) for st, prim in zip(amr._stacks, prims.stacks)
+            ])
+            amr._apply_reflux(dU)
+            return [a.tobytes() for a in prims.stacks + dU.stacks]
+
+        before = cext_mod.threads(2)
+        try:
+            _set_team(1)
+            want = run()
+            for n in (2, 4):
+                _set_team(n)
+                assert run() == want, n
+        finally:
+            cext_mod.threads(2, before)
 
     @pytest.mark.parametrize("n_ranks", [1, 2])
     def test_a_regrid_pays_only_for_what_changed(self, system2d, monkeypatch, n_ranks):
@@ -834,18 +827,6 @@ def _bench_forest(system2d, target, n_ranks=1, **amr):
         AMRConfig(block_size=8, max_levels=2, regrid_interval=2, **policy),
         make_boundaries("periodic"), n_ranks=n_ranks,
     )
-
-
-def _fill_and_reflux(amr) -> list:
-    """The bytes of a ghost fill of the committed state's recovery and of
-    the refluxed ``dU`` of its sweeps."""
-    prims = amr._prims()
-    amr._fill_ghosts(prims)
-    dU = PatchViews.of(amr._stacks, [
-        st.pipeline.flux_divergence(prim) for st, prim in zip(amr._stacks, prims.stacks)
-    ])
-    amr._apply_reflux(dU)
-    return [a.tobytes() for a in prims.stacks + dU.stacks]
 
 
 def _blob(system, grid):
@@ -1005,33 +986,6 @@ class TestGhostProgram:
             forest.ghost_plan([[(k, 0) for k in held]], [], 1, 3, system1d, walls)
         fine = [BlockKey(1, (4,)), BlockKey(1, (5,))]
         forest.ghost_plan([[(k, 0) for k in held]], [[(k, 0) for k in fine]], 1, 3, system1d, walls)
-
-    def test_a_segment_whose_records_depend_on_each_other_is_refused(self):
-        """The kernel's team splits every segment's records anyhow, so a
-        segment in which one record reads or writes what another writes is
-        refused at build; records that read their own write, or other
-        records' sources, are not."""
-        from repro.mesh.amr.forest import COPY, LOAD, PUT, REFLUX, RESTRICT, GatherProgram
-
-        def segment(op, *records):
-            return (op, 0, 1, 0, 1.0, np.array(records, dtype=np.int64))
-
-        values = np.zeros((16, 1))
-        GatherProgram.of(1, [16], [
-            segment(COPY, [0, 4], [1, ~4], [2, 2]),  # shared and own sources
-            segment(RESTRICT, [0, 1, 2], [3, 1, 2]),
-            segment(REFLUX, [0, 5, 6], [1, 5, 6]),
-        ], values)
-        for bad in (
-            segment(COPY, [0, 4], [4, 5]),  # a copy of another copy's target
-            segment(COPY, [0, 4], [1, ~0]),  # negated, the same
-            segment(RESTRICT, [0, 1, 2], [3, 0, 4]),  # a restriction of another's site
-            segment(LOAD, [0, 3], [1, 3]),  # one site loaded twice
-            segment(PUT, [7, 3], [7, 4]),  # one cell put twice
-            segment(REFLUX, [0, 5, 6], [0, 7, 8]),  # one dU cell corrected twice
-        ):
-            with pytest.raises(MeshError, match="a record touches what another writes"):
-                GatherProgram.of(1, [16], [bad], values)
 
 
 def _import_case(ndim, walls, n_ranks):

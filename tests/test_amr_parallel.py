@@ -26,7 +26,7 @@ from repro.core.amr_parallel import (
     make_distributed_amr_solver,
 )
 from repro.core.amr_solver import AMRConfig, AMRSolver
-from repro.core.pipeline import PatchViews
+from repro.core.pipeline import PatchViews, recover_stacks
 from repro.eos import IdealGasEOS
 from repro.mesh.amr.blocks import BlockKey
 from repro.io.checkpoint import load_checkpoint
@@ -381,7 +381,8 @@ class TestReceivedPayloadShapes:
 
     def test_a_misshaped_ghost_import_is_refused(self, monkeypatch):
         solver = self._solver(monkeypatch, TAG_AMR_HALO)
-        prims = solver._prims()
+        # a recovery of the committed state, unghosted (``_prims()`` fills its ghosts)
+        prims = recover_stacks(solver._stacks, solver._cons.stacks)
         before = [a.tobytes() for a in prims.stacks]
         with pytest.raises(
             BlockMigrationError,

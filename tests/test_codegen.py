@@ -208,7 +208,7 @@ class TestGeneratedCBudget:
         assert outlines == [
             f"recover_cells_{ndim}d", f"recover_rows_{ndim}d", f"max_signal_rows_{ndim}d",
             *(f"face_flux_rows_ax{ax}_{ndim}d" for ax in range(ndim)),
-            f"accumulate_rows_{ndim}d", "rk_stage_range", "amr_segment",
+            f"accumulate_rows_{ndim}d", "rk_stage_range",
         ]
         entries = [
             name for head, name in defs
@@ -2612,9 +2612,8 @@ class TestThreadCounts:
     def test_a_wide_batch_accumulates_on_a_team_as_on_one_thread(self, monkeypatch):
         """``serve_sweep96``'s layout, a 1-D batch of 32 members of 512
         cells, clears the weighted team threshold, and its accumulate — on
-        a strided axis, which a team splits by the axis — gives the
-        1-thread bytes at 2 and 4 threads, NaN, infinities and signed zeros
-        included."""
+        a strided axis, whose rows a team splits — gives the 1-thread bytes
+        at 2 and 4 threads, NaN, infinities and signed zeros included."""
         from repro.codegen import cext as cext_mod
         from repro.codegen.generator import TEAM_COST, TEAM_MIN_WORK
 
