@@ -8,7 +8,13 @@ compiled row kernels), compile and cache them (:func:`load_kernel`,
 handwritten reference (:func:`verify_kernels`).  A solver calls one
 generated pointwise kernel, ``face_side`` on ``flat``; on ``cext`` the
 same CSE'd list runs inside the compiled sweep.
+
+Importing this package imports no SymPy: :class:`KernelGenerator` and
+:class:`SRHDSymbols` are loaded when first named, and a warm ``cext`` start
+serves its stored spec without generating.
 """
+
+import importlib
 
 from .cache import (
     cache_size,
@@ -23,8 +29,6 @@ from .cext import (
     load_cext_module,
     prune_cache,
 )
-from .generator import KernelGenerator
-from .symbols import SRHDSymbols
 from .system import (
     CompiledSRHDSystem,
     GeneratedSRHDSystem,
@@ -49,3 +53,12 @@ __all__ = [
     "cache_report",
     "prune_cache",
 ]
+
+#: the exports that import SymPy, loaded when first named
+_LAZY = {"KernelGenerator": ".generator", "SRHDSymbols": ".symbols"}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

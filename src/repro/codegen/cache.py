@@ -5,10 +5,13 @@ of nvcc + dlopen) and memoized **by source hash**: every
 :func:`load_kernel` call regenerates the source from the symbolic spec and
 keys the compiled function on ``sha256(source)``, so editing
 ``symbols.py``/``generator.py`` (or monkeypatching the spec, as the
-regression tests do) can never serve a stale kernel.  The compiled
-``cext`` target gets the same treatment one layer down, in
-:mod:`repro.codegen.cext`, where the on-disk artifact name embeds a hash
-of the C source plus the toolchain fingerprint.
+regression tests do) can never serve a stale kernel.  Only the ``flat``
+target's ``face_side`` runs in a solver, loaded on its first call.  The
+compiled ``cext`` target is cached differently, in :mod:`repro.codegen.cext`:
+its generated C is stored once per spec (keyed by the bytes of the
+generator's files and the SymPy version) so a warm start generates nothing,
+and the on-disk artifact name embeds a hash of that C source plus the
+toolchain fingerprint.  This module imports SymPy only when it generates.
 
 A verifier cross-checks every generated kernel against the handwritten
 :class:`~repro.physics.srhd.SRHDSystem` reference — the guardrail any code
@@ -25,7 +28,6 @@ import numpy as np
 from ..eos.ideal import IdealGasEOS
 from ..physics.srhd import SRHDSystem
 from ..utils.errors import CodegenError
-from .generator import KernelGenerator
 
 _cache: dict[tuple[str, str], Callable] = {}
 
@@ -47,6 +49,8 @@ def load_kernel(kind: str, ndim: int, axis: int = 0, target: str = "numpy") -> C
     expressions per call.
     """
     global compile_count
+    from .generator import KernelGenerator
+
     gen = KernelGenerator(ndim)
     source = gen.generate(kind, axis, target)
     name = gen.kernel_name(kind, axis, target)
@@ -118,6 +122,7 @@ def verify_kernels(
     :class:`CodegenError` if any exceeds its tolerance.
     """
     from .cext import cext_available
+    from .generator import KernelGenerator
 
     rng = np.random.default_rng(seed)
     system = SRHDSystem(IdealGasEOS(gamma=gamma), ndim=ndim)

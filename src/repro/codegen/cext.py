@@ -12,20 +12,30 @@ is fixed for a stack (shapes, element types, stencil reach) and makes the
 pointers to the buffers the stack keeps, and returns the call, which takes
 only the arrays that change and checks and points to an array it was not
 bound to.  There is no pointwise entry point: the per-side algebra runs
-inside the sweep.  Three layers of caching keep rebuilds rare and
-*correct*:
+inside the sweep.  Four layers of caching keep generation and rebuilds rare
+and *correct*:
 
 1. an in-process handle map, keyed by the artifact name;
-2. an on-disk artifact cache (``$REPRO_CEXT_CACHE``, default
+2. the stored spec: the generated ``(C source, cdef)`` pair of each ndim,
+   written once, with its digest, under ``specs/`` in the artifact cache.
+   Its key is a SHA-256 over the bytes of :data:`SPEC_FILES` (the emitter,
+   the symbolic spec and the ABI they print), the installed SymPy version
+   and the ndim, so editing one of those files or upgrading SymPy misses it.
+   It is served only while ``KernelGenerator`` and ``SRHDSymbols`` hold the
+   attributes their files define (an emitter patched in-process generates
+   afresh and stores nothing), and a torn or tampered entry is regenerated.
+   A warm start therefore imports no SymPy and runs no CSE;
+3. an on-disk artifact cache (``$REPRO_CEXT_CACHE``, default
    ``~/.cache/repro/cext``) whose file names embed a SHA-256 over the
    **generated C source + cdef declarations + toolchain fingerprint +
-   compile flags** (ours and ``$CFLAGS``) — so editing
-   ``symbols.py``/``generator.py``, upgrading the compiler or changing a
-   flag can never serve a stale binary;
-3. the cffi build itself, executed in a private temp directory and
+   compile flags** (ours and ``$CFLAGS``) — the name is computed from the
+   source however it was obtained, so a stored spec names the artifact
+   :func:`module_spec` names, and a changed compiler or flag can never
+   serve a stale binary;
+4. the cffi build itself, executed in a private temp directory and
    installed into the cache with an atomic :func:`os.replace`, so
    concurrent worker processes racing to build the same module all end up
-   importing one winner.
+   importing one winner.  A pruned artifact rebuilds from its stored spec.
 
 There is one fallback: missing cffi, a missing or failing C compiler, or
 ``REPRO_CEXT_DISABLE=1`` raise :class:`~repro.utils.errors.CodegenError`
@@ -48,8 +58,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib.util
+import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -62,7 +74,7 @@ import numpy as np
 
 from ..utils.errors import CodegenError
 from ..utils.logging import get_logger
-from .generator import CON2PRIM_KERNEL, STENCIL_REACH, KernelGenerator
+from .abi import CON2PRIM_KERNEL, STENCIL_REACH
 
 _log = get_logger("codegen.cext")
 
@@ -205,16 +217,139 @@ def _artifact_name(prefix: str, source: str, cdef: str) -> str:
     return full if artifact_path(full).exists() else name(build_flags())
 
 
+def _generate(ndim: int) -> tuple[str, str]:
+    """(C source, cdef declarations) of one ndim's module, generated
+    through SymPy."""
+    from .generator import KernelGenerator
+
+    gen = KernelGenerator(ndim)
+    return gen.generate_c_module(), gen.c_declarations()
+
+
+def _module_name(ndim: int, source: str, cdef: str) -> str:
+    return _artifact_name(f"_repro_cext_{ndim}d", source, cdef)
+
+
 def module_spec(ndim: int) -> tuple[str, str, str]:
-    """(artifact name, C source, cdef declarations) for one ndim's module.
+    """(artifact name, C source, cdef declarations) for one ndim's module,
+    generated afresh.
 
     Any change to the symbolic spec, the emitter, the compiler stack or
     the compile flags changes the name and forces a rebuild.
     """
-    gen = KernelGenerator(ndim)
-    source = gen.generate_c_module()
-    cdef = gen.c_declarations()
-    return _artifact_name(f"_repro_cext_{ndim}d", source, cdef), source, cdef
+    source, cdef = _generate(ndim)
+    return _module_name(ndim, source, cdef), source, cdef
+
+
+#: The files whose bytes key the stored spec: the emitter, the symbolic
+#: spec and the ABI constants the emitter prints.  Every ``repro`` module
+#: they import is one of these or shapes no generated byte
+#: (:data:`SPEC_OUTPUT_FREE`).
+SPEC_FILES = ("generator.py", "symbols.py", "abi.py")
+SPEC_OUTPUT_FREE = ("repro.utils.errors",)
+#: Subdirectory of the artifact cache holding the stored specs.
+SPEC_DIR = "specs"
+#: ``(module, class)`` of the spec files whose attributes a stored spec
+#: assumes: each module records what its file defines as ``_DEFINED``.
+_SPEC_CLASSES = (("generator", "KernelGenerator"), ("symbols", "SRHDSymbols"))
+
+
+def sympy_version() -> str:
+    """The installed SymPy's version, read from its ``release.py`` without
+    importing it ("none" where SymPy is not installed)."""
+    found = importlib.util.find_spec("sympy")
+    if found is None:
+        return "none"
+    release = Path(found.origin).with_name("release.py")
+    match = release.is_file() and re.search(
+        r"""__version__\s*=\s*["']([^"']+)["']""", release.read_text()
+    )
+    if not match:  # pragma: no cover - a SymPy laid out otherwise
+        from importlib.metadata import version
+
+        return version("sympy")
+    return match.group(1)
+
+
+def spec_key(ndim: int) -> str:
+    """SHA-256 over what generates one ndim's spec: the bytes of
+    :data:`SPEC_FILES`, the SymPy version and *ndim*."""
+    here = Path(__file__).parent
+    parts = [(here / name).read_bytes() for name in SPEC_FILES]
+    parts.append(f"sympy={sympy_version()}|ndim={int(ndim)}".encode())
+    return hashlib.sha256(b"\0".join(parts)).hexdigest()
+
+
+def spec_path(key: str, ndim: int) -> Path:
+    return cache_dir() / SPEC_DIR / f"_repro_cext_{int(ndim)}d_{key[:16]}.json"
+
+
+def _spec_digest(key: str, source: str, cdef: str) -> str:
+    return hashlib.sha256(chr(0).join([key, source, cdef]).encode()).hexdigest()
+
+
+def _spec_replaced() -> bool:
+    """Whether a loaded spec class holds attributes other than those its
+    file defines: an emitter or spec replaced in-process.  A module not
+    imported yet has replaced nothing."""
+    for module, cls in _SPEC_CLASSES:
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None and vars(getattr(mod, cls)) != mod._DEFINED:
+            return True
+    return False
+
+
+def _read_spec(path: Path, key: str) -> tuple[str, str] | None:
+    """The stored ``(source, cdef)`` at *path*, or None when it is missing,
+    torn, or does not match its digest."""
+    try:
+        stored = json.loads(path.read_text())
+        pair = stored["source"], stored["cdef"]
+        whole = stored["digest"] == _spec_digest(key, *pair)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _log.warning("stored cext spec %s unreadable (%s); regenerating", path, exc)
+        return None
+    if not whole:
+        _log.warning("stored cext spec %s fails its digest; regenerating", path)
+        return None
+    return pair
+
+
+def _write_spec(path: Path, key: str, source: str, cdef: str) -> None:
+    """Store ``(source, cdef)`` at *path* atomically: written whole to a
+    private temp file, then renamed into place.  A store that fails only
+    costs the next process a generation."""
+    entry = {"source": source, "cdef": cdef, "digest": _spec_digest(key, source, cdef)}
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=str(path.parent))
+        try:
+            with os.fdopen(fd, "w") as out:
+                json.dump(entry, out)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        _log.warning("cannot store cext spec %s (%s)", path, exc)
+
+
+def stored_spec(ndim: int) -> tuple[str, str, str]:
+    """:func:`module_spec`, its source and declarations served from the spec
+    store when they are there: generated (through SymPy) and stored only on
+    a miss.  An emitter or spec replaced in-process is generated afresh and
+    never stored."""
+    if _spec_replaced():
+        return module_spec(ndim)
+    key = spec_key(ndim)
+    path = spec_path(key, ndim)
+    pair = _read_spec(path, key)
+    if pair is None:
+        pair = _generate(ndim)
+        _write_spec(path, key, *pair)
+    return (_module_name(ndim, *pair), *pair)
 
 
 def artifact_path(name: str) -> Path:
@@ -301,13 +436,14 @@ def _load_spec(name: str, source: str, cdef: str):
 def load_cext_module(ndim: int):
     """(ffi, lib) of the compiled kernel module for *ndim*.
 
-    Builds (and disk-caches) on first use; raises
+    Its spec comes from the spec store (:func:`stored_spec`: no SymPy on a
+    warm start); builds (and disk-caches) on first use; raises
     :class:`~repro.utils.errors.CodegenError` when the target is disabled
     or no toolchain is available.
     """
     if cext_disabled():
         raise CodegenError(f"cext target disabled via {DISABLE_ENV}=1")
-    return _load_spec(*module_spec(ndim))
+    return _load_spec(*stored_spec(ndim))
 
 
 def simd_level(ndim: int) -> str:

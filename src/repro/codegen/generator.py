@@ -23,89 +23,37 @@ Three targets model the architectures of a heterogeneous node:
 Common subexpression elimination (``sympy.cse``) is applied before
 printing, exactly as production generators do to keep register pressure and
 redundant transcendentals down.
+
+SymPy is imported by the functions that print, never by importing this
+module: a warm start reads the ABI through it and loads a stored spec
+(:func:`repro.codegen.cext.load_cext_module`) without generating anything.
 """
 
 from __future__ import annotations
 
-import sympy as sp
-from sympy.printing.c import C99CodePrinter
-from sympy.printing.precedence import PRECEDENCE
-from sympy.printing.numpy import NumPyPrinter
+import functools
 
 from ..utils.errors import CodegenError
-from .symbols import SRHDSymbols
+from .abi import (
+    ACCUMULATE_KERNEL,
+    AMR_PROGRAM_KERNEL,
+    C2P_LANES,
+    CON2PRIM_KERNEL,
+    FACE_FLUX_KERNEL,
+    RECOVER_KERNEL,
+    RK_STAGE_KERNEL,
+    SIMD_LEVEL_DECL,
+    STENCIL_LIMITER_IDS,
+    STENCIL_REACH,
+    STENCIL_RECON_IDS,  # noqa: F401 - the ABI, also read from here
+    STENCIL_RIEMANN_IDS,  # noqa: F401
+    STENCIL_TILE,
+    TEAM_COST,
+    TEAM_MIN_WORK,
+    THREADS_DECL,
+)
 
 _TARGETS = ("numpy", "flat")
-
-#: Runtime dispatch ids baked into the fused stencil kernels.  The ids are
-#: part of the compiled ABI: they select the reconstruction family, the
-#: slope limiter, and the Riemann solver *per call*, so one compiled
-#: ``face_flux`` entry point per axis serves every supported scheme combo
-#: (instead of compiling the full cross product into separate symbols).
-STENCIL_RECON_IDS = {"pc": 0, "tvd": 1, "ppm": 2, "weno5": 3, "wenoz": 4}
-STENCIL_LIMITER_IDS = {"minmod": 0, "mc": 1, "vanleer": 2, "superbee": 3}
-STENCIL_RIEMANN_IDS = {"llf": 0, "hll": 1, "hllc": 2}
-#: Cells a sweep reads beyond its faces, ``(left, right)`` per recon id: a
-#: sweep of ``n_faces`` faces whose first left cell is ``j0`` touches cells
-#: ``j0 - left .. j0 + n_faces + right - 1`` along the working axis.
-STENCIL_REACH = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (2, 3), 4: (2, 3)}
-#: Faces per tile of the row schedule (sizes its stack scratch).
-STENCIL_TILE = 128
-#: Cells per tile of the recovery sweep, whose lanes iterate Newton in lockstep.
-C2P_LANES = 16
-
-#: Name of the fused conservative-to-primitive Newton kernel in the
-#: compiled module (the one kernel not generated from the symbolic spec:
-#: it is an iterative loop, not an expression list, so it is emitted from
-#: a template that mirrors the vectorized Python iteration line by line).
-CON2PRIM_KERNEL = "con2prim_newton_cext"
-
-#: The one-pass recovery sweep and its CFL scan (a template, like the loop).
-RECOVER_KERNEL = "recover_%dd_cext"
-
-#: The update stage: a region's divergence subtracted into ``dU``, and one
-#: SSP-RK stage combination (ndim-independent: a flat loop over the state).
-ACCUMULATE_KERNEL = "accumulate_%dd_cext"
-RK_STAGE_KERNEL = "rk_stage_cext"
-
-#: The AMR gather program: a ghost fill or a reflux in one call.
-AMR_PROGRAM_KERNEL = "amr_program_%dd_cext"
-
-#: Which sweep clone the loader picked on this host: 1 = avx2, 0 = baseline.
-SIMD_LEVEL_DECL = "int repro_simd_level(void)"
-#: The kernels' OpenMP team size: set when ``n > 0``, returned (1 in a
-#: module built without OpenMP).
-THREADS_DECL = "int repro_threads(int n)"
-
-#: Weighted work below which an entry point runs its serial branch and never
-#: calls into libgomp: a call of *work* cells or faces (each entry point
-#: counts its own, see :data:`TEAM_COST`) teams from
-#: ``TEAM_COST[kernel] * work >= TEAM_MIN_WORK``.
-TEAM_MIN_WORK = 4096
-
-#: Each entry point's cost per unit of its work, relative to the short,
-#: memory-bound ``accumulate`` and ``rk_stage``: ``TEAM_MIN_WORK`` over the
-#: work at which 2 threads first beat 1 on the layout that gains last,
-#: rounded down to a power of two.  Measured on a 2-vCPU Xeon (gcc 12.2),
-#: the C time of one call on the threshold-0 build, stacks of 8^2 leaves,
-#: single N^2 patches and 1-D batches of B x 256:
-#:
-#: ============  ===============  =========  ====================================
-#: entry point   work             crossover  2 vs 1 thread
-#: ============  ===============  =========  ====================================
-#: face_flux     rows x faces     ~500       x1.4 at 2 leaves (144), x1.6 at a
-#:                                           batch of 2 (514), x0.9 at one of 1
-#: recover       ghosted cells    ~500-900   x1.2 at 4 leaves (784), x1.4 at
-#:                                           24^2 (900), x0.9 at 16^2 (484)
-#: rk_stage      ghosted cells    ~3000      x1.0 at 32^2 (1444), x1.2 at 48^2
-#: accumulate    rows x width     >4096      x1.2 at 32 leaves (2048); a strided
-#:                                           batch stays below x1 up to 8192
-#: ============  ===============  =========  ====================================
-#:
-#: So AMR's stacks of 8^2 leaves team their sweeps from 8 leaves (576 faces)
-#: and their recovery from 3, while a lone 8^2 leaf (196 ghosted cells)
-#: stays serial.
-TEAM_COST = {"face_flux": 8, "recover": 8, "rk_stage": 1, "accumulate": 1}
 
 #: Prologue of every generated C module.  ``REPRO_INLINE`` marks each helper
 #: ``static inline`` and, where the compiler allows, forces the inlining:
@@ -472,22 +420,31 @@ REPRO_INLINE void ppm_row(const double* c, long m, double* h, double* e,
 )
 
 
-class _CPrinter(C99CodePrinter):
-    """C99 printer whose squares are products: ``(x*x)``, parenthesized so
-    the grouping matches NumPy's ``x**2`` inside a larger product, and no
-    ``pow`` call is left in the generated source."""
+@functools.cache
+def _c_printer():
+    """SymPy's C99 printer whose squares are products: ``(x*x)``,
+    parenthesized so the grouping matches NumPy's ``x**2`` inside a larger
+    product, and no ``pow`` call is left in the generated source.  The class
+    is built on first use (it subclasses SymPy's printer)."""
+    from sympy.printing.c import C99CodePrinter
+    from sympy.printing.precedence import PRECEDENCE
 
-    def _print_Pow(self, expr):
-        if expr.exp == 2:
-            base = self.parenthesize(expr.base, PRECEDENCE["Mul"])
-            return f"({base}*{base})"
-        return super()._print_Pow(expr)
+    class _CPrinter(C99CodePrinter):
+        def _print_Pow(self, expr):
+            if expr.exp == 2:
+                base = self.parenthesize(expr.base, PRECEDENCE["Mul"])
+                return f"({base}*{base})"
+            return super()._print_Pow(expr)
+
+    return _CPrinter
 
 
 class KernelGenerator:
     """Generates kernel source (Python or C) for one SRHD configuration."""
 
     def __init__(self, ndim: int):
+        from .symbols import SRHDSymbols
+
         self.symbols = SRHDSymbols(ndim)
         self.ndim = ndim
 
@@ -503,6 +460,8 @@ class KernelGenerator:
         output expressions.  Every emitter of every target prints exactly
         this list, which is what makes their arithmetic bitwise-equal.
         """
+        import sympy as sp
+
         stages = self.symbols.stages(kind, axis)
         exprs = self.symbols.expressions(kind, axis)
         temps, reduced = sp.cse(
@@ -549,6 +508,8 @@ class KernelGenerator:
             lines.append(f'    """Generated {kind} kernel (axis={axis}, '
                          f'{self.ndim}D, flat/SoA target)."""')
             ret = ", ".join(out_rows)
+        from sympy.printing.numpy import NumPyPrinter
+
         printer = NumPyPrinter()
         assignments, outputs = self._cse(kind, axis)
         lines += [f"    {s} = {printer.doprint(e)}" for s, e in assignments]
@@ -921,7 +882,7 @@ void {RECOVER_KERNEL % nd}(double* cons, double* prim, long n_patches,
         return self.ndim + 2
 
     def stencil_kernel_name(self, axis: int) -> str:
-        return f"face_flux_ax{axis}_{self.ndim}d_cext"
+        return FACE_FLUX_KERNEL % (axis, self.ndim)
 
     def generate_c_sanitize_tile(self) -> str:
         """Face-state repair over one tile, op-for-op equal to
@@ -987,7 +948,7 @@ REPRO_INLINE void sanitize_tile_{nd}d(double (*restrict q)[{T}], long m,
         ]
         for v, var in enumerate(self.symbols.input_names()):
             lines.append(f"        const double {var} = q[{v}][i];")
-        printer = _CPrinter()
+        printer = _c_printer()()
         assignments, outputs = self._cse("face_side", axis)
         lines += [
             f"        const double {s} = {printer.doprint(e)};" for s, e in assignments
@@ -1465,3 +1426,9 @@ void {AMR_PROGRAM_KERNEL % nd}(double** arrs, const long* code, long n_code,
     }}
 }}
 """
+
+
+#: What this file defines on :class:`KernelGenerator`: a stored C spec is
+#: served only while the class still holds exactly these attributes (an
+#: emitter replaced in-process generates afresh, :mod:`repro.codegen.cext`).
+_DEFINED = dict(vars(KernelGenerator))

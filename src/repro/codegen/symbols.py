@@ -175,3 +175,9 @@ class SRHDSymbols:
         if kind == "face_side":
             return self.face_side(axis)
         raise CodegenError(f"unknown kernel kind {kind!r}")
+
+
+#: What this file defines on :class:`SRHDSymbols`: a stored C spec is served
+#: only while the class still holds exactly these attributes (a spec
+#: replaced in-process generates afresh, :mod:`repro.codegen.cext`).
+_DEFINED = dict(vars(SRHDSymbols))

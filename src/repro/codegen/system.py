@@ -7,7 +7,7 @@ so a resolved system converts data (``prim_to_con``, ``flux``,
 
 :class:`GeneratedSRHDSystem` (the ``flat`` target) adds the SymPy-generated
 ``face_side``: the Riemann solvers' per-side stage, one joint kernel over
-SoA rows (the accelerator rehearsal path).
+SoA rows (the accelerator rehearsal path), generated on its first call.
 
 :class:`CompiledSRHDSystem` (the ``cext`` target) adds the row kernels of
 the cffi-compiled C module of :mod:`repro.codegen.cext`: the one-pass
@@ -37,17 +37,17 @@ from ..physics.srhd import SRHDSystem
 from ..utils.errors import CodegenError, ConfigurationError
 from ..utils.logging import get_logger
 from . import cext
-from .cache import load_kernel
-from .generator import (
+from .abi import (
     ACCUMULATE_KERNEL,
     AMR_PROGRAM_KERNEL,
+    FACE_FLUX_KERNEL,
     RECOVER_KERNEL,
     RK_STAGE_KERNEL,
     STENCIL_LIMITER_IDS,
     STENCIL_RECON_IDS,
     STENCIL_RIEMANN_IDS,
-    KernelGenerator,
 )
+from .cache import load_kernel
 
 _log = get_logger("codegen.system")
 
@@ -84,20 +84,23 @@ class GeneratedSRHDSystem(SRHDSystem):
     """:class:`SRHDSystem` plus the one generated kernel an interpreted
     pipeline calls: ``face_side``, the per-side stage of the Riemann
     solvers.  The ``flat`` target (SoA marshalling); every other method is
-    the handwritten one."""
+    the handwritten one.  The kernels are generated (through SymPy) on the
+    first ``face_side`` call: a ``cext`` pipeline never makes one."""
 
     target = "flat"
 
     def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
         super().__init__(IdealGasEOS(gamma=gamma), ndim)
         self.gamma = float(gamma)
-        self._k_side = [
-            load_kernel("face_side", ndim, axis, "flat") for axis in range(ndim)
-        ]
+        self._k_side = None
 
     def face_side(self, prim: np.ndarray, axis: int = 0, scratch=None, tag="side"):
         # Keep the reference implementation's admissibility guard.
         self.lorentz_factor(prim)
+        if self._k_side is None:
+            self._k_side = [
+                load_kernel("face_side", self.ndim, ax, "flat") for ax in range(self.ndim)
+            ]
         nv = prim.shape[0]
         side = scratch_buf(scratch, (tag, "side"), (2 * nv + 2,) + prim.shape[1:])
         self._k_side[axis](
@@ -130,13 +133,10 @@ class CompiledSRHDSystem(GeneratedSRHDSystem):
     char_speeds = SRHDSystem.char_speeds
 
     def __init__(self, gamma: float = 5.0 / 3.0, ndim: int = 1):
-        # The module first: a target that cannot load fails before the
-        # interpreted kernels are generated.
         self._ffi, self._lib = cext.load_cext_module(ndim)
         super().__init__(gamma, ndim)
-        gen = KernelGenerator(ndim)
         self._c_face_flux = [
-            getattr(self._lib, gen.stencil_kernel_name(ax)) for ax in range(ndim)
+            getattr(self._lib, FACE_FLUX_KERNEL % (ax, ndim)) for ax in range(ndim)
         ]
         self._c_recover = getattr(self._lib, RECOVER_KERNEL % ndim)
         self._c_accumulate = getattr(self._lib, ACCUMULATE_KERNEL % ndim)

@@ -23,9 +23,11 @@ divergence sweeps ``system.ndim`` axes, so it never touches the batch axis
 
 The batch axis carries the same ghost layers as the physical axes (a
 uniform :class:`~repro.mesh.grid.Grid` keeps the whole workspace/boundary
-machinery unchanged); its ghost columns are filled by outflow copies and
-are never read by any physical sweep, so they cannot influence interior
-scenarios.  With ``N = 1`` every elementwise operation sees exactly the
+machinery unchanged).  Its ghost columns are filled once, by outflow copies
+of the edge scenarios when the initial state is set up; a recovery fills
+the physical faces only, so the primitive arrays it returns hold zeros
+there.  No sweep, recovery or CFL scan reads those columns, so they cannot
+influence interior scenarios.  With ``N = 1`` every elementwise operation sees exactly the
 cells the unbatched :class:`~repro.core.solver.Solver` sees, in the same
 order — the batched solution is **bit-identical** to the unbatched one
 (locked down by ``tests/test_batch.py``).
@@ -116,8 +118,10 @@ def batch_boundaries(base: BoundarySet, grid: BatchGrid) -> BoundarySet:
 
     Physical axes keep their indices (the batch axis is appended last), so
     the base per-face table transfers unchanged.  Outflow on the batch
-    faces fills the ghost columns with copies of the edge scenarios —
-    deterministic, finite, and never read by a physical sweep.
+    faces fills the ghost columns of the initial state with copies of the
+    edge scenarios — deterministic, finite, and never read by a physical
+    sweep; a pipeline's recovery fills the physical faces only
+    (``bcs.walls(system.ndim)``).
     """
     faces = dict(base.faces)
     faces[(grid.batch_axis, 0)] = Outflow()

@@ -114,11 +114,13 @@ class HydroPipeline:
         self.patches = [(grid, boundaries)] if patches is None else list(patches)
         #: ``(patch, grid, walls)`` of every patch with a face to fill: the
         #: recovery's boundary fill visits these faces and no other — a
-        #: fully neighboured rank makes no call
+        #: fully neighboured rank makes no call.  Physical axes only: a
+        #: batch's ghost columns keep their initial fill, which no sweep,
+        #: recovery or scan reads
         self._walls = [
             (i, g, walls)
             for i, (g, bcs) in enumerate(self.patches)
-            if (walls := bcs.walls(g.ndim))
+            if (walls := bcs.walls(system.ndim))
         ]
         #: the shape of every stack this pipeline takes and returns
         self._state_shape = (len(self.patches), system.nvars) + grid.shape_with_ghosts

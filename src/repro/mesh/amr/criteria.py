@@ -23,12 +23,19 @@ def scaled_gradient(field: np.ndarray, axis: int, floor: float = 1e-12) -> np.nd
     return out
 
 
+def _scaled_jumps(field, mag, axis: int, floor: float) -> np.ndarray:
+    """The scaled jump of every face along *axis* (*mag* is ``|field|``)."""
+    lo = (slice(None),) * axis + (slice(0, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    return np.abs(np.diff(field, axis=axis)) / (mag[lo] + mag[hi] + floor)
+
+
 def _deposit_jumps(field, mag, axis: int, floor: float, out: np.ndarray) -> None:
     """Raise *out* to the scaled jump of every face along *axis* on both of
     its cells (*mag* is ``|field|``)."""
     lo = (slice(None),) * axis + (slice(0, -1),)
     hi = (slice(None),) * axis + (slice(1, None),)
-    jump = np.abs(np.diff(field, axis=axis)) / (mag[lo] + mag[hi] + floor)
+    jump = _scaled_jumps(field, mag, axis, floor)
     np.maximum(out[lo], jump, out=out[lo])
     np.maximum(out[hi], jump, out=out[hi])
 
@@ -50,17 +57,30 @@ class GradientCriterion:
 
     def patch_flags(self, system: SRHDSystem, prims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(needs refinement, allows coarsening)`` per patch of the stack
-        *prims* ``(P, nvars, *cells)``, from one indicator pass: the max
-        scaled gradient over {rho, p} and all grid axes per cell, rho and p
-        together, each axis's jumps deposited into one array — a max is
-        exact in any order, so every patch gets the bits of its own call
-        and of :func:`scaled_gradient` per field and axis."""
+        *prims* ``(P, nvars, *cells)``, decided from the patch's face jumps
+        of rho and p along every grid axis: refine where any jump exceeds
+        ``refine_threshold``, coarsen where every jump is below
+        ``coarsen_threshold``.  These are the flags of the per-cell
+        indicator (the max of :func:`scaled_gradient` over the fields and
+        axes): a cell's max exceeds a threshold iff one of its faces does.
+
+        A NaN jump makes both its cells' indicator NaN, in both fields,
+        which neither refines nor coarsens — what a face alone cannot see.
+        A jump can only be NaN where a field is not finite (or the sum of
+        magnitudes overflows), so such a stack is decided cell by cell,
+        with the same bits as the indicator."""
         fields = np.take(prims, [system.RHO, system.P], axis=1)
-        mag, ind = np.abs(fields), np.zeros_like(fields)
-        for axis in range(2, fields.ndim):
-            _deposit_jumps(fields, mag, axis, 1e-12, ind)
-        ind = ind.max(axis=1).reshape(len(prims), -1)
+        mag = np.abs(fields)
+        axes = range(2, fields.ndim)
+        if np.isfinite(mag.sum()):
+            jumps = [_scaled_jumps(fields, mag, axis, 1e-12) for axis in axes]
+        else:
+            ind = np.zeros_like(fields)
+            for axis in axes:
+                _deposit_jumps(fields, mag, axis, 1e-12, ind)
+            jumps = [ind.max(axis=1)]
+        jumps = [j.reshape(len(prims), -1) for j in jumps]
         return (
-            (ind > self.refine_threshold).any(axis=1),
-            (ind < self.coarsen_threshold).all(axis=1),
+            np.logical_or.reduce([(j > self.refine_threshold).any(axis=1) for j in jumps]),
+            np.logical_and.reduce([(j < self.coarsen_threshold).all(axis=1) for j in jumps]),
         )

@@ -13,9 +13,9 @@
   :class:`~repro.core.batch.BatchSolver` sweep.
 - **Kernel-system cache** — resolved codegen systems are cached by
   ``(ndim, EOS gamma, reconstruction, riemann, kernel_target)`` so a
-  thousand requests for the same physics pay SymPy codegen once (the
-  compiled artifact itself is additionally content-hash cached on disk by
-  ``repro.codegen.cext``).  A resolved system converts data exactly as
+  thousand requests for the same physics resolve their kernels once (the
+  compiled artifact and its generated source are additionally cached on
+  disk by ``repro.codegen.cext``, so a warm process generates nothing).  A resolved system converts data exactly as
   the plain one, so a served scenario is the ``Solver`` run bit for bit.
 - **Per-request metrics** — queue wait, solve time, end-to-end latency,
   and batch occupancy flow through the ordinary

@@ -173,6 +173,58 @@ class TestCriterion:
         prim[1] = 0.0
         assert crit.patch_flags(system1d, prim[None]) == ([False], [False])
 
+    @staticmethod
+    def _indicator_flags(crit, system, prims):
+        """Per patch: the max of :func:`scaled_gradient` over rho, p and
+        the axes per cell (NaN wherever a field's jump is), then any cell
+        above the refine threshold / every cell below the coarsen one."""
+        flags = []
+        for prim in prims:
+            ind = np.maximum.reduce([
+                scaled_gradient(prim[f], axis)
+                for f in (system.RHO, system.P) for axis in range(prim.ndim - 1)
+            ])
+            flags.append(((ind > crit.refine_threshold).any(),
+                          (ind < crit.coarsen_threshold).all()))
+        return [list(f) for f in zip(*flags)]
+
+    def test_face_flags_are_the_indicator_flags(self, system2d):
+        """Random 2-D stacks, smooth and with jumps of every size: the flags
+        decided from the faces are the cell indicator's."""
+        crit = GradientCriterion(refine_threshold=0.1)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            prims = 1.0 + 0.001 * rng.random((6, system2d.nvars, 10, 10))
+            for i, scale in enumerate((0.0, 0.02, 0.05, 0.3, 1.0, 10.0)):
+                prims[i, system2d.P, rng.integers(10), :] *= 1.0 + scale * rng.random()
+            got = crit.patch_flags(system2d, prims)
+            assert [list(g) for g in got] == self._indicator_flags(crit, system2d, prims)
+
+    def test_nan_jumps_flag_as_the_indicator_does(self, system1d):
+        """A NaN jump poisons its two cells' indicator in both fields:
+        neither refinement nor coarsening there.  Leaves: NaN throughout;
+        a NaN cell and an above-threshold jump apart (refines); that jump
+        bracketed by NaN cells, so both its cells are poisoned (does not);
+        a NaN pressure beside a density jump (does not); an infinite value
+        (its jumps are NaN); and a clean leaf in the same stack."""
+        crit = GradientCriterion(refine_threshold=0.1)
+        prims = np.ones((6, system1d.nvars, 12))
+        prims[:, system1d.V(0)] = 0.0
+        prims[0, system1d.RHO] = np.nan
+        prims[1, system1d.RHO, 1] = np.nan
+        prims[1, system1d.RHO, 8:] = 10.0
+        prims[2, system1d.RHO, [3, 6]] = np.nan
+        prims[2, system1d.RHO, 5] = 10.0
+        prims[3, system1d.RHO, 6:] = 10.0
+        prims[3, system1d.P, 5] = np.nan
+        prims[4, system1d.P, 2] = np.inf
+        prims[5, system1d.RHO, 6:] = 10.0
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = self._indicator_flags(crit, system1d, prims)
+            got = crit.patch_flags(system1d, prims)
+        assert want == [[False, True, False, False, False, True], [False] * 6]
+        assert [list(g) for g in got] == want
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             GradientCriterion(refine_threshold=-1)

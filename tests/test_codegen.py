@@ -7,6 +7,7 @@ import contextlib
 from collections import Counter
 import logging
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -977,7 +978,8 @@ class TestCextCacheCorruption:
         cache: each builds in a private temp dir and installs with an
         atomic rename, so every one loads a whole artifact (the same
         clone, the same team) and the cache ends holding exactly one file
-        and no temp dir."""
+        and no temp dir.  The generated spec is stored the same way: the
+        spec store ends holding exactly one whole spec and no temp file."""
         import json
         import subprocess
         import sys
@@ -1005,7 +1007,258 @@ class TestCextCacheCorruption:
         loaded = [json.loads(out.strip().splitlines()[-1]) for out, _ in outs]
         assert loaded[0] == loaded[1] == loaded[2]
         left = sorted(p.name for p in tmp_path.iterdir())
-        assert left == [cext_mod.artifact_path(cext_mod.module_spec(1)[0]).name], left
+        name, source, cdef = cext_mod.module_spec(1)
+        assert left == sorted([cext_mod.artifact_path(name).name, cext_mod.SPEC_DIR]), left
+        key = cext_mod.spec_key(1)
+        stored = tmp_path / cext_mod.SPEC_DIR / cext_mod.spec_path(key, 1).name
+        assert list((tmp_path / cext_mod.SPEC_DIR).iterdir()) == [stored]
+        assert cext_mod._read_spec(stored, key) == (source, cdef)
+
+
+def _probe(script: str, **env) -> dict:
+    """Run *script* in a fresh interpreter (with *env* on top of ours) and
+    return the JSON object its last line prints."""
+    import json
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=600,
+        env={**os.environ, **env},
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+#: a warm start's work: step a cext Solver and AMRSolver, drain a batch
+#: service; whether SymPy was imported, and what was built
+_WARM_PROBE = """\
+import json, sys
+from repro import Grid, IdealGasEOS, Solver, SolverConfig, SRHDSystem
+from repro.boundary import make_boundaries
+from repro.codegen import cext
+from repro.core.amr_solver import AMRConfig, AMRSolver
+from repro.physics.initial_data import blast_wave_2d
+from repro.serve import BatchService
+
+def blast(system, grid):
+    return blast_wave_2d(system, grid, p_in=10.0, p_out=1.0)
+
+s = SRHDSystem(IdealGasEOS(), ndim=2)
+g = Grid((16, 16), ((0.0, 1.0), (0.0, 1.0)))
+cfg = SolverConfig(kernel_target="cext", cfl=0.4)
+solver = Solver(s, g, blast(s, g), cfg, make_boundaries("periodic"))
+amr = AMRSolver(s, g, blast, cfg, AMRConfig(block_size=8, max_levels=2, regrid_interval=2),
+                make_boundaries("periodic"))
+for _ in range(3):
+    solver.step()
+    amr.step()
+tube = dict(kind="shock_tube", problem="RP1", nx=64, t_final=0.01, cfl=0.4, kernel_target="cext")
+reqs = BatchService(max_batch=4).sweep([tube] * 2)
+print(json.dumps({
+    "sympy": "sympy" in sys.modules, "builds": cext.build_count,
+    "compiled": [hasattr(p.system, "recover")
+                 for p in [solver.pipeline] + [st.pipeline for st in amr._stacks]],
+    "served": [r.status for r in reqs],
+}))
+"""
+
+
+class TestWarmStart:
+    """A warm start generates nothing: the compiled module loads from its
+    stored spec (``cext.stored_spec``) without importing SymPy, the stored
+    spec and the name it serves are :func:`module_spec`'s byte for byte,
+    and whatever changes the generated source misses the store."""
+
+    @staticmethod
+    def _warm_cache(dest, ndims=(1, 2)):
+        """*dest* holding this session's built artifacts and stored specs of
+        *ndims* (a copy: no cold build)."""
+        import shutil
+
+        from repro.codegen import cext as cext_mod
+
+        (dest / cext_mod.SPEC_DIR).mkdir(parents=True)
+        for nd in ndims:
+            require_cext(nd)
+            name = cext_mod.stored_spec(nd)[0]
+            shutil.copy2(cext_mod.artifact_path(name), dest)
+            shutil.copy2(cext_mod.spec_path(cext_mod.spec_key(nd), nd), dest / cext_mod.SPEC_DIR)
+
+    def test_importing_repro_loads_no_sympy(self):
+        got = _probe(
+            "import json, sys\n"
+            "import repro, repro.core, repro.serve, repro.codegen.system\n"
+            "from repro.codegen import cext, load_kernel\n"
+            "print(json.dumps('sympy' in sys.modules))\n"
+        )
+        assert got is False
+
+    def test_a_warm_start_imports_no_sympy(self, tmp_path):
+        from repro.codegen import cext as cext_mod
+
+        if cext_mod.cext_disabled():
+            pytest.skip(f"{cext_mod.DISABLE_ENV} set: cext falls back to flat, which "
+                        "generates through SymPy")
+        self._warm_cache(tmp_path)
+        got = _probe(_WARM_PROBE, **{cext_mod.CACHE_DIR_ENV: str(tmp_path)})
+        assert got == {"sympy": False, "builds": 0, "compiled": [True] * len(got["compiled"]),
+                       "served": ["ok", "ok"]}
+
+    def test_flat_generates_on_its_first_face_side(self):
+        """``flat`` (and a ``cext`` request that fell back to it) still
+        generates through SymPy: on the first ``face_side``, not at
+        construction."""
+        got = _probe(
+            "import json, sys\n"
+            "from repro import Grid, IdealGasEOS, Solver, SolverConfig, SRHDSystem\n"
+            "from repro.physics.initial_data import RP1, shock_tube\n"
+            "s = SRHDSystem(IdealGasEOS(gamma=RP1.gamma), ndim=1)\n"
+            "g = Grid((32,), ((0.0, 1.0),))\n"
+            "solver = Solver(s, g, shock_tube(s, g, RP1), SolverConfig(kernel_target='flat'))\n"
+            "built = 'sympy' in sys.modules\n"
+            "solver.step()\n"
+            "print(json.dumps([built, 'sympy' in sys.modules]))\n"
+        )
+        assert got == [False, True]
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_the_stored_spec_is_the_generated_one(self, ndim, monkeypatch, tmp_path):
+        from repro.codegen import cext as cext_mod
+
+        pytest.importorskip("cffi")
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
+        want = cext_mod.module_spec(ndim)
+        assert cext_mod.stored_spec(ndim) == want  # a miss: generated, stored
+        key = cext_mod.spec_key(ndim)
+        assert cext_mod._read_spec(cext_mod.spec_path(key, ndim), key) == want[1:]
+
+        def generate(nd):
+            raise AssertionError("a stored spec was generated again")
+
+        monkeypatch.setattr(cext_mod, "_generate", generate)
+        assert cext_mod.stored_spec(ndim) == want  # a hit: served
+
+    def test_what_changes_the_source_misses_the_store(self, monkeypatch, tmp_path):
+        """An edited copy of a key file and another SymPy version are other
+        keys, so they miss; an emitter replaced in-process is generated
+        afresh and never stored."""
+        import shutil
+
+        from repro.codegen import cext as cext_mod
+
+        pytest.importorskip("cffi")
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path / "cache"))
+        generated = []
+        real = cext_mod._generate
+        monkeypatch.setattr(cext_mod, "_generate", lambda nd: generated.append(nd) or real(nd))
+        key = cext_mod.spec_key(1)
+        want = cext_mod.stored_spec(1)
+        assert generated == [1]
+
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for name in cext_mod.SPEC_FILES:
+            shutil.copy2(Path(cext_mod.__file__).with_name(name), copy)
+        with monkeypatch.context() as m:
+            m.setattr(cext_mod, "__file__", str(copy / "cext.py"))
+            assert cext_mod.spec_key(1) == key  # the copy as it is: the same key
+            for name in cext_mod.SPEC_FILES:
+                original = (copy / name).read_bytes()
+                (copy / name).write_bytes(original + b"\n# edited\n")
+                assert cext_mod.spec_key(1) != key, f"an edit of {name} kept the key"
+                (copy / name).write_bytes(original)
+            (copy / "symbols.py").write_bytes(b"# edited\n" + (copy / "symbols.py").read_bytes())
+            assert cext_mod.stored_spec(1) == want
+            assert generated == [1, 1]
+
+        with monkeypatch.context() as m:
+            m.setattr(cext_mod, "sympy_version", lambda: "0.0-other")
+            assert cext_mod.spec_key(1) != key
+            assert cext_mod.stored_spec(1) == want
+            assert generated == [1, 1, 1]
+
+        with monkeypatch.context() as m:
+            orig = KernelGenerator.generate_c_module
+            m.setattr(KernelGenerator, "generate_c_module",
+                      lambda self: orig(self) + "\n/* replaced */\n")
+            name, source, _ = cext_mod.stored_spec(1)
+            assert source.endswith("/* replaced */\n") and name != want[0]
+            stored = cext_mod._read_spec(cext_mod.spec_path(key, 1), key)
+            assert stored == want[1:], "a replaced emitter's source was stored"
+            assert generated == [1] * 4
+        assert cext_mod.stored_spec(1) == want  # the file's emitter again: served
+        assert generated == [1] * 4
+
+    @pytest.mark.parametrize("damage", ["truncated", "tampered"])
+    def test_a_damaged_spec_is_regenerated(self, damage, monkeypatch, tmp_path):
+        import json
+
+        from repro.codegen import cext as cext_mod
+
+        pytest.importorskip("cffi")
+        monkeypatch.setenv(cext_mod.CACHE_DIR_ENV, str(tmp_path))
+        want = cext_mod.stored_spec(1)
+        path = cext_mod.spec_path(cext_mod.spec_key(1), 1)
+        whole = path.read_text()
+        if damage == "truncated":
+            path.write_text(whole[: len(whole) // 2])
+        else:
+            entry = json.loads(whole)
+            entry["source"] = entry["source"].replace("rmin", "rmax", 1)
+            path.write_text(json.dumps(entry))
+        generated = []
+        real = cext_mod._generate
+        monkeypatch.setattr(cext_mod, "_generate", lambda nd: generated.append(nd) or real(nd))
+        with _log_records("repro.codegen.cext") as records:
+            assert cext_mod.stored_spec(1) == want
+        assert generated == [1]
+        assert any("regenerating" in r.getMessage() for r in records)
+        assert path.read_text() == whole
+
+    def test_a_pruned_artifact_rebuilds_without_sympy(self, tmp_path):
+        from repro.codegen import cext as cext_mod
+
+        if cext_mod.cext_disabled():
+            pytest.skip(f"{cext_mod.DISABLE_ENV} set: no artifact is built")
+        self._warm_cache(tmp_path, ndims=(1,))
+        got = _probe(
+            "import json, sys\n"
+            "from repro.codegen import cext\n"
+            "pruned = cext.prune_cache(0)\n"
+            "cext.load_cext_module(1)\n"
+            "print(json.dumps([len(pruned), cext.build_count, 'sympy' in sys.modules]))\n",
+            **{cext_mod.CACHE_DIR_ENV: str(tmp_path)},
+        )
+        assert got == [1, 1, False]
+
+    def test_the_key_covers_every_module_the_generator_reads(self):
+        """Every ``repro`` module the key files import — at any depth, in a
+        function too — is a key file or declared output-free."""
+        import ast
+
+        from repro.codegen import cext as cext_mod
+
+        here = Path(cext_mod.__file__).parent
+        keyed = {f"repro.codegen.{Path(name).stem}" for name in cext_mod.SPEC_FILES}
+        for name in cext_mod.SPEC_FILES:
+            tree = ast.parse((here / name).read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    base = "repro.codegen".rsplit(".", node.level - 1)[0]
+                    imported = f"{base}.{node.module}" if node.module else base
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                        a.name for a in node.names]
+                    imported = next((n for n in names if n.split(".")[0] == "repro"), None)
+                    if imported is None:
+                        continue
+                else:
+                    continue
+                assert imported in keyed or imported in cext_mod.SPEC_OUTPUT_FREE, (
+                    f"{name} imports {imported}, which neither keys the stored spec "
+                    "nor is declared output-free"
+                )
 
 
 class TestFusedStencilParity:
